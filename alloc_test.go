@@ -1,0 +1,137 @@
+package allforone
+
+// Gates on the small-run hot path: what one paper-sized trial may allocate,
+// and that the storage runs recycle through package-level pools (the
+// scheduler's bucket array, DESIGN.md §4.1) carries nothing from one run
+// into the next.
+
+import (
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+)
+
+// paperTrial is one cell of the E1–E9 regime: the hybrid local-coin
+// algorithm on the Fig. 1 right decomposition (n=7), split proposals,
+// Uniform(0,200µs).
+func paperTrial(seed int64) Scenario {
+	return Scenario{
+		Protocol:  ProtocolHybrid,
+		Algorithm: AlgoLocalCoin,
+		Topology:  Topology{Partition: Fig1Right()},
+		Workload:  Workload{Binary: []Value{Zero, One, Zero, One, Zero, One, Zero}},
+		Profile:   UniformProfile(0, 200*time.Microsecond),
+		Seed:      seed,
+		Bounds:    Bounds{MaxRounds: 10_000},
+	}
+}
+
+// TestPaperTrialAllocationGate pins the allocation bill of one paper trial
+// (seed 3: one round, 38 events). Achieved: 288 allocations and 18.5 KB per
+// run, from 388 and 30.8 KB before the per-run diet (pooled bucket array,
+// dense supporters table); the limits leave about 15 % of headroom, so the
+// diet cannot rot unnoticed.
+func TestPaperTrialAllocationGate(t *testing.T) {
+	if testing.Short() {
+		// -short is how CI runs the race pass, under which sync.Pool drops
+		// a share of its Puts and the counts are not the product's.
+		t.Skip("allocation counts are pinned without the race detector")
+	}
+	const (
+		maxAllocs = 330
+		maxBytes  = 21_300
+		runs      = 200
+	)
+	sc := paperTrial(3)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := Run(sc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	runtime.ReadMemStats(&m1)
+	bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / (runs + 1) // AllocsPerRun adds a warm-up call
+	t.Logf("one paper trial: %.0f allocations, %.0f bytes", allocs, bytes)
+	if allocs > maxAllocs || bytes > maxBytes {
+		t.Fatalf("one paper trial allocates %.0f times / %.0f bytes, want ≤ %d / %d",
+			allocs, bytes, maxAllocs, maxBytes)
+	}
+}
+
+// drainPools empties every sync.Pool of the process: a pool's content
+// survives one collection in its victim cache and is dropped by the second.
+func drainPools() {
+	runtime.GC()
+	runtime.GC()
+}
+
+// poolScenarios is a small mixed batch on the pooled small-run path: both
+// hybrid algorithms on both Fig. 1 decompositions plus the two baselines,
+// and runs cut short by MaxSteps with events still pending in the wheel.
+func poolScenarios() []Scenario {
+	var scs []Scenario
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, part := range []*Partition{Fig1Left(), Fig1Right()} {
+			for _, algo := range []string{AlgoLocalCoin, AlgoCommonCoin} {
+				sc := paperTrial(seed)
+				sc.Algorithm = algo
+				sc.Topology = Topology{Partition: part}
+				scs = append(scs, sc)
+				sc.Bounds.MaxSteps = 5
+				scs = append(scs, sc)
+			}
+		}
+		for _, name := range []string{ProtocolBenOr, ProtocolMPCoin} {
+			sc := paperTrial(seed)
+			sc.Protocol, sc.Algorithm = name, ""
+			sc.Topology = Topology{N: 7}
+			scs = append(scs, sc)
+		}
+	}
+	return scs
+}
+
+// TestPooledStorageCarriesNoState: Outcomes must not depend on what the
+// pools hold. The reference runs each scenario alone right after the pools
+// were drained, so on storage no earlier run touched; against it go the
+// same scenarios back to back in one goroutine (a cut-short run's bucket
+// array is the next run's) and through Sweep at parallelism 4.
+func TestPooledStorageCarriesNoState(t *testing.T) {
+	scs := poolScenarios()
+	want := make([]*Outcome, len(scs))
+	for i, sc := range scs {
+		drainPools()
+		out, err := Run(sc)
+		if err != nil {
+			t.Fatalf("scenario %d on fresh storage: %v", i, err)
+		}
+		if cut := sc.Bounds.MaxSteps > 0; out.BoundedOut() != cut {
+			t.Fatalf("scenario %d: BoundedOut = %v, want %v", i, out.BoundedOut(), cut)
+		}
+		want[i] = out
+	}
+
+	for i, sc := range scs {
+		got, err := Run(sc)
+		if err != nil {
+			t.Fatalf("scenario %d back to back: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("scenario %d: Outcome on recycled storage differs from the fresh-storage run\n got %+v\nwant %+v",
+				i, got, want[i])
+		}
+	}
+
+	got, err := Sweep(scs, 4)
+	if err != nil {
+		t.Fatalf("Sweep: %v", err)
+	}
+	for i := range scs {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("scenario %d: Sweep Outcome differs from the fresh-storage run\n got %+v\nwant %+v",
+				i, got[i], want[i])
+		}
+	}
+}

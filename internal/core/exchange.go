@@ -11,28 +11,33 @@ import (
 // the cluster-closure of the senders — "if p_i receives (r, ph, v) from
 // p_j ∈ P[x], it is as if it received the very same message from all the
 // processes of P[x]" (Algorithm 1 line 6).
+//
+// A process executes one exchange at a time and reads a tally only before
+// it opens the next, so each proc owns a single table for its whole
+// execution and resets it per exchange.
 type supporters struct {
-	n      int
-	byVal  map[model.Value]*model.ProcSet
-	covers *model.ProcSet // union over all values (exit-condition set)
+	byVal  []model.ProcSet // indexed by value+1: ⊥, 0, 1
+	covers *model.ProcSet  // union over all values (exit-condition set)
+	rec    [3]model.Value  // backs Received's result
 }
 
 func newSupporters(n int) *supporters {
-	return &supporters{
-		n:      n,
-		byVal:  make(map[model.Value]*model.ProcSet, 3),
-		covers: model.NewProcSet(n),
+	sets := model.NewProcSets(n, 4)
+	return &supporters{byVal: sets[:3], covers: &sets[3]}
+}
+
+// reset empties the table for the next exchange.
+func (s *supporters) reset() {
+	for i := range s.byVal {
+		s.byVal[i].Clear()
 	}
+	s.covers.Clear()
 }
 
 // add accounts one (r, ph, v) message from sender via its cluster closure.
 // With closureOff (the ablation) only the sender itself is counted.
 func (s *supporters) add(part *model.Partition, sender model.ProcID, v model.Value, closureOff bool) {
-	set, ok := s.byVal[v]
-	if !ok {
-		set = model.NewProcSet(s.n)
-		s.byVal[v] = set
-	}
+	set := s.Of(v)
 	if closureOff {
 		set.Add(sender)
 		s.covers.Add(sender)
@@ -44,12 +49,7 @@ func (s *supporters) add(part *model.Partition, sender model.ProcID, v model.Val
 }
 
 // Of returns the supporter set of value v (possibly empty).
-func (s *supporters) Of(v model.Value) *model.ProcSet {
-	if set, ok := s.byVal[v]; ok {
-		return set
-	}
-	return model.NewProcSet(s.n)
-}
+func (s *supporters) Of(v model.Value) *model.ProcSet { return &s.byVal[v+1] }
 
 // MajorityValue returns the binary value supported by more than n/2
 // processes, if any. At most one such value can exist (two majorities
@@ -57,7 +57,7 @@ func (s *supporters) Of(v model.Value) *model.ProcSet {
 // per (r, ph)).
 func (s *supporters) MajorityValue() (model.Value, bool) {
 	for _, v := range []model.Value{model.Zero, model.One} {
-		if set, ok := s.byVal[v]; ok && set.IsMajority() {
+		if s.Of(v).IsMajority() {
 			return v, true
 		}
 	}
@@ -65,11 +65,12 @@ func (s *supporters) MajorityValue() (model.Value, bool) {
 }
 
 // Received returns the set of distinct values with at least one supporter —
-// the paper's rec_i set (Algorithm 2 line 10).
+// the paper's rec_i set (Algorithm 2 line 10). The result is valid until
+// the next call.
 func (s *supporters) Received() []model.Value {
-	out := make([]model.Value, 0, len(s.byVal))
+	out := s.rec[:0]
 	for _, v := range []model.Value{model.Zero, model.One, model.Bot} {
-		if set, ok := s.byVal[v]; ok && set.Count() > 0 {
+		if s.Of(v).Count() > 0 {
 			out = append(out, v)
 		}
 	}
@@ -130,7 +131,8 @@ func (p *proc) msgExchange(r, ph int, est model.Value) (*supporters, *outcome) {
 // with it the network's RNG stream — is identical under either form.
 func (p *proc) beginExchange(r, ph int, est model.Value) (*supporters, *outcome) {
 	cur := phaseKey{round: r, phase: ph}
-	sup := newSupporters(p.part.N())
+	sup := p.sup
+	sup.reset()
 
 	if crashed := p.broadcastPhase(r, ph, est); crashed {
 		out := p.crashNow(r, ph)

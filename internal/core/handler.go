@@ -34,7 +34,6 @@ type reactor struct {
 	ph      int         // exchange in progress: phase 1 or 2
 	est     model.Value // value being exchanged at (r, ph)
 	est1    model.Value // round-carried estimate (est of Algorithm 3)
-	sup     *supporters
 	done    bool
 }
 
@@ -149,12 +148,8 @@ func (rx *reactor) nextRound() *outcome {
 // holds.
 func (rx *reactor) openExchange(ph int, est model.Value) *outcome {
 	rx.ph, rx.est = ph, est
-	sup, out := rx.beginExchange(rx.r, ph, est)
-	if out != nil {
-		return out
-	}
-	rx.sup = sup
-	return nil
+	_, out := rx.beginExchange(rx.r, ph, est)
+	return out
 }
 
 // afterExchange runs the straight-line steps that follow a satisfied

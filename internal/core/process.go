@@ -52,6 +52,7 @@ type proc struct {
 
 	maxRounds int // 0 = unbounded
 	pending   map[phaseKey][]bufferedMsg
+	sup       *supporters // the tally of the exchange in progress
 
 	// Ablation switches (see Config). Both default to false = the paper's
 	// algorithms.

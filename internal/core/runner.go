@@ -265,6 +265,7 @@ func (env *execEnv) newProc(cfg *Config, i int) *proc {
 		rng:           rand.New(rand.NewPCG(s1, s2)),
 		maxRounds:     cfg.MaxRounds,
 		pending:       make(map[phaseKey][]bufferedMsg),
+		sup:           newSupporters(env.n),
 		ablateClosure: cfg.AblateClosure,
 		ablateCluster: cfg.AblateClusterConsensus,
 	}

@@ -29,6 +29,23 @@ func NewProcSet(n int) *ProcSet {
 	return &ProcSet{n: n, lo: w, hi: -1, words: make([]uint64, w)}
 }
 
+// NewProcSets returns k empty sets over the universe {0 … n-1}, carved from
+// one allocation of set headers and one of bitmap words — for owners that
+// keep a fixed family of sets and Clear them between uses (the supporters
+// table of Algorithm 1 holds four per process).
+func NewProcSets(n, k int) []ProcSet {
+	if n < 0 {
+		n = 0
+	}
+	w := (n + 63) / 64
+	words := make([]uint64, k*w)
+	sets := make([]ProcSet, k)
+	for i := range sets {
+		sets[i] = ProcSet{n: n, lo: w, hi: -1, words: words[i*w : (i+1)*w : (i+1)*w]}
+	}
+	return sets
+}
+
 // Universe returns the size n of the universe the set ranges over.
 func (s *ProcSet) Universe() int { return s.n }
 

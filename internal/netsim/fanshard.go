@@ -171,27 +171,12 @@ func (j *fanJob) ExpandShard(shard int, seqBase uint64, ins *vclock.ShardInserte
 	}
 	// Sorting the full packed words orders by (delay, recipient); the
 	// stripe was scanned in ascending recipient order, so ties resolve
-	// exactly like the serial path's stable radix sort of SendAll.
+	// exactly like the serial path's stable sort (sortFanKeys) of SendAll.
 	slices.Sort(keys)
-	first := j.at + vclock.Time(keys[0]>>fanSeqBits)
 	f := sh.getFanout(nw, shard, len(keys))
 	f.from = j.from
 	f.payload = j.payload
-	f.base = first
-	prev := keys[0] >> fanSeqBits
-	for _, k := range keys {
-		gap := (k >> fanSeqBits) - prev
-		if gap >= 1<<(32-fanSeqBits) {
-			// A consecutive-arrival gap too wide for the compressed form:
-			// keep the sorted keys uncompressed (same fallback as sendFan).
-			f.key32 = f.key32[:0]
-			f.key64 = append([]uint64(nil), keys...)
-			f.base = j.at
-			break
-		}
-		prev = k >> fanSeqBits
-		f.key32 = append(f.key32, uint32(gap)<<fanSeqBits|uint32(k&(maxPackFan-1)))
-	}
+	first := f.load(keys, j.at)
 	sh.keys = keys[:0]
 	ins.At(first, seqBase, f)
 }

@@ -148,7 +148,7 @@ type Network struct {
 	freeFanouts    []*fanout
 	everyone       []model.ProcID // the 0 … n-1 recipient list (SendAll); built once in New
 	sortKeys       []uint64       // packed-key build/sort scratch (sendFan)
-	sortAlt        []uint64       // radix-sort ping-pong scratch (sendFan)
+	sortAlt        []uint64       // radix-sort ping-pong scratch (sortFanKeys)
 	closedBox      []uint64       // closed-inbox bitmap, mirrors vboxes[i].Closed()
 
 	// Sharded expansion state (fanshard.go); nil unless the scheduler is
@@ -210,10 +210,11 @@ func (d *delivery) Fire() {
 // once, and 4-byte entries halve that resident set — the Fire path is
 // cache-miss-bound on it. Arrivals whose gap overflows 32-fanSeqBits bits
 // (> half a virtual millisecond between consecutive sorted arrivals) fall
-// back to the uncompressed key64 form. Recipients sharing an arrival
-// instant (gap 0) deliver in recipient-list order (the sort is stable);
-// each recipient appears at most once per fanout, so the tie-break only
-// decides mailbox wake order.
+// back to the uncompressed key64 form; a fanout is in that form exactly
+// while key64 is non-empty, and both slices keep their capacity across
+// pool cycles. Recipients sharing an arrival instant (gap 0) deliver in
+// recipient-list order (the sort is stable); each recipient appears at most
+// once per fanout, so the tie-break only decides mailbox wake order.
 type fanout struct {
 	nw      *Network
 	from    model.ProcID
@@ -278,10 +279,73 @@ func radixSortU64(keys []uint64, alt *[]uint64, maxKey uint64, lowBit uint) []ui
 	return keys
 }
 
+// fanSortCrossover is the fanout size from which sortFanKeys takes the
+// radix sort. It is read off BenchmarkSendFanSort (2.1 GHz Xeon, go1.24,
+// delays uniform over 200 µs or 2 ms — the span does not matter): clearing
+// and prefix-summing 4096 counters twice gives the radix sort a floor of
+// ≈6 µs whatever k is (5.8 µs at k=7, 6.5 at 128, 7.1 at 255, 12 at 1024),
+// while the insertion sort costs 0.02 µs at k=7, 0.3 at 32, 1.2 at 64, 4.2
+// at 128, 15 at 255 and 200 at 1024 — the curves cross near k=160. 128
+// leaves the insertion sort level or ahead also in a build whose code
+// alignment runs the radix loop some 40 % faster (DESIGN.md §10).
+const fanSortCrossover = 128
+
+// sortFanKeys is the one sort of the unsharded fanout path: it orders packed
+// (delay<<fanSeqBits)|recipient keys by delay, keys of equal delay keeping
+// their input order — the recipient-list order, ascending or not. maxDelay
+// bounds the delay fields. The algorithm is a function of len(keys) alone: a
+// stable insertion sort below fanSortCrossover, the LSD radix sort (whose
+// ping-pong buffer is *alt) from there on. Both produce the same permutation,
+// so the choice is invisible to every schedule. Returns the sorted slice.
+func sortFanKeys(keys []uint64, alt *[]uint64, maxDelay uint64) []uint64 {
+	if len(keys) >= fanSortCrossover {
+		return radixSortU64(keys, alt, maxDelay<<fanSeqBits, fanSeqBits)
+	}
+	insertionSortByDelay(keys)
+	return keys
+}
+
+// insertionSortByDelay sorts keys in place by their delay field, stably.
+func insertionSortByDelay(keys []uint64) {
+	for i := 1; i < len(keys); i++ {
+		k := keys[i]
+		j := i
+		for j > 0 && keys[j-1]>>fanSeqBits > k>>fanSeqBits {
+			keys[j] = keys[j-1]
+			j--
+		}
+		keys[j] = k
+	}
+}
+
+// load stores the sorted arrival keys of a broadcast sent at instant now
+// (delays relative to it) on the empty fanout f — delta-compressed, or
+// uncompressed when a gap between consecutive arrivals overflows the
+// compressed form — and returns the first arrival instant.
+func (f *fanout) load(keys []uint64, now vclock.Time) vclock.Time {
+	prev := keys[0] >> fanSeqBits
+	first := now + vclock.Time(prev)
+	f.base = first
+	for _, k := range keys {
+		gap := (k >> fanSeqBits) - prev
+		if gap >= 1<<(32-fanSeqBits) {
+			// A consecutive-arrival gap too wide for the compressed form
+			// (> ~0.5 virtual ms): keep the sorted keys uncompressed.
+			f.key32 = f.key32[:0]
+			f.key64 = append(f.key64, keys...)
+			f.base = now
+			break
+		}
+		prev = k >> fanSeqBits
+		f.key32 = append(f.key32, uint32(gap)<<fanSeqBits|uint32(k&(maxPackFan-1)))
+	}
+	return first
+}
+
 // Fire delivers every arrival due at the current instant, then either
 // reschedules for the next instant or returns to the pool.
 func (f *fanout) Fire() {
-	if f.key64 != nil {
+	if len(f.key64) != 0 {
 		f.fire64()
 		return
 	}
@@ -349,7 +413,7 @@ func (f *fanout) reschedule(at vclock.Time) {
 func (f *fanout) release() {
 	f.payload = nil
 	f.key32 = f.key32[:0]
-	f.key64 = nil
+	f.key64 = f.key64[:0]
 	f.next = 0
 	if f.shard >= 0 {
 		sh := &f.nw.shards[f.shard]
@@ -629,26 +693,11 @@ func (nw *Network) sendFan(from model.ProcID, payload any, recipients []model.Pr
 		nw.sortKeys = keys
 		return
 	}
-	keys = radixSortU64(keys, &nw.sortAlt, maxDelay<<fanSeqBits, fanSeqBits)
-	first := now + vclock.Time(keys[0]>>fanSeqBits)
+	keys = sortFanKeys(keys, &nw.sortAlt, maxDelay)
 	f := nw.getFanout(len(keys))
 	f.from = from
 	f.payload = payload
-	f.base = first
-	prev := keys[0] >> fanSeqBits
-	for _, k := range keys {
-		gap := (k >> fanSeqBits) - prev
-		if gap >= 1<<(32-fanSeqBits) {
-			// A consecutive-arrival gap too wide for the compressed form
-			// (> ~0.5 virtual ms): keep the sorted keys uncompressed.
-			f.key32 = f.key32[:0]
-			f.key64 = append([]uint64(nil), keys...)
-			f.base = now
-			break
-		}
-		prev = k >> fanSeqBits
-		f.key32 = append(f.key32, uint32(gap)<<fanSeqBits|uint32(k&(maxPackFan-1)))
-	}
+	first := f.load(keys, now)
 	nw.sortKeys = keys[:0]
 	nw.opts.sched.AtEvent(first, f)
 }

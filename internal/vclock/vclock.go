@@ -297,9 +297,12 @@ type wheel struct {
 	//   - overflow holds (as a min-heap) events at or past the horizon —
 	//     plus, transiently, events whose slot entered the window since the
 	//     last advance; advance() drains those before choosing a bucket;
-	//   - wheelCount counts events in slots (excluding active/overflow).
+	//   - wheelCount counts events in slots (excluding active/overflow);
+	//   - no slice of the wheel holds an event past its length: pops zero
+	//     the vacated entry and activation swaps whole buckets, so storage
+	//     can be recycled by clearing the pending events alone.
 	active     []event
-	slots      [wheelSlots][]event
+	slots      *slotArray // nil until the first bucket insert (main wheel)
 	curSlot    int64
 	wheelCount int
 	overflow   []event
@@ -307,6 +310,48 @@ type wheel struct {
 	scheduled int64 // events inserted (maintained by the callers of insert)
 	cascades  int64
 	maxDepth  int64
+}
+
+// slotArray is a wheel's near-future bucket array — 6 KB of slice headers
+// plus whatever capacity the buckets have grown. The main wheel of every
+// scheduler borrows one from slotArrays at its first bucket insert and hands
+// it back at Release, so a short run (the paper's n=7 trials process ~160
+// events) neither zeroes a fresh array nor regrows its buckets. Shard wheels
+// keep an array of their own for the scheduler's lifetime.
+//
+// Clear-on-return invariant: an array in the pool holds 256 empty buckets
+// whose backing arrays contain no event — no Event pointer of a finished
+// run stays reachable, and nothing a run does can depend on which array it
+// drew.
+type slotArray [wheelSlots][]event
+
+var slotArrays = sync.Pool{New: func() any { return new(slotArray) }}
+
+// detachSlots takes the bucket array off the wheel, dropping the events
+// still waiting in it (the run is over or aborted and would never pop them),
+// and returns it in the state the pool requires; nil if the wheel holds none.
+func (w *wheel) detachSlots() *slotArray {
+	st := w.slots
+	if st == nil {
+		return nil
+	}
+	w.slots = nil
+	if w.wheelCount > 0 {
+		for i := range st {
+			clear(st[i])
+			st[i] = st[i][:0]
+		}
+		w.wheelCount = 0
+	}
+	return st
+}
+
+// recycleSlots returns the wheel's bucket array to the pool. Idempotent; a
+// later insert borrows a new array.
+func (w *wheel) recycleSlots() {
+	if st := w.detachSlots(); st != nil {
+		slotArrays.Put(st)
+	}
 }
 
 // pending returns the number of undelivered events in this wheel.
@@ -328,6 +373,9 @@ func (w *wheel) insert(ev event) {
 			w.maxDepth = d
 		}
 	case slot < w.curSlot+wheelSlots:
+		if w.slots == nil {
+			w.slots = slotArrays.Get().(*slotArray)
+		}
 		b := &w.slots[slot&wheelMask]
 		*b = append(*b, ev)
 		w.wheelCount++
@@ -365,8 +413,9 @@ func (w *wheel) advance() bool {
 				}
 				w.curSlot = sl
 				w.wheelCount -= len(*b)
-				w.active = append(w.active[:0], *b...)
-				*b = (*b)[:0]
+				// The active heap is empty here: trade it for the bucket
+				// instead of copying the bucket's events over.
+				w.active, *b = *b, w.active
 				heapify(w.active)
 				break
 			}
@@ -645,6 +694,9 @@ func WithShards(shards, workers int) Option {
 			workers = shards
 		}
 		s.shards = make([]wheel, shards)
+		for i := range s.shards {
+			s.shards[i].slots = new(slotArray)
+		}
 		s.staged = make([]ShardInserter, shards)
 		s.workers = workers
 	}
@@ -1105,13 +1157,16 @@ func (s *Scheduler) stepHandler(p *Proc) {
 // otherwise leak) and for Runs unwound by a panicking event callback
 // (parked coroutines would leak the same way); Run invokes it on the way
 // out, and callers that build a scheduler but may abandon it should defer
-// it themselves. After a completed Run it is a no-op, as is calling it
-// twice.
+// it themselves. In every case it hands the main wheel's bucket array back
+// to its pool, dropping the events still pending there (see slotArray).
+// After a completed Run that is all it does; calling it twice is a no-op.
 //
 // Release must be called from the goroutine that owns the scheduler, never
 // from event callbacks or process bodies.
 func (s *Scheduler) Release() {
 	s.stopPool()
+	// Last, because an unwinding coroutine may still schedule events.
+	defer s.main.recycleSlots()
 	if s.live == 0 {
 		return // nothing unfinished — notably after every completed Run
 	}
@@ -1146,9 +1201,9 @@ func (s *Scheduler) Release() {
 //
 // Run must be called exactly once per Scheduler.
 func (s *Scheduler) Run() Outcome {
-	// No-op on a completed run; on a panicking event callback it releases
-	// every coroutine goroutine (birth-gated or parked) instead of leaking
-	// them, and always tears the expansion pool down.
+	// On a panicking event callback it releases every coroutine goroutine
+	// (birth-gated or parked) instead of leaking them; it always tears the
+	// expansion pool down and recycles the main wheel's bucket array.
 	defer s.Release()
 	for {
 		if p := s.popRunnable(); p != nil {

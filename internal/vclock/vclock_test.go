@@ -475,3 +475,68 @@ func TestAtEventZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state wheel cycle allocated %d times over 5000 events, want ~0", measured)
 	}
 }
+
+// TestDetachSlotsLeavesNoEvent: the bucket array a cut-short run hands back
+// must carry nothing of that run — every bucket empty, and no event (hence
+// no Event pointer) left anywhere in the buckets' backing arrays, including
+// the arrays that served as the active heap on the way — while keeping the
+// capacity the run grew.
+func TestDetachSlotsLeavesNoEvent(t *testing.T) {
+	s := New()
+	rng := rand.New(rand.NewPCG(5, 8))
+	const events = 4000
+	for i := 0; i < events; i++ {
+		// Up to 8ms ahead: about half start in the overflow heap and cascade
+		// into the buckets as the window moves.
+		s.AtEvent(Time(rng.Int64N(8_000_000)), &cyclingEvent{})
+	}
+	// A run cut short: pop a third of the events, leaving the rest pending
+	// in the active heap, the buckets and the overflow heap.
+	last := Time(0)
+	for i := 0; i < events/3; i++ {
+		w, ok := s.nextWheel()
+		if !ok {
+			t.Fatal("wheel ran dry")
+		}
+		ev := popEvent(&w.active)
+		if ev.at < last {
+			t.Fatalf("pop %d went back in time: %d after %d", i, ev.at, last)
+		}
+		last = ev.at
+	}
+	if s.main.wheelCount == 0 {
+		t.Fatal("no event pending in the buckets; the test would check nothing")
+	}
+	held := s.main.slots
+	st := s.main.detachSlots()
+	if st == nil || st != held {
+		t.Fatalf("detachSlots = %p, want the wheel's array %p", st, held)
+	}
+	if s.main.slots != nil || s.main.wheelCount != 0 {
+		t.Fatalf("wheel still holds slots=%p wheelCount=%d", s.main.slots, s.main.wheelCount)
+	}
+	capacity := 0
+	for i := range st {
+		if len(st[i]) != 0 {
+			t.Fatalf("bucket %d returned with %d events", i, len(st[i]))
+		}
+		for j, ev := range st[i][:cap(st[i])] {
+			if ev != (event{}) {
+				t.Fatalf("bucket %d entry %d still holds %+v", i, j, ev)
+			}
+		}
+		capacity += cap(st[i])
+	}
+	if capacity == 0 {
+		t.Fatal("the array kept none of the bucket capacity the run grew")
+	}
+	if s.main.detachSlots() != nil {
+		t.Fatal("second detachSlots returned an array")
+	}
+	// The wheel stays usable: a later insert borrows a fresh array.
+	s.AtEvent(last+Time(100_000), &cyclingEvent{})
+	if s.main.slots == nil {
+		t.Fatal("insert after detach did not borrow an array")
+	}
+	s.main.recycleSlots()
+}
