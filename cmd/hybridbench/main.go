@@ -55,9 +55,9 @@ type jsonExperiment struct {
 	EventsScheduled int64   `json:"events_scheduled,omitempty"`
 	EventsPerSec    float64 `json:"events_per_sec,omitempty"`
 	AllocsPerRun    float64 `json:"allocs_per_run,omitempty"`
-	// BurstJobs / PooledPayloadBytes / MaxShardStage total the sealed
-	// per-recipient burst path's work across the experiment's trials
-	// (DESIGN.md §14); zero for experiments that only broadcast.
+	// BurstJobs / PooledPayloadBytes / MaxShardStage total the off-token
+	// expansion path's work across the experiment's trials (DESIGN.md
+	// §12); zero for experiments below the sharding floor.
 	BurstJobs          int64 `json:"burst_jobs,omitempty"`
 	PooledPayloadBytes int64 `json:"pooled_payload_bytes,omitempty"`
 	MaxShardStage      int64 `json:"max_shard_stage,omitempty"`

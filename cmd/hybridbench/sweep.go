@@ -1,7 +1,7 @@
-// The -workers-sweep mode: the multi-core scaling curve (DESIGN.md §14).
-// It runs a fixed cell set — the dense hybrid path (eager SendAll
-// expansion) and both sparse-overlay protocols (sealed per-recipient
-// bursts, allconcur additionally building pooled payloads off-token) — at
+// The -workers-sweep mode: the multi-core scaling curve (DESIGN.md §12).
+// It runs a fixed cell set — the dense hybrid path (SendAll fanout
+// expansion) and both sparse-overlay protocols (per-recipient bursts,
+// allconcur additionally building pooled payloads off-token) — at
 // expansion-pool widths W ∈ {1, 2, 4, 8}, checks that every width
 // reproduces the W=1 Outcome bit for bit (the parallelism-independence
 // contract, enforced here as a hard failure), and reports wall seconds,
@@ -45,8 +45,8 @@ type jsonSweepCell struct {
 	// SpeedupW4 is seconds(W=1)/seconds(W=4): the headline scaling figure.
 	// Meaningful only on a ≥4-core runner (see GOMAXPROCS).
 	SpeedupW4 float64 `json:"speedup_w4_over_w1,omitempty"`
-	// BurstJobs / PooledPayloadBytes pin which expansion path the cell
-	// exercised (0 burst jobs = the dense eager path).
+	// BurstJobs / PooledPayloadBytes pin that the cell expanded off-token
+	// (expansion windows registered) and whether it built payloads there.
 	BurstJobs          int64 `json:"burst_jobs"`
 	PooledPayloadBytes int64 `json:"pooled_payload_bytes"`
 }

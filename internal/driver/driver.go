@@ -90,8 +90,9 @@ type Config struct {
 	// runaway guard fires.
 	Complexity sim.StepComplexity
 	// Workers is the virtual engine's expansion-pool width: how many
-	// threads expand broadcast fanouts inside one run (sharded timer
-	// wheels, vclock.WithShards). It is pure mechanism — the observable
+	// threads expand each flush window's sends — broadcast fanouts and
+	// per-recipient bursts alike — inside one run (sharded timer wheels,
+	// vclock.WithShards). It is pure mechanism — the observable
 	// run (schedule, trace, steps, Outcome) is bit-identical at every
 	// setting; only wall-clock time changes. Zero or negative means
 	// runtime.NumCPU(). Small topologies (and protocols without a

@@ -296,7 +296,7 @@ func (rx *reactor) React(aborted bool) bool {
 // per-recipient sends, never a broadcast. They ride the sharded burst
 // path: on a sharded engine every reactor ticking at this instant appends
 // into one expansion job, and the delay draws, delivery events, and wheel
-// insertions happen off the execution token (burst.go); on a small or
+// insertions happen off the execution token (netsim/expand.go); on a small or
 // unsharded topology BurstSend degrades to a plain Send.
 func (rx *reactor) sendRound() {
 	if rx.infected {

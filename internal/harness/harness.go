@@ -99,9 +99,9 @@ type Perf struct {
 	WheelCascades   int64
 	// MaxBucketDepth is the deepest timer-wheel bucket any trial observed.
 	MaxBucketDepth int64
-	// BurstJobs / PooledPayloadBytes total the sealed per-recipient burst
-	// path's work: deferred jobs submitted and payload bytes built
-	// off-token by protocol builders (DESIGN.md §14).
+	// BurstJobs / PooledPayloadBytes total the off-token expansion path's
+	// work: expansion windows registered and payload bytes built off-token
+	// by protocol builders (DESIGN.md §12).
 	BurstJobs          int64
 	PooledPayloadBytes int64
 	// MaxShardStage is the deepest per-shard staging buffer any trial's

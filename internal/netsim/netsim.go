@@ -54,16 +54,55 @@ type TimedDelayFn func(now time.Duration, rng *rand.Rand, m Message) time.Durati
 // options collects network construction parameters.
 type options struct {
 	seed     uint64
-	delayFn  DelayFn
-	timedFn  TimedDelayFn
 	counters *metrics.Counters
 	sched    *vclock.Scheduler
 
-	// uniform mirrors a WithUniformDelay policy so the virtual-mode fanout
-	// loop can draw delays inline — same RNG stream as the delayFn closure,
-	// minus the closure call and Message construction per recipient.
+	// The delay policy: at most one of timedFn, delayFn and the uniform
+	// band is set once New has settled their precedence (resolvePolicy).
+	timedFn         TimedDelayFn
+	delayFn         DelayFn
 	uniform         bool
 	uniMin, uniSpan time.Duration
+}
+
+// resolvePolicy settles, once, which configured delay policy is in force —
+// whatever order the options came in: a timed function beats a delay
+// function beats the uniform band. Every reader after New (draw, the
+// lookahead hint of openWindow, the sharding predicate) sees one policy.
+func (o *options) resolvePolicy() {
+	switch {
+	case o.timedFn != nil:
+		o.delayFn, o.uniform = nil, false
+	case o.delayFn != nil:
+		o.uniform = false
+	}
+}
+
+// delays reports whether any delay policy is configured.
+func (o *options) delays() bool {
+	return o.timedFn != nil || o.delayFn != nil || o.uniform
+}
+
+// draw returns the transit delay of m, sent at instant at, under the
+// configured policy, drawing from rng — the one delay draw behind Send,
+// every fanout and every expansion shard. The caller serializes rng.
+func (o *options) draw(rng *rand.Rand, at time.Duration, m Message) time.Duration {
+	var d time.Duration
+	switch {
+	case o.timedFn != nil:
+		d = o.timedFn(at, rng, m)
+	case o.delayFn != nil:
+		d = o.delayFn(rng, m)
+	case o.uniform:
+		d = o.uniMin
+		if o.uniSpan > 0 {
+			d += time.Duration(rng.Int64N(int64(o.uniSpan) + 1))
+		}
+	}
+	if d < 0 {
+		d = 0
+	}
+	return d
 }
 
 // Option customizes a Network.
@@ -78,24 +117,13 @@ func WithSeed(seed uint64) Option {
 // [min, max]. A zero max keeps the default immediate delivery.
 func WithUniformDelay(min, max time.Duration) Option {
 	return func(o *options) {
-		if max <= 0 {
-			o.delayFn = nil
-			o.uniform = false
-			return
-		}
-		span := max - min
-		o.uniform, o.uniMin, o.uniSpan = true, min, span
-		o.delayFn = func(rng *rand.Rand, _ Message) time.Duration {
-			if span <= 0 {
-				return min
-			}
-			return min + time.Duration(rng.Int64N(int64(span)+1))
-		}
+		o.uniform, o.uniMin, o.uniSpan = max > 0, min, max-min
 	}
 }
 
 // WithDelayFn installs an arbitrary delay policy (e.g. adversarial
-// per-recipient skew). It overrides WithUniformDelay.
+// per-recipient skew). It overrides WithUniformDelay, in either option
+// order.
 func WithDelayFn(fn DelayFn) Option {
 	return func(o *options) { o.delayFn = fn }
 }
@@ -103,7 +131,7 @@ func WithDelayFn(fn DelayFn) Option {
 // WithTimedDelayFn installs a clock-aware delay policy — the compile
 // target of the public API's NetworkProfiles (per-link skew matrices,
 // asymmetric cluster WANs, partitions healing at an instant). It overrides
-// WithUniformDelay and WithDelayFn.
+// WithUniformDelay and WithDelayFn, in either option order.
 func WithTimedDelayFn(fn TimedDelayFn) Option {
 	return func(o *options) { o.timedFn = fn }
 }
@@ -151,25 +179,20 @@ type Network struct {
 	sortAlt        []uint64       // radix-sort ping-pong scratch (sortFanKeys)
 	closedBox      []uint64       // closed-inbox bitmap, mirrors vboxes[i].Closed()
 
-	// Sharded expansion state (fanshard.go); nil unless the scheduler is
+	// Sharded expansion state (expand.go); nil unless the scheduler is
 	// sharded and a delay policy makes expansion worth fanning out.
 	shards      []sendShard
-	shardOf     []uint8   // recipient → owning shard (len n)
-	seqPerShard uint64    // sequence-block stride per shard (vclock.SubmitJob)
-	fanOK       bool      // SendAll may use the packed-key fanout jobs (n fits the key)
-	freeJobs    []*fanJob // pooled expansion jobs (token-owned)
-	liveJobs    []*fanJob // jobs submitted, recycled when the pool drains
+	shardOf     []uint8 // recipient → owning shard (len n)
+	seqPerShard uint64  // sequence numbers one shard may use per broadcast
+	fanOK       bool    // SendAll may use the packed-key fanouts (n fits the key)
+	win         window  // the current flush window's expansion job
 
-	// Per-recipient burst state (burst.go): the window's deferred job plus
-	// the token-owned global payload pool of the unsharded fallback path.
-	burstJob     burstFan
-	burstLive    bool // a sealed job is registered for the current window
-	freePayloads []any
+	freePayloads []any // token-owned payload pool of the unsharded BurstSendVia fallback
 }
 
 // delivery is a pooled single-message delivery event (virtual mode): the
 // scheduled form of one point-to-point Send. shard names the pool that owns
-// it: a burst-expanded delivery cycles through its recipient shard's
+// it: a shard-expanded delivery cycles through its recipient shard's
 // freelist (worker-filled, token-drained — see sendShard), everything else
 // through the network-global one.
 type delivery struct {
@@ -407,9 +430,9 @@ func (f *fanout) reschedule(at vclock.Time) {
 }
 
 // release returns the exhausted fanout to its pool: the owning shard's
-// recycled list (merged back into the worker-side freelist when the
-// expansion pool is idle) or the network-global freelist. It runs under
-// the execution token, like every Fire.
+// recycle list (merged back into the worker-side freelist when the next
+// window opens) or the network-global freelist. It runs under the
+// execution token, like every Fire.
 func (f *fanout) release() {
 	f.payload = nil
 	f.key32 = f.key32[:0]
@@ -417,7 +440,7 @@ func (f *fanout) release() {
 	f.next = 0
 	if f.shard >= 0 {
 		sh := &f.nw.shards[f.shard]
-		sh.recycled = append(sh.recycled, f)
+		sh.recFan = append(sh.recFan, f)
 		return
 	}
 	f.nw.freeFanouts = append(f.nw.freeFanouts, f)
@@ -459,6 +482,7 @@ func New(n int, opts ...Option) (*Network, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
+	o.resolvePolicy()
 	nw := &Network{
 		n:        n,
 		opts:     o,
@@ -475,15 +499,14 @@ func New(n int, opts ...Option) (*Network, error) {
 			nw.vboxes[i] = mailbox.NewVirtual[Message]()
 		}
 		nw.closedBox = make([]uint64, (n+63)/64)
-		if sc := o.sched.ShardCount(); sc > 0 &&
-			(o.uniform || o.delayFn != nil || o.timedFn != nil) {
+		if sc := o.sched.ShardCount(); sc > 0 && o.delays() {
 			// The scheduler is sharded and sends have per-recipient delay
-			// work worth fanning out: engage the sharded expansion paths —
-			// per-recipient bursts (burst.go) always, the packed-key
-			// SendAll fanout jobs (fanshard.go) only while recipient ids
-			// fit the key. The predicate reads only topology size and the
-			// configured policy, so engagement — like everything downstream
-			// of it — is independent of the worker count.
+			// work worth fanning out: engage the sharded expansion path
+			// (expand.go) — per-recipient bursts always, SendAll's
+			// packed-key fanouts only while recipient ids fit the key. The
+			// predicate reads only topology size and the configured policy,
+			// so engagement — like everything downstream of it — is
+			// independent of the worker count.
 			nw.initShards(sc)
 			nw.fanOK = n <= maxPackFan
 		}
@@ -517,50 +540,39 @@ func (nw *Network) Bind(p model.ProcID, proc *vclock.Proc) {
 // N returns the number of connected processes.
 func (nw *Network) N() int { return nw.n }
 
-// delayFor draws the transit delay of m under the configured policy. In
-// virtual-time mode the scheduler's execution token already serializes all
-// network calls, so the RNG needs no lock — the hot exchange path draws one
-// delay per recipient and the mutex round-trip is measurable at n ≥ 1024.
+// delayFor draws the transit delay of m, sent now, on the network's own
+// stream. In virtual-time mode the scheduler's execution token already
+// serializes all network calls, so the RNG needs no lock — the hot exchange
+// path draws one delay per recipient and the mutex round-trip is measurable
+// at n ≥ 1024. A network that is shut down, or has no delay policy, delivers
+// immediately and draws nothing.
 func (nw *Network) delayFor(m Message) time.Duration {
-	var d time.Duration
-	if !nw.closed.Load() {
-		lock := nw.opts.sched == nil
-		switch {
-		case nw.opts.timedFn != nil:
-			if lock {
-				nw.rngMu.Lock()
-			}
-			d = nw.opts.timedFn(nw.now(), nw.rng, m)
-			if lock {
-				nw.rngMu.Unlock()
-			}
-		case nw.opts.delayFn != nil:
-			if lock {
-				nw.rngMu.Lock()
-			}
-			d = nw.opts.delayFn(nw.rng, m)
-			if lock {
-				nw.rngMu.Unlock()
-			}
-		}
+	if nw.closed.Load() || !nw.opts.delays() {
+		return 0
 	}
-	if d < 0 {
-		d = 0
+	if nw.opts.sched == nil {
+		nw.rngMu.Lock()
+		defer nw.rngMu.Unlock()
 	}
-	return d
+	return nw.opts.draw(nw.rng, nw.now(), m)
+}
+
+// post schedules m's pooled delivery event at virtual instant at. Zero-delay
+// messages still travel through the event queue, so delivery order is the
+// deterministic (time, seq) order and every receive is a scheduling point.
+func (nw *Network) post(at vclock.Time, m Message) {
+	ev := nw.getDelivery()
+	ev.box = nw.vboxes[m.To]
+	ev.msg = m
+	nw.opts.sched.AtEvent(at, ev)
 }
 
 // deliver transports one message (already counted) with transit delay d.
 func (nw *Network) deliver(m Message, d time.Duration) {
 	if nw.vboxes != nil {
 		// Virtual mode: transit is a pooled delivery event d nanoseconds of
-		// virtual time from now. Zero-delay messages still travel through
-		// the event queue, so delivery order is the deterministic
-		// (time, seq) order and every receive is a scheduling point.
-		ev := nw.getDelivery()
-		ev.box = nw.vboxes[m.To]
-		ev.msg = m
-		nw.opts.sched.AfterEvent(vclock.Time(d), ev)
+		// virtual time from now.
+		nw.post(nw.opts.sched.Now()+vclock.Time(d), m)
 		return
 	}
 	if d <= 0 {
@@ -590,6 +602,51 @@ func (nw *Network) Send(from, to model.ProcID, payload any) {
 	nw.deliver(m, nw.delayFor(m))
 }
 
+// packFan is the one draw → skip-closed → overflow → pack loop behind every
+// batched fanout: for each in-range recipient of to it draws a delay from
+// rng (sent at instant at), skips those whose bit is set in the closed
+// bitmap — the live one, or a job's send-time snapshot — and appends the
+// packed (delay<<fanSeqBits)|recipient key to keys. An arrival the key
+// cannot hold — a ≥13-virtual-day draw, or any at all once recipient ids
+// outgrow fanSeqBits — is handed to lone with its arrival instant, to ride
+// a delivery event of its own. Returns the keys and the largest packed
+// delay.
+func (nw *Network) packFan(keys []uint64, rng *rand.Rand, at vclock.Time, from model.ProcID, payload any,
+	to []model.ProcID, closed []uint64, lone func(vclock.Time, Message)) ([]uint64, uint64) {
+	limit := maxPackWait
+	if nw.n > maxPackFan {
+		limit = 0
+	}
+	maxDelay := uint64(0)
+	for _, p := range to {
+		if int(p) < 0 || int(p) >= nw.n {
+			continue
+		}
+		m := Message{From: from, To: p, Payload: payload}
+		// The delay is drawn even for recipients that can no longer
+		// receive, so the RNG stream — and with it every later draw of
+		// the run — is independent of who has terminated.
+		d := nw.opts.draw(rng, time.Duration(at), m)
+		if closed[p>>6]&(1<<(uint(p)&63)) != 0 {
+			// The box would drop the message at arrival anyway (Put on a
+			// closed inbox is a no-op); skipping the event here spares
+			// the scheduler the decision-storm tail, where every process
+			// rebroadcasts DECIDE to mostly-terminated peers.
+			continue
+		}
+		if vclock.Time(d) >= limit {
+			lone(at+vclock.Time(d), m)
+			continue
+		}
+		w := uint64(d)
+		if w > maxDelay {
+			maxDelay = w
+		}
+		keys = append(keys, w<<fanSeqBits|uint64(p))
+	}
+	return keys, maxDelay
+}
+
 // sendFan transmits payload to recipients (all already counted; those out
 // of range are skipped) as one batched fanout. In virtual mode the whole
 // fanout is a single pooled scheduler event per distinct arrival instant;
@@ -606,100 +663,19 @@ func (nw *Network) sendFan(from model.ProcID, payload any, recipients []model.Pr
 		}
 		return
 	}
-	if nw.n > maxPackFan {
-		// Recipient ids no longer fit the packed key; fall back to one
-		// pooled delivery event per message (same semantics, unbatched).
-		for _, to := range recipients {
-			if int(to) < 0 || int(to) >= nw.n {
-				continue
-			}
-			m := Message{From: from, To: to, Payload: payload}
-			d := nw.delayFor(m)
-			if nw.boxClosed(to) {
-				continue
-			}
-			ev := nw.getDelivery()
-			ev.box = nw.vboxes[to]
-			ev.msg = m
-			nw.opts.sched.AfterEvent(vclock.Time(d), ev)
-		}
-		return
+	if nw.closed.Load() {
+		return // shut down: every inbox is closed, nothing can arrive
 	}
-	now := vclock.Time(nw.opts.sched.Now())
-	keys := nw.sortKeys[:0]
-	maxDelay := uint64(0)
-	if nw.opts.uniform && !nw.closed.Load() && vclock.Time(nw.opts.uniMin+nw.opts.uniSpan) < maxPackWait {
-		// Uniform-delay fast path: inline the WithUniformDelay draw — the
-		// identical RNG stream, minus a Message construction and closure
-		// call per recipient. The scheduler token serializes all network
-		// calls, so checking closed once for the whole fanout is exact.
-		min, span := nw.opts.uniMin, int64(nw.opts.uniSpan)
-		for _, to := range recipients {
-			if int(to) < 0 || int(to) >= nw.n {
-				continue
-			}
-			// The delay is drawn even for recipients that can no longer
-			// receive, so the RNG stream — and with it every later draw of
-			// the run — is independent of who has terminated.
-			d := min
-			if span > 0 {
-				d += time.Duration(nw.rng.Int64N(span + 1))
-			}
-			if d < 0 {
-				d = 0
-			}
-			if nw.boxClosed(to) {
-				continue
-			}
-			w := uint64(d)
-			if w > maxDelay {
-				maxDelay = w
-			}
-			keys = append(keys, w<<fanSeqBits|uint64(to))
-		}
-	} else {
-		for _, to := range recipients {
-			if int(to) < 0 || int(to) >= nw.n {
-				continue
-			}
-			// The delay is drawn even for recipients that can no longer
-			// receive, so the RNG stream — and with it every later draw of
-			// the run — is independent of who has terminated.
-			d := nw.delayFor(Message{From: from, To: to, Payload: payload})
-			if nw.boxClosed(to) {
-				// The box would drop the message at arrival anyway (Put on a
-				// closed inbox is a no-op); skipping the event here spares
-				// the scheduler the decision-storm tail, where every process
-				// rebroadcasts DECIDE to mostly-terminated peers.
-				continue
-			}
-			if vclock.Time(d) >= maxPackWait {
-				// A ≥13-virtual-day draw overflows the key's delay field:
-				// this one arrival rides its own delivery event.
-				ev := nw.getDelivery()
-				ev.box = nw.vboxes[to]
-				ev.msg = Message{From: from, To: to, Payload: payload}
-				nw.opts.sched.AfterEvent(vclock.Time(d), ev)
-				continue
-			}
-			w := uint64(d)
-			if w > maxDelay {
-				maxDelay = w
-			}
-			keys = append(keys, w<<fanSeqBits|uint64(to))
-		}
+	now := nw.opts.sched.Now()
+	keys, maxDelay := nw.packFan(nw.sortKeys[:0], nw.rng, now, from, payload, recipients, nw.closedBox, nw.post)
+	if len(keys) > 0 {
+		keys = sortFanKeys(keys, &nw.sortAlt, maxDelay)
+		f := nw.getFanout(len(keys))
+		f.from = from
+		f.payload = payload
+		nw.opts.sched.AtEvent(f.load(keys, now), f)
 	}
-	if len(keys) == 0 {
-		nw.sortKeys = keys
-		return
-	}
-	keys = sortFanKeys(keys, &nw.sortAlt, maxDelay)
-	f := nw.getFanout(len(keys))
-	f.from = from
-	f.payload = payload
-	first := f.load(keys, now)
-	nw.sortKeys = keys[:0]
-	nw.opts.sched.AtEvent(first, f)
+	nw.sortKeys = keys[:0] // after the sort: it may have swapped buffers with sortAlt
 }
 
 // SendAll transmits payload from one process to every process (including
@@ -713,8 +689,8 @@ func (nw *Network) SendAll(from model.ProcID, payload any) {
 	if nw.opts.counters != nil {
 		nw.opts.counters.AddMsgsSent(int64(nw.n))
 	}
-	if nw.shards != nil && nw.fanOK {
-		nw.submitFanAll(from, payload)
+	if nw.shards != nil && nw.fanOK && !nw.closed.Load() {
+		nw.appendFan(from, payload)
 		return
 	}
 	nw.sendFan(from, payload, nw.everyone)

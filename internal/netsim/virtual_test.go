@@ -275,7 +275,7 @@ func testSendAllSteadyStateAllocs(t *testing.T, delay Option) {
 // allocation-free per round: an overlay protocol at n·d sends per round
 // would otherwise pay n·d allocations where SendAll pays zero. n=256 with
 // a de Bruijn successor list reproduces the overlay fanout shape exactly.
-// (On a sharded scheduler the same calls route through the sealed burst
+// (On a sharded scheduler the same calls route through the sharded burst
 // path — TestVirtualBurstSendSteadyStateAllocs pins that side.)
 func TestVirtualOverlaySendSteadyStateAllocs(t *testing.T) {
 	const n = 256
@@ -374,7 +374,7 @@ func (burstEchoBuilder) BuildPayload(nw *Network, shard int, ctx any, arg uint64
 
 // TestVirtualBurstSendSteadyStateAllocs is the sharded counterpart of the
 // overlay Send test above, with NON-ZERO payloads: on a sharded scheduler
-// BurstSendVia routes the fanout through the sealed burst path, payload
+// BurstSendVia routes the fanout through the sharded burst path, payload
 // construction runs off-token through the per-shard payload pools, and the
 // steady state must stay allocation-free per send — pooled deliveries,
 // pooled payloads, recycled entry buffers. It also pins the stats wiring:

@@ -1,174 +1,237 @@
 package vclock
 
 // Sharded-scheduler unit tests: the expansion pool and the merged pop path
-// in isolation from netsim — a synthetic ShardJob staging events with
-// known (at, seq) keys, checked for global pop order, lookahead-overlap
-// correctness, worker-count independence of the schedule AND of the
-// stats, and pool teardown on every exit path.
+// in isolation from netsim — synthetic Jobs staging events with known
+// (at, seq) keys, checked for global pop order, the one lookahead/tie-break
+// rule, worker-count independence of the schedule AND of the stats, and
+// pool teardown on every exit path.
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
 	"time"
 )
 
-// recJob is a synthetic expansion job: shard s stages `perShard` events at
-// instants base+s·step+k·stride, recording fires into the shared log (the
-// log append runs under the token — Fire — so no synchronization needed).
+const us = Time(time.Microsecond)
+
+// trace is a pop log: every fired event appends one line, under the token
+// (Fire), so no synchronization is needed. Lines carry the pool-flush count
+// seen at fire time, which pins WHEN the window closed, not just the order.
+type trace struct {
+	s     *Scheduler
+	lines []string
+}
+
+func (tr *trace) note(what string) {
+	tr.lines = append(tr.lines, fmt.Sprintf("%s@%d/f%d", what, tr.s.Now(), tr.s.Stats().PoolFlushes))
+}
+
+// mark schedules a main-wheel event that logs name.
+func (tr *trace) mark(at Time, name string) {
+	tr.s.At(at, func() { tr.note(name) })
+}
+
+// recJob is a synthetic expansion job: shard s stages perShard events at
+// instants at+base+s·step+k·stride, from a block of shards·perShard
+// sequence numbers laid out shard-major.
 type recJob struct {
-	s        *Scheduler
-	log      *[]pop
-	at       Time // submit instant
+	tr       *trace
+	name     string
+	at       Time // registration instant
 	base     Time // earliest arrival offset from at
 	step     Time
 	stride   Time
 	perShard int
 }
 
-type pop struct {
-	at    Time
-	shard int
-	k     int
+func (j *recJob) Seal() (uint64, int64) {
+	return uint64(j.tr.s.ShardCount() * j.perShard), 1
 }
 
 func (j *recJob) ExpandShard(shard int, seqBase uint64, ins *ShardInserter) {
 	for k := 0; k < j.perShard; k++ {
 		at := j.at + j.base + Time(shard)*j.step + Time(k)*j.stride
-		shard, k := shard, k
-		ins.At(at, seqBase+uint64(k), eventFunc(func() {
-			*j.log = append(*j.log, pop{at: j.s.Now(), shard: shard, k: k})
-		}))
+		what := fmt.Sprintf("%s.%d.%d", j.name, shard, k)
+		ins.At(at, seqBase+uint64(shard*j.perShard+k), eventFunc(func() { j.tr.note(what) }))
 	}
 }
 
-// runShardMatrix runs one synthetic schedule at the given worker count and
-// returns the fire log and outcome. The schedule submits jobs at
-// t=0 and t=40µs with interleaved main-wheel events, exercising both the
-// flush-on-demand path (main event past the lookahead bound) and the
-// drain-before-flush path (main events below it).
-func runShardMatrix(t *testing.T, workers int) ([]pop, Outcome) {
+// submit registers j now, declaring its true earliest arrival.
+func (j *recJob) submit() {
+	j.at = j.tr.s.Now()
+	j.tr.s.SubmitSealed(j, j.at+j.base)
+}
+
+// atEveryWidth runs build on a fresh 4-shard scheduler at Workers 1, 2 and
+// 4 (plus NumCPU) and fails unless the pop trace and the Outcome — every
+// stats counter included — are identical at all of them. It returns the
+// reference run.
+func atEveryWidth(t *testing.T, build func(tr *trace), opts ...Option) ([]string, Outcome) {
 	t.Helper()
-	s := New(WithShards(4, workers))
-	defer s.Release()
-	var log []pop
-	// Pure-event scheduler (no processes): Run drains the wheels
-	// completely, so nothing is cut short by the last coroutine finishing.
-	j1 := &recJob{s: s, log: &log, base: 10 * Time(time.Microsecond), step: 7, stride: 3, perShard: 5}
-	j2 := &recJob{s: s, log: &log, base: 5 * Time(time.Microsecond), step: 11, stride: 2, perShard: 4}
-	s.SubmitJob(j1, j1.base, 16)
-	// Below the lookahead bound: poppable while the job is outstanding.
-	s.At(2*Time(time.Microsecond), func() {
-		log = append(log, pop{at: s.Now(), shard: -1})
-	})
-	// Past it: forces a flush first.
-	s.At(20*Time(time.Microsecond), func() {
-		log = append(log, pop{at: s.Now(), shard: -2})
-	})
-	s.At(40*Time(time.Microsecond), func() {
-		j2.at = s.Now()
-		s.SubmitJob(j2, j2.at+j2.base, 16)
-	})
-	return log, s.Run()
-}
-
-// TestShardPopOrderAndWorkerIndependence checks the tentpole contract at
-// the scheduler level: the fire log (global pop order) and the Outcome —
-// including every stats counter — are identical at Workers ∈ {1, 2, 3, 4}
-// and the log is sorted by instant.
-func TestShardPopOrderAndWorkerIndependence(t *testing.T) {
-	refLog, refOut := runShardMatrix(t, 1)
-	if len(refLog) != 38 { // j1: 4×5, j2: 4×4, plus the 2 main events
-		t.Fatalf("log length %d, want 38", len(refLog))
+	run := func(workers int) ([]string, Outcome) {
+		s := New(append([]Option{WithShards(4, workers)}, opts...)...)
+		defer s.Release()
+		tr := &trace{s: s}
+		build(tr)
+		// Pure-event schedulers (no processes) drain the wheels completely,
+		// so nothing is cut short by the last coroutine finishing.
+		return tr.lines, s.Run()
 	}
-	if refOut.Stats.ExpandJobs != 2 || refOut.Stats.ShardEvents != 36 {
-		t.Fatalf("unexpected expansion stats: %+v", refOut.Stats)
-	}
-	if refOut.Stats.PoolFlushes == 0 {
-		t.Fatalf("no flushes recorded: %+v", refOut.Stats)
-	}
-	for i := 1; i < len(refLog); i++ {
-		if refLog[i].at < refLog[i-1].at {
-			t.Fatalf("pop order regressed at %d: %+v then %+v", i, refLog[i-1], refLog[i])
-		}
-	}
-	// The 2µs main event must have fired before the first staged event
-	// (the lookahead lets it pop without a flush); the 20µs one after the
-	// earliest staged arrivals.
-	if refLog[0].shard != -1 {
-		t.Fatalf("expected the sub-lookahead main event first, got %+v", refLog[0])
-	}
-	for _, w := range []int{2, 3, 4, runtime.NumCPU()} {
-		log, out := runShardMatrix(t, w)
+	refLog, refOut := run(1)
+	for _, w := range []int{2, 4, runtime.NumCPU()} {
+		log, out := run(w)
 		if !reflect.DeepEqual(refLog, log) {
-			t.Fatalf("workers=%d: fire log diverged\n  ref: %+v\n  got: %+v", w, refLog, log)
+			t.Fatalf("workers=%d: pop trace diverged\n  ref: %v\n  got: %v", w, refLog, log)
 		}
 		if !reflect.DeepEqual(refOut, out) {
 			t.Fatalf("workers=%d: outcome diverged\n  ref: %+v\n  got: %+v", w, refOut, out)
 		}
 	}
+	return refLog, refOut
 }
 
-// TestShardTieBreakAcrossWheels pins the merge's total order at equal
-// instants: ties between the main wheel and shard wheels — and between
-// shard wheels — resolve by the submit-time sequence block, i.e. schedule
-// order first, then shard order within one job.
+// TestShardPopOrderAndWorkerIndependence checks the tentpole contract at
+// the scheduler level on a schedule that registers jobs at t=0 and t=40µs
+// with interleaved main-wheel events, exercising both the drain-before-flush
+// path (main events at or below the lookahead bound) and the flush-on-demand
+// path (a main event past it).
+func TestShardPopOrderAndWorkerIndependence(t *testing.T) {
+	log, out := atEveryWidth(t, func(tr *trace) {
+		j1 := &recJob{tr: tr, name: "j1", base: 10 * us, step: 7, stride: 3, perShard: 5}
+		j2 := &recJob{tr: tr, name: "j2", base: 5 * us, step: 11, stride: 2, perShard: 4}
+		j1.submit()
+		tr.mark(2*us, "below")  // poppable while the job is registered
+		tr.mark(20*us, "above") // forces the flush first
+		tr.s.At(40*us, j2.submit)
+	})
+	if len(log) != 38 { // j1: 4×5, j2: 4×4, plus the 2 marks
+		t.Fatalf("trace length %d, want 38", len(log))
+	}
+	st := out.Stats
+	if st.BurstJobs != 2 || st.ExpandJobs != 2 || st.ShardEvents != 36 || st.PoolFlushes != 2 {
+		t.Fatalf("unexpected expansion stats: %+v", st)
+	}
+	if want := "below@2000/f0"; log[0] != want {
+		t.Fatalf("first pop %q, want %q (a sub-lookahead event pops without a flush)", log[0], want)
+	}
+	// j1's 20 arrivals span 10µs … 10µs+3·7+4·3 ns, so "above" is pop 22.
+	if want := "above@20000/f1"; log[21] != want {
+		t.Fatalf("pop 22 is %q, want %q\n  trace: %v", log[21], want, log)
+	}
+}
+
+// TestShardTieBreakAcrossWheels pins the one tie-break rule. A job's sequence block is
+// reserved at the flush, after every event pending by then, so at an
+// instant the job stages arrivals for, every pending event — scheduled
+// before OR after the job registered — pops first, without flushing; the
+// staged arrivals follow in block order (shard order for this job), and an
+// event scheduled once they are in the wheels follows them.
 func TestShardTieBreakAcrossWheels(t *testing.T) {
-	at := 100 * Time(time.Microsecond)
-	s := New(WithShards(4, 2))
-	defer s.Release()
-	var combined []int
-	j := &recJobCombined{s: s, log: &combined, at: at}
-	// Main-wheel event at the same instant, scheduled BEFORE the job:
-	// its seq precedes the job's reserved block.
-	s.At(at, func() { combined = append(combined, -1) })
-	s.SubmitJob(j, at, 16)
-	// And one scheduled AFTER: its seq follows the block.
-	s.At(at, func() { combined = append(combined, -2) })
-	if out := s.Run(); out.Aborted() {
-		t.Fatalf("aborted: %+v", out)
+	at := 100 * us
+	log, _ := atEveryWidth(t, func(tr *trace) {
+		j := &recJob{tr: tr, name: "j", base: at, perShard: 1}
+		tr.mark(at, "before")
+		j.submit()
+		tr.mark(at, "after")
+		tr.s.At(at, func() {
+			tr.note("late-scheduler")
+			tr.mark(at, "late") // same instant again: still ahead of the window
+		})
+	})
+	want := []string{
+		"before@100000/f0", "after@100000/f0", "late-scheduler@100000/f0", "late@100000/f0",
+		"j.0.0@100000/f1", "j.1.0@100000/f1", "j.2.0@100000/f1", "j.3.0@100000/f1",
 	}
-	want := []int{-1, 0, 1, 2, 3, -2}
-	if !reflect.DeepEqual(combined, want) {
-		t.Fatalf("tie-break order = %v, want %v (main-before-job, then shards in order, then main-after-job)", combined, want)
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("tie-break order\n  got:  %v\n  want: %v", log, want)
 	}
 }
 
-// recJobCombined stages one event per shard at the fixed instant `at`,
-// appending the shard id to a shared log at fire time.
-type recJobCombined struct {
-	s   *Scheduler
-	log *[]int
-	at  Time
+// TestShardWindowStagesJobsInRegistrationOrder: two jobs of one window,
+// staging arrivals at one shared instant, are sealed — and so ordered — in
+// registration order, each in its own block order.
+func TestShardWindowStagesJobsInRegistrationOrder(t *testing.T) {
+	log, out := atEveryWidth(t, func(tr *trace) {
+		a := &recJob{tr: tr, name: "a", base: 50 * us, perShard: 2}
+		b := &recJob{tr: tr, name: "b", base: 50 * us, perShard: 1}
+		a.submit()
+		tr.mark(10*us, "mid") // pops inside the window, which stays open
+		b.submit()
+	})
+	want := []string{"mid@10000/f0",
+		"a.0.0@50000/f1", "a.0.1@50000/f1", "a.1.0@50000/f1", "a.1.1@50000/f1",
+		"a.2.0@50000/f1", "a.2.1@50000/f1", "a.3.0@50000/f1", "a.3.1@50000/f1",
+		"b.0.0@50000/f1", "b.1.0@50000/f1", "b.2.0@50000/f1", "b.3.0@50000/f1"}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("staging order\n  got:  %v\n  want: %v", log, want)
+	}
+	if out.Stats.PoolFlushes != 1 || out.Stats.BurstJobs != 2 {
+		t.Fatalf("two jobs of one window must share one flush: %+v", out.Stats)
+	}
 }
 
-func (j *recJobCombined) ExpandShard(shard int, seqBase uint64, ins *ShardInserter) {
-	ins.At(j.at, seqBase, eventFunc(func() { *j.log = append(*j.log, shard) }))
+// TestShardStagedNeverPrecedesEarliest: the window stays open — no flush —
+// for every pop up to and including the declared earliest instant, closes
+// at the first pop strictly past it, and no staged event fires before the
+// bound. A later-registered job with an earlier bound tightens it.
+func TestShardStagedNeverPrecedesEarliest(t *testing.T) {
+	log, _ := atEveryWidth(t, func(tr *trace) {
+		far := &recJob{tr: tr, name: "far", base: 30 * us, step: 1, perShard: 1}
+		far.submit()
+		tr.mark(29*us, "under")
+		tr.mark(30*us, "tie")
+		tr.mark(30*us+2, "between") // past the bound, amid the staged arrivals
+		tr.s.At(60*us, func() {
+			loose := &recJob{tr: tr, name: "loose", base: 20 * us, perShard: 1}
+			tight := &recJob{tr: tr, name: "tight", base: 5 * us, perShard: 1}
+			loose.submit()
+			tight.submit()
+			tr.mark(65*us, "tie2")
+			tr.mark(70*us, "over2")
+		})
+	})
+	want := []string{
+		"under@29000/f0", "tie@30000/f0",
+		"far.0.0@30000/f1", "far.1.0@30001/f1", "between@30002/f1", "far.2.0@30002/f1", "far.3.0@30003/f1",
+		"tie2@65000/f1",
+		"tight.0.0@65000/f2", "tight.1.0@65000/f2", "tight.2.0@65000/f2", "tight.3.0@65000/f2",
+		"over2@70000/f2",
+		"loose.0.0@80000/f2", "loose.1.0@80000/f2", "loose.2.0@80000/f2", "loose.3.0@80000/f2",
+	}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("window bounds\n  got:  %v\n  want: %v", log, want)
+	}
 }
 
-// TestSubmitJobUnshardedPanics pins the misuse guard.
-func TestSubmitJobUnshardedPanics(t *testing.T) {
+// TestSubmitSealedUnshardedPanics pins the misuse guard.
+func TestSubmitSealedUnshardedPanics(t *testing.T) {
 	s := New()
 	defer s.Release()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("SubmitJob on an unsharded scheduler did not panic")
+			t.Fatal("SubmitSealed on an unsharded scheduler did not panic")
 		}
 	}()
-	s.SubmitJob(&recJobCombined{s: s}, 0, 1)
+	s.SubmitSealed(&recJob{tr: &trace{s: s}}, 0)
 }
 
 // TestShardedReleaseWithoutRunStopsPool is the pool analogue of
-// TestReleaseWithoutRunFreesGoroutines: a scheduler whose pool has spawned
-// (first SubmitJob) but whose Run is never called must join its workers on
-// Release — with jobs still outstanding.
+// TestReleaseWithoutRunFreesGoroutines: Release must leave no worker behind,
+// whether the pool has spawned (a flush ran) or not, with a job still
+// registered either way.
 func TestShardedReleaseWithoutRunStopsPool(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 4; i++ {
 		s := New(WithShards(4, 4))
-		var log []int
+		tr := &trace{s: s}
 		s.Spawn("p", func() {})
-		s.SubmitJob(&recJobCombined{s: s, log: &log, at: 5}, 5, 16)
+		(&recJob{tr: tr, name: "j", base: 5, perShard: 1}).submit()
+		if i%2 == 1 {
+			s.nextWheel() // empty wheels: flushes the job, spawning the pool
+			(&recJob{tr: tr, name: "k", base: 5, perShard: 1}).submit()
+		}
 		s.Release()
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -182,21 +245,18 @@ func TestShardedReleaseWithoutRunStopsPool(t *testing.T) {
 }
 
 // TestShardedDeadlineWithOutstandingJobs checks the abort path: a deadline
-// strictly below every staged arrival aborts the run without flushing the
-// outstanding job, and the staged events are dropped, not fired.
+// below every staged arrival aborts the run, and neither the staged events
+// nor the main event past the deadline fire.
 func TestShardedDeadlineWithOutstandingJobs(t *testing.T) {
-	s := New(WithShards(4, 2), WithDeadline(10*Time(time.Microsecond)))
-	defer s.Release()
-	var log []int
-	fired := false
-	s.SubmitJob(&recJobCombined{s: s, log: &log, at: 50 * Time(time.Microsecond)}, 50*Time(time.Microsecond), 16)
-	s.At(20*Time(time.Microsecond), func() { fired = true })
-	out := s.Run()
+	log, out := atEveryWidth(t, func(tr *trace) {
+		(&recJob{tr: tr, name: "j", base: 50 * us, perShard: 1}).submit()
+		tr.mark(20*us, "main")
+	}, WithDeadline(10*us))
 	if !out.DeadlineExceeded {
 		t.Fatalf("expected DeadlineExceeded, got %+v", out)
 	}
-	if fired || len(log) != 0 {
-		t.Fatalf("events past the deadline fired: main=%v shard=%v", fired, log)
+	if len(log) != 0 {
+		t.Fatalf("events past the deadline fired: %v", log)
 	}
 }
 

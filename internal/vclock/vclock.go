@@ -49,25 +49,26 @@
 //
 // Large topologies (WithShards; the driver engages it at n ≥ 256) split the
 // timer structure into the main wheel plus a fixed number of shard wheels,
-// and add a worker pool that expands broadcast fanouts — the Θ(n) delay
-// draws, key packing, and sorting behind one SendAll — off the execution
-// token (DESIGN.md §12). The contract that keeps runs bit-identical for
-// every worker count:
+// and add a worker pool that expands the sends of one flush window — the
+// per-message delay draws, key packing, sorting and payload construction
+// behind SendAll and BurstSend — off the execution token (DESIGN.md §12).
+// The contract that keeps runs bit-identical for every worker count:
 //
 //   - work is partitioned by SHARD (a fixed function of the topology),
 //     never by worker: shard s always draws from its own RNG stream and
 //     always lands its events in shard wheel s, whichever worker ran it;
-//   - sequence numbers are reserved in a block at submit time, under the
-//     token, so every expanded event's (at, seq) key is fixed before any
-//     worker touches the job;
+//   - a job (Job) only registers at SubmitSealed and keeps accumulating
+//     content; at the flush point, under the token, Seal freezes it and its
+//     sequence block is reserved, so every expanded event's (at, seq) key
+//     is fixed before any worker touches the job;
 //   - workers write only their shards' staging buffers; events enter the
-//     shard wheels at a flush point, under the token, after a WaitGroup
-//     join. Flush points are chosen by pure token-side logic (the lookahead
-//     rule in nextWheel), so even the scheduler's internal counters are
-//     independent of the worker count;
+//     shard wheels at the same flush point, under the token, after a
+//     WaitGroup join. Flush points are chosen by pure token-side logic (the
+//     lookahead rule in nextWheel), so even the scheduler's internal
+//     counters are independent of the worker count;
 //   - the pop path merges the main-wheel head with the shard-wheel heads
 //     under the same global (at, seq) order, and refuses to pop any event
-//     that an outstanding expansion job could still precede.
+//     that a registered job could still precede.
 //
 // Handler invocations, event Fires, and every observable side effect stay
 // under the single execution token; only schedule-side expansion fans out.
@@ -100,7 +101,7 @@ import (
 // It converts directly to and from time.Duration.
 type Time int64
 
-// maxTime is the sentinel "no bound" instant (jobsEarliest when idle).
+// maxTime is the sentinel "no bound" instant (Scheduler.earliest when idle).
 const maxTime = Time(1<<63 - 1)
 
 // Event is a schedulable callback. Implementations that are pointer-shaped
@@ -262,16 +263,15 @@ type SchedulerStats struct {
 	// ShardEvents is the number of events inserted through the sharded
 	// expansion path (0 for unsharded runs).
 	ShardEvents int64
-	// ExpandJobs is the number of expansion jobs submitted (SubmitJob
-	// calls; one per sharded broadcast).
+	// ExpandJobs is the number of broadcasts expanded through the pool, as
+	// the jobs report them at Seal (one per sharded SendAll).
 	ExpandJobs int64
-	// PoolFlushes is the number of staging flushes — the joins where the
-	// token waited for outstanding expansion jobs before popping an event
+	// PoolFlushes is the number of staging flushes — the points where the
+	// token sealed and expanded the registered jobs before popping an event
 	// they could have preceded.
 	PoolFlushes int64
-	// BurstJobs is the number of deferred burst jobs submitted
-	// (SubmitSealed calls; one per flush window that saw per-recipient
-	// burst traffic).
+	// BurstJobs is the number of jobs registered (SubmitSealed calls; one
+	// per network per flush window that saw sharded send traffic).
 	BurstJobs int64
 	// PooledPayloadBytes totals the payload bytes protocol builders
 	// constructed off-token through the per-shard payload pools (reported
@@ -538,44 +538,35 @@ type Outcome struct {
 // Aborted reports whether the run was cut short for any reason.
 func (o Outcome) Aborted() bool { return o.Quiesced || o.DeadlineExceeded || o.StepsExceeded }
 
-// ShardJob is a unit of schedule-side work the expansion pool runs off the
-// execution token — in practice, one broadcast's delay draws, key packing,
-// and sorting (netsim). ExpandShard is called exactly once per shard per
-// job, always with the same shard→RNG-stream, shard→recipient-stripe
-// mapping and the same seqBase (the job's reserved sequence block,
-// SubmitJob), whichever worker runs it; it must stage the shard's
-// resulting events through ins and must not touch any scheduler or network
-// state shared with other shards. Everything it reads must have been
-// written before SubmitJob (the channel send / inline call publishes it).
-type ShardJob interface {
+// Job is a unit of schedule-side work the expansion pool runs off the
+// execution token — in practice, one flush window's sends on one network:
+// their delay draws, key packing, sorting and payload construction (netsim).
+// SubmitSealed only registers it; the job keeps accumulating content, under
+// the token, until the flush point. Because flush points and the
+// registration order are pure token-side state, the reserved blocks — and
+// every staged (at, seq) key — are identical at every Workers setting.
+type Job interface {
+	// Seal freezes the job's content and returns the size of the sequence
+	// block to reserve for it, plus the number of broadcasts it is about to
+	// expand (SchedulerStats.ExpandJobs). It runs once, under the execution
+	// token, at the flush point and before any worker touches the job; the
+	// job may record whatever flush-time state ExpandShard needs, since the
+	// dispatch that follows publishes those writes to the workers.
+	Seal() (seqs uint64, broadcasts int64)
+	// ExpandShard stages shard's share of the job's events through ins. It
+	// is called exactly once per shard, off the token, always with the same
+	// shard→RNG-stream and shard→recipient-stripe mapping and the same
+	// seqBase — the first sequence number of the job's block; how the block
+	// is divided among shards and events is the job's business — whichever
+	// worker runs it. It must not touch any scheduler or network state
+	// shared with other shards.
 	ExpandShard(shard int, seqBase uint64, ins *ShardInserter)
 }
 
-// SealedJob is the deferred form of ShardJob: a job whose content — and
-// therefore its per-shard sequence stride — keeps growing after submission,
-// accumulating the per-recipient sends of every handler invocation in the
-// current flush window (netsim's burst path). SubmitSealed registers it
-// without reserving sequence numbers; at the flush point, under the token
-// and before any worker runs, Seal is called once to freeze the content and
-// report the stride, the scheduler reserves the block exactly as SubmitJob
-// would, and only then is the job dispatched. Because flush points and the
-// submission order are pure token-side state, the reserved blocks — and
-// every staged (at, seq) key — are identical at every Workers setting.
-type SealedJob interface {
-	ShardJob
-	// Seal freezes the job's content and returns its per-shard sequence
-	// stride (an upper bound on the events any one shard will stage). It
-	// runs under the execution token; the job may record the stride and the
-	// flush-relative state ExpandShard needs, since the dispatch that
-	// follows publishes those writes to the workers.
-	Seal() (seqPerShard uint64)
-}
-
-// shardTask pairs a submitted job with its reserved sequence base — the
-// base rides the dispatch channel rather than the job, because a worker
-// may pick the job up before SubmitJob returns to its caller.
+// shardTask pairs a sealed job with its reserved sequence base on its way
+// to the workers.
 type shardTask struct {
-	job  ShardJob
+	job  Job
 	base uint64
 }
 
@@ -589,8 +580,8 @@ type ShardInserter struct {
 }
 
 // At stages ev to fire at instant at with the given sequence number, which
-// the caller must take from its job's reserved block (SubmitJob). at must
-// not precede the job's declared earliest instant.
+// the caller must take from its job's reserved block (Job.Seal). at must
+// not precede the job's declared earliest instant (SubmitSealed).
 func (si *ShardInserter) At(at Time, seq uint64, ev Event) {
 	si.evs = append(si.evs, event{at: at, seq: seq, ev: ev})
 }
@@ -615,34 +606,27 @@ type Scheduler struct {
 	main   wheel
 	shards []wheel
 	// staged[s] is shard s's staging inserter: written by the worker that
-	// owns shard s (s mod workers) while jobs are outstanding, drained by
-	// the token at flush. The WaitGroup join orders the two.
+	// owns shard s (s mod workers) while a flush expands its jobs, drained
+	// by the token at the end of that flush. The WaitGroup join orders the
+	// two.
 	staged    []ShardInserter
 	shardLive int // events currently pending in shard wheels
 
 	stats SchedulerStats // pool counters; wheel counters live on the wheels
 
-	// Expansion pool. jobsEarliest is the lower bound on the instant of any
-	// event an outstanding eagerly-dispatched job may stage: the pop path
-	// may pop strictly earlier events without joining the pool (the
-	// lookahead rule). sealedEarliest is the same bound for deferred
-	// (SubmitSealed) jobs; those reserve their sequence blocks only at
-	// flush — after every currently pending event — so a pop that merely
-	// TIES the bound may proceed (the tying event's smaller seq orders it
-	// first regardless), which is what lets all the handler invocations of
-	// one instant share a single burst window under a zero-minimum delay
-	// profile.
-	workers        int
-	njobs          int
-	jobsEarliest   Time
-	sealedEarliest Time
-	sealedJobs     []SealedJob
-	pendingJobs    []shardTask      // Workers = 1: jobs deferred to the flush point
-	jobsCh         []chan shardTask // Workers > 1: one channel per worker
-	jobWG          sync.WaitGroup   // outstanding (job × worker) completions
-	workerWG       sync.WaitGroup   // worker goroutine lifetimes
-	poolUp         bool             // workers spawned (lazily, at first SubmitJob)
-	poolDown       bool             // pool stopped (Release / end of Run)
+	// Expansion pool. jobs holds the jobs registered since the last flush,
+	// in registration order; earliest lower-bounds the instant of any event
+	// they may stage (maxTime when none is registered). Jobs reserve their
+	// sequence blocks only at flush — after every event pending by then —
+	// which is what the lookahead rule in nextWheel rests on.
+	workers  int
+	jobs     []Job
+	earliest Time
+	jobsCh   []chan shardTask // Workers > 1: one channel per worker
+	jobWG    sync.WaitGroup   // outstanding (job × worker) completions
+	workerWG sync.WaitGroup   // worker goroutine lifetimes
+	poolUp   bool             // workers spawned (lazily, at the first flush)
+	poolDown bool             // pool stopped (Release / end of Run)
 
 	procs    []*Proc
 	spawned  int
@@ -704,7 +688,7 @@ func WithShards(shards, workers int) Option {
 
 // New returns an empty scheduler at virtual time zero.
 func New(opts ...Option) *Scheduler {
-	s := &Scheduler{yield: make(chan struct{}), jobsEarliest: maxTime, sealedEarliest: maxTime}
+	s := &Scheduler{yield: make(chan struct{}), earliest: maxTime}
 	for _, o := range opts {
 		o(s)
 	}
@@ -723,11 +707,6 @@ func (s *Scheduler) ShardCount() int { return len(s.shards) }
 
 // Workers returns the expansion pool's thread budget (0 = unsharded).
 func (s *Scheduler) Workers() int { return s.workers }
-
-// JobsOutstanding returns the number of expansion jobs submitted but not
-// yet flushed. Callers that pool resources shared with jobs (snapshot
-// buffers, freelists) may recycle them exactly when this is zero.
-func (s *Scheduler) JobsOutstanding() int { return s.njobs }
 
 // Stats returns the scheduler's work counters so far, merging the per-wheel
 // counters of the main and shard wheels. The merge is deterministic: each
@@ -750,8 +729,8 @@ func (s *Scheduler) Stats() SchedulerStats {
 	return st
 }
 
-// pending returns the number of undelivered events (staged events of
-// outstanding jobs not included; see nextWheel for why that is safe).
+// pending returns the number of undelivered events (events the registered
+// jobs have yet to stage not included; see nextWheel for why that is safe).
 func (s *Scheduler) pending() int {
 	return s.main.pending() + s.shardLive
 }
@@ -803,53 +782,16 @@ func (s *Scheduler) AfterEvent(d Time, ev Event) {
 	s.AtEvent(s.now+d, ev)
 }
 
-// SubmitJob hands job to the expansion pool and reserves its sequence
-// block: shard i owns seqs [base+i·seqPerShard, base+(i+1)·seqPerShard),
-// where base is the value ExpandShard receives — so every staged event's
-// tie-break key is fixed here, under the token, before any worker runs.
-// The base travels with the dispatch (never through the job itself): a
-// worker may pick the job up before SubmitJob returns. earliest must
-// lower-bound the instant of every event the job will stage; it is what
-// lets the pop path keep draining earlier events without joining the pool.
-// Panics on an unsharded scheduler.
-func (s *Scheduler) SubmitJob(job ShardJob, earliest Time, seqPerShard uint64) {
-	if len(s.shards) == 0 {
-		panic("vclock: SubmitJob on an unsharded scheduler")
-	}
-	if earliest < s.now {
-		earliest = s.now
-	}
-	t := shardTask{job: job, base: s.seq + 1}
-	s.seq += uint64(len(s.shards)) * seqPerShard
-	s.stats.ExpandJobs++
-	if s.njobs == 0 || earliest < s.jobsEarliest {
-		s.jobsEarliest = earliest
-	}
-	s.njobs++
-	if s.workers > 1 {
-		s.ensurePool()
-		s.jobWG.Add(s.workers)
-		for _, ch := range s.jobsCh {
-			ch <- t
-		}
-	} else {
-		// Serial mode: defer to the flush point anyway, so flush counts —
-		// and with them SchedulerStats — match every other Workers setting.
-		s.pendingJobs = append(s.pendingJobs, t)
-	}
-}
-
-// SubmitSealed registers a deferred burst job (SealedJob). Unlike
-// SubmitJob it reserves no sequence block here: the job keeps accumulating
-// content until the flush point, where Seal fixes its stride, the block is
-// reserved (after every event scheduled in the window, so a staged arrival
-// tying a pending event's instant orders after it), and the job dispatches
-// to the pool. earliest must lower-bound the instant of every event the
-// job will EVER stage, including entries appended after this call; since
-// the clock only advances and delays are non-negative, the submit instant
-// (plus any profile-wide minimum delay) is such a bound. Panics on an
-// unsharded scheduler.
-func (s *Scheduler) SubmitSealed(job SealedJob, earliest Time) {
+// SubmitSealed registers job with the expansion pool. It reserves no
+// sequence block here: the job keeps accumulating content until the flush
+// point, where Seal freezes it, the block is reserved (after every event
+// scheduled in the window, so a staged arrival tying a pending event's
+// instant orders after it), and the job expands on the pool. earliest must
+// lower-bound the instant of every event the job will EVER stage, including
+// content appended after this call; since the clock only advances and
+// delays are non-negative, the submit instant (plus any profile-wide
+// minimum delay) is such a bound. Panics on an unsharded scheduler.
+func (s *Scheduler) SubmitSealed(job Job, earliest Time) {
 	if len(s.shards) == 0 {
 		panic("vclock: SubmitSealed on an unsharded scheduler")
 	}
@@ -857,15 +799,14 @@ func (s *Scheduler) SubmitSealed(job SealedJob, earliest Time) {
 		earliest = s.now
 	}
 	s.stats.BurstJobs++
-	if earliest < s.sealedEarliest {
-		s.sealedEarliest = earliest
+	if earliest < s.earliest {
+		s.earliest = earliest
 	}
-	s.njobs++
-	s.sealedJobs = append(s.sealedJobs, job)
+	s.jobs = append(s.jobs, job)
 }
 
-// ensurePool lazily spawns the worker goroutines — at the first SubmitJob,
-// not at New, so schedulers that are built but never run (e.g. a network
+// ensurePool lazily spawns the worker goroutines — at the first flush, not
+// at New, so schedulers that are built but never run (e.g. a network
 // constructor error path) leak nothing. Worker w owns shards {s : s mod
 // workers == w}; the shard→worker map is fixed, but since shards carry
 // their own RNG streams and staging, the map affects only load balance,
@@ -892,9 +833,10 @@ func (s *Scheduler) ensurePool() {
 	}
 }
 
-// stopPool joins outstanding jobs and terminates the worker goroutines.
-// Staged events of never-flushed jobs are dropped — by then the run is
-// over or aborted and would never pop them. Idempotent.
+// stopPool terminates the worker goroutines, first joining any job a flush
+// unwound by a panic left running. Jobs registered but never flushed are
+// dropped — by then the run is over or aborted and would never pop their
+// events. Idempotent.
 func (s *Scheduler) stopPool() {
 	if s.poolDown {
 		return
@@ -910,59 +852,53 @@ func (s *Scheduler) stopPool() {
 	s.workerWG.Wait()
 }
 
-// flush joins every outstanding expansion job and moves the staged events
-// into their shard wheels. It runs under the token; the WaitGroup join (or
-// the inline expansion at Workers = 1) is what orders worker writes before
-// the token's reads. Events are inserted in shard order with their
-// submit-time sequence numbers, so the wheels' contents — and each wheel's
-// counters — end up identical for every worker count.
+// flush seals and expands every registered job and moves the staged events
+// into their shard wheels. It runs under the token. Jobs are sealed — and
+// their sequence blocks reserved, after every event already scheduled this
+// window — in registration order, and each shard expands them in that order
+// too (channel FIFO per worker, the loop below at Workers = 1), so
+// shard-RNG draw order is identical at every width. The WaitGroup join (or
+// the inline expansion) is what orders worker writes before the token's
+// reads. Events are inserted in shard order with their flush-time sequence
+// numbers, so the wheels' contents — and each wheel's counters — end up
+// identical for every worker count.
 func (s *Scheduler) flush() {
-	if s.njobs == 0 {
-		return
-	}
 	s.stats.PoolFlushes++
-	// Seal the deferred burst jobs first: freeze their content, reserve
-	// their sequence blocks NOW — in submission order, after every event
-	// already scheduled this window — and dispatch them behind any eagerly
-	// dispatched jobs (channel FIFO per worker preserves that order, as
-	// does pendingJobs append order at Workers = 1, so shard-RNG draw order
-	// is identical at every width).
-	for _, job := range s.sealedJobs {
-		per := job.Seal()
-		t := shardTask{job: job, base: s.seq + 1}
-		s.seq += uint64(len(s.shards)) * per
+	if s.workers > 1 {
+		s.ensurePool()
+	}
+	for _, job := range s.jobs {
+		seqs, broadcasts := job.Seal()
+		s.stats.ExpandJobs += broadcasts
+		base := s.seq + 1
+		s.seq += seqs
 		if s.workers > 1 {
-			s.ensurePool()
 			s.jobWG.Add(s.workers)
 			for _, ch := range s.jobsCh {
-				ch <- t
+				ch <- shardTask{job: job, base: base}
 			}
 		} else {
-			s.pendingJobs = append(s.pendingJobs, t)
-		}
-	}
-	clear(s.sealedJobs)
-	s.sealedJobs = s.sealedJobs[:0]
-	if s.workers > 1 {
-		s.jobWG.Wait()
-	} else {
-		for _, t := range s.pendingJobs {
+			// Serial mode: the same flush points and the same per-shard job
+			// order, run inline on the token.
 			for sh := range s.shards {
-				t.job.ExpandShard(sh, t.base, &s.staged[sh])
+				job.ExpandShard(sh, base, &s.staged[sh])
 			}
 		}
-		clear(s.pendingJobs)
-		s.pendingJobs = s.pendingJobs[:0]
 	}
+	clear(s.jobs)
+	s.jobs = s.jobs[:0]
+	s.earliest = maxTime
+	s.jobWG.Wait()
 	for i := range s.shards {
 		w := &s.shards[i]
 		ins := &s.staged[i]
 		for _, ev := range ins.evs {
 			if ev.at < s.now {
 				// Defensive: a job's events may not precede its declared
-				// earliest, and pops never pass jobsEarliest while jobs are
-				// outstanding — so this clamp should never bite; it mirrors
-				// AtEvent's "time never flows backwards".
+				// earliest, and pops never pass the earliest of the
+				// registered jobs without flushing them — so this clamp
+				// should never bite; it mirrors AtEvent's "time never flows
+				// backwards".
 				ev.at = s.now
 			}
 			w.insert(ev)
@@ -977,19 +913,16 @@ func (s *Scheduler) flush() {
 		clear(ins.evs)
 		ins.evs = ins.evs[:0]
 	}
-	s.njobs = 0
-	s.jobsEarliest = maxTime
-	s.sealedEarliest = maxTime
 }
 
 // nextWheel surfaces the globally earliest pending event and returns the
 // wheel whose active heap holds it. It implements the deterministic merge:
 // the candidate is the (at, seq)-minimum over the main-wheel head and every
-// shard-wheel head, and it is only returned while no outstanding expansion
-// job could stage an earlier event (candidate.at < jobsEarliest — the
-// lookahead rule). Otherwise the pool is flushed first and the scan
-// re-runs. Every decision here reads token-owned state only, so flush
-// points — and everything downstream — are independent of worker timing.
+// shard-wheel head, and it is only returned while no registered job could
+// stage an event that precedes it — the lookahead rule. Otherwise the jobs
+// are flushed first and the scan re-runs. Every decision here reads
+// token-owned state only, so flush points — and everything downstream — are
+// independent of worker timing.
 func (s *Scheduler) nextWheel() (*wheel, bool) {
 	for {
 		var best *wheel
@@ -1007,20 +940,16 @@ func (s *Scheduler) nextWheel() (*wheel, bool) {
 				}
 			}
 		}
-		if s.njobs > 0 {
-			// Eager jobs (SubmitJob) reserved their sequence blocks at
-			// submit, so a staged arrival may tie-break BEFORE a pending
-			// event at the same instant: flush on ≥. Sealed jobs reserve at
-			// flush, strictly after every pending event's seq, so a tying
-			// pending event always orders first: flush only on >, which
-			// lets the whole cohort of one instant pop — and append burst
-			// entries — before the window closes.
-			if best == nil ||
-				best.active[0].at >= s.jobsEarliest ||
-				best.active[0].at > s.sealedEarliest {
-				s.flush()
-				continue
-			}
+		// The lookahead rule: a pending event that ties the window's
+		// earliest instant pops first. Jobs reserve their sequence blocks
+		// at flush, strictly after every pending event's seq, so the tying
+		// event orders before anything they stage at that instant — which
+		// lets the whole cohort of one instant pop, and add to the window's
+		// jobs, before the window closes. Only an event strictly past the
+		// bound (or an empty queue) forces the flush.
+		if len(s.jobs) > 0 && (best == nil || best.active[0].at > s.earliest) {
+			s.flush()
+			continue
 		}
 		if best == nil {
 			return nil, false

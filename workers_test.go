@@ -160,9 +160,9 @@ func sparseWorkersScenario(t *testing.T, protocolName string, n, workers int) Sc
 
 // TestWorkersDifferentialSparse extends the parallelism-independence gate
 // to the sparse overlay family: gossip and allconcur route their
-// per-recipient fanouts through the sealed burst path (netsim.BurstSend /
+// per-recipient fanouts through the sharded burst path (netsim.BurstSend /
 // BurstSendVia), whose per-shard delay draws and flush-time sequence
-// reservation must — like the eager SendAll path — produce bit-identical
+// reservation must — like the SendAll path's — produce bit-identical
 // Outcomes, traces, and scheduler stats at every Workers width.
 func TestWorkersDifferentialSparse(t *testing.T) {
 	t.Parallel()
