@@ -60,6 +60,40 @@ func TestPaperTrialAllocationGate(t *testing.T) {
 	}
 }
 
+// TestAllconcurAllocationGate pins what one allconcur run allocates at
+// n=1024 (de Bruijn, two crashes mid-flood, Workers 2). The bill is the
+// outbox arrays — one per flush, holding every item copy the reactor
+// forwards: 45.0 MB per run with 12-byte pointer-free items, from 135.6 MB
+// with the 40-byte items that carried a value string. The limit leaves
+// about 15 % of headroom.
+func TestAllconcurAllocationGate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts are pinned without the race detector")
+	}
+	const (
+		maxBytes = 52_000_000
+		runs     = 3
+	)
+	sc := allconcurGoldenScenario(t, 1024, OverlayDeBruijn, "two-at-150us", 2)
+	run := func() {
+		if _, err := Run(sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warms the pools up
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&m1)
+	bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+	t.Logf("one allconcur run at n=1024: %.1f MB allocated", bytes/1e6)
+	if bytes > maxBytes {
+		t.Fatalf("one allconcur run at n=1024 allocates %.0f bytes, want ≤ %d", bytes, maxBytes)
+	}
+}
+
 // drainPools empties every sync.Pool of the process: a pool's content
 // survives one collection in its victim cache and is dropped by the second.
 func drainPools() {

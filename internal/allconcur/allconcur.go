@@ -54,6 +54,23 @@
 // one envelope, keeping the envelope count near n·d per dissemination
 // wave instead of one message per item copy.
 //
+// # The per-item path
+//
+// A run ingests Θ(n²·d) item copies — every value reaches every process
+// once per predecessor — so a run costs what one dedupe verdict and one
+// item copy cost. The delivered set of a process is an n-bit row of one
+// run-wide bitmap (n²/8 bytes: 512 KB at n=2048, 32 MiB at n=16 384, where
+// a bool per origin cost 256 MB) with a count for the crash-free fast path
+// and a first-missing watermark from which the termination check visits
+// the gaps in ascending order; AllConcur's own tracking is such a
+// per-server message set, and early termination asks only "is q delivered"
+// and "which origins are still missing". A news item is a 12-byte
+// pointer-free record: a VAL item names its origin, and the receiver reads
+// the value from the run's read-only proposal table when its decision
+// candidate changes. The handle is faithful — a value string forwarded in
+// the simulator was never copied, every copy aliased the proposer's bytes —
+// and it spares the collector the outbox arrays, which hold no pointer.
+//
 // Like gossip, the implementation is an inline handler reactor
 // (driver.RunHandlers) registered as "allconcur" with the overlay and
 // sub-quadratic capability flags; timed crashes are honored by the
@@ -63,6 +80,7 @@ package allconcur
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 	"unsafe"
 
@@ -150,12 +168,14 @@ const (
 	itemFail                 // a crash certificate: Detector drained Origin→Detector
 )
 
-// item is one unit of flooded news.
+// item is one unit of flooded news: 12 bytes and no pointer, so the
+// collector neither scans nor clears the outbox arrays that carry the
+// run's Θ(n²·d) item copies. A VAL item carries no value: its origin is a
+// handle into the run's proposal table (reactor.proposals).
 type item struct {
-	Kind     itemKind
-	Origin   model.ProcID // VAL: the proposer; FAIL: the crashed process
-	Detector model.ProcID // FAIL only: the successor certifying the drain
-	Value    string       // VAL only
+	Origin   uint32   // VAL: the proposer; FAIL: the crashed process
+	Detector uint32   // FAIL only: the successor certifying the drain
+	Kind     itemKind // itemVal or itemFail
 }
 
 // envelope is one flushed outbox: a per-link-sequenced batch of news
@@ -163,8 +183,7 @@ type item struct {
 // after flush). On the wire it travels as a pooled *envelope built inside
 // the network's burst expansion job (envBuilder) — the recipient recycles
 // the envelope after ingesting it, so steady-state flushes allocate
-// nothing per successor; the value form is still accepted (tests and the
-// unsharded path may produce it).
+// nothing per successor.
 type envelope struct {
 	Seq   uint32
 	Items []item
@@ -199,88 +218,51 @@ type marker struct {
 	Seq uint32
 }
 
-// interval is one maximal run [lo, hi) of delivered origin ids.
-type interval struct{ lo, hi uint32 }
-
-// intervalSet tracks the delivered origins as sorted disjoint half-open
-// intervals. Flood delivery is clustered — crash-free the set collapses
-// to the single interval [0, n) — so it stays a handful of entries where
-// the previous per-origin bool slice cost n bytes per reactor (n² total:
-// the memory wall that blocked n≥16k runs).
-type intervalSet struct {
-	iv    []interval
+// deliveredSet tracks one reactor's delivered origins as an n-bit row of
+// the run-wide bitmap (Run carves the rows from one backing array): n²/8
+// bytes in all — 32 MiB at n=16 384, where a per-origin bool slice cost
+// 256 MB — and every one of the Θ(n²·d) dedupe verdicts of a run is a
+// single word test.
+type deliveredSet struct {
+	bits  []uint64
 	count int
+	low   int // first-missing watermark: every word before bits[low] is full
 }
 
 // Count returns the number of ids in the set.
-func (s *intervalSet) Count() int { return s.count }
+func (s *deliveredSet) Count() int { return s.count }
 
 // Contains reports whether q is in the set.
-func (s *intervalSet) Contains(q uint32) bool {
-	lo, hi := 0, len(s.iv)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.iv[mid].hi > q {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo < len(s.iv) && s.iv[lo].lo <= q
-}
+func (s *deliveredSet) Contains(q uint32) bool { return s.bits[q>>6]&(1<<(q&63)) != 0 }
 
-// Add inserts q, coalescing with its neighbors; it reports whether q was
-// absent.
-func (s *intervalSet) Add(q uint32) bool {
-	// First interval with hi > q; everything before it ends at or below q.
-	lo, hi := 0, len(s.iv)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.iv[mid].hi > q {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	i := lo
-	if i < len(s.iv) && s.iv[i].lo <= q {
+// Add inserts q; it reports whether q was absent.
+func (s *deliveredSet) Add(q uint32) bool {
+	if s.Contains(q) {
 		return false
 	}
+	s.bits[q>>6] |= 1 << (q & 63)
 	s.count++
-	joinPrev := i > 0 && s.iv[i-1].hi == q
-	joinNext := i < len(s.iv) && s.iv[i].lo == q+1
-	switch {
-	case joinPrev && joinNext:
-		s.iv[i-1].hi = s.iv[i].hi
-		s.iv = append(s.iv[:i], s.iv[i+1:]...)
-	case joinPrev:
-		s.iv[i-1].hi = q + 1
-	case joinNext:
-		s.iv[i].lo = q
-	default:
-		s.iv = append(s.iv, interval{})
-		copy(s.iv[i+1:], s.iv[i:])
-		s.iv[i] = interval{lo: q, hi: q + 1}
-	}
 	return true
 }
 
 // EachMissing calls fn for every id in [0, n) absent from the set, in
 // ascending order, stopping at the first rejection; it reports whether fn
-// accepted every gap.
-func (s *intervalSet) EachMissing(n uint32, fn func(uint32) bool) bool {
-	next := uint32(0)
-	for _, iv := range s.iv {
-		for q := next; q < iv.lo; q++ {
+// accepted every gap. The set only grows, so the words found full at the
+// front are skipped for good (the watermark) and a call costs what is
+// still missing, not n.
+func (s *deliveredSet) EachMissing(n uint32, fn func(uint32) bool) bool {
+	for s.low < len(s.bits) && s.bits[s.low] == ^uint64(0) {
+		s.low++
+	}
+	for w := s.low; w < len(s.bits); w++ {
+		for gaps := ^s.bits[w]; gaps != 0; gaps &= gaps - 1 {
+			q := uint32(w<<6 + bits.TrailingZeros64(gaps))
+			if q >= n {
+				return true // padding of the last word
+			}
 			if !fn(q) {
 				return false
 			}
-		}
-		next = iv.hi
-	}
-	for q := next; q < n; q++ {
-		if !fn(q) {
-			return false
 		}
 	}
 	return true
@@ -288,9 +270,11 @@ func (s *intervalSet) EachMissing(n uint32, fn func(uint32) bool) bool {
 
 // failCert is one crashed process's certificate set: bit k set means
 // FAIL(f, Succ(f)[k]) is held. The entry's existence alone marks f known
-// crashed.
+// crashed. walk is the last closure walk (reactor.walk) that took f into
+// its suspect set — the walk's visited mark, which needs no clearing.
 type failCert struct {
 	bits []uint64
+	walk uint64
 }
 
 func (c *failCert) has(k int) bool { return c.bits[k>>6]&(1<<(k&63)) != 0 }
@@ -319,8 +303,10 @@ type reactor struct {
 	g     *overlay.Graph
 	succ  []model.ProcID
 	preds []model.ProcID
-	value string
-	store *ProcResult
+	// proposals is the run's read-only value table (Config.Proposals),
+	// indexed by origin: what a VAL item's origin stands for.
+	proposals []string
+	store     *ProcResult
 
 	// crash plan (protocol-level; the driver never kills us)
 	victim  bool
@@ -331,13 +317,17 @@ type reactor struct {
 	sendSeq []uint32        // next seq per successor (succ order)
 	expect  []uint32        // next expected seq per predecessor (pred order)
 	reorder [][]heldPayload // early arrivals per predecessor (pred order)
-	// delivered set as sorted disjoint id intervals
-	delivered intervalSet
+	// delivered origins: this reactor's row of the run-wide bitmap
+	delivered deliveredSet
 	minOrigin model.ProcID // smallest delivered origin (decision candidate)
-	minValue  string
+	minValue  string       // proposals[minOrigin], read when the candidate changes
 	// crash certificates: fails[f] non-nil ⇒ f known crashed; bit k set ⇒
 	// FAIL(f, Succ(f)[k]) held (lazily allocated — nil map crash-free)
 	fails map[model.ProcID]*failCert
+	// closure-walk scratch (excludable): the walk counter that stamps
+	// failCert.walk, and the walk's stack
+	walk  uint64
+	stack []model.ProcID
 	// outbox batching
 	outbox       []item
 	flushPending bool
@@ -374,12 +364,12 @@ func (rx *reactor) crash() bool {
 
 // deliver records origin q's value into the delivered set; it reports
 // whether q was new.
-func (rx *reactor) deliver(q model.ProcID, val string) bool {
+func (rx *reactor) deliver(q model.ProcID) bool {
 	if !rx.delivered.Add(uint32(q)) {
 		return false
 	}
 	if rx.delivered.Count() == 1 || q < rx.minOrigin {
-		rx.minOrigin, rx.minValue = q, val
+		rx.minOrigin, rx.minValue = q, rx.proposals[q]
 	}
 	return true
 }
@@ -408,11 +398,11 @@ func (rx *reactor) ingestItems(items []item) {
 	for _, it := range items {
 		switch it.Kind {
 		case itemVal:
-			if rx.deliver(it.Origin, it.Value) {
+			if rx.deliver(model.ProcID(it.Origin)) {
 				rx.outbox = append(rx.outbox, it)
 			}
 		case itemFail:
-			if rx.markFail(it.Origin, it.Detector) {
+			if rx.markFail(model.ProcID(it.Origin), model.ProcID(it.Detector)) {
 				rx.outbox = append(rx.outbox, it)
 			}
 		}
@@ -430,13 +420,11 @@ func (rx *reactor) ingest(from model.ProcID, payload any) {
 		rx.ingestItems(p.Items)
 		p.Items = nil
 		rx.net.RecyclePayload(rx.net.ShardOf(rx.id), p)
-	case envelope:
-		rx.ingestItems(p.Items)
 	case marker:
 		// from's channel to us is drained (FIFO: everything it sent before
 		// the tombstone was processed above this call). Certify it.
 		if rx.markFail(from, rx.id) {
-			rx.outbox = append(rx.outbox, item{Kind: itemFail, Origin: from, Detector: rx.id})
+			rx.outbox = append(rx.outbox, item{Kind: itemFail, Origin: uint32(from), Detector: uint32(rx.id)})
 		}
 	}
 }
@@ -490,8 +478,6 @@ func seqOf(payload any) uint32 {
 	switch p := payload.(type) {
 	case *envelope:
 		return p.Seq
-	case envelope:
-		return p.Seq
 	case marker:
 		return p.Seq
 	}
@@ -520,8 +506,8 @@ func (rx *reactor) flushNow() {
 
 // complete reports whether every origin is accounted for: delivered, or
 // provably undeliverable (excludable). The crash-free fast path never
-// walks a closure, and the interval set hands back only the gaps — the
-// old per-origin scan was Θ(n) per invocation.
+// walks a closure, and the delivered set hands back only the gaps, from
+// its first-missing watermark on.
 func (rx *reactor) complete() bool {
 	n := rx.g.N()
 	if rx.delivered.Count() == n {
@@ -537,24 +523,30 @@ func (rx *reactor) complete() bool {
 // every channel out of one must be certified drained (FAIL received) or
 // lead to another member of the closure. Any live successor with an
 // uncertified channel means q's value may still be in flight.
+//
+// It runs once per missing origin per invocation of a crash run, so it
+// allocates nothing: the stack is the reactor's, and membership in the
+// closure is a stamp on the member's certificate entry (every member has
+// one — being known crashed is what admits it).
 func (rx *reactor) excludable(q model.ProcID) bool {
-	inC := map[model.ProcID]bool{q: true}
-	stack := []model.ProcID{q}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	rx.walk++
+	rx.stack = append(rx.stack[:0], q)
+	for len(rx.stack) > 0 {
+		f := rx.stack[len(rx.stack)-1]
+		rx.stack = rx.stack[:len(rx.stack)-1]
 		drained := rx.fails[f]
 		if drained == nil {
-			return false // f not known crashed: its value may simply be slow
+			return false // q not known crashed: its value may simply be slow
 		}
+		drained.walk = rx.walk
 		for k, s := range rx.g.Succ(f) {
 			if drained.has(k) {
 				continue // s certified the f→s drain without surfacing q's value
 			}
-			if rx.fails[s] != nil {
-				if !inC[s] {
-					inC[s] = true
-					stack = append(stack, s)
+			if c := rx.fails[s]; c != nil {
+				if c.walk != rx.walk {
+					c.walk = rx.walk
+					rx.stack = append(rx.stack, s)
 				}
 				continue // s crashed too: chase what s may have forwarded
 			}
@@ -596,8 +588,8 @@ func (rx *reactor) React(aborted bool) bool {
 			}
 			rx.h.WakeAfter(rx.crashAt)
 		}
-		rx.deliver(rx.id, rx.value)
-		rx.outbox = append(rx.outbox, item{Kind: itemVal, Origin: rx.id, Value: rx.value})
+		rx.deliver(rx.id)
+		rx.outbox = append(rx.outbox, item{Kind: itemVal, Origin: uint32(rx.id)})
 		rx.flushNow() // own value leaves immediately, never batched
 	}
 	if rx.victim && rx.h.Now() >= rx.crashAt {
@@ -684,13 +676,15 @@ func Run(cfg Config) (*Result, error) {
 		// protocol needs the victim to emit its markers itself.
 	}
 	newNet := driver.StandardNet(&nw, cfg.N, uint64(cfg.Seed)^0x93d1_4af2_0e67_b85c, &ctr, cfg.MinDelay, cfg.MaxDelay, cfg.NetOptions...)
-	// All reactor hot state comes from three pooled backing arrays (the
+	// All reactor hot state comes from four pooled backing arrays (the
 	// reactors themselves, 2·|E| link sequence counters, |E| reorder-buffer
-	// headers) — per-process map and slice allocations previously dominated
-	// setup and resident memory at n≥16k.
+	// headers, n delivered rows of n bits) — per-process map and slice
+	// allocations previously dominated setup and resident memory at n≥16k.
 	rxs := make([]reactor, cfg.N)
 	seqPool := make([]uint32, 2*g.Edges())
 	bufPool := make([][]heldPayload, g.Edges())
+	row := (cfg.N + 63) / 64
+	bitPool := make([]uint64, cfg.N*row)
 	out, err := driver.RunHandlers(dcfg, cfg.N, newNet, func(i int, h *driver.Handle) driver.Reactor {
 		id := model.ProcID(i)
 		at, victim := crashAt[id]
@@ -709,13 +703,14 @@ func Run(cfg Config) (*Result, error) {
 			g:          g,
 			succ:       succ,
 			preds:      preds,
-			value:      cfg.Proposals[i],
+			proposals:  cfg.Proposals,
 			store:      &procs[i],
 			victim:     victim,
 			crashAt:    at,
 			sendSeq:    sendSeq,
 			expect:     expect,
 			reorder:    reorder,
+			delivered:  deliveredSet{bits: bitPool[i*row : (i+1)*row : (i+1)*row]},
 			flushDelay: flushDelay,
 		}
 		return &rxs[i]

@@ -32,9 +32,9 @@ func (s *lateVictimStub) React(aborted bool) bool {
 	}
 	if !s.started {
 		s.started = true
-		items := []item{{Kind: itemVal, Origin: 0, Value: "v0"}}
-		s.net.Send(0, 1, envelope{Seq: 0, Items: items})
-		s.net.Send(0, 2, envelope{Seq: 0, Items: items})
+		items := []item{{Kind: itemVal, Origin: 0}}
+		s.net.Send(0, 1, &envelope{Seq: 0, Items: items})
+		s.net.Send(0, 2, &envelope{Seq: 0, Items: items})
 		s.h.WakeAfter(time.Millisecond)
 	}
 	for {
@@ -42,18 +42,11 @@ func (s *lateVictimStub) React(aborted bool) bool {
 		if !ok {
 			break
 		}
-		// Real reactors flush pooled *envelope payloads; accept the value
-		// form too (this stub sends it).
-		var items []item
-		switch env := m.Payload.(type) {
-		case *envelope:
-			items = env.Items
-		case envelope:
-			items = env.Items
-		default:
+		env, ok := m.Payload.(*envelope)
+		if !ok {
 			continue
 		}
-		for _, it := range items {
+		for _, it := range env.Items {
 			if it.Kind == itemFail && it.Origin == 0 {
 				*s.sawFail = true
 			}
@@ -87,6 +80,7 @@ func TestDecidedReactorCertifiesLateMarker(t *testing.T) {
 		sawFail bool
 	)
 	procs := make([]ProcResult, 3)
+	values := proposals(3)
 	dcfg := driver.Config{
 		Engine:         sim.EngineVirtual,
 		MaxVirtualTime: 50 * time.Millisecond,
@@ -106,11 +100,12 @@ func TestDecidedReactorCertifiesLateMarker(t *testing.T) {
 			g:          g,
 			succ:       g.Succ(id),
 			preds:      g.Pred(id),
-			value:      "v" + string(rune('0'+i)),
+			proposals:  values,
 			store:      &procs[i],
 			sendSeq:    make([]uint32, len(g.Succ(id))),
 			expect:     make([]uint32, len(g.Pred(id))),
 			reorder:    make([][]heldPayload, len(g.Pred(id))),
+			delivered:  deliveredSet{bits: make([]uint64, 1)},
 			flushDelay: DefaultFlushDelay,
 		}
 	})
