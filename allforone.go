@@ -486,8 +486,8 @@ type ExperimentOptions = harness.Options
 // ExperimentReport is one experiment's rendered table plus keyed findings.
 type ExperimentReport = harness.Report
 
-// ExperimentIDs lists the available experiment identifiers (E1…E8); see
-// DESIGN.md for the per-experiment index.
+// ExperimentIDs lists the available experiment identifiers (E1…E10, E10D,
+// A1); see DESIGN.md for the per-experiment index.
 var ExperimentIDs = harness.ExperimentIDs
 
 // RunExperiment executes one of the paper-reproduction experiments.

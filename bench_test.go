@@ -411,8 +411,7 @@ func BenchmarkE8Indulgence(b *testing.B) {
 // steps/op counts processed scheduler events (fanout batching makes it
 // sublinear in messages when arrival instants coincide), and allocs/op is
 // the zero-alloc delivery-path gate: the heap→wheel+pooling refactor cut
-// it from ~2 allocations per message to a per-run constant (DESIGN.md §10,
-// trajectory in BENCH_1.json).
+// it from ~2 allocations per message to a per-run constant (DESIGN.md §10).
 func BenchmarkVirtualEngineLargeN(b *testing.B) {
 	for _, n := range []int{128, 256, 512, 1024, 4096, 8192} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

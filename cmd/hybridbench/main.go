@@ -1,28 +1,27 @@
 // Command hybridbench regenerates the reproduction's experiment tables
 // (E1…E8, one per figure/claim of the paper, plus the extension
-// experiments E9/E10 — see DESIGN.md §5 and EXPERIMENTS.md) and hosts
-// the adversarial schedule search (-search, DESIGN.md §9).
+// experiments E9/E10/E10D and the ablation A1 — see DESIGN.md §5 and
+// EXPERIMENTS.md), emits their findings as the claims ledger (-json;
+// CLAIMS.json is that output at the defaults), and hosts the adversarial
+// schedule search (-search, DESIGN.md §9).
 //
 // Examples:
 //
 //	hybridbench                 # run the full suite with default trials
 //	hybridbench -exp E2,E5      # run selected experiments
 //	hybridbench -trials 200     # more trials per cell
-//	hybridbench -json           # machine-readable per-experiment timings
+//	hybridbench -json           # machine-readable per-experiment findings
 //	hybridbench -search         # hunt worst-case schedules (hybrid, n=8)
 //	hybridbench -search -search-objective rounds -search-budget 2000
 package main
 
 import (
-	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"reflect"
-	"runtime"
-	"runtime/pprof"
 	"slices"
 	"strings"
 	"time"
@@ -37,30 +36,13 @@ import (
 )
 
 // jsonExperiment is one experiment's machine-readable record (-json): the
-// identity, wall-clock duration, the keyed scalar findings the tables are
-// rendered from — the seed format for BENCH_*.json trajectory tracking —
-// and the engine-work figures (events/sec, allocs/run) the -bench-compare
-// value gate trends across committed snapshots.
+// identity and the keyed scalar findings the tables are rendered from.
+// Every value is a deterministic function of (-trials, -seed, -engine
+// virtual), which is what lets CLAIMS.json be gated by exact equality.
 type jsonExperiment struct {
 	ID       string             `json:"id"`
 	Title    string             `json:"title"`
-	Seconds  float64            `json:"seconds"`
 	Findings map[string]float64 `json:"findings"`
-	// Runs / Steps / EventsScheduled roll up the virtual scheduler's work
-	// over the experiment's trials (deterministic; zero under -engine
-	// realtime). EventsPerSec = Steps/Seconds and AllocsPerRun are
-	// machine-dependent throughput figures for trend tracking.
-	Runs            int     `json:"runs,omitempty"`
-	Steps           int64   `json:"steps,omitempty"`
-	EventsScheduled int64   `json:"events_scheduled,omitempty"`
-	EventsPerSec    float64 `json:"events_per_sec,omitempty"`
-	AllocsPerRun    float64 `json:"allocs_per_run,omitempty"`
-	// BurstJobs / PooledPayloadBytes / MaxShardStage total the off-token
-	// expansion path's work across the experiment's trials (DESIGN.md
-	// §12); zero for experiments below the sharding floor.
-	BurstJobs          int64 `json:"burst_jobs,omitempty"`
-	PooledPayloadBytes int64 `json:"pooled_payload_bytes,omitempty"`
-	MaxShardStage      int64 `json:"max_shard_stage,omitempty"`
 }
 
 // jsonFinding is the machine-readable form of an adversary finding: the
@@ -100,19 +82,11 @@ type jsonSearch struct {
 
 // jsonReport is the top-level -json document.
 type jsonReport struct {
-	Trials   int    `json:"trials"`
-	SeedBase int64  `json:"seed_base"`
-	Engine   string `json:"engine"`
-	// Workers is the expansion-pool width the snapshot was recorded at
-	// (-workers; 0 = all CPUs). Purely an axis label: the findings are
-	// identical at every width, only the throughput figures move.
-	Workers     int              `json:"workers,omitempty"`
+	Trials      int              `json:"trials"`
+	SeedBase    int64            `json:"seed_base"`
+	Engine      string           `json:"engine"`
 	Experiments []jsonExperiment `json:"experiments,omitempty"`
-	// WorkersSweep is the -workers-sweep scaling curve (sweep.go): wall
-	// figures per expansion-pool width, plus the cross-width equality
-	// verdict.
-	WorkersSweep *jsonSweep  `json:"workers_sweep,omitempty"`
-	Search       *jsonSearch `json:"search,omitempty"`
+	Search      *jsonSearch      `json:"search,omitempty"`
 }
 
 func main() {
@@ -125,24 +99,13 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("hybridbench", flag.ContinueOnError)
 	var (
-		exps      = fs.String("exp", "all", "comma-separated experiment ids (E1..E10, E10D, A1) or 'all'")
-		trials    = fs.Int("trials", 100, "trials per table cell")
-		trialsMin = fs.Int("trials-min", 1, "repeat each experiment this many times and report the median-timed repetition (damps wall-clock noise in BENCH snapshots)")
-		seed      = fs.Int64("seed", 1, "seed base (experiments) / search seed (-search)")
-		timeout   = fs.Duration("timeout", 20*time.Second, "per-run timeout (realtime engine only)")
-		engine    = fs.String("engine", "virtual", "execution engine for hybrid trials: virtual or realtime")
-		parallel  = fs.Int("parallel", 0, "worker pool size for independent trials/probes (0 = all CPUs)")
-		workers   = fs.Int("workers", 0, "expansion-pool width inside each virtual run (0 = all CPUs; the Outcome is identical at every width)")
-		asJSON    = fs.Bool("json", false, "emit machine-readable output instead of tables")
-
-		workersSweep = fs.Bool("workers-sweep", false, "run the multi-core scaling curve (W in 1,2,4,8) after the experiments and attach it to the report; combine with -exp none to run the sweep alone")
-		sweepN       = fs.Int("sweep-n", 4096, "-workers-sweep: process count of the sparse-overlay cells")
-
-		benchCompare = fs.Bool("bench-compare", false, "compare two BENCH_*.json snapshots (old.json new.json) and fail on a regression beyond -tolerance")
-		tolerance    = fs.Float64("tolerance", 0.25, "-bench-compare: maximum tolerated fractional regression per axis (0.25 = fail below 75% of the old figure)")
-
-		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-		memprofile = fs.String("memprofile", "", "write a heap profile to this file when the run finishes")
+		exps     = fs.String("exp", "all", "comma-separated experiment ids (E1..E10, E10D, A1) or 'all'")
+		trials   = fs.Int("trials", 100, "trials per table cell")
+		seed     = fs.Int64("seed", 1, "seed base (experiments) / search seed (-search)")
+		timeout  = fs.Duration("timeout", 20*time.Second, "per-run timeout (realtime engine only)")
+		engine   = fs.String("engine", "virtual", "execution engine for hybrid trials: virtual or realtime")
+		parallel = fs.Int("parallel", 0, "worker pool size for independent trials/probes (0 = all CPUs)")
+		asJSON   = fs.Bool("json", false, "emit machine-readable output instead of tables")
 
 		search         = fs.Bool("search", false, "run the adversarial schedule search instead of the experiment suite")
 		searchProto    = fs.String("search-protocol", "hybrid", "registry protocol to attack")
@@ -157,46 +120,6 @@ func run(args []string, out io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "hybridbench: -memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows live objects
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "hybridbench: -memprofile:", err)
-			}
-		}()
-	}
-
-	if *benchCompare {
-		files := fs.Args()
-		if len(files) != 2 {
-			return fmt.Errorf("-bench-compare wants exactly two snapshot files, got %d", len(files))
-		}
-		if *tolerance <= 0 || *tolerance >= 1 {
-			return fmt.Errorf("-tolerance %v out of range (0, 1)", *tolerance)
-		}
-		return runBenchCompare(files[0], files[1], *tolerance, out)
 	}
 
 	if *search {
@@ -216,62 +139,43 @@ func run(args []string, out io.Writer) error {
 		}, out)
 	}
 
+	// The output is a document of record: it must describe what ran, so a
+	// trial count the harness would silently replace by its default, and an
+	// id list that would emit an unnamed or a repeated record, are refused.
+	if *trials < 1 {
+		return fmt.Errorf("-trials %d must be at least 1", *trials)
+	}
 	ids := harness.ExperimentIDs
-	switch *exps {
-	case "all":
-	case "none":
-		ids = nil
-	default:
+	if *exps != "all" {
 		ids = nil
 		for _, id := range strings.Split(*exps, ",") {
-			ids = append(ids, strings.TrimSpace(strings.ToUpper(id)))
+			id = strings.TrimSpace(strings.ToUpper(id))
+			if id == "" {
+				return fmt.Errorf("-exp %q contains an empty experiment id", *exps)
+			}
+			if slices.Contains(ids, id) {
+				return fmt.Errorf("-exp %q names experiment %s twice", *exps, id)
+			}
+			ids = append(ids, id)
 		}
 	}
 	eng, err := sim.ParseEngine(*engine)
 	if err != nil {
 		return err
 	}
-	if *trialsMin < 1 {
-		return fmt.Errorf("-trials-min %d must be at least 1", *trialsMin)
-	}
 	opts := harness.Options{
 		Trials: *trials, SeedBase: *seed, Timeout: *timeout,
-		Engine: eng, Parallelism: *parallel, Workers: *workers,
+		Engine: eng, Parallelism: *parallel,
 	}
 
 	if *asJSON {
-		doc := jsonReport{Trials: opts.Trials, SeedBase: opts.SeedBase, Engine: eng.String(), Workers: *workers}
+		doc := jsonReport{Trials: opts.Trials, SeedBase: opts.SeedBase, Engine: eng.String()}
 		for _, id := range ids {
-			rep, m, err := runInstrumented(id, opts, *trialsMin)
+			rep, err := harness.Run(id, opts)
 			if err != nil {
-				return err
+				return fmt.Errorf("%s: %w", id, err)
 			}
-			je := jsonExperiment{
-				ID:                 rep.ID,
-				Title:              rep.Title,
-				Seconds:            m.seconds,
-				Findings:           rep.Findings,
-				Runs:               rep.Perf.Runs,
-				Steps:              rep.Perf.Steps,
-				EventsScheduled:    rep.Perf.EventsScheduled,
-				BurstJobs:          rep.Perf.BurstJobs,
-				PooledPayloadBytes: rep.Perf.PooledPayloadBytes,
-				MaxShardStage:      rep.Perf.MaxShardStage,
-			}
-			if m.seconds > 0 {
-				je.EventsPerSec = float64(rep.Perf.Steps) / m.seconds
-			}
-			if rep.Perf.Runs > 0 {
-				je.AllocsPerRun = float64(m.mallocs) / float64(rep.Perf.Runs)
-			}
-			doc.Experiments = append(doc.Experiments, je)
-		}
-		if *workersSweep {
-			sw, err := runWorkersSweep(*sweepN)
-			if err != nil {
-				return err
-			}
-			doc.WorkersSweep = sw
+			doc.Experiments = append(doc.Experiments, jsonExperiment{ID: rep.ID, Title: rep.Title, Findings: rep.Findings})
 		}
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
@@ -281,174 +185,15 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "allforone experiment suite — %d trials per cell, seed base %d\n", *trials, *seed)
 	fmt.Fprintf(out, "reproducing: Raynal & Cao, ICDCS 2019 (see EXPERIMENTS.md)\n\n")
 	for _, id := range ids {
-		rep, m, err := runInstrumented(id, opts, *trialsMin)
+		rep, err := harness.Run(id, opts)
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", id, err)
 		}
 		if err := rep.Table.Render(out); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "(%s completed in %v", id, time.Duration(m.seconds*float64(time.Second)).Round(time.Millisecond))
-		if rep.Perf.Steps > 0 && m.seconds > 0 {
-			fmt.Fprintf(out, " — %.2gM events/sec over %d runs, %.0f allocs/run",
-				float64(rep.Perf.Steps)/m.seconds/1e6, rep.Perf.Runs,
-				float64(m.mallocs)/float64(max(rep.Perf.Runs, 1)))
-		}
-		fmt.Fprintf(out, ")\n\n")
+		fmt.Fprintln(out)
 	}
-	if *workersSweep {
-		sw, err := runWorkersSweep(*sweepN)
-		if err != nil {
-			return err
-		}
-		renderSweep(sw, out)
-	}
-	return nil
-}
-
-// runMeasure captures one experiment's wall clock and heap-allocation count.
-type runMeasure struct {
-	seconds float64
-	mallocs uint64
-}
-
-// runInstrumented executes one experiment wrapped in wall-clock and
-// allocation measurement (process-wide malloc counts: run experiments
-// sequentially, as this CLI does, for meaningful allocs/run). With k > 1 it
-// repeats the experiment and keeps the median-timed repetition (seconds and
-// mallocs from the same repetition, so allocs/run stays self-consistent) —
-// the findings and scheduler counters are deterministic across repetitions,
-// only the wall clock varies.
-func runInstrumented(id string, opts harness.Options, k int) (*harness.Report, runMeasure, error) {
-	var rep *harness.Report
-	measures := make([]runMeasure, 0, k)
-	for range k {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		start := time.Now()
-		r, err := harness.Run(id, opts)
-		secs := time.Since(start).Seconds()
-		runtime.ReadMemStats(&m1)
-		if err != nil {
-			return nil, runMeasure{}, fmt.Errorf("%s: %w", id, err)
-		}
-		rep = r
-		measures = append(measures, runMeasure{seconds: secs, mallocs: m1.Mallocs - m0.Mallocs})
-	}
-	slices.SortFunc(measures, func(a, b runMeasure) int {
-		return cmp.Compare(a.seconds, b.seconds)
-	})
-	return rep, measures[len(measures)/2], nil
-}
-
-// loadSnapshot reads one BENCH_*.json document.
-func loadSnapshot(path string) (*jsonReport, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var doc jsonReport
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &doc, nil
-}
-
-// runBenchCompare renders the trend between two committed BENCH_*.json
-// snapshots and fails on a regression beyond the tolerance (-tolerance,
-// default 25%) — the value gate on top of the schema gate. Per experiment
-// present in both files it compares events/sec when both snapshots carry it
-// (the engine-throughput axis) and falls back to wall seconds otherwise
-// (older snapshots predate the events/sec field). Comparing committed
-// snapshots — not a live run — keeps the gate independent of the CI
-// machine's speed.
-func runBenchCompare(oldPath, newPath string, tolerance float64, out io.Writer) error {
-	minRatio := 1 - tolerance
-	oldDoc, err := loadSnapshot(oldPath)
-	if err != nil {
-		return err
-	}
-	newDoc, err := loadSnapshot(newPath)
-	if err != nil {
-		return err
-	}
-	oldExp := make(map[string]jsonExperiment, len(oldDoc.Experiments))
-	for _, e := range oldDoc.Experiments {
-		oldExp[e.ID] = e
-	}
-	fmt.Fprintf(out, "benchmark trend: %s → %s\n", oldPath, newPath)
-	if oldDoc.Trials != newDoc.Trials {
-		fmt.Fprintf(out, "caution: snapshots use different -trials (%d vs %d); throughput figures are machine- and workload-dependent — record successive snapshots on comparable hardware with identical trials\n",
-			oldDoc.Trials, newDoc.Trials)
-	}
-	fmt.Fprintf(out, "%-4s %14s %14s %8s  %s\n", "exp", "old", "new", "ratio", "axis")
-	var regressions []string
-	compared := 0
-	for _, ne := range newDoc.Experiments {
-		oe, ok := oldExp[ne.ID]
-		if !ok {
-			fmt.Fprintf(out, "%-4s %14s %14s %8s  new experiment\n", ne.ID, "—", "—", "—")
-			continue
-		}
-		var oldVal, newVal float64
-		var axis string
-		switch {
-		case oe.EventsPerSec > 0 && ne.EventsPerSec > 0:
-			oldVal, newVal, axis = oe.EventsPerSec, ne.EventsPerSec, "events/sec"
-		case oe.Seconds > 0 && ne.Seconds > 0:
-			// Invert so higher is better on both axes.
-			oldVal, newVal, axis = 1/oe.Seconds, 1/ne.Seconds, "runs/sec (1/seconds)"
-		default:
-			fmt.Fprintf(out, "%-4s %14s %14s %8s  no comparable axis\n", ne.ID, "—", "—", "—")
-			continue
-		}
-		ratio := newVal / oldVal
-		compared++
-		marker := ""
-		if ratio < minRatio {
-			marker = "  ← REGRESSION"
-			regressions = append(regressions, ne.ID)
-		}
-		fmt.Fprintf(out, "%-4s %14.3g %14.3g %7.2fx  %s%s\n", ne.ID, oldVal, newVal, ratio, axis, marker)
-		// Second axis: allocation count per run is machine-independent, so
-		// gate it whenever both snapshots carry the figure. Invert so higher
-		// is better (fewer allocations), matching the throughput axis.
-		if oe.AllocsPerRun > 0 && ne.AllocsPerRun > 0 {
-			aRatio := oe.AllocsPerRun / ne.AllocsPerRun
-			aMarker := ""
-			if aRatio < minRatio {
-				aMarker = "  ← REGRESSION"
-				regressions = append(regressions, ne.ID+"(allocs)")
-			}
-			fmt.Fprintf(out, "%-4s %14.3g %14.3g %7.2fx  %s%s\n",
-				ne.ID, oe.AllocsPerRun, ne.AllocsPerRun, aRatio, "allocs/run (lower is better)", aMarker)
-		}
-	}
-	// An experiment present in the old snapshot but absent from the new one
-	// must not silently escape the gate: a regressed experiment could hide
-	// by being dropped or renamed.
-	newIDs := make(map[string]bool, len(newDoc.Experiments))
-	for _, e := range newDoc.Experiments {
-		newIDs[e.ID] = true
-	}
-	var removed []string
-	for _, e := range oldDoc.Experiments {
-		if !newIDs[e.ID] {
-			fmt.Fprintf(out, "%-4s %14s %14s %8s  removed from new snapshot\n", e.ID, "—", "—", "—")
-			removed = append(removed, e.ID)
-		}
-	}
-	if compared == 0 {
-		return fmt.Errorf("no comparable experiments between %s and %s", oldPath, newPath)
-	}
-	if len(removed) > 0 {
-		return fmt.Errorf("experiments present in %s are missing from %s: %s (retire them from both snapshots deliberately)",
-			oldPath, newPath, strings.Join(removed, ", "))
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("throughput regressed >%.0f%% in: %s", 100*tolerance, strings.Join(regressions, ", "))
-	}
-	fmt.Fprintf(out, "no regression beyond %.0f%% across %d comparable experiments\n", 100*tolerance, compared)
 	return nil
 }
 

@@ -52,7 +52,6 @@ func A1Ablations(opts Options) (*Report, error) {
 				Proposals:     proposalsFor("unanimous1", part.N(), nil),
 				Algorithm:     core.LocalCoin,
 				Engine:        opts.Engine,
-				Workers:       opts.Workers,
 				Seed:          opts.SeedBase + int64(trial)*101,
 				MaxRounds:     1000,
 				Timeout:       variant.timeout,
@@ -98,7 +97,6 @@ func A1Ablations(opts Options) (*Report, error) {
 				Proposals:              split,
 				Algorithm:              core.LocalCoin,
 				Engine:                 opts.Engine,
-				Workers:                opts.Workers,
 				Seed:                   opts.SeedBase + int64(trial)*211,
 				MaxRounds:              200,
 				Timeout:                opts.Timeout,

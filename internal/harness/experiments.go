@@ -81,7 +81,6 @@ func E1Fig1Decompositions(opts Options) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			rep.Perf.Merge(sum.perf)
 			decidedPct := 100 * float64(sum.decided) / float64(sum.trials)
 			tb.AddRowf(pc.name, algo.String(), decidedPct,
 				meanOr(sum.rounds, 0), p95Or(sum.rounds, 0),
@@ -127,7 +126,6 @@ func E2MajorityCrash(opts Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep.Perf.Merge(sum.perf)
 		decidedPct := 100 * float64(sum.decided) / float64(sum.trials)
 		blockedPct := 100 * float64(sum.blocked) / float64(sum.trials)
 		tb.AddRowf("hybrid/"+algo.String(), decidedPct, meanOr(sum.rounds, 0), blockedPct)
@@ -151,7 +149,6 @@ func E2MajorityCrash(opts Options) (*Report, error) {
 			Workload: protocol.Workload{Binary: proposalsFor("unanimous1", n, nil)},
 			Seed:     opts.SeedBase + int64(trial),
 			Engine:   opts.Engine,
-			Workers:  opts.Workers,
 			Faults:   sched,
 			Bounds:   protocol.Bounds{Timeout: blockedTimeout},
 		}
@@ -160,7 +157,6 @@ func E2MajorityCrash(opts Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep.Perf.Observe(bres)
 		if _, _, ok := bres.Decided(); ok {
 			benorDecided++
 		}
@@ -172,7 +168,6 @@ func E2MajorityCrash(opts Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep.Perf.Observe(mres)
 		if _, _, ok := mres.Decided(); ok {
 			mpDecided++
 		}
@@ -215,7 +210,6 @@ func E3CommonCoinRounds(opts Options) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			rep.Perf.Merge(sum.perf)
 			if len(sum.rounds) == 0 {
 				return nil, ErrNoData
 			}
@@ -254,7 +248,6 @@ func E4RoundsVsClusters(opts Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep.Perf.Merge(sum.perf)
 		decidedPct := 100 * float64(sum.decided) / float64(sum.trials)
 		tb.AddRowf(m, decidedPct, meanOr(sum.rounds, 0), p95Or(sum.rounds, 0),
 			meanOr(sum.msgs, 0), meanOr(sum.consInv, 0))
@@ -295,14 +288,12 @@ func E5ObjectInvocations(opts Options) (*Report, error) {
 			Workload:  protocol.Workload{Binary: proposalsFor("unanimous1", pc.p.N(), nil)},
 			Algorithm: core.AlgoLocalCoin,
 			Engine:    opts.Engine,
-			Workers:   opts.Workers,
 			Seed:      opts.SeedBase + 17,
 			Bounds:    protocol.Bounds{MaxRounds: 10, Timeout: opts.Timeout},
 		})
 		if err != nil {
 			return nil, err
 		}
-		rep.Perf.Observe(out)
 		res := out.Raw.(*sim.Result)
 		rounds := res.MaxDecisionRound()
 		phases := float64(2 * rounds)
@@ -342,13 +333,11 @@ func E5ObjectInvocations(opts Options) (*Report, error) {
 			Workload: protocol.Workload{Binary: proposalsFor("unanimous1", gc.g.N(), nil)},
 			Seed:     opts.SeedBase + 23,
 			Engine:   opts.Engine,
-			Workers:  opts.Workers,
 			Bounds:   protocol.Bounds{MaxRounds: 10, Timeout: opts.Timeout},
 		})
 		if err != nil {
 			return nil, err
 		}
-		rep.Perf.Observe(out)
 		res := out.Raw.(*sim.Result)
 		rounds := res.MaxDecisionRound()
 		phases := float64(2 * rounds)
@@ -408,7 +397,6 @@ func E6MessageComplexity(opts Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep.Perf.Merge(sum.perf)
 		rounds := meanOr(sum.rounds, 0)
 		msgs := meanOr(sum.msgs, 0)
 		// Each round is one broadcast per process (n² messages); deciding
@@ -442,7 +430,6 @@ func E7ExtremeConfigs(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep.Perf.Merge(sum.perf)
 	tb.AddRowf("hybrid m=1", 100*float64(sum.decided)/float64(sum.trials),
 		meanOr(sum.rounds, 0), meanOr(sum.msgs, 0), meanOr(sum.consInv, 0))
 	rep.Findings["hybrid-m1/rounds_mean"] = meanOr(sum.rounds, 0)
@@ -455,12 +442,10 @@ func E7ExtremeConfigs(opts Options) (*Report, error) {
 			Topology: protocol.Topology{N: n},
 			Workload: protocol.Workload{Binary: proposalsFor("split", n, nil)},
 			Engine:   opts.Engine,
-			Workers:  opts.Workers,
 		})
 		if err != nil {
 			return nil, err
 		}
-		rep.Perf.Observe(out)
 		if out.AllLiveDecided() {
 			shDecided++
 		}
@@ -475,7 +460,6 @@ func E7ExtremeConfigs(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep.Perf.Merge(sum.perf)
 	tb.AddRowf("hybrid m=n", 100*float64(sum.decided)/float64(sum.trials),
 		meanOr(sum.rounds, 0), meanOr(sum.msgs, 0), meanOr(sum.consInv, 0))
 	rep.Findings["hybrid-mn/rounds_mean"] = meanOr(sum.rounds, 0)
@@ -489,14 +473,12 @@ func E7ExtremeConfigs(opts Options) (*Report, error) {
 			Topology: protocol.Topology{N: n},
 			Workload: protocol.Workload{Binary: proposalsFor("split", n, rng)},
 			Engine:   opts.Engine,
-			Workers:  opts.Workers,
 			Seed:     opts.SeedBase + int64(trial)*31,
 			Bounds:   protocol.Bounds{MaxRounds: 10_000, Timeout: opts.Timeout},
 		})
 		if err != nil {
 			return nil, err
 		}
-		rep.Perf.Observe(out)
 		if out.AllLiveDecided() {
 			bDecided++
 			bRounds = append(bRounds, float64(out.MaxDecisionRound()))
@@ -559,7 +541,6 @@ func E8Indulgence(opts Options) (*Report, error) {
 					Workload:  protocol.Workload{Binary: props},
 					Algorithm: algoName(algo),
 					Engine:    opts.Engine,
-					Workers:   opts.Workers,
 					Seed:      opts.SeedBase + int64(trial)*53,
 					Faults:    sched,
 					Bounds:    protocol.Bounds{Timeout: blockedTimeout},
@@ -567,7 +548,6 @@ func E8Indulgence(opts Options) (*Report, error) {
 				if err != nil {
 					return nil, err
 				}
-				rep.Perf.Observe(out)
 				if _, _, ok := out.Decided(); ok {
 					decidedRuns++
 				}

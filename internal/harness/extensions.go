@@ -48,14 +48,12 @@ func E9ExtensionStack(opts Options) (*Report, error) {
 			Workload: protocol.Workload{Values: props},
 			Seed:     opts.SeedBase + int64(trial)*379,
 			Engine:   opts.Engine,
-			Workers:  opts.Workers,
 			Faults:   sched,
 			Bounds:   protocol.Bounds{Timeout: opts.Timeout},
 		})
 		if err != nil {
 			return nil, err
 		}
-		rep.Perf.Observe(out)
 		if err := out.CheckAgreement(); err != nil {
 			return nil, err
 		}
@@ -100,14 +98,12 @@ func E9ExtensionStack(opts Options) (*Report, error) {
 			Workload: protocol.Workload{Scripts: scripts},
 			Seed:     opts.SeedBase + int64(trial)*631,
 			Engine:   opts.Engine,
-			Workers:  opts.Workers,
 			Faults:   sched,
 			Bounds:   protocol.Bounds{Timeout: opts.Timeout},
 		})
 		if err != nil {
 			return nil, err
 		}
-		rep.Perf.Observe(out)
 		res := out.Raw.(*register.Result)
 		surv := res.Procs[survivor]
 		if surv.Status == sim.StatusDecided && len(surv.Ops) == 3 &&
@@ -138,14 +134,12 @@ func E9ExtensionStack(opts Options) (*Report, error) {
 			Workload: protocol.Workload{Commands: cmds, Slots: slots},
 			Seed:     opts.SeedBase + int64(trial)*881,
 			Engine:   opts.Engine,
-			Workers:  opts.Workers,
 			Faults:   sched,
 			Bounds:   protocol.Bounds{Timeout: opts.Timeout},
 		})
 		if err != nil {
 			return nil, err
 		}
-		rep.Perf.Observe(out)
 		res := out.Raw.(*smr.Result)
 		if err := res.CheckLogValidity(cmds); err != nil {
 			return nil, err

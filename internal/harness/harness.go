@@ -18,6 +18,10 @@
 //	     native Ben-Or (§II-A).
 //	E8 — indulgence: no decision, and no unsafe decision, when the
 //	     liveness condition fails (§III-B).
+//	E9 — the extension stack (multivalued, register, log) under E2's crash.
+//	E10, E10D — sparse overlays: msgs/round vs n at fixed degree d, and
+//	     vs d at fixed n (diameter and κ against cost).
+//	A1 — ablations: what closure and cluster consensus buy.
 package harness
 
 import (
@@ -49,10 +53,6 @@ type Options struct {
 	// through internal/driver. The zero value is core.EngineVirtual
 	// (deterministic, no wall-clock time).
 	Engine core.Engine
-	// Workers is each run's internal expansion-pool width
-	// (driver.Config.Workers) -- distinct from Parallelism, which is the
-	// pool of independent trials. 0 = one worker per CPU.
-	Workers int
 	// Parallelism caps the worker pool that executes independent trials
 	// concurrently; 0 means one worker per available CPU under the virtual
 	// engine. Virtual runs are deterministic, so aggregation (in trial
@@ -85,62 +85,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Perf aggregates the virtual engine's work across an experiment's trials —
-// the sweep-level rollup of protocol.Outcome.Sched that lets the CLI report
-// events/sec without parsing tables. Counts are sums over virtual-engine
-// runs (realtime runs contribute zero scheduler work).
-type Perf struct {
-	// Runs is the number of trial outcomes folded in.
-	Runs int
-	// Steps is the total number of discrete events processed.
-	Steps int64
-	// EventsScheduled / WheelCascades total the scheduler's bookkeeping.
-	EventsScheduled int64
-	WheelCascades   int64
-	// MaxBucketDepth is the deepest timer-wheel bucket any trial observed.
-	MaxBucketDepth int64
-	// BurstJobs / PooledPayloadBytes total the off-token expansion path's
-	// work: expansion windows registered and payload bytes built off-token
-	// by protocol builders (DESIGN.md §12).
-	BurstJobs          int64
-	PooledPayloadBytes int64
-	// MaxShardStage is the deepest per-shard staging buffer any trial's
-	// flush observed — the burst-window depth analogue of MaxBucketDepth.
-	MaxShardStage int64
-}
-
-// Observe folds one run's engine work into the rollup.
-func (p *Perf) Observe(out *protocol.Outcome) {
-	p.Runs++
-	p.Steps += out.Steps
-	p.EventsScheduled += out.Sched.EventsScheduled
-	p.WheelCascades += out.Sched.WheelCascades
-	if out.Sched.MaxBucketDepth > p.MaxBucketDepth {
-		p.MaxBucketDepth = out.Sched.MaxBucketDepth
-	}
-	p.BurstJobs += out.Sched.BurstJobs
-	p.PooledPayloadBytes += out.Sched.PooledPayloadBytes
-	if out.Sched.MaxShardStage > p.MaxShardStage {
-		p.MaxShardStage = out.Sched.MaxShardStage
-	}
-}
-
-// Merge folds another rollup (e.g. one configuration's trial batch) in.
-func (p *Perf) Merge(q Perf) {
-	p.Runs += q.Runs
-	p.Steps += q.Steps
-	p.EventsScheduled += q.EventsScheduled
-	p.WheelCascades += q.WheelCascades
-	if q.MaxBucketDepth > p.MaxBucketDepth {
-		p.MaxBucketDepth = q.MaxBucketDepth
-	}
-	p.BurstJobs += q.BurstJobs
-	p.PooledPayloadBytes += q.PooledPayloadBytes
-	if q.MaxShardStage > p.MaxShardStage {
-		p.MaxShardStage = q.MaxShardStage
-	}
-}
-
 // Report is one experiment's outcome: a rendered table plus keyed scalar
 // findings that tests and benchmarks assert against without parsing text.
 type Report struct {
@@ -148,10 +92,6 @@ type Report struct {
 	Title    string
 	Table    *stats.Table
 	Findings map[string]float64
-	// Perf rolls up the virtual engine's work over the experiment's trials
-	// (events processed/scheduled, wheel cascades) — the numerator of the
-	// CLI's events/sec figure.
-	Perf Perf
 }
 
 // ErrNoData is returned when an experiment produced no usable trials.
@@ -167,7 +107,6 @@ type trialSummary struct {
 	decided   int // trials where every live process decided
 	blocked   int // trials with at least one blocked process
 	trials    int
-	perf      Perf // engine-work rollup across the trials
 }
 
 // proposalsFor draws a proposal vector: mode "unanimous1", "unanimous0",
@@ -227,7 +166,6 @@ func runHybridTrials(part *model.Partition, algo core.Algorithm, mode string, op
 			Workload:  protocol.Workload{Binary: proposalsFor(mode, part.N(), rng)},
 			Algorithm: algoName(algo),
 			Engine:    opts.Engine,
-			Workers:   opts.Workers,
 			Seed:      opts.SeedBase + int64(trial)*1_000_003,
 			Bounds:    protocol.Bounds{MaxRounds: 10_000, Timeout: opts.Timeout},
 		}
@@ -254,7 +192,6 @@ func runHybridTrials(part *model.Partition, algo core.Algorithm, mode string, op
 
 // observe folds one run into the summary.
 func (s *trialSummary) observe(out *protocol.Outcome) {
-	s.perf.Observe(out)
 	if out.AllLiveDecided() {
 		s.decided++
 		s.rounds = append(s.rounds, float64(out.MaxDecisionRound()))

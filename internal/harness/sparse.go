@@ -112,7 +112,6 @@ func E10SparseOverlay(opts Options) (*Report, error) {
 				sc := pr.build(n, trial)
 				sc.Profile = protocol.Uniform(0, 200*time.Microsecond)
 				sc.Engine = opts.Engine
-				sc.Workers = opts.Workers
 				sc.Seed = opts.SeedBase + int64(n)*9001 + int64(trial)*271
 				if sc.Bounds.Timeout == 0 {
 					sc.Bounds.Timeout = opts.Timeout
@@ -126,7 +125,6 @@ func E10SparseOverlay(opts Options) (*Report, error) {
 			decided := 0
 			var cells []float64
 			for trial, out := range outs {
-				rep.Perf.Observe(out)
 				if err := out.CheckAgreement(); err != nil {
 					return nil, fmt.Errorf("harness: E10 %s n=%d trial %d: %w", pr.name, n, trial, err)
 				}
@@ -160,9 +158,7 @@ func E10SparseOverlay(opts Options) (*Report, error) {
 // (fewer hops, a tighter gossip round budget) and raises the vertex
 // connectivity κ = d−1 (a bigger fault budget), while the per-round bill
 // grows linearly in d. The sweep quantifies that three-way trade-off for
-// both sparse protocols on one topology family. It is a separate
-// experiment from E10 so the perf trajectory in BENCH_*.json keeps E10's
-// cell composition comparable across snapshots.
+// both sparse protocols on one topology family.
 func E10DegreeSweep(opts Options) (*Report, error) {
 	opts = opts.withDefaults()
 	trials := opts.Trials
@@ -231,7 +227,6 @@ func E10DegreeSweep(opts Options) (*Report, error) {
 				sc.Topology.Overlay = &overlay.Spec{Kind: overlay.KindDeBruijn, Degree: d}
 				sc.Profile = protocol.Uniform(0, 200*time.Microsecond)
 				sc.Engine = opts.Engine
-				sc.Workers = opts.Workers
 				sc.Seed = opts.SeedBase + int64(d)*31337 + int64(trial)*271
 				if sc.Bounds.Timeout == 0 {
 					sc.Bounds.Timeout = opts.Timeout
@@ -244,7 +239,6 @@ func E10DegreeSweep(opts Options) (*Report, error) {
 			}
 			var cells []float64
 			for trial, out := range outs {
-				rep.Perf.Observe(out)
 				if err := out.CheckAgreement(); err != nil {
 					return nil, fmt.Errorf("harness: E10D %s d=%d trial %d: %w", pr.name, d, trial, err)
 				}
