@@ -3,7 +3,6 @@ package allforone
 import (
 	"allforone/internal/allconcur"
 	"allforone/internal/benor"
-	"allforone/internal/coin"
 	"allforone/internal/core"
 	"allforone/internal/failures"
 	"allforone/internal/gossip"
@@ -26,9 +25,8 @@ import (
 //
 // A Scenario declaratively describes one run: which protocol (by registry
 // name), on which topology, with which workload, under which faults and
-// network profile, driven by which engine. Run compiles it onto the
-// registered protocol and returns a uniform Outcome. The former Solve*
-// family survives as thin deprecated wrappers below.
+// network profile. Run compiles it onto the registered protocol and
+// returns a uniform Outcome.
 
 // Scenario declaratively describes one run; see Run.
 type Scenario = protocol.Scenario
@@ -42,8 +40,8 @@ type Topology = protocol.Topology
 // the protocol's ProposalKind is consumed.
 type Workload = protocol.Workload
 
-// Bounds caps a scenario run (rounds, instances, timeouts, virtual-time
-// and step budgets).
+// Bounds caps a scenario run (rounds, instances, virtual-time and step
+// budgets).
 type Bounds = protocol.Bounds
 
 // Outcome is the uniform result of Run; ProcOutcome is one process's view.
@@ -123,10 +121,9 @@ const (
 	AlgoCommonCoin = core.AlgoCommonCoin
 )
 
-// Run executes one scenario on the protocol registry — the entry point
-// replacing the Solve* family. Under EngineVirtual (the default) the run
-// is a pure function of the Scenario: same value, same Outcome, bit for
-// bit, whatever the network profile.
+// Run executes one scenario on the protocol registry. The run is a pure
+// function of the Scenario: same value, same Outcome, bit for bit,
+// whatever the network profile.
 func Run(sc Scenario) (*Outcome, error) { return protocol.Run(sc) }
 
 // Protocols returns the registry metadata of every registered protocol,
@@ -138,7 +135,7 @@ func LookupProtocol(name string) (Protocol, bool) { return protocol.Lookup(name)
 
 // Sweep runs many independent scenarios on a worker pool and returns
 // outcomes in input order — the bulk entry point on top of the
-// deterministic virtual engine. parallelism ≤ 0 uses all CPUs.
+// deterministic engine. parallelism ≤ 0 uses all CPUs.
 func Sweep(scs []Scenario, parallelism int) ([]*Outcome, error) {
 	return harness.Sweep(scs, parallelism)
 }
@@ -224,39 +221,8 @@ var (
 	Fig1Right = model.Fig1Right
 )
 
-// Algorithm selects one of the paper's two consensus algorithms.
-type Algorithm = core.Algorithm
-
-// The paper's two algorithms.
-const (
-	// LocalCoin is Algorithm 2 (Ben-Or extension; two-phase rounds).
-	LocalCoin = core.LocalCoin
-	// CommonCoin is Algorithm 3 (FMR extension; single-phase rounds,
-	// expected 2 rounds after estimates stabilize).
-	CommonCoin = core.CommonCoin
-)
-
-// Engine selects the execution engine driving a simulated run.
-type Engine = core.Engine
-
-// The two engines. EngineVirtual — the default — is a deterministic
-// discrete-event simulation: same Config (including Seed), same Result and
-// trace, bit for bit, with no wall-clock time spent. EngineRealtime is the
-// goroutine-per-process backend kept for differential testing.
-const (
-	EngineVirtual  = core.EngineVirtual
-	EngineRealtime = core.EngineRealtime
-)
-
-// ParseEngine resolves an engine name as accepted by the CLIs ("virtual",
-// "realtime", and abbreviations).
-var ParseEngine = sim.ParseEngine
-
-// Config describes one hybrid consensus execution. See core.Config for
-// field documentation.
-type Config = core.Config
-
-// Result aggregates a run; ProcResult is one process's outcome.
+// Result aggregates a binary-consensus run (Outcome.Raw of the binary
+// protocols); ProcResult is one process's outcome.
 type (
 	Result     = sim.Result
 	ProcResult = sim.ProcResult
@@ -271,13 +237,6 @@ const (
 	StatusCrashed = sim.StatusCrashed
 	StatusBlocked = sim.StatusBlocked
 )
-
-// Solve runs binary consensus in the hybrid communication model and
-// returns every process's outcome.
-//
-// Deprecated: use Run with a Scenario{Protocol: ProtocolHybrid, …}; this
-// wrapper remains for one release.
-func Solve(cfg Config) (*Result, error) { return core.Run(cfg) }
 
 // Failure injection: crash schedules and step points.
 type (
@@ -309,7 +268,7 @@ var (
 	CrashAllExcept = failures.CrashAllExcept
 )
 
-// Trace records structured events of an execution (attach via Config.Trace)
+// Trace records structured events of an execution (attach via Scenario.Trace)
 // and offers invariant checkers; see the trace package.
 type Trace = trace.Log
 
@@ -322,58 +281,10 @@ func CheckClusterUniformity(l *Trace, part *Partition) error {
 	return trace.CheckClusterUniformity(l, part)
 }
 
-// Coin interfaces, for rigging executions in tests and demos.
-type (
-	// LocalCoinSource yields per-process random bits.
-	LocalCoinSource = coin.Local
-	// CommonCoinSource yields the shared per-round bit sequence.
-	CommonCoinSource = coin.Common
-)
-
-// Coin constructors.
-var (
-	// NewFixedCommonCoin rigs the common coin to a repeating bit table.
-	NewFixedCommonCoin = coin.NewFixedCommon
-	// NewFixedLocalCoin rigs a local coin to a repeating sequence.
-	NewFixedLocalCoin = coin.NewFixedLocal
-)
-
-// Baselines and comparators.
-
-// BenOrConfig configures the pure message-passing Ben-Or baseline.
-type BenOrConfig = benor.Config
-
-// SolveBenOr runs Ben-Or's algorithm (the m=n degenerate case, with plain
-// counting instead of cluster closures).
-//
-// Deprecated: use Run with a Scenario{Protocol: ProtocolBenOr, …}.
-func SolveBenOr(cfg BenOrConfig) (*Result, error) { return benor.Run(cfg) }
-
-// MPCoinConfig configures the pure message-passing common-coin baseline.
-type MPCoinConfig = mpcoin.Config
-
-// SolveMPCoin runs the message-passing common-coin algorithm that
-// Algorithm 3 extends.
-//
-// Deprecated: use Run with a Scenario{Protocol: ProtocolMPCoin, …}.
-func SolveMPCoin(cfg MPCoinConfig) (*Result, error) { return mpcoin.Run(cfg) }
-
-// SharedMemoryConfig configures the m=1 shared-memory baseline.
-type SharedMemoryConfig = shconsensus.Config
-
-// SolveSharedMemory runs single-object compare&swap consensus (wait-free,
-// tolerates any number of crashes, zero messages).
-//
-// Deprecated: use Run with a Scenario{Protocol: ProtocolSharedMem, …}.
-func SolveSharedMemory(cfg SharedMemoryConfig) (*Result, error) { return shconsensus.Run(cfg) }
-
-// The m&m model comparator (Aguilera et al., PODC 2018).
-type (
-	// MMGraph induces the m&m memory domains S_i = {p_i} ∪ neighbors(p_i).
-	MMGraph = mm.Graph
-	// MMConfig configures an m&m consensus execution.
-	MMConfig = mm.Config
-)
+// The m&m model comparator (Aguilera et al., PODC 2018): MMGraph induces
+// the memory domains S_i = {p_i} ∪ neighbors(p_i); its EdgeList feeds
+// Topology.MMEdges.
+type MMGraph = mm.Graph
 
 // m&m graph constructors.
 var (
@@ -383,87 +294,20 @@ var (
 	Fig2Graph = mm.Fig2
 )
 
-// SolveMM runs the m&m-model consensus analog (each process touches
-// α_i + 1 consensus objects per phase; no one-for-all closure).
-//
-// Deprecated: use Run with a Scenario{Protocol: ProtocolMM, …} whose
-// Topology carries the graph's edge list (Graph.EdgeList).
-func SolveMM(cfg MMConfig) (*Result, error) { return mm.Run(cfg) }
-
-// Multivalued consensus (extension beyond the paper: the classical
-// reduction from multivalued to binary consensus, instantiated over the
-// hybrid model so it inherits the one-for-all fault tolerance).
+// Native result types behind Outcome.Raw, for callers needing
+// protocol-specific detail.
 type (
-	// MultivaluedConfig configures a multivalued consensus execution; the
-	// proposals are arbitrary strings.
-	MultivaluedConfig = multivalued.Config
-	// MultivaluedResult aggregates a multivalued run.
+	// MultivaluedResult aggregates a multivalued run (ProtocolMultivalued:
+	// the classical reduction from multivalued to binary consensus,
+	// instantiated over the hybrid model).
 	MultivaluedResult = multivalued.Result
-)
-
-// SolveMultivalued runs consensus on arbitrary string proposals.
-//
-// Deprecated: use Run with a Scenario{Protocol: ProtocolMultivalued, …}.
-func SolveMultivalued(cfg MultivaluedConfig) (*MultivaluedResult, error) {
-	return multivalued.Run(cfg)
-}
-
-// Atomic register over the hybrid model (extension, after the paper's
-// reference [16]): a cluster-aware ABD construction whose operations
-// terminate whenever clusters with a survivor cover a majority — so a
-// majority-cluster member keeps reading/writing alone.
-type (
-	// RegisterSystem is a running register deployment.
-	RegisterSystem = register.System
-	// RegisterHandle is one process's client interface.
-	RegisterHandle = register.Handle
-	// RegisterOptions configures a deployment.
-	RegisterOptions = register.Options
-)
-
-// Register operation errors.
-var (
-	ErrRegisterTimeout = register.ErrTimeout
-	ErrRegisterCrashed = register.ErrCrashed
-)
-
-// NewRegister deploys an atomic multi-writer multi-reader register over
-// the given partition (the interactive realtime surface; for
-// deterministic closed runs use RunRegister).
-func NewRegister(part *Partition, opts RegisterOptions) (*RegisterSystem, error) {
-	return register.New(part, opts)
-}
-
-// Scripted register runs: each process executes a sequence of read/write
-// operations on the unified engine driver — deterministic under the
-// default virtual engine, blocked operations detected by quiescence.
-type (
-	// RegisterRunConfig configures a scripted register execution.
-	RegisterRunConfig = register.Config
-	// RegisterOp is one scripted operation (see RegisterWriteOp/ReadOp).
-	RegisterOp = register.Op
-	// RegisterRunResult aggregates a scripted run.
+	// RegisterRunResult aggregates a scripted register run
+	// (ProtocolRegister: a cluster-aware ABD construction after the
+	// paper's reference [16], whose operations terminate whenever clusters
+	// with a survivor cover a majority).
 	RegisterRunResult = register.Result
-)
-
-// Scripted register operation constructors.
-var (
-	RegisterWriteOp = register.WriteOp
-	RegisterReadOp  = register.ReadOp
-)
-
-// RunRegister executes one scripted register run.
-//
-// Deprecated: use Run with a Scenario{Protocol: ProtocolRegister, …}
-// whose Workload.Scripts uses ScriptWrite/ScriptRead ops.
-func RunRegister(cfg RegisterRunConfig) (*RegisterRunResult, error) { return register.Run(cfg) }
-
-// Replicated log / state machine replication (extension): a sequence of
-// log slots, each decided by hybrid multivalued consensus.
-type (
-	// LogConfig configures a replicated-log execution.
-	LogConfig = smr.Config
-	// LogResult aggregates a replicated-log run.
+	// LogResult aggregates a replicated-log run (ProtocolSMR: a sequence
+	// of log slots, each decided by hybrid multivalued consensus).
 	LogResult = smr.Result
 	// LogReplicaResult is one replica's view.
 	LogReplicaResult = smr.ReplicaResult
@@ -471,12 +315,6 @@ type (
 
 // LogNoOp is the value of a slot won by a replica with no pending command.
 const LogNoOp = smr.NoOp
-
-// SolveLog runs a replicated log: all live replicas build identical
-// command sequences.
-//
-// Deprecated: use Run with a Scenario{Protocol: ProtocolSMR, …}.
-func SolveLog(cfg LogConfig) (*LogResult, error) { return smr.Run(cfg) }
 
 // Experiments.
 
@@ -493,21 +331,4 @@ var ExperimentIDs = harness.ExperimentIDs
 // RunExperiment executes one of the paper-reproduction experiments.
 func RunExperiment(id string, opts ExperimentOptions) (*ExperimentReport, error) {
 	return harness.Run(id, opts)
-}
-
-// DefaultTimeout bounds realtime-engine runs whose liveness condition may
-// not hold. The virtual engine needs no timeout: blocked runs are detected
-// deterministically by quiescence.
-const DefaultTimeout = core.DefaultTimeout
-
-// DefaultMaxSteps bounds virtual-engine runs that never converge (see
-// Config.MaxSteps).
-const DefaultMaxSteps = core.DefaultMaxSteps
-
-// SweepConfigs runs many independent hybrid configurations on a worker
-// pool and returns results in input order.
-//
-// Deprecated: use Sweep with []Scenario.
-func SweepConfigs(cfgs []Config, parallelism int) ([]*Result, error) {
-	return harness.SweepCore(cfgs, parallelism)
 }

@@ -9,17 +9,18 @@ func TestSolveQuickstart(t *testing.T) {
 	t.Parallel()
 	part := Fig1Right()
 	props := []Value{One, Zero, Zero, Zero, Zero, One, One}
-	res, err := Solve(Config{
-		Partition: part,
-		Proposals: props,
-		Algorithm: LocalCoin,
+	out, err := Run(Scenario{
+		Protocol:  ProtocolHybrid,
+		Topology:  Topology{Partition: part},
+		Workload:  Workload{Binary: props},
+		Algorithm: AlgoLocalCoin,
 		Seed:      42,
-		MaxRounds: 1000,
-		Timeout:   20 * time.Second,
+		Bounds:    Bounds{MaxRounds: 1000},
 	})
 	if err != nil {
-		t.Fatalf("Solve: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
+	res := out.Raw.(*Result)
 	if err := res.CheckAgreement(); err != nil {
 		t.Fatal(err)
 	}
@@ -44,18 +45,18 @@ func TestSolveWithTraceAndSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := NewTrace()
-	res, err := Solve(Config{
-		Partition: part,
-		Proposals: []Value{One, One, One, One, One, One, One},
-		Algorithm: CommonCoin,
+	res, err := Run(Scenario{
+		Protocol:  ProtocolHybrid,
+		Topology:  Topology{Partition: part},
+		Workload:  Workload{Binary: []Value{One, One, One, One, One, One, One}},
+		Algorithm: AlgoCommonCoin,
 		Seed:      7,
-		MaxRounds: 100,
-		Timeout:   20 * time.Second,
-		Crashes:   sched,
+		Bounds:    Bounds{MaxRounds: 100},
+		Faults:    sched,
 		Trace:     log,
 	})
 	if err != nil {
-		t.Fatalf("Solve: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if !res.AllLiveDecided() {
 		t.Fatalf("survivor did not decide: %+v", res.Procs)
@@ -70,44 +71,23 @@ func TestSolveWithTraceAndSchedule(t *testing.T) {
 
 func TestBaselineFacades(t *testing.T) {
 	t.Parallel()
-	props := []Value{One, One, One, One, One}
-
-	bres, err := SolveBenOr(BenOrConfig{
-		N: 5, Proposals: props, Seed: 1, MaxRounds: 100, Timeout: 20 * time.Second,
-	})
-	if err != nil {
-		t.Fatalf("SolveBenOr: %v", err)
+	// One scenario, four baselines: only Protocol changes (the m&m graph
+	// rides along in the topology; the others ignore it).
+	sc := Scenario{
+		Topology: Topology{N: 5, MMEdges: Fig2Graph().EdgeList()},
+		Workload: Workload{Binary: []Value{One, One, One, One, One}},
+		Seed:     1,
+		Bounds:   Bounds{MaxRounds: 100},
 	}
-	if !bres.AllLiveDecided() {
-		t.Error("Ben-Or did not decide")
-	}
-
-	mres, err := SolveMPCoin(MPCoinConfig{
-		N: 5, Proposals: props, Seed: 1, MaxRounds: 100, Timeout: 20 * time.Second,
-	})
-	if err != nil {
-		t.Fatalf("SolveMPCoin: %v", err)
-	}
-	if !mres.AllLiveDecided() {
-		t.Error("MP common coin did not decide")
-	}
-
-	sres, err := SolveSharedMemory(SharedMemoryConfig{N: 5, Proposals: props})
-	if err != nil {
-		t.Fatalf("SolveSharedMemory: %v", err)
-	}
-	if !sres.AllLiveDecided() {
-		t.Error("shared memory did not decide")
-	}
-
-	gres, err := SolveMM(MMConfig{
-		Graph: Fig2Graph(), Proposals: props, Seed: 1, MaxRounds: 100, Timeout: 20 * time.Second,
-	})
-	if err != nil {
-		t.Fatalf("SolveMM: %v", err)
-	}
-	if !gres.AllLiveDecided() {
-		t.Error("m&m did not decide")
+	for _, proto := range []string{ProtocolBenOr, ProtocolMPCoin, ProtocolSharedMem, ProtocolMM} {
+		sc.Protocol = proto
+		out, err := Run(sc)
+		if err != nil {
+			t.Fatalf("%s: %v", proto, err)
+		}
+		if !out.AllLiveDecided() {
+			t.Errorf("%s did not decide", proto)
+		}
 	}
 }
 
@@ -152,19 +132,45 @@ func TestRunExperimentFacade(t *testing.T) {
 	}
 }
 
+// crashAllButP3At schedules the timed crash of 6 of Fig1Right's 7 processes:
+// everyone but p3, the lone survivor of the majority cluster.
+func crashAllButP3At(t testing.TB, at time.Duration) *Schedule {
+	t.Helper()
+	sched := NewSchedule(7)
+	for _, p := range []ProcID{0, 1, 3, 4, 5, 6} {
+		if err := sched.SetTimed(p, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sched
+}
+
+// TestRegisterFacade runs examples/kvstore's register epilogue: p2 writes
+// the leader pointer, 6 of 7 replicas crash at 1ms, and the survivor p3 —
+// alone in the majority cluster — still reads it at 2ms, then takes over.
 func TestRegisterFacade(t *testing.T) {
 	t.Parallel()
-	sys, err := NewRegister(Fig1Right(), RegisterOptions{Seed: 1})
+	part := Fig1Right()
+	const survivor = ProcID(2)
+	scripts := make([][]ScriptOp, part.N())
+	scripts[1] = []ScriptOp{ScriptWrite("leader=p2")}
+	scripts[survivor] = []ScriptOp{{After: 2 * time.Millisecond}, ScriptWrite("leader=p3"), ScriptRead()}
+	out, err := Run(Scenario{
+		Protocol: ProtocolRegister,
+		Topology: Topology{Partition: part},
+		Workload: Workload{Scripts: scripts},
+		Faults:   crashAllButP3At(t, time.Millisecond),
+		Seed:     7,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Shutdown()
-	if err := sys.Handle(0).Write("x"); err != nil {
-		t.Fatalf("Write: %v", err)
+	ops := out.Raw.(*RegisterRunResult).Procs[survivor].Ops
+	if len(ops) != 3 || !ops[0].OK || !ops[2].OK {
+		t.Fatalf("survivor ops = %+v, want three completed", ops)
 	}
-	got, err := sys.Handle(6).Read()
-	if err != nil || got != "x" {
-		t.Fatalf("Read = %q, %v", got, err)
+	if ops[0].Val != "leader=p2" || ops[2].Val != "leader=p3" {
+		t.Errorf("survivor read %q then %q, want leader=p2 then leader=p3", ops[0].Val, ops[2].Val)
 	}
 }
 
@@ -175,16 +181,16 @@ func TestLogFacade(t *testing.T) {
 	for i := range cmds {
 		cmds[i] = []string{"set k=" + string(rune('a'+i))}
 	}
-	res, err := SolveLog(LogConfig{
-		Partition: part,
-		Commands:  cmds,
-		Slots:     3,
-		Seed:      2,
-		Timeout:   20 * time.Second,
+	out, err := Run(Scenario{
+		Protocol: ProtocolSMR,
+		Topology: Topology{Partition: part},
+		Workload: Workload{Commands: cmds, Slots: 3},
+		Seed:     2,
 	})
 	if err != nil {
-		t.Fatalf("SolveLog: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
+	res := out.Raw.(*LogResult)
 	if err := res.CheckLogAgreement(); err != nil {
 		t.Fatal(err)
 	}
@@ -195,41 +201,20 @@ func TestLogFacade(t *testing.T) {
 
 func TestMultivaluedFacade(t *testing.T) {
 	t.Parallel()
-	res, err := SolveMultivalued(MultivaluedConfig{
-		Partition: Fig1Left(),
-		Proposals: []string{"a", "b", "c", "d", "e", "f", "g"},
-		Seed:      3,
-		Timeout:   20 * time.Second,
+	out, err := Run(Scenario{
+		Protocol: ProtocolMultivalued,
+		Topology: Topology{Partition: Fig1Left()},
+		Workload: Workload{Values: []string{"a", "b", "c", "d", "e", "f", "g"}},
+		Seed:     3,
 	})
 	if err != nil {
-		t.Fatalf("SolveMultivalued: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
+	res := out.Raw.(*MultivaluedResult)
 	if !res.AllLiveDecided() {
 		t.Fatalf("not all decided: %+v", res.Procs)
 	}
 	if err := res.CheckAgreement(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRiggedCoinFacades(t *testing.T) {
-	t.Parallel()
-	res, err := Solve(Config{
-		Partition:          Fig1Left(),
-		Proposals:          []Value{One, One, One, One, One, One, One},
-		Algorithm:          CommonCoin,
-		Seed:               1,
-		MaxRounds:          10,
-		Timeout:            20 * time.Second,
-		CommonCoinOverride: NewFixedCommonCoin(One),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.MaxDecisionRound(); got != 1 {
-		t.Errorf("decision round = %d, want 1", got)
-	}
-	if NewFixedLocalCoin(Zero).Flip() != Zero {
-		t.Error("NewFixedLocalCoin broken")
 	}
 }

@@ -10,20 +10,34 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"allforone/internal/core"
 )
 
-// benchRun executes one hybrid run and fails the benchmark on any safety or
+// benchRun executes one scenario and fails the benchmark on any safety or
 // configuration error.
-func benchRun(b *testing.B, cfg Config) *Result {
+func benchRun(b *testing.B, sc Scenario) *Outcome {
 	b.Helper()
-	res, err := Solve(cfg)
+	out, err := Run(sc)
 	if err != nil {
-		b.Fatalf("Solve: %v", err)
+		b.Fatalf("Run: %v", err)
 	}
-	if err := res.CheckAgreement(); err != nil {
+	if err := out.CheckAgreement(); err != nil {
 		b.Fatal(err)
 	}
-	return res
+	return out
+}
+
+// hybridScenario is the hybrid-protocol scenario the experiments share.
+func hybridScenario(part *Partition, props []Value, algo string, seed int64, maxRounds int) Scenario {
+	return Scenario{
+		Protocol:  ProtocolHybrid,
+		Topology:  Topology{Partition: part},
+		Workload:  Workload{Binary: props},
+		Algorithm: algo,
+		Seed:      seed,
+		Bounds:    Bounds{MaxRounds: maxRounds},
+	}
 }
 
 func reportRun(b *testing.B, rounds, msgs, consInv float64) {
@@ -44,7 +58,7 @@ func BenchmarkE1Fig1Decompositions(b *testing.B) {
 		{"fig1-right", Fig1Right()},
 	}
 	for _, pc := range parts {
-		for _, algo := range []Algorithm{LocalCoin, CommonCoin} {
+		for _, algo := range []string{AlgoLocalCoin, AlgoCommonCoin} {
 			b.Run(fmt.Sprintf("%s/%v", pc.name, algo), func(b *testing.B) {
 				var rounds, msgs, inv float64
 				for i := 0; i < b.N; i++ {
@@ -52,10 +66,7 @@ func BenchmarkE1Fig1Decompositions(b *testing.B) {
 					for j := range props {
 						props[j] = Value(int8((i + j) % 2))
 					}
-					res := benchRun(b, Config{
-						Partition: pc.p, Proposals: props, Algorithm: algo,
-						Seed: int64(i), MaxRounds: 10_000, Timeout: 20 * time.Second,
-					})
+					res := benchRun(b, hybridScenario(pc.p, props, algo, int64(i), 10_000))
 					if !res.AllLiveDecided() {
 						b.Fatal("crash-free run did not decide")
 					}
@@ -77,7 +88,7 @@ func BenchmarkE2MajorityCrash(b *testing.B) {
 	part := Fig1Right()
 	props := []Value{One, One, One, One, One, One, One}
 	crashAt := CrashPoint{Round: 1, Phase: 1, Stage: StageRoundStart}
-	for _, algo := range []Algorithm{LocalCoin, CommonCoin} {
+	for _, algo := range []string{AlgoLocalCoin, AlgoCommonCoin} {
 		b.Run(fmt.Sprintf("hybrid/%v", algo), func(b *testing.B) {
 			var rounds float64
 			for i := 0; i < b.N; i++ {
@@ -85,11 +96,9 @@ func BenchmarkE2MajorityCrash(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res := benchRun(b, Config{
-					Partition: part, Proposals: props, Algorithm: algo,
-					Seed: int64(i), MaxRounds: 1000, Timeout: 20 * time.Second,
-					Crashes: sched,
-				})
+				sc := hybridScenario(part, props, algo, int64(i), 1000)
+				sc.Faults = sched
+				res := benchRun(b, sc)
 				if !res.AllLiveDecided() {
 					b.Fatal("survivor did not decide despite majority cluster")
 				}
@@ -105,13 +114,13 @@ func BenchmarkE2MajorityCrash(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := SolveBenOr(BenOrConfig{
-				N: 7, Proposals: props, Seed: int64(i),
-				Crashes: sched, Timeout: 50 * time.Millisecond,
+			res := benchRun(b, Scenario{
+				Protocol: ProtocolBenOr,
+				Topology: Topology{N: 7},
+				Workload: Workload{Binary: props},
+				Seed:     int64(i),
+				Faults:   sched,
 			})
-			if err != nil {
-				b.Fatal(err)
-			}
 			if _, _, ok := res.Decided(); ok {
 				b.Fatal("Ben-Or decided despite 6/7 crashes")
 			}
@@ -137,10 +146,7 @@ func BenchmarkE3CommonCoinRounds(b *testing.B) {
 						props[j] = One
 					}
 				}
-				res := benchRun(b, Config{
-					Partition: part, Proposals: props, Algorithm: CommonCoin,
-					Seed: int64(i) * 97, MaxRounds: 10_000, Timeout: 20 * time.Second,
-				})
+				res := benchRun(b, hybridScenario(part, props, AlgoCommonCoin, int64(i)*97, 10_000))
 				rounds += float64(res.MaxDecisionRound())
 			}
 			b.ReportMetric(rounds/float64(b.N), "rounds/op")
@@ -164,10 +170,7 @@ func BenchmarkE4RoundsVsClusters(b *testing.B) {
 				for j := range props {
 					props[j] = Value(int8(j % 2))
 				}
-				res := benchRun(b, Config{
-					Partition: part, Proposals: props, Algorithm: LocalCoin,
-					Seed: int64(i)*131 + int64(m), MaxRounds: 10_000, Timeout: 20 * time.Second,
-				})
+				res := benchRun(b, hybridScenario(part, props, AlgoLocalCoin, int64(i)*131+int64(m), 10_000))
 				if !res.AllLiveDecided() {
 					b.Fatal("crash-free run did not decide")
 				}
@@ -188,10 +191,7 @@ func BenchmarkE5ObjectInvocations(b *testing.B) {
 		props := []Value{One, One, One, One, One, One, One}
 		var inv float64
 		for i := 0; i < b.N; i++ {
-			res := benchRun(b, Config{
-				Partition: part, Proposals: props, Algorithm: LocalCoin,
-				Seed: int64(i), MaxRounds: 10, Timeout: 20 * time.Second,
-			})
+			res := benchRun(b, hybridScenario(part, props, AlgoLocalCoin, int64(i), 10))
 			inv += float64(res.Metrics.ConsInvocations)
 		}
 		// Unanimous ⇒ 1 round, 2 phases, 7 processes ⇒ 14 invocations.
@@ -201,13 +201,13 @@ func BenchmarkE5ObjectInvocations(b *testing.B) {
 		props := []Value{One, One, One, One, One}
 		var inv float64
 		for i := 0; i < b.N; i++ {
-			res, err := SolveMM(MMConfig{
-				Graph: Fig2Graph(), Proposals: props,
-				Seed: int64(i), MaxRounds: 10, Timeout: 20 * time.Second,
+			res := benchRun(b, Scenario{
+				Protocol: ProtocolMM,
+				Topology: Topology{N: 5, MMEdges: Fig2Graph().EdgeList()},
+				Workload: Workload{Binary: props},
+				Seed:     int64(i),
+				Bounds:   Bounds{MaxRounds: 10},
 			})
-			if err != nil {
-				b.Fatal(err)
-			}
 			inv += float64(res.Metrics.ConsInvocations)
 		}
 		// Unanimous ⇒ 1 round, 2 phases, Σ(α_i+1)=15 ⇒ 30 invocations.
@@ -233,10 +233,7 @@ func BenchmarkE6MessageComplexity(b *testing.B) {
 			}
 			var msgs, norm float64
 			for i := 0; i < b.N; i++ {
-				res := benchRun(b, Config{
-					Partition: part, Proposals: props, Algorithm: CommonCoin,
-					Seed: int64(i) * 7, MaxRounds: 1000, Timeout: 20 * time.Second,
-				})
+				res := benchRun(b, hybridScenario(part, props, AlgoCommonCoin, int64(i)*7, 1000))
 				r := float64(res.MaxDecisionRound())
 				msgs += float64(res.Metrics.MsgsSent)
 				norm += float64(res.Metrics.MsgsSent) / (float64(n*n) * (r + 1))
@@ -258,10 +255,7 @@ func BenchmarkE7ExtremeConfigs(b *testing.B) {
 	b.Run("hybrid-m1", func(b *testing.B) {
 		part := SingleCluster(n)
 		for i := 0; i < b.N; i++ {
-			res := benchRun(b, Config{
-				Partition: part, Proposals: split, Algorithm: LocalCoin,
-				Seed: int64(i), MaxRounds: 100, Timeout: 20 * time.Second,
-			})
+			res := benchRun(b, hybridScenario(part, split, AlgoLocalCoin, int64(i), 100))
 			if res.MaxDecisionRound() != 1 {
 				b.Fatal("m=1 must decide in round 1")
 			}
@@ -269,10 +263,11 @@ func BenchmarkE7ExtremeConfigs(b *testing.B) {
 	})
 	b.Run("native-shmem", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := SolveSharedMemory(SharedMemoryConfig{N: n, Proposals: split})
-			if err != nil {
-				b.Fatal(err)
-			}
+			res := benchRun(b, Scenario{
+				Protocol: ProtocolSharedMem,
+				Topology: Topology{N: n},
+				Workload: Workload{Binary: split},
+			})
 			if !res.AllLiveDecided() {
 				b.Fatal("shared memory did not decide")
 			}
@@ -282,10 +277,7 @@ func BenchmarkE7ExtremeConfigs(b *testing.B) {
 		part := Singletons(n)
 		var rounds float64
 		for i := 0; i < b.N; i++ {
-			res := benchRun(b, Config{
-				Partition: part, Proposals: split, Algorithm: LocalCoin,
-				Seed: int64(i) * 17, MaxRounds: 10_000, Timeout: 20 * time.Second,
-			})
+			res := benchRun(b, hybridScenario(part, split, AlgoLocalCoin, int64(i)*17, 10_000))
 			rounds += float64(res.MaxDecisionRound())
 		}
 		b.ReportMetric(rounds/float64(b.N), "rounds/op")
@@ -293,13 +285,13 @@ func BenchmarkE7ExtremeConfigs(b *testing.B) {
 	b.Run("native-benor", func(b *testing.B) {
 		var rounds float64
 		for i := 0; i < b.N; i++ {
-			res, err := SolveBenOr(BenOrConfig{
-				N: n, Proposals: split, Seed: int64(i) * 17,
-				MaxRounds: 10_000, Timeout: 20 * time.Second,
+			res := benchRun(b, Scenario{
+				Protocol: ProtocolBenOr,
+				Topology: Topology{N: n},
+				Workload: Workload{Binary: split},
+				Seed:     int64(i) * 17,
+				Bounds:   Bounds{MaxRounds: 10_000},
 			})
-			if err != nil {
-				b.Fatal(err)
-			}
 			rounds += float64(res.MaxDecisionRound())
 		}
 		b.ReportMetric(rounds/float64(b.N), "rounds/op")
@@ -319,34 +311,34 @@ func BenchmarkE9ExtensionStack(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := SolveMultivalued(MultivaluedConfig{
-				Partition: part, Proposals: props,
-				Seed: int64(i), Crashes: sched, Timeout: 20 * time.Second,
+			res := benchRun(b, Scenario{
+				Protocol: ProtocolMultivalued,
+				Topology: Topology{Partition: part},
+				Workload: Workload{Values: props},
+				Seed:     int64(i),
+				Faults:   sched,
 			})
-			if err != nil {
-				b.Fatal(err)
-			}
 			if res.Procs[2].Status != StatusDecided {
 				b.Fatal("survivor did not decide")
 			}
 		}
 	})
 	b.Run("register", func(b *testing.B) {
+		scripts := make([][]ScriptOp, 7)
+		scripts[1] = []ScriptOp{ScriptWrite("pre")}
+		scripts[2] = []ScriptOp{{After: 2 * time.Millisecond}} // a read, after the crashes
 		for i := 0; i < b.N; i++ {
-			sys, err := NewRegister(part, RegisterOptions{Seed: int64(i)})
-			if err != nil {
-				b.Fatal(err)
+			res := benchRun(b, Scenario{
+				Protocol: ProtocolRegister,
+				Topology: Topology{Partition: part},
+				Workload: Workload{Scripts: scripts},
+				Seed:     int64(i),
+				Faults:   crashAllButP3At(b, time.Millisecond),
+			})
+			ops := res.Raw.(*RegisterRunResult).Procs[2].Ops
+			if len(ops) != 1 || !ops[0].OK || ops[0].Val != "pre" {
+				b.Fatalf("survivor ops = %+v, want one read of \"pre\"", ops)
 			}
-			if err := sys.Handle(1).Write("pre"); err != nil {
-				b.Fatal(err)
-			}
-			for _, p := range []ProcID{0, 1, 3, 4, 5, 6} {
-				sys.Crash(p)
-			}
-			if v, err := sys.Handle(2).Read(); err != nil || v != "pre" {
-				b.Fatalf("survivor read = %q, %v", v, err)
-			}
-			sys.Shutdown()
 		}
 	})
 	b.Run("log", func(b *testing.B) {
@@ -359,14 +351,14 @@ func BenchmarkE9ExtensionStack(b *testing.B) {
 			for j := range cmds {
 				cmds[j] = []string{"cmd"}
 			}
-			res, err := SolveLog(LogConfig{
-				Partition: part, Commands: cmds, Slots: 3,
-				Seed: int64(i), Crashes: sched, Timeout: 20 * time.Second,
+			res := benchRun(b, Scenario{
+				Protocol: ProtocolSMR,
+				Topology: Topology{Partition: part},
+				Workload: Workload{Commands: cmds, Slots: 3},
+				Seed:     int64(i),
+				Faults:   sched,
 			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(res.Replicas[2].Log) != 3 {
+			if len(res.Raw.(*LogResult).Replicas[2].Log) != 3 {
 				b.Fatal("survivor did not complete the log")
 			}
 		}
@@ -387,18 +379,10 @@ func BenchmarkE8Indulgence(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		res, err := Solve(Config{
-			Partition: part, Proposals: props, Algorithm: LocalCoin,
-			Seed: int64(i), Timeout: 50 * time.Millisecond, Crashes: sched,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, ok := res.Decided(); ok {
+		sc := hybridScenario(part, props, AlgoLocalCoin, int64(i), 0)
+		sc.Faults = sched
+		if _, _, ok := benchRun(b, sc).Decided(); ok {
 			b.Fatal("decided under a dead failure pattern")
-		}
-		if err := res.CheckAgreement(); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
@@ -429,15 +413,9 @@ func BenchmarkVirtualEngineLargeN(b *testing.B) {
 			}
 			var steps, msgs float64
 			for i := 0; i < b.N; i++ {
-				res := benchRun(b, Config{
-					Partition: part,
-					Proposals: props,
-					Algorithm: CommonCoin,
-					Seed:      int64(i),
-					MaxRounds: 10_000,
-					MinDelay:  50 * time.Microsecond,
-					MaxDelay:  2 * time.Millisecond,
-				})
+				sc := hybridScenario(part, props, AlgoCommonCoin, int64(i), 10_000)
+				sc.Profile = UniformProfile(50*time.Microsecond, 2*time.Millisecond)
+				res := benchRun(b, sc)
 				if !res.AllLiveDecided() {
 					b.Fatal("crash-free run did not decide")
 				}
@@ -463,13 +441,16 @@ func BenchmarkScenarioOverhead(b *testing.B) {
 	b.Run("direct-config", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res := benchRun(b, Config{
+			res, err := core.Run(core.Config{
 				Partition: part,
 				Proposals: props,
-				Algorithm: CommonCoin,
+				Algorithm: core.CommonCoin,
 				Seed:      int64(i),
 				MaxRounds: 10_000,
 			})
+			if err != nil {
+				b.Fatalf("core.Run: %v", err)
+			}
 			if !res.AllLiveDecided() {
 				b.Fatal("crash-free run did not decide")
 			}

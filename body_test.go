@@ -3,8 +3,8 @@ package allforone
 // The body-form differential suite: protocols offering both process-body
 // forms (inline handlers and coroutines) must produce bit-identical
 // Outcomes for every scenario — same decisions, rounds, message counts,
-// virtual clock, and step count. The handler form is the virtual engine's
-// default; the coroutine form stays behind Scenario.Body as the
+// virtual clock, and step count. The handler form is the default
+// (sim.BodyAuto); the coroutine form stays behind Scenario.Body as the
 // differential oracle.
 
 import (
@@ -125,7 +125,7 @@ func TestBodyFormDifferential(t *testing.T) {
 	for _, bc := range cases {
 		bc := bc
 		scH := bc.sc
-		scH.Body = sim.BodyHandler
+		scH.Body = sim.BodyAuto
 		scC := bc.sc
 		scC.Body = sim.BodyCoroutine
 		handler, err := Run(scH)
@@ -145,35 +145,6 @@ func TestBodyFormDifferential(t *testing.T) {
 		if handler.StepsExceeded || handler.DeadlineExceeded {
 			t.Fatalf("%s: run hit an artificial bound: %+v", bc.name, stripRaw(handler))
 		}
-	}
-}
-
-// TestBodyAutoPicksHandlers: the zero Body value must behave exactly like
-// an explicit handler request under the virtual engine.
-func TestBodyAutoPicksHandlers(t *testing.T) {
-	t.Parallel()
-	part := Fig1Right()
-	base := Scenario{
-		Protocol: "hybrid",
-		Topology: Topology{Partition: part},
-		Workload: Workload{Binary: []Value{0, 1, 0, 1, 0, 1, 0}},
-		Profile:  UniformProfile(0, 100*time.Microsecond),
-		Seed:     11,
-		Bounds:   Bounds{MaxRounds: 10_000},
-	}
-	auto, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	explicit := base
-	explicit.Body = sim.BodyHandler
-	handler, err := Run(explicit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(stripRaw(auto), stripRaw(handler)) {
-		t.Fatalf("BodyAuto diverged from BodyHandler:\n  auto:    %+v\n  handler: %+v",
-			stripRaw(auto), stripRaw(handler))
 	}
 }
 
@@ -201,7 +172,6 @@ func TestHandlerScenarioQuiescence(t *testing.T) {
 		Workload: Workload{Binary: []Value{0, 1, 0, 1, 0, 1, 0}},
 		Faults:   sched,
 		Profile:  UniformProfile(50*time.Microsecond, 100*time.Microsecond),
-		Body:     sim.BodyHandler,
 		Seed:     3,
 		Bounds:   Bounds{MaxRounds: 10_000},
 	})
@@ -232,7 +202,6 @@ func TestHandlerReplayBitReproducible(t *testing.T) {
 			Workload: Workload{Binary: []Value{0, 1, 0, 1, 0, 1, 0}},
 			Faults:   sched,
 			Profile:  DistanceSkewProfile(50*time.Microsecond, 25*time.Microsecond),
-			Body:     sim.BodyHandler,
 			Seed:     7,
 			Bounds:   Bounds{MaxRounds: 10_000},
 		}

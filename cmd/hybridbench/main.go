@@ -32,13 +32,12 @@ import (
 	"allforone/internal/model"
 	"allforone/internal/protocol"
 	_ "allforone/internal/protocols"
-	"allforone/internal/sim"
 )
 
 // jsonExperiment is one experiment's machine-readable record (-json): the
 // identity and the keyed scalar findings the tables are rendered from.
-// Every value is a deterministic function of (-trials, -seed, -engine
-// virtual), which is what lets CLAIMS.json be gated by exact equality.
+// Every value is a deterministic function of (-trials, -seed), which is
+// what lets CLAIMS.json be gated by exact equality.
 type jsonExperiment struct {
 	ID       string             `json:"id"`
 	Title    string             `json:"title"`
@@ -84,7 +83,6 @@ type jsonSearch struct {
 type jsonReport struct {
 	Trials      int              `json:"trials"`
 	SeedBase    int64            `json:"seed_base"`
-	Engine      string           `json:"engine"`
 	Experiments []jsonExperiment `json:"experiments,omitempty"`
 	Search      *jsonSearch      `json:"search,omitempty"`
 }
@@ -102,8 +100,6 @@ func run(args []string, out io.Writer) error {
 		exps     = fs.String("exp", "all", "comma-separated experiment ids (E1..E10, E10D, A1) or 'all'")
 		trials   = fs.Int("trials", 100, "trials per table cell")
 		seed     = fs.Int64("seed", 1, "seed base (experiments) / search seed (-search)")
-		timeout  = fs.Duration("timeout", 20*time.Second, "per-run timeout (realtime engine only)")
-		engine   = fs.String("engine", "virtual", "execution engine for hybrid trials: virtual or realtime")
 		parallel = fs.Int("parallel", 0, "worker pool size for independent trials/probes (0 = all CPUs)")
 		asJSON   = fs.Bool("json", false, "emit machine-readable output instead of tables")
 
@@ -159,17 +155,10 @@ func run(args []string, out io.Writer) error {
 			ids = append(ids, id)
 		}
 	}
-	eng, err := sim.ParseEngine(*engine)
-	if err != nil {
-		return err
-	}
-	opts := harness.Options{
-		Trials: *trials, SeedBase: *seed, Timeout: *timeout,
-		Engine: eng, Parallelism: *parallel,
-	}
+	opts := harness.Options{Trials: *trials, SeedBase: *seed, Parallelism: *parallel}
 
 	if *asJSON {
-		doc := jsonReport{Trials: opts.Trials, SeedBase: opts.SeedBase, Engine: eng.String()}
+		doc := jsonReport{Trials: opts.Trials, SeedBase: opts.SeedBase}
 		for _, id := range ids {
 			rep, err := harness.Run(id, opts)
 			if err != nil {

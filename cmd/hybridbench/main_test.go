@@ -57,13 +57,12 @@ func TestRunJSON(t *testing.T) {
 	}
 	var doc struct {
 		Trials      int                          `json:"trials"`
-		Engine      string                       `json:"engine"`
 		Experiments []map[string]json.RawMessage `json:"experiments"`
 	}
 	if err := json.Unmarshal([]byte(out.String()), &doc); err != nil {
 		t.Fatalf("output is not JSON: %v\n%s", err, out.String())
 	}
-	if doc.Trials != 2 || doc.Engine != "virtual" || len(doc.Experiments) != 3 {
+	if doc.Trials != 2 || len(doc.Experiments) != 3 {
 		t.Fatalf("doc = %+v", doc)
 	}
 	exp := doc.Experiments[0]
@@ -190,7 +189,7 @@ func TestRunBadFlag(t *testing.T) {
 
 // TestClaimsGolden: CLAIMS.json is `hybridbench -json` at the defaults — the
 // paper reproduction's 98 findings — and every committed value must equal
-// what the code produces now, exactly (the virtual engine is deterministic,
+// what the code produces now, exactly (the engine is deterministic,
 // so there is no tolerance to pick). A change that moves a finding on
 // purpose regenerates the file: go run ./cmd/hybridbench -json > CLAIMS.json
 func TestClaimsGolden(t *testing.T) {
@@ -214,9 +213,9 @@ func TestClaimsGolden(t *testing.T) {
 	if err := json.Unmarshal([]byte(out.String()), &current); err != nil {
 		t.Fatalf("-json output: %v", err)
 	}
-	if committed.Trials != current.Trials || committed.SeedBase != current.SeedBase || committed.Engine != current.Engine {
-		t.Errorf("header: committed trials=%d seed_base=%d engine=%s, current trials=%d seed_base=%d engine=%s",
-			committed.Trials, committed.SeedBase, committed.Engine, current.Trials, current.SeedBase, current.Engine)
+	if committed.Trials != current.Trials || committed.SeedBase != current.SeedBase {
+		t.Errorf("header: committed trials=%d seed_base=%d, current trials=%d seed_base=%d",
+			committed.Trials, committed.SeedBase, current.Trials, current.SeedBase)
 	}
 	now := make(map[string]jsonExperiment, len(current.Experiments))
 	for _, e := range current.Experiments {

@@ -1,9 +1,8 @@
 // Command hybridsim runs one scenario on the protocol registry and prints
 // every process's outcome plus the run's cost metrics. It is a thin CLI
 // over allforone.Run: pick a protocol (-protocol, see -list-protocols), a
-// topology (-partition / -n / -mm-edges), a workload (-proposals), an
-// adversary (-crash / -crash-timed / -crash-all-except, -profile), and an
-// engine.
+// topology (-partition / -n / -mm-edges), a workload (-proposals), and an
+// adversary (-crash / -crash-timed / -crash-all-except, -profile).
 //
 // Examples:
 //
@@ -67,10 +66,8 @@ func run(args []string, out io.Writer) error {
 		slots      = fs.Int("slots", 2, "log slots to agree on (protocol smr)")
 		seed       = fs.Int64("seed", 1, "run seed (coins, delays, crash subsets)")
 		maxRounds  = fs.Int("max-rounds", 10000, "round cap per binary instance (0 = unbounded)")
-		engine     = fs.String("engine", "virtual", "execution engine: virtual (deterministic discrete-event) or realtime (goroutines + wall clock)")
-		timeout    = fs.Duration("timeout", 10*time.Second, "abort blocked realtime-engine runs after this long (virtual engine detects blocked runs by quiescence)")
 		profile    = fs.String("profile", "", "network profile: uniform:MIN:MAX, skew:BASE:STEP, wan:INTRA:INTER:JITTER, heal:AT:MIN:MAX (empty = immediate delivery)")
-		maxVTime   = fs.Duration("max-virtual-time", 0, "virtual-engine bound on the virtual clock (0 = unbounded)")
+		maxVTime   = fs.Duration("max-virtual-time", 0, "bound on the virtual clock (0 = unbounded)")
 		crashSpec  = fs.String("crash", "", "step-point crash plans proc:round:phase:stage;... (1-based proc)")
 		timedSpec  = fs.String("crash-timed", "", "timed crash plans proc:instant;... (1-based proc, Go durations)")
 		survivors  = fs.String("crash-all-except", "", "crash everyone at round 1 start except these (comma-separated, 1-based)")
@@ -103,7 +100,6 @@ func run(args []string, out io.Writer) error {
 		Seed:      *seed,
 		Bounds: allforone.Bounds{
 			MaxRounds:      *maxRounds,
-			Timeout:        *timeout,
 			MaxVirtualTime: *maxVTime,
 		},
 	}
@@ -175,17 +171,12 @@ func run(args []string, out io.Writer) error {
 	}
 	sc.Faults = sched
 
-	// Network profile and engine.
+	// Network profile.
 	prof, err := allforone.ParseProfile(*profile)
 	if err != nil {
 		return err
 	}
 	sc.Profile = prof
-	eng, err := allforone.ParseEngine(*engine)
-	if err != nil {
-		return err
-	}
-	sc.Engine = eng
 
 	var log *allforone.Trace
 	if info.Traceable {
@@ -208,7 +199,6 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "overlay   : %v d=%d\n", ov.Kind, d)
 	}
-	fmt.Fprintf(out, "engine    : %v\n", eng)
 	if len(info.Algorithms) > 0 {
 		algo := sc.Algorithm
 		if algo == "" {
@@ -299,9 +289,6 @@ func printRegistry(out io.Writer) {
 		}
 		if info.SubQuadratic {
 			caps = append(caps, "sub-quadratic")
-		}
-		if info.VirtualOnly {
-			caps = append(caps, "virtual-only")
 		}
 		if info.StageCrashes {
 			caps = append(caps, "stage-crashes")

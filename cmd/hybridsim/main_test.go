@@ -153,7 +153,6 @@ func TestRunEndToEnd(t *testing.T) {
 		"-algo", "local-coin",
 		"-proposals", "1111111",
 		"-crash-all-except", "3",
-		"-timeout", "10s",
 	}, &sb)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -249,7 +248,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-protocol", "gossip", "-overlay", "random:3:zzz"},
 		{"-protocol", "gossip", "-overlay", "debruijn:3:1:9"},
 		{"-protocol", "gossip", "-overlay", "circulant:99"},
-		{"-protocol", "gossip", "-engine", "realtime"},
+		{"-profile", "uniform:5ms:0"},
 	}
 	for _, args := range cases {
 		if err := run(args, io.Discard); err == nil {

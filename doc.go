@@ -31,7 +31,7 @@
 // Every implementation registers itself in a protocol registry under a
 // stable name (Protocols() lists it), and one entry point runs them all:
 // declare a Scenario — protocol, topology, workload, faults, network
-// profile, engine, seed, bounds — and call Run.
+// profile, seed, bounds — and call Run.
 //
 //	part := allforone.Fig1Right() // n=7: {p1} {p2..p5} {p6,p7}
 //	out, err := allforone.Run(allforone.Scenario{
@@ -47,8 +47,7 @@
 // registered protocol: switch Protocol from "hybrid" to "benor" and the
 // identical topology, workload, faults and delays now exercise pure
 // message passing — which is how the registry-driven differential test
-// and the cross-protocol experiments work. The former per-protocol
-// Solve* functions remain as deprecated wrappers.
+// and the cross-protocol experiments work.
 //
 // # Network profiles
 //
@@ -59,7 +58,7 @@
 // HealingPartitionProfile (a network cut that heals at a chosen instant,
 // with held messages delivered afterwards — reliable channels, arbitrary
 // but finite transit). Profiles compile onto the simulated network per
-// topology; under the virtual engine every profile is deterministic.
+// topology; every profile is deterministic.
 //
 // # Sparse overlays
 //
@@ -82,29 +81,22 @@
 // Overlay families: OverlayDeBruijn (logarithmic diameter),
 // OverlayCirculant (vertex connectivity exactly Degree — survives any
 // Degree−1 crashes), OverlayRandom (seeded d-regular peer sampling).
-// Both protocols run on the virtual engine only and validate the spec at
-// build time (DESIGN.md §13).
+// Both protocols validate the spec at build time (DESIGN.md §13).
 //
-// # Execution engines
+// # Execution engine
 //
-// Runs execute on one of two engines (Scenario.Engine):
-//
-//   - EngineVirtual (default): a deterministic discrete-event simulation
-//     (internal/vclock). Message transit advances a virtual clock instead
-//     of sleeping; processes are cooperatively stepped coroutines; the
-//     whole run is a pure function of the Scenario, so the same Seed
-//     replays the same execution bit for bit — same Outcome, same trace.
-//     Blocked runs (liveness condition violated) are detected
-//     deterministically by quiescence, bounded further by
-//     Bounds.MaxVirtualTime and Bounds.MaxSteps; no wall-clock time is
-//     ever spent.
-//   - EngineRealtime: the goroutine-per-process backend. Delays sleep real
-//     time, interleavings come from the Go scheduler, stuck runs are cut
-//     off by Bounds.Timeout. Non-reproducible; kept as a differential
-//     check that the algorithms assume nothing about scheduling.
-//
-// Because virtual runs are single-threaded and never sleep, sweeps of
-// thousands of seeded scenarios parallelize across cores (Sweep).
+// Every run executes on one engine: a deterministic discrete-event
+// simulation (internal/vclock). Message transit advances a virtual clock
+// instead of sleeping; processes are cooperatively stepped; the whole run
+// is a pure function of the Scenario, so the same Seed replays the same
+// execution bit for bit — same Outcome, same trace. Blocked runs (liveness
+// condition violated) are detected deterministically by quiescence,
+// bounded further by Bounds.MaxVirtualTime and Bounds.MaxSteps; no
+// wall-clock time is ever spent. The asynchronous model quantifies over
+// all schedules; the engine samples that space replayably (seed × network
+// profile × the adversarial search of internal/adversary). Because runs
+// never sleep, sweeps of thousands of seeded scenarios parallelize across
+// cores (Sweep).
 //
 // The experiment harness regenerating every figure and quantitative claim
 // of the paper runs on the same registry (see EXPERIMENTS.md and

@@ -15,7 +15,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"allforone"
 )
@@ -44,7 +43,6 @@ func main() {
 		Topology: allforone.Topology{Partition: part},
 		Workload: allforone.Workload{Values: proposals},
 		Seed:     99,
-		Bounds:   allforone.Bounds{Timeout: 10 * time.Second},
 	}
 	res, err := allforone.Run(sc)
 	if err != nil {

@@ -75,7 +75,7 @@ func main() {
 			2*time.Millisecond,  // cross-site base
 			time.Millisecond,    // cross-site jitter
 		),
-		Bounds: allforone.Bounds{MaxRounds: 1000, Timeout: 30 * time.Second},
+		Bounds: allforone.Bounds{MaxRounds: 1000},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -93,9 +93,8 @@ func main() {
 		verdict = "ABORT"
 	}
 	fmt.Printf("\ndecision: %s (value %v), reached by %d surviving replicas\n", verdict, val, count)
-	// Under the default virtual engine, Elapsed is simulated WAN time: the
-	// run models milliseconds of transit while completing in microseconds
-	// of real time, deterministically.
+	// Elapsed is simulated WAN time: the run models milliseconds of transit
+	// while completing in microseconds of real time, deterministically.
 	fmt.Printf("rounds: %d   WAN messages: %d   shared-memory ops: %d   simulated time: %v\n",
 		res.MaxDecisionRound(), res.Metrics.MsgsSent, res.Metrics.ConsInvocations,
 		res.Elapsed.Round(time.Millisecond))

@@ -62,7 +62,6 @@ func main() {
 		Topology: allforone.Topology{Partition: part},
 		Workload: allforone.Workload{Commands: commands, Slots: slots},
 		Seed:     2026,
-		Bounds:   allforone.Bounds{Timeout: 30 * time.Second},
 	})
 	if err != nil {
 		log.Fatal(err) // log agreement is checked inside the smr adapter
@@ -90,27 +89,37 @@ func main() {
 
 	// Side channel: an atomic register (cluster-aware ABD) for the current
 	// leader pointer — reads and writes survive the same failure patterns.
-	reg, err := allforone.NewRegister(part, allforone.RegisterOptions{Seed: 7})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer reg.Shutdown()
-	if err := reg.Handle(1).Write("leader=p2"); err != nil {
-		log.Fatal(err)
-	}
-	// Crash everyone outside one member of the majority cluster…
+	// p2 writes the pointer; at 1ms everyone outside one member of the
+	// majority cluster crashes; at 2ms the survivor p3 still reads the
+	// pointer, then takes over.
+	const survivor = allforone.ProcID(2)
+	crashes := allforone.NewSchedule(part.N())
 	for _, p := range []allforone.ProcID{0, 1, 3, 4, 5, 6} {
-		reg.Crash(p)
+		if err := crashes.SetTimed(p, time.Millisecond); err != nil {
+			log.Fatal(err)
+		}
 	}
-	// …and the survivor still reads the pointer.
-	v, err := reg.Handle(2).Read()
+	scripts := make([][]allforone.ScriptOp, part.N())
+	scripts[1] = []allforone.ScriptOp{allforone.ScriptWrite("leader=p2")}
+	scripts[survivor] = []allforone.ScriptOp{
+		{After: 2 * time.Millisecond}, // a read, once the crashes have struck
+		allforone.ScriptWrite("leader=p3"),
+		allforone.ScriptRead(),
+	}
+	rout, err := allforone.Run(allforone.Scenario{
+		Protocol: allforone.ProtocolRegister,
+		Topology: allforone.Topology{Partition: part},
+		Workload: allforone.Workload{Scripts: scripts},
+		Faults:   crashes,
+		Seed:     7,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nregister after crashing 6/7 replicas: survivor p3 reads %q\n", v)
-	if err := reg.Handle(2).Write("leader=p3"); err != nil {
-		log.Fatal(err)
+	ops := rout.Raw.(*allforone.RegisterRunResult).Procs[survivor].Ops
+	if len(ops) != 3 || !ops[2].OK {
+		log.Fatalf("survivor completed %d of 3 register operations", len(ops))
 	}
-	v, _ = reg.Handle(2).Read()
-	fmt.Printf("survivor takes over:                    %q\n", v)
+	fmt.Printf("\nregister after crashing 6/7 replicas: survivor p3 reads %q\n", ops[0].Val)
+	fmt.Printf("survivor takes over:                    %q\n", ops[2].Val)
 }

@@ -9,8 +9,8 @@
 // This example runs both systems on the same failure pattern:
 //
 //  1. hybrid Algorithm 2 on Figure-1 (right): survivor p3 ∈ P[2] decides;
-//  2. pure message-passing Ben-Or: the survivor blocks (and is cut off by
-//     a timeout), but never decides wrongly — the algorithm is indulgent.
+//  2. pure message-passing Ben-Or: the survivor blocks (the run ends at
+//     quiescence), but never decides wrongly — the algorithm is indulgent.
 //
 // Run with: go run ./examples/majoritycrash
 package main
@@ -18,7 +18,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"allforone"
 )
@@ -51,7 +50,7 @@ func main() {
 		Algorithm: allforone.AlgoLocalCoin,
 		Seed:      7,
 		Faults:    sched,
-		Bounds:    allforone.Bounds{MaxRounds: 1000, Timeout: 10 * time.Second},
+		Bounds:    allforone.Bounds{MaxRounds: 1000},
 	}
 	res, err := allforone.Run(sc)
 	if err != nil {
@@ -63,14 +62,13 @@ func main() {
 	// --- Same scenario, pure message passing (Ben-Or). ---
 	fmt.Println("now the same failure pattern under pure message passing (m = n)...")
 	sc.Protocol = allforone.ProtocolBenOr
-	sc.Algorithm = ""               // local-coin/common-coin is a hybrid-only choice
-	sc.Bounds.Timeout = time.Second // it will block; bound the realtime wait
+	sc.Algorithm = "" // local-coin/common-coin is a hybrid-only choice
 	bres, err := allforone.Run(sc)
 	if err != nil {
 		log.Fatal(err)
 	}
 	bpr := bres.Procs[survivor]
-	fmt.Printf("ben-or:  %v is %v after 1s — a majority of correct processes is necessary here.\n",
+	fmt.Printf("ben-or:  %v is %v forever — a majority of correct processes is necessary here.\n",
 		survivor, bpr.Status)
 	if _, _, decided := bres.Decided(); decided {
 		log.Fatal("unexpected: Ben-Or decided without a correct majority")

@@ -18,7 +18,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"allforone"
 )
@@ -42,7 +41,7 @@ func main() {
 		Topology: allforone.Topology{N: n, MMEdges: graph.EdgeList()},
 		Workload: allforone.Workload{Binary: unanimous},
 		Seed:     3,
-		Bounds:   allforone.Bounds{MaxRounds: 10, Timeout: 10 * time.Second},
+		Bounds:   allforone.Bounds{MaxRounds: 10},
 	}
 	mres, err := allforone.Run(mmScenario)
 	if err != nil {
@@ -63,7 +62,7 @@ func main() {
 		Workload:  allforone.Workload{Binary: unanimous},
 		Algorithm: allforone.AlgoLocalCoin,
 		Seed:      3,
-		Bounds:    allforone.Bounds{MaxRounds: 10, Timeout: 10 * time.Second},
+		Bounds:    allforone.Bounds{MaxRounds: 10},
 	}
 	hres, err := allforone.Run(hybridScenario)
 	if err != nil {
@@ -99,7 +98,7 @@ func main() {
 	}
 	mmScenario.Seed = 5
 	mmScenario.Faults = msched
-	mmScenario.Bounds = allforone.Bounds{Timeout: time.Second} // it blocks; bound the wait
+	mmScenario.Bounds = allforone.Bounds{} // it blocks: the run ends at quiescence, not at a round cap
 	mres2, err := allforone.Run(mmScenario)
 	if err != nil {
 		log.Fatal(err)
@@ -107,6 +106,6 @@ func main() {
 	if _, _, decided := mres2.Decided(); decided {
 		log.Fatal("unexpected: m&m decided without a correct majority")
 	}
-	fmt.Println("m&m:    survivors blocked after 1s — overlapping memories give no closure,")
+	fmt.Println("m&m:    survivors blocked forever — overlapping memories give no closure,")
 	fmt.Println("        so a correct majority is still required (no one-for-all property).")
 }

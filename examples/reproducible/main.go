@@ -1,6 +1,6 @@
 // Reproducible: the virtual engine's determinism and the sweep executor.
 //
-// The default execution engine is a discrete-event simulation on a virtual
+// The execution engine is a discrete-event simulation on a virtual
 // clock: a run is a pure function of its Config, so the same seed replays
 // the same execution bit for bit — same decisions, same rounds, same
 // message counts, same simulated duration. That makes single runs

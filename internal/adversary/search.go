@@ -115,8 +115,7 @@ func ranksAbove(a, b *Finding) bool {
 func fatal(err error) bool {
 	return errors.Is(err, protocol.ErrBadScenario) ||
 		errors.Is(err, protocol.ErrUnknownProtocol) ||
-		errors.Is(err, driver.ErrBadCrashes) ||
-		errors.Is(err, driver.ErrBadEngine)
+		errors.Is(err, driver.ErrBadCrashes)
 }
 
 // Search sweeps schedule space for the worst case: Budget probes, derived

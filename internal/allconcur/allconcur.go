@@ -115,10 +115,9 @@ type Config struct {
 	Seed int64
 	// FlushDelay is the outbox batching window; 0 = DefaultFlushDelay.
 	FlushDelay time.Duration
-	// Engine must be sim.EngineVirtual (the zero value); Body must not be
-	// sim.BodyCoroutine — allconcur is an inline handler reactor only.
-	Engine sim.Engine
-	Body   sim.BodyKind
+	// Body must not be sim.BodyCoroutine — allconcur is an inline handler
+	// reactor only.
+	Body sim.BodyKind
 	// Crashes is the timed crash pattern, honored by the protocol itself:
 	// a victim halts at its crash instant after emitting tombstone markers
 	// (its unflushed outbox dies with it). Step-point plans are rejected.
@@ -637,9 +636,6 @@ func Run(cfg Config) (*Result, error) {
 	if len(cfg.Proposals) != cfg.N {
 		return nil, fmt.Errorf("%w: %d proposals for %d processes", ErrBadConfig, len(cfg.Proposals), cfg.N)
 	}
-	if cfg.Engine != sim.EngineVirtual {
-		return nil, fmt.Errorf("%w: allconcur is an inline handler protocol; it runs only on the virtual engine", ErrBadConfig)
-	}
 	if cfg.Body == sim.BodyCoroutine {
 		return nil, fmt.Errorf("%w: allconcur has no coroutine body form", ErrBadConfig)
 	}
@@ -666,7 +662,6 @@ func Run(cfg Config) (*Result, error) {
 	var nw *netsim.Network
 	procs := make([]ProcResult, cfg.N)
 	dcfg := driver.Config{
-		Engine:         cfg.Engine,
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
 		Workers:        cfg.Workers,

@@ -221,7 +221,6 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 	}{
 		{"too few procs", func(c *Config) { c.N = 1; c.Proposals = c.Proposals[:1] }},
 		{"proposal count", func(c *Config) { c.Proposals = c.Proposals[:3] }},
-		{"realtime engine", func(c *Config) { c.Engine = sim.EngineRealtime }},
 		{"coroutine body", func(c *Config) { c.Body = sim.BodyCoroutine }},
 		{"step-point crashes", func(c *Config) {
 			s := failures.NewSchedule(c.N)

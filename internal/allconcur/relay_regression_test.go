@@ -82,7 +82,6 @@ func TestDecidedReactorCertifiesLateMarker(t *testing.T) {
 	procs := make([]ProcResult, 3)
 	values := proposals(3)
 	dcfg := driver.Config{
-		Engine:         sim.EngineVirtual,
 		MaxVirtualTime: 50 * time.Millisecond,
 		Complexity:     sim.StepsLinear,
 	}

@@ -17,7 +17,6 @@ func init() {
 		TimedCrashes: true,
 		NeedsOverlay: true,
 		SubQuadratic: true,
-		VirtualOnly:  true,
 	}, runScenario))
 }
 
@@ -35,7 +34,6 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 		Proposals:      sc.Workload.Values,
 		Spec:           *sc.Topology.Overlay,
 		Seed:           sc.Seed,
-		Engine:         sc.Engine,
 		Body:           sc.Body,
 		Crashes:        sc.Faults,
 		MaxVirtualTime: sc.Bounds.MaxVirtualTime,

@@ -33,16 +33,9 @@ type Config struct {
 	Proposals []model.Value
 	// Seed makes all randomness reproducible.
 	Seed int64
-	// Engine selects the execution engine; the zero value is
-	// sim.EngineVirtual (deterministic discrete-event simulation — same
-	// Config, same Result). sim.EngineRealtime keeps the original
-	// goroutine-per-process backend.
-	Engine sim.Engine
 	// Body selects the process-body form: sim.BodyAuto (the zero value)
-	// runs inline handlers under the virtual engine and coroutines under
-	// the realtime one; sim.BodyCoroutine forces the coroutine form for
-	// differential testing (both forms produce identical Results);
-	// sim.BodyHandler is rejected under EngineRealtime.
+	// runs inline handlers; sim.BodyCoroutine forces the coroutine form
+	// for differential testing (both forms produce identical Results).
 	Body sim.BodyKind
 	// Crashes is the failure pattern; nil means crash-free. Stage
 	// StageAfterClusterConsensus has no counterpart here and triggers at
@@ -50,17 +43,13 @@ type Config struct {
 	Crashes *failures.Schedule
 	// MaxRounds bounds execution; 0 = unbounded.
 	MaxRounds int
-	// Timeout aborts blocked realtime-engine runs; zero means
-	// DefaultTimeout. The virtual engine detects blocked runs by
-	// quiescence instead and ignores this field.
-	Timeout time.Duration
-	// MaxVirtualTime bounds the virtual clock of an EngineVirtual run;
-	// zero means unbounded (quiescence and MaxSteps still apply).
+	// MaxVirtualTime bounds the virtual clock of a run; zero means
+	// unbounded (quiescence and MaxSteps still apply).
 	MaxVirtualTime time.Duration
-	// MaxSteps bounds the number of discrete events of an EngineVirtual
-	// run; zero means sim.DefaultMaxSteps, negative means unbounded.
+	// MaxSteps bounds the number of discrete events of a run; zero means
+	// sim.DefaultMaxSteps, negative means unbounded.
 	MaxSteps int64
-	// Workers sets the virtual engine expansion-pool width
+	// Workers sets the engine expansion-pool width
 	// (driver.Config.Workers): pure mechanism, bit-identical results at
 	// every setting; 0 = one worker per CPU.
 	Workers int
@@ -73,9 +62,6 @@ type Config struct {
 	// LocalCoinOverride, when non-nil, supplies each process's coin.
 	LocalCoinOverride func(p model.ProcID) coin.Local
 }
-
-// DefaultTimeout bounds runs whose liveness condition may not hold.
-const DefaultTimeout = driver.DefaultTimeout
 
 // ErrBadConfig reports an invalid configuration.
 var ErrBadConfig = errors.New("benor: invalid configuration")
@@ -181,7 +167,7 @@ func (p *proc) exchange(r, ph int, est model.Value) (*tally, *outcome) {
 	}
 
 	for 2*t.total <= p.n {
-		msg, ok := p.net.Receive(p.id, p.h.Done())
+		msg, ok := p.net.Receive(p.id)
 		if p.killedNow() {
 			// A timed crash struck while waiting: halt before acting on
 			// whatever was (or was not) received.
@@ -351,8 +337,8 @@ func assemble(cfg *Config, outcomes []outcome, ctr *metrics.Counters, elapsed ti
 	return res, nil
 }
 
-// Run executes one Ben-Or consensus instance under the configured engine
-// and returns per-process outcomes.
+// Run executes one Ben-Or consensus instance and returns per-process
+// outcomes.
 func Run(cfg Config) (*sim.Result, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("%w: need at least one process", ErrBadConfig)
@@ -365,20 +351,13 @@ func Run(cfg Config) (*sim.Result, error) {
 			return nil, fmt.Errorf("%w: proposal of %v is %v", ErrBadConfig, model.ProcID(i), v)
 		}
 	}
-	switch cfg.Body {
-	case sim.BodyAuto, sim.BodyHandler, sim.BodyCoroutine:
-	default:
+	if cfg.Body != sim.BodyAuto && cfg.Body != sim.BodyCoroutine {
 		return nil, fmt.Errorf("%w: unknown body kind %d", ErrBadConfig, int(cfg.Body))
-	}
-	if cfg.Body == sim.BodyHandler && cfg.Engine != sim.EngineVirtual {
-		return nil, fmt.Errorf("%w: handler bodies require the virtual engine", ErrBadConfig)
 	}
 	var ctr metrics.Counters
 	var nw *netsim.Network
 	outcomes := make([]outcome, cfg.N)
 	dcfg := driver.Config{
-		Engine:         cfg.Engine,
-		Timeout:        cfg.Timeout,
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
 		Workers:        cfg.Workers,
@@ -387,7 +366,7 @@ func Run(cfg Config) (*sim.Result, error) {
 	newNet := driver.StandardNet(&nw, cfg.N, uint64(cfg.Seed)^0x9e6c_63d0_876a_9a7d, &ctr, cfg.MinDelay, cfg.MaxDelay, cfg.NetOptions...)
 	var out driver.Outcome
 	var err error
-	if cfg.Engine == sim.EngineVirtual && cfg.Body != sim.BodyCoroutine {
+	if cfg.Body != sim.BodyCoroutine {
 		// The default fast path: inline handler bodies (DESIGN.md §11).
 		out, err = driver.RunHandlers(dcfg, cfg.N, newNet, func(i int, h *driver.Handle) driver.Reactor {
 			p := newProc(&cfg, i, nw, &ctr)

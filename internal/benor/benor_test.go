@@ -54,7 +54,6 @@ func TestUnanimousDecidesRoundOne(t *testing.T) {
 					Proposals: unanimous(n, v),
 					Seed:      int64(n),
 					MaxRounds: 50,
-					Timeout:   20 * time.Second,
 				})
 				if err != nil {
 					t.Fatalf("Run: %v", err)
@@ -87,7 +86,6 @@ func TestSplitProposalsTerminate(t *testing.T) {
 				Proposals: props,
 				Seed:      seed,
 				MaxRounds: 10000,
-				Timeout:   20 * time.Second,
 			})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
@@ -122,7 +120,6 @@ func TestMinorityCrashTerminates(t *testing.T) {
 		Proposals: unanimous(n, model.One),
 		Seed:      3,
 		MaxRounds: 5000,
-		Timeout:   20 * time.Second,
 		Crashes:   sched,
 	})
 	if err != nil {
@@ -153,7 +150,6 @@ func TestMajorityCrashBlocks(t *testing.T) {
 		N:         n,
 		Proposals: unanimous(n, model.One),
 		Seed:      5,
-		Timeout:   400 * time.Millisecond,
 		Crashes:   sched,
 	})
 	if err != nil {
@@ -186,7 +182,6 @@ func TestPartialBroadcastSafety(t *testing.T) {
 		Proposals: props,
 		Seed:      11,
 		MaxRounds: 10000,
-		Timeout:   20 * time.Second,
 		Crashes:   sched,
 	})
 	if err != nil {
@@ -212,7 +207,6 @@ func TestRiggedCoinConvergence(t *testing.T) {
 		Proposals: alternating(n),
 		Seed:      1,
 		MaxRounds: 100,
-		Timeout:   20 * time.Second,
 		LocalCoinOverride: func(model.ProcID) coin.Local {
 			return coin.NewFixedLocal(model.Zero)
 		},
@@ -239,7 +233,6 @@ func TestWithDelays(t *testing.T) {
 		Seed:      9,
 		MaxRounds: 10000,
 		MaxDelay:  2 * time.Millisecond,
-		Timeout:   20 * time.Second,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)

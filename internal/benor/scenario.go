@@ -31,11 +31,9 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 		N:              n,
 		Proposals:      sc.Workload.Binary,
 		Seed:           sc.Seed,
-		Engine:         sc.Engine,
 		Body:           sc.Body,
 		Crashes:        sc.Faults,
 		MaxRounds:      sc.Bounds.MaxRounds,
-		Timeout:        sc.Bounds.Timeout,
 		MaxVirtualTime: sc.Bounds.MaxVirtualTime,
 		MaxSteps:       sc.Bounds.MaxSteps,
 		Workers:        sc.Workers,

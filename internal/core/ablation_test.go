@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
@@ -26,7 +25,6 @@ func TestAblateClosureLosesMajorityCrashTolerance(t *testing.T) {
 		Proposals:     unanimous(7, model.One),
 		Algorithm:     LocalCoin,
 		Seed:          1,
-		Timeout:       400 * time.Millisecond,
 		Crashes:       sched,
 		AblateClosure: true,
 	})
@@ -53,7 +51,6 @@ func TestAblateClosureStillSafeWithMajority(t *testing.T) {
 		Algorithm:     LocalCoin,
 		Seed:          5,
 		MaxRounds:     10_000,
-		Timeout:       20 * time.Second,
 		AblateClosure: true,
 	})
 	if err != nil {
@@ -92,7 +89,6 @@ func TestAblateClusterConsensusBreaksUniformity(t *testing.T) {
 			Algorithm:              LocalCoin,
 			Seed:                   seed,
 			MaxRounds:              50,
-			Timeout:                5 * time.Second,
 			Trace:                  log,
 			AblateClusterConsensus: true,
 		})
@@ -131,7 +127,6 @@ func TestFullAlgorithmKeepsUniformity(t *testing.T) {
 			Algorithm: LocalCoin,
 			Seed:      seed,
 			MaxRounds: 10_000,
-			Timeout:   20 * time.Second,
 			Trace:     log,
 		})
 		if err != nil {

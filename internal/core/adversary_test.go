@@ -41,7 +41,6 @@ func TestHighSkewDelays(t *testing.T) {
 				MaxRounds: 10_000,
 				MinDelay:  0,
 				MaxDelay:  4 * time.Millisecond, // large spread vs ~µs compute
-				Timeout:   30 * time.Second,
 				Trace:     log,
 			})
 			if !res.AllLiveDecided() {
@@ -70,7 +69,6 @@ func TestSlowClusterCatchesUp(t *testing.T) {
 		// regularly puts P[2] behind by entire phases.
 		MinDelay: 0,
 		MaxDelay: 3 * time.Millisecond,
-		Timeout:  30 * time.Second,
 	})
 	if !res.AllLiveDecided() {
 		t.Fatalf("not all decided: %+v", res.Procs)
@@ -102,7 +100,6 @@ func TestUnanimityDelaysStillRoundOne(t *testing.T) {
 		MaxRounds: 100,
 		MinDelay:  100 * time.Microsecond,
 		MaxDelay:  2 * time.Millisecond,
-		Timeout:   30 * time.Second,
 	})
 	if !res.AllLiveDecided() {
 		t.Fatalf("not all decided: %+v", res.Procs)
@@ -126,7 +123,6 @@ func TestMajorityCrashWithDelays(t *testing.T) {
 		MaxRounds: 1000,
 		MinDelay:  0,
 		MaxDelay:  2 * time.Millisecond,
-		Timeout:   30 * time.Second,
 		Crashes:   sched,
 	})
 	if res.Procs[2].Status != StatusDecided {

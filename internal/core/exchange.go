@@ -104,7 +104,7 @@ func (p *proc) msgExchange(r, ph int, est model.Value) (*supporters, *outcome) {
 
 	// Collect until the closure covers a majority (lines 4-7).
 	for !sup.exitCondition() {
-		msg, ok := p.net.Receive(p.id, p.h.Done())
+		msg, ok := p.net.Receive(p.id)
 		if p.killedNow() {
 			// A timed crash struck while this process was waiting: it halts
 			// here, before acting on whatever was (or was not) received.

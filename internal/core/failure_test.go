@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"testing"
-	"time"
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
@@ -39,7 +38,6 @@ func TestMajorityCrashWithMajorityClusterSurvivor(t *testing.T) {
 					Algorithm: algo,
 					Seed:      int64(survivor),
 					MaxRounds: 100,
-					Timeout:   20 * time.Second,
 					Crashes:   sched,
 					Trace:     log,
 				})
@@ -87,7 +85,6 @@ func TestMajorityCrashBlocksPureMessagePassing(t *testing.T) {
 		Proposals: unanimous(7, model.One),
 		Algorithm: LocalCoin,
 		Seed:      1,
-		Timeout:   500 * time.Millisecond, // blocked run: bounded by timeout
 		Crashes:   sched,
 	})
 	if err != nil {
@@ -129,7 +126,6 @@ func TestIndulgenceUnderDeadFailurePattern(t *testing.T) {
 				Proposals: alternating(7),
 				Algorithm: algo,
 				Seed:      11,
-				Timeout:   500 * time.Millisecond,
 				Crashes:   sched,
 				Trace:     log,
 			})
@@ -195,7 +191,6 @@ func TestCrashAtEveryStage(t *testing.T) {
 						Algorithm: algo,
 						Seed:      int64(round*100) + int64(stage),
 						MaxRounds: 5000,
-						Timeout:   20 * time.Second,
 						Crashes:   sched,
 						Trace:     log,
 					})
@@ -229,7 +224,6 @@ func TestPartialBroadcastExplicitSubset(t *testing.T) {
 		Algorithm: LocalCoin,
 		Seed:      4,
 		MaxRounds: 5000,
-		Timeout:   20 * time.Second,
 		Crashes:   sched,
 		Trace:     log,
 	})
@@ -260,7 +254,6 @@ func TestPartialDecideBroadcast(t *testing.T) {
 		Algorithm: LocalCoin,
 		Seed:      8,
 		MaxRounds: 5000,
-		Timeout:   20 * time.Second,
 		Crashes:   sched,
 	})
 	if !res.AllLiveDecided() {
@@ -293,10 +286,6 @@ func TestRandomCrashStorms(t *testing.T) {
 			t.Fatal(err)
 		}
 		live := part.LivenessHolds(sched.Crashed())
-		timeout := 20 * time.Second
-		if !live {
-			timeout = 400 * time.Millisecond
-		}
 		props := make([]model.Value, n)
 		for i := range props {
 			props[i] = model.BitToValue(rng.Uint64())
@@ -308,7 +297,6 @@ func TestRandomCrashStorms(t *testing.T) {
 			Algorithm: algo,
 			Seed:      int64(trial) * 7919,
 			MaxRounds: 5000,
-			Timeout:   timeout,
 			Crashes:   sched,
 			Trace:     log,
 		})

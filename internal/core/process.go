@@ -35,8 +35,7 @@ type outcome struct {
 
 // proc is one simulated process: its identity, its cluster's shared
 // objects, the network, its coins, and its crash plan. A proc is owned by
-// exactly one goroutine (realtime engine) or one scheduler coroutine
-// (virtual engine).
+// exactly one scheduler process (a coroutine or a reactor).
 type proc struct {
 	id     model.ProcID
 	part   *model.Partition
@@ -60,9 +59,8 @@ type proc struct {
 	ablateCluster bool
 }
 
-// abortedNow reports whether the engine has aborted the execution: the
-// realtime engine closes its done channel at Timeout; the virtual engine's
-// scheduler aborts on quiescence, deadline, or step budget.
+// abortedNow reports whether the engine has aborted the execution
+// (quiescence, deadline, or step budget).
 func (p *proc) abortedNow() bool { return p.h.Aborted() }
 
 // killedNow reports whether a timed crash has struck this process; it

@@ -49,10 +49,6 @@ func TestRandomConfigurationSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		live := part.LivenessHolds(sched.Crashed())
-		timeout := 20 * time.Second
-		if !live {
-			timeout = 250 * time.Millisecond
-		}
 		var maxDelay time.Duration
 		if rng.IntN(3) == 0 {
 			maxDelay = time.Duration(rng.IntN(1500)) * time.Microsecond
@@ -65,7 +61,6 @@ func TestRandomConfigurationSweep(t *testing.T) {
 			Algorithm: algo,
 			Seed:      int64(trial) * 6011,
 			MaxRounds: 10_000,
-			Timeout:   timeout,
 			MaxDelay:  maxDelay,
 			Crashes:   sched,
 			Trace:     log,

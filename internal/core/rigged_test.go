@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"allforone/internal/coin"
 	"allforone/internal/model"
@@ -26,7 +25,6 @@ func TestCommonCoinDecidesRoundOneWhenCoinMatches(t *testing.T) {
 		Algorithm:          CommonCoin,
 		Seed:               1,
 		MaxRounds:          10,
-		Timeout:            20 * time.Second,
 		CommonCoinOverride: fixedCommon(model.One),
 	})
 	if err != nil {
@@ -54,7 +52,6 @@ func TestCommonCoinWaitsForMatchingBit(t *testing.T) {
 		Algorithm:          CommonCoin,
 		Seed:               1,
 		MaxRounds:          10,
-		Timeout:            20 * time.Second,
 		CommonCoinOverride: fixedCommon(model.Zero, model.One),
 	})
 	if err != nil {
@@ -88,7 +85,6 @@ func TestCommonCoinEstimateLocking(t *testing.T) {
 		Algorithm:          CommonCoin,
 		Seed:               5,
 		MaxRounds:          50,
-		Timeout:            20 * time.Second,
 		CommonCoinOverride: fixedCommon(model.Zero, model.Zero, model.One),
 	})
 	if err != nil {
@@ -116,7 +112,6 @@ func TestLocalCoinRiggedConvergence(t *testing.T) {
 		Algorithm:         LocalCoin,
 		Seed:              2,
 		MaxRounds:         100,
-		Timeout:           20 * time.Second,
 		LocalCoinOverride: fixedLocal(model.One),
 	})
 	if err != nil {
@@ -152,7 +147,6 @@ func TestMajorityClusterDrivesDecision(t *testing.T) {
 				Algorithm: algo,
 				Seed:      9,
 				MaxRounds: 200,
-				Timeout:   20 * time.Second,
 			}
 			if algo == CommonCoin {
 				// Give the coin both bits so a 0-round arrives quickly.

@@ -51,16 +51,6 @@ func (a Algorithm) Phases() int {
 	return 1
 }
 
-// Engine selects the execution engine that drives the simulated processes;
-// the vocabulary is shared with the baselines (see internal/sim).
-type Engine = sim.Engine
-
-// The two engines; EngineVirtual is the zero value and the default.
-const (
-	EngineVirtual  = sim.EngineVirtual
-	EngineRealtime = sim.EngineRealtime
-)
-
 // Config describes one consensus execution.
 type Config struct {
 	// Partition is the cluster decomposition (required).
@@ -71,48 +61,36 @@ type Config struct {
 	// Algorithm selects local-coin (Algorithm 2) or common-coin
 	// (Algorithm 3).
 	Algorithm Algorithm
-	// Engine selects the execution engine; the zero value is EngineVirtual.
-	Engine Engine
-	// Body selects the process-body form (sim.BodyAuto, the zero value,
-	// picks inline handlers under the virtual engine — the fast path —
-	// and coroutines under the realtime one). sim.BodyCoroutine forces
-	// the coroutine form for differential testing; both forms execute
-	// the same algorithm with identical Results. sim.BodyHandler demands
-	// the handler form and is rejected under EngineRealtime.
+	// Body selects the process-body form: sim.BodyAuto, the zero value,
+	// runs inline handlers — the fast path; sim.BodyCoroutine forces the
+	// coroutine form for differential testing. Both forms execute the
+	// same algorithm with identical Results.
 	Body sim.BodyKind
 	// Seed makes all randomness of the run (coins, delays, crash subsets)
-	// reproducible. Under EngineVirtual it pins the entire execution.
+	// reproducible: it pins the entire execution.
 	Seed int64
 	// Crashes is the failure pattern; nil means crash-free.
 	Crashes *failures.Schedule
 	// MaxRounds bounds the rounds each process executes; 0 = unbounded.
 	// Processes exceeding the bound end as StatusBlocked.
 	MaxRounds int
-	// Timeout aborts a realtime-engine run whose processes are stuck
-	// waiting (e.g. when the liveness condition does not hold); blocked
-	// processes end as StatusBlocked. Zero means DefaultTimeout. The
-	// virtual engine ignores it: a stuck run is detected deterministically
-	// by quiescence, and bounded by MaxVirtualTime / MaxSteps.
-	Timeout time.Duration
-	// MaxVirtualTime bounds the virtual clock of an EngineVirtual run:
-	// once the next event lies past the bound the run is aborted and
-	// undecided processes end as StatusBlocked. Zero means unbounded
-	// (quiescence detection and MaxSteps still bound stuck runs).
+	// MaxVirtualTime bounds the virtual clock of a run: once the next
+	// event lies past the bound the run is aborted and undecided
+	// processes end as StatusBlocked. Zero means unbounded (quiescence
+	// detection and MaxSteps still bound stuck runs).
 	MaxVirtualTime time.Duration
-	// MaxSteps bounds the number of scheduler events of an EngineVirtual
-	// run — the deterministic guard against executions that never converge
-	// (e.g. a rigged coin that never matches). Zero means DefaultMaxSteps;
+	// MaxSteps bounds the number of scheduler events of a run — the
+	// deterministic guard against executions that never converge (e.g. a
+	// rigged coin that never matches). Zero means DefaultMaxSteps;
 	// negative means unbounded.
 	MaxSteps int64
-	// Workers sets the virtual engine expansion-pool width
+	// Workers sets the engine expansion-pool width
 	// (driver.Config.Workers): pure mechanism, bit-identical results at
 	// every setting; 0 = one worker per CPU.
 	Workers int
 	// MinDelay/MaxDelay bound the uniform random message transit time.
-	// A zero MaxDelay means immediate delivery (under the realtime engine
-	// asynchrony still arises from goroutine scheduling; under the virtual
-	// engine zero-delay messages are delivered in deterministic send
-	// order).
+	// A zero MaxDelay means immediate delivery (zero-delay messages are
+	// delivered in deterministic send order).
 	MinDelay, MaxDelay time.Duration
 	// NetOptions appends extra network options — e.g. the delay policy a
 	// Scenario's NetworkProfile compiles to. Applied after the uniform
@@ -143,10 +121,6 @@ type Config struct {
 	// point of the ablation.
 	AblateClusterConsensus bool
 }
-
-// DefaultTimeout bounds realtime-engine runs whose liveness condition may
-// not hold (see internal/driver, which owns the engine dispatch).
-const DefaultTimeout = driver.DefaultTimeout
 
 // DefaultMaxSteps bounds virtual-engine runs that never converge: a run
 // processing this many delivery events without terminating is aborted
@@ -183,16 +157,8 @@ func (cfg *Config) validate() (int, error) {
 	if cfg.Algorithm != LocalCoin && cfg.Algorithm != CommonCoin {
 		return 0, fmt.Errorf("%w: unknown algorithm %d", ErrBadConfig, int(cfg.Algorithm))
 	}
-	if cfg.Engine != EngineVirtual && cfg.Engine != EngineRealtime {
-		return 0, fmt.Errorf("%w: unknown engine %d", ErrBadConfig, int(cfg.Engine))
-	}
-	switch cfg.Body {
-	case sim.BodyAuto, sim.BodyHandler, sim.BodyCoroutine:
-	default:
+	if cfg.Body != sim.BodyAuto && cfg.Body != sim.BodyCoroutine {
 		return 0, fmt.Errorf("%w: unknown body kind %d", ErrBadConfig, int(cfg.Body))
-	}
-	if cfg.Body == sim.BodyHandler && cfg.Engine != EngineVirtual {
-		return 0, fmt.Errorf("%w: handler bodies require the virtual engine", ErrBadConfig)
 	}
 	if cfg.MaxRounds < 0 {
 		return 0, fmt.Errorf("%w: negative MaxRounds", ErrBadConfig)
@@ -200,7 +166,7 @@ func (cfg *Config) validate() (int, error) {
 	return n, nil
 }
 
-// execEnv is the substrate of one execution, shared by both engines: the
+// execEnv is the substrate of one execution, shared by both body forms: the
 // network, the per-cluster memories and CONS arrays, the coins, and the
 // outcome slots.
 type execEnv struct {
@@ -213,8 +179,8 @@ type execEnv struct {
 	outcomes []outcome
 }
 
-// newExecEnv wires the engine-independent substrate; the network is built
-// separately by the driver through newNetwork.
+// newExecEnv wires the substrate; the network is built separately by the
+// driver through newNetwork.
 func newExecEnv(cfg *Config, n int) *execEnv {
 	env := &execEnv{
 		n:        n,
@@ -235,8 +201,8 @@ func newExecEnv(cfg *Config, n int) *execEnv {
 	return env
 }
 
-// newNetwork returns the driver's network constructor: the driver appends
-// the engine-specific options (the virtual engine attaches its scheduler).
+// newNetwork returns the driver's network constructor (the driver attaches
+// its scheduler).
 func (env *execEnv) newNetwork(cfg *Config) driver.NewNetFunc {
 	return driver.StandardNet(&env.nw, env.n,
 		uint64(cfg.Seed)^0xa076_1d64_78bd_642f, &env.ctr, cfg.MinDelay, cfg.MaxDelay, cfg.NetOptions...)
@@ -304,14 +270,11 @@ func (env *execEnv) buildResult(elapsed time.Duration) (*Result, error) {
 	return res, nil
 }
 
-// Run executes one consensus instance under the configured engine and
-// returns the collected outcomes. Under EngineVirtual (the default) the run
-// is a deterministic discrete-event simulation: identical Configs yield
-// identical Results and traces. Under EngineRealtime one goroutine per
-// process races the Go scheduler, as a differential check that the
-// algorithms do not depend on any scheduling discipline. The engine
-// dispatch itself lives in internal/driver, shared with every other
-// protocol runner in the repository.
+// Run executes one consensus instance and returns the collected outcomes.
+// The run is a deterministic discrete-event simulation: identical Configs
+// yield identical Results and traces. The engine dispatch itself lives in
+// internal/driver, shared with every other protocol runner in the
+// repository.
 //
 // Run returns an error for invalid configurations and for protocol
 // invariant violations (which indicate a bug, never a legal execution).
@@ -322,15 +285,13 @@ func Run(cfg Config) (*Result, error) {
 	}
 	env := newExecEnv(&cfg, n)
 	dcfg := driver.Config{
-		Engine:         cfg.Engine,
-		Timeout:        cfg.Timeout,
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
 		Workers:        cfg.Workers,
 		Crashes:        cfg.Crashes,
 	}
 	var out driver.Outcome
-	if cfg.Engine == EngineVirtual && cfg.Body != sim.BodyCoroutine {
+	if cfg.Body != sim.BodyCoroutine {
 		// The default fast path: inline handler bodies (DESIGN.md §11).
 		out, err = driver.RunHandlers(dcfg, n, env.newNetwork(&cfg), func(i int, h *driver.Handle) driver.Reactor {
 			p := env.newProc(&cfg, i)

@@ -124,7 +124,6 @@ func TestUnanimousCrashFree(t *testing.T) {
 						Algorithm: algo,
 						Seed:      42,
 						MaxRounds: 200,
-						Timeout:   20 * time.Second,
 						Trace:     log,
 					})
 					if !res.AllLiveDecided() {
@@ -169,7 +168,6 @@ func TestSplitProposalsCrashFree(t *testing.T) {
 						Algorithm: algo,
 						Seed:      seed,
 						MaxRounds: 5000,
-						Timeout:   20 * time.Second,
 						Trace:     log,
 					})
 					if !res.AllLiveDecided() {
@@ -206,7 +204,6 @@ func TestWithNetworkDelays(t *testing.T) {
 				MaxRounds: 5000,
 				MinDelay:  0,
 				MaxDelay:  2 * time.Millisecond,
-				Timeout:   20 * time.Second,
 			})
 			if !res.AllLiveDecided() {
 				t.Fatalf("not all processes decided: %+v", res.Procs)
@@ -228,7 +225,6 @@ func TestExtremeConfigurations(t *testing.T) {
 			Algorithm: LocalCoin,
 			Seed:      3,
 			MaxRounds: 5000,
-			Timeout:   20 * time.Second,
 		})
 		if !res.AllLiveDecided() {
 			t.Fatalf("not all decided: %+v", res.Procs)
@@ -242,7 +238,6 @@ func TestExtremeConfigurations(t *testing.T) {
 			Algorithm: LocalCoin,
 			Seed:      3,
 			MaxRounds: 100,
-			Timeout:   20 * time.Second,
 		})
 		if !res.AllLiveDecided() {
 			t.Fatalf("not all decided: %+v", res.Procs)
@@ -267,7 +262,6 @@ func TestMetricsAccounting(t *testing.T) {
 		Algorithm: LocalCoin,
 		Seed:      1,
 		MaxRounds: 50,
-		Timeout:   20 * time.Second,
 	})
 	m := res.Metrics
 	if m.MsgsSent == 0 || m.MsgsDelivered == 0 || m.Broadcasts == 0 {
@@ -357,7 +351,6 @@ func TestMaxRoundsBoundsExecution(t *testing.T) {
 		Algorithm:          CommonCoin,
 		Seed:               1,
 		MaxRounds:          5,
-		Timeout:            20 * time.Second,
 		CommonCoinOverride: fixedCommon(model.One), // never equals the estimate 0
 	})
 	if err != nil {

@@ -57,12 +57,10 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 		Partition:      part,
 		Proposals:      sc.Workload.Binary,
 		Algorithm:      algo,
-		Engine:         sc.Engine,
 		Body:           sc.Body,
 		Seed:           sc.Seed,
 		Crashes:        sc.Faults,
 		MaxRounds:      sc.Bounds.MaxRounds,
-		Timeout:        sc.Bounds.Timeout,
 		MaxVirtualTime: sc.Bounds.MaxVirtualTime,
 		MaxSteps:       sc.Bounds.MaxSteps,
 		Workers:        sc.Workers,

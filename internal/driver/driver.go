@@ -1,35 +1,24 @@
 // Package driver is the single engine-dispatch layer of the repository:
 // every protocol runner (the hybrid algorithms of internal/core, the
 // message-passing baselines, the m&m comparator, and the extension stack)
-// executes its per-process closures through driver.Run, which owns the
-// choice between the two execution engines:
+// executes its processes through driver.Run or driver.RunHandlers, on the
+// one execution engine: a vclock discrete-event scheduler. Each process is
+// a cooperatively stepped coroutine (Run) or an inline reactor
+// (RunHandlers); message transit is a timestamped delivery event; blocked
+// executions are detected by quiescence — never by wall clock — and bounded
+// by MaxVirtualTime / MaxSteps. Same inputs, same outcome, bit for bit.
 //
-//   - sim.EngineVirtual (the default): each process is a cooperatively
-//     stepped coroutine on a vclock discrete-event scheduler; message
-//     transit is a timestamped delivery event; blocked executions are
-//     detected by quiescence — never by wall clock — and bounded by
-//     MaxVirtualTime / MaxSteps. Same inputs, same outcome, bit for bit.
-//   - sim.EngineRealtime: the goroutine-per-process backend. Interleavings
-//     come from the Go scheduler, stuck runs are aborted by a wall-clock
-//     timer, and results are NOT reproducible. Kept as a differential
-//     check that no protocol depends on the virtual engine's scheduling
-//     discipline.
-//
-// A protocol package provides two closures: a network constructor (driver
-// appends the engine-specific netsim options — the virtual engine attaches
-// its scheduler) and a per-process body. The body observes engine state
-// only through the Handle it receives: Aborted (should I give up?), Killed
-// (has a timed crash struck me?), Done (the realtime abort channel for
-// blocking receives), and Sleep (advance time without taking steps). That
-// contract is what lets one protocol implementation run unchanged on both
-// engines.
+// A protocol package provides two closures: a network constructor (the
+// driver appends netsim.WithScheduler) and a per-process body. The body
+// observes engine state only through the Handle it receives: Aborted
+// (should I give up?), Killed (has a timed crash struck me?), Now (the run
+// clock), and Sleep / WakeAfter (advance time without taking steps).
 package driver
 
 import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -41,42 +30,22 @@ import (
 	"allforone/internal/vclock"
 )
 
-// DefaultTimeout bounds realtime-engine runs whose liveness condition may
-// not hold. The virtual engine never consults it: blocked runs end at
-// quiescence, and runaway runs at the MaxVirtualTime / MaxSteps bounds.
-const DefaultTimeout = 30 * time.Second
-
-// ErrBadEngine reports an unknown Config.Engine value.
-var ErrBadEngine = errors.New("driver: unknown engine")
-
 // ErrBadCrashes reports a crash schedule referencing processes outside the
 // run — rejected before any process is spawned, instead of panicking when
 // the engine indexes its per-process crash state.
 var ErrBadCrashes = errors.New("driver: crash schedule exceeds the run's process count")
-
-// ErrBadBody reports a body-form/engine combination the driver cannot run:
-// inline handler bodies exist only under the virtual engine (the realtime
-// engine's blocking receives need a goroutine per process).
-var ErrBadBody = errors.New("driver: handler bodies require the virtual engine")
 
 // Config carries the engine knobs shared by every protocol runner. The
 // protocol-specific parts of a run (proposals, partitions, coins, crash
 // step points) stay in the protocol package's own Config; this struct is
 // only about HOW the processes are driven.
 type Config struct {
-	// Engine selects the execution engine; the zero value is
-	// sim.EngineVirtual.
-	Engine sim.Engine
-	// Timeout aborts a realtime-engine run whose processes are stuck
-	// waiting; blocked processes observe Aborted() and unwind. Zero means
-	// DefaultTimeout. The virtual engine ignores it.
-	Timeout time.Duration
-	// MaxVirtualTime bounds the virtual clock of an EngineVirtual run: once
-	// the next event lies past the bound the run is aborted. Zero means
-	// unbounded (quiescence detection and MaxSteps still bound stuck runs).
+	// MaxVirtualTime bounds the virtual clock of a run: once the next
+	// event lies past the bound the run is aborted. Zero means unbounded
+	// (quiescence detection and MaxSteps still bound stuck runs).
 	MaxVirtualTime time.Duration
-	// MaxSteps bounds the number of scheduler events of an EngineVirtual
-	// run — the deterministic guard against executions that never converge.
+	// MaxSteps bounds the number of scheduler events of a run — the
+	// deterministic guard against executions that never converge.
 	// Zero derives the bound from the topology size and the protocol's
 	// declared step complexity (sim.DefaultMaxStepsHint: ~Θ(n²) for
 	// all-to-all protocols, ~8192·n for sparse-overlay ones); negative
@@ -89,26 +58,25 @@ type Config struct {
 	// n=100k is not granted a 240-billion-step budget before the
 	// runaway guard fires.
 	Complexity sim.StepComplexity
-	// Workers is the virtual engine's expansion-pool width: how many
+	// Workers is the engine's expansion-pool width: how many
 	// threads expand each flush window's sends — broadcast fanouts and
 	// per-recipient bursts alike — inside one run (sharded timer wheels,
 	// vclock.WithShards). It is pure mechanism — the observable
 	// run (schedule, trace, steps, Outcome) is bit-identical at every
 	// setting; only wall-clock time changes. Zero or negative means
 	// runtime.NumCPU(). Small topologies (and protocols without a
-	// network) run unsharded regardless. The realtime engine ignores it.
+	// network) run unsharded regardless.
 	Workers int
 	// Crashes supplies the timed (virtual-instant) part of the failure
 	// pattern: at each instant the victim's Killed flag is raised and its
 	// inbox closed, so it halts at its next step point. Step-point crashes
-	// remain the protocol's own business. Under the realtime engine the
-	// instants are approximated on the wall clock. Nil is crash-free.
+	// remain the protocol's own business. Nil is crash-free.
 	Crashes *failures.Schedule
 }
 
-// NewNetFunc builds the run's simulated network. driver.Run appends the
-// engine-specific options (the virtual engine passes netsim.WithScheduler);
-// the protocol supplies everything else (seed, counters, delay policy).
+// NewNetFunc builds the run's simulated network. The driver appends
+// netsim.WithScheduler; the protocol supplies everything else (seed,
+// counters, delay policy).
 // A nil NewNetFunc runs the processes without a network (pure shared-memory
 // protocols).
 type NewNetFunc func(extra ...netsim.Option) (*netsim.Network, error)
@@ -172,21 +140,18 @@ func StandardNet(nw **netsim.Network, n int, seed uint64, ctr *metrics.Counters,
 // Outcome reports the engine-level result of a run. Protocol packages copy
 // it into their Result types (see Fill).
 type Outcome struct {
-	// Elapsed is the run duration: wall-clock under the realtime engine,
-	// virtual-clock (equal to VirtualTime) under the virtual engine, so
-	// virtual Results stay bit-reproducible.
+	// Elapsed is the run duration on the virtual clock — always equal to
+	// VirtualTime, so Results stay bit-reproducible.
 	Elapsed time.Duration
-	// VirtualTime is the virtual clock at the end of the run; zero under
-	// the realtime engine.
+	// VirtualTime is the virtual clock at the end of the run.
 	VirtualTime time.Duration
-	// Steps is the number of discrete events processed; zero under the
-	// realtime engine.
+	// Steps is the number of discrete events processed.
 	Steps int64
-	// Quiesced reports that the virtual engine aborted the run because no
+	// Quiesced reports that the engine aborted the run because no
 	// process could ever take another step — the deterministic "blocked
 	// forever" verdict.
 	Quiesced bool
-	// DeadlineExceeded / StepsExceeded report that the virtual engine cut
+	// DeadlineExceeded / StepsExceeded report that the engine cut
 	// the run short at the MaxVirtualTime / MaxSteps bound. A bounded-out
 	// run says nothing about the execution's fate — undecided processes
 	// might still have progressed — so these verdicts are kept distinct
@@ -194,9 +159,9 @@ type Outcome struct {
 	// with it by callers classifying non-decision.
 	DeadlineExceeded bool
 	StepsExceeded    bool
-	// Sched counts the virtual scheduler's internal work (events scheduled,
-	// timer-wheel cascades, deepest bucket); zero under the realtime engine.
-	// Deterministic: same Config, same counts.
+	// Sched counts the scheduler's internal work (events scheduled,
+	// timer-wheel cascades, deepest bucket). Deterministic: same Config,
+	// same counts.
 	Sched vclock.SchedulerStats
 }
 
@@ -215,52 +180,28 @@ func (o Outcome) Fill(res *sim.Result) {
 	res.Sched = o.Sched
 }
 
-// Handle is a process body's view of the engine driving it. Exactly one of
-// clock/done is set; killed is always set.
+// Handle is a process body's view of the engine driving it.
 type Handle struct {
 	clock  *vclock.Scheduler
-	proc   *vclock.Proc // the body's own process (virtual engine)
-	done   <-chan struct{}
+	proc   *vclock.Proc // the body's own process
 	killed *atomic.Bool
-	start  time.Time // run start (realtime engine), for Now
-	inline bool      // the body is a Reactor: it must never suspend
+	inline bool // the body is a Reactor: it must never suspend
 }
 
-// Now returns the run clock: the virtual clock under the virtual engine
-// (exact and deterministic), wall time since the run started under the
-// realtime one. Protocols use it to timestamp externally visible events —
-// e.g. the register run tags every operation's invocation and response
-// instants so histories can be checked for linearizability.
-func (h *Handle) Now() time.Duration {
-	if h.clock != nil {
-		return time.Duration(h.clock.Now())
-	}
-	return time.Since(h.start)
-}
+// Now returns the run clock: the virtual clock, exact and deterministic.
+// Protocols use it to timestamp externally visible events — e.g. the
+// register run tags every operation's invocation and response instants so
+// histories can be checked for linearizability.
+func (h *Handle) Now() time.Duration { return time.Duration(h.clock.Now()) }
 
-// Aborted reports whether the run has been aborted (realtime timeout, or
-// virtual quiescence / deadline / step budget): the body should record a
-// blocked outcome and unwind promptly.
-func (h *Handle) Aborted() bool {
-	if h.clock != nil {
-		return h.clock.Aborted()
-	}
-	select {
-	case <-h.done:
-		return true
-	default:
-		return false
-	}
-}
+// Aborted reports whether the run has been aborted (quiescence, deadline,
+// or step budget): the body should record a blocked outcome and unwind
+// promptly.
+func (h *Handle) Aborted() bool { return h.clock.Aborted() }
 
 // Killed reports whether a timed crash has struck this process; the body
 // must halt (as crashed) at the next step point that observes it.
 func (h *Handle) Killed() bool { return h.killed.Load() }
-
-// Done returns the realtime engine's abort channel, for blocking receives
-// (netsim.Network.Receive). It is nil under the virtual engine, whose
-// receives observe the scheduler's abort instead.
-func (h *Handle) Done() <-chan struct{} { return h.done }
 
 // WakeAfter schedules a wake of this process's reactor d from now — the
 // handler body's substitute for Sleep: where a coroutine suspends, a
@@ -268,12 +209,8 @@ func (h *Handle) Done() <-chan struct{} { return h.done }
 // observes Now() at the next invocation to see whether its deadline has
 // passed. Multiple pending wakes coalesce like message deliveries do (a
 // reactor is invoked once per Wake, and a wake of a finished process is
-// a no-op), so timers racing a decision are harmless. Virtual engine
-// only: reactors exist only there, and a realtime Handle has no clock.
+// a no-op), so timers racing a decision are harmless.
 func (h *Handle) WakeAfter(d time.Duration) {
-	if h.clock == nil {
-		panic("driver: WakeAfter requires the virtual engine")
-	}
 	if d < 0 {
 		d = 0
 	}
@@ -283,9 +220,8 @@ func (h *Handle) WakeAfter(d time.Duration) {
 	h.clock.At(h.clock.Now()+vclock.Time(d), func() { h.proc.Wake() })
 }
 
-// Sleep suspends the calling body for d: virtual time under the virtual
-// engine (zero wall-clock cost), wall-clock time under the realtime
-// engine. It returns false when the run was aborted before the full
+// Sleep suspends the calling body for d of virtual time (zero wall-clock
+// cost). It returns false when the run was aborted before the full
 // duration elapsed. Sleep must only be called from the body's own
 // process context, and never from a Reactor — a handler body has no
 // goroutine to suspend (DESIGN.md §11); it must instead schedule its
@@ -297,59 +233,71 @@ func (h *Handle) Sleep(d time.Duration) bool {
 	if d <= 0 {
 		return !h.Aborted()
 	}
-	if h.clock != nil {
-		deadline := h.clock.Now() + vclock.Time(d)
-		h.clock.At(deadline, func() { h.proc.Wake() })
-		// Message deliveries wake the same coroutine; re-park until the
-		// deadline event (or a later one) has advanced the clock far enough.
-		for h.clock.Now() < deadline {
-			if !h.proc.Park() {
-				return false
-			}
+	deadline := h.clock.Now() + vclock.Time(d)
+	h.clock.At(deadline, func() { h.proc.Wake() })
+	// Message deliveries wake the same coroutine; re-park until the
+	// deadline event (or a later one) has advanced the clock far enough.
+	for h.clock.Now() < deadline {
+		if !h.proc.Park() {
+			return false
 		}
-		return true
 	}
-	select {
-	case <-time.After(d):
-		return true
-	case <-h.done:
-		return false
-	}
+	return true
 }
 
-// Run executes n process bodies under the configured engine and returns
-// the engine-level outcome. It owns the whole dispatch lifecycle: network
-// construction (with engine-specific options), process spawning, timed
-// crash installation, abort detection, and network shutdown.
+// Run executes n coroutine process bodies on a deterministic
+// discrete-event scheduler and returns the engine-level outcome: same
+// inputs, same Outcome. Blocked runs end at quiescence.
 func Run(cfg Config, n int, newNet NewNetFunc, body Body) (Outcome, error) {
-	if err := cfg.Crashes.ValidateFor(n); err != nil {
-		return Outcome{}, fmt.Errorf("%w: %v", ErrBadCrashes, err)
-	}
-	switch cfg.Engine {
-	case sim.EngineVirtual:
-		return runVirtual(cfg, n, newNet, body)
-	case sim.EngineRealtime:
-		return runRealtime(cfg, n, newNet, body)
-	}
-	return Outcome{}, fmt.Errorf("%w %d", ErrBadEngine, int(cfg.Engine))
+	return run(cfg, n, newNet, func(clock *vclock.Scheduler, nw *netsim.Network, i int, h *Handle) *vclock.Proc {
+		return clock.Spawn(procName(i), func() {
+			body(i, h)
+			closeInbox(nw, i)
+		})
+	})
 }
 
-// RunHandlers executes n inline handler processes (one Reactor each) under
-// the virtual engine and returns the engine-level outcome. It is the
-// handler-body twin of Run: the same lifecycle (network construction,
-// spawning, timed crashes, abort detection, shutdown) with the scheduler
-// invoking each reactor directly instead of rendezvousing with a
-// goroutine. Handler bodies exist only under the virtual engine; any other
-// cfg.Engine yields ErrBadBody — protocols offering both forms fall back
-// to coroutine bodies (Run) for realtime runs.
+// RunHandlers is the handler-body twin of Run: it executes n inline
+// handler processes (one Reactor each), the scheduler invoking each
+// reactor directly instead of rendezvousing with a goroutine.
 func RunHandlers(cfg Config, n int, newNet NewNetFunc, mk HandlerBody) (Outcome, error) {
-	if cfg.Engine != sim.EngineVirtual {
-		return Outcome{}, fmt.Errorf("%w (engine %v)", ErrBadBody, cfg.Engine)
+	return run(cfg, n, newNet, func(clock *vclock.Scheduler, nw *netsim.Network, i int, h *Handle) *vclock.Proc {
+		h.inline = true
+		r := mk(i, h)
+		return clock.SpawnHandler(procName(i), func(aborted bool) {
+			if r.React(aborted) {
+				h.proc.Finish()
+				closeInbox(nw, i)
+			}
+		})
+	})
+}
+
+func procName(i int) string { return fmt.Sprintf("p%d", i) }
+
+// closeInbox closes process i's inbox once its body has finished.
+func closeInbox(nw *netsim.Network, i int) {
+	if nw != nil {
+		nw.CloseInbox(model.ProcID(i))
 	}
+}
+
+// run owns the dispatch lifecycle both body forms share: crash-schedule
+// validation, clock and network construction, process spawning (spawn
+// builds process i in its body form), timed crash installation, the run
+// itself, and network shutdown.
+func run(cfg Config, n int, newNet NewNetFunc,
+	spawn func(clock *vclock.Scheduler, nw *netsim.Network, i int, h *Handle) *vclock.Proc) (Outcome, error) {
 	if err := cfg.Crashes.ValidateFor(n); err != nil {
 		return Outcome{}, fmt.Errorf("%w: %v", ErrBadCrashes, err)
 	}
-	clock := newVirtualClock(cfg, n)
+	// The topology size decides both the default step budget and whether
+	// the timer wheel shards (vclock.ShardsFor).
+	clock := vclock.New(
+		vclock.WithDeadline(vclock.Time(cfg.MaxVirtualTime)),
+		vclock.WithMaxSteps(resolveMaxSteps(cfg.MaxSteps, n, cfg.Complexity)),
+		vclock.WithShards(vclock.ShardsFor(n), resolveWorkers(cfg.Workers)),
+	)
 	var nw *netsim.Network
 	if newNet != nil {
 		var err error
@@ -360,39 +308,36 @@ func RunHandlers(cfg Config, n int, newNet NewNetFunc, mk HandlerBody) (Outcome,
 
 	killed := make([]atomic.Bool, n)
 	for i := 0; i < n; i++ {
-		i := i
-		h := &Handle{clock: clock, killed: &killed[i], inline: true}
-		r := mk(i, h)
-		h.proc = clock.SpawnHandler(fmt.Sprintf("p%d", i), func(aborted bool) {
-			if r.React(aborted) {
-				h.proc.Finish()
-				if nw != nil {
-					nw.CloseInbox(model.ProcID(i))
-				}
-			}
-		})
+		h := &Handle{clock: clock, killed: &killed[i]}
+		h.proc = spawn(clock, nw, i, h)
 		if nw != nil {
 			nw.Bind(model.ProcID(i), h.proc)
 		}
 	}
 
-	installTimedCrashes(clock, cfg, killed, nw)
+	// Timed crashes: at each virtual instant, mark the victim killed and
+	// close its inbox; the victim halts at its next step point. Timed()
+	// returns a sorted slice, keeping event installation deterministic.
+	for _, tc := range cfg.Crashes.Timed() {
+		clock.At(vclock.Time(tc.At), func() {
+			killed[tc.P].Store(true)
+			closeInbox(nw, int(tc.P))
+		})
+	}
+
 	out := clock.Run()
 	if nw != nil {
 		nw.Shutdown()
 	}
-	return virtualOutcome(out), nil
-}
-
-// newVirtualClock builds a run's scheduler from the config's bounds and
-// the topology size n, which decides both the default step budget and
-// whether the timer wheel shards (vclock.ShardsFor).
-func newVirtualClock(cfg Config, n int) *vclock.Scheduler {
-	return vclock.New(
-		vclock.WithDeadline(vclock.Time(cfg.MaxVirtualTime)),
-		vclock.WithMaxSteps(resolveMaxSteps(cfg.MaxSteps, n, cfg.Complexity)),
-		vclock.WithShards(vclock.ShardsFor(n), resolveWorkers(cfg.Workers)),
-	)
+	return Outcome{
+		Elapsed:          time.Duration(out.Now),
+		VirtualTime:      time.Duration(out.Now),
+		Steps:            out.Steps,
+		Quiesced:         out.Quiesced,
+		DeadlineExceeded: out.DeadlineExceeded,
+		StepsExceeded:    out.StepsExceeded,
+		Sched:            out.Stats,
+	}, nil
 }
 
 // resolveMaxSteps maps the Config.MaxSteps convention onto the scheduler's:
@@ -416,138 +361,4 @@ func resolveWorkers(w int) int {
 		return runtime.NumCPU()
 	}
 	return w
-}
-
-// installTimedCrashes schedules the timed crash events: at each virtual
-// instant, mark the victim killed and close its inbox; the victim halts at
-// its next step point. Timed() returns a sorted slice, keeping event
-// installation deterministic.
-func installTimedCrashes(clock *vclock.Scheduler, cfg Config, killed []atomic.Bool, nw *netsim.Network) {
-	for _, tc := range cfg.Crashes.Timed() {
-		tc := tc
-		clock.At(vclock.Time(tc.At), func() {
-			killed[tc.P].Store(true)
-			if nw != nil {
-				nw.CloseInbox(tc.P)
-			}
-		})
-	}
-}
-
-// virtualOutcome packages a finished scheduler run as the engine-level
-// Outcome.
-func virtualOutcome(out vclock.Outcome) Outcome {
-	return Outcome{
-		Elapsed:          time.Duration(out.Now),
-		VirtualTime:      time.Duration(out.Now),
-		Steps:            out.Steps,
-		Quiesced:         out.Quiesced,
-		DeadlineExceeded: out.DeadlineExceeded,
-		StepsExceeded:    out.StepsExceeded,
-		Sched:            out.Stats,
-	}
-}
-
-// runVirtual drives the run on a deterministic discrete-event scheduler:
-// same inputs, same Outcome. Blocked runs end at quiescence instead of a
-// wall-clock timeout.
-func runVirtual(cfg Config, n int, newNet NewNetFunc, body Body) (Outcome, error) {
-	clock := newVirtualClock(cfg, n)
-	var nw *netsim.Network
-	if newNet != nil {
-		var err error
-		if nw, err = newNet(netsim.WithScheduler(clock)); err != nil {
-			return Outcome{}, err
-		}
-	}
-
-	killed := make([]atomic.Bool, n)
-	for i := 0; i < n; i++ {
-		i := i
-		h := &Handle{clock: clock, killed: &killed[i]}
-		h.proc = clock.Spawn(fmt.Sprintf("p%d", i), func() {
-			body(i, h)
-			if nw != nil {
-				nw.CloseInbox(model.ProcID(i))
-			}
-		})
-		if nw != nil {
-			nw.Bind(model.ProcID(i), h.proc)
-		}
-	}
-
-	installTimedCrashes(clock, cfg, killed, nw)
-	out := clock.Run()
-	if nw != nil {
-		nw.Shutdown()
-	}
-	return virtualOutcome(out), nil
-}
-
-// runRealtime is the goroutine-per-process backend: one goroutine per
-// body, a wall timer aborting stuck runs, and timed crashes approximated
-// at wall-clock instants. Interleavings are decided by the Go scheduler,
-// so runs are NOT reproducible; the backend exists as a differential check
-// for the deterministic virtual engine.
-func runRealtime(cfg Config, n int, newNet NewNetFunc, body Body) (Outcome, error) {
-	var nw *netsim.Network
-	if newNet != nil {
-		var err error
-		if nw, err = newNet(); err != nil {
-			return Outcome{}, err
-		}
-	}
-
-	done := make(chan struct{})
-	killed := make([]atomic.Bool, n)
-	var crashTimers []*time.Timer
-	for _, tc := range cfg.Crashes.Timed() {
-		tc := tc
-		crashTimers = append(crashTimers, time.AfterFunc(tc.At, func() {
-			killed[tc.P].Store(true)
-			if nw != nil {
-				nw.CloseInbox(tc.P)
-			}
-		}))
-	}
-
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		h := &Handle{done: done, killed: &killed[i], start: start}
-		wg.Add(1)
-		go func(i int, h *Handle) {
-			defer wg.Done()
-			body(i, h)
-			if nw != nil {
-				nw.CloseInbox(model.ProcID(i))
-			}
-		}(i, h)
-	}
-
-	timeout := cfg.Timeout
-	if timeout <= 0 {
-		timeout = DefaultTimeout
-	}
-	finished := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(finished)
-	}()
-	timer := time.NewTimer(timeout)
-	select {
-	case <-finished:
-		timer.Stop()
-	case <-timer.C:
-		close(done) // abort blocked processes; they observe Aborted()
-		<-finished
-	}
-	elapsed := time.Since(start)
-	for _, t := range crashTimers {
-		t.Stop()
-	}
-	if nw != nil {
-		nw.Shutdown()
-	}
-	return Outcome{Elapsed: elapsed}, nil
 }

@@ -22,19 +22,10 @@ func echoNet(n int, seed uint64, ctr *metrics.Counters) NewNetFunc {
 	}
 }
 
-func TestBadEngine(t *testing.T) {
-	t.Parallel()
-	_, err := Run(Config{Engine: sim.Engine(99)}, 1, nil, func(int, *Handle) {})
-	if !errors.Is(err, ErrBadEngine) {
-		t.Fatalf("err = %v, want ErrBadEngine", err)
-	}
-}
-
 // A tiny ping protocol: every process broadcasts its id and waits for n
-// messages. Exercises spawn, Bind, delivery events, and CloseInbox on both
-// engines.
-func pingBodies(t *testing.T, engine sim.Engine) ([]int, Outcome) {
-	t.Helper()
+// messages. Exercises spawn, Bind, delivery events, and CloseInbox.
+func TestPing(t *testing.T) {
+	t.Parallel()
 	const n = 5
 	var ctr metrics.Counters
 	var nw *netsim.Network
@@ -44,11 +35,11 @@ func pingBodies(t *testing.T, engine sim.Engine) ([]int, Outcome) {
 		nw, err = echoNet(n, 42, &ctr)(extra...)
 		return nw, err
 	}
-	out, err := Run(Config{Engine: engine, Timeout: 20 * time.Second}, n, newNet,
+	out, err := Run(Config{}, n, newNet,
 		func(i int, h *Handle) {
 			nw.Broadcast(model.ProcID(i), i)
 			for k := 0; k < n; k++ {
-				if _, ok := nw.Receive(model.ProcID(i), h.Done()); !ok {
+				if _, ok := nw.Receive(model.ProcID(i)); !ok {
 					return
 				}
 				got[i]++
@@ -57,24 +48,13 @@ func pingBodies(t *testing.T, engine sim.Engine) ([]int, Outcome) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return got, out
-}
-
-func TestPingBothEngines(t *testing.T) {
-	t.Parallel()
-	for _, engine := range []sim.Engine{sim.EngineVirtual, sim.EngineRealtime} {
-		got, out := pingBodies(t, engine)
-		for i, g := range got {
-			if g != len(got) {
-				t.Errorf("%v: proc %d received %d messages, want %d", engine, i, g, len(got))
-			}
+	for i, g := range got {
+		if g != n {
+			t.Errorf("proc %d received %d messages, want %d", i, g, n)
 		}
-		if engine == sim.EngineVirtual && out.Steps == 0 {
-			t.Error("virtual run reported zero steps")
-		}
-		if engine == sim.EngineRealtime && (out.Steps != 0 || out.VirtualTime != 0) {
-			t.Errorf("realtime run leaked virtual fields: %+v", out)
-		}
+	}
+	if out.Steps == 0 {
+		t.Error("run reported zero steps")
 	}
 }
 
@@ -92,7 +72,7 @@ func TestVirtualQuiescence(t *testing.T) {
 	}
 	start := time.Now()
 	out, err := Run(Config{}, n, newNet, func(i int, h *Handle) {
-		nw.Receive(model.ProcID(i), h.Done()) // nobody ever sends
+		nw.Receive(model.ProcID(i)) // nobody ever sends
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -105,71 +85,39 @@ func TestVirtualQuiescence(t *testing.T) {
 	}
 }
 
-// The realtime engine aborts a stuck run at Timeout; bodies observe
-// Aborted() through the failed receive.
-func TestRealtimeTimeoutAborts(t *testing.T) {
+// Timed crashes raise Killed at the exact virtual instant.
+func TestTimedCrash(t *testing.T) {
 	t.Parallel()
 	const n = 2
+	sched := failures.NewSchedule(n)
+	if err := sched.SetTimed(1, 5*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	var ctr metrics.Counters
 	var nw *netsim.Network
 	newNet := func(extra ...netsim.Option) (*netsim.Network, error) {
 		var err error
-		nw, err = echoNet(n, 9, &ctr)(extra...)
+		nw, err = echoNet(n, 3, &ctr)(extra...)
 		return nw, err
 	}
-	aborted := make([]bool, n)
-	_, err := Run(Config{Engine: sim.EngineRealtime, Timeout: 100 * time.Millisecond}, n, newNet,
+	killedSeen := make([]bool, n)
+	_, err := Run(Config{Crashes: sched}, n, newNet,
 		func(i int, h *Handle) {
-			if _, ok := nw.Receive(model.ProcID(i), h.Done()); !ok {
-				aborted[i] = h.Aborted()
+			if i == 1 {
+				// Victim: sleep past the crash instant, then observe.
+				h.Sleep(20 * time.Millisecond)
+				killedSeen[i] = h.Killed()
+				return
 			}
+			// Survivor: the victim's inbox is closed, so this send is
+			// dropped; just finish.
+			nw.Send(model.ProcID(i), 1, "late")
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, a := range aborted {
-		if !a {
-			t.Errorf("proc %d did not observe the abort", i)
-		}
-	}
-}
-
-// Timed crashes raise Killed on both engines; the virtual engine does so
-// at the exact virtual instant.
-func TestTimedCrashBothEngines(t *testing.T) {
-	t.Parallel()
-	for _, engine := range []sim.Engine{sim.EngineVirtual, sim.EngineRealtime} {
-		const n = 2
-		sched := failures.NewSchedule(n)
-		if err := sched.SetTimed(1, 5*time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-		var ctr metrics.Counters
-		var nw *netsim.Network
-		newNet := func(extra ...netsim.Option) (*netsim.Network, error) {
-			var err error
-			nw, err = echoNet(n, 3, &ctr)(extra...)
-			return nw, err
-		}
-		killedSeen := make([]bool, n)
-		_, err := Run(Config{Engine: engine, Crashes: sched, Timeout: 10 * time.Second}, n, newNet,
-			func(i int, h *Handle) {
-				if i == 1 {
-					// Victim: sleep past the crash instant, then observe.
-					h.Sleep(20 * time.Millisecond)
-					killedSeen[i] = h.Killed()
-					return
-				}
-				// Survivor: the victim's inbox is closed, so this send is
-				// dropped; just finish.
-				nw.Send(model.ProcID(i), 1, "late")
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !killedSeen[1] {
-			t.Errorf("%v: victim did not observe Killed after the crash instant", engine)
-		}
+	if !killedSeen[1] {
+		t.Error("victim did not observe Killed after the crash instant")
 	}
 }
 
@@ -210,20 +158,18 @@ func TestVirtualSleep(t *testing.T) {
 }
 
 // A nil NewNetFunc runs pure shared-memory bodies: no network, no inboxes,
-// deterministic spawn-order execution under the virtual engine.
+// deterministic spawn-order execution.
 func TestNilNetwork(t *testing.T) {
 	t.Parallel()
 	const n = 4
-	for _, engine := range []sim.Engine{sim.EngineVirtual, sim.EngineRealtime} {
-		ran := make([]bool, n)
-		if _, err := Run(Config{Engine: engine, Timeout: 10 * time.Second}, n, nil,
-			func(i int, h *Handle) { ran[i] = true }); err != nil {
-			t.Fatal(err)
-		}
-		for i, r := range ran {
-			if !r {
-				t.Errorf("%v: body %d never ran", engine, i)
-			}
+	ran := make([]bool, n)
+	if _, err := Run(Config{}, n, nil,
+		func(i int, h *Handle) { ran[i] = true }); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range ran {
+		if !r {
+			t.Errorf("body %d never ran", i)
 		}
 	}
 }
@@ -249,7 +195,7 @@ func TestVirtualOutcomeReproducible(t *testing.T) {
 		out, err := Run(Config{}, n, newNet, func(i int, h *Handle) {
 			nw.Broadcast(model.ProcID(i), i)
 			for k := 0; k < n; k++ {
-				if _, ok := nw.Receive(model.ProcID(i), h.Done()); !ok {
+				if _, ok := nw.Receive(model.ProcID(i)); !ok {
 					return
 				}
 			}
@@ -266,19 +212,17 @@ func TestVirtualOutcomeReproducible(t *testing.T) {
 }
 
 // A crash schedule referencing processes the run does not have is rejected
-// up front with ErrBadCrashes on BOTH engines — previously the virtual
-// engine panicked indexing its per-process kill flags.
+// up front with ErrBadCrashes — previously the engine panicked indexing its
+// per-process kill flags.
 func TestOversizedCrashScheduleRejected(t *testing.T) {
 	t.Parallel()
 	sched := failures.NewSchedule(5)
 	if err := sched.SetTimed(4, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range []sim.Engine{sim.EngineVirtual, sim.EngineRealtime} {
-		_, err := Run(Config{Engine: eng, Crashes: sched}, 3, nil, func(int, *Handle) {})
-		if !errors.Is(err, ErrBadCrashes) {
-			t.Errorf("engine %v: err = %v, want ErrBadCrashes", eng, err)
-		}
+	_, err := Run(Config{Crashes: sched}, 3, nil, func(int, *Handle) {})
+	if !errors.Is(err, ErrBadCrashes) {
+		t.Errorf("err = %v, want ErrBadCrashes", err)
 	}
 }
 

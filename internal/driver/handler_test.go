@@ -1,7 +1,6 @@
 package driver
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -9,7 +8,6 @@ import (
 	"allforone/internal/metrics"
 	"allforone/internal/model"
 	"allforone/internal/netsim"
-	"allforone/internal/sim"
 )
 
 // pingReactor is the handler form of the driver test's ping protocol:
@@ -47,7 +45,7 @@ func (r *pingReactor) React(aborted bool) bool {
 	return true
 }
 
-// The handler-body twin of TestPingBothEngines: every reactor broadcasts
+// The handler-body twin of TestPing: every reactor broadcasts
 // its id and drains n messages via ReceiveNow.
 func TestRunHandlersPing(t *testing.T) {
 	t.Parallel()
@@ -60,7 +58,7 @@ func TestRunHandlersPing(t *testing.T) {
 		nw, err = echoNet(n, 42, &ctr)(extra...)
 		return nw, err
 	}
-	out, err := RunHandlers(Config{Engine: sim.EngineVirtual}, n, newNet,
+	out, err := RunHandlers(Config{}, n, newNet,
 		func(i int, h *Handle) Reactor {
 			return &pingReactor{nw: nw, h: h, n: n, i: i, got: &got[i]}
 		})
@@ -77,19 +75,6 @@ func TestRunHandlersPing(t *testing.T) {
 	}
 	if d := ctr.Read().MsgsDelivered; d != n*n {
 		t.Errorf("MsgsDelivered = %d, want %d", d, n*n)
-	}
-}
-
-// RunHandlers under any engine but the virtual one is ErrBadBody: inline
-// handlers only exist where the scheduler owns the execution token.
-func TestRunHandlersRealtimeRejected(t *testing.T) {
-	t.Parallel()
-	for _, engine := range []sim.Engine{sim.EngineRealtime, sim.Engine(99)} {
-		_, err := RunHandlers(Config{Engine: engine}, 1, nil,
-			func(i int, h *Handle) Reactor { return nil })
-		if !errors.Is(err, ErrBadBody) {
-			t.Fatalf("engine %v: err = %v, want ErrBadBody", engine, err)
-		}
 	}
 }
 
@@ -122,7 +107,7 @@ func TestRunHandlersQuiescence(t *testing.T) {
 		return nw, err
 	}
 	blocked := make([]bool, n)
-	out, err := RunHandlers(Config{Engine: sim.EngineVirtual}, n, newNet,
+	out, err := RunHandlers(Config{}, n, newNet,
 		func(i int, h *Handle) Reactor {
 			return &waitReactor{nw: nw, i: i, blocked: &blocked[i]}
 		})
@@ -187,7 +172,6 @@ func TestRunHandlersTimedCrash(t *testing.T) {
 	echoed := make([]int, n)
 	out, err := RunHandlers(
 		Config{
-			Engine:   sim.EngineVirtual,
 			Crashes:  crashes,
 			MaxSteps: 100_000, // echo ping-pong never terminates on its own
 		},

@@ -106,8 +106,7 @@ type Crash struct {
 // Schedule is a full failure pattern: which processes crash, and where.
 // Crash points come in two flavors: step points ((round, phase, stage)
 // positions in the algorithm, Set) and timed instants (a point on the run
-// clock, SetTimed — exact virtual instants under the virtual-time engine,
-// wall-clock approximations under the realtime one; both are installed by
+// clock, SetTimed — exact virtual instants, installed by
 // internal/driver). A Schedule is immutable after construction; methods
 // with value semantics are safe for concurrent use.
 type Schedule struct {
@@ -141,10 +140,8 @@ func (s *Schedule) Set(p model.ProcID, c Crash) error {
 // SetTimed schedules process p to crash at instant at (measured from the
 // start of the run). The process halts at the first step point it reaches
 // once the run clock passes at — a crash between two atomic steps, as the
-// model demands. Under the virtual engine the instant is exact and
-// deterministic; under the realtime engine it is approximated on the wall
-// clock. A process may carry both a timed and a step-point plan;
-// whichever strikes first wins.
+// model demands. The instant is exact and deterministic. A process may
+// carry both a timed and a step-point plan; whichever strikes first wins.
 func (s *Schedule) SetTimed(p model.ProcID, at time.Duration) error {
 	if int(p) < 0 || int(p) >= s.n {
 		return fmt.Errorf("failures: process %v out of range [0,%d)", p, s.n)

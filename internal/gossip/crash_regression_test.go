@@ -88,7 +88,6 @@ func TestCrashedResponderAnswersNoPull(t *testing.T) {
 		store  sim.ProcResult
 	)
 	dcfg := driver.Config{
-		Engine:         sim.EngineVirtual,
 		MaxVirtualTime: 50 * time.Millisecond,
 		Crashes:        crashes,
 	}

@@ -36,7 +36,7 @@
 // Handle.WakeAfter timer ticks, inbox drains are batched, and every send
 // is a per-recipient netsim.Send along an overlay edge (never SendAll).
 // The protocol registers as "gossip" with the overlay-topology and
-// sub-quadratic capability flags; being handler-only it is VirtualOnly.
+// sub-quadratic capability flags.
 package gossip
 
 import (
@@ -129,10 +129,8 @@ type Config struct {
 	// installed, otherwise treat the transit as unknown and keep the
 	// legacy conservative budget.
 	MaxTransit time.Duration
-	// Engine must be sim.EngineVirtual (the zero value): gossip is an
-	// inline handler reactor with no coroutine port.
-	Engine sim.Engine
-	// Body must not be sim.BodyCoroutine (same reason).
+	// Body must not be sim.BodyCoroutine: gossip is an inline handler
+	// reactor with no coroutine port.
 	Body sim.BodyKind
 	// Crashes is the timed (virtual-instant) crash pattern; nil is
 	// crash-free. Step-point plans are rejected — a reactor has no
@@ -333,9 +331,6 @@ func Run(cfg Config) (*sim.Result, error) {
 	default:
 		return nil, fmt.Errorf("%w: unknown mode %d", ErrBadConfig, int(cfg.Mode))
 	}
-	if cfg.Engine != sim.EngineVirtual {
-		return nil, fmt.Errorf("%w: gossip is an inline handler protocol; it runs only on the virtual engine", ErrBadConfig)
-	}
 	if cfg.Body == sim.BodyCoroutine {
 		return nil, fmt.Errorf("%w: gossip has no coroutine body form", ErrBadConfig)
 	}
@@ -368,7 +363,6 @@ func Run(cfg Config) (*sim.Result, error) {
 	var nw *netsim.Network
 	procs := make([]sim.ProcResult, cfg.N)
 	dcfg := driver.Config{
-		Engine:         cfg.Engine,
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
 		Workers:        cfg.Workers,

@@ -230,7 +230,6 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 			c.Proposals = ps
 		}},
 		{"unknown mode", func(c *Config) { c.Mode = Mode(42) }},
-		{"realtime engine", func(c *Config) { c.Engine = sim.EngineRealtime }},
 		{"coroutine body", func(c *Config) { c.Body = sim.BodyCoroutine }},
 		{"step-point crashes", func(c *Config) {
 			s := failures.NewSchedule(c.N)

@@ -18,7 +18,6 @@ func init() {
 		TimedCrashes: true,
 		NeedsOverlay: true,
 		SubQuadratic: true,
-		VirtualOnly:  true,
 		// The default mode last: the CLI renders the final entry as the
 		// "(default)" algorithm (same convention as the hybrid protocol).
 		Algorithms: []string{"push", "pull", "pushpull"},
@@ -52,7 +51,6 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 		Seed:           sc.Seed,
 		Rounds:         sc.Bounds.MaxRounds,
 		MaxTransit:     maxTransit,
-		Engine:         sc.Engine,
 		Body:           sc.Body,
 		Crashes:        sc.Faults,
 		MaxVirtualTime: sc.Bounds.MaxVirtualTime,

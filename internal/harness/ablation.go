@@ -3,7 +3,6 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"allforone/internal/core"
 	"allforone/internal/failures"
@@ -34,12 +33,11 @@ func A1Ablations(opts Options) (*Report, error) {
 	part := model.Fig1Right()
 	crashAt := failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart}
 	for _, variant := range []struct {
-		name    string
-		ablate  bool
-		timeout time.Duration
+		name   string
+		ablate bool
 	}{
-		{"full algorithm", false, opts.Timeout},
-		{"closure OFF", true, 300 * time.Millisecond},
+		{"full algorithm", false},
+		{"closure OFF", true},
 	} {
 		decided := 0
 		for trial := 0; trial < opts.Trials; trial++ {
@@ -51,10 +49,8 @@ func A1Ablations(opts Options) (*Report, error) {
 				Partition:     part,
 				Proposals:     proposalsFor("unanimous1", part.N(), nil),
 				Algorithm:     core.LocalCoin,
-				Engine:        opts.Engine,
 				Seed:          opts.SeedBase + int64(trial)*101,
 				MaxRounds:     1000,
-				Timeout:       variant.timeout,
 				Crashes:       sched,
 				AblateClosure: variant.ablate,
 			})
@@ -96,10 +92,8 @@ func A1Ablations(opts Options) (*Report, error) {
 				Partition:              leftPart,
 				Proposals:              split,
 				Algorithm:              core.LocalCoin,
-				Engine:                 opts.Engine,
 				Seed:                   opts.SeedBase + int64(trial)*211,
 				MaxRounds:              200,
-				Timeout:                opts.Timeout,
 				Trace:                  log,
 				AblateClusterConsensus: variant.ablate,
 			})

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"math/rand/v2"
-	"time"
 
 	"allforone/internal/benor"
 	"allforone/internal/core"
@@ -132,9 +131,8 @@ func E2MajorityCrash(opts Options) (*Report, error) {
 		rep.Findings["hybrid/"+algo.String()+"/decided_pct"] = decidedPct
 	}
 
-	// Pure message-passing baselines: same failure pattern, short timeout
-	// (they block by design).
-	blockedTimeout := 300 * time.Millisecond
+	// Pure message-passing baselines: same failure pattern (they block by
+	// design).
 	benorDecided, benorBlocked := 0, 0
 	mpDecided, mpBlocked := 0, 0
 	for trial := 0; trial < opts.Trials; trial++ {
@@ -148,9 +146,7 @@ func E2MajorityCrash(opts Options) (*Report, error) {
 			Topology: protocol.Topology{N: n},
 			Workload: protocol.Workload{Binary: proposalsFor("unanimous1", n, nil)},
 			Seed:     opts.SeedBase + int64(trial),
-			Engine:   opts.Engine,
 			Faults:   sched,
-			Bounds:   protocol.Bounds{Timeout: blockedTimeout},
 		}
 		sc.Protocol = benor.ProtocolName
 		bres, err := protocol.Run(sc)
@@ -287,9 +283,8 @@ func E5ObjectInvocations(opts Options) (*Report, error) {
 			Topology:  protocol.Topology{Partition: pc.p},
 			Workload:  protocol.Workload{Binary: proposalsFor("unanimous1", pc.p.N(), nil)},
 			Algorithm: core.AlgoLocalCoin,
-			Engine:    opts.Engine,
 			Seed:      opts.SeedBase + 17,
-			Bounds:    protocol.Bounds{MaxRounds: 10, Timeout: opts.Timeout},
+			Bounds:    protocol.Bounds{MaxRounds: 10},
 		})
 		if err != nil {
 			return nil, err
@@ -332,8 +327,7 @@ func E5ObjectInvocations(opts Options) (*Report, error) {
 			Topology: protocol.Topology{N: gc.g.N(), MMEdges: gc.g.EdgeList()},
 			Workload: protocol.Workload{Binary: proposalsFor("unanimous1", gc.g.N(), nil)},
 			Seed:     opts.SeedBase + 23,
-			Engine:   opts.Engine,
-			Bounds:   protocol.Bounds{MaxRounds: 10, Timeout: opts.Timeout},
+			Bounds:   protocol.Bounds{MaxRounds: 10},
 		})
 		if err != nil {
 			return nil, err
@@ -441,7 +435,6 @@ func E7ExtremeConfigs(opts Options) (*Report, error) {
 			Protocol: shconsensus.ProtocolName,
 			Topology: protocol.Topology{N: n},
 			Workload: protocol.Workload{Binary: proposalsFor("split", n, nil)},
-			Engine:   opts.Engine,
 		})
 		if err != nil {
 			return nil, err
@@ -472,9 +465,8 @@ func E7ExtremeConfigs(opts Options) (*Report, error) {
 			Protocol: benor.ProtocolName,
 			Topology: protocol.Topology{N: n},
 			Workload: protocol.Workload{Binary: proposalsFor("split", n, rng)},
-			Engine:   opts.Engine,
 			Seed:     opts.SeedBase + int64(trial)*31,
-			Bounds:   protocol.Bounds{MaxRounds: 10_000, Timeout: opts.Timeout},
+			Bounds:   protocol.Bounds{MaxRounds: 10_000},
 		})
 		if err != nil {
 			return nil, err
@@ -505,7 +497,6 @@ func E8Indulgence(opts Options) (*Report, error) {
 	}
 	tb := stats.NewTable("E8: "+rep.Title,
 		"partition", "algorithm", "trials", "decided runs", "safety violations")
-	blockedTimeout := 250 * time.Millisecond
 
 	cases := []struct {
 		name    string
@@ -540,10 +531,8 @@ func E8Indulgence(opts Options) (*Report, error) {
 					Topology:  protocol.Topology{Partition: tc.part},
 					Workload:  protocol.Workload{Binary: props},
 					Algorithm: algoName(algo),
-					Engine:    opts.Engine,
 					Seed:      opts.SeedBase + int64(trial)*53,
 					Faults:    sched,
-					Bounds:    protocol.Bounds{Timeout: blockedTimeout},
 				})
 				if err != nil {
 					return nil, err
@@ -561,7 +550,7 @@ func E8Indulgence(opts Options) (*Report, error) {
 			rep.Findings[key+"/violations"] = float64(violations)
 		}
 	}
-	tb.AddNote("blocked runs end at quiescence (virtual engine) or %v (realtime); decided runs must be 0 under these patterns", blockedTimeout)
+	tb.AddNote("blocked runs end at quiescence; decided runs must be 0 under these patterns")
 	rep.Table = tb
 	return rep, nil
 }

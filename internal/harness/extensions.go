@@ -47,9 +47,7 @@ func E9ExtensionStack(opts Options) (*Report, error) {
 			Topology: protocol.Topology{Partition: part},
 			Workload: protocol.Workload{Values: props},
 			Seed:     opts.SeedBase + int64(trial)*379,
-			Engine:   opts.Engine,
 			Faults:   sched,
-			Bounds:   protocol.Bounds{Timeout: opts.Timeout},
 		})
 		if err != nil {
 			return nil, err
@@ -97,9 +95,7 @@ func E9ExtensionStack(opts Options) (*Report, error) {
 			Topology: protocol.Topology{Partition: part},
 			Workload: protocol.Workload{Scripts: scripts},
 			Seed:     opts.SeedBase + int64(trial)*631,
-			Engine:   opts.Engine,
 			Faults:   sched,
-			Bounds:   protocol.Bounds{Timeout: opts.Timeout},
 		})
 		if err != nil {
 			return nil, err
@@ -133,9 +129,7 @@ func E9ExtensionStack(opts Options) (*Report, error) {
 			Topology: protocol.Topology{Partition: part},
 			Workload: protocol.Workload{Commands: cmds, Slots: slots},
 			Seed:     opts.SeedBase + int64(trial)*881,
-			Engine:   opts.Engine,
 			Faults:   sched,
-			Bounds:   protocol.Bounds{Timeout: opts.Timeout},
 		})
 		if err != nil {
 			return nil, err

@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"time"
 
 	"allforone/internal/core"
 	"allforone/internal/model"
@@ -43,44 +42,17 @@ type Options struct {
 	Trials int
 	// SeedBase offsets every trial's seed, for independent repetitions.
 	SeedBase int64
-	// Timeout bounds each individual run under the realtime engine
-	// (default 20s; blocked-run experiments use their own shorter bound).
-	// The virtual engine detects blocked runs by quiescence instead.
-	Timeout time.Duration
-	// Engine selects the execution engine for every trial of every
-	// experiment — the hybrid algorithms, the message-passing baselines,
-	// the m&m comparator, and the extension stack (E9) all dispatch
-	// through internal/driver. The zero value is core.EngineVirtual
-	// (deterministic, no wall-clock time).
-	Engine core.Engine
 	// Parallelism caps the worker pool that executes independent trials
-	// concurrently; 0 means one worker per available CPU under the virtual
-	// engine. Virtual runs are deterministic, so aggregation (in trial
-	// order) is independent of the pool size. Realtime trials default to
-	// sequential instead: their outcomes are wall-clock sensitive, and CPU
-	// oversubscription could push runs past Timeout. Set Parallelism
-	// explicitly to force a pool for realtime runs anyway.
+	// concurrently; 0 (or less) means one worker per available CPU. Runs
+	// are deterministic, so aggregation (in trial order) is independent of
+	// the pool size.
 	Parallelism int
-}
-
-// workers resolves the pool size for the configured engine.
-func (o Options) workers() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	if o.Engine == core.EngineRealtime {
-		return 1
-	}
-	return 0 // Sweep: one worker per CPU
 }
 
 // withDefaults fills unset options.
 func (o Options) withDefaults() Options {
 	if o.Trials <= 0 {
 		o.Trials = 50
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = 20 * time.Second
 	}
 	return o
 }
@@ -165,15 +137,14 @@ func runHybridTrials(part *model.Partition, algo core.Algorithm, mode string, op
 			Topology:  protocol.Topology{Partition: part},
 			Workload:  protocol.Workload{Binary: proposalsFor(mode, part.N(), rng)},
 			Algorithm: algoName(algo),
-			Engine:    opts.Engine,
 			Seed:      opts.SeedBase + int64(trial)*1_000_003,
-			Bounds:    protocol.Bounds{MaxRounds: 10_000, Timeout: opts.Timeout},
+			Bounds:    protocol.Bounds{MaxRounds: 10_000},
 		}
 		if scFn != nil {
 			scFn(trial, &scs[trial])
 		}
 	}
-	outs, err := Sweep(scs, opts.workers())
+	outs, err := Sweep(scs, opts.Parallelism)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %w", err)
 	}

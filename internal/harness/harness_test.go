@@ -4,12 +4,11 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 )
 
 // small returns options sized for fast unit tests.
 func small() Options {
-	return Options{Trials: 8, SeedBase: 1, Timeout: 20 * time.Second}
+	return Options{Trials: 8, SeedBase: 1}
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
@@ -22,12 +21,12 @@ func TestRunUnknownExperiment(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	t.Parallel()
 	o := Options{}.withDefaults()
-	if o.Trials != 50 || o.Timeout != 20*time.Second {
+	if o.Trials != 50 {
 		t.Errorf("defaults = %+v", o)
 	}
 	// Explicit values survive.
-	o = Options{Trials: 3, Timeout: time.Second}.withDefaults()
-	if o.Trials != 3 || o.Timeout != time.Second {
+	o = Options{Trials: 3}.withDefaults()
+	if o.Trials != 3 {
 		t.Errorf("explicit options overridden: %+v", o)
 	}
 }

@@ -111,14 +111,10 @@ func E10SparseOverlay(opts Options) (*Report, error) {
 			for trial := range scs {
 				sc := pr.build(n, trial)
 				sc.Profile = protocol.Uniform(0, 200*time.Microsecond)
-				sc.Engine = opts.Engine
 				sc.Seed = opts.SeedBase + int64(n)*9001 + int64(trial)*271
-				if sc.Bounds.Timeout == 0 {
-					sc.Bounds.Timeout = opts.Timeout
-				}
 				scs[trial] = sc
 			}
-			outs, err := Sweep(scs, opts.workers())
+			outs, err := Sweep(scs, opts.Parallelism)
 			if err != nil {
 				return nil, fmt.Errorf("harness: E10 %s n=%d: %w", pr.name, n, err)
 			}
@@ -226,14 +222,10 @@ func E10DegreeSweep(opts Options) (*Report, error) {
 				sc := pr.build(sweepN, trial)
 				sc.Topology.Overlay = &overlay.Spec{Kind: overlay.KindDeBruijn, Degree: d}
 				sc.Profile = protocol.Uniform(0, 200*time.Microsecond)
-				sc.Engine = opts.Engine
 				sc.Seed = opts.SeedBase + int64(d)*31337 + int64(trial)*271
-				if sc.Bounds.Timeout == 0 {
-					sc.Bounds.Timeout = opts.Timeout
-				}
 				scs[trial] = sc
 			}
-			outs, err := Sweep(scs, opts.workers())
+			outs, err := Sweep(scs, opts.Parallelism)
 			if err != nil {
 				return nil, fmt.Errorf("harness: E10D %s d=%d: %w", pr.name, d, err)
 			}

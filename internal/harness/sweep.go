@@ -4,17 +4,15 @@ import (
 	"runtime"
 	"sync"
 
-	"allforone/internal/core"
 	"allforone/internal/protocol"
-	"allforone/internal/sim"
 )
 
 // Sweep executes every scenario on a bounded worker pool and returns the
 // outcomes in input order — the bulk entry point of the Scenario API.
-// Under the virtual engine each run is a single-threaded deterministic
-// simulation, so runs are embarrassingly parallel: a sweep of thousands of
-// seeded scenarios saturates all cores without perturbing any individual
-// Outcome. parallelism ≤ 0 means one worker per available CPU.
+// Each run is a single-threaded deterministic simulation, so runs are
+// embarrassingly parallel: a sweep of thousands of seeded scenarios
+// saturates all cores without perturbing any individual Outcome.
+// parallelism ≤ 0 means one worker per available CPU.
 //
 // The first error (invalid scenario or invariant violation) aborts the
 // sweep and is returned; in-flight runs finish, queued ones are skipped.
@@ -49,25 +47,6 @@ func SweepCollect(scs []protocol.Scenario, parallelism int) ([]*protocol.Outcome
 		return nil
 	})
 	return outs, errs
-}
-
-// SweepCore executes raw hybrid core.Configs — the pre-Scenario sweep,
-// kept for callers needing core-only knobs (coin overrides, ablations)
-// that the declarative Scenario deliberately does not expose.
-func SweepCore(cfgs []core.Config, parallelism int) ([]*sim.Result, error) {
-	results := make([]*sim.Result, len(cfgs))
-	err := forEachParallel(parallelism, len(cfgs), func(i int) error {
-		res, err := core.Run(cfgs[i])
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
 }
 
 // forEachParallel runs fn(0) … fn(n-1) across a pool of workers and returns

@@ -60,37 +60,6 @@ func TestSweepPropagatesErrors(t *testing.T) {
 	}
 }
 
-// SweepCore (the raw-config sweep kept for core-only knobs) matches the
-// Scenario path result for result.
-func TestSweepCoreMatchesScenarioSweep(t *testing.T) {
-	t.Parallel()
-	const k = 8
-	scs := sweepScenarios(k)
-	outs, err := Sweep(scs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgs := make([]core.Config, k)
-	for i, sc := range scs {
-		cfgs[i] = core.Config{
-			Partition: sc.Topology.Partition,
-			Proposals: sc.Workload.Binary,
-			Algorithm: core.CommonCoin, // the Scenario default
-			Seed:      sc.Seed,
-			MaxRounds: sc.Bounds.MaxRounds,
-		}
-	}
-	results, err := SweepCore(cfgs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range results {
-		if !reflect.DeepEqual(results[i], outs[i].Raw) {
-			t.Fatalf("trial %d: SweepCore and Sweep disagree:\n  core: %+v\n  scen: %+v", i, results[i], outs[i].Raw)
-		}
-	}
-}
-
 // forEachParallel visits every index exactly once, whatever the pool size.
 func TestForEachParallelCoverage(t *testing.T) {
 	t.Parallel()

@@ -1,13 +1,20 @@
+// Package mailbox provides an unbounded FIFO mailbox, the building block of
+// the simulated message-passing system.
+//
+// Unboundedness is a correctness requirement, not a convenience: the
+// model's channels are reliable and asynchronous, so a sender must never
+// block on a slow (or decided, or crashed) receiver — otherwise the
+// simulation would introduce flow-control synchrony absent from the model
+// and could deadlock executions the paper's algorithms tolerate.
 package mailbox
 
 import "allforone/internal/vclock"
 
-// Virtual is the discrete-event counterpart of Mailbox: an unbounded FIFO
-// inbox whose single consumer is a vclock coroutine. Instead of blocking a
-// goroutine on a channel, an empty Get parks the bound coroutine and a Put
-// (typically fired from a scheduled delivery event) wakes it — so "waiting
-// for a message" consumes zero wall-clock time and the interleaving is
-// fully owned by the scheduler.
+// Virtual is an unbounded FIFO inbox whose single consumer is a vclock
+// process. An empty Get parks the bound coroutine and a Put (typically
+// fired from a scheduled delivery event) wakes it — so "waiting for a
+// message" consumes zero wall-clock time and the interleaving is fully
+// owned by the scheduler.
 //
 // The queue is a power-of-two ring buffer reused across park/wake cycles:
 // once the inbox has grown to the episode's high-water mark, draining and
@@ -17,9 +24,7 @@ import "allforone/internal/vclock"
 // makes that steady state allocation-free (DESIGN.md §10).
 //
 // Virtual needs no lock: all accesses happen under the scheduler's single
-// execution token. The unboundedness requirement of Mailbox carries over —
-// producers never block, preserving the model's asynchronous reliable
-// channels.
+// execution token. Producers never block.
 type Virtual[T any] struct {
 	buf    []T // ring storage; len(buf) is zero or a power of two
 	head   int // index of the oldest item
@@ -36,8 +41,9 @@ func NewVirtual[T any]() *Virtual[T] { return &Virtual[T]{} }
 func (v *Virtual[T]) Bind(p *vclock.Proc) { v.waiter = p }
 
 // Put appends item and wakes the consumer if it is parked. Put on a closed
-// inbox is a silent no-op, matching Mailbox (a message to a finished
-// process is never consumed). It reports whether the item was enqueued.
+// inbox is a silent no-op: a message to a finished process is simply never
+// consumed, which matches the model (the process has stopped taking
+// steps). It reports whether the item was enqueued.
 func (v *Virtual[T]) Put(item T) bool {
 	if v.closed {
 		return false

@@ -39,7 +39,7 @@ func TestVirtualPutGetClose(t *testing.T) {
 	}
 }
 
-// Put on a closed inbox is dropped, matching the realtime Mailbox.
+// Put on a closed inbox is dropped.
 func TestVirtualPutAfterClose(t *testing.T) {
 	box := NewVirtual[int]()
 	box.Close()

@@ -33,29 +33,20 @@ type Config struct {
 	Graph *Graph
 	// Proposals holds each process's binary proposal (required, length n).
 	Proposals []model.Value
-	// Seed makes all randomness reproducible. Under sim.EngineVirtual it
-	// pins the entire execution.
+	// Seed makes all randomness reproducible: it pins the entire
+	// execution.
 	Seed int64
-	// Engine selects the execution engine; the zero value is
-	// sim.EngineVirtual (deterministic discrete-event simulation — same
-	// Config, same Result). sim.EngineRealtime keeps the original
-	// goroutine-per-process backend for differential testing.
-	Engine sim.Engine
 	// Crashes is the failure pattern; nil means crash-free.
 	Crashes *failures.Schedule
 	// MaxRounds bounds execution; 0 = unbounded.
 	MaxRounds int
-	// Timeout aborts blocked realtime-engine runs; zero means
-	// DefaultTimeout. The virtual engine detects blocked runs by
-	// quiescence instead and ignores this field.
-	Timeout time.Duration
-	// MaxVirtualTime bounds the virtual clock of an EngineVirtual run;
-	// zero means unbounded (quiescence and MaxSteps still apply).
+	// MaxVirtualTime bounds the virtual clock of a run; zero means
+	// unbounded (quiescence and MaxSteps still apply).
 	MaxVirtualTime time.Duration
-	// MaxSteps bounds the number of discrete events of an EngineVirtual
-	// run; zero means sim.DefaultMaxSteps, negative means unbounded.
+	// MaxSteps bounds the number of discrete events of a run; zero means
+	// sim.DefaultMaxSteps, negative means unbounded.
 	MaxSteps int64
-	// Workers sets the virtual engine expansion-pool width
+	// Workers sets the engine expansion-pool width
 	// (driver.Config.Workers): pure mechanism, bit-identical results at
 	// every setting; 0 = one worker per CPU.
 	Workers int
@@ -68,9 +59,6 @@ type Config struct {
 	// LocalCoinOverride, when non-nil, supplies each process's coin.
 	LocalCoinOverride func(p model.ProcID) coin.Local
 }
-
-// DefaultTimeout bounds runs whose liveness condition may not hold.
-const DefaultTimeout = driver.DefaultTimeout
 
 // Errors returned by Run.
 var (
@@ -167,7 +155,7 @@ func (p *proc) exchange(r, ph int, est model.Value) (map[model.Value]int, *outco
 	delete(p.pending, cur)
 
 	for 2*total <= p.n {
-		msg, ok := p.net.Receive(p.id, p.h.Done())
+		msg, ok := p.net.Receive(p.id)
 		if p.h.Killed() {
 			// A timed crash struck while waiting: halt before acting on
 			// whatever was (or was not) received.
@@ -292,8 +280,6 @@ func Run(cfg Config) (*sim.Result, error) {
 	}
 	outcomes := make([]outcome, n)
 	out, err := driver.Run(driver.Config{
-		Engine:         cfg.Engine,
-		Timeout:        cfg.Timeout,
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
 		Workers:        cfg.Workers,

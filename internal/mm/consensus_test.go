@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
@@ -71,7 +70,6 @@ func TestUnanimousDecides(t *testing.T) {
 				Proposals: unanimous(g.N(), model.One),
 				Seed:      7,
 				MaxRounds: 100,
-				Timeout:   20 * time.Second,
 			})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
@@ -103,7 +101,6 @@ func TestSplitProposalsSafeAndLive(t *testing.T) {
 				Proposals: props,
 				Seed:      seed,
 				MaxRounds: 10000,
-				Timeout:   20 * time.Second,
 			})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
@@ -132,7 +129,6 @@ func TestMeasuredInvocationCounts(t *testing.T) {
 		Proposals: unanimous(5, model.Zero),
 		Seed:      3,
 		MaxRounds: 10,
-		Timeout:   20 * time.Second,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -177,7 +173,6 @@ func TestCrashToleranceMinority(t *testing.T) {
 		Proposals: props,
 		Seed:      13,
 		MaxRounds: 10000,
-		Timeout:   20 * time.Second,
 		Crashes:   sched,
 	})
 	if err != nil {
@@ -210,7 +205,6 @@ func TestNoOneForAllProperty(t *testing.T) {
 		Graph:     g,
 		Proposals: unanimous(5, model.One),
 		Seed:      2,
-		Timeout:   400 * time.Millisecond,
 		Crashes:   sched,
 	})
 	if err != nil {

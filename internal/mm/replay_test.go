@@ -58,32 +58,32 @@ func TestReplayBitReproducible(t *testing.T) {
 	}
 }
 
-// TestEnginesAgreeOnSafety differentially tests the two engines: both must
-// satisfy agreement and validity and fully decide a crash-free run.
-func TestEnginesAgreeOnSafety(t *testing.T) {
+// TestSafetyAcrossSchedules samples the schedule space: 32 seeds, each at
+// immediate delivery and under a 0–1 ms uniform band (replayable). Every
+// run must satisfy agreement and validity and fully decide (crash-free).
+func TestSafetyAcrossSchedules(t *testing.T) {
 	t.Parallel()
-	for _, engine := range []sim.Engine{sim.EngineVirtual, sim.EngineRealtime} {
-		for seed := int64(0); seed < 3; seed++ {
+	for _, maxDelay := range []time.Duration{0, time.Millisecond} {
+		for seed := int64(0); seed < 32; seed++ {
 			cfg := Config{
 				Graph:     Fig2(),
 				Proposals: []model.Value{model.One, model.Zero, model.One, model.Zero, model.One},
 				Seed:      seed,
-				Engine:    engine,
 				MaxRounds: 10_000,
-				Timeout:   20 * time.Second,
+				MaxDelay:  maxDelay,
 			}
 			res, err := Run(cfg)
 			if err != nil {
-				t.Fatalf("%v seed %d: %v", engine, seed, err)
+				t.Fatalf("band %v seed %d: %v", maxDelay, seed, err)
 			}
 			if err := res.CheckAgreement(); err != nil {
-				t.Errorf("%v seed %d: %v", engine, seed, err)
+				t.Errorf("band %v seed %d: %v", maxDelay, seed, err)
 			}
 			if err := res.CheckValidity(cfg.Proposals); err != nil {
-				t.Errorf("%v seed %d: %v", engine, seed, err)
+				t.Errorf("band %v seed %d: %v", maxDelay, seed, err)
 			}
 			if !res.AllLiveDecided() {
-				t.Errorf("%v seed %d: not all decided: %+v", engine, seed, res.Procs)
+				t.Errorf("band %v seed %d: not all decided: %+v", maxDelay, seed, res.Procs)
 			}
 		}
 	}

@@ -34,26 +34,17 @@ type Config struct {
 	Proposals []model.Value
 	// Seed makes all randomness reproducible.
 	Seed int64
-	// Engine selects the execution engine; the zero value is
-	// sim.EngineVirtual (deterministic discrete-event simulation — same
-	// Config, same Result). sim.EngineRealtime keeps the original
-	// goroutine-per-process backend.
-	Engine sim.Engine
 	// Crashes is the failure pattern; nil means crash-free.
 	Crashes *failures.Schedule
 	// MaxRounds bounds execution; 0 = unbounded.
 	MaxRounds int
-	// Timeout aborts blocked realtime-engine runs; zero means
-	// DefaultTimeout. The virtual engine detects blocked runs by
-	// quiescence instead and ignores this field.
-	Timeout time.Duration
-	// MaxVirtualTime bounds the virtual clock of an EngineVirtual run;
-	// zero means unbounded (quiescence and MaxSteps still apply).
+	// MaxVirtualTime bounds the virtual clock of a run; zero means
+	// unbounded (quiescence and MaxSteps still apply).
 	MaxVirtualTime time.Duration
-	// MaxSteps bounds the number of discrete events of an EngineVirtual
-	// run; zero means sim.DefaultMaxSteps, negative means unbounded.
+	// MaxSteps bounds the number of discrete events of a run; zero means
+	// sim.DefaultMaxSteps, negative means unbounded.
 	MaxSteps int64
-	// Workers sets the virtual engine expansion-pool width
+	// Workers sets the engine expansion-pool width
 	// (driver.Config.Workers): pure mechanism, bit-identical results at
 	// every setting; 0 = one worker per CPU.
 	Workers int
@@ -66,9 +57,6 @@ type Config struct {
 	// CommonCoinOverride, when non-nil, replaces the seeded common coin.
 	CommonCoinOverride coin.Common
 }
-
-// DefaultTimeout bounds runs whose liveness condition may not hold.
-const DefaultTimeout = driver.DefaultTimeout
 
 // Errors returned by Run.
 var (
@@ -139,7 +127,7 @@ func (p *proc) exchange(r int, est model.Value) (map[model.Value]int, *outcome) 
 	delete(p.pending, r)
 
 	for 2*total <= p.n {
-		msg, ok := p.net.Receive(p.id, p.h.Done())
+		msg, ok := p.net.Receive(p.id)
 		if p.killedNow() {
 			// A timed crash struck while waiting: halt before acting on
 			// whatever was (or was not) received.
@@ -243,8 +231,7 @@ func assemble(cfg *Config, outcomes []outcome, ctr *metrics.Counters, elapsed ti
 	return res
 }
 
-// Run executes one consensus instance under the configured engine and
-// returns per-process outcomes.
+// Run executes one consensus instance and returns per-process outcomes.
 func Run(cfg Config) (*sim.Result, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("%w: need at least one process", ErrBadConfig)
@@ -265,8 +252,6 @@ func Run(cfg Config) (*sim.Result, error) {
 	var nw *netsim.Network
 	outcomes := make([]outcome, cfg.N)
 	out, err := driver.Run(driver.Config{
-		Engine:         cfg.Engine,
-		Timeout:        cfg.Timeout,
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
 		Workers:        cfg.Workers,

@@ -53,7 +53,6 @@ func TestUnanimousTerminatesQuickly(t *testing.T) {
 				Proposals: unanimous(n, model.One),
 				Seed:      int64(n) + 100,
 				MaxRounds: 100,
-				Timeout:   20 * time.Second,
 			})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
@@ -82,7 +81,6 @@ func TestSplitProposalsSafeAndLive(t *testing.T) {
 				Proposals: props,
 				Seed:      seed,
 				MaxRounds: 1000,
-				Timeout:   20 * time.Second,
 			})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
@@ -111,7 +109,6 @@ func TestRiggedCoinRounds(t *testing.T) {
 			Proposals:          unanimous(n, model.Zero),
 			Seed:               1,
 			MaxRounds:          10,
-			Timeout:            20 * time.Second,
 			CommonCoinOverride: coin.NewFixedCommon(model.Zero),
 		})
 		if err != nil {
@@ -128,7 +125,6 @@ func TestRiggedCoinRounds(t *testing.T) {
 			Proposals:          unanimous(n, model.One),
 			Seed:               1,
 			MaxRounds:          10,
-			Timeout:            20 * time.Second,
 			CommonCoinOverride: coin.NewFixedCommon(model.Zero, model.One),
 		})
 		if err != nil {
@@ -150,7 +146,6 @@ func TestRiggedCoinRounds(t *testing.T) {
 			Proposals:          unanimous(n, model.One),
 			Seed:               1,
 			MaxRounds:          4,
-			Timeout:            20 * time.Second,
 			CommonCoinOverride: coin.NewFixedCommon(model.Zero),
 		})
 		if err != nil {
@@ -181,7 +176,6 @@ func TestMinorityCrashTerminates(t *testing.T) {
 		Proposals: props,
 		Seed:      21,
 		MaxRounds: 1000,
-		Timeout:   20 * time.Second,
 		Crashes:   sched,
 	})
 	if err != nil {
@@ -210,7 +204,6 @@ func TestMajorityCrashBlocksButSafe(t *testing.T) {
 		N:         n,
 		Proposals: unanimous(n, model.Zero),
 		Seed:      2,
-		Timeout:   400 * time.Millisecond,
 		Crashes:   sched,
 	})
 	if err != nil {
@@ -231,7 +224,6 @@ func TestWithDelays(t *testing.T) {
 		Seed:      4,
 		MaxRounds: 1000,
 		MaxDelay:  2 * time.Millisecond,
-		Timeout:   20 * time.Second,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -261,7 +253,6 @@ func TestPartialDecideDelivery(t *testing.T) {
 		Proposals:          unanimous(n, model.One),
 		Seed:               6,
 		MaxRounds:          100,
-		Timeout:            20 * time.Second,
 		Crashes:            sched,
 		CommonCoinOverride: coin.NewFixedCommon(model.One),
 	})

@@ -32,10 +32,8 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 		N:              n,
 		Proposals:      sc.Workload.Binary,
 		Seed:           sc.Seed,
-		Engine:         sc.Engine,
 		Crashes:        sc.Faults,
 		MaxRounds:      sc.Bounds.MaxRounds,
-		Timeout:        sc.Bounds.Timeout,
 		MaxVirtualTime: sc.Bounds.MaxVirtualTime,
 		MaxSteps:       sc.Bounds.MaxSteps,
 		Workers:        sc.Workers,

@@ -50,14 +50,9 @@ type Config struct {
 	// Proposals holds each process's proposed value (required, length n).
 	// Values may repeat; the empty string is a valid proposal.
 	Proposals []string
-	// Seed makes all randomness reproducible. Under sim.EngineVirtual it
-	// pins the entire execution.
+	// Seed makes all randomness reproducible: it pins the entire
+	// execution.
 	Seed int64
-	// Engine selects the execution engine; the zero value is
-	// sim.EngineVirtual (deterministic discrete-event simulation — same
-	// Config, same Result). sim.EngineRealtime keeps the original
-	// goroutine-per-process backend for differential testing.
-	Engine sim.Engine
 	// Crashes is the failure pattern; crash points are consulted at the
 	// start of every binary round, with Round counting binary rounds
 	// globally across instances. Nil means crash-free.
@@ -66,17 +61,13 @@ type Config struct {
 	MaxInstances int
 	// MaxRoundsPerInstance bounds each binary instance (0 = 1000).
 	MaxRoundsPerInstance int
-	// Timeout aborts blocked realtime-engine runs; zero means
-	// DefaultTimeout. The virtual engine detects blocked runs by
-	// quiescence instead and ignores this field.
-	Timeout time.Duration
-	// MaxVirtualTime bounds the virtual clock of an EngineVirtual run;
-	// zero means unbounded (quiescence and MaxSteps still apply).
+	// MaxVirtualTime bounds the virtual clock of a run; zero means
+	// unbounded (quiescence and MaxSteps still apply).
 	MaxVirtualTime time.Duration
-	// MaxSteps bounds the number of discrete events of an EngineVirtual
-	// run; zero means sim.DefaultMaxSteps, negative means unbounded.
+	// MaxSteps bounds the number of discrete events of a run; zero means
+	// sim.DefaultMaxSteps, negative means unbounded.
 	MaxSteps int64
-	// Workers sets the virtual engine expansion-pool width
+	// Workers sets the engine expansion-pool width
 	// (driver.Config.Workers): pure mechanism, bit-identical results at
 	// every setting; 0 = one worker per CPU.
 	Workers int
@@ -87,9 +78,6 @@ type Config struct {
 	// MinDelay/MaxDelay.
 	NetOptions []netsim.Option
 }
-
-// DefaultTimeout bounds runs whose liveness condition may not hold.
-const DefaultTimeout = driver.DefaultTimeout
 
 // Errors returned by Run.
 var ErrBadConfig = errors.New("multivalued: invalid configuration")
@@ -105,11 +93,10 @@ type ProcResult struct {
 type Result struct {
 	Procs   []ProcResult
 	Metrics metrics.Snapshot
-	// Elapsed is wall-clock under the realtime engine, virtual-clock under
-	// the virtual engine (equal to VirtualTime, so virtual Results are
-	// bit-reproducible from their Configs).
+	// Elapsed is the run duration on the virtual clock (always equal to
+	// VirtualTime, so Results are bit-reproducible from their Configs).
 	Elapsed time.Duration
-	// VirtualTime / Steps / Quiesced report the virtual engine's clock,
+	// VirtualTime / Steps / Quiesced report the engine's clock,
 	// event count, and deterministic blocked-forever verdict (see sim.Result).
 	VirtualTime time.Duration
 	Steps       int64
@@ -119,9 +106,8 @@ type Result struct {
 	// (see sim.Result).
 	DeadlineExceeded bool
 	StepsExceeded    bool
-	// Sched counts the virtual scheduler's internal work (events
-	// scheduled, timer-wheel cascades, deepest bucket); zero under the
-	// realtime engine (see sim.Result).
+	// Sched counts the scheduler's internal work (events scheduled,
+	// timer-wheel cascades, deepest bucket; see sim.Result).
 	Sched vclock.SchedulerStats
 }
 
@@ -363,7 +349,7 @@ func (p *proc) binaryInstance(inst int, input model.Value) (model.Value, *outcom
 			if v, ok := p.binDecided[inst]; ok {
 				return v, nil
 			}
-			msg, ok := p.net.Receive(p.id, p.h.Done())
+			msg, ok := p.net.Receive(p.id)
 			if p.h.Killed() {
 				// A timed crash struck while waiting: halt before acting on
 				// whatever was (or was not) received.
@@ -432,7 +418,7 @@ func (p *proc) run(proposal string) outcome {
 				p.net.Broadcast(p.id, mvDecideMsg{Val: v})
 				return outcome{status: sim.StatusDecided, val: v, rounds: p.globalRound}
 			}
-			msg, ok := p.net.Receive(p.id, p.h.Done())
+			msg, ok := p.net.Receive(p.id)
 			if p.h.Killed() {
 				return outcome{status: sim.StatusCrashed, rounds: p.globalRound}
 			}
@@ -475,8 +461,6 @@ func Run(cfg Config) (*Result, error) {
 
 	outcomes := make([]outcome, n)
 	out, err := driver.Run(driver.Config{
-		Engine:         cfg.Engine,
-		Timeout:        cfg.Timeout,
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
 		Workers:        cfg.Workers,

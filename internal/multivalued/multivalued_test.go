@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
@@ -41,7 +40,6 @@ func TestUnanimousProposals(t *testing.T) {
 				Partition: part,
 				Proposals: props,
 				Seed:      11,
-				Timeout:   20 * time.Second,
 			})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
@@ -72,7 +70,6 @@ func TestDistinctProposalsAgreeOnOne(t *testing.T) {
 				Partition: part,
 				Proposals: props,
 				Seed:      seed,
-				Timeout:   20 * time.Second,
 			})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
@@ -110,7 +107,6 @@ func TestMajorityCrashSurvivorDecides(t *testing.T) {
 		Proposals: props,
 		Seed:      3,
 		Crashes:   sched,
-		Timeout:   20 * time.Second,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -161,7 +157,6 @@ func TestBlockedWhenLivenessFails(t *testing.T) {
 		Proposals: props,
 		Seed:      5,
 		Crashes:   sched,
-		Timeout:   400 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -182,7 +177,6 @@ func TestDuplicateProposals(t *testing.T) {
 		Partition: part,
 		Proposals: props,
 		Seed:      9,
-		Timeout:   20 * time.Second,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -201,7 +195,6 @@ func TestSingleProcess(t *testing.T) {
 		Partition: model.SingleCluster(1),
 		Proposals: []string{"solo"},
 		Seed:      1,
-		Timeout:   20 * time.Second,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)

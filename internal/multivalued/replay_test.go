@@ -55,32 +55,32 @@ func TestReplayBitReproducible(t *testing.T) {
 	}
 }
 
-// TestEnginesAgreeOnSafety differentially tests the two engines on the
-// same configurations: agreement, validity, and crash-free termination.
-func TestEnginesAgreeOnSafety(t *testing.T) {
+// TestSafetyAcrossSchedules samples the schedule space: 32 seeds, each at
+// immediate delivery and under a 0–1 ms uniform band (replayable).
+// Agreement, validity, and crash-free termination must hold on every one.
+func TestSafetyAcrossSchedules(t *testing.T) {
 	t.Parallel()
 	part := model.Fig1Right()
 	props := []string{"u", "v", "w", "x", "y", "z", "q"}
-	for _, engine := range []sim.Engine{sim.EngineVirtual, sim.EngineRealtime} {
-		for seed := int64(0); seed < 3; seed++ {
+	for _, maxDelay := range []time.Duration{0, time.Millisecond} {
+		for seed := int64(0); seed < 32; seed++ {
 			res, err := Run(Config{
 				Partition: part,
 				Proposals: props,
 				Seed:      seed,
-				Engine:    engine,
-				Timeout:   20 * time.Second,
+				MaxDelay:  maxDelay,
 			})
 			if err != nil {
-				t.Fatalf("%v seed %d: %v", engine, seed, err)
+				t.Fatalf("band %v seed %d: %v", maxDelay, seed, err)
 			}
 			if err := res.CheckAgreement(); err != nil {
-				t.Errorf("%v seed %d: %v", engine, seed, err)
+				t.Errorf("band %v seed %d: %v", maxDelay, seed, err)
 			}
 			if err := res.CheckValidity(props); err != nil {
-				t.Errorf("%v seed %d: %v", engine, seed, err)
+				t.Errorf("band %v seed %d: %v", maxDelay, seed, err)
 			}
 			if !res.AllLiveDecided() {
-				t.Errorf("%v seed %d: not all decided: %+v", engine, seed, res.Procs)
+				t.Errorf("band %v seed %d: not all decided: %+v", maxDelay, seed, res.Procs)
 			}
 		}
 	}

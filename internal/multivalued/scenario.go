@@ -30,11 +30,9 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 		Partition:            part,
 		Proposals:            sc.Workload.Values,
 		Seed:                 sc.Seed,
-		Engine:               sc.Engine,
 		Crashes:              sc.Faults,
 		MaxInstances:         sc.Bounds.MaxInstances,
 		MaxRoundsPerInstance: sc.Bounds.MaxRounds,
-		Timeout:              sc.Bounds.Timeout,
 		MaxVirtualTime:       sc.Bounds.MaxVirtualTime,
 		MaxSteps:             sc.Bounds.MaxSteps,
 		Workers:              sc.Workers,

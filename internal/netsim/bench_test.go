@@ -10,38 +10,32 @@ import (
 )
 
 func BenchmarkSendReceive(b *testing.B) {
-	nw, err := New(2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer nw.Shutdown()
-	done := make(chan struct{})
-	for i := 0; i < b.N; i++ {
-		nw.Send(0, 1, i)
-		if _, ok := nw.Receive(1, done); !ok {
-			b.Fatal("Receive failed")
+	onScheduler(b, 2, func(nw *Network) {
+		for i := 0; i < b.N; i++ {
+			nw.Send(0, 1, i)
+			if _, ok := nw.Receive(1); !ok {
+				b.Error("Receive failed")
+				return
+			}
 		}
-	}
+	})
 }
 
 func BenchmarkBroadcast(b *testing.B) {
 	for _, n := range []int{8, 32, 128} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.SetBytes(int64(n))
-			nw, err := New(n)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer nw.Shutdown()
-			done := make(chan struct{})
-			for i := 0; i < b.N; i++ {
-				nw.Broadcast(0, i)
-				for p := 0; p < n; p++ {
-					if _, ok := nw.Receive(model.ProcID(p), done); !ok {
-						b.Fatal("Receive failed")
+			onScheduler(b, n, func(nw *Network) {
+				for i := 0; i < b.N; i++ {
+					nw.Broadcast(0, i)
+					for p := 0; p < n; p++ {
+						if _, ok := nw.Receive(model.ProcID(p)); !ok {
+							b.Error("Receive failed")
+							return
+						}
 					}
 				}
-			}
+			})
 		})
 	}
 }

@@ -262,10 +262,10 @@ func (nw *Network) appendBurst(e burstEntry) {
 // same, delivered at send instant + one policy delay draw — but the delay
 // draw, delivery-event construction, and wheel insertion happen inside the
 // current window's expansion job, off the execution token, on the shard
-// that owns the recipient. On an unsharded network (small topology,
-// realtime engine, no delay policy) or after Shutdown it falls back to
-// plain Send behavior. Like every virtual-mode network call it must run
-// under the scheduler's execution token.
+// that owns the recipient. On an unsharded network (small topology, no
+// delay policy) or after Shutdown it falls back to plain Send behavior.
+// Like every network call it must run under the scheduler's execution
+// token.
 func (nw *Network) BurstSend(from, to model.ProcID, payload any) {
 	if int(to) < 0 || int(to) >= nw.n {
 		return

@@ -9,20 +9,15 @@
 // receives the message. BroadcastSubset exposes exactly that failure
 // semantics to the failure injector.
 //
-// The network runs in one of two modes:
-//
-//   - realtime (default): one goroutine per delayed delivery, blocking
-//     channel receives — asynchrony comes from the Go scheduler and
-//     wall-clock sleeps;
-//   - virtual time (WithScheduler): transit is a timestamped delivery event
-//     on a discrete-event scheduler and receivers park their coroutine —
-//     no wall-clock time ever passes and executions are deterministic.
+// The network runs on a discrete-event scheduler (WithScheduler, required):
+// transit is a timestamped delivery event and receivers park their
+// coroutine or drain their inbox from a handler — no wall-clock time ever
+// passes and executions are deterministic.
 package netsim
 
 import (
 	"fmt"
 	"math/rand/v2"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -39,16 +34,15 @@ type Message struct {
 	Payload any
 }
 
-// DelayFn computes the transit delay of a message. It runs under the
-// network's RNG lock, so it may use rng without synchronization.
+// DelayFn computes the transit delay of a message. The caller serializes
+// rng, so it may use it without synchronization.
 type DelayFn func(rng *rand.Rand, m Message) time.Duration
 
 // TimedDelayFn computes the transit delay of a message given the send
-// instant `now` — the virtual clock under virtual-time mode, the wall
-// clock since network construction otherwise. The extra argument is what
-// lets delay policies depend on the run's history, e.g. a network
-// partition that heals at a fixed virtual instant. Like DelayFn it runs
-// under the network's RNG lock.
+// instant `now` on the virtual clock. The extra argument is what lets
+// delay policies depend on the run's history, e.g. a network partition
+// that heals at a fixed virtual instant. Like DelayFn it may use rng
+// without synchronization.
 type TimedDelayFn func(now time.Duration, rng *rand.Rand, m Message) time.Duration
 
 // options collects network construction parameters.
@@ -142,36 +136,30 @@ func WithCounters(c *metrics.Counters) Option {
 	return func(o *options) { o.counters = c }
 }
 
-// WithScheduler switches the network to virtual-time mode on the given
-// discrete-event scheduler: message transit becomes a scheduled delivery
-// event at a virtual timestamp (now + delay) instead of a sleeping
-// goroutine, and Receive parks the consumer's coroutine instead of blocking
-// a thread. In this mode each consumer coroutine must be attached with Bind
-// before its first Receive, and all network calls must come from
-// scheduler-controlled code (coroutines or event callbacks).
+// WithScheduler attaches the network to its discrete-event scheduler
+// (required): message transit is a scheduled delivery event at a virtual
+// timestamp (now + delay), and Receive parks the consumer's coroutine. Each
+// consumer must be attached with Bind before its first Receive, and all
+// network calls must come from scheduler-controlled code (coroutines,
+// handlers or event callbacks).
 func WithScheduler(s *vclock.Scheduler) Option {
 	return func(o *options) { o.sched = s }
 }
 
 // Network is the simulated fully connected reliable asynchronous network
-// for n processes. In realtime mode (the default) all methods are safe for
-// concurrent use; in virtual-time mode (WithScheduler) the scheduler's
-// single execution token serializes every call.
+// for n processes. The scheduler's single execution token serializes every
+// call.
 type Network struct {
 	n      int
-	boxes  []*mailbox.Mailbox[Message] // realtime mode
-	vboxes []*mailbox.Virtual[Message] // virtual mode
+	vboxes []*mailbox.Virtual[Message]
 	opts   options
-	start  time.Time      // construction instant: "now" for realtime TimedDelayFns
-	wg     sync.WaitGroup // in-flight delayed deliveries (realtime mode)
-	rngMu  sync.Mutex
 	rng    *rand.Rand
 	closed atomic.Bool
 
-	// Virtual-mode event pools (guarded by the scheduler's execution token,
-	// like everything else on the virtual path). Delivery and fanout events
-	// cycle through these freelists instead of allocating one closure plus
-	// one heap box per message — the zero-alloc delivery path.
+	// Event pools (guarded by the scheduler's execution token, like
+	// everything else here). Delivery and fanout events cycle through
+	// these freelists instead of allocating one closure plus one heap box
+	// per message — the zero-alloc delivery path.
 	freeDeliveries []*delivery
 	freeFanouts    []*fanout
 	everyone       []model.ProcID // the 0 … n-1 recipient list (SendAll); built once in New
@@ -190,7 +178,7 @@ type Network struct {
 	freePayloads []any // token-owned payload pool of the unsharded BurstSendVia fallback
 }
 
-// delivery is a pooled single-message delivery event (virtual mode): the
+// delivery is a pooled single-message delivery event: the
 // scheduled form of one point-to-point Send. shard names the pool that owns
 // it: a shard-expanded delivery cycles through its recipient shard's
 // freelist (worker-filled, token-drained — see sendShard), everything else
@@ -215,7 +203,7 @@ func (d *delivery) Fire() {
 	box.Put(msg)
 }
 
-// fanout is a pooled batched-broadcast event (virtual mode): one broadcast
+// fanout is a pooled batched-broadcast event: one broadcast
 // schedules a single event that materializes its deliveries lazily —
 // arrivals are sorted by instant, each firing delivers the cohort due now
 // and reschedules the event at the next distinct instant. A broadcast with
@@ -473,7 +461,8 @@ func (nw *Network) getFanout(want int) *fanout {
 	return &fanout{nw: nw, shard: -1, key32: make([]uint32, 0, want)}
 }
 
-// New returns a network connecting processes 0 … n-1.
+// New returns a network connecting processes 0 … n-1 on the scheduler
+// given by WithScheduler.
 func New(n int, opts ...Option) (*Network, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("netsim: need at least one process, got %d", n)
@@ -482,79 +471,53 @@ func New(n int, opts ...Option) (*Network, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
+	if o.sched == nil {
+		return nil, fmt.Errorf("netsim: no scheduler (WithScheduler is required)")
+	}
 	o.resolvePolicy()
 	nw := &Network{
-		n:        n,
-		opts:     o,
-		start:    time.Now(),
-		rng:      rand.New(rand.NewPCG(o.seed, o.seed^0xda3e39cb94b95bdb)),
-		everyone: make([]model.ProcID, n),
+		n:         n,
+		opts:      o,
+		rng:       rand.New(rand.NewPCG(o.seed, o.seed^0xda3e39cb94b95bdb)),
+		everyone:  make([]model.ProcID, n),
+		vboxes:    make([]*mailbox.Virtual[Message], n),
+		closedBox: make([]uint64, (n+63)/64),
 	}
 	for i := range nw.everyone {
 		nw.everyone[i] = model.ProcID(i)
+		nw.vboxes[i] = mailbox.NewVirtual[Message]()
 	}
-	if o.sched != nil {
-		nw.vboxes = make([]*mailbox.Virtual[Message], n)
-		for i := range nw.vboxes {
-			nw.vboxes[i] = mailbox.NewVirtual[Message]()
-		}
-		nw.closedBox = make([]uint64, (n+63)/64)
-		if sc := o.sched.ShardCount(); sc > 0 && o.delays() {
-			// The scheduler is sharded and sends have per-recipient delay
-			// work worth fanning out: engage the sharded expansion path
-			// (expand.go) — per-recipient bursts always, SendAll's
-			// packed-key fanouts only while recipient ids fit the key. The
-			// predicate reads only topology size and the configured policy,
-			// so engagement — like everything downstream of it — is
-			// independent of the worker count.
-			nw.initShards(sc)
-			nw.fanOK = n <= maxPackFan
-		}
-		return nw, nil
-	}
-	nw.boxes = make([]*mailbox.Mailbox[Message], n)
-	for i := range nw.boxes {
-		nw.boxes[i] = mailbox.New[Message]()
+	if sc := o.sched.ShardCount(); sc > 0 && o.delays() {
+		// The scheduler is sharded and sends have per-recipient delay
+		// work worth fanning out: engage the sharded expansion path
+		// (expand.go) — per-recipient bursts always, SendAll's
+		// packed-key fanouts only while recipient ids fit the key. The
+		// predicate reads only topology size and the configured policy,
+		// so engagement — like everything downstream of it — is
+		// independent of the worker count.
+		nw.initShards(sc)
+		nw.fanOK = n <= maxPackFan
 	}
 	return nw, nil
 }
 
-// now returns the send instant handed to TimedDelayFns: the virtual clock
-// in virtual-time mode (deterministic), wall time since construction
-// otherwise.
-func (nw *Network) now() time.Duration {
-	if nw.opts.sched != nil {
-		return time.Duration(nw.opts.sched.Now())
-	}
-	return time.Since(nw.start)
-}
-
-// Bind attaches the coroutine that consumes process p's inbox (virtual-time
-// mode only; a no-op in realtime mode).
+// Bind attaches the process that consumes p's inbox.
 func (nw *Network) Bind(p model.ProcID, proc *vclock.Proc) {
-	if nw.vboxes != nil {
-		nw.vboxes[p].Bind(proc)
-	}
+	nw.vboxes[p].Bind(proc)
 }
 
 // N returns the number of connected processes.
 func (nw *Network) N() int { return nw.n }
 
 // delayFor draws the transit delay of m, sent now, on the network's own
-// stream. In virtual-time mode the scheduler's execution token already
-// serializes all network calls, so the RNG needs no lock — the hot exchange
-// path draws one delay per recipient and the mutex round-trip is measurable
-// at n ≥ 1024. A network that is shut down, or has no delay policy, delivers
-// immediately and draws nothing.
+// stream (the scheduler's execution token serializes all network calls, so
+// the RNG needs no lock). A network that is shut down, or has no delay
+// policy, delivers immediately and draws nothing.
 func (nw *Network) delayFor(m Message) time.Duration {
 	if nw.closed.Load() || !nw.opts.delays() {
 		return 0
 	}
-	if nw.opts.sched == nil {
-		nw.rngMu.Lock()
-		defer nw.rngMu.Unlock()
-	}
-	return nw.opts.draw(nw.rng, nw.now(), m)
+	return nw.opts.draw(nw.rng, time.Duration(nw.opts.sched.Now()), m)
 }
 
 // post schedules m's pooled delivery event at virtual instant at. Zero-delay
@@ -567,24 +530,10 @@ func (nw *Network) post(at vclock.Time, m Message) {
 	nw.opts.sched.AtEvent(at, ev)
 }
 
-// deliver transports one message (already counted) with transit delay d.
+// deliver transports one message (already counted) with transit delay d: a
+// pooled delivery event d nanoseconds of virtual time from now.
 func (nw *Network) deliver(m Message, d time.Duration) {
-	if nw.vboxes != nil {
-		// Virtual mode: transit is a pooled delivery event d nanoseconds of
-		// virtual time from now.
-		nw.post(nw.opts.sched.Now()+vclock.Time(d), m)
-		return
-	}
-	if d <= 0 {
-		nw.boxes[m.To].Put(m)
-		return
-	}
-	nw.wg.Add(1)
-	go func() {
-		defer nw.wg.Done()
-		time.Sleep(d)
-		nw.boxes[m.To].Put(m)
-	}()
+	nw.post(nw.opts.sched.Now()+vclock.Time(d), m)
 }
 
 // Send transmits payload from one process to another. The send is an atomic
@@ -648,21 +597,10 @@ func (nw *Network) packFan(keys []uint64, rng *rand.Rand, at vclock.Time, from m
 }
 
 // sendFan transmits payload to recipients (all already counted; those out
-// of range are skipped) as one batched fanout. In virtual mode the whole
-// fanout is a single pooled scheduler event per distinct arrival instant;
-// delay draws happen in recipient order, so the RNG stream matches the
-// equivalent Send sequence.
+// of range are skipped) as one batched fanout: a single pooled scheduler
+// event per distinct arrival instant. Delay draws happen in recipient
+// order, so the RNG stream matches the equivalent Send sequence.
 func (nw *Network) sendFan(from model.ProcID, payload any, recipients []model.ProcID) {
-	if nw.vboxes == nil {
-		for _, to := range recipients {
-			if int(to) < 0 || int(to) >= nw.n {
-				continue
-			}
-			m := Message{From: from, To: to, Payload: payload}
-			nw.deliver(m, nw.delayFor(m))
-		}
-		return
-	}
 	if nw.closed.Load() {
 		return // shut down: every inbox is closed, nothing can arrive
 	}
@@ -680,7 +618,7 @@ func (nw *Network) sendFan(from model.ProcID, payload any, recipients []model.Pr
 
 // SendAll transmits payload from one process to every process (including
 // the sender) — the batched all-to-all delivery path. It is semantically a
-// Send per destination, but in virtual mode it schedules one fanout event
+// Send per destination, but it schedules one fanout event
 // per distinct arrival instant instead of one event per message, and
 // reuses pooled envelopes: the Θ(n²) exchange pattern stops costing Θ(n²)
 // scheduler allocations (DESIGN.md §10). Unlike Broadcast it does not
@@ -723,28 +661,19 @@ func (nw *Network) BroadcastSubset(from model.ProcID, payload any, recipients []
 	nw.sendFan(from, payload, recipients)
 }
 
-// Receive blocks until a message for process p arrives, p's inbox closes,
-// or done closes. The boolean reports whether a message was returned. In
-// virtual mode "blocking" parks p's coroutine (done is not consulted: the
-// scheduler's abort plays that role) and a false return also covers an
-// aborted run.
-func (nw *Network) Receive(p model.ProcID, done <-chan struct{}) (Message, bool) {
-	var m Message
-	var ok bool
-	if nw.vboxes != nil {
-		m, ok = nw.vboxes[p].Get()
-	} else {
-		m, ok = nw.boxes[p].Get(done)
-	}
+// Receive parks p's coroutine until a message for p arrives, p's inbox
+// closes and drains, or the scheduler aborts the run. The boolean reports
+// whether a message was returned.
+func (nw *Network) Receive(p model.ProcID) (Message, bool) {
+	m, ok := nw.vboxes[p].Get()
 	if ok && nw.opts.counters != nil {
 		nw.opts.counters.AddMsgsDelivered(1)
 	}
 	return m, ok
 }
 
-// ReceiveNow is the batched-drain receive of inline handler bodies
-// (virtual-time mode only): it returns the next queued message for p
-// without blocking or parking. ok = false means the inbox is currently
+// ReceiveNow is the batched-drain receive of inline handler bodies: it
+// returns the next queued message for p without parking. ok = false means the inbox is currently
 // empty; closed additionally reports that no further message can ever
 // arrive (the inbox was closed and has drained) — the wait-free analogue
 // of Receive returning false. A handler invocation calls ReceiveNow until
@@ -761,42 +690,14 @@ func (nw *Network) ReceiveNow(p model.ProcID) (m Message, ok, closed bool) {
 	return m, ok, closed
 }
 
-// TryReceive returns a pending message for p without blocking.
-func (nw *Network) TryReceive(p model.ProcID) (Message, bool) {
-	var m Message
-	var ok bool
-	if nw.vboxes != nil {
-		m, ok = nw.vboxes[p].TryGet()
-	} else {
-		m, ok = nw.boxes[p].TryGet()
-	}
-	if ok && nw.opts.counters != nil {
-		nw.opts.counters.AddMsgsDelivered(1)
-	}
-	return m, ok
-}
-
-// Pending returns the number of undelivered messages queued for p
-// (in-flight delayed messages are not counted).
-func (nw *Network) Pending(p model.ProcID) int {
-	if nw.vboxes != nil {
-		return nw.vboxes[p].Len()
-	}
-	return nw.boxes[p].Len()
-}
-
 // CloseInbox marks process p as terminated: its queued messages remain
 // drainable but new messages to it are dropped.
 func (nw *Network) CloseInbox(p model.ProcID) {
-	if nw.vboxes != nil {
-		nw.vboxes[p].Close()
-		nw.closedBox[p>>6] |= 1 << (uint(p) & 63)
-		return
-	}
-	nw.boxes[p].Close()
+	nw.vboxes[p].Close()
+	nw.closedBox[p>>6] |= 1 << (uint(p) & 63)
 }
 
-// boxClosed reports whether p's virtual inbox is closed, from the network's
+// boxClosed reports whether p's inbox is closed, from the network's
 // bitmap rather than the mailbox itself: the send fan-out checks every
 // recipient, and reading one bool per mailbox struct touches n scattered
 // cache lines per broadcast where the bitmap needs n/512.
@@ -804,19 +705,11 @@ func (nw *Network) boxClosed(to model.ProcID) bool {
 	return nw.closedBox[to>>6]&(1<<(uint(to)&63)) != 0
 }
 
-// Shutdown closes every inbox and waits for in-flight delayed deliveries to
-// settle. The network must not be used after Shutdown.
+// Shutdown closes every inbox. The network must not be used after Shutdown.
 func (nw *Network) Shutdown() {
 	nw.closed.Store(true)
-	if nw.vboxes != nil {
-		for i, b := range nw.vboxes {
-			b.Close()
-			nw.closedBox[i>>6] |= 1 << (uint(i) & 63)
-		}
-		return
-	}
-	for _, b := range nw.boxes {
+	for i, b := range nw.vboxes {
 		b.Close()
+		nw.closedBox[i>>6] |= 1 << (uint(i) & 63)
 	}
-	nw.wg.Wait()
 }

@@ -2,23 +2,50 @@ package netsim
 
 import (
 	"math/rand/v2"
-	"sync"
 	"testing"
 	"time"
 
 	"allforone/internal/metrics"
 	"allforone/internal/model"
+	"allforone/internal/vclock"
 )
+
+// onScheduler builds an n-process network on a fresh scheduler and runs
+// body as its only coroutine, bound to every inbox — so body can send and
+// receive as any process. It returns the network (shut down) and the run's
+// outcome.
+func onScheduler(t testing.TB, n int, body func(nw *Network), opts ...Option) (*Network, vclock.Outcome) {
+	t.Helper()
+	s := vclock.New()
+	nw, err := New(n, append(opts, WithScheduler(s))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc := s.Spawn("test", func() { body(nw) })
+	for p := 0; p < n; p++ {
+		nw.Bind(model.ProcID(p), proc)
+	}
+	out := s.Run()
+	nw.Shutdown()
+	return nw, out
+}
+
+// queued returns the number of delivered, unconsumed messages in p's inbox.
+func queued(nw *Network, p model.ProcID) int { return nw.vboxes[p].Len() }
 
 func TestNewValidation(t *testing.T) {
 	t.Parallel()
-	if _, err := New(0); err == nil {
+	s := vclock.New()
+	if _, err := New(0, WithScheduler(s)); err == nil {
 		t.Error("New(0) should fail")
 	}
-	if _, err := New(-3); err == nil {
+	if _, err := New(-3, WithScheduler(s)); err == nil {
 		t.Error("New(-3) should fail")
 	}
-	nw, err := New(4)
+	if _, err := New(4); err == nil {
+		t.Error("New without WithScheduler should fail")
+	}
+	nw, err := New(4, WithScheduler(s))
 	if err != nil {
 		t.Fatalf("New(4): %v", err)
 	}
@@ -30,166 +57,106 @@ func TestNewValidation(t *testing.T) {
 
 func TestSendReceive(t *testing.T) {
 	t.Parallel()
-	nw, err := New(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Shutdown()
-
-	nw.Send(0, 2, "hello")
-	done := make(chan struct{})
-	m, ok := nw.Receive(2, done)
-	if !ok {
-		t.Fatal("Receive failed")
-	}
-	if m.From != 0 || m.To != 2 || m.Payload != "hello" {
-		t.Errorf("message = %+v", m)
-	}
+	onScheduler(t, 3, func(nw *Network) {
+		nw.Send(0, 2, "hello")
+		m, ok := nw.Receive(2)
+		if !ok {
+			t.Error("Receive failed")
+			return
+		}
+		if m.From != 0 || m.To != 2 || m.Payload != "hello" {
+			t.Errorf("message = %+v", m)
+		}
+	})
 }
 
 func TestSendToInvalidRecipientIgnored(t *testing.T) {
 	t.Parallel()
-	nw, err := New(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Shutdown()
-	nw.Send(0, 7, "x")  // silently dropped
-	nw.Send(0, -1, "x") // silently dropped
-	if got := nw.Pending(0) + nw.Pending(1); got != 0 {
+	var c metrics.Counters
+	nw, out := onScheduler(t, 2, func(nw *Network) {
+		nw.Send(0, 7, "x")  // silently dropped
+		nw.Send(0, -1, "x") // silently dropped
+	}, WithCounters(&c))
+	if got := queued(nw, 0) + queued(nw, 1); got != 0 {
 		t.Errorf("pending = %d, want 0", got)
+	}
+	if sent := c.Read().MsgsSent; sent != 0 || out.Stats.EventsScheduled != 0 {
+		t.Errorf("MsgsSent = %d, events scheduled = %d, want none", sent, out.Stats.EventsScheduled)
 	}
 }
 
 func TestBroadcastReachesAllIncludingSelf(t *testing.T) {
 	t.Parallel()
 	const n = 5
-	nw, err := New(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Shutdown()
-
-	nw.Broadcast(1, 42)
-	done := make(chan struct{})
-	for p := 0; p < n; p++ {
-		m, ok := nw.Receive(model.ProcID(p), done)
-		if !ok || m.Payload != 42 || m.From != 1 {
-			t.Errorf("process %d: message = %+v ok=%v", p, m, ok)
+	onScheduler(t, n, func(nw *Network) {
+		nw.Broadcast(1, 42)
+		for p := 0; p < n; p++ {
+			m, ok := nw.Receive(model.ProcID(p))
+			if !ok || m.Payload != 42 || m.From != 1 {
+				t.Errorf("process %d: message = %+v ok=%v", p, m, ok)
+			}
 		}
-	}
+	})
 }
 
 func TestBroadcastSubsetPartialDelivery(t *testing.T) {
 	t.Parallel()
-	const n = 5
-	nw, err := New(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Shutdown()
-
-	nw.BroadcastSubset(0, "crash", []model.ProcID{1, 3})
-	if nw.Pending(1) != 1 || nw.Pending(3) != 1 {
-		t.Error("recipients 1 and 3 should have one pending message")
-	}
-	for _, p := range []model.ProcID{0, 2, 4} {
-		if nw.Pending(p) != 0 {
-			t.Errorf("process %v should have no pending messages", p)
+	onScheduler(t, 5, func(nw *Network) {
+		nw.BroadcastSubset(0, "crash", []model.ProcID{1, 3})
+		// Consuming the first arrival lets the (same-instant) fanout fire.
+		if _, ok := nw.Receive(1); !ok {
+			t.Error("recipient 1 got nothing")
 		}
-	}
-}
-
-func TestReceiveUnblocksOnDone(t *testing.T) {
-	t.Parallel()
-	nw, err := New(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Shutdown()
-
-	done := make(chan struct{})
-	res := make(chan bool, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, ok := nw.Receive(1, done)
-		res <- ok
-	}()
-	close(done)
-	select {
-	case ok := <-res:
-		if ok {
-			t.Error("Receive returned a message after done")
+		if queued(nw, 3) != 1 {
+			t.Error("recipient 3 should have one pending message")
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Receive did not observe done")
-	}
-	wg.Wait()
-}
-
-func TestTryReceive(t *testing.T) {
-	t.Parallel()
-	nw, err := New(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Shutdown()
-	if _, ok := nw.TryReceive(0); ok {
-		t.Error("TryReceive on empty inbox returned ok")
-	}
-	nw.Send(1, 0, 9)
-	m, ok := nw.TryReceive(0)
-	if !ok || m.Payload != 9 {
-		t.Errorf("TryReceive = %+v,%v", m, ok)
-	}
+		for _, p := range []model.ProcID{0, 2, 4} {
+			if queued(nw, p) != 0 {
+				t.Errorf("process %v should have no pending messages", p)
+			}
+		}
+	})
 }
 
 func TestCloseInboxDropsNewKeepsQueued(t *testing.T) {
 	t.Parallel()
-	nw, err := New(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Shutdown()
-	nw.Send(0, 1, "before")
-	nw.CloseInbox(1)
-	nw.Send(0, 1, "after")
-	done := make(chan struct{})
-	m, ok := nw.Receive(1, done)
-	if !ok || m.Payload != "before" {
-		t.Errorf("first Receive = %+v,%v", m, ok)
-	}
-	if _, ok := nw.Receive(1, done); ok {
-		t.Error("message sent after CloseInbox was delivered")
-	}
+	onScheduler(t, 2, func(nw *Network) {
+		nw.Send(0, 1, "before")
+		nw.Send(0, 0, "tick")
+		nw.Receive(0) // yields: both deliveries fire, "before" is queued at p1
+		nw.CloseInbox(1)
+		nw.Send(0, 1, "after")
+		m, ok := nw.Receive(1)
+		if !ok || m.Payload != "before" {
+			t.Errorf("first Receive = %+v,%v", m, ok)
+		}
+		if _, ok := nw.Receive(1); ok {
+			t.Error("message sent after CloseInbox was delivered")
+		}
+	})
 }
 
 func TestUniformDelayDeliversEverything(t *testing.T) {
 	t.Parallel()
 	const n, msgs = 4, 50
-	nw, err := New(n, WithSeed(11), WithUniformDelay(0, 2*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < msgs; i++ {
-		nw.Send(0, 1, i)
-	}
-	done := make(chan struct{})
 	seen := make(map[int]bool, msgs)
-	for i := 0; i < msgs; i++ {
-		m, ok := nw.Receive(1, done)
-		if !ok {
-			t.Fatalf("Receive #%d failed", i)
+	onScheduler(t, n, func(nw *Network) {
+		for i := 0; i < msgs; i++ {
+			nw.Send(0, 1, i)
 		}
-		v := m.Payload.(int)
-		if seen[v] {
-			t.Fatalf("duplicate delivery of %d", v)
+		for i := 0; i < msgs; i++ {
+			m, ok := nw.Receive(1)
+			if !ok {
+				t.Errorf("Receive #%d failed", i)
+				return
+			}
+			v := m.Payload.(int)
+			if seen[v] {
+				t.Errorf("duplicate delivery of %d", v)
+			}
+			seen[v] = true
 		}
-		seen[v] = true
-	}
-	nw.Shutdown()
+	}, WithSeed(11), WithUniformDelay(0, 2*time.Millisecond))
 	if len(seen) != msgs {
 		t.Errorf("delivered %d distinct messages, want %d", len(seen), msgs)
 	}
@@ -198,41 +165,40 @@ func TestUniformDelayDeliversEverything(t *testing.T) {
 func TestWithDelayFnCustomPolicy(t *testing.T) {
 	t.Parallel()
 	// Delay only messages to process 1; everything else immediate.
-	nw, err := New(3, WithDelayFn(func(_ *rand.Rand, m Message) time.Duration {
+	slowTo1 := WithDelayFn(func(_ *rand.Rand, m Message) time.Duration {
 		if m.To == 1 {
 			return time.Millisecond
 		}
 		return 0
-	}))
-	if err != nil {
-		t.Fatal(err)
+	})
+	_, out := onScheduler(t, 3, func(nw *Network) {
+		nw.Broadcast(0, "x")
+		if m, ok := nw.Receive(2); !ok || m.Payload != "x" {
+			t.Errorf("undelayed Receive = %+v,%v", m, ok)
+		}
+		if queued(nw, 1) != 0 {
+			t.Error("delayed recipient has the message before its transit time")
+		}
+		if m, ok := nw.Receive(1); !ok || m.Payload != "x" {
+			t.Errorf("delayed Receive = %+v,%v", m, ok)
+		}
+	}, slowTo1)
+	if out.Now != vclock.Time(time.Millisecond) {
+		t.Errorf("run ended at %v, want 1ms (the delayed transit)", out.Now)
 	}
-	nw.Broadcast(0, "x")
-	if nw.Pending(2) != 1 {
-		t.Error("undelayed recipient should have the message immediately")
-	}
-	done := make(chan struct{})
-	if m, ok := nw.Receive(1, done); !ok || m.Payload != "x" {
-		t.Errorf("delayed Receive = %+v,%v", m, ok)
-	}
-	nw.Shutdown()
 }
 
 func TestCountersWired(t *testing.T) {
 	t.Parallel()
 	var c metrics.Counters
 	const n = 3
-	nw, err := New(n, WithCounters(&c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Shutdown()
-	nw.Broadcast(0, "b") // n sends
-	nw.Send(1, 2, "s")   // 1 send
-	done := make(chan struct{})
-	for p := 0; p < n; p++ {
-		nw.Receive(model.ProcID(p), done)
-	}
+	onScheduler(t, n, func(nw *Network) {
+		nw.Broadcast(0, "b") // n sends
+		nw.Send(1, 2, "s")   // 1 send
+		for p := 0; p < n; p++ {
+			nw.Receive(model.ProcID(p))
+		}
+	}, WithCounters(&c))
 	s := c.Read()
 	if s.MsgsSent != n+1 {
 		t.Errorf("MsgsSent = %d, want %d", s.MsgsSent, n+1)
@@ -242,62 +208,5 @@ func TestCountersWired(t *testing.T) {
 	}
 	if s.MsgsDelivered != n {
 		t.Errorf("MsgsDelivered = %d, want %d", s.MsgsDelivered, n)
-	}
-}
-
-// Stress: concurrent broadcasters and receivers; every sent message is
-// delivered exactly once (reliability: no loss, no duplication).
-func TestReliabilityUnderConcurrency(t *testing.T) {
-	t.Parallel()
-	const n, rounds = 8, 30
-	nw, err := New(n, WithSeed(5), WithUniformDelay(0, 500*time.Microsecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	for p := 0; p < n; p++ {
-		wg.Add(1)
-		go func(p model.ProcID) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				nw.Broadcast(p, [2]int{int(p), r})
-			}
-		}(model.ProcID(p))
-	}
-
-	type key struct{ from, r, to int }
-	var mu sync.Mutex
-	got := make(map[key]int)
-	var rwg sync.WaitGroup
-	done := make(chan struct{})
-	for p := 0; p < n; p++ {
-		rwg.Add(1)
-		go func(p model.ProcID) {
-			defer rwg.Done()
-			for i := 0; i < n*rounds; i++ {
-				m, ok := nw.Receive(p, done)
-				if !ok {
-					t.Errorf("process %v: receive %d failed", p, i)
-					return
-				}
-				pl := m.Payload.([2]int)
-				mu.Lock()
-				got[key{pl[0], pl[1], int(p)}]++
-				mu.Unlock()
-			}
-		}(model.ProcID(p))
-	}
-	wg.Wait()
-	rwg.Wait()
-	nw.Shutdown()
-
-	if len(got) != n*rounds*n {
-		t.Fatalf("distinct deliveries = %d, want %d", len(got), n*rounds*n)
-	}
-	for k, count := range got {
-		if count != 1 {
-			t.Fatalf("message %+v delivered %d times", k, count)
-		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 	"allforone/internal/vclock"
 )
 
-// In virtual mode, zero-delay messages are delivered in deterministic send
-// order and Receive parks the consumer coroutine instead of blocking.
+// Zero-delay messages are delivered in deterministic send order and
+// Receive parks the consumer coroutine.
 func TestVirtualSendReceiveOrder(t *testing.T) {
 	s := vclock.New()
 	nw, err := New(2, WithScheduler(s))
@@ -23,7 +23,7 @@ func TestVirtualSendReceiveOrder(t *testing.T) {
 	var got []int
 	consumer := s.Spawn("p1", func() {
 		for i := 0; i < 3; i++ {
-			m, ok := nw.Receive(1, nil)
+			m, ok := nw.Receive(1)
 			if !ok {
 				t.Error("receive failed")
 				return
@@ -64,7 +64,7 @@ func TestVirtualDelaysUseVirtualTime(t *testing.T) {
 	var at []vclock.Time
 	consumer := s.Spawn("p1", func() {
 		for len(got) < 2 {
-			m, ok := nw.Receive(1, nil)
+			m, ok := nw.Receive(1)
 			if !ok {
 				t.Error("receive failed")
 				return
@@ -93,8 +93,8 @@ func TestVirtualDelaysUseVirtualTime(t *testing.T) {
 	}
 }
 
-// CloseInbox in virtual mode drops subsequent sends and lets the consumer
-// observe the close.
+// CloseInbox drops subsequent sends and lets the consumer observe the
+// close.
 func TestVirtualCloseInbox(t *testing.T) {
 	s := vclock.New()
 	nw, err := New(2, WithScheduler(s))
@@ -102,7 +102,7 @@ func TestVirtualCloseInbox(t *testing.T) {
 		t.Fatal(err)
 	}
 	ok := true
-	consumer := s.Spawn("p1", func() { _, ok = nw.Receive(1, nil) })
+	consumer := s.Spawn("p1", func() { _, ok = nw.Receive(1) })
 	nw.Bind(1, consumer)
 	s.At(1, func() { nw.CloseInbox(1) })
 	s.At(2, func() { nw.Send(0, 1, 99) })
@@ -112,8 +112,8 @@ func TestVirtualCloseInbox(t *testing.T) {
 	if ok {
 		t.Fatal("Receive on closed inbox reported a message")
 	}
-	if nw.Pending(1) != 0 {
-		t.Fatalf("Pending = %d, want 0", nw.Pending(1))
+	if queued(nw, 1) != 0 {
+		t.Fatalf("Pending = %d, want 0", queued(nw, 1))
 	}
 }
 
@@ -143,7 +143,7 @@ func TestVirtualSendAllBatchedFanout(t *testing.T) {
 		p := p
 		proc := s.Spawn("consumer", func() {
 			for {
-				m, ok := nw.Receive(model.ProcID(p), nil)
+				m, ok := nw.Receive(model.ProcID(p))
 				if !ok {
 					return
 				}
@@ -215,7 +215,7 @@ func testSendAllSteadyStateAllocs(t *testing.T, delay Option) {
 		p := p
 		proc := s.Spawn("consumer", func() {
 			for {
-				if _, ok := nw.Receive(model.ProcID(p), nil); !ok {
+				if _, ok := nw.Receive(model.ProcID(p)); !ok {
 					return
 				}
 				delivered++
@@ -236,7 +236,7 @@ func testSendAllSteadyStateAllocs(t *testing.T, delay Option) {
 		// have seen its deepest cohort.
 		round := func() {
 			nw.SendAll(0, payload)
-			if _, ok := nw.Receive(0, nil); !ok {
+			if _, ok := nw.Receive(0); !ok {
 				t.Error("sender lost its loopback message")
 			}
 		}
@@ -296,7 +296,7 @@ func TestVirtualOverlaySendSteadyStateAllocs(t *testing.T) {
 		p := p
 		proc := s.Spawn("succ", func() {
 			for {
-				m, ok := nw.Receive(p, nil)
+				m, ok := nw.Receive(p)
 				if !ok {
 					return
 				}
@@ -318,7 +318,7 @@ func TestVirtualOverlaySendSteadyStateAllocs(t *testing.T) {
 				nw.Send(0, p, payload)
 			}
 			for range succ {
-				if _, ok := nw.Receive(0, nil); !ok {
+				if _, ok := nw.Receive(0); !ok {
 					t.Error("sender lost an echo")
 				}
 			}
@@ -399,7 +399,7 @@ func TestVirtualBurstSendSteadyStateAllocs(t *testing.T) {
 		p := p
 		proc := s.Spawn("succ", func() {
 			for {
-				m, ok := nw.Receive(p, nil)
+				m, ok := nw.Receive(p)
 				if !ok {
 					return
 				}
@@ -420,7 +420,7 @@ func TestVirtualBurstSendSteadyStateAllocs(t *testing.T) {
 				seq++
 			}
 			for range succ {
-				if _, ok := nw.Receive(0, nil); !ok {
+				if _, ok := nw.Receive(0); !ok {
 					t.Error("sender lost an ack")
 				}
 			}
@@ -471,7 +471,7 @@ func TestVirtualBroadcastSubsetBatched(t *testing.T) {
 	for p := 0; p < 4; p++ {
 		p := p
 		proc := s.Spawn("consumer", func() {
-			m, ok := nw.Receive(model.ProcID(p), nil)
+			m, ok := nw.Receive(model.ProcID(p))
 			if ok {
 				gotTo[m.To] = true
 			}

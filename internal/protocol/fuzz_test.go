@@ -28,6 +28,7 @@ func FuzzParseProfile(f *testing.F) {
 		"warp:1ms", "uniform:1ms", "uniform:x:y", "skew:1ms:2ms:3ms",
 		"uniform:-1ms:2ms", "heal:2ms:300us:200us", "wan:::",
 		"uniform:9999999h:9999999h", "skew:1ns:1ns:",
+		"uniform:5ms:0", "uniform:2ms:1ms", "uniform:0s:0s",
 	} {
 		f.Add(seed)
 	}

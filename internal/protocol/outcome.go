@@ -30,27 +30,25 @@ type Outcome struct {
 	Procs []ProcOutcome
 	// Metrics is the run's cost snapshot.
 	Metrics metrics.Snapshot
-	// Elapsed is wall-clock under the realtime engine, virtual-clock under
-	// the virtual engine (equal to VirtualTime, keeping virtual Outcomes
-	// bit-reproducible).
+	// Elapsed is the run duration on the virtual clock (always equal to
+	// VirtualTime, keeping Outcomes bit-reproducible).
 	Elapsed time.Duration
-	// VirtualTime / Steps / Quiesced report the virtual engine's clock,
+	// VirtualTime / Steps / Quiesced report the engine's clock,
 	// event count, and deterministic blocked-forever verdict.
 	VirtualTime time.Duration
 	Steps       int64
 	Quiesced    bool
-	// DeadlineExceeded / StepsExceeded report that the virtual engine cut
+	// DeadlineExceeded / StepsExceeded report that the engine cut
 	// the run short at a Bounds.MaxVirtualTime / Bounds.MaxSteps bound —
 	// the INCONCLUSIVE verdict, kept distinct from Quiesced (genuine
 	// blocked-forever) so schedule searches never mistake a budget
 	// exhaustion for a liveness counterexample.
 	DeadlineExceeded bool
 	StepsExceeded    bool
-	// Sched counts the virtual scheduler's internal work (events scheduled,
+	// Sched counts the scheduler's internal work (events scheduled,
 	// timer-wheel cascades, deepest bucket) — the per-run observability
-	// feed of the harness's events/sec aggregation. Zero under the
-	// realtime engine; deterministic (replays bit-for-bit) under the
-	// virtual one.
+	// feed of the harness's events/sec aggregation. Deterministic: it
+	// replays bit-for-bit.
 	Sched vclock.SchedulerStats
 	// Raw is the protocol's native result value.
 	Raw any

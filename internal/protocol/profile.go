@@ -12,9 +12,9 @@ import (
 
 // NetworkProfile is a composable message-delay policy. Profiles are
 // declarative: Compile turns one into a netsim delay function for a
-// concrete topology (n processes, optionally a cluster partition). Under
-// the virtual engine every profile is deterministic — same scenario, same
-// delivery schedule, bit for bit.
+// concrete topology (n processes, optionally a cluster partition). Every
+// profile is deterministic — same scenario, same delivery schedule, bit
+// for bit.
 type NetworkProfile interface {
 	// ProfileName names the profile for listings and error messages.
 	ProfileName() string
@@ -33,7 +33,8 @@ type uniformProfile struct {
 
 // Uniform draws every message's transit time uniformly from [min, max] —
 // the delay policy the pre-Scenario API exposed as MinDelay/MaxDelay.
-// A non-positive max means immediate delivery.
+// Uniform(0, 0) means immediate delivery; a negative min or a max below
+// min is rejected when the scenario compiles.
 func Uniform(min, max time.Duration) NetworkProfile {
 	return &uniformProfile{min: min, max: max}
 }
@@ -43,7 +44,7 @@ func (u *uniformProfile) ProfileName() string {
 }
 
 func (u *uniformProfile) Compile(n int, part *model.Partition) (netsim.TimedDelayFn, error) {
-	if u.min < 0 || u.max < u.min && u.max > 0 {
+	if u.min < 0 || u.max < u.min {
 		return nil, fmt.Errorf("bad band [%v,%v]", u.min, u.max)
 	}
 	if u.max <= 0 {
@@ -219,9 +220,8 @@ type healingPartitionProfile struct {
 }
 
 // HealingPartition cuts the network between the isolated set and everyone
-// else until the run clock reaches healAt (a virtual instant under the
-// virtual engine — exact and deterministic; approximated on the wall clock
-// under the realtime engine). Messages crossing the cut are not lost: they
+// else until the run clock reaches healAt (a virtual instant — exact and
+// deterministic). Messages crossing the cut are not lost: they
 // are held and delivered once the partition heals, honoring the model's
 // reliable-channel guarantee (transit arbitrary but finite). All traffic
 // pays a uniform [min, max] base delay. A nil isolated set isolates the

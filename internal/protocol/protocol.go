@@ -7,9 +7,8 @@
 // the extension stack) registers itself at init time under a stable name
 // with its proposal kind and capability flags. One entry point —
 // protocol.Run — compiles a Scenario (topology, workload, faults, network
-// profile, engine, bounds) down to the registered protocol's own Config
-// and returns a uniform Outcome. The previous per-protocol Solve*
-// functions remain as thin deprecated wrappers at the repository root.
+// profile, bounds) down to the registered protocol's own Config and
+// returns a uniform Outcome.
 //
 // The package deliberately imports only the neutral vocabulary packages
 // (model, sim, failures, netsim, trace, metrics), never a protocol
@@ -84,11 +83,6 @@ type Info struct {
 	// default MaxSteps budget is O(n)-shaped instead of 24·n²
 	// (sim.DefaultMaxStepsHint).
 	SubQuadratic bool
-	// VirtualOnly: the protocol is written as inline handler reactors
-	// with no coroutine port, so it runs only on sim.EngineVirtual;
-	// realtime scenarios are rejected at build time instead of failing
-	// inside the driver.
-	VirtualOnly bool
 	// HasNetwork: the protocol exchanges messages, so Scenario.Profile
 	// applies. Scenarios with a profile are rejected for network-less
 	// protocols.
@@ -209,9 +203,9 @@ func Infos() []Info {
 	return out
 }
 
-// Run is the single entry point replacing the Solve* family: it looks up
-// the scenario's protocol, validates the scenario against the protocol's
-// capabilities, and dispatches to the registered adapter.
+// Run is the single entry point: it looks up the scenario's protocol,
+// validates the scenario against the protocol's capabilities, and
+// dispatches to the registered adapter.
 func Run(sc Scenario) (*Outcome, error) {
 	p, ok := Lookup(sc.Protocol)
 	if !ok {

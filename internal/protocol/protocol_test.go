@@ -151,15 +151,34 @@ func TestParseProfile(t *testing.T) {
 	if p, err := protocol.ParseProfile(""); err != nil || p != nil {
 		t.Errorf("empty spec = %v, %v", p, err)
 	}
-	for _, spec := range []string{"uniform:0s:2ms", "skew:100us:50us", "wan:50us:1ms:100us", "heal:2ms:0s:200us"} {
-		p, err := protocol.ParseProfile(spec)
-		if err != nil || p == nil {
-			t.Errorf("ParseProfile(%q) = %v, %v", spec, p, err)
+	part := model.Fig1Left()
+	for _, tc := range []struct {
+		spec            string
+		parses, compile bool
+	}{
+		{"uniform:0s:2ms", true, true},
+		{"uniform:0s:0s", true, true}, // immediate delivery
+		{"skew:100us:50us", true, true},
+		{"wan:50us:1ms:100us", true, true},
+		{"heal:2ms:0s:200us", true, true},
+		{"uniform:5ms:0", true, false}, // inverted band: not "immediate"
+		{"uniform:2ms:1ms", true, false},
+		{"uniform:-1ms:2ms", true, false},
+		{"warp:1ms", false, false},
+		{"uniform:1ms", false, false},
+		{"uniform:x:y", false, false},
+		{"skew:1ms:2ms:3ms", false, false},
+	} {
+		p, err := protocol.ParseProfile(tc.spec)
+		if (err == nil) != tc.parses || (tc.parses && p == nil) {
+			t.Errorf("ParseProfile(%q) = %v, %v; want parses = %v", tc.spec, p, err, tc.parses)
+			continue
 		}
-	}
-	for _, bad := range []string{"warp:1ms", "uniform:1ms", "uniform:x:y", "skew:1ms:2ms:3ms"} {
-		if _, err := protocol.ParseProfile(bad); err == nil {
-			t.Errorf("ParseProfile(%q) accepted", bad)
+		if !tc.parses {
+			continue
+		}
+		if _, err := p.Compile(part.N(), part); (err == nil) != tc.compile {
+			t.Errorf("%q: Compile err = %v; want compiles = %v", tc.spec, err, tc.compile)
 		}
 	}
 }

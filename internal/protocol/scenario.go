@@ -15,8 +15,7 @@ import (
 
 // Scenario is a declarative run description shared by every registered
 // protocol: WHAT to run (protocol + workload) on WHICH topology, under
-// WHICH adversary (faults + network profile), driven HOW (engine, seed,
-// bounds). protocol.Run compiles it onto the chosen protocol's own Config.
+// WHICH adversary (faults + network profile), driven HOW (seed, bounds). protocol.Run compiles it onto the chosen protocol's own Config.
 //
 // A single Scenario value may carry every workload shape at once
 // (Binary + Values + Commands + Scripts); each protocol consumes only the
@@ -36,21 +35,16 @@ type Scenario struct {
 	// the run does not have are rejected at build time.
 	Faults *failures.Schedule
 	// Profile is the message-delay policy; nil means immediate delivery.
-	// Profiles compile down to netsim delay functions (deterministic under
-	// the virtual engine).
+	// Profiles compile down to deterministic netsim delay functions.
 	Profile NetworkProfile
-	// Engine selects the execution engine; the zero value is
-	// sim.EngineVirtual (deterministic: same Scenario, same Outcome).
-	Engine sim.Engine
 	// Body selects the process-body form for protocols offering both
-	// (currently hybrid and benor): sim.BodyAuto (the zero value) picks
-	// inline handlers under the virtual engine and coroutines otherwise;
-	// sim.BodyCoroutine forces the goroutine form for differential testing.
-	// Protocols without a handler port ignore it.
+	// (currently hybrid and benor): sim.BodyAuto (the zero value) runs
+	// inline handlers; sim.BodyCoroutine forces the goroutine form for
+	// differential testing. Protocols with one form ignore it.
 	Body sim.BodyKind
 	// Seed pins all randomness of the run.
 	Seed int64
-	// Workers is the virtual engine's expansion-pool width — how many
+	// Workers is the engine's expansion-pool width — how many
 	// threads expand broadcast fanouts inside one run (driver.Config).
 	// Pure mechanism: the Outcome is bit-identical at every setting; only
 	// wall-clock time changes. 0 = one worker per CPU.
@@ -58,7 +52,7 @@ type Scenario struct {
 	// Algorithm selects a variant for protocols offering several (see
 	// Info.Algorithms); empty picks the protocol's default.
 	Algorithm string
-	// Bounds caps the run (rounds, wall/virtual time, scheduler steps).
+	// Bounds caps the run (rounds, virtual time, scheduler steps).
 	Bounds Bounds
 	// Trace, when non-nil, records structured events (Traceable protocols
 	// only).
@@ -124,7 +118,7 @@ type RegisterOp struct {
 	// Val is the value to write (writes only).
 	Val string
 	// After delays the start of the operation relative to the end of the
-	// previous one (virtual time under the virtual engine).
+	// previous one (virtual time).
 	After time.Duration
 }
 
@@ -135,8 +129,8 @@ func WriteOp(val string) RegisterOp { return RegisterOp{Write: true, Val: val} }
 func ReadOp() RegisterOp { return RegisterOp{} }
 
 // Bounds caps a scenario run. The zero value keeps every protocol's
-// defaults (unbounded rounds, driver.DefaultTimeout for realtime runs,
-// sim.DefaultMaxSteps for virtual ones).
+// defaults (unbounded rounds, the topology-derived step budget). Negative
+// MaxRounds, MaxInstances and MaxVirtualTime are rejected.
 type Bounds struct {
 	// MaxRounds bounds the rounds of each binary consensus execution
 	// (per instance, for the multivalued/smr reductions); 0 = unbounded.
@@ -144,12 +138,9 @@ type Bounds struct {
 	// MaxInstances bounds the binary instances of the multivalued
 	// reduction; 0 = the protocol default.
 	MaxInstances int
-	// Timeout aborts blocked realtime-engine runs; 0 = the default. The
-	// virtual engine detects blocked runs by quiescence instead.
-	Timeout time.Duration
 	// MaxVirtualTime bounds the virtual clock; 0 = unbounded.
 	MaxVirtualTime time.Duration
-	// MaxSteps bounds the virtual engine's event count; 0 = the default,
+	// MaxSteps bounds the scheduler's event count; 0 = the default,
 	// negative = unbounded.
 	MaxSteps int64
 }
@@ -180,8 +171,11 @@ func (sc *Scenario) validate(info Info) error {
 			return fmt.Errorf("%w: protocol %q: %v", ErrBadScenario, info.Name, err)
 		}
 	}
-	if info.VirtualOnly && sc.Engine != sim.EngineVirtual {
-		return fmt.Errorf("%w: protocol %q runs only on the virtual engine (inline handler reactors have no realtime port)", ErrBadScenario, info.Name)
+	if sc.Body != sim.BodyAuto && sc.Body != sim.BodyCoroutine {
+		return fmt.Errorf("%w: unknown body kind %d", ErrBadScenario, int(sc.Body))
+	}
+	if b := sc.Bounds; b.MaxRounds < 0 || b.MaxInstances < 0 || b.MaxVirtualTime < 0 {
+		return fmt.Errorf("%w: negative bound (MaxRounds %d, MaxInstances %d, MaxVirtualTime %v)", ErrBadScenario, b.MaxRounds, b.MaxInstances, b.MaxVirtualTime)
 	}
 	if err := sc.Faults.ValidateFor(n); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadScenario, err)

@@ -11,11 +11,9 @@ import (
 
 // This file is the register's deterministic linearizability checker: a
 // small Wing&Gong-style search over the timestamped operation histories
-// that register.Run records. It replaces the old interactive-System
-// concurrency tests, whose coverage depended on racing goroutines against
-// the wall clock — with the virtual engine tagging every operation's
-// invocation and response instants, the same atomicity guarantees are now
-// checked as a pure function of the run's Config.
+// that register.Run records. With the engine tagging every operation's
+// invocation and response instants, atomicity is checked as a pure
+// function of the run's Config.
 
 // HistOp is one operation of a register history: who invoked it, what it
 // did, and its invocation/response window on the run clock.

@@ -106,9 +106,10 @@ func TestCheckLinearizableInputValidation(t *testing.T) {
 }
 
 // linearizableConfig is a scripted workload with genuine concurrency:
-// writers and readers overlap through delivery delays and staggered
-// starts, on the Fig1Left partition.
-func linearizableConfig(engine sim.Engine, seed int64) Config {
+// writers and readers overlap through delivery delays (the uniform band
+// [minDelay, maxDelay]; 0, 0 is immediate delivery) and staggered starts,
+// on the Fig1Left partition.
+func linearizableConfig(seed int64, minDelay, maxDelay time.Duration) Config {
 	part := model.Fig1Left()
 	scripts := make([][]Op, part.N())
 	scripts[0] = []Op{WriteOp("w0-1"), WriteOp("w0-2"), WriteOp("w0-3")}
@@ -119,26 +120,28 @@ func linearizableConfig(engine sim.Engine, seed int64) Config {
 		Partition: part,
 		Scripts:   scripts,
 		Seed:      seed,
-		Engine:    engine,
-		Timeout:   20 * time.Second,
-		MinDelay:  20 * time.Microsecond,
-		MaxDelay:  300 * time.Microsecond,
+		MinDelay:  minDelay,
+		MaxDelay:  maxDelay,
 	}
 }
 
-// TestScriptedRunsAreLinearizable is the ported concurrency coverage: the
-// histories of scripted runs — across seeds and BOTH engines — must all
-// pass the checker. Under the virtual engine the whole test is
-// deterministic; the realtime runs exercise real interleavings against
-// the same oracle instead of the old ad-hoc monotonicity assertions.
+// TestScriptedRunsAreLinearizable is the concurrency coverage: the
+// histories of scripted runs — 32 seeds, each at immediate delivery and
+// under a 20–300 µs uniform band — must all pass the checker. The whole
+// test is deterministic: a failing (band, seed) is its own repro.
 func TestScriptedRunsAreLinearizable(t *testing.T) {
 	t.Parallel()
-	for _, engine := range []sim.Engine{sim.EngineVirtual, sim.EngineRealtime} {
-		engine := engine
-		t.Run(engine.String(), func(t *testing.T) {
+	for _, band := range []struct {
+		name     string
+		min, max time.Duration
+	}{
+		{"immediate", 0, 0},
+		{"uniform", 20 * time.Microsecond, 300 * time.Microsecond},
+	} {
+		t.Run(band.name, func(t *testing.T) {
 			t.Parallel()
-			for seed := int64(1); seed <= 5; seed++ {
-				res, err := Run(linearizableConfig(engine, seed))
+			for seed := int64(1); seed <= 32; seed++ {
+				res, err := Run(linearizableConfig(seed, band.min, band.max))
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
@@ -216,11 +219,11 @@ func TestCrashedRunHistoryLinearizable(t *testing.T) {
 // contract.
 func TestHistoryDeterministicUnderVirtualEngine(t *testing.T) {
 	t.Parallel()
-	a, err := Run(linearizableConfig(sim.EngineVirtual, 33))
+	a, err := Run(linearizableConfig(33, 20*time.Microsecond, 300*time.Microsecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(linearizableConfig(sim.EngineVirtual, 33))
+	b, err := Run(linearizableConfig(33, 20*time.Microsecond, 300*time.Microsecond))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,25 +25,16 @@
 // majority of crashes when a majority cluster keeps one member alive.
 // Classic ABD instead requires a majority of correct processes.
 //
-// The package has two entry points: Run (run.go) executes a scripted
-// workload on the unified engine driver — deterministic under the default
-// virtual engine, with blocked operations detected by quiescence — and is
-// what the harness and replay tests use; System (this file) is the
-// interactive realtime deployment kept for concurrent linearizability
-// tests, where real goroutine races are the point.
+// The entry point is Run (run.go): it executes a scripted workload on the
+// engine driver — deterministic, with blocked operations detected by
+// quiescence. This file holds the vocabulary: timestamps, the replicated
+// pair, and the four protocol messages.
 package register
 
 import (
-	"errors"
 	"fmt"
-	"sync"
-	"time"
 
-	"allforone/internal/mailbox"
-	"allforone/internal/metrics"
 	"allforone/internal/model"
-	"allforone/internal/netsim"
-	"allforone/internal/shmem"
 )
 
 // Timestamp orders writes: lexicographic (Counter, Writer).
@@ -84,308 +75,3 @@ type updateMsg struct {
 }
 
 type updateAck struct{ Seq int64 }
-
-// System is a running register deployment: n client handles (one per
-// process) over per-cluster memories and a simulated network. Create with
-// New, stop with Shutdown.
-type System struct {
-	part    *model.Partition
-	net     *netsim.Network
-	cells   []*shmem.CASRegister[tagged] // one per cluster
-	ctr     metrics.Counters
-	done    chan struct{}
-	handles []*Handle
-	crashed []*crashFlag
-	wg      sync.WaitGroup
-	timeout time.Duration
-}
-
-// crashFlag marks a process as crashed (it stops serving).
-type crashFlag struct {
-	mu sync.Mutex
-	on bool
-}
-
-func (c *crashFlag) set() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.on = true
-}
-
-func (c *crashFlag) get() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.on
-}
-
-// Options configures a System.
-type Options struct {
-	// Seed drives the network delay RNG.
-	Seed int64
-	// MinDelay/MaxDelay bound uniform random message transit time.
-	MinDelay, MaxDelay time.Duration
-	// OpTimeout bounds each read/write operation (default 10s). An
-	// operation that cannot reach a qualifying majority (liveness
-	// violated) fails with ErrTimeout instead of hanging forever.
-	OpTimeout time.Duration
-}
-
-// Errors returned by register operations.
-var (
-	ErrTimeout = errors.New("register: operation timed out (liveness condition may not hold)")
-	ErrCrashed = errors.New("register: process has crashed")
-	ErrClosed  = errors.New("register: system shut down")
-)
-
-// New deploys a register system over the given partition.
-func New(part *model.Partition, opts Options) (*System, error) {
-	if part == nil {
-		return nil, errors.New("register: nil partition")
-	}
-	n := part.N()
-	s := &System{
-		part:    part,
-		cells:   make([]*shmem.CASRegister[tagged], part.M()),
-		done:    make(chan struct{}),
-		handles: make([]*Handle, n),
-		crashed: make([]*crashFlag, n),
-		timeout: opts.OpTimeout,
-	}
-	if s.timeout <= 0 {
-		s.timeout = 10 * time.Second
-	}
-	for x := range s.cells {
-		s.cells[x] = shmem.NewCASRegister(tagged{})
-	}
-	netOpts := []netsim.Option{
-		netsim.WithSeed(uint64(opts.Seed) ^ 0x5ca1_ab1e),
-		netsim.WithCounters(&s.ctr),
-	}
-	if opts.MaxDelay > 0 {
-		netOpts = append(netOpts, netsim.WithUniformDelay(opts.MinDelay, opts.MaxDelay))
-	}
-	nw, err := netsim.New(n, netOpts...)
-	if err != nil {
-		return nil, err
-	}
-	s.net = nw
-	for i := 0; i < n; i++ {
-		id := model.ProcID(i)
-		s.crashed[i] = &crashFlag{}
-		h := &Handle{
-			sys:     s,
-			id:      id,
-			acks:    mailbox.New[any](),
-			crashed: s.crashed[i],
-		}
-		s.handles[i] = h
-		s.wg.Add(1)
-		go func(h *Handle) {
-			defer s.wg.Done()
-			h.serve()
-		}(h)
-	}
-	return s, nil
-}
-
-// Handle returns process p's client handle.
-func (s *System) Handle(p model.ProcID) *Handle { return s.handles[p] }
-
-// Crash halts process p: its server loop stops responding (its cluster's
-// memory cell remains, exactly as the model prescribes).
-func (s *System) Crash(p model.ProcID) { s.crashed[p].set() }
-
-// Metrics returns the cost snapshot so far.
-func (s *System) Metrics() metrics.Snapshot { return s.ctr.Read() }
-
-// Shutdown stops all server loops and the network.
-func (s *System) Shutdown() {
-	close(s.done)
-	s.net.Shutdown()
-	for _, h := range s.handles {
-		h.acks.Close()
-	}
-	s.wg.Wait()
-}
-
-// cell returns the memory cell of p's cluster.
-func (s *System) cell(p model.ProcID) *shmem.CASRegister[tagged] {
-	return s.cells[s.part.ClusterOf(p)]
-}
-
-// merge folds pair into cluster x's cell (max-timestamp wins), as one or
-// more atomic steps (CAS retry loop — lock-free, no blocking).
-func (s *System) merge(p model.ProcID, pair tagged) tagged {
-	cell := s.cell(p)
-	for {
-		cur := cell.Read()
-		if !cur.TS.Less(pair.TS) {
-			return cur
-		}
-		if cell.CompareAndSwap(cur, pair) {
-			return pair
-		}
-	}
-}
-
-// Handle is one process's client interface to the register. A Handle is
-// safe for use by one client goroutine at a time (operations are
-// sequential per process, as in the model).
-type Handle struct {
-	sys     *System
-	id      model.ProcID
-	acks    *mailbox.Mailbox[any]
-	crashed *crashFlag
-	seq     int64
-}
-
-// serve is the process's server loop: answer queries and updates on
-// behalf of its cluster until crash or shutdown.
-func (h *Handle) serve() {
-	for {
-		msg, ok := h.sys.net.Receive(h.id, h.sys.done)
-		if !ok {
-			return
-		}
-		if h.crashed.get() {
-			return // crashed: stop consuming; senders never block
-		}
-		switch m := msg.Payload.(type) {
-		case queryMsg:
-			cur := h.sys.cell(h.id).Read()
-			h.sys.net.Send(h.id, msg.From, queryAck{Seq: m.Seq, Cur: cur})
-		case updateMsg:
-			h.sys.merge(h.id, m.Pair)
-			h.sys.net.Send(h.id, msg.From, updateAck{Seq: m.Seq})
-		case queryAck, updateAck:
-			h.acks.Put(ackEnvelope{from: msg.From, payload: msg.Payload})
-		}
-	}
-}
-
-// collectQuery broadcasts a query and waits until the cluster closure of
-// responders covers a majority, returning the maximum (ts, value) seen.
-func (h *Handle) collectQuery(deadline <-chan struct{}) (tagged, error) {
-	h.seq++
-	seq := h.seq
-	h.sys.net.Broadcast(h.id, queryMsg{Seq: seq})
-	covered := model.NewProcSet(h.sys.part.N())
-	// A process's own cluster cell answers locally: shared memory needs no
-	// message. Account it first — this is what lets a lone majority-cluster
-	// member finish instantly.
-	best := h.sys.cell(h.id).Read()
-	covered.UnionInto(h.sys.part.Cluster(h.id))
-	for !covered.IsMajority() {
-		raw, err := h.nextAck(deadline)
-		if err != nil {
-			return tagged{}, err
-		}
-		env, ok := raw.(ackEnvelope)
-		if !ok {
-			continue
-		}
-		ack, ok := env.payload.(queryAck)
-		if !ok || ack.Seq != seq {
-			continue // stale ack from a previous operation
-		}
-		// The responder's value is its whole cluster's value.
-		if best.TS.Less(ack.Cur.TS) {
-			best = ack.Cur
-		}
-		covered.UnionInto(h.sys.part.Cluster(env.from))
-	}
-	return best, nil
-}
-
-// ackEnvelope carries an acknowledgment together with its sender, whose
-// cluster closure the collect loops accumulate.
-type ackEnvelope struct {
-	from    model.ProcID
-	payload any
-}
-
-// nextAck pops the next acknowledgment, honoring crash/shutdown/deadline.
-func (h *Handle) nextAck(deadline <-chan struct{}) (any, error) {
-	if h.crashed.get() {
-		return nil, ErrCrashed
-	}
-	item, ok := h.acks.Get(deadline)
-	if !ok {
-		select {
-		case <-h.sys.done:
-			return nil, ErrClosed
-		default:
-			return nil, ErrTimeout
-		}
-	}
-	return item, nil
-}
-
-// collectUpdate broadcasts an update and waits for closure-majority acks.
-func (h *Handle) collectUpdate(pair tagged, deadline <-chan struct{}) error {
-	h.seq++
-	seq := h.seq
-	h.sys.net.Broadcast(h.id, updateMsg{Seq: seq, Pair: pair})
-	covered := model.NewProcSet(h.sys.part.N())
-	// Local merge: own cluster's cell is updated without messages.
-	h.sys.merge(h.id, pair)
-	covered.UnionInto(h.sys.part.Cluster(h.id))
-	for !covered.IsMajority() {
-		raw, err := h.nextAck(deadline)
-		if err != nil {
-			return err
-		}
-		env, ok := raw.(ackEnvelope)
-		if !ok {
-			continue
-		}
-		ack, ok := env.payload.(updateAck)
-		if !ok || ack.Seq != seq {
-			continue
-		}
-		covered.UnionInto(h.sys.part.Cluster(env.from))
-	}
-	return nil
-}
-
-// Write performs an atomic write of val.
-func (h *Handle) Write(val string) error {
-	if h.crashed.get() {
-		return ErrCrashed
-	}
-	deadline, stop := deadlineChan(h.sys.timeout)
-	defer stop()
-	cur, err := h.collectQuery(deadline)
-	if err != nil {
-		return err
-	}
-	next := tagged{TS: Timestamp{Counter: cur.TS.Counter + 1, Writer: h.id}, Val: val}
-	return h.collectUpdate(next, deadline)
-}
-
-// Read performs an atomic read.
-func (h *Handle) Read() (string, error) {
-	if h.crashed.get() {
-		return "", ErrCrashed
-	}
-	deadline, stop := deadlineChan(h.sys.timeout)
-	defer stop()
-	cur, err := h.collectQuery(deadline)
-	if err != nil {
-		return "", err
-	}
-	// Write-back (ABD repair): ensure the value is majority-replicated
-	// before returning, so later reads cannot observe older state.
-	if err := h.collectUpdate(cur, deadline); err != nil {
-		return "", err
-	}
-	return cur.Val, nil
-}
-
-// deadlineChan returns a channel closed after d, plus a stop function.
-func deadlineChan(d time.Duration) (<-chan struct{}, func()) {
-	ch := make(chan struct{})
-	timer := time.AfterFunc(d, func() { close(ch) })
-	var once sync.Once
-	return ch, func() { once.Do(func() { timer.Stop() }) }
-}

@@ -1,13 +1,6 @@
 package register
 
-import (
-	"errors"
-	"fmt"
-	"testing"
-	"time"
-
-	"allforone/internal/model"
-)
+import "testing"
 
 func TestTimestampOrdering(t *testing.T) {
 	t.Parallel()
@@ -27,187 +20,5 @@ func TestTimestampOrdering(t *testing.T) {
 	}
 	if got := (Timestamp{4, 2}).String(); got != "(4,p3)" {
 		t.Errorf("String = %q", got)
-	}
-}
-
-func TestNewValidation(t *testing.T) {
-	t.Parallel()
-	if _, err := New(nil, Options{}); err == nil {
-		t.Fatal("nil partition accepted")
-	}
-}
-
-func TestWriteThenRead(t *testing.T) {
-	t.Parallel()
-	sys, err := New(model.Fig1Left(), Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Shutdown()
-
-	if err := sys.Handle(0).Write("hello"); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	for p := 0; p < 7; p++ {
-		got, err := sys.Handle(model.ProcID(p)).Read()
-		if err != nil {
-			t.Fatalf("Read at p%d: %v", p+1, err)
-		}
-		if got != "hello" {
-			t.Errorf("Read at p%d = %q, want hello", p+1, got)
-		}
-	}
-}
-
-func TestInitialValueEmpty(t *testing.T) {
-	t.Parallel()
-	sys, err := New(model.Singletons(3), Options{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Shutdown()
-	got, err := sys.Handle(1).Read()
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if got != "" {
-		t.Errorf("initial Read = %q, want empty", got)
-	}
-}
-
-func TestSequentialWritesLastWins(t *testing.T) {
-	t.Parallel()
-	sys, err := New(model.Fig1Right(), Options{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Shutdown()
-
-	writers := []model.ProcID{0, 3, 6, 2}
-	for i, w := range writers {
-		if err := sys.Handle(w).Write(fmt.Sprintf("v%d", i)); err != nil {
-			t.Fatalf("Write %d: %v", i, err)
-		}
-	}
-	got, err := sys.Handle(5).Read()
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if got != "v3" {
-		t.Errorf("Read = %q, want v3 (last sequential write)", got)
-	}
-}
-
-// The register inherits the one-for-all property: with the Fig1Right
-// majority cluster, one survivor covers a majority on its own and keeps
-// reading and writing after 6 of 7 processes crash.
-func TestMajorityCrashSurvivorOperates(t *testing.T) {
-	t.Parallel()
-	sys, err := New(model.Fig1Right(), Options{Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Shutdown()
-
-	if err := sys.Handle(1).Write("pre-crash"); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	for _, p := range []model.ProcID{0, 1, 3, 4, 5, 6} {
-		sys.Crash(p)
-	}
-	survivor := sys.Handle(2) // p3 ∈ P[2], |P[2]| = 4 > 7/2
-	got, err := survivor.Read()
-	if err != nil {
-		t.Fatalf("survivor Read: %v", err)
-	}
-	if got != "pre-crash" {
-		t.Errorf("survivor Read = %q, want pre-crash", got)
-	}
-	if err := survivor.Write("post-crash"); err != nil {
-		t.Fatalf("survivor Write: %v", err)
-	}
-	got, err = survivor.Read()
-	if err != nil {
-		t.Fatalf("survivor Read 2: %v", err)
-	}
-	if got != "post-crash" {
-		t.Errorf("survivor Read = %q, want post-crash", got)
-	}
-}
-
-// Classic ABD on singleton clusters cannot do that: with a crashed
-// majority the operation times out (but fails cleanly).
-func TestSingletonMajorityCrashTimesOut(t *testing.T) {
-	t.Parallel()
-	sys, err := New(model.Singletons(5), Options{Seed: 7, OpTimeout: 300 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Shutdown()
-
-	for _, p := range []model.ProcID{0, 1, 2} {
-		sys.Crash(p)
-	}
-	if err := sys.Handle(4).Write("x"); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("Write error = %v, want ErrTimeout", err)
-	}
-	if _, err := sys.Handle(4).Read(); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("Read error = %v, want ErrTimeout", err)
-	}
-}
-
-func TestCrashedHandleFailsFast(t *testing.T) {
-	t.Parallel()
-	sys, err := New(model.Fig1Left(), Options{Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Shutdown()
-	sys.Crash(3)
-	if err := sys.Handle(3).Write("x"); !errors.Is(err, ErrCrashed) {
-		t.Errorf("Write error = %v, want ErrCrashed", err)
-	}
-	if _, err := sys.Handle(3).Read(); !errors.Is(err, ErrCrashed) {
-		t.Errorf("Read error = %v, want ErrCrashed", err)
-	}
-}
-
-func TestMetricsFlow(t *testing.T) {
-	t.Parallel()
-	sys, err := New(model.Fig1Left(), Options{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Shutdown()
-	if err := sys.Handle(0).Write("v"); err != nil {
-		t.Fatal(err)
-	}
-	m := sys.Metrics()
-	if m.MsgsSent == 0 || m.Broadcasts == 0 {
-		t.Errorf("no traffic recorded: %+v", m)
-	}
-}
-
-// Reads with delays still satisfy read-after-write per process.
-func TestReadYourWriteWithDelays(t *testing.T) {
-	t.Parallel()
-	sys, err := New(model.Fig1Right(), Options{Seed: 10, MaxDelay: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Shutdown()
-	h := sys.Handle(6)
-	for i := 0; i < 10; i++ {
-		want := fmt.Sprintf("val-%d", i)
-		if err := h.Write(want); err != nil {
-			t.Fatalf("Write %d: %v", i, err)
-		}
-		got, err := h.Read()
-		if err != nil {
-			t.Fatalf("Read %d: %v", i, err)
-		}
-		if got != want {
-			t.Errorf("read-your-write violated: got %q, want %q", got, want)
-		}
 	}
 }

@@ -15,15 +15,12 @@ import (
 	"allforone/internal/vclock"
 )
 
-// This file is the register's closed-run entry point on the unified engine
-// driver (internal/driver): each process executes a scripted sequence of
+// This file is the register's closed-run entry point on the engine driver
+// (internal/driver): each process executes a scripted sequence of
 // read/write operations while serving its cluster's share of the ABD
-// protocol, on either engine. Under the default virtual engine a run is a
-// pure function of its Config — same seed, same Result, bit for bit — and
-// an operation that can never reach a qualifying majority ends as blocked
-// at quiescence instead of a wall-clock timeout. The interactive System
-// (register.go) remains the realtime deployment surface for concurrent
-// linearizability tests.
+// protocol. A run is a pure function of its Config — same seed, same
+// Result, bit for bit — and an operation that can never reach a qualifying
+// majority ends as blocked at quiescence.
 
 // OpKind selects a register operation.
 type OpKind int
@@ -52,9 +49,8 @@ type Op struct {
 	// Val is the value to write (OpWrite only).
 	Val string
 	// After delays the start of the operation relative to the end of the
-	// previous one: virtual time under the virtual engine (free), wall time
-	// under the realtime engine. It is how scripts order operations across
-	// processes (e.g. "read after the others crashed").
+	// previous one, in virtual time (free). It is how scripts order
+	// operations across processes (e.g. "read after the others crashed").
 	After time.Duration
 }
 
@@ -73,9 +69,8 @@ type OpResult struct {
 	// first failed one are not attempted and absent from the results.
 	OK bool
 	// Start / End are the operation's invocation and response instants on
-	// the run clock: exact virtual instants under the virtual engine (so
-	// histories are deterministic), wall time since the run started under
-	// the realtime one. For failed operations End is when the failure was
+	// the run clock: exact virtual instants, so histories are
+	// deterministic. For failed operations End is when the failure was
 	// recorded — the response never reached the caller, so linearizability
 	// checking treats the operation's window as open-ended.
 	Start, End time.Duration
@@ -85,7 +80,7 @@ type OpResult struct {
 // shared vocabulary: StatusDecided = the whole script completed (even if
 // the process crashed afterwards while serving others), StatusCrashed = a
 // timed crash struck mid-script, StatusBlocked = the run was aborted
-// (quiescence, bounds, or realtime timeout) before the script completed.
+// (quiescence or bounds) before the script completed.
 type ProcResult struct {
 	Status sim.Status
 	Ops    []OpResult
@@ -95,11 +90,10 @@ type ProcResult struct {
 type Result struct {
 	Procs   []ProcResult
 	Metrics metrics.Snapshot
-	// Elapsed is wall-clock under the realtime engine, virtual-clock under
-	// the virtual engine (equal to VirtualTime, so virtual Results are
-	// bit-reproducible from their Configs).
+	// Elapsed is the run duration on the virtual clock (always equal to
+	// VirtualTime, so Results are bit-reproducible from their Configs).
 	Elapsed time.Duration
-	// VirtualTime / Steps / Quiesced report the virtual engine's clock,
+	// VirtualTime / Steps / Quiesced report the engine's clock,
 	// event count, and quiescence verdict. NOTE: unlike consensus runs,
 	// Quiesced=true is the NORMAL end of a register run with crashed
 	// processes (survivors park in their serve loops once every live
@@ -113,9 +107,8 @@ type Result struct {
 	// interrupted operations (see sim.Result).
 	DeadlineExceeded bool
 	StepsExceeded    bool
-	// Sched counts the virtual scheduler's internal work (events
-	// scheduled, timer-wheel cascades, deepest bucket); zero under the
-	// realtime engine (see sim.Result).
+	// Sched counts the scheduler's internal work (events scheduled,
+	// timer-wheel cascades, deepest bucket; see sim.Result).
 	Sched vclock.SchedulerStats
 }
 
@@ -126,27 +119,20 @@ type Config struct {
 	// Scripts holds each process's operation sequence (required, length n;
 	// empty scripts are fine — such processes only serve).
 	Scripts [][]Op
-	// Seed makes all randomness (message delays) reproducible. Under
-	// sim.EngineVirtual it pins the entire execution.
+	// Seed makes all randomness (message delays) reproducible: it pins
+	// the entire execution.
 	Seed int64
-	// Engine selects the execution engine; the zero value is
-	// sim.EngineVirtual.
-	Engine sim.Engine
 	// Crashes supplies timed crashes (failures.Schedule.SetTimed): the
 	// victim stops operating and serving at the instant. Step-point crash
 	// plans are not meaningful for register runs and are ignored.
 	Crashes *failures.Schedule
-	// Timeout aborts blocked realtime-engine runs; zero means
-	// driver.DefaultTimeout. The virtual engine detects blocked runs by
-	// quiescence instead and ignores this field.
-	Timeout time.Duration
-	// MaxVirtualTime bounds the virtual clock of an EngineVirtual run;
-	// zero means unbounded (quiescence and MaxSteps still apply).
+	// MaxVirtualTime bounds the virtual clock of a run; zero means
+	// unbounded (quiescence and MaxSteps still apply).
 	MaxVirtualTime time.Duration
-	// MaxSteps bounds the number of discrete events of an EngineVirtual
-	// run; zero means sim.DefaultMaxSteps, negative means unbounded.
+	// MaxSteps bounds the number of discrete events of a run; zero means
+	// sim.DefaultMaxSteps, negative means unbounded.
 	MaxSteps int64
-	// Workers sets the virtual engine expansion-pool width
+	// Workers sets the engine expansion-pool width
 	// (driver.Config.Workers): pure mechanism, bit-identical results at
 	// every setting; 0 = one worker per CPU.
 	Workers int
@@ -167,7 +153,7 @@ var ErrBadConfig = errors.New("register: invalid configuration")
 type doneMsg struct{}
 
 // mergeInto folds pair into a cluster cell (max-timestamp wins) as a CAS
-// retry loop — lock-free, no blocking, exactly System.merge.
+// retry loop — lock-free, no blocking.
 func mergeInto(cell *shmem.CASRegister[tagged], pair tagged) {
 	for {
 		cur := cell.Read()
@@ -182,7 +168,7 @@ func mergeInto(cell *shmem.CASRegister[tagged], pair tagged) {
 
 // client is one process of a scripted run: an ABD client for its own
 // operations and a server for everyone else's, multiplexed over a single
-// inbox (so the whole process is one coroutine under the virtual engine).
+// inbox (so the whole process is one coroutine).
 type client struct {
 	id    model.ProcID
 	part  *model.Partition
@@ -235,7 +221,7 @@ func (c *client) collectQuery() (tagged, bool) {
 	best := c.cellOf(c.id).Read()
 	covered.UnionInto(c.part.Cluster(c.id))
 	for !covered.IsMajority() {
-		msg, ok := c.net.Receive(c.id, c.h.Done())
+		msg, ok := c.net.Receive(c.id)
 		if c.h.Killed() || !ok {
 			return tagged{}, false
 		}
@@ -263,7 +249,7 @@ func (c *client) collectUpdate(pair tagged) bool {
 	mergeInto(c.cellOf(c.id), pair)
 	covered.UnionInto(c.part.Cluster(c.id))
 	for !covered.IsMajority() {
-		msg, ok := c.net.Receive(c.id, c.h.Done())
+		msg, ok := c.net.Receive(c.id)
 		if c.h.Killed() || !ok {
 			return false
 		}
@@ -341,7 +327,7 @@ func (c *client) run(script []Op) {
 	// serving so other processes' operations still find responders.
 	c.net.Broadcast(c.id, doneMsg{})
 	for !c.allLiveDone() {
-		msg, ok := c.net.Receive(c.id, c.h.Done())
+		msg, ok := c.net.Receive(c.id)
 		if c.h.Killed() || !ok {
 			return // status stays Decided: the script itself completed
 		}
@@ -349,7 +335,7 @@ func (c *client) run(script []Op) {
 	}
 }
 
-// Run executes one scripted register run under the configured engine.
+// Run executes one scripted register run.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Partition == nil {
 		return nil, fmt.Errorf("%w: nil partition", ErrBadConfig)
@@ -387,8 +373,6 @@ func Run(cfg Config) (*Result, error) {
 
 	clients := make([]*client, n)
 	out, err := driver.Run(driver.Config{
-		Engine:         cfg.Engine,
-		Timeout:        cfg.Timeout,
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
 		Workers:        cfg.Workers,

@@ -43,9 +43,7 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 		Partition:      part,
 		Scripts:        scripts,
 		Seed:           sc.Seed,
-		Engine:         sc.Engine,
 		Crashes:        sc.Faults,
-		Timeout:        sc.Bounds.Timeout,
 		MaxVirtualTime: sc.Bounds.MaxVirtualTime,
 		MaxSteps:       sc.Bounds.MaxSteps,
 		Workers:        sc.Workers,

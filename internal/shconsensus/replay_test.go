@@ -1,6 +1,7 @@
 package shconsensus
 
 import (
+	"math/rand/v2"
 	"reflect"
 	"testing"
 
@@ -35,36 +36,51 @@ func TestReplayBitReproducible(t *testing.T) {
 	if !reflect.DeepEqual(res1, res2) {
 		t.Errorf("Results diverged:\n  run1: %+v\n  run2: %+v", res1, res2)
 	}
-	// Under the virtual engine the first live process — ProcID 2, whose
+	// The first live process — ProcID 2, whose
 	// Proposals[2] is 0 — wins the CAS, deterministically.
 	if v, _, ok := res1.Decided(); !ok || v != model.Zero {
 		t.Errorf("decided %v, want first live process's 0: %+v", v, res1.Procs)
 	}
 }
 
-// TestEnginesAgreeOnSafety differentially tests the two engines: both must
-// satisfy agreement, validity, and wait-free termination; the realtime
-// winner is racy, but safety must hold.
-func TestEnginesAgreeOnSafety(t *testing.T) {
+// TestSafetyAcrossSchedules: the protocol has no network and no delays —
+// its schedule space is who proposes what and who crashes before
+// proposing — so 32 seeds draw both. Every run must satisfy agreement,
+// validity and wait-free termination, and the first live process's
+// proposal must win the CAS.
+func TestSafetyAcrossSchedules(t *testing.T) {
 	t.Parallel()
-	for _, engine := range []sim.Engine{sim.EngineVirtual, sim.EngineRealtime} {
-		const n = 8
+	const n = 8
+	for seed := uint64(0); seed < 32; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0x5c))
 		props := make([]model.Value, n)
 		for i := range props {
-			props[i] = model.Value(int8(i % 2))
+			props[i] = model.BitToValue(rng.Uint64())
 		}
-		res, err := Run(Config{N: n, Proposals: props, Engine: engine})
+		sched, err := failures.GenRandom(rng, n, rng.IntN(n), 1, 1)
 		if err != nil {
-			t.Fatalf("%v: %v", engine, err)
+			t.Fatal(err)
+		}
+		res, err := Run(Config{N: n, Proposals: props, Crashes: sched})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if err := res.CheckAgreement(); err != nil {
-			t.Errorf("%v: %v", engine, err)
+			t.Errorf("seed %d: %v", seed, err)
 		}
 		if err := res.CheckValidity(props); err != nil {
-			t.Errorf("%v: %v", engine, err)
+			t.Errorf("seed %d: %v", seed, err)
 		}
 		if !res.AllLiveDecided() {
-			t.Errorf("%v: not all decided: %+v", engine, res.Procs)
+			t.Errorf("seed %d: not all decided: %+v", seed, res.Procs)
+		}
+		for p, pr := range res.Procs {
+			if pr.Status == sim.StatusDecided {
+				if pr.Decision != props[p] {
+					t.Errorf("seed %d: decided %v, want first live process p%d's %v", seed, pr.Decision, p+1, props[p])
+				}
+				break
+			}
 		}
 	}
 }

@@ -28,7 +28,6 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 	res, err := Run(Config{
 		N:         n,
 		Proposals: sc.Workload.Binary,
-		Engine:    sc.Engine,
 		Crashes:   sc.Faults,
 	})
 	if err != nil {

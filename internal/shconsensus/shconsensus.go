@@ -6,10 +6,9 @@
 //
 // It serves as the efficiency anchor of the experiments: one shared-memory
 // operation per process, zero messages, zero rounds of exchange. Like every
-// runner in the repository it executes through internal/driver: under the
-// default virtual engine the processes are cooperatively stepped coroutines
-// (so the first spawned live process deterministically wins the CAS), under
-// the realtime engine they are racing goroutines.
+// runner in the repository it executes through internal/driver: the
+// processes are cooperatively stepped coroutines, so the first spawned
+// live process deterministically wins the CAS.
 package shconsensus
 
 import (
@@ -30,10 +29,6 @@ type Config struct {
 	N int
 	// Proposals holds each process's binary proposal (required, length N).
 	Proposals []model.Value
-	// Engine selects the execution engine; the zero value is
-	// sim.EngineVirtual (deterministic: the first live process's proposal
-	// wins). sim.EngineRealtime races goroutines on the CAS object.
-	Engine sim.Engine
 	// Crashes marks processes that crash before proposing: any process with
 	// a plan whose point is at round 1 crashes before touching the object.
 	// Timed crashes are effectively meaningless here — the whole run is
@@ -64,13 +59,10 @@ func Run(cfg Config) (*sim.Result, error) {
 	var ctr metrics.Counters
 	obj := consensusobj.NewCAS()
 	res := &sim.Result{Procs: make([]sim.ProcResult, cfg.N)}
-	out, err := driver.Run(driver.Config{Engine: cfg.Engine, Crashes: cfg.Crashes}, cfg.N, nil,
-		func(i int, h *driver.Handle) {
+	out, err := driver.Run(driver.Config{Crashes: cfg.Crashes}, cfg.N, nil,
+		func(i int, _ *driver.Handle) {
 			id := model.ProcID(i)
-			// h.Killed() is a realtime-engine best-effort check; under the
-			// virtual engine bodies run before any timed instant (see the
-			// Crashes doc above).
-			if h.Killed() || cfg.Crashes.ShouldCrash(id, failures.Point{
+			if cfg.Crashes.ShouldCrash(id, failures.Point{
 				Round: 1, Phase: 1, Stage: failures.StageBeforeDecide,
 			}) {
 				res.Procs[i] = sim.ProcResult{Status: sim.StatusCrashed, Round: 1}

@@ -1,29 +1,23 @@
 package sim
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // BodyKind selects the process-body form a protocol runs its per-process
 // algorithm in (for protocols that implement both — see internal/driver).
-// It lives here, next to Engine, because it is the same kind of shared
-// execution knob: every runner offering the choice spells it the same way.
+// It lives here because it is a shared execution knob: every runner
+// offering the choice spells it the same way.
 type BodyKind int
 
 const (
-	// BodyAuto (the default) picks the fastest body form the engine
-	// supports: inline handlers under EngineVirtual, coroutines under
-	// EngineRealtime (whose blocking receives need a goroutine).
+	// BodyAuto (the default) picks the fastest body form the protocol
+	// has: inline handlers — the scheduler invokes the process's state
+	// machine directly under its execution token, zero channel
+	// rendezvous, zero goroutines — where a handler port exists,
+	// coroutines otherwise.
 	BodyAuto BodyKind = iota
-	// BodyHandler forces the inline event-handler form: the scheduler
-	// invokes the process's state machine directly under its execution
-	// token — zero channel rendezvous, zero goroutines. Virtual engine
-	// only.
-	BodyHandler
 	// BodyCoroutine forces the coroutine form: one goroutine per process,
 	// stepped through channel rendezvous. Kept for differential testing
-	// against the handler form, and required under EngineRealtime.
+	// against the handler form.
 	BodyCoroutine
 )
 
@@ -32,24 +26,8 @@ func (b BodyKind) String() string {
 	switch b {
 	case BodyAuto:
 		return "auto"
-	case BodyHandler:
-		return "handler"
 	case BodyCoroutine:
 		return "coroutine"
 	}
 	return fmt.Sprintf("BodyKind(%d)", int(b))
-}
-
-// ParseBodyKind resolves a body-kind name as accepted by the CLIs: auto;
-// handler or inline; coroutine or coro.
-func ParseBodyKind(name string) (BodyKind, error) {
-	switch strings.ToLower(name) {
-	case "", "auto":
-		return BodyAuto, nil
-	case "handler", "inline":
-		return BodyHandler, nil
-	case "coroutine", "coro":
-		return BodyCoroutine, nil
-	}
-	return 0, fmt.Errorf("unknown body kind %q (want auto, handler, or coroutine)", name)
 }

@@ -8,57 +8,12 @@ package sim
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"allforone/internal/metrics"
 	"allforone/internal/model"
 	"allforone/internal/vclock"
 )
-
-// Engine selects the execution engine that drives a simulated run. It
-// lives here, next to Result, because every runner (the hybrid algorithms
-// and the message-passing baselines) offers the same choice.
-type Engine int
-
-const (
-	// EngineVirtual (the default) runs the execution on a deterministic
-	// discrete-event scheduler: message transit advances a virtual clock,
-	// processes are cooperatively stepped coroutines, and no wall-clock
-	// time ever passes. Same config (including seed) → same Result and the
-	// same trace, bit for bit. Blocked runs are detected by quiescence
-	// (nothing runnable, no pending events), not by elapsed real time.
-	EngineVirtual Engine = iota
-	// EngineRealtime is the goroutine-per-process backend: message delays
-	// sleep real time, asynchrony additionally arises from the Go
-	// scheduler, and stuck runs are aborted by a wall-clock timeout.
-	// Interleavings are NOT reproducible across runs. Kept for
-	// differential testing against the virtual engine.
-	EngineRealtime
-)
-
-// String names the engine.
-func (e Engine) String() string {
-	switch e {
-	case EngineVirtual:
-		return "virtual"
-	case EngineRealtime:
-		return "realtime"
-	}
-	return fmt.Sprintf("Engine(%d)", int(e))
-}
-
-// ParseEngine resolves an engine name (as accepted by the CLIs): virtual,
-// v, or des; realtime, real, or rt.
-func ParseEngine(name string) (Engine, error) {
-	switch strings.ToLower(name) {
-	case "virtual", "v", "des":
-		return EngineVirtual, nil
-	case "realtime", "real", "rt":
-		return EngineRealtime, nil
-	}
-	return 0, fmt.Errorf("unknown engine %q (want virtual or realtime)", name)
-}
 
 // DefaultMaxSteps bounds virtual-engine runs that never converge: a run
 // processing this many discrete events without terminating is aborted
@@ -166,15 +121,12 @@ type Result struct {
 	// in the m&m model; nil for pure message-passing baselines).
 	ConsInvocations []int64
 	ConsAllocations []int64
-	// Elapsed is the duration of the run: wall-clock under the realtime
-	// engine; virtual-clock under the virtual engine (equal to VirtualTime),
-	// so that a virtual Result is bit-reproducible from its Config.
+	// Elapsed is the duration of the run on the virtual clock — always
+	// equal to VirtualTime, so a Result is bit-reproducible from its Config.
 	Elapsed time.Duration
-	// VirtualTime is the virtual-clock duration of the run. Zero under the
-	// realtime engine.
+	// VirtualTime is the virtual-clock duration of the run.
 	VirtualTime time.Duration
-	// Steps is the number of discrete events the virtual engine processed.
-	// Zero under the realtime engine.
+	// Steps is the number of discrete events the engine processed.
 	Steps int64
 	// Quiesced reports that the virtual engine aborted the run because the
 	// execution could never take another step (undecided processes waiting
@@ -191,7 +143,7 @@ type Result struct {
 	StepsExceeded    bool
 	// Sched counts the virtual scheduler's internal work — the timer-wheel
 	// observability surface (events scheduled, cascades, deepest bucket).
-	// Zero under the realtime engine; deterministic under the virtual one.
+	// Deterministic: same Config, same counts.
 	Sched vclock.SchedulerStats
 }
 

@@ -34,10 +34,8 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 		Commands:             sc.Workload.Commands,
 		Slots:                sc.Workload.Slots,
 		Seed:                 sc.Seed,
-		Engine:               sc.Engine,
 		Crashes:              sc.Faults,
 		MaxRoundsPerInstance: sc.Bounds.MaxRounds,
-		Timeout:              sc.Bounds.Timeout,
 		MaxVirtualTime:       sc.Bounds.MaxVirtualTime,
 		MaxSteps:             sc.Bounds.MaxSteps,
 		Workers:              sc.Workers,

@@ -10,8 +10,7 @@
 // the whole log follows from per-slot agreement plus in-order processing.
 //
 // The runtime is one process per replica over a shared simulated network
-// (a vclock coroutine under the default virtual engine, a goroutine under
-// the realtime one — see internal/driver), with all protocol messages
+// (a vclock coroutine — see internal/driver), with all protocol messages
 // tagged by (slot, instance, round) so replicas at different log positions
 // never confuse each other's traffic; per-slot and per-instance DECIDE
 // short-circuits let stragglers catch up.
@@ -43,30 +42,21 @@ type Config struct {
 	Commands [][]string
 	// Slots is how many log slots to agree on (required, ≥ 1).
 	Slots int
-	// Seed makes all randomness reproducible. Under sim.EngineVirtual it
-	// pins the entire execution.
+	// Seed makes all randomness reproducible: it pins the entire
+	// execution.
 	Seed int64
-	// Engine selects the execution engine; the zero value is
-	// sim.EngineVirtual (deterministic discrete-event simulation — same
-	// Config, same Result). sim.EngineRealtime keeps the original
-	// goroutine-per-replica backend for differential testing.
-	Engine sim.Engine
 	// Crashes is the failure pattern; crash points are consulted at binary
 	// round starts with Round counting rounds globally. Nil = crash-free.
 	Crashes *failures.Schedule
 	// MaxRoundsPerInstance bounds each binary instance (0 = 1000).
 	MaxRoundsPerInstance int
-	// Timeout aborts blocked realtime-engine runs; zero means
-	// DefaultTimeout. The virtual engine detects blocked runs by
-	// quiescence instead and ignores this field.
-	Timeout time.Duration
-	// MaxVirtualTime bounds the virtual clock of an EngineVirtual run;
-	// zero means unbounded (quiescence and MaxSteps still apply).
+	// MaxVirtualTime bounds the virtual clock of a run; zero means
+	// unbounded (quiescence and MaxSteps still apply).
 	MaxVirtualTime time.Duration
-	// MaxSteps bounds the number of discrete events of an EngineVirtual
-	// run; zero means sim.DefaultMaxSteps, negative means unbounded.
+	// MaxSteps bounds the number of discrete events of a run; zero means
+	// sim.DefaultMaxSteps, negative means unbounded.
 	MaxSteps int64
-	// Workers sets the virtual engine expansion-pool width
+	// Workers sets the engine expansion-pool width
 	// (driver.Config.Workers): pure mechanism, bit-identical results at
 	// every setting; 0 = one worker per CPU.
 	Workers int
@@ -77,9 +67,6 @@ type Config struct {
 	// MinDelay/MaxDelay.
 	NetOptions []netsim.Option
 }
-
-// DefaultTimeout bounds runs whose liveness condition may not hold.
-const DefaultTimeout = driver.DefaultTimeout
 
 // NoOp is the value a slot decides when the winning proposer had no
 // pending command.
@@ -99,11 +86,10 @@ type ReplicaResult struct {
 type Result struct {
 	Replicas []ReplicaResult
 	Metrics  metrics.Snapshot
-	// Elapsed is wall-clock under the realtime engine, virtual-clock under
-	// the virtual engine (equal to VirtualTime, so virtual Results are
-	// bit-reproducible from their Configs).
+	// Elapsed is the run duration on the virtual clock (always equal to
+	// VirtualTime, so Results are bit-reproducible from their Configs).
 	Elapsed time.Duration
-	// VirtualTime / Steps / Quiesced report the virtual engine's clock,
+	// VirtualTime / Steps / Quiesced report the engine's clock,
 	// event count, and deterministic blocked-forever verdict (see sim.Result).
 	VirtualTime time.Duration
 	Steps       int64
@@ -113,9 +99,8 @@ type Result struct {
 	// (see sim.Result).
 	DeadlineExceeded bool
 	StepsExceeded    bool
-	// Sched counts the virtual scheduler's internal work (events
-	// scheduled, timer-wheel cascades, deepest bucket); zero under the
-	// realtime engine (see sim.Result).
+	// Sched counts the scheduler's internal work (events scheduled,
+	// timer-wheel cascades, deepest bucket; see sim.Result).
 	Sched vclock.SchedulerStats
 }
 
@@ -354,7 +339,7 @@ func (r *replica) binaryInstance(slot, inst int, input model.Value) (model.Value
 				// no longer matters.
 				return model.Bot, nil
 			}
-			msg, ok := r.net.Receive(r.id, r.h.Done())
+			msg, ok := r.net.Receive(r.id)
 			if r.h.Killed() {
 				// A timed crash struck while waiting: halt before acting on
 				// whatever was (or was not) received.
@@ -443,7 +428,7 @@ func (r *replica) agreeSlot(slot int, proposal string) (string, *outcome) {
 			if v, ok := r.slotDecided[slot]; ok {
 				return v, nil
 			}
-			msg, ok := r.net.Receive(r.id, r.h.Done())
+			msg, ok := r.net.Receive(r.id)
 			if r.h.Killed() {
 				return "", &outcome{status: sim.StatusCrashed, log: r.log, rounds: r.globalRound}
 			}
@@ -501,8 +486,6 @@ func Run(cfg Config) (*Result, error) {
 
 	outcomes := make([]outcome, n)
 	out, err := driver.Run(driver.Config{
-		Engine:         cfg.Engine,
-		Timeout:        cfg.Timeout,
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
 		Workers:        cfg.Workers,

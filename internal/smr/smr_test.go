@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
@@ -53,7 +52,6 @@ func TestAllReplicasBuildIdenticalLogs(t *testing.T) {
 				Commands:  cmds,
 				Slots:     slots,
 				Seed:      31,
-				Timeout:   30 * time.Second,
 			})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
@@ -89,7 +87,6 @@ func TestCommandsActuallyCommit(t *testing.T) {
 		Commands:  cmds,
 		Slots:     6,
 		Seed:      17,
-		Timeout:   30 * time.Second,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -142,7 +139,6 @@ func TestMajorityCrashSurvivorKeepsAppending(t *testing.T) {
 		Slots:     slots,
 		Seed:      5,
 		Crashes:   sched,
-		Timeout:   30 * time.Second,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -177,7 +173,6 @@ func TestBlockedWhenLivenessFails(t *testing.T) {
 		Slots:     3,
 		Seed:      9,
 		Crashes:   sched,
-		Timeout:   500 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -198,7 +193,6 @@ func TestEmptyQueuesYieldNoOps(t *testing.T) {
 		Commands:  [][]string{{}, {}, {}},
 		Slots:     2,
 		Seed:      3,
-		Timeout:   30 * time.Second,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -231,7 +225,6 @@ func TestMidRunCrashKeepsPrefixAgreement(t *testing.T) {
 		Slots:     5,
 		Seed:      77,
 		Crashes:   sched,
-		Timeout:   30 * time.Second,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)

@@ -4,9 +4,8 @@ package allforone
 // protocol and the Ben-Or baseline at n=128 under the two non-uniform
 // profiles that matter for schedule search — an explicit per-link skew
 // matrix and a partition healing at a virtual instant. Each cell is
-// checked three ways: safety on both engines (differential), liveness of
-// the virtual run, and bit-identical replay of the virtual run. Guarded by
-// testing.Short: the realtime legs sleep their delays for real.
+// checked three ways: safety, liveness, and bit-identical replay. Guarded
+// by testing.Short.
 
 import (
 	"fmt"
@@ -54,8 +53,8 @@ func largeNWorkload(n int, mixed bool) Workload {
 }
 
 // largeNProfiles returns the two profile axes. The skew matrix is drawn
-// once from a fixed seed: entries up to 40µs keep the realtime leg short
-// while still reordering deliveries aggressively.
+// once from a fixed seed: entries up to 40µs reorder deliveries
+// aggressively.
 func largeNProfiles() []struct {
 	name string
 	p    NetworkProfile
@@ -71,7 +70,7 @@ func largeNProfiles() []struct {
 	}
 }
 
-func largeNScenario(t *testing.T, protocolName string, prof NetworkProfile, eng Engine) Scenario {
+func largeNScenario(t *testing.T, protocolName string, prof NetworkProfile) Scenario {
 	t.Helper()
 	part, err := Blocks(largeN, 8)
 	if err != nil {
@@ -91,9 +90,8 @@ func largeNScenario(t *testing.T, protocolName string, prof NetworkProfile, eng 
 		Workload: largeNWorkload(largeN, protocolName == ProtocolHybrid),
 		Faults:   sched,
 		Profile:  prof,
-		Engine:   eng,
 		Seed:     1303,
-		Bounds:   Bounds{MaxRounds: 10_000, Timeout: 30 * time.Second},
+		Bounds:   Bounds{MaxRounds: 10_000},
 	}
 }
 
@@ -101,7 +99,7 @@ func largeNScenario(t *testing.T, protocolName string, prof NetworkProfile, eng 
 // topology with 64-process clusters, a timed 8-process minority crash
 // spread across distinct clusters, and an explicit per-link skew matrix
 // drawn once per n from a fixed seed (40µs cap, same as n=128).
-func veryLargeNScenario(t *testing.T, n int, protocolName string, prof NetworkProfile, eng Engine) Scenario {
+func veryLargeNScenario(t *testing.T, n int, protocolName string, prof NetworkProfile) Scenario {
 	t.Helper()
 	part, err := Blocks(n, n/64)
 	if err != nil {
@@ -119,9 +117,8 @@ func veryLargeNScenario(t *testing.T, n int, protocolName string, prof NetworkPr
 		Workload: largeNWorkload(n, protocolName == ProtocolHybrid),
 		Faults:   sched,
 		Profile:  prof,
-		Engine:   eng,
 		Seed:     1303,
-		Bounds:   Bounds{MaxRounds: 10_000, Timeout: 60 * time.Second},
+		Bounds:   Bounds{MaxRounds: 10_000},
 	}
 }
 
@@ -144,7 +141,7 @@ func TestVeryLargeNBitRepro(t *testing.T) {
 			n, protocolName, prof := n, protocolName, prof
 			t.Run(fmt.Sprintf("%s/n=%d", protocolName, n), func(t *testing.T) {
 				t.Parallel()
-				first, err := Run(veryLargeNScenario(t, n, protocolName, prof, EngineVirtual))
+				first, err := Run(veryLargeNScenario(t, n, protocolName, prof))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -166,7 +163,7 @@ func TestVeryLargeNBitRepro(t *testing.T) {
 					t.Fatalf("scheduler stats empty: %+v", first.Sched)
 				}
 
-				second, err := Run(veryLargeNScenario(t, n, protocolName, prof, EngineVirtual))
+				second, err := Run(veryLargeNScenario(t, n, protocolName, prof))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -175,31 +172,6 @@ func TestVeryLargeNBitRepro(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestVeryLargeNRealtimeDifferential runs the n=512 hybrid cell on the
-// goroutine-per-process backend (immediate delivery: per-message sleeper
-// goroutines at this message volume would swamp the runtime) as the
-// engine-differential safety check at scale.
-func TestVeryLargeNRealtimeDifferential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("n=512 realtime differential skipped in -short mode")
-	}
-	t.Parallel()
-	out, err := Run(veryLargeNScenario(t, 512, ProtocolHybrid, nil, EngineRealtime))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := out.CheckAgreement(); err != nil {
-		t.Fatal(err)
-	}
-	if err := out.CheckValidity([]string{"0", "1"}); err != nil {
-		t.Fatal(err)
-	}
-	if !out.AllLiveDecided() {
-		t.Fatalf("realtime n=512: live processes unfinished: decided %d, crashed %d, blocked %d",
-			out.CountStatus(StatusDecided), out.CountStatus(StatusCrashed), out.CountStatus(StatusBlocked))
 	}
 }
 
@@ -288,7 +260,6 @@ func TestGossipTenThousand(t *testing.T) {
 		Workload: w,
 		Profile:  UniformProfile(0, 200*time.Microsecond),
 		Seed:     1303,
-		Bounds:   Bounds{Timeout: 60 * time.Second},
 	}
 	start := time.Now()
 	first, err := Run(sc)
@@ -342,7 +313,6 @@ func TestGossipHundredThousand(t *testing.T) {
 		Workload: w,
 		Profile:  UniformProfile(0, 200*time.Microsecond),
 		Seed:     1303,
-		Bounds:   Bounds{Timeout: 300 * time.Second},
 	}
 	start := time.Now()
 	first, err := Run(sc)
@@ -404,7 +374,6 @@ func TestAllConcurSixteenThousand(t *testing.T) {
 		Faults:   sched,
 		Profile:  UniformProfile(0, 200*time.Microsecond),
 		Seed:     1303,
-		Bounds:   Bounds{Timeout: 300 * time.Second},
 	}
 	start := time.Now()
 	first, err := Run(sc)
@@ -478,7 +447,6 @@ func TestAllConcurCrashAtScale(t *testing.T) {
 		Faults:   sched,
 		Profile:  UniformProfile(0, 200*time.Microsecond),
 		Seed:     1303,
-		Bounds:   Bounds{Timeout: 300 * time.Second},
 	}
 	start := time.Now()
 	first, err := Run(sc)
@@ -549,7 +517,6 @@ func TestAllConcurFourThousand(t *testing.T) {
 		Faults:   sched,
 		Profile:  UniformProfile(0, 200*time.Microsecond),
 		Seed:     1303,
-		Bounds:   Bounds{Timeout: 60 * time.Second},
 	}
 	start := time.Now()
 	first, err := Run(sc)
@@ -598,8 +565,7 @@ func TestAllConcurFourThousand(t *testing.T) {
 }
 
 // TestLargeNDifferentialAndReplay is the n=128 matrix: {hybrid, benor} ×
-// {skew matrix, healing partition} × {virtual twice (bit-repro), realtime
-// once (differential safety)}.
+// {skew matrix, healing partition}, each cell run twice (bit-repro).
 func TestLargeNDifferentialAndReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=128 matrix skipped in -short mode")
@@ -610,52 +576,37 @@ func TestLargeNDifferentialAndReplay(t *testing.T) {
 			protocolName, prof := protocolName, prof
 			t.Run(fmt.Sprintf("%s/%s", protocolName, prof.name), func(t *testing.T) {
 				t.Parallel()
-				check := func(eng Engine, out *Outcome) {
-					t.Helper()
-					if out.BoundedOut() {
-						t.Fatalf("%v: run bounded out after %d steps", eng, out.Steps)
-					}
-					if err := out.CheckAgreement(); err != nil {
-						t.Fatalf("%v: %v", eng, err)
-					}
-					if err := out.CheckValidity([]string{"0", "1"}); err != nil {
-						t.Fatalf("%v: %v", eng, err)
-					}
-					if !out.AllLiveDecided() {
-						t.Fatalf("%v: live processes unfinished: decided %d, crashed %d, blocked %d of %d",
-							eng, out.CountStatus(StatusDecided), out.CountStatus(StatusCrashed),
-							out.CountStatus(StatusBlocked), largeN)
-					}
-				}
-
-				virt := largeNScenario(t, protocolName, prof.p, EngineVirtual)
-				first, err := Run(virt)
+				first, err := Run(largeNScenario(t, protocolName, prof.p))
 				if err != nil {
 					t.Fatal(err)
 				}
-				check(EngineVirtual, first)
+				if first.BoundedOut() {
+					t.Fatalf("run bounded out after %d steps", first.Steps)
+				}
+				if err := first.CheckAgreement(); err != nil {
+					t.Fatal(err)
+				}
+				if err := first.CheckValidity([]string{"0", "1"}); err != nil {
+					t.Fatal(err)
+				}
+				if !first.AllLiveDecided() {
+					t.Fatalf("live processes unfinished: decided %d, crashed %d, blocked %d of %d",
+						first.CountStatus(StatusDecided), first.CountStatus(StatusCrashed),
+						first.CountStatus(StatusBlocked), largeN)
+				}
 				if first.Steps == 0 || first.VirtualTime == 0 {
-					t.Fatalf("virtual run carries no clock: %+v", first)
+					t.Fatalf("run carries no clock: %+v", first)
 				}
 
 				// Bit-identical replay at n=128: the determinism contract
 				// must not erode with scale.
-				second, err := Run(largeNScenario(t, protocolName, prof.p, EngineVirtual))
+				second, err := Run(largeNScenario(t, protocolName, prof.p))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(first, second) {
 					t.Fatalf("n=128 replay diverged:\n  first:  %+v\n  second: %+v", first, second)
 				}
-
-				// Engine differential: the realtime backend must stay safe
-				// and live on the same scenario (its outcome is wall-clock
-				// dependent, so only the properties are compared).
-				rt, err := Run(largeNScenario(t, protocolName, prof.p, EngineRealtime))
-				if err != nil {
-					t.Fatal(err)
-				}
-				check(EngineRealtime, rt)
 			})
 		}
 	}

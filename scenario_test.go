@@ -2,17 +2,18 @@ package allforone
 
 // The registry differential test: every registered protocol runs through
 // Run(Scenario) on one shared scenario matrix — network profiles × crash
-// patterns × both engines — and must stay safe (agreement + validity)
-// everywhere, and live wherever the liveness condition holds. A second
-// test replays non-uniform profiles under the virtual engine and demands
-// bit-identical Outcomes.
+// patterns — and must stay safe (agreement + validity) everywhere, and
+// live wherever the liveness condition holds. A second test replays
+// non-uniform profiles and demands bit-identical Outcomes.
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
+	"allforone/internal/protocol"
 	"allforone/internal/register"
 	"allforone/internal/sim"
 	"allforone/internal/smr"
@@ -136,7 +137,7 @@ func checkDiffOutcome(t *testing.T, info ProtocolInfo, sc Scenario, out *Outcome
 }
 
 // TestRegistryDifferential is the acceptance matrix: every registered
-// protocol × ≥3 network profiles × 2 crash patterns × both engines.
+// protocol × ≥3 network profiles × 2 crash patterns.
 func TestRegistryDifferential(t *testing.T) {
 	t.Parallel()
 	part := Fig1Right() // n=7; P[2] is a majority cluster
@@ -151,43 +152,27 @@ func TestRegistryDifferential(t *testing.T) {
 					continue
 				}
 				for _, faults := range diffFaults(t, n) {
-					for _, eng := range []Engine{EngineVirtual, EngineRealtime} {
-						// Realtime runs sleep their profile delays for real;
-						// skip only the slowest profile there (the heal cut
-						// stalls cross traffic for a wall-clock millisecond
-						// per message generation).
-						if eng == EngineRealtime && prof.name == "heal" {
-							continue
-						}
-						// Inline handler reactors have no realtime port; the
-						// registry rejects the combination (covered by
-						// TestRunRejectsBadScenarios).
-						if eng == EngineRealtime && info.VirtualOnly {
-							continue
-						}
-						name := fmt.Sprintf("%s/%s/%v", prof.name, faults.name, eng)
-						sc := Scenario{
-							Protocol: info.Name,
-							Topology: Topology{Partition: part},
-							Workload: diffMatrixWorkload(n),
-							Faults:   faults.f(),
-							Profile:  prof.p,
-							Engine:   eng,
-							Seed:     42,
-							Bounds:   Bounds{MaxRounds: 10_000, Timeout: 20 * time.Second},
-						}
-						if info.NeedsGraph {
-							sc.Topology.MMEdges = mmRing(n)
-						}
-						if info.NeedsOverlay {
-							sc.Topology.Overlay = diffOverlay()
-						}
-						out, err := Run(sc)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						checkDiffOutcome(t, info, sc, out)
+					name := fmt.Sprintf("%s/%s", prof.name, faults.name)
+					sc := Scenario{
+						Protocol: info.Name,
+						Topology: Topology{Partition: part},
+						Workload: diffMatrixWorkload(n),
+						Faults:   faults.f(),
+						Profile:  prof.p,
+						Seed:     42,
+						Bounds:   Bounds{MaxRounds: 10_000},
 					}
+					if info.NeedsGraph {
+						sc.Topology.MMEdges = mmRing(n)
+					}
+					if info.NeedsOverlay {
+						sc.Topology.Overlay = diffOverlay()
+					}
+					out, err := Run(sc)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					checkDiffOutcome(t, info, sc, out)
 				}
 			}
 		})
@@ -195,7 +180,7 @@ func TestRegistryDifferential(t *testing.T) {
 }
 
 // TestScenarioReplayBitReproducible replays every protocol under the
-// non-uniform profiles on the virtual engine: identical Scenarios must
+// non-uniform profiles: identical Scenarios must
 // produce identical Outcomes, field for field — including the virtual
 // clock, the step count, and every per-process result.
 func TestScenarioReplayBitReproducible(t *testing.T) {
@@ -300,17 +285,42 @@ func TestRunRejectsBadScenarios(t *testing.T) {
 			sc.Protocol = ProtocolAllConcur
 			sc.Topology.Overlay = &OverlaySpec{Kind: OverlayDeBruijn, Degree: 7} // n = 7 allows at most d = 6
 		}},
-		{"virtual-only protocol on the realtime engine", func(sc *Scenario) {
-			sc.Protocol = ProtocolGossip
-			sc.Topology.Overlay = diffOverlay()
-			sc.Engine = EngineRealtime
-		}},
 	}
 	for _, tc := range cases {
 		sc := good
 		tc.mutate(&sc)
 		if _, err := Run(sc); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+
+	// Run-shape knobs are validated once, for every protocol: each registry
+	// entry's valid scenario must turn ErrBadScenario under each bad knob.
+	shape := []struct {
+		name   string
+		mutate func(sc *Scenario)
+	}{
+		{"negative MaxRounds", func(sc *Scenario) { sc.Bounds.MaxRounds = -1 }},
+		{"negative MaxInstances", func(sc *Scenario) { sc.Bounds.MaxInstances = -1 }},
+		{"negative MaxVirtualTime", func(sc *Scenario) { sc.Bounds.MaxVirtualTime = -time.Millisecond }},
+		{"out-of-range Body", func(sc *Scenario) { sc.Body = 99 }},
+		{"inverted uniform band", func(sc *Scenario) { sc.Profile = UniformProfile(5*time.Millisecond, 0) }},
+	}
+	for _, info := range Protocols() {
+		base := Scenario{
+			Protocol: info.Name,
+			Topology: Topology{Partition: part, MMEdges: mmRing(part.N()), Overlay: diffOverlay()},
+			Workload: diffMatrixWorkload(part.N()),
+		}
+		if _, err := Run(base); err != nil {
+			t.Fatalf("%s: baseline scenario failed: %v", info.Name, err)
+		}
+		for _, tc := range shape {
+			sc := base
+			tc.mutate(&sc)
+			if _, err := Run(sc); !errors.Is(err, protocol.ErrBadScenario) {
+				t.Errorf("%s: %s: err = %v, want ErrBadScenario", info.Name, tc.name, err)
+			}
 		}
 	}
 }

@@ -135,7 +135,6 @@ func sparseWorkersScenario(t *testing.T, protocolName string, n, workers int) Sc
 		Profile: UniformProfile(0, 200*time.Microsecond),
 		Seed:    1303,
 		Workers: workers,
-		Bounds:  Bounds{Timeout: 120 * time.Second},
 	}
 	if protocolName == ProtocolGossip {
 		w := Workload{Binary: make([]Value, n)}
