@@ -74,7 +74,13 @@ func outcomeHash(t *testing.T, out *Outcome) uint64 {
 	t.Helper()
 	out.Elapsed = 0
 	out.Raw.(*allconcur.Result).Elapsed = 0
-	js, err := json.Marshal(out)
+	return jsonHash(t, out)
+}
+
+// jsonHash is the FNV-64a of v's JSON encoding.
+func jsonHash(t *testing.T, v any) uint64 {
+	t.Helper()
+	js, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}

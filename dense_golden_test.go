@@ -9,9 +9,7 @@ package allforone
 // of that path must reproduce these hashes, at every Workers width.
 
 import (
-	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"testing"
 	"time"
 )
@@ -185,13 +183,7 @@ func TestDenseShardedOutcomeGolden(t *testing.T) {
 				if out.Sched.ShardEvents == 0 {
 					t.Fatalf("%s Workers=%d: the run never took the sharded path", name, workers)
 				}
-				js, err := json.Marshal(out)
-				if err != nil {
-					t.Fatal(err)
-				}
-				h := fnv.New64a()
-				h.Write(js)
-				if got, want := h.Sum64(), denseGolden[name]; got != want {
+				if got, want := jsonHash(t, out), denseGolden[name]; got != want {
 					t.Errorf("%s Workers=%d: Outcome hash %#016x, want %#016x (steps %d, virtual %v, msgs %d/%d)",
 						name, workers, got, want, out.Steps, out.VirtualTime, out.Metrics.MsgsDelivered, out.Metrics.MsgsSent)
 				}

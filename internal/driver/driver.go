@@ -59,9 +59,10 @@ type Config struct {
 	// runaway guard fires.
 	Complexity sim.StepComplexity
 	// Workers is the engine's expansion-pool width: how many
-	// threads expand each flush window's sends — broadcast fanouts and
-	// per-recipient bursts alike — inside one run (sharded timer wheels,
-	// vclock.WithShards). It is pure mechanism — the observable
+	// threads expand a flush window's sends — broadcast fanouts and
+	// per-recipient bursts alike — inside one run when the window is large
+	// enough to engage the pool; smaller windows expand inline (sharded
+	// timer wheels, vclock.WithShards). It is pure mechanism — the observable
 	// run (schedule, trace, steps, Outcome) is bit-identical at every
 	// setting; only wall-clock time changes. Zero or negative means
 	// runtime.NumCPU(). Small topologies (and protocols without a

@@ -1,63 +1,60 @@
-// Off-token expansion — the virtual-mode send path of large topologies
-// (DESIGN.md §12). On a sharded scheduler the network registers ONE
-// expansion job per flush window (vclock.SubmitSealed) and every send of the
-// window — from any process invoked in it — only appends intent to that job:
-// a SendAll appends one broadcast entry, a BurstSend/BurstSendVia one
-// per-recipient entry on the recipient's shard. At the flush point the job
-// seals and each shard — a contiguous recipient stripe with its own PCG
-// stream derived from the run seed — draws its delays, builds deferred
-// payloads through its payload pool, and stages its events into its shard
-// wheel: one delta-compressed fanout per broadcast, one pooled delivery per
-// per-recipient entry. Work is partitioned by shard — a pure function of the
-// topology — and the sequence block is reserved at the flush point by
-// token-side logic, so the resulting schedule is bit-identical at every
-// worker count.
+// Window expansion — the send path of large topologies (DESIGN.md §12). On a
+// sharded scheduler the network registers ONE expansion job per flush window
+// (vclock.SubmitSealed) and every send of the window — from any process
+// invoked in it — only appends intent to that job: a SendAll appends one
+// broadcast entry, a BurstSend/BurstSendVia one per-recipient entry on the
+// recipient's shard. At the flush point the job seals and each shard — a
+// contiguous recipient stripe with its own PCG stream derived from the run
+// seed — draws its delays, builds deferred payloads through its payload pool,
+// and stages its events into its shard wheel: one lazily ordered fanout per
+// broadcast, one pooled delivery per per-recipient entry. The scheduler runs
+// the shards inline on the token or, for a large window, off it on its worker
+// pool; work is partitioned by shard — a pure function of the topology — and
+// the sequence block is reserved at the flush point by token-side logic, so
+// the resulting schedule is bit-identical either way, at every worker count.
 package netsim
 
 import (
 	"math/rand/v2"
-	"slices"
 	"time"
 
 	"allforone/internal/model"
 	"allforone/internal/vclock"
 )
 
-// sendShard is one shard's expansion state. The rng/keys/free* fields are
-// owned by the worker that runs the shard's expansion (or by the token
-// itself at Workers = 1); the burst entries are appended by the token
-// between flushes and consumed by that worker during the flush; the rec*
-// lists are owned by the token (events fire and payloads are consumed under
-// it). The two sides only meet in recycleShardPools, which runs when a
-// window opens — outside any flush, the workers idle — so no lock is ever
-// needed.
+// sendShard is one shard's expansion state. Two parties touch it, never at
+// once: the shard's expansion — a pool worker, or the token itself when the
+// window expands inline — draws from rng, packs into keys, consumes the burst
+// entries and pops the freelists, and it runs only inside a flush, while the
+// token waits in it; the token, between flushes, appends burst entries and
+// pushes fired events and consumed payloads back onto the freelists. The
+// flush's dispatch send and WaitGroup join order every access, so no lock is
+// ever needed.
 type sendShard struct {
 	rng    *rand.Rand // per-shard delay stream, derived from the run seed
 	lo, hi int        // recipient stripe [lo, hi)
-	keys   []uint64   // packed-key scratch, hot across windows
+	keys   []uint64   // packed-word scratch, hot across windows
 	burst  []burstEntry
 
-	freeFan, recFan []*fanout   // broadcast fanouts
-	freeDel, recDel []*delivery // per-recipient deliveries
-	freePay, recPay []any       // builder payload objects
+	freeFan []*fanout   // broadcast fanouts
+	freeDel []*delivery // per-recipient deliveries
+	freePay []any       // builder payload objects
 }
 
 // getFanout pops a pooled fanout from the shard's freelist or makes one
-// tagged with the shard id, so release routes it back here.
-func (sh *sendShard) getFanout(nw *Network, shard, want int) *fanout {
+// tagged with the shard id, so release routes it back here; load sizes its
+// entries.
+func (sh *sendShard) getFanout(nw *Network, shard int) *fanout {
 	if k := len(sh.freeFan); k > 0 {
 		f := sh.freeFan[k-1]
 		sh.freeFan = sh.freeFan[:k-1]
-		if cap(f.key32) < want {
-			f.key32 = make([]uint32, 0, want)
-		}
 		return f
 	}
-	return &fanout{nw: nw, shard: int32(shard), key32: make([]uint32, 0, want)}
+	return &fanout{nw: nw, shard: int32(shard)}
 }
 
-// getDelivery pops a pooled delivery from the shard's worker-side freelist
-// or makes one tagged with the shard id, so Fire routes it back here.
+// getDelivery pops a pooled delivery from the shard's freelist or makes one
+// tagged with the shard id, so Fire routes it back here.
 func (sh *sendShard) getDelivery(nw *Network, shard int) *delivery {
 	if k := len(sh.freeDel); k > 0 {
 		d := sh.freeDel[k-1]
@@ -142,9 +139,9 @@ func (w *window) Seal() (seqs uint64, broadcasts int64) {
 	return w.burstBase + shards*w.burstPer, int64(len(w.fans))
 }
 
-// ExpandShard stages shard's share of the window. It runs off the execution
-// token; it touches only the window (read-only), the shard's worker-owned
-// state, and the staging inserter. Delays are drawn from the shard's own
+// ExpandShard stages shard's share of the window. It may run off the
+// execution token; it touches only the window (read-only), the shard's own
+// state (sendShard), and the staging inserter. Delays are drawn from the shard's own
 // stream in entry order — the broadcasts' stripes first, then the
 // per-recipient entries — and for recipients that can no longer receive too
 // (packFan's stream-stability rule).
@@ -152,9 +149,10 @@ func (w *window) ExpandShard(shard int, seqBase uint64, ins *vclock.ShardInserte
 	nw := w.nw
 	sh := &nw.shards[shard]
 
-	// Broadcasts: one sorted, delta-compressed fanout per entry at the head
-	// of the entry's run; a draw too long for the packed key rides its own
-	// delivery event on the run's following sequence numbers.
+	// Broadcasts: one fanout per entry at the head of the entry's run, its
+	// stripe of arrivals bucketed, not sorted (see fanout); a draw too long
+	// for the packed word rides its own delivery event on the run's following
+	// sequence numbers.
 	stripe := nw.everyone[sh.lo:sh.hi]
 	words := len(nw.closedBox)
 	var seq uint64
@@ -168,19 +166,15 @@ func (w *window) ExpandShard(shard int, seqBase uint64, ins *vclock.ShardInserte
 		e := &w.fans[i]
 		seq = seqBase + (uint64(i)*uint64(len(nw.shards))+uint64(shard))*nw.seqPerShard
 		first := seq
-		keys, _ := nw.packFan(sh.keys[:0], sh.rng, e.at, e.from, e.payload, stripe, w.snaps[i*words:(i+1)*words], lone)
+		keys, minDelay, maxDelay := nw.packFan(sh.keys[:0], sh.rng, e.at, e.from, e.payload, stripe, w.snaps[i*words:(i+1)*words], lone)
 		sh.keys = keys[:0]
 		if len(keys) == 0 {
 			continue
 		}
-		// Sorting the full packed words orders by (delay, recipient); the
-		// stripe was scanned in ascending recipient order, so ties resolve
-		// exactly like the unsharded path's stable sort (sortFanKeys).
-		slices.Sort(keys)
-		f := sh.getFanout(nw, shard, len(keys))
+		f := sh.getFanout(nw, shard)
 		f.from = e.from
 		f.payload = e.payload
-		ins.At(f.load(keys, e.at), first, f)
+		ins.At(f.load(keys, stripe, e.at, minDelay, maxDelay), first, f)
 	}
 
 	// Per-recipient entries: one pooled delivery event each, at (send
@@ -212,7 +206,7 @@ func (w *window) ExpandShard(shard int, seqBase uint64, ins *vclock.ShardInserte
 	if payloadBytes > 0 {
 		ins.NotePayloadBytes(int64(payloadBytes))
 	}
-	// The worker owns this shard's entries for the whole window; clearing
+	// The expansion owns this shard's entries for the whole flush; clearing
 	// here drops the payload references before the token resumes.
 	clear(entries)
 	sh.burst = entries[:0]
@@ -226,17 +220,22 @@ func (w *window) ExpandShard(shard int, seqBase uint64, ins *vclock.ShardInserte
 // later — and under a zero-minimum profile the lookahead rule still lets the
 // current instant's whole cohort pop before the window closes.
 func (nw *Network) openWindow() {
-	if nw.win.live {
+	w := &nw.win
+	if w.live {
 		return
 	}
-	nw.recycleShardPools()
+	// The previous window's flush is over: drop its broadcast entries (and
+	// their payload references), which the expansion only read.
+	clear(w.fans)
+	w.fans = w.fans[:0]
+	w.snaps = w.snaps[:0]
 	sched := nw.opts.sched
 	earliest := vclock.Time(sched.Now())
 	if nw.opts.uniform {
 		earliest += vclock.Time(nw.opts.uniMin)
 	}
-	nw.win.live = true
-	sched.SubmitSealed(&nw.win, earliest)
+	w.live = true
+	sched.SubmitSealed(w, earliest)
 }
 
 // appendFan is SendAll's sharded form: queue the broadcast, with the
@@ -305,8 +304,8 @@ func (nw *Network) BurstSendVia(from, to model.ProcID, b BurstBuilder, ctx any, 
 
 // GrabPayload pops a pooled payload object from shard's payload pool, or
 // returns nil when the pool is empty (the caller allocates). shard ≥ 0 is
-// worker-side — builders call it for their own shard only; shard < 0 is
-// the token-owned global pool of the unsharded fallback path.
+// expansion-side — builders call it for their own shard only; shard < 0 is
+// the global pool of the unsharded fallback path.
 func (nw *Network) GrabPayload(shard int) any {
 	var pool *[]any
 	if shard >= 0 {
@@ -324,17 +323,14 @@ func (nw *Network) GrabPayload(shard int) any {
 }
 
 // RecyclePayload returns a consumed payload object to shard's pool. It
-// runs under the execution token (consumption is token-side), so sharded
-// returns land on the shard's recycle list and merge back into the
-// worker-owned freelist when the next window opens (recycleShardPools),
-// like the fanout and delivery pools.
+// runs under the execution token (consumption is token-side), between
+// flushes, like the fanout and delivery returns (see sendShard).
 func (nw *Network) RecyclePayload(shard int, p any) {
+	pool := &nw.freePayloads
 	if shard >= 0 {
-		sh := &nw.shards[shard]
-		sh.recPay = append(sh.recPay, p)
-		return
+		pool = &nw.shards[shard].freePay
 	}
-	nw.freePayloads = append(nw.freePayloads, p)
+	*pool = append(*pool, p)
 }
 
 // ShardOf returns the expansion shard owning recipient p, or −1 on an
@@ -345,33 +341,6 @@ func (nw *Network) ShardOf(p model.ProcID) int {
 		return -1
 	}
 	return int(nw.shardOf[p])
-}
-
-// recycleShardPools runs under the token when a window opens: the previous
-// window's flush is over and no expansion is running, so the token may
-// briefly touch the worker-owned freelists — merge each shard's released
-// objects back — and drop the previous window's broadcast entries, which
-// the workers only read.
-func (nw *Network) recycleShardPools() {
-	for i := range nw.shards {
-		sh := &nw.shards[i]
-		mergeBack(&sh.freeFan, &sh.recFan)
-		mergeBack(&sh.freeDel, &sh.recDel)
-		mergeBack(&sh.freePay, &sh.recPay)
-	}
-	w := &nw.win
-	clear(w.fans) // drop the payload references
-	w.fans = w.fans[:0]
-	w.snaps = w.snaps[:0]
-}
-
-// mergeBack moves a token-side recycle list onto its worker-side freelist.
-func mergeBack[T any](free, rec *[]T) {
-	if len(*rec) > 0 {
-		*free = append(*free, *rec...)
-		clear(*rec)
-		*rec = (*rec)[:0]
-	}
 }
 
 // mix64 is the SplitMix64 finalizer, used to derive independent per-shard

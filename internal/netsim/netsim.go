@@ -17,7 +17,9 @@ package netsim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -163,8 +165,7 @@ type Network struct {
 	freeDeliveries []*delivery
 	freeFanouts    []*fanout
 	everyone       []model.ProcID // the 0 … n-1 recipient list (SendAll); built once in New
-	sortKeys       []uint64       // packed-key build/sort scratch (sendFan)
-	sortAlt        []uint64       // radix-sort ping-pong scratch (sortFanKeys)
+	packKeys       []uint64       // packed-word scratch (sendFan), hot across broadcasts
 	closedBox      []uint64       // closed-inbox bitmap, mirrors vboxes[i].Closed()
 
 	// Sharded expansion state (expand.go); nil unless the scheduler is
@@ -181,8 +182,7 @@ type Network struct {
 // delivery is a pooled single-message delivery event: the
 // scheduled form of one point-to-point Send. shard names the pool that owns
 // it: a shard-expanded delivery cycles through its recipient shard's
-// freelist (worker-filled, token-drained — see sendShard), everything else
-// through the network-global one.
+// freelist (see sendShard), everything else through the network-global one.
 type delivery struct {
 	nw    *Network
 	box   *mailbox.Virtual[Message]
@@ -196,211 +196,213 @@ func (d *delivery) Fire() {
 	d.box, d.msg = nil, Message{}
 	if d.shard >= 0 {
 		sh := &d.nw.shards[d.shard]
-		sh.recDel = append(sh.recDel, d)
+		sh.freeDel = append(sh.freeDel, d)
 	} else {
 		d.nw.freeDeliveries = append(d.nw.freeDeliveries, d)
 	}
 	box.Put(msg)
 }
 
-// fanout is a pooled batched-broadcast event: one broadcast
-// schedules a single event that materializes its deliveries lazily —
-// arrivals are sorted by instant, each firing delivers the cohort due now
-// and reschedules the event at the next distinct instant. A broadcast with
-// g distinct arrival instants costs g scheduler events instead of n, and
-// zero allocations once the pool is warm.
+// fanout is a pooled batched-broadcast event: one broadcast schedules a
+// single event that materializes its deliveries lazily — each firing delivers
+// the cohort of arrivals due now and reschedules the event at the next
+// distinct instant. A broadcast with g distinct arrival instants that are
+// ever reached costs g scheduler events instead of n, and zero allocations
+// once the pool is warm.
 //
-// Arrivals are sorted at send time as packed uint64 words —
-// (delay << fanSeqBits) | recipient — in network-level scratch (hot across
-// broadcasts), then stored on the fanout delta-compressed: each uint32
-// entry is (gap to the previous arrival << fanSeqBits) | recipient, with
-// f.base tracking the absolute instant of the next undelivered arrival.
-// Compression is lossless (gaps sum back to the exact drawn delays) and
-// matters because a broadcast's undelivered tail keeps the fanout live for
-// the full delay span: at n=1024 thousands of fanouts are in flight at
-// once, and 4-byte entries halve that resident set — the Fire path is
-// cache-miss-bound on it. Arrivals whose gap overflows 32-fanSeqBits bits
-// (> half a virtual millisecond between consecutive sorted arrivals) fall
-// back to the uncompressed key64 form; a fanout is in that form exactly
-// while key64 is non-empty, and both slices keep their capacity across
-// pool cycles. Recipients sharing an arrival instant (gap 0) deliver in
-// recipient-list order (the sort is stable); each recipient appears at most
-// once per fanout, so the tie-break only decides mailbox wake order.
+// Arrivals are ordered lazily too. Under the one-for-all rule a recipient
+// closes an exchange on a handful of senders, so most arrivals of a dense run
+// are still in flight when it ends; sorting them all at send time pays for an
+// order nobody reads. Instead load only distributes them, in one counting
+// pass, over up to fanBuckets buckets of equal delay width — bucket b's
+// entries, in list order, before bucket b+1's — and Fire sorts a bucket when
+// the deliveries reach it: entries[next:sorted] are in delivery order, the
+// rest is bucketed but unsorted, and a run that ends early never pays for the
+// buckets it did not reach. An entry is (delay − least delay) << bits |
+// position in the recipient list to, so sorting whole words orders by
+// arrival instant, then list position — ascending ids for SendAll and shard
+// stripes, list order for BroadcastSubset — which is the order a stable sort
+// by delay would deliver in; each recipient appears at most once per fanout,
+// so the tie-break only decides mailbox wake order. bits is sized per fanout
+// from len(to), and entries are 4 bytes (keys) whenever the spread of the
+// delays fits the remaining bits — a 128-wide stripe leaves 2²⁵ ns ≈ 33 ms —
+// and 8 bytes (wide) otherwise; a fanout is in the wide form exactly while
+// wide is non-empty, and both slices keep their capacity across pool cycles.
+// The narrow form matters because a broadcast's undelivered tail keeps the
+// fanout live for the full delay span: at n=1024 thousands of fanouts are in
+// flight at once, 4-byte entries halve that resident set, and the Fire path
+// is cache-miss-bound on it.
 type fanout struct {
 	nw      *Network
 	from    model.ProcID
 	payload any
-	base    vclock.Time // instant of the arrival at index next (key32 form) or the send instant (key64 form)
-	key32   []uint32    // (gap<<fanSeqBits)|recipient; gap relative to the previous entry
-	key64   []uint64    // fallback: (delay<<fanSeqBits)|recipient, delay relative to base
-	next    int         // index of the next entry to deliver
-	shard   int32       // owning shard pool, -1 for the network-global pool
+	base    vclock.Time    // send instant + least delay: entry delays count from it
+	to      []model.ProcID // the recipient list entry positions index; immutable while in flight
+	keys    []uint32       // narrow entries
+	wide    []uint64       // wide entries, when the delay spread overflows a narrow one
+	next    int32          // index of the next entry to deliver
+	sorted  int32          // entries before this index are in delivery order
+	bits    uint8          // width of an entry's position field
+	shift   uint8          // an entry's bucket is its delay field >> shift
+	shard   int32          // owning shard pool, -1 for the network-global pool
 }
 
-// Packed-key bounds: recipient ids need fanSeqBits, leaving 50 bits of
-// delay — about 13 virtual days. Networks wider than 1<<fanSeqBits
-// processes, or a delay draw beyond the bound, fall back to one pooled
-// per-message delivery event (correct, just not batched).
+// Packed-key bounds of packFan's scratch words, (delay << fanSeqBits) |
+// position: positions need fanSeqBits, leaving 50 bits of delay — about 13
+// virtual days. Networks wider than 1<<fanSeqBits processes, or a delay draw
+// beyond the bound, fall back to one pooled per-message delivery event
+// (correct, just not batched).
 const (
 	fanSeqBits  = 13
 	maxPackFan  = 1 << fanSeqBits
 	maxPackWait = vclock.Time(1) << (63 - fanSeqBits)
 )
 
-// LSD radix geometry: 12-bit digits sort the common case — sub-4ms delay
-// plus 13 recipient bits ≈ 35 significant bits — in three linear passes.
+// Bucket geometry of a fanout: the largest power of two of buckets that
+// leaves at least fanRun entries per bucket under a uniform band, at most
+// fanBuckets (a 512-wide stripe, the widest the sharded path packs, gets 8
+// per bucket; the paper's n=7 trials get one bucket, sorted whole at load). A
+// bucket is insertion-sorted when it is reached; one longer than fanLongRun —
+// a delay profile that clusters, or a fanout far wider than a stripe — goes
+// to the library sort instead of paying the quadratic.
 const (
-	radixBits = 12
-	radixSize = 1 << radixBits
+	fanRun     = 4
+	fanBuckets = 64
+	fanLongRun = 32
 )
 
-// radixSortU64 sorts keys by LSD counting passes on the digits from lowBit
-// up, using *alt as the ping-pong buffer; bits below lowBit are ignored by
-// the ordering but ride along, and keys with equal sorted digits keep
-// their input order (each pass is a stable counting sort). Passing the
-// delay field's offset as lowBit sorts a fanout by arrival instant with
-// the append position — recipient order — as the tie-break, without
-// spending a radix pass on the recipient bits. Returns the sorted slice
-// (which may be *alt's backing array; the other array is left in *alt).
-func radixSortU64(keys []uint64, alt *[]uint64, maxKey uint64, lowBit uint) []uint64 {
-	if cap(*alt) < len(keys) {
-		*alt = make([]uint64, len(keys))
+// fanKey is a fanout entry word: narrow or wide.
+type fanKey interface{ uint32 | uint64 }
+
+// bucketFan stores the arrivals words (packFan's, in list order, delays
+// within [minDelay, minDelay+spread]) as fanout entries with a bits-wide
+// position field, grouped by bucket — delay field >> shift — and in list
+// order within a bucket; the first bucket is sorted. dst is reused when it is
+// large enough. It returns the entries and the end of the sorted prefix.
+func bucketFan[K fanKey](dst []K, words []uint64, minDelay, spread uint64, bits, shift uint8) ([]K, int) {
+	if cap(dst) < len(words) {
+		dst = make([]K, len(words))
 	}
-	tmp := (*alt)[:len(keys)]
-	var counts [radixSize]int32
-	for shift := lowBit; maxKey>>shift != 0; shift += radixBits {
-		counts = [radixSize]int32{}
-		for _, k := range keys {
-			counts[(k>>shift)&(radixSize-1)]++
+	dst = dst[:len(words)]
+	mask := uint64(1)<<bits - 1
+	if spread>>shift == 0 {
+		// One bucket: nothing to distribute. And if it is one cohort too
+		// (immediate delivery, fixed-delay profiles), list order is already
+		// delivery order.
+		for i, w := range words {
+			dst[i] = K((w>>fanSeqBits-minDelay)<<bits | w&mask)
 		}
-		sum := int32(0)
-		for i := range counts {
-			c := counts[i]
-			counts[i] = sum
-			sum += c
+		if spread == 0 {
+			return dst, len(dst)
 		}
-		for _, k := range keys {
-			d := (k >> shift) & (radixSize - 1)
-			tmp[counts[d]] = k
-			counts[d]++
-		}
-		keys, tmp = tmp, keys
+		return dst, sortRun(dst, 0, bits+shift)
 	}
-	*alt = tmp[:0]
-	return keys
+	var at [fanBuckets]uint16 // per bucket: its size, then its next free index
+	for _, w := range words {
+		at[(w>>fanSeqBits-minDelay)>>shift]++
+	}
+	sum := uint16(0)
+	for b := range at[:spread>>shift+1] {
+		at[b], sum = sum, sum+at[b]
+	}
+	for _, w := range words {
+		d := w>>fanSeqBits - minDelay
+		b := d >> shift
+		dst[at[b]] = K(d<<bits | w&mask)
+		at[b]++
+	}
+	return dst, sortRun(dst, 0, bits+shift)
 }
 
-// fanSortCrossover is the fanout size from which sortFanKeys takes the
-// radix sort. It is read off BenchmarkSendFanSort (2.1 GHz Xeon, go1.24,
-// delays uniform over 200 µs or 2 ms — the span does not matter): clearing
-// and prefix-summing 4096 counters twice gives the radix sort a floor of
-// ≈6 µs whatever k is (5.8 µs at k=7, 6.5 at 128, 7.1 at 255, 12 at 1024),
-// while the insertion sort costs 0.02 µs at k=7, 0.3 at 32, 1.2 at 64, 4.2
-// at 128, 15 at 255 and 200 at 1024 — the curves cross near k=160. 128
-// leaves the insertion sort level or ahead also in a build whose code
-// alignment runs the radix loop some 40 % faster (DESIGN.md §10).
-const fanSortCrossover = 128
-
-// sortFanKeys is the one sort of the unsharded fanout path: it orders packed
-// (delay<<fanSeqBits)|recipient keys by delay, keys of equal delay keeping
-// their input order — the recipient-list order, ascending or not. maxDelay
-// bounds the delay fields. The algorithm is a function of len(keys) alone: a
-// stable insertion sort below fanSortCrossover, the LSD radix sort (whose
-// ping-pong buffer is *alt) from there on. Both produce the same permutation,
-// so the choice is invisible to every schedule. Returns the sorted slice.
-func sortFanKeys(keys []uint64, alt *[]uint64, maxDelay uint64) []uint64 {
-	if len(keys) >= fanSortCrossover {
-		return radixSortU64(keys, alt, maxDelay<<fanSeqBits, fanSeqBits)
-	}
-	insertionSortByDelay(keys)
-	return keys
-}
-
-// insertionSortByDelay sorts keys in place by their delay field, stably.
-func insertionSortByDelay(keys []uint64) {
-	for i := 1; i < len(keys); i++ {
-		k := keys[i]
-		j := i
-		for j > 0 && keys[j-1]>>fanSeqBits > k>>fanSeqBits {
-			keys[j] = keys[j-1]
-			j--
-		}
-		keys[j] = k
-	}
-}
-
-// load stores the sorted arrival keys of a broadcast sent at instant now
-// (delays relative to it) on the empty fanout f — delta-compressed, or
-// uncompressed when a gap between consecutive arrivals overflows the
-// compressed form — and returns the first arrival instant.
-func (f *fanout) load(keys []uint64, now vclock.Time) vclock.Time {
-	prev := keys[0] >> fanSeqBits
-	first := now + vclock.Time(prev)
-	f.base = first
-	for _, k := range keys {
-		gap := (k >> fanSeqBits) - prev
-		if gap >= 1<<(32-fanSeqBits) {
-			// A consecutive-arrival gap too wide for the compressed form
-			// (> ~0.5 virtual ms): keep the sorted keys uncompressed.
-			f.key32 = f.key32[:0]
-			f.key64 = append(f.key64, keys...)
-			f.base = now
+// sortRun sorts the bucket of h that starts at index from — the run of
+// entries sharing its bucket number, entry >> sh — and returns its end.
+func sortRun[K fanKey](h []K, from int, sh uint8) int {
+	bucket := h[from] >> sh
+	end := from + 1
+	for ; end < len(h) && h[end]>>sh == bucket; end++ {
+		if end-from == fanLongRun {
+			for end < len(h) && h[end]>>sh == bucket {
+				end++
+			}
+			slices.Sort(h[from:end])
 			break
 		}
-		prev = k >> fanSeqBits
-		f.key32 = append(f.key32, uint32(gap)<<fanSeqBits|uint32(k&(maxPackFan-1)))
+		k := h[end]
+		j := end
+		for ; j > from && h[j-1] > k; j-- {
+			h[j] = h[j-1]
+		}
+		h[j] = k
 	}
-	return first
+	return end
+}
+
+// load stores on the empty fanout f the arrivals of a broadcast to the list
+// to, sent at instant now: words holds packFan's words for them, in list
+// order, and minDelay/maxDelay bound their delay fields. It returns the first
+// arrival instant. The entry slice is sized exactly, here, where the form is
+// known: a fanout whose tail arrivals outlive the run never returns to the
+// pool, so an append-doubling growth chain would be paid — allocation, copy,
+// and write barrier — once per broadcast, not amortized across reuses.
+func (f *fanout) load(words []uint64, to []model.ProcID, now vclock.Time, minDelay, maxDelay uint64) vclock.Time {
+	f.to = to
+	f.base = now + vclock.Time(minDelay)
+	f.bits = uint8(bits.Len(uint(len(to) - 1)))
+	spread := maxDelay - minDelay
+	lgBuckets := max(0, min(bits.Len(uint(len(words)/fanRun)), bits.Len(fanBuckets))-1)
+	f.shift = uint8(max(0, bits.Len64(spread)-lgBuckets))
+	var sorted int
+	if spread>>(32-f.bits) == 0 {
+		f.keys, sorted = bucketFan(f.keys, words, minDelay, spread, f.bits, f.shift)
+	} else {
+		f.wide, sorted = bucketFan(f.wide, words, minDelay, spread, f.bits, f.shift)
+	}
+	f.next, f.sorted = 0, int32(sorted)
+	return f.base
 }
 
 // Fire delivers every arrival due at the current instant, then either
 // reschedules for the next instant or returns to the pool.
 func (f *fanout) Fire() {
-	if len(f.key64) != 0 {
-		f.fire64()
-		return
+	var next vclock.Time
+	if len(f.wide) != 0 {
+		next = deliverDue(f, f.wide)
+	} else {
+		next = deliverDue(f, f.keys)
 	}
-	for {
-		k := f.key32[f.next]
-		to := model.ProcID(k & (maxPackFan - 1))
-		if !f.nw.boxClosed(to) { // closed after send: Put would drop it anyway
-			f.nw.vboxes[to].Put(Message{From: f.from, To: to, Payload: f.payload})
-		}
-		f.next++
-		if f.next < len(f.key32) {
-			if gap := f.key32[f.next] >> fanSeqBits; gap != 0 {
-				f.base += vclock.Time(gap)
-				f.reschedule(f.base)
-				return
-			}
-			continue
-		}
-		break
+	if next >= 0 {
+		f.reschedule(f.base + next)
+		return
 	}
 	f.release()
 }
 
-// fire64 is Fire for the uncompressed fallback form.
-func (f *fanout) fire64() {
-	k := f.key64[f.next]
-	due := k >> fanSeqBits
+// deliverDue puts the messages of the cohort at f.next of f's entries h —
+// the entries sharing the least undelivered delay — sorting the following
+// bucket when the deliveries reach it. It returns the delay (from f.base) of
+// the next cohort, or a negative one when h is exhausted.
+func deliverDue[K fanKey](f *fanout, h []K) vclock.Time {
+	nw, list, bits := f.nw, f.to, f.bits
+	i, sorted := int(f.next), int(f.sorted)
+	due := h[i] >> bits
 	for {
-		to := model.ProcID(k & (maxPackFan - 1))
-		if !f.nw.boxClosed(to) {
-			f.nw.vboxes[to].Put(Message{From: f.from, To: to, Payload: f.payload})
+		to := list[h[i]&(1<<bits-1)]
+		if !nw.boxClosed(to) { // closed after send: Put would drop it anyway
+			nw.vboxes[to].Put(Message{From: f.from, To: to, Payload: f.payload})
 		}
-		f.next++
-		if f.next < len(f.key64) {
-			k = f.key64[f.next]
-			if k>>fanSeqBits != due {
-				f.reschedule(f.base + vclock.Time(k>>fanSeqBits))
-				return
-			}
-			continue
+		i++
+		if i == len(h) {
+			return -1
 		}
-		break
+		if i == sorted {
+			sorted = sortRun(h, i, bits+f.shift)
+			f.sorted = int32(sorted)
+		}
+		if d := h[i] >> bits; d != due {
+			f.next = int32(i)
+			return vclock.Time(d)
+		}
 	}
-	f.release()
 }
 
 // reschedule re-arms the fanout for its next arrival instant. A shard
@@ -418,17 +420,17 @@ func (f *fanout) reschedule(at vclock.Time) {
 }
 
 // release returns the exhausted fanout to its pool: the owning shard's
-// recycle list (merged back into the worker-side freelist when the next
-// window opens) or the network-global freelist. It runs under the
-// execution token, like every Fire.
+// freelist or the network-global one. It runs under the execution token, like
+// every Fire — and the expansion workers that pop the shard freelists run
+// only inside a flush, while the token waits in it.
 func (f *fanout) release() {
 	f.payload = nil
-	f.key32 = f.key32[:0]
-	f.key64 = f.key64[:0]
-	f.next = 0
+	f.to = nil
+	f.keys = f.keys[:0]
+	f.wide = f.wide[:0]
 	if f.shard >= 0 {
 		sh := &f.nw.shards[f.shard]
-		sh.recFan = append(sh.recFan, f)
+		sh.freeFan = append(sh.freeFan, f)
 		return
 	}
 	f.nw.freeFanouts = append(f.nw.freeFanouts, f)
@@ -444,21 +446,14 @@ func (nw *Network) getDelivery() *delivery {
 	return &delivery{nw: nw, shard: -1}
 }
 
-// getFanout pops a pooled fanout event or makes one, with room for up to
-// want arrivals. Sizing the entry slice exactly up front matters: a fanout
-// whose tail arrivals outlive the run never returns to the pool, so an
-// append-doubling growth chain would be paid — allocation, copy, and write
-// barrier — once per broadcast, not amortized across reuses.
-func (nw *Network) getFanout(want int) *fanout {
+// getFanout pops a pooled fanout event or makes one; load sizes its entries.
+func (nw *Network) getFanout() *fanout {
 	if k := len(nw.freeFanouts); k > 0 {
 		f := nw.freeFanouts[k-1]
 		nw.freeFanouts = nw.freeFanouts[:k-1]
-		if cap(f.key32) < want {
-			f.key32 = make([]uint32, 0, want)
-		}
 		return f
 	}
-	return &fanout{nw: nw, shard: -1, key32: make([]uint32, 0, want)}
+	return &fanout{nw: nw, shard: -1}
 }
 
 // New returns a network connecting processes 0 … n-1 on the scheduler
@@ -555,19 +550,19 @@ func (nw *Network) Send(from, to model.ProcID, payload any) {
 // batched fanout: for each in-range recipient of to it draws a delay from
 // rng (sent at instant at), skips those whose bit is set in the closed
 // bitmap — the live one, or a job's send-time snapshot — and appends the
-// packed (delay<<fanSeqBits)|recipient key to keys. An arrival the key
-// cannot hold — a ≥13-virtual-day draw, or any at all once recipient ids
-// outgrow fanSeqBits — is handed to lone with its arrival instant, to ride
-// a delivery event of its own. Returns the keys and the largest packed
-// delay.
+// packed (delay<<fanSeqBits)|position-in-to word to keys. An arrival the word
+// cannot hold — a ≥13-virtual-day draw, or any at all once recipient ids or
+// list positions outgrow fanSeqBits — is handed to lone with its arrival
+// instant, to ride a delivery event of its own. Returns the words, in list
+// order, and the least and largest packed delay.
 func (nw *Network) packFan(keys []uint64, rng *rand.Rand, at vclock.Time, from model.ProcID, payload any,
-	to []model.ProcID, closed []uint64, lone func(vclock.Time, Message)) ([]uint64, uint64) {
+	to []model.ProcID, closed []uint64, lone func(vclock.Time, Message)) (_ []uint64, minDelay, maxDelay uint64) {
 	limit := maxPackWait
-	if nw.n > maxPackFan {
+	if nw.n > maxPackFan || len(to) > maxPackFan {
 		limit = 0
 	}
-	maxDelay := uint64(0)
-	for _, p := range to {
+	minDelay = ^uint64(0)
+	for i, p := range to {
 		if int(p) < 0 || int(p) >= nw.n {
 			continue
 		}
@@ -588,32 +583,32 @@ func (nw *Network) packFan(keys []uint64, rng *rand.Rand, at vclock.Time, from m
 			continue
 		}
 		w := uint64(d)
-		if w > maxDelay {
-			maxDelay = w
-		}
-		keys = append(keys, w<<fanSeqBits|uint64(p))
+		minDelay = min(minDelay, w)
+		maxDelay = max(maxDelay, w)
+		keys = append(keys, w<<fanSeqBits|uint64(i))
 	}
-	return keys, maxDelay
+	return keys, minDelay, maxDelay
 }
 
 // sendFan transmits payload to recipients (all already counted; those out
 // of range are skipped) as one batched fanout: a single pooled scheduler
 // event per distinct arrival instant. Delay draws happen in recipient
-// order, so the RNG stream matches the equivalent Send sequence.
+// order, so the RNG stream matches the equivalent Send sequence. The fanout
+// reads recipients until its last arrival, so the list must not change again.
 func (nw *Network) sendFan(from model.ProcID, payload any, recipients []model.ProcID) {
 	if nw.closed.Load() {
 		return // shut down: every inbox is closed, nothing can arrive
 	}
 	now := nw.opts.sched.Now()
-	keys, maxDelay := nw.packFan(nw.sortKeys[:0], nw.rng, now, from, payload, recipients, nw.closedBox, nw.post)
-	if len(keys) > 0 {
-		keys = sortFanKeys(keys, &nw.sortAlt, maxDelay)
-		f := nw.getFanout(len(keys))
-		f.from = from
-		f.payload = payload
-		nw.opts.sched.AtEvent(f.load(keys, now), f)
+	keys, minDelay, maxDelay := nw.packFan(nw.packKeys[:0], nw.rng, now, from, payload, recipients, nw.closedBox, nw.post)
+	nw.packKeys = keys[:0]
+	if len(keys) == 0 {
+		return
 	}
-	nw.sortKeys = keys[:0] // after the sort: it may have swapped buffers with sortAlt
+	f := nw.getFanout()
+	f.from = from
+	f.payload = payload
+	nw.opts.sched.AtEvent(f.load(keys, recipients, now, minDelay, maxDelay), f)
 }
 
 // SendAll transmits payload from one process to every process (including
@@ -658,7 +653,9 @@ func (nw *Network) BroadcastSubset(from model.ProcID, payload any, recipients []
 		}
 		nw.opts.counters.AddMsgsSent(sent)
 	}
-	nw.sendFan(from, payload, recipients)
+	// A copy: the list is the caller's, and a crash-cut broadcast happens at
+	// most once per process per run.
+	nw.sendFan(from, payload, slices.Clone(recipients))
 }
 
 // Receive parks p's coroutine until a message for p arrives, p's inbox

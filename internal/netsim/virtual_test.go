@@ -3,6 +3,7 @@ package netsim
 import (
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -186,14 +187,14 @@ func TestVirtualSendAllBatchedFanout(t *testing.T) {
 // inbox rings are reused, so steady-state rounds cost zero allocations in
 // netsim (scheduler bucket growth amortizes to zero as well).
 //
-// The wide-gap case pins the uncompressed fallback too: under a ms-scale
-// profile at small n, consecutive sorted arrivals lie more than 2¹⁹ ns
-// apart, every broadcast takes the key64 form, and that buffer has to stay
-// on the pooled fanout like the compressed one does.
+// The wide-gap case pins the 8-byte entry form too: at n=16 a 4-byte entry
+// holds delay spreads below 2²⁸ ns ≈ 268 ms, so under a second-scale profile
+// practically every broadcast takes the wide form, and that buffer has to
+// stay on the pooled fanout like the narrow one does.
 func TestVirtualSendAllSteadyStateAllocs(t *testing.T) {
 	t.Run("immediate", func(t *testing.T) { testSendAllSteadyStateAllocs(t, nil) })
 	t.Run("wide-gap", func(t *testing.T) {
-		testSendAllSteadyStateAllocs(t, WithUniformDelay(50*time.Microsecond, 20*time.Millisecond))
+		testSendAllSteadyStateAllocs(t, WithUniformDelay(50*time.Microsecond, 2*time.Second))
 	})
 }
 
@@ -232,8 +233,9 @@ func testSendAllSteadyStateAllocs(t *testing.T, delay Option) {
 		// broadcasts are still in flight then, so the pool settles at that
 		// many fanouts. The warm-up rounds size the pools, rings and wheel —
 		// thousands of them, because the wide-gap profile spreads a round's
-		// arrivals over the whole wheel and each of its 256 buckets has to
-		// have seen its deepest cohort.
+		// arrivals far past the wheel's horizon: the overflow heap and each
+		// of the 256 buckets they cascade into have to have seen their
+		// deepest cohort.
 		round := func() {
 			nw.SendAll(0, payload)
 			if _, ok := nw.Receive(0); !ok {
@@ -262,6 +264,10 @@ func testSendAllSteadyStateAllocs(t *testing.T, delay Option) {
 		if want := (rounds + warmup) * (n - 1); delivered != want {
 			t.Fatalf("consumers saw %d deliveries, want %d", delivered, want)
 		}
+	}
+	// The delay profile, and nothing else, decides the entry form.
+	if wide := slices.ContainsFunc(nw.freeFanouts, func(f *fanout) bool { return cap(f.wide) > 0 }); wide != (delay != nil) {
+		t.Fatalf("pooled fanouts with 8-byte entries: %v, want %v", wide, delay != nil)
 	}
 	// 0.05: a handful of stray runtime allocations over the 400 rounds.
 	if perRound := float64(allocs) / rounds; perRound > 0.05 {

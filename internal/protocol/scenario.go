@@ -44,8 +44,8 @@ type Scenario struct {
 	Body sim.BodyKind
 	// Seed pins all randomness of the run.
 	Seed int64
-	// Workers is the engine's expansion-pool width — how many
-	// threads expand broadcast fanouts inside one run (driver.Config).
+	// Workers is the engine's expansion-pool width — how many threads
+	// expand a large flush window's sends inside one run (driver.Config).
 	// Pure mechanism: the Outcome is bit-identical at every setting; only
 	// wall-clock time changes. 0 = one worker per CPU.
 	Workers int

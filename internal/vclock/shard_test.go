@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -35,7 +36,9 @@ func (tr *trace) mark(at Time, name string) {
 
 // recJob is a synthetic expansion job: shard s stages perShard events at
 // instants at+base+s·step+k·stride, from a block of shards·perShard
-// sequence numbers laid out shard-major.
+// sequence numbers laid out shard-major — plus pad unused ones: a job padded
+// to poolMinSeqs sends its window to the pool's workers (at Workers > 1),
+// an unpadded one expands inline on the token.
 type recJob struct {
 	tr       *trace
 	name     string
@@ -44,10 +47,11 @@ type recJob struct {
 	step     Time
 	stride   Time
 	perShard int
+	pad      uint64
 }
 
 func (j *recJob) Seal() (uint64, int64) {
-	return uint64(j.tr.s.ShardCount() * j.perShard), 1
+	return uint64(j.tr.s.ShardCount()*j.perShard) + j.pad, 1
 }
 
 func (j *recJob) ExpandShard(shard int, seqBase uint64, ins *ShardInserter) {
@@ -96,10 +100,11 @@ func atEveryWidth(t *testing.T, build func(tr *trace), opts ...Option) ([]string
 // the scheduler level on a schedule that registers jobs at t=0 and t=40µs
 // with interleaved main-wheel events, exercising both the drain-before-flush
 // path (main events at or below the lookahead bound) and the flush-on-demand
-// path (a main event past it).
+// path (a main event past it) — and both arms of the dispatch rule: j1's
+// window is large enough for the workers, j2's expands inline.
 func TestShardPopOrderAndWorkerIndependence(t *testing.T) {
 	log, out := atEveryWidth(t, func(tr *trace) {
-		j1 := &recJob{tr: tr, name: "j1", base: 10 * us, step: 7, stride: 3, perShard: 5}
+		j1 := &recJob{tr: tr, name: "j1", base: 10 * us, step: 7, stride: 3, perShard: 5, pad: poolMinSeqs}
 		j2 := &recJob{tr: tr, name: "j2", base: 5 * us, step: 11, stride: 2, perShard: 4}
 		j1.submit()
 		tr.mark(2*us, "below")  // poppable while the job is registered
@@ -151,10 +156,11 @@ func TestShardTieBreakAcrossWheels(t *testing.T) {
 
 // TestShardWindowStagesJobsInRegistrationOrder: two jobs of one window,
 // staging arrivals at one shared instant, are sealed — and so ordered — in
-// registration order, each in its own block order.
+// registration order, each in its own block order; the window is dispatched
+// to the workers as a whole.
 func TestShardWindowStagesJobsInRegistrationOrder(t *testing.T) {
 	log, out := atEveryWidth(t, func(tr *trace) {
-		a := &recJob{tr: tr, name: "a", base: 50 * us, perShard: 2}
+		a := &recJob{tr: tr, name: "a", base: 50 * us, perShard: 2, pad: poolMinSeqs}
 		b := &recJob{tr: tr, name: "b", base: 50 * us, perShard: 1}
 		a.submit()
 		tr.mark(10*us, "mid") // pops inside the window, which stays open
@@ -227,9 +233,12 @@ func TestShardedReleaseWithoutRunStopsPool(t *testing.T) {
 		s := New(WithShards(4, 4))
 		tr := &trace{s: s}
 		s.Spawn("p", func() {})
-		(&recJob{tr: tr, name: "j", base: 5, perShard: 1}).submit()
+		(&recJob{tr: tr, name: "j", base: 5, perShard: 1, pad: poolMinSeqs}).submit()
 		if i%2 == 1 {
 			s.nextWheel() // empty wheels: flushes the job, spawning the pool
+			if !s.poolUp {
+				t.Fatal("a window of poolMinSeqs sequence numbers did not reach the pool")
+			}
 			(&recJob{tr: tr, name: "k", base: 5, perShard: 1}).submit()
 		}
 		s.Release()
@@ -271,5 +280,91 @@ func TestWithShardsZeroIsUnsharded(t *testing.T) {
 		ShardsFor(1024) != 8 || ShardsFor(2048) != NumShards || ShardsFor(100000) != NumShards {
 		t.Fatalf("ShardsFor tiering wrong: %d %d %d %d %d %d", ShardsFor(255), ShardsFor(256),
 			ShardsFor(512), ShardsFor(1024), ShardsFor(2048), ShardsFor(100000))
+	}
+}
+
+// goid returns the calling goroutine's id, read off its stack header.
+func goid() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// whoJob stages one event per shard and records which goroutine expanded
+// each shard; its window reserves exactly seqs sequence numbers.
+type whoJob struct {
+	seqs uint64
+	who  [4]string
+}
+
+func (j *whoJob) Seal() (uint64, int64) { return j.seqs, 3 }
+
+func (j *whoJob) ExpandShard(shard int, seqBase uint64, ins *ShardInserter) {
+	j.who[shard] = goid()
+	ins.At(Time(100+shard), seqBase+uint64(shard), eventFunc(func() {}))
+	ins.NotePayloadBytes(10)
+}
+
+// TestFlushDispatchRule pins the one dispatch decision of flush. A window one
+// sequence number short of poolMinSeqs expands on the calling goroutine and
+// starts no worker; a window of exactly poolMinSeqs expands off it — unless
+// the pool is one worker wide; and the two stage the same (at, seq) keys in
+// the same shard wheels and count the same SchedulerStats.
+func TestFlushDispatchRule(t *testing.T) {
+	type staged struct {
+		shard int
+		ev    event
+	}
+	run := func(workers int, seqs uint64) (who [4]string, pooled bool, evs []staged, st SchedulerStats) {
+		s := New(WithShards(4, workers))
+		defer s.Release()
+		s.At(5, func() {}) // the window's block starts after a pending event's seq
+		j := &whoJob{seqs: seqs}
+		s.SubmitSealed(j, 100)
+		s.flush()
+		for i := range s.shards {
+			w := &s.shards[i]
+			for _, tier := range append([][]event{w.active, w.overflow}, w.slots[:]...) {
+				for _, ev := range tier {
+					evs = append(evs, staged{i, event{at: ev.at, seq: ev.seq}})
+				}
+			}
+		}
+		return j.who, s.poolUp, evs, s.Stats()
+	}
+	me := goid()
+	wantEvs := []staged{{0, event{at: 100, seq: 2}}, {1, event{at: 101, seq: 3}}, {2, event{at: 102, seq: 4}}, {3, event{at: 103, seq: 5}}}
+	var wantStats SchedulerStats
+	for _, c := range []struct {
+		name    string
+		workers int
+		seqs    uint64
+		pooled  bool
+	}{
+		{"below the threshold", 2, poolMinSeqs - 1, false},
+		{"at the threshold", 2, poolMinSeqs, true},
+		{"at the threshold, four workers", 4, poolMinSeqs, true},
+		{"at the threshold, one worker", 1, poolMinSeqs, false},
+	} {
+		who, pooled, evs, st := run(c.workers, c.seqs)
+		if pooled != c.pooled {
+			t.Errorf("%s: pool spawned = %v, want %v", c.name, pooled, c.pooled)
+		}
+		for shard, g := range who {
+			if (g != me) != c.pooled {
+				t.Errorf("%s: shard %d expanded on goroutine %s, the caller is %s", c.name, shard, g, me)
+			}
+		}
+		if !reflect.DeepEqual(evs, wantEvs) {
+			t.Errorf("%s: staged %+v, want %+v", c.name, evs, wantEvs)
+		}
+		if wantStats == (SchedulerStats{}) {
+			wantStats = st
+			if st.PoolFlushes != 1 || st.ExpandJobs != 3 || st.ShardEvents != 4 || st.PooledPayloadBytes != 40 || st.MaxShardStage != 1 {
+				t.Errorf("%s: unexpected stats %+v", c.name, st)
+			}
+		}
+		if st != wantStats {
+			t.Errorf("%s: stats %+v differ from the inline window's %+v", c.name, st, wantStats)
+		}
 	}
 }

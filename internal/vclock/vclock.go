@@ -49,23 +49,27 @@
 //
 // Large topologies (WithShards; the driver engages it at n ≥ 256) split the
 // timer structure into the main wheel plus a fixed number of shard wheels,
-// and add a worker pool that expands the sends of one flush window — the
-// per-message delay draws, key packing, sorting and payload construction
-// behind SendAll and BurstSend — off the execution token (DESIGN.md §12).
-// The contract that keeps runs bit-identical for every worker count:
+// and expand the sends of one flush window — the per-message delay draws,
+// key packing, bucketing and payload construction behind SendAll and
+// BurstSend — shard by shard at the flush point (DESIGN.md §12): inline on
+// the token when the window is small, off it on a worker pool when the
+// window reserved at least poolMinSeqs sequence numbers, enough work for
+// the wake-up and the join to pay. The contract that keeps runs
+// bit-identical for every worker count:
 //
 //   - work is partitioned by SHARD (a fixed function of the topology),
 //     never by worker: shard s always draws from its own RNG stream and
-//     always lands its events in shard wheel s, whichever worker ran it;
+//     always lands its events in shard wheel s, whoever ran it;
 //   - a job (Job) only registers at SubmitSealed and keeps accumulating
-//     content; at the flush point, under the token, Seal freezes it and its
-//     sequence block is reserved, so every expanded event's (at, seq) key
-//     is fixed before any worker touches the job;
-//   - workers write only their shards' staging buffers; events enter the
-//     shard wheels at the same flush point, under the token, after a
-//     WaitGroup join. Flush points are chosen by pure token-side logic (the
-//     lookahead rule in nextWheel), so even the scheduler's internal
-//     counters are independent of the worker count;
+//     content; at the flush point, under the token, every registered job
+//     is sealed and its sequence block reserved, so every expanded event's
+//     (at, seq) key is fixed before anyone expands anything — and the
+//     inline-or-pool decision reads nothing but those block sizes;
+//   - the expansion writes only the shards' staging buffers; events enter
+//     the shard wheels at the same flush point, under the token, after a
+//     WaitGroup join when workers ran. Flush points are chosen by pure
+//     token-side logic (the lookahead rule in nextWheel), so even the
+//     scheduler's internal counters are independent of the worker count;
 //   - the pop path merges the main-wheel head with the shard-wheel heads
 //     under the same global (at, seq) order, and refuses to pop any event
 //     that a registered job could still precede.
@@ -76,9 +80,8 @@
 // Virtual time is measured in nanoseconds (Time is directly convertible
 // from time.Duration) but no real time ever passes: delivering a message
 // "4ms later" costs one bucket append. Runs therefore execute as fast as
-// the hardware allows, and a run that would sit in timeouts under a
-// wall-clock engine instead terminates the moment the event queue goes
-// quiescent.
+// the hardware allows, and a run whose processes wait for messages that can
+// never come terminates the moment the event queue goes quiescent.
 //
 // Termination of Run is classified by Outcome:
 //   - all coroutines finished → a normal run;
@@ -263,8 +266,8 @@ type SchedulerStats struct {
 	// ShardEvents is the number of events inserted through the sharded
 	// expansion path (0 for unsharded runs).
 	ShardEvents int64
-	// ExpandJobs is the number of broadcasts expanded through the pool, as
-	// the jobs report them at Seal (one per sharded SendAll).
+	// ExpandJobs is the number of broadcasts expanded at flushes, inline or
+	// on the pool, as the jobs report them at Seal (one per sharded SendAll).
 	ExpandJobs int64
 	// PoolFlushes is the number of staging flushes — the points where the
 	// token sealed and expanded the registered jobs before popping an event
@@ -538,9 +541,10 @@ type Outcome struct {
 // Aborted reports whether the run was cut short for any reason.
 func (o Outcome) Aborted() bool { return o.Quiesced || o.DeadlineExceeded || o.StepsExceeded }
 
-// Job is a unit of schedule-side work the expansion pool runs off the
-// execution token — in practice, one flush window's sends on one network:
-// their delay draws, key packing, sorting and payload construction (netsim).
+// Job is a unit of schedule-side work a flush expands shard by shard — off
+// the execution token when the window engages the pool — in practice one
+// flush window's sends on one network: their delay draws, key packing,
+// bucketing and payload construction (netsim).
 // SubmitSealed only registers it; the job keeps accumulating content, under
 // the token, until the flush point. Because flush points and the
 // registration order are pure token-side state, the reserved blocks — and
@@ -554,26 +558,34 @@ type Job interface {
 	// dispatch that follows publishes those writes to the workers.
 	Seal() (seqs uint64, broadcasts int64)
 	// ExpandShard stages shard's share of the job's events through ins. It
-	// is called exactly once per shard, off the token, always with the same
-	// shard→RNG-stream and shard→recipient-stripe mapping and the same
-	// seqBase — the first sequence number of the job's block; how the block
-	// is divided among shards and events is the job's business — whichever
-	// worker runs it. It must not touch any scheduler or network state
+	// is called exactly once per shard, possibly off the token, always with
+	// the same shard→RNG-stream and shard→recipient-stripe mapping and the
+	// same seqBase — the first sequence number of the job's block; how the
+	// block is divided among shards and events is the job's business —
+	// whoever runs it. It must not touch any scheduler or network state
 	// shared with other shards.
 	ExpandShard(shard int, seqBase uint64, ins *ShardInserter)
 }
 
-// shardTask pairs a sealed job with its reserved sequence base on its way
-// to the workers.
+// shardTask is a registered job and, once the flush has sealed it, the first
+// sequence number of its reserved block.
 type shardTask struct {
 	job  Job
 	base uint64
 }
 
+// poolMinSeqs is the dispatch rule of flush: a window whose sealed jobs
+// reserved fewer sequence numbers than this — about one per message it sends
+// — expands inline on the token, because waking the workers and joining them
+// costs more than they save. It is read off BenchmarkFlushDispatch (the table
+// in its comment): two workers draw level with inline expansion at 64
+// broadcasts to n = 1024, 66,048 sequence numbers.
+const poolMinSeqs = 1 << 16
+
 // ShardInserter stages one shard's expanded events until the token flushes
-// them into the shard wheel. It is owned by the worker running the shard's
-// jobs (or the token itself at Workers = 1) and must not be retained past
-// ExpandShard's return.
+// them into the shard wheel. It is owned by whoever runs the shard's jobs — a
+// pool worker, or the token itself when the window expands inline — and must
+// not be retained past ExpandShard's return.
 type ShardInserter struct {
 	evs          []event
 	payloadBytes int64
@@ -605,10 +617,10 @@ type Scheduler struct {
 
 	main   wheel
 	shards []wheel
-	// staged[s] is shard s's staging inserter: written by the worker that
-	// owns shard s (s mod workers) while a flush expands its jobs, drained
-	// by the token at the end of that flush. The WaitGroup join orders the
-	// two.
+	// staged[s] is shard s's staging inserter: written while a flush
+	// expands its jobs — by the worker that owns shard s (s mod workers), or
+	// by the token inline — and drained by the token at the end of that
+	// flush. The WaitGroup join orders the two.
 	staged    []ShardInserter
 	shardLive int // events currently pending in shard wheels
 
@@ -620,13 +632,13 @@ type Scheduler struct {
 	// sequence blocks only at flush — after every event pending by then —
 	// which is what the lookahead rule in nextWheel rests on.
 	workers  int
-	jobs     []Job
+	jobs     []shardTask
 	earliest Time
-	jobsCh   []chan shardTask // Workers > 1: one channel per worker
-	jobWG    sync.WaitGroup   // outstanding (job × worker) completions
-	workerWG sync.WaitGroup   // worker goroutine lifetimes
-	poolUp   bool             // workers spawned (lazily, at the first flush)
-	poolDown bool             // pool stopped (Release / end of Run)
+	jobsCh   []chan []shardTask // one channel per worker, carrying a sealed window
+	jobWG    sync.WaitGroup     // workers still expanding the dispatched window
+	workerWG sync.WaitGroup     // worker goroutine lifetimes
+	poolUp   bool               // workers spawned (lazily, at the first dispatched window)
+	poolDown bool               // pool stopped (Release / end of Run)
 
 	procs    []*Proc
 	spawned  int
@@ -660,10 +672,11 @@ func WithMaxSteps(n int64) Option {
 }
 
 // WithShards equips the scheduler with shards shard wheels and an
-// expansion pool of up to workers threads (capped at the shard count;
-// values below 1 mean 1 — fully serial, the same staging and flush
-// discipline run inline on the token). Zero shards keeps the scheduler
-// unsharded and makes the option a no-op. The observable run — schedule,
+// expansion pool of up to workers threads — the width of the pool when a
+// flush window is large enough to engage it (poolMinSeqs); capped at the
+// shard count, and values below 1 mean 1 — fully serial, the same staging
+// and flush discipline run inline on the token. Zero shards keeps the
+// scheduler unsharded and makes the option a no-op. The observable run — schedule,
 // steps, outcome, stats — is bit-identical for every workers value; see
 // the package comment.
 func WithShards(shards, workers int) Option {
@@ -802,30 +815,34 @@ func (s *Scheduler) SubmitSealed(job Job, earliest Time) {
 	if earliest < s.earliest {
 		s.earliest = earliest
 	}
-	s.jobs = append(s.jobs, job)
+	s.jobs = append(s.jobs, shardTask{job: job})
 }
 
-// ensurePool lazily spawns the worker goroutines — at the first flush, not
-// at New, so schedulers that are built but never run (e.g. a network
-// constructor error path) leak nothing. Worker w owns shards {s : s mod
-// workers == w}; the shard→worker map is fixed, but since shards carry
-// their own RNG streams and staging, the map affects only load balance,
-// never the schedule.
+// ensurePool lazily spawns the worker goroutines — at the first window a
+// flush dispatches, not at New, so schedulers that are built but never run
+// (e.g. a network constructor error path), or whose windows all expand
+// inline, start none. Worker w owns shards {s : s mod workers == w}; the
+// shard→worker map is fixed, but since shards carry their own RNG streams and
+// staging, the map affects only load balance, never the schedule. A flush
+// sends each worker one message — the window — and joins before the next, so
+// the channels need no buffer beyond that one.
 func (s *Scheduler) ensurePool() {
 	if s.poolUp {
 		return
 	}
 	s.poolUp = true
-	s.jobsCh = make([]chan shardTask, s.workers)
+	s.jobsCh = make([]chan []shardTask, s.workers)
 	s.workerWG.Add(s.workers)
 	for w := 0; w < s.workers; w++ {
-		ch := make(chan shardTask, 128)
+		ch := make(chan []shardTask, 1)
 		s.jobsCh[w] = ch
-		go func(w int, ch chan shardTask) {
+		go func(w int, ch chan []shardTask) {
 			defer s.workerWG.Done()
-			for t := range ch {
-				for sh := w; sh < len(s.shards); sh += s.workers {
-					t.job.ExpandShard(sh, t.base, &s.staged[sh])
+			for window := range ch {
+				for _, t := range window {
+					for sh := w; sh < len(s.shards); sh += s.workers {
+						t.job.ExpandShard(sh, t.base, &s.staged[sh])
+					}
 				}
 				s.jobWG.Done()
 			}
@@ -833,8 +850,8 @@ func (s *Scheduler) ensurePool() {
 	}
 }
 
-// stopPool terminates the worker goroutines, first joining any job a flush
-// unwound by a panic left running. Jobs registered but never flushed are
+// stopPool terminates the worker goroutines; they are idle, since every
+// flush joins the window it dispatched. Jobs registered but never flushed are
 // dropped — by then the run is over or aborted and would never pop their
 // events. Idempotent.
 func (s *Scheduler) stopPool() {
@@ -845,7 +862,6 @@ func (s *Scheduler) stopPool() {
 	if !s.poolUp {
 		return
 	}
-	s.jobWG.Wait()
 	for _, ch := range s.jobsCh {
 		close(ch)
 	}
@@ -853,42 +869,46 @@ func (s *Scheduler) stopPool() {
 }
 
 // flush seals and expands every registered job and moves the staged events
-// into their shard wheels. It runs under the token. Jobs are sealed — and
-// their sequence blocks reserved, after every event already scheduled this
-// window — in registration order, and each shard expands them in that order
-// too (channel FIFO per worker, the loop below at Workers = 1), so
-// shard-RNG draw order is identical at every width. The WaitGroup join (or
-// the inline expansion) is what orders worker writes before the token's
-// reads. Events are inserted in shard order with their flush-time sequence
-// numbers, so the wheels' contents — and each wheel's counters — end up
-// identical for every worker count.
+// into their shard wheels. It runs under the token. First every job is
+// sealed — and its sequence block reserved, after every event already
+// scheduled this window — in registration order. Then the window expands, on
+// the pool when the blocks add up to poolMinSeqs and the pool has more than
+// one worker, inline on the token otherwise: a decision that reads only the
+// sealed sizes, and either way each shard expands the jobs in registration
+// order, so shard-RNG draw order — and every staged (at, seq) — is identical
+// at every width. The WaitGroup join (or the inline expansion) is what orders
+// the expansion's writes before the token's reads. Events are inserted in
+// shard order with their flush-time sequence numbers, so the wheels'
+// contents — and each wheel's counters — end up identical for every worker
+// count.
 func (s *Scheduler) flush() {
 	s.stats.PoolFlushes++
-	if s.workers > 1 {
-		s.ensurePool()
-	}
-	for _, job := range s.jobs {
-		seqs, broadcasts := job.Seal()
+	var reserved uint64
+	for i := range s.jobs {
+		t := &s.jobs[i]
+		seqs, broadcasts := t.job.Seal()
 		s.stats.ExpandJobs += broadcasts
-		base := s.seq + 1
+		t.base = s.seq + 1
 		s.seq += seqs
-		if s.workers > 1 {
-			s.jobWG.Add(s.workers)
-			for _, ch := range s.jobsCh {
-				ch <- shardTask{job: job, base: base}
-			}
-		} else {
-			// Serial mode: the same flush points and the same per-shard job
-			// order, run inline on the token.
+		reserved += seqs
+	}
+	if s.workers > 1 && reserved >= poolMinSeqs {
+		s.ensurePool()
+		s.jobWG.Add(s.workers)
+		for _, ch := range s.jobsCh {
+			ch <- s.jobs
+		}
+		s.jobWG.Wait()
+	} else {
+		for _, t := range s.jobs {
 			for sh := range s.shards {
-				job.ExpandShard(sh, base, &s.staged[sh])
+				t.job.ExpandShard(sh, t.base, &s.staged[sh])
 			}
 		}
 	}
 	clear(s.jobs)
 	s.jobs = s.jobs[:0]
 	s.earliest = maxTime
-	s.jobWG.Wait()
 	for i := range s.shards {
 		w := &s.shards[i]
 		ins := &s.staged[i]
