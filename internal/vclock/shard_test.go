@@ -322,12 +322,9 @@ func TestFlushDispatchRule(t *testing.T) {
 		s.SubmitSealed(j, 100)
 		s.flush()
 		for i := range s.shards {
-			w := &s.shards[i]
-			for _, tier := range append([][]event{w.active, w.overflow}, w.slots[:]...) {
-				for _, ev := range tier {
-					evs = append(evs, staged{i, event{at: ev.at, seq: ev.seq}})
-				}
-			}
+			s.shards[i].each(func(ev event) {
+				evs = append(evs, staged{i, event{at: ev.at, seq: ev.seq}})
+			})
 		}
 		return j.who, s.poolUp, evs, s.Stats()
 	}

@@ -362,6 +362,21 @@ func (w *wheel) pending() int {
 	return len(w.active) + w.wheelCount + len(w.overflow)
 }
 
+// each calls visit on every pending event of the wheel, tier by tier and in
+// no particular order within one — what a white-box test reads instead of
+// naming the tiers itself.
+func (w *wheel) each(visit func(event)) {
+	tiers := [][]event{w.active, w.overflow}
+	if w.slots != nil {
+		tiers = append(tiers, w.slots[:]...)
+	}
+	for _, tier := range tiers {
+		for _, ev := range tier {
+			visit(ev)
+		}
+	}
+}
+
 // insert routes an event to its tier: the active bucket's heap, a wheel
 // bucket, or the far-future overflow heap.
 func (w *wheel) insert(ev event) {
@@ -978,6 +993,15 @@ func (s *Scheduler) nextWheel() (*wheel, bool) {
 	}
 }
 
+// pop removes and returns the head of w, the wheel nextWheel has just
+// returned. It is the only way an event leaves a wheel.
+func (s *Scheduler) pop(w *wheel) event {
+	if w != &s.main {
+		s.shardLive--
+	}
+	return popEvent(&w.active)
+}
+
 // Spawn registers fn as a new coroutine. It starts runnable and takes its
 // first step when Run reaches it (spawn order for coroutines spawned before
 // Run). Spawning from a running coroutine or an event callback is allowed.
@@ -1183,10 +1207,7 @@ func (s *Scheduler) Run() Outcome {
 					s.abort()
 					continue
 				}
-				ev := popEvent(&w.active)
-				if w != &s.main {
-					s.shardLive--
-				}
+				ev := s.pop(w)
 				s.steps++
 				if ev.at > s.now {
 					s.now = ev.at

@@ -498,7 +498,7 @@ func TestDetachSlotsLeavesNoEvent(t *testing.T) {
 		if !ok {
 			t.Fatal("wheel ran dry")
 		}
-		ev := popEvent(&w.active)
+		ev := s.pop(w)
 		if ev.at < last {
 			t.Fatalf("pop %d went back in time: %d after %d", i, ev.at, last)
 		}
@@ -539,4 +539,348 @@ func TestDetachSlotsLeavesNoEvent(t *testing.T) {
 		t.Fatal("insert after detach did not borrow an array")
 	}
 	s.main.recycleSlots()
+}
+
+// refWheel is the reference model of one wheel: the open slot is a binary
+// min-heap that every pop sifts — the form the wheel had before a slot was
+// ordered once at activation. It is kept for TestWheelOpsMatchReference and
+// FuzzWheelOps, which hold the real scheduler to its pop order and counters.
+type refWheel struct {
+	active, overflow []event
+	slots            [wheelSlots][]event
+	curSlot          int64
+	wheelCount       int
+
+	scheduled, cascades, maxDepth int64
+	late                          int // inserts into the open slot (coverage only)
+}
+
+func (w *refWheel) pending() int { return len(w.active) + w.wheelCount + len(w.overflow) }
+
+func (w *refWheel) insert(ev event) {
+	slot := slotOf(ev.at)
+	switch {
+	case slot <= w.curSlot:
+		pushEvent(&w.active, ev)
+		w.late++
+		w.maxDepth = max(w.maxDepth, int64(len(w.active)))
+	case slot < w.curSlot+wheelSlots:
+		b := &w.slots[slot&wheelMask]
+		*b = append(*b, ev)
+		w.wheelCount++
+		w.maxDepth = max(w.maxDepth, int64(len(*b)))
+	default:
+		pushEvent(&w.overflow, ev)
+	}
+}
+
+func (w *refWheel) advance() bool {
+	for {
+		for len(w.overflow) > 0 && slotOf(w.overflow[0].at) < w.curSlot+wheelSlots {
+			w.cascades++
+			w.insert(popEvent(&w.overflow))
+		}
+		if len(w.active) > 0 {
+			return true
+		}
+		if w.wheelCount > 0 {
+			for sl := w.curSlot + 1; len(w.active) == 0; sl++ {
+				b := &w.slots[sl&wheelMask]
+				w.curSlot = sl
+				w.wheelCount -= len(*b)
+				for _, ev := range *b {
+					pushEvent(&w.active, ev)
+				}
+				*b = (*b)[:0]
+			}
+			continue
+		}
+		if len(w.overflow) == 0 {
+			return false
+		}
+		w.curSlot = slotOf(w.overflow[0].at)
+	}
+}
+
+// refSched is the reference scheduler: refWheels (0 is the main wheel, 1+s is
+// shard s) merged by advancing every wheel and comparing every head at every
+// pop.
+type refSched struct {
+	wheels []refWheel
+	seq    uint64
+	now    Time
+}
+
+func (r *refSched) at(wheel int, t Time) {
+	r.seq++
+	w := &r.wheels[wheel]
+	w.scheduled++
+	w.insert(event{at: max(t, r.now), seq: r.seq})
+}
+
+func (r *refSched) pop() (event, bool) {
+	var best *refWheel
+	for i := range r.wheels {
+		if w := &r.wheels[i]; w.advance() && (best == nil || w.active[0].before(best.active[0])) {
+			best = w
+		}
+	}
+	if best == nil {
+		return event{}, false
+	}
+	ev := popEvent(&best.active)
+	r.now = max(r.now, ev.at)
+	return ev, true
+}
+
+// stats returns what Scheduler.pending and three SchedulerStats fields would.
+func (r *refSched) stats() (pending int, scheduled, cascades, maxDepth int64) {
+	for i := range r.wheels {
+		w := &r.wheels[i]
+		pending += w.pending()
+		scheduled += w.scheduled
+		cascades += w.cascades
+		maxDepth = max(maxDepth, w.maxDepth)
+	}
+	return
+}
+
+// opJob is a flush window staging evs: event j takes sequence number base+j
+// and goes to shard evs[j].shard, and each shard stages its events in
+// descending j — the order a lone delivery staged ahead of its fanout leaves
+// behind: a bucket that was not appended in seq order.
+type opJob struct {
+	evs []struct {
+		shard int
+		at    Time
+	}
+	pad uint64 // sequence numbers reserved beyond len(evs)
+}
+
+func (j *opJob) Seal() (uint64, int64) { return uint64(len(j.evs)) + j.pad, 1 }
+
+func (j *opJob) ExpandShard(shard int, base uint64, ins *ShardInserter) {
+	for i := len(j.evs) - 1; i >= 0; i-- {
+		if j.evs[i].shard == shard {
+			ins.At(j.evs[i].at, base+uint64(i), nopEvent)
+		}
+	}
+}
+
+var nopEvent = eventFunc(func() {})
+
+// wheelOpsCoverage is what a driven op stream exercised.
+type wheelOpsCoverage struct {
+	pops, ties, late, staged int
+	cascades, maxDepth       int64
+}
+
+// driveWheelOps decodes data into scheduler operations and applies each one
+// to a real Scheduler and to the reference model, failing unless both pop the
+// same (at, seq) every time and agree on pending, EventsScheduled,
+// WheelCascades and MaxBucketDepth after every operation.
+//
+// data[0] picks the shape: its low two bits mod 3 the wheel count (1, 9 or
+// 17), bit 2 whether the run is drained at the end or cut short with events
+// pending. Every following operation is an opcode byte b and its argument
+// bytes; the instants it schedules are now+δ with δ of one of five classes —
+// 0, inside now's slot, in the next slot, inside the wheel's window, past its
+// 4.2 ms horizon:
+//
+//	b&7 = 0,1,2  one event on wheel b>>3, class and spread from one argument
+//	b&7 = 3      a burst of 1–256 events on wheel b>>3 into one future slot
+//	b&7 = 4      1–16 events at ONE instant, dealt round-robin over the wheels
+//	b&7 = 5      a staged block: 1–12 events of one flush window (opJob)
+//	b&7 = 6,7    4·(1 + b>>3) pops
+func driveWheelOps(t testing.TB, data []byte) (cov wheelOpsCoverage) {
+	if len(data) == 0 {
+		return
+	}
+	const slotW, window = Time(1) << slotWidthShift, Time(wheelSlots) << slotWidthShift
+	shards := int(data[0]&3%3) * 8
+	drain := data[0]&4 != 0
+	data = data[1:]
+	arg := func() Time {
+		if len(data) == 0 {
+			return 0
+		}
+		a := data[0]
+		data = data[1:]
+		return Time(a)
+	}
+
+	s := New(WithShards(shards, 1))
+	defer s.Release()
+	ref := &refSched{wheels: make([]refWheel, 1+shards)}
+	at := func(wheel int, t Time) {
+		if wheel == 0 {
+			s.AtEvent(t, nopEvent)
+		} else {
+			s.AtEventShard(wheel-1, t, nopEvent)
+		}
+		ref.at(wheel, t)
+	}
+	delta := func(class, spread Time) Time {
+		left := slotW - s.now&(slotW-1) // to the end of now's slot
+		switch class % 5 {
+		case 0:
+			return 0
+		case 1:
+			return spread * 37 % left
+		case 2:
+			return left + spread*509%slotW
+		case 3:
+			return (1 + spread%32) * (window / 32)
+		default:
+			return window + spread*1_000_003
+		}
+	}
+	pop := func() bool {
+		want, ok := ref.pop()
+		h, got := s.nextWheel()
+		if got != ok {
+			t.Fatalf("pop %d: scheduler has an event = %v, reference = %v", cov.pops, got, ok)
+		}
+		if !ok {
+			return false
+		}
+		ev := s.pop(h)
+		if ev.at != want.at || ev.seq != want.seq {
+			t.Fatalf("pop %d: (at=%d seq=%d), reference (at=%d seq=%d)", cov.pops, ev.at, ev.seq, want.at, want.seq)
+		}
+		if ev.at == s.now && cov.pops > 0 {
+			cov.ties++
+		}
+		s.now = max(s.now, ev.at)
+		cov.pops++
+		return true
+	}
+	check := func(op byte) {
+		pending, scheduled, cascades, maxDepth := ref.stats()
+		st := s.Stats()
+		if s.pending() != pending || st.EventsScheduled != scheduled || st.WheelCascades != cascades || st.MaxBucketDepth != maxDepth {
+			t.Fatalf("after op %#x at now=%d: pending %d scheduled %d cascades %d maxDepth %d, reference %d %d %d %d",
+				op, s.now, s.pending(), st.EventsScheduled, st.WheelCascades, st.MaxBucketDepth,
+				pending, scheduled, cascades, maxDepth)
+		}
+	}
+
+	for len(data) > 0 {
+		b := data[0]
+		data = data[1:]
+		wheel := int(b>>3) % (1 + shards)
+		switch b & 7 {
+		case 0, 1, 2:
+			a := arg()
+			at(wheel, s.now+delta(a&7, a>>3))
+		case 3:
+			n, a := 1+arg(), arg()
+			slot := (s.now + delta(1+a%3, a>>2)) &^ (slotW - 1)
+			for i := Time(0); i < n; i++ {
+				at(wheel, slot+(i*7919+a*31)%slotW) // clamped to now where it falls short
+			}
+		case 4:
+			a := arg()
+			t := s.now + a>>4*1000
+			for i := 0; i <= int(a&15); i++ {
+				at(i%(1+shards), t)
+			}
+		case 5:
+			a := arg()
+			if shards == 0 {
+				at(0, s.now+delta(a&7, a>>3))
+				break
+			}
+			job := &opJob{pad: uint64(a >> 6)}
+			for j := Time(0); j <= a%12; j++ {
+				job.evs = append(job.evs, struct {
+					shard int
+					at    Time
+				}{int(a+j*5) % shards, s.now + (a>>2+j*3)%7*4099})
+			}
+			s.SubmitSealed(job, s.now)
+			s.flush()
+			base := ref.seq + 1
+			ref.seq += uint64(len(job.evs)) + job.pad
+			for sh := 0; sh < shards; sh++ {
+				for j := len(job.evs) - 1; j >= 0; j-- {
+					if e := job.evs[j]; e.shard == sh {
+						w := &ref.wheels[1+sh]
+						w.scheduled++
+						w.insert(event{at: e.at, seq: base + uint64(j)})
+					}
+				}
+			}
+			cov.staged += len(job.evs)
+		default:
+			for i := 0; i < 4*(1+int(b>>3)) && pop(); i++ {
+			}
+		}
+		check(b)
+	}
+	for drain && pop() {
+	}
+	check(0xff)
+	_, _, cov.cascades, cov.maxDepth = ref.stats()
+	for i := range ref.wheels {
+		cov.late += ref.wheels[i].late
+	}
+	return cov
+}
+
+// wheelOpStreams is the table TestWheelOpsMatchReference runs and FuzzWheelOps
+// starts from: seeded random op streams for every wheel count, drained and cut
+// short.
+func wheelOpStreams() [][]byte {
+	var streams [][]byte
+	for shape := byte(0); shape < 3; shape++ {
+		for seed := uint64(1); seed <= 8; seed++ {
+			rng := rand.New(rand.NewPCG(seed, uint64(shape)))
+			data := make([]byte, 1+600)
+			for i := range data {
+				data[i] = byte(rng.Uint32())
+			}
+			data[0] = shape | byte(seed&1)<<2
+			streams = append(streams, data)
+		}
+	}
+	return streams
+}
+
+// TestWheelOpsMatchReference extends TestWheelMatchesHeapReference from whole
+// runs to single operations: the scheduler alone, on 1, 9 and 17 wheels,
+// against the heap-bucket reference model after every insert, staged block
+// and pop (driveWheelOps). The table must reach the shapes the wheel's forms
+// differ on; that is asserted too.
+func TestWheelOpsMatchReference(t *testing.T) {
+	var total wheelOpsCoverage
+	for i, data := range wheelOpStreams() {
+		cov := driveWheelOps(t, data)
+		if cov.pops == 0 {
+			t.Fatalf("stream %d popped nothing", i)
+		}
+		total.pops += cov.pops
+		total.ties += cov.ties
+		total.late += cov.late
+		total.staged += cov.staged
+		total.cascades += cov.cascades
+		total.maxDepth = max(total.maxDepth, cov.maxDepth)
+	}
+	if total.ties == 0 || total.late == 0 || total.staged == 0 || total.cascades == 0 || total.maxDepth < 256 {
+		t.Fatalf("the table misses a shape: %+v", total)
+	}
+	t.Logf("coverage: %+v", total)
+}
+
+// FuzzWheelOps is TestWheelOpsMatchReference with the op stream chosen by the
+// fuzzer: any wheel mutation that the pop path does not see — a stale head, a
+// miscounted depth — shows up as a pop or a counter the reference disagrees
+// with.
+func FuzzWheelOps(f *testing.F) {
+	for _, data := range wheelOpStreams() {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		driveWheelOps(t, data[:min(len(data), 4096)])
+	})
 }
