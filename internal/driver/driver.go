@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"allforone/internal/failures"
@@ -185,8 +184,8 @@ func (o Outcome) Fill(res *sim.Result) {
 type Handle struct {
 	clock  *vclock.Scheduler
 	proc   *vclock.Proc // the body's own process
-	killed *atomic.Bool
-	inline bool // the body is a Reactor: it must never suspend
+	killed bool         // a timed crash has struck; written and read under the token
+	inline bool         // the body is a Reactor: it must never suspend
 }
 
 // Now returns the run clock: the virtual clock, exact and deterministic.
@@ -202,7 +201,7 @@ func (h *Handle) Aborted() bool { return h.clock.Aborted() }
 
 // Killed reports whether a timed crash has struck this process; the body
 // must halt (as crashed) at the next step point that observes it.
-func (h *Handle) Killed() bool { return h.killed.Load() }
+func (h *Handle) Killed() bool { return h.killed }
 
 // WakeAfter schedules a wake of this process's reactor d from now — the
 // handler body's substitute for Sleep: where a coroutine suspends, a
@@ -307,9 +306,10 @@ func run(cfg Config, n int, newNet NewNetFunc,
 		}
 	}
 
-	killed := make([]atomic.Bool, n)
-	for i := 0; i < n; i++ {
-		h := &Handle{clock: clock, killed: &killed[i]}
+	handles := make([]Handle, n)
+	for i := range handles {
+		h := &handles[i]
+		h.clock = clock
 		h.proc = spawn(clock, nw, i, h)
 		if nw != nil {
 			nw.Bind(model.ProcID(i), h.proc)
@@ -321,7 +321,7 @@ func run(cfg Config, n int, newNet NewNetFunc,
 	// returns a sorted slice, keeping event installation deterministic.
 	for _, tc := range cfg.Crashes.Timed() {
 		clock.At(vclock.Time(tc.At), func() {
-			killed[tc.P].Store(true)
+			handles[tc.P].killed = true
 			closeInbox(nw, int(tc.P))
 		})
 	}

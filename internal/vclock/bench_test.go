@@ -189,10 +189,26 @@ func (e *drainEvent) schedule(at Time) {
 // scattered instants of every slot, wheel by wheel in seq order, as a window's
 // expansion leaves them — and runs it dry; slots are as many as make ≈ 64 K
 // events, between 2 and 128 (inside the window: nothing cascades).
+//
+// sortCrossover is read off the wheels=1, late=0% rows with the constant
+// forced to 0 (every bucket takes the counting passes) and to 1<<30 (none
+// does). 2-vCPU builder box, -cpu 2, ns/event, two runs each:
+//
+//	k        insertion pass alone    counting passes
+//	4                   34   35           66   76
+//	8                   36   39           53   59
+//	16                  37   38           44   52
+//	32                  45   49           39   45
+//	48                  52   57           39   40
+//	64                  57   66           39   41
+//	256                118  118           34   36
+//
+// (k = 8, 48 and 64 were measured by adding them to the list below.) The table
+// against the heap bucket this form replaced is in DESIGN.md §10.
 func BenchmarkWheelDrain(b *testing.B) {
 	const slotW = Time(1) << slotWidthShift
 	for _, wheels := range []int{1, 9, 17} {
-		for _, k := range []int{4, 32, 256, 2048, 16384} {
+		for _, k := range []int{4, 16, 32, 256, 2048, 16384} {
 			for _, latePct := range []int{0, 5, 40} {
 				b.Run(fmt.Sprintf("wheels=%d/k=%d/late=%d%%", wheels, k, latePct), func(b *testing.B) {
 					slots := min(max(2, 1<<16/(k*wheels)), 128)

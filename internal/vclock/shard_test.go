@@ -276,6 +276,11 @@ func TestWithShardsZeroIsUnsharded(t *testing.T) {
 	if s.ShardCount() != 0 || s.Workers() != 0 {
 		t.Fatalf("WithShards(0, 8) sharded the scheduler: shards=%d workers=%d", s.ShardCount(), s.Workers())
 	}
+	capped := New(WithShards(NumShards+5, NumShards+9))
+	defer capped.Release()
+	if capped.ShardCount() != NumShards || capped.Workers() != NumShards {
+		t.Fatalf("WithShards beyond NumShards: shards=%d workers=%d, want both %d", capped.ShardCount(), capped.Workers(), NumShards)
+	}
 	if ShardsFor(255) != 0 || ShardsFor(256) != 2 || ShardsFor(512) != 4 ||
 		ShardsFor(1024) != 8 || ShardsFor(2048) != NumShards || ShardsFor(100000) != NumShards {
 		t.Fatalf("ShardsFor tiering wrong: %d %d %d %d %d %d", ShardsFor(255), ShardsFor(256),

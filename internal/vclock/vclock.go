@@ -27,23 +27,23 @@
 //
 // # Tiered timer wheel
 //
-// Events are stored in a two-tier structure sized for the all-to-all
-// exchange pattern (Θ(n²) deliveries per round, DESIGN.md §10):
+// Events are stored in a tiered structure sized for the all-to-all exchange
+// pattern (Θ(n²) deliveries per round, DESIGN.md §10):
 //
 //   - a near-future timer wheel of wheelSlots buckets, each slotWidth of
-//     virtual time wide. Scheduling into the wheel is an O(1) append; the
-//     bucket covering the current instant (the "active" bucket) is kept as
-//     a small binary min-heap so pops cost O(log k) for k = bucket depth,
-//     not O(log E) for E = all pending events;
+//     virtual time wide. Scheduling into the wheel is an O(1) append. When
+//     the clock reaches a bucket it becomes the open slot and is ordered
+//     once — counting passes over its events' instants, not a comparison
+//     sort — after which a pop is O(1); events scheduled into the open slot
+//     itself go to a small min-heap beside it;
 //   - a far-future overflow min-heap for events past the wheel horizon.
 //     As the clock advances, overflow events whose instant enters the
 //     horizon cascade into their wheel bucket (each event cascades at most
 //     once, so cascading is O(1) amortized).
 //
-// The pop order is exactly the global (at, seq) order — the same total
-// order the previous single min-heap produced — so the swap is invisible
-// to every replay and determinism contract. SchedulerStats counts events
-// scheduled, wheel cascades, and the deepest bucket observed.
+// The pop order is exactly the global (at, seq) order, so the structure is
+// invisible to every replay and determinism contract. SchedulerStats counts
+// events scheduled, wheel cascades, and the deepest bucket observed.
 //
 // # Sharded wheels and the expansion pool
 //
@@ -71,8 +71,9 @@
 //     token-side logic (the lookahead rule in nextWheel), so even the
 //     scheduler's internal counters are independent of the worker count;
 //   - the pop path merges the main-wheel head with the shard-wheel heads
-//     under the same global (at, seq) order, and refuses to pop any event
-//     that a registered job could still precede.
+//     (cached keys, retaken only for a wheel touched since) under the same
+//     global (at, seq) order, and refuses to pop any event that a registered
+//     job could still precede.
 //
 // Handler invocations, event Fires, and every observable side effect stay
 // under the single execution token; only schedule-side expansion fans out.
@@ -97,6 +98,8 @@ package vclock
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -188,15 +191,8 @@ func siftDown(s []event, i int) {
 	}
 }
 
-// heapify turns s into a min-heap in place.
-func heapify(s []event) {
-	for i := len(s)/2 - 1; i >= 0; i-- {
-		siftDown(s, i)
-	}
-}
-
 // Timer-wheel geometry. The wheel covers wheelSlots×slotWidth ≈ 4.2ms of
-// virtual time ahead of the active bucket — wide enough that the delay
+// virtual time ahead of the open slot — wide enough that the delay
 // bands every experiment profile draws from (µs to low ms) schedule O(1)
 // into the wheel; rarer far-future events (second-scale sleeps, crash
 // instants, partition heals) take the overflow heap and cascade in when
@@ -259,9 +255,9 @@ type SchedulerStats struct {
 	// overflow heap into its wheel as the horizon advanced (summed over
 	// the main and shard wheels). Each event cascades at most once.
 	WheelCascades int64
-	// MaxBucketDepth is the deepest wheel bucket observed in any wheel
-	// (events sharing one slotWidth window of virtual time) — the k of the
-	// O(log k) pop.
+	// MaxBucketDepth is the deepest wheel bucket observed in any wheel:
+	// events sharing one slotWidth window of virtual time, late arrivals
+	// into the open slot included.
 	MaxBucketDepth int64
 	// ShardEvents is the number of events inserted through the sharded
 	// expansion path (0 for unsharded runs).
@@ -287,24 +283,31 @@ type SchedulerStats struct {
 	MaxShardStage int64
 }
 
-// wheel is one tiered timer structure: the near-future slot array with its
-// active min-heap bucket, plus the far-future overflow heap. The scheduler
-// owns one main wheel (all AtEvent traffic) and, when sharded, NumShards
-// shard wheels fed by the expansion pool. Each wheel carries its own work
-// counters so sharded totals merge without atomics.
+// wheel is one tiered timer structure: the open slot (a run ordered once, when
+// the slot opened, plus a heap of late arrivals), the near-future slot array,
+// and the far-future overflow heap. The scheduler owns one main wheel (all
+// AtEvent traffic) and, when sharded, ShardsFor(n) shard wheels fed by the
+// flush's expansion. Each wheel carries its own work counters so sharded
+// totals merge without atomics.
 type wheel struct {
 	// Invariants between advances:
-	//   - active holds (as a min-heap) every pending event in slot curSlot;
+	//   - the pending events of slot curSlot are run[i] for i in order — those
+	//     the slot held when it opened, left where the bucket had them; order
+	//     lists them DESCENDING by (at, seq), so the earliest is its last
+	//     element and a pop shortens it — plus late, a min-heap of the events
+	//     inserted since;
 	//   - slots[s&wheelMask] holds the events of absolute slot s for
 	//     curSlot < s < curSlot+wheelSlots, unsorted;
 	//   - overflow holds (as a min-heap) events at or past the horizon —
 	//     plus, transiently, events whose slot entered the window since the
 	//     last advance; advance() drains those before choosing a bucket;
-	//   - wheelCount counts events in slots (excluding active/overflow);
-	//   - no slice of the wheel holds an event past its length: pops zero
-	//     the vacated entry and activation swaps whole buckets, so storage
-	//     can be recycled by clearing the pending events alone.
-	active     []event
+	//   - wheelCount counts events in slots (excluding run/late/overflow);
+	//   - no slice of the wheel holds an event past its length, and run none
+	//     outside order: pops zero the vacated entry and activation swaps
+	//     whole buckets, so storage can be recycled by clearing the pending
+	//     events alone.
+	run, late  []event
+	order      []uint32   // indices into run
 	slots      *slotArray // nil until the first bucket insert (main wheel)
 	curSlot    int64
 	wheelCount int
@@ -357,37 +360,17 @@ func (w *wheel) recycleSlots() {
 	}
 }
 
-// pending returns the number of undelivered events in this wheel.
-func (w *wheel) pending() int {
-	return len(w.active) + w.wheelCount + len(w.overflow)
-}
-
-// each calls visit on every pending event of the wheel, tier by tier and in
-// no particular order within one — what a white-box test reads instead of
-// naming the tiers itself.
-func (w *wheel) each(visit func(event)) {
-	tiers := [][]event{w.active, w.overflow}
-	if w.slots != nil {
-		tiers = append(tiers, w.slots[:]...)
-	}
-	for _, tier := range tiers {
-		for _, ev := range tier {
-			visit(ev)
-		}
-	}
-}
-
-// insert routes an event to its tier: the active bucket's heap, a wheel
+// insert routes an event to its tier: the open slot's late heap, a wheel
 // bucket, or the far-future overflow heap.
 func (w *wheel) insert(ev event) {
 	slot := slotOf(ev.at)
 	switch {
 	case slot <= w.curSlot:
-		// The active bucket — including the defensive clamp for events
+		// The open slot — including the defensive clamp for events
 		// scheduled by unwinding coroutines after an abort peeked ahead
 		// (such events are never popped: the run processes no more events).
-		pushEvent(&w.active, ev)
-		if d := int64(len(w.active)); d > w.maxDepth {
+		pushEvent(&w.late, ev)
+		if d := int64(len(w.order) + len(w.late)); d > w.maxDepth {
 			w.maxDepth = d
 		}
 	case slot < w.curSlot+wheelSlots:
@@ -405,11 +388,14 @@ func (w *wheel) insert(ev event) {
 	}
 }
 
-// advance makes the earliest pending event poppable from the active heap.
-// It returns false when no event is pending. advance only repositions
-// events between tiers (preserving the (at, seq) total order); it never
-// fires one, so peeking is side-effect free with respect to the run.
-func (w *wheel) advance() bool {
+// advance makes the earliest pending event the head of the open slot, opening
+// the next non-empty slot (sortRun orders it, through the scheduler's scratch)
+// when the open one has drained. It returns false when no event is pending.
+// advance only repositions events between tiers (preserving the (at, seq)
+// total order); it never fires one, so peeking is side-effect free with
+// respect to the run. It moves nothing unless the wheel was popped from or
+// inserted into since the last call: nextWheel skips untouched wheels.
+func (w *wheel) advance(scratch *[]uint32) bool {
 	for {
 		// Cascade overflow events whose slot has entered the window. They
 		// were beyond the horizon when scheduled; the horizon has moved.
@@ -418,7 +404,7 @@ func (w *wheel) advance() bool {
 			w.cascades++
 			w.insert(ev)
 		}
-		if len(w.active) > 0 {
+		if len(w.order)+len(w.late) > 0 {
 			return true
 		}
 		if w.wheelCount > 0 {
@@ -431,13 +417,13 @@ func (w *wheel) advance() bool {
 				}
 				w.curSlot = sl
 				w.wheelCount -= len(*b)
-				// The active heap is empty here: trade it for the bucket
-				// instead of copying the bucket's events over.
-				w.active, *b = *b, w.active
-				heapify(w.active)
+				// Every event of the run has been popped, and zeroed: trade
+				// it for the bucket instead of copying the bucket's events.
+				w.run, *b = *b, w.run[:0]
+				w.order = sortRun(w.run, w.order, scratch)
 				break
 			}
-			if len(w.active) == 0 {
+			if len(w.order) == 0 {
 				panic("vclock: wheelCount > 0 but no bucket found in window")
 			}
 			// Re-enter the loop: the window moved, overflow may cascade.
@@ -450,6 +436,96 @@ func (w *wheel) advance() bool {
 		// let the cascade at the top of the loop pull it (and its cohort) in.
 		w.curSlot = slotOf(w.overflow[0].at)
 	}
+}
+
+// sortCrossover is the bucket depth up to which sortRun's insertion pass alone
+// orders a bucket; deeper ones pay for two 128-entry histograms first. Read off
+// BenchmarkWheelDrain (one wheel, no late inserts, ns per event, insertion
+// pass alone against always counting): k=16 37 against 48, k=32 47 against 42.
+const sortCrossover = 24
+
+// sortRun orders a bucket that has just become the open slot's run: it returns
+// order (reusing its array) listing run's indices descending by (at, seq).
+// Every event of a bucket shares its slot, so the low slotWidthShift bits of
+// at are its instant: two stable counting passes over 7 bits each order a deep
+// bucket by instant — the second filling order back to front, which leaves
+// equal instants in the REVERSE of their append order, as a shallow bucket
+// starts out. One insertion pass then settles the rest: a linear scan when the
+// bucket was appended in seq order (it is, except after a cascade or when a
+// flush staged a lone delivery ahead of its fanout), the whole sort for a
+// shallow bucket. Only 4-byte indices move: ordering the 32-byte events
+// themselves costs what the heap's sifts did (DESIGN.md §10). scratch is the
+// scheduler's one buffer for the passes.
+func sortRun(run []event, order []uint32, scratch *[]uint32) []uint32 {
+	n := len(run)
+	order = slices.Grow(order[:0], n)[:n]
+	if n <= sortCrossover {
+		for i := range order {
+			order[i] = uint32(n - 1 - i)
+		}
+	} else {
+		const digit, mask = slotWidthShift / 2, 1<<(slotWidthShift/2) - 1
+		var lo, hi [1 << digit]uint32
+		for i := range run {
+			lo[run[i].at&mask]++
+			hi[run[i].at>>digit&mask]++
+		}
+		var l, h uint32
+		for d := range lo {
+			lo[d], l = l, l+lo[d]
+			hi[d], h = h, h+hi[d]
+		}
+		tmp := slices.Grow((*scratch)[:0], n)[:n]
+		*scratch = tmp
+		for i := range run {
+			d := run[i].at & mask
+			tmp[lo[d]] = uint32(i)
+			lo[d]++
+		}
+		for _, i := range tmp {
+			d := run[i].at >> digit & mask
+			hi[d]++
+			order[n-int(hi[d])] = i
+		}
+	}
+	for i := 1; i < n; i++ {
+		if !run[order[i-1]].before(run[order[i]]) {
+			continue
+		}
+		x, j := order[i], i
+		for ; j > 0 && run[order[j-1]].before(run[x]); j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = x
+	}
+	return order
+}
+
+// first returns the open slot's head — advance must have returned true since
+// the wheel was last touched — and whether it is the late heap's root rather
+// than the run's earliest event.
+func (w *wheel) first() (*event, bool) {
+	n := len(w.order)
+	if n == 0 {
+		return &w.late[0], true
+	}
+	ev := &w.run[w.order[n-1]]
+	if len(w.late) > 0 && w.late[0].before(*ev) {
+		return &w.late[0], true
+	}
+	return ev, false
+}
+
+// pop removes and returns the open slot's head.
+func (w *wheel) pop() event {
+	head, late := w.first()
+	if late {
+		return popEvent(&w.late)
+	}
+	ev := *head
+	*head = event{}
+	w.order = w.order[:len(w.order)-1]
+	return ev
 }
 
 // Process states (both body forms).
@@ -582,6 +658,15 @@ type Job interface {
 	ExpandShard(shard int, seqBase uint64, ins *ShardInserter)
 }
 
+// headKey is the (at, seq) of a wheel's earliest pending event. The key of an
+// empty wheel is {maxTime, noSeq}: it orders after every event.
+type headKey struct {
+	at  Time
+	seq uint64
+}
+
+const noSeq = 1<<64 - 1
+
 // shardTask is a registered job and, once the flush has sealed it, the first
 // sequence number of its reserved block.
 type shardTask struct {
@@ -636,8 +721,14 @@ type Scheduler struct {
 	// expands its jobs — by the worker that owns shard s (s mod workers), or
 	// by the token inline — and drained by the token at the end of that
 	// flush. The WaitGroup join orders the two.
-	staged    []ShardInserter
-	shardLive int // events currently pending in shard wheels
+	staged []ShardInserter
+
+	// The pop path's merge cache: heads[i] is wheel i's head key (0 is main,
+	// 1+s shard s; {maxTime, noSeq} when empty) as of nextWheel's last advance of it;
+	// stale has bit i set when wheel i was inserted into or popped from since.
+	heads   [1 + NumShards]headKey
+	stale   uint32
+	scratch []uint32 // sortRun's buffer: the token serialises every activation
 
 	stats SchedulerStats // pool counters; wheel counters live on the wheels
 
@@ -686,25 +777,21 @@ func WithMaxSteps(n int64) Option {
 	return func(s *Scheduler) { s.maxSteps = n }
 }
 
-// WithShards equips the scheduler with shards shard wheels and an
-// expansion pool of up to workers threads — the width of the pool when a
-// flush window is large enough to engage it (poolMinSeqs); capped at the
-// shard count, and values below 1 mean 1 — fully serial, the same staging
-// and flush discipline run inline on the token. Zero shards keeps the
-// scheduler unsharded and makes the option a no-op. The observable run — schedule,
-// steps, outcome, stats — is bit-identical for every workers value; see
-// the package comment.
+// WithShards equips the scheduler with shards shard wheels (at most
+// NumShards) and an expansion pool of up to workers threads — the width of
+// the pool when a flush window is large enough to engage it (poolMinSeqs);
+// capped at the shard count, and values below 1 mean 1 — fully serial, the
+// same staging and flush discipline run inline on the token. Zero shards
+// keeps the scheduler unsharded and makes the option a no-op. The observable
+// run — schedule, steps, outcome, stats — is bit-identical for every workers
+// value; see the package comment.
 func WithShards(shards, workers int) Option {
 	return func(s *Scheduler) {
 		if shards <= 0 {
 			return
 		}
-		if workers < 1 {
-			workers = 1
-		}
-		if workers > shards {
-			workers = shards
-		}
+		shards = min(shards, NumShards)
+		workers = min(max(workers, 1), shards)
 		s.shards = make([]wheel, shards)
 		for i := range s.shards {
 			s.shards[i].slots = new(slotArray)
@@ -720,6 +807,7 @@ func New(opts ...Option) *Scheduler {
 	for _, o := range opts {
 		o(s)
 	}
+	s.stale = 2<<len(s.shards) - 1 // no head key has been taken yet
 	return s
 }
 
@@ -757,12 +845,6 @@ func (s *Scheduler) Stats() SchedulerStats {
 	return st
 }
 
-// pending returns the number of undelivered events (events the registered
-// jobs have yet to stage not included; see nextWheel for why that is safe).
-func (s *Scheduler) pending() int {
-	return s.main.pending() + s.shardLive
-}
-
 // At schedules fn to run at virtual instant t (clamped to now: virtual time
 // never flows backwards). Events at the same instant run in schedule order.
 func (s *Scheduler) At(t Time, fn func()) { s.AtEvent(t, eventFunc(fn)) }
@@ -781,6 +863,7 @@ func (s *Scheduler) AtEvent(t Time, ev Event) {
 	s.seq++
 	s.main.scheduled++
 	s.main.insert(event{at: t, seq: s.seq, ev: ev})
+	s.stale |= 1
 }
 
 // AtEventShard schedules ev on shard wheel shard rather than the main
@@ -799,7 +882,7 @@ func (s *Scheduler) AtEventShard(shard int, t Time, ev Event) {
 	w := &s.shards[shard]
 	w.scheduled++
 	w.insert(event{at: t, seq: s.seq, ev: ev})
-	s.shardLive++
+	s.stale |= 2 << shard
 }
 
 // AfterEvent schedules ev to fire d nanoseconds of virtual time from now.
@@ -944,35 +1027,54 @@ func (s *Scheduler) flush() {
 		s.stats.PooledPayloadBytes += ins.payloadBytes
 		ins.payloadBytes = 0
 		w.scheduled += int64(len(ins.evs))
-		s.shardLive += len(ins.evs)
+		if len(ins.evs) > 0 {
+			s.stale |= 2 << i
+		}
 		clear(ins.evs)
 		ins.evs = ins.evs[:0]
 	}
 }
 
+// wheel returns wheel i of the merge: 0 is main, 1+s is shard s.
+func (s *Scheduler) wheel(i int) *wheel {
+	if i == 0 {
+		return &s.main
+	}
+	return &s.shards[i-1]
+}
+
 // nextWheel surfaces the globally earliest pending event and returns the
-// wheel whose active heap holds it. It implements the deterministic merge:
-// the candidate is the (at, seq)-minimum over the main-wheel head and every
-// shard-wheel head, and it is only returned while no registered job could
-// stage an event that precedes it — the lookahead rule. Otherwise the jobs
-// are flushed first and the scan re-runs. Every decision here reads
-// token-owned state only, so flush points — and everything downstream — are
-// independent of worker timing.
-func (s *Scheduler) nextWheel() (*wheel, bool) {
+// index (see wheel) of the wheel whose open slot it heads. It implements the
+// deterministic merge: the candidate is the (at, seq)-minimum over the
+// main-wheel head and every shard-wheel head, and it is only returned while
+// no registered job could stage an event that precedes it — the lookahead
+// rule. Otherwise the jobs are flushed first and the scan re-runs. Every
+// decision here reads token-owned state only, so flush points — and
+// everything downstream — are independent of worker timing.
+//
+// The heads are read from the cache; only stale wheels are advanced and have
+// their key retaken. That equals advancing every wheel: advance moves nothing
+// in a wheel neither inserted into nor popped from since, and both mark it.
+func (s *Scheduler) nextWheel() (int, bool) {
 	for {
-		var best *wheel
-		if s.main.advance() {
-			best = &s.main
+		for m := s.stale; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			s.heads[i] = headKey{at: maxTime, seq: noSeq}
+			if w := s.wheel(i); w.advance(&s.scratch) {
+				ev, _ := w.first()
+				s.heads[i] = headKey{at: ev.at, seq: ev.seq}
+			}
 		}
-		if s.shardLive > 0 {
-			for i := range s.shards {
-				w := &s.shards[i]
-				if !w.advance() {
-					continue
-				}
-				if best == nil || w.active[0].before(best.active[0]) {
-					best = w
-				}
+		s.stale = 0
+		best, head := 0, s.heads[0]
+		for i := 1; i <= len(s.shards); i++ {
+			// k before head? Decided by one 128-bit borrow chain (instants are
+			// never negative) so that it compiles to conditional moves: the
+			// delays are scattered, and a branch on them would mispredict.
+			k := s.heads[i]
+			_, lt := bits.Sub64(k.seq, head.seq, 0)
+			if _, lt = bits.Sub64(uint64(k.at), uint64(head.at), lt); lt != 0 {
+				best, head = i, k
 			}
 		}
 		// The lookahead rule: a pending event that ties the window's
@@ -982,24 +1084,19 @@ func (s *Scheduler) nextWheel() (*wheel, bool) {
 		// lets the whole cohort of one instant pop, and add to the window's
 		// jobs, before the window closes. Only an event strictly past the
 		// bound (or an empty queue) forces the flush.
-		if len(s.jobs) > 0 && (best == nil || best.active[0].at > s.earliest) {
+		if len(s.jobs) > 0 && (head.seq == noSeq || head.at > s.earliest) {
 			s.flush()
 			continue
 		}
-		if best == nil {
-			return nil, false
-		}
-		return best, true
+		return best, head.seq != noSeq
 	}
 }
 
-// pop removes and returns the head of w, the wheel nextWheel has just
-// returned. It is the only way an event leaves a wheel.
-func (s *Scheduler) pop(w *wheel) event {
-	if w != &s.main {
-		s.shardLive--
-	}
-	return popEvent(&w.active)
+// pop removes and returns the head of wheel i, which nextWheel has just
+// returned: the only way an event leaves a wheel, and it marks the wheel.
+func (s *Scheduler) pop(i int) event {
+	s.stale |= 1 << i
+	return s.wheel(i).pop()
 }
 
 // Spawn registers fn as a new coroutine. It starts runnable and takes its
@@ -1196,8 +1293,8 @@ func (s *Scheduler) Run() Outcome {
 			return s.outcome
 		}
 		if !s.aborted {
-			if w, ok := s.nextWheel(); ok {
-				if s.deadline > 0 && w.active[0].at > s.deadline {
+			if i, ok := s.nextWheel(); ok {
+				if s.deadline > 0 && s.heads[i].at > s.deadline {
 					s.outcome.DeadlineExceeded = true
 					s.abort()
 					continue
@@ -1207,11 +1304,9 @@ func (s *Scheduler) Run() Outcome {
 					s.abort()
 					continue
 				}
-				ev := s.pop(w)
+				ev := s.pop(i)
 				s.steps++
-				if ev.at > s.now {
-					s.now = ev.at
-				}
+				s.now = max(s.now, ev.at)
 				ev.ev.Fire()
 				continue
 			}

@@ -541,6 +541,32 @@ func TestDetachSlotsLeavesNoEvent(t *testing.T) {
 	s.main.recycleSlots()
 }
 
+// each calls visit on every pending event of the wheel, tier by tier: what a
+// white-box test reads instead of naming the tiers itself.
+func (w *wheel) each(visit func(event)) {
+	for _, i := range w.order {
+		visit(w.run[i])
+	}
+	tiers := [][]event{w.late, w.overflow}
+	if w.slots != nil {
+		tiers = append(tiers, w.slots[:]...)
+	}
+	for _, tier := range tiers {
+		for _, ev := range tier {
+			visit(ev)
+		}
+	}
+}
+
+// pending returns the number of undelivered events in every wheel.
+func (s *Scheduler) pending() (n int) {
+	for i := 0; i <= len(s.shards); i++ {
+		w := s.wheel(i)
+		n += len(w.order) + len(w.late) + w.wheelCount + len(w.overflow)
+	}
+	return n
+}
+
 // refWheel is the reference model of one wheel: the open slot is a binary
 // min-heap that every pop sifts — the form the wheel had before a slot was
 // ordered once at activation. It is kept for TestWheelOpsMatchReference and
