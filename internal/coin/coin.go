@@ -15,13 +15,15 @@
 //
 // The package also provides rigged coins so tests can steer executions into
 // specific schedules (e.g. forcing the disagree-then-converge path).
+//
+// No coin synchronizes: the scheduler's single execution token runs every
+// process body, so flips never overlap. The cost figure is
+// metrics.Snapshot.CoinFlips, counted by the protocols.
 package coin
 
 import (
 	"fmt"
 	"math/rand/v2"
-	"sync"
-	"sync/atomic"
 
 	"allforone/internal/model"
 )
@@ -44,8 +46,7 @@ type Common interface {
 // PRNGLocal is not safe for concurrent use; each simulated process owns its
 // own coin, matching the model (local_coin is a per-process function).
 type PRNGLocal struct {
-	rng   *rand.Rand
-	flips atomic.Int64
+	rng *rand.Rand
 }
 
 // NewPRNGLocal returns a local coin seeded with (seed1, seed2).
@@ -55,13 +56,8 @@ func NewPRNGLocal(seed1, seed2 uint64) *PRNGLocal {
 
 // Flip implements Local.
 func (c *PRNGLocal) Flip() model.Value {
-	c.flips.Add(1)
 	return model.BitToValue(c.rng.Uint64())
 }
-
-// Flips returns how many times the coin was flipped (a per-process cost
-// metric; Flips is safe to read concurrently with Flip).
-func (c *PRNGLocal) Flips() int64 { return c.flips.Load() }
 
 // DeriveLocalSeed expands a run seed into a per-process seed pair so that
 // the n local coins of one run are mutually independent but the whole run
@@ -74,7 +70,7 @@ func DeriveLocalSeed(runSeed int64, p model.ProcID) (uint64, uint64) {
 // SplitMixCommon is the shared-sequence common coin: Bit(r) is a pure
 // function of (seed, r), so every process holding the same seed reads the
 // same sequence — the defining property of the paper's common coin.
-// It is safe for concurrent use (it is stateless beyond the seed).
+// It is stateless beyond the seed, so one coin may serve every process.
 type SplitMixCommon struct {
 	seed uint64
 }
@@ -100,9 +96,10 @@ func splitmix64(x uint64) uint64 {
 
 // FixedLocal is a rigged local coin replaying a fixed sequence, cycling
 // when exhausted. It lets tests force Ben-Or's coin case down a chosen
-// path. Safe for concurrent use.
+// path. One coin may be shared by every process of a run: the scheduler's
+// execution token serializes their flips, so the replay order is
+// deterministic.
 type FixedLocal struct {
-	mu   sync.Mutex
 	seq  []model.Value
 	next int
 }
@@ -123,15 +120,14 @@ func NewFixedLocal(seq ...model.Value) *FixedLocal {
 
 // Flip implements Local.
 func (c *FixedLocal) Flip() model.Value {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	v := c.seq[c.next%len(c.seq)]
 	c.next++
 	return v
 }
 
 // FixedCommon is a rigged common coin with an explicit per-round bit table,
-// cycling when exhausted. Safe for concurrent use (immutable).
+// cycling when exhausted. It is immutable, so one coin may serve every
+// process.
 type FixedCommon struct {
 	bits []model.Value
 }

@@ -1,67 +1,44 @@
 package consensusobj
 
-import (
-	"fmt"
-	"sync/atomic"
-
-	"allforone/internal/model"
-	"allforone/internal/shmem"
-)
+import "allforone/internal/model"
 
 // Array is the per-cluster unbounded array of consensus objects
-// CONS_x[r, ph] used by Algorithms 2 and 3 (paper §III-B, §IV). Slots are
-// allocated lazily in the cluster's shared Memory on first access, so all
-// processes of the cluster racing on the same (round, phase) slot obtain
-// the same object.
+// CONS_x[r, ph] used by Algorithms 2 and 3 (paper §III-B, §IV). A slot is
+// allocated on its first Propose, so every process of the cluster that
+// proposes on the same (round, phase) reaches the same object.
 //
 // Array also counts propose invocations: the number of consensus-object
 // accesses per phase is the scalability currency of the paper's comparison
 // with the m&m model (§III-C), so it is measured, not estimated.
 type Array struct {
-	mem     *shmem.Memory
-	prefix  string
-	invokes atomic.Int64
-	allocs  atomic.Int64
+	slots   map[slot]*CAS
+	invokes int64
 }
 
-// NewArray returns an object array backed by the given cluster memory.
-// Distinct arrays sharing one memory must use distinct prefixes.
-func NewArray(mem *shmem.Memory, prefix string) *Array {
-	return &Array{mem: mem, prefix: prefix}
+// slot indexes one object of an Array.
+type slot struct{ round, phase int }
+
+// NewArray returns an empty object array.
+func NewArray() *Array {
+	return &Array{slots: make(map[slot]*CAS)}
 }
 
-// Get returns the consensus object for (round, phase), allocating it on
-// first access. Algorithm 3 uses a single phase; by convention it passes
-// phase 1.
-func (a *Array) Get(round, phase int) Object {
-	key := fmt.Sprintf("%s/%d/%d", a.prefix, round, phase)
-	obj := a.mem.GetOrCreate(key, func() any {
-		a.allocs.Add(1)
-		return NewCAS()
-	})
-	cons, ok := obj.(Object)
-	if !ok {
-		// Key collision with a non-consensus object: a wiring bug; fail
-		// loudly with a fresh object rather than corrupt the simulation.
-		panic(fmt.Sprintf("consensusobj: slot %q holds %T, not a consensus object", key, obj))
+// Propose submits v to the object CONS[round, phase], allocating it on
+// first access, and returns the object's decision. Algorithm 3 uses a
+// single phase; by convention it passes phase 1.
+func (a *Array) Propose(round, phase int, v model.Value) model.Value {
+	a.invokes++
+	k := slot{round, phase}
+	c := a.slots[k]
+	if c == nil {
+		c = &CAS{}
+		a.slots[k] = c
 	}
-	return &countingObject{inner: cons, invokes: &a.invokes}
+	return c.Propose(v)
 }
 
 // Invocations returns the total number of Propose calls through this array.
-func (a *Array) Invocations() int64 { return a.invokes.Load() }
+func (a *Array) Invocations() int64 { return a.invokes }
 
 // Allocations returns how many distinct slots were allocated.
-func (a *Array) Allocations() int64 { return a.allocs.Load() }
-
-// countingObject wraps an Object to count Propose invocations.
-type countingObject struct {
-	inner   Object
-	invokes *atomic.Int64
-}
-
-// Propose implements Object.
-func (c *countingObject) Propose(v model.Value) model.Value {
-	c.invokes.Add(1)
-	return c.inner.Propose(v)
-}
+func (a *Array) Allocations() int64 { return int64(len(a.slots)) }

@@ -4,46 +4,13 @@ import (
 	"testing"
 
 	"allforone/internal/model"
-	"allforone/internal/shmem"
 )
 
-func BenchmarkCASProposeDecided(b *testing.B) {
-	obj := NewCAS()
-	obj.Propose(model.One)
-	b.ResetTimer()
+// BenchmarkArrayPropose is the CONS_x[r,ph] access of Algorithms 2 and 3:
+// 128 slots, each allocated on its first Propose and hit again afterwards.
+func BenchmarkArrayPropose(b *testing.B) {
+	a := NewArray()
 	for i := 0; i < b.N; i++ {
-		_ = obj.Propose(model.Zero)
-	}
-}
-
-func BenchmarkCASProposeFresh(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		obj := NewCAS()
-		_ = obj.Propose(model.One)
-	}
-}
-
-func BenchmarkCASProposeContended(b *testing.B) {
-	obj := NewCAS()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			_ = obj.Propose(model.One)
-		}
-	})
-}
-
-func BenchmarkLLSCPropose(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		obj := NewLLSC()
-		_ = obj.Propose(model.Zero)
-	}
-}
-
-func BenchmarkArrayGetPropose(b *testing.B) {
-	mem := shmem.NewMemory()
-	a := NewArray(mem, "CONS")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = a.Get(i%64, 1+i%2).Propose(model.One)
+		_ = a.Propose(i%64, 1+i%2, model.One)
 	}
 }

@@ -4,149 +4,43 @@
 // deterministic wait-free consensus object is available to the cluster's
 // processes despite any number of crashes.
 //
-// The package offers consensus objects built from compare&swap and from
-// LL/SC (both of infinite consensus number), a 2-process object built from
-// test&set (consensus number 2, for the hierarchy illustration), and the
+// The package offers the compare&swap consensus object CAS and the
 // round-indexed object arrays CONS_x[r, ph] used by Algorithms 2 and 3.
+// Each operation is one atomic step because the scheduler's single
+// execution token runs every process body: no two processes are ever inside
+// an operation at once, so the objects are plain data.
 package consensusobj
 
-import (
-	"fmt"
-	"sync"
-
-	"allforone/internal/model"
-	"allforone/internal/shmem"
-)
-
-// Object is a single-shot binary consensus object. Propose submits value v
-// and returns the object's decided value: the proposal of the first propose
-// operation to take effect. It is wait-free: every invocation returns after
-// a bounded number of its own steps regardless of other processes.
-//
-// The contract (validity + agreement, as in the paper's consensus spec):
-// the returned value was proposed by some process, and every invocation on
-// the same object returns the same value.
-type Object interface {
-	Propose(v model.Value) model.Value
-}
-
-// undecided is the sentinel marking a consensus object that no propose
-// operation has hit yet. It must be distinct from EVERY proposable value:
-// Algorithm 2's CONS_x[r,2] legitimately receives ⊥ (Bot) as a proposal,
-// so Bot cannot double as the sentinel — using it would let a later
-// Propose(v) overwrite an earlier decided Propose(⊥), breaking agreement
-// inside the cluster (a bug the trace uniformity checker caught in a
-// randomized sweep; see TestProposeBotFirstDecidesBot).
-const undecided = model.Value(-128)
+import "allforone/internal/model"
 
 // CAS is a consensus object built from a single compare&swap register: the
 // first CAS(undecided → v) wins and fixes the decision. This is exactly
 // the construction the paper alludes to when it equips MEM_x with
 // compare&swap.
+//
+// The zero value is undecided and ready for use. Undecided is a flag, not a
+// reserved value, because every value is proposable: Algorithm 2's
+// CONS_x[r,2] legitimately receives ⊥ (Bot), and a later Propose(v) must
+// not overwrite a decided Propose(⊥) (see TestProposeBotFirstDecidesBot).
 type CAS struct {
-	cell shmem.CASRegister[model.Value]
-	init sync.Once
+	v   model.Value
+	set bool
 }
 
 // NewCAS returns a fresh, undecided consensus object.
-func NewCAS() *CAS {
-	c := &CAS{}
-	c.ensureInit()
-	return c
-}
+func NewCAS() *CAS { return &CAS{} }
 
-func (c *CAS) ensureInit() {
-	c.init.Do(func() { c.cell.Write(undecided) })
-}
-
-// Propose implements Object.
+// Propose submits v and returns the object's decided value: the proposal of
+// the first Propose to take effect. Every invocation on one object returns
+// the same value (agreement), and that value was proposed (validity).
 func (c *CAS) Propose(v model.Value) model.Value {
-	c.ensureInit()
-	c.cell.CompareAndSwap(undecided, v)
-	return c.cell.Read()
+	if !c.set {
+		c.v, c.set = v, true
+	}
+	return c.v
 }
 
 // Decided returns the decided value and whether any propose happened yet.
 func (c *CAS) Decided() (model.Value, bool) {
-	c.ensureInit()
-	v := c.cell.Read()
-	return v, v != undecided
-}
-
-// LLSC is a consensus object built from a load-linked/store-conditional
-// register. A proposer loads the cell; if it is still undecided it attempts
-// a conditional store, and in either case returns the cell's final content.
-type LLSC struct {
-	cell *shmem.LLSCRegister[model.Value]
-	once sync.Once
-}
-
-// NewLLSC returns a fresh, undecided consensus object.
-func NewLLSC() *LLSC {
-	l := &LLSC{}
-	l.ensure()
-	return l
-}
-
-func (l *LLSC) ensure() {
-	l.once.Do(func() { l.cell = shmem.NewLLSCRegister(undecided) })
-}
-
-// Propose implements Object.
-func (l *LLSC) Propose(v model.Value) model.Value {
-	l.ensure()
-	for {
-		cur, link := l.cell.LL()
-		if cur != undecided {
-			return cur
-		}
-		if l.cell.SC(link, v) {
-			return v
-		}
-		// SC failed: someone else's SC succeeded; next LL sees a decision.
-	}
-}
-
-// TAS2 is a 2-process consensus object built from one test&set register and
-// two atomic proposal registers — the classical construction showing
-// test&set has consensus number (at least) 2. Process slots are 0 and 1.
-type TAS2 struct {
-	flag      shmem.TASRegister
-	proposals [2]shmem.Register[model.Value]
-	once      sync.Once
-}
-
-// NewTAS2 returns a fresh 2-process consensus object.
-func NewTAS2() *TAS2 {
-	t := &TAS2{}
-	t.ensure()
-	return t
-}
-
-func (t *TAS2) ensure() {
-	t.once.Do(func() {
-		t.proposals[0].Write(undecided)
-		t.proposals[1].Write(undecided)
-	})
-}
-
-// ProposeAt submits v on behalf of the process occupying slot (0 or 1) and
-// returns the decided value. It returns an error for an invalid slot.
-func (t *TAS2) ProposeAt(slot int, v model.Value) (model.Value, error) {
-	if slot != 0 && slot != 1 {
-		return model.Bot, fmt.Errorf("consensusobj: TAS2 slot %d out of range", slot)
-	}
-	t.ensure()
-	t.proposals[slot].Write(v)
-	if !t.flag.TestAndSet() {
-		return v, nil // winner decides its own value
-	}
-	// Loser adopts the winner's proposal.
-	other := t.proposals[1-slot].Read()
-	if other == undecided {
-		// The winner must have written its proposal before TAS, so this
-		// cannot happen in a well-formed execution; be defensive anyway.
-		return v, nil
-	}
-	return other, nil
+	return c.v, c.set
 }

@@ -8,11 +8,12 @@
 //   - Algorithm 3, common-coin consensus — a hybrid-model extension of the
 //     crash-fault version of the Friedman–Mostéfaoui–Raynal algorithm.
 //
-// Each simulated process runs as a goroutine against the substrates in
-// internal/shmem (intra-cluster memory), internal/consensusobj (the
-// CONS_x[r,ph] objects), internal/netsim (reliable asynchronous channels)
-// and internal/coin. Crash failures are injected at the step points defined
-// in internal/failures.
+// Each simulated process runs on internal/driver, whose one execution
+// token steps every process body, against the substrates in
+// internal/consensusobj (the cluster memory's CONS_x[r,ph] objects),
+// internal/netsim (reliable asynchronous channels) and internal/coin.
+// Crash failures are injected at the step points defined in
+// internal/failures.
 package core
 
 import (

@@ -150,7 +150,7 @@ func (p *proc) clusterPropose(r, ph int, v model.Value) model.Value {
 	if p.ablateCluster {
 		return v
 	}
-	out := p.cons.Get(r, ph).Propose(v)
+	out := p.cons.Propose(r, ph, v)
 	p.ctr.AddConsInvocations(1)
 	p.log.Append(p.id, trace.KindClusterAgree, r, ph, out)
 	return out

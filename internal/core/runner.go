@@ -13,7 +13,6 @@ import (
 	"allforone/internal/metrics"
 	"allforone/internal/model"
 	"allforone/internal/netsim"
-	"allforone/internal/shmem"
 	"allforone/internal/sim"
 	"allforone/internal/trace"
 )
@@ -188,10 +187,10 @@ func newExecEnv(cfg *Config, n int) *execEnv {
 		outcomes: make([]outcome, n),
 	}
 
-	// One memory and one CONS array per cluster.
+	// One CONS array per cluster: the cluster memory MEM_x.
 	env.arrays = make([]*consensusobj.Array, env.part.M())
 	for x := range env.arrays {
-		env.arrays[x] = consensusobj.NewArray(shmem.NewMemory(), "CONS")
+		env.arrays[x] = consensusobj.NewArray()
 	}
 
 	env.common = coin.NewSplitMixCommon(uint64(cfg.Seed) ^ 0x2545_f491_4f6c_dd1d)

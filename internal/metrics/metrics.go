@@ -1,23 +1,23 @@
 // Package metrics collects the cost counters the paper reasons about:
 // messages exchanged by the communication pattern, consensus-object
 // invocations inside clusters (the scalability currency of §III-C), rounds
-// executed, and coin flips. Counters are updated concurrently by all
-// simulated processes and snapshotted by the harness at the end of a run.
+// executed, and coin flips. Counters are updated by the simulated processes
+// of one run and snapshotted by the harness at its end.
 package metrics
 
-import "sync/atomic"
-
 // Counters aggregates the cost of one consensus execution. The zero value
-// is ready for use. All methods are safe for concurrent use.
+// is ready for use. Every update runs under one run's execution token, so
+// the counters are plain integers; runs executing in parallel must not
+// share a Counters.
 type Counters struct {
-	msgsSent        atomic.Int64
-	msgsDelivered   atomic.Int64
-	broadcasts      atomic.Int64
-	decideMsgs      atomic.Int64
-	consInvocations atomic.Int64
-	coinFlips       atomic.Int64
-	roundsTotal     atomic.Int64
-	maxRound        atomic.Int64
+	msgsSent        int64
+	msgsDelivered   int64
+	broadcasts      int64
+	decideMsgs      int64
+	consInvocations int64
+	coinFlips       int64
+	roundsTotal     int64
+	maxRound        int64
 }
 
 // Snapshot is an immutable copy of the counters at one instant.
@@ -33,45 +33,39 @@ type Snapshot struct {
 }
 
 // AddMsgsSent records k point-to-point sends.
-func (c *Counters) AddMsgsSent(k int64) { c.msgsSent.Add(k) }
+func (c *Counters) AddMsgsSent(k int64) { c.msgsSent += k }
 
 // AddMsgsDelivered records k deliveries.
-func (c *Counters) AddMsgsDelivered(k int64) { c.msgsDelivered.Add(k) }
+func (c *Counters) AddMsgsDelivered(k int64) { c.msgsDelivered += k }
 
 // AddBroadcast records one broadcast macro-operation.
-func (c *Counters) AddBroadcast() { c.broadcasts.Add(1) }
+func (c *Counters) AddBroadcast() { c.broadcasts++ }
 
 // AddDecideMsgs records k DECIDE messages.
-func (c *Counters) AddDecideMsgs(k int64) { c.decideMsgs.Add(k) }
+func (c *Counters) AddDecideMsgs(k int64) { c.decideMsgs += k }
 
 // AddConsInvocations records k consensus-object Propose calls.
-func (c *Counters) AddConsInvocations(k int64) { c.consInvocations.Add(k) }
+func (c *Counters) AddConsInvocations(k int64) { c.consInvocations += k }
 
 // AddCoinFlips records k local-coin flips.
-func (c *Counters) AddCoinFlips(k int64) { c.coinFlips.Add(k) }
+func (c *Counters) AddCoinFlips(k int64) { c.coinFlips += k }
 
 // ObserveRound records that some process completed round r (1-based).
 func (c *Counters) ObserveRound(r int64) {
-	c.roundsTotal.Add(1)
-	for {
-		cur := c.maxRound.Load()
-		if r <= cur || c.maxRound.CompareAndSwap(cur, r) {
-			return
-		}
-	}
+	c.roundsTotal++
+	c.maxRound = max(c.maxRound, r)
 }
 
-// Read returns a consistent-enough snapshot for end-of-run reporting (each
-// field is read atomically; the run is quiescent when the harness reads).
+// Read returns a snapshot of the counters for end-of-run reporting.
 func (c *Counters) Read() Snapshot {
 	return Snapshot{
-		MsgsSent:        c.msgsSent.Load(),
-		MsgsDelivered:   c.msgsDelivered.Load(),
-		Broadcasts:      c.broadcasts.Load(),
-		DecideMsgs:      c.decideMsgs.Load(),
-		ConsInvocations: c.consInvocations.Load(),
-		CoinFlips:       c.coinFlips.Load(),
-		RoundsTotal:     c.roundsTotal.Load(),
-		MaxRound:        c.maxRound.Load(),
+		MsgsSent:        c.msgsSent,
+		MsgsDelivered:   c.msgsDelivered,
+		Broadcasts:      c.broadcasts,
+		DecideMsgs:      c.decideMsgs,
+		ConsInvocations: c.consInvocations,
+		CoinFlips:       c.coinFlips,
+		RoundsTotal:     c.roundsTotal,
+		MaxRound:        c.maxRound,
 	}
 }

@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestCountersBasics(t *testing.T) {
 	t.Parallel()
@@ -27,34 +24,6 @@ func TestCountersBasics(t *testing.T) {
 	}
 	if s.MaxRound != 4 {
 		t.Errorf("MaxRound = %d, want 4", s.MaxRound)
-	}
-}
-
-func TestCountersConcurrent(t *testing.T) {
-	t.Parallel()
-	var c Counters
-	const procs, each = 16, 1000
-	var wg sync.WaitGroup
-	for p := 0; p < procs; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				c.AddMsgsSent(1)
-				c.ObserveRound(int64(p*each + i + 1))
-			}
-		}(p)
-	}
-	wg.Wait()
-	s := c.Read()
-	if s.MsgsSent != procs*each {
-		t.Errorf("MsgsSent = %d, want %d", s.MsgsSent, procs*each)
-	}
-	if s.RoundsTotal != procs*each {
-		t.Errorf("RoundsTotal = %d, want %d", s.RoundsTotal, procs*each)
-	}
-	if s.MaxRound != procs*each {
-		t.Errorf("MaxRound = %d, want %d", s.MaxRound, procs*each)
 	}
 }
 

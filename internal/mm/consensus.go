@@ -13,7 +13,6 @@ import (
 	"allforone/internal/metrics"
 	"allforone/internal/model"
 	"allforone/internal/netsim"
-	"allforone/internal/shmem"
 	"allforone/internal/sim"
 )
 
@@ -122,10 +121,10 @@ func (p *proc) checkAbort(r int) *outcome {
 // memory plus each neighbor's — α_i + 1 invocations) and adopt the value
 // decided by the own-centered object.
 func (p *proc) memoryPropose(r, ph int, est model.Value) model.Value {
-	own := p.arrays[p.id].Get(r, ph).Propose(est)
+	own := p.arrays[p.id].Propose(r, ph, est)
 	p.ctr.AddConsInvocations(1)
 	for _, q := range p.graph.Neighbors(p.id) {
-		p.arrays[q].Get(r, ph).Propose(est)
+		p.arrays[q].Propose(r, ph, est)
 		p.ctr.AddConsInvocations(1)
 	}
 	return own
@@ -276,7 +275,7 @@ func Run(cfg Config) (*sim.Result, error) {
 	var nw *netsim.Network
 	arrays := make([]*consensusobj.Array, n)
 	for i := range arrays {
-		arrays[i] = consensusobj.NewArray(shmem.NewMemory(), "CONS")
+		arrays[i] = consensusobj.NewArray()
 	}
 	outcomes := make([]outcome, n)
 	out, err := driver.Run(driver.Config{

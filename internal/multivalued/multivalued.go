@@ -38,7 +38,6 @@ import (
 	"allforone/internal/metrics"
 	"allforone/internal/model"
 	"allforone/internal/netsim"
-	"allforone/internal/shmem"
 	"allforone/internal/sim"
 	"allforone/internal/vclock"
 )
@@ -384,7 +383,7 @@ func (p *proc) binaryInstance(inst int, input model.Value) (model.Value, *outcom
 
 // clusterPropose runs the intra-cluster consensus for (instance, round).
 func (p *proc) clusterPropose(inst, r int, v model.Value) model.Value {
-	out := p.cons.Get(inst*1_000_000+r, 1).Propose(v)
+	out := p.cons.Propose(inst*1_000_000+r, 1, v)
 	p.ctr.AddConsInvocations(1)
 	return out
 }
@@ -447,7 +446,7 @@ func Run(cfg Config) (*Result, error) {
 	var nw *netsim.Network
 	arrays := make([]*consensusobj.Array, cfg.Partition.M())
 	for x := range arrays {
-		arrays[x] = consensusobj.NewArray(shmem.NewMemory(), "MVCONS")
+		arrays[x] = consensusobj.NewArray()
 	}
 
 	maxInst := cfg.MaxInstances

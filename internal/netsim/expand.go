@@ -272,7 +272,7 @@ func (nw *Network) BurstSend(from, to model.ProcID, payload any) {
 	if nw.opts.counters != nil {
 		nw.opts.counters.AddMsgsSent(1)
 	}
-	if nw.shards == nil || nw.closed.Load() {
+	if nw.shards == nil || nw.closed {
 		m := Message{From: from, To: to, Payload: payload}
 		nw.deliver(m, nw.delayFor(m))
 		return
@@ -293,7 +293,7 @@ func (nw *Network) BurstSendVia(from, to model.ProcID, b BurstBuilder, ctx any, 
 	if nw.opts.counters != nil {
 		nw.opts.counters.AddMsgsSent(1)
 	}
-	if nw.shards == nil || nw.closed.Load() {
+	if nw.shards == nil || nw.closed {
 		payload, _ := b.BuildPayload(nw, -1, ctx, arg)
 		m := Message{From: from, To: to, Payload: payload}
 		nw.deliver(m, nw.delayFor(m))

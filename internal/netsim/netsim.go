@@ -20,7 +20,6 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"allforone/internal/mailbox"
@@ -156,7 +155,7 @@ type Network struct {
 	vboxes []*mailbox.Virtual[Message]
 	opts   options
 	rng    *rand.Rand
-	closed atomic.Bool
+	closed bool // set by Shutdown, once the run is over
 
 	// Event pools (guarded by the scheduler's execution token, like
 	// everything else here). Delivery and fanout events cycle through
@@ -509,7 +508,7 @@ func (nw *Network) N() int { return nw.n }
 // the RNG needs no lock). A network that is shut down, or has no delay
 // policy, delivers immediately and draws nothing.
 func (nw *Network) delayFor(m Message) time.Duration {
-	if nw.closed.Load() || !nw.opts.delays() {
+	if nw.closed || !nw.opts.delays() {
 		return 0
 	}
 	return nw.opts.draw(nw.rng, time.Duration(nw.opts.sched.Now()), m)
@@ -596,7 +595,7 @@ func (nw *Network) packFan(keys []uint64, rng *rand.Rand, at vclock.Time, from m
 // order, so the RNG stream matches the equivalent Send sequence. The fanout
 // reads recipients until its last arrival, so the list must not change again.
 func (nw *Network) sendFan(from model.ProcID, payload any, recipients []model.ProcID) {
-	if nw.closed.Load() {
+	if nw.closed {
 		return // shut down: every inbox is closed, nothing can arrive
 	}
 	now := nw.opts.sched.Now()
@@ -622,7 +621,7 @@ func (nw *Network) SendAll(from model.ProcID, payload any) {
 	if nw.opts.counters != nil {
 		nw.opts.counters.AddMsgsSent(int64(nw.n))
 	}
-	if nw.shards != nil && nw.fanOK && !nw.closed.Load() {
+	if nw.shards != nil && nw.fanOK && !nw.closed {
 		nw.appendFan(from, payload)
 		return
 	}
@@ -704,7 +703,7 @@ func (nw *Network) boxClosed(to model.ProcID) bool {
 
 // Shutdown closes every inbox. The network must not be used after Shutdown.
 func (nw *Network) Shutdown() {
-	nw.closed.Store(true)
+	nw.closed = true
 	for i, b := range nw.vboxes {
 		b.Close()
 		nw.closedBox[i>>6] |= 1 << (uint(i) & 63)

@@ -10,7 +10,6 @@ import (
 	"allforone/internal/metrics"
 	"allforone/internal/model"
 	"allforone/internal/netsim"
-	"allforone/internal/shmem"
 	"allforone/internal/sim"
 	"allforone/internal/vclock"
 )
@@ -152,17 +151,11 @@ var ErrBadConfig = errors.New("register: invalid configuration")
 // find responders).
 type doneMsg struct{}
 
-// mergeInto folds pair into a cluster cell (max-timestamp wins) as a CAS
-// retry loop — lock-free, no blocking.
-func mergeInto(cell *shmem.CASRegister[tagged], pair tagged) {
-	for {
-		cur := cell.Read()
-		if !cur.TS.Less(pair.TS) {
-			return
-		}
-		if cell.CompareAndSwap(cur, pair) {
-			return
-		}
+// mergeInto folds pair into a cluster cell: the larger timestamp wins, and
+// an equal one keeps the incumbent.
+func mergeInto(cell *tagged, pair tagged) {
+	if cell.TS.Less(pair.TS) {
+		*cell = pair
 	}
 }
 
@@ -173,7 +166,7 @@ type client struct {
 	id    model.ProcID
 	part  *model.Partition
 	net   *netsim.Network
-	cells []*shmem.CASRegister[tagged] // one per cluster
+	cells []tagged // one per cluster, shared by its members
 	h     *driver.Handle
 	seq   int64
 
@@ -185,8 +178,8 @@ type client struct {
 }
 
 // cellOf returns the memory cell of p's cluster.
-func (c *client) cellOf(p model.ProcID) *shmem.CASRegister[tagged] {
-	return c.cells[c.part.ClusterOf(p)]
+func (c *client) cellOf(p model.ProcID) *tagged {
+	return &c.cells[c.part.ClusterOf(p)]
 }
 
 // serve handles one server-side or bookkeeping message. It returns the
@@ -195,7 +188,7 @@ func (c *client) cellOf(p model.ProcID) *shmem.CASRegister[tagged] {
 func (c *client) serve(msg netsim.Message) (payload any, from model.ProcID, isAck bool) {
 	switch m := msg.Payload.(type) {
 	case queryMsg:
-		cur := c.cellOf(c.id).Read()
+		cur := *c.cellOf(c.id)
 		c.net.Send(c.id, msg.From, queryAck{Seq: m.Seq, Cur: cur})
 	case updateMsg:
 		mergeInto(c.cellOf(c.id), m.Pair)
@@ -218,7 +211,7 @@ func (c *client) collectQuery() (tagged, bool) {
 	covered := model.NewProcSet(c.part.N())
 	// Own cluster answers locally: shared memory needs no message. This is
 	// what lets a lone majority-cluster member finish instantly.
-	best := c.cellOf(c.id).Read()
+	best := *c.cellOf(c.id)
 	covered.UnionInto(c.part.Cluster(c.id))
 	for !covered.IsMajority() {
 		msg, ok := c.net.Receive(c.id)
@@ -357,10 +350,7 @@ func Run(cfg Config) (*Result, error) {
 
 	var ctr metrics.Counters
 	var nw *netsim.Network
-	cells := make([]*shmem.CASRegister[tagged], cfg.Partition.M())
-	for x := range cells {
-		cells[x] = shmem.NewCASRegister(tagged{})
-	}
+	cells := make([]tagged, cfg.Partition.M())
 	// Processes scheduled to crash never announce completion; survivors
 	// stop serving once every other process announced.
 	live := model.NewProcSet(n)

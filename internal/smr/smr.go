@@ -28,7 +28,6 @@ import (
 	"allforone/internal/metrics"
 	"allforone/internal/model"
 	"allforone/internal/netsim"
-	"allforone/internal/shmem"
 	"allforone/internal/sim"
 	"allforone/internal/vclock"
 )
@@ -375,7 +374,7 @@ func (r *replica) binaryInstance(slot, inst int, input model.Value) (model.Value
 
 // clusterPropose runs the cluster consensus for (slot, inst, round).
 func (r *replica) clusterPropose(slot, inst, round int, v model.Value) model.Value {
-	out := r.cons.Get(slot*10_000_000+inst*10_000+round, 1).Propose(v)
+	out := r.cons.Propose(slot*10_000_000+inst*10_000+round, 1, v)
 	r.ctr.AddConsInvocations(1)
 	return out
 }
@@ -477,7 +476,7 @@ func Run(cfg Config) (*Result, error) {
 	var nw *netsim.Network
 	arrays := make([]*consensusobj.Array, cfg.Partition.M())
 	for x := range arrays {
-		arrays[x] = consensusobj.NewArray(shmem.NewMemory(), "SMRCONS")
+		arrays[x] = consensusobj.NewArray()
 	}
 	maxRnd := cfg.MaxRoundsPerInstance
 	if maxRnd <= 0 {
