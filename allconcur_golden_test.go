@@ -5,7 +5,7 @@ package allforone
 // string. Decisions, Delivered counts, steps, virtual time and the message
 // bill all ride on the order in which missing origins are visited and on
 // the dedupe verdict of every item copy, so any rewrite of that path must
-// reproduce these hashes — at every Workers width.
+// reproduce these hashes.
 
 import (
 	"encoding/json"
@@ -40,7 +40,7 @@ var allconcurGolden = map[string]uint64{
 	"n=1024/circulant/instant-p0":   0xd5999bcc9fbcfbd9,
 }
 
-func allconcurGoldenScenario(t *testing.T, n int, kind OverlayKind, crashes string, workers int) Scenario {
+func allconcurGoldenScenario(t *testing.T, n int, kind OverlayKind, crashes string) Scenario {
 	t.Helper()
 	w := Workload{}
 	for i := 0; i < n; i++ {
@@ -66,7 +66,6 @@ func allconcurGoldenScenario(t *testing.T, n int, kind OverlayKind, crashes stri
 		Faults:   sched,
 		Profile:  UniformProfile(0, 200*time.Microsecond),
 		Seed:     1303,
-		Workers:  workers,
 	}
 }
 
@@ -103,17 +102,15 @@ func TestAllconcurOutcomeGolden(t *testing.T) {
 		for _, kind := range []OverlayKind{OverlayDeBruijn, OverlayCirculant} {
 			for _, crashes := range []string{"crash-free", "two-at-150us", "instant-p0"} {
 				name := fmt.Sprintf("n=%d/%v/%s", n, kind, crashes)
-				for _, workers := range []int{1, 2} {
-					out, err := Run(allconcurGoldenScenario(t, n, kind, crashes, workers))
-					if err != nil {
-						t.Fatalf("%s Workers=%d: %v", name, workers, err)
-					}
-					if !out.AllLiveDecided() {
-						t.Fatalf("%s Workers=%d: live processes unfinished", name, workers)
-					}
-					if got, want := outcomeHash(t, out), allconcurGolden[name]; got != want {
-						t.Errorf("%s Workers=%d: Outcome hash %#016x, want %#016x", name, workers, got, want)
-					}
+				out, err := Run(allconcurGoldenScenario(t, n, kind, crashes))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !out.AllLiveDecided() {
+					t.Fatalf("%s: live processes unfinished", name)
+				}
+				if got, want := outcomeHash(t, out), allconcurGolden[name]; got != want {
+					t.Errorf("%s: Outcome hash %#016x, want %#016x", name, got, want)
 				}
 			}
 		}

@@ -61,7 +61,7 @@ func TestPaperTrialAllocationGate(t *testing.T) {
 }
 
 // TestAllconcurAllocationGate pins what one allconcur run allocates at
-// n=1024 (de Bruijn, two crashes mid-flood, Workers 2). The bill is the
+// n=1024 (de Bruijn, two crashes mid-flood). The bill is the
 // outbox arrays — one per flush, holding every item copy the reactor
 // forwards: 45.0 MB per run with 12-byte pointer-free items, from 135.6 MB
 // with the 40-byte items that carried a value string. The limit leaves
@@ -74,7 +74,7 @@ func TestAllconcurAllocationGate(t *testing.T) {
 		maxBytes = 52_000_000
 		runs     = 3
 	)
-	sc := allconcurGoldenScenario(t, 1024, OverlayDeBruijn, "two-at-150us", 2)
+	sc := allconcurGoldenScenario(t, 1024, OverlayDeBruijn, "two-at-150us")
 	run := func() {
 		if _, err := Run(sc); err != nil {
 			t.Fatal(err)

@@ -40,8 +40,7 @@ func TestRunMultipleExperiments(t *testing.T) {
 
 // TestRunJSON: the -json document is a pure function of its flags — the
 // property the claims gate stands on. The trial pool's width must not move a
-// byte of it (E10's n=256 cell is sharded, so the run's own expansion pool
-// is exercised too), and a record carries findings only: no timing.
+// byte of it, and a record carries findings only: no timing.
 func TestRunJSON(t *testing.T) {
 	t.Parallel()
 	args := []string{"-exp", "E1,E5,E10", "-trials", "2", "-json"}

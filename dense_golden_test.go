@@ -6,7 +6,7 @@ package allforone
 // and every reserved sequence number decide who closes an exchange on whose
 // message — so decisions, rounds, steps, virtual time, the message bill and
 // the scheduler's own counters all ride on the fanout order, and any rewrite
-// of that path must reproduce these hashes, at every Workers width.
+// of that path must reproduce these hashes.
 
 import (
 	"fmt"
@@ -40,13 +40,13 @@ type denseGoldenCell struct {
 	short   bool
 	bounded bool
 	cut     int
-	build   func(t *testing.T, seed int64, workers int) Scenario
+	build   func(t *testing.T, seed int64) Scenario
 }
 
 // denseHybrid is the hybrid protocol on Blocks(n, 10) with eight timed
 // crashes at 60 µs — mid-exchange under the 50 µs–2 ms band.
-func denseHybrid(n int, algo string) func(*testing.T, int64, int) Scenario {
-	return func(t *testing.T, seed int64, workers int) Scenario {
+func denseHybrid(n int, algo string) func(*testing.T, int64) Scenario {
+	return func(t *testing.T, seed int64) Scenario {
 		t.Helper()
 		part, err := Blocks(n, 10)
 		if err != nil {
@@ -66,7 +66,6 @@ func denseHybrid(n int, algo string) func(*testing.T, int64, int) Scenario {
 			Faults:    sched,
 			Profile:   UniformProfile(50*time.Microsecond, 2*time.Millisecond),
 			Seed:      seed,
-			Workers:   workers,
 		}
 	}
 }
@@ -74,7 +73,7 @@ func denseHybrid(n int, algo string) func(*testing.T, int64, int) Scenario {
 // denseBenOrBounded is the every-message-delivered regime: Ben-Or consumes
 // all n arrivals of every broadcast, and with split proposals its local coins
 // do not converge at n = 300, so the run ends at the step budget.
-func denseBenOrBounded(t *testing.T, seed int64, workers int) Scenario {
+func denseBenOrBounded(t *testing.T, seed int64) Scenario {
 	t.Helper()
 	const n = 300
 	w := Workload{}
@@ -87,7 +86,6 @@ func denseBenOrBounded(t *testing.T, seed int64, workers int) Scenario {
 		Workload: w,
 		Profile:  UniformProfile(0, 600*time.Microsecond),
 		Seed:     seed,
-		Workers:  workers,
 		Bounds:   Bounds{MaxSteps: 2_000_000},
 	}
 }
@@ -97,7 +95,7 @@ func denseBenOrBounded(t *testing.T, seed int64, workers int) Scenario {
 // is NOT ascending (descending, interleaved from both ends, strided, and a
 // reversed even/odd split) — under a 3 µs-wide band, so many of a list's
 // arrivals share an instant and wake in list order.
-func denseCrashCut(t *testing.T, seed int64, workers int) Scenario {
+func denseCrashCut(t *testing.T, seed int64) Scenario {
 	t.Helper()
 	const n = 300
 	part, err := Blocks(n, 10)
@@ -145,7 +143,6 @@ func denseCrashCut(t *testing.T, seed int64, workers int) Scenario {
 		Faults:    sched,
 		Profile:   UniformProfile(50*time.Microsecond, 53*time.Microsecond),
 		Seed:      seed,
-		Workers:   workers,
 	}
 }
 
@@ -159,8 +156,7 @@ var denseGoldenCells = []denseGoldenCell{
 }
 
 // TestDenseShardedOutcomeGolden holds every dense sharded cell to its
-// recorded Outcome at Workers 1 and 2: n = 300 runs on 2 shard wheels, n =
-// 1024 on 8.
+// recorded Outcome: n = 300 runs on 2 shard wheels, n = 1024 on 8.
 func TestDenseShardedOutcomeGolden(t *testing.T) {
 	t.Parallel()
 	for _, cell := range denseGoldenCells {
@@ -169,24 +165,22 @@ func TestDenseShardedOutcomeGolden(t *testing.T) {
 		}
 		for _, seed := range []int64{11, 4099} {
 			name := fmt.Sprintf("%s/seed=%d", cell.name, seed)
-			for _, workers := range []int{1, 2} {
-				out, err := Run(cell.build(t, seed, workers))
-				if err != nil {
-					t.Fatalf("%s Workers=%d: %v", name, workers, err)
-				}
-				if out.StepsExceeded != cell.bounded {
-					t.Fatalf("%s Workers=%d: StepsExceeded = %v, want %v", name, workers, out.StepsExceeded, cell.bounded)
-				}
-				if crashed := out.CountStatus(StatusCrashed); crashed < cell.cut {
-					t.Fatalf("%s Workers=%d: %d processes crashed, want the %d crash-cut broadcasts", name, workers, crashed, cell.cut)
-				}
-				if out.Sched.ShardEvents == 0 {
-					t.Fatalf("%s Workers=%d: the run never took the sharded path", name, workers)
-				}
-				if got, want := jsonHash(t, out), denseGolden[name]; got != want {
-					t.Errorf("%s Workers=%d: Outcome hash %#016x, want %#016x (steps %d, virtual %v, msgs %d/%d)",
-						name, workers, got, want, out.Steps, out.VirtualTime, out.Metrics.MsgsDelivered, out.Metrics.MsgsSent)
-				}
+			out, err := Run(cell.build(t, seed))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if out.StepsExceeded != cell.bounded {
+				t.Fatalf("%s: StepsExceeded = %v, want %v", name, out.StepsExceeded, cell.bounded)
+			}
+			if crashed := out.CountStatus(StatusCrashed); crashed < cell.cut {
+				t.Fatalf("%s: %d processes crashed, want the %d crash-cut broadcasts", name, crashed, cell.cut)
+			}
+			if out.Sched.ShardEvents == 0 {
+				t.Fatalf("%s: the run never took the sharded path", name)
+			}
+			if got, want := jsonHash(t, out), denseGolden[name]; got != want {
+				t.Errorf("%s: Outcome hash %#016x, want %#016x (steps %d, virtual %v, msgs %d/%d)",
+					name, got, want, out.Steps, out.VirtualTime, out.Metrics.MsgsDelivered, out.Metrics.MsgsSent)
 			}
 		}
 	}

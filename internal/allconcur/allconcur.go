@@ -122,11 +122,10 @@ type Config struct {
 	// a victim halts at its crash instant after emitting tombstone markers
 	// (its unflushed outbox dies with it). Step-point plans are rejected.
 	Crashes *failures.Schedule
-	// MaxVirtualTime / MaxSteps / Workers are the usual driver bounds;
+	// MaxVirtualTime / MaxSteps are the usual driver bounds;
 	// MaxSteps 0 derives the sparse default (sim.StepsLinear).
 	MaxVirtualTime time.Duration
 	MaxSteps       int64
-	Workers        int
 	// MinDelay/MaxDelay bound uniform random message transit time.
 	MinDelay, MaxDelay time.Duration
 	// NetOptions appends extra network options (profile delay policies).
@@ -189,8 +188,8 @@ type envelope struct {
 }
 
 // envBuilder is the netsim.BurstBuilder of the flush path: it assembles
-// one successor's envelope OFF the execution token, on the worker owning
-// the recipient's shard, from the shard's payload pool. ctx is the boxed
+// one successor's envelope when the network's window expands the
+// recipient's shard, from the shard's payload pool. ctx is the boxed
 // shared item batch (boxed once per flush, not once per successor) and arg
 // the link's sequence number.
 type envBuilder struct{}
@@ -411,8 +410,8 @@ func (rx *reactor) ingestItems(items []item) {
 // ingest processes one in-order payload from predecessor from: deliver and
 // re-flood novel values and crash certificates; turn a tombstone into this
 // process's own FAIL certificate. Pooled envelopes are recycled into the
-// recipient's shard pool once consumed — this is the token-side half of
-// the off-token payload construction (envBuilder grabs, ingest recycles).
+// recipient's shard pool once consumed — the other half of the windowed
+// payload construction (envBuilder grabs, ingest recycles).
 func (rx *reactor) ingest(from model.ProcID, payload any) {
 	switch p := payload.(type) {
 	case *envelope:
@@ -487,8 +486,8 @@ func seqOf(payload any) uint32 {
 // slice) and clears it. The handler only enqueues intent: the item batch
 // is boxed ONCE, each per-successor entry rides the network's burst path
 // (BurstSendVia), and envelope assembly — the per-successor header around
-// the shared slice — happens inside the expansion job, off the execution
-// token, from the recipient shard's payload pool.
+// the shared slice — happens inside the expansion job, from the recipient
+// shard's payload pool.
 func (rx *reactor) flushNow() {
 	rx.flushPending = false
 	if len(rx.outbox) == 0 {
@@ -664,7 +663,6 @@ func Run(cfg Config) (*Result, error) {
 	dcfg := driver.Config{
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
-		Workers:        cfg.Workers,
 		Complexity:     sim.StepsLinear,
 		// Crashes stay out of the driver config on purpose: a driver crash
 		// closes the victim's inbox at the instant, but the tombstone

@@ -49,14 +49,10 @@ type Config struct {
 	// MaxSteps bounds the number of discrete events of a run; zero means
 	// sim.DefaultMaxSteps, negative means unbounded.
 	MaxSteps int64
-	// Workers sets the engine expansion-pool width
-	// (driver.Config.Workers): pure mechanism, bit-identical results at
-	// every setting; 0 = one worker per CPU.
-	Workers int
 	// MinDelay/MaxDelay bound uniform random message transit time.
 	MinDelay, MaxDelay time.Duration
 	// NetOptions appends extra network options (e.g. a compiled
-	// NetworkProfile delay policy); a delay function here overrides
+	// NetworkProfile delay policy); a delay policy here replaces
 	// MinDelay/MaxDelay.
 	NetOptions []netsim.Option
 	// LocalCoinOverride, when non-nil, supplies each process's coin.
@@ -360,7 +356,6 @@ func Run(cfg Config) (*sim.Result, error) {
 	dcfg := driver.Config{
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
-		Workers:        cfg.Workers,
 		Crashes:        cfg.Crashes,
 	}
 	newNet := driver.StandardNet(&nw, cfg.N, uint64(cfg.Seed)^0x9e6c_63d0_876a_9a7d, &ctr, cfg.MinDelay, cfg.MaxDelay, cfg.NetOptions...)

@@ -83,17 +83,13 @@ type Config struct {
 	// rigged coin that never matches). Zero means DefaultMaxSteps;
 	// negative means unbounded.
 	MaxSteps int64
-	// Workers sets the engine expansion-pool width
-	// (driver.Config.Workers): pure mechanism, bit-identical results at
-	// every setting; 0 = one worker per CPU.
-	Workers int
 	// MinDelay/MaxDelay bound the uniform random message transit time.
 	// A zero MaxDelay means immediate delivery (zero-delay messages are
 	// delivered in deterministic send order).
 	MinDelay, MaxDelay time.Duration
 	// NetOptions appends extra network options — e.g. the delay policy a
 	// Scenario's NetworkProfile compiles to. Applied after the uniform
-	// delay band, so a delay function here overrides MinDelay/MaxDelay.
+	// delay band, so a delay policy here replaces MinDelay/MaxDelay.
 	NetOptions []netsim.Option
 	// Trace, when non-nil, records the event history of the run.
 	Trace *trace.Log
@@ -286,7 +282,6 @@ func Run(cfg Config) (*Result, error) {
 	dcfg := driver.Config{
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
-		Workers:        cfg.Workers,
 		Crashes:        cfg.Crashes,
 	}
 	var out driver.Outcome

@@ -63,7 +63,6 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 		MaxRounds:      sc.Bounds.MaxRounds,
 		MaxVirtualTime: sc.Bounds.MaxVirtualTime,
 		MaxSteps:       sc.Bounds.MaxSteps,
-		Workers:        sc.Workers,
 		Trace:          sc.Trace,
 		NetOptions:     netOpts,
 	})

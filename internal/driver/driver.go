@@ -18,7 +18,6 @@ package driver
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"allforone/internal/failures"
@@ -57,15 +56,11 @@ type Config struct {
 	// n=100k is not granted a 240-billion-step budget before the
 	// runaway guard fires.
 	Complexity sim.StepComplexity
-	// Workers is the engine's expansion-pool width: how many
-	// threads expand a flush window's sends — broadcast fanouts and
-	// per-recipient bursts alike — inside one run when the window is large
-	// enough to engage the pool; smaller windows expand inline (sharded
-	// timer wheels, vclock.WithShards). It is pure mechanism — the observable
-	// run (schedule, trace, steps, Outcome) is bit-identical at every
-	// setting; only wall-clock time changes. Zero or negative means
-	// runtime.NumCPU(). Small topologies (and protocols without a
-	// network) run unsharded regardless.
+	// Workers is ignored.
+	//
+	// Deprecated: a run expands its sends on the execution token alone, so
+	// there is no width to set. The field remains so that existing callers
+	// compile.
 	Workers int
 	// Crashes supplies the timed (virtual-instant) part of the failure
 	// pattern: at each instant the victim's Killed flag is raised and its
@@ -117,7 +112,7 @@ type HandlerBody func(i int, h *Handle) Reactor
 // derivation, the run's counters, and an optional uniform delay band.
 // protoOpts carries the protocol Config's extra network options (e.g. a
 // compiled NetworkProfile delay policy); it is applied after the uniform
-// band, so a delay function there wins. The constructed network is also
+// band, so a delay policy there wins. The constructed network is also
 // stored through nw so the process bodies (created before the network
 // exists) can reach it.
 func StandardNet(nw **netsim.Network, n int, seed uint64, ctr *metrics.Counters, minDelay, maxDelay time.Duration, protoOpts ...netsim.Option) NewNetFunc {
@@ -296,7 +291,7 @@ func run(cfg Config, n int, newNet NewNetFunc,
 	clock := vclock.New(
 		vclock.WithDeadline(vclock.Time(cfg.MaxVirtualTime)),
 		vclock.WithMaxSteps(resolveMaxSteps(cfg.MaxSteps, n, cfg.Complexity)),
-		vclock.WithShards(vclock.ShardsFor(n), resolveWorkers(cfg.Workers)),
+		vclock.WithShards(vclock.ShardsFor(n)),
 	)
 	var nw *netsim.Network
 	if newNet != nil {
@@ -353,13 +348,4 @@ func resolveMaxSteps(maxSteps int64, n int, c sim.StepComplexity) int64 {
 		return 0 // vclock: 0 = unbounded
 	}
 	return maxSteps
-}
-
-// resolveWorkers maps the Config.Workers convention onto the scheduler's:
-// zero or negative means one expansion worker per CPU.
-func resolveWorkers(w int) int {
-	if w <= 0 {
-		return runtime.NumCPU()
-	}
-	return w
 }

@@ -2,7 +2,6 @@ package driver
 
 import (
 	"errors"
-	"runtime"
 	"testing"
 	"time"
 
@@ -319,19 +318,5 @@ func TestResolveMaxSteps(t *testing.T) {
 	// matters: beyond the crossover n where 24·n² > 8192·n.
 	if lin, quad := sim.DefaultMaxStepsHint(4096, sim.StepsLinear), sim.DefaultMaxStepsFor(4096); lin >= quad {
 		t.Errorf("linear hint (%d) not below quadratic default (%d) at n=4096", lin, quad)
-	}
-}
-
-// TestResolveWorkers pins the Config.Workers convention: non-positive means
-// one expansion worker per CPU.
-func TestResolveWorkers(t *testing.T) {
-	if got := resolveWorkers(0); got != runtime.NumCPU() {
-		t.Errorf("resolveWorkers(0) = %d, want NumCPU %d", got, runtime.NumCPU())
-	}
-	if got := resolveWorkers(-3); got != runtime.NumCPU() {
-		t.Errorf("resolveWorkers(-3) = %d, want NumCPU %d", got, runtime.NumCPU())
-	}
-	if got := resolveWorkers(5); got != 5 {
-		t.Errorf("resolveWorkers(5) = %d, want 5", got)
 	}
 }

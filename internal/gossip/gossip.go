@@ -136,15 +136,14 @@ type Config struct {
 	// crash-free. Step-point plans are rejected — a reactor has no
 	// benor-style stage points.
 	Crashes *failures.Schedule
-	// MaxVirtualTime / MaxSteps / Workers are the usual driver bounds;
+	// MaxVirtualTime / MaxSteps are the usual driver bounds;
 	// MaxSteps 0 derives the sparse default (sim.StepsLinear).
 	MaxVirtualTime time.Duration
 	MaxSteps       int64
-	Workers        int
 	// MinDelay/MaxDelay bound uniform random message transit time.
 	MinDelay, MaxDelay time.Duration
 	// NetOptions appends extra network options (e.g. a compiled
-	// NetworkProfile delay policy); a delay function here overrides
+	// NetworkProfile delay policy); a delay policy here replaces
 	// MinDelay/MaxDelay.
 	NetOptions []netsim.Option
 }
@@ -294,8 +293,8 @@ func (rx *reactor) React(aborted bool) bool {
 // per-recipient sends, never a broadcast. They ride the sharded burst
 // path: on a sharded engine every reactor ticking at this instant appends
 // into one expansion job, and the delay draws, delivery events, and wheel
-// insertions happen off the execution token (netsim/expand.go); on a small or
-// unsharded topology BurstSend degrades to a plain Send.
+// insertions happen when that job's window flushes (netsim/expand.go); on a
+// small or unsharded topology BurstSend degrades to a plain Send.
 func (rx *reactor) sendRound() {
 	if rx.infected {
 		if rx.mode == ModePush || rx.mode == ModePushPull {
@@ -365,7 +364,6 @@ func Run(cfg Config) (*sim.Result, error) {
 	dcfg := driver.Config{
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
-		Workers:        cfg.Workers,
 		Crashes:        cfg.Crashes,
 		Complexity:     sim.StepsLinear,
 	}

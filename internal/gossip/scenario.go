@@ -55,7 +55,6 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 		Crashes:        sc.Faults,
 		MaxVirtualTime: sc.Bounds.MaxVirtualTime,
 		MaxSteps:       sc.Bounds.MaxSteps,
-		Workers:        sc.Workers,
 		NetOptions:     netOpts,
 	})
 	if err != nil {

@@ -40,7 +40,6 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 		MaxRounds:      sc.Bounds.MaxRounds,
 		MaxVirtualTime: sc.Bounds.MaxVirtualTime,
 		MaxSteps:       sc.Bounds.MaxSteps,
-		Workers:        sc.Workers,
 		NetOptions:     netOpts,
 	})
 	if err != nil {

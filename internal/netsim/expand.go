@@ -6,12 +6,11 @@
 // recipient's shard. At the flush point the job seals and each shard — a
 // contiguous recipient stripe with its own PCG stream derived from the run
 // seed — draws its delays, builds deferred payloads through its payload pool,
-// and stages its events into its shard wheel: one lazily ordered fanout per
-// broadcast, one pooled delivery per per-recipient entry. The scheduler runs
-// the shards inline on the token or, for a large window, off it on its worker
-// pool; work is partitioned by shard — a pure function of the topology — and
-// the sequence block is reserved at the flush point by token-side logic, so
-// the resulting schedule is bit-identical either way, at every worker count.
+// and inserts its events into its shard wheel: one lazily ordered fanout per
+// broadcast, one pooled delivery per per-recipient entry. Work is partitioned
+// by shard — a pure function of the topology — and the sequence block is
+// reserved at the flush point, so the schedule does not depend on the order
+// in which the shards are expanded.
 package netsim
 
 import (
@@ -22,14 +21,10 @@ import (
 	"allforone/internal/vclock"
 )
 
-// sendShard is one shard's expansion state. Two parties touch it, never at
-// once: the shard's expansion — a pool worker, or the token itself when the
-// window expands inline — draws from rng, packs into keys, consumes the burst
-// entries and pops the freelists, and it runs only inside a flush, while the
-// token waits in it; the token, between flushes, appends burst entries and
-// pushes fired events and consumed payloads back onto the freelists. The
-// flush's dispatch send and WaitGroup join order every access, so no lock is
-// ever needed.
+// sendShard is one shard's expansion state. The shard's expansion, inside a
+// flush, draws from rng, packs into keys, consumes the burst entries and pops
+// the freelists; between flushes, sends append burst entries and fired events
+// and consumed payloads return to the freelists.
 type sendShard struct {
 	rng    *rand.Rand // per-shard delay stream, derived from the run seed
 	lo, hi int        // recipient stripe [lo, hi)
@@ -65,31 +60,30 @@ func (sh *sendShard) getDelivery(nw *Network, shard int) *delivery {
 }
 
 // BurstBuilder constructs one burst entry's payload inside the expansion
-// job — off the execution token, on whichever worker owns the recipient's
-// shard. ctx is the shared context the sender captured at BurstSendVia
-// (e.g. one boxed item batch shared by d per-successor entries) and arg the
-// per-entry argument (e.g. that link's sequence number). The builder may
-// draw pooled objects via Network.GrabPayload(shard) and must touch no
-// state shared across shards; bytes reports the payload bytes built (the
-// PooledPayloadBytes stat). With shard < 0 the builder is running under
-// the token (the unsharded fallback path).
+// job, when the flush expands the recipient's shard. ctx is the shared
+// context the sender captured at BurstSendVia (e.g. one boxed item batch
+// shared by d per-successor entries) and arg the per-entry argument (e.g.
+// that link's sequence number). The builder may draw pooled objects via
+// Network.GrabPayload(shard) and must touch no state of another shard; bytes
+// reports the payload bytes built (the PooledPayloadBytes stat). shard < 0
+// means the send took the unsharded fallback path and the payload is built
+// at send time.
 type BurstBuilder interface {
 	BuildPayload(nw *Network, shard int, ctx any, arg uint64) (payload any, bytes int)
 }
 
-// fanEntry is one queued SendAll: what a worker needs to expand any shard's
-// stripe of it, captured under the token at send time — including the send
-// instant (workers must never read the live clock). Its closed-inbox
-// snapshot is the entry's run of window.snaps.
+// fanEntry is one queued SendAll: what the flush needs to expand any shard's
+// stripe of it, captured at send time — including the send instant, since
+// the clock may have advanced by the flush. Its closed-inbox snapshot is the
+// entry's run of window.snaps.
 type fanEntry struct {
 	from    model.ProcID
 	payload any
 	at      vclock.Time
 }
 
-// burstEntry is one queued per-recipient send. Entries are appended under
-// the token (between flushes) and read by the owning shard's worker during
-// the flush, so no two parties ever touch one concurrently.
+// burstEntry is one queued per-recipient send, appended between flushes and
+// consumed by the flush that expands its recipient's shard.
 type burstEntry struct {
 	payload any          // the payload itself, or the builder's shared ctx
 	builder BurstBuilder // nil: payload above is sent as-is
@@ -97,13 +91,13 @@ type burstEntry struct {
 	arg     uint64       // per-entry builder argument
 	from    model.ProcID
 	to      model.ProcID
-	skip    bool // inbox closed at send time: draw the delay, stage nothing
+	skip    bool // inbox closed at send time: draw the delay, insert nothing
 }
 
 // window is the one expansion job of the current flush window (vclock.Job).
 // It is a singleton per network: windows never overlap — the flush that
-// seals it also expands it and drains its staged events before the token
-// resumes — so the same object re-registers for the next window.
+// seals it also expands it — so the same object re-registers for the next
+// window.
 //
 // Its sequence block is laid out submission-major: the broadcast entries in
 // append order, each taking one seqPerShard-wide run per shard, then the
@@ -114,8 +108,9 @@ type window struct {
 
 	// fans are the window's broadcasts; snaps holds one closed-inbox bitmap
 	// snapshot per entry, back to back. The live bitmap may change between
-	// two sends of one window; the snapshot pins the skip decisions the
-	// inline path would have made at send time. Workers only read both.
+	// a send and the flush; the snapshot pins the skip decisions to the send
+	// instant, as an unsharded send would make them. The expansion only
+	// reads both.
 	fans  []fanEntry
 	snaps []uint64
 
@@ -139,12 +134,12 @@ func (w *window) Seal() (seqs uint64, broadcasts int64) {
 	return w.burstBase + shards*w.burstPer, int64(len(w.fans))
 }
 
-// ExpandShard stages shard's share of the window. It may run off the
-// execution token; it touches only the window (read-only), the shard's own
-// state (sendShard), and the staging inserter. Delays are drawn from the shard's own
-// stream in entry order — the broadcasts' stripes first, then the
-// per-recipient entries — and for recipients that can no longer receive too
-// (packFan's stream-stability rule).
+// ExpandShard inserts shard's share of the window. It touches only the
+// window (read-only), the shard's own state (sendShard), and the inserter.
+// Delays are drawn from the shard's own stream in entry order — the
+// broadcasts' stripes first, then the per-recipient entries — and for
+// recipients that can no longer receive too (packFan's stream-stability
+// rule).
 func (w *window) ExpandShard(shard int, seqBase uint64, ins *vclock.ShardInserter) {
 	nw := w.nw
 	sh := &nw.shards[shard]
@@ -206,8 +201,7 @@ func (w *window) ExpandShard(shard int, seqBase uint64, ins *vclock.ShardInserte
 	if payloadBytes > 0 {
 		ins.NotePayloadBytes(int64(payloadBytes))
 	}
-	// The expansion owns this shard's entries for the whole flush; clearing
-	// here drops the payload references before the token resumes.
+	// The entries are consumed; clearing drops their payload references.
 	clear(entries)
 	sh.burst = entries[:0]
 }
@@ -260,11 +254,10 @@ func (nw *Network) appendBurst(e burstEntry) {
 // sharded expansion path: semantically identical to Send — counted the
 // same, delivered at send instant + one policy delay draw — but the delay
 // draw, delivery-event construction, and wheel insertion happen inside the
-// current window's expansion job, off the execution token, on the shard
-// that owns the recipient. On an unsharded network (small topology, no
-// delay policy) or after Shutdown it falls back to plain Send behavior.
-// Like every network call it must run under the scheduler's execution
-// token.
+// current window's expansion job, on the shard that owns the recipient. On
+// an unsharded network (small topology, no delay policy) or after Shutdown
+// it falls back to plain Send behavior. Like every network call it must run
+// under the scheduler's execution token.
 func (nw *Network) BurstSend(from, to model.ProcID, payload any) {
 	if int(to) < 0 || int(to) >= nw.n {
 		return
@@ -283,9 +276,9 @@ func (nw *Network) BurstSend(from, to model.ProcID, payload any) {
 // BurstSendVia is BurstSend with deferred payload construction: instead of
 // a ready payload the sender hands a builder, a context shared across the
 // entries of one logical flush (boxed once), and a per-entry argument. The
-// payload is built inside the expansion job — off-token, through the
-// recipient shard's payload pool — so the token-side handler only enqueues
-// intent. On the fallback paths the payload is built inline (shard −1).
+// payload is built inside the expansion job, through the recipient shard's
+// payload pool, so the sending handler only enqueues intent. On the fallback
+// paths the payload is built at send time (shard −1).
 func (nw *Network) BurstSendVia(from, to model.ProcID, b BurstBuilder, ctx any, arg uint64) {
 	if int(to) < 0 || int(to) >= nw.n {
 		return
@@ -322,8 +315,7 @@ func (nw *Network) GrabPayload(shard int) any {
 	return nil
 }
 
-// RecyclePayload returns a consumed payload object to shard's pool. It
-// runs under the execution token (consumption is token-side), between
+// RecyclePayload returns a consumed payload object to shard's pool, between
 // flushes, like the fanout and delivery returns (see sendShard).
 func (nw *Network) RecyclePayload(shard int, p any) {
 	pool := &nw.freePayloads
@@ -352,11 +344,8 @@ func mix64(x uint64) uint64 {
 }
 
 // initShards builds the per-shard expansion state: contiguous recipient
-// stripes and per-shard RNG streams. The derivation depends only on the
-// run seed and the shard index — never on the worker count — which is half
-// of the parallelism-independence argument (the other half is the
-// scheduler's flush-time sequence reservation, decided by token-side state
-// alone).
+// stripes and per-shard RNG streams, derived from the run seed and the shard
+// index alone.
 func (nw *Network) initShards(count int) {
 	nw.shards = make([]sendShard, count)
 	nw.shardOf = make([]uint8, nw.n)

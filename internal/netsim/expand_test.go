@@ -32,9 +32,9 @@ type tracedNet struct {
 	react func(m Message)
 }
 
-func newTracedNet(t *testing.T, n, workers int, opts ...Option) *tracedNet {
+func newTracedNet(t *testing.T, n int, opts ...Option) *tracedNet {
 	t.Helper()
-	tn := &tracedNet{s: vclock.New(vclock.WithShards(vclock.ShardsFor(n), workers))}
+	tn := &tracedNet{s: vclock.New(vclock.WithShards(vclock.ShardsFor(n)))}
 	nw, err := New(n, append([]Option{WithScheduler(tn.s), WithSeed(41)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
@@ -65,30 +65,27 @@ func newTracedNet(t *testing.T, n, workers int, opts ...Option) *tracedNet {
 }
 
 // TestDelayPolicyPrecedence is the regression test for the policy
-// precedence, decided once for every send primitive: a delay function beats
-// the uniform band, and a timed function beats both, on the unsharded (n=3)
-// and the sharded (n=300) paths, whichever order the options come in. On
-// the parent commit SendAll, Broadcast, BroadcastSubset and BurstSend drew
-// from the band (1 ms) while Send called the function.
+// precedence, decided once for every send primitive: a timed function beats
+// the uniform band on the unsharded (n=3) and the sharded (n=300) paths,
+// whichever order the options come in. Before the precedence was settled in
+// one place, SendAll, Broadcast, BroadcastSubset and BurstSend drew from the
+// band (1 ms) while Send called the function.
 func TestDelayPolicyPrecedence(t *testing.T) {
 	band := WithUniformDelay(time.Millisecond, time.Millisecond)
-	fn := WithDelayFn(func(*rand.Rand, Message) time.Duration { return 5 * time.Microsecond })
 	timed := WithTimedDelayFn(func(time.Duration, *rand.Rand, Message) time.Duration { return 7 * time.Microsecond })
 	cases := []struct {
 		name string
 		opts []Option
 		want time.Duration
 	}{
-		{"band,fn", []Option{band, fn}, 5 * time.Microsecond},
-		{"fn,band", []Option{fn, band}, 5 * time.Microsecond},
-		{"band,fn,timed", []Option{band, fn, timed}, 7 * time.Microsecond},
-		{"timed,fn,band", []Option{timed, fn, band}, 7 * time.Microsecond},
+		{"band,timed", []Option{band, timed}, 7 * time.Microsecond},
+		{"timed,band", []Option{timed, band}, 7 * time.Microsecond},
 		{"band alone", []Option{band}, time.Millisecond},
 	}
 	for _, n := range []int{3, 300} {
 		for _, tc := range cases {
 			t.Run(fmt.Sprintf("n=%d/%s", n, tc.name), func(t *testing.T) {
-				tn := newTracedNet(t, n, 2, tc.opts...)
+				tn := newTracedNet(t, n, tc.opts...)
 				if sharded := tn.nw.shards != nil; sharded != (n == 300) {
 					t.Fatalf("sharded expansion engaged = %v at n=%d", sharded, n)
 				}
@@ -127,7 +124,7 @@ func (viaBuilder) BuildPayload(_ *Network, _ int, ctx any, arg uint64) (any, int
 // The third woken process is the victim, which terminates (closes its inbox)
 // when woken — between two sends of the window — unless closing says "pre"
 // (it is closed before the run starts) or "never".
-func mixedWindow(t *testing.T, workers int, closing string) ([]arrival, vclock.Outcome) {
+func mixedWindow(t *testing.T, closing string) ([]arrival, vclock.Outcome) {
 	t.Helper()
 	const (
 		n      = 300
@@ -136,13 +133,13 @@ func mixedWindow(t *testing.T, workers int, closing string) ([]arrival, vclock.O
 	)
 	// "go" messages take exactly t0; everything else a random 10–200 µs on
 	// the drawing stream (the shard's, for sharded sends).
-	delay := WithDelayFn(func(rng *rand.Rand, m Message) time.Duration {
+	delay := WithTimedDelayFn(func(_ time.Duration, rng *rand.Rand, m Message) time.Duration {
 		if m.Payload == "go" {
 			return t0
 		}
 		return 10*time.Microsecond + time.Duration(rng.Int64N(int64(190*time.Microsecond)))
 	})
-	tn := newTracedNet(t, n, workers, delay)
+	tn := newTracedNet(t, n, delay)
 	nw := tn.nw
 	tn.react = func(m Message) {
 		if m.Payload != "go" {
@@ -185,23 +182,21 @@ func mixedWindow(t *testing.T, workers int, closing string) ([]arrival, vclock.O
 // on a window that mixes SendAll, BurstSend and BurstSendVia.
 func TestMixedWindow(t *testing.T) {
 	const victim = model.ProcID(170)
-	mid, midOut := mixedWindow(t, 1, "mid")
+	mid, midOut := mixedWindow(t, "mid")
 
-	// Bit-identical at every pool width, and on a replay.
-	for _, w := range []int{1, 2, 4} {
-		trace, out := mixedWindow(t, w, "mid")
-		if !reflect.DeepEqual(mid, trace) {
-			t.Fatalf("workers=%d: delivery trace diverged", w)
-		}
-		if !reflect.DeepEqual(midOut, out) {
-			t.Fatalf("workers=%d: outcome diverged\n  ref: %+v\n  got: %+v", w, midOut, out)
-		}
+	// Bit-identical on a replay.
+	trace, out := mixedWindow(t, "mid")
+	if !reflect.DeepEqual(mid, trace) {
+		t.Fatal("delivery trace diverged on replay")
+	}
+	if !reflect.DeepEqual(midOut, out) {
+		t.Fatalf("outcome diverged on replay\n  ref: %+v\n  got: %+v", midOut, out)
 	}
 
 	// Stream stability: whether and when the victim closes shifts no other
 	// recipient's delay draw — every delivery to anyone else is the same.
-	never, neverOut := mixedWindow(t, 2, "never")
-	pre, preOut := mixedWindow(t, 2, "pre")
+	never, neverOut := mixedWindow(t, "never")
+	pre, preOut := mixedWindow(t, "pre")
 	others := func(trace []arrival) (out []arrival) {
 		for _, a := range trace {
 			if a.To != victim {
@@ -231,78 +226,55 @@ func TestMixedWindow(t *testing.T) {
 
 	// Closed mid-window, it gets the sends made before it closed and not
 	// the ones made after. A closed inbox drops at arrival whatever was
-	// staged, so the trace cannot show that; the scheduler's event count
-	// does: each send that saw the victim open staged one arrival for it
+	// scheduled, so the trace cannot show that; the scheduler's event count
+	// does: each send that saw the victim open scheduled one arrival for it
 	// (its own delivery event, or one more arrival instant of a fanout),
-	// each send that saw it closed staged none.
+	// each send that saw it closed scheduled none.
 	if d := midOut.Stats.EventsScheduled - preOut.Stats.EventsScheduled; d != 3 {
-		t.Fatalf("closed mid-window, the victim was staged %d arrivals on top of none, want 3 (a1, a2, b-early)", d)
+		t.Fatalf("closed mid-window, the victim was scheduled %d arrivals on top of none, want 3 (a1, a2, b-early)", d)
 	}
 	if d := neverOut.Stats.EventsScheduled - midOut.Stats.EventsScheduled; d != 2 {
 		t.Fatalf("closing mid-window spared %d arrivals, want 2 (a3, b-late)", d)
 	}
 }
 
-// TestPooledWindowsReuseShardPools drives windows large enough for the
-// scheduler to dispatch them to its workers — every process of an n=256
-// network broadcasts and sends one built payload at the same instant, three
-// rounds a full delay span apart — so the shard freelists are pushed by the
-// token (fired fanouts and deliveries, recycled payloads) and popped by the
-// workers (the next round's expansion) with nothing but the flush's dispatch
-// and join between them. The delivery trace and the Outcome must be those of
-// the serial run at every width, and the second and third rounds must have
-// been served from the freelists.
+// TestPooledWindowsReuseShardPools drives full windows — every process of an
+// n=256 network broadcasts and sends one built payload at the same instant,
+// three rounds a full delay span apart — so the shard freelists are pushed
+// between flushes (fired fanouts and deliveries, recycled payloads) and
+// popped by the next round's expansion. Each round must be one window, and
+// the second and third rounds must have been served from the freelists.
 func TestPooledWindowsReuseShardPools(t *testing.T) {
 	const n, rounds = 256, 3
 	span := 200 * time.Microsecond
-	run := func(workers int) ([]arrival, vclock.Outcome, *Network) {
-		tn := newTracedNet(t, n, workers, WithUniformDelay(10*time.Microsecond, span))
-		nw := tn.nw
-		tn.react = func(m Message) {
-			if p, ok := m.Payload.(*burstEchoPayload); ok {
-				nw.RecyclePayload(nw.ShardOf(m.To), p)
-			}
+	tn := newTracedNet(t, n, WithUniformDelay(10*time.Microsecond, span))
+	nw := tn.nw
+	tn.react = func(m Message) {
+		if p, ok := m.Payload.(*burstEchoPayload); ok {
+			nw.RecyclePayload(nw.ShardOf(m.To), p)
 		}
-		for r := 0; r < rounds; r++ {
-			r := r
-			tn.s.At(vclock.Time(r)*vclock.Time(span+time.Microsecond), func() {
-				for p := 0; p < n; p++ {
-					nw.SendAll(model.ProcID(p), r)
-					nw.BurstSendVia(model.ProcID(p), model.ProcID((p+1)%n), burstEchoBuilder{}, nil, uint64(r))
-				}
-			})
-		}
-		out := tn.s.Run()
-		// The trace holds the pooled payload pointers, which differ run to
-		// run; what was built into them is checked through the stats.
-		for i := range tn.trace {
-			if _, ok := tn.trace[i].Payload.(*burstEchoPayload); ok {
-				tn.trace[i].Payload = "built"
-			}
-		}
-		return tn.trace, out, nw
 	}
-	ref, refOut, _ := run(1)
-	if want := rounds * (n*n + n); len(ref) != want {
-		t.Fatalf("%d deliveries, want %d", len(ref), want)
+	for r := 0; r < rounds; r++ {
+		r := r
+		tn.s.At(vclock.Time(r)*vclock.Time(span+time.Microsecond), func() {
+			for p := 0; p < n; p++ {
+				nw.SendAll(model.ProcID(p), r)
+				nw.BurstSendVia(model.ProcID(p), model.ProcID((p+1)%n), burstEchoBuilder{}, nil, uint64(r))
+			}
+		})
 	}
-	if st := refOut.Stats; st.PoolFlushes != rounds || st.ExpandJobs != rounds*n || st.PooledPayloadBytes != rounds*n*4 {
+	out := tn.s.Run()
+	if want := rounds * (n*n + n); len(tn.trace) != want {
+		t.Fatalf("%d deliveries, want %d", len(tn.trace), want)
+	}
+	if st := out.Stats; st.PoolFlushes != rounds || st.ExpandJobs != rounds*n || st.PooledPayloadBytes != rounds*n*4 {
 		t.Fatalf("each round should be one window: %+v", st)
 	}
-	for _, workers := range []int{2, 4} {
-		trace, out, nw := run(workers)
-		if !reflect.DeepEqual(ref, trace) {
-			t.Fatalf("workers=%d: delivery trace diverged", workers)
-		}
-		if !reflect.DeepEqual(refOut, out) {
-			t.Fatalf("workers=%d: outcome diverged\n  ref: %+v\n  got: %+v", workers, refOut, out)
-		}
-		for s := range nw.shards {
-			sh := &nw.shards[s]
-			if len(sh.freeFan) != n || len(sh.freeDel) != n/len(nw.shards) || len(sh.freePay) != n/len(nw.shards) {
-				t.Fatalf("workers=%d shard %d: freelists hold %d fanouts, %d deliveries, %d payloads — one round's worth is %d, %d, %d",
-					workers, s, len(sh.freeFan), len(sh.freeDel), len(sh.freePay), n, n/len(nw.shards), n/len(nw.shards))
-			}
+	for s := range nw.shards {
+		sh := &nw.shards[s]
+		if len(sh.freeFan) != n || len(sh.freeDel) != n/len(nw.shards) || len(sh.freePay) != n/len(nw.shards) {
+			t.Fatalf("shard %d: freelists hold %d fanouts, %d deliveries, %d payloads — one round's worth is %d, %d, %d",
+				s, len(sh.freeFan), len(sh.freeDel), len(sh.freePay), n, n/len(nw.shards), n/len(nw.shards))
 		}
 	}
 }

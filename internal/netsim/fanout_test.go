@@ -106,7 +106,7 @@ func checkFanoutOrder(t *testing.T, rng *rand.Rand, k int, span int64, order str
 	n := max(k, 1)
 	never := vclock.Time(1) << 62
 	var cases [rounds]fanCase
-	tn := newTracedNet(t, n, 1, WithTimedDelayFn(func(_ time.Duration, _ *rand.Rand, m Message) time.Duration {
+	tn := newTracedNet(t, n, WithTimedDelayFn(func(_ time.Duration, _ *rand.Rand, m Message) time.Duration {
 		return cases[m.Payload.(int)].delay[m.To]
 	}))
 	nw, s := tn.nw, tn.s

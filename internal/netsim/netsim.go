@@ -35,15 +35,11 @@ type Message struct {
 	Payload any
 }
 
-// DelayFn computes the transit delay of a message. The caller serializes
-// rng, so it may use it without synchronization.
-type DelayFn func(rng *rand.Rand, m Message) time.Duration
-
 // TimedDelayFn computes the transit delay of a message given the send
-// instant `now` on the virtual clock. The extra argument is what lets
-// delay policies depend on the run's history, e.g. a network partition
-// that heals at a fixed virtual instant. Like DelayFn it may use rng
-// without synchronization.
+// instant `now` on the virtual clock — which is what lets delay policies
+// depend on the run's history, e.g. a network partition that heals at a
+// fixed virtual instant. The caller serializes rng, so the function may use
+// it without synchronization.
 type TimedDelayFn func(now time.Duration, rng *rand.Rand, m Message) time.Duration
 
 // options collects network construction parameters.
@@ -52,30 +48,26 @@ type options struct {
 	counters *metrics.Counters
 	sched    *vclock.Scheduler
 
-	// The delay policy: at most one of timedFn, delayFn and the uniform
-	// band is set once New has settled their precedence (resolvePolicy).
+	// The delay policy: at most one of timedFn and the uniform band is set
+	// once New has settled their precedence (resolvePolicy).
 	timedFn         TimedDelayFn
-	delayFn         DelayFn
 	uniform         bool
 	uniMin, uniSpan time.Duration
 }
 
 // resolvePolicy settles, once, which configured delay policy is in force —
-// whatever order the options came in: a timed function beats a delay
-// function beats the uniform band. Every reader after New (draw, the
-// lookahead hint of openWindow, the sharding predicate) sees one policy.
+// whatever order the options came in: a timed function beats the uniform
+// band. Every reader after New (draw, the lookahead hint of openWindow, the
+// sharding predicate) sees one policy.
 func (o *options) resolvePolicy() {
-	switch {
-	case o.timedFn != nil:
-		o.delayFn, o.uniform = nil, false
-	case o.delayFn != nil:
+	if o.timedFn != nil {
 		o.uniform = false
 	}
 }
 
 // delays reports whether any delay policy is configured.
 func (o *options) delays() bool {
-	return o.timedFn != nil || o.delayFn != nil || o.uniform
+	return o.timedFn != nil || o.uniform
 }
 
 // draw returns the transit delay of m, sent at instant at, under the
@@ -86,8 +78,6 @@ func (o *options) draw(rng *rand.Rand, at time.Duration, m Message) time.Duratio
 	switch {
 	case o.timedFn != nil:
 		d = o.timedFn(at, rng, m)
-	case o.delayFn != nil:
-		d = o.delayFn(rng, m)
 	case o.uniform:
 		d = o.uniMin
 		if o.uniSpan > 0 {
@@ -116,17 +106,10 @@ func WithUniformDelay(min, max time.Duration) Option {
 	}
 }
 
-// WithDelayFn installs an arbitrary delay policy (e.g. adversarial
-// per-recipient skew). It overrides WithUniformDelay, in either option
-// order.
-func WithDelayFn(fn DelayFn) Option {
-	return func(o *options) { o.delayFn = fn }
-}
-
 // WithTimedDelayFn installs a clock-aware delay policy — the compile
-// target of the public API's NetworkProfiles (per-link skew matrices,
-// asymmetric cluster WANs, partitions healing at an instant). It overrides
-// WithUniformDelay and WithDelayFn, in either option order.
+// target of the public API's non-uniform NetworkProfiles (per-link skew
+// matrices, asymmetric cluster WANs, partitions healing at an instant). It
+// overrides WithUniformDelay, in either option order.
 func WithTimedDelayFn(fn TimedDelayFn) Option {
 	return func(o *options) { o.timedFn = fn }
 }
@@ -419,9 +402,7 @@ func (f *fanout) reschedule(at vclock.Time) {
 }
 
 // release returns the exhausted fanout to its pool: the owning shard's
-// freelist or the network-global one. It runs under the execution token, like
-// every Fire — and the expansion workers that pop the shard freelists run
-// only inside a flush, while the token waits in it.
+// freelist or the network-global one.
 func (f *fanout) release() {
 	f.payload = nil
 	f.to = nil
@@ -486,9 +467,7 @@ func New(n int, opts ...Option) (*Network, error) {
 		// work worth fanning out: engage the sharded expansion path
 		// (expand.go) — per-recipient bursts always, SendAll's
 		// packed-key fanouts only while recipient ids fit the key. The
-		// predicate reads only topology size and the configured policy,
-		// so engagement — like everything downstream of it — is
-		// independent of the worker count.
+		// predicate reads only topology size and the configured policy.
 		nw.initShards(sc)
 		nw.fanOK = n <= maxPackFan
 	}

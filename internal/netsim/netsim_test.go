@@ -162,10 +162,10 @@ func TestUniformDelayDeliversEverything(t *testing.T) {
 	}
 }
 
-func TestWithDelayFnCustomPolicy(t *testing.T) {
+func TestTimedDelayFnCustomPolicy(t *testing.T) {
 	t.Parallel()
 	// Delay only messages to process 1; everything else immediate.
-	slowTo1 := WithDelayFn(func(_ *rand.Rand, m Message) time.Duration {
+	slowTo1 := WithTimedDelayFn(func(_ time.Duration, _ *rand.Rand, m Message) time.Duration {
 		if m.To == 1 {
 			return time.Millisecond
 		}

@@ -53,7 +53,7 @@ func TestVirtualDelaysUseVirtualTime(t *testing.T) {
 	// A per-message delay schedule: first send slow, second fast.
 	delays := []time.Duration{5 * time.Millisecond, 1 * time.Millisecond}
 	i := 0
-	nw, err := New(2, WithScheduler(s), WithDelayFn(func(_ *rand.Rand, _ Message) time.Duration {
+	nw, err := New(2, WithScheduler(s), WithTimedDelayFn(func(_ time.Duration, _ *rand.Rand, _ Message) time.Duration {
 		d := delays[i%len(delays)]
 		i++
 		return d
@@ -381,7 +381,7 @@ func (burstEchoBuilder) BuildPayload(nw *Network, shard int, ctx any, arg uint64
 // TestVirtualBurstSendSteadyStateAllocs is the sharded counterpart of the
 // overlay Send test above, with NON-ZERO payloads: on a sharded scheduler
 // BurstSendVia routes the fanout through the sharded burst path, payload
-// construction runs off-token through the per-shard payload pools, and the
+// construction runs at the flush through the per-shard payload pools, and the
 // steady state must stay allocation-free per send — pooled deliveries,
 // pooled payloads, recycled entry buffers. It also pins the stats wiring:
 // the run must report burst jobs and pooled payload bytes.
@@ -392,7 +392,7 @@ func TestVirtualBurstSendSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	succ := g.Succ(0)
-	s := vclock.New(vclock.WithShards(vclock.ShardsFor(n), 1))
+	s := vclock.New(vclock.WithShards(vclock.ShardsFor(n)))
 	nw, err := New(n, WithScheduler(s), WithSeed(11), WithUniformDelay(0, 50*time.Microsecond))
 	if err != nil {
 		t.Fatal(err)
@@ -455,7 +455,7 @@ func TestVirtualBurstSendSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("burst path not engaged on a sharded scheduler: %+v", stats)
 	}
 	if stats.PooledPayloadBytes == 0 {
-		t.Fatalf("off-token payload construction reported zero bytes: %+v", stats)
+		t.Fatalf("flush-time payload construction reported zero bytes: %+v", stats)
 	}
 	if perSend := float64(allocs) / (rounds * 2 * float64(len(succ))); perSend > 0.5 {
 		t.Fatalf("steady-state burst Send allocates %.2f times per send (%d sends/round), want ≤ 0.5",

@@ -44,10 +44,11 @@ type Scenario struct {
 	Body sim.BodyKind
 	// Seed pins all randomness of the run.
 	Seed int64
-	// Workers is the engine's expansion-pool width — how many threads
-	// expand a large flush window's sends inside one run (driver.Config).
-	// Pure mechanism: the Outcome is bit-identical at every setting; only
-	// wall-clock time changes. 0 = one worker per CPU.
+	// Workers is ignored.
+	//
+	// Deprecated: a run expands its sends on the execution token alone, so
+	// there is no width to set. The field remains so that existing callers
+	// compile.
 	Workers int
 	// Algorithm selects a variant for protocols offering several (see
 	// Info.Algorithms); empty picks the protocol's default.

@@ -38,7 +38,6 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 		MaxRoundsPerInstance: sc.Bounds.MaxRounds,
 		MaxVirtualTime:       sc.Bounds.MaxVirtualTime,
 		MaxSteps:             sc.Bounds.MaxSteps,
-		Workers:              sc.Workers,
 		NetOptions:           netOpts,
 	})
 	if err != nil {

@@ -55,14 +55,10 @@ type Config struct {
 	// MaxSteps bounds the number of discrete events of a run; zero means
 	// sim.DefaultMaxSteps, negative means unbounded.
 	MaxSteps int64
-	// Workers sets the engine expansion-pool width
-	// (driver.Config.Workers): pure mechanism, bit-identical results at
-	// every setting; 0 = one worker per CPU.
-	Workers int
 	// MinDelay/MaxDelay bound uniform random message transit time.
 	MinDelay, MaxDelay time.Duration
 	// NetOptions appends extra network options (e.g. a compiled
-	// NetworkProfile delay policy); a delay function here overrides
+	// NetworkProfile delay policy); a delay policy here replaces
 	// MinDelay/MaxDelay.
 	NetOptions []netsim.Option
 }
@@ -487,7 +483,6 @@ func Run(cfg Config) (*Result, error) {
 	out, err := driver.Run(driver.Config{
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
-		Workers:        cfg.Workers,
 		Crashes:        cfg.Crashes,
 	}, n, driver.StandardNet(&nw, n, uint64(cfg.Seed)^0x1e7_dead_beef, &ctr, cfg.MinDelay, cfg.MaxDelay, cfg.NetOptions...),
 		func(i int, h *driver.Handle) {

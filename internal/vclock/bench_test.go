@@ -2,7 +2,6 @@ package vclock
 
 import (
 	"fmt"
-	"math/rand/v2"
 	"testing"
 )
 
@@ -64,95 +63,6 @@ func BenchmarkHandoffVsHandler(b *testing.B) {
 			}
 		}
 	})
-}
-
-// fakeWindow is a window of fake broadcasts to n = 1024 processes on 8
-// shards: expanding one costs a shard about what netsim's expansion of a
-// 128-wide stripe does — 128 delay draws and a counting-sort pass that
-// buckets them, ≈ 1.7 µs — and stages nothing, so the flush itself is all
-// that is measured. It reserves what netsim would, 129 sequence numbers per
-// shard and broadcast, or poolMinSeqs if that is more, so that windows below
-// the threshold reach the workers too (whenever the pool has more than one).
-type fakeWindow struct {
-	broadcasts int
-	shards     [8]struct {
-		rng        *rand.Rand
-		draws, out [128]uint32
-		_          [64]byte // keep neighbours off one cache line
-	}
-}
-
-func (w *fakeWindow) Seal() (uint64, int64) {
-	return max(uint64(w.broadcasts)*8*129, poolMinSeqs), int64(w.broadcasts)
-}
-
-func (w *fakeWindow) ExpandShard(shard int, _ uint64, _ *ShardInserter) {
-	sh := &w.shards[shard]
-	for b := 0; b < w.broadcasts; b++ {
-		var at [32]uint8
-		for i := range sh.draws {
-			d := uint32(sh.rng.Int64N(2_000_000))
-			sh.draws[i] = d
-			at[d>>16]++
-		}
-		sum := uint8(0)
-		for i, c := range at {
-			at[i], sum = sum, sum+c
-		}
-		for i, d := range sh.draws {
-			sh.out[at[d>>16]] = d<<7 | uint32(i)
-			at[d>>16]++
-		}
-	}
-}
-
-// BenchmarkFlushDispatch is where poolMinSeqs is read from: one flush of a
-// window of 1 to 1,024 fake broadcasts (see fakeWindow), expanded inline on
-// the token or dispatched to two workers. On the 2-vCPU builder box (2.1 GHz
-// Xeon, go1.24, -cpu 2; µs per flush, median of 15 runs):
-//
-//	broadcasts   seqs reserved    inline    pooled   pooled/inline
-//	         1           1,032      11.2      20.2            1.80
-//	         4           4,128      43.3      53.2            1.23
-//	        16          16,512       192       240            1.25
-//	        32          33,024       382       448            1.17
-//	        64          66,048       732       702            0.96
-//	       256         264,192     3,064     2,835            0.93
-//	     1,024       1,056,768    12,525    10,668            0.85
-//
-// Waking two workers and joining them costs ≈ 10 µs — as much as expanding a
-// 1-broadcast window — and the curves cross between 32 and 64 broadcasts:
-// poolMinSeqs = 1<<16. The box is shared and its two vCPUs add little
-// throughput over one (two spinning goroutines finish no sooner than one doing
-// both jobs), so the crossover moves with the neighbours — sessions have put
-// it as low as 16–32 broadcasts and as high as 256–1,024 — and the right-hand
-// column is a floor on what real cores would show. At -cpu 1 pooled/inline
-// reads 0.94–1.19 at every size: the pool cannot pay there.
-func BenchmarkFlushDispatch(b *testing.B) {
-	for _, broadcasts := range []int{1, 4, 16, 32, 64, 256, 1024} {
-		for _, mode := range []string{"inline", "pooled"} {
-			b.Run(fmt.Sprintf("broadcasts=%d/%s", broadcasts, mode), func(b *testing.B) {
-				workers := 1
-				if mode == "pooled" {
-					workers = 2
-				}
-				s := New(WithShards(8, workers))
-				defer s.Release()
-				w := &fakeWindow{broadcasts: broadcasts}
-				for i := range w.shards {
-					w.shards[i].rng = rand.New(rand.NewPCG(uint64(i), 1))
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					s.SubmitSealed(w, 0)
-					s.flush()
-				}
-				if s.poolUp != (mode == "pooled") {
-					b.Fatalf("pool spawned = %v in mode %s", s.poolUp, mode)
-				}
-			})
-		}
-	}
 }
 
 // drainEvent is one event of BenchmarkWheelDrain. A spawning event schedules
@@ -217,7 +127,7 @@ func BenchmarkWheelDrain(b *testing.B) {
 					evs := make([]drainEvent, slots*wheels*k)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						s := New(WithShards(wheels-1, 1))
+						s := New(WithShards(wheels - 1))
 						next, rnd := 0, uint32(1)
 						for sl := 0; sl < slots; sl++ {
 							for w := 0; w < wheels; w++ {

@@ -45,38 +45,30 @@
 // invisible to every replay and determinism contract. SchedulerStats counts
 // events scheduled, wheel cascades, and the deepest bucket observed.
 //
-// # Sharded wheels and the expansion pool
+// # Sharded wheels and window expansion
 //
 // Large topologies (WithShards; the driver engages it at n ≥ 256) split the
 // timer structure into the main wheel plus a fixed number of shard wheels,
 // and expand the sends of one flush window — the per-message delay draws,
 // key packing, bucketing and payload construction behind SendAll and
-// BurstSend — shard by shard at the flush point (DESIGN.md §12): inline on
-// the token when the window is small, off it on a worker pool when the
-// window reserved at least poolMinSeqs sequence numbers, enough work for
-// the wake-up and the join to pay. The contract that keeps runs
-// bit-identical for every worker count:
+// BurstSend — shard by shard at the flush point, on the token (DESIGN.md
+// §12):
 //
-//   - work is partitioned by SHARD (a fixed function of the topology),
-//     never by worker: shard s always draws from its own RNG stream and
-//     always lands its events in shard wheel s, whoever ran it;
+//   - work is partitioned by SHARD, a fixed function of the topology: shard
+//     s always draws from its own RNG stream and always lands its events in
+//     shard wheel s;
 //   - a job (Job) only registers at SubmitSealed and keeps accumulating
-//     content; at the flush point, under the token, every registered job
-//     is sealed and its sequence block reserved, so every expanded event's
-//     (at, seq) key is fixed before anyone expands anything — and the
-//     inline-or-pool decision reads nothing but those block sizes;
-//   - the expansion writes only the shards' staging buffers; events enter
-//     the shard wheels at the same flush point, under the token, after a
-//     WaitGroup join when workers ran. Flush points are chosen by pure
-//     token-side logic (the lookahead rule in nextWheel), so even the
-//     scheduler's internal counters are independent of the worker count;
-//   - the pop path merges the main-wheel head with the shard-wheel heads
-//     (cached keys, retaken only for a wheel touched since) under the same
-//     global (at, seq) order, and refuses to pop any event that a registered
-//     job could still precede.
+//     content; at the flush point every registered job is sealed and its
+//     sequence block reserved, so every expanded event's (at, seq) key is
+//     fixed by the job's block layout, not by when the expansion runs;
+//   - flush points are chosen by the lookahead rule in nextWheel, and the
+//     pop path merges the main-wheel head with the shard-wheel heads (cached
+//     keys, retaken only for a wheel touched since) under the same global
+//     (at, seq) order, refusing to pop any event that a registered job could
+//     still precede.
 //
-// Handler invocations, event Fires, and every observable side effect stay
-// under the single execution token; only schedule-side expansion fans out.
+// The scheduler starts no goroutine of its own: every event Fire, handler
+// invocation and expansion runs under the single execution token.
 //
 // Virtual time is measured in nanoseconds (Time is directly convertible
 // from time.Duration) but no real time ever passes: delivering a message
@@ -206,30 +198,27 @@ const (
 // slotOf returns the absolute wheel-slot index of a virtual instant.
 func slotOf(t Time) int64 { return int64(t) >> slotWidthShift }
 
-// Sharding geometry. The shard count is a fixed function of the topology —
-// NEVER of the worker count — so shard composition, per-shard RNG streams,
-// and per-shard counters are identical whether one thread or sixteen run
-// the expansion (the parallelism-independence clause, DESIGN.md §7/§12).
+// Sharding geometry. The shard count is a fixed function of the topology, so
+// shard composition, per-shard RNG streams and per-shard counters are too
+// (DESIGN.md §12).
 const (
-	// NumShards caps the shard-wheel count of a sharded scheduler: enough
-	// stripes to saturate the worker pools of common CI hardware.
+	// NumShards caps the shard-wheel count of a sharded scheduler.
 	NumShards = 16
 	// shardMinProcs is the engagement floor: below it the per-broadcast
-	// fan-out is too small for staging/join overhead to pay off.
+	// fan-out is too small for windowed expansion to pay off.
 	shardMinProcs = 256
 	// shardStripe is the minimum recipients per stripe. Every broadcast
 	// becomes one fanout event PER SHARD — each a live pooled object and a
-	// heap entry for its whole delivery window — so thin stripes buy no
-	// parallelism yet multiply scheduler churn; wide stripes keep the
-	// event count down until n is large enough to feed every core.
+	// wheel entry for its whole delivery window — so thin stripes multiply
+	// scheduler churn; wide stripes keep the event count down.
 	shardStripe = 128
 )
 
 // ShardsFor returns the shard count the driver should configure for an
 // n-process topology: 0 (unsharded) below the engagement floor, then the
 // largest power of two ≤ NumShards that keeps stripes ≥ shardStripe wide
-// (n=256 → 2, n=512 → 4, n=1024 → 8, n≥2048 → 16). Depending only on n
-// keeps the decision independent of the machine and of the Workers knob.
+// (n=256 → 2, n=512 → 4, n=1024 → 8, n≥2048 → 16). It depends on n alone,
+// never on the machine.
 func ShardsFor(n int) int {
 	if n < shardMinProcs {
 		return 0
@@ -243,9 +232,7 @@ func ShardsFor(n int) int {
 
 // SchedulerStats counts the scheduler's internal work — the observability
 // surface of the timer wheel. All counts are pure functions of the run's
-// inputs — including the pool counters: flush points are decided by
-// token-side logic only — so they replay bit-for-bit, are identical at
-// every Workers setting, and may be compared across runs.
+// inputs, so they replay bit-for-bit and may be compared across runs.
 type SchedulerStats struct {
 	// EventsScheduled is the total number of events handed to the
 	// scheduler (At/After/AtEvent/AfterEvent calls plus shard-expanded
@@ -262,23 +249,22 @@ type SchedulerStats struct {
 	// ShardEvents is the number of events inserted through the sharded
 	// expansion path (0 for unsharded runs).
 	ShardEvents int64
-	// ExpandJobs is the number of broadcasts expanded at flushes, inline or
-	// on the pool, as the jobs report them at Seal (one per sharded SendAll).
+	// ExpandJobs is the number of broadcasts expanded at flushes, as the
+	// jobs report them at Seal (one per sharded SendAll).
 	ExpandJobs int64
-	// PoolFlushes is the number of staging flushes — the points where the
-	// token sealed and expanded the registered jobs before popping an event
-	// they could have preceded.
+	// PoolFlushes is the number of flushes — the points where the token
+	// sealed and expanded the registered jobs before popping an event they
+	// could have preceded.
 	PoolFlushes int64
 	// BurstJobs is the number of jobs registered (SubmitSealed calls; one
 	// per network per flush window that saw sharded send traffic).
 	BurstJobs int64
 	// PooledPayloadBytes totals the payload bytes protocol builders
-	// constructed off-token through the per-shard payload pools (reported
-	// by expansion jobs via ShardInserter.NotePayloadBytes and merged at
-	// flush in shard order, so the sum is parallelism-independent).
+	// constructed at flushes through the per-shard payload pools (reported
+	// by expansion jobs via ShardInserter.NotePayloadBytes).
 	PooledPayloadBytes int64
-	// MaxShardStage is the deepest per-shard staging buffer observed at
-	// any flush — the high-water mark of one shard's share of a single
+	// MaxShardStage is the most events one shard wheel received from a
+	// single flush — the high-water mark of one shard's share of an
 	// expansion window.
 	MaxShardStage int64
 }
@@ -452,7 +438,7 @@ const sortCrossover = 24
 // equal instants in the REVERSE of their append order, as a shallow bucket
 // starts out. One insertion pass then settles the rest: a linear scan when the
 // bucket was appended in seq order (it is, except after a cascade or when a
-// flush staged a lone delivery ahead of its fanout), the whole sort for a
+// flush inserted a lone delivery ahead of its fanout), the whole sort for a
 // shallow bucket. Only 4-byte indices move: ordering the 32-byte events
 // themselves costs what the heap's sifts did (DESIGN.md §10). scratch is the
 // scheduler's one buffer for the passes.
@@ -625,36 +611,30 @@ type Outcome struct {
 	// StepsExceeded is set when the event budget ran out.
 	StepsExceeded bool
 	// Stats counts the scheduler's internal work (deterministic: same
-	// inputs, same counts — at every Workers setting).
+	// inputs, same counts).
 	Stats SchedulerStats
 }
 
 // Aborted reports whether the run was cut short for any reason.
 func (o Outcome) Aborted() bool { return o.Quiesced || o.DeadlineExceeded || o.StepsExceeded }
 
-// Job is a unit of schedule-side work a flush expands shard by shard — off
-// the execution token when the window engages the pool — in practice one
-// flush window's sends on one network: their delay draws, key packing,
-// bucketing and payload construction (netsim).
-// SubmitSealed only registers it; the job keeps accumulating content, under
-// the token, until the flush point. Because flush points and the
-// registration order are pure token-side state, the reserved blocks — and
-// every staged (at, seq) key — are identical at every Workers setting.
+// Job is a unit of schedule-side work a flush expands shard by shard — in
+// practice one flush window's sends on one network: their delay draws, key
+// packing, bucketing and payload construction (netsim). SubmitSealed only
+// registers it; the job keeps accumulating content until the flush point,
+// where it is sealed and expanded.
 type Job interface {
 	// Seal freezes the job's content and returns the size of the sequence
 	// block to reserve for it, plus the number of broadcasts it is about to
-	// expand (SchedulerStats.ExpandJobs). It runs once, under the execution
-	// token, at the flush point and before any worker touches the job; the
-	// job may record whatever flush-time state ExpandShard needs, since the
-	// dispatch that follows publishes those writes to the workers.
+	// expand (SchedulerStats.ExpandJobs). It runs once, at the flush point,
+	// before any ExpandShard call; the job may record whatever flush-time
+	// state ExpandShard needs.
 	Seal() (seqs uint64, broadcasts int64)
-	// ExpandShard stages shard's share of the job's events through ins. It
-	// is called exactly once per shard, possibly off the token, always with
-	// the same shard→RNG-stream and shard→recipient-stripe mapping and the
-	// same seqBase — the first sequence number of the job's block; how the
-	// block is divided among shards and events is the job's business —
-	// whoever runs it. It must not touch any scheduler or network state
-	// shared with other shards.
+	// ExpandShard inserts shard's share of the job's events through ins. It
+	// is called exactly once per shard, with seqBase the first sequence
+	// number of the job's block; how the block is divided among shards and
+	// events is the job's business. It must not touch any scheduler state,
+	// nor any network state of another shard.
 	ExpandShard(shard int, seqBase uint64, ins *ShardInserter)
 }
 
@@ -674,54 +654,48 @@ type shardTask struct {
 	base uint64
 }
 
-// poolMinSeqs is the dispatch rule of flush: a window whose sealed jobs
-// reserved fewer sequence numbers than this — about one per message it sends
-// — expands inline on the token, because waking the workers and joining them
-// costs more than they save. It is read off BenchmarkFlushDispatch (the table
-// in its comment): two workers draw level with inline expansion at 64
-// broadcasts to n = 1024, 66,048 sequence numbers.
-const poolMinSeqs = 1 << 16
-
-// ShardInserter stages one shard's expanded events until the token flushes
-// them into the shard wheel. It is owned by whoever runs the shard's jobs — a
-// pool worker, or the token itself when the window expands inline — and must
-// not be retained past ExpandShard's return.
+// ShardInserter inserts one shard's expanded events into its shard wheel
+// during a flush. The flush owns it; a job must not retain it past
+// ExpandShard's return.
 type ShardInserter struct {
-	evs          []event
-	payloadBytes int64
+	s     *Scheduler
+	shard int
+	n     int64 // events inserted into the shard's wheel by this flush
 }
 
-// At stages ev to fire at instant at with the given sequence number, which
-// the caller must take from its job's reserved block (Job.Seal). at must
-// not precede the job's declared earliest instant (SubmitSealed).
+// At schedules ev on the shard's wheel at instant at with the given sequence
+// number, which the caller must take from its job's reserved block
+// (Job.Seal). at must not precede the job's declared earliest instant
+// (SubmitSealed).
 func (si *ShardInserter) At(at Time, seq uint64, ev Event) {
-	si.evs = append(si.evs, event{at: at, seq: seq, ev: ev})
+	s := si.s
+	if at < s.now {
+		// Defensive: a job's events may not precede its declared earliest,
+		// and pops never pass the earliest of the registered jobs without
+		// flushing them — so this clamp should never bite; it mirrors
+		// AtEvent's "time never flows backwards".
+		at = s.now
+	}
+	s.shards[si.shard].insert(event{at: at, seq: seq, ev: ev})
+	si.n++
 }
 
-// NotePayloadBytes records n bytes of payload the running job built
-// off-token through a per-shard payload pool; the flush merges the
-// per-shard totals into SchedulerStats.PooledPayloadBytes in shard order.
+// NotePayloadBytes records n bytes of payload the running job built through
+// a per-shard payload pool (SchedulerStats.PooledPayloadBytes).
 func (si *ShardInserter) NotePayloadBytes(n int64) {
-	si.payloadBytes += n
+	si.s.stats.PooledPayloadBytes += n
 }
 
 // Scheduler is the discrete-event engine. It is NOT safe for concurrent
 // use from arbitrary goroutines: Spawn/At/After/Run must be called from the
 // goroutine that calls Run, from event callbacks, or from coroutines — all
-// of which are serialized by the execution token. (The expansion pool's
-// workers are internal: they touch only per-shard staging state, never the
-// scheduler's.)
+// of which are serialized by the execution token.
 type Scheduler struct {
 	now Time
 	seq uint64
 
 	main   wheel
 	shards []wheel
-	// staged[s] is shard s's staging inserter: written while a flush
-	// expands its jobs — by the worker that owns shard s (s mod workers), or
-	// by the token inline — and drained by the token at the end of that
-	// flush. The WaitGroup join orders the two.
-	staged []ShardInserter
 
 	// The pop path's merge cache: heads[i] is wheel i's head key (0 is main,
 	// 1+s shard s; {maxTime, noSeq} when empty) as of nextWheel's last advance of it;
@@ -730,21 +704,17 @@ type Scheduler struct {
 	stale   uint32
 	scratch []uint32 // sortRun's buffer: the token serialises every activation
 
-	stats SchedulerStats // pool counters; wheel counters live on the wheels
+	stats SchedulerStats // flush counters; wheel counters live on the wheels
 
-	// Expansion pool. jobs holds the jobs registered since the last flush,
+	// Window expansion. jobs holds the jobs registered since the last flush,
 	// in registration order; earliest lower-bounds the instant of any event
-	// they may stage (maxTime when none is registered). Jobs reserve their
+	// they may insert (maxTime when none is registered). Jobs reserve their
 	// sequence blocks only at flush — after every event pending by then —
-	// which is what the lookahead rule in nextWheel rests on.
-	workers  int
+	// which is what the lookahead rule in nextWheel rests on. ins is the
+	// flush's inserter, kept here so that a flush allocates nothing.
 	jobs     []shardTask
 	earliest Time
-	jobsCh   []chan []shardTask // one channel per worker, carrying a sealed window
-	jobWG    sync.WaitGroup     // workers still expanding the dispatched window
-	workerWG sync.WaitGroup     // worker goroutine lifetimes
-	poolUp   bool               // workers spawned (lazily, at the first dispatched window)
-	poolDown bool               // pool stopped (Release / end of Run)
+	ins      ShardInserter
 
 	procs    []*Proc
 	spawned  int
@@ -778,32 +748,26 @@ func WithMaxSteps(n int64) Option {
 }
 
 // WithShards equips the scheduler with shards shard wheels (at most
-// NumShards) and an expansion pool of up to workers threads — the width of
-// the pool when a flush window is large enough to engage it (poolMinSeqs);
-// capped at the shard count, and values below 1 mean 1 — fully serial, the
-// same staging and flush discipline run inline on the token. Zero shards
-// keeps the scheduler unsharded and makes the option a no-op. The observable
-// run — schedule, steps, outcome, stats — is bit-identical for every workers
-// value; see the package comment.
-func WithShards(shards, workers int) Option {
+// NumShards); see the package comment. Zero shards keeps the scheduler
+// unsharded and makes the option a no-op. Any further argument is ignored;
+// it is accepted, and deprecated, so that callers of the old two-argument
+// form WithShards(shards, workers) still compile.
+func WithShards(shards int, _ ...int) Option {
 	return func(s *Scheduler) {
 		if shards <= 0 {
 			return
 		}
-		shards = min(shards, NumShards)
-		workers = min(max(workers, 1), shards)
-		s.shards = make([]wheel, shards)
+		s.shards = make([]wheel, min(shards, NumShards))
 		for i := range s.shards {
 			s.shards[i].slots = new(slotArray)
 		}
-		s.staged = make([]ShardInserter, shards)
-		s.workers = workers
 	}
 }
 
 // New returns an empty scheduler at virtual time zero.
 func New(opts ...Option) *Scheduler {
 	s := &Scheduler{yield: make(chan struct{}), earliest: maxTime}
+	s.ins.s = s
 	for _, o := range opts {
 		o(s)
 	}
@@ -820,9 +784,6 @@ func (s *Scheduler) Aborted() bool { return s.aborted }
 
 // ShardCount returns the number of shard wheels (0 = unsharded).
 func (s *Scheduler) ShardCount() int { return len(s.shards) }
-
-// Workers returns the expansion pool's thread budget (0 = unsharded).
-func (s *Scheduler) Workers() int { return s.workers }
 
 // Stats returns the scheduler's work counters so far, merging the per-wheel
 // counters of the main and shard wheels. The merge is deterministic: each
@@ -893,12 +854,12 @@ func (s *Scheduler) AfterEvent(d Time, ev Event) {
 	s.AtEvent(s.now+d, ev)
 }
 
-// SubmitSealed registers job with the expansion pool. It reserves no
+// SubmitSealed registers job for the current flush window. It reserves no
 // sequence block here: the job keeps accumulating content until the flush
 // point, where Seal freezes it, the block is reserved (after every event
-// scheduled in the window, so a staged arrival tying a pending event's
-// instant orders after it), and the job expands on the pool. earliest must
-// lower-bound the instant of every event the job will EVER stage, including
+// scheduled in the window, so an expanded arrival tying a pending event's
+// instant orders after it), and the job expands. earliest must
+// lower-bound the instant of every event the job will EVER insert, including
 // content appended after this call; since the clock only advances and
 // delays are non-negative, the submit instant (plus any profile-wide
 // minimum delay) is such a bound. Panics on an unsharded scheduler.
@@ -916,123 +877,39 @@ func (s *Scheduler) SubmitSealed(job Job, earliest Time) {
 	s.jobs = append(s.jobs, shardTask{job: job})
 }
 
-// ensurePool lazily spawns the worker goroutines — at the first window a
-// flush dispatches, not at New, so schedulers that are built but never run
-// (e.g. a network constructor error path), or whose windows all expand
-// inline, start none. Worker w owns shards {s : s mod workers == w}; the
-// shard→worker map is fixed, but since shards carry their own RNG streams and
-// staging, the map affects only load balance, never the schedule. A flush
-// sends each worker one message — the window — and joins before the next, so
-// the channels need no buffer beyond that one.
-func (s *Scheduler) ensurePool() {
-	if s.poolUp {
-		return
-	}
-	s.poolUp = true
-	s.jobsCh = make([]chan []shardTask, s.workers)
-	s.workerWG.Add(s.workers)
-	for w := 0; w < s.workers; w++ {
-		ch := make(chan []shardTask, 1)
-		s.jobsCh[w] = ch
-		go func(w int, ch chan []shardTask) {
-			defer s.workerWG.Done()
-			for window := range ch {
-				for _, t := range window {
-					for sh := w; sh < len(s.shards); sh += s.workers {
-						t.job.ExpandShard(sh, t.base, &s.staged[sh])
-					}
-				}
-				s.jobWG.Done()
-			}
-		}(w, ch)
-	}
-}
-
-// stopPool terminates the worker goroutines; they are idle, since every
-// flush joins the window it dispatched. Jobs registered but never flushed are
-// dropped — by then the run is over or aborted and would never pop their
-// events. Idempotent.
-func (s *Scheduler) stopPool() {
-	if s.poolDown {
-		return
-	}
-	s.poolDown = true
-	if !s.poolUp {
-		return
-	}
-	for _, ch := range s.jobsCh {
-		close(ch)
-	}
-	s.workerWG.Wait()
-}
-
-// flush seals and expands every registered job and moves the staged events
-// into their shard wheels. It runs under the token. First every job is
-// sealed — and its sequence block reserved, after every event already
-// scheduled this window — in registration order. Then the window expands, on
-// the pool when the blocks add up to poolMinSeqs and the pool has more than
-// one worker, inline on the token otherwise: a decision that reads only the
-// sealed sizes, and either way each shard expands the jobs in registration
-// order, so shard-RNG draw order — and every staged (at, seq) — is identical
-// at every width. The WaitGroup join (or the inline expansion) is what orders
-// the expansion's writes before the token's reads. Events are inserted in
-// shard order with their flush-time sequence numbers, so the wheels'
-// contents — and each wheel's counters — end up identical for every worker
-// count.
+// flush seals and expands every registered job, on the token. First every
+// job is sealed — and its sequence block reserved, after every event already
+// scheduled this window — in registration order. Then each shard expands the
+// jobs, in registration order, straight into its wheel. A shard draws from
+// its own stream and writes only its own wheel and pools, so visiting the
+// shards one after another gives the same wheels as any other interleaving
+// of the (job, shard) calls would. Jobs registered but never flushed are
+// dropped with the scheduler: by then the run is over or aborted and would
+// never pop their events.
 func (s *Scheduler) flush() {
 	s.stats.PoolFlushes++
-	var reserved uint64
 	for i := range s.jobs {
 		t := &s.jobs[i]
 		seqs, broadcasts := t.job.Seal()
 		s.stats.ExpandJobs += broadcasts
 		t.base = s.seq + 1
 		s.seq += seqs
-		reserved += seqs
 	}
-	if s.workers > 1 && reserved >= poolMinSeqs {
-		s.ensurePool()
-		s.jobWG.Add(s.workers)
-		for _, ch := range s.jobsCh {
-			ch <- s.jobs
-		}
-		s.jobWG.Wait()
-	} else {
+	ins := &s.ins
+	for sh := range s.shards {
+		ins.shard, ins.n = sh, 0
 		for _, t := range s.jobs {
-			for sh := range s.shards {
-				t.job.ExpandShard(sh, t.base, &s.staged[sh])
-			}
+			t.job.ExpandShard(sh, t.base, ins)
+		}
+		s.shards[sh].scheduled += ins.n
+		s.stats.MaxShardStage = max(s.stats.MaxShardStage, ins.n)
+		if ins.n > 0 {
+			s.stale |= 2 << sh
 		}
 	}
 	clear(s.jobs)
 	s.jobs = s.jobs[:0]
 	s.earliest = maxTime
-	for i := range s.shards {
-		w := &s.shards[i]
-		ins := &s.staged[i]
-		for _, ev := range ins.evs {
-			if ev.at < s.now {
-				// Defensive: a job's events may not precede its declared
-				// earliest, and pops never pass the earliest of the
-				// registered jobs without flushing them — so this clamp
-				// should never bite; it mirrors AtEvent's "time never flows
-				// backwards".
-				ev.at = s.now
-			}
-			w.insert(ev)
-		}
-		if d := int64(len(ins.evs)); d > s.stats.MaxShardStage {
-			s.stats.MaxShardStage = d
-		}
-		s.stats.PooledPayloadBytes += ins.payloadBytes
-		ins.payloadBytes = 0
-		w.scheduled += int64(len(ins.evs))
-		if len(ins.evs) > 0 {
-			s.stale |= 2 << i
-		}
-		clear(ins.evs)
-		ins.evs = ins.evs[:0]
-	}
 }
 
 // wheel returns wheel i of the merge: 0 is main, 1+s is shard s.
@@ -1047,10 +924,8 @@ func (s *Scheduler) wheel(i int) *wheel {
 // index (see wheel) of the wheel whose open slot it heads. It implements the
 // deterministic merge: the candidate is the (at, seq)-minimum over the
 // main-wheel head and every shard-wheel head, and it is only returned while
-// no registered job could stage an event that precedes it — the lookahead
-// rule. Otherwise the jobs are flushed first and the scan re-runs. Every
-// decision here reads token-owned state only, so flush points — and
-// everything downstream — are independent of worker timing.
+// no registered job could insert an event that precedes it — the lookahead
+// rule. Otherwise the jobs are flushed first and the scan re-runs.
 //
 // The heads are read from the cache; only stale wheels are advanced and have
 // their key retaken. That equals advancing every wheel: advance moves nothing
@@ -1080,7 +955,7 @@ func (s *Scheduler) nextWheel() (int, bool) {
 		// The lookahead rule: a pending event that ties the window's
 		// earliest instant pops first. Jobs reserve their sequence blocks
 		// at flush, strictly after every pending event's seq, so the tying
-		// event orders before anything they stage at that instant — which
+		// event orders before anything they insert at that instant — which
 		// lets the whole cohort of one instant pop, and add to the window's
 		// jobs, before the window closes. Only an event strictly past the
 		// bound (or an empty queue) forces the flush.
@@ -1221,7 +1096,7 @@ func (s *Scheduler) stepHandler(p *Proc) {
 }
 
 // Release terminates every process the scheduler still owns, releasing the
-// goroutines Spawn started and the expansion pool's workers. It is the
+// goroutines Spawn started. It is the
 // teardown path for schedulers whose Run was never called (every spawned
 // coroutine goroutine is still waiting at its birth gate and would
 // otherwise leak) and for Runs unwound by a panicking event callback
@@ -1234,7 +1109,6 @@ func (s *Scheduler) stepHandler(p *Proc) {
 // Release must be called from the goroutine that owns the scheduler, never
 // from event callbacks or process bodies.
 func (s *Scheduler) Release() {
-	s.stopPool()
 	// Last, because an unwinding coroutine may still schedule events.
 	defer s.main.recycleSlots()
 	if s.live == 0 {
@@ -1272,8 +1146,8 @@ func (s *Scheduler) Release() {
 // Run must be called exactly once per Scheduler.
 func (s *Scheduler) Run() Outcome {
 	// On a panicking event callback it releases every coroutine goroutine
-	// (birth-gated or parked) instead of leaking them; it always tears the
-	// expansion pool down and recycles the main wheel's bucket array.
+	// (birth-gated or parked) instead of leaking them; it always recycles
+	// the main wheel's bucket array.
 	defer s.Release()
 	for {
 		if p := s.popRunnable(); p != nil {

@@ -671,9 +671,9 @@ func (r *refSched) stats() (pending int, scheduled, cascades, maxDepth int64) {
 	return
 }
 
-// opJob is a flush window staging evs: event j takes sequence number base+j
-// and goes to shard evs[j].shard, and each shard stages its events in
-// descending j — the order a lone delivery staged ahead of its fanout leaves
+// opJob is a flush window inserting evs: event j takes sequence number base+j
+// and goes to shard evs[j].shard, and each shard inserts its events in
+// descending j — the order a lone delivery inserted ahead of its fanout leaves
 // behind: a bucket that was not appended in seq order.
 type opJob struct {
 	evs []struct {
@@ -735,7 +735,7 @@ func driveWheelOps(t testing.TB, data []byte) (cov wheelOpsCoverage) {
 		return Time(a)
 	}
 
-	s := New(WithShards(shards, 1))
+	s := New(WithShards(shards))
 	defer s.Release()
 	ref := &refSched{wheels: make([]refWheel, 1+shards)}
 	at := func(wheel int, t Time) {
