@@ -99,7 +99,9 @@ func WithSeed(seed uint64) Option {
 }
 
 // WithUniformDelay draws each message's transit time uniformly from
-// [min, max]. A zero max keeps the default immediate delivery.
+// [min, max] — the compile target of protocol.Uniform. On a sharded
+// scheduler min also lets each send window stay open for min of virtual
+// time (openWindow). A zero max keeps the default immediate delivery.
 func WithUniformDelay(min, max time.Duration) Option {
 	return func(o *options) {
 		o.uniform, o.uniMin, o.uniSpan = max > 0, min, max-min

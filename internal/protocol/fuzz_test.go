@@ -1,26 +1,17 @@
-package protocol
+package protocol_test
 
 import (
-	"math/rand/v2"
 	"testing"
 
 	"allforone/internal/model"
-	"allforone/internal/netsim"
+	"allforone/internal/protocol"
 )
-
-// newFuzzRNG returns a fixed-seed RNG for delay-function probes.
-func newFuzzRNG() *rand.Rand { return rand.New(rand.NewPCG(1, 2)) }
-
-// netsimMessage builds a probe message.
-func netsimMessage(from, to int) netsim.Message {
-	return netsim.Message{From: model.ProcID(from), To: model.ProcID(to)}
-}
 
 // FuzzParseProfile drives the network-profile spec parser with arbitrary
 // input. The seed corpus is TestParseProfile's table; the properties are:
 // no panic, accepted specs compile (or reject cleanly) for a concrete
-// topology, and compiled delay functions never return negative transit
-// times for the zero-value message.
+// topology, and a message sent on a network the compiled option configures
+// arrives no later than the profile's TransitBound.
 func FuzzParseProfile(f *testing.F) {
 	for _, seed := range []string{
 		"", "none", "immediate",
@@ -34,7 +25,7 @@ func FuzzParseProfile(f *testing.F) {
 	}
 	part := model.Fig1Left()
 	f.Fuzz(func(t *testing.T, spec string) {
-		p, err := ParseProfile(spec)
+		p, err := protocol.ParseProfile(spec)
 		if err != nil {
 			return
 		}
@@ -44,14 +35,15 @@ func FuzzParseProfile(f *testing.F) {
 		if p.ProfileName() == "" {
 			t.Fatalf("ParseProfile(%q): empty profile name", spec)
 		}
-		fn, err := p.Compile(part.N(), part)
-		if err != nil || fn == nil {
+		opt, err := p.Compile(part.N(), part)
+		if err != nil || opt == nil {
 			// Cleanly rejected at compile time (e.g. negative durations), or
 			// compiled to immediate delivery — both are fine.
 			return
 		}
-		if d := fn(0, newFuzzRNG(), netsimMessage(0, 1)); d < 0 {
-			t.Fatalf("ParseProfile(%q): negative delay %v", spec, d)
+		bound, known := protocol.TransitBound(p, part.N())
+		if d := delayOf(t, opt, part.N(), 0, 0, 1); known && d > bound {
+			t.Fatalf("ParseProfile(%q): delay %v exceeds the transit bound %v", spec, d, bound)
 		}
 	})
 }

@@ -11,17 +11,18 @@ import (
 )
 
 // NetworkProfile is a composable message-delay policy. Profiles are
-// declarative: Compile turns one into a netsim delay function for a
-// concrete topology (n processes, optionally a cluster partition). Every
-// profile is deterministic — same scenario, same delivery schedule, bit
-// for bit.
+// declarative: Compile turns one into the netsim option that installs it on
+// a concrete topology (n processes, optionally a cluster partition) —
+// Uniform the network's own band, every other profile a clock-aware delay
+// function. Every profile is deterministic — same scenario, same delivery
+// schedule, bit for bit.
 type NetworkProfile interface {
 	// ProfileName names the profile for listings and error messages.
 	ProfileName() string
 	// Compile resolves the profile against a topology. part is nil for
 	// protocols without a cluster partition; profiles that need one must
-	// return an error. A nil returned function means immediate delivery.
-	Compile(n int, part *model.Partition) (netsim.TimedDelayFn, error)
+	// return an error. A nil returned option means immediate delivery.
+	Compile(n int, part *model.Partition) (netsim.Option, error)
 }
 
 // ---------------------------------------------------------------------------
@@ -32,9 +33,11 @@ type uniformProfile struct {
 }
 
 // Uniform draws every message's transit time uniformly from [min, max] —
-// the delay policy the pre-Scenario API exposed as MinDelay/MaxDelay.
-// Uniform(0, 0) means immediate delivery; a negative min or a max below
-// min is rejected when the scenario compiles.
+// the delay policy the pre-Scenario API exposed as MinDelay/MaxDelay. It
+// compiles to the network's own band (netsim.WithUniformDelay), whose known
+// minimum lets a sharded run keep each send window open for min of virtual
+// time. Uniform(0, 0) means immediate delivery; a negative min or a max
+// below min is rejected when the scenario compiles.
 func Uniform(min, max time.Duration) NetworkProfile {
 	return &uniformProfile{min: min, max: max}
 }
@@ -43,20 +46,14 @@ func (u *uniformProfile) ProfileName() string {
 	return fmt.Sprintf("uniform[%v,%v]", u.min, u.max)
 }
 
-func (u *uniformProfile) Compile(n int, part *model.Partition) (netsim.TimedDelayFn, error) {
+func (u *uniformProfile) Compile(n int, part *model.Partition) (netsim.Option, error) {
 	if u.min < 0 || u.max < u.min {
 		return nil, fmt.Errorf("bad band [%v,%v]", u.min, u.max)
 	}
 	if u.max <= 0 {
 		return nil, nil
 	}
-	min, span := u.min, int64(u.max-u.min)
-	return func(_ time.Duration, rng *rand.Rand, _ netsim.Message) time.Duration {
-		if span <= 0 {
-			return min
-		}
-		return min + time.Duration(rng.Int64N(span+1))
-	}, nil
+	return netsim.WithUniformDelay(u.min, u.max), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -91,7 +88,7 @@ func (s *skewMatrixProfile) ProfileName() string {
 	return fmt.Sprintf("skew-matrix[%dx%d]", len(s.delay), len(s.delay))
 }
 
-func (s *skewMatrixProfile) Compile(n int, part *model.Partition) (netsim.TimedDelayFn, error) {
+func (s *skewMatrixProfile) Compile(n int, part *model.Partition) (netsim.Option, error) {
 	// Structural validation is netsim.DelayMatrix's: a bad matrix is
 	// rejected here — Scenario build time — wrapping netsim.ErrBadMatrix,
 	// never at first message use. The compiled form is a flat slice
@@ -100,9 +97,9 @@ func (s *skewMatrixProfile) Compile(n int, part *model.Partition) (netsim.TimedD
 	if err != nil {
 		return nil, err
 	}
-	return func(_ time.Duration, _ *rand.Rand, m netsim.Message) time.Duration {
+	return netsim.WithTimedDelayFn(func(_ time.Duration, _ *rand.Rand, m netsim.Message) time.Duration {
 		return flat[int(m.From)*n+int(m.To)]
-	}, nil
+	}), nil
 }
 
 // DistanceSkew is the parameterized per-link skew matrix: the delay from
@@ -121,18 +118,18 @@ func (d *distanceSkewProfile) ProfileName() string {
 	return fmt.Sprintf("skew[base=%v,step=%v]", d.base, d.step)
 }
 
-func (d *distanceSkewProfile) Compile(n int, part *model.Partition) (netsim.TimedDelayFn, error) {
+func (d *distanceSkewProfile) Compile(n int, part *model.Partition) (netsim.Option, error) {
 	if d.base < 0 || d.step < 0 {
 		return nil, fmt.Errorf("negative base or step")
 	}
 	base, step := d.base, d.step
-	return func(_ time.Duration, _ *rand.Rand, m netsim.Message) time.Duration {
+	return netsim.WithTimedDelayFn(func(_ time.Duration, _ *rand.Rand, m netsim.Message) time.Duration {
 		dist := int(m.From) - int(m.To)
 		if dist < 0 {
 			dist = -dist
 		}
 		return base + step*time.Duration(dist)
-	}, nil
+	}), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -167,7 +164,7 @@ func (c *clusterWANProfile) ProfileName() string {
 	return fmt.Sprintf("cluster-wan[intra=%v,inter=%v,jitter=%v]", c.intraMax, c.interBase, c.jitter)
 }
 
-func (c *clusterWANProfile) Compile(n int, part *model.Partition) (netsim.TimedDelayFn, error) {
+func (c *clusterWANProfile) Compile(n int, part *model.Partition) (netsim.Option, error) {
 	if part == nil {
 		return nil, fmt.Errorf("needs a cluster partition topology")
 	}
@@ -191,7 +188,7 @@ func (c *clusterWANProfile) Compile(n int, part *model.Partition) (netsim.TimedD
 		}
 	}
 	prof := *c
-	return func(_ time.Duration, rng *rand.Rand, msg netsim.Message) time.Duration {
+	return netsim.WithTimedDelayFn(func(_ time.Duration, rng *rand.Rand, msg netsim.Message) time.Duration {
 		ca, cb := part.ClusterOf(msg.From), part.ClusterOf(msg.To)
 		if ca == cb {
 			if prof.intraMax <= 0 {
@@ -207,7 +204,7 @@ func (c *clusterWANProfile) Compile(n int, part *model.Partition) (netsim.TimedD
 			d += time.Duration(rng.Int64N(int64(prof.jitter) + 1))
 		}
 		return d
-	}, nil
+	}), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -234,7 +231,7 @@ func (h *healingPartitionProfile) ProfileName() string {
 	return fmt.Sprintf("healing-partition[heal=%v,base=[%v,%v]]", h.healAt, h.min, h.max)
 }
 
-func (h *healingPartitionProfile) Compile(n int, part *model.Partition) (netsim.TimedDelayFn, error) {
+func (h *healingPartitionProfile) Compile(n int, part *model.Partition) (netsim.Option, error) {
 	if h.healAt < 0 || h.min < 0 || (h.max > 0 && h.max < h.min) {
 		return nil, fmt.Errorf("bad heal instant or base band")
 	}
@@ -253,7 +250,7 @@ func (h *healingPartitionProfile) Compile(n int, part *model.Partition) (netsim.
 		cut[p] = true
 	}
 	healAt, min, span := h.healAt, h.min, int64(h.max-h.min)
-	return func(now time.Duration, rng *rand.Rand, m netsim.Message) time.Duration {
+	return netsim.WithTimedDelayFn(func(now time.Duration, rng *rand.Rand, m netsim.Message) time.Duration {
 		base := min
 		if h.max > 0 && span > 0 {
 			base = min + time.Duration(rng.Int64N(span+1))
@@ -264,7 +261,7 @@ func (h *healingPartitionProfile) Compile(n int, part *model.Partition) (netsim.
 			return (healAt - now) + base
 		}
 		return base
-	}, nil
+	}), nil
 }
 
 // ---------------------------------------------------------------------------

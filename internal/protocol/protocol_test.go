@@ -14,6 +14,7 @@ import (
 	"allforone/internal/netsim"
 	"allforone/internal/protocol"
 	_ "allforone/internal/protocols"
+	"allforone/internal/vclock"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -81,13 +82,46 @@ func TestTopologyProcs(t *testing.T) {
 }
 
 // compile resolves a profile over n processes with an optional partition.
-func compile(t *testing.T, p protocol.NetworkProfile, n int, part *model.Partition) netsim.TimedDelayFn {
+func compile(t testing.TB, p protocol.NetworkProfile, n int, part *model.Partition) netsim.Option {
 	t.Helper()
-	fn, err := p.Compile(n, part)
+	opt, err := p.Compile(n, part)
 	if err != nil {
 		t.Fatalf("%s: %v", p.ProfileName(), err)
 	}
-	return fn
+	return opt
+}
+
+// delayOf sends one message from → to at virtual instant at, on an n-process
+// network configured by opt (nil: immediate delivery), and returns its
+// transit delay.
+func delayOf(t testing.TB, opt netsim.Option, n int, at time.Duration, from, to model.ProcID) time.Duration {
+	t.Helper()
+	s := vclock.New()
+	opts := []netsim.Option{netsim.WithScheduler(s)}
+	if opt != nil {
+		opts = append(opts, opt)
+	}
+	nw, err := netsim.New(n, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrived := vclock.Time(-1)
+	var rx *vclock.Proc
+	rx = s.SpawnHandler("rx", func(aborted bool) {
+		if _, ok, _ := nw.ReceiveNow(to); ok {
+			arrived = s.Now()
+		}
+		if aborted || arrived >= 0 {
+			rx.Finish()
+		}
+	})
+	nw.Bind(to, rx)
+	s.At(vclock.Time(at), func() { nw.Send(from, to, nil) })
+	s.Run()
+	if arrived < 0 {
+		t.Fatalf("message %v→%v sent at %v never arrived", from, to, at)
+	}
+	return time.Duration(arrived) - at
 }
 
 func TestProfileCompileErrors(t *testing.T) {
@@ -119,12 +153,11 @@ func TestProfileCompileErrors(t *testing.T) {
 
 func TestDistanceSkewDeterministic(t *testing.T) {
 	t.Parallel()
-	fn := compile(t, protocol.DistanceSkew(100*time.Microsecond, 50*time.Microsecond), 5, nil)
-	m := netsim.Message{From: 1, To: 4}
-	if d := fn(0, nil, m); d != 250*time.Microsecond {
+	opt := compile(t, protocol.DistanceSkew(100*time.Microsecond, 50*time.Microsecond), 5, nil)
+	if d := delayOf(t, opt, 5, 0, 1, 4); d != 250*time.Microsecond {
 		t.Errorf("delay(1→4) = %v, want 250µs", d)
 	}
-	if d := fn(0, nil, netsim.Message{From: 4, To: 4}); d != 100*time.Microsecond {
+	if d := delayOf(t, opt, 5, 0, 4, 4); d != 100*time.Microsecond {
 		t.Errorf("delay(4→4) = %v, want base", d)
 	}
 }
@@ -132,17 +165,29 @@ func TestDistanceSkewDeterministic(t *testing.T) {
 func TestHealingPartitionHoldsCrossTraffic(t *testing.T) {
 	t.Parallel()
 	part := model.Fig1Left() // P[0]={0,1,2}
-	fn := compile(t, protocol.HealingPartition(nil, time.Millisecond, 0, 0), 7, part)
-	cross := netsim.Message{From: 0, To: 5}
-	inside := netsim.Message{From: 0, To: 1}
-	if d := fn(200*time.Microsecond, nil, cross); d != 800*time.Microsecond {
+	opt := compile(t, protocol.HealingPartition(nil, time.Millisecond, 0, 0), 7, part)
+	if d := delayOf(t, opt, 7, 200*time.Microsecond, 0, 5); d != 800*time.Microsecond {
 		t.Errorf("pre-heal cross delay = %v, want 800µs", d)
 	}
-	if d := fn(200*time.Microsecond, nil, inside); d != 0 {
+	if d := delayOf(t, opt, 7, 200*time.Microsecond, 0, 1); d != 0 {
 		t.Errorf("pre-heal intra delay = %v, want 0", d)
 	}
-	if d := fn(2*time.Millisecond, nil, cross); d != 0 {
+	if d := delayOf(t, opt, 7, 2*time.Millisecond, 0, 5); d != 0 {
 		t.Errorf("post-heal cross delay = %v, want 0", d)
+	}
+}
+
+// TestUniformCompilesToBand: Uniform installs the network's own band — a
+// one-point band delivers at exactly its delay — and Uniform(0, 0) compiles
+// to no option at all (immediate delivery).
+func TestUniformCompilesToBand(t *testing.T) {
+	t.Parallel()
+	if opt := compile(t, protocol.Uniform(0, 0), 3, nil); opt != nil {
+		t.Error("Uniform(0, 0) compiled to an option, want none (immediate delivery)")
+	}
+	opt := compile(t, protocol.Uniform(70*time.Microsecond, 70*time.Microsecond), 3, nil)
+	if d := delayOf(t, opt, 3, 0, 0, 2); d != 70*time.Microsecond {
+		t.Errorf("delay under Uniform(70µs, 70µs) = %v, want 70µs", d)
 	}
 }
 
@@ -243,13 +288,10 @@ func TestSkewMatrixFlatLookup(t *testing.T) {
 			m[i][j] = time.Duration(100*i+j) * time.Microsecond
 		}
 	}
-	fn, err := protocol.SkewMatrix(m).Compile(n, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := compile(t, protocol.SkewMatrix(m), n, nil)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			got := fn(0, nil, netsim.Message{From: model.ProcID(i), To: model.ProcID(j)})
+			got := delayOf(t, opt, n, 0, model.ProcID(i), model.ProcID(j))
 			if got != m[i][j] {
 				t.Fatalf("delay(%d→%d) = %v, want %v", i, j, got, m[i][j])
 			}

@@ -35,7 +35,7 @@ type Scenario struct {
 	// the run does not have are rejected at build time.
 	Faults *failures.Schedule
 	// Profile is the message-delay policy; nil means immediate delivery.
-	// Profiles compile down to deterministic netsim delay functions.
+	// Profiles compile down to deterministic netsim delay policies.
 	Profile NetworkProfile
 	// Body selects the process-body form for protocols offering both
 	// (currently hybrid and benor): sim.BodyAuto (the zero value) runs
@@ -215,15 +215,15 @@ func (sc *Scenario) NetOptions(n int, part *model.Partition) ([]netsim.Option, e
 	if sc.Profile == nil {
 		return nil, nil
 	}
-	fn, err := sc.Profile.Compile(n, part)
+	opt, err := sc.Profile.Compile(n, part)
 	if err != nil {
 		// Both sentinels stay inspectable: ErrBadScenario for the scenario
 		// layer, plus whatever the profile wrapped (e.g. netsim.ErrBadMatrix
 		// for a non-square or negative skew matrix).
 		return nil, fmt.Errorf("%w: profile %q: %w", ErrBadScenario, sc.Profile.ProfileName(), err)
 	}
-	if fn == nil {
+	if opt == nil {
 		return nil, nil
 	}
-	return []netsim.Option{netsim.WithTimedDelayFn(fn)}, nil
+	return []netsim.Option{opt}, nil
 }
