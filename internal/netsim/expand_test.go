@@ -66,20 +66,24 @@ func newTracedNet(t *testing.T, n int, opts ...Option) *tracedNet {
 
 // TestDelayPolicyPrecedence is the regression test for the policy
 // precedence, decided once for every send primitive: a timed function beats
-// the uniform band on the unsharded (n=3) and the sharded (n=300) paths,
-// whichever order the options come in. Before the precedence was settled in
+// the uniform band whichever order the options come in, and of two timed
+// functions (fn and timed) the later option is in force — on the unsharded
+// (n=3) and the sharded (n=300) paths. Before the precedence was settled in
 // one place, SendAll, Broadcast, BroadcastSubset and BurstSend drew from the
 // band (1 ms) while Send called the function.
 func TestDelayPolicyPrecedence(t *testing.T) {
 	band := WithUniformDelay(time.Millisecond, time.Millisecond)
+	fn := WithTimedDelayFn(func(time.Duration, *rand.Rand, Message) time.Duration { return 5 * time.Microsecond })
 	timed := WithTimedDelayFn(func(time.Duration, *rand.Rand, Message) time.Duration { return 7 * time.Microsecond })
 	cases := []struct {
 		name string
 		opts []Option
 		want time.Duration
 	}{
-		{"band,timed", []Option{band, timed}, 7 * time.Microsecond},
-		{"timed,band", []Option{timed, band}, 7 * time.Microsecond},
+		{"band,fn", []Option{band, fn}, 5 * time.Microsecond},
+		{"fn,band", []Option{fn, band}, 5 * time.Microsecond},
+		{"band,fn,timed", []Option{band, fn, timed}, 7 * time.Microsecond},
+		{"timed,fn,band", []Option{timed, fn, band}, 5 * time.Microsecond},
 		{"band alone", []Option{band}, time.Millisecond},
 	}
 	for _, n := range []int{3, 300} {
