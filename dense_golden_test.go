@@ -171,7 +171,7 @@ var denseGoldenCells = []denseGoldenCell{
 }
 
 // TestDenseShardedOutcomeGolden holds every dense sharded cell to its
-// recorded Outcome: n = 300 runs on 2 shard wheels, n = 1024 on 8.
+// recorded Outcome: n = 300 expands over 2 shards, n = 1024 over 8.
 func TestDenseShardedOutcomeGolden(t *testing.T) {
 	t.Parallel()
 	for _, cell := range denseGoldenCells {

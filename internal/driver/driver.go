@@ -287,7 +287,7 @@ func run(cfg Config, n int, newNet NewNetFunc,
 		return Outcome{}, fmt.Errorf("%w: %v", ErrBadCrashes, err)
 	}
 	// The topology size decides both the default step budget and whether
-	// the timer wheel shards (vclock.ShardsFor).
+	// the window expansion shards (vclock.ShardsFor).
 	clock := vclock.New(
 		vclock.WithDeadline(vclock.Time(cfg.MaxVirtualTime)),
 		vclock.WithMaxSteps(resolveMaxSteps(cfg.MaxSteps, n, cfg.Complexity)),

@@ -6,11 +6,12 @@
 // recipient's shard. At the flush point the job seals and each shard — a
 // contiguous recipient stripe with its own PCG stream derived from the run
 // seed — draws its delays, builds deferred payloads through its payload pool,
-// and inserts its events into its shard wheel: one lazily ordered fanout per
-// broadcast, one pooled delivery per per-recipient entry. Work is partitioned
-// by shard — a pure function of the topology — and the sequence block is
-// reserved at the flush point, so the schedule does not depend on the order
-// in which the shards are expanded.
+// and inserts its events into the scheduler's one wheel: one lazily ordered
+// fanout per broadcast, one pooled delivery per per-recipient entry. A fanout
+// re-arms for its next arrival instant with a plain AtEvent. Work is
+// partitioned by shard — a pure function of the topology — and the sequence
+// block is reserved at the flush point, so the schedule does not depend on
+// the order in which the shards are expanded.
 package netsim
 
 import (

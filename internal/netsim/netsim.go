@@ -355,7 +355,7 @@ func (f *fanout) Fire() {
 		next = deliverDue(f, f.keys)
 	}
 	if next >= 0 {
-		f.reschedule(f.base + next)
+		f.nw.opts.sched.AtEvent(f.base+next, f)
 		return
 	}
 	f.release()
@@ -387,20 +387,6 @@ func deliverDue[K fanKey](f *fanout, h []K) vclock.Time {
 			return vclock.Time(d)
 		}
 	}
-}
-
-// reschedule re-arms the fanout for its next arrival instant. A shard
-// fanout lives on its shard's wheel — one reschedule per distinct arrival
-// instant per in-flight broadcast is exactly the churn the shard wheels
-// exist to absorb; routing it through the main wheel would multiply that
-// wheel's bucket depth by the shard count. The (at, seq) total order is
-// identical either way.
-func (f *fanout) reschedule(at vclock.Time) {
-	if f.shard >= 0 {
-		f.nw.opts.sched.AtEventShard(int(f.shard), at, f)
-		return
-	}
-	f.nw.opts.sched.AtEvent(at, f)
 }
 
 // release returns the exhausted fanout to its pool: the owning shard's

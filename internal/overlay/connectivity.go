@@ -101,11 +101,11 @@ func (g *Graph) adjacencySet(dir adjDir, v int) []bool {
 // (v_in = 2v, v_out = 2v+1), a static edge list with paired reverse
 // edges, and per-(s,t) capacity resets.
 type flowNet struct {
-	n     int
-	heads [][]int32 // per split-node: indices into edges
-	to    []int32   // edge target split-node
-	cap   []int16   // residual capacity (0, 1, or "inf" as a big value)
-	base  []int16   // initial capacities, for reset
+	n        int
+	incident [][]int32 // per split-node: indices into edges
+	to       []int32   // edge target split-node
+	cap      []int16   // residual capacity (0, 1, or "inf" as a big value)
+	base     []int16   // initial capacities, for reset
 	// BFS scratch
 	parentEdge []int32
 	queue      []int32
@@ -116,12 +116,12 @@ const infCap = int16(1) << 14 // > any unit flow this net can carry per edge pro
 func newFlowNet(g *Graph) *flowNet {
 	f := &flowNet{n: g.n}
 	nn := 2 * g.n
-	f.heads = make([][]int32, nn)
+	f.incident = make([][]int32, nn)
 	addEdge := func(u, v int32, c int16) {
-		f.heads[u] = append(f.heads[u], int32(len(f.to)))
+		f.incident[u] = append(f.incident[u], int32(len(f.to)))
 		f.to = append(f.to, v)
 		f.base = append(f.base, c)
-		f.heads[v] = append(f.heads[v], int32(len(f.to)))
+		f.incident[v] = append(f.incident[v], int32(len(f.to)))
 		f.to = append(f.to, u)
 		f.base = append(f.base, 0)
 	}
@@ -164,7 +164,7 @@ func (f *flowNet) augment(src, sink int32) bool {
 	f.queue = append(f.queue, src)
 	for qi := 0; qi < len(f.queue); qi++ {
 		u := f.queue[qi]
-		for _, e := range f.heads[u] {
+		for _, e := range f.incident[u] {
 			v := f.to[e]
 			if f.cap[e] > 0 && f.parentEdge[v] == -1 {
 				f.parentEdge[v] = e

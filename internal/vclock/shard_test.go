@@ -1,6 +1,6 @@
 package vclock
 
-// Sharded-scheduler unit tests: window expansion and the merged pop path in
+// Sharded-scheduler unit tests: window expansion and the pop path in
 // isolation from netsim — synthetic Jobs inserting events with known
 // (at, seq) keys, checked for global pop order, the one lookahead/tie-break
 // rule, the flush counters, and replay.
@@ -26,7 +26,7 @@ func (tr *trace) note(what string) {
 	tr.lines = append(tr.lines, fmt.Sprintf("%s@%d/f%d", what, tr.s.Now(), tr.s.Stats().PoolFlushes))
 }
 
-// mark schedules a main-wheel event that logs name.
+// mark schedules an event that logs name.
 func (tr *trace) mark(at Time, name string) {
 	tr.s.At(at, func() { tr.note(name) })
 }
@@ -74,7 +74,7 @@ func replayed(t *testing.T, build func(tr *trace), opts ...Option) ([]string, Ou
 		defer s.Release()
 		tr := &trace{s: s}
 		build(tr)
-		// Pure-event schedulers (no processes) drain the wheels completely,
+		// Pure-event schedulers (no processes) drain the wheel completely,
 		// so nothing is cut short by the last coroutine finishing.
 		return tr.lines, s.Run()
 	}
@@ -91,9 +91,9 @@ func replayed(t *testing.T, build func(tr *trace), opts ...Option) ([]string, Ou
 
 // TestShardPopOrderAndWorkerIndependence checks the sharded pop order and the
 // flush counters on a schedule that registers jobs at t=0 and t=40µs with
-// interleaved main-wheel events, exercising both the drain-before-flush path
-// (main events at or below the lookahead bound) and the flush-on-demand path
-// (a main event past it). Its name is kept from when it also compared
+// interleaved plain events, exercising both the drain-before-flush path
+// (events at or below the lookahead bound) and the flush-on-demand path
+// (an event past it). Its name is kept from when it also compared
 // expansion-pool widths; the run is now checked against its replay.
 func TestShardPopOrderAndWorkerIndependence(t *testing.T) {
 	log, out := replayed(t, func(tr *trace) {
@@ -126,7 +126,7 @@ func TestShardPopOrderAndWorkerIndependence(t *testing.T) {
 // instant the job stages arrivals for, every pending event — scheduled
 // before OR after the job registered — pops first, without flushing; the
 // staged arrivals follow in block order (shard order for this job), and an
-// event scheduled once they are in the wheels follows them.
+// event scheduled once they are in the wheel follows them.
 func TestShardTieBreakAcrossWheels(t *testing.T) {
 	at := 100 * us
 	log, _ := replayed(t, func(tr *trace) {
@@ -205,6 +205,39 @@ func TestShardStagedNeverPrecedesEarliest(t *testing.T) {
 	}
 }
 
+// TestLookaheadStopOpensNoSlotPastWindow guards the stop in advance: a window
+// registered with its earliest instant before a far pending event is flushed
+// before the far event's slot opens, so its events land in their own buckets
+// — none in the late heap of the far slot — and everything pops in (at, seq)
+// order, the far event last.
+func TestLookaheadStopOpensNoSlotPastWindow(t *testing.T) {
+	s := New(WithShards(4))
+	defer s.Release()
+	tr := &trace{s: s}
+	tr.mark(1000*us, "far")
+	(&recJob{tr: tr, name: "j", base: 100 * us, step: 20 * us, stride: us, perShard: 3}).submit()
+	var last event
+	for i := 0; ; i++ {
+		if _, ok := s.next(); !ok {
+			break
+		}
+		if n := len(s.wheel.late); n != 0 {
+			t.Fatalf("pop %d: %d events in the late heap of slot %d (window earliest in slot %d)",
+				i, n, s.wheel.curSlot, slotOf(100*us))
+		}
+		ev := s.wheel.pop()
+		if i > 0 && !last.before(ev) {
+			t.Fatalf("pop %d: (at=%d seq=%d) after (at=%d seq=%d)", i, ev.at, ev.seq, last.at, last.seq)
+		}
+		last = ev
+		s.now = ev.at
+		ev.ev.Fire()
+	}
+	if len(tr.lines) != 13 || tr.lines[12] != "far@1000000/f1" {
+		t.Fatalf("pops %v, want the 12 staged events and then far@1000000/f1", tr.lines)
+	}
+}
+
 // TestSubmitSealedUnshardedPanics pins the misuse guard.
 func TestSubmitSealedUnshardedPanics(t *testing.T) {
 	s := New()
@@ -219,7 +252,7 @@ func TestSubmitSealedUnshardedPanics(t *testing.T) {
 
 // TestShardedDeadlineWithOutstandingJobs checks the abort path: a deadline
 // below every expanded arrival aborts the run, and neither the expanded
-// events nor the main event past the deadline fire.
+// events nor the plain event past the deadline fire.
 func TestShardedDeadlineWithOutstandingJobs(t *testing.T) {
 	log, out := replayed(t, func(tr *trace) {
 		(&recJob{tr: tr, name: "j", base: 50 * us, perShard: 1}).submit()

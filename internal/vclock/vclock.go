@@ -45,27 +45,21 @@
 // invisible to every replay and determinism contract. SchedulerStats counts
 // events scheduled, wheel cascades, and the deepest bucket observed.
 //
-// # Sharded wheels and window expansion
+// # Window expansion
 //
-// Large topologies (WithShards; the driver engages it at n ≥ 256) split the
-// timer structure into the main wheel plus a fixed number of shard wheels,
-// and expand the sends of one flush window — the per-message delay draws,
-// key packing, bucketing and payload construction behind SendAll and
-// BurstSend — shard by shard at the flush point, on the token (DESIGN.md
-// §12):
+// Large topologies (WithShards; the driver engages it at n ≥ 256) expand the
+// sends of one flush window — the per-message delay draws, key packing,
+// bucketing and payload construction behind SendAll and BurstSend — shard by
+// shard at the flush point, on the token, into the one wheel (DESIGN.md §12):
 //
 //   - work is partitioned by SHARD, a fixed function of the topology: shard
-//     s always draws from its own RNG stream and always lands its events in
-//     shard wheel s;
+//     s is a recipient stripe that always draws from its own RNG stream;
 //   - a job (Job) only registers at SubmitSealed and keeps accumulating
 //     content; at the flush point every registered job is sealed and its
 //     sequence block reserved, so every expanded event's (at, seq) key is
 //     fixed by the job's block layout, not by when the expansion runs;
-//   - flush points are chosen by the lookahead rule in nextWheel, and the
-//     pop path merges the main-wheel head with the shard-wheel heads (cached
-//     keys, retaken only for a wheel touched since) under the same global
-//     (at, seq) order, refusing to pop any event that a registered job could
-//     still precede.
+//   - flush points are chosen by the lookahead rule in next, which refuses
+//     to pop any event that a registered job could still precede.
 //
 // The scheduler starts no goroutine of its own: every event Fire, handler
 // invocation and expansion runs under the single execution token.
@@ -90,7 +84,6 @@ package vclock
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 	"sync"
 )
@@ -202,7 +195,7 @@ func slotOf(t Time) int64 { return int64(t) >> slotWidthShift }
 // shard composition, per-shard RNG streams and per-shard counters are too
 // (DESIGN.md §12).
 const (
-	// NumShards caps the shard-wheel count of a sharded scheduler.
+	// NumShards caps the shard count of a sharded scheduler.
 	NumShards = 16
 	// shardMinProcs is the engagement floor: below it the per-broadcast
 	// fan-out is too small for windowed expansion to pay off.
@@ -238,16 +231,17 @@ type SchedulerStats struct {
 	// scheduler (At/After/AtEvent/AfterEvent calls plus shard-expanded
 	// events).
 	EventsScheduled int64
-	// WheelCascades is the number of events migrated from a far-future
-	// overflow heap into its wheel as the horizon advanced (summed over
-	// the main and shard wheels). Each event cascades at most once.
+	// WheelCascades is the number of events migrated from the far-future
+	// overflow heap into the wheel as the horizon advanced. Each event
+	// cascades at most once.
 	WheelCascades int64
-	// MaxBucketDepth is the deepest wheel bucket observed in any wheel:
-	// events sharing one slotWidth window of virtual time, late arrivals
-	// into the open slot included.
+	// MaxBucketDepth is the deepest wheel bucket observed: events sharing
+	// one slotWidth window of virtual time, late arrivals into the open slot
+	// included.
 	MaxBucketDepth int64
-	// ShardEvents is the number of events inserted through the sharded
-	// expansion path (0 for unsharded runs).
+	// ShardEvents is the number of events inserted by flush expansion
+	// (ShardInserter.At; 0 for unsharded runs). A fanout's re-arms are
+	// ordinary AtEvent calls and are not counted here.
 	ShardEvents int64
 	// ExpandJobs is the number of broadcasts expanded at flushes, as the
 	// jobs report them at Seal (one per sharded SendAll).
@@ -263,18 +257,16 @@ type SchedulerStats struct {
 	// constructed at flushes through the per-shard payload pools (reported
 	// by expansion jobs via ShardInserter.NotePayloadBytes).
 	PooledPayloadBytes int64
-	// MaxShardStage is the most events one shard wheel received from a
-	// single flush — the high-water mark of one shard's share of an
-	// expansion window.
+	// MaxShardStage is the most events one shard inserted in a single flush
+	// — the high-water mark of one shard's share of an expansion window.
 	MaxShardStage int64
 }
 
-// wheel is one tiered timer structure: the open slot (a run ordered once, when
-// the slot opened, plus a heap of late arrivals), the near-future slot array,
-// and the far-future overflow heap. The scheduler owns one main wheel (all
-// AtEvent traffic) and, when sharded, ShardsFor(n) shard wheels fed by the
-// flush's expansion. Each wheel carries its own work counters so sharded
-// totals merge without atomics.
+// wheel is the scheduler's tiered timer structure: the open slot (a run
+// ordered once, when the slot opened, plus a heap of late arrivals), the
+// near-future slot array, and the far-future overflow heap. Every event goes
+// through it — AtEvent traffic and a flush's expansion alike — and it keeps
+// the two counters that only its own tiers can see.
 type wheel struct {
 	// Invariants between advances:
 	//   - the pending events of slot curSlot are run[i] for i in order — those
@@ -294,22 +286,20 @@ type wheel struct {
 	//     events alone.
 	run, late  []event
 	order      []uint32   // indices into run
-	slots      *slotArray // nil until the first bucket insert (main wheel)
+	slots      *slotArray // nil until the first bucket insert
 	curSlot    int64
 	wheelCount int
 	overflow   []event
 
-	scheduled int64 // events inserted (maintained by the callers of insert)
-	cascades  int64
-	maxDepth  int64
+	cascades int64
+	maxDepth int64
 }
 
-// slotArray is a wheel's near-future bucket array — 6 KB of slice headers
-// plus whatever capacity the buckets have grown. The main wheel of every
-// scheduler borrows one from slotArrays at its first bucket insert and hands
-// it back at Release, so a short run (the paper's n=7 trials process ~160
-// events) neither zeroes a fresh array nor regrows its buckets. Shard wheels
-// keep an array of their own for the scheduler's lifetime.
+// slotArray is the wheel's near-future bucket array — 6 KB of slice headers
+// plus whatever capacity the buckets have grown. Every scheduler borrows one
+// from slotArrays at its first bucket insert and hands it back at Release,
+// so a short run (the paper's n=7 trials process ~160 events) neither zeroes
+// a fresh array nor regrows its buckets.
 //
 // Clear-on-return invariant: an array in the pool holds 256 empty buckets
 // whose backing arrays contain no event — no Event pointer of a finished
@@ -376,12 +366,12 @@ func (w *wheel) insert(ev event) {
 
 // advance makes the earliest pending event the head of the open slot, opening
 // the next non-empty slot (sortRun orders it, through the scheduler's scratch)
-// when the open one has drained. It returns false when no event is pending.
-// advance only repositions events between tiers (preserving the (at, seq)
-// total order); it never fires one, so peeking is side-effect free with
-// respect to the run. It moves nothing unless the wheel was popped from or
-// inserted into since the last call: nextWheel skips untouched wheels.
-func (w *wheel) advance(scratch *[]uint32) bool {
+// when the open one has drained — but never a slot past stop: it returns
+// false when no event is pending at or before slot stop, and leaves the later
+// ones where they are. advance only repositions events between tiers
+// (preserving the (at, seq) total order); it never fires one, so peeking is
+// side-effect free with respect to the run.
+func (w *wheel) advance(scratch *[]uint32, stop int64) bool {
 	for {
 		// Cascade overflow events whose slot has entered the window. They
 		// were beyond the horizon when scheduled; the horizon has moved.
@@ -395,27 +385,26 @@ func (w *wheel) advance(scratch *[]uint32) bool {
 		}
 		if w.wheelCount > 0 {
 			// Walk the window to the next non-empty bucket and activate it.
-			end := w.curSlot + wheelSlots
-			for sl := w.curSlot + 1; sl < end; sl++ {
-				b := &w.slots[sl&wheelMask]
-				if len(*b) == 0 {
-					continue
-				}
-				w.curSlot = sl
-				w.wheelCount -= len(*b)
-				// Every event of the run has been popped, and zeroed: trade
-				// it for the bucket instead of copying the bucket's events.
-				w.run, *b = *b, w.run[:0]
-				w.order = sortRun(w.run, w.order, scratch)
-				break
+			sl, end := w.curSlot+1, w.curSlot+wheelSlots
+			for ; sl < end && len(w.slots[sl&wheelMask]) == 0; sl++ {
 			}
-			if len(w.order) == 0 {
+			if sl == end {
 				panic("vclock: wheelCount > 0 but no bucket found in window")
 			}
+			if sl > stop {
+				return false
+			}
+			b := &w.slots[sl&wheelMask]
+			w.curSlot = sl
+			w.wheelCount -= len(*b)
+			// Every event of the run has been popped, and zeroed: trade it
+			// for the bucket instead of copying the bucket's events.
+			w.run, *b = *b, w.run[:0]
+			w.order = sortRun(w.run, w.order, scratch)
 			// Re-enter the loop: the window moved, overflow may cascade.
 			continue
 		}
-		if len(w.overflow) == 0 {
+		if len(w.overflow) == 0 || slotOf(w.overflow[0].at) > stop {
 			return false
 		}
 		// Wheel empty: jump the window to the earliest far-future event and
@@ -638,15 +627,6 @@ type Job interface {
 	ExpandShard(shard int, seqBase uint64, ins *ShardInserter)
 }
 
-// headKey is the (at, seq) of a wheel's earliest pending event. The key of an
-// empty wheel is {maxTime, noSeq}: it orders after every event.
-type headKey struct {
-	at  Time
-	seq uint64
-}
-
-const noSeq = 1<<64 - 1
-
 // shardTask is a registered job and, once the flush has sealed it, the first
 // sequence number of its reserved block.
 type shardTask struct {
@@ -654,19 +634,17 @@ type shardTask struct {
 	base uint64
 }
 
-// ShardInserter inserts one shard's expanded events into its shard wheel
-// during a flush. The flush owns it; a job must not retain it past
-// ExpandShard's return.
+// ShardInserter inserts one shard's expanded events into the wheel during a
+// flush. The flush owns it; a job must not retain it past ExpandShard's
+// return.
 type ShardInserter struct {
-	s     *Scheduler
-	shard int
-	n     int64 // events inserted into the shard's wheel by this flush
+	s *Scheduler
+	n int64 // events the running shard has inserted in this flush
 }
 
-// At schedules ev on the shard's wheel at instant at with the given sequence
-// number, which the caller must take from its job's reserved block
-// (Job.Seal). at must not precede the job's declared earliest instant
-// (SubmitSealed).
+// At schedules ev at instant at with the given sequence number, which the
+// caller must take from its job's reserved block (Job.Seal). at must not
+// precede the job's declared earliest instant (SubmitSealed).
 func (si *ShardInserter) At(at Time, seq uint64, ev Event) {
 	s := si.s
 	if at < s.now {
@@ -676,7 +654,7 @@ func (si *ShardInserter) At(at Time, seq uint64, ev Event) {
 		// AtEvent's "time never flows backwards".
 		at = s.now
 	}
-	s.shards[si.shard].insert(event{at: at, seq: seq, ev: ev})
+	s.wheel.insert(event{at: at, seq: seq, ev: ev})
 	si.n++
 }
 
@@ -694,24 +672,18 @@ type Scheduler struct {
 	now Time
 	seq uint64
 
-	main   wheel
-	shards []wheel
-
-	// The pop path's merge cache: heads[i] is wheel i's head key (0 is main,
-	// 1+s shard s; {maxTime, noSeq} when empty) as of nextWheel's last advance of it;
-	// stale has bit i set when wheel i was inserted into or popped from since.
-	heads   [1 + NumShards]headKey
-	stale   uint32
+	wheel   wheel
 	scratch []uint32 // sortRun's buffer: the token serialises every activation
+	shards  int      // expansion shards (0 = unsharded)
 
-	stats SchedulerStats // flush counters; wheel counters live on the wheels
+	stats SchedulerStats // all but the wheel's own two counters
 
 	// Window expansion. jobs holds the jobs registered since the last flush,
 	// in registration order; earliest lower-bounds the instant of any event
 	// they may insert (maxTime when none is registered). Jobs reserve their
 	// sequence blocks only at flush — after every event pending by then —
-	// which is what the lookahead rule in nextWheel rests on. ins is the
-	// flush's inserter, kept here so that a flush allocates nothing.
+	// which is what the lookahead rule in next rests on. ins is the flush's
+	// inserter, kept here so that a flush allocates nothing.
 	jobs     []shardTask
 	earliest Time
 	ins      ShardInserter
@@ -747,19 +719,17 @@ func WithMaxSteps(n int64) Option {
 	return func(s *Scheduler) { s.maxSteps = n }
 }
 
-// WithShards equips the scheduler with shards shard wheels (at most
-// NumShards); see the package comment. Zero shards keeps the scheduler
-// unsharded and makes the option a no-op. Any further argument is ignored;
-// it is accepted, and deprecated, so that callers of the old two-argument
-// form WithShards(shards, workers) still compile.
+// WithShards splits the scheduler's window expansion into shards shards (at
+// most NumShards): a flush calls every job's ExpandShard once per shard, and
+// the network maps each shard to a recipient stripe with its own stream; see
+// the package comment. Every shard inserts into the one wheel. Zero shards
+// keeps the scheduler unsharded and makes the option a no-op. Any further
+// argument is ignored; it is accepted, and deprecated, so that callers of
+// the old two-argument form WithShards(shards, workers) still compile.
 func WithShards(shards int, _ ...int) Option {
 	return func(s *Scheduler) {
-		if shards <= 0 {
-			return
-		}
-		s.shards = make([]wheel, min(shards, NumShards))
-		for i := range s.shards {
-			s.shards[i].slots = new(slotArray)
+		if shards > 0 {
+			s.shards = min(shards, NumShards)
 		}
 	}
 }
@@ -771,7 +741,6 @@ func New(opts ...Option) *Scheduler {
 	for _, o := range opts {
 		o(s)
 	}
-	s.stale = 2<<len(s.shards) - 1 // no head key has been taken yet
 	return s
 }
 
@@ -782,27 +751,13 @@ func (s *Scheduler) Now() Time { return s.now }
 // or event budget). Coroutines can poll it at convenient checkpoints.
 func (s *Scheduler) Aborted() bool { return s.aborted }
 
-// ShardCount returns the number of shard wheels (0 = unsharded).
-func (s *Scheduler) ShardCount() int { return len(s.shards) }
+// ShardCount returns the number of expansion shards (0 = unsharded).
+func (s *Scheduler) ShardCount() int { return s.shards }
 
-// Stats returns the scheduler's work counters so far, merging the per-wheel
-// counters of the main and shard wheels. The merge is deterministic: each
-// wheel's counters are a pure function of the events routed to it, and the
-// shard routing is fixed by the topology.
+// Stats returns the scheduler's work counters so far.
 func (s *Scheduler) Stats() SchedulerStats {
 	st := s.stats
-	st.EventsScheduled += s.main.scheduled
-	st.WheelCascades += s.main.cascades
-	st.MaxBucketDepth = s.main.maxDepth
-	for i := range s.shards {
-		w := &s.shards[i]
-		st.EventsScheduled += w.scheduled
-		st.ShardEvents += w.scheduled
-		st.WheelCascades += w.cascades
-		if w.maxDepth > st.MaxBucketDepth {
-			st.MaxBucketDepth = w.maxDepth
-		}
-	}
+	st.WheelCascades, st.MaxBucketDepth = s.wheel.cascades, s.wheel.maxDepth
 	return st
 }
 
@@ -822,28 +777,8 @@ func (s *Scheduler) AtEvent(t Time, ev Event) {
 		t = s.now
 	}
 	s.seq++
-	s.main.scheduled++
-	s.main.insert(event{at: t, seq: s.seq, ev: ev})
-	s.stale |= 1
-}
-
-// AtEventShard schedules ev on shard wheel shard rather than the main
-// wheel. Semantically identical to AtEvent — the pop path merges every
-// wheel into one (at, seq) total order, and the seq still comes from the
-// global counter — but it keeps high-churn per-shard traffic (fanout
-// rescheduling, one live event per shard per in-flight broadcast) out of
-// the main wheel, whose bucket depth would otherwise grow with the shard
-// count. Must run under the execution token, like AtEvent; panics on an
-// unsharded scheduler or an out-of-range shard.
-func (s *Scheduler) AtEventShard(shard int, t Time, ev Event) {
-	if t < s.now {
-		t = s.now
-	}
-	s.seq++
-	w := &s.shards[shard]
-	w.scheduled++
-	w.insert(event{at: t, seq: s.seq, ev: ev})
-	s.stale |= 2 << shard
+	s.stats.EventsScheduled++
+	s.wheel.insert(event{at: t, seq: s.seq, ev: ev})
 }
 
 // AfterEvent schedules ev to fire d nanoseconds of virtual time from now.
@@ -864,7 +799,7 @@ func (s *Scheduler) AfterEvent(d Time, ev Event) {
 // delays are non-negative, the submit instant (plus any profile-wide
 // minimum delay) is such a bound. Panics on an unsharded scheduler.
 func (s *Scheduler) SubmitSealed(job Job, earliest Time) {
-	if len(s.shards) == 0 {
+	if s.shards == 0 {
 		panic("vclock: SubmitSealed on an unsharded scheduler")
 	}
 	if earliest < s.now {
@@ -880,12 +815,11 @@ func (s *Scheduler) SubmitSealed(job Job, earliest Time) {
 // flush seals and expands every registered job, on the token. First every
 // job is sealed — and its sequence block reserved, after every event already
 // scheduled this window — in registration order. Then each shard expands the
-// jobs, in registration order, straight into its wheel. A shard draws from
-// its own stream and writes only its own wheel and pools, so visiting the
-// shards one after another gives the same wheels as any other interleaving
-// of the (job, shard) calls would. Jobs registered but never flushed are
-// dropped with the scheduler: by then the run is over or aborted and would
-// never pop their events.
+// jobs, in registration order, into the wheel. Every key is fixed by the
+// block layout, so visiting the shards one after another fills the wheel as
+// any other interleaving of the (job, shard) calls would. Jobs registered but
+// never flushed are dropped with the scheduler: by then the run is over or
+// aborted and would never pop their events.
 func (s *Scheduler) flush() {
 	s.stats.PoolFlushes++
 	for i := range s.jobs {
@@ -897,81 +831,50 @@ func (s *Scheduler) flush() {
 	}
 	ins := &s.ins
 	for sh := range s.shards {
-		ins.shard, ins.n = sh, 0
+		ins.n = 0
 		for _, t := range s.jobs {
 			t.job.ExpandShard(sh, t.base, ins)
 		}
-		s.shards[sh].scheduled += ins.n
+		s.stats.EventsScheduled += ins.n
+		s.stats.ShardEvents += ins.n
 		s.stats.MaxShardStage = max(s.stats.MaxShardStage, ins.n)
-		if ins.n > 0 {
-			s.stale |= 2 << sh
-		}
 	}
 	clear(s.jobs)
 	s.jobs = s.jobs[:0]
 	s.earliest = maxTime
 }
 
-// wheel returns wheel i of the merge: 0 is main, 1+s is shard s.
-func (s *Scheduler) wheel(i int) *wheel {
-	if i == 0 {
-		return &s.main
-	}
-	return &s.shards[i-1]
-}
-
-// nextWheel surfaces the globally earliest pending event and returns the
-// index (see wheel) of the wheel whose open slot it heads. It implements the
-// deterministic merge: the candidate is the (at, seq)-minimum over the
-// main-wheel head and every shard-wheel head, and it is only returned while
-// no registered job could insert an event that precedes it — the lookahead
-// rule. Otherwise the jobs are flushed first and the scan re-runs.
+// next makes the earliest pending event the wheel's head and returns its
+// instant, or false when none is pending. It only does so while no
+// registered job could insert an event that precedes the head — the
+// lookahead rule; otherwise it flushes the jobs first.
 //
-// The heads are read from the cache; only stale wheels are advanced and have
-// their key retaken. That equals advancing every wheel: advance moves nothing
-// in a wheel neither inserted into nor popped from since, and both mark it.
-func (s *Scheduler) nextWheel() (int, bool) {
+// The rule: a pending event that ties the window's earliest instant pops
+// first. Jobs reserve their sequence blocks at flush, strictly after every
+// pending event's seq, so the tying event orders before anything they insert
+// at that instant — which lets the whole cohort of one instant pop, and add
+// to the window's jobs, before the window closes. Only an event strictly past
+// the bound (or an empty queue) forces the flush.
+//
+// The stop: while jobs are registered, advance opens no slot past the
+// earliest instant's. Every event of a later slot is past the bound, so the
+// flush decision is the same either way; but the flush then fills the slots
+// before it opens them, instead of piling the window into the late heap of a
+// far slot opened too early.
+func (s *Scheduler) next() (Time, bool) {
 	for {
-		for m := s.stale; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros32(m)
-			s.heads[i] = headKey{at: maxTime, seq: noSeq}
-			if w := s.wheel(i); w.advance(&s.scratch) {
-				ev, _ := w.first()
-				s.heads[i] = headKey{at: ev.at, seq: ev.seq}
-			}
+		ok := s.wheel.advance(&s.scratch, slotOf(s.earliest))
+		var at Time
+		if ok {
+			head, _ := s.wheel.first()
+			at = head.at
 		}
-		s.stale = 0
-		best, head := 0, s.heads[0]
-		for i := 1; i <= len(s.shards); i++ {
-			// k before head? Decided by one 128-bit borrow chain (instants are
-			// never negative) so that it compiles to conditional moves: the
-			// delays are scattered, and a branch on them would mispredict.
-			k := s.heads[i]
-			_, lt := bits.Sub64(k.seq, head.seq, 0)
-			if _, lt = bits.Sub64(uint64(k.at), uint64(head.at), lt); lt != 0 {
-				best, head = i, k
-			}
-		}
-		// The lookahead rule: a pending event that ties the window's
-		// earliest instant pops first. Jobs reserve their sequence blocks
-		// at flush, strictly after every pending event's seq, so the tying
-		// event orders before anything they insert at that instant — which
-		// lets the whole cohort of one instant pop, and add to the window's
-		// jobs, before the window closes. Only an event strictly past the
-		// bound (or an empty queue) forces the flush.
-		if len(s.jobs) > 0 && (head.seq == noSeq || head.at > s.earliest) {
+		if len(s.jobs) > 0 && (!ok || at > s.earliest) {
 			s.flush()
 			continue
 		}
-		return best, head.seq != noSeq
+		return at, ok
 	}
-}
-
-// pop removes and returns the head of wheel i, which nextWheel has just
-// returned: the only way an event leaves a wheel, and it marks the wheel.
-func (s *Scheduler) pop(i int) event {
-	s.stale |= 1 << i
-	return s.wheel(i).pop()
 }
 
 // Spawn registers fn as a new coroutine. It starts runnable and takes its
@@ -1102,15 +1005,15 @@ func (s *Scheduler) stepHandler(p *Proc) {
 // otherwise leak) and for Runs unwound by a panicking event callback
 // (parked coroutines would leak the same way); Run invokes it on the way
 // out, and callers that build a scheduler but may abandon it should defer
-// it themselves. In every case it hands the main wheel's bucket array back
-// to its pool, dropping the events still pending there (see slotArray).
+// it themselves. In every case it hands the wheel's bucket array back to
+// its pool, dropping the events still pending there (see slotArray).
 // After a completed Run that is all it does; calling it twice is a no-op.
 //
 // Release must be called from the goroutine that owns the scheduler, never
 // from event callbacks or process bodies.
 func (s *Scheduler) Release() {
 	// Last, because an unwinding coroutine may still schedule events.
-	defer s.main.recycleSlots()
+	defer s.wheel.recycleSlots()
 	if s.live == 0 {
 		return // nothing unfinished — notably after every completed Run
 	}
@@ -1138,16 +1041,16 @@ func (s *Scheduler) Release() {
 }
 
 // Run drives the event loop to completion: processes run (in FIFO wake
-// order) until all are parked, then the earliest pending event — merged
-// across the main and shard wheels — fires, advancing the virtual clock;
-// repeat. Run returns once every process has finished — normally, or after
+// order) until all are parked, then the earliest pending event fires —
+// after a flush of the registered jobs, when one of them could precede it
+// (next) — advancing the virtual clock; repeat. Run returns once every process has finished — normally, or after
 // an abort (quiescence, deadline, or event budget) unwound them.
 //
 // Run must be called exactly once per Scheduler.
 func (s *Scheduler) Run() Outcome {
 	// On a panicking event callback it releases every coroutine goroutine
 	// (birth-gated or parked) instead of leaking them; it always recycles
-	// the main wheel's bucket array.
+	// the wheel's bucket array.
 	defer s.Release()
 	for {
 		if p := s.popRunnable(); p != nil {
@@ -1167,8 +1070,8 @@ func (s *Scheduler) Run() Outcome {
 			return s.outcome
 		}
 		if !s.aborted {
-			if i, ok := s.nextWheel(); ok {
-				if s.deadline > 0 && s.heads[i].at > s.deadline {
+			if at, ok := s.next(); ok {
+				if s.deadline > 0 && at > s.deadline {
 					s.outcome.DeadlineExceeded = true
 					s.abort()
 					continue
@@ -1178,7 +1081,7 @@ func (s *Scheduler) Run() Outcome {
 					s.abort()
 					continue
 				}
-				ev := s.pop(i)
+				ev := s.wheel.pop()
 				s.steps++
 				s.now = max(s.now, ev.at)
 				ev.ev.Fire()

@@ -494,26 +494,25 @@ func TestDetachSlotsLeavesNoEvent(t *testing.T) {
 	// in the active heap, the buckets and the overflow heap.
 	last := Time(0)
 	for i := 0; i < events/3; i++ {
-		w, ok := s.nextWheel()
-		if !ok {
+		if _, ok := s.next(); !ok {
 			t.Fatal("wheel ran dry")
 		}
-		ev := s.pop(w)
+		ev := s.wheel.pop()
 		if ev.at < last {
 			t.Fatalf("pop %d went back in time: %d after %d", i, ev.at, last)
 		}
 		last = ev.at
 	}
-	if s.main.wheelCount == 0 {
+	if s.wheel.wheelCount == 0 {
 		t.Fatal("no event pending in the buckets; the test would check nothing")
 	}
-	held := s.main.slots
-	st := s.main.detachSlots()
+	held := s.wheel.slots
+	st := s.wheel.detachSlots()
 	if st == nil || st != held {
 		t.Fatalf("detachSlots = %p, want the wheel's array %p", st, held)
 	}
-	if s.main.slots != nil || s.main.wheelCount != 0 {
-		t.Fatalf("wheel still holds slots=%p wheelCount=%d", s.main.slots, s.main.wheelCount)
+	if s.wheel.slots != nil || s.wheel.wheelCount != 0 {
+		t.Fatalf("wheel still holds slots=%p wheelCount=%d", s.wheel.slots, s.wheel.wheelCount)
 	}
 	capacity := 0
 	for i := range st {
@@ -530,15 +529,15 @@ func TestDetachSlotsLeavesNoEvent(t *testing.T) {
 	if capacity == 0 {
 		t.Fatal("the array kept none of the bucket capacity the run grew")
 	}
-	if s.main.detachSlots() != nil {
+	if s.wheel.detachSlots() != nil {
 		t.Fatal("second detachSlots returned an array")
 	}
 	// The wheel stays usable: a later insert borrows a fresh array.
 	s.AtEvent(last+Time(100_000), &cyclingEvent{})
-	if s.main.slots == nil {
+	if s.wheel.slots == nil {
 		t.Fatal("insert after detach did not borrow an array")
 	}
-	s.main.recycleSlots()
+	s.wheel.recycleSlots()
 }
 
 // each calls visit on every pending event of the wheel, tier by tier: what a
@@ -558,16 +557,13 @@ func (w *wheel) each(visit func(event)) {
 	}
 }
 
-// pending returns the number of undelivered events in every wheel.
-func (s *Scheduler) pending() (n int) {
-	for i := 0; i <= len(s.shards); i++ {
-		w := s.wheel(i)
-		n += len(w.order) + len(w.late) + w.wheelCount + len(w.overflow)
-	}
-	return n
+// pending returns the number of undelivered events in the wheel.
+func (s *Scheduler) pending() int {
+	w := &s.wheel
+	return len(w.order) + len(w.late) + w.wheelCount + len(w.overflow)
 }
 
-// refWheel is the reference model of one wheel: the open slot is a binary
+// refWheel is the reference model of the wheel: the open slot is a binary
 // min-heap that every pop sifts — the form the wheel had before a slot was
 // ordered once at activation. It is kept for TestWheelOpsMatchReference and
 // FuzzWheelOps, which hold the real scheduler to its pop order and counters.
@@ -577,8 +573,8 @@ type refWheel struct {
 	curSlot          int64
 	wheelCount       int
 
-	scheduled, cascades, maxDepth int64
-	late                          int // inserts into the open slot (coverage only)
+	cascades, maxDepth int64
+	late               int // inserts into the open slot (coverage only)
 }
 
 func (w *refWheel) pending() int { return len(w.active) + w.wheelCount + len(w.overflow) }
@@ -600,7 +596,8 @@ func (w *refWheel) insert(ev event) {
 	}
 }
 
-func (w *refWheel) advance() bool {
+// advance opens no slot past stop, like wheel.advance.
+func (w *refWheel) advance(stop int64) bool {
 	for {
 		for len(w.overflow) > 0 && slotOf(w.overflow[0].at) < w.curSlot+wheelSlots {
 			w.cascades++
@@ -610,65 +607,96 @@ func (w *refWheel) advance() bool {
 			return true
 		}
 		if w.wheelCount > 0 {
-			for sl := w.curSlot + 1; len(w.active) == 0; sl++ {
-				b := &w.slots[sl&wheelMask]
-				w.curSlot = sl
-				w.wheelCount -= len(*b)
-				for _, ev := range *b {
-					pushEvent(&w.active, ev)
-				}
-				*b = (*b)[:0]
+			sl := w.curSlot + 1
+			for len(w.slots[sl&wheelMask]) == 0 {
+				sl++
 			}
+			if sl > stop {
+				return false
+			}
+			b := &w.slots[sl&wheelMask]
+			w.curSlot = sl
+			w.wheelCount -= len(*b)
+			for _, ev := range *b {
+				pushEvent(&w.active, ev)
+			}
+			*b = (*b)[:0]
 			continue
 		}
-		if len(w.overflow) == 0 {
+		if len(w.overflow) == 0 || slotOf(w.overflow[0].at) > stop {
 			return false
 		}
 		w.curSlot = slotOf(w.overflow[0].at)
 	}
 }
 
-// refSched is the reference scheduler: refWheels (0 is the main wheel, 1+s is
-// shard s) merged by advancing every wheel and comparing every head at every
-// pop.
+// refSched is the reference scheduler: one refWheel, plus the staged blocks
+// registered since the last flush and the lookahead rule that flushes them.
 type refSched struct {
-	wheels []refWheel
-	seq    uint64
-	now    Time
+	w         refWheel
+	seq       uint64
+	now       Time
+	scheduled int64
+
+	shards   int
+	jobs     []*opJob
+	earliest Time // maxTime while no block is registered
 }
 
-func (r *refSched) at(wheel int, t Time) {
+func (r *refSched) at(t Time) {
 	r.seq++
-	w := &r.wheels[wheel]
-	w.scheduled++
-	w.insert(event{at: max(t, r.now), seq: r.seq})
+	r.scheduled++
+	r.w.insert(event{at: max(t, r.now), seq: r.seq})
 }
 
-func (r *refSched) pop() (event, bool) {
-	var best *refWheel
-	for i := range r.wheels {
-		if w := &r.wheels[i]; w.advance() && (best == nil || w.active[0].before(best.active[0])) {
-			best = w
+func (r *refSched) submit(j *opJob, earliest Time) {
+	r.jobs = append(r.jobs, j)
+	r.earliest = min(r.earliest, max(earliest, r.now))
+}
+
+// flush reserves every registered block's sequence numbers in registration
+// order, then inserts the blocks shard by shard, as Scheduler.flush does.
+func (r *refSched) flush() {
+	bases := make([]uint64, len(r.jobs))
+	for i, j := range r.jobs {
+		bases[i] = r.seq + 1
+		r.seq += uint64(len(j.evs)) + j.pad
+	}
+	for sh := 0; sh < r.shards; sh++ {
+		for i, j := range r.jobs {
+			for k := len(j.evs) - 1; k >= 0; k-- {
+				if e := j.evs[k]; e.shard == sh {
+					r.scheduled++
+					r.w.insert(event{at: max(e.at, r.now), seq: bases[i] + uint64(k)})
+				}
+			}
 		}
 	}
-	if best == nil {
-		return event{}, false
-	}
-	ev := popEvent(&best.active)
-	r.now = max(r.now, ev.at)
-	return ev, true
+	r.jobs, r.earliest = r.jobs[:0], maxTime
 }
 
-// stats returns what Scheduler.pending and three SchedulerStats fields would.
-func (r *refSched) stats() (pending int, scheduled, cascades, maxDepth int64) {
-	for i := range r.wheels {
-		w := &r.wheels[i]
-		pending += w.pending()
-		scheduled += w.scheduled
-		cascades += w.cascades
-		maxDepth = max(maxDepth, w.maxDepth)
+// pop flushes the registered blocks first whenever the head lies past their
+// earliest instant or nothing is pending — the lookahead rule.
+func (r *refSched) pop() (event, bool) {
+	for {
+		ok := r.w.advance(slotOf(r.earliest))
+		if len(r.jobs) > 0 && (!ok || r.w.active[0].at > r.earliest) {
+			r.flush()
+			continue
+		}
+		if !ok {
+			return event{}, false
+		}
+		ev := popEvent(&r.w.active)
+		r.now = max(r.now, ev.at)
+		return ev, true
 	}
-	return
+}
+
+// opEvent is one event of a staged block.
+type opEvent struct {
+	shard int
+	at    Time
 }
 
 // opJob is a flush window inserting evs: event j takes sequence number base+j
@@ -676,10 +704,7 @@ func (r *refSched) stats() (pending int, scheduled, cascades, maxDepth int64) {
 // descending j — the order a lone delivery inserted ahead of its fanout leaves
 // behind: a bucket that was not appended in seq order.
 type opJob struct {
-	evs []struct {
-		shard int
-		at    Time
-	}
+	evs []opEvent
 	pad uint64 // sequence numbers reserved beyond len(evs)
 }
 
@@ -697,8 +722,8 @@ var nopEvent = eventFunc(func() {})
 
 // wheelOpsCoverage is what a driven op stream exercised.
 type wheelOpsCoverage struct {
-	pops, ties, late, staged int
-	cascades, maxDepth       int64
+	pops, ties, late, staged, lookahead int
+	cascades, maxDepth                  int64
 }
 
 // driveWheelOps decodes data into scheduler operations and applies each one
@@ -706,18 +731,23 @@ type wheelOpsCoverage struct {
 // same (at, seq) every time and agree on pending, EventsScheduled,
 // WheelCascades and MaxBucketDepth after every operation.
 //
-// data[0] picks the shape: its low two bits mod 3 the wheel count (1, 9 or
-// 17), bit 2 whether the run is drained at the end or cut short with events
-// pending. Every following operation is an opcode byte b and its argument
-// bytes; the instants it schedules are now+δ with δ of one of five classes —
-// 0, inside now's slot, in the next slot, inside the wheel's window, past its
-// 4.2 ms horizon:
+// data[0] picks the shape: its low two bits mod 3 the shard count of staged
+// blocks (0 — the staging ops then schedule plain events — 8 or 16), bit 2
+// whether the run is drained at the end or cut short with events pending.
+// Every following operation is an opcode byte b and its argument bytes; the
+// instants it schedules are now+δ with δ of one of five classes — 0, inside
+// now's slot, in the next slot, inside the wheel's window, past its 4.2 ms
+// horizon:
 //
-//	b&7 = 0,1,2  one event on wheel b>>3, class and spread from one argument
-//	b&7 = 3      a burst of 1–256 events on wheel b>>3 into one future slot
-//	b&7 = 4      1–16 events at ONE instant, dealt round-robin over the wheels
-//	b&7 = 5      a staged block: 1–12 events of one flush window (opJob)
-//	b&7 = 6,7    4·(1 + b>>3) pops
+//	b&7 = 0,1  one event, class and spread from one argument
+//	b&7 = 2    a staged block of 1–12 events registered with its earliest
+//	           instant δ ahead and left to the pop path, which flushes it
+//	           under the lookahead rule
+//	b&7 = 3    a burst of 1–256 events into one future slot
+//	b&7 = 4    1–16 events at ONE instant
+//	b&7 = 5    a staged block of 1–12 events, flushed at once (with every
+//	           block still registered)
+//	b&7 = 6,7  4·(1 + b>>3) pops
 func driveWheelOps(t testing.TB, data []byte) (cov wheelOpsCoverage) {
 	if len(data) == 0 {
 		return
@@ -737,14 +767,10 @@ func driveWheelOps(t testing.TB, data []byte) (cov wheelOpsCoverage) {
 
 	s := New(WithShards(shards))
 	defer s.Release()
-	ref := &refSched{wheels: make([]refWheel, 1+shards)}
-	at := func(wheel int, t Time) {
-		if wheel == 0 {
-			s.AtEvent(t, nopEvent)
-		} else {
-			s.AtEventShard(wheel-1, t, nopEvent)
-		}
-		ref.at(wheel, t)
+	ref := &refSched{shards: shards, earliest: maxTime}
+	at := func(t Time) {
+		s.AtEvent(t, nopEvent)
+		ref.at(t)
 	}
 	delta := func(class, spread Time) Time {
 		left := slotW - s.now&(slotW-1) // to the end of now's slot
@@ -761,16 +787,35 @@ func driveWheelOps(t testing.TB, data []byte) (cov wheelOpsCoverage) {
 			return window + spread*1_000_003
 		}
 	}
+	// stage registers a block of events at or after earliest; without shards
+	// it schedules one plain event there instead.
+	stage := func(a, earliest Time) {
+		if shards == 0 {
+			at(earliest)
+			return
+		}
+		job := &opJob{pad: uint64(a >> 6)}
+		for j := Time(0); j <= a%12; j++ {
+			job.evs = append(job.evs, opEvent{int(a+j*5) % shards, earliest + (a>>2+j*3)%7*4099})
+		}
+		s.SubmitSealed(job, earliest)
+		ref.submit(job, earliest)
+		cov.staged += len(job.evs)
+	}
 	pop := func() bool {
 		want, ok := ref.pop()
-		h, got := s.nextWheel()
+		flushes := s.stats.PoolFlushes
+		_, got := s.next()
 		if got != ok {
 			t.Fatalf("pop %d: scheduler has an event = %v, reference = %v", cov.pops, got, ok)
+		}
+		if s.stats.PoolFlushes != flushes {
+			cov.lookahead++
 		}
 		if !ok {
 			return false
 		}
-		ev := s.pop(h)
+		ev := s.wheel.pop()
 		if ev.at != want.at || ev.seq != want.seq {
 			t.Fatalf("pop %d: (at=%d seq=%d), reference (at=%d seq=%d)", cov.pops, ev.at, ev.seq, want.at, want.seq)
 		}
@@ -782,62 +827,43 @@ func driveWheelOps(t testing.TB, data []byte) (cov wheelOpsCoverage) {
 		return true
 	}
 	check := func(op byte) {
-		pending, scheduled, cascades, maxDepth := ref.stats()
 		st := s.Stats()
-		if s.pending() != pending || st.EventsScheduled != scheduled || st.WheelCascades != cascades || st.MaxBucketDepth != maxDepth {
+		if s.pending() != ref.w.pending() || st.EventsScheduled != ref.scheduled ||
+			st.WheelCascades != ref.w.cascades || st.MaxBucketDepth != ref.w.maxDepth {
 			t.Fatalf("after op %#x at now=%d: pending %d scheduled %d cascades %d maxDepth %d, reference %d %d %d %d",
 				op, s.now, s.pending(), st.EventsScheduled, st.WheelCascades, st.MaxBucketDepth,
-				pending, scheduled, cascades, maxDepth)
+				ref.w.pending(), ref.scheduled, ref.w.cascades, ref.w.maxDepth)
 		}
 	}
 
 	for len(data) > 0 {
 		b := data[0]
 		data = data[1:]
-		wheel := int(b>>3) % (1 + shards)
 		switch b & 7 {
-		case 0, 1, 2:
+		case 0, 1:
 			a := arg()
-			at(wheel, s.now+delta(a&7, a>>3))
+			at(s.now + delta(a&7, a>>3))
+		case 2:
+			a, e := arg(), arg()
+			stage(a, s.now+delta(e&7, e>>3))
 		case 3:
 			n, a := 1+arg(), arg()
 			slot := (s.now + delta(1+a%3, a>>2)) &^ (slotW - 1)
 			for i := Time(0); i < n; i++ {
-				at(wheel, slot+(i*7919+a*31)%slotW) // clamped to now where it falls short
+				at(slot + (i*7919+a*31)%slotW) // clamped to now where it falls short
 			}
 		case 4:
 			a := arg()
 			t := s.now + a>>4*1000
 			for i := 0; i <= int(a&15); i++ {
-				at(i%(1+shards), t)
+				at(t)
 			}
 		case 5:
-			a := arg()
-			if shards == 0 {
-				at(0, s.now+delta(a&7, a>>3))
-				break
+			stage(arg(), s.now)
+			if shards > 0 {
+				s.flush()
+				ref.flush()
 			}
-			job := &opJob{pad: uint64(a >> 6)}
-			for j := Time(0); j <= a%12; j++ {
-				job.evs = append(job.evs, struct {
-					shard int
-					at    Time
-				}{int(a+j*5) % shards, s.now + (a>>2+j*3)%7*4099})
-			}
-			s.SubmitSealed(job, s.now)
-			s.flush()
-			base := ref.seq + 1
-			ref.seq += uint64(len(job.evs)) + job.pad
-			for sh := 0; sh < shards; sh++ {
-				for j := len(job.evs) - 1; j >= 0; j-- {
-					if e := job.evs[j]; e.shard == sh {
-						w := &ref.wheels[1+sh]
-						w.scheduled++
-						w.insert(event{at: e.at, seq: base + uint64(j)})
-					}
-				}
-			}
-			cov.staged += len(job.evs)
 		default:
 			for i := 0; i < 4*(1+int(b>>3)) && pop(); i++ {
 			}
@@ -847,16 +873,13 @@ func driveWheelOps(t testing.TB, data []byte) (cov wheelOpsCoverage) {
 	for drain && pop() {
 	}
 	check(0xff)
-	_, _, cov.cascades, cov.maxDepth = ref.stats()
-	for i := range ref.wheels {
-		cov.late += ref.wheels[i].late
-	}
+	cov.cascades, cov.maxDepth, cov.late = ref.w.cascades, ref.w.maxDepth, ref.w.late
 	return cov
 }
 
 // wheelOpStreams is the table TestWheelOpsMatchReference runs and FuzzWheelOps
-// starts from: seeded random op streams for every wheel count, drained and cut
-// short.
+// starts from: seeded random op streams for every shard count of staged
+// blocks, drained and cut short.
 func wheelOpStreams() [][]byte {
 	var streams [][]byte
 	for shape := byte(0); shape < 3; shape++ {
@@ -874,10 +897,11 @@ func wheelOpStreams() [][]byte {
 }
 
 // TestWheelOpsMatchReference extends TestWheelMatchesHeapReference from whole
-// runs to single operations: the scheduler alone, on 1, 9 and 17 wheels,
-// against the heap-bucket reference model after every insert, staged block
-// and pop (driveWheelOps). The table must reach the shapes the wheel's forms
-// differ on; that is asserted too.
+// runs to single operations: the scheduler alone, unsharded and with staged
+// blocks over 8 and 16 shards, against the heap-bucket reference model after
+// every insert, staged block and pop (driveWheelOps). The table must reach the
+// shapes the wheel's forms differ on, and flushes the pop path decides; that
+// is asserted too.
 func TestWheelOpsMatchReference(t *testing.T) {
 	var total wheelOpsCoverage
 	for i, data := range wheelOpStreams() {
@@ -889,19 +913,20 @@ func TestWheelOpsMatchReference(t *testing.T) {
 		total.ties += cov.ties
 		total.late += cov.late
 		total.staged += cov.staged
+		total.lookahead += cov.lookahead
 		total.cascades += cov.cascades
 		total.maxDepth = max(total.maxDepth, cov.maxDepth)
 	}
-	if total.ties == 0 || total.late == 0 || total.staged == 0 || total.cascades == 0 || total.maxDepth < 256 {
+	if total.ties == 0 || total.late == 0 || total.staged == 0 || total.lookahead == 0 || total.cascades == 0 || total.maxDepth < 256 {
 		t.Fatalf("the table misses a shape: %+v", total)
 	}
 	t.Logf("coverage: %+v", total)
 }
 
 // FuzzWheelOps is TestWheelOpsMatchReference with the op stream chosen by the
-// fuzzer: any wheel mutation that the pop path does not see — a stale head, a
-// miscounted depth — shows up as a pop or a counter the reference disagrees
-// with.
+// fuzzer: any wheel mutation that the pop path does not see — a slot opened
+// early, a flush at the wrong point, a miscounted depth — shows up as a pop or
+// a counter the reference disagrees with.
 func FuzzWheelOps(f *testing.F) {
 	for _, data := range wheelOpStreams() {
 		f.Add(data)
