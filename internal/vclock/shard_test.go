@@ -285,3 +285,25 @@ func TestWithShardsZeroIsUnsharded(t *testing.T) {
 			ShardsFor(512), ShardsFor(1024), ShardsFor(2048), ShardsFor(100000))
 	}
 }
+
+// TestShardedSchedulerOwnsItsSlots: a sharded scheduler's bucket array is its
+// own from New on, and Run's Release keeps it there instead of handing it to
+// the pool, where its grown buckets would reach a later run or not as the
+// collector's timing decided.
+func TestShardedSchedulerOwnsItsSlots(t *testing.T) {
+	s := New(WithShards(4))
+	own := s.wheel.slots
+	if own == nil {
+		t.Fatal("a sharded scheduler starts without a bucket array of its own")
+	}
+	tr := &trace{s: s}
+	tr.mark(300*us, "far")
+	(&recJob{tr: tr, name: "j", base: 100 * us, step: 20 * us, stride: us, perShard: 3}).submit()
+	s.Run()
+	if len(tr.lines) != 13 {
+		t.Fatalf("pops %v, want the 12 staged events and the far mark", tr.lines)
+	}
+	if s.wheel.slots != own {
+		t.Fatalf("after Run the wheel holds array %p, want its own %p", s.wheel.slots, own)
+	}
+}

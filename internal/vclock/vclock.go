@@ -286,7 +286,7 @@ type wheel struct {
 	//     events alone.
 	run, late  []event
 	order      []uint32   // indices into run
-	slots      *slotArray // nil until the first bucket insert
+	slots      *slotArray // unsharded: nil until the first bucket insert
 	curSlot    int64
 	wheelCount int
 	overflow   []event
@@ -296,10 +296,17 @@ type wheel struct {
 }
 
 // slotArray is the wheel's near-future bucket array — 6 KB of slice headers
-// plus whatever capacity the buckets have grown. Every scheduler borrows one
-// from slotArrays at its first bucket insert and hands it back at Release,
-// so a short run (the paper's n=7 trials process ~160 events) neither zeroes
-// a fresh array nor regrows its buckets.
+// plus whatever capacity the buckets have grown. An unsharded scheduler
+// borrows one from slotArrays at its first bucket insert and hands it back at
+// Release, so a short run (the paper's n=7 trials process ~160 events)
+// neither zeroes a fresh array nor regrows its buckets.
+//
+// A sharded scheduler owns its array (WithShards) and drops it with itself.
+// Its buckets grow to the depth of a large topology's flush windows — tens of
+// MB at n=10000 — and the pool would carry that capacity into whichever run
+// drew the array next, or not, as the collector's timing decided (sync.Pool
+// empties over two collections): a process running such runs back to back
+// then peaked at 116–120 MB resident in some runs and 132–143 MB in others.
 //
 // Clear-on-return invariant: an array in the pool holds 256 empty buckets
 // whose backing arrays contain no event — no Event pointer of a finished
@@ -723,13 +730,16 @@ func WithMaxSteps(n int64) Option {
 // most NumShards): a flush calls every job's ExpandShard once per shard, and
 // the network maps each shard to a recipient stripe with its own stream; see
 // the package comment. Every shard inserts into the one wheel. Zero shards
-// keeps the scheduler unsharded and makes the option a no-op. Any further
-// argument is ignored; it is accepted, and deprecated, so that callers of
-// the old two-argument form WithShards(shards, workers) still compile.
+// keeps the scheduler unsharded and makes the option a no-op. A sharded
+// scheduler owns its bucket array instead of borrowing one (see slotArray).
+// Any further argument is ignored; it is accepted, and deprecated, so that
+// callers of the old two-argument form WithShards(shards, workers) still
+// compile.
 func WithShards(shards int, _ ...int) Option {
 	return func(s *Scheduler) {
 		if shards > 0 {
 			s.shards = min(shards, NumShards)
+			s.wheel.slots = new(slotArray)
 		}
 	}
 }
@@ -1005,15 +1015,18 @@ func (s *Scheduler) stepHandler(p *Proc) {
 // otherwise leak) and for Runs unwound by a panicking event callback
 // (parked coroutines would leak the same way); Run invokes it on the way
 // out, and callers that build a scheduler but may abandon it should defer
-// it themselves. In every case it hands the wheel's bucket array back to
-// its pool, dropping the events still pending there (see slotArray).
-// After a completed Run that is all it does; calling it twice is a no-op.
+// it themselves. In every case an unsharded scheduler hands the wheel's
+// bucket array back to its pool, dropping the events still pending there; a
+// sharded one keeps its own (see slotArray). After a completed Run that is
+// all it does; calling it twice is a no-op.
 //
 // Release must be called from the goroutine that owns the scheduler, never
 // from event callbacks or process bodies.
 func (s *Scheduler) Release() {
 	// Last, because an unwinding coroutine may still schedule events.
-	defer s.wheel.recycleSlots()
+	if s.shards == 0 {
+		defer s.wheel.recycleSlots()
+	}
 	if s.live == 0 {
 		return // nothing unfinished — notably after every completed Run
 	}
@@ -1050,7 +1063,7 @@ func (s *Scheduler) Release() {
 func (s *Scheduler) Run() Outcome {
 	// On a panicking event callback it releases every coroutine goroutine
 	// (birth-gated or parked) instead of leaking them; it always recycles
-	// the wheel's bucket array.
+	// a borrowed bucket array.
 	defer s.Release()
 	for {
 		if p := s.popRunnable(); p != nil {
