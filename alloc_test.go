@@ -33,17 +33,39 @@ func paperTrial(seed int64) Scenario {
 // dense supporters table, CONS_x[r,ph] as a plain map of CAS objects); the
 // limits leave about 15 % of headroom, so the diet cannot rot unnoticed.
 func TestPaperTrialAllocationGate(t *testing.T) {
+	checkAllocBill(t, "one paper trial", paperTrial(3), 280, 20_600)
+}
+
+// baselineTrial is the paper trial's regime for a message-passing baseline:
+// n=7, split proposals, Uniform(0,200µs).
+func baselineTrial(protocol string, seed int64) Scenario {
+	sc := paperTrial(seed)
+	sc.Protocol, sc.Algorithm = protocol, ""
+	sc.Topology = Topology{N: 7}
+	return sc
+}
+
+// TestBaselineAllocationGate pins the allocation bill of one baseline trial
+// (seed 2). Ben-Or, 4 rounds and 372 events: 265 allocations and 16.9 KB
+// per run, from 458 and 28.5 KB while every exchange built a map tally and
+// received() a slice. mpcoin, 3 rounds and 132 events: 184 allocations and
+// 14.0 KB, from 245 and 18.9 KB as a coroutine body with a map tally per
+// round. The limits leave about 15 % of headroom.
+func TestBaselineAllocationGate(t *testing.T) {
+	checkAllocBill(t, "one benor trial", baselineTrial(ProtocolBenOr, 2), 305, 19_400)
+	checkAllocBill(t, "one mpcoin trial", baselineTrial(ProtocolMPCoin, 2), 212, 16_100)
+}
+
+// checkAllocBill fails unless one run of sc allocates at most maxAllocs
+// objects and maxBytes bytes on average.
+func checkAllocBill(t *testing.T, what string, sc Scenario, maxAllocs, maxBytes int) {
+	t.Helper()
 	if testing.Short() {
 		// -short is how CI runs the race pass, under which sync.Pool drops
 		// a share of its Puts and the counts are not the product's.
 		t.Skip("allocation counts are pinned without the race detector")
 	}
-	const (
-		maxAllocs = 280
-		maxBytes  = 20_600
-		runs      = 200
-	)
-	sc := paperTrial(3)
+	const runs = 200
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	allocs := testing.AllocsPerRun(runs, func() {
@@ -53,10 +75,9 @@ func TestPaperTrialAllocationGate(t *testing.T) {
 	})
 	runtime.ReadMemStats(&m1)
 	bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / (runs + 1) // AllocsPerRun adds a warm-up call
-	t.Logf("one paper trial: %.0f allocations, %.0f bytes", allocs, bytes)
-	if allocs > maxAllocs || bytes > maxBytes {
-		t.Fatalf("one paper trial allocates %.0f times / %.0f bytes, want ≤ %d / %d",
-			allocs, bytes, maxAllocs, maxBytes)
+	t.Logf("%s: %.0f allocations, %.0f bytes", what, allocs, bytes)
+	if allocs > float64(maxAllocs) || bytes > float64(maxBytes) {
+		t.Fatalf("%s allocates %.0f times / %.0f bytes, want ≤ %d / %d", what, allocs, bytes, maxAllocs, maxBytes)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"allforone/internal/coin"
@@ -84,39 +85,39 @@ func (k phaseKey) less(o phaseKey) bool {
 }
 
 // tally counts values received in one phase, one slot per sender to honor
-// the no-duplication guarantee.
+// the no-duplication guarantee: counts[v+1] for v = ⊥, 0, 1.
 type tally struct {
-	counts map[model.Value]int
+	counts [3]int
 	total  int
 }
 
-func newTally() *tally { return &tally{counts: make(map[model.Value]int, 3)} }
-
 func (t *tally) add(v model.Value) {
-	t.counts[v]++
+	t.counts[v+1]++
 	t.total++
 }
 
 // majorityValue returns the binary value reported by more than n/2
 // processes, if any.
 func (t *tally) majorityValue(n int) (model.Value, bool) {
-	for _, v := range []model.Value{model.Zero, model.One} {
-		if 2*t.counts[v] > n {
+	for _, v := range [...]model.Value{model.Zero, model.One} {
+		if 2*t.counts[v+1] > n {
 			return v, true
 		}
 	}
 	return model.Bot, false
 }
 
-// received returns the distinct values seen (the rec_i set).
-func (t *tally) received() []model.Value {
-	out := make([]model.Value, 0, len(t.counts))
-	for _, v := range []model.Value{model.Zero, model.One, model.Bot} {
-		if t.counts[v] > 0 {
-			out = append(out, v)
+// received returns the distinct values seen (the rec_i set) as rec[:k], in
+// the order 0, 1, ⊥. A caller formatting rec[:k] passes a copy
+// (slices.Clone), or rec moves to the heap on every call.
+func (t *tally) received() (rec [3]model.Value, k int) {
+	for _, v := range [...]model.Value{model.Zero, model.One, model.Bot} {
+		if t.counts[v+1] > 0 {
+			rec[k] = v
+			k++
 		}
 	}
-	return out
+	return rec, k
 }
 
 type proc struct {
@@ -154,12 +155,11 @@ func (p *proc) checkAbort(r int) *outcome {
 }
 
 // exchange is Ben-Or's per-phase pattern: broadcast (r, ph, est) and wait
-// until more than n/2 processes reported for (r, ph).
-func (p *proc) exchange(r, ph int, est model.Value) (*tally, *outcome) {
+// until more than n/2 processes reported for (r, ph) into t.
+func (p *proc) exchange(r, ph int, est model.Value, t *tally) *outcome {
 	cur := phaseKey{round: r, phase: ph}
-	t, out := p.beginExchange(r, ph, est)
-	if out != nil {
-		return nil, out
+	if out := p.beginExchange(r, ph, est, t); out != nil {
+		return out
 	}
 
 	for 2*t.total <= p.n {
@@ -167,23 +167,23 @@ func (p *proc) exchange(r, ph int, est model.Value) (*tally, *outcome) {
 		if p.killedNow() {
 			// A timed crash struck while waiting: halt before acting on
 			// whatever was (or was not) received.
-			return nil, &outcome{status: sim.StatusCrashed, round: r}
+			return &outcome{status: sim.StatusCrashed, round: r}
 		}
 		if !ok {
-			return nil, &outcome{status: sim.StatusBlocked, round: r}
+			return &outcome{status: sim.StatusBlocked, round: r}
 		}
 		if out := p.feedExchange(cur, t, msg); out != nil {
-			return nil, out
+			return out
 		}
 	}
-	return t, nil
+	return nil
 }
 
 // beginExchange opens the (r, ph) exchange without waiting: broadcast
-// (honoring a mid-broadcast crash) and replay buffered values. Both body
-// forms open exchanges through it, keeping the send sequence — and the
-// network's RNG stream — identical under either form.
-func (p *proc) beginExchange(r, ph int, est model.Value) (*tally, *outcome) {
+// (honoring a mid-broadcast crash), then restart t with the buffered
+// values. Both body forms open exchanges through it, keeping the send
+// sequence — and the network's RNG stream — identical under either form.
+func (p *proc) beginExchange(r, ph int, est model.Value, t *tally) *outcome {
 	cur := phaseKey{round: r, phase: ph}
 	if p.sched.ShouldCrash(p.id, failures.Point{Round: r, Phase: ph, Stage: failures.StageMidBroadcast}) {
 		plan, _ := p.sched.Plan(p.id)
@@ -192,16 +192,16 @@ func (p *proc) beginExchange(r, ph int, est model.Value) (*tally, *outcome) {
 			recipients = failures.RandomSubset(p.rng, p.n)
 		}
 		p.net.BroadcastSubset(p.id, phaseMsg{round: r, phase: ph, est: est}, recipients)
-		return nil, &outcome{status: sim.StatusCrashed, round: r}
+		return &outcome{status: sim.StatusCrashed, round: r}
 	}
 	p.net.Broadcast(p.id, phaseMsg{round: r, phase: ph, est: est})
 
-	t := newTally()
+	*t = tally{}
 	for _, v := range p.pending[cur] {
 		t.add(v)
 	}
 	delete(p.pending, cur)
-	return t, nil
+	return nil
 }
 
 // feedExchange accounts one received message against the exchange open at
@@ -242,6 +242,7 @@ func (p *proc) decideNow(r, ph int, v model.Value) outcome {
 // run executes Ben-Or's algorithm for one process.
 func (p *proc) run(proposal model.Value) outcome {
 	est1 := proposal
+	var t1, t2 tally
 	for r := 1; ; r++ {
 		if out := p.checkAbort(r); out != nil {
 			return *out
@@ -251,8 +252,7 @@ func (p *proc) run(proposal model.Value) outcome {
 		}
 
 		// Phase 1: champion a value if a majority reports it.
-		t1, interrupted := p.exchange(r, 1, est1)
-		if interrupted != nil {
+		if interrupted := p.exchange(r, 1, est1, &t1); interrupted != nil {
 			return *interrupted
 		}
 		if p.sched.ShouldCrash(p.id, failures.Point{Round: r, Phase: 1, Stage: failures.StageAfterExchange}) {
@@ -264,28 +264,27 @@ func (p *proc) run(proposal model.Value) outcome {
 		}
 
 		// Phase 2: decide, adopt, or flip.
-		t2, interrupted := p.exchange(r, 2, est2)
-		if interrupted != nil {
+		if interrupted := p.exchange(r, 2, est2, &t2); interrupted != nil {
 			return *interrupted
 		}
 		if p.sched.ShouldCrash(p.id, failures.Point{Round: r, Phase: 2, Stage: failures.StageAfterExchange}) {
 			return outcome{status: sim.StatusCrashed, round: r}
 		}
-		rec := t2.received()
+		rec, k := t2.received()
 		p.ctr.ObserveRound(int64(r))
 		switch {
-		case len(rec) == 1 && rec[0].IsBinary():
+		case k == 1 && rec[0].IsBinary():
 			return p.decideNow(r, 2, rec[0])
-		case len(rec) == 2 && rec[1] == model.Bot:
+		case k == 2 && rec[1] == model.Bot:
 			est1 = rec[0]
-		case len(rec) == 1 && rec[0] == model.Bot:
+		case k == 1 && rec[0] == model.Bot:
 			est1 = p.local.Flip()
 			p.ctr.AddCoinFlips(1)
 		default:
 			return outcome{
 				status: sim.StatusFailed,
 				round:  r,
-				err:    fmt.Errorf("benor: weak agreement violated at %v round %d: rec = %v", p.id, r, rec),
+				err:    fmt.Errorf("benor: weak agreement violated at %v round %d: rec = %v", p.id, r, slices.Clone(rec[:k])),
 			}
 		}
 	}

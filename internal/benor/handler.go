@@ -2,6 +2,7 @@ package benor
 
 import (
 	"fmt"
+	"slices"
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
@@ -26,7 +27,7 @@ type reactor struct {
 	r       int // current round
 	ph      int // exchange in progress: phase 1 or 2
 	est1    model.Value
-	t       *tally
+	t       tally
 	done    bool
 }
 
@@ -82,7 +83,7 @@ func (rx *reactor) React(aborted bool) bool {
 		if rx.killedNow() {
 			return rx.finish(outcome{status: sim.StatusCrashed, round: rx.r})
 		}
-		if out := rx.feedExchange(phaseKey{round: rx.r, phase: rx.ph}, rx.t, msg); out != nil {
+		if out := rx.feedExchange(phaseKey{round: rx.r, phase: rx.ph}, &rx.t, msg); out != nil {
 			return rx.finish(*out)
 		}
 	}
@@ -106,12 +107,7 @@ func (rx *reactor) nextRound() *outcome {
 // replay (beginExchange).
 func (rx *reactor) openExchange(ph int, est model.Value) *outcome {
 	rx.ph = ph
-	t, out := rx.beginExchange(rx.r, ph, est)
-	if out != nil {
-		return out
-	}
-	rx.t = t
-	return nil
+	return rx.beginExchange(rx.r, ph, est, &rx.t)
 }
 
 // afterExchange runs the steps that follow a satisfied exchange, up to the
@@ -132,22 +128,22 @@ func (rx *reactor) afterExchange() *outcome {
 	if rx.sched.ShouldCrash(rx.id, failures.Point{Round: r, Phase: 2, Stage: failures.StageAfterExchange}) {
 		return &outcome{status: sim.StatusCrashed, round: r}
 	}
-	rec := rx.t.received()
+	rec, k := rx.t.received()
 	rx.ctr.ObserveRound(int64(r))
 	switch {
-	case len(rec) == 1 && rec[0].IsBinary():
+	case k == 1 && rec[0].IsBinary():
 		out := rx.decideNow(r, 2, rec[0])
 		return &out
-	case len(rec) == 2 && rec[1] == model.Bot:
+	case k == 2 && rec[1] == model.Bot:
 		rx.est1 = rec[0]
-	case len(rec) == 1 && rec[0] == model.Bot:
+	case k == 1 && rec[0] == model.Bot:
 		rx.est1 = rx.local.Flip()
 		rx.ctr.AddCoinFlips(1)
 	default:
 		return &outcome{
 			status: sim.StatusFailed,
 			round:  r,
-			err:    fmt.Errorf("benor: weak agreement violated at %v round %d: rec = %v", rx.id, r, rec),
+			err:    fmt.Errorf("benor: weak agreement violated at %v round %d: rec = %v", rx.id, r, slices.Clone(rec[:k])),
 		}
 	}
 	return rx.nextRound()

@@ -9,6 +9,11 @@
 // when the round's coin bit equals v; otherwise it adopts the coin bit.
 // Like every pure message-passing consensus, it requires a majority of
 // correct processes.
+//
+// A process is an inline handler reactor (driver.RunHandlers, DESIGN.md
+// §11) and has no coroutine form: the round's majority wait is the only
+// wait point, so each invocation drains the inbox into the open round's
+// tally and runs everything up to the next round's broadcast straight-line.
 package mpcoin
 
 import (
@@ -34,6 +39,9 @@ type Config struct {
 	Proposals []model.Value
 	// Seed makes all randomness reproducible.
 	Seed int64
+	// Body must not be sim.BodyCoroutine: mpcoin is an inline handler
+	// reactor only.
+	Body sim.BodyKind
 	// Crashes is the failure pattern; nil means crash-free.
 	Crashes *failures.Schedule
 	// MaxRounds bounds execution; 0 = unbounded.
@@ -68,6 +76,10 @@ type decideMsg struct {
 	val model.Value
 }
 
+// proc is one process, a driver.Reactor. Its resumable state is the open
+// round r, the estimate est it broadcast, and the round's tally. Every step
+// happens in the algorithm's statement order, however invocations split the
+// run, so the network's RNG stream and the (at,seq) order follow from it.
 type proc struct {
 	id        model.ProcID
 	n         int
@@ -79,122 +91,144 @@ type proc struct {
 	rng       *rand.Rand
 	maxRounds int
 	pending   map[int][]model.Value // round -> buffered estimates
+	store     *sim.ProcResult       // this process's slot of the Result
+
+	r      int // open round; 0 before the first invocation
+	est    model.Value
+	counts [2]int // estimates of round r, indexed by value
+	total  int
 }
 
-// killedNow reports whether a timed crash has struck this process; it
-// halts at the next step point that observes it.
-func (p *proc) killedNow() bool { return p.h.Killed() }
-
-type outcome struct {
-	status sim.Status
-	val    model.Value
-	round  int
+// finish records the outcome; React returns its result, retiring the
+// process.
+func (p *proc) finish(out sim.ProcResult) bool {
+	*p.store = out
+	return true
 }
 
-func (p *proc) checkAbort(r int) *outcome {
-	if p.killedNow() {
-		return &outcome{status: sim.StatusCrashed, round: r}
+// stop ends the process where it waits: crashed if a timed crash struck it,
+// blocked otherwise.
+func (p *proc) stop() bool {
+	if p.h.Killed() {
+		return p.finish(sim.ProcResult{Status: sim.StatusCrashed, Round: p.r})
 	}
-	if p.h.Aborted() || (p.maxRounds > 0 && r > p.maxRounds) {
-		return &outcome{status: sim.StatusBlocked, round: r - 1}
-	}
-	return nil
+	return p.finish(sim.ProcResult{Status: sim.StatusBlocked, Round: p.r})
 }
 
-// exchange broadcasts (r, est) and collects estimates from a majority.
-func (p *proc) exchange(r int, est model.Value) (map[model.Value]int, *outcome) {
-	if p.sched.ShouldCrash(p.id, failures.Point{Round: r, Phase: 1, Stage: failures.StageMidBroadcast}) {
-		plan, _ := p.sched.Plan(p.id)
-		recipients := plan.DeliverTo
-		if recipients == nil {
-			recipients = failures.RandomSubset(p.rng, p.n)
+// React runs one invocation: drain every deliverable message into the open
+// round's tally and advance the round machine to its next wait point.
+func (p *proc) React(aborted bool) bool {
+	if p.r == 0 {
+		if aborted {
+			return true // the run ended before this process took a step
 		}
-		p.net.BroadcastSubset(p.id, estMsg{round: r, est: est}, recipients)
-		return nil, &outcome{status: sim.StatusCrashed, round: r}
+		if p.nextRound() {
+			return true
+		}
 	}
-	p.net.Broadcast(p.id, estMsg{round: r, est: est})
-
-	counts := make(map[model.Value]int, 2)
-	total := 0
-	for _, v := range p.pending[r] {
-		counts[v]++
-		total++
+	if aborted {
+		return p.stop() // queued messages stay unconsumed
 	}
-	delete(p.pending, r)
-
-	for 2*total <= p.n {
-		msg, ok := p.net.Receive(p.id)
-		if p.killedNow() {
-			// A timed crash struck while waiting: halt before acting on
-			// whatever was (or was not) received.
-			return nil, &outcome{status: sim.StatusCrashed, round: r}
+	for {
+		if 2*p.total > p.n {
+			if p.afterExchange() {
+				return true
+			}
+			continue
+		}
+		msg, ok, closed := p.net.ReceiveNow(p.id)
+		if p.h.Killed() || (!ok && closed) {
+			// A timed crash halts the process before it acts on what it
+			// received; a closed, drained inbox leaves it blocked.
+			return p.stop()
 		}
 		if !ok {
-			return nil, &outcome{status: sim.StatusBlocked, round: r}
+			return false // inbox drained; wait for the next wake
 		}
 		switch payload := msg.Payload.(type) {
 		case decideMsg:
 			p.ctr.AddDecideMsgs(int64(p.n))
 			p.net.Broadcast(p.id, payload)
-			return nil, &outcome{status: sim.StatusDecided, val: payload.val, round: r}
+			return p.finish(sim.ProcResult{Status: sim.StatusDecided, Decision: payload.val, Round: p.r})
 		case estMsg:
 			switch {
-			case payload.round == r:
-				counts[payload.est]++
-				total++
-			case payload.round > r:
+			case payload.round == p.r:
+				p.counts[payload.est]++
+				p.total++
+			case payload.round > p.r:
 				p.pending[payload.round] = append(p.pending[payload.round], payload.est)
 			}
 		}
 	}
-	return counts, nil
 }
 
-func (p *proc) run(proposal model.Value) outcome {
-	est := proposal
-	for r := 1; ; r++ {
-		if out := p.checkAbort(r); out != nil {
-			return *out
+// nextRound opens round r+1: its abort and round-start checks, the
+// broadcast of the estimate (cut short by a mid-broadcast crash), and the
+// replay of the estimates that arrived early. It reports whether the
+// process finished.
+func (p *proc) nextRound() bool {
+	p.r++
+	switch {
+	case p.h.Killed():
+		return p.finish(sim.ProcResult{Status: sim.StatusCrashed, Round: p.r})
+	case p.h.Aborted() || (p.maxRounds > 0 && p.r > p.maxRounds):
+		return p.finish(sim.ProcResult{Status: sim.StatusBlocked, Round: p.r - 1})
+	case p.sched.ShouldCrash(p.id, failures.Point{Round: p.r, Phase: 1, Stage: failures.StageRoundStart}):
+		return p.finish(sim.ProcResult{Status: sim.StatusCrashed, Round: p.r})
+	case p.sched.ShouldCrash(p.id, failures.Point{Round: p.r, Phase: 1, Stage: failures.StageMidBroadcast}):
+		plan, _ := p.sched.Plan(p.id)
+		recipients := plan.DeliverTo
+		if recipients == nil {
+			recipients = failures.RandomSubset(p.rng, p.n)
 		}
-		if p.sched.ShouldCrash(p.id, failures.Point{Round: r, Phase: 1, Stage: failures.StageRoundStart}) {
-			return outcome{status: sim.StatusCrashed, round: r}
-		}
-		counts, interrupted := p.exchange(r, est)
-		if interrupted != nil {
-			return *interrupted
-		}
-		if p.sched.ShouldCrash(p.id, failures.Point{Round: r, Phase: 1, Stage: failures.StageAfterExchange}) {
-			return outcome{status: sim.StatusCrashed, round: r}
-		}
+		p.net.BroadcastSubset(p.id, estMsg{round: p.r, est: p.est}, recipients)
+		return p.finish(sim.ProcResult{Status: sim.StatusCrashed, Round: p.r})
+	}
+	p.net.Broadcast(p.id, estMsg{round: p.r, est: p.est})
+	p.counts, p.total = [2]int{}, 0
+	for _, v := range p.pending[p.r] {
+		p.counts[v]++
+		p.total++
+	}
+	delete(p.pending, p.r)
+	return false
+}
 
-		s := p.common.Bit(r)
-		p.ctr.ObserveRound(int64(r))
-		major := model.Bot
-		for _, v := range []model.Value{model.Zero, model.One} {
-			if 2*counts[v] > p.n {
-				major = v
-				break
-			}
-		}
-		if major != model.Bot {
-			est = major
-			if s == major {
-				if p.sched.ShouldCrash(p.id, failures.Point{Round: r, Phase: 1, Stage: failures.StageBeforeDecide}) {
-					plan, _ := p.sched.Plan(p.id)
-					if len(plan.DeliverTo) > 0 {
-						p.ctr.AddDecideMsgs(int64(len(plan.DeliverTo)))
-						p.net.BroadcastSubset(p.id, decideMsg{val: major}, plan.DeliverTo)
-					}
-					return outcome{status: sim.StatusCrashed, round: r}
-				}
-				p.ctr.AddDecideMsgs(int64(p.n))
-				p.net.Broadcast(p.id, decideMsg{val: major})
-				return outcome{status: sim.StatusDecided, val: major, round: r}
-			}
-		} else {
-			est = s
+// afterExchange runs the steps that follow a satisfied majority wait: the
+// coin, then deciding or adopting and opening the next round. It reports
+// whether the process finished.
+func (p *proc) afterExchange() bool {
+	if p.sched.ShouldCrash(p.id, failures.Point{Round: p.r, Phase: 1, Stage: failures.StageAfterExchange}) {
+		return p.finish(sim.ProcResult{Status: sim.StatusCrashed, Round: p.r})
+	}
+	s := p.common.Bit(p.r)
+	p.ctr.ObserveRound(int64(p.r))
+	major := model.Bot
+	for _, v := range [...]model.Value{model.Zero, model.One} {
+		if 2*p.counts[v] > p.n {
+			major = v
+			break
 		}
 	}
+	if major == model.Bot {
+		p.est = s
+		return p.nextRound()
+	}
+	p.est = major
+	if s != major {
+		return p.nextRound()
+	}
+	if p.sched.ShouldCrash(p.id, failures.Point{Round: p.r, Phase: 1, Stage: failures.StageBeforeDecide}) {
+		plan, _ := p.sched.Plan(p.id)
+		if len(plan.DeliverTo) > 0 {
+			p.ctr.AddDecideMsgs(int64(len(plan.DeliverTo)))
+			p.net.BroadcastSubset(p.id, decideMsg{val: major}, plan.DeliverTo)
+		}
+		return p.finish(sim.ProcResult{Status: sim.StatusCrashed, Round: p.r})
+	}
+	p.ctr.AddDecideMsgs(int64(p.n))
+	p.net.Broadcast(p.id, decideMsg{val: major})
+	return p.finish(sim.ProcResult{Status: sim.StatusDecided, Decision: major, Round: p.r})
 }
 
 // newProc builds process i's runtime state.
@@ -211,20 +245,8 @@ func newProc(cfg *Config, i int, nw *netsim.Network, commonCoin coin.Common, ctr
 		rng:       rand.New(rand.NewPCG(s1, s2)),
 		maxRounds: cfg.MaxRounds,
 		pending:   make(map[int][]model.Value),
+		est:       cfg.Proposals[i],
 	}
-}
-
-// assemble builds the Result from the collected outcomes.
-func assemble(cfg *Config, outcomes []outcome, ctr *metrics.Counters, elapsed time.Duration) *sim.Result {
-	res := &sim.Result{
-		Procs:   make([]sim.ProcResult, cfg.N),
-		Metrics: ctr.Read(),
-		Elapsed: elapsed,
-	}
-	for i, o := range outcomes {
-		res.Procs[i] = sim.ProcResult{Status: o.status, Decision: o.val, Round: o.round}
-	}
-	return res
 }
 
 // Run executes one consensus instance and returns per-process outcomes.
@@ -240,27 +262,31 @@ func Run(cfg Config) (*sim.Result, error) {
 			return nil, fmt.Errorf("%w: proposal of %v is %v", ErrBadConfig, model.ProcID(i), v)
 		}
 	}
+	if cfg.Body == sim.BodyCoroutine {
+		return nil, fmt.Errorf("%w: mpcoin has no coroutine body form", ErrBadConfig)
+	}
 	var commonCoin coin.Common = coin.NewSplitMixCommon(uint64(cfg.Seed) ^ 0x1656_67c5_27d4_eb2f)
 	if cfg.CommonCoinOverride != nil {
 		commonCoin = cfg.CommonCoinOverride
 	}
 	var ctr metrics.Counters
 	var nw *netsim.Network
-	outcomes := make([]outcome, cfg.N)
-	out, err := driver.Run(driver.Config{
+	res := &sim.Result{Procs: make([]sim.ProcResult, cfg.N)}
+	out, err := driver.RunHandlers(driver.Config{
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
 		Crashes:        cfg.Crashes,
 	}, cfg.N, driver.StandardNet(&nw, cfg.N, uint64(cfg.Seed)^0x27d4_eb2f_1656_67c5, &ctr, cfg.MinDelay, cfg.MaxDelay, cfg.NetOptions...),
-		func(i int, h *driver.Handle) {
+		func(i int, h *driver.Handle) driver.Reactor {
 			p := newProc(&cfg, i, nw, commonCoin, &ctr)
 			p.h = h
-			outcomes[i] = p.run(cfg.Proposals[i])
+			p.store = &res.Procs[i]
+			return p
 		})
 	if err != nil {
 		return nil, err
 	}
-	res := assemble(&cfg, outcomes, &ctr, out.Elapsed)
+	res.Metrics = ctr.Read()
 	out.Fill(res)
 	return res, nil
 }

@@ -34,6 +34,7 @@ func TestConfigValidation(t *testing.T) {
 		{N: 0},
 		{N: 3, Proposals: unanimous(2, model.One)},
 		{N: 2, Proposals: []model.Value{model.One, model.Value(5)}},
+		{N: 1, Proposals: unanimous(1, model.One), Body: sim.BodyCoroutine}, // reactor only
 	}
 	for i, cfg := range cases {
 		if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {

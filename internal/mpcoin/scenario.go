@@ -32,6 +32,7 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 		N:              n,
 		Proposals:      sc.Workload.Binary,
 		Seed:           sc.Seed,
+		Body:           sc.Body,
 		Crashes:        sc.Faults,
 		MaxRounds:      sc.Bounds.MaxRounds,
 		MaxVirtualTime: sc.Bounds.MaxVirtualTime,
