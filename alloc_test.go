@@ -139,10 +139,7 @@ func poolScenarios() []Scenario {
 			}
 		}
 		for _, name := range []string{ProtocolBenOr, ProtocolMPCoin} {
-			sc := paperTrial(seed)
-			sc.Protocol, sc.Algorithm = name, ""
-			sc.Topology = Topology{N: 7}
-			scs = append(scs, sc)
+			scs = append(scs, baselineTrial(name, seed))
 		}
 	}
 	return scs

@@ -39,9 +39,6 @@ type Config struct {
 	Proposals []model.Value
 	// Seed makes all randomness reproducible.
 	Seed int64
-	// Body must not be sim.BodyCoroutine: mpcoin is an inline handler
-	// reactor only.
-	Body sim.BodyKind
 	// Crashes is the failure pattern; nil means crash-free.
 	Crashes *failures.Schedule
 	// MaxRounds bounds execution; 0 = unbounded.
@@ -261,9 +258,6 @@ func Run(cfg Config) (*sim.Result, error) {
 		if !v.IsBinary() {
 			return nil, fmt.Errorf("%w: proposal of %v is %v", ErrBadConfig, model.ProcID(i), v)
 		}
-	}
-	if cfg.Body == sim.BodyCoroutine {
-		return nil, fmt.Errorf("%w: mpcoin has no coroutine body form", ErrBadConfig)
 	}
 	var commonCoin coin.Common = coin.NewSplitMixCommon(uint64(cfg.Seed) ^ 0x1656_67c5_27d4_eb2f)
 	if cfg.CommonCoinOverride != nil {

@@ -9,6 +9,7 @@ import (
 	"allforone/internal/coin"
 	"allforone/internal/failures"
 	"allforone/internal/model"
+	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
 
@@ -34,12 +35,29 @@ func TestConfigValidation(t *testing.T) {
 		{N: 0},
 		{N: 3, Proposals: unanimous(2, model.One)},
 		{N: 2, Proposals: []model.Value{model.One, model.Value(5)}},
-		{N: 1, Proposals: unanimous(1, model.One), Body: sim.BodyCoroutine}, // reactor only
 	}
 	for i, cfg := range cases {
 		if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("case %d: error = %v, want ErrBadConfig", i, err)
 		}
+	}
+}
+
+// mpcoin is a reactor only: a scenario asking for the coroutine form is
+// rejected, the default form runs.
+func TestScenarioRejectsCoroutineBody(t *testing.T) {
+	t.Parallel()
+	sc := protocol.Scenario{
+		Protocol: ProtocolName,
+		Topology: protocol.Topology{N: 1},
+		Workload: protocol.Workload{Binary: unanimous(1, model.One)},
+	}
+	if _, err := protocol.Run(sc); err != nil {
+		t.Fatalf("BodyAuto: %v", err)
+	}
+	sc.Body = sim.BodyCoroutine
+	if _, err := protocol.Run(sc); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("BodyCoroutine: error = %v, want ErrBadConfig", err)
 	}
 }
 

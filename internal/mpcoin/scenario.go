@@ -1,7 +1,10 @@
 package mpcoin
 
 import (
+	"fmt"
+
 	"allforone/internal/protocol"
+	"allforone/internal/sim"
 )
 
 // ProtocolName is the registry name of the message-passing common-coin
@@ -20,6 +23,9 @@ func init() {
 }
 
 func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
+	if sc.Body == sim.BodyCoroutine {
+		return nil, fmt.Errorf("%w: mpcoin has no coroutine body form", ErrBadConfig)
+	}
 	n, err := sc.Topology.Procs()
 	if err != nil {
 		return nil, err
@@ -32,7 +38,6 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 		N:              n,
 		Proposals:      sc.Workload.Binary,
 		Seed:           sc.Seed,
-		Body:           sc.Body,
 		Crashes:        sc.Faults,
 		MaxRounds:      sc.Bounds.MaxRounds,
 		MaxVirtualTime: sc.Bounds.MaxVirtualTime,
