@@ -9,11 +9,14 @@
 // one proposal; all live replicas append the same value. Agreement across
 // the whole log follows from per-slot agreement plus in-order processing.
 //
-// The runtime is one process per replica over a shared simulated network
-// (a vclock coroutine — see internal/driver), with all protocol messages
-// tagged by (slot, instance, round) so replicas at different log positions
-// never confuse each other's traffic; per-slot and per-instance DECIDE
-// short-circuits let stragglers catch up.
+// A replica is an inline handler reactor (driver.RunHandlers, DESIGN.md
+// §11) and has no coroutine form: its resumable state is its position in
+// the slot → instance → round loops, and each invocation drains the inbox
+// and runs the loops up to the next wait — a round's tally covering a
+// majority, or the URB delivery of an instance winner's proposal. All
+// protocol messages are tagged by (slot, instance, round) so replicas at
+// different log positions never confuse each other's traffic; per-slot and
+// per-instance DECIDE short-circuits let stragglers catch up.
 package smr
 
 import (
@@ -194,12 +197,39 @@ type pendingMsg struct {
 	est  model.Value
 }
 
-type outcome struct {
-	status sim.Status
-	log    []string
-	rounds int
+// slotRow is what a replica has learnt of one log slot.
+type slotRow struct {
+	props   []proposal    // by origin: the URB-delivered proposals
+	bin     []model.Value // by instance: the binary decisions, Bot while open
+	decided bool
+	val     string // the slot's decision, once decided
 }
 
+// proposal is one origin's proposal for a slot; ok once it was delivered.
+type proposal struct {
+	val string
+	ok  bool
+}
+
+// rowChunk is how many slot rows a replica allocates at once (fewer when
+// the log is shorter).
+const rowChunk = 32
+
+// Stages of a replica's position in its slot → instance → round loops.
+const (
+	unstarted   = iota // before the first invocation
+	atSlot             // top of a slot: propose the queue's front
+	atInst             // top of an instance of the slot's reduction
+	atRound            // top of a binary round
+	collecting         // the round's tally does not cover a majority yet
+	awaitingURB        // the instance decided One; the winner's proposal is not delivered yet
+)
+
+// replica is one log replica, a driver.Reactor. Its resumable state is its
+// stage and position (slot, inst, round) in the loops, the open round's
+// estimate and tally. Every step happens in the loops' statement order,
+// however invocations split the run, so the network's RNG stream and the
+// (at,seq) order follow from it.
 type replica struct {
 	id      model.ProcID
 	part    *model.Partition
@@ -209,17 +239,43 @@ type replica struct {
 	sched   *failures.Schedule
 	ctr     *metrics.Counters
 	h       *driver.Handle // the engine's abort/kill state
+	store   *ReplicaResult // this replica's slot of the Result
 	maxRnd  int
 	queue   []string
 	slots   int
 	maxInst int
+	chunk   int // rows per allocation
 
-	delivered   map[[2]int]string      // (slot, origin) -> proposal
-	binDecided  map[[2]int]model.Value // (slot, inst) -> decision
-	slotDecided map[int]string         // slot -> value
+	rows        [][]slotRow // chunks of rows, by slot
 	pending     map[posKey][]pendingMsg
 	log         []string
 	globalRound int
+
+	stage             int
+	slot, inst, round int
+	est               model.Value
+	tally             tally
+}
+
+// row returns the replica's row for slot. Rows are allocated a chunk at a
+// time as messages first name their slots, so growing never copies a row
+// and a row's address is stable.
+func (r *replica) row(slot int) *slotRow {
+	for c := slot / r.chunk; len(r.rows) <= c; {
+		n, k := r.part.N(), r.chunk
+		rows := make([]slotRow, k)
+		props := make([]proposal, k*n)
+		bin := make([]model.Value, k*r.maxInst)
+		for i := range bin {
+			bin[i] = model.Bot
+		}
+		for i := range rows {
+			rows[i].props = props[i*n : (i+1)*n : (i+1)*n]
+			rows[i].bin = bin[i*r.maxInst : (i+1)*r.maxInst : (i+1)*r.maxInst]
+		}
+		r.rows = append(r.rows, rows)
+	}
+	return &r.rows[slot/r.chunk][slot%r.chunk]
 }
 
 // commonBit is the shared coin for (slot, instance, round).
@@ -230,12 +286,12 @@ func (r *replica) commonBit(slot, inst, round int) model.Value {
 
 // urbDeliver forwards then records a proposal (uniformity discipline).
 func (r *replica) urbDeliver(m propMsg) {
-	key := [2]int{m.Slot, int(m.Origin)}
-	if _, ok := r.delivered[key]; ok {
+	p := &r.row(m.Slot).props[m.Origin]
+	if p.ok {
 		return
 	}
 	r.net.Broadcast(r.id, m)
-	r.delivered[key] = m.Val
+	*p = proposal{val: m.Val, ok: true}
 }
 
 // handle dispatches one message; cur/sup describe the replica's current
@@ -245,14 +301,13 @@ func (r *replica) handle(msg netsim.Message, cur posKey, sup *tally) {
 	case propMsg:
 		r.urbDeliver(m)
 	case slotDecideMsg:
-		if _, ok := r.slotDecided[m.Slot]; !ok {
-			r.slotDecided[m.Slot] = m.Val
+		if row := r.row(m.Slot); !row.decided {
+			row.decided, row.val = true, m.Val
 			r.net.Broadcast(r.id, m) // relay so every replica learns it
 		}
 	case binDecideMsg:
-		key := [2]int{m.Slot, m.Inst}
-		if _, ok := r.binDecided[key]; !ok {
-			r.binDecided[key] = m.Val
+		if bin := &r.row(m.Slot).bin[m.Inst]; *bin == model.Bot {
+			*bin = m.Val
 		}
 	case instMsg:
 		k := posKey{slot: m.Slot, inst: m.Inst, round: m.Round}
@@ -265,194 +320,253 @@ func (r *replica) handle(msg netsim.Message, cur posKey, sup *tally) {
 	}
 }
 
-// tally is the closure-based supporter accounting.
+// tally is a round's supporter accounting: the cluster closures of the
+// senders of each value, and of all senders. A replica owns one, carved by
+// model.NewProcSets and cleared at every round start.
 type tally struct {
-	n      int
-	byVal  map[model.Value]*model.ProcSet
-	covers *model.ProcSet
+	byVal  [2]model.ProcSet
+	covers model.ProcSet
 }
 
-func newTally(n int) *tally {
-	return &tally{n: n, byVal: make(map[model.Value]*model.ProcSet, 2), covers: model.NewProcSet(n)}
+func newTally(n int) tally {
+	sets := model.NewProcSets(n, 3)
+	return tally{byVal: [2]model.ProcSet{sets[0], sets[1]}, covers: sets[2]}
+}
+
+func (t *tally) clear() {
+	t.byVal[0].Clear()
+	t.byVal[1].Clear()
+	t.covers.Clear()
 }
 
 func (t *tally) add(part *model.Partition, sender model.ProcID, v model.Value) {
-	set, ok := t.byVal[v]
-	if !ok {
-		set = model.NewProcSet(t.n)
-		t.byVal[v] = set
-	}
 	closure := part.Cluster(sender)
-	set.UnionInto(closure)
+	t.byVal[v].UnionInto(closure)
 	t.covers.UnionInto(closure)
 }
 
 func (t *tally) majority() (model.Value, bool) {
-	for _, v := range []model.Value{model.Zero, model.One} {
-		if set, ok := t.byVal[v]; ok && set.IsMajority() {
+	for _, v := range [...]model.Value{model.Zero, model.One} {
+		if t.byVal[v].IsMajority() {
 			return v, true
 		}
 	}
 	return model.Bot, false
 }
 
-// binaryInstance runs one (slot, inst)-tagged Algorithm-3 instance.
-func (r *replica) binaryInstance(slot, inst int, input model.Value) (model.Value, *outcome) {
-	key := [2]int{slot, inst}
-	if v, ok := r.binDecided[key]; ok {
-		return v, nil
-	}
-	est := input
-	for round := 1; ; round++ {
-		r.globalRound++
-		if r.h.Killed() {
-			return model.Bot, &outcome{status: sim.StatusCrashed, log: r.log, rounds: r.globalRound}
-		}
-		if r.h.Aborted() || (r.maxRnd > 0 && round > r.maxRnd) {
-			return model.Bot, &outcome{status: sim.StatusBlocked, log: r.log, rounds: r.globalRound}
-		}
-		if r.sched.ShouldCrash(r.id, failures.Point{
-			Round: r.globalRound, Phase: 1, Stage: failures.StageRoundStart,
-		}) {
-			return model.Bot, &outcome{status: sim.StatusCrashed, log: r.log, rounds: r.globalRound}
-		}
-
-		est = r.clusterPropose(slot, inst, round, est)
-		cur := posKey{slot: slot, inst: inst, round: round}
-		r.net.Broadcast(r.id, instMsg{Slot: slot, Inst: inst, Round: round, Est: est})
-		sup := newTally(r.part.N())
-		for _, pm := range r.pending[cur] {
-			sup.add(r.part, pm.from, pm.est)
-		}
-		delete(r.pending, cur)
-		for !sup.covers.IsMajority() {
-			if v, ok := r.binDecided[key]; ok {
-				return v, nil
-			}
-			if _, ok := r.slotDecided[slot]; ok {
-				// The whole slot is already settled; the instance outcome
-				// no longer matters.
-				return model.Bot, nil
-			}
-			msg, ok := r.net.Receive(r.id)
-			if r.h.Killed() {
-				// A timed crash struck while waiting: halt before acting on
-				// whatever was (or was not) received.
-				return model.Bot, &outcome{status: sim.StatusCrashed, log: r.log, rounds: r.globalRound}
-			}
-			if !ok {
-				return model.Bot, &outcome{status: sim.StatusBlocked, log: r.log, rounds: r.globalRound}
-			}
-			r.handle(msg, cur, sup)
-		}
-		if v, ok := r.binDecided[key]; ok {
-			return v, nil
-		}
-		if _, ok := r.slotDecided[slot]; ok {
-			return model.Bot, nil
-		}
-
-		s := r.commonBit(slot, inst, round)
-		r.ctr.ObserveRound(int64(r.globalRound))
-		if v, ok := sup.majority(); ok {
-			est = v
-			if s == v {
-				r.binDecided[key] = v
-				r.ctr.AddDecideMsgs(int64(r.part.N()))
-				r.net.Broadcast(r.id, binDecideMsg{Slot: slot, Inst: inst, Val: v})
-				return v, nil
-			}
-		} else {
-			est = s
-		}
-	}
+// finish records the outcome; React returns its result, retiring the
+// replica.
+func (r *replica) finish(status sim.Status) bool {
+	*r.store = ReplicaResult{Status: status, Log: r.log, Rounds: r.globalRound}
+	return true
 }
 
-// clusterPropose runs the cluster consensus for (slot, inst, round).
-func (r *replica) clusterPropose(slot, inst, round int, v model.Value) model.Value {
-	out := r.cons.Propose(slot*10_000_000+inst*10_000+round, 1, v)
-	r.ctr.AddConsInvocations(1)
-	return out
-}
-
-// decideSlot settles one slot: broadcast and append.
-func (r *replica) decideSlot(slot int, val string) {
-	if _, ok := r.slotDecided[slot]; !ok {
-		r.slotDecided[slot] = val
-		r.ctr.AddDecideMsgs(int64(r.part.N()))
-		r.net.Broadcast(r.id, slotDecideMsg{Slot: slot, Val: val})
+// stop ends the replica where it waits: crashed if a timed crash struck it,
+// blocked otherwise.
+func (r *replica) stop() bool {
+	if r.h.Killed() {
+		return r.finish(sim.StatusCrashed)
 	}
+	return r.finish(sim.StatusBlocked)
 }
 
-// agreeSlot drives one slot's multivalued reduction to a decision.
-func (r *replica) agreeSlot(slot int, proposal string) (string, *outcome) {
-	// URB-broadcast this replica's proposal for the slot.
-	r.net.Broadcast(r.id, propMsg{Slot: slot, Origin: r.id, Val: proposal})
-	r.delivered[[2]int{slot, int(r.id)}] = proposal
-
-	for inst := 0; inst < r.maxInst; inst++ {
-		if v, ok := r.slotDecided[slot]; ok {
-			return v, nil
+// React runs one invocation: advance the loops, draining every deliverable
+// message at a wait until the wait is over, up to the next wait whose
+// condition does not hold yet.
+func (r *replica) React(aborted bool) bool {
+	if aborted {
+		if r.stage == unstarted {
+			return true // the run ended before this replica took a step
 		}
-		target := model.ProcID(inst % r.part.N())
-		// Input rule: support a delivered target — but on the first cycle
-		// only targets with a real command, so no-ops win a slot only when
-		// no delivered proposal carries a command (the second cycle lifts
-		// the restriction to guarantee progress).
-		cycle := inst / r.part.N()
-		input := model.Zero
-		if v, ok := r.delivered[[2]int{slot, int(target)}]; ok && (cycle >= 1 || v != NoOp) {
-			input = model.One
+		return r.stop() // queued messages stay unconsumed
+	}
+	if r.stage == unstarted {
+		r.stage = atSlot
+	}
+	for {
+		var done, waiting bool
+		switch r.stage {
+		case atSlot:
+			done = r.openSlot()
+		case atInst:
+			done = r.openInstance()
+		case atRound:
+			done = r.openRound()
+		case collecting:
+			waiting = !r.collected()
+		case awaitingURB:
+			waiting = !r.urbDelivered()
 		}
-		dec, fin := r.binaryInstance(slot, inst, input)
-		if fin != nil {
-			return "", fin
+		if done {
+			return true
 		}
-		if v, ok := r.slotDecided[slot]; ok {
-			return v, nil
-		}
-		if dec != model.One {
+		if !waiting {
 			continue
 		}
-		// Wait for the guaranteed URB delivery of the winner's proposal.
-		for {
-			if v, ok := r.delivered[[2]int{slot, int(target)}]; ok {
-				r.decideSlot(slot, v)
-				return v, nil
-			}
-			if v, ok := r.slotDecided[slot]; ok {
-				return v, nil
-			}
-			msg, ok := r.net.Receive(r.id)
-			if r.h.Killed() {
-				return "", &outcome{status: sim.StatusCrashed, log: r.log, rounds: r.globalRound}
-			}
-			if !ok {
-				return "", &outcome{status: sim.StatusBlocked, log: r.log, rounds: r.globalRound}
-			}
-			r.handle(msg, posKey{slot: slot, inst: r.maxInst + 1}, nil)
+		msg, ok, closed := r.net.ReceiveNow(r.id)
+		if r.h.Killed() || (!ok && closed) {
+			// A timed crash halts the replica before it acts on what it
+			// received; a closed, drained inbox leaves it blocked.
+			return r.stop()
+		}
+		if !ok {
+			return false // inbox drained; wait for the next wake
+		}
+		if r.stage == collecting {
+			r.handle(msg, posKey{slot: r.slot, inst: r.inst, round: r.round}, &r.tally)
+		} else {
+			r.handle(msg, posKey{slot: r.slot, inst: r.maxInst + 1}, nil)
 		}
 	}
-	return "", &outcome{status: sim.StatusBlocked, log: r.log, rounds: r.globalRound}
 }
 
-// run processes all slots in order.
-func (r *replica) run() outcome {
-	for slot := 0; slot < r.slots; slot++ {
-		proposal := NoOp
-		if len(r.queue) > 0 {
-			proposal = r.queue[0]
-		}
-		val, fin := r.agreeSlot(slot, proposal)
-		if fin != nil {
-			return *fin
-		}
-		r.log = append(r.log, val)
-		if len(r.queue) > 0 && val == r.queue[0] {
-			r.queue = r.queue[1:] // own command committed; advance
+// openSlot starts the next slot by URB-broadcasting the front of the queue,
+// or finishes the replica once every slot is decided.
+func (r *replica) openSlot() bool {
+	if r.slot == r.slots {
+		return r.finish(sim.StatusDecided)
+	}
+	val := NoOp
+	if len(r.queue) > 0 {
+		val = r.queue[0]
+	}
+	r.net.Broadcast(r.id, propMsg{Slot: r.slot, Origin: r.id, Val: val})
+	r.row(r.slot).props[r.id] = proposal{val: val, ok: true}
+	r.inst, r.stage = 0, atInst
+	return false
+}
+
+// openInstance starts instance inst of the slot's reduction, supporting its
+// target in the input rule, unless the slot or the instance is already
+// decided; after the last instance the replica is blocked.
+func (r *replica) openInstance() bool {
+	if r.inst == r.maxInst {
+		return r.finish(sim.StatusBlocked)
+	}
+	row := r.row(r.slot)
+	if row.decided {
+		r.commit(row.val)
+		return false
+	}
+	// Input rule: support a delivered target — but on the first cycle only
+	// targets with a real command, so no-ops win a slot only when no
+	// delivered proposal carries a command (the second cycle lifts the
+	// restriction to guarantee progress).
+	n := r.part.N()
+	input := model.Zero
+	if p := row.props[r.inst%n]; p.ok && (r.inst >= n || p.val != NoOp) {
+		input = model.One
+	}
+	if v := row.bin[r.inst]; v != model.Bot {
+		r.instanceDecided(v)
+		return false
+	}
+	r.est, r.round, r.stage = input, 0, atRound
+	return false
+}
+
+// openRound runs a binary round's start: its crash and bound checks, the
+// cluster consensus, the broadcast of the estimate and the replay of the
+// estimates that arrived early. It reports whether the replica finished.
+func (r *replica) openRound() bool {
+	r.round++
+	r.globalRound++
+	switch {
+	case r.h.Killed():
+		return r.finish(sim.StatusCrashed)
+	case r.h.Aborted() || (r.maxRnd > 0 && r.round > r.maxRnd):
+		return r.finish(sim.StatusBlocked)
+	case r.sched.ShouldCrash(r.id, failures.Point{Round: r.globalRound, Phase: 1, Stage: failures.StageRoundStart}):
+		return r.finish(sim.StatusCrashed)
+	}
+	r.est = r.cons.Propose(r.slot*10_000_000+r.inst*10_000+r.round, 1, r.est)
+	r.ctr.AddConsInvocations(1)
+	r.net.Broadcast(r.id, instMsg{Slot: r.slot, Inst: r.inst, Round: r.round, Est: r.est})
+	cur := posKey{slot: r.slot, inst: r.inst, round: r.round}
+	r.tally.clear()
+	for _, pm := range r.pending[cur] {
+		r.tally.add(r.part, pm.from, pm.est)
+	}
+	delete(r.pending, cur)
+	r.stage = collecting
+	return false
+}
+
+// collected reports whether the round's wait is over: the instance or the
+// slot was decided meanwhile, or the tally covers a majority and the coin
+// settles the round.
+func (r *replica) collected() bool {
+	row := r.row(r.slot)
+	switch v := row.bin[r.inst]; {
+	case v != model.Bot:
+		r.instanceDecided(v)
+	case row.decided:
+		// The whole slot is already settled; the instance outcome no
+		// longer matters.
+		r.instanceDecided(model.Bot)
+	case !r.tally.covers.IsMajority():
+		return false
+	default:
+		s := r.commonBit(r.slot, r.inst, r.round)
+		r.ctr.ObserveRound(int64(r.globalRound))
+		v, ok := r.tally.majority()
+		switch {
+		case !ok:
+			r.est, r.stage = s, atRound
+		case s != v:
+			r.est, r.stage = v, atRound
+		default:
+			row.bin[r.inst] = v
+			r.ctr.AddDecideMsgs(int64(r.part.N()))
+			r.net.Broadcast(r.id, binDecideMsg{Slot: r.slot, Inst: r.inst, Val: v})
+			r.instanceDecided(v)
 		}
 	}
-	return outcome{status: sim.StatusDecided, log: r.log, rounds: r.globalRound}
+	return true
+}
+
+// instanceDecided moves on from an instance that ended with dec (Bot when
+// the slot was decided under it): to the slot's decision, the next
+// instance, or the wait for the winner's proposal.
+func (r *replica) instanceDecided(dec model.Value) {
+	switch row := r.row(r.slot); {
+	case row.decided:
+		r.commit(row.val)
+	case dec != model.One:
+		r.inst, r.stage = r.inst+1, atInst
+	default:
+		r.stage = awaitingURB
+	}
+}
+
+// urbDelivered reports whether the wait for the guaranteed URB delivery of
+// the winner's proposal is over, deciding the slot if it is.
+func (r *replica) urbDelivered() bool {
+	row := r.row(r.slot)
+	if p := row.props[r.inst%r.part.N()]; p.ok {
+		if !row.decided {
+			row.decided, row.val = true, p.val
+			r.ctr.AddDecideMsgs(int64(r.part.N()))
+			r.net.Broadcast(r.id, slotDecideMsg{Slot: r.slot, Val: p.val})
+		}
+		r.commit(p.val)
+		return true
+	}
+	if row.decided {
+		r.commit(row.val)
+		return true
+	}
+	return false
+}
+
+// commit appends the slot's decision to the log, advances the queue past an
+// own committed command, and moves to the next slot.
+func (r *replica) commit(val string) {
+	r.log = append(r.log, val)
+	if len(r.queue) > 0 && val == r.queue[0] {
+		r.queue = r.queue[1:]
+	}
+	r.slot, r.stage = r.slot+1, atSlot
 }
 
 // Run executes one replicated-log instance.
@@ -479,51 +593,43 @@ func Run(cfg Config) (*Result, error) {
 		maxRnd = 1000
 	}
 
-	outcomes := make([]outcome, n)
-	out, err := driver.Run(driver.Config{
+	res := &Result{Replicas: make([]ReplicaResult, n)}
+	out, err := driver.RunHandlers(driver.Config{
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
 		Crashes:        cfg.Crashes,
 	}, n, driver.StandardNet(&nw, n, uint64(cfg.Seed)^0x1e7_dead_beef, &ctr, cfg.MinDelay, cfg.MaxDelay, cfg.NetOptions...),
-		func(i int, h *driver.Handle) {
+		func(i int, h *driver.Handle) driver.Reactor {
 			id := model.ProcID(i)
-			r := &replica{
-				id:          id,
-				part:        cfg.Partition,
-				net:         nw,
-				cons:        arrays[cfg.Partition.ClusterOf(id)],
-				seed:        cfg.Seed,
-				sched:       cfg.Crashes,
-				ctr:         &ctr,
-				h:           h,
-				maxRnd:      maxRnd,
-				queue:       append([]string(nil), cfg.Commands[i]...),
-				slots:       cfg.Slots,
-				maxInst:     4 * n,
-				delivered:   make(map[[2]int]string),
-				binDecided:  make(map[[2]int]model.Value),
-				slotDecided: make(map[int]string),
-				pending:     make(map[posKey][]pendingMsg),
+			return &replica{
+				id:      id,
+				part:    cfg.Partition,
+				net:     nw,
+				cons:    arrays[cfg.Partition.ClusterOf(id)],
+				seed:    cfg.Seed,
+				sched:   cfg.Crashes,
+				ctr:     &ctr,
+				h:       h,
+				store:   &res.Replicas[i],
+				maxRnd:  maxRnd,
+				queue:   append([]string(nil), cfg.Commands[i]...),
+				slots:   cfg.Slots,
+				maxInst: 4 * n,
+				chunk:   min(cfg.Slots, rowChunk),
+				pending: make(map[posKey][]pendingMsg),
+				tally:   newTally(n),
 			}
-			outcomes[i] = r.run()
 		})
 	if err != nil {
 		return nil, err
 	}
-
-	res := &Result{
-		Replicas:         make([]ReplicaResult, n),
-		Metrics:          ctr.Read(),
-		Elapsed:          out.Elapsed,
-		VirtualTime:      out.VirtualTime,
-		Steps:            out.Steps,
-		Quiesced:         out.Quiesced,
-		DeadlineExceeded: out.DeadlineExceeded,
-		StepsExceeded:    out.StepsExceeded,
-		Sched:            out.Sched,
-	}
-	for i, o := range outcomes {
-		res.Replicas[i] = ReplicaResult{Status: o.status, Log: o.log, Rounds: o.rounds}
-	}
+	res.Metrics = ctr.Read()
+	res.Elapsed = out.Elapsed
+	res.VirtualTime = out.VirtualTime
+	res.Steps = out.Steps
+	res.Quiesced = out.Quiesced
+	res.DeadlineExceeded = out.DeadlineExceeded
+	res.StepsExceeded = out.StepsExceeded
+	res.Sched = out.Sched
 	return res, nil
 }
