@@ -8,14 +8,18 @@ package allforone
 // differential oracle.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"testing"
 	"time"
 
+	"allforone/internal/allconcur"
 	"allforone/internal/failures"
+	"allforone/internal/gossip"
 	"allforone/internal/sim"
+	"allforone/internal/smr"
 )
 
 // bodyCase is one randomized differential scenario.
@@ -144,6 +148,42 @@ func TestBodyFormDifferential(t *testing.T) {
 		// anything; a budget exhaustion would compare equal trivially.
 		if handler.StepsExceeded || handler.DeadlineExceeded {
 			t.Fatalf("%s: run hit an artificial bound: %+v", bc.name, stripRaw(handler))
+		}
+	}
+}
+
+// TestHandlerOnlyProtocolsRejectCoroutineBody: smr, gossip and allconcur
+// are reactors only, so a scenario asking for the coroutine form is
+// rejected with the protocol's ErrBadConfig, and the default form runs.
+func TestHandlerOnlyProtocolsRejectCoroutineBody(t *testing.T) {
+	t.Parallel()
+	sparse := Topology{N: 8, Overlay: &OverlaySpec{Kind: OverlayDeBruijn, Degree: DefaultOverlayDegree(8)}}
+	for _, tc := range []struct {
+		sc     Scenario
+		badCfg error
+	}{
+		{Scenario{
+			Protocol: ProtocolSMR,
+			Topology: Topology{Partition: Singletons(3)},
+			Workload: Workload{Commands: [][]string{{"a"}, {"b"}, nil}, Slots: 1},
+		}, smr.ErrBadConfig},
+		{Scenario{
+			Protocol: ProtocolGossip,
+			Topology: sparse,
+			Workload: Workload{Binary: []Value{1, 0, 0, 0, 0, 0, 0, 0}},
+		}, gossip.ErrBadConfig},
+		{Scenario{
+			Protocol: ProtocolAllConcur,
+			Topology: sparse,
+			Workload: Workload{Values: []string{"a", "b", "c", "d", "e", "f", "g", "h"}},
+		}, allconcur.ErrBadConfig},
+	} {
+		if _, err := Run(tc.sc); err != nil {
+			t.Fatalf("%s, BodyAuto: %v", tc.sc.Protocol, err)
+		}
+		tc.sc.Body = sim.BodyCoroutine
+		if _, err := Run(tc.sc); !errors.Is(err, tc.badCfg) {
+			t.Errorf("%s, BodyCoroutine: error = %v, want %v", tc.sc.Protocol, err, tc.badCfg)
 		}
 	}
 }

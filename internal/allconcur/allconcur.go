@@ -115,9 +115,6 @@ type Config struct {
 	Seed int64
 	// FlushDelay is the outbox batching window; 0 = DefaultFlushDelay.
 	FlushDelay time.Duration
-	// Body must not be sim.BodyCoroutine — allconcur is an inline handler
-	// reactor only.
-	Body sim.BodyKind
 	// Crashes is the timed crash pattern, honored by the protocol itself:
 	// a victim halts at its crash instant after emitting tombstone markers
 	// (its unflushed outbox dies with it). Step-point plans are rejected.
@@ -634,9 +631,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if len(cfg.Proposals) != cfg.N {
 		return nil, fmt.Errorf("%w: %d proposals for %d processes", ErrBadConfig, len(cfg.Proposals), cfg.N)
-	}
-	if cfg.Body == sim.BodyCoroutine {
-		return nil, fmt.Errorf("%w: allconcur has no coroutine body form", ErrBadConfig)
 	}
 	if err := cfg.Crashes.ValidateFor(cfg.N); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)

@@ -221,7 +221,6 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 	}{
 		{"too few procs", func(c *Config) { c.N = 1; c.Proposals = c.Proposals[:1] }},
 		{"proposal count", func(c *Config) { c.Proposals = c.Proposals[:3] }},
-		{"coroutine body", func(c *Config) { c.Body = sim.BodyCoroutine }},
 		{"step-point crashes", func(c *Config) {
 			s := failures.NewSchedule(c.N)
 			if err := s.Set(0, failures.Crash{At: failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart}}); err != nil {

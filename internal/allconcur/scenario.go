@@ -1,6 +1,8 @@
 package allconcur
 
 import (
+	"fmt"
+
 	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
@@ -21,6 +23,9 @@ func init() {
 }
 
 func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
+	if sc.Body == sim.BodyCoroutine {
+		return nil, fmt.Errorf("%w: allconcur has no coroutine body form", ErrBadConfig)
+	}
 	n, err := sc.Topology.Procs()
 	if err != nil {
 		return nil, err
@@ -34,7 +39,6 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 		Proposals:      sc.Workload.Values,
 		Spec:           *sc.Topology.Overlay,
 		Seed:           sc.Seed,
-		Body:           sc.Body,
 		Crashes:        sc.Faults,
 		MaxVirtualTime: sc.Bounds.MaxVirtualTime,
 		MaxSteps:       sc.Bounds.MaxSteps,

@@ -129,9 +129,6 @@ type Config struct {
 	// installed, otherwise treat the transit as unknown and keep the
 	// legacy conservative budget.
 	MaxTransit time.Duration
-	// Body must not be sim.BodyCoroutine: gossip is an inline handler
-	// reactor with no coroutine port.
-	Body sim.BodyKind
 	// Crashes is the timed (virtual-instant) crash pattern; nil is
 	// crash-free. Step-point plans are rejected — a reactor has no
 	// benor-style stage points.
@@ -329,9 +326,6 @@ func Run(cfg Config) (*sim.Result, error) {
 	case ModePush, ModePull, ModePushPull:
 	default:
 		return nil, fmt.Errorf("%w: unknown mode %d", ErrBadConfig, int(cfg.Mode))
-	}
-	if cfg.Body == sim.BodyCoroutine {
-		return nil, fmt.Errorf("%w: gossip has no coroutine body form", ErrBadConfig)
 	}
 	if cfg.Crashes.HasStepPoints() {
 		return nil, fmt.Errorf("%w: gossip honors only timed crash plans", ErrBadConfig)

@@ -230,7 +230,6 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 			c.Proposals = ps
 		}},
 		{"unknown mode", func(c *Config) { c.Mode = Mode(42) }},
-		{"coroutine body", func(c *Config) { c.Body = sim.BodyCoroutine }},
 		{"step-point crashes", func(c *Config) {
 			s := failures.NewSchedule(c.N)
 			if err := s.Set(0, failures.Crash{At: failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart}}); err != nil {

@@ -1,9 +1,11 @@
 package gossip
 
 import (
+	"fmt"
 	"time"
 
 	"allforone/internal/protocol"
+	"allforone/internal/sim"
 )
 
 // ProtocolName is the registry name of the gossip disseminator.
@@ -25,6 +27,9 @@ func init() {
 }
 
 func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
+	if sc.Body == sim.BodyCoroutine {
+		return nil, fmt.Errorf("%w: gossip has no coroutine body form", ErrBadConfig)
+	}
 	n, err := sc.Topology.Procs()
 	if err != nil {
 		return nil, err
@@ -51,7 +56,6 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 		Seed:           sc.Seed,
 		Rounds:         sc.Bounds.MaxRounds,
 		MaxTransit:     maxTransit,
-		Body:           sc.Body,
 		Crashes:        sc.Faults,
 		MaxVirtualTime: sc.Bounds.MaxVirtualTime,
 		MaxSteps:       sc.Bounds.MaxSteps,

@@ -40,9 +40,9 @@ type Scenario struct {
 	// Body selects the process-body form for protocols offering both
 	// (currently hybrid and benor): sim.BodyAuto (the zero value) runs
 	// inline handlers; sim.BodyCoroutine forces the goroutine form for
-	// differential testing. Handler-only protocols (mpcoin, gossip,
-	// allconcur) reject sim.BodyCoroutine; coroutine-only ones run their
-	// one form under either value.
+	// differential testing. Handler-only protocols (mpcoin, smr, gossip,
+	// allconcur) reject sim.BodyCoroutine in their adapters; coroutine-only
+	// ones run their one form under either value.
 	Body sim.BodyKind
 	// Seed pins all randomness of the run.
 	Seed int64
