@@ -67,12 +67,24 @@ func TestAllReplicasBuildIdenticalLogs(t *testing.T) {
 				t.Fatalf("completed logs = %d, want %d (statuses: %+v)",
 					len(logs), part.N(), res.Replicas)
 			}
-			for s := 0; s < slots; s++ {
-				if logs[0][s] == NoOp {
-					continue
-				}
-			}
+			checkNoDuplicateCommits(t, logs[0])
 		})
+	}
+}
+
+// checkNoDuplicateCommits fails if a command appears twice in log: each
+// proposer advances its queue only after its own command commits.
+func checkNoDuplicateCommits(t *testing.T, log []string) {
+	t.Helper()
+	seen := map[string]int{}
+	for s, v := range log {
+		if v == NoOp {
+			continue
+		}
+		if prev, dup := seen[v]; dup {
+			t.Errorf("command %q committed at slots %d and %d", v, prev, s)
+		}
+		seen[v] = s
 	}
 }
 
@@ -104,18 +116,7 @@ func TestCommandsActuallyCommit(t *testing.T) {
 	if nonNoop == 0 {
 		t.Error("every slot decided no-op although all queues were non-empty")
 	}
-	// No committed command may appear twice in the log (each proposer
-	// advances its queue only after its own command commits).
-	seen := map[string]int{}
-	for s, v := range logs[0] {
-		if v == NoOp {
-			continue
-		}
-		if prev, dup := seen[v]; dup {
-			t.Errorf("command %q committed at slots %d and %d", v, prev, s)
-		}
-		seen[v] = s
-	}
+	checkNoDuplicateCommits(t, logs[0])
 }
 
 // The log inherits the one-for-all property: a majority-cluster survivor
