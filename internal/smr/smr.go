@@ -378,7 +378,7 @@ func (r *replica) React(aborted bool) bool {
 		if r.stage == unstarted {
 			return true // the run ended before this replica took a step
 		}
-		return r.stop() // queued messages stay unconsumed
+		return r.stop() // it waits with a drained inbox
 	}
 	if r.stage == unstarted {
 		r.stage = atSlot
@@ -503,7 +503,7 @@ func (r *replica) collected() bool {
 	case row.decided:
 		// The whole slot is already settled; the instance outcome no
 		// longer matters.
-		r.instanceDecided(model.Bot)
+		r.commit(row.val)
 	case !r.tally.covers.IsMajority():
 		return false
 	default:
@@ -525,9 +525,9 @@ func (r *replica) collected() bool {
 	return true
 }
 
-// instanceDecided moves on from an instance that ended with dec (Bot when
-// the slot was decided under it): to the slot's decision, the next
-// instance, or the wait for the winner's proposal.
+// instanceDecided moves on from an instance that decided dec: to the slot's
+// decision if it arrived meanwhile, the next instance, or the wait for the
+// winner's proposal.
 func (r *replica) instanceDecided(dec model.Value) {
 	switch row := r.row(r.slot); {
 	case row.decided:
