@@ -209,11 +209,17 @@ func (h *Handle) WakeAfter(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	// Resolve h.proc at fire time, not capture time: a reactor built by
-	// HandlerBody may schedule its first timer before RunHandlers has
-	// bound the spawned Proc back onto the Handle.
-	h.clock.At(h.clock.Now()+vclock.Time(d), func() { h.proc.Wake() })
+	h.clock.AtEvent(h.clock.Now()+vclock.Time(d), (*wakeup)(h))
 }
+
+// wakeup is a Handle scheduled as its own timer event: the conversion from
+// *Handle allocates nothing, where a closure per timer would.
+type wakeup Handle
+
+// Fire wakes the handle's process. It resolves w.proc at fire time, not at
+// schedule time: a reactor built by HandlerBody may schedule its first timer
+// before RunHandlers has bound the spawned Proc back onto the Handle.
+func (w *wakeup) Fire() { w.proc.Wake() }
 
 // Sleep suspends the calling body for d of virtual time (zero wall-clock
 // cost). It returns false when the run was aborted before the full
@@ -229,7 +235,7 @@ func (h *Handle) Sleep(d time.Duration) bool {
 		return !h.Aborted()
 	}
 	deadline := h.clock.Now() + vclock.Time(d)
-	h.clock.At(deadline, func() { h.proc.Wake() })
+	h.clock.AtEvent(deadline, (*wakeup)(h))
 	// Message deliveries wake the same coroutine; re-park until the
 	// deadline event (or a later one) has advanced the clock far enough.
 	for h.clock.Now() < deadline {

@@ -274,16 +274,18 @@ type wheel struct {
 	//     lists them DESCENDING by (at, seq), so the earliest is its last
 	//     element and a pop shortens it — plus late, a min-heap of the events
 	//     inserted since;
-	//   - slots[s&wheelMask] holds the events of absolute slot s for
-	//     curSlot < s < curSlot+wheelSlots, unsorted;
+	//   - slots.buckets[s&wheelMask] holds the events of absolute slot s for
+	//     curSlot < s < curSlot+wheelSlots, unsorted; a bucket with no event
+	//     is nil;
 	//   - overflow holds (as a min-heap) events at or past the horizon —
 	//     plus, transiently, events whose slot entered the window since the
 	//     last advance; advance() drains those before choosing a bucket;
 	//   - wheelCount counts events in slots (excluding run/late/overflow);
-	//   - no slice of the wheel holds an event past its length, and run none
-	//     outside order: pops zero the vacated entry and activation swaps
-	//     whole buckets, so storage can be recycled by clearing the pending
-	//     events alone.
+	//   - no slice of the wheel holds an event past its length, run none
+	//     outside order and a shelved array none at all: pops zero the
+	//     vacated entry, and opening a slot takes the bucket's array as run
+	//     and shelves the drained run's, so storage can be recycled by
+	//     clearing the pending events alone.
 	run, late  []event
 	order      []uint32   // indices into run
 	slots      *slotArray // unsharded: nil until the first bucket insert
@@ -296,29 +298,54 @@ type wheel struct {
 }
 
 // slotArray is the wheel's near-future bucket array — 6 KB of slice headers
-// plus whatever capacity the buckets have grown. An unsharded scheduler
-// borrows one from slotArrays at its first bucket insert and hands it back at
+// — plus the shelf: a stack of empty backing arrays. Opening a slot shelves
+// the drained run's array, and the first insert into an empty bucket takes
+// one off the shelf, so the storage a run keeps follows the buckets in flight
+// at once, not 256 times the deepest bucket. An unsharded scheduler borrows
+// one from slotArrays at its first bucket insert and hands it back at
 // Release, so a short run (the paper's n=7 trials process ~160 events)
 // neither zeroes a fresh array nor regrows its buckets.
 //
 // A sharded scheduler owns its array (WithShards) and drops it with itself.
-// Its buckets grow to the depth of a large topology's flush windows — tens of
-// MB at n=10000 — and the pool would carry that capacity into whichever run
-// drew the array next, or not, as the collector's timing decided (sync.Pool
-// empties over two collections): a process running such runs back to back
-// then peaked at 116–120 MB resident in some runs and 132–143 MB in others.
+// Its arrays grow to the depth of a large topology's flush windows — about
+// 5 MB in all at n=10000 — and the pool would carry that capacity into
+// whichever run drew the array next, or not, as the collector's timing
+// decided (sync.Pool empties over two collections).
 //
-// Clear-on-return invariant: an array in the pool holds 256 empty buckets
-// whose backing arrays contain no event — no Event pointer of a finished
-// run stays reachable, and nothing a run does can depend on which array it
-// drew.
-type slotArray [wheelSlots][]event
+// Clear-on-return invariant: an array in the pool holds 256 nil buckets and
+// shelved arrays that contain no event — no Event pointer of a finished run
+// stays reachable, and nothing a run does can depend on which array it drew.
+type slotArray struct {
+	buckets [wheelSlots][]event
+	shelf   [][]event // every one of length 0, every entry zero
+}
+
+// shelve puts a, whose entries must all be zero, on the shelf.
+func (st *slotArray) shelve(a []event) {
+	if cap(a) > 0 {
+		st.shelf = append(st.shelf, a[:0])
+	}
+}
+
+// unshelve takes the most recently shelved array off the shelf; nil when the
+// shelf is empty.
+func (st *slotArray) unshelve() []event {
+	n := len(st.shelf) - 1
+	if n < 0 {
+		return nil
+	}
+	a := st.shelf[n]
+	st.shelf[n] = nil
+	st.shelf = st.shelf[:n]
+	return a
+}
 
 var slotArrays = sync.Pool{New: func() any { return new(slotArray) }}
 
-// detachSlots takes the bucket array off the wheel, dropping the events
-// still waiting in it (the run is over or aborted and would never pop them),
-// and returns it in the state the pool requires; nil if the wheel holds none.
+// detachSlots takes the bucket array off the wheel, with the open slot's run
+// shelved on it, dropping the events still waiting in either (the run is over
+// or aborted and would never pop them), and returns it in the state the pool
+// requires; nil if the wheel holds none.
 func (w *wheel) detachSlots() *slotArray {
 	st := w.slots
 	if st == nil {
@@ -326,12 +353,16 @@ func (w *wheel) detachSlots() *slotArray {
 	}
 	w.slots = nil
 	if w.wheelCount > 0 {
-		for i := range st {
-			clear(st[i])
-			st[i] = st[i][:0]
+		for i := range st.buckets {
+			clear(st.buckets[i])
+			st.shelve(st.buckets[i])
+			st.buckets[i] = nil
 		}
 		w.wheelCount = 0
 	}
+	clear(w.run)
+	st.shelve(w.run)
+	w.run, w.order = nil, w.order[:0]
 	return st
 }
 
@@ -360,7 +391,10 @@ func (w *wheel) insert(ev event) {
 		if w.slots == nil {
 			w.slots = slotArrays.Get().(*slotArray)
 		}
-		b := &w.slots[slot&wheelMask]
+		b := &w.slots.buckets[slot&wheelMask]
+		if *b == nil {
+			*b = w.slots.unshelve()
+		}
 		*b = append(*b, ev)
 		w.wheelCount++
 		if d := int64(len(*b)); d > w.maxDepth {
@@ -393,7 +427,7 @@ func (w *wheel) advance(scratch *[]uint32, stop int64) bool {
 		if w.wheelCount > 0 {
 			// Walk the window to the next non-empty bucket and activate it.
 			sl, end := w.curSlot+1, w.curSlot+wheelSlots
-			for ; sl < end && len(w.slots[sl&wheelMask]) == 0; sl++ {
+			for ; sl < end && len(w.slots.buckets[sl&wheelMask]) == 0; sl++ {
 			}
 			if sl == end {
 				panic("vclock: wheelCount > 0 but no bucket found in window")
@@ -401,12 +435,14 @@ func (w *wheel) advance(scratch *[]uint32, stop int64) bool {
 			if sl > stop {
 				return false
 			}
-			b := &w.slots[sl&wheelMask]
+			b := &w.slots.buckets[sl&wheelMask]
 			w.curSlot = sl
 			w.wheelCount -= len(*b)
-			// Every event of the run has been popped, and zeroed: trade it
-			// for the bucket instead of copying the bucket's events.
-			w.run, *b = *b, w.run[:0]
+			// Every event of the run has been popped, and zeroed: shelve its
+			// array for the next bucket that fills, and take the bucket's
+			// instead of copying the bucket's events.
+			w.slots.shelve(w.run)
+			w.run, *b = *b, nil
 			w.order = sortRun(w.run, w.order, scratch)
 			// Re-enter the loop: the window moved, overflow may cascade.
 			continue

@@ -477,10 +477,9 @@ func TestAtEventZeroAlloc(t *testing.T) {
 }
 
 // TestDetachSlotsLeavesNoEvent: the bucket array a cut-short run hands back
-// must carry nothing of that run — every bucket empty, and no event (hence
-// no Event pointer) left anywhere in the buckets' backing arrays, including
-// the arrays that served as the active heap on the way — while keeping the
-// capacity the run grew.
+// must carry nothing of that run — every bucket nil, and no event (hence no
+// Event pointer) left anywhere on the shelf, which holds the buckets' backing
+// arrays and the open slot's run — while keeping the capacity the run grew.
 func TestDetachSlotsLeavesNoEvent(t *testing.T) {
 	s := New()
 	rng := rand.New(rand.NewPCG(5, 8))
@@ -511,20 +510,19 @@ func TestDetachSlotsLeavesNoEvent(t *testing.T) {
 	if st == nil || st != held {
 		t.Fatalf("detachSlots = %p, want the wheel's array %p", st, held)
 	}
-	if s.wheel.slots != nil || s.wheel.wheelCount != 0 {
-		t.Fatalf("wheel still holds slots=%p wheelCount=%d", s.wheel.slots, s.wheel.wheelCount)
+	if s.wheel.slots != nil || s.wheel.wheelCount != 0 || s.wheel.run != nil || len(s.wheel.order) != 0 {
+		t.Fatalf("wheel still holds slots=%p wheelCount=%d run=%d order=%d",
+			s.wheel.slots, s.wheel.wheelCount, len(s.wheel.run), len(s.wheel.order))
 	}
+	for i, b := range st.buckets {
+		if b != nil {
+			t.Fatalf("bucket %d returned with %d events in %d slots", i, len(b), cap(b))
+		}
+	}
+	checkShelf(t, st, nil)
 	capacity := 0
-	for i := range st {
-		if len(st[i]) != 0 {
-			t.Fatalf("bucket %d returned with %d events", i, len(st[i]))
-		}
-		for j, ev := range st[i][:cap(st[i])] {
-			if ev != (event{}) {
-				t.Fatalf("bucket %d entry %d still holds %+v", i, j, ev)
-			}
-		}
-		capacity += cap(st[i])
+	for _, a := range st.shelf {
+		capacity += cap(a)
 	}
 	if capacity == 0 {
 		t.Fatal("the array kept none of the bucket capacity the run grew")
@@ -540,6 +538,71 @@ func TestDetachSlotsLeavesNoEvent(t *testing.T) {
 	s.wheel.recycleSlots()
 }
 
+// checkShelf fails unless every array on st's shelf is empty and holds no
+// event anywhere in its capacity — the clear-on-return invariant, which must
+// hold at every instant of a run, not only when the array is pooled. prev is
+// the shelf as an earlier call returned it (nil: none): an array still at the
+// place prev had it has been scanned then and is not scanned again, since
+// only the wheel's buckets and run are ever written to and a shelved array is
+// neither. Without that, a fuzzed op stream that grows one bucket to 10⁵
+// events would rescan its array after every later op, and stall the fuzzer.
+// checkShelf returns the shelf for the next call.
+func checkShelf(t testing.TB, st *slotArray, prev [][]event) [][]event {
+	t.Helper()
+	for i, a := range st.shelf {
+		if len(a) != 0 {
+			t.Fatalf("shelved array %d has %d events", i, len(a))
+		}
+		if i < len(prev) && cap(a) > 0 && cap(prev[i]) == cap(a) && &prev[i][:1][0] == &a[:1][0] {
+			continue
+		}
+		for j, ev := range a[:cap(a)] {
+			if ev != (event{}) {
+				t.Fatalf("shelved array %d entry %d still holds %+v", i, j, ev)
+			}
+		}
+	}
+	return append(prev[:0], st.shelf...)
+}
+
+// TestWheelStorageFollowsPendingEvents: the capacity the wheel keeps in its
+// buckets, its shelf and the open slot's run follows the events pending at
+// once, not the 256 buckets of the ring. A band of 16 slots × 64 events moves
+// four times round the ring; were each bucket to keep the array it grew, the
+// wheel would hold 256 × 64 slots for a peak of 16 × 64 pending events.
+func TestWheelStorageFollowsPendingEvents(t *testing.T) {
+	const band, k, laps = 16, 64, 4
+	s := New()
+	defer s.Release()
+	peak := 0
+	for sl := int64(1); sl <= laps*wheelSlots; sl++ {
+		base := Time(sl+band-1) << slotWidthShift
+		for i := Time(0); i < k; i++ {
+			s.AtEvent(base+i*i*131%(1<<slotWidthShift), nopEvent)
+		}
+		peak = max(peak, s.pending())
+		for {
+			at, ok := s.next()
+			if !ok || slotOf(at) > sl {
+				break
+			}
+			s.now = s.wheel.pop().at
+		}
+	}
+	w := &s.wheel
+	retained := cap(w.run)
+	for _, b := range w.slots.buckets {
+		retained += cap(b)
+	}
+	for _, a := range w.slots.shelf {
+		retained += cap(a)
+	}
+	if retained > 2*peak {
+		t.Fatalf("the wheel keeps %d event slots for at most %d pending events", retained, peak)
+	}
+	t.Logf("%d event slots kept for a peak of %d pending events", retained, peak)
+}
+
 // each calls visit on every pending event of the wheel, tier by tier: what a
 // white-box test reads instead of naming the tiers itself.
 func (w *wheel) each(visit func(event)) {
@@ -548,7 +611,7 @@ func (w *wheel) each(visit func(event)) {
 	}
 	tiers := [][]event{w.late, w.overflow}
 	if w.slots != nil {
-		tiers = append(tiers, w.slots[:]...)
+		tiers = append(tiers, w.slots.buckets[:]...)
 	}
 	for _, tier := range tiers {
 		for _, ev := range tier {
@@ -729,7 +792,8 @@ type wheelOpsCoverage struct {
 // driveWheelOps decodes data into scheduler operations and applies each one
 // to a real Scheduler and to the reference model, failing unless both pop the
 // same (at, seq) every time and agree on pending, EventsScheduled,
-// WheelCascades and MaxBucketDepth after every operation.
+// WheelCascades and MaxBucketDepth after every operation — after which the
+// scheduler's shelf must also hold no event (checkShelf).
 //
 // data[0] picks the shape: its low two bits mod 3 the shard count of staged
 // blocks (0 — the staging ops then schedule plain events — 8 or 16), bit 2
@@ -826,6 +890,7 @@ func driveWheelOps(t testing.TB, data []byte) (cov wheelOpsCoverage) {
 		cov.pops++
 		return true
 	}
+	var shelved [][]event
 	check := func(op byte) {
 		st := s.Stats()
 		if s.pending() != ref.w.pending() || st.EventsScheduled != ref.scheduled ||
@@ -833,6 +898,9 @@ func driveWheelOps(t testing.TB, data []byte) (cov wheelOpsCoverage) {
 			t.Fatalf("after op %#x at now=%d: pending %d scheduled %d cascades %d maxDepth %d, reference %d %d %d %d",
 				op, s.now, s.pending(), st.EventsScheduled, st.WheelCascades, st.MaxBucketDepth,
 				ref.w.pending(), ref.scheduled, ref.w.cascades, ref.w.maxDepth)
+		}
+		if s.wheel.slots != nil {
+			shelved = checkShelf(t, s.wheel.slots, shelved)
 		}
 	}
 
@@ -872,6 +940,7 @@ func driveWheelOps(t testing.TB, data []byte) (cov wheelOpsCoverage) {
 	}
 	for drain && pop() {
 	}
+	shelved = nil // the last check scans the whole shelf
 	check(0xff)
 	cov.cascades, cov.maxDepth, cov.late = ref.w.cascades, ref.w.maxDepth, ref.w.late
 	return cov
