@@ -178,13 +178,13 @@ func (r *Result) AllLiveDecided() bool {
 
 // CheckAgreement verifies no two decided processes decided differently.
 func (r *Result) CheckAgreement() error {
-	val := model.Bot
+	val, have := model.Bot, false
 	for i, pr := range r.Procs {
 		if pr.Status != StatusDecided {
 			continue
 		}
-		if val == model.Bot {
-			val = pr.Decision
+		if !have {
+			val, have = pr.Decision, true
 			continue
 		}
 		if pr.Decision != val {

@@ -75,6 +75,13 @@ func TestAgreementAndValidityChecks(t *testing.T) {
 	if err := disagree.CheckAgreement(); err == nil {
 		t.Error("CheckAgreement missed disagreement")
 	}
+	botFirst := &Result{Procs: []ProcResult{
+		{Status: StatusDecided, Decision: model.Bot},
+		{Status: StatusDecided, Decision: model.One},
+	}}
+	if err := botFirst.CheckAgreement(); err == nil {
+		t.Error("CheckAgreement missed a decided ⊥ followed by a decided 1")
+	}
 
 	invalid := &Result{Procs: []ProcResult{{Status: StatusDecided, Decision: model.One}}}
 	if err := invalid.CheckValidity([]model.Value{model.Zero}); err == nil {
