@@ -644,7 +644,7 @@ func stagedMinority(phase int, stage CrashStage, deliverTo func(n int) []ProcID)
 
 // TestBaselineOutcomeGolden holds the binary round machines to their
 // recorded Outcomes at n ∈ {1, 4, 7, 12}, under every profile and failure
-// pattern above. Hybrid and Ben-Or cells run under both body forms.
+// pattern above.
 func TestBaselineOutcomeGolden(t *testing.T) {
 	t.Parallel()
 	for _, proto := range baselineProtocols {
@@ -679,22 +679,15 @@ func TestBaselineOutcomeGolden(t *testing.T) {
 					if cr.bounds != nil {
 						sc.Bounds = cr.bounds(n, proto.mid)
 					}
-					bodies := []sim.BodyKind{sim.BodyAuto}
-					if proto.protocol != ProtocolMPCoin {
-						bodies = append(bodies, sim.BodyCoroutine)
+					out, err := Run(sc)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
 					}
-					for _, body := range bodies {
-						sc.Body = body
-						out, err := Run(sc)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						checkBaselineCell(t, name, sc, out, cr.name == "e2-majority")
-						maskStorageCounters(out, &out.Raw.(*sim.Result).Sched)
-						if got, want := jsonHash(t, out), baselineGolden[name]; got != want {
-							t.Errorf("%s (%v): Outcome hash %#016x, want %#016x (steps %d, virtual %v, msgs %d/%d)",
-								name, body, got, want, out.Steps, out.VirtualTime, out.Metrics.MsgsDelivered, out.Metrics.MsgsSent)
-						}
+					checkBaselineCell(t, name, sc, out, cr.name == "e2-majority")
+					maskStorageCounters(out, &out.Raw.(*sim.Result).Sched)
+					if got, want := jsonHash(t, out), baselineGolden[name]; got != want {
+						t.Errorf("%s: Outcome hash %#016x, want %#016x (steps %d, virtual %v, msgs %d/%d)",
+							name, got, want, out.Steps, out.VirtualTime, out.Metrics.MsgsDelivered, out.Metrics.MsgsSent)
 					}
 				}
 			}

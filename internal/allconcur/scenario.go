@@ -1,8 +1,6 @@
 package allconcur
 
 import (
-	"fmt"
-
 	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
@@ -23,9 +21,6 @@ func init() {
 }
 
 func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
-	if sc.Body == sim.BodyCoroutine {
-		return nil, fmt.Errorf("%w: allconcur has no coroutine body form", ErrBadConfig)
-	}
 	n, err := sc.Topology.Procs()
 	if err != nil {
 		return nil, err

@@ -34,10 +34,6 @@ type Config struct {
 	Proposals []model.Value
 	// Seed makes all randomness reproducible.
 	Seed int64
-	// Body selects the process-body form: sim.BodyAuto (the zero value)
-	// runs inline handlers; sim.BodyCoroutine forces the coroutine form
-	// for differential testing (both forms produce identical Results).
-	Body sim.BodyKind
 	// Crashes is the failure pattern; nil means crash-free. Stage
 	// StageAfterClusterConsensus has no counterpart here and triggers at
 	// the next step point.
@@ -120,6 +116,13 @@ func (t *tally) received() (rec [3]model.Value, k int) {
 	return rec, k
 }
 
+// proc is one process, a driver.Reactor (DESIGN.md §11). The only wait point
+// is the majority wait of an exchange, so its resumable state is the open
+// exchange (r, ph), the round-carried estimate, and the exchange's tally;
+// everything between two exchanges runs straight-line inside one
+// invocation. Every step happens in the algorithm's statement order, however
+// invocations split the run, so the network's RNG stream and the (at,seq)
+// order follow from it.
 type proc struct {
 	id        model.ProcID
 	n         int
@@ -131,11 +134,13 @@ type proc struct {
 	rng       *rand.Rand
 	maxRounds int
 	pending   map[phaseKey][]model.Value
-}
+	store     *outcome // this process's result slot
 
-// killedNow reports whether a timed crash has struck this process; it
-// halts at the next step point that observes it.
-func (p *proc) killedNow() bool { return p.h.Killed() }
+	r    int // open round; 0 before the first invocation
+	ph   int // open exchange: phase 1 or 2
+	est1 model.Value
+	t    tally
+}
 
 type outcome struct {
 	status sim.Status
@@ -144,157 +149,175 @@ type outcome struct {
 	err    error
 }
 
-func (p *proc) checkAbort(r int) *outcome {
-	if p.killedNow() {
-		return &outcome{status: sim.StatusCrashed, round: r}
-	}
-	if p.h.Aborted() || (p.maxRounds > 0 && r > p.maxRounds) {
-		return &outcome{status: sim.StatusBlocked, round: r - 1}
-	}
-	return nil
+// finish records the outcome; React returns its result, retiring the
+// process.
+func (p *proc) finish(out outcome) bool {
+	*p.store = out
+	return true
 }
 
-// exchange is Ben-Or's per-phase pattern: broadcast (r, ph, est) and wait
-// until more than n/2 processes reported for (r, ph) into t.
-func (p *proc) exchange(r, ph int, est model.Value, t *tally) *outcome {
-	cur := phaseKey{round: r, phase: ph}
-	if out := p.beginExchange(r, ph, est, t); out != nil {
-		return out
-	}
+// crash finishes the process as crashed in the open round.
+func (p *proc) crash() bool { return p.finish(outcome{status: sim.StatusCrashed, round: p.r}) }
 
-	for 2*t.total <= p.n {
-		msg, ok := p.net.Receive(p.id)
-		if p.killedNow() {
-			// A timed crash struck while waiting: halt before acting on
-			// whatever was (or was not) received.
-			return &outcome{status: sim.StatusCrashed, round: r}
+// stop ends the process where it waits: crashed if a timed crash struck it,
+// blocked otherwise.
+func (p *proc) stop() bool {
+	if p.h.Killed() {
+		return p.crash()
+	}
+	return p.finish(outcome{status: sim.StatusBlocked, round: p.r})
+}
+
+// atCrashPoint reports whether the process must crash at the given step
+// point of the open round.
+func (p *proc) atCrashPoint(ph int, stage failures.Stage) bool {
+	return p.sched.ShouldCrash(p.id, failures.Point{Round: p.r, Phase: ph, Stage: stage})
+}
+
+// React runs one invocation: drain every deliverable message into the open
+// tally and advance the round machine to its next wait point.
+func (p *proc) React(aborted bool) bool {
+	if p.r == 0 {
+		if aborted {
+			return true // the run ended before this process took a step
+		}
+		if p.nextRound() {
+			return true
+		}
+	}
+	if aborted {
+		return p.stop() // queued messages stay unconsumed
+	}
+	for {
+		if 2*p.t.total > p.n {
+			if p.afterExchange() {
+				return true
+			}
+			continue
+		}
+		msg, ok, closed := p.net.ReceiveNow(p.id)
+		if p.h.Killed() || (!ok && closed) {
+			// A timed crash halts the process before it acts on what it
+			// received; a closed, drained inbox leaves it blocked.
+			return p.stop()
 		}
 		if !ok {
-			return &outcome{status: sim.StatusBlocked, round: r}
+			return false // inbox drained; wait for the next wake
 		}
-		if out := p.feedExchange(cur, t, msg); out != nil {
-			return out
-		}
-	}
-	return nil
-}
-
-// beginExchange opens the (r, ph) exchange without waiting: broadcast
-// (honoring a mid-broadcast crash), then restart t with the buffered
-// values. Both body forms open exchanges through it, keeping the send
-// sequence — and the network's RNG stream — identical under either form.
-func (p *proc) beginExchange(r, ph int, est model.Value, t *tally) *outcome {
-	cur := phaseKey{round: r, phase: ph}
-	if p.sched.ShouldCrash(p.id, failures.Point{Round: r, Phase: ph, Stage: failures.StageMidBroadcast}) {
-		plan, _ := p.sched.Plan(p.id)
-		recipients := plan.DeliverTo
-		if recipients == nil {
-			recipients = failures.RandomSubset(p.rng, p.n)
-		}
-		p.net.BroadcastSubset(p.id, phaseMsg{round: r, phase: ph, est: est}, recipients)
-		return &outcome{status: sim.StatusCrashed, round: r}
-	}
-	p.net.Broadcast(p.id, phaseMsg{round: r, phase: ph, est: est})
-
-	*t = tally{}
-	for _, v := range p.pending[cur] {
-		t.add(v)
-	}
-	delete(p.pending, cur)
-	return nil
-}
-
-// feedExchange accounts one received message against the exchange open at
-// cur. It returns a non-nil outcome when the message ends the execution (a
-// DECIDE was learned: rebroadcast, then decide).
-func (p *proc) feedExchange(cur phaseKey, t *tally, msg netsim.Message) *outcome {
-	switch payload := msg.Payload.(type) {
-	case decideMsg:
-		p.ctr.AddDecideMsgs(int64(p.n))
-		p.net.Broadcast(p.id, payload)
-		return &outcome{status: sim.StatusDecided, val: payload.val, round: cur.round}
-	case phaseMsg:
-		k := phaseKey{round: payload.round, phase: payload.phase}
-		switch {
-		case k == cur:
-			t.add(payload.est)
-		case cur.less(k):
-			p.pending[k] = append(p.pending[k], payload.est)
-		}
-	}
-	return nil
-}
-
-func (p *proc) decideNow(r, ph int, v model.Value) outcome {
-	if p.sched.ShouldCrash(p.id, failures.Point{Round: r, Phase: ph, Stage: failures.StageBeforeDecide}) {
-		plan, _ := p.sched.Plan(p.id)
-		if len(plan.DeliverTo) > 0 {
-			p.ctr.AddDecideMsgs(int64(len(plan.DeliverTo)))
-			p.net.BroadcastSubset(p.id, decideMsg{val: v}, plan.DeliverTo)
-		}
-		return outcome{status: sim.StatusCrashed, round: r}
-	}
-	p.ctr.AddDecideMsgs(int64(p.n))
-	p.net.Broadcast(p.id, decideMsg{val: v})
-	return outcome{status: sim.StatusDecided, val: v, round: r}
-}
-
-// run executes Ben-Or's algorithm for one process.
-func (p *proc) run(proposal model.Value) outcome {
-	est1 := proposal
-	var t1, t2 tally
-	for r := 1; ; r++ {
-		if out := p.checkAbort(r); out != nil {
-			return *out
-		}
-		if p.sched.ShouldCrash(p.id, failures.Point{Round: r, Phase: 1, Stage: failures.StageRoundStart}) {
-			return outcome{status: sim.StatusCrashed, round: r}
-		}
-
-		// Phase 1: champion a value if a majority reports it.
-		if interrupted := p.exchange(r, 1, est1, &t1); interrupted != nil {
-			return *interrupted
-		}
-		if p.sched.ShouldCrash(p.id, failures.Point{Round: r, Phase: 1, Stage: failures.StageAfterExchange}) {
-			return outcome{status: sim.StatusCrashed, round: r}
-		}
-		est2 := model.Bot
-		if v, ok := t1.majorityValue(p.n); ok {
-			est2 = v
-		}
-
-		// Phase 2: decide, adopt, or flip.
-		if interrupted := p.exchange(r, 2, est2, &t2); interrupted != nil {
-			return *interrupted
-		}
-		if p.sched.ShouldCrash(p.id, failures.Point{Round: r, Phase: 2, Stage: failures.StageAfterExchange}) {
-			return outcome{status: sim.StatusCrashed, round: r}
-		}
-		rec, k := t2.received()
-		p.ctr.ObserveRound(int64(r))
-		switch {
-		case k == 1 && rec[0].IsBinary():
-			return p.decideNow(r, 2, rec[0])
-		case k == 2 && rec[1] == model.Bot:
-			est1 = rec[0]
-		case k == 1 && rec[0] == model.Bot:
-			est1 = p.local.Flip()
-			p.ctr.AddCoinFlips(1)
-		default:
-			return outcome{
-				status: sim.StatusFailed,
-				round:  r,
-				err:    fmt.Errorf("benor: weak agreement violated at %v round %d: rec = %v", p.id, r, slices.Clone(rec[:k])),
+		switch payload := msg.Payload.(type) {
+		case decideMsg:
+			p.ctr.AddDecideMsgs(int64(p.n))
+			p.net.Broadcast(p.id, payload)
+			return p.finish(outcome{status: sim.StatusDecided, val: payload.val, round: p.r})
+		case phaseMsg:
+			k, cur := phaseKey{round: payload.round, phase: payload.phase}, phaseKey{round: p.r, phase: p.ph}
+			switch {
+			case k == cur:
+				p.t.add(payload.est)
+			case cur.less(k):
+				p.pending[k] = append(p.pending[k], payload.est)
 			}
 		}
 	}
 }
 
+// nextRound opens round r+1: its abort and round-start checks, then the
+// phase-1 exchange. It reports whether the process finished.
+func (p *proc) nextRound() bool {
+	p.r++
+	switch {
+	case p.h.Killed():
+		return p.crash()
+	case p.h.Aborted() || (p.maxRounds > 0 && p.r > p.maxRounds):
+		return p.finish(outcome{status: sim.StatusBlocked, round: p.r - 1})
+	case p.atCrashPoint(1, failures.StageRoundStart):
+		return p.crash()
+	}
+	return p.beginExchange(1, p.est1) // phase 1: champion a value
+}
+
+// beginExchange opens the (r, ph) exchange: broadcast (r, ph, est), cut
+// short by a mid-broadcast crash, then restart the tally with the values
+// that arrived early. React then waits until more than n/2 processes
+// reported. It reports whether the process finished.
+func (p *proc) beginExchange(ph int, est model.Value) bool {
+	p.ph = ph
+	msg := phaseMsg{round: p.r, phase: ph, est: est}
+	if p.atCrashPoint(ph, failures.StageMidBroadcast) {
+		plan, _ := p.sched.Plan(p.id)
+		recipients := plan.DeliverTo
+		if recipients == nil {
+			recipients = failures.RandomSubset(p.rng, p.n)
+		}
+		p.net.BroadcastSubset(p.id, msg, recipients)
+		return p.crash()
+	}
+	p.net.Broadcast(p.id, msg)
+
+	cur := phaseKey{round: p.r, phase: ph}
+	p.t = tally{}
+	for _, v := range p.pending[cur] {
+		p.t.add(v)
+	}
+	delete(p.pending, cur)
+	return false
+}
+
+// afterExchange runs the steps that follow a satisfied exchange, up to the
+// next wait point: the phase-2 exchange, or deciding, adopting or flipping
+// and opening the next round. It reports whether the process finished.
+func (p *proc) afterExchange() bool {
+	if p.atCrashPoint(p.ph, failures.StageAfterExchange) {
+		return p.crash()
+	}
+	if p.ph == 1 {
+		est2 := model.Bot
+		if v, ok := p.t.majorityValue(p.n); ok {
+			est2 = v
+		}
+		return p.beginExchange(2, est2) // phase 2: decide, adopt, or flip
+	}
+	rec, k := p.t.received()
+	p.ctr.ObserveRound(int64(p.r))
+	switch {
+	case k == 1 && rec[0].IsBinary():
+		return p.decide(rec[0])
+	case k == 2 && rec[1] == model.Bot:
+		p.est1 = rec[0]
+	case k == 1 && rec[0] == model.Bot:
+		p.est1 = p.local.Flip()
+		p.ctr.AddCoinFlips(1)
+	default:
+		return p.finish(outcome{
+			status: sim.StatusFailed,
+			round:  p.r,
+			err:    fmt.Errorf("benor: weak agreement violated at %v round %d: rec = %v", p.id, p.r, slices.Clone(rec[:k])),
+		})
+	}
+	return p.nextRound()
+}
+
+// decide broadcasts DECIDE(v) and decides, or — at a before-decide crash —
+// delivers DECIDE to the planned subset only and crashes.
+func (p *proc) decide(v model.Value) bool {
+	if p.atCrashPoint(2, failures.StageBeforeDecide) {
+		plan, _ := p.sched.Plan(p.id)
+		if len(plan.DeliverTo) > 0 {
+			p.ctr.AddDecideMsgs(int64(len(plan.DeliverTo)))
+			p.net.BroadcastSubset(p.id, decideMsg{val: v}, plan.DeliverTo)
+		}
+		return p.crash()
+	}
+	p.ctr.AddDecideMsgs(int64(p.n))
+	p.net.Broadcast(p.id, decideMsg{val: v})
+	return p.finish(outcome{status: sim.StatusDecided, val: v, round: p.r})
+}
+
 // ErrInvariantBroken reports a protocol invariant violation (a bug).
 var ErrInvariantBroken = errors.New("benor: protocol invariant broken")
 
-// newProc builds process i's runtime state.
-func newProc(cfg *Config, i int, nw *netsim.Network, ctr *metrics.Counters) *proc {
+// newProc builds process i's reactor.
+func newProc(cfg *Config, i int, nw *netsim.Network, ctr *metrics.Counters, h *driver.Handle, store *outcome) *proc {
 	id := model.ProcID(i)
 	var localCoin coin.Local
 	if cfg.LocalCoinOverride != nil {
@@ -310,9 +333,12 @@ func newProc(cfg *Config, i int, nw *netsim.Network, ctr *metrics.Counters) *pro
 		local:     localCoin,
 		sched:     cfg.Crashes,
 		ctr:       ctr,
+		h:         h,
 		rng:       rand.New(rand.NewPCG(s1, s2)),
 		maxRounds: cfg.MaxRounds,
 		pending:   make(map[phaseKey][]model.Value),
+		store:     store,
+		est1:      cfg.Proposals[i],
 	}
 }
 
@@ -346,34 +372,17 @@ func Run(cfg Config) (*sim.Result, error) {
 			return nil, fmt.Errorf("%w: proposal of %v is %v", ErrBadConfig, model.ProcID(i), v)
 		}
 	}
-	if cfg.Body != sim.BodyAuto && cfg.Body != sim.BodyCoroutine {
-		return nil, fmt.Errorf("%w: unknown body kind %d", ErrBadConfig, int(cfg.Body))
-	}
 	var ctr metrics.Counters
 	var nw *netsim.Network
 	outcomes := make([]outcome, cfg.N)
-	dcfg := driver.Config{
+	out, err := driver.RunHandlers(driver.Config{
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
 		Crashes:        cfg.Crashes,
-	}
-	newNet := driver.StandardNet(&nw, cfg.N, uint64(cfg.Seed)^0x9e6c_63d0_876a_9a7d, &ctr, cfg.MinDelay, cfg.MaxDelay, cfg.NetOptions...)
-	var out driver.Outcome
-	var err error
-	if cfg.Body != sim.BodyCoroutine {
-		// The default fast path: inline handler bodies (DESIGN.md §11).
-		out, err = driver.RunHandlers(dcfg, cfg.N, newNet, func(i int, h *driver.Handle) driver.Reactor {
-			p := newProc(&cfg, i, nw, &ctr)
-			p.h = h
-			return &reactor{proc: p, proposal: cfg.Proposals[i], store: &outcomes[i]}
+	}, cfg.N, driver.StandardNet(&nw, cfg.N, uint64(cfg.Seed)^0x9e6c_63d0_876a_9a7d, &ctr, cfg.MinDelay, cfg.MaxDelay, cfg.NetOptions...),
+		func(i int, h *driver.Handle) driver.Reactor {
+			return newProc(&cfg, i, nw, &ctr, h, &outcomes[i])
 		})
-	} else {
-		out, err = driver.Run(dcfg, cfg.N, newNet, func(i int, h *driver.Handle) {
-			p := newProc(&cfg, i, nw, &ctr)
-			p.h = h
-			outcomes[i] = p.run(cfg.Proposals[i])
-		})
-	}
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"allforone/internal/failures"
 	"allforone/internal/model"
 	"allforone/internal/netsim"
 	"allforone/internal/trace"
@@ -81,95 +82,58 @@ func (s *supporters) Received() []model.Value {
 // covers a strict majority of Π.
 func (s *supporters) exitCondition() bool { return s.covers.IsMajority() }
 
-// msgExchange is Algorithm 1, the operation msg_exchange(r, ph, est):
-// broadcast (r, ph, est) to all (including self), then collect (r, ph, −)
-// messages, accounting each sender's whole cluster as supporters of the
-// carried value, until the accumulated closure covers a majority of
-// processes.
-//
-// It returns the supporters tally, or a non-nil outcome if the execution
-// ended inside the pattern: the process crashed mid-broadcast, learned a
-// decision via DECIDE (in which case it rebroadcasts DECIDE first, line
-// 17), or was aborted by the runner.
-//
-// Messages for later protocol positions are buffered for replay; messages
-// for earlier positions are stale and dropped (their senders have already
-// been accounted at those positions or are irrelevant to them).
-func (p *proc) msgExchange(r, ph int, est model.Value) (*supporters, *outcome) {
-	cur := phaseKey{round: r, phase: ph}
-	sup, out := p.beginExchange(r, ph, est)
-	if out != nil {
-		return nil, out
-	}
-
-	// Collect until the closure covers a majority (lines 4-7).
-	for !sup.exitCondition() {
-		msg, ok := p.net.Receive(p.id)
-		if p.killedNow() {
-			// A timed crash struck while this process was waiting: it halts
-			// here, before acting on whatever was (or was not) received.
-			out := p.crashNow(r, ph)
-			return nil, &out
+// beginExchange opens msg_exchange(r, ph, est), Algorithm 1: broadcast
+// (r, ph, est) to all, including self (line 3), and replay the messages
+// earlier exchanges buffered for this position. React then collects
+// (r, ph, −) messages, accounting each sender's whole cluster as supporters
+// of the carried value, until the closure covers a majority (lines 4-7). A
+// mid-broadcast crash delivers to the planned (or seeded-random) subset
+// only and halts the process. It reports whether the process finished.
+func (p *proc) beginExchange(ph int, est model.Value) bool {
+	p.ph, p.est = ph, est
+	p.sup.reset()
+	msg := PhaseMsg{Round: p.r, Phase: ph, Est: est}
+	if p.atCrashPoint(ph, failures.StageMidBroadcast) {
+		plan, _ := p.sched.Plan(p.id)
+		recipients := plan.DeliverTo
+		if recipients == nil {
+			recipients = failures.RandomSubset(p.rng, p.part.N())
 		}
-		if !ok {
-			out := outcome{status: StatusBlocked, round: r}
-			p.log.Append(p.id, trace.KindBlocked, r, ph, model.Bot)
-			return nil, &out
-		}
-		if out := p.feedExchange(cur, sup, msg); out != nil {
-			return nil, out
-		}
+		p.net.BroadcastSubset(p.id, msg, recipients)
+		return p.crash(ph)
 	}
-	p.log.Append(p.id, trace.KindExchangeExit, r, ph, est)
-	return sup, nil
-}
+	p.log.Append(p.id, trace.KindBroadcast, p.r, ph, est)
+	p.net.Broadcast(p.id, msg)
 
-// beginExchange opens msg_exchange(r, ph, est) without waiting for any
-// message: broadcast (line 3, honoring a mid-broadcast crash) and replay
-// the messages earlier exchanges buffered for this position. Both body
-// forms open exchanges through it, so the broadcast/replay sequence — and
-// with it the network's RNG stream — is identical under either form.
-func (p *proc) beginExchange(r, ph int, est model.Value) (*supporters, *outcome) {
-	cur := phaseKey{round: r, phase: ph}
-	sup := p.sup
-	sup.reset()
-
-	if crashed := p.broadcastPhase(r, ph, est); crashed {
-		out := p.crashNow(r, ph)
-		return nil, &out
-	}
-
+	cur := phaseKey{round: p.r, phase: ph}
 	for _, bm := range p.pending[cur] {
-		sup.add(p.part, bm.from, bm.est, p.ablateClosure)
+		p.sup.add(p.part, bm.from, bm.est, p.ablateClosure)
 	}
 	delete(p.pending, cur)
-	return sup, nil
+	return false
 }
 
-// feedExchange accounts one received message against the exchange open at
-// cur: current-position phase messages feed the supporters tally, future
-// ones are buffered for replay, stale ones dropped. It returns a non-nil
-// outcome when the message ends the execution — a DECIDE was learned, so
-// the process rebroadcasts DECIDE and decides (line 17).
-func (p *proc) feedExchange(cur phaseKey, sup *supporters, msg netsim.Message) *outcome {
+// feedExchange accounts one received message against the open exchange:
+// current-position phase messages feed the supporters tally, later ones are
+// buffered for replay, and stale ones are dropped (their senders were
+// already accounted at those positions or are irrelevant to them). A DECIDE
+// ends the execution: the process rebroadcasts it and decides (line 17). It
+// reports whether the process finished.
+func (p *proc) feedExchange(msg netsim.Message) bool {
+	cur := phaseKey{round: p.r, phase: p.ph}
 	switch payload := msg.Payload.(type) {
 	case DecideMsg:
-		// Line 17: rebroadcast DECIDE, then decide.
 		p.broadcastDecide(payload.Val)
-		p.log.Append(p.id, trace.KindDecide, cur.round, cur.phase, payload.Val)
-		return &outcome{status: StatusDecided, val: payload.Val, round: cur.round}
+		p.log.Append(p.id, trace.KindDecide, p.r, p.ph, payload.Val)
+		return p.finish(outcome{status: StatusDecided, val: payload.Val, round: p.r})
 	case PhaseMsg:
 		k := phaseKey{round: payload.Round, phase: payload.Phase}
 		switch {
 		case k == cur:
-			sup.add(p.part, msg.From, payload.Est, p.ablateClosure)
+			p.sup.add(p.part, msg.From, payload.Est, p.ablateClosure)
 		case cur.less(k):
 			p.pending[k] = append(p.pending[k], bufferedMsg{from: msg.From, est: payload.Est})
-		default:
-			// Stale: an earlier position's message; ignore.
 		}
-	default:
-		// Unknown payloads indicate a wiring bug; ignore defensively.
 	}
-	return nil
+	return false
 }

@@ -8,216 +8,139 @@ import (
 	"allforone/internal/trace"
 )
 
-// reactor is the inline handler-body form of a process (driver.Reactor,
-// DESIGN.md §11): the same Algorithm 2/3 execution as runLocalCoin /
-// runCommonCoin, re-expressed as a resumable state machine so the
-// scheduler can invoke it directly — no goroutine, no channel rendezvous
-// per delivery. The only wait point of either algorithm is the collect
-// loop of msg_exchange, so the resumable position is just "which exchange
-// (r, ph) is open"; everything between two exchanges runs straight-line
-// inside one invocation.
-//
-// Behavioral parity with the coroutine form is load-bearing (the
-// differential suite pins it): every broadcast, trace append, counter
-// increment, crash point, and message consumption happens at the same
-// sequence position as in the coroutine body, so both forms produce
-// identical Results — decisions, rounds, message counts, even virtual
-// time and step counts — for the same Config.
-type reactor struct {
-	*proc
-	alg      Algorithm
-	proposal model.Value
-	store    *outcome // this process's slot in execEnv.outcomes
-
-	started bool
-	r       int         // current round
-	ph      int         // exchange in progress: phase 1 or 2
-	est     model.Value // value being exchanged at (r, ph)
-	est1    model.Value // round-carried estimate (est of Algorithm 3)
-	done    bool
-}
-
-// newReactor builds process i's handler body.
-func (env *execEnv) newReactor(cfg *Config, i int, p *proc) *reactor {
-	return &reactor{
-		proc:     p,
-		alg:      cfg.Algorithm,
-		proposal: cfg.Proposals[i],
-		store:    &env.outcomes[i],
-	}
-}
-
-// finish records the outcome and retires the reactor.
-func (rx *reactor) finish(out outcome) bool {
-	*rx.store = out
-	rx.done = true
-	return true
-}
-
 // React runs one invocation: drain every deliverable message into the open
 // exchange and advance the round machine to its next wait point.
-func (rx *reactor) React(aborted bool) bool {
-	if rx.done {
-		return true
-	}
-	if !rx.started {
+func (p *proc) React(aborted bool) bool {
+	if p.r == 0 {
 		if aborted {
-			// The run aborted before this process's first step — the
-			// coroutine form's fn would never run, leaving the zero
-			// outcome. (Unreachable in practice: initial steps precede
-			// any event.)
-			rx.done = true
-			return true
+			return true // the run ended before this process took a step
 		}
-		rx.started = true
-		rx.log.Append(rx.id, trace.KindPropose, 0, 0, rx.proposal)
-		rx.est1 = rx.proposal
-		if out := rx.nextRound(); out != nil {
-			return rx.finish(*out)
+		p.log.Append(p.id, trace.KindPropose, 0, 0, p.est1)
+		if p.nextRound() {
+			return true
 		}
 	}
 	if aborted {
-		// The inline analogue of a blocking Receive returning false on
-		// abort: the queued messages (if any) stay unconsumed, exactly as
-		// a coroutine resumed out of Park with false would leave them.
-		if rx.killedNow() {
-			return rx.finish(rx.crashNow(rx.r, rx.ph))
-		}
-		rx.log.Append(rx.id, trace.KindBlocked, rx.r, rx.ph, model.Bot)
-		return rx.finish(outcome{status: StatusBlocked, round: rx.r})
+		return p.stop() // queued messages stay unconsumed
 	}
 	// The batched drain: one invocation consumes the whole ring inbox,
 	// feeding the collect loop of Algorithm 1 (lines 4-7) and running the
 	// follow-up round logic whenever an exchange exits.
 	for {
-		if rx.sup.exitCondition() {
-			rx.log.Append(rx.id, trace.KindExchangeExit, rx.r, rx.ph, rx.est)
-			if out := rx.afterExchange(); out != nil {
-				return rx.finish(*out)
+		if p.sup.exitCondition() {
+			p.log.Append(p.id, trace.KindExchangeExit, p.r, p.ph, p.est)
+			if p.afterExchange() {
+				return true
 			}
 			continue
 		}
-		msg, ok, closed := rx.net.ReceiveNow(rx.id)
+		msg, ok, closed := p.net.ReceiveNow(p.id)
+		if p.h.Killed() || (!ok && closed) {
+			// A timed crash halts the process before it acts on what it
+			// received; a closed, drained inbox leaves it blocked.
+			return p.stop()
+		}
 		if !ok {
-			if rx.killedNow() {
-				return rx.finish(rx.crashNow(rx.r, rx.ph))
-			}
-			if closed {
-				rx.log.Append(rx.id, trace.KindBlocked, rx.r, rx.ph, model.Bot)
-				return rx.finish(outcome{status: StatusBlocked, round: rx.r})
-			}
 			return false // inbox drained; wait for the next wake
 		}
-		if rx.killedNow() {
-			// A timed crash struck: halt before acting on what was received
-			// (the message is consumed, as the coroutine's Receive had
-			// already consumed it too).
-			return rx.finish(rx.crashNow(rx.r, rx.ph))
-		}
-		if out := rx.feedExchange(phaseKey{round: rx.r, phase: rx.ph}, rx.sup, msg); out != nil {
-			return rx.finish(*out)
+		if p.feedExchange(msg) {
+			return true
 		}
 	}
 }
 
-// nextRound advances to round r+1 and runs its opening straight-line steps
-// — round-bound/abort check, round-start crash point, phase-1 cluster
-// consensus — up to opening the phase-1 exchange. A non-nil outcome ends
-// the execution.
-func (rx *reactor) nextRound() *outcome {
-	rx.r++
-	r := rx.r
-	if out := rx.checkAbort(r); out != nil {
-		return out
+// nextRound opens round r+1 and runs its straight-line steps — the round
+// bound and abort checks, the round-start crash point, the phase-1 cluster
+// consensus — up to opening the phase-1 exchange. It reports whether the
+// process finished.
+func (p *proc) nextRound() bool {
+	p.r++
+	switch {
+	case p.h.Killed():
+		return p.crash(1)
+	case p.h.Aborted() || (p.maxRounds > 0 && p.r > p.maxRounds):
+		// A process whose inbox never drains would otherwise keep running
+		// rounds past the engine's bound; this check limits the overrun to
+		// one round.
+		p.log.Append(p.id, trace.KindBlocked, p.r, 0, model.Bot)
+		return p.finish(outcome{status: StatusBlocked, round: p.r - 1})
 	}
-	rx.log.Append(rx.id, trace.KindRoundStart, r, 1, rx.est1)
-	if rx.atCrashPoint(failures.Point{Round: r, Phase: 1, Stage: failures.StageRoundStart}) {
-		out := rx.crashNow(r, 1)
-		return &out
+	p.log.Append(p.id, trace.KindRoundStart, p.r, 1, p.est1)
+	if p.atCrashPoint(1, failures.StageRoundStart) {
+		return p.crash(1)
 	}
-	rx.est1 = rx.clusterPropose(r, 1, rx.est1) // line 4: agree inside the cluster
-	if rx.atCrashPoint(failures.Point{Round: r, Phase: 1, Stage: failures.StageAfterClusterConsensus}) {
-		out := rx.crashNow(r, 1)
-		return &out
+	p.est1 = p.clusterPropose(1, p.est1) // line 4: agree inside the cluster
+	if p.atCrashPoint(1, failures.StageAfterClusterConsensus) {
+		return p.crash(1)
 	}
-	return rx.openExchange(1, rx.est1) // line 5
-}
-
-// openExchange starts msg_exchange(rx.r, ph, est): broadcast plus pending
-// replay (beginExchange). The pump then collects until the exit condition
-// holds.
-func (rx *reactor) openExchange(ph int, est model.Value) *outcome {
-	rx.ph, rx.est = ph, est
-	_, out := rx.beginExchange(rx.r, ph, est)
-	return out
+	return p.beginExchange(1, p.est1) // line 5
 }
 
 // afterExchange runs the straight-line steps that follow a satisfied
-// exchange, up to the next wait point: the phase-2 exchange (Algorithm 2
-// phase 1), the decision logic plus the next round (phase 2), or the
-// common-coin consultation plus the next round (Algorithm 3).
-func (rx *reactor) afterExchange() *outcome {
-	r := rx.r
-	if rx.alg == CommonCoin {
-		if rx.atCrashPoint(failures.Point{Round: r, Phase: 1, Stage: failures.StageAfterExchange}) {
-			out := rx.crashNow(r, 1)
-			return &out
-		}
-		s := rx.common.Bit(r) // line 6: same bit at every process
-		rx.log.Append(rx.id, trace.KindCoinFlip, r, 1, s)
-		rx.ctr.ObserveRound(int64(r))
-		if v, ok := rx.sup.MajorityValue(); ok { // line 7
-			rx.est1 = v // line 8
+// exchange, up to the next wait point, and reports whether the process
+// finished.
+//
+// Algorithm 3 (common coin) has single-phase rounds: consult the common
+// coin; if some value v is supported by a majority, adopt it and decide
+// when the round's coin bit equals v, otherwise adopt the coin bit. Once
+// every surviving process holds the same estimate v, each later round
+// decides with probability 1/2, so the expected number of extra rounds is 2
+// (paper §IV).
+//
+// Algorithm 2 (local coin) has two phases, each opened by a cluster
+// consensus. Phase 1 establishes the weak agreement WA1: any two non-⊥ est2
+// values are equal. Phase 2 establishes WA2: rec = {v} at one process
+// excludes rec = {⊥} at another. The decision logic is Ben-Or's (lines
+// 12-14): a single value v → decide v; {v, ⊥} → adopt v; {⊥} → local coin.
+func (p *proc) afterExchange() bool {
+	if p.atCrashPoint(p.ph, failures.StageAfterExchange) {
+		return p.crash(p.ph)
+	}
+	if p.alg == CommonCoin {
+		s := p.common.Bit(p.r) // line 6: same bit at every process
+		p.log.Append(p.id, trace.KindCoinFlip, p.r, 1, s)
+		p.ctr.ObserveRound(int64(p.r))
+		if v, ok := p.sup.MajorityValue(); ok { // line 7
+			p.est1 = v // line 8
 			if s == v {
-				out := rx.decideNow(r, 1, v) // line 9
-				return &out
+				return p.decide(1, v) // line 9
 			}
 		} else {
-			rx.est1 = s // line 10
+			p.est1 = s // line 10
 		}
-		return rx.nextRound()
+		return p.nextRound()
 	}
 
-	// Algorithm 2 (local coin).
-	if rx.ph == 1 {
-		if rx.atCrashPoint(failures.Point{Round: r, Phase: 1, Stage: failures.StageAfterExchange}) {
-			out := rx.crashNow(r, 1)
-			return &out
-		}
+	if p.ph == 1 {
 		est2 := model.Bot
-		if v, ok := rx.sup.MajorityValue(); ok { // lines 6-7
+		if v, ok := p.sup.MajorityValue(); ok { // lines 6-7
 			est2 = v
 		}
-		est2 = rx.clusterPropose(r, 2, est2) // line 8
-		if rx.atCrashPoint(failures.Point{Round: r, Phase: 2, Stage: failures.StageAfterClusterConsensus}) {
-			out := rx.crashNow(r, 2)
-			return &out
+		est2 = p.clusterPropose(2, est2) // line 8
+		if p.atCrashPoint(2, failures.StageAfterClusterConsensus) {
+			return p.crash(2)
 		}
-		return rx.openExchange(2, est2) // line 9
+		return p.beginExchange(2, est2) // line 9
 	}
-	if rx.atCrashPoint(failures.Point{Round: r, Phase: 2, Stage: failures.StageAfterExchange}) {
-		out := rx.crashNow(r, 2)
-		return &out
-	}
-	rec := rx.sup.Received() // line 10
-	rx.ctr.ObserveRound(int64(r))
+	rec := p.sup.Received() // line 10
+	p.ctr.ObserveRound(int64(p.r))
 	switch {
 	case len(rec) == 1 && rec[0].IsBinary(): // line 12: rec = {v}
-		out := rx.decideNow(r, 2, rec[0])
-		return &out
+		return p.decide(2, rec[0])
 	case len(rec) == 2 && rec[1] == model.Bot: // line 13: rec = {v,⊥}
-		rx.est1 = rec[0]
+		p.est1 = rec[0]
 	case len(rec) == 1 && rec[0] == model.Bot: // line 14: rec = {⊥}
-		rx.est1 = rx.local.Flip()
-		rx.ctr.AddCoinFlips(1)
-		rx.log.Append(rx.id, trace.KindCoinFlip, r, 2, rx.est1)
+		p.est1 = p.local.Flip()
+		p.ctr.AddCoinFlips(1)
+		p.log.Append(p.id, trace.KindCoinFlip, p.r, 2, p.est1)
 	default:
-		return &outcome{
+		// Two distinct binary values in rec would violate WA1/WA2 —
+		// impossible in a correct implementation; surface loudly.
+		return p.finish(outcome{
 			status: StatusFailed,
-			round:  r,
-			err: fmt.Errorf(
-				"core: weak agreement violated at %v round %d: rec = %v", rx.id, r, rec),
-		}
+			round:  p.r,
+			err:    fmt.Errorf("core: weak agreement violated at %v round %d: rec = %v", p.id, p.r, rec),
+		})
 	}
-	return rx.nextRound()
+	return p.nextRound()
 }

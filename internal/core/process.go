@@ -33,9 +33,14 @@ type outcome struct {
 	err    error       // meaningful iff status == StatusFailed
 }
 
-// proc is one simulated process: its identity, its cluster's shared
-// objects, the network, its coins, and its crash plan. A proc is owned by
-// exactly one scheduler process (a coroutine or a reactor).
+// proc is one simulated process, a driver.Reactor (DESIGN.md §11): its
+// identity, its cluster's shared objects, the network, its coins, its crash
+// plan, and the resumable state of its round machine. The only wait point of
+// either algorithm is the collect loop of msg_exchange, so that state is the
+// open exchange (r, ph) and the estimates; everything between two exchanges
+// runs straight-line inside one invocation. Every step happens in the
+// algorithm's statement order, however invocations split the run, so the
+// network's RNG stream and the (at,seq) order follow from it.
 type proc struct {
 	id     model.ProcID
 	part   *model.Partition
@@ -48,7 +53,9 @@ type proc struct {
 	log    *trace.Log
 	h      *driver.Handle // the engine's abort/kill state (see internal/driver)
 	rng    *rand.Rand     // drives the "arbitrary subset" of interrupted broadcasts
+	store  *outcome       // this process's slot of the run's outcomes
 
+	alg       Algorithm
 	maxRounds int // 0 = unbounded
 	pending   map[phaseKey][]bufferedMsg
 	sup       *supporters // the tally of the exchange in progress
@@ -57,65 +64,40 @@ type proc struct {
 	// algorithms.
 	ablateClosure bool
 	ablateCluster bool
+
+	r    int         // open round; 0 before the first invocation
+	ph   int         // open exchange: phase 1 or 2
+	est  model.Value // value being exchanged at (r, ph)
+	est1 model.Value // round-carried estimate (est of Algorithm 3)
 }
 
-// abortedNow reports whether the engine has aborted the execution
-// (quiescence, deadline, or step budget).
-func (p *proc) abortedNow() bool { return p.h.Aborted() }
-
-// killedNow reports whether a timed crash has struck this process; it
-// halts at the next step point that observes it.
-func (p *proc) killedNow() bool { return p.h.Killed() }
-
-// checkAbort implements the per-round stop conditions: a timed crash, the
-// MaxRounds cap, and the runner's abort signal. Exchange blocks also
-// observe the abort, but a process whose mailbox never drains would
-// otherwise keep executing rounds past the runner's bound; the
-// round-boundary check limits that overrun to one round. It returns a
-// non-nil outcome when the process must stop.
-func (p *proc) checkAbort(r int) *outcome {
-	if p.killedNow() {
-		out := p.crashNow(r, 1)
-		return &out
-	}
-	if p.abortedNow() || (p.maxRounds > 0 && r > p.maxRounds) {
-		p.log.Append(p.id, trace.KindBlocked, r, 0, model.Bot)
-		return &outcome{status: StatusBlocked, round: r - 1}
-	}
-	return nil
+// finish records the outcome; React returns its result, retiring the
+// process.
+func (p *proc) finish(out outcome) bool {
+	*p.store = out
+	return true
 }
 
-// crashNow logs and performs a crash at the current point. It must only be
-// called after sched.ShouldCrash returned true.
-func (p *proc) crashNow(round, phase int) outcome {
-	p.log.Append(p.id, trace.KindCrash, round, phase, model.Bot)
-	return outcome{status: StatusCrashed, round: round}
+// stop ends the process where it waits: crashed if a timed crash struck it,
+// blocked otherwise.
+func (p *proc) stop() bool {
+	if p.h.Killed() {
+		return p.crash(p.ph)
+	}
+	p.log.Append(p.id, trace.KindBlocked, p.r, p.ph, model.Bot)
+	return p.finish(outcome{status: StatusBlocked, round: p.r})
+}
+
+// crash logs a crash at phase ph of the open round and finishes the process.
+func (p *proc) crash(ph int) bool {
+	p.log.Append(p.id, trace.KindCrash, p.r, ph, model.Bot)
+	return p.finish(outcome{status: StatusCrashed, round: p.r})
 }
 
 // atCrashPoint reports whether the process must crash at the given step
-// point.
-func (p *proc) atCrashPoint(pt failures.Point) bool {
-	return p.sched.ShouldCrash(p.id, pt)
-}
-
-// broadcastPhase performs the broadcast step of Algorithm 1 line 3,
-// honoring a mid-broadcast crash: if the failure plan interrupts this
-// broadcast, only the planned (or seeded-random) subset receives the
-// message and the process halts.
-func (p *proc) broadcastPhase(r, ph int, est model.Value) (crashed bool) {
-	pt := failures.Point{Round: r, Phase: ph, Stage: failures.StageMidBroadcast}
-	if p.atCrashPoint(pt) {
-		plan, _ := p.sched.Plan(p.id)
-		recipients := plan.DeliverTo
-		if recipients == nil {
-			recipients = failures.RandomSubset(p.rng, p.part.N())
-		}
-		p.net.BroadcastSubset(p.id, PhaseMsg{Round: r, Phase: ph, Est: est}, recipients)
-		return true
-	}
-	p.log.Append(p.id, trace.KindBroadcast, r, ph, est)
-	p.net.Broadcast(p.id, PhaseMsg{Round: r, Phase: ph, Est: est})
-	return false
+// point of the open round.
+func (p *proc) atCrashPoint(ph int, stage failures.Stage) bool {
+	return p.sched.ShouldCrash(p.id, failures.Point{Round: p.r, Phase: ph, Stage: stage})
 }
 
 // broadcastDecide broadcasts DECIDE(v) to all processes (lines 12/17).
@@ -124,34 +106,33 @@ func (p *proc) broadcastDecide(v model.Value) {
 	p.net.Broadcast(p.id, DecideMsg{Val: v})
 }
 
-// decideNow handles the "about to decide v" step shared by both
-// algorithms: honor a before-decide crash (optionally delivering DECIDE to
-// a planned subset — a crash in the middle of the DECIDE broadcast), then
-// broadcast DECIDE and return the decision.
-func (p *proc) decideNow(r, ph int, v model.Value) outcome {
-	pt := failures.Point{Round: r, Phase: ph, Stage: failures.StageBeforeDecide}
-	if p.atCrashPoint(pt) {
+// decide handles the "about to decide v" step shared by both algorithms:
+// honor a before-decide crash (optionally delivering DECIDE to a planned
+// subset — a crash in the middle of the DECIDE broadcast), then broadcast
+// DECIDE and decide. It always finishes the process.
+func (p *proc) decide(ph int, v model.Value) bool {
+	if p.atCrashPoint(ph, failures.StageBeforeDecide) {
 		plan, _ := p.sched.Plan(p.id)
 		if len(plan.DeliverTo) > 0 {
 			p.ctr.AddDecideMsgs(int64(len(plan.DeliverTo)))
 			p.net.BroadcastSubset(p.id, DecideMsg{Val: v}, plan.DeliverTo)
 		}
-		return p.crashNow(r, ph)
+		return p.crash(ph)
 	}
 	p.broadcastDecide(v)
-	p.log.Append(p.id, trace.KindDecide, r, ph, v)
-	return outcome{status: StatusDecided, val: v, round: r}
+	p.log.Append(p.id, trace.KindDecide, p.r, ph, v)
+	return p.finish(outcome{status: StatusDecided, val: v, round: p.r})
 }
 
 // clusterPropose invokes CONS_x[r, ph].propose(v) on the cluster's
 // consensus object and records the cost. Under the cluster-consensus
 // ablation it returns v unchanged (no agreement, no cost).
-func (p *proc) clusterPropose(r, ph int, v model.Value) model.Value {
+func (p *proc) clusterPropose(ph int, v model.Value) model.Value {
 	if p.ablateCluster {
 		return v
 	}
-	out := p.cons.Propose(r, ph, v)
+	out := p.cons.Propose(p.r, ph, v)
 	p.ctr.AddConsInvocations(1)
-	p.log.Append(p.id, trace.KindClusterAgree, r, ph, out)
+	p.log.Append(p.id, trace.KindClusterAgree, p.r, ph, out)
 	return out
 }

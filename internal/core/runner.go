@@ -60,11 +60,6 @@ type Config struct {
 	// Algorithm selects local-coin (Algorithm 2) or common-coin
 	// (Algorithm 3).
 	Algorithm Algorithm
-	// Body selects the process-body form: sim.BodyAuto, the zero value,
-	// runs inline handlers — the fast path; sim.BodyCoroutine forces the
-	// coroutine form for differential testing. Both forms execute the
-	// same algorithm with identical Results.
-	Body sim.BodyKind
 	// Seed makes all randomness of the run (coins, delays, crash subsets)
 	// reproducible: it pins the entire execution.
 	Seed int64
@@ -152,18 +147,14 @@ func (cfg *Config) validate() (int, error) {
 	if cfg.Algorithm != LocalCoin && cfg.Algorithm != CommonCoin {
 		return 0, fmt.Errorf("%w: unknown algorithm %d", ErrBadConfig, int(cfg.Algorithm))
 	}
-	if cfg.Body != sim.BodyAuto && cfg.Body != sim.BodyCoroutine {
-		return 0, fmt.Errorf("%w: unknown body kind %d", ErrBadConfig, int(cfg.Body))
-	}
 	if cfg.MaxRounds < 0 {
 		return 0, fmt.Errorf("%w: negative MaxRounds", ErrBadConfig)
 	}
 	return n, nil
 }
 
-// execEnv is the substrate of one execution, shared by both body forms: the
-// network, the per-cluster memories and CONS arrays, the coins, and the
-// outcome slots.
+// execEnv is the substrate of one execution: the network, the per-cluster
+// memories and CONS arrays, the common coin, and the outcome slots.
 type execEnv struct {
 	n        int
 	part     *model.Partition
@@ -203,8 +194,8 @@ func (env *execEnv) newNetwork(cfg *Config) driver.NewNetFunc {
 		uint64(cfg.Seed)^0xa076_1d64_78bd_642f, &env.ctr, cfg.MinDelay, cfg.MaxDelay, cfg.NetOptions...)
 }
 
-// newProc builds process i's runtime state.
-func (env *execEnv) newProc(cfg *Config, i int) *proc {
+// newProc builds process i's reactor.
+func (env *execEnv) newProc(cfg *Config, i int, h *driver.Handle) *proc {
 	id := model.ProcID(i)
 	var localCoin coin.Local
 	if cfg.LocalCoinOverride != nil {
@@ -223,23 +214,16 @@ func (env *execEnv) newProc(cfg *Config, i int) *proc {
 		sched:         cfg.Crashes,
 		ctr:           &env.ctr,
 		log:           cfg.Trace,
+		h:             h,
 		rng:           rand.New(rand.NewPCG(s1, s2)),
+		store:         &env.outcomes[i],
+		alg:           cfg.Algorithm,
 		maxRounds:     cfg.MaxRounds,
 		pending:       make(map[phaseKey][]bufferedMsg),
 		sup:           newSupporters(env.n),
 		ablateClosure: cfg.AblateClosure,
 		ablateCluster: cfg.AblateClusterConsensus,
-	}
-}
-
-// run executes the configured algorithm on behalf of p and stores the
-// outcome (the driver closes p's inbox when the body returns).
-func (env *execEnv) run(cfg *Config, p *proc, proposal model.Value) {
-	switch cfg.Algorithm {
-	case LocalCoin:
-		env.outcomes[p.id] = p.runLocalCoin(proposal)
-	case CommonCoin:
-		env.outcomes[p.id] = p.runCommonCoin(proposal)
+		est1:          cfg.Proposals[i],
 	}
 }
 
@@ -279,26 +263,13 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	env := newExecEnv(&cfg, n)
-	dcfg := driver.Config{
+	out, err := driver.RunHandlers(driver.Config{
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
 		Crashes:        cfg.Crashes,
-	}
-	var out driver.Outcome
-	if cfg.Body != sim.BodyCoroutine {
-		// The default fast path: inline handler bodies (DESIGN.md §11).
-		out, err = driver.RunHandlers(dcfg, n, env.newNetwork(&cfg), func(i int, h *driver.Handle) driver.Reactor {
-			p := env.newProc(&cfg, i)
-			p.h = h
-			return env.newReactor(&cfg, i, p)
-		})
-	} else {
-		out, err = driver.Run(dcfg, n, env.newNetwork(&cfg), func(i int, h *driver.Handle) {
-			p := env.newProc(&cfg, i)
-			p.h = h
-			env.run(&cfg, p, cfg.Proposals[i])
-		})
-	}
+	}, n, env.newNetwork(&cfg), func(i int, h *driver.Handle) driver.Reactor {
+		return env.newProc(&cfg, i, h)
+	})
 	if err != nil {
 		return nil, err
 	}

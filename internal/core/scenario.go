@@ -57,7 +57,6 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 		Partition:      part,
 		Proposals:      sc.Workload.Binary,
 		Algorithm:      algo,
-		Body:           sc.Body,
 		Seed:           sc.Seed,
 		Crashes:        sc.Faults,
 		MaxRounds:      sc.Bounds.MaxRounds,

@@ -1,11 +1,9 @@
 package gossip
 
 import (
-	"fmt"
 	"time"
 
 	"allforone/internal/protocol"
-	"allforone/internal/sim"
 )
 
 // ProtocolName is the registry name of the gossip disseminator.
@@ -27,9 +25,6 @@ func init() {
 }
 
 func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
-	if sc.Body == sim.BodyCoroutine {
-		return nil, fmt.Errorf("%w: gossip has no coroutine body form", ErrBadConfig)
-	}
 	n, err := sc.Topology.Procs()
 	if err != nil {
 		return nil, err

@@ -9,7 +9,6 @@ import (
 	"allforone/internal/coin"
 	"allforone/internal/failures"
 	"allforone/internal/model"
-	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
 
@@ -40,24 +39,6 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("case %d: error = %v, want ErrBadConfig", i, err)
 		}
-	}
-}
-
-// mpcoin is a reactor only: a scenario asking for the coroutine form is
-// rejected, the default form runs.
-func TestScenarioRejectsCoroutineBody(t *testing.T) {
-	t.Parallel()
-	sc := protocol.Scenario{
-		Protocol: ProtocolName,
-		Topology: protocol.Topology{N: 1},
-		Workload: protocol.Workload{Binary: unanimous(1, model.One)},
-	}
-	if _, err := protocol.Run(sc); err != nil {
-		t.Fatalf("BodyAuto: %v", err)
-	}
-	sc.Body = sim.BodyCoroutine
-	if _, err := protocol.Run(sc); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("BodyCoroutine: error = %v, want ErrBadConfig", err)
 	}
 }
 

@@ -1,10 +1,7 @@
 package mpcoin
 
 import (
-	"fmt"
-
 	"allforone/internal/protocol"
-	"allforone/internal/sim"
 )
 
 // ProtocolName is the registry name of the message-passing common-coin
@@ -23,9 +20,6 @@ func init() {
 }
 
 func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
-	if sc.Body == sim.BodyCoroutine {
-		return nil, fmt.Errorf("%w: mpcoin has no coroutine body form", ErrBadConfig)
-	}
 	n, err := sc.Topology.Procs()
 	if err != nil {
 		return nil, err

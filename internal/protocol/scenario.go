@@ -9,7 +9,6 @@ import (
 	"allforone/internal/model"
 	"allforone/internal/netsim"
 	"allforone/internal/overlay"
-	"allforone/internal/sim"
 	"allforone/internal/trace"
 )
 
@@ -37,13 +36,6 @@ type Scenario struct {
 	// Profile is the message-delay policy; nil means immediate delivery.
 	// Profiles compile down to deterministic netsim delay policies.
 	Profile NetworkProfile
-	// Body selects the process-body form for protocols offering both
-	// (currently hybrid and benor): sim.BodyAuto (the zero value) runs
-	// inline handlers; sim.BodyCoroutine forces the goroutine form for
-	// differential testing. Handler-only protocols (mpcoin, smr, gossip,
-	// allconcur) reject sim.BodyCoroutine in their adapters; coroutine-only
-	// ones run their one form under either value.
-	Body sim.BodyKind
 	// Seed pins all randomness of the run.
 	Seed int64
 	// Workers is ignored.
@@ -173,9 +165,6 @@ func (sc *Scenario) validate(info Info) error {
 		if err := sc.Topology.Overlay.Validate(n); err != nil {
 			return fmt.Errorf("%w: protocol %q: %v", ErrBadScenario, info.Name, err)
 		}
-	}
-	if sc.Body != sim.BodyAuto && sc.Body != sim.BodyCoroutine {
-		return fmt.Errorf("%w: unknown body kind %d", ErrBadScenario, int(sc.Body))
 	}
 	if b := sc.Bounds; b.MaxRounds < 0 || b.MaxInstances < 0 || b.MaxVirtualTime < 0 {
 		return fmt.Errorf("%w: negative bound (MaxRounds %d, MaxInstances %d, MaxVirtualTime %v)", ErrBadScenario, b.MaxRounds, b.MaxInstances, b.MaxVirtualTime)

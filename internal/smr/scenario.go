@@ -24,9 +24,6 @@ func init() {
 }
 
 func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
-	if sc.Body == sim.BodyCoroutine {
-		return nil, fmt.Errorf("%w: smr has no coroutine body form", ErrBadConfig)
-	}
 	part := sc.Topology.Partition
 	netOpts, err := sc.NetOptions(part.N(), part)
 	if err != nil {

@@ -303,7 +303,6 @@ func TestRunRejectsBadScenarios(t *testing.T) {
 		{"negative MaxRounds", func(sc *Scenario) { sc.Bounds.MaxRounds = -1 }},
 		{"negative MaxInstances", func(sc *Scenario) { sc.Bounds.MaxInstances = -1 }},
 		{"negative MaxVirtualTime", func(sc *Scenario) { sc.Bounds.MaxVirtualTime = -time.Millisecond }},
-		{"out-of-range Body", func(sc *Scenario) { sc.Body = 99 }},
 		{"inverted uniform band", func(sc *Scenario) { sc.Profile = UniformProfile(5*time.Millisecond, 0) }},
 	}
 	for _, info := range Protocols() {
