@@ -236,26 +236,45 @@ var baselineGolden = map[string]uint64{
 	"mpcoin/n=12/heal/before-decide-partial":          0x2fb5a10c2c517ea1,
 	"mpcoin/n=12/heal/e2-majority":                    0x860145daf31bd4fd,
 
-	// The after-cluster-consensus cells and the hybrid rows, recorded on the
-	// coroutine bodies of benor and hybrid (mpcoin: its reactor).
+	// The after-cluster-consensus and decide-phase after-exchange cells and
+	// the hybrid rows, recorded on the coroutine bodies of benor and hybrid
+	// (mpcoin: its reactor).
 	"benor/n=4/uniform/after-cluster-consensus":              0x52e35f88fdd5d35f,
+	"benor/n=4/uniform/after-exchange-decide-phase":          0x73cb759215578433,
 	"benor/n=4/skew/after-cluster-consensus":                 0x75de956b8989384f,
+	"benor/n=4/skew/after-exchange-decide-phase":             0x9eaa25ed5c7dda15,
 	"benor/n=4/heal/after-cluster-consensus":                 0xa9e2cbfcd47bf0a9,
+	"benor/n=4/heal/after-exchange-decide-phase":             0xdfe0b512f55f0a37,
 	"benor/n=7/uniform/after-cluster-consensus":              0x55b89341bcaa9fc1,
+	"benor/n=7/uniform/after-exchange-decide-phase":          0x01823b015354c381,
 	"benor/n=7/skew/after-cluster-consensus":                 0xf7259b40ba09bb0d,
+	"benor/n=7/skew/after-exchange-decide-phase":             0x0ce35d707c27e641,
 	"benor/n=7/heal/after-cluster-consensus":                 0xe19d57ac3e1cadab,
+	"benor/n=7/heal/after-exchange-decide-phase":             0x41239933f045d049,
 	"benor/n=12/uniform/after-cluster-consensus":             0xb3133aed9b9376dd,
+	"benor/n=12/uniform/after-exchange-decide-phase":         0x09a53e3dc9b62eb1,
 	"benor/n=12/skew/after-cluster-consensus":                0xc0b36ef9f42996af,
+	"benor/n=12/skew/after-exchange-decide-phase":            0x251e203282feb29b,
 	"benor/n=12/heal/after-cluster-consensus":                0x77dcf95cb0c7c47b,
+	"benor/n=12/heal/after-exchange-decide-phase":            0xd627e98e1f10af97,
 	"mpcoin/n=4/uniform/after-cluster-consensus":             0x07c1bcb8f33f81a1,
+	"mpcoin/n=4/uniform/after-exchange-decide-phase":         0xe8a3babf2445b923,
 	"mpcoin/n=4/skew/after-cluster-consensus":                0x9fdd09e2e5a48067,
+	"mpcoin/n=4/skew/after-exchange-decide-phase":            0xff290b4f46f75333,
 	"mpcoin/n=4/heal/after-cluster-consensus":                0xe10c464afa11a80b,
+	"mpcoin/n=4/heal/after-exchange-decide-phase":            0x4f7ea6ed5eecca23,
 	"mpcoin/n=7/uniform/after-cluster-consensus":             0xdcd14a07e2dd5809,
+	"mpcoin/n=7/uniform/after-exchange-decide-phase":         0x9c21bcb1510299d1,
 	"mpcoin/n=7/skew/after-cluster-consensus":                0x947c3650ebbd95d9,
+	"mpcoin/n=7/skew/after-exchange-decide-phase":            0x9fce80136901a84d,
 	"mpcoin/n=7/heal/after-cluster-consensus":                0xb1f934aa598b9dc9,
+	"mpcoin/n=7/heal/after-exchange-decide-phase":            0x7874a599c5a84db5,
 	"mpcoin/n=12/uniform/after-cluster-consensus":            0x62fb574714212be7,
+	"mpcoin/n=12/uniform/after-exchange-decide-phase":        0xd138c6612738d76f,
 	"mpcoin/n=12/skew/after-cluster-consensus":               0xa690c0206c69ba11,
+	"mpcoin/n=12/skew/after-exchange-decide-phase":           0x69435f024540bb51,
 	"mpcoin/n=12/heal/after-cluster-consensus":               0x1b109950ac266005,
+	"mpcoin/n=12/heal/after-exchange-decide-phase":           0xbe26dacee3d91e6b,
 	"hybrid-local/n=1/uniform/crash-free":                    0x91d746e384d1885d,
 	"hybrid-local/n=1/uniform/max-rounds-1":                  0x7f0eaa84c20ee265,
 	"hybrid-local/n=1/skew/crash-free":                       0xe2f7f4e228e8fd35,
@@ -272,6 +291,7 @@ var baselineGolden = map[string]uint64{
 	"hybrid-local/n=4/uniform/mid-broadcast-deliver-to":      0xc77f6c7d5c898042,
 	"hybrid-local/n=4/uniform/mid-broadcast-random-subset":   0xc9f5c48c7cbd29fe,
 	"hybrid-local/n=4/uniform/after-exchange":                0xe6c8c482ea6cee9a,
+	"hybrid-local/n=4/uniform/after-exchange-decide-phase":   0x0e6326ae49a4714d,
 	"hybrid-local/n=4/uniform/before-decide-partial":         0x6f71beeb376bd3fd,
 	"hybrid-local/n=4/uniform/e2-majority":                   0x916b573d72f8127b,
 	"hybrid-local/n=4/skew/crash-free":                       0xf68ec3be1232ce05,
@@ -284,6 +304,7 @@ var baselineGolden = map[string]uint64{
 	"hybrid-local/n=4/skew/mid-broadcast-deliver-to":         0xa252e79b32bf1e8e,
 	"hybrid-local/n=4/skew/mid-broadcast-random-subset":      0xb39f51b2c028c38a,
 	"hybrid-local/n=4/skew/after-exchange":                   0xba4a3c140d699736,
+	"hybrid-local/n=4/skew/after-exchange-decide-phase":      0x602a958f2f814ffb,
 	"hybrid-local/n=4/skew/before-decide-partial":            0x241953e7afb32be1,
 	"hybrid-local/n=4/skew/e2-majority":                      0xfdb69e78d407e74f,
 	"hybrid-local/n=4/heal/crash-free":                       0x6ac64451b886bc95,
@@ -296,6 +317,7 @@ var baselineGolden = map[string]uint64{
 	"hybrid-local/n=4/heal/mid-broadcast-deliver-to":         0x24e4621453ec8e6a,
 	"hybrid-local/n=4/heal/mid-broadcast-random-subset":      0xe867cb4362be942a,
 	"hybrid-local/n=4/heal/after-exchange":                   0xa3c11fb02432c47e,
+	"hybrid-local/n=4/heal/after-exchange-decide-phase":      0x722ca63a9ddbc6cd,
 	"hybrid-local/n=4/heal/before-decide-partial":            0xc9d0e08bd7c62eed,
 	"hybrid-local/n=4/heal/e2-majority":                      0x59223d7fa9fc0297,
 	"hybrid-local/n=7/uniform/crash-free":                    0xced153635c1c89af,
@@ -308,6 +330,7 @@ var baselineGolden = map[string]uint64{
 	"hybrid-local/n=7/uniform/mid-broadcast-deliver-to":      0x34318077bcb54165,
 	"hybrid-local/n=7/uniform/mid-broadcast-random-subset":   0x9ecc67513b31fe17,
 	"hybrid-local/n=7/uniform/after-exchange":                0xe6c2f116a3155b27,
+	"hybrid-local/n=7/uniform/after-exchange-decide-phase":   0x655b34aaa54b58a6,
 	"hybrid-local/n=7/uniform/before-decide-partial":         0xf2b19c8ad3fb9816,
 	"hybrid-local/n=7/uniform/e2-majority":                   0x734130c737e841ef,
 	"hybrid-local/n=7/skew/crash-free":                       0x38903d626f5a1407,
@@ -320,6 +343,7 @@ var baselineGolden = map[string]uint64{
 	"hybrid-local/n=7/skew/mid-broadcast-deliver-to":         0x55bbfa71495765b4,
 	"hybrid-local/n=7/skew/mid-broadcast-random-subset":      0x949d69fc5030ced8,
 	"hybrid-local/n=7/skew/after-exchange":                   0x98d07e937fe3eeb7,
+	"hybrid-local/n=7/skew/after-exchange-decide-phase":      0x53b347ba2066d5f1,
 	"hybrid-local/n=7/skew/before-decide-partial":            0x97abfe3c4f8d5f3d,
 	"hybrid-local/n=7/skew/e2-majority":                      0x11b24941de109705,
 	"hybrid-local/n=7/heal/crash-free":                       0x7797c705bd70cd8f,
@@ -332,6 +356,7 @@ var baselineGolden = map[string]uint64{
 	"hybrid-local/n=7/heal/mid-broadcast-deliver-to":         0xa77133f95dec627c,
 	"hybrid-local/n=7/heal/mid-broadcast-random-subset":      0x06d1c847c89752e5,
 	"hybrid-local/n=7/heal/after-exchange":                   0xe3531852a7e53bef,
+	"hybrid-local/n=7/heal/after-exchange-decide-phase":      0x53943bfbfc35780d,
 	"hybrid-local/n=7/heal/before-decide-partial":            0x2c6f2f8e5a471990,
 	"hybrid-local/n=7/heal/e2-majority":                      0x2f2395bd06aa422d,
 	"hybrid-local/n=12/uniform/crash-free":                   0x5eb3c1654ebe8fa6,
@@ -344,6 +369,7 @@ var baselineGolden = map[string]uint64{
 	"hybrid-local/n=12/uniform/mid-broadcast-deliver-to":     0x6a3ebea52b2a0a25,
 	"hybrid-local/n=12/uniform/mid-broadcast-random-subset":  0x694eb88aa79da674,
 	"hybrid-local/n=12/uniform/after-exchange":               0x9503815bcc6a59c5,
+	"hybrid-local/n=12/uniform/after-exchange-decide-phase":  0x659608ca5f31f672,
 	"hybrid-local/n=12/uniform/before-decide-partial":        0x48e7daf171585f71,
 	"hybrid-local/n=12/uniform/e2-majority":                  0x6e037007e81f79a9,
 	"hybrid-local/n=12/skew/crash-free":                      0x7c92af85489edfd7,
@@ -356,6 +382,7 @@ var baselineGolden = map[string]uint64{
 	"hybrid-local/n=12/skew/mid-broadcast-deliver-to":        0xd0c5476aea895cb9,
 	"hybrid-local/n=12/skew/mid-broadcast-random-subset":     0xcf772dbf0e54a79b,
 	"hybrid-local/n=12/skew/after-exchange":                  0x16ef4b9b5d6a9835,
+	"hybrid-local/n=12/skew/after-exchange-decide-phase":     0xaea2b39fea5fb461,
 	"hybrid-local/n=12/skew/before-decide-partial":           0x3f4e5d61d0fdbe9b,
 	"hybrid-local/n=12/skew/e2-majority":                     0xe65bc903ef0301b5,
 	"hybrid-local/n=12/heal/crash-free":                      0x48abfc6238b40d0d,
@@ -368,6 +395,7 @@ var baselineGolden = map[string]uint64{
 	"hybrid-local/n=12/heal/mid-broadcast-deliver-to":        0xe2963f2e13520085,
 	"hybrid-local/n=12/heal/mid-broadcast-random-subset":     0x94576b67ad273d11,
 	"hybrid-local/n=12/heal/after-exchange":                  0xffc1643401c586cc,
+	"hybrid-local/n=12/heal/after-exchange-decide-phase":     0x710e4e60ab409b49,
 	"hybrid-local/n=12/heal/before-decide-partial":           0x722d16a5e919b098,
 	"hybrid-local/n=12/heal/e2-majority":                     0x5eca8511b44cdd09,
 	"hybrid-common/n=1/uniform/crash-free":                   0x818017185c7d5c4d,
@@ -386,6 +414,7 @@ var baselineGolden = map[string]uint64{
 	"hybrid-common/n=4/uniform/mid-broadcast-deliver-to":     0x4257f8e7580f56ba,
 	"hybrid-common/n=4/uniform/mid-broadcast-random-subset":  0xf8195535cb4c6fd9,
 	"hybrid-common/n=4/uniform/after-exchange":               0x4ffcdc26c01e4dbb,
+	"hybrid-common/n=4/uniform/after-exchange-decide-phase":  0x138a730dfc70691d,
 	"hybrid-common/n=4/uniform/before-decide-partial":        0xd568a1c71dd863b1,
 	"hybrid-common/n=4/uniform/e2-majority":                  0xadbbec39cd4c26d7,
 	"hybrid-common/n=4/skew/crash-free":                      0xe1fc97e91a5e0ff9,
@@ -398,6 +427,7 @@ var baselineGolden = map[string]uint64{
 	"hybrid-common/n=4/skew/mid-broadcast-deliver-to":        0x8453846ecc9de583,
 	"hybrid-common/n=4/skew/mid-broadcast-random-subset":     0x39fcdcf2d3d3bfc1,
 	"hybrid-common/n=4/skew/after-exchange":                  0xca13450868e2b736,
+	"hybrid-common/n=4/skew/after-exchange-decide-phase":     0xf38f20b380aec887,
 	"hybrid-common/n=4/skew/before-decide-partial":           0xe1625b28999b7b3b,
 	"hybrid-common/n=4/skew/e2-majority":                     0xfdb69e78d407e74f,
 	"hybrid-common/n=4/heal/crash-free":                      0xd6c0c1218a2db371,
@@ -410,6 +440,7 @@ var baselineGolden = map[string]uint64{
 	"hybrid-common/n=4/heal/mid-broadcast-deliver-to":        0x74ac94c3a2ba8467,
 	"hybrid-common/n=4/heal/mid-broadcast-random-subset":     0xda0ddd611e59cfd3,
 	"hybrid-common/n=4/heal/after-exchange":                  0x5fab9d9306e3f38b,
+	"hybrid-common/n=4/heal/after-exchange-decide-phase":     0x8159be8703adbc03,
 	"hybrid-common/n=4/heal/before-decide-partial":           0x1766024c980487dd,
 	"hybrid-common/n=4/heal/e2-majority":                     0x630f9d496c2660f7,
 	"hybrid-common/n=7/uniform/crash-free":                   0x2fdc639d5128dfb7,
@@ -422,6 +453,7 @@ var baselineGolden = map[string]uint64{
 	"hybrid-common/n=7/uniform/mid-broadcast-deliver-to":     0x67335d9354800f07,
 	"hybrid-common/n=7/uniform/mid-broadcast-random-subset":  0x3b02c5fdeff7861e,
 	"hybrid-common/n=7/uniform/after-exchange":               0x07e1bd49e02a1ca3,
+	"hybrid-common/n=7/uniform/after-exchange-decide-phase":  0xa3a0e7a3b8899c4d,
 	"hybrid-common/n=7/uniform/before-decide-partial":        0xdd81ab230d9f6763,
 	"hybrid-common/n=7/uniform/e2-majority":                  0x9e3661271c9b3f69,
 	"hybrid-common/n=7/skew/crash-free":                      0x97f1d12c8a8570f1,
@@ -434,6 +466,7 @@ var baselineGolden = map[string]uint64{
 	"hybrid-common/n=7/skew/mid-broadcast-deliver-to":        0x826c799a78696b55,
 	"hybrid-common/n=7/skew/mid-broadcast-random-subset":     0x7683d1606ef3d037,
 	"hybrid-common/n=7/skew/after-exchange":                  0x1b552d463b76a644,
+	"hybrid-common/n=7/skew/after-exchange-decide-phase":     0x43cf64296716c057,
 	"hybrid-common/n=7/skew/before-decide-partial":           0x46a58607933e5eeb,
 	"hybrid-common/n=7/skew/e2-majority":                     0x4a6a8a1f2cb5f7af,
 	"hybrid-common/n=7/heal/crash-free":                      0xd8835b04a59b9680,
@@ -446,6 +479,7 @@ var baselineGolden = map[string]uint64{
 	"hybrid-common/n=7/heal/mid-broadcast-deliver-to":        0xa71bb002b8f1aa25,
 	"hybrid-common/n=7/heal/mid-broadcast-random-subset":     0x1da7b74455e61ffb,
 	"hybrid-common/n=7/heal/after-exchange":                  0xd4f96fe4525bab77,
+	"hybrid-common/n=7/heal/after-exchange-decide-phase":     0xc8fa693adbb7d433,
 	"hybrid-common/n=7/heal/before-decide-partial":           0xacdfb9a0586ebba7,
 	"hybrid-common/n=7/heal/e2-majority":                     0xfc4626156f1bb6af,
 	"hybrid-common/n=12/uniform/crash-free":                  0x8f87234063647cd6,
@@ -458,6 +492,7 @@ var baselineGolden = map[string]uint64{
 	"hybrid-common/n=12/uniform/mid-broadcast-deliver-to":    0x995658abcb5b3cc0,
 	"hybrid-common/n=12/uniform/mid-broadcast-random-subset": 0x1bf3fdf9497707f2,
 	"hybrid-common/n=12/uniform/after-exchange":              0x8f464769e380e2ae,
+	"hybrid-common/n=12/uniform/after-exchange-decide-phase": 0x8d6125ecc0d92cb2,
 	"hybrid-common/n=12/uniform/before-decide-partial":       0xcf03f627a04bd55a,
 	"hybrid-common/n=12/uniform/e2-majority":                 0xbd3ab1ca708a56c9,
 	"hybrid-common/n=12/skew/crash-free":                     0x0d795990b5bad2c2,
@@ -470,6 +505,7 @@ var baselineGolden = map[string]uint64{
 	"hybrid-common/n=12/skew/mid-broadcast-deliver-to":       0x36b2692525938588,
 	"hybrid-common/n=12/skew/mid-broadcast-random-subset":    0xfce2594f4d3ef0b8,
 	"hybrid-common/n=12/skew/after-exchange":                 0x6c99d3f9e112b314,
+	"hybrid-common/n=12/skew/after-exchange-decide-phase":    0x6c99d3f9e112b314,
 	"hybrid-common/n=12/skew/before-decide-partial":          0x0bb4f8f47a45951e,
 	"hybrid-common/n=12/skew/e2-majority":                    0xe65bc903ef0301b5,
 	"hybrid-common/n=12/heal/crash-free":                     0x8130e3e62b74703e,
@@ -482,6 +518,7 @@ var baselineGolden = map[string]uint64{
 	"hybrid-common/n=12/heal/mid-broadcast-deliver-to":       0xd04c37bb6889c9b5,
 	"hybrid-common/n=12/heal/mid-broadcast-random-subset":    0x44bd6658cab4b455,
 	"hybrid-common/n=12/heal/after-exchange":                 0xc9f5dd6f4b97f34a,
+	"hybrid-common/n=12/heal/after-exchange-decide-phase":    0x75d5434c60122d09,
 	"hybrid-common/n=12/heal/before-decide-partial":          0x4b67558cff704b30,
 	"hybrid-common/n=12/heal/e2-majority":                    0x73588f778c0ac709,
 }
@@ -602,6 +639,7 @@ var baselineCrashes = []struct {
 	})},
 	{name: "mid-broadcast-random-subset", build: stagedMinority(1, StageMidBroadcast, nil)},
 	{name: "after-exchange", build: stagedMinority(1, StageAfterExchange, nil)},
+	{name: "after-exchange-decide-phase", build: stagedMinority(0, StageAfterExchange, nil)},
 	{name: "before-decide-partial", unanimous: true, build: stagedMinority(0, StageBeforeDecide, func(n int) []ProcID {
 		return []ProcID{ProcID(n - 1)}
 	})},
