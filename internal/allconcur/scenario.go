@@ -1,6 +1,9 @@
 package allconcur
 
 import (
+	"errors"
+	"fmt"
+
 	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
@@ -64,4 +67,44 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 		out.Procs[i] = po
 	}
 	return out, nil
+}
+
+// Violations checks the atomic-broadcast invariants the uniform Outcome
+// cannot show: every process that decided delivered a set of the same size
+// (set agreement), and a run that quiesced with live processes undecided
+// had its overlay disconnected by the crashes — while the live processes
+// still reach one another, failure notices flow and the run must finish.
+func (r *Result) Violations(sc *protocol.Scenario) []protocol.Violation {
+	var vs []protocol.Violation
+	first := -1
+	for p, pr := range r.Procs {
+		if pr.Status != sim.StatusDecided {
+			continue
+		}
+		if first < 0 {
+			first = p
+		} else if pr.Delivered != r.Procs[first].Delivered {
+			vs = append(vs, protocol.Violation{Property: "set-agreement",
+				Err: fmt.Errorf("p%d delivered %d messages, p%d %d", first+1, r.Procs[first].Delivered, p+1, pr.Delivered)})
+			break
+		}
+	}
+	if !r.Quiesced || r.DeadlineExceeded || r.StepsExceeded {
+		return vs
+	}
+	dead := make([]bool, len(r.Procs))
+	blocked := false
+	for p, pr := range r.Procs {
+		dead[p] = pr.Status == sim.StatusCrashed
+		blocked = blocked || pr.Status == sim.StatusBlocked
+	}
+	if !blocked {
+		return vs
+	}
+	g, err := sc.Topology.Overlay.Build(len(r.Procs), sc.Seed)
+	if err == nil && g.StronglyConnectedWithout(dead) {
+		vs = append(vs, protocol.Violation{Property: "liveness",
+			Err: errors.New("the run quiesced with live processes undecided, but the crashes left the live overlay strongly connected")})
+	}
+	return vs
 }

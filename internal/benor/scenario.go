@@ -15,6 +15,7 @@ func init() {
 		HasNetwork:   true,
 		StageCrashes: true,
 		TimedCrashes: true,
+		OneForAll:    true,
 	}, runScenario))
 }
 

@@ -24,6 +24,7 @@ func init() {
 		HasNetwork:     true,
 		StageCrashes:   true,
 		TimedCrashes:   true,
+		OneForAll:      true,
 		Traceable:      true,
 		Algorithms:     []string{AlgoLocalCoin, AlgoCommonCoin},
 	}, runScenario))

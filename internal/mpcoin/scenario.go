@@ -16,6 +16,7 @@ func init() {
 		HasNetwork:   true,
 		StageCrashes: true,
 		TimedCrashes: true,
+		OneForAll:    true,
 	}, runScenario))
 }
 

@@ -17,6 +17,7 @@ func init() {
 		HasNetwork:     true,
 		StageCrashes:   true,
 		TimedCrashes:   true,
+		OneForAll:      true,
 	}, runScenario))
 }
 

@@ -311,28 +311,43 @@ func (g *Graph) DiameterBound() int {
 
 // StronglyConnected reports whether every process reaches every other:
 // one forward and one backward BFS from process 0, O(n·d).
-func (g *Graph) StronglyConnected() bool {
-	return g.bfsCovers(g.Succ) && g.bfsCovers(g.Pred)
+func (g *Graph) StronglyConnected() bool { return g.StronglyConnectedWithout(nil) }
+
+// StronglyConnectedWithout reports whether the processes not marked dead
+// (dead nil or indexed by process) still reach one another through each
+// other alone: one forward and one backward BFS from the first live
+// process, O(n·d). No live process is trivially connected.
+func (g *Graph) StronglyConnectedWithout(dead []bool) bool {
+	return g.bfsCovers(g.Succ, dead) && g.bfsCovers(g.Pred, dead)
 }
 
-// bfsCovers reports whether a BFS from process 0 along next() reaches
-// every vertex.
-func (g *Graph) bfsCovers(next func(model.ProcID) []model.ProcID) bool {
+// bfsCovers reports whether a BFS along next() from the first live process,
+// through live processes only, reaches every live process.
+func (g *Graph) bfsCovers(next func(model.ProcID) []model.ProcID, dead []bool) bool {
+	isDead := func(v model.ProcID) bool { return dead != nil && dead[v] }
 	seen := make([]bool, g.n)
 	queue := make([]model.ProcID, 0, g.n)
-	seen[0] = true
-	queue = append(queue, 0)
-	count := 1
+	live := 0
+	for v := model.ProcID(0); int(v) < g.n; v++ {
+		if !isDead(v) {
+			if live == 0 {
+				seen[v] = true
+				queue = append(queue, v)
+			}
+			live++
+		}
+	}
+	count := len(queue)
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
 		for _, t := range next(v) {
-			if !seen[t] {
+			if !seen[t] && !isDead(t) {
 				seen[t] = true
 				count++
 				queue = append(queue, t)
 			}
 		}
 	}
-	return count == g.n
+	return count == live
 }

@@ -159,46 +159,13 @@ func TestConnectivitySurvivesCrashSubsets(t *testing.T) {
 	g := build(t, Spec{Kind: KindCirculant, Degree: 3}, 7, 0)
 	for a := 0; a < 7; a++ {
 		for b := a + 1; b < 7; b++ {
-			if !liveStronglyConnected(g, map[model.ProcID]bool{model.ProcID(a): true, model.ProcID(b): true}) {
+			dead := make([]bool, 7)
+			dead[a], dead[b] = true, true
+			if !g.StronglyConnectedWithout(dead) {
 				t.Fatalf("removing {%d,%d} disconnected the survivors (κ=%d graph)", a, b, g.Kappa())
 			}
 		}
 	}
-}
-
-// liveStronglyConnected checks strong connectivity of the subgraph induced
-// by the non-crashed processes (test helper: forward+backward BFS from the
-// first survivor).
-func liveStronglyConnected(g *Graph, dead map[model.ProcID]bool) bool {
-	var start model.ProcID = -1
-	alive := 0
-	for i := 0; i < g.N(); i++ {
-		if !dead[model.ProcID(i)] {
-			alive++
-			if start < 0 {
-				start = model.ProcID(i)
-			}
-		}
-	}
-	if alive == 0 {
-		return true
-	}
-	cover := func(next func(model.ProcID) []model.ProcID) bool {
-		seen := map[model.ProcID]bool{start: true}
-		queue := []model.ProcID{start}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, t := range next(v) {
-				if !dead[t] && !seen[t] {
-					seen[t] = true
-					queue = append(queue, t)
-				}
-			}
-		}
-		return len(seen) == alive
-	}
-	return cover(g.Succ) && cover(g.Pred)
 }
 
 func TestDiameterBoundCoversBFSDepth(t *testing.T) {

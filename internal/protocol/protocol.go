@@ -94,6 +94,11 @@ type Info struct {
 	TimedCrashes bool
 	// Traceable: the protocol records Scenario.Trace events.
 	Traceable bool
+	// OneForAll: every live process decides whenever the clusters holding a
+	// live process cover a majority of the processes — the paper's
+	// liveness condition, which Check enforces. A flat protocol's clusters
+	// are its processes, so for it the condition is a live majority.
+	OneForAll bool
 	// Algorithms lists selectable algorithm variants (Scenario.Algorithm);
 	// empty means the protocol has exactly one.
 	Algorithms []string

@@ -1,7 +1,10 @@
 package register
 
 import (
+	"fmt"
+
 	"allforone/internal/protocol"
+	"allforone/internal/sim"
 )
 
 // ProtocolName is the registry name of the scripted atomic register.
@@ -18,6 +21,7 @@ func init() {
 		// register run; only timed crashes apply (the registry validator
 		// rejects scenarios carrying step plans for this protocol).
 		TimedCrashes: true,
+		OneForAll:    true,
 	}, runScenario))
 }
 
@@ -70,4 +74,26 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 		out.Procs[i] = protocol.ProcOutcome{Status: pr.Status}
 	}
 	return out, nil
+}
+
+// Violations checks the run's history: a process that completed its
+// script completed every operation of it, and some sequential register
+// execution explains every completed operation (linearizability; a history
+// longer than the checker's exact search supports goes unchecked).
+func (r *Result) Violations(*protocol.Scenario) []protocol.Violation {
+	var vs []protocol.Violation
+	for p, pr := range r.Procs {
+		for j, op := range pr.Ops {
+			if pr.Status == sim.StatusDecided && !op.OK {
+				vs = append(vs, protocol.Violation{Property: "script",
+					Err: fmt.Errorf("p%d completed its script but operation %d failed", p+1, j)})
+			}
+		}
+	}
+	if h := r.History(); len(h) <= maxHistoryOps {
+		if err := CheckLinearizable(h); err != nil {
+			vs = append(vs, protocol.Violation{Property: "linearizability", Err: err})
+		}
+	}
+	return vs
 }

@@ -1,7 +1,6 @@
 package smr
 
 import (
-	"fmt"
 	"strings"
 
 	"allforone/internal/protocol"
@@ -20,6 +19,7 @@ func init() {
 		HasNetwork:     true,
 		StageCrashes:   true,
 		TimedCrashes:   true,
+		OneForAll:      true,
 	}, runScenario))
 }
 
@@ -42,11 +42,6 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	// Per-slot agreement over all prefixes is the protocol's own safety
-	// property; a violation is an invariant break, not a legal Outcome.
-	if err := res.CheckLogAgreement(); err != nil {
-		return nil, fmt.Errorf("smr: %w", err)
 	}
 	out := &protocol.Outcome{
 		Protocol:         ProtocolName,
@@ -71,4 +66,18 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 		out.Procs[i] = po
 	}
 	return out, nil
+}
+
+// Violations checks what the joined Decision strings cannot show: every
+// two replicas' logs, finished or not, agree slot by slot, and every slot
+// holds a proposed command or a no-op.
+func (r *Result) Violations(sc *protocol.Scenario) []protocol.Violation {
+	var vs []protocol.Violation
+	if err := r.CheckLogAgreement(); err != nil {
+		vs = append(vs, protocol.Violation{Property: "log-agreement", Err: err})
+	}
+	if err := r.CheckLogValidity(sc.Workload.Commands); err != nil {
+		vs = append(vs, protocol.Violation{Property: "validity", Err: err})
+	}
+	return vs
 }
