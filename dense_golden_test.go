@@ -1,17 +1,12 @@
 package allforone
 
-// The dense sharded Outcomes of record: a hash per cell. Which arrivals share
-// an instant, the order they wake their recipients in, every reschedule and
-// every reserved sequence number decide who closes an exchange on whose
-// message — so decisions, rounds, steps, virtual time, the message bill and
-// the scheduler's own counters all ride on the fanout order, and any rewrite
-// of that path must reproduce these hashes. They were taken before broadcast
-// fanouts stopped being sorted at send time, and re-recorded once, when
-// protocol.Uniform began compiling to the network's own band: its lookahead
-// moves flush points, hence every scheduler counter of a cell whose band
-// starts above 0 — and, in one run, the Outcome (see bandMoves). They were
-// re-recorded a second time, unchanged code, when the storage counters were
-// masked out of the hash (maskStorageCounters).
+// The dense table of the golden corpus: hybrid and Ben-Or runs large enough
+// to expand their sends over shards. Which arrivals share an instant, the
+// order they wake their recipients in, every reschedule and every reserved
+// sequence number decide who closes an exchange on whose message — so
+// decisions, rounds, steps, virtual time, the message bill and the
+// scheduler's own counters all ride on the fanout order, and any rewrite of
+// that path must reproduce these hashes.
 
 import (
 	"fmt"
@@ -25,27 +20,11 @@ import (
 	"allforone/internal/vclock"
 )
 
-// denseGolden maps "<cell>/seed=<seed>" to the FNV-64a of the run's JSON
-// Outcome with the storage counters zeroed.
-var denseGolden = map[string]uint64{
-	"hybrid-local/n=300/seed=11":       0xe7154db1abad3f23,
-	"hybrid-local/n=300/seed=4099":     0x5a4eb0cb825ef3b7,
-	"hybrid-common/n=300/seed=11":      0xd92647a6bf21c7af,
-	"hybrid-common/n=300/seed=4099":    0x6efb84d48e38e071,
-	"hybrid-local/n=1024/seed=11":      0xf21035a657486540,
-	"hybrid-local/n=1024/seed=4099":    0x074881302dff5803,
-	"hybrid-common/n=1024/seed=11":     0x000da91c7063654e,
-	"hybrid-common/n=1024/seed=4099":   0xfbeb6efbb57661d9,
-	"benor-bounded/n=300/seed=11":      0xaf7c78ac7c7dd1e5,
-	"benor-bounded/n=300/seed=4099":    0xdbba218c8b6e6595,
-	"hybrid-crash-cut/n=300/seed=11":   0xa2fbc9a9713038b3,
-	"hybrid-crash-cut/n=300/seed=4099": 0x123728b6a3c37617,
-}
-
-// denseGoldenCell is one pinned scenario shape. short cells also run under
-// -short; bounded ones must end at their step budget, the rest must not; cut
-// is the number of mid-broadcast crashes that must have struck (a timed crash
-// may find its process already finished, a planned one cannot).
+// denseGoldenCell is one pinned scenario shape, run at seeds 11 and 4099.
+// short cells also run under -short; bounded ones must end at their step
+// budget, the rest must not; cut is the number of mid-broadcast crashes that
+// must have struck (a timed crash may find its process already finished, a
+// planned one cannot).
 type denseGoldenCell struct {
 	name    string
 	short   bool
@@ -174,32 +153,29 @@ var denseGoldenCells = []denseGoldenCell{
 // recorded Outcome: n = 300 expands over 2 shards, n = 1024 over 8.
 func TestDenseShardedOutcomeGolden(t *testing.T) {
 	t.Parallel()
+	var cells []goldenCell
 	for _, cell := range denseGoldenCells {
 		if testing.Short() && !cell.short {
 			continue
 		}
 		for _, seed := range []int64{11, 4099} {
-			name := fmt.Sprintf("%s/seed=%d", cell.name, seed)
-			out, err := Run(cell.build(t, seed, UniformProfile))
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if out.StepsExceeded != cell.bounded {
-				t.Fatalf("%s: StepsExceeded = %v, want %v", name, out.StepsExceeded, cell.bounded)
-			}
-			if crashed := out.CountStatus(StatusCrashed); crashed < cell.cut {
-				t.Fatalf("%s: %d processes crashed, want the %d crash-cut broadcasts", name, crashed, cell.cut)
-			}
-			if out.Sched.ShardEvents == 0 {
-				t.Fatalf("%s: the run never took the sharded path", name)
-			}
-			maskStorageCounters(out, &out.Raw.(*sim.Result).Sched)
-			if got, want := jsonHash(t, out), denseGolden[name]; got != want {
-				t.Errorf("%s: Outcome hash %#016x, want %#016x (steps %d, virtual %v, msgs %d/%d)",
-					name, got, want, out.Steps, out.VirtualTime, out.Metrics.MsgsDelivered, out.Metrics.MsgsSent)
-			}
+			cells = append(cells, goldenCell{
+				name:    fmt.Sprintf("dense/%s/seed=%d", cell.name, seed),
+				sc:      cell.build(t, seed, UniformProfile),
+				bounded: cell.bounded,
+				check: func(out *Outcome) error {
+					if crashed := out.CountStatus(StatusCrashed); crashed < cell.cut {
+						return fmt.Errorf("%d processes crashed, want the %d crash-cut broadcasts", crashed, cell.cut)
+					}
+					if out.Sched.ShardEvents == 0 {
+						return fmt.Errorf("the run never took the sharded path")
+					}
+					return nil
+				},
+			})
 		}
 	}
+	runGolden(t, "dense", cells)
 }
 
 // closureUniform is a uniform band compiled the way every other profile is,

@@ -2,9 +2,9 @@ package allforone
 
 // The registry differential test: every registered protocol runs through
 // Run(Scenario) on one shared scenario matrix — network profiles × crash
-// patterns — and must stay safe (agreement + validity) everywhere, and
-// live wherever the liveness condition holds. A second test replays
-// non-uniform profiles and demands bit-identical Outcomes.
+// patterns — and must pass protocol.Check everywhere, blocking nowhere. A
+// second test replays non-uniform profiles and demands bit-identical
+// Outcomes.
 
 import (
 	"errors"
@@ -14,9 +14,6 @@ import (
 	"time"
 
 	"allforone/internal/protocol"
-	"allforone/internal/register"
-	"allforone/internal/sim"
-	"allforone/internal/smr"
 )
 
 // diffMatrixWorkload builds one Workload carrying every proposal kind, so
@@ -96,43 +93,16 @@ func diffOverlay() *OverlaySpec {
 	return &OverlaySpec{Kind: OverlayCirculant, Degree: 3}
 }
 
-// checkDiffOutcome applies the per-kind safety and liveness checks.
-func checkDiffOutcome(t *testing.T, info ProtocolInfo, sc Scenario, out *Outcome) {
+// checkDiffOutcome holds a matrix cell to protocol.Check. The liveness
+// condition holds in every cell (≥ a process majority survives, and the
+// majority cluster keeps a member), so no process may end blocked either.
+func checkDiffOutcome(t *testing.T, sc Scenario, out *Outcome) {
 	t.Helper()
-	if err := out.CheckAgreement(); err != nil {
-		t.Fatal(err)
+	if vs := protocol.Check(sc, out); vs != nil {
+		t.Fatal(vs)
 	}
-	switch info.Proposals {
-	case ProposalsBinary:
-		if err := out.CheckValidity([]string{"0", "1"}); err != nil {
-			t.Fatal(err)
-		}
-	case ProposalsValues:
-		if err := out.CheckValidity(sc.Workload.Values); err != nil {
-			t.Fatal(err)
-		}
-	case ProposalsCommands:
-		if err := out.Raw.(*smr.Result).CheckLogValidity(sc.Workload.Commands); err != nil {
-			t.Fatal(err)
-		}
-	case ProposalsScripts:
-		res := out.Raw.(*register.Result)
-		for i, pr := range res.Procs {
-			for j, op := range pr.Ops {
-				if pr.Status == sim.StatusDecided && !op.OK {
-					t.Fatalf("proc %d completed its script but op %d failed", i, j)
-				}
-			}
-		}
-	}
-	// The liveness condition holds in every matrix cell (≥ a process
-	// majority survives, and the majority cluster keeps a member), so no
-	// process may end blocked, and every live process must finish.
 	if got := out.CountStatus(StatusBlocked); got != 0 {
 		t.Fatalf("%d blocked processes: %+v", got, out.Procs)
-	}
-	if !out.AllLiveDecided() {
-		t.Fatalf("live processes unfinished: %+v", out.Procs)
 	}
 }
 
@@ -172,7 +142,7 @@ func TestRegistryDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					checkDiffOutcome(t, info, sc, out)
+					checkDiffOutcome(t, sc, out)
 				}
 			}
 		})
