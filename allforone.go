@@ -135,7 +135,9 @@ func LookupProtocol(name string) (Protocol, bool) { return protocol.Lookup(name)
 
 // Sweep runs many independent scenarios on a worker pool and returns
 // outcomes in input order — the bulk entry point on top of the
-// deterministic engine. parallelism ≤ 0 uses all CPUs.
+// deterministic engine. Every Outcome must pass Check; the first run that
+// errs or breaks a property aborts the sweep. parallelism ≤ 0 uses all
+// CPUs.
 func Sweep(scs []Scenario, parallelism int) ([]*Outcome, error) {
 	return harness.Sweep(scs, parallelism)
 }
@@ -268,18 +270,23 @@ var (
 	CrashAllExcept = failures.CrashAllExcept
 )
 
-// Trace records structured events of an execution (attach via Scenario.Trace)
-// and offers invariant checkers; see the trace package.
+// Trace records structured events of an execution (attach via
+// Scenario.Trace); Check verifies the recorded history.
 type Trace = trace.Log
 
 // NewTrace returns an empty event log.
 func NewTrace() *Trace { return trace.New() }
 
-// CheckClusterUniformity verifies the one-for-all premise over a trace: at
-// one (round, phase), all members of a cluster broadcast the same value.
-func CheckClusterUniformity(l *Trace, part *Partition) error {
-	return trace.CheckClusterUniformity(l, part)
-}
+// Violation is one property a run broke; see Check.
+type Violation = protocol.Violation
+
+// Check holds a run's Outcome to everything its protocol promises —
+// agreement, validity, a conclusive verdict, the liveness condition, the
+// protocol's own invariants (replicated-log prefixes, register
+// linearizability, delivered sets) and, over a recorded trace, cluster
+// uniformity and crash-stop — and returns what the run broke; nil means
+// correct. Sweep holds every run to it.
+func Check(sc Scenario, out *Outcome) []Violation { return protocol.Check(sc, out) }
 
 // The m&m model comparator (Aguilera et al., PODC 2018): MMGraph induces
 // the memory domains S_i = {p_i} ∪ neighbors(p_i); its EdgeList feeds

@@ -8,26 +8,22 @@ import (
 func TestSolveQuickstart(t *testing.T) {
 	t.Parallel()
 	part := Fig1Right()
-	props := []Value{One, Zero, Zero, Zero, Zero, One, One}
-	out, err := Run(Scenario{
+	sc := Scenario{
 		Protocol:  ProtocolHybrid,
 		Topology:  Topology{Partition: part},
-		Workload:  Workload{Binary: props},
+		Workload:  Workload{Binary: []Value{One, Zero, Zero, Zero, Zero, One, One}},
 		Algorithm: AlgoLocalCoin,
 		Seed:      42,
 		Bounds:    Bounds{MaxRounds: 1000},
-	})
+	}
+	out, err := Run(sc)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	res := out.Raw.(*Result)
-	if err := res.CheckAgreement(); err != nil {
-		t.Fatal(err)
+	if vs := Check(sc, out); vs != nil {
+		t.Fatal(vs)
 	}
-	if err := res.CheckValidity(props); err != nil {
-		t.Fatal(err)
-	}
-	val, count, ok := res.Decided()
+	val, count, ok := out.Raw.(*Result).Decided()
 	if !ok || count != part.N() {
 		t.Fatalf("Decided = %v,%d,%v", val, count, ok)
 	}
@@ -44,8 +40,7 @@ func TestSolveWithTraceAndSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := NewTrace()
-	res, err := Run(Scenario{
+	sc := Scenario{
 		Protocol:  ProtocolHybrid,
 		Topology:  Topology{Partition: part},
 		Workload:  Workload{Binary: []Value{One, One, One, One, One, One, One}},
@@ -53,8 +48,9 @@ func TestSolveWithTraceAndSchedule(t *testing.T) {
 		Seed:      7,
 		Bounds:    Bounds{MaxRounds: 100},
 		Faults:    sched,
-		Trace:     log,
-	})
+		Trace:     NewTrace(),
+	}
+	res, err := Run(sc)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -64,8 +60,11 @@ func TestSolveWithTraceAndSchedule(t *testing.T) {
 	if res.CountStatus(StatusCrashed) != 6 {
 		t.Errorf("crashed = %d, want 6", res.CountStatus(StatusCrashed))
 	}
-	if err := CheckClusterUniformity(log, part); err != nil {
-		t.Fatal(err)
+	if sc.Trace.Len() == 0 {
+		t.Fatal("nothing traced")
+	}
+	if vs := Check(sc, res); vs != nil {
+		t.Fatal(vs)
 	}
 }
 

@@ -14,16 +14,16 @@ import (
 	"allforone/internal/core"
 )
 
-// benchRun executes one scenario and fails the benchmark on any safety or
-// configuration error.
+// benchRun executes one scenario and fails the benchmark on any
+// configuration error or broken property.
 func benchRun(b *testing.B, sc Scenario) *Outcome {
 	b.Helper()
 	out, err := Run(sc)
 	if err != nil {
 		b.Fatalf("Run: %v", err)
 	}
-	if err := out.CheckAgreement(); err != nil {
-		b.Fatal(err)
+	if vs := Check(sc, out); vs != nil {
+		b.Fatal(vs)
 	}
 	return out
 }

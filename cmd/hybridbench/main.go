@@ -205,8 +205,9 @@ type searchOptions struct {
 // searchBase builds the base scenario the search perturbs: a Blocks
 // topology, alternating binary proposals (plus a concurrent writer/reader
 // script workload, consumed when the attacked protocol runs register
-// scripts — e.g. -search-protocol register -search-objective lin), and a
-// timed minority crash plan for the jitter strategy to move around.
+// scripts — e.g. -search-protocol register, where protocol.Check holds
+// every probe's history to linearizability), and a timed minority crash
+// plan for the jitter strategy to move around.
 func searchBase(o searchOptions) (protocol.Scenario, error) {
 	var sc protocol.Scenario
 	part, err := model.Blocks(o.n, o.clusters)

@@ -243,20 +243,14 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "\nmetrics: msgs=%d delivered=%d broadcasts=%d decide-msgs=%d cons-inv=%d coin-flips=%d max-round=%d elapsed=%v\n",
 		m.MsgsSent, m.MsgsDelivered, m.Broadcasts, m.DecideMsgs, m.ConsInvocations, m.CoinFlips, m.MaxRound, res.Elapsed.Round(time.Microsecond))
 
-	if err := res.CheckAgreement(); err != nil {
-		return err
+	if vs := allforone.Check(sc, res); vs != nil {
+		return fmt.Errorf("%d properties broken, first: %w", len(vs), vs[0])
 	}
 	checks := "agreement ✓"
 	if allowed != nil {
-		if err := res.CheckValidity(allowed); err != nil {
-			return err
-		}
 		checks += "  validity ✓"
 	}
 	if log != nil && sc.Topology.Partition != nil {
-		if err := allforone.CheckClusterUniformity(log, sc.Topology.Partition); err != nil {
-			return err
-		}
 		checks += "  cluster-uniformity ✓"
 	}
 	fmt.Fprintf(out, "safety: %s\n", checks)

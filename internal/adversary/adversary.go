@@ -10,11 +10,11 @@
 // Outcome (rounds-to-decide, scheduler steps, virtual time). Probes are
 // classified by Verdict:
 //
-//   - VerdictViolation — a safety check failed (agreement broken, or the
-//     protocol's own invariant check returned an error): an outright bug.
+//   - VerdictViolation — the run returned an error or broke a property of
+//     protocol.Check (agreement, validity, a liveness condition that held,
+//     linearizability, …): an outright bug.
 //   - VerdictUndecided — the run ended deterministically blocked with live
-//     undecided processes: a liveness counterexample whenever the
-//     scenario's liveness condition holds.
+//     undecided processes where no liveness condition promised otherwise.
 //   - VerdictDecided — every live process finished; the objective ranks
 //     how expensive the schedule made it.
 //   - VerdictBoundedOut — the run was cut short at a MaxSteps or
@@ -33,7 +33,6 @@ import (
 	"fmt"
 
 	"allforone/internal/protocol"
-	"allforone/internal/register"
 )
 
 // Verdict classifies one probe's outcome. Higher values are worse for the
@@ -49,7 +48,7 @@ const (
 	// VerdictUndecided: the run ended blocked (quiesced under the virtual
 	// engine) with live undecided processes.
 	VerdictUndecided
-	// VerdictViolation: a safety property or protocol invariant broke.
+	// VerdictViolation: the run broke a property protocol.Check checks.
 	VerdictViolation
 )
 
@@ -69,23 +68,28 @@ func (v Verdict) String() string {
 }
 
 // Classify derives a probe's verdict from its run result. err is the
-// protocol.Run error, if any: protocols report detected invariant breaks
-// (e.g. replicated-log disagreement) as errors, which the falsifier counts
-// as violations, not as probe failures.
-func Classify(out *protocol.Outcome, err error) Verdict {
+// protocol.Run error, if any: a run that errs or that protocol.Check
+// condemns is a violation, not a probe failure.
+func Classify(sc protocol.Scenario, out *protocol.Outcome, err error) Verdict {
+	v, _ := classify(sc, out, err)
+	return v
+}
+
+// classify is Classify plus the violation's cause.
+func classify(sc protocol.Scenario, out *protocol.Outcome, err error) (Verdict, error) {
 	if err != nil {
-		return VerdictViolation
+		return VerdictViolation, err
 	}
-	if out.CheckAgreement() != nil {
-		return VerdictViolation
+	if vs := protocol.Check(sc, out); vs != nil {
+		return VerdictViolation, vs[0]
 	}
 	if out.BoundedOut() {
-		return VerdictBoundedOut
+		return VerdictBoundedOut, nil
 	}
 	if out.Undecided() == 0 {
-		return VerdictDecided
+		return VerdictDecided, nil
 	}
-	return VerdictUndecided
+	return VerdictUndecided, nil
 }
 
 // Objective scores one probe's Outcome; higher is worse for the protocol.
@@ -136,48 +140,8 @@ func VirtualTime() Objective {
 	})
 }
 
-// ViolationChecker is an optional Objective capability: an objective that
-// can detect safety violations the generic agreement check cannot see
-// (e.g. a non-linearizable register history) implements it, and Search
-// upgrades any probe it flags to VerdictViolation. The returned error is
-// the violation's description, kept on the Finding.
-type ViolationChecker interface {
-	// CheckViolation inspects a probe's outcome; a non-nil error means the
-	// schedule drove the protocol into a safety violation.
-	CheckViolation(out *protocol.Outcome) error
-}
-
-// linearizabilityObjective scores schedules by event count (so the local
-// search still climbs schedule cost between findings) and flags runs whose
-// operation history no sequential register execution can explain.
-type linearizabilityObjective struct{}
-
-func (linearizabilityObjective) Name() string { return "linearizability" }
-
-func (linearizabilityObjective) Score(out *protocol.Outcome) float64 {
-	return float64(out.Steps)
-}
-
-// CheckViolation runs register.CheckLinearizable against the probe's
-// recorded history. Outcomes of non-register protocols carry no history
-// and pass vacuously.
-func (linearizabilityObjective) CheckViolation(out *protocol.Outcome) error {
-	res, ok := out.Raw.(*register.Result)
-	if !ok {
-		return nil
-	}
-	return res.CheckLinearizable()
-}
-
-// ObjectiveLinearizability wires register.CheckLinearizable into the
-// falsifier: every probe of a register scenario has its timestamped
-// operation history checked (memoized Wing&Gong), and a history with a
-// stale read, a new-old inversion, or a lost update surfaces as a
-// VerdictViolation finding — replayable bit-for-bit like any other.
-func ObjectiveLinearizability() Objective { return linearizabilityObjective{} }
-
 // ParseObjective resolves an objective name as accepted by the CLIs:
-// rounds, steps, vtime, or lin.
+// rounds, steps, or vtime.
 func ParseObjective(name string) (Objective, error) {
 	switch name {
 	case "rounds":
@@ -186,8 +150,6 @@ func ParseObjective(name string) (Objective, error) {
 		return Steps(), nil
 	case "vtime", "virtual-time":
 		return VirtualTime(), nil
-	case "lin", "linearizability":
-		return ObjectiveLinearizability(), nil
 	}
-	return nil, fmt.Errorf("adversary: unknown objective %q (want rounds, steps, vtime, or lin)", name)
+	return nil, fmt.Errorf("adversary: unknown objective %q (want rounds, steps, or vtime)", name)
 }

@@ -154,7 +154,7 @@ func TestBoundedOutDistinctFromUndecided(t *testing.T) {
 	if out.Quiesced {
 		t.Fatal("MaxSteps run reported quiescence")
 	}
-	if v := adversary.Classify(out, nil); v != adversary.VerdictBoundedOut {
+	if v := adversary.Classify(stepsOut, out, nil); v != adversary.VerdictBoundedOut {
 		t.Fatalf("MaxSteps verdict = %v, want bounded-out", v)
 	}
 
@@ -169,7 +169,7 @@ func TestBoundedOutDistinctFromUndecided(t *testing.T) {
 	if !out.DeadlineExceeded || !out.BoundedOut() {
 		t.Fatalf("MaxVirtualTime run: DeadlineExceeded=%v StepsExceeded=%v", out.DeadlineExceeded, out.StepsExceeded)
 	}
-	if v := adversary.Classify(out, nil); v != adversary.VerdictBoundedOut {
+	if v := adversary.Classify(deadlineOut, out, nil); v != adversary.VerdictBoundedOut {
 		t.Fatalf("MaxVirtualTime verdict = %v, want bounded-out", v)
 	}
 
@@ -181,13 +181,14 @@ func TestBoundedOutDistinctFromUndecided(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out, err = protocol.Run(protocol.Scenario{
+	blockedSc := protocol.Scenario{
 		Protocol: "benor",
 		Topology: protocol.Topology{N: 3},
 		Workload: protocol.Workload{Binary: []model.Value{model.Zero, model.One, model.One}},
 		Faults:   blocked,
 		Seed:     5,
-	})
+	}
+	out, err = protocol.Run(blockedSc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestBoundedOutDistinctFromUndecided(t *testing.T) {
 	if !out.Quiesced {
 		t.Fatalf("blocked run did not quiesce: %+v", out)
 	}
-	if v := adversary.Classify(out, nil); v != adversary.VerdictUndecided {
+	if v := adversary.Classify(blockedSc, out, nil); v != adversary.VerdictUndecided {
 		t.Fatalf("blocked verdict = %v, want undecided", v)
 	}
 }
@@ -237,7 +238,7 @@ func TestSearchFindsPlantedViolation(t *testing.T) {
 		Base: protocol.Scenario{
 			Protocol: riggedName,
 			Topology: protocol.Topology{N: 4},
-			Workload: protocol.Workload{Binary: make([]model.Value, 4)},
+			Workload: protocol.Workload{Binary: []model.Value{model.Zero, model.One, model.Zero, model.One}},
 			Seed:     1,
 		},
 		Strategy: boundedSeeds{},
@@ -260,8 +261,8 @@ func TestSearchFindsPlantedViolation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if err := again.CheckAgreement(); err == nil {
-		t.Fatal("replayed counterexample no longer violates agreement")
+	if v := adversary.Classify(rep.Worst.Scenario, again, nil); v != adversary.VerdictViolation {
+		t.Fatalf("replayed counterexample is %v, not a violation", v)
 	}
 	if len(rep.Findings) == 0 || rep.Findings[0].Verdict != adversary.VerdictViolation {
 		t.Fatalf("violation not retained in Findings: %+v", rep.Findings)
@@ -432,10 +433,10 @@ func init() {
 	}))
 }
 
-// TestSearchFindsPlantedLinearizabilityViolation: the linearizability
-// objective must upgrade probes whose register history is not sequentially
-// explainable to VerdictViolation, carry the checker's error on the
-// finding, and replay to the same broken history.
+// TestSearchFindsPlantedLinearizabilityViolation: protocol.Check must
+// condemn probes whose register history is not sequentially explainable as
+// violations, the finding must carry the checker's error, and it must replay
+// to the same broken history.
 func TestSearchFindsPlantedLinearizabilityViolation(t *testing.T) {
 	t.Parallel()
 	rep, err := adversary.Search(adversary.Config{
@@ -444,16 +445,12 @@ func TestSearchFindsPlantedLinearizabilityViolation(t *testing.T) {
 			Topology: protocol.Topology{N: 3},
 			Seed:     1,
 		},
-		Objective: adversary.ObjectiveLinearizability(),
-		Strategy:  boundedSeeds{},
-		Budget:    300,
-		Seed:      11,
+		Strategy: boundedSeeds{},
+		Budget:   300,
+		Seed:     11,
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if rep.Objective != "linearizability" {
-		t.Fatalf("objective = %q", rep.Objective)
 	}
 	if rep.Violations == 0 {
 		t.Fatalf("planted inversion not found in %d probes", rep.Probes)
@@ -473,14 +470,15 @@ func TestSearchFindsPlantedLinearizabilityViolation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if err := adversary.ObjectiveLinearizability().(adversary.ViolationChecker).CheckViolation(again); err == nil {
+	if !errors.As(protocol.Check(w.Scenario, again)[0], &lerr) {
 		t.Fatal("replayed counterexample no longer violates linearizability")
 	}
 }
 
 // TestLinearizabilityObjectiveCleanOnRealRegister: the ABD register is
 // linearizable by construction, so a search over real register scenarios
-// must classify every probe decided, never as a violation.
+// must classify every probe decided — protocol.Check, which checks every
+// register history, never condemns one.
 func TestLinearizabilityObjectiveCleanOnRealRegister(t *testing.T) {
 	t.Parallel()
 	part, err := model.Blocks(4, 2)
@@ -500,10 +498,9 @@ func TestLinearizabilityObjectiveCleanOnRealRegister(t *testing.T) {
 			Workload: protocol.Workload{Scripts: scripts},
 			Seed:     1,
 		},
-		Objective: adversary.ObjectiveLinearizability(),
-		Strategy:  adversary.Combine(adversary.SeedHop(), adversary.SkewMutation(100*time.Microsecond, 0, 4)),
-		Budget:    60,
-		Seed:      9,
+		Strategy: adversary.Combine(adversary.SeedHop(), adversary.SkewMutation(100*time.Microsecond, 0, 4)),
+		Budget:   60,
+		Seed:     9,
 	})
 	if err != nil {
 		t.Fatal(err)

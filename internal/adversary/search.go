@@ -55,8 +55,8 @@ type Finding struct {
 	// Outcome is the probe's result (nil when the run itself returned an
 	// error — see Err).
 	Outcome *protocol.Outcome
-	// Err is the protocol.Run error for probes the protocol itself
-	// rejected mid-run (a detected invariant violation).
+	// Err is why a violation is one: the protocol.Run error, or the first
+	// property protocol.Check found broken.
 	Err error
 	// Verdict classifies the probe; Score ranks it within its verdict.
 	Verdict Verdict
@@ -175,23 +175,10 @@ func Search(cfg Config) (*Report, error) {
 			if errs[k] != nil && fatal(errs[k]) {
 				return nil, fmt.Errorf("adversary: probe %d: %w", probe+k, errs[k])
 			}
-			f := Finding{
-				Probe:    probe + k,
-				Scenario: scs[k],
-				Outcome:  outs[k],
-				Err:      errs[k],
-				Verdict:  Classify(outs[k], errs[k]),
-			}
+			f := Finding{Probe: probe + k, Scenario: scs[k], Outcome: outs[k]}
+			f.Verdict, f.Err = classify(scs[k], outs[k], errs[k])
 			if outs[k] != nil {
 				f.Score = obj.Score(outs[k])
-				// Objective-specific safety oracles (e.g. linearizability)
-				// upgrade probes the generic classifier cannot condemn.
-				if chk, ok := obj.(ViolationChecker); ok && f.Verdict != VerdictViolation {
-					if verr := chk.CheckViolation(outs[k]); verr != nil {
-						f.Verdict = VerdictViolation
-						f.Err = verr
-					}
-				}
 			}
 			switch f.Verdict {
 			case VerdictDecided:

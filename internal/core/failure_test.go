@@ -285,40 +285,26 @@ func TestRandomCrashStorms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		live := part.LivenessHolds(sched.Crashed())
 		props := make([]model.Value, n)
 		for i := range props {
 			props[i] = model.BitToValue(rng.Uint64())
 		}
-		log := trace.New()
-		res, err := Run(Config{
+		cfg := Config{
 			Partition: part,
 			Proposals: props,
 			Algorithm: algo,
 			Seed:      int64(trial) * 7919,
 			MaxRounds: 5000,
 			Crashes:   sched,
-			Trace:     log,
-		})
+			Trace:     trace.New(),
+		}
+		res, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("trial %d: Run: %v", trial, err)
 		}
-		if err := res.CheckAgreement(); err != nil {
+		if vs := violations(cfg, res); vs != nil {
 			t.Fatalf("trial %d (algo %v, part %v, crashes %v): %v",
-				trial, algo, part, sched.Crashed(), err)
-		}
-		if err := res.CheckValidity(props); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if err := trace.CheckClusterUniformity(log, part); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if err := trace.CheckNoStepsAfterCrash(log); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if live && !res.AllLiveDecided() {
-			t.Fatalf("trial %d: liveness holds (%v crashed) but some process did not decide: %+v",
-				trial, sched.Crashed(), res.Procs)
+				trial, algo, part, sched.Crashed(), vs)
 		}
 	}
 }

@@ -26,8 +26,8 @@ func randomPartition(rng *rand.Rand, n int) *model.Partition {
 
 // TestRandomConfigurationSweep is the repository's heaviest property test:
 // random topology, proposals, algorithm, crash pattern and delays, with
-// full safety checking on every run and termination checking whenever the
-// paper's liveness condition holds.
+// every run held to protocol.Check — full safety checking, and termination
+// whenever the paper's liveness condition holds.
 func TestRandomConfigurationSweep(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -54,8 +54,7 @@ func TestRandomConfigurationSweep(t *testing.T) {
 			maxDelay = time.Duration(rng.IntN(1500)) * time.Microsecond
 		}
 
-		log := trace.New()
-		res, err := Run(Config{
+		cfg := Config{
 			Partition: part,
 			Proposals: props,
 			Algorithm: algo,
@@ -63,31 +62,16 @@ func TestRandomConfigurationSweep(t *testing.T) {
 			MaxRounds: 10_000,
 			MaxDelay:  maxDelay,
 			Crashes:   sched,
-			Trace:     log,
-		})
+			Trace:     trace.New(),
+		}
+		res, err := Run(cfg)
 		ctx := fmt.Sprintf("trial %d: n=%d part=%v algo=%v crashed=%v live=%v",
 			trial, n, part, algo, sched.Crashed(), live)
 		if err != nil {
 			t.Fatalf("%s: Run: %v", ctx, err)
 		}
-		if err := res.CheckAgreement(); err != nil {
-			t.Fatalf("%s: %v", ctx, err)
-		}
-		if err := res.CheckValidity(props); err != nil {
-			t.Fatalf("%s: %v", ctx, err)
-		}
-		if err := trace.CheckClusterUniformity(log, part); err != nil {
-			t.Fatalf("%s: %v", ctx, err)
-		}
-		if err := trace.CheckDecisions(log); err != nil {
-			t.Fatalf("%s: %v", ctx, err)
-		}
-		if err := trace.CheckNoStepsAfterCrash(log); err != nil {
-			t.Fatalf("%s: %v", ctx, err)
-		}
-		if live && !res.AllLiveDecided() {
-			t.Fatalf("%s: liveness condition held but some process did not decide: %+v",
-				ctx, res.Procs)
+		if vs := violations(cfg, res); vs != nil {
+			t.Fatalf("%s: %v", ctx, vs)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"allforone/internal/model"
+	"allforone/internal/protocol"
 	"allforone/internal/trace"
 )
 
@@ -28,32 +29,33 @@ func alternating(n int) []model.Value {
 	return out
 }
 
-// runAndCheck executes cfg and asserts the run is error-free and safe
-// (agreement + validity + cluster uniformity when traced).
+// runAndCheck executes cfg and asserts the run is error-free and passes
+// protocol.Check.
 func runAndCheck(t *testing.T, cfg Config) *Result {
 	t.Helper()
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if err := res.CheckAgreement(); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.CheckValidity(cfg.Proposals); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Trace != nil {
-		if err := trace.CheckClusterUniformity(cfg.Trace, cfg.Partition); err != nil {
-			t.Fatal(err)
-		}
-		if err := trace.CheckDecisions(cfg.Trace); err != nil {
-			t.Fatal(err)
-		}
-		if err := trace.CheckNoStepsAfterCrash(cfg.Trace); err != nil {
-			t.Fatal(err)
-		}
+	if vs := violations(cfg, res); vs != nil {
+		t.Fatal(vs)
 	}
 	return res
+}
+
+// violations holds a run of cfg to protocol.Check, the oracle every Scenario
+// run answers to: agreement, validity, the liveness condition, and cluster
+// uniformity, crash-stop and the decisions over a recorded trace.
+func violations(cfg Config, res *Result) []protocol.Violation {
+	sc := protocol.Scenario{
+		Protocol: ProtocolName,
+		Topology: protocol.Topology{Partition: cfg.Partition},
+		Workload: protocol.Workload{Binary: cfg.Proposals},
+		Faults:   cfg.Crashes,
+		Bounds:   protocol.Bounds{MaxRounds: cfg.MaxRounds, MaxVirtualTime: cfg.MaxVirtualTime, MaxSteps: cfg.MaxSteps},
+		Trace:    cfg.Trace,
+	}
+	return protocol.Check(sc, protocol.BinaryOutcome(ProtocolName, res))
 }
 
 func TestRunConfigValidation(t *testing.T) {

@@ -525,22 +525,22 @@ func E8Indulgence(opts Options) (*Report, error) {
 				if tc.part.LivenessHolds(sched.Crashed()) {
 					return nil, fmt.Errorf("harness: E8 case %q unexpectedly live", tc.name)
 				}
-				props := proposalsFor("split", tc.part.N(), nil)
-				out, err := protocol.Run(protocol.Scenario{
+				sc := protocol.Scenario{
 					Protocol:  core.ProtocolName,
 					Topology:  protocol.Topology{Partition: tc.part},
-					Workload:  protocol.Workload{Binary: props},
+					Workload:  protocol.Workload{Binary: proposalsFor("split", tc.part.N(), nil)},
 					Algorithm: algoName(algo),
 					Seed:      opts.SeedBase + int64(trial)*53,
 					Faults:    sched,
-				})
+				}
+				out, err := protocol.Run(sc)
 				if err != nil {
 					return nil, err
 				}
 				if _, _, ok := out.Decided(); ok {
 					decidedRuns++
 				}
-				if out.CheckAgreement() != nil || out.CheckValidity(renderValues(props)) != nil {
+				if protocol.Check(sc, out) != nil {
 					violations++
 				}
 			}

@@ -41,21 +41,14 @@ func E9ExtensionStack(opts Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		props := []string{"a", "b", "c", "d", "e", "f", "g"}
-		out, err := protocol.Run(protocol.Scenario{
+		out, err := runChecked(protocol.Scenario{
 			Protocol: multivalued.ProtocolName,
 			Topology: protocol.Topology{Partition: part},
-			Workload: protocol.Workload{Values: props},
+			Workload: protocol.Workload{Values: []string{"a", "b", "c", "d", "e", "f", "g"}},
 			Seed:     opts.SeedBase + int64(trial)*379,
 			Faults:   sched,
 		})
 		if err != nil {
-			return nil, err
-		}
-		if err := out.CheckAgreement(); err != nil {
-			return nil, err
-		}
-		if err := out.CheckValidity(props); err != nil {
 			return nil, err
 		}
 		if pr := out.Procs[survivor]; pr.Status == sim.StatusDecided {
@@ -90,7 +83,7 @@ func E9ExtensionStack(opts Options) (*Report, error) {
 			protocol.WriteOp("post"),
 			protocol.ReadOp(),
 		}
-		out, err := protocol.Run(protocol.Scenario{
+		out, err := runChecked(protocol.Scenario{
 			Protocol: register.ProtocolName,
 			Topology: protocol.Topology{Partition: part},
 			Workload: protocol.Workload{Scripts: scripts},
@@ -124,7 +117,7 @@ func E9ExtensionStack(opts Options) (*Report, error) {
 		for i := range cmds {
 			cmds[i] = []string{"cmd-" + string(rune('a'+i))}
 		}
-		out, err := protocol.Run(protocol.Scenario{
+		out, err := runChecked(protocol.Scenario{
 			Protocol: smr.ProtocolName,
 			Topology: protocol.Topology{Partition: part},
 			Workload: protocol.Workload{Commands: cmds, Slots: slots},
@@ -134,11 +127,7 @@ func E9ExtensionStack(opts Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		res := out.Raw.(*smr.Result)
-		if err := res.CheckLogValidity(cmds); err != nil {
-			return nil, err
-		}
-		surv := res.Replicas[survivor]
+		surv := out.Raw.(*smr.Result).Replicas[survivor]
 		if surv.Status == sim.StatusDecided && len(surv.Log) == slots {
 			logOK++
 			logRounds = append(logRounds, float64(surv.Rounds))

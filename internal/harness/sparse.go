@@ -118,22 +118,14 @@ func E10SparseOverlay(opts Options) (*Report, error) {
 			if err != nil {
 				return nil, fmt.Errorf("harness: E10 %s n=%d: %w", pr.name, n, err)
 			}
-			decided := 0
+			// Sweep's Check demands that every crash-free run decide.
 			var cells []float64
-			for trial, out := range outs {
-				if err := out.CheckAgreement(); err != nil {
-					return nil, fmt.Errorf("harness: E10 %s n=%d trial %d: %w", pr.name, n, trial, err)
-				}
-				if !out.AllLiveDecided() {
-					return nil, fmt.Errorf("harness: E10 %s n=%d trial %d: crash-free run did not decide: %+v",
-						pr.name, n, trial, out.Procs[:min(8, len(out.Procs))])
-				}
-				decided++
+			for _, out := range outs {
 				cells = append(cells, pr.norm(out))
 			}
 			mean := meanOr(cells, 0)
 			perRound = append(perRound, mean)
-			tb.AddRowf(pr.name, n, 100*float64(decided)/float64(trials), mean)
+			tb.AddRowf(pr.name, n, 100.0, mean)
 			rep.Findings[fmt.Sprintf("%s/n=%d/msgs_per_round", pr.name, n)] = mean
 		}
 		// Geometric-mean doubling ratio across the sweep: how the bill
@@ -230,13 +222,7 @@ func E10DegreeSweep(opts Options) (*Report, error) {
 				return nil, fmt.Errorf("harness: E10D %s d=%d: %w", pr.name, d, err)
 			}
 			var cells []float64
-			for trial, out := range outs {
-				if err := out.CheckAgreement(); err != nil {
-					return nil, fmt.Errorf("harness: E10D %s d=%d trial %d: %w", pr.name, d, trial, err)
-				}
-				if !out.AllLiveDecided() {
-					return nil, fmt.Errorf("harness: E10D %s d=%d trial %d: crash-free run did not decide", pr.name, d, trial)
-				}
+			for _, out := range outs {
 				cells = append(cells, pr.norm(out))
 			}
 			mean := meanOr(cells, 0)

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 
@@ -14,14 +15,15 @@ import (
 // saturates all cores without perturbing any individual Outcome.
 // parallelism ≤ 0 means one worker per available CPU.
 //
-// The first error (invalid scenario or invariant violation) aborts the
-// sweep and is returned; in-flight runs finish, queued ones are skipped.
+// Every Outcome answers to protocol.Check. The first error (an invalid
+// scenario, or a run that broke a property) aborts the sweep and is
+// returned; in-flight runs finish, queued ones are skipped.
 func Sweep(scs []protocol.Scenario, parallelism int) ([]*protocol.Outcome, error) {
 	outs := make([]*protocol.Outcome, len(scs))
 	err := forEachParallel(parallelism, len(scs), func(i int) error {
-		out, err := protocol.Run(scs[i])
+		out, err := runChecked(scs[i])
 		if err != nil {
-			return err
+			return fmt.Errorf("scenario %d: %w", i, err)
 		}
 		outs[i] = out
 		return nil
@@ -30,6 +32,19 @@ func Sweep(scs []protocol.Scenario, parallelism int) ([]*protocol.Outcome, error
 		return nil, err
 	}
 	return outs, nil
+}
+
+// runChecked runs one scenario and holds its Outcome to protocol.Check: a
+// run that breaks a property is an error.
+func runChecked(sc protocol.Scenario) (*protocol.Outcome, error) {
+	out, err := protocol.Run(sc)
+	if err != nil {
+		return nil, err
+	}
+	if vs := protocol.Check(sc, out); vs != nil {
+		return nil, fmt.Errorf("%s seed %d: %w", sc.Protocol, sc.Seed, vs[0])
+	}
+	return out, nil
 }
 
 // SweepCollect executes every scenario on the same worker pool as Sweep

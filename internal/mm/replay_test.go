@@ -7,6 +7,7 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
+	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
 
@@ -59,31 +60,27 @@ func TestReplayBitReproducible(t *testing.T) {
 }
 
 // TestSafetyAcrossSchedules samples the schedule space: 32 seeds, each at
-// immediate delivery and under a 0–1 ms uniform band (replayable). Every
-// run must satisfy agreement and validity and fully decide (crash-free).
+// immediate delivery and under a 0–1 ms uniform band (replayable), every
+// run held to protocol.Check: agreement, validity and, crash-free,
+// termination.
 func TestSafetyAcrossSchedules(t *testing.T) {
 	t.Parallel()
-	for _, maxDelay := range []time.Duration{0, time.Millisecond} {
+	for _, band := range []protocol.NetworkProfile{nil, protocol.Uniform(0, time.Millisecond)} {
 		for seed := int64(0); seed < 32; seed++ {
-			cfg := Config{
-				Graph:     Fig2(),
-				Proposals: []model.Value{model.One, model.Zero, model.One, model.Zero, model.One},
-				Seed:      seed,
-				MaxRounds: 10_000,
-				MaxDelay:  maxDelay,
+			sc := protocol.Scenario{
+				Protocol: ProtocolName,
+				Topology: protocol.Topology{N: 5, MMEdges: Fig2().EdgeList()},
+				Workload: protocol.Workload{Binary: []model.Value{model.One, model.Zero, model.One, model.Zero, model.One}},
+				Bounds:   protocol.Bounds{MaxRounds: 10_000},
+				Profile:  band,
+				Seed:     seed,
 			}
-			res, err := Run(cfg)
+			out, err := protocol.Run(sc)
 			if err != nil {
-				t.Fatalf("band %v seed %d: %v", maxDelay, seed, err)
+				t.Fatalf("band %v seed %d: %v", band, seed, err)
 			}
-			if err := res.CheckAgreement(); err != nil {
-				t.Errorf("band %v seed %d: %v", maxDelay, seed, err)
-			}
-			if err := res.CheckValidity(cfg.Proposals); err != nil {
-				t.Errorf("band %v seed %d: %v", maxDelay, seed, err)
-			}
-			if !res.AllLiveDecided() {
-				t.Errorf("band %v seed %d: not all decided: %+v", maxDelay, seed, res.Procs)
+			if vs := protocol.Check(sc, out); vs != nil {
+				t.Errorf("band %v seed %d: %v", band, seed, vs)
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
+	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
 
@@ -56,31 +57,26 @@ func TestReplayBitReproducible(t *testing.T) {
 }
 
 // TestSafetyAcrossSchedules samples the schedule space: 32 seeds, each at
-// immediate delivery and under a 0–1 ms uniform band (replayable).
-// Agreement, validity, and crash-free termination must hold on every one.
+// immediate delivery and under a 0–1 ms uniform band (replayable), every
+// run held to protocol.Check: agreement, validity and, crash-free,
+// termination.
 func TestSafetyAcrossSchedules(t *testing.T) {
 	t.Parallel()
-	part := model.Fig1Right()
-	props := []string{"u", "v", "w", "x", "y", "z", "q"}
-	for _, maxDelay := range []time.Duration{0, time.Millisecond} {
+	for _, band := range []protocol.NetworkProfile{nil, protocol.Uniform(0, time.Millisecond)} {
 		for seed := int64(0); seed < 32; seed++ {
-			res, err := Run(Config{
-				Partition: part,
-				Proposals: props,
-				Seed:      seed,
-				MaxDelay:  maxDelay,
-			})
+			sc := protocol.Scenario{
+				Protocol: ProtocolName,
+				Topology: protocol.Topology{Partition: model.Fig1Right()},
+				Workload: protocol.Workload{Values: []string{"u", "v", "w", "x", "y", "z", "q"}},
+				Profile:  band,
+				Seed:     seed,
+			}
+			out, err := protocol.Run(sc)
 			if err != nil {
-				t.Fatalf("band %v seed %d: %v", maxDelay, seed, err)
+				t.Fatalf("band %v seed %d: %v", band, seed, err)
 			}
-			if err := res.CheckAgreement(); err != nil {
-				t.Errorf("band %v seed %d: %v", maxDelay, seed, err)
-			}
-			if err := res.CheckValidity(props); err != nil {
-				t.Errorf("band %v seed %d: %v", maxDelay, seed, err)
-			}
-			if !res.AllLiveDecided() {
-				t.Errorf("band %v seed %d: not all decided: %+v", maxDelay, seed, res.Procs)
+			if vs := protocol.Check(sc, out); vs != nil {
+				t.Errorf("band %v seed %d: %v", band, seed, vs)
 			}
 		}
 	}

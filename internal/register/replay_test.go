@@ -7,6 +7,7 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
+	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
 
@@ -61,46 +62,31 @@ func TestReplayBitReproducible(t *testing.T) {
 	}
 }
 
-// TestSafetyAcrossSchedules samples the schedule space — 32 seeds, each at
-// immediate delivery and under a 0–1 ms uniform band (replayable): reads
-// only return written values (or the initial empty string), writes
-// complete, and a process's own reads respect its preceding write.
+// TestSafetyAcrossSchedules samples the schedule space: 32 seeds, each at
+// immediate delivery and under a 0–1 ms uniform band (replayable), every
+// run held to protocol.Check: every operation completes, and the history is
+// linearizable, so reads return written values (or the initial empty
+// string) and respect their process's preceding write.
 func TestSafetyAcrossSchedules(t *testing.T) {
 	t.Parallel()
-	part := model.Fig1Right()
-	for _, maxDelay := range []time.Duration{0, time.Millisecond} {
+	scripts := make([][]protocol.RegisterOp, 7)
+	scripts[1] = []protocol.RegisterOp{protocol.WriteOp("x"), protocol.ReadOp()}
+	scripts[5] = []protocol.RegisterOp{protocol.ReadOp(), protocol.WriteOp("y")}
+	for _, band := range []protocol.NetworkProfile{nil, protocol.Uniform(0, time.Millisecond)} {
 		for seed := int64(0); seed < 32; seed++ {
-			scripts := make([][]Op, part.N())
-			scripts[1] = []Op{WriteOp("x"), ReadOp()}
-			scripts[5] = []Op{ReadOp(), WriteOp("y")}
-			res, err := Run(Config{
-				Partition: part,
-				Scripts:   scripts,
-				Seed:      seed,
-				MaxDelay:  maxDelay,
-			})
+			sc := protocol.Scenario{
+				Protocol: ProtocolName,
+				Topology: protocol.Topology{Partition: model.Fig1Right()},
+				Workload: protocol.Workload{Scripts: scripts},
+				Profile:  band,
+				Seed:     seed,
+			}
+			out, err := protocol.Run(sc)
 			if err != nil {
-				t.Fatalf("band %v seed %d: %v", maxDelay, seed, err)
+				t.Fatalf("band %v seed %d: %v", band, seed, err)
 			}
-			valid := map[string]bool{"": true, "x": true, "y": true}
-			for p, pr := range res.Procs {
-				if pr.Status != sim.StatusDecided {
-					t.Errorf("band %v seed %d: proc %d = %+v, want decided", maxDelay, seed, p, pr)
-				}
-				for _, op := range pr.Ops {
-					if !op.OK {
-						t.Errorf("band %v seed %d: proc %d op failed: %+v", maxDelay, seed, p, op)
-					}
-					if op.Kind == OpRead && !valid[op.Val] {
-						t.Errorf("band %v seed %d: proc %d read %q, never written", maxDelay, seed, p, op.Val)
-					}
-				}
-			}
-			// Read-your-write: p2's read follows its own completed write, so
-			// it can never observe the initial empty value again (it may see
-			// p6's concurrent, newer "y").
-			if ops := res.Procs[1].Ops; len(ops) == 2 && ops[1].OK && ops[1].Val == "" {
-				t.Errorf("band %v seed %d: read-your-write violated: %+v", maxDelay, seed, ops)
+			if vs := protocol.Check(sc, out); vs != nil {
+				t.Errorf("band %v seed %d: %v", band, seed, vs)
 			}
 		}
 	}

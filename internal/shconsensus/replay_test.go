@@ -7,6 +7,7 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
+	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
 
@@ -45,9 +46,9 @@ func TestReplayBitReproducible(t *testing.T) {
 
 // TestSafetyAcrossSchedules: the protocol has no network and no delays —
 // its schedule space is who proposes what and who crashes before
-// proposing — so 32 seeds draw both. Every run must satisfy agreement,
-// validity and wait-free termination, and the first live process's
-// proposal must win the CAS.
+// proposing — so 32 seeds draw both. Every run must pass protocol.Check,
+// terminate wait-free, and let the first live process's proposal win the
+// CAS.
 func TestSafetyAcrossSchedules(t *testing.T) {
 	t.Parallel()
 	const n = 8
@@ -61,22 +62,25 @@ func TestSafetyAcrossSchedules(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(Config{N: n, Proposals: props, Crashes: sched})
+		sc := protocol.Scenario{
+			Protocol: ProtocolName,
+			Topology: protocol.Topology{N: n},
+			Workload: protocol.Workload{Binary: props},
+			Faults:   sched,
+		}
+		out, err := protocol.Run(sc)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if err := res.CheckAgreement(); err != nil {
-			t.Errorf("seed %d: %v", seed, err)
+		if vs := protocol.Check(sc, out); vs != nil {
+			t.Errorf("seed %d: %v", seed, vs)
 		}
-		if err := res.CheckValidity(props); err != nil {
-			t.Errorf("seed %d: %v", seed, err)
+		if !out.AllLiveDecided() {
+			t.Errorf("seed %d: not all decided: %+v", seed, out.Procs)
 		}
-		if !res.AllLiveDecided() {
-			t.Errorf("seed %d: not all decided: %+v", seed, res.Procs)
-		}
-		for p, pr := range res.Procs {
+		for p, pr := range out.Procs {
 			if pr.Status == sim.StatusDecided {
-				if pr.Decision != props[p] {
+				if pr.Decision != props[p].String() {
 					t.Errorf("seed %d: decided %v, want first live process p%d's %v", seed, pr.Decision, p+1, props[p])
 				}
 				break

@@ -7,6 +7,7 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
+	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
 
@@ -63,36 +64,30 @@ func TestReplayBitReproducible(t *testing.T) {
 }
 
 // TestSafetyAcrossSchedules samples the schedule space: 32 seeds, each at
-// immediate delivery and under a 0–1 ms uniform band (replayable). Log
-// agreement, validity, and crash-free completion of every slot must hold.
+// immediate delivery and under a 0–1 ms uniform band (replayable), every
+// run held to protocol.Check: log agreement, validity and, crash-free, every
+// replica completing the log.
 func TestSafetyAcrossSchedules(t *testing.T) {
 	t.Parallel()
-	part := model.Fig1Right()
-	const slots = 2
-	for _, maxDelay := range []time.Duration{0, time.Millisecond} {
+	cmds := make([][]string, 7)
+	for i := range cmds {
+		cmds[i] = []string{"op-" + string(rune('a'+i))}
+	}
+	for _, band := range []protocol.NetworkProfile{nil, protocol.Uniform(0, time.Millisecond)} {
 		for seed := int64(0); seed < 32; seed++ {
-			cmds := make([][]string, part.N())
-			for i := range cmds {
-				cmds[i] = []string{"op-" + string(rune('a'+i))}
+			sc := protocol.Scenario{
+				Protocol: ProtocolName,
+				Topology: protocol.Topology{Partition: model.Fig1Right()},
+				Workload: protocol.Workload{Commands: cmds, Slots: 2},
+				Profile:  band,
+				Seed:     seed,
 			}
-			res, err := Run(Config{
-				Partition: part,
-				Commands:  cmds,
-				Slots:     slots,
-				Seed:      seed,
-				MaxDelay:  maxDelay,
-			})
+			out, err := protocol.Run(sc)
 			if err != nil {
-				t.Fatalf("band %v seed %d: %v", maxDelay, seed, err)
+				t.Fatalf("band %v seed %d: %v", band, seed, err)
 			}
-			if err := res.CheckLogAgreement(); err != nil {
-				t.Errorf("band %v seed %d: %v", maxDelay, seed, err)
-			}
-			if err := res.CheckLogValidity(cmds); err != nil {
-				t.Errorf("band %v seed %d: %v", maxDelay, seed, err)
-			}
-			if got := len(res.CompletedLogs(slots)); got != part.N() {
-				t.Errorf("band %v seed %d: %d replicas completed, want %d", maxDelay, seed, got, part.N())
+			if vs := protocol.Check(sc, out); vs != nil {
+				t.Errorf("band %v seed %d: %v", band, seed, vs)
 			}
 		}
 	}

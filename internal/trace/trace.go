@@ -157,42 +157,3 @@ func CheckClusterUniformity(l *Log, part *model.Partition) error {
 	}
 	return nil
 }
-
-// CheckDecisions verifies the consensus safety properties over the log:
-// agreement (all KindDecide events carry one value) and validity (that
-// value appears among KindPropose events). It returns nil when no process
-// decided.
-func CheckDecisions(l *Log) error {
-	decides := l.Filter(KindDecide)
-	if len(decides) == 0 {
-		return nil
-	}
-	v := decides[0].Value
-	for _, e := range decides[1:] {
-		if e.Value != v {
-			return fmt.Errorf("trace: agreement violated: %v decided %v but %v decided %v",
-				decides[0].P, v, e.P, e.Value)
-		}
-	}
-	for _, e := range l.Filter(KindPropose) {
-		if e.Value == v {
-			return nil
-		}
-	}
-	return fmt.Errorf("trace: validity violated: decided %v was never proposed", v)
-}
-
-// CheckNoStepsAfterCrash verifies the crash model: once a process logs a
-// KindCrash event, it logs nothing further.
-func CheckNoStepsAfterCrash(l *Log) error {
-	crashed := map[model.ProcID]bool{}
-	for _, e := range l.Events() {
-		if crashed[e.P] {
-			return fmt.Errorf("trace: %v took step %v after crashing", e.P, e)
-		}
-		if e.Kind == KindCrash {
-			crashed[e.P] = true
-		}
-	}
-	return nil
-}

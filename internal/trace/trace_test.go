@@ -107,57 +107,6 @@ func TestCheckClusterUniformity(t *testing.T) {
 	}
 }
 
-func TestCheckDecisions(t *testing.T) {
-	t.Parallel()
-	empty := New()
-	if err := CheckDecisions(empty); err != nil {
-		t.Errorf("empty log flagged: %v", err)
-	}
-
-	ok := New()
-	ok.Append(0, KindPropose, 0, 0, model.Zero)
-	ok.Append(1, KindPropose, 0, 0, model.One)
-	ok.Append(0, KindDecide, 2, 2, model.One)
-	ok.Append(1, KindDecide, 3, 2, model.One)
-	if err := CheckDecisions(ok); err != nil {
-		t.Errorf("valid decisions flagged: %v", err)
-	}
-
-	disagree := New()
-	disagree.Append(0, KindPropose, 0, 0, model.Zero)
-	disagree.Append(1, KindPropose, 0, 0, model.One)
-	disagree.Append(0, KindDecide, 1, 2, model.Zero)
-	disagree.Append(1, KindDecide, 1, 2, model.One)
-	if err := CheckDecisions(disagree); err == nil || !strings.Contains(err.Error(), "agreement") {
-		t.Errorf("disagreement not detected: %v", err)
-	}
-
-	invalid := New()
-	invalid.Append(0, KindPropose, 0, 0, model.Zero)
-	invalid.Append(0, KindDecide, 1, 2, model.One)
-	if err := CheckDecisions(invalid); err == nil || !strings.Contains(err.Error(), "validity") {
-		t.Errorf("invalid decision not detected: %v", err)
-	}
-}
-
-func TestCheckNoStepsAfterCrash(t *testing.T) {
-	t.Parallel()
-	ok := New()
-	ok.Append(0, KindRoundStart, 1, 1, model.Bot)
-	ok.Append(0, KindCrash, 1, 1, model.Bot)
-	ok.Append(1, KindDecide, 1, 2, model.One) // another process may continue
-	if err := CheckNoStepsAfterCrash(ok); err != nil {
-		t.Errorf("valid crash log flagged: %v", err)
-	}
-
-	bad := New()
-	bad.Append(0, KindCrash, 1, 1, model.Bot)
-	bad.Append(0, KindDecide, 2, 2, model.One)
-	if err := CheckNoStepsAfterCrash(bad); err == nil {
-		t.Error("zombie step not detected")
-	}
-}
-
 func TestKindAndEventStrings(t *testing.T) {
 	t.Parallel()
 	if got := KindClusterAgree.String(); got != "cluster-agree" {

@@ -141,18 +141,16 @@ func TestVeryLargeNBitRepro(t *testing.T) {
 			n, protocolName, prof := n, protocolName, prof
 			t.Run(fmt.Sprintf("%s/n=%d", protocolName, n), func(t *testing.T) {
 				t.Parallel()
-				first, err := Run(veryLargeNScenario(t, n, protocolName, prof))
+				sc := veryLargeNScenario(t, n, protocolName, prof)
+				first, err := Run(sc)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if first.BoundedOut() {
 					t.Fatalf("run bounded out after %d steps", first.Steps)
 				}
-				if err := first.CheckAgreement(); err != nil {
-					t.Fatal(err)
-				}
-				if err := first.CheckValidity([]string{"0", "1"}); err != nil {
-					t.Fatal(err)
+				if vs := Check(sc, first); vs != nil {
+					t.Fatal(vs)
 				}
 				if !first.AllLiveDecided() {
 					t.Fatalf("live processes unfinished: decided %d, crashed %d, blocked %d of %d",
@@ -163,7 +161,7 @@ func TestVeryLargeNBitRepro(t *testing.T) {
 					t.Fatalf("scheduler stats empty: %+v", first.Sched)
 				}
 
-				second, err := Run(veryLargeNScenario(t, n, protocolName, prof))
+				second, err := Run(sc)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -381,11 +379,8 @@ func TestAllConcurSixteenThousand(t *testing.T) {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
-	if err := first.CheckAgreement(); err != nil {
-		t.Fatal(err)
-	}
-	if err := first.CheckValidity(w.Values); err != nil {
-		t.Fatal(err)
+	if vs := Check(sc, first); vs != nil {
+		t.Fatal(vs)
 	}
 	if got := first.CountStatus(StatusBlocked); got != 0 {
 		t.Fatalf("%d blocked processes (overlay κ covers the crash set; nobody may block)", got)
@@ -454,8 +449,8 @@ func TestAllConcurCrashAtScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
-	if err := first.CheckAgreement(); err != nil {
-		t.Fatal(err)
+	if vs := Check(sc, first); vs != nil {
+		t.Fatal(vs)
 	}
 	if got := first.CountStatus(StatusBlocked); got != 0 {
 		t.Fatalf("%d blocked processes (3 crashes < κ=6; nobody may block)", got)
@@ -524,11 +519,8 @@ func TestAllConcurFourThousand(t *testing.T) {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
-	if err := first.CheckAgreement(); err != nil {
-		t.Fatal(err)
-	}
-	if err := first.CheckValidity(w.Values); err != nil {
-		t.Fatal(err)
+	if vs := Check(sc, first); vs != nil {
+		t.Fatal(vs)
 	}
 	if got := first.CountStatus(StatusBlocked); got != 0 {
 		t.Fatalf("%d blocked processes (overlay κ covers the crash set; nobody may block)", got)
@@ -576,18 +568,16 @@ func TestLargeNDifferentialAndReplay(t *testing.T) {
 			protocolName, prof := protocolName, prof
 			t.Run(fmt.Sprintf("%s/%s", protocolName, prof.name), func(t *testing.T) {
 				t.Parallel()
-				first, err := Run(largeNScenario(t, protocolName, prof.p))
+				sc := largeNScenario(t, protocolName, prof.p)
+				first, err := Run(sc)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if first.BoundedOut() {
 					t.Fatalf("run bounded out after %d steps", first.Steps)
 				}
-				if err := first.CheckAgreement(); err != nil {
-					t.Fatal(err)
-				}
-				if err := first.CheckValidity([]string{"0", "1"}); err != nil {
-					t.Fatal(err)
+				if vs := Check(sc, first); vs != nil {
+					t.Fatal(vs)
 				}
 				if !first.AllLiveDecided() {
 					t.Fatalf("live processes unfinished: decided %d, crashed %d, blocked %d of %d",
@@ -600,7 +590,7 @@ func TestLargeNDifferentialAndReplay(t *testing.T) {
 
 				// Bit-identical replay at n=128: the determinism contract
 				// must not erode with scale.
-				second, err := Run(largeNScenario(t, protocolName, prof.p))
+				second, err := Run(sc)
 				if err != nil {
 					t.Fatal(err)
 				}

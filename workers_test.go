@@ -69,13 +69,16 @@ func replayProfiles() []struct {
 	}
 }
 
-// runAndReplay runs sc twice and fails unless the two Outcomes are DeepEqual.
-// It returns the first.
+// runAndReplay runs sc twice and fails unless the first Outcome passes Check
+// and the two are DeepEqual. It returns the first.
 func runAndReplay(t *testing.T, sc Scenario) *Outcome {
 	t.Helper()
 	ref, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if vs := Check(sc, ref); vs != nil {
+		t.Fatal(vs)
 	}
 	out, err := Run(sc)
 	if err != nil {
@@ -100,9 +103,6 @@ func TestWorkersDifferential(t *testing.T) {
 				ref := runAndReplay(t, denseReplayScenario(t, protocolName, prof.p))
 				if ref.BoundedOut() {
 					t.Fatalf("run bounded out after %d steps", ref.Steps)
-				}
-				if err := ref.CheckAgreement(); err != nil {
-					t.Fatal(err)
 				}
 				if !ref.AllLiveDecided() {
 					t.Fatalf("live processes unfinished: decided %d, crashed %d, blocked %d of %d",
@@ -175,9 +175,6 @@ func TestWorkersDifferentialSparse(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/n=%d", protocolName, n), func(t *testing.T) {
 				t.Parallel()
 				ref := runAndReplay(t, sparseReplayScenario(t, protocolName, n))
-				if err := ref.CheckAgreement(); err != nil {
-					t.Fatal(err)
-				}
 				if !ref.AllLiveDecided() {
 					t.Fatalf("live processes unfinished: decided %d, crashed %d, blocked %d of %d",
 						ref.CountStatus(StatusDecided), ref.CountStatus(StatusCrashed),
