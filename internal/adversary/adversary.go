@@ -67,16 +67,10 @@ func (v Verdict) String() string {
 	return fmt.Sprintf("Verdict(%d)", int(v))
 }
 
-// Classify derives a probe's verdict from its run result. err is the
-// protocol.Run error, if any: a run that errs or that protocol.Check
-// condemns is a violation, not a probe failure.
-func Classify(sc protocol.Scenario, out *protocol.Outcome, err error) Verdict {
-	v, _ := classify(sc, out, err)
-	return v
-}
-
-// classify is Classify plus the violation's cause.
-func classify(sc protocol.Scenario, out *protocol.Outcome, err error) (Verdict, error) {
+// Classify derives a probe's verdict from its run result, and for a
+// violation its cause. err is the protocol.Run error, if any: a run that
+// errs or that protocol.Check condemns is a violation, not a probe failure.
+func Classify(sc protocol.Scenario, out *protocol.Outcome, err error) (Verdict, error) {
 	if err != nil {
 		return VerdictViolation, err
 	}

@@ -154,7 +154,7 @@ func TestBoundedOutDistinctFromUndecided(t *testing.T) {
 	if out.Quiesced {
 		t.Fatal("MaxSteps run reported quiescence")
 	}
-	if v := adversary.Classify(stepsOut, out, nil); v != adversary.VerdictBoundedOut {
+	if v, _ := adversary.Classify(stepsOut, out, nil); v != adversary.VerdictBoundedOut {
 		t.Fatalf("MaxSteps verdict = %v, want bounded-out", v)
 	}
 
@@ -169,7 +169,7 @@ func TestBoundedOutDistinctFromUndecided(t *testing.T) {
 	if !out.DeadlineExceeded || !out.BoundedOut() {
 		t.Fatalf("MaxVirtualTime run: DeadlineExceeded=%v StepsExceeded=%v", out.DeadlineExceeded, out.StepsExceeded)
 	}
-	if v := adversary.Classify(deadlineOut, out, nil); v != adversary.VerdictBoundedOut {
+	if v, _ := adversary.Classify(deadlineOut, out, nil); v != adversary.VerdictBoundedOut {
 		t.Fatalf("MaxVirtualTime verdict = %v, want bounded-out", v)
 	}
 
@@ -198,7 +198,7 @@ func TestBoundedOutDistinctFromUndecided(t *testing.T) {
 	if !out.Quiesced {
 		t.Fatalf("blocked run did not quiesce: %+v", out)
 	}
-	if v := adversary.Classify(blockedSc, out, nil); v != adversary.VerdictUndecided {
+	if v, _ := adversary.Classify(blockedSc, out, nil); v != adversary.VerdictUndecided {
 		t.Fatalf("blocked verdict = %v, want undecided", v)
 	}
 }
@@ -261,7 +261,7 @@ func TestSearchFindsPlantedViolation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if v := adversary.Classify(rep.Worst.Scenario, again, nil); v != adversary.VerdictViolation {
+	if v, _ := adversary.Classify(rep.Worst.Scenario, again, nil); v != adversary.VerdictViolation {
 		t.Fatalf("replayed counterexample is %v, not a violation", v)
 	}
 	if len(rep.Findings) == 0 || rep.Findings[0].Verdict != adversary.VerdictViolation {

@@ -176,7 +176,7 @@ func Search(cfg Config) (*Report, error) {
 				return nil, fmt.Errorf("adversary: probe %d: %w", probe+k, errs[k])
 			}
 			f := Finding{Probe: probe + k, Scenario: scs[k], Outcome: outs[k]}
-			f.Verdict, f.Err = classify(scs[k], outs[k], errs[k])
+			f.Verdict, f.Err = Classify(scs[k], outs[k], errs[k])
 			if outs[k] != nil {
 				f.Score = obj.Score(outs[k])
 			}
