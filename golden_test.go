@@ -1,8 +1,8 @@
 package allforone
 
-// The golden corpus: every pinned scenario of the four golden tables —
-// baseline, smr, dense and allconcur — is a goldenCell, and one loop runs
-// them all. Each cell must pass protocol.Check (over a recorded trace, where
+// The golden corpus: every pinned scenario of the five golden tables —
+// baseline, smr, dense, allconcur and closure — is a goldenCell, and one loop
+// runs them all. Each cell must pass protocol.Check (over a recorded trace, where
 // the protocol records one), end cut by a bound exactly when the cell says
 // so, and reproduce its hash in testdata/golden.txt. Every
 // crash point, broadcast, counter bump and message consumption must stay at
@@ -23,7 +23,9 @@ import (
 	"testing"
 
 	"allforone/internal/allconcur"
+	"allforone/internal/multivalued"
 	"allforone/internal/protocol"
+	"allforone/internal/register"
 	"allforone/internal/sim"
 	"allforone/internal/smr"
 	"allforone/internal/vclock"
@@ -132,6 +134,10 @@ func outcomeHash(t *testing.T, out *Outcome) uint64 {
 	case *sim.Result:
 		raw = &r.Sched
 	case *smr.Result:
+		raw = &r.Sched
+	case *multivalued.Result:
+		raw = &r.Sched
+	case *register.Result:
 		raw = &r.Sched
 	case *allconcur.Result:
 		raw = &r.Sched
