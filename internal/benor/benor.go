@@ -133,6 +133,7 @@ type proc struct {
 	h         *driver.Handle // the engine's abort/kill state
 	rng       *rand.Rand
 	maxRounds int
+	memory    Memory // nil: Ben-Or's rounds have no memory step
 	pending   map[phaseKey][]model.Value
 	store     *outcome // this process's result slot
 
@@ -236,12 +237,18 @@ func (p *proc) nextRound() bool {
 	return p.beginExchange(1, p.est1) // phase 1: champion a value
 }
 
-// beginExchange opens the (r, ph) exchange: broadcast (r, ph, est), cut
-// short by a mid-broadcast crash, then restart the tally with the values
-// that arrived early. React then waits until more than n/2 processes
-// reported. It reports whether the process finished.
+// beginExchange opens the (r, ph) exchange: run the memory step, if any,
+// broadcast (r, ph, est), cut short by a mid-broadcast crash, then restart
+// the tally with the values that arrived early. React then waits until more
+// than n/2 processes reported. It reports whether the process finished.
 func (p *proc) beginExchange(ph int, est model.Value) bool {
 	p.ph = ph
+	if p.memory != nil {
+		est = p.memory(p.id, p.r, ph, est)
+		if ph == 1 && p.atCrashPoint(1, failures.StageAfterClusterConsensus) {
+			return p.crash()
+		}
+	}
 	msg := phaseMsg{round: p.r, phase: ph, est: est}
 	if p.atCrashPoint(ph, failures.StageMidBroadcast) {
 		plan, _ := p.sched.Plan(p.id)
@@ -267,7 +274,7 @@ func (p *proc) beginExchange(ph int, est model.Value) bool {
 // next wait point: the phase-2 exchange, or deciding, adopting or flipping
 // and opening the next round. It reports whether the process finished.
 func (p *proc) afterExchange() bool {
-	if p.atCrashPoint(p.ph, failures.StageAfterExchange) {
+	if p.memory == nil && p.atCrashPoint(p.ph, failures.StageAfterExchange) {
 		return p.crash()
 	}
 	if p.ph == 1 {
@@ -317,7 +324,7 @@ func (p *proc) decide(v model.Value) bool {
 var ErrInvariantBroken = errors.New("benor: protocol invariant broken")
 
 // newProc builds process i's reactor.
-func newProc(cfg *Config, i int, nw *netsim.Network, ctr *metrics.Counters, h *driver.Handle, store *outcome) *proc {
+func newProc(cfg *Config, v *Variant, i int, nw *netsim.Network, ctr *metrics.Counters, h *driver.Handle, store *outcome) *proc {
 	id := model.ProcID(i)
 	var localCoin coin.Local
 	if cfg.LocalCoinOverride != nil {
@@ -325,7 +332,7 @@ func newProc(cfg *Config, i int, nw *netsim.Network, ctr *metrics.Counters, h *d
 	} else {
 		localCoin = coin.NewPRNGLocal(coin.DeriveLocalSeed(cfg.Seed, id))
 	}
-	s1, s2 := coin.DeriveLocalSeed(cfg.Seed^0x1405_7b7e_f767_814f, id)
+	s1, s2 := coin.DeriveLocalSeed(cfg.Seed^v.SubsetSalt, id)
 	return &proc{
 		id:        id,
 		n:         cfg.N,
@@ -336,6 +343,7 @@ func newProc(cfg *Config, i int, nw *netsim.Network, ctr *metrics.Counters, h *d
 		h:         h,
 		rng:       rand.New(rand.NewPCG(s1, s2)),
 		maxRounds: cfg.MaxRounds,
+		memory:    v.Memory,
 		pending:   make(map[phaseKey][]model.Value),
 		store:     store,
 		est1:      cfg.Proposals[i],
@@ -358,9 +366,32 @@ func assemble(cfg *Config, outcomes []outcome, ctr *metrics.Counters, elapsed ti
 	return res, nil
 }
 
+// Memory is a shared-memory step before an exchange: it returns the estimate
+// process p exchanges in phase ph of round r.
+type Memory func(p model.ProcID, r, ph int, est model.Value) model.Value
+
+// Variant turns the round machine into the m&m comparator (internal/mm):
+// Ben-Or with a memory step before each exchange, on seeds of its own.
+type Variant struct {
+	// Memory, when non-nil, runs before each exchange. A round with a memory
+	// step crashes an after-cluster-consensus plan right after phase 1's
+	// step, and has no after-exchange point: such a plan strikes at the next
+	// point.
+	Memory Memory
+	// NetSalt and SubsetSalt are xored into Config.Seed to seed the network
+	// and the random recipients of crash-cut broadcasts.
+	NetSalt    uint64
+	SubsetSalt int64
+}
+
 // Run executes one Ben-Or consensus instance and returns per-process
 // outcomes.
 func Run(cfg Config) (*sim.Result, error) {
+	return RunVariant(cfg, Variant{NetSalt: 0x9e6c_63d0_876a_9a7d, SubsetSalt: 0x1405_7b7e_f767_814f})
+}
+
+// RunVariant executes one instance of the round machine v describes.
+func RunVariant(cfg Config, v Variant) (*sim.Result, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("%w: need at least one process", ErrBadConfig)
 	}
@@ -379,9 +410,9 @@ func Run(cfg Config) (*sim.Result, error) {
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
 		Crashes:        cfg.Crashes,
-	}, cfg.N, driver.StandardNet(&nw, cfg.N, uint64(cfg.Seed)^0x9e6c_63d0_876a_9a7d, &ctr, cfg.MinDelay, cfg.MaxDelay, cfg.NetOptions...),
+	}, cfg.N, driver.StandardNet(&nw, cfg.N, uint64(cfg.Seed)^v.NetSalt, &ctr, cfg.MinDelay, cfg.MaxDelay, cfg.NetOptions...),
 		func(i int, h *driver.Handle) driver.Reactor {
-			return newProc(&cfg, i, nw, &ctr, h, &outcomes[i])
+			return newProc(&cfg, &v, i, nw, &ctr, h, &outcomes[i])
 		})
 	if err != nil {
 		return nil, err

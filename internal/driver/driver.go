@@ -102,6 +102,12 @@ type Reactor interface {
 	React(aborted bool) bool
 }
 
+// ReactorFunc adapts a function to a Reactor.
+type ReactorFunc func(aborted bool) bool
+
+// React calls f(aborted).
+func (f ReactorFunc) React(aborted bool) bool { return f(aborted) }
+
 // HandlerBody builds process i's reactor. It runs at spawn time (before
 // the run's first event), so reactors exist in process order — mirroring
 // the spawn-order first steps of coroutine bodies.

@@ -6,8 +6,8 @@
 //
 // It serves as the efficiency anchor of the experiments: one shared-memory
 // operation per process, zero messages, zero rounds of exchange. Like every
-// runner in the repository it executes through internal/driver: the
-// processes are cooperatively stepped coroutines, so the first spawned
+// runner in the repository it executes through internal/driver: each process
+// is a reactor whose first invocation is its one step, and the first spawned
 // live process deterministically wins the CAS.
 package shconsensus
 
@@ -59,19 +59,22 @@ func Run(cfg Config) (*sim.Result, error) {
 	var ctr metrics.Counters
 	obj := consensusobj.NewCAS()
 	res := &sim.Result{Procs: make([]sim.ProcResult, cfg.N)}
-	out, err := driver.Run(driver.Config{Crashes: cfg.Crashes}, cfg.N, nil,
-		func(i int, _ *driver.Handle) {
-			id := model.ProcID(i)
-			if cfg.Crashes.ShouldCrash(id, failures.Point{
-				Round: 1, Phase: 1, Stage: failures.StageBeforeDecide,
-			}) {
-				res.Procs[i] = sim.ProcResult{Status: sim.StatusCrashed, Round: 1}
-				return
-			}
-			v := obj.Propose(cfg.Proposals[i])
-			ctr.AddConsInvocations(1)
-			ctr.ObserveRound(1)
-			res.Procs[i] = sim.ProcResult{Status: sim.StatusDecided, Decision: v, Round: 1}
+	out, err := driver.RunHandlers(driver.Config{Crashes: cfg.Crashes}, cfg.N, nil,
+		func(i int, _ *driver.Handle) driver.Reactor {
+			return driver.ReactorFunc(func(aborted bool) bool {
+				id := model.ProcID(i)
+				switch {
+				case aborted:
+				case cfg.Crashes.ShouldCrash(id, failures.Point{Round: 1, Phase: 1, Stage: failures.StageBeforeDecide}):
+					res.Procs[i] = sim.ProcResult{Status: sim.StatusCrashed, Round: 1}
+				default:
+					v := obj.Propose(cfg.Proposals[i])
+					ctr.AddConsInvocations(1)
+					ctr.ObserveRound(1)
+					res.Procs[i] = sim.ProcResult{Status: sim.StatusDecided, Decision: v, Round: 1}
+				}
+				return true // one step: propose, or crash before it
+			})
 		})
 	if err != nil {
 		return nil, err
