@@ -211,6 +211,12 @@ type outcome struct {
 	rounds int
 }
 
+// proc is one process, a driver.Reactor (DESIGN.md §11). It waits at two
+// kinds of point: inside an exchange of binary instance inst, round r, until
+// its supporters cover a majority or the instance is decided; or, once an
+// instance decided 1, until the URB delivery of that instance's target.
+// Everything between two waits runs straight-line inside one invocation, in
+// the algorithm's statement order.
 type proc struct {
 	id      model.ProcID
 	part    *model.Partition
@@ -222,11 +228,18 @@ type proc struct {
 	h       *driver.Handle // the engine's abort/kill state
 	maxInst int
 	maxRnd  int
+	store   *outcome // this process's result slot
 
 	delivered   map[model.ProcID]string // URB-delivered proposals
 	binDecided  map[int]model.Value     // finished binary instances
 	pendingInst map[instKey][]pendingInstMsg
-	globalRound int // monotone count of binary rounds, for crash points
+	globalRound int // monotone count of binary rounds, for crash points; 0 before the first invocation
+
+	inst, r  int          // the open instance and round
+	est      model.Value  // the open round's estimate
+	sup      *tally       // the open exchange's supporters
+	awaiting bool         // instance inst decided 1: wait for its target's proposal
+	target   model.ProcID // instance inst's target process
 }
 
 type pendingInstMsg struct {
@@ -307,74 +320,155 @@ func (t *tally) majority() (model.Value, bool) {
 	return model.Bot, false
 }
 
-// binaryInstance runs one tagged instance of the paper's Algorithm 3 and
-// returns its binary decision, or a final outcome if the execution ended.
-func (p *proc) binaryInstance(inst int, input model.Value) (model.Value, *outcome) {
-	if v, ok := p.binDecided[inst]; ok {
-		return v, nil
+// React runs one invocation: drain every deliverable message and advance
+// the reduction to its next wait point.
+func (p *proc) React(aborted bool) bool {
+	if p.globalRound == 0 {
+		if aborted {
+			return true // the run ended before this process took a step
+		}
+		// Stage 1: URB-broadcast own proposal (broadcast = forward; then
+		// deliver locally).
+		p.net.Broadcast(p.id, propMsg{Origin: p.id, Val: p.delivered[p.id]})
+		if p.openInstance() {
+			return true
+		}
 	}
-	est := input
-	for r := 1; ; r++ {
-		p.globalRound++
-		if p.h.Killed() {
-			return model.Bot, &outcome{status: sim.StatusCrashed, rounds: p.globalRound}
-		}
-		if p.h.Aborted() || (p.maxRnd > 0 && r > p.maxRnd) {
-			return model.Bot, &outcome{status: sim.StatusBlocked, rounds: p.globalRound}
-		}
-		if p.sched.ShouldCrash(p.id, failures.Point{
-			Round: p.globalRound, Phase: 1, Stage: failures.StageRoundStart,
-		}) {
-			return model.Bot, &outcome{status: sim.StatusCrashed, rounds: p.globalRound}
-		}
-
-		// Cluster agreement (one CONS object per instance round).
-		est = p.clusterPropose(inst, r, est)
-
-		// Exchange with closure accounting.
-		cur := instKey{inst: inst, round: r}
-		p.net.Broadcast(p.id, instMsg{Inst: inst, Round: r, Est: est})
-		sup := newTally(p.part.N())
-		for _, bm := range p.pendingInst[cur] {
-			sup.add(p.part, bm.from, bm.est)
-		}
-		delete(p.pendingInst, cur)
-		for !sup.covers.IsMajority() {
-			// An instance short-circuit may have arrived while buffering.
-			if v, ok := p.binDecided[inst]; ok {
-				return v, nil
-			}
-			msg, ok := p.net.Receive(p.id)
-			if p.h.Killed() {
-				// A timed crash struck while waiting: halt before acting on
-				// whatever was (or was not) received.
-				return model.Bot, &outcome{status: sim.StatusCrashed, rounds: p.globalRound}
-			}
-			if !ok {
-				return model.Bot, &outcome{status: sim.StatusBlocked, rounds: p.globalRound}
-			}
-			if out := p.handle(msg, cur, sup); out != nil {
-				return model.Bot, out
-			}
-		}
-		if v, ok := p.binDecided[inst]; ok {
-			return v, nil
-		}
-
-		s := p.commonBit(inst, r)
-		p.ctr.ObserveRound(int64(p.globalRound))
-		if v, ok := sup.majority(); ok {
-			est = v
-			if s == v {
-				p.binDecided[inst] = v
+	if aborted {
+		return p.stop() // queued messages stay unconsumed
+	}
+	for {
+		cur, sup := instKey{inst: p.inst, round: p.r}, p.sup
+		if p.awaiting {
+			if v, ok := p.delivered[p.target]; ok {
 				p.ctr.AddDecideMsgs(int64(p.part.N()))
-				p.net.Broadcast(p.id, binDecideMsg{Inst: inst, Val: v})
-				return v, nil
+				p.net.Broadcast(p.id, mvDecideMsg{Val: v})
+				return p.finish(sim.StatusDecided, v)
 			}
-		} else {
-			est = s
+			cur, sup = instKey{inst: p.maxInst + 1}, nil
+		} else if v, ok := p.binDecided[p.inst]; ok {
+			// An instance short-circuit may have arrived while buffering.
+			if p.instanceDecided(v) {
+				return true
+			}
+			continue
+		} else if p.sup.covers.IsMajority() {
+			if p.roundDone() {
+				return true
+			}
+			continue
+		}
+		msg, ok, closed := p.net.ReceiveNow(p.id)
+		if p.h.Killed() || (!ok && closed) {
+			// A timed crash halts the process before it acts on what it
+			// received; a closed, drained inbox leaves it blocked.
+			return p.stop()
+		}
+		if !ok {
+			return false // inbox drained; wait for the next wake
+		}
+		if out := p.handle(msg, cur, sup); out != nil {
+			*p.store = *out
+			return true
 		}
 	}
+}
+
+// finish records the outcome; React returns its result, retiring the
+// process.
+func (p *proc) finish(status sim.Status, val string) bool {
+	*p.store = outcome{status: status, val: val, rounds: p.globalRound}
+	return true
+}
+
+// stop ends the process where it waits: crashed if a timed crash struck it,
+// blocked otherwise.
+func (p *proc) stop() bool {
+	if p.h.Killed() {
+		return p.finish(sim.StatusCrashed, "")
+	}
+	return p.finish(sim.StatusBlocked, "")
+}
+
+// openInstance opens binary instance inst — Stage 2 cycles the instances
+// over the target processes — or, at the instance cap, ends blocked. An
+// instance already decided by a short-circuit needs no round. It reports
+// whether the process finished.
+func (p *proc) openInstance() bool {
+	for ; p.inst < p.maxInst; p.inst++ {
+		p.target = model.ProcID(p.inst % p.part.N())
+		v, ok := p.binDecided[p.inst]
+		if !ok {
+			p.est = model.Zero
+			if _, ok := p.delivered[p.target]; ok {
+				p.est = model.One
+			}
+			p.r = 0
+			return p.openRound()
+		}
+		if v == model.One {
+			p.awaiting = true
+			return false
+		}
+	}
+	return p.finish(sim.StatusBlocked, "")
+}
+
+// instanceDecided moves on from instance inst, decided v: to Stage 3's wait
+// if v is 1, else to the next instance.
+func (p *proc) instanceDecided(v model.Value) bool {
+	if v == model.One {
+		p.awaiting = true
+		return false
+	}
+	p.inst++
+	return p.openInstance()
+}
+
+// openRound opens round r+1 of the open instance — the paper's Algorithm 3:
+// its abort and crash checks, cluster agreement (one CONS object per
+// instance round), then the exchange with closure accounting. It reports
+// whether the process finished.
+func (p *proc) openRound() bool {
+	p.r++
+	p.globalRound++
+	switch {
+	case p.h.Killed():
+		return p.finish(sim.StatusCrashed, "")
+	case p.h.Aborted() || (p.maxRnd > 0 && p.r > p.maxRnd):
+		return p.finish(sim.StatusBlocked, "")
+	case p.sched.ShouldCrash(p.id, failures.Point{Round: p.globalRound, Phase: 1, Stage: failures.StageRoundStart}):
+		return p.finish(sim.StatusCrashed, "")
+	}
+	p.est = p.clusterPropose(p.inst, p.r, p.est)
+	cur := instKey{inst: p.inst, round: p.r}
+	p.net.Broadcast(p.id, instMsg{Inst: p.inst, Round: p.r, Est: p.est})
+	p.sup = newTally(p.part.N())
+	for _, bm := range p.pendingInst[cur] {
+		p.sup.add(p.part, bm.from, bm.est)
+	}
+	delete(p.pendingInst, cur)
+	return false
+}
+
+// roundDone acts on a round whose supporters cover a majority: flip the
+// common coin, then decide the instance or carry the estimate into the
+// next round.
+func (p *proc) roundDone() bool {
+	s := p.commonBit(p.inst, p.r)
+	p.ctr.ObserveRound(int64(p.globalRound))
+	if v, ok := p.sup.majority(); ok {
+		p.est = v
+		if s == v {
+			p.binDecided[p.inst] = v
+			p.ctr.AddDecideMsgs(int64(p.part.N()))
+			p.net.Broadcast(p.id, binDecideMsg{Inst: p.inst, Val: v})
+			return p.instanceDecided(v)
+		}
+	} else {
+		p.est = s
+	}
+	return p.openRound()
 }
 
 // clusterPropose runs the intra-cluster consensus for (instance, round).
@@ -382,50 +476,6 @@ func (p *proc) clusterPropose(inst, r int, v model.Value) model.Value {
 	out := p.cons.Propose(inst*1_000_000+r, 1, v)
 	p.ctr.AddConsInvocations(1)
 	return out
-}
-
-// run executes the full reduction for one process.
-func (p *proc) run(proposal string) outcome {
-	// Stage 1: URB-broadcast own proposal (broadcast = forward; then
-	// deliver locally).
-	p.net.Broadcast(p.id, propMsg{Origin: p.id, Val: proposal})
-	p.delivered[p.id] = proposal
-
-	// Stage 2: cycle binary instances over target processes.
-	maxInst := p.maxInst
-	for inst := 0; inst < maxInst; inst++ {
-		target := model.ProcID(inst % p.part.N())
-		input := model.Zero
-		if _, ok := p.delivered[target]; ok {
-			input = model.One
-		}
-		dec, fin := p.binaryInstance(inst, input)
-		if fin != nil {
-			return *fin
-		}
-		if dec != model.One {
-			continue
-		}
-		// Stage 3: wait for the guaranteed delivery of the winner's value.
-		for {
-			if v, ok := p.delivered[target]; ok {
-				p.ctr.AddDecideMsgs(int64(p.part.N()))
-				p.net.Broadcast(p.id, mvDecideMsg{Val: v})
-				return outcome{status: sim.StatusDecided, val: v, rounds: p.globalRound}
-			}
-			msg, ok := p.net.Receive(p.id)
-			if p.h.Killed() {
-				return outcome{status: sim.StatusCrashed, rounds: p.globalRound}
-			}
-			if !ok {
-				return outcome{status: sim.StatusBlocked, rounds: p.globalRound}
-			}
-			if out := p.handle(msg, instKey{inst: maxInst + 1}, nil); out != nil {
-				return *out
-			}
-		}
-	}
-	return outcome{status: sim.StatusBlocked, rounds: p.globalRound}
 }
 
 // Run executes one multivalued consensus instance.
@@ -455,12 +505,12 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	outcomes := make([]outcome, n)
-	out, err := driver.Run(driver.Config{
+	out, err := driver.RunHandlers(driver.Config{
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
 		Crashes:        cfg.Crashes,
 	}, n, driver.StandardNet(&nw, n, uint64(cfg.Seed)^0x60be_e2be_e120_fc15, &ctr, cfg.MinDelay, cfg.MaxDelay, cfg.NetOptions...),
-		func(i int, h *driver.Handle) {
+		func(i int, h *driver.Handle) driver.Reactor {
 			id := model.ProcID(i)
 			p := &proc{
 				id:          id,
@@ -476,8 +526,10 @@ func Run(cfg Config) (*Result, error) {
 				delivered:   make(map[model.ProcID]string, n),
 				binDecided:  make(map[int]model.Value),
 				pendingInst: make(map[instKey][]pendingInstMsg),
+				store:       &outcomes[i],
 			}
-			outcomes[i] = p.run(cfg.Proposals[i])
+			p.delivered[id] = cfg.Proposals[i]
+			return p
 		})
 	if err != nil {
 		return nil, err
