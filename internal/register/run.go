@@ -155,19 +155,40 @@ func mergeInto(cell *tagged, pair tagged) {
 	}
 }
 
+// stage is where a client waits.
+type stage int
+
+const (
+	unstarted stage = iota // before the first invocation
+	sleeping               // in the current operation's After delay
+	querying               // collecting the current operation's query acks
+	updating               // collecting the current operation's update acks
+	serving                // script done: serving until every live process is
+)
+
 // client is one process of a scripted run: an ABD client for its own
 // operations and a server for everyone else's, multiplexed over a single
-// inbox (so the whole process is one coroutine).
+// inbox (so the whole process is one driver.Reactor). It waits in an
+// operation's After delay — the messages that land meanwhile stay queued —
+// in a query or update collection, or, its script done, while serving.
 type client struct {
-	id    model.ProcID
-	part  *model.Partition
-	net   *netsim.Network
-	cells []tagged // one per cluster, shared by its members
-	h     *driver.Handle
-	seq   int64
+	id     model.ProcID
+	part   *model.Partition
+	net    *netsim.Network
+	cells  []tagged // one per cluster, shared by its members
+	h      *driver.Handle
+	script []Op
+	seq    int64
 
 	doneFrom *model.ProcSet // processes whose scripts finished
 	live     *model.ProcSet // processes expected to announce doneMsg
+
+	stage    stage
+	op       int            // the current operation's index in script
+	deadline time.Duration  // end of the current After delay
+	start    time.Duration  // the current operation's invocation instant
+	covered  *model.ProcSet // the current collection's responders, closed over clusters
+	best     tagged         // the maximum (ts, value) the current query saw
 
 	status sim.Status
 	ops    []OpResult
@@ -197,70 +218,159 @@ func (c *client) serve(msg netsim.Message) (payload any, from model.ProcID, isAc
 	return nil, 0, false
 }
 
-// collectQuery broadcasts a query and waits until the cluster closure of
-// responders covers a majority, returning the maximum (ts, value) seen.
-// ok=false means the run aborted or a timed crash struck.
-func (c *client) collectQuery() (tagged, bool) {
-	c.seq++
-	seq := c.seq
-	c.net.Broadcast(c.id, queryMsg{Seq: seq})
-	covered := model.NewProcSet(c.part.N())
-	// Own cluster answers locally: shared memory needs no message. This is
-	// what lets a lone majority-cluster member finish instantly.
-	best := *c.cellOf(c.id)
-	covered.UnionInto(c.part.Cluster(c.id))
-	for !covered.IsMajority() {
-		msg, ok := c.net.Receive(c.id)
-		if c.h.Killed() || !ok {
-			return tagged{}, false
+// React runs one invocation: drain every deliverable message and advance
+// the script to its next wait point.
+func (c *client) React(aborted bool) bool {
+	if c.stage == unstarted {
+		if aborted {
+			return true // the run ended before this process took a step
 		}
-		payload, from, isAck := c.serve(msg)
-		if !isAck {
-			continue
-		}
-		if ack, ok := payload.(queryAck); ok && ack.Seq == seq {
-			if best.TS.Less(ack.Cur.TS) {
-				best = ack.Cur
-			}
-			covered.UnionInto(c.part.Cluster(from))
+		if c.nextOp() {
+			return true
 		}
 	}
-	return best, true
-}
-
-// collectUpdate broadcasts an update and waits for closure-majority acks.
-func (c *client) collectUpdate(pair tagged) bool {
-	c.seq++
-	seq := c.seq
-	c.net.Broadcast(c.id, updateMsg{Seq: seq, Pair: pair})
-	covered := model.NewProcSet(c.part.N())
-	// Local merge: own cluster's cell is updated without messages.
-	mergeInto(c.cellOf(c.id), pair)
-	covered.UnionInto(c.part.Cluster(c.id))
-	for !covered.IsMajority() {
-		msg, ok := c.net.Receive(c.id)
-		if c.h.Killed() || !ok {
-			return false
+	if aborted {
+		return c.interrupt() // queued messages stay unconsumed
+	}
+	for {
+		switch {
+		case c.stage == sleeping:
+			if c.h.Now() < c.deadline {
+				return false // a delivery woke the sleeper; it stays queued
+			}
+			if c.startOp() {
+				return true
+			}
+			continue
+		case c.stage == serving && c.allLiveDone():
+			return true
+		case c.stage != serving && c.covered.IsMajority():
+			if c.collected() {
+				return true
+			}
+			continue
+		}
+		msg, ok, closed := c.net.ReceiveNow(c.id)
+		if c.h.Killed() || (!ok && closed) {
+			return c.interrupt()
+		}
+		if !ok {
+			return false // inbox drained; wait for the next wake
 		}
 		payload, from, isAck := c.serve(msg)
 		if !isAck {
 			continue
 		}
-		if ack, ok := payload.(updateAck); ok && ack.Seq == seq {
-			covered.UnionInto(c.part.Cluster(from))
+		switch ack := payload.(type) {
+		case queryAck:
+			if c.stage == querying && ack.Seq == c.seq {
+				if c.best.TS.Less(ack.Cur.TS) {
+					c.best = ack.Cur
+				}
+				c.covered.UnionInto(c.part.Cluster(from))
+			}
+		case updateAck:
+			if c.stage == updating && ack.Seq == c.seq {
+				c.covered.UnionInto(c.part.Cluster(from))
+			}
 		}
+	}
+}
+
+// nextOp moves to the script's next operation — after its After delay, if
+// it has one — or, the script complete, announces it (the broadcast loops
+// back to us) and keeps serving so other processes' operations still find
+// responders. It reports whether the process finished.
+func (c *client) nextOp() bool {
+	if c.op == len(c.script) {
+		c.status = sim.StatusDecided
+		c.net.Broadcast(c.id, doneMsg{})
+		c.stage = serving
+		return false
+	}
+	if after := c.script[c.op].After; after > 0 {
+		c.stage, c.deadline = sleeping, c.h.Now()+after
+		c.h.WakeAfter(after)
+		return false
+	}
+	return c.startOp()
+}
+
+// startOp invokes the current operation: its query phase.
+func (c *client) startOp() bool {
+	if c.h.Killed() {
+		c.fail(c.h.Now())
+		return true
+	}
+	c.start = c.h.Now()
+	c.stage = querying
+	// Own cluster answers locally: shared memory needs no message. This is
+	// what lets a lone majority-cluster member finish instantly.
+	c.collect(queryMsg{Seq: c.seq + 1})
+	c.best = *c.cellOf(c.id)
+	return false
+}
+
+// collect broadcasts a collection's request under the next sequence number
+// and counts the own cluster as its first responders.
+func (c *client) collect(req any) {
+	c.seq++
+	c.net.Broadcast(c.id, req)
+	c.covered = model.NewProcSet(c.part.N())
+	if up, ok := req.(updateMsg); ok {
+		// Local merge: own cluster's cell is updated without messages.
+		mergeInto(c.cellOf(c.id), up.Pair)
+	}
+	c.covered.UnionInto(c.part.Cluster(c.id))
+}
+
+// collected acts on a collection whose responders' clusters cover a
+// majority: a query moves on to its update — a write's new pair, or a
+// read's write-back (ABD repair: the value is majority-replicated before
+// the read returns, so later reads cannot observe older state) — and an
+// update completes the operation.
+func (c *client) collected() bool {
+	op := c.script[c.op]
+	if c.stage == querying {
+		pair := c.best
+		if op.Kind == OpWrite {
+			pair = tagged{TS: Timestamp{Counter: c.best.TS.Counter + 1, Writer: c.id}, Val: op.Val}
+		}
+		c.stage = updating
+		c.collect(updateMsg{Seq: c.seq + 1, Pair: pair})
+		return false
+	}
+	val := op.Val
+	if op.Kind == OpRead {
+		val = c.best.Val
+	}
+	c.ops = append(c.ops, OpResult{Kind: op.Kind, Val: val, OK: true, Start: c.start, End: c.h.Now()})
+	c.op++
+	return c.nextOp()
+}
+
+// interrupt ends the process where the run's abort or a timed crash found
+// it: the current operation fails, or, the script done, serving stops with
+// the status still Decided.
+func (c *client) interrupt() bool {
+	switch c.stage {
+	case sleeping:
+		c.fail(c.h.Now())
+	case querying, updating:
+		c.fail(c.start)
 	}
 	return true
 }
 
-// fail records the failure status of an operation interrupted after being
-// invoked at start.
-func (c *client) fail(op Op, start time.Duration) {
+// fail records the failure status of the current operation, invoked at
+// start.
+func (c *client) fail(start time.Duration) {
 	if c.h.Killed() {
 		c.status = sim.StatusCrashed
 	} else {
 		c.status = sim.StatusBlocked
 	}
+	op := c.script[c.op]
 	c.ops = append(c.ops, OpResult{Kind: op.Kind, Val: op.Val, OK: false, Start: start, End: c.h.Now()})
 }
 
@@ -274,54 +384,6 @@ func (c *client) allLiveDone() bool {
 		}
 	}
 	return true
-}
-
-// run executes the script, then serves until every live process finished.
-func (c *client) run(script []Op) {
-	for _, op := range script {
-		if op.After > 0 && !c.h.Sleep(op.After) {
-			c.fail(op, c.h.Now())
-			return
-		}
-		if c.h.Killed() {
-			c.fail(op, c.h.Now())
-			return
-		}
-		start := c.h.Now()
-		cur, ok := c.collectQuery()
-		if !ok {
-			c.fail(op, start)
-			return
-		}
-		switch op.Kind {
-		case OpWrite:
-			next := tagged{TS: Timestamp{Counter: cur.TS.Counter + 1, Writer: c.id}, Val: op.Val}
-			if !c.collectUpdate(next) {
-				c.fail(op, start)
-				return
-			}
-			c.ops = append(c.ops, OpResult{Kind: OpWrite, Val: op.Val, OK: true, Start: start, End: c.h.Now()})
-		case OpRead:
-			// Write-back (ABD repair): ensure the value is majority-replicated
-			// before returning, so later reads cannot observe older state.
-			if !c.collectUpdate(cur) {
-				c.fail(op, start)
-				return
-			}
-			c.ops = append(c.ops, OpResult{Kind: OpRead, Val: cur.Val, OK: true, Start: start, End: c.h.Now()})
-		}
-	}
-	c.status = sim.StatusDecided
-	// Script done: announce it (the broadcast loops back to us) and keep
-	// serving so other processes' operations still find responders.
-	c.net.Broadcast(c.id, doneMsg{})
-	for !c.allLiveDone() {
-		msg, ok := c.net.Receive(c.id)
-		if c.h.Killed() || !ok {
-			return // status stays Decided: the script itself completed
-		}
-		c.serve(msg)
-	}
 }
 
 // Run executes one scripted register run.
@@ -358,12 +420,12 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	clients := make([]*client, n)
-	out, err := driver.Run(driver.Config{
+	out, err := driver.RunHandlers(driver.Config{
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
 		Crashes:        cfg.Crashes,
 	}, n, driver.StandardNet(&nw, n, uint64(cfg.Seed)^0x5ca1_ab1e, &ctr, cfg.MinDelay, cfg.MaxDelay, cfg.NetOptions...),
-		func(i int, h *driver.Handle) {
+		func(i int, h *driver.Handle) driver.Reactor {
 			c := &client{
 				id:       model.ProcID(i),
 				part:     cfg.Partition,
@@ -372,10 +434,11 @@ func Run(cfg Config) (*Result, error) {
 				h:        h,
 				doneFrom: model.NewProcSet(n),
 				live:     live,
+				script:   cfg.Scripts[i],
 				status:   sim.StatusBlocked, // until the script completes
 			}
 			clients[i] = c
-			c.run(cfg.Scripts[i])
+			return c
 		})
 	if err != nil {
 		return nil, err
