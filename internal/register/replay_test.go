@@ -161,6 +161,28 @@ func TestSingletonMajorityCrashBlocks(t *testing.T) {
 	}
 }
 
+// TestStepPlanDoesNotShrinkLiveSet: Config.Crashes ignores step-point plans,
+// so a process carrying one still operates, and the survivors must keep
+// serving until it announced its script done. Here p1's write starts after
+// p2's and p3's reads finished; it completes only if they still answer.
+func TestStepPlanDoesNotShrinkLiveSet(t *testing.T) {
+	t.Parallel()
+	sched := failures.NewSchedule(3)
+	if err := sched.Set(0, failures.Crash{At: failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart}}); err != nil {
+		t.Fatal(err)
+	}
+	scripts := [][]Op{{{Kind: OpWrite, Val: "a", After: time.Millisecond}}, {ReadOp()}, {ReadOp()}}
+	res, err := Run(Config{Partition: model.Singletons(3), Scripts: scripts, Seed: 1, Crashes: sched})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, pr := range res.Procs {
+		if pr.Status != sim.StatusDecided || len(pr.Ops) != 1 || !pr.Ops[0].OK {
+			t.Errorf("p%d = %+v, want its one operation completed", p+1, pr)
+		}
+	}
+}
+
 // TestScriptValidation rejects malformed scripts.
 func TestScriptValidation(t *testing.T) {
 	t.Parallel()

@@ -409,12 +409,12 @@ func Run(cfg Config) (*Result, error) {
 	var ctr metrics.Counters
 	var nw *netsim.Network
 	cells := make([]tagged, cfg.Partition.M())
-	// Processes scheduled to crash never announce completion; survivors
-	// stop serving once every other process announced.
+	// Processes with a timed crash may never announce completion; survivors
+	// stop serving once every other process announced. Step-point plans are
+	// ignored, so their processes stay live.
 	live := model.NewProcSet(n)
-	crashed := cfg.Crashes.Crashed()
 	for p := 0; p < n; p++ {
-		if !crashed.Contains(model.ProcID(p)) {
+		if _, timed := cfg.Crashes.TimedPlan(model.ProcID(p)); !timed {
 			live.Add(model.ProcID(p))
 		}
 	}
