@@ -1,18 +1,17 @@
 // Package driver is the single engine-dispatch layer of the repository:
 // every protocol runner (the hybrid algorithms of internal/core, the
 // message-passing baselines, the m&m comparator, and the extension stack)
-// executes its processes through driver.Run or driver.RunHandlers, on the
-// one execution engine: a vclock discrete-event scheduler. Each process is
-// a cooperatively stepped coroutine (Run) or an inline reactor
-// (RunHandlers); message transit is a timestamped delivery event; blocked
+// executes its processes through driver.RunHandlers, on the one execution
+// engine: a vclock discrete-event scheduler. Each process is an inline
+// reactor; message transit is a timestamped delivery event; blocked
 // executions are detected by quiescence — never by wall clock — and bounded
 // by MaxVirtualTime / MaxSteps. Same inputs, same outcome, bit for bit.
 //
 // A protocol package provides two closures: a network constructor (the
-// driver appends netsim.WithScheduler) and a per-process body. The body
-// observes engine state only through the Handle it receives: Aborted
-// (should I give up?), Killed (has a timed crash struck me?), Now (the run
-// clock), and Sleep / WakeAfter (advance time without taking steps).
+// driver appends netsim.WithScheduler) and a per-process reactor builder.
+// A reactor observes engine state only through the Handle it receives:
+// Aborted (should I give up?), Killed (has a timed crash struck me?), Now
+// (the run clock), and WakeAfter (be invoked again once time has passed).
 package driver
 
 import (
@@ -76,29 +75,21 @@ type Config struct {
 // protocols).
 type NewNetFunc func(extra ...netsim.Option) (*netsim.Network, error)
 
-// Body is one process's protocol closure: execute process i's algorithm,
-// observing engine state through h. The driver closes process i's inbox
-// when the body returns.
-type Body func(i int, h *Handle)
-
-// Reactor is the inline event-handler form of a process body (DESIGN.md
-// §11): instead of a straight-line function that blocks in receives, the
-// protocol exposes a resumable state machine the scheduler invokes
-// directly under its execution token — zero channel rendezvous, zero
-// goroutines. The two forms are behaviorally interchangeable: a protocol
-// implementing both must make the same decisions in the same rounds with
-// the same message counts under either one.
+// Reactor is a process body (DESIGN.md §11): a resumable state machine the
+// scheduler invokes directly under its execution token — zero channel
+// rendezvous, zero goroutines. Its state is where the process waits; every
+// step between two waits runs inside one invocation. The driver closes the
+// process's inbox once it finishes.
 type Reactor interface {
 	// React runs one invocation: drain every deliverable message
 	// (netsim.Network.ReceiveNow) and advance the state machine to its
-	// next wait point. It must return instead of blocking — no Park, no
-	// blocking Receive, no Handle.Sleep. The return value reports whether
-	// the process has finished (decided, crashed, or blocked); after
-	// returning true the reactor is never invoked again.
+	// next wait point. It must return instead of blocking. The return value
+	// reports whether the process has finished (decided, crashed, or
+	// blocked); after returning true the reactor is never invoked again.
 	//
 	// aborted = true means the run was aborted (quiescence, deadline, or
 	// step budget): the reactor must record its blocked outcome and return
-	// true — the inline analogue of a blocking receive returning false.
+	// true.
 	React(aborted bool) bool
 }
 
@@ -109,8 +100,8 @@ type ReactorFunc func(aborted bool) bool
 func (f ReactorFunc) React(aborted bool) bool { return f(aborted) }
 
 // HandlerBody builds process i's reactor. It runs at spawn time (before
-// the run's first event), so reactors exist in process order — mirroring
-// the spawn-order first steps of coroutine bodies.
+// the run's first event), so reactors exist, and take their first steps, in
+// process order.
 type HandlerBody func(i int, h *Handle) Reactor
 
 // StandardNet returns the NewNetFunc shared by most protocol runners: a
@@ -186,7 +177,6 @@ type Handle struct {
 	clock  *vclock.Scheduler
 	proc   *vclock.Proc // the body's own process
 	killed bool         // a timed crash has struck; written and read under the token
-	inline bool         // the body is a Reactor: it must never suspend
 }
 
 // Now returns the run clock: the virtual clock, exact and deterministic.
@@ -204,13 +194,13 @@ func (h *Handle) Aborted() bool { return h.clock.Aborted() }
 // must halt (as crashed) at the next step point that observes it.
 func (h *Handle) Killed() bool { return h.killed }
 
-// WakeAfter schedules a wake of this process's reactor d from now — the
-// handler body's substitute for Sleep: where a coroutine suspends, a
-// reactor schedules its future work as an event and returns, then
-// observes Now() at the next invocation to see whether its deadline has
-// passed. Multiple pending wakes coalesce like message deliveries do (a
-// reactor is invoked once per Wake, and a wake of a finished process is
-// a no-op), so timers racing a decision are harmless.
+// WakeAfter schedules a wake of this process's reactor d from now: a
+// reactor waits for time to pass by scheduling its future work as an event
+// and returning, then observes Now() at the next invocation to see whether
+// its deadline has passed — deliveries may wake it earlier. Multiple pending
+// wakes coalesce like message deliveries do (a reactor is invoked once per
+// Wake, and a wake of a finished process is a no-op), so timers racing a
+// decision are harmless.
 func (h *Handle) WakeAfter(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -227,74 +217,13 @@ type wakeup Handle
 // before RunHandlers has bound the spawned Proc back onto the Handle.
 func (w *wakeup) Fire() { w.proc.Wake() }
 
-// Sleep suspends the calling body for d of virtual time (zero wall-clock
-// cost). It returns false when the run was aborted before the full
-// duration elapsed. Sleep must only be called from the body's own
-// process context, and never from a Reactor — a handler body has no
-// goroutine to suspend (DESIGN.md §11); it must instead schedule its
-// future work as an event and return.
-func (h *Handle) Sleep(d time.Duration) bool {
-	if h.inline {
-		panic("driver: Sleep called from a handler body (reactors must not suspend)")
-	}
-	if d <= 0 {
-		return !h.Aborted()
-	}
-	deadline := h.clock.Now() + vclock.Time(d)
-	h.clock.AtEvent(deadline, (*wakeup)(h))
-	// Message deliveries wake the same coroutine; re-park until the
-	// deadline event (or a later one) has advanced the clock far enough.
-	for h.clock.Now() < deadline {
-		if !h.proc.Park() {
-			return false
-		}
-	}
-	return true
-}
-
-// Run executes n coroutine process bodies on a deterministic
+// RunHandlers executes n processes, one Reactor each, on a deterministic
 // discrete-event scheduler and returns the engine-level outcome: same
-// inputs, same Outcome. Blocked runs end at quiescence.
-func Run(cfg Config, n int, newNet NewNetFunc, body Body) (Outcome, error) {
-	return run(cfg, n, newNet, func(clock *vclock.Scheduler, nw *netsim.Network, i int, h *Handle) *vclock.Proc {
-		return clock.Spawn(procName(i), func() {
-			body(i, h)
-			closeInbox(nw, i)
-		})
-	})
-}
-
-// RunHandlers is the handler-body twin of Run: it executes n inline
-// handler processes (one Reactor each), the scheduler invoking each
-// reactor directly instead of rendezvousing with a goroutine.
+// inputs, same Outcome. It owns the run's lifecycle: crash-schedule
+// validation, clock and network construction, process spawning, timed crash
+// installation, the run itself, and network shutdown. Blocked runs end at
+// quiescence.
 func RunHandlers(cfg Config, n int, newNet NewNetFunc, mk HandlerBody) (Outcome, error) {
-	return run(cfg, n, newNet, func(clock *vclock.Scheduler, nw *netsim.Network, i int, h *Handle) *vclock.Proc {
-		h.inline = true
-		r := mk(i, h)
-		return clock.SpawnHandler(procName(i), func(aborted bool) {
-			if r.React(aborted) {
-				h.proc.Finish()
-				closeInbox(nw, i)
-			}
-		})
-	})
-}
-
-func procName(i int) string { return fmt.Sprintf("p%d", i) }
-
-// closeInbox closes process i's inbox once its body has finished.
-func closeInbox(nw *netsim.Network, i int) {
-	if nw != nil {
-		nw.CloseInbox(model.ProcID(i))
-	}
-}
-
-// run owns the dispatch lifecycle both body forms share: crash-schedule
-// validation, clock and network construction, process spawning (spawn
-// builds process i in its body form), timed crash installation, the run
-// itself, and network shutdown.
-func run(cfg Config, n int, newNet NewNetFunc,
-	spawn func(clock *vclock.Scheduler, nw *netsim.Network, i int, h *Handle) *vclock.Proc) (Outcome, error) {
 	if err := cfg.Crashes.ValidateFor(n); err != nil {
 		return Outcome{}, fmt.Errorf("%w: %v", ErrBadCrashes, err)
 	}
@@ -317,7 +246,13 @@ func run(cfg Config, n int, newNet NewNetFunc,
 	for i := range handles {
 		h := &handles[i]
 		h.clock = clock
-		h.proc = spawn(clock, nw, i, h)
+		r := mk(i, h)
+		h.proc = clock.SpawnHandler(fmt.Sprintf("p%d", i), func(aborted bool) {
+			if r.React(aborted) {
+				h.proc.Finish()
+				closeInbox(nw, i)
+			}
+		})
 		if nw != nil {
 			nw.Bind(model.ProcID(i), h.proc)
 		}
@@ -346,6 +281,13 @@ func run(cfg Config, n int, newNet NewNetFunc,
 		StepsExceeded:    out.StepsExceeded,
 		Sched:            out.Stats,
 	}, nil
+}
+
+// closeInbox closes process i's inbox once its body has finished.
+func closeInbox(nw *netsim.Network, i int) {
+	if nw != nil {
+		nw.CloseInbox(model.ProcID(i))
+	}
 }
 
 // resolveMaxSteps maps the Config.MaxSteps convention onto the scheduler's:

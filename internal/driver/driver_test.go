@@ -7,7 +7,6 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/metrics"
-	"allforone/internal/model"
 	"allforone/internal/netsim"
 	"allforone/internal/sim"
 )
@@ -21,154 +20,27 @@ func echoNet(n int, seed uint64, ctr *metrics.Counters) NewNetFunc {
 	}
 }
 
-// A tiny ping protocol: every process broadcasts its id and waits for n
-// messages. Exercises spawn, Bind, delivery events, and CloseInbox.
-func TestPing(t *testing.T) {
-	t.Parallel()
-	const n = 5
-	var ctr metrics.Counters
-	var nw *netsim.Network
-	got := make([]int, n)
-	newNet := func(extra ...netsim.Option) (*netsim.Network, error) {
-		var err error
-		nw, err = echoNet(n, 42, &ctr)(extra...)
-		return nw, err
-	}
-	out, err := Run(Config{}, n, newNet,
-		func(i int, h *Handle) {
-			nw.Broadcast(model.ProcID(i), i)
-			for k := 0; k < n; k++ {
-				if _, ok := nw.Receive(model.ProcID(i)); !ok {
-					return
-				}
-				got[i]++
-			}
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, g := range got {
-		if g != n {
-			t.Errorf("proc %d received %d messages, want %d", i, g, n)
-		}
-	}
-	if out.Steps == 0 {
-		t.Error("run reported zero steps")
-	}
-}
-
-// The virtual engine must flag a run where processes wait forever as
-// quiesced, immediately, without any wall-clock timeout.
-func TestVirtualQuiescence(t *testing.T) {
-	t.Parallel()
-	const n = 3
-	var ctr metrics.Counters
-	var nw *netsim.Network
-	newNet := func(extra ...netsim.Option) (*netsim.Network, error) {
-		var err error
-		nw, err = echoNet(n, 7, &ctr)(extra...)
-		return nw, err
-	}
-	start := time.Now()
-	out, err := Run(Config{}, n, newNet, func(i int, h *Handle) {
-		nw.Receive(model.ProcID(i)) // nobody ever sends
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Quiesced {
-		t.Errorf("Quiesced = false, want true: %+v", out)
-	}
-	if wall := time.Since(start); wall > 5*time.Second {
-		t.Errorf("quiescence took %v of wall clock", wall)
-	}
-}
-
-// Timed crashes raise Killed at the exact virtual instant.
-func TestTimedCrash(t *testing.T) {
-	t.Parallel()
-	const n = 2
-	sched := failures.NewSchedule(n)
-	if err := sched.SetTimed(1, 5*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	var ctr metrics.Counters
-	var nw *netsim.Network
-	newNet := func(extra ...netsim.Option) (*netsim.Network, error) {
-		var err error
-		nw, err = echoNet(n, 3, &ctr)(extra...)
-		return nw, err
-	}
-	killedSeen := make([]bool, n)
-	_, err := Run(Config{Crashes: sched}, n, newNet,
-		func(i int, h *Handle) {
-			if i == 1 {
-				// Victim: sleep past the crash instant, then observe.
-				h.Sleep(20 * time.Millisecond)
-				killedSeen[i] = h.Killed()
-				return
-			}
-			// Survivor: the victim's inbox is closed, so this send is
-			// dropped; just finish.
-			nw.Send(model.ProcID(i), 1, "late")
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !killedSeen[1] {
-		t.Error("victim did not observe Killed after the crash instant")
-	}
-}
-
-// Sleep advances virtual time with no wall-clock cost and survives
-// interleaved message deliveries (which wake the same coroutine).
-func TestVirtualSleep(t *testing.T) {
-	t.Parallel()
-	const n = 2
-	var ctr metrics.Counters
-	var nw *netsim.Network
-	newNet := func(extra ...netsim.Option) (*netsim.Network, error) {
-		var err error
-		nw, err = echoNet(n, 5, &ctr)(extra...)
-		return nw, err
-	}
-	start := time.Now()
-	out, err := Run(Config{}, n, newNet, func(i int, h *Handle) {
-		if i == 0 {
-			// Flood the sleeper with wakeups before and during its sleep.
-			for k := 0; k < 4; k++ {
-				nw.Send(0, 1, k)
-			}
-			return
-		}
-		if !h.Sleep(time.Hour) {
-			t.Error("Sleep aborted unexpectedly")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.VirtualTime < time.Hour {
-		t.Errorf("VirtualTime = %v, want ≥ 1h", out.VirtualTime)
-	}
-	if wall := time.Since(start); wall > 5*time.Second {
-		t.Errorf("virtual sleep burned %v of wall clock", wall)
-	}
-}
-
 // A nil NewNetFunc runs pure shared-memory bodies: no network, no inboxes,
 // deterministic spawn-order execution.
 func TestNilNetwork(t *testing.T) {
 	t.Parallel()
 	const n = 4
-	ran := make([]bool, n)
-	if _, err := Run(Config{}, n, nil,
-		func(i int, h *Handle) { ran[i] = true }); err != nil {
+	var order []int
+	if _, err := RunHandlers(Config{}, n, nil, func(i int, h *Handle) Reactor {
+		return ReactorFunc(func(bool) bool {
+			order = append(order, i)
+			return true
+		})
+	}); err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range ran {
-		if !r {
-			t.Errorf("body %d never ran", i)
+	if len(order) != n {
+		t.Fatalf("bodies ran %v, want each of %d once", order, n)
+	}
+	for i, p := range order {
+		if p != i {
+			t.Errorf("bodies ran in order %v, want spawn order", order)
+			break
 		}
 	}
 }
@@ -191,13 +63,9 @@ func TestVirtualOutcomeReproducible(t *testing.T) {
 			nw, err = netsim.New(n, opts...)
 			return nw, err
 		}
-		out, err := Run(Config{}, n, newNet, func(i int, h *Handle) {
-			nw.Broadcast(model.ProcID(i), i)
-			for k := 0; k < n; k++ {
-				if _, ok := nw.Receive(model.ProcID(i)); !ok {
-					return
-				}
-			}
+		got := make([]int, n)
+		out, err := RunHandlers(Config{}, n, newNet, func(i int, h *Handle) Reactor {
+			return &pingReactor{nw: nw, h: h, n: n, i: i, got: &got[i]}
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -219,7 +87,9 @@ func TestOversizedCrashScheduleRejected(t *testing.T) {
 	if err := sched.SetTimed(4, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Run(Config{Crashes: sched}, 3, nil, func(int, *Handle) {})
+	_, err := RunHandlers(Config{Crashes: sched}, 3, nil, func(int, *Handle) Reactor {
+		return ReactorFunc(func(bool) bool { return true })
+	})
 	if !errors.Is(err, ErrBadCrashes) {
 		t.Errorf("err = %v, want ErrBadCrashes", err)
 	}

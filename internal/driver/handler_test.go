@@ -10,8 +10,8 @@ import (
 	"allforone/internal/netsim"
 )
 
-// pingReactor is the handler form of the driver test's ping protocol:
-// broadcast once, then count n receipts.
+// pingReactor is a tiny ping protocol: broadcast once, then count n
+// receipts.
 type pingReactor struct {
 	nw      *netsim.Network
 	h       *Handle
@@ -45,8 +45,8 @@ func (r *pingReactor) React(aborted bool) bool {
 	return true
 }
 
-// The handler-body twin of TestPing: every reactor broadcasts
-// its id and drains n messages via ReceiveNow.
+// Every reactor broadcasts its id and drains n messages via ReceiveNow.
+// Exercises spawn, Bind, delivery events, and CloseInbox.
 func TestRunHandlersPing(t *testing.T) {
 	t.Parallel()
 	const n = 5
@@ -95,8 +95,7 @@ func (r *waitReactor) React(aborted bool) bool {
 }
 
 // A reactor blocked on a receive that can never be satisfied quiesces the
-// run — the handler analogue of the coroutine quiescence test — instead of
-// hanging it.
+// run at once, with no wall-clock timeout, instead of hanging it.
 func TestRunHandlersQuiescence(t *testing.T) {
 	t.Parallel()
 	const n = 3

@@ -11,12 +11,12 @@ package mailbox
 import "allforone/internal/vclock"
 
 // Virtual is an unbounded FIFO inbox whose single consumer is a vclock
-// process. An empty Get parks the bound coroutine and a Put (typically
-// fired from a scheduled delivery event) wakes it — so "waiting for a
-// message" consumes zero wall-clock time and the interleaving is fully
-// owned by the scheduler.
+// process. A Put (typically fired from a scheduled delivery event) wakes the
+// bound process, whose handler drains the inbox with TryGetOrClosed — so
+// "waiting for a message" consumes zero wall-clock time and the
+// interleaving is fully owned by the scheduler.
 //
-// The queue is a power-of-two ring buffer reused across park/wake cycles:
+// The queue is a power-of-two ring buffer reused across fill/drain cycles:
 // once the inbox has grown to the episode's high-water mark, draining and
 // refilling it allocates nothing — head and count chase each other around
 // the same backing array. Under the all-to-all exchange pattern each
@@ -34,13 +34,13 @@ type Virtual[T any] struct {
 }
 
 // NewVirtual returns an open, empty virtual inbox. Bind must be called
-// before the first Get.
+// before the first Put.
 func NewVirtual[T any]() *Virtual[T] { return &Virtual[T]{} }
 
-// Bind attaches the consumer coroutine that Get parks and Put wakes.
+// Bind attaches the consumer process that Put and Close wake.
 func (v *Virtual[T]) Bind(p *vclock.Proc) { v.waiter = p }
 
-// Put appends item and wakes the consumer if it is parked. Put on a closed
+// Put appends item and wakes the consumer. Put on a closed
 // inbox is a silent no-op: a message to a finished process is simply never
 // consumed, which matches the model (the process has stopped taking
 // steps). It reports whether the item was enqueued.
@@ -72,35 +72,12 @@ func (v *Virtual[T]) grow() {
 	v.head = 0
 }
 
-// Get removes and returns the oldest item, parking the bound coroutine
-// while the inbox is empty. It returns false when the inbox is closed and
-// drained, or when the scheduler aborted the run (Park returned false).
-// Get must only be called from the bound coroutine.
-func (v *Virtual[T]) Get() (T, bool) {
-	var zero T
-	for {
-		if item, ok := v.TryGet(); ok {
-			return item, true
-		}
-		if v.closed {
-			return zero, false
-		}
-		if v.waiter == nil {
-			panic("mailbox: Get on an unbound Virtual inbox")
-		}
-		if !v.waiter.Park() {
-			return zero, false
-		}
-	}
-}
-
-// TryGetOrClosed removes and returns the oldest item without parking; when
-// the inbox is empty it additionally reports whether it is closed, i.e. no
-// further item can ever arrive. It is the wait-free receive primitive of
-// the batched-drain delivery mode (DESIGN.md §11): an inline handler body
+// TryGetOrClosed removes and returns the oldest item; when the inbox is
+// empty it additionally reports whether it is closed, i.e. no further item
+// can ever arrive. It is the consumer's receive (DESIGN.md §11): a handler
 // drains the whole ring in one invocation by calling it until ok is false,
 // then uses closed to distinguish "return and wait for the next wake" from
-// "blocked forever" — the two verdicts Get encodes as parking vs false.
+// "blocked forever".
 func (v *Virtual[T]) TryGetOrClosed() (item T, ok, closed bool) {
 	item, ok = v.TryGet()
 	if ok {
@@ -109,7 +86,7 @@ func (v *Virtual[T]) TryGetOrClosed() (item T, ok, closed bool) {
 	return item, false, v.closed
 }
 
-// TryGet removes and returns the oldest item without parking.
+// TryGet removes and returns the oldest item, if any.
 func (v *Virtual[T]) TryGet() (T, bool) {
 	var zero T
 	if v.count == 0 {
@@ -125,9 +102,9 @@ func (v *Virtual[T]) TryGet() (T, bool) {
 // Len returns the number of queued items.
 func (v *Virtual[T]) Len() int { return v.count }
 
-// Close closes the inbox: future Puts are dropped, Gets drain the remaining
-// items then report false. The consumer is woken so it can observe the
-// close. Close is idempotent.
+// Close closes the inbox: future Puts are dropped, and the remaining items
+// stay drainable, after which TryGetOrClosed reports closed. The consumer is
+// woken so it can observe the close. Close is idempotent.
 func (v *Virtual[T]) Close() {
 	if v.closed {
 		return

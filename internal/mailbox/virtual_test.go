@@ -6,24 +6,47 @@ import (
 	"allforone/internal/vclock"
 )
 
-// A consumer coroutine drains items Put by scheduled events, parking in
-// between, and observes Close.
+// ending records how a consumer stopped.
+type ending struct{ closed, aborted bool }
+
+// consume binds a handler process to box that drains it on every wake,
+// handing each item to got, until the inbox is closed and drained, got
+// returns false, or the run aborts.
+func consume(s *vclock.Scheduler, box *Virtual[int], got func(int) bool) *ending {
+	end := new(ending)
+	var p *vclock.Proc
+	p = s.SpawnHandler("consumer", func(aborted bool) {
+		if aborted {
+			end.aborted = true
+			p.Finish()
+			return
+		}
+		for {
+			v, ok, closed := box.TryGetOrClosed()
+			if !ok {
+				if closed {
+					end.closed = true
+					p.Finish()
+				}
+				return
+			}
+			if !got(v) {
+				p.Finish()
+				return
+			}
+		}
+	})
+	box.Bind(p)
+	return end
+}
+
+// A consumer drains items Put by scheduled events, waiting in between, and
+// observes Close.
 func TestVirtualPutGetClose(t *testing.T) {
 	s := vclock.New()
 	box := NewVirtual[int]()
 	var got []int
-	closedSeen := false
-	p := s.Spawn("consumer", func() {
-		for {
-			v, ok := box.Get()
-			if !ok {
-				closedSeen = true
-				return
-			}
-			got = append(got, v)
-		}
-	})
-	box.Bind(p)
+	end := consume(s, box, func(v int) bool { got = append(got, v); return true })
 	s.At(1, func() { box.Put(10) })
 	s.At(2, func() { box.Put(20); box.Put(30) })
 	s.At(3, func() { box.Close() })
@@ -34,7 +57,7 @@ func TestVirtualPutGetClose(t *testing.T) {
 	if len(got) != 3 || got[0] != 10 || got[1] != 20 || got[2] != 30 {
 		t.Fatalf("got = %v, want [10 20 30]", got)
 	}
-	if !closedSeen {
+	if !end.closed {
 		t.Fatal("consumer never observed close")
 	}
 }
@@ -51,20 +74,30 @@ func TestVirtualPutAfterClose(t *testing.T) {
 	}
 }
 
-// An empty open inbox with no future Put quiesces the scheduler; Get
-// reports failure so the consumer can unwind as blocked.
-func TestVirtualQuiescentGetFails(t *testing.T) {
-	s := vclock.New()
+// TryGetOrClosed reports closed only once the inbox is closed and drained:
+// a closed inbox still hands out its queued items, and an empty open one is
+// merely empty — with no future Put its consumer waits until the scheduler
+// quiesces and aborts it.
+func TestVirtualClosedDrainedVerdict(t *testing.T) {
 	box := NewVirtual[int]()
-	gotOK := true
-	p := s.Spawn("consumer", func() { _, gotOK = box.Get() })
-	box.Bind(p)
+	box.Put(1)
+	box.Close()
+	if v, ok, closed := box.TryGetOrClosed(); !ok || closed || v != 1 {
+		t.Fatalf("closed inbox with an item: TryGetOrClosed = %d, %v, %v; want 1, true, false", v, ok, closed)
+	}
+	if _, ok, closed := box.TryGetOrClosed(); ok || !closed {
+		t.Fatalf("closed, drained inbox: ok = %v, closed = %v; want false, true", ok, closed)
+	}
+
+	s := vclock.New()
+	open := NewVirtual[int]()
+	end := consume(s, open, func(int) bool { return true })
 	out := s.Run()
 	if !out.Quiesced {
 		t.Fatalf("outcome = %+v, want Quiesced", out)
 	}
-	if gotOK {
-		t.Fatal("Get on a forever-empty inbox reported ok")
+	if end.closed || !end.aborted {
+		t.Fatalf("consumer of a forever-empty open inbox ended %+v, want aborted", *end)
 	}
 }
 
@@ -111,30 +144,24 @@ func TestVirtualRingReuse(t *testing.T) {
 	}
 }
 
-// Len tracks the queued backlog through interleaved puts and gets,
+// Len tracks the queued backlog through interleaved puts and drains,
 // including across the ring-compaction path.
 func TestVirtualLenAndCompaction(t *testing.T) {
 	s := vclock.New()
 	box := NewVirtual[int]()
-	sum := 0
-	p := s.Spawn("consumer", func() {
-		for i := 0; i < 200; i++ {
-			v, ok := box.Get()
-			if !ok {
-				t.Error("unexpected close")
-				return
-			}
-			sum += v
-		}
+	sum, n := 0, 0
+	end := consume(s, box, func(v int) bool {
+		sum += v
+		n++
+		return n < 200
 	})
-	box.Bind(p)
 	for i := 1; i <= 200; i++ {
 		i := i
 		s.At(vclock.Time(i%7), func() { box.Put(i) })
 	}
 	out := s.Run()
-	if out.Aborted() {
-		t.Fatalf("outcome = %+v, want clean", out)
+	if out.Aborted() || end.closed {
+		t.Fatalf("outcome = %+v, consumer %+v, want clean", out, *end)
 	}
 	if want := 200 * 201 / 2; sum != want {
 		t.Fatalf("sum = %d, want %d", sum, want)

@@ -10,13 +10,16 @@ import (
 )
 
 func BenchmarkSendReceive(b *testing.B) {
-	onScheduler(b, 2, func(nw *Network) {
-		for i := 0; i < b.N; i++ {
-			nw.Send(0, 1, i)
-			if _, ok := nw.Receive(1); !ok {
-				b.Error("Receive failed")
-				return
+	i := 0
+	onScheduler(b, 2, func(nw *Network) { nw.Send(0, 1, i) }, func(nw *Network) bool {
+		for {
+			if _, ok, _ := nw.ReceiveNow(1); !ok {
+				return false
 			}
+			if i++; i == b.N {
+				return true
+			}
+			nw.Send(0, 1, i)
 		}
 	})
 }
@@ -25,15 +28,19 @@ func BenchmarkBroadcast(b *testing.B) {
 	for _, n := range []int{8, 32, 128} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.SetBytes(int64(n))
-			onScheduler(b, n, func(nw *Network) {
-				for i := 0; i < b.N; i++ {
-					nw.Broadcast(0, i)
-					for p := 0; p < n; p++ {
-						if _, ok := nw.Receive(model.ProcID(p)); !ok {
-							b.Error("Receive failed")
-							return
+			i, p := 0, 0
+			onScheduler(b, n, func(nw *Network) { nw.Broadcast(0, i) }, func(nw *Network) bool {
+				for {
+					for ; p < n; p++ {
+						if _, ok, _ := nw.ReceiveNow(model.ProcID(p)); !ok {
+							return false
 						}
 					}
+					if i++; i == b.N {
+						return true
+					}
+					nw.Broadcast(0, i)
+					p = 0
 				}
 			})
 		})

@@ -10,9 +10,9 @@
 // semantics to the failure injector.
 //
 // The network runs on a discrete-event scheduler (WithScheduler, required):
-// transit is a timestamped delivery event and receivers park their
-// coroutine or drain their inbox from a handler — no wall-clock time ever
-// passes and executions are deterministic.
+// transit is a timestamped delivery event that wakes the receiver, whose
+// handler drains its inbox (ReceiveNow) — no wall-clock time ever passes and
+// executions are deterministic.
 package netsim
 
 import (
@@ -124,10 +124,10 @@ func WithCounters(c *metrics.Counters) Option {
 
 // WithScheduler attaches the network to its discrete-event scheduler
 // (required): message transit is a scheduled delivery event at a virtual
-// timestamp (now + delay), and Receive parks the consumer's coroutine. Each
-// consumer must be attached with Bind before its first Receive, and all
-// network calls must come from scheduler-controlled code (coroutines,
-// handlers or event callbacks).
+// timestamp (now + delay) that wakes the recipient's process. Each
+// consumer must be attached with Bind before its first delivery, and all
+// network calls must come from scheduler-controlled code (handlers or event
+// callbacks).
 func WithScheduler(s *vclock.Scheduler) Option {
 	return func(o *options) { o.sched = s }
 }
@@ -624,27 +624,13 @@ func (nw *Network) BroadcastSubset(from model.ProcID, payload any, recipients []
 	nw.sendFan(from, payload, slices.Clone(recipients))
 }
 
-// Receive parks p's coroutine until a message for p arrives, p's inbox
-// closes and drains, or the scheduler aborts the run. The boolean reports
-// whether a message was returned.
-func (nw *Network) Receive(p model.ProcID) (Message, bool) {
-	m, ok := nw.vboxes[p].Get()
-	if ok && nw.opts.counters != nil {
-		nw.opts.counters.AddMsgsDelivered(1)
-	}
-	return m, ok
-}
-
-// ReceiveNow is the batched-drain receive of inline handler bodies: it
-// returns the next queued message for p without parking. ok = false means the inbox is currently
+// ReceiveNow is the network's one receive: it returns the next queued
+// message for p without waiting. ok = false means the inbox is currently
 // empty; closed additionally reports that no further message can ever
-// arrive (the inbox was closed and has drained) — the wait-free analogue
-// of Receive returning false. A handler invocation calls ReceiveNow until
-// ok is false, draining the whole ring inbox under a single execution-token
-// hold: one handler invocation per distinct arrival instant, instead of
-// one coroutine rendezvous per message. Deliveries are counted exactly
-// like Receive — at consumption — so both body forms report identical
-// MsgsDelivered.
+// arrive (the inbox was closed and has drained). A handler invocation calls
+// ReceiveNow until ok is false, draining the whole ring inbox under a single
+// execution-token hold: one handler invocation per distinct arrival
+// instant. Deliveries are counted at consumption (MsgsDelivered).
 func (nw *Network) ReceiveNow(p model.ProcID) (m Message, ok, closed bool) {
 	m, ok, closed = nw.vboxes[p].TryGetOrClosed()
 	if ok && nw.opts.counters != nil {

@@ -10,25 +10,51 @@ import (
 	"allforone/internal/vclock"
 )
 
+// spawn adds a handler process to s, bound to the inboxes ps of nw: its
+// first invocation runs start, if any, and every invocation then calls react
+// — a test body cut at its receives, which drains with ReceiveNow — until
+// react reports the process finished. An aborted run finishes it without
+// calling react.
+func spawn(s *vclock.Scheduler, nw *Network, ps []model.ProcID, start func(), react func() bool) *vclock.Proc {
+	var proc *vclock.Proc
+	proc = s.SpawnHandler("test", func(aborted bool) {
+		if start != nil {
+			start()
+			start = nil
+		}
+		if aborted || react() {
+			proc.Finish()
+		}
+	})
+	for _, p := range ps {
+		nw.Bind(p, proc)
+	}
+	return proc
+}
+
 // onScheduler builds an n-process network on a fresh scheduler and runs
-// body as its only coroutine, bound to every inbox — so body can send and
-// receive as any process. It returns the network (shut down) and the run's
-// outcome.
-func onScheduler(t testing.TB, n int, body func(nw *Network), opts ...Option) (*Network, vclock.Outcome) {
+// start and react (see spawn) as its only process, bound to every inbox —
+// so it can send and receive as any process. It returns the network (shut
+// down) and the run's outcome.
+func onScheduler(t testing.TB, n int, start func(nw *Network), react func(nw *Network) bool, opts ...Option) (*Network, vclock.Outcome) {
 	t.Helper()
 	s := vclock.New()
 	nw, err := New(n, append(opts, WithScheduler(s))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	proc := s.Spawn("test", func() { body(nw) })
-	for p := 0; p < n; p++ {
-		nw.Bind(model.ProcID(p), proc)
+	all := make([]model.ProcID, n)
+	for p := range all {
+		all[p] = model.ProcID(p)
 	}
+	spawn(s, nw, all, func() { start(nw) }, func() bool { return react(nw) })
 	out := s.Run()
 	nw.Shutdown()
 	return nw, out
 }
+
+// done is the react of a body that never receives.
+func done(*Network) bool { return true }
 
 // queued returns the number of delivered, unconsumed messages in p's inbox.
 func queued(nw *Network, p model.ProcID) int { return nw.vboxes[p].Len() }
@@ -57,17 +83,17 @@ func TestNewValidation(t *testing.T) {
 
 func TestSendReceive(t *testing.T) {
 	t.Parallel()
-	onScheduler(t, 3, func(nw *Network) {
-		nw.Send(0, 2, "hello")
-		m, ok := nw.Receive(2)
-		if !ok {
-			t.Error("Receive failed")
-			return
+	var got []Message
+	onScheduler(t, 3, func(nw *Network) { nw.Send(0, 2, "hello") }, func(nw *Network) bool {
+		m, ok, _ := nw.ReceiveNow(2)
+		if ok {
+			got = append(got, m)
 		}
-		if m.From != 0 || m.To != 2 || m.Payload != "hello" {
-			t.Errorf("message = %+v", m)
-		}
+		return ok
 	})
+	if len(got) != 1 || got[0].From != 0 || got[0].To != 2 || got[0].Payload != "hello" {
+		t.Errorf("received %+v, want the one hello", got)
+	}
 }
 
 func TestSendToInvalidRecipientIgnored(t *testing.T) {
@@ -76,7 +102,7 @@ func TestSendToInvalidRecipientIgnored(t *testing.T) {
 	nw, out := onScheduler(t, 2, func(nw *Network) {
 		nw.Send(0, 7, "x")  // silently dropped
 		nw.Send(0, -1, "x") // silently dropped
-	}, WithCounters(&c))
+	}, done, WithCounters(&c))
 	if got := queued(nw, 0) + queued(nw, 1); got != 0 {
 		t.Errorf("pending = %d, want 0", got)
 	}
@@ -88,24 +114,33 @@ func TestSendToInvalidRecipientIgnored(t *testing.T) {
 func TestBroadcastReachesAllIncludingSelf(t *testing.T) {
 	t.Parallel()
 	const n = 5
-	onScheduler(t, n, func(nw *Network) {
-		nw.Broadcast(1, 42)
-		for p := 0; p < n; p++ {
-			m, ok := nw.Receive(model.ProcID(p))
-			if !ok || m.Payload != 42 || m.From != 1 {
-				t.Errorf("process %d: message = %+v ok=%v", p, m, ok)
+	p := 0
+	onScheduler(t, n, func(nw *Network) { nw.Broadcast(1, 42) }, func(nw *Network) bool {
+		for ; p < n; p++ {
+			m, ok, _ := nw.ReceiveNow(model.ProcID(p))
+			if !ok {
+				return false
+			}
+			if m.Payload != 42 || m.From != 1 {
+				t.Errorf("process %d: message = %+v", p, m)
 			}
 		}
+		return true
 	})
+	if p != n {
+		t.Errorf("%d of %d processes received the broadcast", p, n)
+	}
 }
 
 func TestBroadcastSubsetPartialDelivery(t *testing.T) {
 	t.Parallel()
+	got := false
 	onScheduler(t, 5, func(nw *Network) {
 		nw.BroadcastSubset(0, "crash", []model.ProcID{1, 3})
-		// Consuming the first arrival lets the (same-instant) fanout fire.
-		if _, ok := nw.Receive(1); !ok {
-			t.Error("recipient 1 got nothing")
+	}, func(nw *Network) bool {
+		// Waiting for the first arrival lets the (same-instant) fanout fire.
+		if _, got, _ = nw.ReceiveNow(1); !got {
+			return false
 		}
 		if queued(nw, 3) != 1 {
 			t.Error("recipient 3 should have one pending message")
@@ -115,25 +150,41 @@ func TestBroadcastSubsetPartialDelivery(t *testing.T) {
 				t.Errorf("process %v should have no pending messages", p)
 			}
 		}
+		return true
 	})
+	if !got {
+		t.Error("recipient 1 got nothing")
+	}
 }
 
 func TestCloseInboxDropsNewKeepsQueued(t *testing.T) {
 	t.Parallel()
+	var got []any
+	ticked := false
 	onScheduler(t, 2, func(nw *Network) {
 		nw.Send(0, 1, "before")
 		nw.Send(0, 0, "tick")
-		nw.Receive(0) // yields: both deliveries fire, "before" is queued at p1
-		nw.CloseInbox(1)
-		nw.Send(0, 1, "after")
-		m, ok := nw.Receive(1)
-		if !ok || m.Payload != "before" {
-			t.Errorf("first Receive = %+v,%v", m, ok)
+	}, func(nw *Network) bool {
+		if !ticked {
+			// Waiting for the tick lets both deliveries fire: "before" is
+			// queued at p1.
+			if _, ticked, _ = nw.ReceiveNow(0); !ticked {
+				return false
+			}
+			nw.CloseInbox(1)
+			nw.Send(0, 1, "after")
 		}
-		if _, ok := nw.Receive(1); ok {
-			t.Error("message sent after CloseInbox was delivered")
+		for {
+			m, ok, closed := nw.ReceiveNow(1)
+			if !ok {
+				return closed
+			}
+			got = append(got, m.Payload)
 		}
 	})
+	if len(got) != 1 || got[0] != "before" {
+		t.Errorf("p1 received %v after CloseInbox, want [before]: queued kept, new dropped", got)
+	}
 }
 
 func TestUniformDelayDeliversEverything(t *testing.T) {
@@ -144,11 +195,11 @@ func TestUniformDelayDeliversEverything(t *testing.T) {
 		for i := 0; i < msgs; i++ {
 			nw.Send(0, 1, i)
 		}
-		for i := 0; i < msgs; i++ {
-			m, ok := nw.Receive(1)
+	}, func(nw *Network) bool {
+		for len(seen) < msgs {
+			m, ok, _ := nw.ReceiveNow(1)
 			if !ok {
-				t.Errorf("Receive #%d failed", i)
-				return
+				return false
 			}
 			v := m.Payload.(int)
 			if seen[v] {
@@ -156,6 +207,7 @@ func TestUniformDelayDeliversEverything(t *testing.T) {
 			}
 			seen[v] = true
 		}
+		return true
 	}, WithSeed(11), WithUniformDelay(0, 2*time.Millisecond))
 	if len(seen) != msgs {
 		t.Errorf("delivered %d distinct messages, want %d", len(seen), msgs)
@@ -171,18 +223,27 @@ func TestTimedDelayFnCustomPolicy(t *testing.T) {
 		}
 		return 0
 	})
-	_, out := onScheduler(t, 3, func(nw *Network) {
-		nw.Broadcast(0, "x")
-		if m, ok := nw.Receive(2); !ok || m.Payload != "x" {
-			t.Errorf("undelayed Receive = %+v,%v", m, ok)
+	var got []any
+	_, out := onScheduler(t, 3, func(nw *Network) { nw.Broadcast(0, "x") }, func(nw *Network) bool {
+		if len(got) == 0 {
+			m, ok, _ := nw.ReceiveNow(2)
+			if !ok {
+				return false
+			}
+			got = append(got, m.Payload)
+			if queued(nw, 1) != 0 {
+				t.Error("delayed recipient has the message before its transit time")
+			}
 		}
-		if queued(nw, 1) != 0 {
-			t.Error("delayed recipient has the message before its transit time")
+		m, ok, _ := nw.ReceiveNow(1)
+		if ok {
+			got = append(got, m.Payload)
 		}
-		if m, ok := nw.Receive(1); !ok || m.Payload != "x" {
-			t.Errorf("delayed Receive = %+v,%v", m, ok)
-		}
+		return ok
 	}, slowTo1)
+	if len(got) != 2 || got[0] != "x" || got[1] != "x" {
+		t.Errorf("received %v, want x undelayed at p3, then x delayed at p2", got)
+	}
 	if out.Now != vclock.Time(time.Millisecond) {
 		t.Errorf("run ended at %v, want 1ms (the delayed transit)", out.Now)
 	}
@@ -192,12 +253,17 @@ func TestCountersWired(t *testing.T) {
 	t.Parallel()
 	var c metrics.Counters
 	const n = 3
+	p := 0
 	onScheduler(t, n, func(nw *Network) {
 		nw.Broadcast(0, "b") // n sends
 		nw.Send(1, 2, "s")   // 1 send
-		for p := 0; p < n; p++ {
-			nw.Receive(model.ProcID(p))
+	}, func(nw *Network) bool {
+		for ; p < n; p++ {
+			if _, ok, _ := nw.ReceiveNow(model.ProcID(p)); !ok {
+				return false
+			}
 		}
+		return true
 	}, WithCounters(&c))
 	s := c.Read()
 	if s.MsgsSent != n+1 {

@@ -13,8 +13,8 @@ import (
 	"allforone/internal/vclock"
 )
 
-// Zero-delay messages are delivered in deterministic send order and
-// Receive parks the consumer coroutine.
+// Zero-delay messages are delivered in deterministic send order, and the
+// consumer waits for them between invocations.
 func TestVirtualSendReceiveOrder(t *testing.T) {
 	s := vclock.New()
 	nw, err := New(2, WithScheduler(s))
@@ -22,22 +22,21 @@ func TestVirtualSendReceiveOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []int
-	consumer := s.Spawn("p1", func() {
-		for i := 0; i < 3; i++ {
-			m, ok := nw.Receive(1)
+	spawn(s, nw, []model.ProcID{1}, nil, func() bool {
+		for len(got) < 3 {
+			m, ok, _ := nw.ReceiveNow(1)
 			if !ok {
-				t.Error("receive failed")
-				return
+				return false
 			}
 			got = append(got, m.Payload.(int))
 		}
+		return true
 	})
-	nw.Bind(1, consumer)
-	s.Spawn("p0", func() {
+	spawn(s, nw, nil, func() {
 		nw.Send(0, 1, 100)
 		nw.Send(0, 1, 200)
 		nw.Send(0, 1, 300)
-	})
+	}, func() bool { return true })
 	if out := s.Run(); out.Aborted() {
 		t.Fatalf("outcome = %+v, want clean", out)
 	}
@@ -63,22 +62,21 @@ func TestVirtualDelaysUseVirtualTime(t *testing.T) {
 	}
 	var got []int
 	var at []vclock.Time
-	consumer := s.Spawn("p1", func() {
+	spawn(s, nw, []model.ProcID{1}, nil, func() bool {
 		for len(got) < 2 {
-			m, ok := nw.Receive(1)
+			m, ok, _ := nw.ReceiveNow(1)
 			if !ok {
-				t.Error("receive failed")
-				return
+				return false
 			}
 			got = append(got, m.Payload.(int))
 			at = append(at, s.Now())
 		}
+		return true
 	})
-	nw.Bind(1, consumer)
-	s.Spawn("p0", func() {
+	spawn(s, nw, nil, func() {
 		nw.Send(0, 1, 1) // 5ms transit
 		nw.Send(0, 1, 2) // 1ms transit — overtakes
-	})
+	}, func() bool { return true })
 	start := time.Now()
 	if out := s.Run(); out.Aborted() {
 		t.Fatalf("outcome = %+v, want clean", out)
@@ -103,15 +101,18 @@ func TestVirtualCloseInbox(t *testing.T) {
 		t.Fatal(err)
 	}
 	ok := true
-	consumer := s.Spawn("p1", func() { _, ok = nw.Receive(1) })
-	nw.Bind(1, consumer)
+	spawn(s, nw, []model.ProcID{1}, nil, func() bool {
+		_, got, closed := nw.ReceiveNow(1)
+		ok = got
+		return got || closed
+	})
 	s.At(1, func() { nw.CloseInbox(1) })
 	s.At(2, func() { nw.Send(0, 1, 99) })
 	if out := s.Run(); out.Aborted() {
 		t.Fatalf("outcome = %+v, want clean", out)
 	}
 	if ok {
-		t.Fatal("Receive on closed inbox reported a message")
+		t.Fatal("ReceiveNow on closed inbox reported a message")
 	}
 	if queued(nw, 1) != 0 {
 		t.Fatalf("Pending = %d, want 0", queued(nw, 1))
@@ -142,23 +143,22 @@ func TestVirtualSendAllBatchedFanout(t *testing.T) {
 	got := make([][]rcv, n)
 	for p := 0; p < n; p++ {
 		p := p
-		proc := s.Spawn("consumer", func() {
+		spawn(s, nw, []model.ProcID{model.ProcID(p)}, nil, func() bool {
 			for {
-				m, ok := nw.Receive(model.ProcID(p))
+				m, ok, closed := nw.ReceiveNow(model.ProcID(p))
 				if !ok {
-					return
+					return closed
 				}
 				got[p] = append(got[p], rcv{payload: m.Payload.(int), at: s.Now()})
 			}
 		})
-		nw.Bind(model.ProcID(p), proc)
 	}
 	const rounds = 5
-	s.Spawn("sender", func() {
+	spawn(s, nw, nil, func() {
 		for r := 0; r < rounds; r++ {
 			nw.SendAll(0, r)
 		}
-	})
+	}, func() bool { return true })
 	s.At(vclock.Time(time.Millisecond), func() {
 		for p := 0; p < n; p++ {
 			nw.CloseInbox(model.ProcID(p))
@@ -214,49 +214,46 @@ func testSendAllSteadyStateAllocs(t *testing.T, delay Option) {
 	delivered := 0
 	for p := 1; p < n; p++ {
 		p := p
-		proc := s.Spawn("consumer", func() {
+		spawn(s, nw, []model.ProcID{model.ProcID(p)}, nil, func() bool {
 			for {
-				if _, ok := nw.Receive(model.ProcID(p)); !ok {
-					return
+				_, ok, closed := nw.ReceiveNow(model.ProcID(p))
+				if !ok {
+					return closed
 				}
 				delivered++
 			}
 		})
-		nw.Bind(model.ProcID(p), proc)
 	}
 	const rounds, warmup = 400, 3000
 	var payload any = "round" // boxed once: the path itself must not box
 	var allocs uint64
-	sender := s.Spawn("sender", func() {
-		// Each round broadcasts and then consumes the loopback delivery;
-		// under a delay profile the other arrivals of the last few
-		// broadcasts are still in flight then, so the pool settles at that
-		// many fanouts. The warm-up rounds size the pools, rings and wheel —
-		// thousands of them, because the wide-gap profile spreads a round's
-		// arrivals far past the wheel's horizon: the overflow heap and each
-		// of the 256 buckets they cascade into have to have seen their
-		// deepest cohort.
-		round := func() {
-			nw.SendAll(0, payload)
-			if _, ok := nw.Receive(0); !ok {
-				t.Error("sender lost its loopback message")
+	var m0, m1 runtime.MemStats
+	// Each round broadcasts and then consumes the loopback delivery; under a
+	// delay profile the other arrivals of the last few broadcasts are still
+	// in flight then, so the pool settles at that many fanouts. The warm-up
+	// rounds size the pools, rings and wheel — thousands of them, because
+	// the wide-gap profile spreads a round's arrivals far past the wheel's
+	// horizon: the overflow heap and each of the 256 buckets they cascade
+	// into have to have seen their deepest cohort.
+	r := 0
+	spawn(s, nw, []model.ProcID{0}, func() { nw.SendAll(0, payload) }, func() bool {
+		if _, ok, _ := nw.ReceiveNow(0); !ok {
+			return false
+		}
+		switch r++; r {
+		case warmup:
+			runtime.ReadMemStats(&m0)
+		case warmup + rounds:
+			runtime.ReadMemStats(&m1)
+			allocs = m1.Mallocs - m0.Mallocs
+			for p := 0; p < n; p++ {
+				nw.CloseInbox(model.ProcID(p))
 			}
+			return true
 		}
-		for r := 0; r < warmup; r++ {
-			round()
-		}
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		for r := 0; r < rounds; r++ {
-			round()
-		}
-		runtime.ReadMemStats(&m1)
-		allocs = m1.Mallocs - m0.Mallocs
-		for p := 0; p < n; p++ {
-			nw.CloseInbox(model.ProcID(p))
-		}
+		nw.SendAll(0, payload)
+		return false
 	})
-	nw.Bind(0, sender)
 	if out := s.Run(); out.Quiesced {
 		t.Fatalf("outcome = %+v, want clean", out)
 	}
@@ -300,51 +297,28 @@ func TestVirtualOverlaySendSteadyStateAllocs(t *testing.T) {
 	// delivery event of a round is back in the pool before the next round.
 	for _, p := range succ {
 		p := p
-		proc := s.Spawn("succ", func() {
+		spawn(s, nw, []model.ProcID{p}, nil, func() bool {
 			for {
-				m, ok := nw.Receive(p)
+				m, ok, closed := nw.ReceiveNow(p)
 				if !ok {
-					return
+					return closed
 				}
 				nw.Send(p, 0, m.Payload)
 			}
 		})
-		nw.Bind(p, proc)
 	}
-	const rounds = 400
+	const rounds, warmup = 400, 20 // warm the delivery pool and inbox rings
 	// Zero-size payload, exactly what the gossip protocol sends: interface
 	// conversion is allocation-free, so any allocation measured below is
 	// the transport's own.
 	type rumor struct{}
 	payload := rumor{}
-	var allocs uint64
-	sender := s.Spawn("sender", func() {
-		round := func() {
-			for _, p := range succ {
-				nw.Send(0, p, payload)
-			}
-			for range succ {
-				if _, ok := nw.Receive(0); !ok {
-					t.Error("sender lost an echo")
-				}
-			}
-		}
-		for r := 0; r < 20; r++ { // warm the delivery pool and inbox rings
-			round()
-		}
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		for r := 0; r < rounds; r++ {
-			round()
-		}
-		runtime.ReadMemStats(&m1)
-		allocs = m1.Mallocs - m0.Mallocs
-		nw.CloseInbox(0)
+	send := func() {
 		for _, p := range succ {
-			nw.CloseInbox(p)
+			nw.Send(0, p, payload)
 		}
-	})
-	nw.Bind(0, sender)
+	}
+	allocs := echoRounds(s, nw, succ, warmup, rounds, send)
 	if out := s.Run(); out.DeadlineExceeded || out.StepsExceeded {
 		t.Fatalf("outcome = %+v, want clean", out)
 	}
@@ -352,10 +326,43 @@ func TestVirtualOverlaySendSteadyStateAllocs(t *testing.T) {
 	// timer-wheel bucket growth under the scattered arrival instants —
 	// measured ≈0.2 per send. Pin well under 1: a regression to one
 	// allocation per send is what would hurt at n·d sends per round.
-	if perSend := float64(allocs) / (rounds * 2 * float64(len(succ))); perSend > 0.5 {
+	if perSend := float64(*allocs) / (rounds * 2 * float64(len(succ))); perSend > 0.5 {
 		t.Fatalf("steady-state per-recipient Send allocates %.2f times per send (%d sends/round), want ≤ 0.5",
 			perSend, 2*len(succ))
 	}
+}
+
+// echoRounds spawns p0 as the sender of warmup+rounds echo rounds: each
+// round sends to succ, then waits for one echo per successor. It returns a
+// pointer to the allocation count of the last rounds, set once they ran;
+// the sender then closes every inbox involved.
+func echoRounds(s *vclock.Scheduler, nw *Network, succ []model.ProcID, warmup, rounds int, send func()) *uint64 {
+	var allocs uint64
+	var m0, m1 runtime.MemStats
+	r, echoes := 0, 0
+	spawn(s, nw, []model.ProcID{0}, send, func() bool {
+		for ; echoes < len(succ); echoes++ {
+			if _, ok, _ := nw.ReceiveNow(0); !ok {
+				return false
+			}
+		}
+		echoes = 0
+		switch r++; r {
+		case warmup:
+			runtime.ReadMemStats(&m0)
+		case warmup + rounds:
+			runtime.ReadMemStats(&m1)
+			allocs = m1.Mallocs - m0.Mallocs
+			nw.CloseInbox(0)
+			for _, p := range succ {
+				nw.CloseInbox(p)
+			}
+			return true
+		}
+		send()
+		return false
+	})
+	return &allocs
 }
 
 // burstEchoPayload is a non-zero pooled payload for the burst allocs test:
@@ -403,50 +410,27 @@ func TestVirtualBurstSendSteadyStateAllocs(t *testing.T) {
 	type ack struct{}
 	for _, p := range succ {
 		p := p
-		proc := s.Spawn("succ", func() {
+		spawn(s, nw, []model.ProcID{p}, nil, func() bool {
 			for {
-				m, ok := nw.Receive(p)
+				m, ok, closed := nw.ReceiveNow(p)
 				if !ok {
-					return
+					return closed
 				}
 				env := m.Payload.(*burstEchoPayload)
 				nw.RecyclePayload(nw.ShardOf(p), env)
 				nw.BurstSend(p, 0, ack{})
 			}
 		})
-		nw.Bind(p, proc)
 	}
-	const rounds = 400
-	var allocs uint64
+	const rounds, warmup = 400, 20 // warm the delivery, payload, and entry pools
 	var seq uint64
-	sender := s.Spawn("sender", func() {
-		round := func() {
-			for _, p := range succ {
-				nw.BurstSendVia(0, p, burstEchoBuilder{}, nil, seq)
-				seq++
-			}
-			for range succ {
-				if _, ok := nw.Receive(0); !ok {
-					t.Error("sender lost an ack")
-				}
-			}
-		}
-		for r := 0; r < 20; r++ { // warm the delivery, payload, and entry pools
-			round()
-		}
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		for r := 0; r < rounds; r++ {
-			round()
-		}
-		runtime.ReadMemStats(&m1)
-		allocs = m1.Mallocs - m0.Mallocs
-		nw.CloseInbox(0)
+	send := func() {
 		for _, p := range succ {
-			nw.CloseInbox(p)
+			nw.BurstSendVia(0, p, burstEchoBuilder{}, nil, seq)
+			seq++
 		}
-	})
-	nw.Bind(0, sender)
+	}
+	allocs := echoRounds(s, nw, succ, warmup, rounds, send)
 	if out := s.Run(); out.DeadlineExceeded || out.StepsExceeded {
 		t.Fatalf("outcome = %+v, want clean", out)
 	}
@@ -457,7 +441,7 @@ func TestVirtualBurstSendSteadyStateAllocs(t *testing.T) {
 	if stats.PooledPayloadBytes == 0 {
 		t.Fatalf("flush-time payload construction reported zero bytes: %+v", stats)
 	}
-	if perSend := float64(allocs) / (rounds * 2 * float64(len(succ))); perSend > 0.5 {
+	if perSend := float64(*allocs) / (rounds * 2 * float64(len(succ))); perSend > 0.5 {
 		t.Fatalf("steady-state burst Send allocates %.2f times per send (%d sends/round), want ≤ 0.5",
 			perSend, 2*len(succ))
 	}
@@ -476,17 +460,17 @@ func TestVirtualBroadcastSubsetBatched(t *testing.T) {
 	gotTo := map[model.ProcID]bool{}
 	for p := 0; p < 4; p++ {
 		p := p
-		proc := s.Spawn("consumer", func() {
-			m, ok := nw.Receive(model.ProcID(p))
+		spawn(s, nw, []model.ProcID{model.ProcID(p)}, nil, func() bool {
+			m, ok, closed := nw.ReceiveNow(model.ProcID(p))
 			if ok {
 				gotTo[m.To] = true
 			}
+			return ok || closed
 		})
-		nw.Bind(model.ProcID(p), proc)
 	}
-	s.Spawn("sender", func() {
+	spawn(s, nw, nil, func() {
 		nw.BroadcastSubset(0, "crash-cut", []model.ProcID{1, 3, 99, -1})
-	})
+	}, func() bool { return true })
 	out := s.Run()
 	if !out.Quiesced {
 		// p0 and p2 never receive: the run must end by quiescence.
