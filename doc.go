@@ -87,7 +87,8 @@
 //
 // Every run executes on one engine: a deterministic discrete-event
 // simulation (internal/vclock). Message transit advances a virtual clock
-// instead of sleeping; processes are cooperatively stepped; the whole run
+// instead of sleeping; every process is a reactor the scheduler invokes
+// under one execution token, so each step is a plain call; the whole run
 // is a pure function of the Scenario, so the same Seed replays the same
 // execution bit for bit — same Outcome, same trace. Blocked runs (liveness
 // condition violated) are detected deterministically by quiescence,

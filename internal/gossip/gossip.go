@@ -31,10 +31,10 @@
 // applies, and the derived budget never exceeds it. With a random-view
 // overlay every figure is with-high-probability, not a guarantee.
 //
-// The implementation is an inline handler reactor from day one
-// (driver.RunHandlers): no goroutines, no coroutine port — rounds are
-// Handle.WakeAfter timer ticks, inbox drains are batched, and every send
-// is a per-recipient netsim.Send along an overlay edge (never SendAll).
+// The implementation is an inline handler reactor (driver.RunHandlers): no
+// goroutines — rounds are Handle.WakeAfter timer ticks, inbox drains are
+// batched, and every send is a per-recipient netsim.Send along an overlay
+// edge (never SendAll).
 // The protocol registers as "gossip" with the overlay-topology and
 // sub-quadratic capability flags.
 package gossip

@@ -11,9 +11,9 @@
 // correct processes.
 //
 // A process is an inline handler reactor (driver.RunHandlers, DESIGN.md
-// §11) and has no coroutine form: the round's majority wait is the only
-// wait point, so each invocation drains the inbox into the open round's
-// tally and runs everything up to the next round's broadcast straight-line.
+// §11): the round's majority wait is the only wait point, so each invocation
+// drains the inbox into the open round's tally and runs everything up to the
+// next round's broadcast straight-line.
 package mpcoin
 
 import (

@@ -95,7 +95,7 @@ type Result struct {
 	// VirtualTime / Steps / Quiesced report the engine's clock,
 	// event count, and quiescence verdict. NOTE: unlike consensus runs,
 	// Quiesced=true is the NORMAL end of a register run with crashed
-	// processes (survivors park in their serve loops once every live
+	// processes (survivors wait in their serve loops once every live
 	// script finished); a blocked OPERATION shows up as OK=false /
 	// StatusBlocked on the process, not at the run level.
 	VirtualTime time.Duration
