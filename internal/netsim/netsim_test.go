@@ -53,9 +53,6 @@ func onScheduler(t testing.TB, n int, start func(nw *Network), react func(nw *Ne
 	return nw, out
 }
 
-// done is the react of a body that never receives.
-func done(*Network) bool { return true }
-
 // queued returns the number of delivered, unconsumed messages in p's inbox.
 func queued(nw *Network, p model.ProcID) int { return nw.vboxes[p].Len() }
 
@@ -102,7 +99,7 @@ func TestSendToInvalidRecipientIgnored(t *testing.T) {
 	nw, out := onScheduler(t, 2, func(nw *Network) {
 		nw.Send(0, 7, "x")  // silently dropped
 		nw.Send(0, -1, "x") // silently dropped
-	}, done, WithCounters(&c))
+	}, func(*Network) bool { return true }, WithCounters(&c))
 	if got := queued(nw, 0) + queued(nw, 1); got != 0 {
 		t.Errorf("pending = %d, want 0", got)
 	}

@@ -317,10 +317,6 @@ func (c *client) collect(req any) {
 	c.seq++
 	c.net.Broadcast(c.id, req)
 	c.covered = model.NewProcSet(c.part.N())
-	if up, ok := req.(updateMsg); ok {
-		// Local merge: own cluster's cell is updated without messages.
-		mergeInto(c.cellOf(c.id), up.Pair)
-	}
 	c.covered.UnionInto(c.part.Cluster(c.id))
 }
 
@@ -338,6 +334,8 @@ func (c *client) collected() bool {
 		}
 		c.stage = updating
 		c.collect(updateMsg{Seq: c.seq + 1, Pair: pair})
+		// Local merge: own cluster's cell is updated without messages.
+		mergeInto(c.cellOf(c.id), pair)
 		return false
 	}
 	val := op.Val

@@ -954,8 +954,7 @@ func (s *Scheduler) Spawn(name string, fn func()) *Proc {
 // goroutine, no channel rendezvous. The contract (DESIGN.md §11):
 //
 //   - fn must return instead of blocking — a handler has no goroutine to
-//     suspend, so Park (and anything built on it, e.g. blocking receives
-//     or Handle.Sleep) must not be called from fn;
+//     suspend, so Park must not be called from fn;
 //   - returning without calling Finish parks the proc until the next Wake;
 //   - fn(aborted=true) means the run was aborted (quiescence, deadline, or
 //     step budget): the handler must record its blocked outcome and call
