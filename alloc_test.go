@@ -81,6 +81,48 @@ func TestSMRAllocationGate(t *testing.T) {
 	}, 200, 2_830, 178_000)
 }
 
+// TestMultivaluedAllocationGate pins the allocation bill of one
+// multivalued consensus run: Fig1Right, three distinct proposals,
+// Uniform(0,200µs), seed 1: 535 events, at most 7 binary rounds per
+// process. Achieved: 492 allocations and 35.8 KB per run, from 773 and
+// 48.8 KB while every round built a map tally and a ProcSet per value
+// instead of resetting one model.Quorum per process. The limits leave
+// about 15 % of headroom.
+func TestMultivaluedAllocationGate(t *testing.T) {
+	props := make([]string, Fig1Right().N())
+	for p := range props {
+		props[p] = fmt.Sprintf("v%d", p%3)
+	}
+	checkAllocBill(t, "one multivalued run", Scenario{
+		Protocol: ProtocolMultivalued,
+		Topology: Topology{Partition: Fig1Right()},
+		Workload: Workload{Values: props},
+		Profile:  UniformProfile(0, 200*time.Microsecond),
+		Seed:     1,
+	}, 200, 565, 41_000)
+}
+
+// TestRegisterAllocationGate pins the allocation bill of one scripted
+// register run: Fig1Right, the closure table's scripts (18 operations, 36
+// collections), Uniform(0,200µs), seed 1: 559 events. Achieved: 415
+// allocations and 33.9 KB per run, from 466 and 34.3 KB while every
+// collection built a fresh ProcSet instead of resetting one model.Quorum
+// per process. The allocation limit leaves about 10 % of headroom, under
+// the old bill; the byte limit about 15 %.
+func TestRegisterAllocationGate(t *testing.T) {
+	scripts := make([][]ScriptOp, Fig1Right().N())
+	for p := range scripts {
+		scripts[p] = registerScript(p)
+	}
+	checkAllocBill(t, "one register run", Scenario{
+		Protocol: ProtocolRegister,
+		Topology: Topology{Partition: Fig1Right()},
+		Workload: Workload{Scripts: scripts},
+		Profile:  UniformProfile(0, 200*time.Microsecond),
+		Seed:     1,
+	}, 200, 455, 39_000)
+}
+
 // TestGossipAllocationGate pins the allocation bill of one crash-free gossip
 // run at n=2048 on a de Bruijn overlay, seed 1303: a scheduler sharded 16
 // ways, which owns its bucket array and so grows it afresh every run.

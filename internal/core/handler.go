@@ -27,7 +27,7 @@ func (p *proc) React(aborted bool) bool {
 	// feeding the collect loop of Algorithm 1 (lines 4-7) and running the
 	// follow-up round logic whenever an exchange exits.
 	for {
-		if p.sup.exitCondition() {
+		if p.sup.Covered() {
 			p.log.Append(p.id, trace.KindExchangeExit, p.r, p.ph, p.est)
 			if p.afterExchange() {
 				return true
@@ -100,7 +100,7 @@ func (p *proc) afterExchange() bool {
 		s := p.common.Bit(p.r) // line 6: same bit at every process
 		p.log.Append(p.id, trace.KindCoinFlip, p.r, 1, s)
 		p.ctr.ObserveRound(int64(p.r))
-		if v, ok := p.sup.MajorityValue(); ok { // line 7
+		if v, ok := p.sup.Majority(); ok { // line 7
 			p.est1 = v // line 8
 			if s == v {
 				return p.decide(1, v) // line 9
@@ -113,7 +113,7 @@ func (p *proc) afterExchange() bool {
 
 	if p.ph == 1 {
 		est2 := model.Bot
-		if v, ok := p.sup.MajorityValue(); ok { // lines 6-7
+		if v, ok := p.sup.Majority(); ok { // lines 6-7
 			est2 = v
 		}
 		est2 = p.clusterPropose(2, est2) // line 8

@@ -59,10 +59,3 @@ func (k phaseKey) less(other phaseKey) bool {
 	}
 	return k.phase < other.phase
 }
-
-// bufferedMsg is a phase message retained for a protocol position the
-// receiving process has not reached yet.
-type bufferedMsg struct {
-	from model.ProcID
-	est  model.Value
-}

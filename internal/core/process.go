@@ -57,12 +57,11 @@ type proc struct {
 
 	alg       Algorithm
 	maxRounds int // 0 = unbounded
-	pending   map[phaseKey][]bufferedMsg
-	sup       *supporters // the tally of the exchange in progress
+	pending   map[phaseKey][]model.Vote
+	sup       *model.Quorum // the tally of the exchange in progress
 
-	// Ablation switches (see Config). Both default to false = the paper's
-	// algorithms.
-	ablateClosure bool
+	// ablateCluster skips the cluster consensus (see Config); false = the
+	// paper's algorithms.
 	ablateCluster bool
 
 	r    int         // open round; 0 before the first invocation

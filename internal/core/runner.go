@@ -100,9 +100,10 @@ type Config struct {
 	// (see harness experiment A1).
 	//
 	// AblateClosure counts only the actual sender in msg_exchange instead
-	// of its whole cluster. The algorithm stays safe but loses the
-	// one-for-all property: it degenerates to the classical majority
-	// requirement.
+	// of its whole cluster: each exchange's Quorum closes over
+	// model.Singletons(n) rather than the Partition. The algorithm stays
+	// safe but loses the one-for-all property: it degenerates to the
+	// classical majority requirement.
 	AblateClosure bool
 	// AblateClusterConsensus skips the CONS_x[r,ph] agreement, letting
 	// cluster members broadcast different values at the same position.
@@ -158,6 +159,7 @@ func (cfg *Config) validate() (int, error) {
 type execEnv struct {
 	n        int
 	part     *model.Partition
+	closure  *model.Partition // what the exchanges' Quorums close over
 	ctr      metrics.Counters
 	nw       *netsim.Network
 	arrays   []*consensusobj.Array
@@ -171,7 +173,11 @@ func newExecEnv(cfg *Config, n int) *execEnv {
 	env := &execEnv{
 		n:        n,
 		part:     cfg.Partition,
+		closure:  cfg.Partition,
 		outcomes: make([]outcome, n),
+	}
+	if cfg.AblateClosure {
+		env.closure = model.Singletons(n)
 	}
 
 	// One CONS array per cluster: the cluster memory MEM_x.
@@ -219,9 +225,8 @@ func (env *execEnv) newProc(cfg *Config, i int, h *driver.Handle) *proc {
 		store:         &env.outcomes[i],
 		alg:           cfg.Algorithm,
 		maxRounds:     cfg.MaxRounds,
-		pending:       make(map[phaseKey][]bufferedMsg),
-		sup:           newSupporters(env.n),
-		ablateClosure: cfg.AblateClosure,
+		pending:       make(map[phaseKey][]model.Vote),
+		sup:           model.NewQuorum(env.closure),
 		ablateCluster: cfg.AblateClusterConsensus,
 		est1:          cfg.Proposals[i],
 	}

@@ -258,8 +258,7 @@ func (p *Partition) MajorityCluster() (ClusterID, bool) {
 // clusters with a survivor must exceed n/2.
 func (p *Partition) LivenessHolds(crashed *ProcSet) bool {
 	covered := 0
-	for x, ms := range p.members {
-		_ = x
+	for _, ms := range p.members {
 		for _, pid := range ms {
 			if crashed == nil || !crashed.Contains(pid) {
 				covered += len(ms)

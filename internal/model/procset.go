@@ -31,8 +31,8 @@ func NewProcSet(n int) *ProcSet {
 
 // NewProcSets returns k empty sets over the universe {0 … n-1}, carved from
 // one allocation of set headers and one of bitmap words — for owners that
-// keep a fixed family of sets and Clear them between uses (the supporters
-// table of Algorithm 1 holds four per process).
+// keep a fixed family of sets and Clear them between uses (a Quorum holds
+// four).
 func NewProcSets(n, k int) []ProcSet {
 	if n < 0 {
 		n = 0
@@ -93,8 +93,8 @@ func (s *ProcSet) Count() int { return s.cnt }
 // UnionInto adds every member of other into s. The two sets must range over
 // the same universe; mismatched sets are merged over the shorter word span.
 // Only other's populated word span is visited, so merging a small dense set
-// (a cluster closure) into a wide one costs O(|span|), not O(n/64) — the
-// per-message supporters accounting of Algorithm 1 rides on this.
+// (a cluster closure) into a wide one costs O(|span|), not O(n/64) —
+// Quorum.Add, run once per received message, rides on this.
 func (s *ProcSet) UnionInto(other *ProcSet) {
 	if other == nil {
 		return
@@ -119,29 +119,6 @@ func (s *ProcSet) UnionInto(other *ProcSet) {
 			s.hi = hi
 		}
 	}
-}
-
-// UnionCount returns |s ∪ other| without materializing the union.
-func (s *ProcSet) UnionCount(other *ProcSet) int {
-	if other == nil {
-		return s.Count()
-	}
-	c := 0
-	k := len(s.words)
-	if len(other.words) > k {
-		k = len(other.words)
-	}
-	for i := 0; i < k; i++ {
-		var a, b uint64
-		if i < len(s.words) {
-			a = s.words[i]
-		}
-		if i < len(other.words) {
-			b = other.words[i]
-		}
-		c += bits.OnesCount64(a | b)
-	}
-	return c
 }
 
 // IsMajority reports whether the set covers a strict majority of the

@@ -1,6 +1,7 @@
 // Package model defines the basic vocabulary of the hybrid communication
 // model of Raynal & Cao (ICDCS 2019): process identities, binary consensus
-// values, cluster partitions, and process sets.
+// values, cluster partitions, process sets, and the cluster-closure Quorum
+// every exchange counts with.
 //
 // The model is a set Π of n sequential asynchronous crash-prone processes
 // p_0 … p_{n-1}, partitioned into m non-empty clusters P[0] … P[m-1]. Inside

@@ -232,19 +232,14 @@ type proc struct {
 
 	delivered   map[model.ProcID]string // URB-delivered proposals
 	binDecided  map[int]model.Value     // finished binary instances
-	pendingInst map[instKey][]pendingInstMsg
+	pendingInst map[instKey][]model.Vote
 	globalRound int // monotone count of binary rounds, for crash points; 0 before the first invocation
 
-	inst, r  int          // the open instance and round
-	est      model.Value  // the open round's estimate
-	sup      *tally       // the open exchange's supporters
-	awaiting bool         // instance inst decided 1: wait for its target's proposal
-	target   model.ProcID // instance inst's target process
-}
-
-type pendingInstMsg struct {
-	from model.ProcID
-	est  model.Value
+	inst, r  int           // the open instance and round
+	est      model.Value   // the open round's estimate
+	sup      *model.Quorum // the open exchange's supporters, Reset per round
+	awaiting bool          // instance inst decided 1: wait for its target's proposal
+	target   model.ProcID  // instance inst's target process
 }
 
 // commonBit derives the shared coin bit of (instance, round): a pure
@@ -266,7 +261,7 @@ func (p *proc) urbDeliver(m propMsg) {
 
 // handle dispatches one incoming message; it returns a non-nil final
 // outcome when the message ends the whole execution (MV-DECIDE).
-func (p *proc) handle(msg netsim.Message, cur instKey, sup *tally) *outcome {
+func (p *proc) handle(msg netsim.Message, cur instKey, sup *model.Quorum) *outcome {
 	switch m := msg.Payload.(type) {
 	case propMsg:
 		p.urbDeliver(m)
@@ -281,43 +276,12 @@ func (p *proc) handle(msg netsim.Message, cur instKey, sup *tally) *outcome {
 		k := instKey{inst: m.Inst, round: m.Round}
 		switch {
 		case k == cur && sup != nil:
-			sup.add(p.part, msg.From, m.Est)
+			sup.Add(msg.From, m.Est)
 		case cur.less(k):
-			p.pendingInst[k] = append(p.pendingInst[k], pendingInstMsg{from: msg.From, est: m.Est})
+			p.pendingInst[k] = append(p.pendingInst[k], model.Vote{From: msg.From, Est: m.Est})
 		}
 	}
 	return nil
-}
-
-// tally is the supporters accounting with cluster closure (one for all).
-type tally struct {
-	n      int
-	byVal  map[model.Value]*model.ProcSet
-	covers *model.ProcSet
-}
-
-func newTally(n int) *tally {
-	return &tally{n: n, byVal: make(map[model.Value]*model.ProcSet, 2), covers: model.NewProcSet(n)}
-}
-
-func (t *tally) add(part *model.Partition, sender model.ProcID, v model.Value) {
-	set, ok := t.byVal[v]
-	if !ok {
-		set = model.NewProcSet(t.n)
-		t.byVal[v] = set
-	}
-	closure := part.Cluster(sender)
-	set.UnionInto(closure)
-	t.covers.UnionInto(closure)
-}
-
-func (t *tally) majority() (model.Value, bool) {
-	for _, v := range []model.Value{model.Zero, model.One} {
-		if set, ok := t.byVal[v]; ok && set.IsMajority() {
-			return v, true
-		}
-	}
-	return model.Bot, false
 }
 
 // React runs one invocation: drain every deliverable message and advance
@@ -352,7 +316,7 @@ func (p *proc) React(aborted bool) bool {
 				return true
 			}
 			continue
-		} else if p.sup.covers.IsMajority() {
+		} else if p.sup.Covered() {
 			if p.roundDone() {
 				return true
 			}
@@ -443,9 +407,9 @@ func (p *proc) openRound() bool {
 	p.est = p.clusterPropose(p.inst, p.r, p.est)
 	cur := instKey{inst: p.inst, round: p.r}
 	p.net.Broadcast(p.id, instMsg{Inst: p.inst, Round: p.r, Est: p.est})
-	p.sup = newTally(p.part.N())
-	for _, bm := range p.pendingInst[cur] {
-		p.sup.add(p.part, bm.from, bm.est)
+	p.sup.Reset()
+	for _, vote := range p.pendingInst[cur] {
+		p.sup.Add(vote.From, vote.Est)
 	}
 	delete(p.pendingInst, cur)
 	return false
@@ -457,7 +421,7 @@ func (p *proc) openRound() bool {
 func (p *proc) roundDone() bool {
 	s := p.commonBit(p.inst, p.r)
 	p.ctr.ObserveRound(int64(p.globalRound))
-	if v, ok := p.sup.majority(); ok {
+	if v, ok := p.sup.Majority(); ok {
 		p.est = v
 		if s == v {
 			p.binDecided[p.inst] = v
@@ -525,7 +489,8 @@ func Run(cfg Config) (*Result, error) {
 				maxRnd:      maxRnd,
 				delivered:   make(map[model.ProcID]string, n),
 				binDecided:  make(map[int]model.Value),
-				pendingInst: make(map[instKey][]pendingInstMsg),
+				pendingInst: make(map[instKey][]model.Vote),
+				sup:         model.NewQuorum(cfg.Partition),
 				store:       &outcomes[i],
 			}
 			p.delivered[id] = cfg.Proposals[i]

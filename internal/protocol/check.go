@@ -179,7 +179,13 @@ func checkLiveness(info Info, sc *Scenario, out *Outcome) error {
 		// A flat protocol's clusters are its processes.
 		covered = 2*(len(out.Procs)-crashes) > len(out.Procs)
 		if info.NeedsPartition {
-			covered = coversMajority(sc.Topology.Partition, out)
+			crashed := model.NewProcSet(len(out.Procs))
+			for p, pr := range out.Procs {
+				if pr.Status == sim.StatusCrashed {
+					crashed.Add(model.ProcID(p))
+				}
+			}
+			covered = sc.Topology.Partition.LivenessHolds(crashed)
 		}
 		why = "the clusters of the live processes cover a majority"
 		if !covered && crashedAtStart(sc.Faults) {
@@ -193,22 +199,6 @@ func checkLiveness(info Info, sc *Scenario, out *Outcome) error {
 		return fmt.Errorf("%d live processes undecided although %s", out.Undecided(), why)
 	}
 	return nil
-}
-
-// coversMajority reports whether the clusters with a live (never crashed)
-// member cover a majority of the processes — the paper's one-for-all
-// condition.
-func coversMajority(part *model.Partition, out *Outcome) bool {
-	covered := 0
-	for x := 0; x < part.M(); x++ {
-		for _, p := range part.Members(model.ClusterID(x)) {
-			if out.Procs[p].Status != sim.StatusCrashed {
-				covered += part.Size(model.ClusterID(x))
-				break
-			}
-		}
-	}
-	return 2*covered > part.N()
 }
 
 // crashedAtStart reports whether every planned crash strikes at the top of

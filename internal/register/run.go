@@ -184,11 +184,11 @@ type client struct {
 	live     *model.ProcSet // processes expected to announce doneMsg
 
 	stage    stage
-	op       int            // the current operation's index in script
-	deadline time.Duration  // end of the current After delay
-	start    time.Duration  // the current operation's invocation instant
-	covered  *model.ProcSet // the current collection's responders, closed over clusters
-	best     tagged         // the maximum (ts, value) the current query saw
+	op       int           // the current operation's index in script
+	deadline time.Duration // end of the current After delay
+	start    time.Duration // the current operation's invocation instant
+	covered  *model.Quorum // the current collection's responders, closed over clusters
+	best     tagged        // the maximum (ts, value) the current query saw
 
 	status sim.Status
 	ops    []OpResult
@@ -244,7 +244,7 @@ func (c *client) React(aborted bool) bool {
 			continue
 		case c.stage == serving && c.allLiveDone():
 			return true
-		case c.stage != serving && c.covered.IsMajority():
+		case c.stage != serving && c.covered.Covered():
 			if c.collected() {
 				return true
 			}
@@ -267,11 +267,11 @@ func (c *client) React(aborted bool) bool {
 				if c.best.TS.Less(ack.Cur.TS) {
 					c.best = ack.Cur
 				}
-				c.covered.UnionInto(c.part.Cluster(from))
+				c.covered.Add(from, model.Bot)
 			}
 		case updateAck:
 			if c.stage == updating && ack.Seq == c.seq {
-				c.covered.UnionInto(c.part.Cluster(from))
+				c.covered.Add(from, model.Bot)
 			}
 		}
 	}
@@ -316,8 +316,8 @@ func (c *client) startOp() bool {
 func (c *client) collect(req any) {
 	c.seq++
 	c.net.Broadcast(c.id, req)
-	c.covered = model.NewProcSet(c.part.N())
-	c.covered.UnionInto(c.part.Cluster(c.id))
+	c.covered.Reset()
+	c.covered.Add(c.id, model.Bot)
 }
 
 // collected acts on a collection whose responders' clusters cover a
@@ -432,6 +432,7 @@ func Run(cfg Config) (*Result, error) {
 				h:        h,
 				doneFrom: model.NewProcSet(n),
 				live:     live,
+				covered:  model.NewQuorum(cfg.Partition),
 				script:   cfg.Scripts[i],
 				status:   sim.StatusBlocked, // until the script completes
 			}

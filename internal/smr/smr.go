@@ -192,11 +192,6 @@ func (k posKey) less(o posKey) bool {
 	return k.round < o.round
 }
 
-type pendingMsg struct {
-	from model.ProcID
-	est  model.Value
-}
-
 // slotRow is what a replica has learnt of one log slot.
 type slotRow struct {
 	props   []proposal    // by origin: the URB-delivered proposals
@@ -247,14 +242,14 @@ type replica struct {
 	chunk   int // rows per allocation
 
 	rows        [][]slotRow // chunks of rows, by slot
-	pending     map[posKey][]pendingMsg
+	pending     map[posKey][]model.Vote
 	log         []string
 	globalRound int
 
 	stage             int
 	slot, inst, round int
 	est               model.Value
-	tally             tally
+	tally             *model.Quorum
 }
 
 // row returns the replica's row for slot. Rows are allocated a chunk at a
@@ -296,7 +291,7 @@ func (r *replica) urbDeliver(m propMsg) {
 
 // handle dispatches one message; cur/sup describe the replica's current
 // collection point (sup nil when not collecting).
-func (r *replica) handle(msg netsim.Message, cur posKey, sup *tally) {
+func (r *replica) handle(msg netsim.Message, cur posKey, sup *model.Quorum) {
 	switch m := msg.Payload.(type) {
 	case propMsg:
 		r.urbDeliver(m)
@@ -313,45 +308,11 @@ func (r *replica) handle(msg netsim.Message, cur posKey, sup *tally) {
 		k := posKey{slot: m.Slot, inst: m.Inst, round: m.Round}
 		switch {
 		case k == cur && sup != nil:
-			sup.add(r.part, msg.From, m.Est)
+			sup.Add(msg.From, m.Est)
 		case cur.less(k):
-			r.pending[k] = append(r.pending[k], pendingMsg{from: msg.From, est: m.Est})
+			r.pending[k] = append(r.pending[k], model.Vote{From: msg.From, Est: m.Est})
 		}
 	}
-}
-
-// tally is a round's supporter accounting: the cluster closures of the
-// senders of each value, and of all senders. A replica owns one, carved by
-// model.NewProcSets and cleared at every round start.
-type tally struct {
-	byVal  [2]model.ProcSet
-	covers model.ProcSet
-}
-
-func newTally(n int) tally {
-	sets := model.NewProcSets(n, 3)
-	return tally{byVal: [2]model.ProcSet{sets[0], sets[1]}, covers: sets[2]}
-}
-
-func (t *tally) clear() {
-	t.byVal[0].Clear()
-	t.byVal[1].Clear()
-	t.covers.Clear()
-}
-
-func (t *tally) add(part *model.Partition, sender model.ProcID, v model.Value) {
-	closure := part.Cluster(sender)
-	t.byVal[v].UnionInto(closure)
-	t.covers.UnionInto(closure)
-}
-
-func (t *tally) majority() (model.Value, bool) {
-	for _, v := range [...]model.Value{model.Zero, model.One} {
-		if t.byVal[v].IsMajority() {
-			return v, true
-		}
-	}
-	return model.Bot, false
 }
 
 // finish records the outcome; React returns its result, retiring the
@@ -413,7 +374,7 @@ func (r *replica) React(aborted bool) bool {
 			return false // inbox drained; wait for the next wake
 		}
 		if r.stage == collecting {
-			r.handle(msg, posKey{slot: r.slot, inst: r.inst, round: r.round}, &r.tally)
+			r.handle(msg, posKey{slot: r.slot, inst: r.inst, round: r.round}, r.tally)
 		} else {
 			r.handle(msg, posKey{slot: r.slot, inst: r.maxInst + 1}, nil)
 		}
@@ -483,9 +444,9 @@ func (r *replica) openRound() bool {
 	r.ctr.AddConsInvocations(1)
 	r.net.Broadcast(r.id, instMsg{Slot: r.slot, Inst: r.inst, Round: r.round, Est: r.est})
 	cur := posKey{slot: r.slot, inst: r.inst, round: r.round}
-	r.tally.clear()
-	for _, pm := range r.pending[cur] {
-		r.tally.add(r.part, pm.from, pm.est)
+	r.tally.Reset()
+	for _, vote := range r.pending[cur] {
+		r.tally.Add(vote.From, vote.Est)
 	}
 	delete(r.pending, cur)
 	r.stage = collecting
@@ -504,12 +465,12 @@ func (r *replica) collected() bool {
 		// The whole slot is already settled; the instance outcome no
 		// longer matters.
 		r.commit(row.val)
-	case !r.tally.covers.IsMajority():
+	case !r.tally.Covered():
 		return false
 	default:
 		s := r.commonBit(r.slot, r.inst, r.round)
 		r.ctr.ObserveRound(int64(r.globalRound))
-		v, ok := r.tally.majority()
+		v, ok := r.tally.Majority()
 		switch {
 		case !ok:
 			r.est, r.stage = s, atRound
@@ -616,8 +577,8 @@ func Run(cfg Config) (*Result, error) {
 				slots:   cfg.Slots,
 				maxInst: 4 * n,
 				chunk:   min(cfg.Slots, rowChunk),
-				pending: make(map[posKey][]pendingMsg),
-				tally:   newTally(n),
+				pending: make(map[posKey][]model.Vote),
+				tally:   model.NewQuorum(cfg.Partition),
 			}
 		})
 	if err != nil {
