@@ -217,3 +217,35 @@ func TestMultivaluedFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAllCrashedRunPassesCheck: a run in which every process crashes at the
+// top of round 1 takes no step, so it neither decides nor quiesces — and
+// Check must accept that, with either coin, instead of reading the missing
+// quiescence as a liveness violation.
+func TestAllCrashedRunPassesCheck(t *testing.T) {
+	t.Parallel()
+	sched, err := CrashAllExcept(1, CrashPoint{Round: 1, Phase: 1, Stage: StageRoundStart})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []string{AlgoLocalCoin, AlgoCommonCoin} {
+		sc := Scenario{
+			Protocol:  ProtocolHybrid,
+			Algorithm: algo,
+			Topology:  Topology{Partition: Singletons(1)},
+			Workload:  Workload{Binary: []Value{One}},
+			Seed:      1,
+			Faults:    sched,
+		}
+		out, err := Run(sc)
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		if out.CountStatus(StatusCrashed) != 1 {
+			t.Fatalf("%s: %+v, want the one process crashed", algo, out.Procs)
+		}
+		if vs := Check(sc, out); vs != nil {
+			t.Errorf("%s: %v", algo, vs)
+		}
+	}
+}

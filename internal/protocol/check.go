@@ -46,7 +46,8 @@ type RawChecker interface {
 //   - liveness: a conclusive run with no crash decided everywhere; so did one
 //     of a one-for-all protocol (Info.OneForAll) whose live processes'
 //     clusters cover a majority; and when every crash struck at the top of
-//     round 1 and they do not, nobody decided and the run quiesced;
+//     round 1 and they do not, nobody decided and the run quiesced (which
+//     holds vacuously when no process is live);
 //   - cluster-uniformity, crash-stop and trace, over a recorded sc.Trace:
 //     one value per (cluster, round, phase) broadcast, no event after a
 //     process's crash, and every decide event matches the Outcome;
@@ -189,7 +190,11 @@ func checkLiveness(info Info, sc *Scenario, out *Outcome) error {
 		}
 		why = "the clusters of the live processes cover a majority"
 		if !covered && crashedAtStart(sc.Faults) {
-			if _, count, _ := out.Decided(); count > 0 || !out.Quiesced {
+			// With no live process left, "nobody decided and the run
+			// quiesced" holds vacuously: a run nobody steps in ends before
+			// it could quiesce.
+			live := len(out.Procs) - crashes
+			if _, count, _ := out.Decided(); count > 0 || (live > 0 && !out.Quiesced) {
 				return fmt.Errorf("the clusters of the live processes do not cover a majority and every crash struck at round 1's start, yet %d processes decided (quiesced %v)",
 					count, out.Quiesced)
 			}

@@ -93,6 +93,8 @@ func TestCheck(t *testing.T) {
 			quiesced(outcome("c", "b", "b")), []string{"liveness"}},
 		{"dead majority blocks", protocol.Scenario{Protocol: checkFlat, Workload: two, Faults: crashAtStart(t, 3, 0, 1)},
 			quiesced(outcome("c", "c", "b")), nil},
+		{"all crashed", protocol.Scenario{Protocol: checkFlat, Workload: two, Faults: crashAtStart(t, 3, 0, 1, 2)},
+			outcome("c", "c", "c"), nil},
 		{"dead majority decides", protocol.Scenario{Protocol: checkFlat, Workload: two, Faults: crashAtStart(t, 3, 0, 1)},
 			quiesced(outcome("c", "c", "d1")), []string{"liveness"}},
 		{"raw", protocol.Scenario{Protocol: checkFlat, Workload: two},
