@@ -131,7 +131,7 @@ type proc struct {
 	sched     *failures.Schedule
 	ctr       *metrics.Counters
 	h         *driver.Handle // the engine's abort/kill state
-	rng       *rand.Rand
+	subset    [2]uint64      // seeds the "arbitrary subset" of an interrupted broadcast
 	maxRounds int
 	memory    Memory // nil: Ben-Or's rounds have no memory step
 	pending   map[phaseKey][]model.Value
@@ -254,7 +254,9 @@ func (p *proc) beginExchange(ph int, est model.Value) bool {
 		plan, _ := p.sched.Plan(p.id)
 		recipients := plan.DeliverTo
 		if recipients == nil {
-			recipients = failures.RandomSubset(p.rng, p.n)
+			// A process cuts at most one broadcast: its subset stream
+			// starts here.
+			recipients = failures.RandomSubset(rand.New(rand.NewPCG(p.subset[0], p.subset[1])), p.n)
 		}
 		p.net.BroadcastSubset(p.id, msg, recipients)
 		return p.crash()
@@ -341,7 +343,7 @@ func newProc(cfg *Config, v *Variant, i int, nw *netsim.Network, ctr *metrics.Co
 		sched:     cfg.Crashes,
 		ctr:       ctr,
 		h:         h,
-		rng:       rand.New(rand.NewPCG(s1, s2)),
+		subset:    [2]uint64{s1, s2},
 		maxRounds: cfg.MaxRounds,
 		memory:    v.Memory,
 		pending:   make(map[phaseKey][]model.Value),

@@ -46,17 +46,20 @@ type Common interface {
 // PRNGLocal is not safe for concurrent use; each simulated process owns its
 // own coin, matching the model (local_coin is a per-process function).
 type PRNGLocal struct {
-	rng *rand.Rand
+	src rand.PCG
 }
 
 // NewPRNGLocal returns a local coin seeded with (seed1, seed2).
 func NewPRNGLocal(seed1, seed2 uint64) *PRNGLocal {
-	return &PRNGLocal{rng: rand.New(rand.NewPCG(seed1, seed2))}
+	c := new(PRNGLocal)
+	c.src.Seed(seed1, seed2)
+	return c
 }
 
-// Flip implements Local.
+// Flip implements Local. It reads the PCG directly: rand.Rand's Uint64 is
+// its source's.
 func (c *PRNGLocal) Flip() model.Value {
-	return model.BitToValue(c.rng.Uint64())
+	return model.BitToValue(c.src.Uint64())
 }
 
 // DeriveLocalSeed expands a run seed into a per-process seed pair so that

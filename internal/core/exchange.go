@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand/v2"
+
 	"allforone/internal/failures"
 	"allforone/internal/model"
 	"allforone/internal/netsim"
@@ -22,7 +24,9 @@ func (p *proc) beginExchange(ph int, est model.Value) bool {
 		plan, _ := p.sched.Plan(p.id)
 		recipients := plan.DeliverTo
 		if recipients == nil {
-			recipients = failures.RandomSubset(p.rng, p.part.N())
+			// A process cuts at most one broadcast: its subset stream
+			// starts here.
+			recipients = failures.RandomSubset(rand.New(rand.NewPCG(p.subset[0], p.subset[1])), p.part.N())
 		}
 		p.net.BroadcastSubset(p.id, msg, recipients)
 		return p.crash(ph)

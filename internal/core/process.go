@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/rand/v2"
-
 	"allforone/internal/coin"
 	"allforone/internal/consensusobj"
 	"allforone/internal/driver"
@@ -52,7 +50,7 @@ type proc struct {
 	ctr    *metrics.Counters
 	log    *trace.Log
 	h      *driver.Handle // the engine's abort/kill state (see internal/driver)
-	rng    *rand.Rand     // drives the "arbitrary subset" of interrupted broadcasts
+	subset [2]uint64      // seeds the "arbitrary subset" of an interrupted broadcast
 	store  *outcome       // this process's slot of the run's outcomes
 
 	alg       Algorithm

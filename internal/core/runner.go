@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"time"
 
 	"allforone/internal/coin"
@@ -221,7 +220,7 @@ func (env *execEnv) newProc(cfg *Config, i int, h *driver.Handle) *proc {
 		ctr:           &env.ctr,
 		log:           cfg.Trace,
 		h:             h,
-		rng:           rand.New(rand.NewPCG(s1, s2)),
+		subset:        [2]uint64{s1, s2},
 		store:         &env.outcomes[i],
 		alg:           cfg.Algorithm,
 		maxRounds:     cfg.MaxRounds,

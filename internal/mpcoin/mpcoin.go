@@ -85,7 +85,7 @@ type proc struct {
 	sched     *failures.Schedule
 	ctr       *metrics.Counters
 	h         *driver.Handle // the engine's abort/kill state
-	rng       *rand.Rand
+	subset    [2]uint64      // seeds the "arbitrary subset" of an interrupted broadcast
 	maxRounds int
 	pending   map[int][]model.Value // round -> buffered estimates
 	store     *sim.ProcResult       // this process's slot of the Result
@@ -176,7 +176,9 @@ func (p *proc) nextRound() bool {
 		plan, _ := p.sched.Plan(p.id)
 		recipients := plan.DeliverTo
 		if recipients == nil {
-			recipients = failures.RandomSubset(p.rng, p.n)
+			// A process cuts at most one broadcast: its subset stream
+			// starts here.
+			recipients = failures.RandomSubset(rand.New(rand.NewPCG(p.subset[0], p.subset[1])), p.n)
 		}
 		p.net.BroadcastSubset(p.id, estMsg{round: p.r, est: p.est}, recipients)
 		return p.finish(sim.ProcResult{Status: sim.StatusCrashed, Round: p.r})
@@ -239,7 +241,7 @@ func newProc(cfg *Config, i int, nw *netsim.Network, commonCoin coin.Common, ctr
 		common:    commonCoin,
 		sched:     cfg.Crashes,
 		ctr:       ctr,
-		rng:       rand.New(rand.NewPCG(s1, s2)),
+		subset:    [2]uint64{s1, s2},
 		maxRounds: cfg.MaxRounds,
 		pending:   make(map[int][]model.Value),
 		est:       cfg.Proposals[i],
