@@ -17,6 +17,7 @@ package driver
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"allforone/internal/failures"
@@ -221,8 +222,9 @@ func (w *wakeup) Fire() { w.proc.Wake() }
 // discrete-event scheduler and returns the engine-level outcome: same
 // inputs, same Outcome. It owns the run's lifecycle: crash-schedule
 // validation, clock and network construction, process spawning, timed crash
-// installation, the run itself, and network shutdown. Blocked runs end at
-// quiescence.
+// installation, the run itself, network shutdown, and handing the clock —
+// with the network riding on it — back for the next run
+// (vclock.Scheduler.Recycle). Blocked runs end at quiescence.
 func RunHandlers(cfg Config, n int, newNet NewNetFunc, mk HandlerBody) (Outcome, error) {
 	if err := cfg.Crashes.ValidateFor(n); err != nil {
 		return Outcome{}, fmt.Errorf("%w: %v", ErrBadCrashes, err)
@@ -247,7 +249,7 @@ func RunHandlers(cfg Config, n int, newNet NewNetFunc, mk HandlerBody) (Outcome,
 		h := &handles[i]
 		h.clock = clock
 		r := mk(i, h)
-		h.proc = clock.SpawnHandler(fmt.Sprintf("p%d", i), func(aborted bool) {
+		h.proc = clock.SpawnHandler(procName(i), func(aborted bool) {
 			if r.React(aborted) {
 				h.proc.Finish()
 				closeInbox(nw, i)
@@ -272,6 +274,7 @@ func RunHandlers(cfg Config, n int, newNet NewNetFunc, mk HandlerBody) (Outcome,
 	if nw != nil {
 		nw.Shutdown()
 	}
+	clock.Recycle()
 	return Outcome{
 		Elapsed:          time.Duration(out.Now),
 		VirtualTime:      time.Duration(out.Now),
@@ -281,6 +284,23 @@ func RunHandlers(cfg Config, n int, newNet NewNetFunc, mk HandlerBody) (Outcome,
 		StepsExceeded:    out.StepsExceeded,
 		Sched:            out.Stats,
 	}, nil
+}
+
+// procNames holds the names of the processes of every unsharded run
+// (vclock.ShardsFor), which start by the thousand.
+var procNames = func() (names [256]string) {
+	for i := range names {
+		names[i] = "p" + strconv.Itoa(i)
+	}
+	return names
+}()
+
+// procName returns process i's diagnostic name, "p<i>".
+func procName(i int) string {
+	if i < len(procNames) {
+		return procNames[i]
+	}
+	return "p" + strconv.Itoa(i)
 }
 
 // closeInbox closes process i's inbox once its body has finished.

@@ -37,6 +37,14 @@ type Virtual[T any] struct {
 // before the first Put.
 func NewVirtual[T any]() *Virtual[T] { return &Virtual[T]{} }
 
+// Reset empties the inbox for another run, keeping its ring: the queued
+// items are dropped, the consumer unbound and the inbox reopened — as
+// NewVirtual returns it, but with the capacity the ring grew.
+func (v *Virtual[T]) Reset() {
+	clear(v.buf)
+	*v = Virtual[T]{buf: v.buf}
+}
+
 // Bind attaches the consumer process that Put and Close wake.
 func (v *Virtual[T]) Bind(p *vclock.Proc) { v.waiter = p }
 

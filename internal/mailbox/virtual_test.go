@@ -170,3 +170,30 @@ func TestVirtualLenAndCompaction(t *testing.T) {
 		t.Fatalf("Len = %d after draining, want 0", box.Len())
 	}
 }
+
+// Reset returns an inbox to NewVirtual's state — open, unbound, empty, with
+// no item left anywhere in its ring — and keeps the ring's capacity.
+func TestVirtualReset(t *testing.T) {
+	s := vclock.New()
+	box := NewVirtual[*int]()
+	box.Bind(s.SpawnHandler("c", func(bool) {}))
+	for i := 0; i < 11; i++ {
+		box.Put(new(int))
+	}
+	box.TryGet()
+	box.Close()
+	ring := cap(box.buf)
+	box.Reset()
+	if box.Len() != 0 || box.Closed() || box.waiter != nil || box.head != 0 || cap(box.buf) != ring {
+		t.Fatalf("after Reset: len %d closed %v waiter %v head %d cap %d (was %d)",
+			box.Len(), box.Closed(), box.waiter, box.head, cap(box.buf), ring)
+	}
+	for i, p := range box.buf {
+		if p != nil {
+			t.Fatalf("ring slot %d still holds an item", i)
+		}
+	}
+	if !box.Put(new(int)) || box.Len() != 1 {
+		t.Fatal("a reset inbox does not take a Put")
+	}
+}

@@ -135,20 +135,29 @@ func WithScheduler(s *vclock.Scheduler) Option {
 // Network is the simulated fully connected reliable asynchronous network
 // for n processes. The scheduler's single execution token serializes every
 // call.
+//
+// A network outlives its run: Shutdown stores it in its scheduler's keep slot
+// (vclock.Scheduler.Keep), and when the driver recycles the scheduler, the
+// next New on it takes the network back (recycle) instead of building one.
 type Network struct {
 	n      int
-	vboxes []*mailbox.Virtual[Message]
+	vboxes []*mailbox.Virtual[Message] // past its length: boxes a larger run left, reset
 	opts   options
-	rng    *rand.Rand
-	closed bool // set by Shutdown, once the run is over
+	src    rand.PCG   // the delay stream, reseeded by New
+	rng    *rand.Rand // over src
+	closed bool       // set by Shutdown, once the run is over
 
 	// Event pools (guarded by the scheduler's execution token, like
 	// everything else here). Delivery and fanout events cycle through
 	// these freelists instead of allocating one closure plus one heap box
-	// per message — the zero-alloc delivery path.
+	// per message — the zero-alloc delivery path. fanouts and deliveries
+	// record every event of the network-global pools ever made, so that
+	// recycle can return the ones still in flight when a run ended.
 	freeDeliveries []*delivery
 	freeFanouts    []*fanout
-	everyone       []model.ProcID // the 0 … n-1 recipient list (SendAll); built once in New
+	deliveries     []*delivery
+	fanouts        []*fanout
+	everyone       []model.ProcID // the 0 … n-1 recipient list (SendAll); built in New
 	packKeys       []uint64       // packed-word scratch (sendFan), hot across broadcasts
 	closedBox      []uint64       // closed-inbox bitmap, mirrors vboxes[i].Closed()
 
@@ -325,9 +334,10 @@ func sortRun[K fanKey](h []K, from int, sh uint8) int {
 // to, sent at instant now: words holds packFan's words for them, in list
 // order, and minDelay/maxDelay bound their delay fields. It returns the first
 // arrival instant. The entry slice is sized exactly, here, where the form is
-// known: a fanout whose tail arrivals outlive the run never returns to the
-// pool, so an append-doubling growth chain would be paid — allocation, copy,
-// and write barrier — once per broadcast, not amortized across reuses.
+// known: a fanout whose tail arrivals outlive the run returns to its pool
+// only when the network is recycled, and a sharded one never does, so an
+// append-doubling growth chain would be paid — allocation, copy, and write
+// barrier — once per broadcast, not amortized across reuses.
 func (f *fanout) load(words []uint64, to []model.ProcID, now vclock.Time, minDelay, maxDelay uint64) vclock.Time {
 	f.to = to
 	f.base = now + vclock.Time(minDelay)
@@ -404,28 +414,35 @@ func (f *fanout) release() {
 	f.nw.freeFanouts = append(f.nw.freeFanouts, f)
 }
 
-// getDelivery pops a pooled delivery event or makes one.
+// getDelivery pops a pooled delivery event or makes, and records, one.
 func (nw *Network) getDelivery() *delivery {
 	if k := len(nw.freeDeliveries); k > 0 {
 		d := nw.freeDeliveries[k-1]
 		nw.freeDeliveries = nw.freeDeliveries[:k-1]
 		return d
 	}
-	return &delivery{nw: nw, shard: -1}
+	d := &delivery{nw: nw, shard: -1}
+	nw.deliveries = append(nw.deliveries, d)
+	return d
 }
 
-// getFanout pops a pooled fanout event or makes one; load sizes its entries.
+// getFanout pops a pooled fanout event or makes, and records, one; load
+// sizes its entries.
 func (nw *Network) getFanout() *fanout {
 	if k := len(nw.freeFanouts); k > 0 {
 		f := nw.freeFanouts[k-1]
 		nw.freeFanouts = nw.freeFanouts[:k-1]
 		return f
 	}
-	return &fanout{nw: nw, shard: -1}
+	f := &fanout{nw: nw, shard: -1}
+	nw.fanouts = append(nw.fanouts, f)
+	return f
 }
 
 // New returns a network connecting processes 0 … n-1 on the scheduler
-// given by WithScheduler.
+// given by WithScheduler. On a scheduler an earlier run handed back with
+// vclock.Scheduler.Recycle it reuses that run's network, as recycle leaves
+// it, with the storage the run grew.
 func New(n int, opts ...Option) (*Network, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("netsim: need at least one process, got %d", n)
@@ -438,18 +455,32 @@ func New(n int, opts ...Option) (*Network, error) {
 		return nil, fmt.Errorf("netsim: no scheduler (WithScheduler is required)")
 	}
 	o.resolvePolicy()
-	nw := &Network{
-		n:         n,
-		opts:      o,
-		rng:       rand.New(rand.NewPCG(o.seed, o.seed^0xda3e39cb94b95bdb)),
-		everyone:  make([]model.ProcID, n),
-		vboxes:    make([]*mailbox.Virtual[Message], n),
-		closedBox: make([]uint64, (n+63)/64),
+	nw, _ := o.sched.Kept().(*Network)
+	if nw != nil {
+		nw.recycle()
+	} else {
+		nw = new(Network)
+		nw.rng = rand.New(&nw.src)
 	}
+	nw.n, nw.opts = n, o
+	nw.src.Seed(o.seed, o.seed^0xda3e39cb94b95bdb)
+	nw.everyone = slices.Grow(nw.everyone[:0], n)[:n]
 	for i := range nw.everyone {
 		nw.everyone[i] = model.ProcID(i)
-		nw.vboxes[i] = mailbox.NewVirtual[Message]()
 	}
+	words := (n + 63) / 64
+	nw.closedBox = slices.Grow(nw.closedBox[:0], words)[:words]
+	clear(nw.closedBox)
+	if n > cap(nw.vboxes) {
+		nw.vboxes = slices.Grow(nw.vboxes, n-len(nw.vboxes))
+	}
+	for k := len(nw.vboxes); k < n; k++ {
+		nw.vboxes = nw.vboxes[:k+1]
+		if nw.vboxes[k] == nil {
+			nw.vboxes[k] = mailbox.NewVirtual[Message]()
+		}
+	}
+	nw.vboxes = nw.vboxes[:n]
 	if sc := o.sched.ShardCount(); sc > 0 && o.delays() {
 		// The scheduler is sharded and sends have per-recipient delay
 		// work worth fanning out: engage the sharded expansion path
@@ -654,11 +685,40 @@ func (nw *Network) boxClosed(to model.ProcID) bool {
 	return nw.closedBox[to>>6]&(1<<(uint(to)&63)) != 0
 }
 
-// Shutdown closes every inbox. The network must not be used after Shutdown.
+// Shutdown closes every inbox and hands the network to its scheduler's keep
+// slot, for New to reuse once the scheduler is recycled. The network must not
+// be used after Shutdown.
 func (nw *Network) Shutdown() {
 	nw.closed = true
 	for i, b := range nw.vboxes {
 		b.Close()
 		nw.closedBox[i>>6] |= 1 << (uint(i) & 63)
 	}
+	nw.opts.sched.Keep(nw)
+}
+
+// recycle readies a network whose run is over — it was shut down and its
+// scheduler recycled, so none of its events is pending anywhere — for New:
+// every fanout and delivery it made goes back on its freelist, cleared, the
+// ones still in flight when the run ended too, and every inbox is emptied and
+// reopened. The payload pool is dropped: its objects belong to the run's
+// protocol. Nothing of the finished run stays reachable from the network.
+// Only an unsharded network reaches here, since sharded schedulers are never
+// recycled.
+func (nw *Network) recycle() {
+	for _, f := range nw.fanouts {
+		f.payload, f.to = nil, nil
+		f.keys, f.wide = f.keys[:0], f.wide[:0]
+	}
+	nw.freeFanouts = append(nw.freeFanouts[:0], nw.fanouts...)
+	for _, d := range nw.deliveries {
+		d.box, d.msg = nil, Message{}
+	}
+	nw.freeDeliveries = append(nw.freeDeliveries[:0], nw.deliveries...)
+	for _, b := range nw.vboxes {
+		b.Reset()
+	}
+	clear(nw.freePayloads)
+	nw.freePayloads = nw.freePayloads[:0]
+	nw.closed = false
 }

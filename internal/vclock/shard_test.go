@@ -287,9 +287,9 @@ func TestWithShardsZeroIsUnsharded(t *testing.T) {
 }
 
 // TestShardedSchedulerOwnsItsSlots: a sharded scheduler's bucket array is its
-// own from New on, and Run's Release keeps it there instead of handing it to
-// the pool, where its grown buckets would reach a later run or not as the
-// collector's timing decided.
+// own from New on, and Run and Recycle leave it there instead of handing the
+// scheduler to the pool, where its grown buckets would reach a later run or
+// not as the collector's timing decided.
 func TestShardedSchedulerOwnsItsSlots(t *testing.T) {
 	s := New(WithShards(4))
 	own := s.wheel.slots
@@ -303,7 +303,8 @@ func TestShardedSchedulerOwnsItsSlots(t *testing.T) {
 	if len(tr.lines) != 13 {
 		t.Fatalf("pops %v, want the 12 staged events and the far mark", tr.lines)
 	}
-	if s.wheel.slots != own {
-		t.Fatalf("after Run the wheel holds array %p, want its own %p", s.wheel.slots, own)
+	s.Recycle()
+	if s.wheel.slots != own || s.now == 0 {
+		t.Fatalf("after Run and Recycle the wheel holds array %p at now=%d, want its own %p, untouched", s.wheel.slots, s.now, own)
 	}
 }

@@ -301,20 +301,12 @@ type wheel struct {
 // — plus the shelf: a stack of empty backing arrays. Opening a slot shelves
 // the drained run's array, and the first insert into an empty bucket takes
 // one off the shelf, so the storage a run keeps follows the buckets in flight
-// at once, not 256 times the deepest bucket. An unsharded scheduler borrows
-// one from slotArrays at its first bucket insert and hands it back at
-// Release, so a short run (the paper's n=7 trials process ~160 events)
-// neither zeroes a fresh array nor regrows its buckets.
-//
-// A sharded scheduler owns its array (WithShards) and drops it with itself.
-// Its arrays grow to the depth of a large topology's flush windows — about
-// 5 MB in all at n=10000 — and the pool would carry that capacity into
-// whichever run drew the array next, or not, as the collector's timing
-// decided (sync.Pool empties over two collections).
-//
-// Clear-on-return invariant: an array in the pool holds 256 nil buckets and
-// shelved arrays that contain no event — no Event pointer of a finished run
-// stays reachable, and nothing a run does can depend on which array it drew.
+// at once, not 256 times the deepest bucket. The array belongs to its
+// scheduler and travels with it when Recycle hands the scheduler to a later
+// run (see Scheduler.Recycle): a short run (the paper's n=7 trials process
+// ~160 events) neither zeroes a fresh array nor regrows its buckets. reset
+// empties it the same way the shelf is kept: every bucket nil, and shelved
+// arrays that contain no event.
 type slotArray struct {
 	buckets [wheelSlots][]event
 	shelf   [][]event // every one of length 0, every entry zero
@@ -340,38 +332,27 @@ func (st *slotArray) unshelve() []event {
 	return a
 }
 
-var slotArrays = sync.Pool{New: func() any { return new(slotArray) }}
-
-// detachSlots takes the bucket array off the wheel, with the open slot's run
-// shelved on it, dropping the events still waiting in either (the run is over
-// or aborted and would never pop them), and returns it in the state the pool
-// requires; nil if the wheel holds none.
-func (w *wheel) detachSlots() *slotArray {
+// reset empties the wheel for another run at virtual time zero, keeping its
+// storage: the events still pending in any tier are dropped (the run is over
+// or aborted and would never pop them) and zeroed, every bucket's array and
+// the open slot's run go onto the shelf, and the heaps and the order keep
+// their capacity.
+func (w *wheel) reset() {
 	st := w.slots
-	if st == nil {
-		return nil
-	}
-	w.slots = nil
-	if w.wheelCount > 0 {
-		for i := range st.buckets {
-			clear(st.buckets[i])
-			st.shelve(st.buckets[i])
-			st.buckets[i] = nil
+	if st != nil {
+		if w.wheelCount > 0 {
+			for i := range st.buckets {
+				clear(st.buckets[i])
+				st.shelve(st.buckets[i])
+				st.buckets[i] = nil
+			}
 		}
-		w.wheelCount = 0
+		clear(w.run)
+		st.shelve(w.run)
 	}
-	clear(w.run)
-	st.shelve(w.run)
-	w.run, w.order = nil, w.order[:0]
-	return st
-}
-
-// recycleSlots returns the wheel's bucket array to the pool. Idempotent; a
-// later insert borrows a new array.
-func (w *wheel) recycleSlots() {
-	if st := w.detachSlots(); st != nil {
-		slotArrays.Put(st)
-	}
+	clear(w.late)
+	clear(w.overflow)
+	*w = wheel{slots: st, order: w.order[:0], late: w.late[:0], overflow: w.overflow[:0]}
 }
 
 // insert routes an event to its tier: the open slot's late heap, a wheel
@@ -389,7 +370,7 @@ func (w *wheel) insert(ev event) {
 		}
 	case slot < w.curSlot+wheelSlots:
 		if w.slots == nil {
-			w.slots = slotArrays.Get().(*slotArray)
+			w.slots = new(slotArray)
 		}
 		b := &w.slots.buckets[slot&wheelMask]
 		if *b == nil {
@@ -731,13 +712,13 @@ type Scheduler struct {
 	earliest Time
 	ins      ShardInserter
 
-	procs    []*Proc
+	procs    []*Proc // past its length: zeroed Procs a recycled run left (newProc)
 	spawned  int
 	live     int
 	runnable []*Proc // FIFO; head index below avoids reallocating on pop
 	runHead  int
 
-	yield chan struct{} // proc → scheduler: "I parked or finished"
+	yield chan struct{} // proc → scheduler: "I parked or finished"; made by the first Spawn
 
 	deadline Time  // 0 = none
 	maxSteps int64 // 0 = none
@@ -745,7 +726,15 @@ type Scheduler struct {
 
 	aborted bool
 	outcome Outcome
+
+	// The keep slot: keep is what this run stored with Keep, kept what an
+	// earlier run on the scheduler stored, handed on by Recycle.
+	keep, kept any
 }
+
+// schedulers holds the schedulers Recycle handed back, every one of them
+// unsharded, coroutine-free and cleared; New draws from it.
+var schedulers sync.Pool
 
 // Option customizes a Scheduler.
 type Option func(*Scheduler)
@@ -767,7 +756,8 @@ func WithMaxSteps(n int64) Option {
 // the network maps each shard to a recipient stripe with its own stream; see
 // the package comment. Every shard inserts into the one wheel. Zero shards
 // keeps the scheduler unsharded and makes the option a no-op. A sharded
-// scheduler owns its bucket array instead of borrowing one (see slotArray).
+// scheduler holds a bucket array from New on, and is never recycled (see
+// Recycle).
 // Any further argument is ignored; it is accepted, and deprecated, so that
 // callers of the old two-argument form WithShards(shards, workers) still
 // compile.
@@ -775,15 +765,21 @@ func WithShards(shards int, _ ...int) Option {
 	return func(s *Scheduler) {
 		if shards > 0 {
 			s.shards = min(shards, NumShards)
-			s.wheel.slots = new(slotArray)
+			if s.wheel.slots == nil {
+				s.wheel.slots = new(slotArray)
+			}
 		}
 	}
 }
 
-// New returns an empty scheduler at virtual time zero.
+// New returns an empty scheduler at virtual time zero: one an earlier run
+// handed back with Recycle, with the storage that run grew, or a new one.
 func New(opts ...Option) *Scheduler {
-	s := &Scheduler{yield: make(chan struct{}), earliest: maxTime}
-	s.ins.s = s
+	s, _ := schedulers.Get().(*Scheduler)
+	if s == nil {
+		s = &Scheduler{earliest: maxTime}
+		s.ins.s = s
+	}
 	for _, o := range opts {
 		o(s)
 	}
@@ -927,9 +923,12 @@ func (s *Scheduler) next() (Time, bool) {
 // first step when Run reaches it (spawn order for coroutines spawned before
 // Run). Spawning from a running coroutine or an event callback is allowed.
 func (s *Scheduler) Spawn(name string, fn func()) *Proc {
-	p := &Proc{s: s, name: name, resume: make(chan bool)}
+	if s.yield == nil {
+		s.yield = make(chan struct{})
+	}
+	p := s.newProc()
+	p.s, p.name, p.resume = s, name, make(chan bool)
 	p.state = stateRunnable
-	s.procs = append(s.procs, p)
 	s.spawned++
 	s.live++
 	s.pushRunnable(p)
@@ -960,12 +959,27 @@ func (s *Scheduler) Spawn(name string, fn func()) *Proc {
 //     step budget): the handler must record its blocked outcome and call
 //     Finish — the inline analogue of Park returning false.
 func (s *Scheduler) SpawnHandler(name string, fn func(aborted bool)) *Proc {
-	p := &Proc{s: s, name: name, handler: fn}
+	p := s.newProc()
+	p.s, p.name, p.handler = s, name, fn
 	p.state = stateRunnable
-	s.procs = append(s.procs, p)
 	s.spawned++
 	s.live++
 	s.pushRunnable(p)
+	return p
+}
+
+// newProc appends a zero Proc to procs: one a recycled run left past the
+// slice's length, or a new one.
+func (s *Scheduler) newProc() *Proc {
+	n := len(s.procs)
+	if n < cap(s.procs) {
+		if p := s.procs[:n+1][n]; p != nil {
+			s.procs = s.procs[:n+1]
+			return p
+		}
+	}
+	p := new(Proc)
+	s.procs = append(s.procs, p)
 	return p
 }
 
@@ -1050,18 +1064,12 @@ func (s *Scheduler) stepHandler(p *Proc) {
 // otherwise leak) and for Runs unwound by a panicking event callback
 // (parked coroutines would leak the same way); Run invokes it on the way
 // out, and callers that build a scheduler but may abandon it should defer
-// it themselves. In every case an unsharded scheduler hands the wheel's
-// bucket array back to its pool, dropping the events still pending there; a
-// sharded one keeps its own (see slotArray). After a completed Run that is
-// all it does; calling it twice is a no-op.
+// it themselves. After a completed Run it does nothing; calling it twice is a
+// no-op.
 //
 // Release must be called from the goroutine that owns the scheduler, never
 // from event callbacks or process bodies.
 func (s *Scheduler) Release() {
-	// Last, because an unwinding coroutine may still schedule events.
-	if s.shards == 0 {
-		defer s.wheel.recycleSlots()
-	}
 	if s.live == 0 {
 		return // nothing unfinished — notably after every completed Run
 	}
@@ -1097,8 +1105,7 @@ func (s *Scheduler) Release() {
 // Run must be called exactly once per Scheduler.
 func (s *Scheduler) Run() Outcome {
 	// On a panicking event callback it releases every coroutine goroutine
-	// (birth-gated or parked) instead of leaking them; it always recycles
-	// a borrowed bucket array.
+	// (birth-gated or parked) instead of leaking them.
 	defer s.Release()
 	for {
 		if p := s.popRunnable(); p != nil {
@@ -1153,4 +1160,66 @@ func (s *Scheduler) Run() Outcome {
 		s.outcome.Stats = s.Stats()
 		return s.outcome
 	}
+}
+
+// Keep stores v for the next run on this scheduler: once Recycle has handed
+// the scheduler on, that run's Kept returns it. The scheduler never looks
+// inside v. A later Keep in the same run replaces it.
+func (s *Scheduler) Keep(v any) { s.keep = v }
+
+// Kept returns, once, what the run before this one stored with Keep — nil on
+// a new scheduler, after the first call, and for anything stored in this run
+// (it becomes Kept only through Recycle).
+func (s *Scheduler) Kept() any {
+	v := s.kept
+	s.kept = nil
+	return v
+}
+
+// Recycle hands the scheduler back for a later New, once Run has returned and
+// the caller has read the Outcome; the caller must not use it, or any Proc it
+// spawned, afterwards. The scheduler is cleared as the next run needs it —
+// virtual time zero, no event pending in any tier, no job, no runnable or
+// live process, zero stats and Outcome — and keeps the storage this run grew:
+// the bucket array and its shelf, the heaps, the run queue and the Procs,
+// each zeroed, for SpawnHandler to reuse. Nothing a finished run did stays
+// reachable from it but the value it stored with Keep, which becomes the
+// next run's Kept and which its owner clears when it takes it back.
+//
+// A sharded scheduler is not recycled: its arrays grow to the depth of a
+// large topology's flush windows — about 5 MB in all at n=10000 — and the
+// pool would carry that capacity into whichever run drew the scheduler next,
+// or not, as the collector's timing decided (a sync.Pool empties over two
+// collections). Neither is one that ever ran Spawn, whose goroutines may
+// outlive Run. Recycle leaves both as they are, for the collector.
+func (s *Scheduler) Recycle() {
+	if s.shards > 0 || s.yield != nil {
+		return
+	}
+	s.reset()
+	schedulers.Put(s)
+}
+
+// reset clears s as Recycle describes.
+func (s *Scheduler) reset() {
+	s.wheel.reset()
+	for _, p := range s.procs {
+		*p = Proc{}
+	}
+	clear(s.runnable)
+	clear(s.jobs)
+	kept := s.keep
+	if kept == nil {
+		kept = s.kept
+	}
+	*s = Scheduler{
+		wheel:    s.wheel,
+		scratch:  s.scratch,
+		jobs:     s.jobs[:0],
+		earliest: maxTime,
+		procs:    s.procs[:0],
+		runnable: s.runnable[:0],
+		kept:     kept,
+	}
+	s.ins.s = s
 }

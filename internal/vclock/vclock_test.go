@@ -476,21 +476,25 @@ func TestAtEventZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestDetachSlotsLeavesNoEvent: the bucket array a cut-short run hands back
-// must carry nothing of that run — every bucket nil, and no event (hence no
-// Event pointer) left anywhere on the shelf, which holds the buckets' backing
-// arrays and the open slot's run — while keeping the capacity the run grew.
-func TestDetachSlotsLeavesNoEvent(t *testing.T) {
+// TestRecycleLeavesNoState: a scheduler a cut-short run hands back must carry
+// nothing of that run — no event in any heap or bucket, every bucket nil and
+// no event (hence no Event pointer) left anywhere on the shelf, which holds the
+// buckets' backing arrays and the open slot's run; no Proc holding a handler,
+// no runnable entry, no job — while keeping the capacity the run grew.
+func TestRecycleLeavesNoState(t *testing.T) {
 	s := New()
 	rng := rand.New(rand.NewPCG(5, 8))
-	const events = 4000
+	const events, procs = 4000, 9
 	for i := 0; i < events; i++ {
 		// Up to 8ms ahead: about half start in the overflow heap and cascade
 		// into the buckets as the window moves.
 		s.AtEvent(Time(rng.Int64N(8_000_000)), &cyclingEvent{})
 	}
+	for i := 0; i < procs; i++ {
+		s.SpawnHandler("h", func(bool) {})
+	}
 	// A run cut short: pop a third of the events, leaving the rest pending
-	// in the active heap, the buckets and the overflow heap.
+	// in the open slot's run and late heap, the buckets and the overflow heap.
 	last := Time(0)
 	for i := 0; i < events/3; i++ {
 		if _, ok := s.next(); !ok {
@@ -501,41 +505,157 @@ func TestDetachSlotsLeavesNoEvent(t *testing.T) {
 			t.Fatalf("pop %d went back in time: %d after %d", i, ev.at, last)
 		}
 		last = ev.at
+		s.now = ev.at
 	}
-	if s.wheel.wheelCount == 0 {
-		t.Fatal("no event pending in the buckets; the test would check nothing")
+	s.AtEvent(s.now, &cyclingEvent{}) // into the open slot's late heap
+	if s.wheel.wheelCount == 0 || len(s.wheel.late) == 0 || len(s.wheel.overflow) == 0 || len(s.wheel.order) == 0 {
+		t.Fatalf("a tier holds no pending event; the test would check nothing there: buckets %d late %d overflow %d run %d",
+			s.wheel.wheelCount, len(s.wheel.late), len(s.wheel.overflow), len(s.wheel.order))
 	}
-	held := s.wheel.slots
-	st := s.wheel.detachSlots()
-	if st == nil || st != held {
-		t.Fatalf("detachSlots = %p, want the wheel's array %p", st, held)
+	held, procsHeld := s.wheel.slots, s.procs
+	s.reset()
+
+	w := &s.wheel
+	if w.slots != held {
+		t.Fatalf("reset dropped the bucket array %p for %p", held, w.slots)
 	}
-	if s.wheel.slots != nil || s.wheel.wheelCount != 0 || s.wheel.run != nil || len(s.wheel.order) != 0 {
-		t.Fatalf("wheel still holds slots=%p wheelCount=%d run=%d order=%d",
-			s.wheel.slots, s.wheel.wheelCount, len(s.wheel.run), len(s.wheel.order))
+	if s.pending() != 0 || w.run != nil || w.curSlot != 0 || s.now != 0 || s.seq != 0 {
+		t.Fatalf("reset left pending=%d run=%d curSlot=%d now=%d seq=%d", s.pending(), len(w.run), w.curSlot, s.now, s.seq)
 	}
-	for i, b := range st.buckets {
-		if b != nil {
-			t.Fatalf("bucket %d returned with %d events in %d slots", i, len(b), cap(b))
+	for _, tier := range [][]event{w.late[:cap(w.late)], w.overflow[:cap(w.overflow)]} {
+		for i, ev := range tier {
+			if ev != (event{}) {
+				t.Fatalf("a heap keeps %+v at %d of its capacity", ev, i)
+			}
 		}
 	}
-	checkShelf(t, st, nil)
+	for i, b := range w.slots.buckets {
+		if b != nil {
+			t.Fatalf("bucket %d kept %d events in %d slots", i, len(b), cap(b))
+		}
+	}
+	checkShelf(t, w.slots, nil)
 	capacity := 0
-	for _, a := range st.shelf {
+	for _, a := range w.slots.shelf {
 		capacity += cap(a)
 	}
 	if capacity == 0 {
-		t.Fatal("the array kept none of the bucket capacity the run grew")
+		t.Fatal("the scheduler kept none of the bucket capacity the run grew")
 	}
-	if s.wheel.detachSlots() != nil {
-		t.Fatal("second detachSlots returned an array")
+	if len(s.procs) != 0 || cap(s.procs) != cap(procsHeld) || s.live != 0 || s.spawned != 0 {
+		t.Fatalf("reset left procs=%d/%d live=%d spawned=%d", len(s.procs), cap(s.procs), s.live, s.spawned)
 	}
-	// The wheel stays usable: a later insert borrows a fresh array.
-	s.AtEvent(last+Time(100_000), &cyclingEvent{})
-	if s.wheel.slots == nil {
-		t.Fatal("insert after detach did not borrow an array")
+	for i, p := range procsHeld {
+		if p.s != nil || p.name != "" || p.state != 0 || p.resume != nil || p.handler != nil || p.rewake {
+			t.Fatalf("proc %d kept %+v", i, *p)
+		}
 	}
-	s.wheel.recycleSlots()
+	for i, p := range s.runnable[:cap(s.runnable)] {
+		if p != nil {
+			t.Fatalf("run queue keeps a proc at %d of its capacity", i)
+		}
+	}
+	if s.Stats() != (SchedulerStats{}) || s.outcome != (Outcome{}) || s.earliest != maxTime {
+		t.Fatalf("reset left stats %+v, outcome %+v, earliest %d", s.Stats(), s.outcome, s.earliest)
+	}
+
+	// The scheduler runs again as a new one would, on its zeroed Procs.
+	var order []int
+	for i := 0; i < procs; i++ {
+		var p *Proc
+		p = s.SpawnHandler("again", func(bool) { order = append(order, i); p.Finish() })
+		if p != procsHeld[i] {
+			t.Fatalf("SpawnHandler %d made a Proc instead of reusing a zeroed one", i)
+		}
+	}
+	if out := s.Run(); out.Now != 0 || out.Steps != 0 || out.Aborted() || len(order) != procs {
+		t.Fatalf("rerun: %+v, %d procs stepped", out, len(order))
+	}
+}
+
+// TestRecycleClearsJobs: a scheduler cleared with jobs still registered keeps
+// none of them, in the slice's capacity either.
+func TestRecycleClearsJobs(t *testing.T) {
+	s := New(WithShards(4))
+	tr := &trace{s: s}
+	(&recJob{tr: tr, name: "j", base: 100 * us, perShard: 3}).submit()
+	(&recJob{tr: tr, name: "k", base: 200 * us, perShard: 3}).submit()
+	jobs := s.jobs
+	s.reset()
+	if len(s.jobs) != 0 || s.earliest != maxTime {
+		t.Fatalf("reset left %d jobs, earliest %d", len(s.jobs), s.earliest)
+	}
+	for i, j := range jobs[:cap(jobs)] {
+		if j != (shardTask{}) {
+			t.Fatalf("job slot %d keeps %+v", i, j)
+		}
+	}
+}
+
+// TestRecycleKeepsAndPools: Kept hands on, once, what the previous run
+// stored with Keep and nothing of the current run's; Recycle puts unsharded,
+// coroutine-free schedulers in the pool and leaves the others out.
+func TestRecycleKeepsAndPools(t *testing.T) {
+	s := new(Scheduler)
+	s.ins.s, s.earliest = s, maxTime
+	if s.Kept() != nil {
+		t.Fatal("a new scheduler has something kept")
+	}
+	s.Keep("first")
+	if s.Kept() != nil {
+		t.Fatal("Kept returned this run's value before Recycle")
+	}
+	s.reset()
+	if v := s.Kept(); v != "first" {
+		t.Fatalf("after reset Kept = %v, want first", v)
+	}
+	if s.Kept() != nil {
+		t.Fatal("Kept returned the value twice")
+	}
+	s.Keep("second")
+	s.reset()
+	s.reset() // a run that keeps nothing hands the earlier value on
+	if v := s.Kept(); v != "second" {
+		t.Fatalf("after two resets Kept = %v, want second", v)
+	}
+
+	co := New()
+	co.Spawn("c", func() {})
+	co.Run()
+	co.Recycle()
+	if co.yield == nil || co.spawned != 1 {
+		t.Fatal("Recycle cleared a scheduler that ran Spawn")
+	}
+	sh := New(WithShards(2))
+	sh.After(5, func() {})
+	sh.Run()
+	sh.Recycle()
+	if sh.now != 5 || sh.shards != 2 {
+		t.Fatal("Recycle cleared a sharded scheduler")
+	}
+	// The pool may drop any Put (it does so at random under -race), so only
+	// a scheduler New does hand back is checked: it must be clean.
+	for i := 0; i < 20; i++ {
+		s := New()
+		var p *Proc
+		p = s.SpawnHandler("h", func(aborted bool) {
+			if aborted {
+				p.Finish()
+			}
+		})
+		s.After(Time(i+1), func() {})
+		if out := s.Run(); out.Now != Time(i+1) || out.Steps != 1 || !out.Quiesced {
+			t.Fatalf("run %d on a recycled scheduler: %+v", i, out)
+		}
+		s.Recycle()
+		if got := New(); got == co || got == sh {
+			t.Fatal("New returned a scheduler Recycle refused")
+		} else if got.pending() != 0 || got.now != 0 || len(got.procs) != 0 {
+			t.Fatalf("New returned a scheduler with state: pending %d now %d procs %d", got.pending(), got.now, len(got.procs))
+		} else {
+			got.Recycle()
+		}
+	}
 }
 
 // checkShelf fails unless every array on st's shelf is empty and holds no
