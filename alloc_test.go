@@ -1,9 +1,9 @@
 package allforone
 
 // Gates on the small-run hot path: what one paper-sized trial may allocate,
-// and that the storage runs recycle through package-level pools (the
-// scheduler's bucket array, DESIGN.md §4.1) carries nothing from one run
-// into the next.
+// and that the engine a finished run hands to the next — its scheduler, with
+// the network, inboxes and event pools riding on it (DESIGN.md §4.1) —
+// carries nothing from one run into the next.
 
 import (
 	"fmt"
@@ -29,12 +29,15 @@ func paperTrial(seed int64) Scenario {
 }
 
 // TestPaperTrialAllocationGate pins the allocation bill of one paper trial
-// (seed 3: one round, 38 events). Achieved: 243 allocations and 17.9 KB per
-// run, from 388 and 30.8 KB before the per-run diet (pooled bucket array,
-// dense supporters table, CONS_x[r,ph] as a plain map of CAS objects); the
-// limits leave about 15 % of headroom, so the diet cannot rot unnoticed.
+// (seed 3: one round, 38 events). Achieved: 102 allocations and 7.9 KB per
+// run, from 222 and 15.7 KB while every run built its scheduler, network,
+// inboxes and event pools afresh, its subset RNGs up front and its local
+// coins as three objects each — and from 388 and 30.8 KB before the first
+// per-run diet (pooled bucket array, dense supporters table, CONS_x[r,ph] as
+// a plain map of CAS objects). The limits leave about 15 % of headroom, so
+// the diet cannot rot unnoticed.
 func TestPaperTrialAllocationGate(t *testing.T) {
-	checkAllocBill(t, "one paper trial", paperTrial(3), 200, 280, 20_600)
+	checkAllocBill(t, "one paper trial", paperTrial(3), 200, 117, 9_100)
 }
 
 // baselineTrial is the paper trial's regime for a message-passing baseline:
@@ -47,22 +50,25 @@ func baselineTrial(protocol string, seed int64) Scenario {
 }
 
 // TestBaselineAllocationGate pins the allocation bill of one baseline trial
-// (seed 2). Ben-Or, 4 rounds and 372 events: 265 allocations and 16.9 KB
-// per run, from 458 and 28.5 KB while every exchange built a map tally and
-// received() a slice. mpcoin, 3 rounds and 132 events: 184 allocations and
-// 14.0 KB, from 245 and 18.9 KB as a coroutine body with a map tally per
+// (seed 2). Ben-Or, 4 rounds and 372 events: 125 allocations and 7.7 KB per
+// run, from 244 and 15.3 KB while every run built its engine afresh (see
+// TestPaperTrialAllocationGate), and from 458 and 28.5 KB while every
+// exchange built a map tally and received() a slice. mpcoin, 3 rounds and
+// 132 events: 72 allocations and 5.1 KB, from 178 and 12.9 KB with a fresh
+// engine, and from 245 and 18.9 KB as a coroutine body with a map tally per
 // round. The limits leave about 15 % of headroom.
 func TestBaselineAllocationGate(t *testing.T) {
-	checkAllocBill(t, "one benor trial", baselineTrial(ProtocolBenOr, 2), 200, 305, 19_400)
-	checkAllocBill(t, "one mpcoin trial", baselineTrial(ProtocolMPCoin, 2), 200, 212, 16_100)
+	checkAllocBill(t, "one benor trial", baselineTrial(ProtocolBenOr, 2), 200, 144, 8_900)
+	checkAllocBill(t, "one mpcoin trial", baselineTrial(ProtocolMPCoin, 2), 200, 83, 5_800)
 }
 
 // TestSMRAllocationGate pins the allocation bill of one replicated log in
 // the kvlog regime: Fig1Right, 16 slots, queues of 16 commands,
 // Uniform(50µs,500µs), seed 1: 10,996 events, at most 80 rounds per
-// replica. Achieved: 2,460 allocations and 155 KB per run, from 4,301 and
-// 266 KB as a coroutine body with a map tally per round and its slot state
-// in maps. The limits leave about 15 % of headroom.
+// replica. Achieved: 2,152 allocations and 123 KB per run, from 2,461 and
+// 150 KB while every run built its engine afresh, and from 4,301 and 266 KB
+// as a coroutine body with a map tally per round and its slot state in
+// maps. The limits leave about 15 % of headroom.
 func TestSMRAllocationGate(t *testing.T) {
 	n := Fig1Right().N()
 	cmds := make([][]string, n)
@@ -78,16 +84,17 @@ func TestSMRAllocationGate(t *testing.T) {
 		Profile:  UniformProfile(50*time.Microsecond, 500*time.Microsecond),
 		Seed:     1,
 		Bounds:   Bounds{MaxRounds: 1000},
-	}, 200, 2_830, 178_000)
+	}, 200, 2_475, 141_000)
 }
 
 // TestMultivaluedAllocationGate pins the allocation bill of one
 // multivalued consensus run: Fig1Right, three distinct proposals,
 // Uniform(0,200µs), seed 1: 535 events, at most 7 binary rounds per
-// process. Achieved: 492 allocations and 35.8 KB per run, from 773 and
-// 48.8 KB while every round built a map tally and a ProcSet per value
-// instead of resetting one model.Quorum per process. The limits leave
-// about 15 % of headroom.
+// process. Achieved: 246 allocations and 14.6 KB per run, from 492 and
+// 35.6 KB while every run built its engine afresh, and from 773 and 48.8 KB
+// while every round built a map tally and a ProcSet per value instead of
+// resetting one model.Quorum per process. The limits leave about 15 % of
+// headroom.
 func TestMultivaluedAllocationGate(t *testing.T) {
 	props := make([]string, Fig1Right().N())
 	for p := range props {
@@ -99,16 +106,16 @@ func TestMultivaluedAllocationGate(t *testing.T) {
 		Workload: Workload{Values: props},
 		Profile:  UniformProfile(0, 200*time.Microsecond),
 		Seed:     1,
-	}, 200, 565, 41_000)
+	}, 200, 283, 16_800)
 }
 
 // TestRegisterAllocationGate pins the allocation bill of one scripted
 // register run: Fig1Right, the closure table's scripts (18 operations, 36
-// collections), Uniform(0,200µs), seed 1: 559 events. Achieved: 415
-// allocations and 33.9 KB per run, from 466 and 34.3 KB while every
-// collection built a fresh ProcSet instead of resetting one model.Quorum
-// per process. The allocation limit leaves about 10 % of headroom, under
-// the old bill; the byte limit about 15 %.
+// collections), Uniform(0,200µs), seed 1: 559 events. Achieved: 239
+// allocations and 15.7 KB per run, from 415 and 33.9 KB while every run
+// built its engine afresh, and from 466 and 34.3 KB while every collection
+// built a fresh ProcSet instead of resetting one model.Quorum per process.
+// The limits leave about 15 % of headroom.
 func TestRegisterAllocationGate(t *testing.T) {
 	scripts := make([][]ScriptOp, Fig1Right().N())
 	for p := range scripts {
@@ -120,7 +127,7 @@ func TestRegisterAllocationGate(t *testing.T) {
 		Workload: Workload{Scripts: scripts},
 		Profile:  UniformProfile(0, 200*time.Microsecond),
 		Seed:     1,
-	}, 200, 455, 39_000)
+	}, 200, 275, 18_100)
 }
 
 // TestGossipAllocationGate pins the allocation bill of one crash-free gossip
@@ -207,37 +214,125 @@ func drainPools() {
 	runtime.GC()
 }
 
-// poolScenarios is a small mixed batch on the pooled small-run path: both
-// hybrid algorithms on both Fig. 1 decompositions plus the two baselines,
-// and runs cut short by MaxSteps with events still pending in the wheel.
-func poolScenarios() []Scenario {
+// poolScenarios is a mixed batch on the recycled small-run path, ordered so
+// that every run hands its scheduler and network to a run of another shape:
+//   - n goes 7 → 3 → 9 → 7, so inboxes, the closed-inbox bitmap and the
+//     recipient list shrink and grow;
+//   - timed crashes close inboxes mid-run;
+//   - mid-broadcast crashes with no DeliverTo draw the subset stream a
+//     process builds at its one cut broadcast;
+//   - MaxSteps cuts runs with fanouts and deliveries still in flight;
+//   - shconsensus builds no network, so the network kept before it reaches
+//     the run after it; smr, multivalued and register ride along;
+//   - one n = 256 run, whose scheduler is sharded and never recycled, sits
+//     between two n = 7 runs.
+func poolScenarios(t *testing.T) []Scenario {
+	t.Helper()
 	var scs []Scenario
-	for seed := int64(1); seed <= 4; seed++ {
-		for _, part := range []*Partition{Fig1Left(), Fig1Right()} {
-			for _, algo := range []string{AlgoLocalCoin, AlgoCommonCoin} {
-				sc := paperTrial(seed)
-				sc.Algorithm = algo
-				sc.Topology = Topology{Partition: part}
-				scs = append(scs, sc)
-				sc.Bounds.MaxSteps = 5
+	for seed := int64(1); seed <= 2; seed++ {
+		for _, n := range []int{7, 3, 9, 7} {
+			topo := Topology{Partition: Fig1Right()}
+			switch {
+			case n == 7 && seed == 2:
+				topo.Partition = Fig1Left()
+			case n != 7:
+				part, err := Blocks(n, n/3+1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				topo.Partition = part
+			}
+			binary := make([]Value, n)
+			values := make([]string, n)
+			scripts := make([][]ScriptOp, n)
+			cmds := make([][]string, n)
+			for p := range binary {
+				binary[p] = Value(p % 2)
+				values[p] = fmt.Sprintf("v%d", p%3)
+				scripts[p] = registerScript(p)
+				cmds[p] = []string{fmt.Sprintf("set k%d=p%d", p%4, p), fmt.Sprintf("set k%d=p%d'", (p+1)%4, p)}
+			}
+			minority := func(c func(k int) (Crash, time.Duration)) *Schedule {
+				sched := NewSchedule(n)
+				for k := 0; k < (n-1)/2; k++ {
+					var err error
+					if crash, at := c(k); at > 0 {
+						err = sched.SetTimed(ProcID(2*k+1), at)
+					} else {
+						err = sched.Set(ProcID(2*k+1), crash)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				return sched
+			}
+			timed := minority(func(k int) (Crash, time.Duration) { return Crash{}, time.Duration(k+1) * 37 * time.Microsecond })
+			midBroadcast := minority(func(int) (Crash, time.Duration) {
+				return Crash{At: CrashPoint{Round: 1, Phase: 1, Stage: StageMidBroadcast}}, 0
+			})
+			base := Scenario{
+				Topology: topo,
+				Workload: Workload{Binary: binary},
+				Profile:  UniformProfile(0, 200*time.Microsecond),
+				Seed:     seed*100 + int64(n),
+				Bounds:   Bounds{MaxRounds: 10_000},
+			}
+			with := func(edit func(*Scenario)) {
+				sc := base
+				edit(&sc)
 				scs = append(scs, sc)
 			}
+			with(func(sc *Scenario) { sc.Protocol, sc.Algorithm = ProtocolHybrid, AlgoLocalCoin })
+			with(func(sc *Scenario) { sc.Protocol, sc.Algorithm, sc.Bounds.MaxSteps = ProtocolHybrid, AlgoCommonCoin, 5 })
+			with(func(sc *Scenario) { sc.Protocol, sc.Algorithm, sc.Faults = ProtocolHybrid, AlgoLocalCoin, timed })
+			with(func(sc *Scenario) { sc.Protocol, sc.Algorithm, sc.Faults = ProtocolHybrid, AlgoCommonCoin, midBroadcast })
+			with(func(sc *Scenario) { sc.Protocol, sc.Topology, sc.Faults = ProtocolBenOr, Topology{N: n}, midBroadcast })
+			with(func(sc *Scenario) { sc.Protocol, sc.Topology, sc.Faults = ProtocolMPCoin, Topology{N: n}, midBroadcast })
+			with(func(sc *Scenario) { sc.Protocol, sc.Topology, sc.Bounds.MaxSteps = ProtocolMPCoin, Topology{N: n}, int64(2 * n) })
+			with(func(sc *Scenario) {
+				sc.Protocol, sc.Topology, sc.Profile, sc.Faults = ProtocolSharedMem, Topology{N: n}, nil, timed
+			})
+			with(func(sc *Scenario) { sc.Protocol, sc.Workload, sc.Faults = ProtocolMultivalued, Workload{Values: values}, timed })
+			with(func(sc *Scenario) {
+				sc.Protocol, sc.Workload, sc.Bounds.MaxRounds = ProtocolSMR, Workload{Commands: cmds, Slots: 2}, 1000
+			})
+			with(func(sc *Scenario) { sc.Protocol, sc.Workload, sc.Bounds = ProtocolRegister, Workload{Scripts: scripts}, Bounds{} })
 		}
-		for _, name := range []string{ProtocolBenOr, ProtocolMPCoin} {
-			scs = append(scs, baselineTrial(name, seed))
+		if seed == 1 {
+			const n = 256
+			part, err := Blocks(n, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := Workload{Binary: make([]Value, n)}
+			for p := range w.Binary {
+				w.Binary[p] = One
+			}
+			scs = append(scs, Scenario{
+				Protocol:  ProtocolHybrid,
+				Algorithm: AlgoLocalCoin,
+				Topology:  Topology{Partition: part},
+				Workload:  w,
+				Profile:   UniformProfile(0, 200*time.Microsecond),
+				Seed:      seed,
+			})
 		}
 	}
 	return scs
 }
 
 // TestPooledStorageCarriesNoState: Outcomes must not depend on what the
-// pools hold. The reference runs each scenario alone right after the pools
-// were drained, so on storage no earlier run touched; against it go the
-// same scenarios back to back in one goroutine (a cut-short run's bucket
-// array is the next run's) and through Sweep at parallelism 4.
+// pool holds. The reference runs each scenario alone right after the pool
+// was drained, so on an engine no earlier run touched, and holds it to
+// Check; against it go the same scenarios back to back in one goroutine
+// (each run's scheduler and network are the next run's) and through Sweep at
+// parallelism 4. Under -race the pool drops a random share of its Puts, so
+// repeated counts mix new and recycled engines.
 func TestPooledStorageCarriesNoState(t *testing.T) {
-	scs := poolScenarios()
+	scs := poolScenarios(t)
 	want := make([]*Outcome, len(scs))
+	crashed := 0
 	for i, sc := range scs {
 		drainPools()
 		out, err := Run(sc)
@@ -247,7 +342,14 @@ func TestPooledStorageCarriesNoState(t *testing.T) {
 		if cut := sc.Bounds.MaxSteps > 0; out.BoundedOut() != cut {
 			t.Fatalf("scenario %d: BoundedOut = %v, want %v", i, out.BoundedOut(), cut)
 		}
+		if vs := Check(sc, out); vs != nil {
+			t.Fatalf("scenario %d (%s): %v", i, sc.Protocol, vs)
+		}
+		crashed += out.CountStatus(StatusCrashed)
 		want[i] = out
+	}
+	if crashed == 0 {
+		t.Fatal("no process crashed in the batch; its crash cells check nothing")
 	}
 
 	for i, sc := range scs {
