@@ -286,18 +286,26 @@ func poolScenarios(t *testing.T) []Scenario {
 			with(func(sc *Scenario) { sc.Protocol, sc.Algorithm = ProtocolHybrid, AlgoLocalCoin })
 			with(func(sc *Scenario) { sc.Protocol, sc.Algorithm, sc.Bounds.MaxSteps = ProtocolHybrid, AlgoCommonCoin, 5 })
 			with(func(sc *Scenario) { sc.Protocol, sc.Algorithm, sc.Faults = ProtocolHybrid, AlgoLocalCoin, timed })
-			with(func(sc *Scenario) { sc.Protocol, sc.Algorithm, sc.Faults = ProtocolHybrid, AlgoCommonCoin, midBroadcast })
+			with(func(sc *Scenario) {
+				sc.Protocol, sc.Algorithm, sc.Faults = ProtocolHybrid, AlgoCommonCoin, midBroadcast
+			})
 			with(func(sc *Scenario) { sc.Protocol, sc.Topology, sc.Faults = ProtocolBenOr, Topology{N: n}, midBroadcast })
 			with(func(sc *Scenario) { sc.Protocol, sc.Topology, sc.Faults = ProtocolMPCoin, Topology{N: n}, midBroadcast })
-			with(func(sc *Scenario) { sc.Protocol, sc.Topology, sc.Bounds.MaxSteps = ProtocolMPCoin, Topology{N: n}, int64(2 * n) })
+			with(func(sc *Scenario) {
+				sc.Protocol, sc.Topology, sc.Bounds.MaxSteps = ProtocolMPCoin, Topology{N: n}, int64(2*n)
+			})
 			with(func(sc *Scenario) {
 				sc.Protocol, sc.Topology, sc.Profile, sc.Faults = ProtocolSharedMem, Topology{N: n}, nil, timed
 			})
-			with(func(sc *Scenario) { sc.Protocol, sc.Workload, sc.Faults = ProtocolMultivalued, Workload{Values: values}, timed })
+			with(func(sc *Scenario) {
+				sc.Protocol, sc.Workload, sc.Faults = ProtocolMultivalued, Workload{Values: values}, timed
+			})
 			with(func(sc *Scenario) {
 				sc.Protocol, sc.Workload, sc.Bounds.MaxRounds = ProtocolSMR, Workload{Commands: cmds, Slots: 2}, 1000
 			})
-			with(func(sc *Scenario) { sc.Protocol, sc.Workload, sc.Bounds = ProtocolRegister, Workload{Scripts: scripts}, Bounds{} })
+			with(func(sc *Scenario) {
+				sc.Protocol, sc.Workload, sc.Bounds = ProtocolRegister, Workload{Scripts: scripts}, Bounds{}
+			})
 		}
 		if seed == 1 {
 			const n = 256

@@ -41,7 +41,9 @@ func NewVirtual[T any]() *Virtual[T] { return &Virtual[T]{} }
 // items are dropped, the consumer unbound and the inbox reopened — as
 // NewVirtual returns it, but with the capacity the ring grew.
 func (v *Virtual[T]) Reset() {
-	clear(v.buf)
+	if v.count > 0 {
+		clear(v.buf) // TryGet zeroes what it hands out: only queued items remain
+	}
 	*v = Virtual[T]{buf: v.buf}
 }
 

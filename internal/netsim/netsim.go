@@ -706,15 +706,19 @@ func (nw *Network) Shutdown() {
 // Only an unsharded network reaches here, since sharded schedulers are never
 // recycled.
 func (nw *Network) recycle() {
+	// An event off its freelist is one still in flight: a loaded fanout has
+	// its recipient list, a posted delivery its inbox.
 	for _, f := range nw.fanouts {
-		f.payload, f.to = nil, nil
-		f.keys, f.wide = f.keys[:0], f.wide[:0]
+		if f.to != nil {
+			f.release()
+		}
 	}
-	nw.freeFanouts = append(nw.freeFanouts[:0], nw.fanouts...)
 	for _, d := range nw.deliveries {
-		d.box, d.msg = nil, Message{}
+		if d.box != nil {
+			d.box, d.msg = nil, Message{}
+			nw.freeDeliveries = append(nw.freeDeliveries, d)
+		}
 	}
-	nw.freeDeliveries = append(nw.freeDeliveries[:0], nw.deliveries...)
 	for _, b := range nw.vboxes {
 		b.Reset()
 	}

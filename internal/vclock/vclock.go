@@ -340,12 +340,17 @@ func (st *slotArray) unshelve() []event {
 func (w *wheel) reset() {
 	st := w.slots
 	if st != nil {
-		if w.wheelCount > 0 {
-			for i := range st.buckets {
-				clear(st.buckets[i])
-				st.shelve(st.buckets[i])
-				st.buckets[i] = nil
+		// The pending buckets lie in the window after the open slot; walk it
+		// only until they are all found.
+		for sl, left := w.curSlot+1, w.wheelCount; left > 0; sl++ {
+			b := &st.buckets[sl&wheelMask]
+			if *b == nil {
+				continue
 			}
+			left -= len(*b)
+			clear(*b)
+			st.shelve(*b)
+			*b = nil
 		}
 		clear(w.run)
 		st.shelve(w.run)
@@ -1102,7 +1107,7 @@ func (s *Scheduler) Release() {
 // (next) — advancing the virtual clock; repeat. Run returns once every process has finished — normally, or after
 // an abort (quiescence, deadline, or event budget) unwound them.
 //
-// Run must be called exactly once per Scheduler.
+// Run must be called exactly once per scheduler New returns.
 func (s *Scheduler) Run() Outcome {
 	// On a panicking event callback it releases every coroutine goroutine
 	// (birth-gated or parked) instead of leaking them.
