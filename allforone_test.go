@@ -218,6 +218,49 @@ func TestMultivaluedFacade(t *testing.T) {
 	}
 }
 
+// TestFinishedRegisterCrashPassesCheck: a register process whose script
+// ends before its timed crash strikes is reported StatusDecided, yet the
+// crash struck. Here the whole majority cluster finishes its empty script
+// and then crashes at 0, so the singletons' operations rightly block, and
+// Check must not read the blocked survivors as a liveness violation.
+func TestFinishedRegisterCrashPassesCheck(t *testing.T) {
+	t.Parallel()
+	part, err := NewPartition([][]int{{0, 1, 2, 3}, {4}, {5}, {6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := NewSchedule(7)
+	scripts := make([][]ScriptOp, 7)
+	for p := ProcID(0); p < 4; p++ {
+		if err := sched.SetTimed(p, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for p := 4; p < 7; p++ {
+		read := ScriptRead()
+		read.After = 500 * time.Microsecond
+		scripts[p] = []ScriptOp{ScriptWrite(string(rune('a' + p))), read}
+	}
+	sc := Scenario{
+		Protocol: ProtocolRegister,
+		Topology: Topology{Partition: part},
+		Workload: Workload{Scripts: scripts},
+		Profile:  UniformProfile(10*time.Microsecond, 50*time.Microsecond),
+		Seed:     3,
+		Faults:   sched,
+	}
+	out, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.CountStatus(StatusBlocked); got != 3 {
+		t.Fatalf("%+v, want the three singletons blocked", out.Procs)
+	}
+	if vs := Check(sc, out); vs != nil {
+		t.Error(vs)
+	}
+}
+
 // TestAllCrashedRunPassesCheck: a run in which every process crashes at the
 // top of round 1 takes no step, so it neither decides nor quiesces — and
 // Check must accept that, with either coin, instead of reading the missing

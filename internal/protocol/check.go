@@ -47,7 +47,8 @@ type RawChecker interface {
 //     of a one-for-all protocol (Info.OneForAll) whose live processes'
 //     clusters cover a majority; and when every crash struck at the top of
 //     round 1 and they do not, nobody decided and the run quiesced (which
-//     holds vacuously when no process is live);
+//     holds vacuously when no process is live); a crash counts once it
+//     struck, even on a process that had already finished;
 //   - cluster-uniformity, crash-stop and trace, over a recorded sc.Trace:
 //     one value per (cluster, round, phase) broadcast, no event after a
 //     process's crash, and every decide event matches the Outcome;
@@ -174,15 +175,20 @@ func conclusive(b Bounds, out *Outcome) bool { return !out.BoundedOut() && !capp
 
 // checkLiveness applies the termination conditions to a conclusive run.
 func checkLiveness(info Info, sc *Scenario, out *Outcome) error {
-	crashes := out.CountStatus(sim.StatusCrashed)
+	crashes := 0
+	for p := range out.Procs {
+		if struck(sc, out, p) {
+			crashes++
+		}
+	}
 	covered, why := crashes == 0, "no process crashed"
 	if info.OneForAll && crashes > 0 {
 		// A flat protocol's clusters are its processes.
 		covered = 2*(len(out.Procs)-crashes) > len(out.Procs)
 		if info.NeedsPartition {
 			crashed := model.NewProcSet(len(out.Procs))
-			for p, pr := range out.Procs {
-				if pr.Status == sim.StatusCrashed {
+			for p := range out.Procs {
+				if struck(sc, out, p) {
 					crashed.Add(model.ProcID(p))
 				}
 			}
@@ -204,6 +210,17 @@ func checkLiveness(info Info, sc *Scenario, out *Outcome) error {
 		return fmt.Errorf("%d live processes undecided although %s", out.Undecided(), why)
 	}
 	return nil
+}
+
+// struck reports whether a crash struck process p: it ended StatusCrashed,
+// or the run reached its timed crash instant. A register process whose
+// script finished before its timed crash still ends StatusDecided.
+func struck(sc *Scenario, out *Outcome, p int) bool {
+	if out.Procs[p].Status == sim.StatusCrashed {
+		return true
+	}
+	at, ok := sc.Faults.TimedPlan(model.ProcID(p))
+	return ok && at <= out.VirtualTime
 }
 
 // crashedAtStart reports whether every planned crash strikes at the top of
