@@ -91,7 +91,6 @@ import (
 	"allforone/internal/netsim"
 	"allforone/internal/overlay"
 	"allforone/internal/sim"
-	"allforone/internal/vclock"
 )
 
 // DefaultFlushDelay is the outbox batching window: news items arriving
@@ -144,15 +143,9 @@ type ProcResult struct {
 
 // Result aggregates an atomic-broadcast run.
 type Result struct {
-	Procs            []ProcResult
-	Metrics          metrics.Snapshot
-	Elapsed          time.Duration
-	VirtualTime      time.Duration
-	Steps            int64
-	Quiesced         bool
-	DeadlineExceeded bool
-	StepsExceeded    bool
-	Sched            vclock.SchedulerStats
+	Procs   []ProcResult
+	Metrics metrics.Snapshot
+	sim.Engine
 }
 
 // itemKind tags one news item of an envelope.
@@ -705,13 +698,5 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Procs: procs, Metrics: ctr.Read()}
-	res.Elapsed = out.Elapsed
-	res.VirtualTime = out.VirtualTime
-	res.Steps = out.Steps
-	res.Quiesced = out.Quiesced
-	res.DeadlineExceeded = out.DeadlineExceeded
-	res.StepsExceeded = out.StepsExceeded
-	res.Sched = out.Sched
-	return res, nil
+	return &Result{Procs: procs, Metrics: ctr.Read(), Engine: out}, nil
 }

@@ -353,11 +353,10 @@ func newProc(cfg *Config, v *Variant, i int, nw *netsim.Network, ctr *metrics.Co
 }
 
 // assemble builds the Result from the collected outcomes.
-func assemble(cfg *Config, outcomes []outcome, ctr *metrics.Counters, elapsed time.Duration) (*sim.Result, error) {
+func assemble(cfg *Config, outcomes []outcome, ctr *metrics.Counters) (*sim.Result, error) {
 	res := &sim.Result{
 		Procs:   make([]sim.ProcResult, cfg.N),
 		Metrics: ctr.Read(),
-		Elapsed: elapsed,
 	}
 	for i, o := range outcomes {
 		if o.status == sim.StatusFailed {
@@ -419,10 +418,10 @@ func RunVariant(cfg Config, v Variant) (*sim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := assemble(&cfg, outcomes, &ctr, out.Elapsed)
+	res, err := assemble(&cfg, outcomes, &ctr)
 	if err != nil {
 		return nil, err
 	}
-	out.Fill(res)
+	res.Engine = out
 	return res, nil
 }

@@ -232,13 +232,12 @@ func (env *execEnv) newProc(cfg *Config, i int, h *driver.Handle) *proc {
 }
 
 // buildResult assembles the Result from the collected outcomes.
-func (env *execEnv) buildResult(elapsed time.Duration) (*Result, error) {
+func (env *execEnv) buildResult() (*Result, error) {
 	res := &Result{
 		Procs:           make([]ProcResult, env.n),
 		Metrics:         env.ctr.Read(),
 		ConsInvocations: make([]int64, env.part.M()),
 		ConsAllocations: make([]int64, env.part.M()),
-		Elapsed:         elapsed,
 	}
 	for i, o := range env.outcomes {
 		if o.status == StatusFailed {
@@ -277,10 +276,10 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := env.buildResult(out.Elapsed)
+	res, err := env.buildResult()
 	if err != nil {
 		return nil, err
 	}
-	out.Fill(res)
+	res.Engine = out
 	return res, nil
 }

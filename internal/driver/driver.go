@@ -6,6 +6,8 @@
 // reactor; message transit is a timestamped delivery event; blocked
 // executions are detected by quiescence — never by wall clock — and bounded
 // by MaxVirtualTime / MaxSteps. Same inputs, same outcome, bit for bit.
+// RunHandlers reports how the run ended as a sim.Engine record, which every
+// protocol's result type embeds whole.
 //
 // A protocol package provides two closures: a network constructor (the
 // driver appends netsim.WithScheduler) and a per-process reactor builder.
@@ -130,49 +132,6 @@ func StandardNet(nw **netsim.Network, n int, seed uint64, ctr *metrics.Counters,
 	}
 }
 
-// Outcome reports the engine-level result of a run. Protocol packages copy
-// it into their Result types (see Fill).
-type Outcome struct {
-	// Elapsed is the run duration on the virtual clock — always equal to
-	// VirtualTime, so Results stay bit-reproducible.
-	Elapsed time.Duration
-	// VirtualTime is the virtual clock at the end of the run.
-	VirtualTime time.Duration
-	// Steps is the number of discrete events processed.
-	Steps int64
-	// Quiesced reports that the engine aborted the run because no
-	// process could ever take another step — the deterministic "blocked
-	// forever" verdict.
-	Quiesced bool
-	// DeadlineExceeded / StepsExceeded report that the engine cut
-	// the run short at the MaxVirtualTime / MaxSteps bound. A bounded-out
-	// run says nothing about the execution's fate — undecided processes
-	// might still have progressed — so these verdicts are kept distinct
-	// from Quiesced (genuine blocked-forever) and must never be conflated
-	// with it by callers classifying non-decision.
-	DeadlineExceeded bool
-	StepsExceeded    bool
-	// Sched counts the scheduler's internal work (events scheduled,
-	// timer-wheel cascades, deepest bucket). Deterministic: same Config,
-	// same counts.
-	Sched vclock.SchedulerStats
-}
-
-// BoundedOut reports whether the run was cut short by an artificial bound
-// (MaxVirtualTime or MaxSteps) rather than ending on its own.
-func (o Outcome) BoundedOut() bool { return o.DeadlineExceeded || o.StepsExceeded }
-
-// Fill copies the engine-level fields into a sim.Result.
-func (o Outcome) Fill(res *sim.Result) {
-	res.Elapsed = o.Elapsed
-	res.VirtualTime = o.VirtualTime
-	res.Steps = o.Steps
-	res.Quiesced = o.Quiesced
-	res.DeadlineExceeded = o.DeadlineExceeded
-	res.StepsExceeded = o.StepsExceeded
-	res.Sched = o.Sched
-}
-
 // Handle is a process body's view of the engine driving it.
 type Handle struct {
 	clock  *vclock.Scheduler
@@ -219,15 +178,15 @@ type wakeup Handle
 func (w *wakeup) Fire() { w.proc.Wake() }
 
 // RunHandlers executes n processes, one Reactor each, on a deterministic
-// discrete-event scheduler and returns the engine-level outcome: same
-// inputs, same Outcome. It owns the run's lifecycle: crash-schedule
+// discrete-event scheduler and returns the engine's record of the run: same
+// inputs, same record. It owns the run's lifecycle: crash-schedule
 // validation, clock and network construction, process spawning, timed crash
 // installation, the run itself, network shutdown, and handing the clock —
 // with the network riding on it — back for the next run
 // (vclock.Scheduler.Recycle). Blocked runs end at quiescence.
-func RunHandlers(cfg Config, n int, newNet NewNetFunc, mk HandlerBody) (Outcome, error) {
+func RunHandlers(cfg Config, n int, newNet NewNetFunc, mk HandlerBody) (sim.Engine, error) {
 	if err := cfg.Crashes.ValidateFor(n); err != nil {
-		return Outcome{}, fmt.Errorf("%w: %v", ErrBadCrashes, err)
+		return sim.Engine{}, fmt.Errorf("%w: %v", ErrBadCrashes, err)
 	}
 	// The topology size decides both the default step budget and whether
 	// the window expansion shards (vclock.ShardsFor).
@@ -240,7 +199,7 @@ func RunHandlers(cfg Config, n int, newNet NewNetFunc, mk HandlerBody) (Outcome,
 	if newNet != nil {
 		var err error
 		if nw, err = newNet(netsim.WithScheduler(clock)); err != nil {
-			return Outcome{}, err
+			return sim.Engine{}, err
 		}
 	}
 
@@ -275,7 +234,7 @@ func RunHandlers(cfg Config, n int, newNet NewNetFunc, mk HandlerBody) (Outcome,
 		nw.Shutdown()
 	}
 	clock.Recycle()
-	return Outcome{
+	return sim.Engine{
 		Elapsed:          time.Duration(out.Now),
 		VirtualTime:      time.Duration(out.Now),
 		Steps:            out.Steps,

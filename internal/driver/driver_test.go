@@ -48,7 +48,7 @@ func TestNilNetwork(t *testing.T) {
 // Identical inputs must yield identical Outcomes under the virtual engine.
 func TestVirtualOutcomeReproducible(t *testing.T) {
 	t.Parallel()
-	run := func() Outcome {
+	run := func() sim.Engine {
 		const n = 6
 		var ctr metrics.Counters
 		var nw *netsim.Network

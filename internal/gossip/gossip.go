@@ -384,7 +384,5 @@ func Run(cfg Config) (*sim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &sim.Result{Procs: procs, Metrics: ctr.Read(), Elapsed: out.Elapsed}
-	out.Fill(res)
-	return res, nil
+	return &sim.Result{Procs: procs, Metrics: ctr.Read(), Engine: out}, nil
 }

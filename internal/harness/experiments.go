@@ -290,7 +290,7 @@ func E5ObjectInvocations(opts Options) (*Report, error) {
 			return nil, err
 		}
 		res := out.Raw.(*sim.Result)
-		rounds := res.MaxDecisionRound()
+		rounds := out.MaxDecisionRound()
 		phases := float64(2 * rounds)
 		objsPerPhase := 0.0
 		for _, a := range res.ConsAllocations {
@@ -333,7 +333,7 @@ func E5ObjectInvocations(opts Options) (*Report, error) {
 			return nil, err
 		}
 		res := out.Raw.(*sim.Result)
-		rounds := res.MaxDecisionRound()
+		rounds := out.MaxDecisionRound()
 		phases := float64(2 * rounds)
 		objsPerPhase := 0.0
 		for _, a := range res.ConsAllocations {

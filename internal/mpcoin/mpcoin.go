@@ -283,6 +283,6 @@ func Run(cfg Config) (*sim.Result, error) {
 		return nil, err
 	}
 	res.Metrics = ctr.Read()
-	out.Fill(res)
+	res.Engine = out
 	return res, nil
 }

@@ -39,7 +39,6 @@ import (
 	"allforone/internal/model"
 	"allforone/internal/netsim"
 	"allforone/internal/sim"
-	"allforone/internal/vclock"
 )
 
 // Config describes one multivalued consensus execution.
@@ -88,22 +87,7 @@ type ProcResult struct {
 type Result struct {
 	Procs   []ProcResult
 	Metrics metrics.Snapshot
-	// Elapsed is the run duration on the virtual clock (always equal to
-	// VirtualTime, so Results are bit-reproducible from their Configs).
-	Elapsed time.Duration
-	// VirtualTime / Steps / Quiesced report the engine's clock,
-	// event count, and deterministic blocked-forever verdict (see sim.Result).
-	VirtualTime time.Duration
-	Steps       int64
-	Quiesced    bool
-	// DeadlineExceeded / StepsExceeded report a bounded-out run — cut short
-	// at a MaxVirtualTime / MaxSteps budget, inconclusive about liveness
-	// (see sim.Result).
-	DeadlineExceeded bool
-	StepsExceeded    bool
-	// Sched counts the scheduler's internal work (events scheduled,
-	// timer-wheel cascades, deepest bucket; see sim.Result).
-	Sched vclock.SchedulerStats
+	sim.Engine
 }
 
 // Decided returns the decided value and how many processes decided it.
@@ -501,15 +485,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{
-		Procs:            make([]ProcResult, n),
-		Metrics:          ctr.Read(),
-		Elapsed:          out.Elapsed,
-		VirtualTime:      out.VirtualTime,
-		Steps:            out.Steps,
-		Quiesced:         out.Quiesced,
-		DeadlineExceeded: out.DeadlineExceeded,
-		StepsExceeded:    out.StepsExceeded,
-		Sched:            out.Sched,
+		Procs:   make([]ProcResult, n),
+		Metrics: ctr.Read(),
+		Engine:  out,
 	}
 	for i, o := range outcomes {
 		res.Procs[i] = ProcResult{Status: o.status, Decision: o.val, Rounds: o.rounds}

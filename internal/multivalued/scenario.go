@@ -42,17 +42,11 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 		return nil, err
 	}
 	out := &protocol.Outcome{
-		Protocol:         ProtocolName,
-		Procs:            make([]protocol.ProcOutcome, len(res.Procs)),
-		Metrics:          res.Metrics,
-		Elapsed:          res.Elapsed,
-		VirtualTime:      res.VirtualTime,
-		Steps:            res.Steps,
-		Quiesced:         res.Quiesced,
-		DeadlineExceeded: res.DeadlineExceeded,
-		StepsExceeded:    res.StepsExceeded,
-		Sched:            res.Sched,
-		Raw:              res,
+		Protocol: ProtocolName,
+		Procs:    make([]protocol.ProcOutcome, len(res.Procs)),
+		Metrics:  res.Metrics,
+		Engine:   res.Engine,
+		Raw:      res,
 	}
 	for i, pr := range res.Procs {
 		po := protocol.ProcOutcome{Status: pr.Status, Round: pr.Rounds}

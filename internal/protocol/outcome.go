@@ -2,11 +2,9 @@ package protocol
 
 import (
 	"fmt"
-	"time"
 
 	"allforone/internal/metrics"
 	"allforone/internal/sim"
-	"allforone/internal/vclock"
 )
 
 // ProcOutcome is one process's view of a scenario run, in a vocabulary
@@ -30,26 +28,7 @@ type Outcome struct {
 	Procs []ProcOutcome
 	// Metrics is the run's cost snapshot.
 	Metrics metrics.Snapshot
-	// Elapsed is the run duration on the virtual clock (always equal to
-	// VirtualTime, keeping Outcomes bit-reproducible).
-	Elapsed time.Duration
-	// VirtualTime / Steps / Quiesced report the engine's clock,
-	// event count, and deterministic blocked-forever verdict.
-	VirtualTime time.Duration
-	Steps       int64
-	Quiesced    bool
-	// DeadlineExceeded / StepsExceeded report that the engine cut
-	// the run short at a Bounds.MaxVirtualTime / Bounds.MaxSteps bound —
-	// the INCONCLUSIVE verdict, kept distinct from Quiesced (genuine
-	// blocked-forever) so schedule searches never mistake a budget
-	// exhaustion for a liveness counterexample.
-	DeadlineExceeded bool
-	StepsExceeded    bool
-	// Sched counts the scheduler's internal work (events scheduled,
-	// timer-wheel cascades, deepest bucket) — the per-run observability
-	// feed of the harness's events/sec aggregation. Deterministic: it
-	// replays bit-for-bit.
-	Sched vclock.SchedulerStats
+	sim.Engine
 	// Raw is the protocol's native result value.
 	Raw any
 }
@@ -63,17 +42,11 @@ const LogSep = "\x1f"
 // consensus runner) into the uniform Outcome. Protocol adapters call it.
 func BinaryOutcome(name string, res *sim.Result) *Outcome {
 	out := &Outcome{
-		Protocol:         name,
-		Procs:            make([]ProcOutcome, len(res.Procs)),
-		Metrics:          res.Metrics,
-		Elapsed:          res.Elapsed,
-		VirtualTime:      res.VirtualTime,
-		Steps:            res.Steps,
-		Quiesced:         res.Quiesced,
-		DeadlineExceeded: res.DeadlineExceeded,
-		StepsExceeded:    res.StepsExceeded,
-		Sched:            res.Sched,
-		Raw:              res,
+		Protocol: name,
+		Procs:    make([]ProcOutcome, len(res.Procs)),
+		Metrics:  res.Metrics,
+		Engine:   res.Engine,
+		Raw:      res,
 	}
 	for i, pr := range res.Procs {
 		po := ProcOutcome{Status: pr.Status, Round: pr.Round}
@@ -128,12 +101,6 @@ func (o *Outcome) MaxDecisionRound() int {
 	}
 	return max
 }
-
-// BoundedOut reports whether the run was cut short by an artificial bound
-// (Bounds.MaxVirtualTime or Bounds.MaxSteps) rather than deciding or
-// quiescing on its own — the inconclusive cost verdict consumed by
-// adversarial schedule searches.
-func (o *Outcome) BoundedOut() bool { return o.DeadlineExceeded || o.StepsExceeded }
 
 // Undecided returns how many processes ended neither decided nor crashed —
 // the processes a liveness objective counts against the schedule.

@@ -11,7 +11,6 @@ import (
 	"allforone/internal/model"
 	"allforone/internal/netsim"
 	"allforone/internal/sim"
-	"allforone/internal/vclock"
 )
 
 // This file is the register's closed-run entry point on the engine driver
@@ -89,26 +88,11 @@ type ProcResult struct {
 type Result struct {
 	Procs   []ProcResult
 	Metrics metrics.Snapshot
-	// Elapsed is the run duration on the virtual clock (always equal to
-	// VirtualTime, so Results are bit-reproducible from their Configs).
-	Elapsed time.Duration
-	// VirtualTime / Steps / Quiesced report the engine's clock,
-	// event count, and quiescence verdict. NOTE: unlike consensus runs,
-	// Quiesced=true is the NORMAL end of a register run with crashed
-	// processes (survivors wait in their serve loops once every live
-	// script finished); a blocked OPERATION shows up as OK=false /
-	// StatusBlocked on the process, not at the run level.
-	VirtualTime time.Duration
-	Steps       int64
-	Quiesced    bool
-	// DeadlineExceeded / StepsExceeded report a bounded-out run — cut short
-	// at a MaxVirtualTime / MaxSteps budget, inconclusive about the fate of
-	// interrupted operations (see sim.Result).
-	DeadlineExceeded bool
-	StepsExceeded    bool
-	// Sched counts the scheduler's internal work (events scheduled,
-	// timer-wheel cascades, deepest bucket; see sim.Result).
-	Sched vclock.SchedulerStats
+	// Quiesced is the NORMAL end of a register run with crashed processes:
+	// survivors wait in their serve loops once every live script finished.
+	// A blocked OPERATION shows up as OK=false / StatusBlocked on the
+	// process, not at the run level.
+	sim.Engine
 }
 
 // Config describes one scripted register execution.
@@ -444,15 +428,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{
-		Procs:            make([]ProcResult, n),
-		Metrics:          ctr.Read(),
-		Elapsed:          out.Elapsed,
-		VirtualTime:      out.VirtualTime,
-		Steps:            out.Steps,
-		Quiesced:         out.Quiesced,
-		DeadlineExceeded: out.DeadlineExceeded,
-		StepsExceeded:    out.StepsExceeded,
-		Sched:            out.Sched,
+		Procs:   make([]ProcResult, n),
+		Metrics: ctr.Read(),
+		Engine:  out,
 	}
 	for i, c := range clients {
 		res.Procs[i] = ProcResult{Status: c.status, Ops: c.ops}

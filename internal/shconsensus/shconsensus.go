@@ -79,7 +79,7 @@ func Run(cfg Config) (*sim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out.Fill(res)
+	res.Engine = out
 	res.Metrics = ctr.Read()
 	res.ConsInvocations = []int64{res.Metrics.ConsInvocations}
 	res.ConsAllocations = []int64{1}

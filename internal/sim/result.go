@@ -110,6 +110,39 @@ type ProcResult struct {
 	Round    int         // round at which the execution ended
 }
 
+// Engine is the engine's record of a run: its clock, its event count and
+// how it ended. driver.RunHandlers returns it, and every result type embeds
+// it untagged, so encoding/json writes its fields in place.
+type Engine struct {
+	// Elapsed is the duration of the run on the virtual clock — always
+	// equal to VirtualTime, so a result is bit-reproducible from its Config.
+	Elapsed time.Duration
+	// VirtualTime is the virtual clock at the end of the run.
+	VirtualTime time.Duration
+	// Steps is the number of discrete events the engine processed.
+	Steps int64
+	// Quiesced reports that the engine aborted the run because no process
+	// could ever take another step — the deterministic "blocked forever"
+	// verdict, e.g. when the liveness condition does not hold.
+	Quiesced bool
+	// DeadlineExceeded / StepsExceeded report that the engine cut the run
+	// short at the MaxVirtualTime / MaxSteps bound. Unlike Quiesced, a
+	// bounded-out run is INCONCLUSIVE about liveness: the execution might
+	// have decided given more budget, so callers classifying non-decision
+	// must keep it apart from blocked-forever.
+	DeadlineExceeded bool
+	StepsExceeded    bool
+	// Sched counts the scheduler's internal work (events scheduled,
+	// timer-wheel cascades, deepest bucket). Deterministic: same Config,
+	// same counts.
+	Sched vclock.SchedulerStats
+}
+
+// BoundedOut reports whether the run was cut short by an artificial bound
+// (MaxVirtualTime or MaxSteps) rather than deciding or quiescing on its
+// own — the inconclusive verdict, distinct from blocked-forever.
+func (e Engine) BoundedOut() bool { return e.DeadlineExceeded || e.StepsExceeded }
+
 // Result aggregates a run of any consensus implementation.
 type Result struct {
 	// Procs holds per-process outcomes, indexed by process id.
@@ -121,36 +154,8 @@ type Result struct {
 	// in the m&m model; nil for pure message-passing baselines).
 	ConsInvocations []int64
 	ConsAllocations []int64
-	// Elapsed is the duration of the run on the virtual clock — always
-	// equal to VirtualTime, so a Result is bit-reproducible from its Config.
-	Elapsed time.Duration
-	// VirtualTime is the virtual-clock duration of the run.
-	VirtualTime time.Duration
-	// Steps is the number of discrete events the engine processed.
-	Steps int64
-	// Quiesced reports that the virtual engine aborted the run because the
-	// execution could never take another step (undecided processes waiting
-	// with no pending events) — the deterministic "blocked forever"
-	// verdict, e.g. when the liveness condition does not hold.
-	Quiesced bool
-	// DeadlineExceeded / StepsExceeded report that the virtual engine cut
-	// the run short at the MaxVirtualTime / MaxSteps bound. Unlike
-	// Quiesced, a bounded-out run is INCONCLUSIVE about liveness: the
-	// execution might have decided given more budget. Adversarial searches
-	// and experiment harnesses must classify these runs separately from
-	// genuine non-decision.
-	DeadlineExceeded bool
-	StepsExceeded    bool
-	// Sched counts the virtual scheduler's internal work — the timer-wheel
-	// observability surface (events scheduled, cascades, deepest bucket).
-	// Deterministic: same Config, same counts.
-	Sched vclock.SchedulerStats
+	Engine
 }
-
-// BoundedOut reports whether the run was cut short by an artificial bound
-// (MaxVirtualTime or MaxSteps) rather than deciding or quiescing on its
-// own — the inconclusive verdict, distinct from blocked-forever.
-func (r *Result) BoundedOut() bool { return r.DeadlineExceeded || r.StepsExceeded }
 
 // Decided returns the processes that decided and their (necessarily equal)
 // value. ok is false when no process decided.
@@ -226,17 +231,6 @@ func (r *Result) MaxDecisionRound() int {
 		}
 	}
 	return max
-}
-
-// DecisionRounds returns the decision round of every decided process.
-func (r *Result) DecisionRounds() []int {
-	var out []int
-	for _, pr := range r.Procs {
-		if pr.Status == StatusDecided {
-			out = append(out, pr.Round)
-		}
-	}
-	return out
 }
 
 // CountStatus returns how many processes ended with the given status.

@@ -49,10 +49,6 @@ func TestDecidedAndCounts(t *testing.T) {
 	if got := r.MaxDecisionRound(); got != 4 {
 		t.Errorf("MaxDecisionRound = %d, want 4", got)
 	}
-	rounds := r.DecisionRounds()
-	if len(rounds) != 2 || rounds[0] != 1 || rounds[1] != 4 {
-		t.Errorf("DecisionRounds = %v, want [1 4]", rounds)
-	}
 }
 
 func TestAgreementAndValidityChecks(t *testing.T) {
@@ -97,9 +93,6 @@ func TestAgreementAndValidityChecks(t *testing.T) {
 	}
 	if got := empty.MaxDecisionRound(); got != 0 {
 		t.Errorf("empty MaxDecisionRound = %d, want 0", got)
-	}
-	if got := empty.DecisionRounds(); got != nil {
-		t.Errorf("empty DecisionRounds = %v, want nil", got)
 	}
 }
 

@@ -44,17 +44,11 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 		return nil, err
 	}
 	out := &protocol.Outcome{
-		Protocol:         ProtocolName,
-		Procs:            make([]protocol.ProcOutcome, len(res.Replicas)),
-		Metrics:          res.Metrics,
-		Elapsed:          res.Elapsed,
-		VirtualTime:      res.VirtualTime,
-		Steps:            res.Steps,
-		Quiesced:         res.Quiesced,
-		DeadlineExceeded: res.DeadlineExceeded,
-		StepsExceeded:    res.StepsExceeded,
-		Sched:            res.Sched,
-		Raw:              res,
+		Protocol: ProtocolName,
+		Procs:    make([]protocol.ProcOutcome, len(res.Replicas)),
+		Metrics:  res.Metrics,
+		Engine:   res.Engine,
+		Raw:      res,
 	}
 	for i, rr := range res.Replicas {
 		po := protocol.ProcOutcome{Status: rr.Status, Round: rr.Rounds}

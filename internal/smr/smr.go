@@ -32,7 +32,6 @@ import (
 	"allforone/internal/model"
 	"allforone/internal/netsim"
 	"allforone/internal/sim"
-	"allforone/internal/vclock"
 )
 
 // Config describes one replicated-log execution.
@@ -84,22 +83,7 @@ type ReplicaResult struct {
 type Result struct {
 	Replicas []ReplicaResult
 	Metrics  metrics.Snapshot
-	// Elapsed is the run duration on the virtual clock (always equal to
-	// VirtualTime, so Results are bit-reproducible from their Configs).
-	Elapsed time.Duration
-	// VirtualTime / Steps / Quiesced report the engine's clock,
-	// event count, and deterministic blocked-forever verdict (see sim.Result).
-	VirtualTime time.Duration
-	Steps       int64
-	Quiesced    bool
-	// DeadlineExceeded / StepsExceeded report a bounded-out run — cut short
-	// at a MaxVirtualTime / MaxSteps budget, inconclusive about liveness
-	// (see sim.Result).
-	DeadlineExceeded bool
-	StepsExceeded    bool
-	// Sched counts the scheduler's internal work (events scheduled,
-	// timer-wheel cascades, deepest bucket; see sim.Result).
-	Sched vclock.SchedulerStats
+	sim.Engine
 }
 
 // CheckLogAgreement verifies that all replica logs agree slot-by-slot on
@@ -585,12 +569,6 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	res.Metrics = ctr.Read()
-	res.Elapsed = out.Elapsed
-	res.VirtualTime = out.VirtualTime
-	res.Steps = out.Steps
-	res.Quiesced = out.Quiesced
-	res.DeadlineExceeded = out.DeadlineExceeded
-	res.StepsExceeded = out.StepsExceeded
-	res.Sched = out.Sched
+	res.Engine = out
 	return res, nil
 }
