@@ -29,15 +29,18 @@ func paperTrial(seed int64) Scenario {
 }
 
 // TestPaperTrialAllocationGate pins the allocation bill of one paper trial
-// (seed 3: one round, 38 events). Achieved: 102 allocations and 7.9 KB per
-// run, from 222 and 15.7 KB while every run built its scheduler, network,
-// inboxes and event pools afresh, its subset RNGs up front and its local
-// coins as three objects each — and from 388 and 30.8 KB before the first
-// per-run diet (pooled bucket array, dense supporters table, CONS_x[r,ph] as
-// a plain map of CAS objects). The limits leave about 15 % of headroom, so
-// the diet cannot rot unnoticed.
+// (seed 3: one round, 38 events). Achieved: 16 allocations and 5.2 KB per
+// run, from 102 and 7.9 KB while every process bought its own state, coin,
+// Quorum, pending map and dispatch closure, every broadcast boxed its
+// payload and every network option was a closure; from 222 and 15.7 KB
+// while every run built its scheduler, network, inboxes and event pools
+// afresh, its subset RNGs up front and its local coins as three objects
+// each; and from 388 and 30.8 KB before the first per-run diet (pooled
+// bucket array, dense supporters table, CONS_x[r,ph] as a plain map of CAS
+// objects). The limits leave about 15 % of headroom, so the diet cannot rot
+// unnoticed.
 func TestPaperTrialAllocationGate(t *testing.T) {
-	checkAllocBill(t, "one paper trial", paperTrial(3), 200, 117, 9_100)
+	checkAllocBill(t, "one paper trial", paperTrial(3), 200, 18, 6_000)
 }
 
 // baselineTrial is the paper trial's regime for a message-passing baseline:
@@ -50,25 +53,29 @@ func baselineTrial(protocol string, seed int64) Scenario {
 }
 
 // TestBaselineAllocationGate pins the allocation bill of one baseline trial
-// (seed 2). Ben-Or, 4 rounds and 372 events: 125 allocations and 7.7 KB per
-// run, from 244 and 15.3 KB while every run built its engine afresh (see
-// TestPaperTrialAllocationGate), and from 458 and 28.5 KB while every
-// exchange built a map tally and received() a slice. mpcoin, 3 rounds and
-// 132 events: 72 allocations and 5.1 KB, from 178 and 12.9 KB with a fresh
-// engine, and from 245 and 18.9 KB as a coroutine body with a map tally per
-// round. The limits leave about 15 % of headroom.
+// (seed 2). Ben-Or, 4 rounds and 372 events: 16 allocations and 4.7 KB per
+// run, from 125 and 7.7 KB with per-process objects and boxed payloads (see
+// TestPaperTrialAllocationGate), from 244 and 15.3 KB while every run built
+// its engine afresh, and from 458 and 28.5 KB while every exchange built a
+// map tally and received() a slice. mpcoin, 3 rounds and 132 events: 15
+// allocations and 3.4 KB, from 72 and 5.1 KB with per-process objects, from
+// 178 and 12.9 KB with a fresh engine, and from 245 and 18.9 KB as a
+// coroutine body with a map tally per round. The limits leave about 15 % of
+// headroom.
 func TestBaselineAllocationGate(t *testing.T) {
-	checkAllocBill(t, "one benor trial", baselineTrial(ProtocolBenOr, 2), 200, 144, 8_900)
-	checkAllocBill(t, "one mpcoin trial", baselineTrial(ProtocolMPCoin, 2), 200, 83, 5_800)
+	checkAllocBill(t, "one benor trial", baselineTrial(ProtocolBenOr, 2), 200, 18, 5_400)
+	checkAllocBill(t, "one mpcoin trial", baselineTrial(ProtocolMPCoin, 2), 200, 17, 3_850)
 }
 
 // TestSMRAllocationGate pins the allocation bill of one replicated log in
 // the kvlog regime: Fig1Right, 16 slots, queues of 16 commands,
 // Uniform(50µs,500µs), seed 1: 10,996 events, at most 80 rounds per
-// replica. Achieved: 2,152 allocations and 123 KB per run, from 2,461 and
-// 150 KB while every run built its engine afresh, and from 4,301 and 266 KB
-// as a coroutine body with a map tally per round and its slot state in
-// maps. The limits leave about 15 % of headroom.
+// replica. Achieved: 1,852 allocations and 118 KB per run, from 2,152 and
+// 123 KB with per-replica objects, closures and Quorum headers and
+// closure-valued options, from 2,461 and 150 KB while every run built its
+// engine afresh, and from 4,301 and 266 KB as a coroutine body with a map
+// tally per round and its slot state in maps. The limits leave about 15 %
+// of headroom.
 func TestSMRAllocationGate(t *testing.T) {
 	n := Fig1Right().N()
 	cmds := make([][]string, n)
@@ -84,17 +91,18 @@ func TestSMRAllocationGate(t *testing.T) {
 		Profile:  UniformProfile(50*time.Microsecond, 500*time.Microsecond),
 		Seed:     1,
 		Bounds:   Bounds{MaxRounds: 1000},
-	}, 200, 2_475, 141_000)
+	}, 200, 2_130, 136_000)
 }
 
 // TestMultivaluedAllocationGate pins the allocation bill of one
 // multivalued consensus run: Fig1Right, three distinct proposals,
 // Uniform(0,200µs), seed 1: 535 events, at most 7 binary rounds per
-// process. Achieved: 246 allocations and 14.6 KB per run, from 492 and
-// 35.6 KB while every run built its engine afresh, and from 773 and 48.8 KB
-// while every round built a map tally and a ProcSet per value instead of
-// resetting one model.Quorum per process. The limits leave about 15 % of
-// headroom.
+// process. Achieved: 182 allocations and 13.3 KB per run, from 246 and
+// 14.6 KB with per-process objects, closures and Quorum headers, from 492
+// and 35.6 KB while every run built its engine afresh, and from 773 and
+// 48.8 KB while every round built a map tally and a ProcSet per value
+// instead of resetting one model.Quorum per process. The limits leave about
+// 15 % of headroom.
 func TestMultivaluedAllocationGate(t *testing.T) {
 	props := make([]string, Fig1Right().N())
 	for p := range props {
@@ -106,16 +114,17 @@ func TestMultivaluedAllocationGate(t *testing.T) {
 		Workload: Workload{Values: props},
 		Profile:  UniformProfile(0, 200*time.Microsecond),
 		Seed:     1,
-	}, 200, 283, 16_800)
+	}, 200, 209, 15_300)
 }
 
 // TestRegisterAllocationGate pins the allocation bill of one scripted
 // register run: Fig1Right, the closure table's scripts (18 operations, 36
-// collections), Uniform(0,200µs), seed 1: 559 events. Achieved: 239
-// allocations and 15.7 KB per run, from 415 and 33.9 KB while every run
-// built its engine afresh, and from 466 and 34.3 KB while every collection
-// built a fresh ProcSet instead of resetting one model.Quorum per process.
-// The limits leave about 15 % of headroom.
+// collections), Uniform(0,200µs), seed 1: 559 events. Achieved: 198
+// allocations and 14.3 KB per run, from 239 and 15.7 KB with per-process
+// objects, closures and Quorum headers, from 415 and 33.9 KB while every
+// run built its engine afresh, and from 466 and 34.3 KB while every
+// collection built a fresh ProcSet instead of resetting one model.Quorum
+// per process. The limits leave about 15 % of headroom.
 func TestRegisterAllocationGate(t *testing.T) {
 	scripts := make([][]ScriptOp, Fig1Right().N())
 	for p := range scripts {
@@ -127,15 +136,16 @@ func TestRegisterAllocationGate(t *testing.T) {
 		Workload: Workload{Scripts: scripts},
 		Profile:  UniformProfile(0, 200*time.Microsecond),
 		Seed:     1,
-	}, 200, 275, 18_100)
+	}, 200, 228, 16_500)
 }
 
 // TestGossipAllocationGate pins the allocation bill of one crash-free gossip
 // run at n=2048 on a de Bruijn overlay, seed 1303: a scheduler sharded 16
 // ways, which owns its bucket array and so grows it afresh every run.
-// Achieved: 26,281 allocations and 8.5 MB per run, from 77,963 and 30.1 MB
-// while each of the 256 buckets grew and kept an array of its own and every
-// timer wake allocated a closure. The limits leave about 15 % of headroom.
+// Achieved: 23,966 allocations and 8.4 MB per run, from 26,022 with a
+// dispatch closure per process, and from 77,963 and 30.1 MB while each of
+// the 256 buckets grew and kept an array of its own and every timer wake
+// allocated a closure. The limits leave about 15 % of headroom.
 func TestGossipAllocationGate(t *testing.T) {
 	const n = 2048
 	w := Workload{Binary: make([]Value, n)}
@@ -146,7 +156,7 @@ func TestGossipAllocationGate(t *testing.T) {
 		Workload: w,
 		Profile:  UniformProfile(0, 200*time.Microsecond),
 		Seed:     1303,
-	}, 20, 30_200, 9_750_000)
+	}, 20, 27_600, 9_700_000)
 }
 
 // checkAllocBill fails unless one run of sc, averaged over runs runs,

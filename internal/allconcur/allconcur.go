@@ -139,6 +139,10 @@ type ProcResult struct {
 	// Delivered is the size of the delivered set when the execution ended
 	// (diagnostic: how far dissemination got before a block or crash).
 	Delivered int
+	// digest is an order-insensitive digest of the delivered set (its
+	// Digest): Violations compares it across decided processes. It is
+	// unexported, so encoded Outcomes, and their hashes, leave it out.
+	digest uint64
 }
 
 // Result aggregates an atomic-broadcast run.
@@ -231,6 +235,19 @@ func (s *deliveredSet) Add(q uint32) bool {
 	s.bits[q>>6] |= 1 << (q & 63)
 	s.count++
 	return true
+}
+
+// Digest returns a 64-bit digest of the set's members: a hash of its row,
+// so it depends on which ids the set holds, not on the order they arrived
+// in. It costs one pass over the n/64 words of the row.
+func (s *deliveredSet) Digest() uint64 {
+	h := uint64(len(s.bits))
+	for _, w := range s.bits {
+		h ^= w
+		h *= 0x9e3779b97f4a7c15
+		h ^= h >> 29
+	}
+	return h
 }
 
 // EachMissing calls fn for every id in [0, n) absent from the set, in
@@ -328,7 +345,7 @@ type reactor struct {
 }
 
 func (rx *reactor) finish(st sim.Status, decision string) bool {
-	*rx.store = ProcResult{Status: st, Decision: decision, Delivered: rx.delivered.Count()}
+	*rx.store = ProcResult{Status: st, Decision: decision, Delivered: rx.delivered.Count(), digest: rx.delivered.Digest()}
 	rx.done = true
 	return true
 }
@@ -601,7 +618,7 @@ func (rx *reactor) React(aborted bool) bool {
 	if !rx.decided && rx.complete() {
 		rx.flushNow() // mandatory: successors may still need this news
 		rx.ctr.ObserveRound(1)
-		*rx.store = ProcResult{Status: sim.StatusDecided, Decision: rx.minValue, Delivered: rx.delivered.Count()}
+		*rx.store = ProcResult{Status: sim.StatusDecided, Decision: rx.minValue, Delivered: rx.delivered.Count(), digest: rx.delivered.Digest()}
 		rx.decided = true
 		return false
 	}

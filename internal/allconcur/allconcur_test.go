@@ -10,6 +10,7 @@ import (
 	"allforone/internal/failures"
 	"allforone/internal/model"
 	"allforone/internal/overlay"
+	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
 
@@ -243,5 +244,38 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 		if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("%s: err = %v, want ErrBadConfig", tc.name, err)
 		}
+	}
+}
+
+// Set agreement is about the delivered sets, not their sizes: two decided
+// processes that delivered equally many messages from different origins
+// break it, and a set's digest does not depend on the order its members
+// arrived in.
+func TestViolationsCatchEqualSizedDifferentSets(t *testing.T) {
+	t.Parallel()
+	const words = 3 // a row of n = 130 ids
+	set := func(ids ...uint32) *deliveredSet {
+		s := &deliveredSet{bits: make([]uint64, words)}
+		for _, q := range ids {
+			s.Add(q)
+		}
+		return s
+	}
+	decided := func(s *deliveredSet) ProcResult {
+		return ProcResult{Status: sim.StatusDecided, Decision: "v0", Delivered: s.Count(), digest: s.Digest()}
+	}
+	a, aReordered, b := set(0, 64, 129), set(129, 0, 64), set(0, 64, 128)
+	if a.Digest() != aReordered.Digest() {
+		t.Fatal("one set, added in two orders, has two digests")
+	}
+
+	agree := &Result{Procs: []ProcResult{decided(a), {Status: sim.StatusCrashed}, decided(aReordered)}}
+	if vs := agree.Violations(&protocol.Scenario{}); len(vs) != 0 {
+		t.Fatalf("equal sets: %v", vs)
+	}
+	split := &Result{Procs: []ProcResult{decided(a), {Status: sim.StatusCrashed}, decided(b)}}
+	vs := split.Violations(&protocol.Scenario{})
+	if len(vs) != 1 || vs[0].Property != "set-agreement" {
+		t.Fatalf("equal-sized different sets: violations %v, want one set-agreement", vs)
 	}
 }

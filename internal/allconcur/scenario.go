@@ -64,8 +64,8 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 }
 
 // Violations checks the atomic-broadcast invariants the uniform Outcome
-// cannot show: every process that decided delivered a set of the same size
-// (set agreement), and a run that quiesced with live processes undecided
+// cannot show: every process that decided delivered the same set (set
+// agreement: equal sizes and equal digests), and a run that quiesced with live processes undecided
 // had its overlay disconnected by the crashes — while the live processes
 // still reach one another, failure notices flow and the run must finish.
 func (r *Result) Violations(sc *protocol.Scenario) []protocol.Violation {
@@ -77,9 +77,9 @@ func (r *Result) Violations(sc *protocol.Scenario) []protocol.Violation {
 		}
 		if first < 0 {
 			first = p
-		} else if pr.Delivered != r.Procs[first].Delivered {
+		} else if f := r.Procs[first]; pr.Delivered != f.Delivered || pr.digest != f.digest {
 			vs = append(vs, protocol.Violation{Property: "set-agreement",
-				Err: fmt.Errorf("p%d delivered %d messages, p%d %d", first+1, r.Procs[first].Delivered, p+1, pr.Delivered)})
+				Err: fmt.Errorf("p%d and p%d delivered different sets, of %d and %d messages", first+1, p+1, f.Delivered, pr.Delivered)})
 			break
 		}
 	}

@@ -66,12 +66,25 @@ type phaseMsg struct {
 	est   model.Value
 }
 
+// phaseMsgs holds the boxed phaseMsg of every (r, ph, est) a run is likely
+// to broadcast, so a broadcast allocates no payload.
+var phaseMsgs = model.NewPayloads(2, func(r, ph int, est model.Value) phaseMsg {
+	return phaseMsg{round: r, phase: ph, est: est}
+})
+
 // decideMsg is DECIDE(v).
 type decideMsg struct {
 	val model.Value
 }
 
 type phaseKey struct{ round, phase int }
+
+// heldEst is an estimate that arrived for a later exchange than the open
+// one, held back until that exchange opens.
+type heldEst struct {
+	at  phaseKey
+	est model.Value
+}
 
 func (k phaseKey) less(o phaseKey) bool {
 	if k.round != o.round {
@@ -133,9 +146,10 @@ type proc struct {
 	h         *driver.Handle // the engine's abort/kill state
 	subset    [2]uint64      // seeds the "arbitrary subset" of an interrupted broadcast
 	maxRounds int
-	memory    Memory // nil: Ben-Or's rounds have no memory step
-	pending   map[phaseKey][]model.Value
-	store     *outcome // this process's result slot
+	memory    Memory         // nil: Ben-Or's rounds have no memory step
+	pending   []heldEst      // estimates for later exchanges, in arrival order
+	out       outcome        // how the process ended, once React has returned true
+	prng      coin.PRNGLocal // backs local unless Config.LocalCoinOverride
 
 	r    int // open round; 0 before the first invocation
 	ph   int // open exchange: phase 1 or 2
@@ -153,7 +167,7 @@ type outcome struct {
 // finish records the outcome; React returns its result, retiring the
 // process.
 func (p *proc) finish(out outcome) bool {
-	*p.store = out
+	p.out = out
 	return true
 }
 
@@ -216,7 +230,10 @@ func (p *proc) React(aborted bool) bool {
 			case k == cur:
 				p.t.add(payload.est)
 			case cur.less(k):
-				p.pending[k] = append(p.pending[k], payload.est)
+				if p.pending == nil {
+					p.pending = make([]heldEst, 0, p.n) // one exchange's worth
+				}
+				p.pending = append(p.pending, heldEst{at: k, est: payload.est})
 			}
 		}
 	}
@@ -249,7 +266,7 @@ func (p *proc) beginExchange(ph int, est model.Value) bool {
 			return p.crash()
 		}
 	}
-	msg := phaseMsg{round: p.r, phase: ph, est: est}
+	msg := phaseMsgs.Get(p.r, ph, est)
 	if p.atCrashPoint(ph, failures.StageMidBroadcast) {
 		plan, _ := p.sched.Plan(p.id)
 		recipients := plan.DeliverTo
@@ -265,10 +282,15 @@ func (p *proc) beginExchange(ph int, est model.Value) bool {
 
 	cur := phaseKey{round: p.r, phase: ph}
 	p.t = tally{}
-	for _, v := range p.pending[cur] {
-		p.t.add(v)
+	kept := p.pending[:0]
+	for _, h := range p.pending {
+		if h.at == cur {
+			p.t.add(h.est)
+		} else {
+			kept = append(kept, h)
+		}
 	}
-	delete(p.pending, cur)
+	p.pending = kept
 	return false
 }
 
@@ -325,40 +347,39 @@ func (p *proc) decide(v model.Value) bool {
 // ErrInvariantBroken reports a protocol invariant violation (a bug).
 var ErrInvariantBroken = errors.New("benor: protocol invariant broken")
 
-// newProc builds process i's reactor.
-func newProc(cfg *Config, v *Variant, i int, nw *netsim.Network, ctr *metrics.Counters, h *driver.Handle, store *outcome) *proc {
+// newProc builds process i's reactor in p, its slot of the run's slab.
+func newProc(p *proc, cfg *Config, v *Variant, i int, nw *netsim.Network, ctr *metrics.Counters, h *driver.Handle) *proc {
 	id := model.ProcID(i)
-	var localCoin coin.Local
-	if cfg.LocalCoinOverride != nil {
-		localCoin = cfg.LocalCoinOverride(id)
-	} else {
-		localCoin = coin.NewPRNGLocal(coin.DeriveLocalSeed(cfg.Seed, id))
-	}
 	s1, s2 := coin.DeriveLocalSeed(cfg.Seed^v.SubsetSalt, id)
-	return &proc{
+	*p = proc{
 		id:        id,
 		n:         cfg.N,
 		net:       nw,
-		local:     localCoin,
 		sched:     cfg.Crashes,
 		ctr:       ctr,
 		h:         h,
 		subset:    [2]uint64{s1, s2},
 		maxRounds: cfg.MaxRounds,
 		memory:    v.Memory,
-		pending:   make(map[phaseKey][]model.Value),
-		store:     store,
 		est1:      cfg.Proposals[i],
 	}
+	if cfg.LocalCoinOverride != nil {
+		p.local = cfg.LocalCoinOverride(id)
+	} else {
+		p.prng = coin.NewPRNGLocal(coin.DeriveLocalSeed(cfg.Seed, id))
+		p.local = &p.prng
+	}
+	return p
 }
 
-// assemble builds the Result from the collected outcomes.
-func assemble(cfg *Config, outcomes []outcome, ctr *metrics.Counters) (*sim.Result, error) {
+// assemble builds the Result from the processes' outcomes.
+func assemble(cfg *Config, procs []proc, ctr *metrics.Counters) (*sim.Result, error) {
 	res := &sim.Result{
 		Procs:   make([]sim.ProcResult, cfg.N),
 		Metrics: ctr.Read(),
 	}
-	for i, o := range outcomes {
+	for i := range procs {
+		o := &procs[i].out
 		if o.status == sim.StatusFailed {
 			return nil, fmt.Errorf("%w: %v", ErrInvariantBroken, o.err)
 		}
@@ -406,19 +427,19 @@ func RunVariant(cfg Config, v Variant) (*sim.Result, error) {
 	}
 	var ctr metrics.Counters
 	var nw *netsim.Network
-	outcomes := make([]outcome, cfg.N)
+	procs := make([]proc, cfg.N)
 	out, err := driver.RunHandlers(driver.Config{
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
 		Crashes:        cfg.Crashes,
 	}, cfg.N, driver.StandardNet(&nw, cfg.N, uint64(cfg.Seed)^v.NetSalt, &ctr, cfg.MinDelay, cfg.MaxDelay, cfg.NetOptions...),
 		func(i int, h *driver.Handle) driver.Reactor {
-			return newProc(&cfg, &v, i, nw, &ctr, h, &outcomes[i])
+			return newProc(&procs[i], &cfg, &v, i, nw, &ctr, h)
 		})
 	if err != nil {
 		return nil, err
 	}
-	res, err := assemble(&cfg, outcomes, &ctr)
+	res, err := assemble(&cfg, procs, &ctr)
 	if err != nil {
 		return nil, err
 	}

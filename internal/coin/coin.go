@@ -49,9 +49,12 @@ type PRNGLocal struct {
 	src rand.PCG
 }
 
-// NewPRNGLocal returns a local coin seeded with (seed1, seed2).
-func NewPRNGLocal(seed1, seed2 uint64) *PRNGLocal {
-	c := new(PRNGLocal)
+// NewPRNGLocal returns a local coin seeded with (seed1, seed2). It is a
+// value: a process keeps its coin inside its own state, which a run carves
+// from one slab, so seeding a coin allocates nothing. Flip needs the coin's
+// address.
+func NewPRNGLocal(seed1, seed2 uint64) PRNGLocal {
+	var c PRNGLocal
 	c.src.Seed(seed1, seed2)
 	return c
 }

@@ -73,7 +73,7 @@ func TestCASConsensusProperties(t *testing.T) {
 
 func TestArraySameSlotSameObject(t *testing.T) {
 	t.Parallel()
-	a := NewArray()
+	a := &NewArrays(1)[0]
 	// Decide slot (3,1); a later proposal on it sees the decision.
 	if got := a.Propose(3, 1, model.One); got != model.One {
 		t.Fatalf("Propose = %v, want 1", got)
@@ -99,12 +99,45 @@ func TestArraySameSlotSameObject(t *testing.T) {
 	}
 }
 
-// A Propose on an existing slot is a map lookup and a field read: it
+// A Propose on an existing slot is a comparison and a field read: it
 // allocates nothing.
 func TestArrayProposeAllocs(t *testing.T) {
-	a := NewArray()
+	a := &NewArrays(1)[0]
 	a.Propose(7, 1, model.One)
 	if got := testing.AllocsPerRun(100, func() { a.Propose(7, 1, model.Zero) }); got != 0 {
 		t.Errorf("Propose on an existing slot allocates %v times, want 0", got)
+	}
+}
+
+// Slots created out of position order keep one object each: a proposal on
+// an earlier position than the latest one finds, or creates, its own slot.
+func TestArrayOutOfOrderSlots(t *testing.T) {
+	t.Parallel()
+	arrays := NewArrays(2)
+	a := &arrays[0]
+	proposals := []struct {
+		round, phase int
+		v, want      model.Value
+	}{
+		{9, 1, model.One, model.One},
+		{2, 2, model.Zero, model.Zero},
+		{5, 1, model.Bot, model.Bot},
+		{9, 1, model.Zero, model.One},
+		{2, 2, model.One, model.Zero},
+		{2, 1, model.One, model.One},
+		{5, 1, model.One, model.Bot},
+		{9, 2, model.Zero, model.Zero},
+		{1, 1, model.Zero, model.Zero},
+	}
+	for _, p := range proposals {
+		if got := a.Propose(p.round, p.phase, p.v); got != p.want {
+			t.Errorf("Propose(%d,%d,%v) = %v, want %v", p.round, p.phase, p.v, got, p.want)
+		}
+	}
+	if got := a.Allocations(); got != 6 {
+		t.Errorf("Allocations = %d, want 6", got)
+	}
+	if got := arrays[1].Allocations(); got != 0 {
+		t.Errorf("the other array of the slab holds %d slots, want 0", got)
 	}
 }

@@ -19,7 +19,7 @@ import (
 func (p *proc) beginExchange(ph int, est model.Value) bool {
 	p.ph, p.est = ph, est
 	p.sup.Reset()
-	msg := PhaseMsg{Round: p.r, Phase: ph, Est: est}
+	msg := phaseMsgs.Get(p.r, ph, est)
 	if p.atCrashPoint(ph, failures.StageMidBroadcast) {
 		plan, _ := p.sched.Plan(p.id)
 		recipients := plan.DeliverTo
@@ -34,11 +34,18 @@ func (p *proc) beginExchange(ph int, est model.Value) bool {
 	p.log.Append(p.id, trace.KindBroadcast, p.r, ph, est)
 	p.net.Broadcast(p.id, msg)
 
+	// Replay the votes held for this exchange, in arrival order, and keep
+	// the ones for later exchanges.
 	cur := phaseKey{round: p.r, phase: ph}
-	for _, vote := range p.pending[cur] {
-		p.sup.Add(vote.From, vote.Est)
+	kept := p.pending[:0]
+	for _, h := range p.pending {
+		if h.at == cur {
+			p.sup.Add(h.vote.From, h.vote.Est)
+		} else {
+			kept = append(kept, h)
+		}
 	}
-	delete(p.pending, cur)
+	p.pending = kept
 	return false
 }
 
@@ -61,7 +68,10 @@ func (p *proc) feedExchange(msg netsim.Message) bool {
 		case k == cur:
 			p.sup.Add(msg.From, payload.Est)
 		case cur.less(k):
-			p.pending[k] = append(p.pending[k], model.Vote{From: msg.From, Est: payload.Est})
+			if p.pending == nil {
+				p.pending = make([]heldVote, 0, p.part.N()) // one exchange's worth
+			}
+			p.pending = append(p.pending, heldVote{at: k, vote: model.Vote{From: msg.From, Est: payload.Est}})
 		}
 	}
 	return false

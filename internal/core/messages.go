@@ -35,6 +35,12 @@ func (m PhaseMsg) String() string {
 	return fmt.Sprintf("PHASE(%d,%d,%v)", m.Round, m.Phase, m.Est)
 }
 
+// phaseMsgs holds the boxed PhaseMsg of every (r, ph, est) a run is likely
+// to broadcast, so a broadcast allocates no payload.
+var phaseMsgs = model.NewPayloads(2, func(r, ph int, est model.Value) PhaseMsg {
+	return PhaseMsg{Round: r, Phase: ph, Est: est}
+})
+
 // DecideMsg is the DECIDE(v) message of Algorithm 2 lines 12/17 and
 // Algorithm 3 lines 9/13: broadcast before deciding so that processes
 // blocked in a later round cannot deadlock waiting for messages from
@@ -50,6 +56,13 @@ func (m DecideMsg) String() string { return fmt.Sprintf("DECIDE(%v)", m.Val) }
 type phaseKey struct {
 	round int
 	phase int
+}
+
+// heldVote is a phase message that arrived for a later exchange than the
+// open one, held back until that exchange opens.
+type heldVote struct {
+	at   phaseKey
+	vote model.Vote
 }
 
 // less reports whether k precedes other in protocol order.

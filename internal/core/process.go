@@ -51,12 +51,13 @@ type proc struct {
 	log    *trace.Log
 	h      *driver.Handle // the engine's abort/kill state (see internal/driver)
 	subset [2]uint64      // seeds the "arbitrary subset" of an interrupted broadcast
-	store  *outcome       // this process's slot of the run's outcomes
+	out    outcome        // how the process ended, once React has returned true
 
 	alg       Algorithm
-	maxRounds int // 0 = unbounded
-	pending   map[phaseKey][]model.Vote
-	sup       *model.Quorum // the tally of the exchange in progress
+	maxRounds int            // 0 = unbounded
+	pending   []heldVote     // votes for later exchanges, in arrival order
+	sup       *model.Quorum  // the tally of the exchange in progress
+	prng      coin.PRNGLocal // backs local unless Config.LocalCoinOverride
 
 	// ablateCluster skips the cluster consensus (see Config); false = the
 	// paper's algorithms.
@@ -71,7 +72,7 @@ type proc struct {
 // finish records the outcome; React returns its result, retiring the
 // process.
 func (p *proc) finish(out outcome) bool {
-	*p.store = out
+	p.out = out
 	return true
 }
 

@@ -154,40 +154,36 @@ func (cfg *Config) validate() (int, error) {
 }
 
 // execEnv is the substrate of one execution: the network, the per-cluster
-// memories and CONS arrays, the common coin, and the outcome slots.
+// memories and CONS arrays, the common coin, and the slabs the processes
+// are carved from — their states and their tallies.
 type execEnv struct {
-	n        int
-	part     *model.Partition
-	closure  *model.Partition // what the exchanges' Quorums close over
-	ctr      metrics.Counters
-	nw       *netsim.Network
-	arrays   []*consensusobj.Array
-	common   coin.Common
-	outcomes []outcome
+	n      int
+	part   *model.Partition
+	ctr    metrics.Counters
+	nw     *netsim.Network
+	arrays []consensusobj.Array
+	common coin.Common
+	procs  []proc
+	sups   []model.Quorum
 }
 
 // newExecEnv wires the substrate; the network is built separately by the
 // driver through newNetwork.
 func newExecEnv(cfg *Config, n int) *execEnv {
-	env := &execEnv{
-		n:        n,
-		part:     cfg.Partition,
-		closure:  cfg.Partition,
-		outcomes: make([]outcome, n),
-	}
+	closure := cfg.Partition // what the exchanges' Quorums close over
 	if cfg.AblateClosure {
-		env.closure = model.Singletons(n)
+		closure = model.Singletons(n)
 	}
-
-	// One CONS array per cluster: the cluster memory MEM_x.
-	env.arrays = make([]*consensusobj.Array, env.part.M())
-	for x := range env.arrays {
-		env.arrays[x] = consensusobj.NewArray()
+	env := &execEnv{
+		n:      n,
+		part:   cfg.Partition,
+		arrays: consensusobj.NewArrays(cfg.Partition.M()), // the cluster memories MEM_x
+		procs:  make([]proc, n),
+		sups:   model.NewQuorums(closure, n),
 	}
-
-	env.common = coin.NewSplitMixCommon(uint64(cfg.Seed) ^ 0x2545_f491_4f6c_dd1d)
-	if cfg.CommonCoinOverride != nil {
-		env.common = cfg.CommonCoinOverride
+	env.common = cfg.CommonCoinOverride
+	if env.common == nil {
+		env.common = coin.NewSplitMixCommon(uint64(cfg.Seed) ^ 0x2545_f491_4f6c_dd1d)
 	}
 	return env
 }
@@ -199,47 +195,49 @@ func (env *execEnv) newNetwork(cfg *Config) driver.NewNetFunc {
 		uint64(cfg.Seed)^0xa076_1d64_78bd_642f, &env.ctr, cfg.MinDelay, cfg.MaxDelay, cfg.NetOptions...)
 }
 
-// newProc builds process i's reactor.
+// newProc builds process i's reactor in its slot of the slab.
 func (env *execEnv) newProc(cfg *Config, i int, h *driver.Handle) *proc {
 	id := model.ProcID(i)
-	var localCoin coin.Local
-	if cfg.LocalCoinOverride != nil {
-		localCoin = cfg.LocalCoinOverride(id)
-	} else {
-		localCoin = coin.NewPRNGLocal(coin.DeriveLocalSeed(cfg.Seed, id))
-	}
 	s1, s2 := coin.DeriveLocalSeed(cfg.Seed^0x6c62_272e_07bb_0142, id)
-	return &proc{
+	p := &env.procs[i]
+	*p = proc{
 		id:            id,
 		part:          env.part,
 		net:           env.nw,
-		cons:          env.arrays[env.part.ClusterOf(id)],
-		local:         localCoin,
+		cons:          &env.arrays[env.part.ClusterOf(id)],
 		common:        env.common,
 		sched:         cfg.Crashes,
 		ctr:           &env.ctr,
 		log:           cfg.Trace,
 		h:             h,
 		subset:        [2]uint64{s1, s2},
-		store:         &env.outcomes[i],
 		alg:           cfg.Algorithm,
 		maxRounds:     cfg.MaxRounds,
-		pending:       make(map[phaseKey][]model.Vote),
-		sup:           model.NewQuorum(env.closure),
+		sup:           &env.sups[i],
 		ablateCluster: cfg.AblateClusterConsensus,
 		est1:          cfg.Proposals[i],
 	}
+	if cfg.LocalCoinOverride != nil {
+		p.local = cfg.LocalCoinOverride(id)
+	} else {
+		p.prng = coin.NewPRNGLocal(coin.DeriveLocalSeed(cfg.Seed, id))
+		p.local = &p.prng
+	}
+	return p
 }
 
-// buildResult assembles the Result from the collected outcomes.
+// buildResult assembles the Result from the processes' outcomes.
 func (env *execEnv) buildResult() (*Result, error) {
+	m := env.part.M()
+	cons := make([]int64, 2*m) // backs both per-cluster counts
 	res := &Result{
 		Procs:           make([]ProcResult, env.n),
 		Metrics:         env.ctr.Read(),
-		ConsInvocations: make([]int64, env.part.M()),
-		ConsAllocations: make([]int64, env.part.M()),
+		ConsInvocations: cons[:m:m],
+		ConsAllocations: cons[m:],
 	}
-	for i, o := range env.outcomes {
+	for i := range env.procs {
+		o := &env.procs[i].out
 		if o.status == StatusFailed {
 			return nil, fmt.Errorf("%w: %v", ErrInvariantBroken, o.err)
 		}

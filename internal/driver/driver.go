@@ -9,8 +9,8 @@
 // RunHandlers reports how the run ended as a sim.Engine record, which every
 // protocol's result type embeds whole.
 //
-// A protocol package provides two closures: a network constructor (the
-// driver appends netsim.WithScheduler) and a per-process reactor builder.
+// A protocol package provides two closures: a network constructor (handed
+// the run's scheduler) and a per-process reactor builder.
 // A reactor observes engine state only through the Handle it receives:
 // Aborted (should I give up?), Killed (has a timed crash struck me?), Now
 // (the run clock), and WakeAfter (be invoked again once time has passed).
@@ -71,12 +71,12 @@ type Config struct {
 	Crashes *failures.Schedule
 }
 
-// NewNetFunc builds the run's simulated network. The driver appends
-// netsim.WithScheduler; the protocol supplies everything else (seed,
-// counters, delay policy).
+// NewNetFunc builds the run's simulated network on the run's scheduler
+// (netsim.WithScheduler(clock)); the protocol supplies everything else
+// (seed, counters, delay policy).
 // A nil NewNetFunc runs the processes without a network (pure shared-memory
 // protocols).
-type NewNetFunc func(extra ...netsim.Option) (*netsim.Network, error)
+type NewNetFunc func(clock *vclock.Scheduler) (*netsim.Network, error)
 
 // Reactor is a process body (DESIGN.md §11): a resumable state machine the
 // scheduler invokes directly under its execution token — zero channel
@@ -116,14 +116,16 @@ type HandlerBody func(i int, h *Handle) Reactor
 // stored through nw so the process bodies (created before the network
 // exists) can reach it.
 func StandardNet(nw **netsim.Network, n int, seed uint64, ctr *metrics.Counters, minDelay, maxDelay time.Duration, protoOpts ...netsim.Option) NewNetFunc {
-	return func(extra ...netsim.Option) (*netsim.Network, error) {
-		opts := []netsim.Option{netsim.WithSeed(seed), netsim.WithCounters(ctr)}
+	return func(clock *vclock.Scheduler) (*netsim.Network, error) {
+		// Options are values and New keeps none of them, so this list
+		// lives on the stack.
+		var buf [6]netsim.Option
+		opts := append(buf[:0], netsim.WithSeed(seed), netsim.WithCounters(ctr))
 		if maxDelay > 0 {
 			opts = append(opts, netsim.WithUniformDelay(minDelay, maxDelay))
 		}
 		opts = append(opts, protoOpts...)
-		opts = append(opts, extra...)
-		built, err := netsim.New(n, opts...)
+		built, err := netsim.New(n, append(opts, netsim.WithScheduler(clock))...)
 		if err != nil {
 			return nil, err
 		}
@@ -132,11 +134,16 @@ func StandardNet(nw **netsim.Network, n int, seed uint64, ctr *metrics.Counters,
 	}
 }
 
-// Handle is a process body's view of the engine driving it.
+// Handle is a process body's view of the engine driving it. RunHandlers
+// keeps the run's Handles in one slab, and each is also its process's
+// vclock.Handler (invocation), so spawning a process allocates nothing.
 type Handle struct {
 	clock  *vclock.Scheduler
 	proc   *vclock.Proc // the body's own process
 	killed bool         // a timed crash has struck; written and read under the token
+	r      Reactor      // the body
+	nw     *netsim.Network
+	id     model.ProcID
 }
 
 // Now returns the run clock: the virtual clock, exact and deterministic.
@@ -177,6 +184,30 @@ type wakeup Handle
 // before RunHandlers has bound the spawned Proc back onto the Handle.
 func (w *wakeup) Fire() { w.proc.Wake() }
 
+// invocation is a Handle spawned as its process's vclock.Handler: the
+// conversion from *Handle allocates nothing, where a closure per process
+// would.
+type invocation Handle
+
+// Handle invokes the reactor; once it reports finished, the process retires
+// and its inbox closes.
+func (v *invocation) Handle(aborted bool) {
+	if v.r.React(aborted) {
+		v.proc.Finish()
+		closeInbox(v.nw, v.id)
+	}
+}
+
+// strike is a Handle scheduled as its process's timed crash: it raises the
+// Killed flag and closes the inbox, allocating nothing.
+type strike Handle
+
+// Fire strikes the handle's process.
+func (c *strike) Fire() {
+	c.killed = true
+	closeInbox(c.nw, c.id)
+}
+
 // RunHandlers executes n processes, one Reactor each, on a deterministic
 // discrete-event scheduler and returns the engine's record of the run: same
 // inputs, same record. It owns the run's lifecycle: crash-schedule
@@ -198,7 +229,7 @@ func RunHandlers(cfg Config, n int, newNet NewNetFunc, mk HandlerBody) (sim.Engi
 	var nw *netsim.Network
 	if newNet != nil {
 		var err error
-		if nw, err = newNet(netsim.WithScheduler(clock)); err != nil {
+		if nw, err = newNet(clock); err != nil {
 			return sim.Engine{}, err
 		}
 	}
@@ -206,16 +237,11 @@ func RunHandlers(cfg Config, n int, newNet NewNetFunc, mk HandlerBody) (sim.Engi
 	handles := make([]Handle, n)
 	for i := range handles {
 		h := &handles[i]
-		h.clock = clock
-		r := mk(i, h)
-		h.proc = clock.SpawnHandler(procName(i), func(aborted bool) {
-			if r.React(aborted) {
-				h.proc.Finish()
-				closeInbox(nw, i)
-			}
-		})
+		h.clock, h.nw, h.id = clock, nw, model.ProcID(i)
+		h.r = mk(i, h)
+		h.proc = clock.Inline(procName(i), (*invocation)(h))
 		if nw != nil {
-			nw.Bind(model.ProcID(i), h.proc)
+			nw.Bind(h.id, h.proc)
 		}
 	}
 
@@ -223,10 +249,7 @@ func RunHandlers(cfg Config, n int, newNet NewNetFunc, mk HandlerBody) (sim.Engi
 	// close its inbox; the victim halts at its next step point. Timed()
 	// returns a sorted slice, keeping event installation deterministic.
 	for _, tc := range cfg.Crashes.Timed() {
-		clock.At(vclock.Time(tc.At), func() {
-			handles[tc.P].killed = true
-			closeInbox(nw, int(tc.P))
-		})
+		clock.AtEvent(vclock.Time(tc.At), (*strike)(&handles[tc.P]))
 	}
 
 	out := clock.Run()
@@ -262,10 +285,10 @@ func procName(i int) string {
 	return "p" + strconv.Itoa(i)
 }
 
-// closeInbox closes process i's inbox once its body has finished.
-func closeInbox(nw *netsim.Network, i int) {
+// closeInbox closes process p's inbox once its body has finished.
+func closeInbox(nw *netsim.Network, p model.ProcID) {
 	if nw != nil {
-		nw.CloseInbox(model.ProcID(i))
+		nw.CloseInbox(p)
 	}
 }
 

@@ -9,14 +9,13 @@ import (
 	"allforone/internal/metrics"
 	"allforone/internal/netsim"
 	"allforone/internal/sim"
+	"allforone/internal/vclock"
 )
 
 // echoNet builds a plain seeded network for n processes.
 func echoNet(n int, seed uint64, ctr *metrics.Counters) NewNetFunc {
-	return func(extra ...netsim.Option) (*netsim.Network, error) {
-		opts := []netsim.Option{netsim.WithSeed(seed), netsim.WithCounters(ctr)}
-		opts = append(opts, extra...)
-		return netsim.New(n, opts...)
+	return func(clock *vclock.Scheduler) (*netsim.Network, error) {
+		return netsim.New(n, netsim.WithSeed(seed), netsim.WithCounters(ctr), netsim.WithScheduler(clock))
 	}
 }
 
@@ -52,15 +51,14 @@ func TestVirtualOutcomeReproducible(t *testing.T) {
 		const n = 6
 		var ctr metrics.Counters
 		var nw *netsim.Network
-		newNet := func(extra ...netsim.Option) (*netsim.Network, error) {
+		newNet := func(clock *vclock.Scheduler) (*netsim.Network, error) {
 			var err error
-			opts := []netsim.Option{
+			nw, err = netsim.New(n,
 				netsim.WithSeed(11),
 				netsim.WithCounters(&ctr),
 				netsim.WithUniformDelay(time.Microsecond, time.Millisecond),
-			}
-			opts = append(opts, extra...)
-			nw, err = netsim.New(n, opts...)
+				netsim.WithScheduler(clock),
+			)
 			return nw, err
 		}
 		got := make([]int, n)

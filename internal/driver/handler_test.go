@@ -8,6 +8,7 @@ import (
 	"allforone/internal/metrics"
 	"allforone/internal/model"
 	"allforone/internal/netsim"
+	"allforone/internal/vclock"
 )
 
 // pingReactor is a tiny ping protocol: broadcast once, then count n
@@ -53,9 +54,9 @@ func TestRunHandlersPing(t *testing.T) {
 	var ctr metrics.Counters
 	var nw *netsim.Network
 	got := make([]int, n)
-	newNet := func(extra ...netsim.Option) (*netsim.Network, error) {
+	newNet := func(clock *vclock.Scheduler) (*netsim.Network, error) {
 		var err error
-		nw, err = echoNet(n, 42, &ctr)(extra...)
+		nw, err = echoNet(n, 42, &ctr)(clock)
 		return nw, err
 	}
 	out, err := RunHandlers(Config{}, n, newNet,
@@ -100,9 +101,9 @@ func TestRunHandlersQuiescence(t *testing.T) {
 	t.Parallel()
 	const n = 3
 	var nw *netsim.Network
-	newNet := func(extra ...netsim.Option) (*netsim.Network, error) {
+	newNet := func(clock *vclock.Scheduler) (*netsim.Network, error) {
 		var err error
-		nw, err = echoNet(n, 7, nil)(extra...)
+		nw, err = echoNet(n, 7, nil)(clock)
 		return nw, err
 	}
 	blocked := make([]bool, n)
@@ -159,9 +160,9 @@ func TestRunHandlersTimedCrash(t *testing.T) {
 	t.Parallel()
 	const n = 3
 	var nw *netsim.Network
-	newNet := func(extra ...netsim.Option) (*netsim.Network, error) {
+	newNet := func(clock *vclock.Scheduler) (*netsim.Network, error) {
 		var err error
-		nw, err = echoNet(n, 9, nil)(extra...)
+		nw, err = echoNet(n, 9, nil)(clock)
 		return nw, err
 	}
 	crashes := failures.NewSchedule(n)

@@ -77,10 +77,7 @@ func Run(cfg Config) (*sim.Result, error) {
 		}
 	}
 
-	arrays := make([]*consensusobj.Array, n)
-	for i := range arrays {
-		arrays[i] = consensusobj.NewArray()
-	}
+	arrays := consensusobj.NewArrays(n)
 	// memoryPropose performs the m&m shared-memory step of one phase:
 	// propose est to the consensus object of every accessible memory (own
 	// centered memory plus each neighbor's — α_i + 1 invocations) and adopt

@@ -1,5 +1,7 @@
 package model
 
+import "math/bits"
+
 // Quorum is the one-for-all tally of one exchange, Algorithm 1 lines 4–7:
 // "if p_i receives (r, ph, v) from p_j ∈ P[x], it is as if it received the
 // very same message from all the processes of P[x]" (line 6), and the
@@ -13,13 +15,25 @@ package model
 //
 // An owner runs one exchange at a time and reads the tally only before it
 // opens the next, so it keeps one Quorum for its whole execution and Resets
-// it per exchange. A Quorum is not safe for concurrent use.
+// it per exchange. A run's owners take theirs from one slab (NewQuorums). A
+// Quorum is not safe for concurrent use.
+//
+// The four sets — the supporters of ⊥, 0 and 1, and their union — are bare
+// bitmaps in one word slice with a count each: an exchange only adds to them
+// and reads their sizes, so they carry no ProcSet header, and Reset clears
+// only the word span an exchange touched.
 type Quorum struct {
 	part   *Partition
-	byVal  []ProcSet // indexed by value+1: ⊥, 0, 1
-	covers *ProcSet  // union over all values: the exit-condition set
-	rec    [3]Value  // backs Received's result
+	words  []uint64 // four bitmaps of w words each, indexed by set
+	w      int      // words per bitmap
+	cnt    [4]int   // set sizes
+	lo, hi int      // word span touched since the last Reset (lo > hi ⇒ none)
+	rec    [3]Value // backs Received's result
 }
+
+// The sets of a Quorum: supporters of value v sit at index v+1 (⊥, 0, 1),
+// the union over all values after them.
+const covers = 3
 
 // Vote is one (sender, estimate) message an owner holds back for an
 // exchange it has not opened yet, to Add once it opens it.
@@ -28,31 +42,56 @@ type Vote struct {
 	Est  Value
 }
 
-// NewQuorum returns an empty Quorum over the clusters of part.
-func NewQuorum(part *Partition) *Quorum {
-	sets := NewProcSets(part.N(), 4)
-	return &Quorum{part: part, byVal: sets[:3], covers: &sets[3]}
+// NewQuorums returns k empty Quorums over the clusters of part, carved from
+// one allocation of Quorums and one of bitmap words — a run's processes
+// take one each.
+func NewQuorums(part *Partition, k int) []Quorum {
+	w := (part.N() + 63) / 64
+	words := make([]uint64, 4*w*k)
+	qs := make([]Quorum, k)
+	for i := range qs {
+		qs[i] = Quorum{part: part, words: words[4*w*i : 4*w*(i+1) : 4*w*(i+1)], w: w, lo: w, hi: -1}
+	}
+	return qs
 }
 
 // Reset empties the tally for the next exchange.
 func (q *Quorum) Reset() {
-	for i := range q.byVal {
-		q.byVal[i].Clear()
+	if q.lo <= q.hi {
+		for set := 0; set < 4; set++ {
+			clear(q.words[set*q.w+q.lo : set*q.w+q.hi+1])
+		}
 	}
-	q.covers.Clear()
+	q.cnt = [4]int{}
+	q.lo, q.hi = q.w, -1
 }
 
 // Add accounts one message carrying v from sender through the sender's
-// cluster closure. v must be ⊥, 0 or 1.
+// cluster closure. v must be ⊥, 0 or 1. Only the closure's populated word
+// span is visited, so the cost is O(|span|), not O(n/64).
 func (q *Quorum) Add(sender ProcID, v Value) {
 	closure := q.part.Cluster(sender)
-	q.byVal[v+1].UnionInto(closure)
-	q.covers.UnionInto(closure)
+	sup, all := int(v+1)*q.w, covers*q.w
+	for i := closure.lo; i <= closure.hi; i++ {
+		c := closure.words[i]
+		if add := c &^ q.words[sup+i]; add != 0 {
+			q.words[sup+i] |= add
+			q.cnt[v+1] += bits.OnesCount64(add)
+		}
+		if add := c &^ q.words[all+i]; add != 0 {
+			q.words[all+i] |= add
+			q.cnt[covers] += bits.OnesCount64(add)
+		}
+	}
+	q.lo, q.hi = min(q.lo, closure.lo), max(q.hi, closure.hi)
 }
+
+// majority reports whether set holds a strict majority of Π.
+func (q *Quorum) majority(set int) bool { return 2*q.cnt[set] > q.part.N() }
 
 // Covered is the exit condition of Algorithm 1 line 7: the closure of the
 // senders covers a strict majority of Π.
-func (q *Quorum) Covered() bool { return q.covers.IsMajority() }
+func (q *Quorum) Covered() bool { return q.majority(covers) }
 
 // Majority returns the binary value supported by more than n/2 processes,
 // if any. At most one such value exists in a real execution: two
@@ -60,7 +99,7 @@ func (q *Quorum) Covered() bool { return q.covers.IsMajority() }
 // one value per exchange.
 func (q *Quorum) Majority() (Value, bool) {
 	for _, v := range [...]Value{Zero, One} {
-		if q.byVal[v+1].IsMajority() {
+		if q.majority(int(v + 1)) {
 			return v, true
 		}
 	}
@@ -73,7 +112,7 @@ func (q *Quorum) Majority() (Value, bool) {
 func (q *Quorum) Received() []Value {
 	out := q.rec[:0]
 	for _, v := range [...]Value{Zero, One, Bot} {
-		if q.byVal[v+1].Count() > 0 {
+		if q.cnt[v+1] > 0 {
 			out = append(out, v)
 		}
 	}

@@ -29,7 +29,9 @@ func TestQuorumProperties(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.IntN(20)
 		part := randomClusters(rng, n)
-		q := NewQuorum(part)
+		// Two Quorums of one slab: the second must stay untouched.
+		slab := NewQuorums(part, 2)
+		q, other := &slab[0], &slab[1]
 		senders := map[ProcID]Value{}
 		msgs := rng.IntN(2 * n)
 		for i := 0; i < msgs; i++ {
@@ -43,12 +45,12 @@ func TestQuorumProperties(t *testing.T) {
 		for s := range senders {
 			want.UnionInto(part.Cluster(s))
 		}
-		if got := q.covers.Count(); got != want.Count() {
+		if got := q.cnt[covers]; got != want.Count() {
 			t.Fatalf("trial %d: coverage = %d, want %d", trial, got, want.Count())
 		}
 		// Each value's supporters are a subset of the coverage.
 		for _, v := range []Value{Zero, One, Bot} {
-			if q.byVal[v+1].Count() > q.covers.Count() {
+			if q.cnt[v+1] > q.cnt[covers] {
 				t.Fatalf("trial %d: supporters(%v) exceeds coverage", trial, v)
 			}
 		}
@@ -57,13 +59,18 @@ func TestQuorumProperties(t *testing.T) {
 		}
 		// Majority names a value whose supporters hold a majority; this
 		// synthetic feed may give one sender both values, so both may.
-		if v, ok := q.Majority(); ok != (q.byVal[Zero+1].IsMajority() || q.byVal[One+1].IsMajority()) ||
-			(ok && !q.byVal[v+1].IsMajority()) {
+		if v, ok := q.Majority(); ok != (q.majority(int(Zero+1)) || q.majority(int(One+1))) ||
+			(ok && !q.majority(int(v+1))) {
 			t.Fatalf("trial %d: Majority = (%v, %v) inconsistent with the tally", trial, v, ok)
 		}
 		q.Reset()
-		if q.Covered() || len(q.Received()) != 0 || q.covers.Count() != 0 {
-			t.Fatalf("trial %d: Reset left %v covering %d", trial, q.Received(), q.covers.Count())
+		if q.Covered() || len(q.Received()) != 0 || q.cnt[covers] != 0 {
+			t.Fatalf("trial %d: Reset left %v covering %d", trial, q.Received(), q.cnt[covers])
+		}
+		for i, w := range slab[0].words {
+			if w != 0 || other.words[i] != 0 {
+				t.Fatalf("trial %d: word %d survived Reset or leaked across the slab", trial, i)
+			}
 		}
 	}
 }
@@ -76,7 +83,7 @@ func TestQuorumOverSingletonsCountsDistinctSenders(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 11))
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.IntN(150)
-		q := NewQuorum(Singletons(n))
+		q := &NewQuorums(Singletons(n), 1)[0]
 		byVal := map[Value]map[ProcID]bool{}
 		all := map[ProcID]bool{}
 		for i, msgs := 0, rng.IntN(3*n); i < msgs; i++ {
@@ -90,7 +97,7 @@ func TestQuorumOverSingletonsCountsDistinctSenders(t *testing.T) {
 			all[sender] = true
 		}
 		for _, v := range []Value{Bot, Zero, One} {
-			if got := q.byVal[v+1].Count(); got != len(byVal[v]) {
+			if got := q.cnt[v+1]; got != len(byVal[v]) {
 				t.Fatalf("trial %d n=%d: supporters(%v) = %d, want %d distinct senders", trial, n, v, got, len(byVal[v]))
 			}
 		}
@@ -104,19 +111,19 @@ func TestQuorumOverSingletonsCountsDistinctSenders(t *testing.T) {
 // right's P[2] their closure covers all four of its members.
 func TestQuorumSingletonsCountSenders(t *testing.T) {
 	t.Parallel()
-	flat := NewQuorum(Singletons(7))
+	flat := &NewQuorums(Singletons(7), 1)[0]
 	flat.Add(1, One) // p2 ∈ P[2] (size 4)
 	flat.Add(2, One)
 	flat.Add(1, One) // duplicate
-	if got := flat.byVal[One+1].Count(); got != 2 {
+	if got := flat.cnt[One+1]; got != 2 {
 		t.Errorf("supporters over singletons = %d, want 2", got)
 	}
 	if flat.Covered() {
 		t.Error("2 of 7 senders must not satisfy the exit condition")
 	}
-	closed := NewQuorum(Fig1Right())
+	closed := &NewQuorums(Fig1Right(), 1)[0]
 	closed.Add(1, One)
-	if got := closed.byVal[One+1].Count(); got != 4 {
+	if got := closed.cnt[One+1]; got != 4 {
 		t.Errorf("closure supporters = %d, want 4", got)
 	}
 	if !closed.Covered() {
@@ -130,7 +137,7 @@ func TestQuorumSingletonsCountSenders(t *testing.T) {
 // Received reports values in canonical order (binary first, then ⊥).
 func TestQuorumReceivedOrder(t *testing.T) {
 	t.Parallel()
-	q := NewQuorum(Singletons(5))
+	q := &NewQuorums(Singletons(5), 1)[0]
 	q.Add(0, Bot)
 	q.Add(1, One)
 	rec := q.Received()

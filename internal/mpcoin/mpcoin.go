@@ -69,6 +69,19 @@ type estMsg struct {
 	est   model.Value
 }
 
+// estMsgs holds the boxed estMsg of every (r, est) a run is likely to
+// broadcast, so a broadcast allocates no payload.
+var estMsgs = model.NewPayloads(1, func(r, _ int, est model.Value) estMsg {
+	return estMsg{round: r, est: est}
+})
+
+// heldEst is an estimate that arrived for a later round than the open one,
+// held back until that round opens.
+type heldEst struct {
+	round int
+	est   model.Value
+}
+
 type decideMsg struct {
 	val model.Value
 }
@@ -87,8 +100,8 @@ type proc struct {
 	h         *driver.Handle // the engine's abort/kill state
 	subset    [2]uint64      // seeds the "arbitrary subset" of an interrupted broadcast
 	maxRounds int
-	pending   map[int][]model.Value // round -> buffered estimates
-	store     *sim.ProcResult       // this process's slot of the Result
+	pending   []heldEst       // estimates for later rounds, in arrival order
+	store     *sim.ProcResult // this process's slot of the Result
 
 	r      int // open round; 0 before the first invocation
 	est    model.Value
@@ -153,7 +166,10 @@ func (p *proc) React(aborted bool) bool {
 				p.counts[payload.est]++
 				p.total++
 			case payload.round > p.r:
-				p.pending[payload.round] = append(p.pending[payload.round], payload.est)
+				if p.pending == nil {
+					p.pending = make([]heldEst, 0, p.n) // one round's worth
+				}
+				p.pending = append(p.pending, heldEst{round: payload.round, est: payload.est})
 			}
 		}
 	}
@@ -180,16 +196,21 @@ func (p *proc) nextRound() bool {
 			// starts here.
 			recipients = failures.RandomSubset(rand.New(rand.NewPCG(p.subset[0], p.subset[1])), p.n)
 		}
-		p.net.BroadcastSubset(p.id, estMsg{round: p.r, est: p.est}, recipients)
+		p.net.BroadcastSubset(p.id, estMsgs.Get(p.r, 1, p.est), recipients)
 		return p.finish(sim.ProcResult{Status: sim.StatusCrashed, Round: p.r})
 	}
-	p.net.Broadcast(p.id, estMsg{round: p.r, est: p.est})
+	p.net.Broadcast(p.id, estMsgs.Get(p.r, 1, p.est))
 	p.counts, p.total = [2]int{}, 0
-	for _, v := range p.pending[p.r] {
-		p.counts[v]++
-		p.total++
+	kept := p.pending[:0]
+	for _, h := range p.pending {
+		if h.round == p.r {
+			p.counts[h.est]++
+			p.total++
+		} else {
+			kept = append(kept, h)
+		}
 	}
-	delete(p.pending, p.r)
+	p.pending = kept
 	return false
 }
 
@@ -230,22 +251,25 @@ func (p *proc) afterExchange() bool {
 	return p.finish(sim.ProcResult{Status: sim.StatusDecided, Decision: major, Round: p.r})
 }
 
-// newProc builds process i's runtime state.
-func newProc(cfg *Config, i int, nw *netsim.Network, commonCoin coin.Common, ctr *metrics.Counters) *proc {
+// newProc builds process i's runtime state in p, its slot of the run's
+// slab.
+func newProc(p *proc, cfg *Config, i int, nw *netsim.Network, commonCoin coin.Common, ctr *metrics.Counters, h *driver.Handle, store *sim.ProcResult) *proc {
 	id := model.ProcID(i)
 	s1, s2 := coin.DeriveLocalSeed(cfg.Seed^0x5851_f42d_4c95_7f2d, id)
-	return &proc{
+	*p = proc{
 		id:        id,
 		n:         cfg.N,
 		net:       nw,
 		common:    commonCoin,
 		sched:     cfg.Crashes,
 		ctr:       ctr,
+		h:         h,
 		subset:    [2]uint64{s1, s2},
 		maxRounds: cfg.MaxRounds,
-		pending:   make(map[int][]model.Value),
+		store:     store,
 		est:       cfg.Proposals[i],
 	}
+	return p
 }
 
 // Run executes one consensus instance and returns per-process outcomes.
@@ -268,16 +292,14 @@ func Run(cfg Config) (*sim.Result, error) {
 	var ctr metrics.Counters
 	var nw *netsim.Network
 	res := &sim.Result{Procs: make([]sim.ProcResult, cfg.N)}
+	procs := make([]proc, cfg.N)
 	out, err := driver.RunHandlers(driver.Config{
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
 		Crashes:        cfg.Crashes,
 	}, cfg.N, driver.StandardNet(&nw, cfg.N, uint64(cfg.Seed)^0x27d4_eb2f_1656_67c5, &ctr, cfg.MinDelay, cfg.MaxDelay, cfg.NetOptions...),
 		func(i int, h *driver.Handle) driver.Reactor {
-			p := newProc(&cfg, i, nw, commonCoin, &ctr)
-			p.h = h
-			p.store = &res.Procs[i]
-			return p
+			return newProc(&procs[i], &cfg, i, nw, commonCoin, &ctr, h, &res.Procs[i])
 		})
 	if err != nil {
 		return nil, err

@@ -438,10 +438,7 @@ func Run(cfg Config) (*Result, error) {
 
 	var ctr metrics.Counters
 	var nw *netsim.Network
-	arrays := make([]*consensusobj.Array, cfg.Partition.M())
-	for x := range arrays {
-		arrays[x] = consensusobj.NewArray()
-	}
+	arrays := consensusobj.NewArrays(cfg.Partition.M())
 
 	maxInst := cfg.MaxInstances
 	if maxInst <= 0 {
@@ -453,6 +450,8 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	outcomes := make([]outcome, n)
+	tallies := model.NewQuorums(cfg.Partition, n)
+	procs := make([]proc, n)
 	out, err := driver.RunHandlers(driver.Config{
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
@@ -460,11 +459,12 @@ func Run(cfg Config) (*Result, error) {
 	}, n, driver.StandardNet(&nw, n, uint64(cfg.Seed)^0x60be_e2be_e120_fc15, &ctr, cfg.MinDelay, cfg.MaxDelay, cfg.NetOptions...),
 		func(i int, h *driver.Handle) driver.Reactor {
 			id := model.ProcID(i)
-			p := &proc{
+			p := &procs[i]
+			*p = proc{
 				id:          id,
 				part:        cfg.Partition,
 				net:         nw,
-				cons:        arrays[cfg.Partition.ClusterOf(id)],
+				cons:        &arrays[cfg.Partition.ClusterOf(id)],
 				seed:        cfg.Seed,
 				sched:       cfg.Crashes,
 				ctr:         &ctr,
@@ -474,7 +474,7 @@ func Run(cfg Config) (*Result, error) {
 				delivered:   make(map[model.ProcID]string, n),
 				binDecided:  make(map[int]model.Value),
 				pendingInst: make(map[instKey][]model.Vote),
-				sup:         model.NewQuorum(cfg.Partition),
+				sup:         &tallies[i],
 				store:       &outcomes[i],
 			}
 			p.delivered[id] = cfg.Proposals[i]

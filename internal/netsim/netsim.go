@@ -90,37 +90,70 @@ func (o *options) draw(rng *rand.Rand, at time.Duration, m Message) time.Duratio
 	return d
 }
 
-// Option customizes a Network.
-type Option func(*options)
+// Option customizes a Network. It is a plain value, not a closure, so
+// configuring a run's network allocates nothing. The zero Option changes
+// nothing.
+type Option struct {
+	kind     optionKind
+	seed     uint64
+	min, max time.Duration
+	counters *metrics.Counters
+	sched    *vclock.Scheduler
+	timedFn  TimedDelayFn
+}
+
+// optionKind names the setting an Option carries.
+type optionKind uint8
+
+const (
+	optNone optionKind = iota
+	optSeed
+	optUniform
+	optTimed
+	optCounters
+	optScheduler
+)
+
+// IsZero reports whether o is the zero Option, which changes nothing — what
+// a profile compiles to when it delivers immediately.
+func (o Option) IsZero() bool { return o.kind == optNone }
+
+// apply sets what opt carries.
+func (o *options) apply(opt Option) {
+	switch opt.kind {
+	case optSeed:
+		o.seed = opt.seed
+	case optUniform:
+		o.uniform, o.uniMin, o.uniSpan = opt.max > 0, opt.min, opt.max-opt.min
+	case optTimed:
+		o.timedFn = opt.timedFn
+	case optCounters:
+		o.counters = opt.counters
+	case optScheduler:
+		o.sched = opt.sched
+	}
+}
 
 // WithSeed fixes the seed of the delay RNG, making delay draws reproducible.
-func WithSeed(seed uint64) Option {
-	return func(o *options) { o.seed = seed }
-}
+func WithSeed(seed uint64) Option { return Option{kind: optSeed, seed: seed} }
 
 // WithUniformDelay draws each message's transit time uniformly from
 // [min, max] — the compile target of protocol.Uniform. On a sharded
 // scheduler min also lets each send window stay open for min of virtual
 // time (openWindow). A zero max keeps the default immediate delivery.
 func WithUniformDelay(min, max time.Duration) Option {
-	return func(o *options) {
-		o.uniform, o.uniMin, o.uniSpan = max > 0, min, max-min
-	}
+	return Option{kind: optUniform, min: min, max: max}
 }
 
 // WithTimedDelayFn installs a clock-aware delay policy — the compile
 // target of the public API's non-uniform NetworkProfiles (per-link skew
 // matrices, asymmetric cluster WANs, partitions healing at an instant). It
 // overrides WithUniformDelay, in either option order.
-func WithTimedDelayFn(fn TimedDelayFn) Option {
-	return func(o *options) { o.timedFn = fn }
-}
+func WithTimedDelayFn(fn TimedDelayFn) Option { return Option{kind: optTimed, timedFn: fn} }
 
 // WithCounters wires the network to a metrics sink; sends and deliveries
 // are counted there.
-func WithCounters(c *metrics.Counters) Option {
-	return func(o *options) { o.counters = c }
-}
+func WithCounters(c *metrics.Counters) Option { return Option{kind: optCounters, counters: c} }
 
 // WithScheduler attaches the network to its discrete-event scheduler
 // (required): message transit is a scheduled delivery event at a virtual
@@ -128,9 +161,7 @@ func WithCounters(c *metrics.Counters) Option {
 // consumer must be attached with Bind before its first delivery, and all
 // network calls must come from scheduler-controlled code (handlers or event
 // callbacks).
-func WithScheduler(s *vclock.Scheduler) Option {
-	return func(o *options) { o.sched = s }
-}
+func WithScheduler(s *vclock.Scheduler) Option { return Option{kind: optScheduler, sched: s} }
 
 // Network is the simulated fully connected reliable asynchronous network
 // for n processes. The scheduler's single execution token serializes every
@@ -449,7 +480,7 @@ func New(n int, opts ...Option) (*Network, error) {
 	}
 	var o options
 	for _, opt := range opts {
-		opt(&o)
+		o.apply(opt)
 	}
 	if o.sched == nil {
 		return nil, fmt.Errorf("netsim: no scheduler (WithScheduler is required)")

@@ -192,22 +192,19 @@ func TestVirtualSendAllBatchedFanout(t *testing.T) {
 // practically every broadcast takes the wide form, and that buffer has to
 // stay on the pooled fanout like the narrow one does.
 func TestVirtualSendAllSteadyStateAllocs(t *testing.T) {
-	t.Run("immediate", func(t *testing.T) { testSendAllSteadyStateAllocs(t, nil) })
+	t.Run("immediate", func(t *testing.T) { testSendAllSteadyStateAllocs(t, Option{}) })
 	t.Run("wide-gap", func(t *testing.T) {
 		testSendAllSteadyStateAllocs(t, WithUniformDelay(50*time.Microsecond, 2*time.Second))
 	})
 }
 
 // testSendAllSteadyStateAllocs runs warm broadcast rounds at n=16 under the
-// given delay option (nil: immediate delivery) and fails if they allocate.
+// given delay option (the zero Option: immediate delivery) and fails if
+// they allocate.
 func testSendAllSteadyStateAllocs(t *testing.T, delay Option) {
 	const n = 16
 	s := vclock.New()
-	opts := []Option{WithScheduler(s)}
-	if delay != nil {
-		opts = append(opts, delay)
-	}
-	nw, err := New(n, opts...)
+	nw, err := New(n, WithScheduler(s), delay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,14 +254,14 @@ func testSendAllSteadyStateAllocs(t *testing.T, delay Option) {
 	if out := s.Run(); out.Quiesced {
 		t.Fatalf("outcome = %+v, want clean", out)
 	}
-	if delay == nil {
+	if delay.IsZero() {
 		if want := (rounds + warmup) * (n - 1); delivered != want {
 			t.Fatalf("consumers saw %d deliveries, want %d", delivered, want)
 		}
 	}
 	// The delay profile, and nothing else, decides the entry form.
-	if wide := slices.ContainsFunc(nw.freeFanouts, func(f *fanout) bool { return cap(f.wide) > 0 }); wide != (delay != nil) {
-		t.Fatalf("pooled fanouts with 8-byte entries: %v, want %v", wide, delay != nil)
+	if wide := slices.ContainsFunc(nw.freeFanouts, func(f *fanout) bool { return cap(f.wide) > 0 }); wide != !delay.IsZero() {
+		t.Fatalf("pooled fanouts with 8-byte entries: %v, want %v", wide, !delay.IsZero())
 	}
 	// 0.05: a handful of stray runtime allocations over the 400 rounds.
 	if perRound := float64(allocs) / rounds; perRound > 0.05 {

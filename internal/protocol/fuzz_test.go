@@ -36,7 +36,7 @@ func FuzzParseProfile(f *testing.F) {
 			t.Fatalf("ParseProfile(%q): empty profile name", spec)
 		}
 		opt, err := p.Compile(part.N(), part)
-		if err != nil || opt == nil {
+		if err != nil || opt.IsZero() {
 			// Cleanly rejected at compile time (e.g. negative durations), or
 			// compiled to immediate delivery — both are fine.
 			return

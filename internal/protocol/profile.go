@@ -21,7 +21,7 @@ type NetworkProfile interface {
 	ProfileName() string
 	// Compile resolves the profile against a topology. part is nil for
 	// protocols without a cluster partition; profiles that need one must
-	// return an error. A nil returned option means immediate delivery.
+	// return an error. A zero returned option (netsim.Option{}) means immediate delivery.
 	Compile(n int, part *model.Partition) (netsim.Option, error)
 }
 
@@ -48,10 +48,10 @@ func (u *uniformProfile) ProfileName() string {
 
 func (u *uniformProfile) Compile(n int, part *model.Partition) (netsim.Option, error) {
 	if u.min < 0 || u.max < u.min {
-		return nil, fmt.Errorf("bad band [%v,%v]", u.min, u.max)
+		return netsim.Option{}, fmt.Errorf("bad band [%v,%v]", u.min, u.max)
 	}
 	if u.max <= 0 {
-		return nil, nil
+		return netsim.Option{}, nil
 	}
 	return netsim.WithUniformDelay(u.min, u.max), nil
 }
@@ -95,7 +95,7 @@ func (s *skewMatrixProfile) Compile(n int, part *model.Partition) (netsim.Option
 	// indexed src*n+dst: one load per lookup on the delivery hot path.
 	flat, err := netsim.DelayMatrix(s.delay).Flatten(n)
 	if err != nil {
-		return nil, err
+		return netsim.Option{}, err
 	}
 	return netsim.WithTimedDelayFn(func(_ time.Duration, _ *rand.Rand, m netsim.Message) time.Duration {
 		return flat[int(m.From)*n+int(m.To)]
@@ -120,7 +120,7 @@ func (d *distanceSkewProfile) ProfileName() string {
 
 func (d *distanceSkewProfile) Compile(n int, part *model.Partition) (netsim.Option, error) {
 	if d.base < 0 || d.step < 0 {
-		return nil, fmt.Errorf("negative base or step")
+		return netsim.Option{}, fmt.Errorf("negative base or step")
 	}
 	base, step := d.base, d.step
 	return netsim.WithTimedDelayFn(func(_ time.Duration, _ *rand.Rand, m netsim.Message) time.Duration {
@@ -166,23 +166,23 @@ func (c *clusterWANProfile) ProfileName() string {
 
 func (c *clusterWANProfile) Compile(n int, part *model.Partition) (netsim.Option, error) {
 	if part == nil {
-		return nil, fmt.Errorf("needs a cluster partition topology")
+		return netsim.Option{}, fmt.Errorf("needs a cluster partition topology")
 	}
 	if c.intraMax < 0 || c.interBase < 0 || c.jitter < 0 {
-		return nil, fmt.Errorf("negative delay parameter")
+		return netsim.Option{}, fmt.Errorf("negative delay parameter")
 	}
 	m := part.M()
 	if c.interMatrix != nil {
 		if len(c.interMatrix) != m {
-			return nil, fmt.Errorf("inter matrix is %dx?, partition has %d clusters", len(c.interMatrix), m)
+			return netsim.Option{}, fmt.Errorf("inter matrix is %dx?, partition has %d clusters", len(c.interMatrix), m)
 		}
 		for a, row := range c.interMatrix {
 			if len(row) != m {
-				return nil, fmt.Errorf("inter matrix row %d has %d entries, want %d", a, len(row), m)
+				return netsim.Option{}, fmt.Errorf("inter matrix row %d has %d entries, want %d", a, len(row), m)
 			}
 			for b, d := range row {
 				if d < 0 {
-					return nil, fmt.Errorf("negative inter delay at [%d][%d]", a, b)
+					return netsim.Option{}, fmt.Errorf("negative inter delay at [%d][%d]", a, b)
 				}
 			}
 		}
@@ -233,19 +233,19 @@ func (h *healingPartitionProfile) ProfileName() string {
 
 func (h *healingPartitionProfile) Compile(n int, part *model.Partition) (netsim.Option, error) {
 	if h.healAt < 0 || h.min < 0 || (h.max > 0 && h.max < h.min) {
-		return nil, fmt.Errorf("bad heal instant or base band")
+		return netsim.Option{}, fmt.Errorf("bad heal instant or base band")
 	}
 	isolated := h.isolated
 	if isolated == nil {
 		if part == nil {
-			return nil, fmt.Errorf("nil isolated set needs a cluster partition topology")
+			return netsim.Option{}, fmt.Errorf("nil isolated set needs a cluster partition topology")
 		}
 		isolated = part.Members(0)
 	}
 	cut := make([]bool, n)
 	for _, p := range isolated {
 		if int(p) < 0 || int(p) >= n {
-			return nil, fmt.Errorf("isolated process %v out of range [0,%d)", p, n)
+			return netsim.Option{}, fmt.Errorf("isolated process %v out of range [0,%d)", p, n)
 		}
 		cut[p] = true
 	}

@@ -92,16 +92,12 @@ func compile(t testing.TB, p protocol.NetworkProfile, n int, part *model.Partiti
 }
 
 // delayOf sends one message from → to at virtual instant at, on an n-process
-// network configured by opt (nil: immediate delivery), and returns its
-// transit delay.
+// network configured by opt (the zero Option: immediate delivery), and
+// returns its transit delay.
 func delayOf(t testing.TB, opt netsim.Option, n int, at time.Duration, from, to model.ProcID) time.Duration {
 	t.Helper()
 	s := vclock.New()
-	opts := []netsim.Option{netsim.WithScheduler(s)}
-	if opt != nil {
-		opts = append(opts, opt)
-	}
-	nw, err := netsim.New(n, opts...)
+	nw, err := netsim.New(n, netsim.WithScheduler(s), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +178,7 @@ func TestHealingPartitionHoldsCrossTraffic(t *testing.T) {
 // to no option at all (immediate delivery).
 func TestUniformCompilesToBand(t *testing.T) {
 	t.Parallel()
-	if opt := compile(t, protocol.Uniform(0, 0), 3, nil); opt != nil {
+	if opt := compile(t, protocol.Uniform(0, 0), 3, nil); !opt.IsZero() {
 		t.Error("Uniform(0, 0) compiled to an option, want none (immediate delivery)")
 	}
 	opt := compile(t, protocol.Uniform(70*time.Microsecond, 70*time.Microsecond), 3, nil)

@@ -213,7 +213,7 @@ func (sc *Scenario) NetOptions(n int, part *model.Partition) ([]netsim.Option, e
 		// for a non-square or negative skew matrix).
 		return nil, fmt.Errorf("%w: profile %q: %w", ErrBadScenario, sc.Profile.ProfileName(), err)
 	}
-	if opt == nil {
+	if opt.IsZero() {
 		return nil, nil
 	}
 	return []netsim.Option{opt}, nil

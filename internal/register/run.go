@@ -401,14 +401,16 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	clients := make([]*client, n)
+	clients := make([]client, n)
+	tallies := model.NewQuorums(cfg.Partition, n)
 	out, err := driver.RunHandlers(driver.Config{
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
 		Crashes:        cfg.Crashes,
 	}, n, driver.StandardNet(&nw, n, uint64(cfg.Seed)^0x5ca1_ab1e, &ctr, cfg.MinDelay, cfg.MaxDelay, cfg.NetOptions...),
 		func(i int, h *driver.Handle) driver.Reactor {
-			c := &client{
+			c := &clients[i]
+			*c = client{
 				id:       model.ProcID(i),
 				part:     cfg.Partition,
 				net:      nw,
@@ -416,11 +418,10 @@ func Run(cfg Config) (*Result, error) {
 				h:        h,
 				doneFrom: model.NewProcSet(n),
 				live:     live,
-				covered:  model.NewQuorum(cfg.Partition),
+				covered:  &tallies[i],
 				script:   cfg.Scripts[i],
 				status:   sim.StatusBlocked, // until the script completes
 			}
-			clients[i] = c
 			return c
 		})
 	if err != nil {
@@ -432,8 +433,8 @@ func Run(cfg Config) (*Result, error) {
 		Metrics: ctr.Read(),
 		Engine:  out,
 	}
-	for i, c := range clients {
-		res.Procs[i] = ProcResult{Status: c.status, Ops: c.ops}
+	for i := range clients {
+		res.Procs[i] = ProcResult{Status: clients[i].status, Ops: clients[i].ops}
 	}
 	return res, nil
 }

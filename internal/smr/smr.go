@@ -529,16 +529,15 @@ func Run(cfg Config) (*Result, error) {
 
 	var ctr metrics.Counters
 	var nw *netsim.Network
-	arrays := make([]*consensusobj.Array, cfg.Partition.M())
-	for x := range arrays {
-		arrays[x] = consensusobj.NewArray()
-	}
+	arrays := consensusobj.NewArrays(cfg.Partition.M())
 	maxRnd := cfg.MaxRoundsPerInstance
 	if maxRnd <= 0 {
 		maxRnd = 1000
 	}
 
 	res := &Result{Replicas: make([]ReplicaResult, n)}
+	tallies := model.NewQuorums(cfg.Partition, n)
+	replicas := make([]replica, n)
 	out, err := driver.RunHandlers(driver.Config{
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
@@ -546,11 +545,11 @@ func Run(cfg Config) (*Result, error) {
 	}, n, driver.StandardNet(&nw, n, uint64(cfg.Seed)^0x1e7_dead_beef, &ctr, cfg.MinDelay, cfg.MaxDelay, cfg.NetOptions...),
 		func(i int, h *driver.Handle) driver.Reactor {
 			id := model.ProcID(i)
-			return &replica{
+			replicas[i] = replica{
 				id:      id,
 				part:    cfg.Partition,
 				net:     nw,
-				cons:    arrays[cfg.Partition.ClusterOf(id)],
+				cons:    &arrays[cfg.Partition.ClusterOf(id)],
 				seed:    cfg.Seed,
 				sched:   cfg.Crashes,
 				ctr:     &ctr,
@@ -562,8 +561,9 @@ func Run(cfg Config) (*Result, error) {
 				maxInst: 4 * n,
 				chunk:   min(cfg.Slots, rowChunk),
 				pending: make(map[posKey][]model.Vote),
-				tally:   model.NewQuorum(cfg.Partition),
+				tally:   &tallies[i],
 			}
+			return &replicas[i]
 		})
 	if err != nil {
 		return nil, err

@@ -15,11 +15,11 @@
 //   - coroutines (Spawn): the body is a straight-line function on its own
 //     goroutine; every step costs two unbuffered-channel rendezvous through
 //     the execution token. Convenient for bodies that block mid-algorithm.
-//   - inline handlers (SpawnHandler): the body is a state machine invoked
-//     directly under the scheduler's execution token — zero rendezvous,
-//     zero goroutines. Each wake is one plain function call, which is what
-//     makes the Θ(n²) all-to-all exchange pattern affordable at large n
-//     (DESIGN.md §11).
+//   - inline handlers (Inline, SpawnHandler): the body is a state machine
+//     invoked directly under the scheduler's execution token — zero
+//     rendezvous, zero goroutines. Each wake is one plain method call, which
+//     is what makes the Θ(n²) all-to-all exchange pattern affordable at
+//     large n (DESIGN.md §11).
 //
 // Both forms go through the same runnable FIFO, so wakes fire in the same
 // (at, seq)-driven order regardless of body form, and quiescence/abort
@@ -541,18 +541,31 @@ const (
 )
 
 // Proc is a cooperatively scheduled process — a coroutine (Spawn) or an
-// inline handler (SpawnHandler). All its methods must be called from
-// scheduler-controlled code: from within a process body (Park, Finish) or
+// inline handler (Inline, SpawnHandler). All its methods must be called
+// from scheduler-controlled code: from within a process body (Park, Finish) or
 // from event callbacks and other bodies (Wake). The single-token handoff
 // makes every such call data-race free without locks.
 type Proc struct {
 	s       *Scheduler
 	name    string
 	state   int
-	resume  chan bool          // scheduler → proc; false = run aborted (coroutines only)
-	handler func(aborted bool) // inline body (handler procs only)
-	rewake  bool               // a Wake arrived during the handler's own invocation
+	resume  chan bool // scheduler → proc; false = run aborted (coroutines only)
+	handler Handler   // inline body (handler procs only)
+	rewake  bool      // a Wake arrived during the handler's own invocation
 }
+
+// Handler is an inline handler process's body (SpawnHandler, Inline): Handle
+// runs one invocation under the scheduler's execution token.
+type Handler interface {
+	Handle(aborted bool)
+}
+
+// HandlerFunc adapts a plain func to Handler, as http.HandlerFunc does. Func
+// values are pointer-shaped, so the conversion does not allocate.
+type HandlerFunc func(aborted bool)
+
+// Handle calls f(aborted).
+func (f HandlerFunc) Handle(aborted bool) { f(aborted) }
 
 // Name returns the coroutine's diagnostic name.
 func (p *Proc) Name() string { return p.name }
@@ -741,20 +754,30 @@ type Scheduler struct {
 // unsharded, coroutine-free and cleared; New draws from it.
 var schedulers sync.Pool
 
-// Option customizes a Scheduler.
-type Option func(*Scheduler)
+// Option customizes a Scheduler. It is a plain value, not a closure, so
+// configuring a run allocates nothing.
+type Option struct {
+	kind optionKind
+	n    int64
+}
+
+// optionKind names the Scheduler setting an Option carries.
+type optionKind uint8
+
+const (
+	_ optionKind = iota // the zero Option sets nothing
+	optDeadline
+	optMaxSteps
+	optShards
+)
 
 // WithDeadline aborts the run before processing any event scheduled past
 // virtual instant d. Zero means no deadline.
-func WithDeadline(d Time) Option {
-	return func(s *Scheduler) { s.deadline = d }
-}
+func WithDeadline(d Time) Option { return Option{kind: optDeadline, n: int64(d)} }
 
 // WithMaxSteps aborts the run after processing n events — the deterministic
 // guard against executions that never converge. Zero means no budget.
-func WithMaxSteps(n int64) Option {
-	return func(s *Scheduler) { s.maxSteps = n }
-}
+func WithMaxSteps(n int64) Option { return Option{kind: optMaxSteps, n: n} }
 
 // WithShards splits the scheduler's window expansion into shards shards (at
 // most NumShards): a flush calls every job's ExpandShard once per shard, and
@@ -766,10 +789,18 @@ func WithMaxSteps(n int64) Option {
 // Any further argument is ignored; it is accepted, and deprecated, so that
 // callers of the old two-argument form WithShards(shards, workers) still
 // compile.
-func WithShards(shards int, _ ...int) Option {
-	return func(s *Scheduler) {
-		if shards > 0 {
-			s.shards = min(shards, NumShards)
+func WithShards(shards int, _ ...int) Option { return Option{kind: optShards, n: int64(shards)} }
+
+// apply sets what o carries on s.
+func (s *Scheduler) apply(o Option) {
+	switch o.kind {
+	case optDeadline:
+		s.deadline = Time(o.n)
+	case optMaxSteps:
+		s.maxSteps = o.n
+	case optShards:
+		if o.n > 0 {
+			s.shards = min(int(o.n), NumShards)
 			if s.wheel.slots == nil {
 				s.wheel.slots = new(slotArray)
 			}
@@ -786,7 +817,7 @@ func New(opts ...Option) *Scheduler {
 		s.ins.s = s
 	}
 	for _, o := range opts {
-		o(s)
+		s.apply(o)
 	}
 	return s
 }
@@ -948,24 +979,32 @@ func (s *Scheduler) Spawn(name string, fn func()) *Proc {
 	return p
 }
 
-// SpawnHandler registers fn as a new inline handler process. Like a
-// coroutine it starts runnable (its first invocation runs with the other
-// initial steps, in spawn order) and thereafter is invoked once per Wake,
-// in the same FIFO wake order coroutines resume in — so a run mixing the
-// two body forms interleaves them identically to an all-coroutine run.
+// SpawnHandler registers fn as a new inline handler process:
+// Inline(name, HandlerFunc(fn)).
+func (s *Scheduler) SpawnHandler(name string, fn func(aborted bool)) *Proc {
+	return s.Inline(name, HandlerFunc(fn))
+}
+
+// Inline registers h as a new inline handler process. Like a coroutine it
+// starts runnable (its first invocation runs with the other initial steps,
+// in spawn order) and thereafter is invoked once per Wake, in the same FIFO
+// wake order coroutines resume in — so a run mixing the two body forms
+// interleaves them identically to an all-coroutine run. A caller that keeps
+// one Handler per process in a slab of its own spawns its processes without
+// a closure each.
 //
 // Each invocation runs directly under the scheduler's execution token: no
 // goroutine, no channel rendezvous. The contract (DESIGN.md §11):
 //
-//   - fn must return instead of blocking — a handler has no goroutine to
-//     suspend, so Park must not be called from fn;
+//   - Handle must return instead of blocking — a handler has no goroutine to
+//     suspend, so Park must not be called from it;
 //   - returning without calling Finish parks the proc until the next Wake;
-//   - fn(aborted=true) means the run was aborted (quiescence, deadline, or
-//     step budget): the handler must record its blocked outcome and call
+//   - Handle(aborted=true) means the run was aborted (quiescence, deadline,
+//     or step budget): the handler must record its blocked outcome and call
 //     Finish — the inline analogue of Park returning false.
-func (s *Scheduler) SpawnHandler(name string, fn func(aborted bool)) *Proc {
+func (s *Scheduler) Inline(name string, h Handler) *Proc {
 	p := s.newProc()
-	p.s, p.name, p.handler = s, name, fn
+	p.s, p.name, p.handler = s, name, h
 	p.state = stateRunnable
 	s.spawned++
 	s.live++
@@ -1051,7 +1090,7 @@ func (s *Scheduler) stepHandler(p *Proc) {
 	for {
 		p.state = stateRunning
 		p.rewake = false
-		p.handler(s.aborted)
+		p.handler.Handle(s.aborted)
 		if p.state == stateDone {
 			return
 		}
@@ -1187,7 +1226,7 @@ func (s *Scheduler) Kept() any {
 // virtual time zero, no event pending in any tier, no job, no runnable or
 // live process, zero stats and Outcome — and keeps the storage this run grew:
 // the bucket array and its shelf, the heaps, the run queue and the Procs,
-// each zeroed, for SpawnHandler to reuse. Nothing a finished run did stays
+// each zeroed, for Inline to reuse. Nothing a finished run did stays
 // reachable from it but the value it stored with Keep, which becomes the
 // next run's Kept and which its owner clears when it takes it back.
 //
