@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"allforone/internal/core"
+	"allforone/internal/sim"
 )
 
 // benchRun executes one scenario and fails the benchmark on any
@@ -445,7 +446,7 @@ func BenchmarkScenarioOverhead(b *testing.B) {
 				Partition: part,
 				Proposals: props,
 				Algorithm: core.CommonCoin,
-				Seed:      int64(i),
+				Setup:     sim.Setup{Seed: int64(i)},
 				MaxRounds: 10_000,
 			})
 			if err != nil {

@@ -85,7 +85,6 @@ import (
 	"unsafe"
 
 	"allforone/internal/driver"
-	"allforone/internal/failures"
 	"allforone/internal/metrics"
 	"allforone/internal/model"
 	"allforone/internal/netsim"
@@ -110,22 +109,14 @@ type Config struct {
 	// Spec is the overlay digraph to flood over (required). Its vertex
 	// connectivity is the fault budget: κ(G) ≥ f+1 keeps f crashes safe.
 	Spec overlay.Spec
-	// Seed makes all randomness reproducible.
-	Seed int64
+	// Setup is the run's seed, crash pattern, bounds and delay policy. The
+	// crash pattern is timed and honored by the protocol itself: a victim
+	// halts at its crash instant after emitting tombstone markers (its
+	// unflushed outbox dies with it); step-point plans are rejected.
+	// MaxSteps 0 derives the sparse default (sim.StepsLinear).
+	sim.Setup
 	// FlushDelay is the outbox batching window; 0 = DefaultFlushDelay.
 	FlushDelay time.Duration
-	// Crashes is the timed crash pattern, honored by the protocol itself:
-	// a victim halts at its crash instant after emitting tombstone markers
-	// (its unflushed outbox dies with it). Step-point plans are rejected.
-	Crashes *failures.Schedule
-	// MaxVirtualTime / MaxSteps are the usual driver bounds;
-	// MaxSteps 0 derives the sparse default (sim.StepsLinear).
-	MaxVirtualTime time.Duration
-	MaxSteps       int64
-	// MinDelay/MaxDelay bound uniform random message transit time.
-	MinDelay, MaxDelay time.Duration
-	// NetOptions appends extra network options (profile delay policies).
-	NetOptions []netsim.Option
 }
 
 // ErrBadConfig reports an invalid configuration.
@@ -183,7 +174,7 @@ type envelope struct {
 
 // envBuilder is the netsim.BurstBuilder of the flush path: it assembles
 // one successor's envelope when the network's window expands the
-// recipient's shard, from the shard's payload pool. ctx is the boxed
+// recipient's shard, from the network's payload pool. ctx is the boxed
 // shared item batch (boxed once per flush, not once per successor) and arg
 // the link's sequence number.
 type envBuilder struct{}
@@ -194,8 +185,8 @@ type envBuilder struct{}
 const envelopeBytes = int(unsafe.Sizeof(envelope{}))
 
 // BuildPayload implements netsim.BurstBuilder.
-func (envBuilder) BuildPayload(nw *netsim.Network, shard int, ctx any, arg uint64) (any, int) {
-	env, _ := nw.GrabPayload(shard).(*envelope)
+func (envBuilder) BuildPayload(nw *netsim.Network, ctx any, arg uint64) (any, int) {
+	env, _ := nw.GrabPayload().(*envelope)
 	if env == nil {
 		env = new(envelope)
 	}
@@ -417,14 +408,14 @@ func (rx *reactor) ingestItems(items []item) {
 // ingest processes one in-order payload from predecessor from: deliver and
 // re-flood novel values and crash certificates; turn a tombstone into this
 // process's own FAIL certificate. Pooled envelopes are recycled into the
-// recipient's shard pool once consumed — the other half of the windowed
+// network's payload pool once consumed — the other half of the windowed
 // payload construction (envBuilder grabs, ingest recycles).
 func (rx *reactor) ingest(from model.ProcID, payload any) {
 	switch p := payload.(type) {
 	case *envelope:
 		rx.ingestItems(p.Items)
 		p.Items = nil
-		rx.net.RecyclePayload(rx.net.ShardOf(rx.id), p)
+		rx.net.RecyclePayload(p)
 	case marker:
 		// from's channel to us is drained (FIFO: everything it sent before
 		// the tombstone was processed above this call). Certify it.
@@ -493,8 +484,8 @@ func seqOf(payload any) uint32 {
 // slice) and clears it. The handler only enqueues intent: the item batch
 // is boxed ONCE, each per-successor entry rides the network's burst path
 // (BurstSendVia), and envelope assembly — the per-successor header around
-// the shared slice — happens inside the expansion job, from the recipient
-// shard's payload pool.
+// the shared slice — happens inside the expansion job, from the network's
+// payload pool.
 func (rx *reactor) flushNow() {
 	rx.flushPending = false
 	if len(rx.outbox) == 0 {
@@ -672,7 +663,7 @@ func Run(cfg Config) (*Result, error) {
 		// closes the victim's inbox at the instant, but the tombstone
 		// protocol needs the victim to emit its markers itself.
 	}
-	newNet := driver.StandardNet(&nw, cfg.N, uint64(cfg.Seed)^0x93d1_4af2_0e67_b85c, &ctr, cfg.MinDelay, cfg.MaxDelay, cfg.NetOptions...)
+	newNet := driver.StandardNet(&nw, cfg.N, uint64(cfg.Seed)^0x93d1_4af2_0e67_b85c, &ctr, 0, 0, cfg.NetOptions...)
 	// All reactor hot state comes from four pooled backing arrays (the
 	// reactors themselves, 2·|E| link sequence counters, |E| reorder-buffer
 	// headers, n delivered rows of n bits) — per-process map and slice

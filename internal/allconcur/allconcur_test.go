@@ -9,6 +9,7 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
+	"allforone/internal/netsim"
 	"allforone/internal/overlay"
 	"allforone/internal/protocol"
 	"allforone/internal/sim"
@@ -27,9 +28,10 @@ func baseConfig(n int, spec overlay.Spec) Config {
 		N:         n,
 		Proposals: proposals(n),
 		Spec:      spec,
-		Seed:      42,
-		MinDelay:  0,
-		MaxDelay:  200 * time.Microsecond,
+		Setup: sim.Setup{
+			Seed:       42,
+			NetOptions: []netsim.Option{netsim.WithUniformDelay(0, 200*time.Microsecond)},
+		},
 	}
 }
 

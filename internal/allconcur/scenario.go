@@ -28,19 +28,15 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	netOpts, err := sc.NetOptions(n, sc.Topology.Partition)
+	setup, err := sc.Setup()
 	if err != nil {
 		return nil, err
 	}
 	res, err := Run(Config{
-		N:              n,
-		Proposals:      sc.Workload.Values,
-		Spec:           *sc.Topology.Overlay,
-		Seed:           sc.Seed,
-		Crashes:        sc.Faults,
-		MaxVirtualTime: sc.Bounds.MaxVirtualTime,
-		MaxSteps:       sc.Bounds.MaxSteps,
-		NetOptions:     netOpts,
+		Setup:     setup,
+		N:         n,
+		Proposals: sc.Workload.Values,
+		Spec:      *sc.Topology.Overlay,
 	})
 	if err != nil {
 		return nil, err

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"slices"
-	"time"
 
 	"allforone/internal/coin"
 	"allforone/internal/driver"
@@ -32,26 +31,12 @@ type Config struct {
 	// Proposals holds each process's proposed binary value (required,
 	// length N).
 	Proposals []model.Value
-	// Seed makes all randomness reproducible.
-	Seed int64
-	// Crashes is the failure pattern; nil means crash-free. Stage
-	// StageAfterClusterConsensus has no counterpart here and triggers at
-	// the next step point.
-	Crashes *failures.Schedule
+	// Setup is the run's seed, crash pattern, bounds and delay policy. A
+	// crash plan at StageAfterClusterConsensus has no counterpart here and
+	// triggers at the next step point.
+	sim.Setup
 	// MaxRounds bounds execution; 0 = unbounded.
 	MaxRounds int
-	// MaxVirtualTime bounds the virtual clock of a run; zero means
-	// unbounded (quiescence and MaxSteps still apply).
-	MaxVirtualTime time.Duration
-	// MaxSteps bounds the number of discrete events of a run; zero means
-	// sim.DefaultMaxSteps, negative means unbounded.
-	MaxSteps int64
-	// MinDelay/MaxDelay bound uniform random message transit time.
-	MinDelay, MaxDelay time.Duration
-	// NetOptions appends extra network options (e.g. a compiled
-	// NetworkProfile delay policy); a delay policy here replaces
-	// MinDelay/MaxDelay.
-	NetOptions []netsim.Option
 	// LocalCoinOverride, when non-nil, supplies each process's coin.
 	LocalCoinOverride func(p model.ProcID) coin.Local
 }
@@ -432,7 +417,7 @@ func RunVariant(cfg Config, v Variant) (*sim.Result, error) {
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
 		Crashes:        cfg.Crashes,
-	}, cfg.N, driver.StandardNet(&nw, cfg.N, uint64(cfg.Seed)^v.NetSalt, &ctr, cfg.MinDelay, cfg.MaxDelay, cfg.NetOptions...),
+	}, cfg.N, driver.StandardNet(&nw, cfg.N, uint64(cfg.Seed)^v.NetSalt, &ctr, 0, 0, cfg.NetOptions...),
 		func(i int, h *driver.Handle) driver.Reactor {
 			return newProc(&procs[i], &cfg, &v, i, nw, &ctr, h)
 		})

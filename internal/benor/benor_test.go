@@ -9,6 +9,7 @@ import (
 	"allforone/internal/coin"
 	"allforone/internal/failures"
 	"allforone/internal/model"
+	"allforone/internal/netsim"
 	"allforone/internal/sim"
 )
 
@@ -52,7 +53,7 @@ func TestUnanimousDecidesRoundOne(t *testing.T) {
 				res, err := Run(Config{
 					N:         n,
 					Proposals: unanimous(n, v),
-					Seed:      int64(n),
+					Setup:     sim.Setup{Seed: int64(n)},
 					MaxRounds: 50,
 				})
 				if err != nil {
@@ -84,7 +85,7 @@ func TestSplitProposalsTerminate(t *testing.T) {
 			res, err := Run(Config{
 				N:         n,
 				Proposals: props,
-				Seed:      seed,
+				Setup:     sim.Setup{Seed: seed},
 				MaxRounds: 10000,
 			})
 			if err != nil {
@@ -118,9 +119,8 @@ func TestMinorityCrashTerminates(t *testing.T) {
 	res, err := Run(Config{
 		N:         n,
 		Proposals: unanimous(n, model.One),
-		Seed:      3,
+		Setup:     sim.Setup{Seed: 3, Crashes: sched},
 		MaxRounds: 5000,
-		Crashes:   sched,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -149,8 +149,7 @@ func TestMajorityCrashBlocks(t *testing.T) {
 	res, err := Run(Config{
 		N:         n,
 		Proposals: unanimous(n, model.One),
-		Seed:      5,
-		Crashes:   sched,
+		Setup:     sim.Setup{Seed: 5, Crashes: sched},
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -180,9 +179,8 @@ func TestPartialBroadcastSafety(t *testing.T) {
 	res, err := Run(Config{
 		N:         n,
 		Proposals: props,
-		Seed:      11,
+		Setup:     sim.Setup{Seed: 11, Crashes: sched},
 		MaxRounds: 10000,
-		Crashes:   sched,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -205,7 +203,7 @@ func TestRiggedCoinConvergence(t *testing.T) {
 	res, err := Run(Config{
 		N:         n,
 		Proposals: alternating(n),
-		Seed:      1,
+		Setup:     sim.Setup{Seed: 1},
 		MaxRounds: 100,
 		LocalCoinOverride: func(model.ProcID) coin.Local {
 			return coin.NewFixedLocal(model.Zero)
@@ -230,9 +228,11 @@ func TestWithDelays(t *testing.T) {
 	res, err := Run(Config{
 		N:         n,
 		Proposals: props,
-		Seed:      9,
+		Setup: sim.Setup{
+			Seed:       9,
+			NetOptions: []netsim.Option{netsim.WithUniformDelay(0, 2*time.Millisecond)},
+		},
 		MaxRounds: 10000,
-		MaxDelay:  2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -275,11 +275,12 @@ func TestTimedCrashVirtual(t *testing.T) {
 	res, err := Run(Config{
 		N:         5,
 		Proposals: []model.Value{model.One, model.One, model.One, model.One, model.One},
-		Seed:      13,
-		Crashes:   sched,
+		Setup: sim.Setup{
+			Seed:       13,
+			Crashes:    sched,
+			NetOptions: []netsim.Option{netsim.WithUniformDelay(200*time.Microsecond, time.Millisecond)},
+		},
 		MaxRounds: 10_000,
-		MinDelay:  200 * time.Microsecond,
-		MaxDelay:  time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

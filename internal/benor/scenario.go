@@ -24,19 +24,15 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	netOpts, err := sc.NetOptions(n, sc.Topology.Partition)
+	setup, err := sc.Setup()
 	if err != nil {
 		return nil, err
 	}
 	res, err := Run(Config{
-		N:              n,
-		Proposals:      sc.Workload.Binary,
-		Seed:           sc.Seed,
-		Crashes:        sc.Faults,
-		MaxRounds:      sc.Bounds.MaxRounds,
-		MaxVirtualTime: sc.Bounds.MaxVirtualTime,
-		MaxSteps:       sc.Bounds.MaxSteps,
-		NetOptions:     netOpts,
+		Setup:     setup,
+		N:         n,
+		Proposals: sc.Workload.Binary,
+		MaxRounds: sc.Bounds.MaxRounds,
 	})
 	if err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
+	"allforone/internal/sim"
 	"allforone/internal/trace"
 )
 
@@ -24,8 +25,7 @@ func TestAblateClosureLosesMajorityCrashTolerance(t *testing.T) {
 		Partition:     part,
 		Proposals:     unanimous(7, model.One),
 		Algorithm:     LocalCoin,
-		Seed:          1,
-		Crashes:       sched,
+		Setup:         sim.Setup{Seed: 1, Crashes: sched},
 		AblateClosure: true,
 	})
 	if err != nil {
@@ -49,7 +49,7 @@ func TestAblateClosureStillSafeWithMajority(t *testing.T) {
 		Partition:     part,
 		Proposals:     props,
 		Algorithm:     LocalCoin,
-		Seed:          5,
+		Setup:         sim.Setup{Seed: 5},
 		MaxRounds:     10_000,
 		AblateClosure: true,
 	})
@@ -87,7 +87,7 @@ func TestAblateClusterConsensusBreaksUniformity(t *testing.T) {
 			Partition:              part,
 			Proposals:              props,
 			Algorithm:              LocalCoin,
-			Seed:                   seed,
+			Setup:                  sim.Setup{Seed: seed},
 			MaxRounds:              50,
 			Trace:                  log,
 			AblateClusterConsensus: true,
@@ -125,7 +125,7 @@ func TestFullAlgorithmKeepsUniformity(t *testing.T) {
 			Partition: part,
 			Proposals: props,
 			Algorithm: LocalCoin,
-			Seed:      seed,
+			Setup:     sim.Setup{Seed: seed},
 			MaxRounds: 10_000,
 			Trace:     log,
 		})

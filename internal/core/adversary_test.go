@@ -6,6 +6,8 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
+	"allforone/internal/netsim"
+	"allforone/internal/sim"
 	"allforone/internal/trace"
 )
 
@@ -37,10 +39,11 @@ func TestHighSkewDelays(t *testing.T) {
 				Partition: part,
 				Proposals: props,
 				Algorithm: algo,
-				Seed:      1234,
+				Setup: sim.Setup{
+					Seed:       1234,
+					NetOptions: []netsim.Option{netsim.WithUniformDelay(0, 4*time.Millisecond)}, // large spread vs ~µs compute
+				},
 				MaxRounds: 10_000,
-				MinDelay:  0,
-				MaxDelay:  4 * time.Millisecond, // large spread vs ~µs compute
 				Trace:     log,
 			})
 			if !res.AllLiveDecided() {
@@ -63,12 +66,13 @@ func TestSlowClusterCatchesUp(t *testing.T) {
 		Partition: part,
 		Proposals: props,
 		Algorithm: LocalCoin,
-		Seed:      777,
+		Setup: sim.Setup{
+			Seed: 777,
+			// Uniform delay stands in for the slow links; the seeded spread
+			// regularly puts P[2] behind by entire phases.
+			NetOptions: []netsim.Option{netsim.WithUniformDelay(0, 3*time.Millisecond)},
+		},
 		MaxRounds: 10_000,
-		// Uniform delay stands in for the slow links; the seeded spread
-		// regularly puts P[2] behind by entire phases.
-		MinDelay: 0,
-		MaxDelay: 3 * time.Millisecond,
 	})
 	if !res.AllLiveDecided() {
 		t.Fatalf("not all decided: %+v", res.Procs)
@@ -96,10 +100,11 @@ func TestUnanimityDelaysStillRoundOne(t *testing.T) {
 		Partition: model.Fig1Right(),
 		Proposals: unanimous(7, model.Zero),
 		Algorithm: LocalCoin,
-		Seed:      9,
+		Setup: sim.Setup{
+			Seed:       9,
+			NetOptions: []netsim.Option{netsim.WithUniformDelay(100*time.Microsecond, 2*time.Millisecond)},
+		},
 		MaxRounds: 100,
-		MinDelay:  100 * time.Microsecond,
-		MaxDelay:  2 * time.Millisecond,
 	})
 	if !res.AllLiveDecided() {
 		t.Fatalf("not all decided: %+v", res.Procs)
@@ -119,11 +124,12 @@ func TestMajorityCrashWithDelays(t *testing.T) {
 		Partition: part,
 		Proposals: unanimous(7, model.One),
 		Algorithm: CommonCoin,
-		Seed:      3,
+		Setup: sim.Setup{
+			Seed:       3,
+			Crashes:    sched,
+			NetOptions: []netsim.Option{netsim.WithUniformDelay(0, 2*time.Millisecond)},
+		},
 		MaxRounds: 1000,
-		MinDelay:  0,
-		MaxDelay:  2 * time.Millisecond,
-		Crashes:   sched,
 	})
 	if res.Procs[2].Status != StatusDecided {
 		t.Fatalf("survivor = %+v", res.Procs[2])

@@ -7,6 +7,7 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
+	"allforone/internal/sim"
 	"allforone/internal/trace"
 )
 
@@ -36,9 +37,8 @@ func TestMajorityCrashWithMajorityClusterSurvivor(t *testing.T) {
 					Partition: part,
 					Proposals: unanimous(7, model.One),
 					Algorithm: algo,
-					Seed:      int64(survivor),
+					Setup:     sim.Setup{Seed: int64(survivor), Crashes: sched},
 					MaxRounds: 100,
-					Crashes:   sched,
 					Trace:     log,
 				})
 				if !res.AllLiveDecided() {
@@ -84,8 +84,7 @@ func TestMajorityCrashBlocksPureMessagePassing(t *testing.T) {
 		Partition: part,
 		Proposals: unanimous(7, model.One),
 		Algorithm: LocalCoin,
-		Seed:      1,
-		Crashes:   sched,
+		Setup:     sim.Setup{Seed: 1, Crashes: sched},
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -125,8 +124,7 @@ func TestIndulgenceUnderDeadFailurePattern(t *testing.T) {
 				Partition: part,
 				Proposals: alternating(7),
 				Algorithm: algo,
-				Seed:      11,
-				Crashes:   sched,
+				Setup:     sim.Setup{Seed: 11, Crashes: sched},
 				Trace:     log,
 			})
 			if err != nil {
@@ -189,9 +187,8 @@ func TestCrashAtEveryStage(t *testing.T) {
 						Partition: part,
 						Proposals: alternating(7),
 						Algorithm: algo,
-						Seed:      int64(round*100) + int64(stage),
+						Setup:     sim.Setup{Seed: int64(round*100) + int64(stage), Crashes: sched},
 						MaxRounds: 5000,
-						Crashes:   sched,
 						Trace:     log,
 					})
 					if !res.AllLiveDecided() {
@@ -222,9 +219,8 @@ func TestPartialBroadcastExplicitSubset(t *testing.T) {
 		Partition: part,
 		Proposals: alternating(7),
 		Algorithm: LocalCoin,
-		Seed:      4,
+		Setup:     sim.Setup{Seed: 4, Crashes: sched},
 		MaxRounds: 5000,
-		Crashes:   sched,
 		Trace:     log,
 	})
 	if !res.AllLiveDecided() {
@@ -252,9 +248,8 @@ func TestPartialDecideBroadcast(t *testing.T) {
 		Partition: part,
 		Proposals: unanimous(7, model.Zero),
 		Algorithm: LocalCoin,
-		Seed:      8,
+		Setup:     sim.Setup{Seed: 8, Crashes: sched},
 		MaxRounds: 5000,
-		Crashes:   sched,
 	})
 	if !res.AllLiveDecided() {
 		t.Fatalf("not all live processes decided: %+v", res.Procs)
@@ -293,9 +288,8 @@ func TestRandomCrashStorms(t *testing.T) {
 			Partition: part,
 			Proposals: props,
 			Algorithm: algo,
-			Seed:      int64(trial) * 7919,
+			Setup:     sim.Setup{Seed: int64(trial) * 7919, Crashes: sched},
 			MaxRounds: 5000,
-			Crashes:   sched,
 			Trace:     trace.New(),
 		}
 		res, err := Run(cfg)

@@ -8,6 +8,8 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
+	"allforone/internal/netsim"
+	"allforone/internal/sim"
 	"allforone/internal/trace"
 )
 
@@ -58,10 +60,12 @@ func TestRandomConfigurationSweep(t *testing.T) {
 			Partition: part,
 			Proposals: props,
 			Algorithm: algo,
-			Seed:      int64(trial) * 6011,
+			Setup: sim.Setup{
+				Seed:       int64(trial) * 6011,
+				Crashes:    sched,
+				NetOptions: []netsim.Option{netsim.WithUniformDelay(0, maxDelay)},
+			},
 			MaxRounds: 10_000,
-			MaxDelay:  maxDelay,
-			Crashes:   sched,
 			Trace:     trace.New(),
 		}
 		res, err := Run(cfg)

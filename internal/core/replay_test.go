@@ -7,6 +7,7 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
+	"allforone/internal/netsim"
 	"allforone/internal/sim"
 	"allforone/internal/trace"
 )
@@ -79,9 +80,11 @@ func (rc replayCase) config(t *testing.T, seed int64, log *trace.Log) Config {
 		Partition: model.Fig1Left(),
 		Proposals: []model.Value{model.One, model.Zero, model.One, model.Zero, model.One, model.Zero, model.One},
 		Algorithm: rc.algo,
-		Seed:      seed,
+		Setup: sim.Setup{
+			Seed:       seed,
+			NetOptions: []netsim.Option{netsim.WithUniformDelay(0, rc.delays)},
+		},
 		MaxRounds: 10_000,
-		MaxDelay:  rc.delays,
 		Trace:     log,
 	}
 	if rc.crashes != nil {
@@ -140,9 +143,11 @@ func TestReplaySeedSensitivity(t *testing.T) {
 			Partition: model.Fig1Left(),
 			Proposals: alternating(7),
 			Algorithm: CommonCoin,
-			Seed:      seed,
+			Setup: sim.Setup{
+				Seed:       seed,
+				NetOptions: []netsim.Option{netsim.WithUniformDelay(0, 2*time.Millisecond)},
+			},
 			MaxRounds: 10_000,
-			MaxDelay:  2 * time.Millisecond,
 			Trace:     log,
 		}); err != nil {
 			t.Fatal(err)
@@ -178,8 +183,7 @@ func TestVirtualQuiescenceBlocks(t *testing.T) {
 		Partition: model.Singletons(7),
 		Proposals: unanimous(7, model.One),
 		Algorithm: CommonCoin,
-		Seed:      11,
-		Crashes:   sched,
+		Setup:     sim.Setup{Seed: 11, Crashes: sched},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -217,11 +221,12 @@ func TestTimedCrash(t *testing.T) {
 		Partition: model.Fig1Left(),
 		Proposals: alternating(7),
 		Algorithm: CommonCoin,
-		Seed:      7,
+		Setup: sim.Setup{
+			Seed:       7,
+			Crashes:    sched,
+			NetOptions: []netsim.Option{netsim.WithUniformDelay(200*time.Microsecond, time.Millisecond)},
+		},
 		MaxRounds: 10_000,
-		MinDelay:  200 * time.Microsecond,
-		MaxDelay:  time.Millisecond,
-		Crashes:   sched,
 		Trace:     trace.New(),
 	}
 	res, err := Run(cfg)
@@ -256,9 +261,11 @@ func TestSafetyAcrossSchedules(t *testing.T) {
 						Partition: model.Fig1Right(),
 						Proposals: alternating(7),
 						Algorithm: algo,
-						Seed:      seed,
+						Setup: sim.Setup{
+							Seed:       seed,
+							NetOptions: []netsim.Option{netsim.WithUniformDelay(0, maxDelay)},
+						},
 						MaxRounds: 10_000,
-						MaxDelay:  maxDelay,
 					})
 				}
 			}
@@ -276,10 +283,11 @@ func TestVirtualElapsedIsVirtual(t *testing.T) {
 		Partition: model.Fig1Left(),
 		Proposals: alternating(7),
 		Algorithm: CommonCoin,
-		Seed:      5,
+		Setup: sim.Setup{
+			Seed:       5,
+			NetOptions: []netsim.Option{netsim.WithUniformDelay(time.Millisecond, 10*time.Millisecond)},
+		},
 		MaxRounds: 10_000,
-		MinDelay:  time.Millisecond,
-		MaxDelay:  10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -315,10 +323,12 @@ func TestTimedCrashAfterTerminationHarmless(t *testing.T) {
 		Partition: model.Fig1Left(),
 		Proposals: unanimous(7, model.One),
 		Algorithm: CommonCoin,
-		Seed:      21,
+		Setup: sim.Setup{
+			Seed:       21,
+			Crashes:    sched,
+			NetOptions: []netsim.Option{netsim.WithUniformDelay(0, time.Millisecond)},
+		},
 		MaxRounds: 10_000,
-		MaxDelay:  time.Millisecond,
-		Crashes:   sched,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 
 	"allforone/internal/coin"
 	"allforone/internal/model"
+	"allforone/internal/sim"
 )
 
 // fixedCommon rigs the common coin to a repeating bit table.
@@ -23,7 +24,7 @@ func TestCommonCoinDecidesRoundOneWhenCoinMatches(t *testing.T) {
 		Partition:          model.Fig1Right(),
 		Proposals:          unanimous(7, model.One),
 		Algorithm:          CommonCoin,
-		Seed:               1,
+		Setup:              sim.Setup{Seed: 1},
 		MaxRounds:          10,
 		CommonCoinOverride: fixedCommon(model.One),
 	})
@@ -50,7 +51,7 @@ func TestCommonCoinWaitsForMatchingBit(t *testing.T) {
 		Partition:          model.Fig1Left(),
 		Proposals:          unanimous(7, model.One),
 		Algorithm:          CommonCoin,
-		Seed:               1,
+		Setup:              sim.Setup{Seed: 1},
 		MaxRounds:          10,
 		CommonCoinOverride: fixedCommon(model.Zero, model.One),
 	})
@@ -83,7 +84,7 @@ func TestCommonCoinEstimateLocking(t *testing.T) {
 		Partition:          model.Singletons(5),
 		Proposals:          props,
 		Algorithm:          CommonCoin,
-		Seed:               5,
+		Setup:              sim.Setup{Seed: 5},
 		MaxRounds:          50,
 		CommonCoinOverride: fixedCommon(model.Zero, model.Zero, model.One),
 	})
@@ -110,7 +111,7 @@ func TestLocalCoinRiggedConvergence(t *testing.T) {
 		Partition:         model.Singletons(4),
 		Proposals:         alternating(4), // 0,1,0,1 — no initial majority
 		Algorithm:         LocalCoin,
-		Seed:              2,
+		Setup:             sim.Setup{Seed: 2},
 		MaxRounds:         100,
 		LocalCoinOverride: fixedLocal(model.One),
 	})
@@ -145,7 +146,7 @@ func TestMajorityClusterDrivesDecision(t *testing.T) {
 				Partition: model.Fig1Right(),
 				Proposals: props,
 				Algorithm: algo,
-				Seed:      9,
+				Setup:     sim.Setup{Seed: 9},
 				MaxRounds: 200,
 			}
 			if algo == CommonCoin {

@@ -3,12 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"allforone/internal/coin"
 	"allforone/internal/consensusobj"
 	"allforone/internal/driver"
-	"allforone/internal/failures"
 	"allforone/internal/metrics"
 	"allforone/internal/model"
 	"allforone/internal/netsim"
@@ -59,32 +57,11 @@ type Config struct {
 	// Algorithm selects local-coin (Algorithm 2) or common-coin
 	// (Algorithm 3).
 	Algorithm Algorithm
-	// Seed makes all randomness of the run (coins, delays, crash subsets)
-	// reproducible: it pins the entire execution.
-	Seed int64
-	// Crashes is the failure pattern; nil means crash-free.
-	Crashes *failures.Schedule
+	// Setup is the run's seed, crash pattern, bounds and delay policy.
+	sim.Setup
 	// MaxRounds bounds the rounds each process executes; 0 = unbounded.
 	// Processes exceeding the bound end as StatusBlocked.
 	MaxRounds int
-	// MaxVirtualTime bounds the virtual clock of a run: once the next
-	// event lies past the bound the run is aborted and undecided
-	// processes end as StatusBlocked. Zero means unbounded (quiescence
-	// detection and MaxSteps still bound stuck runs).
-	MaxVirtualTime time.Duration
-	// MaxSteps bounds the number of scheduler events of a run — the
-	// deterministic guard against executions that never converge (e.g. a
-	// rigged coin that never matches). Zero means DefaultMaxSteps;
-	// negative means unbounded.
-	MaxSteps int64
-	// MinDelay/MaxDelay bound the uniform random message transit time.
-	// A zero MaxDelay means immediate delivery (zero-delay messages are
-	// delivered in deterministic send order).
-	MinDelay, MaxDelay time.Duration
-	// NetOptions appends extra network options — e.g. the delay policy a
-	// Scenario's NetworkProfile compiles to. Applied after the uniform
-	// delay band, so a delay policy here replaces MinDelay/MaxDelay.
-	NetOptions []netsim.Option
 	// Trace, when non-nil, records the event history of the run.
 	Trace *trace.Log
 	// CommonCoinOverride, when non-nil, replaces the seeded common coin
@@ -192,7 +169,7 @@ func newExecEnv(cfg *Config, n int) *execEnv {
 // its scheduler).
 func (env *execEnv) newNetwork(cfg *Config) driver.NewNetFunc {
 	return driver.StandardNet(&env.nw, env.n,
-		uint64(cfg.Seed)^0xa076_1d64_78bd_642f, &env.ctr, cfg.MinDelay, cfg.MaxDelay, cfg.NetOptions...)
+		uint64(cfg.Seed)^0xa076_1d64_78bd_642f, &env.ctr, 0, 0, cfg.NetOptions...)
 }
 
 // newProc builds process i's reactor in its slot of the slab.

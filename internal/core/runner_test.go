@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"allforone/internal/model"
+	"allforone/internal/netsim"
 	"allforone/internal/protocol"
+	"allforone/internal/sim"
 	"allforone/internal/trace"
 )
 
@@ -124,7 +126,7 @@ func TestUnanimousCrashFree(t *testing.T) {
 						Partition: part,
 						Proposals: unanimous(part.N(), v),
 						Algorithm: algo,
-						Seed:      42,
+						Setup:     sim.Setup{Seed: 42},
 						MaxRounds: 200,
 						Trace:     log,
 					})
@@ -168,7 +170,7 @@ func TestSplitProposalsCrashFree(t *testing.T) {
 						Partition: part,
 						Proposals: alternating(part.N()),
 						Algorithm: algo,
-						Seed:      seed,
+						Setup:     sim.Setup{Seed: seed},
 						MaxRounds: 5000,
 						Trace:     log,
 					})
@@ -202,10 +204,11 @@ func TestWithNetworkDelays(t *testing.T) {
 				Partition: model.Fig1Left(),
 				Proposals: alternating(7),
 				Algorithm: algo,
-				Seed:      7,
+				Setup: sim.Setup{
+					Seed:       7,
+					NetOptions: []netsim.Option{netsim.WithUniformDelay(0, 2*time.Millisecond)},
+				},
 				MaxRounds: 5000,
-				MinDelay:  0,
-				MaxDelay:  2 * time.Millisecond,
 			})
 			if !res.AllLiveDecided() {
 				t.Fatalf("not all processes decided: %+v", res.Procs)
@@ -225,7 +228,7 @@ func TestExtremeConfigurations(t *testing.T) {
 			Partition: model.Singletons(n),
 			Proposals: alternating(n),
 			Algorithm: LocalCoin,
-			Seed:      3,
+			Setup:     sim.Setup{Seed: 3},
 			MaxRounds: 5000,
 		})
 		if !res.AllLiveDecided() {
@@ -238,7 +241,7 @@ func TestExtremeConfigurations(t *testing.T) {
 			Partition: model.SingleCluster(n),
 			Proposals: alternating(n),
 			Algorithm: LocalCoin,
-			Seed:      3,
+			Setup:     sim.Setup{Seed: 3},
 			MaxRounds: 100,
 		})
 		if !res.AllLiveDecided() {
@@ -262,7 +265,7 @@ func TestMetricsAccounting(t *testing.T) {
 		Partition: part,
 		Proposals: unanimous(7, model.One),
 		Algorithm: LocalCoin,
-		Seed:      1,
+		Setup:     sim.Setup{Seed: 1},
 		MaxRounds: 50,
 	})
 	m := res.Metrics
@@ -351,7 +354,7 @@ func TestMaxRoundsBoundsExecution(t *testing.T) {
 		Partition:          model.Fig1Left(),
 		Proposals:          unanimous(7, model.Zero),
 		Algorithm:          CommonCoin,
-		Seed:               1,
+		Setup:              sim.Setup{Seed: 1},
 		MaxRounds:          5,
 		CommonCoinOverride: fixedCommon(model.One), // never equals the estimate 0
 	})

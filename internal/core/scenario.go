@@ -49,22 +49,17 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	part := sc.Topology.Partition
-	netOpts, err := sc.NetOptions(part.N(), part)
+	setup, err := sc.Setup()
 	if err != nil {
 		return nil, err
 	}
 	res, err := Run(Config{
-		Partition:      part,
-		Proposals:      sc.Workload.Binary,
-		Algorithm:      algo,
-		Seed:           sc.Seed,
-		Crashes:        sc.Faults,
-		MaxRounds:      sc.Bounds.MaxRounds,
-		MaxVirtualTime: sc.Bounds.MaxVirtualTime,
-		MaxSteps:       sc.Bounds.MaxSteps,
-		Trace:          sc.Trace,
-		NetOptions:     netOpts,
+		Setup:     setup,
+		Partition: sc.Topology.Partition,
+		Proposals: sc.Workload.Binary,
+		Algorithm: algo,
+		MaxRounds: sc.Bounds.MaxRounds,
+		Trace:     sc.Trace,
 	})
 	if err != nil {
 		return nil, err

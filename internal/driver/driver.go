@@ -35,8 +35,9 @@ import (
 // the engine indexes its per-process crash state.
 var ErrBadCrashes = errors.New("driver: crash schedule exceeds the run's process count")
 
-// Config carries the engine knobs shared by every protocol runner. The
-// protocol-specific parts of a run (proposals, partitions, coins, crash
+// Config carries the engine knobs shared by every protocol runner; a runner
+// fills MaxVirtualTime, MaxSteps and Crashes from its Config's sim.Setup.
+// The protocol-specific parts of a run (proposals, partitions, coins, crash
 // step points) stay in the protocol package's own Config; this struct is
 // only about HOW the processes are driven.
 type Config struct {
@@ -107,14 +108,15 @@ func (f ReactorFunc) React(aborted bool) bool { return f(aborted) }
 // process order.
 type HandlerBody func(i int, h *Handle) Reactor
 
-// StandardNet returns the NewNetFunc shared by most protocol runners: a
+// StandardNet returns the NewNetFunc shared by the protocol runners: a
 // fully connected network over n processes with a package-specific seed
-// derivation, the run's counters, and an optional uniform delay band.
-// protoOpts carries the protocol Config's extra network options (e.g. a
-// compiled NetworkProfile delay policy); it is applied after the uniform
-// band, so a delay policy there wins. The constructed network is also
-// stored through nw so the process bodies (created before the network
-// exists) can reach it.
+// derivation, the run's counters, and the run's network options protoOpts
+// (sim.Setup.NetOptions, e.g. a compiled NetworkProfile delay policy).
+// Protocols pass a zero minDelay, maxDelay and set their delay policy in
+// protoOpts; a positive maxDelay adds a uniform delay band before protoOpts,
+// for callers that drive the network without a protocol Config. The
+// constructed network is also stored through nw so the process bodies
+// (created before the network exists) can reach it.
 func StandardNet(nw **netsim.Network, n int, seed uint64, ctr *metrics.Counters, minDelay, maxDelay time.Duration, protoOpts ...netsim.Option) NewNetFunc {
 	return func(clock *vclock.Scheduler) (*netsim.Network, error) {
 		// Options are values and New keeps none of them, so this list

@@ -45,7 +45,6 @@ import (
 	"time"
 
 	"allforone/internal/driver"
-	"allforone/internal/failures"
 	"allforone/internal/metrics"
 	"allforone/internal/model"
 	"allforone/internal/netsim"
@@ -110,9 +109,12 @@ type Config struct {
 	Spec overlay.Spec
 	// Mode selects push, pull, or push&pull (the zero value).
 	Mode Mode
-	// Seed makes all randomness reproducible (network delays, random
-	// overlay views).
-	Seed int64
+	// Setup is the run's seed (network delays, random overlay views), crash
+	// pattern, bounds and delay policy. Only timed crash plans are honored —
+	// a reactor has no benor-style stage points, so step-point plans are
+	// rejected — and MaxSteps 0 derives the sparse default
+	// (sim.StepsLinear).
+	sim.Setup
 	// Rounds caps the round budget: 0 keeps the overlay-derived default
 	// (budgetRounds — hop-cost analysis when MaxTransit is known,
 	// 4·DiameterBound + 24 otherwise); a positive value lower than the
@@ -124,25 +126,10 @@ type Config struct {
 	RoundLen time.Duration
 	// MaxTransit is an upper bound on any single message's transit delay,
 	// used to size the round budget (the Scenario layer derives it from
-	// the network profile via protocol.TransitBound). Zero means: derive
-	// the bound from MaxDelay when no NetOptions delay policy is
-	// installed, otherwise treat the transit as unknown and keep the
-	// legacy conservative budget.
+	// the network profile via protocol.TransitBound). Zero means: 0
+	// (immediate delivery) when no NetOptions delay policy is installed,
+	// otherwise unknown, which keeps the legacy conservative budget.
 	MaxTransit time.Duration
-	// Crashes is the timed (virtual-instant) crash pattern; nil is
-	// crash-free. Step-point plans are rejected — a reactor has no
-	// benor-style stage points.
-	Crashes *failures.Schedule
-	// MaxVirtualTime / MaxSteps are the usual driver bounds;
-	// MaxSteps 0 derives the sparse default (sim.StepsLinear).
-	MaxVirtualTime time.Duration
-	MaxSteps       int64
-	// MinDelay/MaxDelay bound uniform random message transit time.
-	MinDelay, MaxDelay time.Duration
-	// NetOptions appends extra network options (e.g. a compiled
-	// NetworkProfile delay policy); a delay policy here replaces
-	// MinDelay/MaxDelay.
-	NetOptions []netsim.Option
 }
 
 // ErrBadConfig reports an invalid configuration.
@@ -341,13 +328,9 @@ func Run(cfg Config) (*sim.Result, error) {
 	if roundLen <= 0 {
 		roundLen = DefaultRoundLen
 	}
-	transit, transitKnown := cfg.MaxTransit, cfg.MaxTransit > 0
-	if !transitKnown && len(cfg.NetOptions) == 0 {
-		// No delay policy installed: transit is the uniform band's upper
-		// edge (0 = immediate delivery).
-		transit, transitKnown = cfg.MaxDelay, true
-	}
-	rounds := budgetRounds(g, cfg.Mode, transit, transitKnown, roundLen, cfg.Crashes.HasTimed())
+	// With no delay policy installed every message arrives at once.
+	transitKnown := cfg.MaxTransit > 0 || len(cfg.NetOptions) == 0
+	rounds := budgetRounds(g, cfg.Mode, cfg.MaxTransit, transitKnown, roundLen, cfg.Crashes.HasTimed())
 	if cfg.Rounds > 0 && cfg.Rounds < rounds {
 		rounds = cfg.Rounds
 	}
@@ -361,7 +344,7 @@ func Run(cfg Config) (*sim.Result, error) {
 		Crashes:        cfg.Crashes,
 		Complexity:     sim.StepsLinear,
 	}
-	newNet := driver.StandardNet(&nw, cfg.N, uint64(cfg.Seed)^0x5ab3_02e9_cc41_7d16, &ctr, cfg.MinDelay, cfg.MaxDelay, cfg.NetOptions...)
+	newNet := driver.StandardNet(&nw, cfg.N, uint64(cfg.Seed)^0x5ab3_02e9_cc41_7d16, &ctr, 0, 0, cfg.NetOptions...)
 	// One pooled allocation for all reactor state — at n=100k the
 	// per-reactor allocations otherwise dominate setup.
 	rxs := make([]reactor, cfg.N)

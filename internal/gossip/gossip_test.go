@@ -8,6 +8,7 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
+	"allforone/internal/netsim"
 	"allforone/internal/overlay"
 	"allforone/internal/sim"
 )
@@ -25,9 +26,11 @@ func baseConfig(n int, spec overlay.Spec, ones ...int) Config {
 		N:         n,
 		Proposals: binProposals(n, ones...),
 		Spec:      spec,
-		Seed:      42,
-		MinDelay:  0,
-		MaxDelay:  200 * time.Microsecond,
+		Setup: sim.Setup{
+			Seed:       42,
+			NetOptions: []netsim.Option{netsim.WithUniformDelay(0, 200*time.Microsecond)},
+		},
+		MaxTransit: 200 * time.Microsecond,
 	}
 }
 
@@ -169,7 +172,7 @@ func TestRoundsCapReplacesDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := budgetRounds(g, cfg.Mode, cfg.MaxDelay, true, DefaultRoundLen, false)
+	want := budgetRounds(g, cfg.Mode, cfg.MaxTransit, true, DefaultRoundLen, false)
 	if res.Procs[0].Round != want {
 		t.Fatalf("proc 0 ended at round %d, want the default %d", res.Procs[0].Round, want)
 	}
@@ -213,6 +216,42 @@ func TestBudgetRoundsDerivation(t *testing.T) {
 	}
 	if got := budgetRounds(g, ModePushPull, 0, true, rl, false); got != d+12 {
 		t.Fatalf("immediate delivery: budget %d, want D+12 = %d", got, d+12)
+	}
+}
+
+// TestRunDerivesTransitBound pins, through Run, the transit bound the round
+// budget is sized with: MaxTransit when it is set; immediate delivery when no
+// delay policy is installed (push&pull budget D+12); and unknown when a delay
+// policy is installed without MaxTransit (the legacy 4·D+24).
+func TestRunDerivesTransitBound(t *testing.T) {
+	spec := overlay.Spec{Kind: overlay.KindDeBruijn, Degree: 3}
+	withTransit := baseConfig(81, spec, 1)
+	g, err := spec.Build(withTransit.N, withTransit.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := g.DiameterBound()
+	noPolicy := withTransit
+	noPolicy.NetOptions, noPolicy.MaxTransit = nil, 0
+	unknown := withTransit
+	unknown.MaxTransit = 0
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want int
+	}{
+		{"MaxTransit set", withTransit, 2*d + 12},
+		{"no delay policy", noPolicy, d + 12},
+		{"delay policy without MaxTransit", unknown, 4*d + 24},
+	} {
+		res, err := Run(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		requireAllDecide(t, res, model.One)
+		if got := res.Procs[0].Round; got != tc.want {
+			t.Errorf("%s: proc 0 ended at round %d, want the budget %d", tc.name, got, tc.want)
+		}
 	}
 }
 

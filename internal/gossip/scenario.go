@@ -29,7 +29,7 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	netOpts, err := sc.NetOptions(n, sc.Topology.Partition)
+	setup, err := sc.Setup()
 	if err != nil {
 		return nil, err
 	}
@@ -44,17 +44,13 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 		maxTransit = t
 	}
 	res, err := Run(Config{
-		N:              n,
-		Proposals:      sc.Workload.Binary,
-		Spec:           *sc.Topology.Overlay,
-		Mode:           mode,
-		Seed:           sc.Seed,
-		Rounds:         sc.Bounds.MaxRounds,
-		MaxTransit:     maxTransit,
-		Crashes:        sc.Faults,
-		MaxVirtualTime: sc.Bounds.MaxVirtualTime,
-		MaxSteps:       sc.Bounds.MaxSteps,
-		NetOptions:     netOpts,
+		Setup:      setup,
+		N:          n,
+		Proposals:  sc.Workload.Binary,
+		Spec:       *sc.Topology.Overlay,
+		Mode:       mode,
+		Rounds:     sc.Bounds.MaxRounds,
+		MaxTransit: maxTransit,
 	})
 	if err != nil {
 		return nil, err

@@ -7,6 +7,8 @@ import (
 	"allforone/internal/core"
 	"allforone/internal/failures"
 	"allforone/internal/model"
+	"allforone/internal/protocol"
+	"allforone/internal/sim"
 	"allforone/internal/stats"
 	"allforone/internal/trace"
 )
@@ -19,6 +21,10 @@ import (
 //   - intra-cluster consensus OFF → the closure's premise (cluster
 //     uniformity) is violated, observable in traces and occasionally as a
 //     collapsed rec-set invariant.
+//
+// Every trial is a Scenario judged by protocol.Check: a full-algorithm trial
+// must break nothing, and an ablated one at most the property its ablation
+// gives up (liveness, cluster uniformity) — anything else is an error.
 func A1Ablations(opts Options) (*Report, error) {
 	opts = opts.withDefaults()
 	rep := &Report{
@@ -32,12 +38,9 @@ func A1Ablations(opts Options) (*Report, error) {
 	// Scenario 1: the E2 majority-crash pattern, full vs closure-ablated.
 	part := model.Fig1Right()
 	crashAt := failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart}
-	for _, variant := range []struct {
-		name   string
-		ablate bool
-	}{
-		{"full algorithm", false},
-		{"closure OFF", true},
+	for _, variant := range []a1Variant{
+		{name: "full algorithm"},
+		{"closure OFF", "liveness", func(cfg *core.Config) { cfg.AblateClosure = true }},
 	} {
 		decided := 0
 		for trial := 0; trial < opts.Trials; trial++ {
@@ -45,20 +48,15 @@ func A1Ablations(opts Options) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := core.Run(core.Config{
-				Partition:     part,
-				Proposals:     proposalsFor("unanimous1", part.N(), nil),
-				Algorithm:     core.LocalCoin,
-				Seed:          opts.SeedBase + int64(trial)*101,
-				MaxRounds:     1000,
-				Crashes:       sched,
-				AblateClosure: variant.ablate,
+			res, _, err := variant.run(protocol.Scenario{
+				Topology: protocol.Topology{Partition: part},
+				Workload: protocol.Workload{Binary: proposalsFor("unanimous1", part.N(), nil)},
+				Faults:   sched,
+				Seed:     opts.SeedBase + int64(trial)*101,
+				Bounds:   protocol.Bounds{MaxRounds: 1000},
 			})
 			if err != nil {
-				return nil, err
-			}
-			if err := res.CheckAgreement(); err != nil {
-				return nil, err
+				return nil, fmt.Errorf("harness: A1 trial %d: %w", trial, err)
 			}
 			if _, _, ok := res.Decided(); ok {
 				decided++
@@ -77,34 +75,28 @@ func A1Ablations(opts Options) (*Report, error) {
 		model.Zero, model.Zero,
 	}
 	leftPart := model.Fig1Left()
-	for _, variant := range []struct {
-		name   string
-		ablate bool
-	}{
-		{"full algorithm", false},
-		{"cluster consensus OFF", true},
+	for _, variant := range []a1Variant{
+		{name: "full algorithm"},
+		{"cluster consensus OFF", "cluster-uniformity", func(cfg *core.Config) { cfg.AblateClusterConsensus = true }},
 	} {
 		violations := 0
 		decided := 0
 		for trial := 0; trial < opts.Trials; trial++ {
-			log := trace.New()
-			res, err := core.Run(core.Config{
-				Partition:              leftPart,
-				Proposals:              split,
-				Algorithm:              core.LocalCoin,
-				Seed:                   opts.SeedBase + int64(trial)*211,
-				MaxRounds:              200,
-				Trace:                  log,
-				AblateClusterConsensus: variant.ablate,
+			res, broke, err := variant.run(protocol.Scenario{
+				Topology: protocol.Topology{Partition: leftPart},
+				Workload: protocol.Workload{Binary: split},
+				Seed:     opts.SeedBase + int64(trial)*211,
+				Bounds:   protocol.Bounds{MaxRounds: 200},
+				Trace:    trace.New(),
 			})
+			if errors.Is(err, core.ErrInvariantBroken) && variant.ablate != nil {
+				violations++ // the corrupted accounting collapsed
+				continue
+			}
 			if err != nil {
-				if errors.Is(err, core.ErrInvariantBroken) && variant.ablate {
-					violations++ // the corrupted accounting collapsed
-					continue
-				}
 				return nil, fmt.Errorf("harness: A1 trial %d: %w", trial, err)
 			}
-			if trace.CheckClusterUniformity(log, leftPart) != nil {
+			if broke {
 				violations++
 			}
 			if res.AllLiveDecided() {
@@ -119,4 +111,47 @@ func A1Ablations(opts Options) (*Report, error) {
 	tb.AddNote("%d trials per row; violations are detected over full event traces", opts.Trials)
 	rep.Table = tb
 	return rep, nil
+}
+
+// a1Variant is one row of A1: the full local-coin algorithm, or an ablation
+// that gives up one property protocol.Check judges.
+type a1Variant struct {
+	name    string
+	givesUp string             // the one property the variant may break; "" for the full algorithm
+	ablate  func(*core.Config) // nil for the full algorithm
+}
+
+// run executes one local-coin trial of sc on the hybrid protocol's Config,
+// compiled through Scenario.Setup and altered by the variant's ablation, and
+// judges it with protocol.Check. It reports whether the trial broke the
+// property the variant gives up, and fails on any other.
+func (v a1Variant) run(sc protocol.Scenario) (*sim.Result, bool, error) {
+	sc.Protocol, sc.Algorithm = core.ProtocolName, core.AlgoLocalCoin
+	setup, err := sc.Setup()
+	if err != nil {
+		return nil, false, err
+	}
+	cfg := core.Config{
+		Setup:     setup,
+		Partition: sc.Topology.Partition,
+		Proposals: sc.Workload.Binary,
+		Algorithm: core.LocalCoin,
+		MaxRounds: sc.Bounds.MaxRounds,
+		Trace:     sc.Trace,
+	}
+	if v.ablate != nil {
+		v.ablate(&cfg)
+	}
+	res, err := core.Run(cfg)
+	if err != nil {
+		return nil, false, err
+	}
+	broke := false
+	for _, vi := range protocol.Check(sc, protocol.BinaryOutcome(core.ProtocolName, res)) {
+		if vi.Property != v.givesUp {
+			return nil, false, fmt.Errorf("%s: %w", v.name, vi)
+		}
+		broke = true
+	}
+	return res, broke, nil
 }

@@ -3,14 +3,11 @@ package mm
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"allforone/internal/benor"
 	"allforone/internal/coin"
 	"allforone/internal/consensusobj"
-	"allforone/internal/failures"
 	"allforone/internal/model"
-	"allforone/internal/netsim"
 	"allforone/internal/sim"
 )
 
@@ -30,25 +27,10 @@ type Config struct {
 	Graph *Graph
 	// Proposals holds each process's binary proposal (required, length n).
 	Proposals []model.Value
-	// Seed makes all randomness reproducible: it pins the entire
-	// execution.
-	Seed int64
-	// Crashes is the failure pattern; nil means crash-free.
-	Crashes *failures.Schedule
+	// Setup is the run's seed, crash pattern, bounds and delay policy.
+	sim.Setup
 	// MaxRounds bounds execution; 0 = unbounded.
 	MaxRounds int
-	// MaxVirtualTime bounds the virtual clock of a run; zero means
-	// unbounded (quiescence and MaxSteps still apply).
-	MaxVirtualTime time.Duration
-	// MaxSteps bounds the number of discrete events of a run; zero means
-	// sim.DefaultMaxSteps, negative means unbounded.
-	MaxSteps int64
-	// MinDelay/MaxDelay bound uniform random message transit time.
-	MinDelay, MaxDelay time.Duration
-	// NetOptions appends extra network options (e.g. a compiled
-	// NetworkProfile delay policy); a delay policy here replaces
-	// MinDelay/MaxDelay.
-	NetOptions []netsim.Option
 	// LocalCoinOverride, when non-nil, supplies each process's coin.
 	LocalCoinOverride func(p model.ProcID) coin.Local
 }
@@ -90,16 +72,10 @@ func Run(cfg Config) (*sim.Result, error) {
 		return own
 	}
 	res, err := benor.RunVariant(benor.Config{
+		Setup:             cfg.Setup,
 		N:                 n,
 		Proposals:         cfg.Proposals,
-		Seed:              cfg.Seed,
-		Crashes:           cfg.Crashes,
 		MaxRounds:         cfg.MaxRounds,
-		MaxVirtualTime:    cfg.MaxVirtualTime,
-		MaxSteps:          cfg.MaxSteps,
-		MinDelay:          cfg.MinDelay,
-		MaxDelay:          cfg.MaxDelay,
-		NetOptions:        cfg.NetOptions,
 		LocalCoinOverride: cfg.LocalCoinOverride,
 	}, benor.Variant{Memory: memoryPropose, NetSalt: 0xc2b2_ae3d_27d4_eb4f, SubsetSalt: 0x1216_d5d9_8979_fb1b})
 	if errors.Is(err, benor.ErrInvariantBroken) {

@@ -68,7 +68,7 @@ func TestUnanimousDecides(t *testing.T) {
 			res, err := Run(Config{
 				Graph:     g,
 				Proposals: unanimous(g.N(), model.One),
-				Seed:      7,
+				Setup:     sim.Setup{Seed: 7},
 				MaxRounds: 100,
 			})
 			if err != nil {
@@ -99,7 +99,7 @@ func TestSplitProposalsSafeAndLive(t *testing.T) {
 			res, err := Run(Config{
 				Graph:     g,
 				Proposals: props,
-				Seed:      seed,
+				Setup:     sim.Setup{Seed: seed},
 				MaxRounds: 10000,
 			})
 			if err != nil {
@@ -127,7 +127,7 @@ func TestMeasuredInvocationCounts(t *testing.T) {
 	res, err := Run(Config{
 		Graph:     g,
 		Proposals: unanimous(5, model.Zero),
-		Seed:      3,
+		Setup:     sim.Setup{Seed: 3},
 		MaxRounds: 10,
 	})
 	if err != nil {
@@ -171,9 +171,8 @@ func TestCrashToleranceMinority(t *testing.T) {
 	res, err := Run(Config{
 		Graph:     g,
 		Proposals: props,
-		Seed:      13,
+		Setup:     sim.Setup{Seed: 13, Crashes: sched},
 		MaxRounds: 10000,
-		Crashes:   sched,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -204,8 +203,7 @@ func TestNoOneForAllProperty(t *testing.T) {
 	res, err := Run(Config{
 		Graph:     g,
 		Proposals: unanimous(5, model.One),
-		Seed:      2,
-		Crashes:   sched,
+		Setup:     sim.Setup{Seed: 2, Crashes: sched},
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)

@@ -7,6 +7,7 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
+	"allforone/internal/netsim"
 	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
@@ -28,10 +29,12 @@ func replayConfig(t *testing.T, seed int64) Config {
 	return Config{
 		Graph:     g,
 		Proposals: []model.Value{model.One, model.Zero, model.One, model.Zero, model.One},
-		Seed:      seed,
-		Crashes:   sched,
+		Setup: sim.Setup{
+			Seed:       seed,
+			Crashes:    sched,
+			NetOptions: []netsim.Option{netsim.WithUniformDelay(0, 2*time.Millisecond)},
+		},
 		MaxRounds: 10_000,
-		MaxDelay:  2 * time.Millisecond,
 	}
 }
 
@@ -101,8 +104,7 @@ func TestVirtualQuiescenceBlocks(t *testing.T) {
 	res, err := Run(Config{
 		Graph:     g,
 		Proposals: []model.Value{model.One, model.One, model.One, model.One, model.One},
-		Seed:      9,
-		Crashes:   sched,
+		Setup:     sim.Setup{Seed: 9, Crashes: sched},
 	})
 	if err != nil {
 		t.Fatal(err)

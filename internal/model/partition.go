@@ -225,9 +225,6 @@ func (p *Partition) Members(x ClusterID) []ProcID { return p.members[x] }
 // the result as read-only.
 func (p *Partition) Cluster(i ProcID) *ProcSet { return p.closure[p.clusterOf[i]] }
 
-// ClusterSet returns the member bitset of cluster x (read-only).
-func (p *Partition) ClusterSet(x ClusterID) *ProcSet { return p.closure[x] }
-
 // Size returns |P[x]|.
 func (p *Partition) Size(x ClusterID) int { return len(p.members[x]) }
 

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"time"
 
 	"allforone/internal/coin"
 	"allforone/internal/driver"
@@ -37,24 +36,10 @@ type Config struct {
 	N int
 	// Proposals holds each process's binary proposal (required, length N).
 	Proposals []model.Value
-	// Seed makes all randomness reproducible.
-	Seed int64
-	// Crashes is the failure pattern; nil means crash-free.
-	Crashes *failures.Schedule
+	// Setup is the run's seed, crash pattern, bounds and delay policy.
+	sim.Setup
 	// MaxRounds bounds execution; 0 = unbounded.
 	MaxRounds int
-	// MaxVirtualTime bounds the virtual clock of a run; zero means
-	// unbounded (quiescence and MaxSteps still apply).
-	MaxVirtualTime time.Duration
-	// MaxSteps bounds the number of discrete events of a run; zero means
-	// sim.DefaultMaxSteps, negative means unbounded.
-	MaxSteps int64
-	// MinDelay/MaxDelay bound uniform random message transit time.
-	MinDelay, MaxDelay time.Duration
-	// NetOptions appends extra network options (e.g. a compiled
-	// NetworkProfile delay policy); a delay policy here replaces
-	// MinDelay/MaxDelay.
-	NetOptions []netsim.Option
 	// CommonCoinOverride, when non-nil, replaces the seeded common coin.
 	CommonCoinOverride coin.Common
 }
@@ -297,7 +282,7 @@ func Run(cfg Config) (*sim.Result, error) {
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
 		Crashes:        cfg.Crashes,
-	}, cfg.N, driver.StandardNet(&nw, cfg.N, uint64(cfg.Seed)^0x27d4_eb2f_1656_67c5, &ctr, cfg.MinDelay, cfg.MaxDelay, cfg.NetOptions...),
+	}, cfg.N, driver.StandardNet(&nw, cfg.N, uint64(cfg.Seed)^0x27d4_eb2f_1656_67c5, &ctr, 0, 0, cfg.NetOptions...),
 		func(i int, h *driver.Handle) driver.Reactor {
 			return newProc(&procs[i], &cfg, i, nw, commonCoin, &ctr, h, &res.Procs[i])
 		})

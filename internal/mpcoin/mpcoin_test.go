@@ -9,6 +9,7 @@ import (
 	"allforone/internal/coin"
 	"allforone/internal/failures"
 	"allforone/internal/model"
+	"allforone/internal/netsim"
 	"allforone/internal/sim"
 )
 
@@ -51,7 +52,7 @@ func TestUnanimousTerminatesQuickly(t *testing.T) {
 			res, err := Run(Config{
 				N:         n,
 				Proposals: unanimous(n, model.One),
-				Seed:      int64(n) + 100,
+				Setup:     sim.Setup{Seed: int64(n) + 100},
 				MaxRounds: 100,
 			})
 			if err != nil {
@@ -79,7 +80,7 @@ func TestSplitProposalsSafeAndLive(t *testing.T) {
 			res, err := Run(Config{
 				N:         n,
 				Proposals: props,
-				Seed:      seed,
+				Setup:     sim.Setup{Seed: seed},
 				MaxRounds: 1000,
 			})
 			if err != nil {
@@ -107,7 +108,7 @@ func TestRiggedCoinRounds(t *testing.T) {
 		res, err := Run(Config{
 			N:                  n,
 			Proposals:          unanimous(n, model.Zero),
-			Seed:               1,
+			Setup:              sim.Setup{Seed: 1},
 			MaxRounds:          10,
 			CommonCoinOverride: coin.NewFixedCommon(model.Zero),
 		})
@@ -123,7 +124,7 @@ func TestRiggedCoinRounds(t *testing.T) {
 		res, err := Run(Config{
 			N:                  n,
 			Proposals:          unanimous(n, model.One),
-			Seed:               1,
+			Setup:              sim.Setup{Seed: 1},
 			MaxRounds:          10,
 			CommonCoinOverride: coin.NewFixedCommon(model.Zero, model.One),
 		})
@@ -144,7 +145,7 @@ func TestRiggedCoinRounds(t *testing.T) {
 		res, err := Run(Config{
 			N:                  n,
 			Proposals:          unanimous(n, model.One),
-			Seed:               1,
+			Setup:              sim.Setup{Seed: 1},
 			MaxRounds:          4,
 			CommonCoinOverride: coin.NewFixedCommon(model.Zero),
 		})
@@ -174,9 +175,8 @@ func TestMinorityCrashTerminates(t *testing.T) {
 	res, err := Run(Config{
 		N:         n,
 		Proposals: props,
-		Seed:      21,
+		Setup:     sim.Setup{Seed: 21, Crashes: sched},
 		MaxRounds: 1000,
-		Crashes:   sched,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -203,8 +203,7 @@ func TestMajorityCrashBlocksButSafe(t *testing.T) {
 	res, err := Run(Config{
 		N:         n,
 		Proposals: unanimous(n, model.Zero),
-		Seed:      2,
-		Crashes:   sched,
+		Setup:     sim.Setup{Seed: 2, Crashes: sched},
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -221,9 +220,11 @@ func TestWithDelays(t *testing.T) {
 	res, err := Run(Config{
 		N:         n,
 		Proposals: props,
-		Seed:      4,
+		Setup: sim.Setup{
+			Seed:       4,
+			NetOptions: []netsim.Option{netsim.WithUniformDelay(0, 2*time.Millisecond)},
+		},
 		MaxRounds: 1000,
-		MaxDelay:  2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -251,9 +252,8 @@ func TestPartialDecideDelivery(t *testing.T) {
 	res, err := Run(Config{
 		N:                  n,
 		Proposals:          unanimous(n, model.One),
-		Seed:               6,
+		Setup:              sim.Setup{Seed: 6, Crashes: sched},
 		MaxRounds:          100,
-		Crashes:            sched,
 		CommonCoinOverride: coin.NewFixedCommon(model.One),
 	})
 	if err != nil {

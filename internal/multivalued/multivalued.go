@@ -29,7 +29,6 @@ package multivalued
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"allforone/internal/coin"
 	"allforone/internal/consensusobj"
@@ -48,29 +47,14 @@ type Config struct {
 	// Proposals holds each process's proposed value (required, length n).
 	// Values may repeat; the empty string is a valid proposal.
 	Proposals []string
-	// Seed makes all randomness reproducible: it pins the entire
-	// execution.
-	Seed int64
-	// Crashes is the failure pattern; crash points are consulted at the
-	// start of every binary round, with Round counting binary rounds
-	// globally across instances. Nil means crash-free.
-	Crashes *failures.Schedule
+	// Setup is the run's seed, crash pattern, bounds and delay policy.
+	// Crash points are consulted at the start of every binary round, with
+	// Round counting binary rounds globally across instances.
+	sim.Setup
 	// MaxInstances bounds the number of binary instances (0 = 4n).
 	MaxInstances int
 	// MaxRoundsPerInstance bounds each binary instance (0 = 1000).
 	MaxRoundsPerInstance int
-	// MaxVirtualTime bounds the virtual clock of a run; zero means
-	// unbounded (quiescence and MaxSteps still apply).
-	MaxVirtualTime time.Duration
-	// MaxSteps bounds the number of discrete events of a run; zero means
-	// sim.DefaultMaxSteps, negative means unbounded.
-	MaxSteps int64
-	// MinDelay/MaxDelay bound uniform random message transit time.
-	MinDelay, MaxDelay time.Duration
-	// NetOptions appends extra network options (e.g. a compiled
-	// NetworkProfile delay policy); a delay policy here replaces
-	// MinDelay/MaxDelay.
-	NetOptions []netsim.Option
 }
 
 // Errors returned by Run.
@@ -456,7 +440,7 @@ func Run(cfg Config) (*Result, error) {
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
 		Crashes:        cfg.Crashes,
-	}, n, driver.StandardNet(&nw, n, uint64(cfg.Seed)^0x60be_e2be_e120_fc15, &ctr, cfg.MinDelay, cfg.MaxDelay, cfg.NetOptions...),
+	}, n, driver.StandardNet(&nw, n, uint64(cfg.Seed)^0x60be_e2be_e120_fc15, &ctr, 0, 0, cfg.NetOptions...),
 		func(i int, h *driver.Handle) driver.Reactor {
 			id := model.ProcID(i)
 			p := &procs[i]

@@ -39,7 +39,7 @@ func TestUnanimousProposals(t *testing.T) {
 			res, err := Run(Config{
 				Partition: part,
 				Proposals: props,
-				Seed:      11,
+				Setup:     sim.Setup{Seed: 11},
 			})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
@@ -69,7 +69,7 @@ func TestDistinctProposalsAgreeOnOne(t *testing.T) {
 			res, err := Run(Config{
 				Partition: part,
 				Proposals: props,
-				Seed:      seed,
+				Setup:     sim.Setup{Seed: seed},
 			})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
@@ -105,8 +105,7 @@ func TestMajorityCrashSurvivorDecides(t *testing.T) {
 	res, err := Run(Config{
 		Partition: part,
 		Proposals: props,
-		Seed:      3,
-		Crashes:   sched,
+		Setup:     sim.Setup{Seed: 3, Crashes: sched},
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -155,8 +154,7 @@ func TestBlockedWhenLivenessFails(t *testing.T) {
 	res, err := Run(Config{
 		Partition: part,
 		Proposals: props,
-		Seed:      5,
-		Crashes:   sched,
+		Setup:     sim.Setup{Seed: 5, Crashes: sched},
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -176,7 +174,7 @@ func TestDuplicateProposals(t *testing.T) {
 	res, err := Run(Config{
 		Partition: part,
 		Proposals: props,
-		Seed:      9,
+		Setup:     sim.Setup{Seed: 9},
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -194,7 +192,7 @@ func TestSingleProcess(t *testing.T) {
 	res, err := Run(Config{
 		Partition: model.SingleCluster(1),
 		Proposals: []string{"solo"},
-		Seed:      1,
+		Setup:     sim.Setup{Seed: 1},
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)

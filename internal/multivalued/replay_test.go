@@ -7,6 +7,7 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
+	"allforone/internal/netsim"
 	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
@@ -27,9 +28,11 @@ func replayConfig(t *testing.T, seed int64) Config {
 	return Config{
 		Partition: model.Fig1Left(),
 		Proposals: []string{"a", "b", "c", "d", "e", "f", "g"},
-		Seed:      seed,
-		Crashes:   sched,
-		MaxDelay:  2 * time.Millisecond,
+		Setup: sim.Setup{
+			Seed:       seed,
+			Crashes:    sched,
+			NetOptions: []netsim.Option{netsim.WithUniformDelay(0, 2*time.Millisecond)},
+		},
 	}
 }
 
@@ -100,8 +103,7 @@ func TestVirtualQuiescenceBlocks(t *testing.T) {
 	res, err := Run(Config{
 		Partition: part,
 		Proposals: []string{"a", "b", "c", "d", "e", "f", "g"},
-		Seed:      5,
-		Crashes:   sched,
+		Setup:     sim.Setup{Seed: 5, Crashes: sched},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -130,10 +132,11 @@ func TestTimedCrash(t *testing.T) {
 	res, err := Run(Config{
 		Partition: model.Fig1Left(),
 		Proposals: props,
-		Seed:      7,
-		MinDelay:  200 * time.Microsecond,
-		MaxDelay:  time.Millisecond,
-		Crashes:   sched,
+		Setup: sim.Setup{
+			Seed:       7,
+			Crashes:    sched,
+			NetOptions: []netsim.Option{netsim.WithUniformDelay(200*time.Microsecond, time.Millisecond)},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

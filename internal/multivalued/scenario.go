@@ -22,21 +22,16 @@ func init() {
 }
 
 func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
-	part := sc.Topology.Partition
-	netOpts, err := sc.NetOptions(part.N(), part)
+	setup, err := sc.Setup()
 	if err != nil {
 		return nil, err
 	}
 	res, err := Run(Config{
-		Partition:            part,
+		Setup:                setup,
+		Partition:            sc.Topology.Partition,
 		Proposals:            sc.Workload.Values,
-		Seed:                 sc.Seed,
-		Crashes:              sc.Faults,
 		MaxInstances:         sc.Bounds.MaxInstances,
 		MaxRoundsPerInstance: sc.Bounds.MaxRounds,
-		MaxVirtualTime:       sc.Bounds.MaxVirtualTime,
-		MaxSteps:             sc.Bounds.MaxSteps,
-		NetOptions:           netOpts,
 	})
 	if err != nil {
 		return nil, err

@@ -5,10 +5,10 @@
 // broadcast entry, a BurstSend/BurstSendVia one per-recipient entry on the
 // recipient's shard. At the flush point the job seals and each shard — a
 // contiguous recipient stripe with its own PCG stream derived from the run
-// seed — draws its delays, builds deferred payloads through its payload pool,
-// and inserts its events into the scheduler's one wheel: one lazily ordered
-// fanout per broadcast, one pooled delivery per per-recipient entry. A fanout
-// re-arms for its next arrival instant with a plain AtEvent. Work is
+// seed — draws its delays, builds deferred payloads, and inserts its events
+// into the scheduler's one wheel: one lazily ordered fanout per broadcast and
+// one delivery per per-recipient entry, all from the network's pools. A
+// fanout re-arms for its next arrival instant with a plain AtEvent. Work is
 // partitioned by shard — a pure function of the topology — and the sequence
 // block is reserved at the flush point, so the schedule does not depend on
 // the order in which the shards are expanded.
@@ -23,54 +23,27 @@ import (
 )
 
 // sendShard is one shard's expansion state. The shard's expansion, inside a
-// flush, draws from rng, packs into keys, consumes the burst entries and pops
-// the freelists; between flushes, sends append burst entries and fired events
-// and consumed payloads return to the freelists.
+// flush, draws from rng, packs into keys and consumes the burst entries;
+// between flushes, sends append burst entries. Every shard's expansion runs
+// on the execution token, so all of them share the network's event and
+// payload pools.
 type sendShard struct {
 	rng    *rand.Rand // per-shard delay stream, derived from the run seed
 	lo, hi int        // recipient stripe [lo, hi)
 	keys   []uint64   // packed-word scratch, hot across windows
 	burst  []burstEntry
-
-	freeFan []*fanout   // broadcast fanouts
-	freeDel []*delivery // per-recipient deliveries
-	freePay []any       // builder payload objects
-}
-
-// getFanout pops a pooled fanout from the shard's freelist or makes one
-// tagged with the shard id, so release routes it back here; load sizes its
-// entries.
-func (sh *sendShard) getFanout(nw *Network, shard int) *fanout {
-	if k := len(sh.freeFan); k > 0 {
-		f := sh.freeFan[k-1]
-		sh.freeFan = sh.freeFan[:k-1]
-		return f
-	}
-	return &fanout{nw: nw, shard: int32(shard)}
-}
-
-// getDelivery pops a pooled delivery from the shard's freelist or makes one
-// tagged with the shard id, so Fire routes it back here.
-func (sh *sendShard) getDelivery(nw *Network, shard int) *delivery {
-	if k := len(sh.freeDel); k > 0 {
-		d := sh.freeDel[k-1]
-		sh.freeDel = sh.freeDel[:k-1]
-		return d
-	}
-	return &delivery{nw: nw, shard: int32(shard)}
 }
 
 // BurstBuilder constructs one burst entry's payload inside the expansion
-// job, when the flush expands the recipient's shard. ctx is the shared
-// context the sender captured at BurstSendVia (e.g. one boxed item batch
-// shared by d per-successor entries) and arg the per-entry argument (e.g.
-// that link's sequence number). The builder may draw pooled objects via
-// Network.GrabPayload(shard) and must touch no state of another shard; bytes
-// reports the payload bytes built (the PooledPayloadBytes stat). shard < 0
-// means the send took the unsharded fallback path and the payload is built
-// at send time.
+// job, when the flush expands the recipient's shard — or at send time, when
+// the send takes the unsharded fallback path. ctx is the shared context the
+// sender captured at BurstSendVia (e.g. one boxed item batch shared by d
+// per-successor entries) and arg the per-entry argument (e.g. that link's
+// sequence number). The builder may draw pooled objects via
+// Network.GrabPayload; bytes reports the payload bytes built at a flush (the
+// PooledPayloadBytes stat).
 type BurstBuilder interface {
-	BuildPayload(nw *Network, shard int, ctx any, arg uint64) (payload any, bytes int)
+	BuildPayload(nw *Network, ctx any, arg uint64) (payload any, bytes int)
 }
 
 // fanEntry is one queued SendAll: what the flush needs to expand any shard's
@@ -154,7 +127,7 @@ func (w *window) ExpandShard(shard int, seqBase uint64, ins *vclock.ShardInserte
 	var seq uint64
 	lone := func(at vclock.Time, m Message) {
 		seq++
-		dv := sh.getDelivery(nw, shard)
+		dv := nw.getDelivery()
 		dv.box, dv.msg = nw.vboxes[m.To], m
 		ins.At(at, seq, dv)
 	}
@@ -167,7 +140,7 @@ func (w *window) ExpandShard(shard int, seqBase uint64, ins *vclock.ShardInserte
 		if len(keys) == 0 {
 			continue
 		}
-		f := sh.getFanout(nw, shard)
+		f := nw.getFanout()
 		f.from = e.from
 		f.payload = e.payload
 		ins.At(f.load(keys, stripe, e.at, minDelay, maxDelay), first, f)
@@ -186,7 +159,7 @@ func (w *window) ExpandShard(shard int, seqBase uint64, ins *vclock.ShardInserte
 		payload := e.payload
 		if e.builder != nil && !e.skip {
 			var nb int
-			payload, nb = e.builder.BuildPayload(nw, shard, e.payload, e.arg)
+			payload, nb = e.builder.BuildPayload(nw, e.payload, e.arg)
 			payloadBytes += nb
 		}
 		m := Message{From: e.from, To: e.to, Payload: payload}
@@ -194,7 +167,7 @@ func (w *window) ExpandShard(shard int, seqBase uint64, ins *vclock.ShardInserte
 		if e.skip {
 			continue
 		}
-		dv := sh.getDelivery(nw, shard)
+		dv := nw.getDelivery()
 		dv.box, dv.msg = nw.vboxes[e.to], m
 		ins.At(e.at+vclock.Time(d), seq, dv)
 		seq++
@@ -277,9 +250,8 @@ func (nw *Network) BurstSend(from, to model.ProcID, payload any) {
 // BurstSendVia is BurstSend with deferred payload construction: instead of
 // a ready payload the sender hands a builder, a context shared across the
 // entries of one logical flush (boxed once), and a per-entry argument. The
-// payload is built inside the expansion job, through the recipient shard's
-// payload pool, so the sending handler only enqueues intent. On the fallback
-// paths the payload is built at send time (shard −1).
+// payload is built inside the expansion job, so the sending handler only
+// enqueues intent. On the fallback paths the payload is built at send time.
 func (nw *Network) BurstSendVia(from, to model.ProcID, b BurstBuilder, ctx any, arg uint64) {
 	if int(to) < 0 || int(to) >= nw.n {
 		return
@@ -288,7 +260,7 @@ func (nw *Network) BurstSendVia(from, to model.ProcID, b BurstBuilder, ctx any, 
 		nw.opts.counters.AddMsgsSent(1)
 	}
 	if nw.shards == nil || nw.closed {
-		payload, _ := b.BuildPayload(nw, -1, ctx, arg)
+		payload, _ := b.BuildPayload(nw, ctx, arg)
 		m := Message{From: from, To: to, Payload: payload}
 		nw.deliver(m, nw.delayFor(m))
 		return
@@ -296,44 +268,23 @@ func (nw *Network) BurstSendVia(from, to model.ProcID, b BurstBuilder, ctx any, 
 	nw.appendBurst(burstEntry{payload: ctx, builder: b, arg: arg, from: from, to: to})
 }
 
-// GrabPayload pops a pooled payload object from shard's payload pool, or
-// returns nil when the pool is empty (the caller allocates). shard ≥ 0 is
-// expansion-side — builders call it for their own shard only; shard < 0 is
-// the global pool of the unsharded fallback path.
-func (nw *Network) GrabPayload(shard int) any {
-	var pool *[]any
-	if shard >= 0 {
-		pool = &nw.shards[shard].freePay
-	} else {
-		pool = &nw.freePayloads
+// GrabPayload pops a pooled payload object from the network's payload pool,
+// or returns nil when the pool is empty (the caller allocates).
+func (nw *Network) GrabPayload() any {
+	k := len(nw.freePayloads)
+	if k == 0 {
+		return nil
 	}
-	if k := len(*pool); k > 0 {
-		p := (*pool)[k-1]
-		(*pool)[k-1] = nil
-		*pool = (*pool)[:k-1]
-		return p
-	}
-	return nil
+	p := nw.freePayloads[k-1]
+	nw.freePayloads[k-1] = nil
+	nw.freePayloads = nw.freePayloads[:k-1]
+	return p
 }
 
-// RecyclePayload returns a consumed payload object to shard's pool, between
-// flushes, like the fanout and delivery returns (see sendShard).
-func (nw *Network) RecyclePayload(shard int, p any) {
-	pool := &nw.freePayloads
-	if shard >= 0 {
-		pool = &nw.shards[shard].freePay
-	}
-	*pool = append(*pool, p)
-}
-
-// ShardOf returns the expansion shard owning recipient p, or −1 on an
-// unsharded network — the shard whose pools served p's burst payloads, so
-// consumers recycle into the right pool.
-func (nw *Network) ShardOf(p model.ProcID) int {
-	if nw.shardOf == nil {
-		return -1
-	}
-	return int(nw.shardOf[p])
+// RecyclePayload returns a consumed payload object to the network's payload
+// pool, for a later GrabPayload.
+func (nw *Network) RecyclePayload(p any) {
+	nw.freePayloads = append(nw.freePayloads, p)
 }
 
 // mix64 is the SplitMix64 finalizer, used to derive independent per-shard

@@ -117,7 +117,7 @@ func TestDelayPolicyPrecedence(t *testing.T) {
 // viaBuilder is the BurstSendVia payload builder of the mixed-window test.
 type viaBuilder struct{}
 
-func (viaBuilder) BuildPayload(_ *Network, _ int, ctx any, arg uint64) (any, int) {
+func (viaBuilder) BuildPayload(_ *Network, ctx any, arg uint64) (any, int) {
 	return fmt.Sprintf("%v-%d", ctx, arg), 8
 }
 
@@ -244,10 +244,12 @@ func TestMixedWindow(t *testing.T) {
 
 // TestPooledWindowsReuseShardPools drives full windows — every process of an
 // n=256 network broadcasts and sends one built payload at the same instant,
-// three rounds a full delay span apart — so the shard freelists are pushed
-// between flushes (fired fanouts and deliveries, recycled payloads) and
-// popped by the next round's expansion. Each round must be one window, and
-// the second and third rounds must have been served from the freelists.
+// three rounds a full delay span apart — so the network's freelists are
+// pushed between flushes (fired fanouts and deliveries, recycled payloads)
+// and popped by every shard's share of the next round's expansion. Each round
+// must be one window, and the second and third rounds must have been served
+// from the freelists: once the run is over every event and payload is back
+// on one, and they hold one round's worth.
 func TestPooledWindowsReuseShardPools(t *testing.T) {
 	const n, rounds = 256, 3
 	span := 200 * time.Microsecond
@@ -255,7 +257,7 @@ func TestPooledWindowsReuseShardPools(t *testing.T) {
 	nw := tn.nw
 	tn.react = func(m Message) {
 		if p, ok := m.Payload.(*burstEchoPayload); ok {
-			nw.RecyclePayload(nw.ShardOf(m.To), p)
+			nw.RecyclePayload(p)
 		}
 	}
 	for r := 0; r < rounds; r++ {
@@ -274,11 +276,9 @@ func TestPooledWindowsReuseShardPools(t *testing.T) {
 	if st := out.Stats; st.PoolFlushes != rounds || st.ExpandJobs != rounds*n || st.PooledPayloadBytes != rounds*n*4 {
 		t.Fatalf("each round should be one window: %+v", st)
 	}
-	for s := range nw.shards {
-		sh := &nw.shards[s]
-		if len(sh.freeFan) != n || len(sh.freeDel) != n/len(nw.shards) || len(sh.freePay) != n/len(nw.shards) {
-			t.Fatalf("shard %d: freelists hold %d fanouts, %d deliveries, %d payloads — one round's worth is %d, %d, %d",
-				s, len(sh.freeFan), len(sh.freeDel), len(sh.freePay), n, n/len(nw.shards), n/len(nw.shards))
-		}
+	fans := n * len(nw.shards) // one fanout per broadcast and stripe
+	if len(nw.freeFanouts) != fans || len(nw.freeDeliveries) != n || len(nw.freePayloads) != n {
+		t.Fatalf("freelists hold %d fanouts, %d deliveries, %d payloads — one round's worth is %d, %d, %d",
+			len(nw.freeFanouts), len(nw.freeDeliveries), len(nw.freePayloads), fans, n, n)
 	}
 }

@@ -181,9 +181,9 @@ type Network struct {
 	// Event pools (guarded by the scheduler's execution token, like
 	// everything else here). Delivery and fanout events cycle through
 	// these freelists instead of allocating one closure plus one heap box
-	// per message — the zero-alloc delivery path. fanouts and deliveries
-	// record every event of the network-global pools ever made, so that
-	// recycle can return the ones still in flight when a run ended.
+	// per message — the zero-alloc delivery path. On an unsharded network
+	// fanouts and deliveries record every event ever made, so that recycle
+	// can return the ones still in flight when a run ended.
 	freeDeliveries []*delivery
 	freeFanouts    []*fanout
 	deliveries     []*delivery
@@ -200,30 +200,22 @@ type Network struct {
 	fanOK       bool    // SendAll may use the packed-key fanouts (n fits the key)
 	win         window  // the current flush window's expansion job
 
-	freePayloads []any // token-owned payload pool of the unsharded BurstSendVia fallback
+	freePayloads []any // BurstBuilder payload objects (GrabPayload, RecyclePayload)
 }
 
 // delivery is a pooled single-message delivery event: the
-// scheduled form of one point-to-point Send. shard names the pool that owns
-// it: a shard-expanded delivery cycles through its recipient shard's
-// freelist (see sendShard), everything else through the network-global one.
+// scheduled form of one point-to-point Send.
 type delivery struct {
-	nw    *Network
-	box   *mailbox.Virtual[Message]
-	msg   Message
-	shard int32 // owning pool; -1 = network-global
+	nw  *Network
+	box *mailbox.Virtual[Message]
+	msg Message
 }
 
 // Fire delivers the message and returns the envelope to the pool.
 func (d *delivery) Fire() {
 	box, msg := d.box, d.msg
 	d.box, d.msg = nil, Message{}
-	if d.shard >= 0 {
-		sh := &d.nw.shards[d.shard]
-		sh.freeDel = append(sh.freeDel, d)
-	} else {
-		d.nw.freeDeliveries = append(d.nw.freeDeliveries, d)
-	}
+	d.nw.freeDeliveries = append(d.nw.freeDeliveries, d)
 	box.Put(msg)
 }
 
@@ -268,7 +260,6 @@ type fanout struct {
 	sorted  int32          // entries before this index are in delivery order
 	bits    uint8          // width of an entry's position field
 	shift   uint8          // an entry's bucket is its delay field >> shift
-	shard   int32          // owning shard pool, -1 for the network-global pool
 }
 
 // Packed-key bounds of packFan's scratch words, (delay << fanSeqBits) |
@@ -430,43 +421,42 @@ func deliverDue[K fanKey](f *fanout, h []K) vclock.Time {
 	}
 }
 
-// release returns the exhausted fanout to its pool: the owning shard's
-// freelist or the network-global one.
+// release returns the exhausted fanout to the network's pool.
 func (f *fanout) release() {
 	f.payload = nil
 	f.to = nil
 	f.keys = f.keys[:0]
 	f.wide = f.wide[:0]
-	if f.shard >= 0 {
-		sh := &f.nw.shards[f.shard]
-		sh.freeFan = append(sh.freeFan, f)
-		return
-	}
 	f.nw.freeFanouts = append(f.nw.freeFanouts, f)
 }
 
-// getDelivery pops a pooled delivery event or makes, and records, one.
+// getDelivery pops a pooled delivery event or makes one, recorded unless
+// the network is sharded: only an unsharded network is ever recycled.
 func (nw *Network) getDelivery() *delivery {
 	if k := len(nw.freeDeliveries); k > 0 {
 		d := nw.freeDeliveries[k-1]
 		nw.freeDeliveries = nw.freeDeliveries[:k-1]
 		return d
 	}
-	d := &delivery{nw: nw, shard: -1}
-	nw.deliveries = append(nw.deliveries, d)
+	d := &delivery{nw: nw}
+	if nw.shards == nil {
+		nw.deliveries = append(nw.deliveries, d)
+	}
 	return d
 }
 
-// getFanout pops a pooled fanout event or makes, and records, one; load
-// sizes its entries.
+// getFanout pops a pooled fanout event or makes one, recorded like a
+// delivery; load sizes its entries.
 func (nw *Network) getFanout() *fanout {
 	if k := len(nw.freeFanouts); k > 0 {
 		f := nw.freeFanouts[k-1]
 		nw.freeFanouts = nw.freeFanouts[:k-1]
 		return f
 	}
-	f := &fanout{nw: nw, shard: -1}
-	nw.fanouts = append(nw.fanouts, f)
+	f := &fanout{nw: nw}
+	if nw.shards == nil {
+		nw.fanouts = append(nw.fanouts, f)
+	}
 	return f
 }
 

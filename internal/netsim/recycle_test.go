@@ -137,7 +137,7 @@ func checkRecycled(t *testing.T, nw *Network, fanouts []*fanout, deliveries []*d
 		t.Fatalf("%d fanouts free, %d recorded, want the %d made", len(nw.freeFanouts), len(nw.fanouts), len(fanouts))
 	}
 	for i, f := range fanouts {
-		if f.payload != nil || f.to != nil || len(f.keys) != 0 || len(f.wide) != 0 || f.nw != nw || f.shard != -1 {
+		if f.payload != nil || f.to != nil || len(f.keys) != 0 || len(f.wide) != 0 || f.nw != nw {
 			t.Fatalf("fanout %d keeps %+v", i, *f)
 		}
 	}

@@ -364,17 +364,17 @@ func echoRounds(s *vclock.Scheduler, nw *Network, succ []model.ProcID, warmup, r
 
 // burstEchoPayload is a non-zero pooled payload for the burst allocs test:
 // boxing it per send would cost one allocation each — exactly what the
-// per-shard payload pools exist to remove.
+// network's payload pool exists to remove.
 type burstEchoPayload struct {
 	Seq uint32
 }
 
 // burstEchoBuilder builds burstEchoPayloads inside the expansion job from
-// the shard's pool, mirroring allconcur's envelope builder.
+// the network's pool, mirroring allconcur's envelope builder.
 type burstEchoBuilder struct{}
 
-func (burstEchoBuilder) BuildPayload(nw *Network, shard int, ctx any, arg uint64) (any, int) {
-	p, _ := nw.GrabPayload(shard).(*burstEchoPayload)
+func (burstEchoBuilder) BuildPayload(nw *Network, ctx any, arg uint64) (any, int) {
+	p, _ := nw.GrabPayload().(*burstEchoPayload)
 	if p == nil {
 		p = new(burstEchoPayload)
 	}
@@ -385,7 +385,7 @@ func (burstEchoBuilder) BuildPayload(nw *Network, shard int, ctx any, arg uint64
 // TestVirtualBurstSendSteadyStateAllocs is the sharded counterpart of the
 // overlay Send test above, with NON-ZERO payloads: on a sharded scheduler
 // BurstSendVia routes the fanout through the sharded burst path, payload
-// construction runs at the flush through the per-shard payload pools, and the
+// construction runs at the flush through the network's payload pool, and the
 // steady state must stay allocation-free per send — pooled deliveries,
 // pooled payloads, recycled entry buffers. It also pins the stats wiring:
 // the run must report burst jobs and pooled payload bytes.
@@ -414,7 +414,7 @@ func TestVirtualBurstSendSteadyStateAllocs(t *testing.T) {
 					return closed
 				}
 				env := m.Payload.(*burstEchoPayload)
-				nw.RecyclePayload(nw.ShardOf(p), env)
+				nw.RecyclePayload(env)
 				nw.BurstSend(p, 0, ack{})
 			}
 		})

@@ -32,8 +32,7 @@ type uniformProfile struct {
 	min, max time.Duration
 }
 
-// Uniform draws every message's transit time uniformly from [min, max] —
-// the delay policy the pre-Scenario API exposed as MinDelay/MaxDelay. It
+// Uniform draws every message's transit time uniformly from [min, max]. It
 // compiles to the network's own band (netsim.WithUniformDelay), whose known
 // minimum lets a sharded run keep each send window open for min of virtual
 // time. Uniform(0, 0) means immediate delivery; a negative min or a max

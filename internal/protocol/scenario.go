@@ -9,12 +9,16 @@ import (
 	"allforone/internal/model"
 	"allforone/internal/netsim"
 	"allforone/internal/overlay"
+	"allforone/internal/sim"
 	"allforone/internal/trace"
 )
 
 // Scenario is a declarative run description shared by every registered
 // protocol: WHAT to run (protocol + workload) on WHICH topology, under
-// WHICH adversary (faults + network profile), driven HOW (seed, bounds). protocol.Run compiles it onto the chosen protocol's own Config.
+// WHICH adversary (faults + network profile), driven HOW (seed, bounds).
+// protocol.Run compiles it onto the chosen protocol's own Config, whose
+// shared part — seed, faults, bounds, delay policy — is the one record
+// Setup builds.
 //
 // A single Scenario value may carry every workload shape at once
 // (Binary + Values + Commands + Scripts); each protocol consumes only the
@@ -199,22 +203,32 @@ func (sc *Scenario) validate(info Info) error {
 	return nil
 }
 
-// NetOptions compiles the scenario's network profile into netsim options
-// for the protocol's network constructor. Protocol adapters call it with
-// their resolved process count and (possibly nil) partition.
-func (sc *Scenario) NetOptions(n int, part *model.Partition) ([]netsim.Option, error) {
-	if sc.Profile == nil {
-		return nil, nil
+// Setup compiles the scenario's seed, faults, bounds and network profile
+// into the run record every protocol Config embeds. Protocol adapters call
+// it once, on a scenario the registry has validated.
+func (sc *Scenario) Setup() (sim.Setup, error) {
+	s := sim.Setup{
+		Seed:           sc.Seed,
+		Crashes:        sc.Faults,
+		MaxVirtualTime: sc.Bounds.MaxVirtualTime,
+		MaxSteps:       sc.Bounds.MaxSteps,
 	}
-	opt, err := sc.Profile.Compile(n, part)
+	if sc.Profile == nil {
+		return s, nil
+	}
+	n, err := sc.Topology.Procs()
+	if err != nil {
+		return sim.Setup{}, err
+	}
+	opt, err := sc.Profile.Compile(n, sc.Topology.Partition)
 	if err != nil {
 		// Both sentinels stay inspectable: ErrBadScenario for the scenario
 		// layer, plus whatever the profile wrapped (e.g. netsim.ErrBadMatrix
 		// for a non-square or negative skew matrix).
-		return nil, fmt.Errorf("%w: profile %q: %w", ErrBadScenario, sc.Profile.ProfileName(), err)
+		return sim.Setup{}, fmt.Errorf("%w: profile %q: %w", ErrBadScenario, sc.Profile.ProfileName(), err)
 	}
-	if opt.IsZero() {
-		return nil, nil
+	if !opt.IsZero() {
+		s.NetOptions = []netsim.Option{opt}
 	}
-	return []netsim.Option{opt}, nil
+	return s, nil
 }

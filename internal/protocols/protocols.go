@@ -5,9 +5,9 @@
 //
 //	import _ "allforone/internal/protocols"
 //
-// The repository root package imports every implementation anyway (for
-// the deprecated Solve* wrappers), so users of package allforone get the
-// full registry for free.
+// The repository root package imports every implementation anyway (its
+// Protocol* name constants and result aliases come from them), so users of
+// package allforone get the full registry for free.
 package protocols
 
 import (

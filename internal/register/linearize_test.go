@@ -8,6 +8,7 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
+	"allforone/internal/netsim"
 	"allforone/internal/sim"
 )
 
@@ -119,9 +120,10 @@ func linearizableConfig(seed int64, minDelay, maxDelay time.Duration) Config {
 	return Config{
 		Partition: part,
 		Scripts:   scripts,
-		Seed:      seed,
-		MinDelay:  minDelay,
-		MaxDelay:  maxDelay,
+		Setup: sim.Setup{
+			Seed:       seed,
+			NetOptions: []netsim.Option{netsim.WithUniformDelay(minDelay, maxDelay)},
+		},
 	}
 }
 
@@ -185,10 +187,11 @@ func TestCrashedRunHistoryLinearizable(t *testing.T) {
 	res, err := Run(Config{
 		Partition: part,
 		Scripts:   scripts,
-		Seed:      11,
-		Crashes:   sched,
-		MinDelay:  10 * time.Microsecond,
-		MaxDelay:  200 * time.Microsecond,
+		Setup: sim.Setup{
+			Seed:       11,
+			Crashes:    sched,
+			NetOptions: []netsim.Option{netsim.WithUniformDelay(10*time.Microsecond, 200*time.Microsecond)},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

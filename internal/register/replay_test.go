@@ -7,6 +7,7 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
+	"allforone/internal/netsim"
 	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
@@ -28,10 +29,11 @@ func replayConfig(t *testing.T, seed int64) Config {
 	return Config{
 		Partition: part,
 		Scripts:   scripts,
-		Seed:      seed,
-		Crashes:   sched,
-		MinDelay:  50 * time.Microsecond,
-		MaxDelay:  800 * time.Microsecond,
+		Setup: sim.Setup{
+			Seed:       seed,
+			Crashes:    sched,
+			NetOptions: []netsim.Option{netsim.WithUniformDelay(50*time.Microsecond, 800*time.Microsecond)},
+		},
 	}
 }
 
@@ -115,7 +117,7 @@ func TestScriptedMajorityCrashSurvivorOperates(t *testing.T) {
 		WriteOp("post-crash"),
 		ReadOp(),
 	}
-	res, err := Run(Config{Partition: part, Scripts: scripts, Seed: 6, Crashes: sched})
+	res, err := Run(Config{Setup: sim.Setup{Seed: 6, Crashes: sched}, Partition: part, Scripts: scripts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +148,7 @@ func TestSingletonMajorityCrashBlocks(t *testing.T) {
 	scripts := make([][]Op, 5)
 	scripts[4] = []Op{{Kind: OpWrite, Val: "x", After: time.Millisecond}}
 	start := time.Now()
-	res, err := Run(Config{Partition: part, Scripts: scripts, Seed: 7, Crashes: sched})
+	res, err := Run(Config{Setup: sim.Setup{Seed: 7, Crashes: sched}, Partition: part, Scripts: scripts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +174,7 @@ func TestStepPlanDoesNotShrinkLiveSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	scripts := [][]Op{{{Kind: OpWrite, Val: "a", After: time.Millisecond}}, {ReadOp()}, {ReadOp()}}
-	res, err := Run(Config{Partition: model.Singletons(3), Scripts: scripts, Seed: 1, Crashes: sched})
+	res, err := Run(Config{Setup: sim.Setup{Seed: 1, Crashes: sched}, Partition: model.Singletons(3), Scripts: scripts})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"allforone/internal/driver"
-	"allforone/internal/failures"
 	"allforone/internal/metrics"
 	"allforone/internal/model"
 	"allforone/internal/netsim"
@@ -102,25 +101,11 @@ type Config struct {
 	// Scripts holds each process's operation sequence (required, length n;
 	// empty scripts are fine — such processes only serve).
 	Scripts [][]Op
-	// Seed makes all randomness (message delays) reproducible: it pins
-	// the entire execution.
-	Seed int64
-	// Crashes supplies timed crashes (failures.Schedule.SetTimed): the
-	// victim stops operating and serving at the instant. Step-point crash
-	// plans are not meaningful for register runs and are ignored.
-	Crashes *failures.Schedule
-	// MaxVirtualTime bounds the virtual clock of a run; zero means
-	// unbounded (quiescence and MaxSteps still apply).
-	MaxVirtualTime time.Duration
-	// MaxSteps bounds the number of discrete events of a run; zero means
-	// sim.DefaultMaxSteps, negative means unbounded.
-	MaxSteps int64
-	// MinDelay/MaxDelay bound uniform random message transit time.
-	MinDelay, MaxDelay time.Duration
-	// NetOptions appends extra network options (e.g. a compiled
-	// NetworkProfile delay policy); a delay policy here replaces
-	// MinDelay/MaxDelay.
-	NetOptions []netsim.Option
+	// Setup is the run's seed, crash pattern, bounds and delay policy. The
+	// crash pattern's timed crashes (failures.Schedule.SetTimed) stop the
+	// victim operating and serving at the instant; step-point crash plans
+	// are not meaningful for register runs and are ignored.
+	sim.Setup
 }
 
 // ErrBadConfig reports an invalid scripted-run configuration.
@@ -407,7 +392,7 @@ func Run(cfg Config) (*Result, error) {
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
 		Crashes:        cfg.Crashes,
-	}, n, driver.StandardNet(&nw, n, uint64(cfg.Seed)^0x5ca1_ab1e, &ctr, cfg.MinDelay, cfg.MaxDelay, cfg.NetOptions...),
+	}, n, driver.StandardNet(&nw, n, uint64(cfg.Seed)^0x5ca1_ab1e, &ctr, 0, 0, cfg.NetOptions...),
 		func(i int, h *driver.Handle) driver.Reactor {
 			c := &clients[i]
 			*c = client{

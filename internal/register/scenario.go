@@ -26,8 +26,7 @@ func init() {
 }
 
 func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
-	part := sc.Topology.Partition
-	netOpts, err := sc.NetOptions(part.N(), part)
+	setup, err := sc.Setup()
 	if err != nil {
 		return nil, err
 	}
@@ -44,13 +43,9 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 		scripts[i] = ops
 	}
 	res, err := Run(Config{
-		Partition:      part,
-		Scripts:        scripts,
-		Seed:           sc.Seed,
-		Crashes:        sc.Faults,
-		MaxVirtualTime: sc.Bounds.MaxVirtualTime,
-		MaxSteps:       sc.Bounds.MaxSteps,
-		NetOptions:     netOpts,
+		Setup:     setup,
+		Partition: sc.Topology.Partition,
+		Scripts:   scripts,
 	})
 	if err != nil {
 		return nil, err

@@ -1,17 +1,20 @@
-// Package sim defines the execution-outcome vocabulary shared by every
-// consensus implementation in this repository: the hybrid algorithms
-// (internal/core), the pure message-passing baselines (internal/benor,
-// internal/mpcoin), the shared-memory baseline (internal/shconsensus) and
-// the m&m comparator (internal/mm). A common Result shape lets the
-// experiment harness treat all of them uniformly.
+// Package sim defines the run vocabulary shared by every consensus
+// implementation in this repository: the hybrid algorithms (internal/core),
+// the pure message-passing baselines (internal/benor, internal/mpcoin), the
+// shared-memory baseline (internal/shconsensus), the m&m comparator
+// (internal/mm) and the extension and sparse-overlay protocols. A run's
+// shared inputs are one Setup, its engine verdict one Engine, and a common
+// Result shape lets the experiment harness treat all of them uniformly.
 package sim
 
 import (
 	"fmt"
 	"time"
 
+	"allforone/internal/failures"
 	"allforone/internal/metrics"
 	"allforone/internal/model"
+	"allforone/internal/netsim"
 	"allforone/internal/vclock"
 )
 
@@ -108,6 +111,33 @@ type ProcResult struct {
 	Status   Status
 	Decision model.Value // meaningful iff Status == StatusDecided
 	Round    int         // round at which the execution ended
+}
+
+// Setup is the part of a run's inputs every protocol shares: its seed, its
+// crash pattern, its bounds and its network's delay policy. Every protocol
+// Config embeds it untagged, and protocol.Scenario compiles it once
+// (Scenario.Setup), so a protocol's own Config adds only its own inputs.
+type Setup struct {
+	// Seed pins all randomness of the run — coins, delays, crash subsets,
+	// random overlay views: identical Configs yield identical results.
+	Seed int64
+	// Crashes is the failure pattern; nil means crash-free.
+	Crashes *failures.Schedule
+	// MaxVirtualTime bounds the virtual clock of a run: once the next event
+	// lies past it the run is aborted and undecided processes end as
+	// StatusBlocked. Zero means unbounded (quiescence detection and
+	// MaxSteps still bound stuck runs).
+	MaxVirtualTime time.Duration
+	// MaxSteps bounds the number of scheduler events of a run — the
+	// deterministic guard against executions that never converge. Zero
+	// derives the budget from the topology and the protocol's step
+	// complexity (DefaultMaxStepsHint); negative means unbounded.
+	MaxSteps int64
+	// NetOptions configures the run's network beyond its seed and counters,
+	// e.g. the delay policy of a compiled network profile or
+	// netsim.WithUniformDelay. Nil delivers every message immediately, in
+	// deterministic send order.
+	NetOptions []netsim.Option
 }
 
 // Engine is the engine's record of a run: its clock, its event count and

@@ -7,6 +7,7 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
+	"allforone/internal/netsim"
 	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
@@ -34,9 +35,11 @@ func replayConfig(t *testing.T, seed int64) Config {
 		Partition: part,
 		Commands:  cmds,
 		Slots:     3,
-		Seed:      seed,
-		Crashes:   sched,
-		MaxDelay:  time.Millisecond,
+		Setup: sim.Setup{
+			Seed:       seed,
+			Crashes:    sched,
+			NetOptions: []netsim.Option{netsim.WithUniformDelay(0, time.Millisecond)},
+		},
 	}
 }
 
@@ -113,8 +116,7 @@ func TestVirtualQuiescenceBlocks(t *testing.T) {
 		Partition: part,
 		Commands:  cmds,
 		Slots:     1,
-		Seed:      3,
-		Crashes:   sched,
+		Setup:     sim.Setup{Seed: 3, Crashes: sched},
 	})
 	if err != nil {
 		t.Fatal(err)

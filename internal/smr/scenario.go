@@ -24,21 +24,16 @@ func init() {
 }
 
 func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
-	part := sc.Topology.Partition
-	netOpts, err := sc.NetOptions(part.N(), part)
+	setup, err := sc.Setup()
 	if err != nil {
 		return nil, err
 	}
 	res, err := Run(Config{
-		Partition:            part,
+		Setup:                setup,
+		Partition:            sc.Topology.Partition,
 		Commands:             sc.Workload.Commands,
 		Slots:                sc.Workload.Slots,
-		Seed:                 sc.Seed,
-		Crashes:              sc.Faults,
 		MaxRoundsPerInstance: sc.Bounds.MaxRounds,
-		MaxVirtualTime:       sc.Bounds.MaxVirtualTime,
-		MaxSteps:             sc.Bounds.MaxSteps,
-		NetOptions:           netOpts,
 	})
 	if err != nil {
 		return nil, err

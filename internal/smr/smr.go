@@ -22,7 +22,6 @@ package smr
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"allforone/internal/coin"
 	"allforone/internal/consensusobj"
@@ -43,26 +42,12 @@ type Config struct {
 	Commands [][]string
 	// Slots is how many log slots to agree on (required, ≥ 1).
 	Slots int
-	// Seed makes all randomness reproducible: it pins the entire
-	// execution.
-	Seed int64
-	// Crashes is the failure pattern; crash points are consulted at binary
-	// round starts with Round counting rounds globally. Nil = crash-free.
-	Crashes *failures.Schedule
+	// Setup is the run's seed, crash pattern, bounds and delay policy.
+	// Crash points are consulted at binary round starts, with Round
+	// counting rounds globally across slots.
+	sim.Setup
 	// MaxRoundsPerInstance bounds each binary instance (0 = 1000).
 	MaxRoundsPerInstance int
-	// MaxVirtualTime bounds the virtual clock of a run; zero means
-	// unbounded (quiescence and MaxSteps still apply).
-	MaxVirtualTime time.Duration
-	// MaxSteps bounds the number of discrete events of a run; zero means
-	// sim.DefaultMaxSteps, negative means unbounded.
-	MaxSteps int64
-	// MinDelay/MaxDelay bound uniform random message transit time.
-	MinDelay, MaxDelay time.Duration
-	// NetOptions appends extra network options (e.g. a compiled
-	// NetworkProfile delay policy); a delay policy here replaces
-	// MinDelay/MaxDelay.
-	NetOptions []netsim.Option
 }
 
 // NoOp is the value a slot decides when the winning proposer had no
@@ -542,7 +527,7 @@ func Run(cfg Config) (*Result, error) {
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
 		Crashes:        cfg.Crashes,
-	}, n, driver.StandardNet(&nw, n, uint64(cfg.Seed)^0x1e7_dead_beef, &ctr, cfg.MinDelay, cfg.MaxDelay, cfg.NetOptions...),
+	}, n, driver.StandardNet(&nw, n, uint64(cfg.Seed)^0x1e7_dead_beef, &ctr, 0, 0, cfg.NetOptions...),
 		func(i int, h *driver.Handle) driver.Reactor {
 			id := model.ProcID(i)
 			replicas[i] = replica{

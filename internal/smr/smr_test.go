@@ -51,7 +51,7 @@ func TestAllReplicasBuildIdenticalLogs(t *testing.T) {
 				Partition: part,
 				Commands:  cmds,
 				Slots:     slots,
-				Seed:      31,
+				Setup:     sim.Setup{Seed: 31},
 			})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
@@ -98,7 +98,7 @@ func TestCommandsActuallyCommit(t *testing.T) {
 		Partition: part,
 		Commands:  cmds,
 		Slots:     6,
-		Seed:      17,
+		Setup:     sim.Setup{Seed: 17},
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -138,8 +138,7 @@ func TestMajorityCrashSurvivorKeepsAppending(t *testing.T) {
 		Partition: part,
 		Commands:  cmds,
 		Slots:     slots,
-		Seed:      5,
-		Crashes:   sched,
+		Setup:     sim.Setup{Seed: 5, Crashes: sched},
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -172,8 +171,7 @@ func TestBlockedWhenLivenessFails(t *testing.T) {
 		Partition: part,
 		Commands:  queuesFor(7, 2),
 		Slots:     3,
-		Seed:      9,
-		Crashes:   sched,
+		Setup:     sim.Setup{Seed: 9, Crashes: sched},
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -193,7 +191,7 @@ func TestEmptyQueuesYieldNoOps(t *testing.T) {
 		Partition: part,
 		Commands:  [][]string{{}, {}, {}},
 		Slots:     2,
-		Seed:      3,
+		Setup:     sim.Setup{Seed: 3},
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -224,8 +222,7 @@ func TestMidRunCrashKeepsPrefixAgreement(t *testing.T) {
 		Partition: part,
 		Commands:  cmds,
 		Slots:     5,
-		Seed:      77,
-		Crashes:   sched,
+		Setup:     sim.Setup{Seed: 77, Crashes: sched},
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)

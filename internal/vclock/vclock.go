@@ -254,7 +254,7 @@ type SchedulerStats struct {
 	// per network per flush window that saw sharded send traffic).
 	BurstJobs int64
 	// PooledPayloadBytes totals the payload bytes protocol builders
-	// constructed at flushes through the per-shard payload pools (reported
+	// constructed at flushes through the network's payload pool (reported
 	// by expansion jobs via ShardInserter.NotePayloadBytes).
 	PooledPayloadBytes int64
 	// MaxShardStage is the most events one shard inserted in a single flush
@@ -701,7 +701,7 @@ func (si *ShardInserter) At(at Time, seq uint64, ev Event) {
 }
 
 // NotePayloadBytes records n bytes of payload the running job built through
-// a per-shard payload pool (SchedulerStats.PooledPayloadBytes).
+// a payload pool (SchedulerStats.PooledPayloadBytes).
 func (si *ShardInserter) NotePayloadBytes(n int64) {
 	si.s.stats.PooledPayloadBytes += n
 }
