@@ -23,12 +23,12 @@ func TestSolveQuickstart(t *testing.T) {
 	if vs := Check(sc, out); vs != nil {
 		t.Fatal(vs)
 	}
-	val, count, ok := out.Raw.(*Result).Decided()
+	val, count, ok := out.Decided()
 	if !ok || count != part.N() {
 		t.Fatalf("Decided = %v,%d,%v", val, count, ok)
 	}
 	// P[2] (4 of 7) proposes 0 — the majority cluster's value wins.
-	if val != Zero {
+	if val != Zero.String() {
 		t.Errorf("decided %v, want 0", val)
 	}
 }

@@ -29,16 +29,18 @@ func paperTrial(seed int64) Scenario {
 }
 
 // TestPaperTrialAllocationGate pins the allocation bill of one paper trial
-// (seed 3: one round, 38 events). Achieved: 16 allocations and 5.2 KB per
-// run, from 102 and 7.9 KB while every process bought its own state, coin,
-// Quorum, pending map and dispatch closure, every broadcast boxed its
-// payload and every network option was a closure; from 222 and 15.7 KB
-// while every run built its scheduler, network, inboxes and event pools
-// afresh, its subset RNGs up front and its local coins as three objects
-// each; and from 388 and 30.8 KB before the first per-run diet (pooled
-// bucket array, dense supporters table, CONS_x[r,ph] as a plain map of CAS
-// objects). The limits leave about 15 % of headroom, so the diet cannot rot
-// unnoticed.
+// (seed 3: one round, 38 events). Achieved: 15 allocations and 4.6 KB per
+// run, from 16 and 5.2 KB while every process held its own pointers to the
+// run's network, coin, crash schedule, counters and trace, and every run
+// built a common coin; from 102 and 7.9 KB while every process bought its
+// own state, coin, Quorum, pending map and dispatch closure, every broadcast
+// boxed its payload and every network option was a closure; from 222 and
+// 15.7 KB while every run built its scheduler, network, inboxes and event
+// pools afresh, its subset RNGs up front and its local coins as three
+// objects each; and from 388 and 30.8 KB before the first per-run diet
+// (pooled bucket array, dense supporters table, CONS_x[r,ph] as a plain map
+// of CAS objects). The limits leave at least 15 % of headroom, so the diet
+// cannot rot unnoticed.
 func TestPaperTrialAllocationGate(t *testing.T) {
 	checkAllocBill(t, "one paper trial", paperTrial(3), 200, 18, 6_000)
 }
@@ -53,15 +55,17 @@ func baselineTrial(protocol string, seed int64) Scenario {
 }
 
 // TestBaselineAllocationGate pins the allocation bill of one baseline trial
-// (seed 2). Ben-Or, 4 rounds and 372 events: 16 allocations and 4.7 KB per
-// run, from 125 and 7.7 KB with per-process objects and boxed payloads (see
-// TestPaperTrialAllocationGate), from 244 and 15.3 KB while every run built
-// its engine afresh, and from 458 and 28.5 KB while every exchange built a
-// map tally and received() a slice. mpcoin, 3 rounds and 132 events: 15
-// allocations and 3.4 KB, from 72 and 5.1 KB with per-process objects, from
-// 178 and 12.9 KB with a fresh engine, and from 245 and 18.9 KB as a
-// coroutine body with a map tally per round. The limits leave about 15 % of
-// headroom.
+// (seed 2); both run on core's round machine. Ben-Or, 4 rounds and 372
+// events: 16 allocations and 3.7 KB per run, from 16 and 4.7 KB on a round
+// machine of its own, from 125 and 7.7 KB with per-process objects and boxed
+// payloads (see TestPaperTrialAllocationGate), from 244 and 15.3 KB while
+// every run built its engine afresh, and from 458 and 28.5 KB while every
+// exchange built a map tally and received() a slice. mpcoin, 3 rounds and
+// 132 events: 15 allocations and 3.5 KB, from 15 and 3.4 KB on a round
+// machine of its own (the shared process is larger than mpcoin's was), from
+// 72 and 5.1 KB with per-process objects, from 178 and 12.9 KB with a fresh
+// engine, and from 245 and 18.9 KB as a coroutine body with a map tally per
+// round. The limits leave 10 to 15 % of headroom.
 func TestBaselineAllocationGate(t *testing.T) {
 	checkAllocBill(t, "one benor trial", baselineTrial(ProtocolBenOr, 2), 200, 18, 5_400)
 	checkAllocBill(t, "one mpcoin trial", baselineTrial(ProtocolMPCoin, 2), 200, 17, 3_850)

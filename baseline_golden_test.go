@@ -1,9 +1,9 @@
 package allforone
 
-// The baseline table of the golden corpus: the binary round machines —
-// Ben-Or, the message-passing common-coin baseline and both hybrid
-// algorithms — at n ∈ {1, 4, 7, 12}, under every profile and failure pattern
-// below.
+// The baseline table of the golden corpus: the four protocols on core's
+// binary round machine — its two flat variants, Ben-Or and the
+// message-passing common-coin baseline, and both hybrid algorithms — at
+// n ∈ {1, 4, 7, 12}, under every profile and failure pattern below.
 
 import (
 	"fmt"

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"allforone/internal/core"
+	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
 
@@ -452,7 +453,7 @@ func BenchmarkScenarioOverhead(b *testing.B) {
 			if err != nil {
 				b.Fatalf("core.Run: %v", err)
 			}
-			if !res.AllLiveDecided() {
+			if !protocol.BinaryOutcome(core.ProtocolName, res).AllLiveDecided() {
 				b.Fatal("crash-free run did not decide")
 			}
 		}

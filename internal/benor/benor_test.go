@@ -10,6 +10,7 @@ import (
 	"allforone/internal/failures"
 	"allforone/internal/model"
 	"allforone/internal/netsim"
+	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
 
@@ -29,12 +30,25 @@ func alternating(n int) []model.Value {
 	return out
 }
 
+// outcome folds res into the uniform Outcome whose checks these tests read.
+func outcome(res *sim.Result) *protocol.Outcome { return protocol.BinaryOutcome(ProtocolName, res) }
+
+// rendered returns vs as an Outcome renders decisions.
+func rendered(vs []model.Value) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = v.String()
+	}
+	return out
+}
+
 func TestConfigValidation(t *testing.T) {
 	t.Parallel()
 	cases := []Config{
 		{N: 0},
 		{N: 3, Proposals: unanimous(2, model.One)},
 		{N: 2, Proposals: []model.Value{model.One, model.Bot}},
+		{N: 2, Proposals: unanimous(2, model.One), MaxRounds: -1},
 	}
 	for i, cfg := range cases {
 		if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
@@ -59,14 +73,14 @@ func TestUnanimousDecidesRoundOne(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Run: %v", err)
 				}
-				if !res.AllLiveDecided() {
+				if !outcome(res).AllLiveDecided() {
 					t.Fatalf("not all decided: %+v", res.Procs)
 				}
-				val, count, _ := res.Decided()
-				if val != v || count != n {
+				val, count, _ := outcome(res).Decided()
+				if val != v.String() || count != n {
 					t.Errorf("decided (%v, %d), want (%v, %d)", val, count, v, n)
 				}
-				if got := res.MaxDecisionRound(); got != 1 {
+				if got := outcome(res).MaxDecisionRound(); got != 1 {
 					t.Errorf("decision round = %d, want 1", got)
 				}
 			})
@@ -91,13 +105,13 @@ func TestSplitProposalsTerminate(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			if err := res.CheckAgreement(); err != nil {
+			if err := outcome(res).CheckAgreement(); err != nil {
 				t.Fatal(err)
 			}
-			if err := res.CheckValidity(props); err != nil {
+			if err := outcome(res).CheckValidity(rendered(props)); err != nil {
 				t.Fatal(err)
 			}
-			if !res.AllLiveDecided() {
+			if !outcome(res).AllLiveDecided() {
 				t.Fatalf("not all decided: %+v", res.Procs)
 			}
 		})
@@ -125,10 +139,10 @@ func TestMinorityCrashTerminates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if !res.AllLiveDecided() {
+	if !outcome(res).AllLiveDecided() {
 		t.Fatalf("not all live decided: %+v", res.Procs)
 	}
-	if got := res.CountStatus(sim.StatusFailed); got != 0 {
+	if got := outcome(res).CountStatus(sim.StatusFailed); got != 0 {
 		t.Errorf("failed count = %d", got)
 	}
 }
@@ -154,7 +168,7 @@ func TestMajorityCrashBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if _, _, decided := res.Decided(); decided {
+	if _, _, decided := outcome(res).Decided(); decided {
 		t.Fatal("decided despite n/2 crashes")
 	}
 	for p := 3; p < n; p++ {
@@ -185,13 +199,13 @@ func TestPartialBroadcastSafety(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if err := res.CheckAgreement(); err != nil {
+	if err := outcome(res).CheckAgreement(); err != nil {
 		t.Fatal(err)
 	}
-	if err := res.CheckValidity(props); err != nil {
+	if err := outcome(res).CheckValidity(rendered(props)); err != nil {
 		t.Fatal(err)
 	}
-	if !res.AllLiveDecided() {
+	if !outcome(res).AllLiveDecided() {
 		t.Fatalf("not all live decided: %+v", res.Procs)
 	}
 }
@@ -212,10 +226,10 @@ func TestRiggedCoinConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if !res.AllLiveDecided() {
+	if !outcome(res).AllLiveDecided() {
 		t.Fatalf("not all decided: %+v", res.Procs)
 	}
-	if err := res.CheckAgreement(); err != nil {
+	if err := outcome(res).CheckAgreement(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -237,29 +251,11 @@ func TestWithDelays(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if err := res.CheckAgreement(); err != nil {
+	if err := outcome(res).CheckAgreement(); err != nil {
 		t.Fatal(err)
 	}
-	if !res.AllLiveDecided() {
+	if !outcome(res).AllLiveDecided() {
 		t.Fatalf("not all decided: %+v", res.Procs)
-	}
-}
-
-func TestTallyHelpers(t *testing.T) {
-	t.Parallel()
-	var tl tally
-	tl.add(model.Zero)
-	tl.add(model.Zero)
-	tl.add(model.Bot)
-	if v, ok := tl.majorityValue(5); ok {
-		t.Errorf("majorityValue = %v, want none (2 of 5)", v)
-	}
-	tl.add(model.Zero)
-	if v, ok := tl.majorityValue(5); !ok || v != model.Zero {
-		t.Errorf("majorityValue = %v,%v, want 0,true", v, ok)
-	}
-	if rec, k := tl.received(); k != 2 || rec[0] != model.Zero || rec[1] != model.Bot {
-		t.Errorf("received = %v, want [0 ⊥]", rec[:k])
 	}
 }
 
@@ -288,11 +284,11 @@ func TestTimedCrashVirtual(t *testing.T) {
 	if res.Procs[0].Status != sim.StatusCrashed {
 		t.Fatalf("victim = %+v, want crashed", res.Procs[0])
 	}
-	if err := res.CheckAgreement(); err != nil {
+	if err := outcome(res).CheckAgreement(); err != nil {
 		t.Fatal(err)
 	}
 	// 4 of 5 survive — a majority — so the survivors decide.
-	if !res.AllLiveDecided() {
+	if !outcome(res).AllLiveDecided() {
 		t.Fatalf("survivors did not decide: %+v", res.Procs)
 	}
 }

@@ -31,7 +31,7 @@ func TestAblateClosureLosesMajorityCrashTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if _, _, decided := res.Decided(); decided {
+	if _, _, decided := outcome(res).Decided(); decided {
 		t.Fatal("closure-ablated run decided despite 6/7 crashes")
 	}
 	if res.Procs[2].Status != StatusBlocked {
@@ -56,13 +56,13 @@ func TestAblateClosureStillSafeWithMajority(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if err := res.CheckAgreement(); err != nil {
+	if err := outcome(res).CheckAgreement(); err != nil {
 		t.Fatal(err)
 	}
-	if err := res.CheckValidity(props); err != nil {
+	if err := outcome(res).CheckValidity(rendered(props)); err != nil {
 		t.Fatal(err)
 	}
-	if !res.AllLiveDecided() {
+	if !outcome(res).AllLiveDecided() {
 		t.Fatalf("not all decided: %+v", res.Procs)
 	}
 }
@@ -135,7 +135,7 @@ func TestFullAlgorithmKeepsUniformity(t *testing.T) {
 		if err := trace.CheckClusterUniformity(log, part); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if !res.AllLiveDecided() {
+		if !outcome(res).AllLiveDecided() {
 			t.Fatalf("seed %d: not all decided", seed)
 		}
 	}

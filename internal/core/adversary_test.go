@@ -46,7 +46,7 @@ func TestHighSkewDelays(t *testing.T) {
 				MaxRounds: 10_000,
 				Trace:     log,
 			})
-			if !res.AllLiveDecided() {
+			if !outcome(res).AllLiveDecided() {
 				t.Fatalf("not all decided under skewed delays: %+v", res.Procs)
 			}
 		})
@@ -74,10 +74,10 @@ func TestSlowClusterCatchesUp(t *testing.T) {
 		},
 		MaxRounds: 10_000,
 	})
-	if !res.AllLiveDecided() {
+	if !outcome(res).AllLiveDecided() {
 		t.Fatalf("not all decided: %+v", res.Procs)
 	}
-	val, count, _ := res.Decided()
+	val, count, _ := outcome(res).Decided()
 	if count != 7 {
 		t.Fatalf("decided count = %d, want 7", count)
 	}
@@ -86,7 +86,7 @@ func TestSlowClusterCatchesUp(t *testing.T) {
 	// a mixed coverage set, rec can be {⊥} and the local coins may legally
 	// steer the decision to 0. So the decision value is not fixed — only
 	// agreement and validity are (checked by runAndCheck above).
-	if !val.IsBinary() {
+	if val != "0" && val != "1" {
 		t.Errorf("decided %v, want a binary value", val)
 	}
 }
@@ -106,10 +106,10 @@ func TestUnanimityDelaysStillRoundOne(t *testing.T) {
 		},
 		MaxRounds: 100,
 	})
-	if !res.AllLiveDecided() {
+	if !outcome(res).AllLiveDecided() {
 		t.Fatalf("not all decided: %+v", res.Procs)
 	}
-	if got := res.MaxDecisionRound(); got != 1 {
+	if got := outcome(res).MaxDecisionRound(); got != 1 {
 		t.Errorf("decision round = %d, want 1 under unanimity", got)
 	}
 }

@@ -41,14 +41,14 @@ func TestMajorityCrashWithMajorityClusterSurvivor(t *testing.T) {
 					MaxRounds: 100,
 					Trace:     log,
 				})
-				if !res.AllLiveDecided() {
+				if !outcome(res).AllLiveDecided() {
 					t.Fatalf("survivor did not decide: %+v", res.Procs)
 				}
-				val, count, _ := res.Decided()
+				val, count, _ := outcome(res).Decided()
 				if count != 1 {
 					t.Errorf("decided count = %d, want 1 (only the survivor)", count)
 				}
-				if val != model.One {
+				if val != model.One.String() {
 					t.Errorf("decided %v, want 1", val)
 				}
 				crashes := 0
@@ -89,7 +89,7 @@ func TestMajorityCrashBlocksPureMessagePassing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if _, _, decided := res.Decided(); decided {
+	if _, _, decided := outcome(res).Decided(); decided {
 		t.Fatal("a process decided although liveness cannot hold")
 	}
 	if res.Procs[2].Status != StatusBlocked {
@@ -130,13 +130,13 @@ func TestIndulgenceUnderDeadFailurePattern(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			if err := res.CheckAgreement(); err != nil {
+			if err := outcome(res).CheckAgreement(); err != nil {
 				t.Fatal(err)
 			}
-			if err := res.CheckValidity(alternating(7)); err != nil {
+			if err := outcome(res).CheckValidity(rendered(alternating(7))); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, decided := res.Decided(); decided {
+			if _, _, decided := outcome(res).Decided(); decided {
 				t.Fatal("decided although survivors cover ≤ n/2 processes")
 			}
 			for _, p := range []model.ProcID{0, 5, 6} {
@@ -191,7 +191,7 @@ func TestCrashAtEveryStage(t *testing.T) {
 						MaxRounds: 5000,
 						Trace:     log,
 					})
-					if !res.AllLiveDecided() {
+					if !outcome(res).AllLiveDecided() {
 						t.Fatalf("liveness violated: %+v", res.Procs)
 					}
 				})
@@ -223,7 +223,7 @@ func TestPartialBroadcastExplicitSubset(t *testing.T) {
 		MaxRounds: 5000,
 		Trace:     log,
 	})
-	if !res.AllLiveDecided() {
+	if !outcome(res).AllLiveDecided() {
 		t.Fatalf("not all live processes decided: %+v", res.Procs)
 	}
 	if res.Procs[1].Status != StatusCrashed {
@@ -251,11 +251,11 @@ func TestPartialDecideBroadcast(t *testing.T) {
 		Setup:     sim.Setup{Seed: 8, Crashes: sched},
 		MaxRounds: 5000,
 	})
-	if !res.AllLiveDecided() {
+	if !outcome(res).AllLiveDecided() {
 		t.Fatalf("not all live processes decided: %+v", res.Procs)
 	}
-	val, count, _ := res.Decided()
-	if val != model.Zero || count != 6 {
+	val, count, _ := outcome(res).Decided()
+	if val != model.Zero.String() || count != 6 {
 		t.Errorf("decided (%v, %d), want (0, 6)", val, count)
 	}
 }

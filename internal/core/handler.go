@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"allforone/internal/failures"
 	"allforone/internal/model"
 	"allforone/internal/trace"
@@ -15,7 +13,7 @@ func (p *proc) React(aborted bool) bool {
 		if aborted {
 			return true // the run ended before this process took a step
 		}
-		p.log.Append(p.id, trace.KindPropose, 0, 0, p.est1)
+		p.env.Trace.Append(p.id, trace.KindPropose, 0, 0, p.est1)
 		if p.nextRound() {
 			return true
 		}
@@ -28,13 +26,13 @@ func (p *proc) React(aborted bool) bool {
 	// follow-up round logic whenever an exchange exits.
 	for {
 		if p.sup.Covered() {
-			p.log.Append(p.id, trace.KindExchangeExit, p.r, p.ph, p.est)
+			p.env.Trace.Append(p.id, trace.KindExchangeExit, p.r, p.ph, p.est)
 			if p.afterExchange() {
 				return true
 			}
 			continue
 		}
-		msg, ok, closed := p.net.ReceiveNow(p.id)
+		msg, ok, closed := p.env.nw.ReceiveNow(p.id)
 		if p.h.Killed() || (!ok && closed) {
 			// A timed crash halts the process before it acts on what it
 			// received; a closed, drained inbox leaves it blocked.
@@ -50,30 +48,25 @@ func (p *proc) React(aborted bool) bool {
 }
 
 // nextRound opens round r+1 and runs its straight-line steps — the round
-// bound and abort checks, the round-start crash point, the phase-1 cluster
-// consensus — up to opening the phase-1 exchange. It reports whether the
-// process finished.
+// bound and abort checks, the round-start crash point — up to opening the
+// phase-1 exchange. It reports whether the process finished.
 func (p *proc) nextRound() bool {
 	p.r++
 	switch {
 	case p.h.Killed():
 		return p.crash(1)
-	case p.h.Aborted() || (p.maxRounds > 0 && p.r > p.maxRounds):
+	case p.h.Aborted() || (p.env.MaxRounds > 0 && p.r > p.env.MaxRounds):
 		// A process whose inbox never drains would otherwise keep running
 		// rounds past the engine's bound; this check limits the overrun to
 		// one round.
-		p.log.Append(p.id, trace.KindBlocked, p.r, 0, model.Bot)
-		return p.finish(outcome{status: StatusBlocked, round: p.r - 1})
+		p.env.Trace.Append(p.id, trace.KindBlocked, p.r, 0, model.Bot)
+		return p.finish(ProcResult{Status: StatusBlocked, Round: p.r - 1})
 	}
-	p.log.Append(p.id, trace.KindRoundStart, p.r, 1, p.est1)
+	p.env.Trace.Append(p.id, trace.KindRoundStart, p.r, 1, p.est1)
 	if p.atCrashPoint(1, failures.StageRoundStart) {
 		return p.crash(1)
 	}
-	p.est1 = p.clusterPropose(1, p.est1) // line 4: agree inside the cluster
-	if p.atCrashPoint(1, failures.StageAfterClusterConsensus) {
-		return p.crash(1)
-	}
-	return p.beginExchange(1, p.est1) // line 5
+	return p.beginExchange(1, p.est1) // lines 4-5
 }
 
 // afterExchange runs the straight-line steps that follow a satisfied
@@ -93,13 +86,14 @@ func (p *proc) nextRound() bool {
 // excludes rec = {⊥} at another. The decision logic is Ben-Or's (lines
 // 12-14): a single value v → decide v; {v, ⊥} → adopt v; {⊥} → local coin.
 func (p *proc) afterExchange() bool {
-	if p.atCrashPoint(p.ph, failures.StageAfterExchange) {
+	env := p.env
+	if env.v.Memory == nil && p.atCrashPoint(p.ph, failures.StageAfterExchange) {
 		return p.crash(p.ph)
 	}
-	if p.alg == CommonCoin {
-		s := p.common.Bit(p.r) // line 6: same bit at every process
-		p.log.Append(p.id, trace.KindCoinFlip, p.r, 1, s)
-		p.ctr.ObserveRound(int64(p.r))
+	if env.Algorithm == CommonCoin {
+		s := env.common.Bit(p.r) // line 6: same bit at every process
+		env.Trace.Append(p.id, trace.KindCoinFlip, p.r, 1, s)
+		env.ctr.ObserveRound(int64(p.r))
 		if v, ok := p.sup.Majority(); ok { // line 7
 			p.est1 = v // line 8
 			if s == v {
@@ -116,14 +110,10 @@ func (p *proc) afterExchange() bool {
 		if v, ok := p.sup.Majority(); ok { // lines 6-7
 			est2 = v
 		}
-		est2 = p.clusterPropose(2, est2) // line 8
-		if p.atCrashPoint(2, failures.StageAfterClusterConsensus) {
-			return p.crash(2)
-		}
-		return p.beginExchange(2, est2) // line 9
+		return p.beginExchange(2, est2) // lines 8-9
 	}
 	rec := p.sup.Received() // line 10
-	p.ctr.ObserveRound(int64(p.r))
+	env.ctr.ObserveRound(int64(p.r))
 	switch {
 	case len(rec) == 1 && rec[0].IsBinary(): // line 12: rec = {v}
 		return p.decide(2, rec[0])
@@ -131,16 +121,13 @@ func (p *proc) afterExchange() bool {
 		p.est1 = rec[0]
 	case len(rec) == 1 && rec[0] == model.Bot: // line 14: rec = {⊥}
 		p.est1 = p.local.Flip()
-		p.ctr.AddCoinFlips(1)
-		p.log.Append(p.id, trace.KindCoinFlip, p.r, 2, p.est1)
+		env.ctr.AddCoinFlips(1)
+		env.Trace.Append(p.id, trace.KindCoinFlip, p.r, 2, p.est1)
 	default:
 		// Two distinct binary values in rec would violate WA1/WA2 —
-		// impossible in a correct implementation; surface loudly.
-		return p.finish(outcome{
-			status: StatusFailed,
-			round:  p.r,
-			err:    fmt.Errorf("core: weak agreement violated at %v round %d: rec = %v", p.id, p.r, rec),
-		})
+		// impossible in a correct implementation; surface loudly (the
+		// run's result reports it).
+		return p.finish(ProcResult{Status: StatusFailed, Round: p.r})
 	}
 	return p.nextRound()
 }

@@ -14,6 +14,13 @@
 // internal/netsim (reliable asynchronous channels) and internal/coin.
 // Crash failures are injected at the step points defined in
 // internal/failures.
+//
+// The round machine is the repository's only binary one. With every
+// cluster a single process, Algorithm 2 is Ben-Or's algorithm and
+// Algorithm 3 the message-passing common-coin algorithm (paper §III-B,
+// §IV), so the baselines internal/benor and internal/mpcoin, and the m&m
+// comparator internal/mm, run on it as flat Variants (RunVariant): no
+// cluster step or a memory step of their own, their own seeds and errors.
 package core
 
 import (
@@ -59,11 +66,17 @@ type phaseKey struct {
 }
 
 // heldVote is a phase message that arrived for a later exchange than the
-// open one, held back until that exchange opens.
+// open one, held back until that exchange opens: its position, sender and
+// estimate, packed into 12 bytes.
 type heldVote struct {
-	at   phaseKey
-	vote model.Vote
+	round int32
+	from  int32
+	phase int8
+	est   model.Value
 }
+
+// key returns the position the vote was sent at.
+func (h heldVote) key() phaseKey { return phaseKey{round: int(h.round), phase: int(h.phase)} }
 
 // less reports whether k precedes other in protocol order.
 func (k phaseKey) less(other phaseKey) bool {

@@ -194,10 +194,10 @@ func TestVirtualQuiescenceBlocks(t *testing.T) {
 	if !res.Quiesced {
 		t.Errorf("Quiesced = false, want true: %+v", res)
 	}
-	if got := res.CountStatus(sim.StatusBlocked); got != 3 {
+	if got := outcome(res).CountStatus(sim.StatusBlocked); got != 3 {
 		t.Errorf("blocked = %d, want 3 survivors blocked: %+v", got, res.Procs)
 	}
-	if got := res.CountStatus(sim.StatusCrashed); got != 4 {
+	if got := outcome(res).CountStatus(sim.StatusCrashed); got != 4 {
 		t.Errorf("crashed = %d, want 4: %+v", got, res.Procs)
 	}
 }
@@ -333,7 +333,7 @@ func TestTimedCrashAfterTerminationHarmless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.AllLiveDecided() {
+	if !outcome(res).AllLiveDecided() {
 		t.Fatalf("not all decided: %+v", res.Procs)
 	}
 	if res.Procs[2].Status != StatusDecided {

@@ -31,14 +31,14 @@ func TestCommonCoinDecidesRoundOneWhenCoinMatches(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if !res.AllLiveDecided() {
+	if !outcome(res).AllLiveDecided() {
 		t.Fatalf("not all decided: %+v", res.Procs)
 	}
-	val, _, _ := res.Decided()
-	if val != model.One {
+	val, _, _ := outcome(res).Decided()
+	if val != model.One.String() {
 		t.Errorf("decided %v, want 1", val)
 	}
-	if got := res.MaxDecisionRound(); got != 1 {
+	if got := outcome(res).MaxDecisionRound(); got != 1 {
 		t.Errorf("decision round = %d, want 1", got)
 	}
 }
@@ -58,11 +58,11 @@ func TestCommonCoinWaitsForMatchingBit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if !res.AllLiveDecided() {
+	if !outcome(res).AllLiveDecided() {
 		t.Fatalf("not all decided: %+v", res.Procs)
 	}
-	val, _, _ := res.Decided()
-	if val != model.One {
+	val, _, _ := outcome(res).Decided()
+	if val != model.One.String() {
 		t.Errorf("decided %v, want 1 (agreement must stick to the majority value)", val)
 	}
 	for i, pr := range res.Procs {
@@ -91,13 +91,13 @@ func TestCommonCoinEstimateLocking(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if !res.AllLiveDecided() {
+	if !outcome(res).AllLiveDecided() {
 		t.Fatalf("not all decided: %+v", res.Procs)
 	}
-	if err := res.CheckAgreement(); err != nil {
+	if err := outcome(res).CheckAgreement(); err != nil {
 		t.Fatal(err)
 	}
-	if err := res.CheckValidity(props); err != nil {
+	if err := outcome(res).CheckValidity(rendered(props)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -118,14 +118,14 @@ func TestLocalCoinRiggedConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if !res.AllLiveDecided() {
+	if !outcome(res).AllLiveDecided() {
 		t.Fatalf("not all decided: %+v", res.Procs)
 	}
-	if err := res.CheckAgreement(); err != nil {
+	if err := outcome(res).CheckAgreement(); err != nil {
 		t.Fatal(err)
 	}
-	val, _, _ := res.Decided()
-	if !val.IsBinary() {
+	val, _, _ := outcome(res).Decided()
+	if val != "0" && val != "1" {
 		t.Errorf("decided %v, want binary", val)
 	}
 }
@@ -157,11 +157,11 @@ func TestMajorityClusterDrivesDecision(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			if !res.AllLiveDecided() {
+			if !outcome(res).AllLiveDecided() {
 				t.Fatalf("not all decided: %+v", res.Procs)
 			}
-			val, _, _ := res.Decided()
-			if val != model.Zero {
+			val, _, _ := outcome(res).Decided()
+			if val != model.Zero.String() {
 				t.Errorf("decided %v, want 0 (the majority cluster's value)", val)
 			}
 		})

@@ -107,124 +107,168 @@ var (
 	ErrInvariantBroken = errors.New("core: protocol invariant broken")
 )
 
-// validate checks the configuration and returns n.
-func (cfg *Config) validate() (int, error) {
-	if cfg.Partition == nil {
-		return 0, fmt.Errorf("%w: nil partition", ErrBadConfig)
+// Memory is a shared-memory step before an exchange: it returns the estimate
+// process p exchanges in phase ph of round r.
+type Memory func(p model.ProcID, r, ph int, est model.Value) model.Value
+
+// Variant is a protocol on the round machine. Run's is the paper's hybrid
+// model, with the cluster consensus before each exchange. Every other is
+// flat: each process is its own cluster, so the machine is Ben-Or's
+// algorithm (Algorithm 2) or the message-passing common-coin algorithm
+// (Algorithm 3), the baselines the paper extends (§III-B, §IV). A flat
+// Variant carries only what sets its protocol apart from them.
+type Variant struct {
+	// Memory, when non-nil, runs before each exchange in place of the
+	// cluster consensus. A round with a memory step crashes an
+	// after-cluster-consensus plan right after phase 1's step, and has no
+	// after-exchange point: such a plan strikes at the next point. A flat
+	// round without one has no after-cluster-consensus point.
+	Memory Memory
+	// NetSalt, SubsetSalt and CoinSalt are xored into Config.Seed to seed
+	// the network, the random recipients of crash-cut broadcasts and the
+	// common coin.
+	NetSalt    uint64
+	SubsetSalt int64
+	CoinSalt   uint64
+	// ErrBadConfig and ErrInvariantBroken wrap the run's configuration and
+	// invariant errors.
+	ErrBadConfig, ErrInvariantBroken error
+
+	cluster bool // the hybrid's CONS_x[r,ph] step; set only by Run
+}
+
+// hybrid is the paper's algorithms: the cluster consensus before each
+// exchange, on the hybrid model's own seeds.
+var hybrid = Variant{
+	NetSalt:            0xa076_1d64_78bd_642f,
+	SubsetSalt:         0x6c62_272e_07bb_0142,
+	CoinSalt:           0x2545_f491_4f6c_dd1d,
+	ErrBadConfig:       ErrBadConfig,
+	ErrInvariantBroken: ErrInvariantBroken,
+	cluster:            true,
+}
+
+// stepPoint reports whether the exchange of phase ph has a checked
+// after-cluster-consensus point after its step.
+func (v *Variant) stepPoint(ph int) bool { return v.cluster || v.Memory != nil && ph == 1 }
+
+// validate checks the configuration and returns n: the partition's on the
+// hybrid model, the proposals' on a flat variant.
+func (cfg *Config) validate(v *Variant) (int, error) {
+	n := len(cfg.Proposals)
+	if v.cluster {
+		if cfg.Partition == nil {
+			return 0, fmt.Errorf("%w: nil partition", v.ErrBadConfig)
+		}
+		n = cfg.Partition.N()
 	}
-	n := cfg.Partition.N()
-	if len(cfg.Proposals) != n {
-		return 0, fmt.Errorf("%w: %d proposals for %d processes", ErrBadConfig, len(cfg.Proposals), n)
+	if n == 0 || len(cfg.Proposals) != n {
+		return 0, fmt.Errorf("%w: %d proposals for %d processes", v.ErrBadConfig, len(cfg.Proposals), n)
 	}
-	for i, v := range cfg.Proposals {
-		if !v.IsBinary() {
-			return 0, fmt.Errorf("%w: proposal of %v is %v, want 0 or 1", ErrBadConfig, model.ProcID(i), v)
+	for i, p := range cfg.Proposals {
+		if !p.IsBinary() {
+			return 0, fmt.Errorf("%w: proposal of %v is %v, want 0 or 1", v.ErrBadConfig, model.ProcID(i), p)
 		}
 	}
 	if cfg.Algorithm != LocalCoin && cfg.Algorithm != CommonCoin {
-		return 0, fmt.Errorf("%w: unknown algorithm %d", ErrBadConfig, int(cfg.Algorithm))
+		return 0, fmt.Errorf("%w: unknown algorithm %d", v.ErrBadConfig, int(cfg.Algorithm))
 	}
 	if cfg.MaxRounds < 0 {
-		return 0, fmt.Errorf("%w: negative MaxRounds", ErrBadConfig)
+		return 0, fmt.Errorf("%w: negative MaxRounds", v.ErrBadConfig)
 	}
 	return n, nil
 }
 
-// execEnv is the substrate of one execution: the network, the per-cluster
-// memories and CONS arrays, the common coin, and the slabs the processes
-// are carved from — their states and their tallies.
+// execEnv is one execution: its inputs, the network, the per-cluster
+// memories and CONS arrays, the common coin, the slabs the processes are
+// carved from — their states and, on the hybrid model, their Quorums — and
+// the Result they write their outcomes into.
 type execEnv struct {
+	Config
+	v      Variant
 	n      int
-	part   *model.Partition
 	ctr    metrics.Counters
 	nw     *netsim.Network
 	arrays []consensusobj.Array
 	common coin.Common
 	procs  []proc
 	sups   []model.Quorum
+	res    *Result
 }
 
 // newExecEnv wires the substrate; the network is built separately by the
 // driver through newNetwork.
-func newExecEnv(cfg *Config, n int) *execEnv {
-	closure := cfg.Partition // what the exchanges' Quorums close over
-	if cfg.AblateClosure {
-		closure = model.Singletons(n)
-	}
+func newExecEnv(cfg *Config, v *Variant, n int) *execEnv {
 	env := &execEnv{
+		Config: *cfg,
+		v:      *v,
 		n:      n,
-		part:   cfg.Partition,
-		arrays: consensusobj.NewArrays(cfg.Partition.M()), // the cluster memories MEM_x
 		procs:  make([]proc, n),
-		sups:   model.NewQuorums(closure, n),
+		res:    &Result{Procs: make([]ProcResult, n)},
 	}
-	env.common = cfg.CommonCoinOverride
-	if env.common == nil {
-		env.common = coin.NewSplitMixCommon(uint64(cfg.Seed) ^ 0x2545_f491_4f6c_dd1d)
+	if v.cluster {
+		closure := cfg.Partition // what the exchanges' Quorums close over
+		if cfg.AblateClosure {
+			closure = model.Singletons(n)
+		}
+		env.sups = model.NewQuorums(closure, n)
+		env.arrays = consensusobj.NewArrays(cfg.Partition.M()) // the cluster memories MEM_x
+	}
+	if cfg.Algorithm == CommonCoin {
+		env.common = cfg.CommonCoinOverride
+		if env.common == nil {
+			env.common = coin.NewSplitMixCommon(uint64(cfg.Seed) ^ v.CoinSalt)
+		}
 	}
 	return env
 }
 
 // newNetwork returns the driver's network constructor (the driver attaches
 // its scheduler).
-func (env *execEnv) newNetwork(cfg *Config) driver.NewNetFunc {
-	return driver.StandardNet(&env.nw, env.n,
-		uint64(cfg.Seed)^0xa076_1d64_78bd_642f, &env.ctr, 0, 0, cfg.NetOptions...)
+func (env *execEnv) newNetwork() driver.NewNetFunc {
+	return driver.StandardNet(&env.nw, env.n, uint64(env.Seed)^env.v.NetSalt, &env.ctr, 0, 0, env.NetOptions...)
 }
 
 // newProc builds process i's reactor in its slot of the slab.
-func (env *execEnv) newProc(cfg *Config, i int, h *driver.Handle) *proc {
+func (env *execEnv) newProc(i int, h *driver.Handle) driver.Reactor {
 	id := model.ProcID(i)
-	s1, s2 := coin.DeriveLocalSeed(cfg.Seed^0x6c62_272e_07bb_0142, id)
 	p := &env.procs[i]
-	*p = proc{
-		id:            id,
-		part:          env.part,
-		net:           env.nw,
-		cons:          &env.arrays[env.part.ClusterOf(id)],
-		common:        env.common,
-		sched:         cfg.Crashes,
-		ctr:           &env.ctr,
-		log:           cfg.Trace,
-		h:             h,
-		subset:        [2]uint64{s1, s2},
-		alg:           cfg.Algorithm,
-		maxRounds:     cfg.MaxRounds,
-		sup:           &env.sups[i],
-		ablateCluster: cfg.AblateClusterConsensus,
-		est1:          cfg.Proposals[i],
-	}
-	if cfg.LocalCoinOverride != nil {
-		p.local = cfg.LocalCoinOverride(id)
+	*p = proc{env: env, id: id, h: h, est1: env.Proposals[i]}
+	if env.sups != nil {
+		p.sup = &env.sups[i]
 	} else {
-		p.prng = coin.NewPRNGLocal(coin.DeriveLocalSeed(cfg.Seed, id))
+		p.cnt.n = int32(env.n)
+		p.sup = &p.cnt
+	}
+	if env.LocalCoinOverride != nil {
+		p.local = env.LocalCoinOverride(id)
+	} else {
+		p.prng = coin.NewPRNGLocal(coin.DeriveLocalSeed(env.Seed, id))
 		p.local = &p.prng
 	}
 	return p
 }
 
-// buildResult assembles the Result from the processes' outcomes.
-func (env *execEnv) buildResult() (*Result, error) {
-	m := env.part.M()
-	cons := make([]int64, 2*m) // backs both per-cluster counts
-	res := &Result{
-		Procs:           make([]ProcResult, env.n),
-		Metrics:         env.ctr.Read(),
-		ConsInvocations: cons[:m:m],
-		ConsAllocations: cons[m:],
-	}
-	for i := range env.procs {
-		o := &env.procs[i].out
-		if o.status == StatusFailed {
-			return nil, fmt.Errorf("%w: %v", ErrInvariantBroken, o.err)
+// result completes the Result the processes wrote their outcomes into. An
+// invariant violation fails the run, reported at the lowest-id process that
+// broke it, whose tally still holds the offending rec set.
+func (env *execEnv) result() (*Result, error) {
+	for i, pr := range env.res.Procs {
+		if pr.Status == StatusFailed {
+			return nil, fmt.Errorf("%w: weak agreement violated at %v round %d: rec = %v",
+				env.v.ErrInvariantBroken, model.ProcID(i), pr.Round, env.procs[i].sup.Received())
 		}
-		res.Procs[i] = ProcResult{Status: o.status, Decision: o.val, Round: o.round}
 	}
-	for x := range env.arrays {
-		res.ConsInvocations[x] = env.arrays[x].Invocations()
-		res.ConsAllocations[x] = env.arrays[x].Allocations()
+	env.res.Metrics = env.ctr.Read()
+	if m := len(env.arrays); m > 0 {
+		cons := make([]int64, 2*m) // backs both per-cluster counts
+		env.res.ConsInvocations, env.res.ConsAllocations = cons[:m:m], cons[m:]
+		for x := range env.arrays {
+			env.res.ConsInvocations[x] = env.arrays[x].Invocations()
+			env.res.ConsAllocations[x] = env.arrays[x].Allocations()
+		}
 	}
-	return res, nil
+	return env.res, nil
 }
 
 // Run executes one consensus instance and returns the collected outcomes.
@@ -235,23 +279,28 @@ func (env *execEnv) buildResult() (*Result, error) {
 //
 // Run returns an error for invalid configurations and for protocol
 // invariant violations (which indicate a bug, never a legal execution).
-func Run(cfg Config) (*Result, error) {
-	n, err := cfg.validate()
+func Run(cfg Config) (*Result, error) { return run(&cfg, &hybrid) }
+
+// RunVariant executes one instance of the flat protocol v describes on n =
+// len(cfg.Proposals) processes. Partition and the ablations are ignored:
+// every process is its own cluster, and its exchanges count senders.
+func RunVariant(cfg Config, v Variant) (*Result, error) { return run(&cfg, &v) }
+
+func run(cfg *Config, v *Variant) (*Result, error) {
+	n, err := cfg.validate(v)
 	if err != nil {
 		return nil, err
 	}
-	env := newExecEnv(&cfg, n)
+	env := newExecEnv(cfg, v, n)
 	out, err := driver.RunHandlers(driver.Config{
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
 		Crashes:        cfg.Crashes,
-	}, n, env.newNetwork(&cfg), func(i int, h *driver.Handle) driver.Reactor {
-		return env.newProc(&cfg, i, h)
-	})
+	}, n, env.newNetwork(), env.newProc)
 	if err != nil {
 		return nil, err
 	}
-	res, err := env.buildResult()
+	res, err := env.result()
 	if err != nil {
 		return nil, err
 	}

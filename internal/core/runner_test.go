@@ -31,6 +31,18 @@ func alternating(n int) []model.Value {
 	return out
 }
 
+// outcome folds res into the uniform Outcome whose checks these tests read.
+func outcome(res *Result) *protocol.Outcome { return protocol.BinaryOutcome(ProtocolName, res) }
+
+// rendered returns vs as an Outcome renders decisions.
+func rendered(vs []model.Value) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = v.String()
+	}
+	return out
+}
+
 // runAndCheck executes cfg and asserts the run is error-free and passes
 // protocol.Check.
 func runAndCheck(t *testing.T, cfg Config) *Result {
@@ -130,18 +142,18 @@ func TestUnanimousCrashFree(t *testing.T) {
 						MaxRounds: 200,
 						Trace:     log,
 					})
-					if !res.AllLiveDecided() {
+					if !outcome(res).AllLiveDecided() {
 						t.Fatalf("not all processes decided: %+v", res.Procs)
 					}
-					val, count, ok := res.Decided()
+					val, count, ok := outcome(res).Decided()
 					if !ok || count != part.N() {
 						t.Fatalf("decided count = %d, want %d", count, part.N())
 					}
-					if val != v {
+					if val != v.String() {
 						t.Errorf("decided %v, want %v (validity under unanimity)", val, v)
 					}
-					if algo == LocalCoin && res.MaxDecisionRound() != 1 {
-						t.Errorf("local-coin unanimous decision round = %d, want 1", res.MaxDecisionRound())
+					if algo == LocalCoin && outcome(res).MaxDecisionRound() != 1 {
+						t.Errorf("local-coin unanimous decision round = %d, want 1", outcome(res).MaxDecisionRound())
 					}
 				})
 			}
@@ -174,7 +186,7 @@ func TestSplitProposalsCrashFree(t *testing.T) {
 						MaxRounds: 5000,
 						Trace:     log,
 					})
-					if !res.AllLiveDecided() {
+					if !outcome(res).AllLiveDecided() {
 						t.Fatalf("not all processes decided: %+v", res.Procs)
 					}
 				})
@@ -210,7 +222,7 @@ func TestWithNetworkDelays(t *testing.T) {
 				},
 				MaxRounds: 5000,
 			})
-			if !res.AllLiveDecided() {
+			if !outcome(res).AllLiveDecided() {
 				t.Fatalf("not all processes decided: %+v", res.Procs)
 			}
 		})
@@ -231,7 +243,7 @@ func TestExtremeConfigurations(t *testing.T) {
 			Setup:     sim.Setup{Seed: 3},
 			MaxRounds: 5000,
 		})
-		if !res.AllLiveDecided() {
+		if !outcome(res).AllLiveDecided() {
 			t.Fatalf("not all decided: %+v", res.Procs)
 		}
 	})
@@ -244,12 +256,12 @@ func TestExtremeConfigurations(t *testing.T) {
 			Setup:     sim.Setup{Seed: 3},
 			MaxRounds: 100,
 		})
-		if !res.AllLiveDecided() {
+		if !outcome(res).AllLiveDecided() {
 			t.Fatalf("not all decided: %+v", res.Procs)
 		}
 		// With one cluster, round 1 must decide: the single CONS object
 		// fixes one value for everyone.
-		if got := res.MaxDecisionRound(); got != 1 {
+		if got := outcome(res).MaxDecisionRound(); got != 1 {
 			t.Errorf("m=1 decision round = %d, want 1", got)
 		}
 	})
@@ -307,25 +319,25 @@ func TestResultHelpers(t *testing.T) {
 		{Status: StatusCrashed, Round: 1},
 		{Status: StatusDecided, Decision: model.One, Round: 3},
 	}}
-	val, count, ok := res.Decided()
-	if !ok || count != 2 || val != model.One {
+	val, count, ok := outcome(res).Decided()
+	if !ok || count != 2 || val != model.One.String() {
 		t.Errorf("Decided = %v,%d,%v", val, count, ok)
 	}
-	if !res.AllLiveDecided() {
+	if !outcome(res).AllLiveDecided() {
 		t.Error("AllLiveDecided should hold (crashed processes excluded)")
 	}
-	if got := res.MaxDecisionRound(); got != 3 {
+	if got := outcome(res).MaxDecisionRound(); got != 3 {
 		t.Errorf("MaxDecisionRound = %d, want 3", got)
 	}
-	if err := res.CheckAgreement(); err != nil {
+	if err := outcome(res).CheckAgreement(); err != nil {
 		t.Errorf("CheckAgreement: %v", err)
 	}
-	if err := res.CheckValidity([]model.Value{model.One, model.Zero, model.One}); err != nil {
+	if err := outcome(res).CheckValidity(rendered([]model.Value{model.One, model.Zero, model.One})); err != nil {
 		t.Errorf("CheckValidity: %v", err)
 	}
 
 	res.Procs = append(res.Procs, ProcResult{Status: StatusBlocked})
-	if res.AllLiveDecided() {
+	if outcome(res).AllLiveDecided() {
 		t.Error("AllLiveDecided should fail with a blocked process")
 	}
 
@@ -333,15 +345,15 @@ func TestResultHelpers(t *testing.T) {
 		{Status: StatusDecided, Decision: model.One},
 		{Status: StatusDecided, Decision: model.Zero},
 	}}
-	if err := bad.CheckAgreement(); err == nil {
+	if err := outcome(bad).CheckAgreement(); err == nil {
 		t.Error("CheckAgreement missed a disagreement")
 	}
 	invalid := &Result{Procs: []ProcResult{{Status: StatusDecided, Decision: model.One}}}
-	if err := invalid.CheckValidity([]model.Value{model.Zero}); err == nil {
+	if err := outcome(invalid).CheckValidity(rendered([]model.Value{model.Zero})); err == nil {
 		t.Error("CheckValidity missed an invalid decision")
 	}
 	empty := &Result{Procs: []ProcResult{{Status: StatusBlocked}}}
-	if _, _, ok := empty.Decided(); ok {
+	if _, _, ok := outcome(empty).Decided(); ok {
 		t.Error("Decided reported ok with no decisions")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"allforone/internal/failures"
 	"allforone/internal/model"
 	"allforone/internal/protocol"
-	"allforone/internal/sim"
 	"allforone/internal/stats"
 	"allforone/internal/trace"
 )
@@ -48,7 +47,7 @@ func A1Ablations(opts Options) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, _, err := variant.run(protocol.Scenario{
+			out, _, err := variant.run(protocol.Scenario{
 				Topology: protocol.Topology{Partition: part},
 				Workload: protocol.Workload{Binary: proposalsFor("unanimous1", part.N(), nil)},
 				Faults:   sched,
@@ -58,7 +57,7 @@ func A1Ablations(opts Options) (*Report, error) {
 			if err != nil {
 				return nil, fmt.Errorf("harness: A1 trial %d: %w", trial, err)
 			}
-			if _, _, ok := res.Decided(); ok {
+			if _, _, ok := out.Decided(); ok {
 				decided++
 			}
 		}
@@ -82,7 +81,7 @@ func A1Ablations(opts Options) (*Report, error) {
 		violations := 0
 		decided := 0
 		for trial := 0; trial < opts.Trials; trial++ {
-			res, broke, err := variant.run(protocol.Scenario{
+			out, broke, err := variant.run(protocol.Scenario{
 				Topology: protocol.Topology{Partition: leftPart},
 				Workload: protocol.Workload{Binary: split},
 				Seed:     opts.SeedBase + int64(trial)*211,
@@ -99,7 +98,7 @@ func A1Ablations(opts Options) (*Report, error) {
 			if broke {
 				violations++
 			}
-			if res.AllLiveDecided() {
+			if out.AllLiveDecided() {
 				decided++
 			}
 		}
@@ -125,7 +124,7 @@ type a1Variant struct {
 // compiled through Scenario.Setup and altered by the variant's ablation, and
 // judges it with protocol.Check. It reports whether the trial broke the
 // property the variant gives up, and fails on any other.
-func (v a1Variant) run(sc protocol.Scenario) (*sim.Result, bool, error) {
+func (v a1Variant) run(sc protocol.Scenario) (*protocol.Outcome, bool, error) {
 	sc.Protocol, sc.Algorithm = core.ProtocolName, core.AlgoLocalCoin
 	setup, err := sc.Setup()
 	if err != nil {
@@ -146,12 +145,13 @@ func (v a1Variant) run(sc protocol.Scenario) (*sim.Result, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
+	out := protocol.BinaryOutcome(core.ProtocolName, res)
 	broke := false
-	for _, vi := range protocol.Check(sc, protocol.BinaryOutcome(core.ProtocolName, res)) {
+	for _, vi := range protocol.Check(sc, out) {
 		if vi.Property != v.givesUp {
 			return nil, false, fmt.Errorf("%s: %w", v.name, vi)
 		}
 		broke = true
 	}
-	return res, broke, nil
+	return out, broke, nil
 }

@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 
-	"allforone/internal/benor"
 	"allforone/internal/coin"
 	"allforone/internal/consensusobj"
+	"allforone/internal/core"
 	"allforone/internal/model"
 	"allforone/internal/sim"
 )
@@ -42,9 +42,9 @@ var (
 )
 
 // Run executes one m&m consensus instance and returns per-process outcomes:
-// Ben-Or's round machine (internal/benor) with the memory step before each
-// exchange. Result.ConsInvocations/ConsAllocations are indexed by center
-// process.
+// Ben-Or's algorithm on core's round machine (core.RunVariant) with the
+// memory step before each exchange. Result.ConsInvocations/ConsAllocations
+// are indexed by center process.
 func Run(cfg Config) (*sim.Result, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("%w: nil graph", ErrBadConfig)
@@ -52,11 +52,6 @@ func Run(cfg Config) (*sim.Result, error) {
 	n := cfg.Graph.N()
 	if len(cfg.Proposals) != n {
 		return nil, fmt.Errorf("%w: %d proposals for %d processes", ErrBadConfig, len(cfg.Proposals), n)
-	}
-	for i, v := range cfg.Proposals {
-		if !v.IsBinary() {
-			return nil, fmt.Errorf("%w: proposal of %v is %v", ErrBadConfig, model.ProcID(i), v)
-		}
 	}
 
 	arrays := consensusobj.NewArrays(n)
@@ -71,16 +66,19 @@ func Run(cfg Config) (*sim.Result, error) {
 		}
 		return own
 	}
-	res, err := benor.RunVariant(benor.Config{
+	res, err := core.RunVariant(core.Config{
 		Setup:             cfg.Setup,
-		N:                 n,
 		Proposals:         cfg.Proposals,
+		Algorithm:         core.LocalCoin,
 		MaxRounds:         cfg.MaxRounds,
 		LocalCoinOverride: cfg.LocalCoinOverride,
-	}, benor.Variant{Memory: memoryPropose, NetSalt: 0xc2b2_ae3d_27d4_eb4f, SubsetSalt: 0x1216_d5d9_8979_fb1b})
-	if errors.Is(err, benor.ErrInvariantBroken) {
-		return nil, fmt.Errorf("%w: %v", ErrInvariantBroken, err)
-	}
+	}, core.Variant{
+		Memory:             memoryPropose,
+		NetSalt:            0xc2b2_ae3d_27d4_eb4f,
+		SubsetSalt:         0x1216_d5d9_8979_fb1b,
+		ErrBadConfig:       ErrBadConfig,
+		ErrInvariantBroken: ErrInvariantBroken,
+	})
 	if err != nil {
 		return nil, err
 	}

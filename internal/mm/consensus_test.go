@@ -7,6 +7,7 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
+	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
 
@@ -26,6 +27,18 @@ func alternating(n int) []model.Value {
 	return out
 }
 
+// outcome folds res into the uniform Outcome whose checks these tests read.
+func outcome(res *sim.Result) *protocol.Outcome { return protocol.BinaryOutcome(ProtocolName, res) }
+
+// rendered returns vs as an Outcome renders decisions.
+func rendered(vs []model.Value) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = v.String()
+	}
+	return out
+}
+
 func TestRunConfigValidation(t *testing.T) {
 	t.Parallel()
 	g := Fig2()
@@ -33,6 +46,7 @@ func TestRunConfigValidation(t *testing.T) {
 		{Proposals: unanimous(5, model.One)},
 		{Graph: g, Proposals: unanimous(3, model.One)},
 		{Graph: g, Proposals: []model.Value{model.One, model.One, model.Bot, model.One, model.One}},
+		{Graph: g, Proposals: unanimous(5, model.One), MaxRounds: -1},
 	}
 	for i, cfg := range cases {
 		if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
@@ -74,14 +88,14 @@ func TestUnanimousDecides(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			if !res.AllLiveDecided() {
+			if !outcome(res).AllLiveDecided() {
 				t.Fatalf("not all decided: %+v", res.Procs)
 			}
-			val, _, _ := res.Decided()
-			if val != model.One {
+			val, _, _ := outcome(res).Decided()
+			if val != model.One.String() {
 				t.Errorf("decided %v, want 1", val)
 			}
-			if got := res.MaxDecisionRound(); got != 1 {
+			if got := outcome(res).MaxDecisionRound(); got != 1 {
 				t.Errorf("decision round = %d, want 1", got)
 			}
 		})
@@ -105,13 +119,13 @@ func TestSplitProposalsSafeAndLive(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			if err := res.CheckAgreement(); err != nil {
+			if err := outcome(res).CheckAgreement(); err != nil {
 				t.Fatal(err)
 			}
-			if err := res.CheckValidity(props); err != nil {
+			if err := outcome(res).CheckValidity(rendered(props)); err != nil {
 				t.Fatal(err)
 			}
-			if !res.AllLiveDecided() {
+			if !outcome(res).AllLiveDecided() {
 				t.Fatalf("not all decided: %+v", res.Procs)
 			}
 		})
@@ -133,7 +147,7 @@ func TestMeasuredInvocationCounts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if got := res.MaxDecisionRound(); got != 1 {
+	if got := outcome(res).MaxDecisionRound(); got != 1 {
 		t.Fatalf("decision round = %d, want 1 (unanimous)", got)
 	}
 	want := int64(2 * (2*g.Edges() + g.N())) // 2 phases × Σ(α_i+1) = 2·15 = 30
@@ -177,10 +191,10 @@ func TestCrashToleranceMinority(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if err := res.CheckAgreement(); err != nil {
+	if err := outcome(res).CheckAgreement(); err != nil {
 		t.Fatal(err)
 	}
-	if !res.AllLiveDecided() {
+	if !outcome(res).AllLiveDecided() {
 		t.Fatalf("not all live decided: %+v", res.Procs)
 	}
 }
@@ -208,7 +222,7 @@ func TestNoOneForAllProperty(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if _, _, decided := res.Decided(); decided {
+	if _, _, decided := outcome(res).Decided(); decided {
 		t.Fatal("m&m run decided despite majority crash — the model has no one-for-all closure")
 	}
 	for _, p := range []model.ProcID{0, 1} {

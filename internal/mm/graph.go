@@ -8,6 +8,10 @@
 // access α_i + 1 of them (α_i = its degree). Unlike the hybrid model's
 // partition into clusters, the S_i overlap, so the "one for all" accounting
 // is unsound here — the structural weakness the paper points out.
+//
+// The consensus algorithm runs on core's round machine (core.RunVariant):
+// Ben-Or's rounds with a memory step before each exchange in place of the
+// cluster consensus.
 package mm
 
 import (

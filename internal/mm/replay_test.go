@@ -115,7 +115,7 @@ func TestVirtualQuiescenceBlocks(t *testing.T) {
 	if !res.Quiesced {
 		t.Errorf("Quiesced = false, want true: %+v", res)
 	}
-	if got := res.CountStatus(sim.StatusBlocked); got != 2 {
+	if got := outcome(res).CountStatus(sim.StatusBlocked); got != 2 {
 		t.Errorf("blocked = %d, want 2: %+v", got, res.Procs)
 	}
 }

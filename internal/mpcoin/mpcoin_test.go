@@ -10,6 +10,7 @@ import (
 	"allforone/internal/failures"
 	"allforone/internal/model"
 	"allforone/internal/netsim"
+	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
 
@@ -29,12 +30,25 @@ func alternating(n int) []model.Value {
 	return out
 }
 
+// outcome folds res into the uniform Outcome whose checks these tests read.
+func outcome(res *sim.Result) *protocol.Outcome { return protocol.BinaryOutcome(ProtocolName, res) }
+
+// rendered returns vs as an Outcome renders decisions.
+func rendered(vs []model.Value) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = v.String()
+	}
+	return out
+}
+
 func TestConfigValidation(t *testing.T) {
 	t.Parallel()
 	cases := []Config{
 		{N: 0},
 		{N: 3, Proposals: unanimous(2, model.One)},
 		{N: 2, Proposals: []model.Value{model.One, model.Value(5)}},
+		{N: 2, Proposals: unanimous(2, model.One), MaxRounds: -1},
 	}
 	for i, cfg := range cases {
 		if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
@@ -58,11 +72,11 @@ func TestUnanimousTerminatesQuickly(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			if !res.AllLiveDecided() {
+			if !outcome(res).AllLiveDecided() {
 				t.Fatalf("not all decided: %+v", res.Procs)
 			}
-			val, _, _ := res.Decided()
-			if val != model.One {
+			val, _, _ := outcome(res).Decided()
+			if val != model.One.String() {
 				t.Errorf("decided %v, want 1", val)
 			}
 		})
@@ -86,13 +100,13 @@ func TestSplitProposalsSafeAndLive(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			if err := res.CheckAgreement(); err != nil {
+			if err := outcome(res).CheckAgreement(); err != nil {
 				t.Fatal(err)
 			}
-			if err := res.CheckValidity(props); err != nil {
+			if err := outcome(res).CheckValidity(rendered(props)); err != nil {
 				t.Fatal(err)
 			}
-			if !res.AllLiveDecided() {
+			if !outcome(res).AllLiveDecided() {
 				t.Fatalf("not all decided: %+v", res.Procs)
 			}
 		})
@@ -115,7 +129,7 @@ func TestRiggedCoinRounds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		if got := res.MaxDecisionRound(); got != 1 {
+		if got := outcome(res).MaxDecisionRound(); got != 1 {
 			t.Errorf("decision round = %d, want 1", got)
 		}
 	})
@@ -131,7 +145,7 @@ func TestRiggedCoinRounds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		if !res.AllLiveDecided() {
+		if !outcome(res).AllLiveDecided() {
 			t.Fatalf("not all decided: %+v", res.Procs)
 		}
 		for i, pr := range res.Procs {
@@ -181,10 +195,10 @@ func TestMinorityCrashTerminates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if err := res.CheckAgreement(); err != nil {
+	if err := outcome(res).CheckAgreement(); err != nil {
 		t.Fatal(err)
 	}
-	if !res.AllLiveDecided() {
+	if !outcome(res).AllLiveDecided() {
 		t.Fatalf("not all live decided: %+v", res.Procs)
 	}
 }
@@ -208,7 +222,7 @@ func TestMajorityCrashBlocksButSafe(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if _, _, decided := res.Decided(); decided {
+	if _, _, decided := outcome(res).Decided(); decided {
 		t.Fatal("decided despite n/2 crashes")
 	}
 }
@@ -229,10 +243,10 @@ func TestWithDelays(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if err := res.CheckAgreement(); err != nil {
+	if err := outcome(res).CheckAgreement(); err != nil {
 		t.Fatal(err)
 	}
-	if !res.AllLiveDecided() {
+	if !outcome(res).AllLiveDecided() {
 		t.Fatalf("not all decided: %+v", res.Procs)
 	}
 }
@@ -259,14 +273,14 @@ func TestPartialDecideDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if err := res.CheckAgreement(); err != nil {
+	if err := outcome(res).CheckAgreement(); err != nil {
 		t.Fatal(err)
 	}
-	if !res.AllLiveDecided() {
+	if !outcome(res).AllLiveDecided() {
 		t.Fatalf("not all live decided: %+v", res.Procs)
 	}
-	val, _, _ := res.Decided()
-	if val != model.One {
+	val, _, _ := outcome(res).Decided()
+	if val != model.One.String() {
 		t.Errorf("decided %v, want 1", val)
 	}
 }

@@ -39,7 +39,7 @@ func TestReplayBitReproducible(t *testing.T) {
 	}
 	// The first live process — ProcID 2, whose
 	// Proposals[2] is 0 — wins the CAS, deterministically.
-	if v, _, ok := res1.Decided(); !ok || v != model.Zero {
+	if v, _, ok := outcome(res1).Decided(); !ok || v != model.Zero.String() {
 		t.Errorf("decided %v, want first live process's 0: %+v", v, res1.Procs)
 	}
 }

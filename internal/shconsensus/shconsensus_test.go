@@ -6,8 +6,21 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
+	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
+
+// outcome folds res into the uniform Outcome whose checks these tests read.
+func outcome(res *sim.Result) *protocol.Outcome { return protocol.BinaryOutcome(ProtocolName, res) }
+
+// rendered returns vs as an Outcome renders decisions.
+func rendered(vs []model.Value) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = v.String()
+	}
+	return out
+}
 
 func TestConfigValidation(t *testing.T) {
 	t.Parallel()
@@ -34,13 +47,13 @@ func TestAgreementValidityTermination(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		if err := res.CheckAgreement(); err != nil {
+		if err := outcome(res).CheckAgreement(); err != nil {
 			t.Fatal(err)
 		}
-		if err := res.CheckValidity(props); err != nil {
+		if err := outcome(res).CheckValidity(rendered(props)); err != nil {
 			t.Fatal(err)
 		}
-		if !res.AllLiveDecided() {
+		if !outcome(res).AllLiveDecided() {
 			t.Fatalf("not all decided: %+v", res.Procs)
 		}
 		if res.Metrics.ConsInvocations != n {
@@ -73,7 +86,7 @@ func TestWaitFreedomUnderCrashes(t *testing.T) {
 	if res.Procs[5].Status != sim.StatusDecided || res.Procs[5].Decision != model.One {
 		t.Errorf("survivor outcome = %+v", res.Procs[5])
 	}
-	if got := res.CountStatus(sim.StatusCrashed); got != n-1 {
+	if got := outcome(res).CountStatus(sim.StatusCrashed); got != n-1 {
 		t.Errorf("crashed = %d, want %d", got, n-1)
 	}
 	if res.Metrics.ConsInvocations != 1 {

@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"fmt"
 	"time"
 
 	"allforone/internal/failures"
@@ -185,91 +184,4 @@ type Result struct {
 	ConsInvocations []int64
 	ConsAllocations []int64
 	Engine
-}
-
-// Decided returns the processes that decided and their (necessarily equal)
-// value. ok is false when no process decided.
-func (r *Result) Decided() (val model.Value, count int, ok bool) {
-	val = model.Bot
-	for _, pr := range r.Procs {
-		if pr.Status == StatusDecided {
-			count++
-			val = pr.Decision
-		}
-	}
-	return val, count, count > 0
-}
-
-// AllLiveDecided reports whether every non-crashed process decided —
-// the termination property under the relevant liveness condition.
-func (r *Result) AllLiveDecided() bool {
-	for _, pr := range r.Procs {
-		if pr.Status != StatusDecided && pr.Status != StatusCrashed {
-			return false
-		}
-	}
-	return true
-}
-
-// CheckAgreement verifies no two decided processes decided differently.
-func (r *Result) CheckAgreement() error {
-	val, have := model.Bot, false
-	for i, pr := range r.Procs {
-		if pr.Status != StatusDecided {
-			continue
-		}
-		if !have {
-			val, have = pr.Decision, true
-			continue
-		}
-		if pr.Decision != val {
-			return fmt.Errorf("sim: agreement violated: %v decided %v, earlier process decided %v",
-				model.ProcID(i), pr.Decision, val)
-		}
-	}
-	return nil
-}
-
-// CheckValidity verifies every decision was somebody's proposal.
-func (r *Result) CheckValidity(proposals []model.Value) error {
-	for i, pr := range r.Procs {
-		if pr.Status != StatusDecided {
-			continue
-		}
-		found := false
-		for _, prop := range proposals {
-			if prop == pr.Decision {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("sim: validity violated: %v decided %v, which no process proposed",
-				model.ProcID(i), pr.Decision)
-		}
-	}
-	return nil
-}
-
-// MaxDecisionRound returns the highest round at which any process decided
-// (0 when no process decided).
-func (r *Result) MaxDecisionRound() int {
-	max := 0
-	for _, pr := range r.Procs {
-		if pr.Status == StatusDecided && pr.Round > max {
-			max = pr.Round
-		}
-	}
-	return max
-}
-
-// CountStatus returns how many processes ended with the given status.
-func (r *Result) CountStatus(s Status) int {
-	c := 0
-	for _, pr := range r.Procs {
-		if pr.Status == s {
-			c++
-		}
-	}
-	return c
 }
