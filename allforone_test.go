@@ -209,11 +209,13 @@ func TestMultivaluedFacade(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	res := out.Raw.(*MultivaluedResult)
-	if !res.AllLiveDecided() {
-		t.Fatalf("not all decided: %+v", res.Procs)
+	if _, ok := out.Raw.(*MultivaluedResult); !ok {
+		t.Fatalf("Raw = %T, want *MultivaluedResult", out.Raw)
 	}
-	if err := res.CheckAgreement(); err != nil {
+	if !out.AllLiveDecided() {
+		t.Fatalf("not all decided: %+v", out.Procs)
+	}
+	if err := out.CheckAgreement(); err != nil {
 		t.Fatal(err)
 	}
 }

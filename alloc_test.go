@@ -74,11 +74,12 @@ func TestBaselineAllocationGate(t *testing.T) {
 // TestSMRAllocationGate pins the allocation bill of one replicated log in
 // the kvlog regime: Fig1Right, 16 slots, queues of 16 commands,
 // Uniform(50µs,500µs), seed 1: 10,996 events, at most 80 rounds per
-// replica. Achieved: 1,852 allocations and 118 KB per run, from 2,152 and
-// 123 KB with per-replica objects, closures and Quorum headers and
-// closure-valued options, from 2,461 and 150 KB while every run built its
-// engine afresh, and from 4,301 and 266 KB as a coroutine body with a map
-// tally per round and its slot state in maps. The limits leave about 15 %
+// replica. Achieved: 1,845 allocations and 117 KB per run, from 1,852 and
+// 118 KB with a copy of each replica's queue, from 2,152 and 123 KB with
+// per-replica objects, closures and Quorum headers and closure-valued
+// options, from 2,461 and 150 KB while every run built its engine afresh,
+// and from 4,301 and 266 KB as a coroutine body with a map tally per round
+// and its slot state in maps. The limits leave about 15 %
 // of headroom.
 func TestSMRAllocationGate(t *testing.T) {
 	n := Fig1Right().N()
@@ -101,12 +102,14 @@ func TestSMRAllocationGate(t *testing.T) {
 // TestMultivaluedAllocationGate pins the allocation bill of one
 // multivalued consensus run: Fig1Right, three distinct proposals,
 // Uniform(0,200µs), seed 1: 535 events, at most 7 binary rounds per
-// process. Achieved: 182 allocations and 13.3 KB per run, from 246 and
-// 14.6 KB with per-process objects, closures and Quorum headers, from 492
-// and 35.6 KB while every run built its engine afresh, and from 773 and
-// 48.8 KB while every round built a map tally and a ProcSet per value
-// instead of resetting one model.Quorum per process. The limits leave about
-// 15 % of headroom.
+// process. Achieved: 189 allocations and 14.8 KB per run on smr's replica
+// machine as a one-slot log, from 182 and 13.3 KB on a map-based reactor of
+// its own, from 246 and 14.6 KB with per-process objects, closures and
+// Quorum headers, from 492 and 35.6 KB while every run built its engine
+// afresh, and from 773 and 48.8 KB while every round built a map tally and a
+// ProcSet per value instead of resetting one model.Quorum per process. The
+// limits leave about 10 % of headroom in allocations but only about 3 % in
+// bytes: the replica's slot rows and wider slot-tagged messages cost bytes.
 func TestMultivaluedAllocationGate(t *testing.T) {
 	props := make([]string, Fig1Right().N())
 	for p := range props {

@@ -190,6 +190,34 @@ func multivaluedCells(t *testing.T) []goldenCell {
 	return cells
 }
 
+// TestMultivaluedEmptyProposals pins multivalued's input rule: "" is a
+// proposal like any other, so instance 0, whose target p0 proposed "", gets
+// input 1 on the first cycle from every process that delivered it (the
+// replicated log's first cycle supports no no-op target), and "" wins.
+func TestMultivaluedEmptyProposals(t *testing.T) {
+	t.Parallel()
+	sc := Scenario{
+		Protocol: ProtocolMultivalued,
+		Topology: Topology{Partition: Fig1Left()},
+		Workload: Workload{Values: []string{"", "b", "", "d", "e", "", "g"}},
+		Profile:  UniformProfile(0, 200*time.Microsecond),
+		Seed:     2,
+	}
+	out, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vs := Check(sc, out); vs != nil {
+		t.Fatal(vs)
+	}
+	if val, count, _ := out.Decided(); val != "" || count != 7 {
+		t.Errorf("decided %q at %d processes, want \"\" at 7", val, count)
+	}
+	if got, want := outcomeHash(t, out), uint64(0xb733b7c287879f28); got != want {
+		t.Errorf("outcome hash %#x, want %#x", got, want)
+	}
+}
+
 // registerPatterns: timed crashes only (a register run has no step points).
 // Every script sleeps before each operation, and the sleeps outlast the
 // profiles' links, so queries and acks land during them; the "in-sleep"

@@ -3,6 +3,7 @@ package multivalued
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"allforone/internal/failures"
@@ -44,10 +45,10 @@ func TestUnanimousProposals(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			if !res.AllLiveDecided() {
+			if !outcome(res).AllLiveDecided() {
 				t.Fatalf("not all decided: %+v", res.Procs)
 			}
-			val, count, _ := res.Decided()
+			val, count, _ := outcome(res).Decided()
 			if val != "value-X" || count != part.N() {
 				t.Errorf("decided (%q, %d), want (value-X, %d)", val, count, part.N())
 			}
@@ -74,13 +75,14 @@ func TestDistinctProposalsAgreeOnOne(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			if err := res.CheckAgreement(); err != nil {
+			out := outcome(res)
+			if err := out.CheckAgreement(); err != nil {
 				t.Fatal(err)
 			}
-			if err := res.CheckValidity(props); err != nil {
+			if err := out.CheckValidity(props); err != nil {
 				t.Fatal(err)
 			}
-			if !res.AllLiveDecided() {
+			if !out.AllLiveDecided() {
 				t.Fatalf("not all decided: %+v", res.Procs)
 			}
 		})
@@ -113,13 +115,11 @@ func TestMajorityCrashSurvivorDecides(t *testing.T) {
 	if res.Procs[2].Status != sim.StatusDecided {
 		t.Fatalf("survivor did not decide: %+v", res.Procs)
 	}
-	if err := res.CheckValidity(props); err != nil {
+	out := outcome(res)
+	if err := out.CheckValidity(props); err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Decided; got == nil {
-		t.Fatal("no decision")
-	}
-	val, count, _ := res.Decided()
+	val, count, _ := out.Decided()
 	if count != 1 {
 		t.Errorf("decided count = %d, want 1", count)
 	}
@@ -159,10 +159,11 @@ func TestBlockedWhenLivenessFails(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if _, _, decided := res.Decided(); decided {
+	out := outcome(res)
+	if _, _, decided := out.Decided(); decided {
 		t.Fatal("decided under a dead failure pattern")
 	}
-	if err := res.CheckAgreement(); err != nil {
+	if err := out.CheckAgreement(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -179,11 +180,35 @@ func TestDuplicateProposals(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if !res.AllLiveDecided() {
+	out := outcome(res)
+	if !out.AllLiveDecided() {
 		t.Fatalf("not all decided: %+v", res.Procs)
 	}
-	if err := res.CheckValidity(props); err != nil {
+	if err := out.CheckValidity(props); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHugeInstanceCap: an instance cap far past 4n costs nothing until
+// instances run that far, so a run decides exactly as under the default cap.
+func TestHugeInstanceCap(t *testing.T) {
+	t.Parallel()
+	cfg := Config{
+		Partition: model.Fig1Left(),
+		Proposals: []string{"a", "", "c", "a", "e", "", "g"},
+		Setup:     sim.Setup{Seed: 4},
+	}
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.MaxInstances = 1 << 40
+	got, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("cap 2^40: %+v, default cap: %+v", got, want)
 	}
 }
 
@@ -197,7 +222,7 @@ func TestSingleProcess(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	val, count, ok := res.Decided()
+	val, count, ok := outcome(res).Decided()
 	if !ok || val != "solo" || count != 1 {
 		t.Errorf("Decided = %q,%d,%v", val, count, ok)
 	}
@@ -209,24 +234,24 @@ func TestResultHelpers(t *testing.T) {
 		{Status: sim.StatusDecided, Decision: "v"},
 		{Status: sim.StatusCrashed},
 	}}
-	if err := r.CheckAgreement(); err != nil {
+	if err := outcome(r).CheckAgreement(); err != nil {
 		t.Errorf("CheckAgreement: %v", err)
 	}
-	if !r.AllLiveDecided() {
+	if !outcome(r).AllLiveDecided() {
 		t.Error("AllLiveDecided should hold")
 	}
 	r.Procs = append(r.Procs, ProcResult{Status: sim.StatusDecided, Decision: "w"})
-	if err := r.CheckAgreement(); err == nil {
+	if err := outcome(r).CheckAgreement(); err == nil {
 		t.Error("CheckAgreement missed disagreement")
 	}
-	if err := r.CheckValidity([]string{"v", "w"}); err != nil {
+	if err := outcome(r).CheckValidity([]string{"v", "w"}); err != nil {
 		t.Errorf("CheckValidity: %v", err)
 	}
-	if err := r.CheckValidity([]string{"z"}); err == nil {
+	if err := outcome(r).CheckValidity([]string{"z"}); err == nil {
 		t.Error("CheckValidity missed invalid decision")
 	}
 	r.Procs = append(r.Procs, ProcResult{Status: sim.StatusBlocked})
-	if r.AllLiveDecided() {
+	if outcome(r).AllLiveDecided() {
 		t.Error("AllLiveDecided should fail with blocked process")
 	}
 }

@@ -114,7 +114,7 @@ func TestVirtualQuiescenceBlocks(t *testing.T) {
 	if !res.Quiesced {
 		t.Errorf("Quiesced = false, want true: %+v", res)
 	}
-	if _, _, decided := res.Decided(); decided {
+	if _, _, decided := outcome(res).Decided(); decided {
 		t.Error("decided under a dead failure pattern")
 	}
 }
@@ -144,13 +144,14 @@ func TestTimedCrash(t *testing.T) {
 	if res.Procs[3].Status != sim.StatusCrashed {
 		t.Errorf("victim = %+v, want crashed", res.Procs[3])
 	}
-	if err := res.CheckAgreement(); err != nil {
+	out := outcome(res)
+	if err := out.CheckAgreement(); err != nil {
 		t.Error(err)
 	}
-	if err := res.CheckValidity(props); err != nil {
+	if err := out.CheckValidity(props); err != nil {
 		t.Error(err)
 	}
-	if !res.AllLiveDecided() {
+	if !out.AllLiveDecided() {
 		t.Errorf("survivors did not all decide: %+v", res.Procs)
 	}
 }

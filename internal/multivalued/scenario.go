@@ -36,6 +36,11 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	return outcome(res), nil
+}
+
+// outcome renders a Result in the registry's uniform vocabulary.
+func outcome(res *Result) *protocol.Outcome {
 	out := &protocol.Outcome{
 		Protocol: ProtocolName,
 		Procs:    make([]protocol.ProcOutcome, len(res.Procs)),
@@ -50,5 +55,5 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 		}
 		out.Procs[i] = po
 	}
-	return out, nil
+	return out
 }

@@ -2,7 +2,10 @@
 // top of the hybrid communication model: a sequence of log slots, each
 // decided by the multivalued-over-binary reduction running the paper's
 // Algorithm 3 instances — so the log inherits the one-for-all fault
-// tolerance (a majority-cluster survivor keeps appending alone).
+// tolerance (a majority-cluster survivor keeps appending alone). The
+// replica machine is the repository's one implementation of that
+// reduction: multivalued consensus runs on it as a one-slot log
+// (RunVariant).
 //
 // Each replica proposes the front of its command queue for the next
 // undecided slot (or the empty no-op); the slot's consensus picks exactly
@@ -56,6 +59,21 @@ const NoOp = ""
 
 // Errors returned by Run.
 var ErrBadConfig = errors.New("smr: invalid configuration")
+
+// Variant is what tells one use of the replica machine from another: the
+// replicated log (Run) and multivalued consensus, a one-slot log.
+type Variant struct {
+	// NetSalt is xored into the seed for the network's RNG stream.
+	NetSalt uint64
+	// SlotMix and InstMix draw the common coin of (slot, instance, round)
+	// from seed ^ (slot+1)·SlotMix ^ (inst+1)·InstMix.
+	SlotMix, InstMix uint64
+	// MaxInstances caps each slot's binary instances (0 = 4n).
+	MaxInstances int
+	// SupportNoOps lets the first cycle of instances support a target
+	// whose proposal is the no-op; otherwise only the second cycle does.
+	SupportNoOps bool
+}
 
 // ReplicaResult is one replica's view of the execution.
 type ReplicaResult struct {
@@ -169,6 +187,16 @@ type slotRow struct {
 	val     string // the slot's decision, once decided
 }
 
+// binOf returns instance inst's binary decision, Bot while open. A row's
+// decisions grow as far as its instances run: within its carved room for 4n
+// of them, and past it only under a larger instance cap.
+func (row *slotRow) binOf(inst int) *model.Value {
+	for len(row.bin) <= inst {
+		row.bin = append(row.bin, model.Bot)
+	}
+	return &row.bin[inst]
+}
+
 // proposal is one origin's proposal for a slot; ok once it was delivered.
 type proposal struct {
 	val string
@@ -200,6 +228,7 @@ type replica struct {
 	net     *netsim.Network
 	cons    *consensusobj.Array
 	seed    int64
+	v       Variant
 	sched   *failures.Schedule
 	ctr     *metrics.Counters
 	h       *driver.Handle // the engine's abort/kill state
@@ -212,7 +241,6 @@ type replica struct {
 
 	rows        [][]slotRow // chunks of rows, by slot
 	pending     map[posKey][]model.Vote
-	log         []string
 	globalRound int
 
 	stage             int
@@ -229,13 +257,10 @@ func (r *replica) row(slot int) *slotRow {
 		n, k := r.part.N(), r.chunk
 		rows := make([]slotRow, k)
 		props := make([]proposal, k*n)
-		bin := make([]model.Value, k*r.maxInst)
-		for i := range bin {
-			bin[i] = model.Bot
-		}
+		bin := make([]model.Value, k*4*n) // room for 4n instances a row; binOf fills it
 		for i := range rows {
 			rows[i].props = props[i*n : (i+1)*n : (i+1)*n]
-			rows[i].bin = bin[i*r.maxInst : (i+1)*r.maxInst : (i+1)*r.maxInst]
+			rows[i].bin = bin[i*4*n : i*4*n : (i+1)*4*n]
 		}
 		r.rows = append(r.rows, rows)
 	}
@@ -244,8 +269,15 @@ func (r *replica) row(slot int) *slotRow {
 
 // commonBit is the shared coin for (slot, instance, round).
 func (r *replica) commonBit(slot, inst, round int) model.Value {
-	mix := uint64(r.seed) ^ (uint64(slot+1) * 0xbf58_476d_1ce4_e5b9) ^ (uint64(inst+1) * 0x94d0_49bb_1331_11eb)
+	mix := uint64(r.seed) ^ (uint64(slot+1) * r.v.SlotMix) ^ (uint64(inst+1) * r.v.InstMix)
 	return coin.NewSplitMixCommon(mix).Bit(round)
+}
+
+// consPos is the position in the cluster's CONS array of (slot, instance,
+// round): one object per instance round, distinct for every instance below
+// the cap maxInst and every round.
+func consPos(slot, inst, round, maxInst int) (int, int) {
+	return slot*maxInst + inst, round
 }
 
 // urbDeliver forwards then records a proposal (uniformity discipline).
@@ -270,7 +302,7 @@ func (r *replica) handle(msg netsim.Message, cur posKey, sup *model.Quorum) {
 			r.net.Broadcast(r.id, m) // relay so every replica learns it
 		}
 	case binDecideMsg:
-		if bin := &r.row(m.Slot).bin[m.Inst]; *bin == model.Bot {
+		if bin := r.row(m.Slot).binOf(m.Inst); *bin == model.Bot {
 			*bin = m.Val
 		}
 	case instMsg:
@@ -287,7 +319,7 @@ func (r *replica) handle(msg netsim.Message, cur posKey, sup *model.Quorum) {
 // finish records the outcome; React returns its result, retiring the
 // replica.
 func (r *replica) finish(status sim.Status) bool {
-	*r.store = ReplicaResult{Status: status, Log: r.log, Rounds: r.globalRound}
+	r.store.Status, r.store.Rounds = status, r.globalRound
 	return true
 }
 
@@ -378,16 +410,16 @@ func (r *replica) openInstance() bool {
 		r.commit(row.val)
 		return false
 	}
-	// Input rule: support a delivered target — but on the first cycle only
-	// targets with a real command, so no-ops win a slot only when no
-	// delivered proposal carries a command (the second cycle lifts the
-	// restriction to guarantee progress).
+	// Input rule: support a delivered target — but, unless the variant
+	// supports no-ops, on the first cycle only targets with a real command,
+	// so no-ops win a slot only when no delivered proposal carries a command
+	// (the second cycle lifts the restriction to guarantee progress).
 	n := r.part.N()
 	input := model.Zero
-	if p := row.props[r.inst%n]; p.ok && (r.inst >= n || p.val != NoOp) {
+	if p := row.props[r.inst%n]; p.ok && (r.v.SupportNoOps || r.inst >= n || p.val != NoOp) {
 		input = model.One
 	}
-	if v := row.bin[r.inst]; v != model.Bot {
+	if v := *row.binOf(r.inst); v != model.Bot {
 		r.instanceDecided(v)
 		return false
 	}
@@ -409,7 +441,8 @@ func (r *replica) openRound() bool {
 	case r.sched.ShouldCrash(r.id, failures.Point{Round: r.globalRound, Phase: 1, Stage: failures.StageRoundStart}):
 		return r.finish(sim.StatusCrashed)
 	}
-	r.est = r.cons.Propose(r.slot*10_000_000+r.inst*10_000+r.round, 1, r.est)
+	x, y := consPos(r.slot, r.inst, r.round, r.maxInst)
+	r.est = r.cons.Propose(x, y, r.est)
 	r.ctr.AddConsInvocations(1)
 	r.net.Broadcast(r.id, instMsg{Slot: r.slot, Inst: r.inst, Round: r.round, Est: r.est})
 	cur := posKey{slot: r.slot, inst: r.inst, round: r.round}
@@ -427,7 +460,7 @@ func (r *replica) openRound() bool {
 // settles the round.
 func (r *replica) collected() bool {
 	row := r.row(r.slot)
-	switch v := row.bin[r.inst]; {
+	switch v := *row.binOf(r.inst); {
 	case v != model.Bot:
 		r.instanceDecided(v)
 	case row.decided:
@@ -473,26 +506,22 @@ func (r *replica) instanceDecided(dec model.Value) {
 // the winner's proposal is over, deciding the slot if it is.
 func (r *replica) urbDelivered() bool {
 	row := r.row(r.slot)
-	if p := row.props[r.inst%r.part.N()]; p.ok {
-		if !row.decided {
-			row.decided, row.val = true, p.val
-			r.ctr.AddDecideMsgs(int64(r.part.N()))
-			r.net.Broadcast(r.id, slotDecideMsg{Slot: r.slot, Val: p.val})
-		}
-		r.commit(p.val)
-		return true
+	switch p := row.props[r.inst%r.part.N()]; {
+	case p.ok && !row.decided:
+		row.decided, row.val = true, p.val
+		r.ctr.AddDecideMsgs(int64(r.part.N()))
+		r.net.Broadcast(r.id, slotDecideMsg{Slot: r.slot, Val: p.val})
+	case !row.decided:
+		return false
 	}
-	if row.decided {
-		r.commit(row.val)
-		return true
-	}
-	return false
+	r.commit(row.val)
+	return true
 }
 
 // commit appends the slot's decision to the log, advances the queue past an
 // own committed command, and moves to the next slot.
 func (r *replica) commit(val string) {
-	r.log = append(r.log, val)
+	r.store.Log = append(r.store.Log, val)
 	if len(r.queue) > 0 && val == r.queue[0] {
 		r.queue = r.queue[1:]
 	}
@@ -501,6 +530,15 @@ func (r *replica) commit(val string) {
 
 // Run executes one replicated-log instance.
 func Run(cfg Config) (*Result, error) {
+	return RunVariant(cfg, Variant{
+		NetSalt: 0x1e7_dead_beef,
+		SlotMix: 0xbf58_476d_1ce4_e5b9,
+		InstMix: 0x94d0_49bb_1331_11eb,
+	})
+}
+
+// RunVariant executes the replica machine as variant v describes.
+func RunVariant(cfg Config, v Variant) (*Result, error) {
 	if cfg.Partition == nil {
 		return nil, fmt.Errorf("%w: nil partition", ErrBadConfig)
 	}
@@ -519,6 +557,10 @@ func Run(cfg Config) (*Result, error) {
 	if maxRnd <= 0 {
 		maxRnd = 1000
 	}
+	maxInst := v.MaxInstances
+	if maxInst <= 0 {
+		maxInst = 4 * n
+	}
 
 	res := &Result{Replicas: make([]ReplicaResult, n)}
 	tallies := model.NewQuorums(cfg.Partition, n)
@@ -527,7 +569,7 @@ func Run(cfg Config) (*Result, error) {
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
 		Crashes:        cfg.Crashes,
-	}, n, driver.StandardNet(&nw, n, uint64(cfg.Seed)^0x1e7_dead_beef, &ctr, 0, 0, cfg.NetOptions...),
+	}, n, driver.StandardNet(&nw, n, uint64(cfg.Seed)^v.NetSalt, &ctr, 0, 0, cfg.NetOptions...),
 		func(i int, h *driver.Handle) driver.Reactor {
 			id := model.ProcID(i)
 			replicas[i] = replica{
@@ -536,14 +578,15 @@ func Run(cfg Config) (*Result, error) {
 				net:     nw,
 				cons:    &arrays[cfg.Partition.ClusterOf(id)],
 				seed:    cfg.Seed,
+				v:       v,
 				sched:   cfg.Crashes,
 				ctr:     &ctr,
 				h:       h,
 				store:   &res.Replicas[i],
 				maxRnd:  maxRnd,
-				queue:   append([]string(nil), cfg.Commands[i]...),
+				queue:   cfg.Commands[i], // only resliced, never written
 				slots:   cfg.Slots,
-				maxInst: 4 * n,
+				maxInst: maxInst,
 				chunk:   min(cfg.Slots, rowChunk),
 				pending: make(map[posKey][]model.Vote),
 				tally:   &tallies[i],

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"allforone/internal/consensusobj"
 	"allforone/internal/failures"
 	"allforone/internal/model"
 	"allforone/internal/sim"
@@ -270,5 +271,45 @@ func TestResultCheckers(t *testing.T) {
 	}
 	if got := good.CompletedLogs(2); len(got) != 1 {
 		t.Errorf("CompletedLogs = %d, want 1", len(got))
+	}
+}
+
+// TestConsPositionsDistinct: every (slot, instance, round) below the
+// instance cap reaches its own CONS object, including two pairs that a flat
+// key slot·10⁷ + inst·10⁴ + round merges: instance 1,000 of slot 0 and
+// instance 0 of slot 1 at n = 251 (cap 4n = 1,004), and round 10,001 of
+// instance 0 and round 1 of instance 1.
+func TestConsPositionsDistinct(t *testing.T) {
+	t.Parallel()
+	const maxInst = 4 * 251
+	for _, pair := range [][2][3]int{
+		{{0, 1000, 1}, {1, 0, 1}},
+		{{0, 0, 10_001}, {0, 1, 1}},
+	} {
+		cons := &consensusobj.NewArrays(1)[0]
+		a, b := pair[0], pair[1]
+		x, y := consPos(a[0], a[1], a[2], maxInst)
+		cons.Propose(x, y, model.One)
+		x, y = consPos(b[0], b[1], b[2], maxInst)
+		if got := cons.Propose(x, y, model.Zero); got != model.Zero {
+			t.Errorf("(slot, inst, round) %v and %v reach one CONS object", a, b)
+		}
+	}
+}
+
+// TestBinOfGrowsPastCarvedRoom: a row's instance decisions past its carved
+// room start open (Bot) and keep what was recorded.
+func TestBinOfGrowsPastCarvedRoom(t *testing.T) {
+	t.Parallel()
+	row := slotRow{bin: make([]model.Value, 0, 2)}
+	*row.binOf(0) = model.One
+	if v := *row.binOf(5); v != model.Bot {
+		t.Fatalf("instance 5 reads %v before any decision, want Bot", v)
+	}
+	*row.binOf(5) = model.Zero
+	for inst, want := range []model.Value{model.One, model.Bot, model.Bot, model.Bot, model.Bot, model.Zero} {
+		if v := *row.binOf(inst); v != want {
+			t.Errorf("instance %d reads %v, want %v", inst, v, want)
+		}
 	}
 }
