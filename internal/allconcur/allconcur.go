@@ -24,9 +24,10 @@
 // emits a FAIL(f,s) notification, flooded like a value. FAIL(f,s) at p
 // certifies: every message f ever put on the f→s channel was processed
 // by s BEFORE s emitted the notification — so if origin q's value had
-// been among them, it would have been forwarded ahead of FAIL(f,s) and p
-// would already hold it (per-link FIFO plus in-order batch flushing keep
-// that order on every forwarding path; see the envelope invariant below).
+// been among them, it would have been forwarded no later than FAIL(f,s)
+// and p would already hold it (per-link FIFO plus whole-envelope ingest
+// keep that order on every forwarding path; see the envelope invariant
+// below).
 //
 // Process p may therefore exclude a missing origin q once the suspect
 // closure of q is fully resolved: starting from C = {q}, every f ∈ C must
@@ -41,35 +42,49 @@
 //
 // # Message format and the envelope invariant
 //
-// News items (value forwards and FAIL notifications) are not sent one
-// message each: each process appends them — in processing order — to an
-// outbox, and flushes the outbox as ONE envelope per successor (the
-// slice is shared across the d sends; netsim payloads are never
+// News (value forwards and FAIL notifications) is not sent one message
+// per item: each process gathers what it learned since its last flush in
+// an outbox, and flushes the outbox as ONE envelope per successor (the
+// item slice is shared across the d sends; netsim payloads are never
 // mutated). Flushes are atomic within a reactor invocation: either every
 // successor receives the envelope or (when the process crashes with an
 // unflushed outbox) none does, which the exclusion rule counts — soundly
-// — as "never forwarded". Per-link sequence numbers restore FIFO under
-// the network's random delays (a reorder buffer holds early envelopes),
-// and a short flush delay batches the items of several deliveries into
-// one envelope, keeping the envelope count near n·d per dissemination
-// wave instead of one message per item copy.
+// — as "never forwarded". A receiver ingests a whole envelope, and its
+// whole inbox, before it checks for termination, so the items of one
+// envelope form a set: their order carries no meaning. Only the order of
+// envelopes on a link does, and per-link sequence numbers restore FIFO
+// under the network's random delays (a reorder buffer holds early
+// envelopes). News thus never travels behind a later envelope: a value a
+// process delivered before it certified FAIL(f,s) leaves in the same
+// envelope as the certificate or an earlier one. A short flush delay
+// batches the news of several deliveries into one envelope, keeping the
+// envelope count near n·d per dissemination wave instead of one message
+// per item copy.
 //
-// # The per-item path
+// # The per-block path
 //
-// A run ingests Θ(n²·d) item copies — every value reaches every process
-// once per predecessor — so a run costs what one dedupe verdict and one
-// item copy cost. The delivered set of a process is an n-bit row of one
-// run-wide bitmap (n²/8 bytes: 512 KB at n=2048, 32 MiB at n=16 384, where
-// a bool per origin cost 256 MB) with a count for the crash-free fast path
-// and a first-missing watermark from which the termination check visits
-// the gaps in ascending order; AllConcur's own tracking is such a
-// per-server message set, and early termination asks only "is q delivered"
-// and "which origins are still missing". A news item is a 12-byte
-// pointer-free record: a VAL item names its origin, and the receiver reads
-// the value from the run's read-only proposal table when its decision
-// candidate changes. The handle is faithful — a value string forwarded in
-// the simulator was never copied, every copy aliased the proposer's bytes —
-// and it spares the collector the outbox arrays, which hold no pointer.
+// A run ingests Θ(n²·d) origin copies — every value reaches every process
+// once per predecessor — so a run costs what one copy costs. The
+// delivered set of a process is an n-bit row of one run-wide bitmap (n²/8
+// bytes: 512 KB at n=2048, 32 MiB at n=16 384, where a bool per origin
+// cost 256 MB) with a count for the crash-free fast path and a
+// first-missing watermark from which the termination check visits the
+// gaps in ascending order; AllConcur's own tracking is such a per-server
+// message set, and early termination asks only "is q delivered" and
+// "which origins are still missing". The wire carries the same sets: a
+// VAL item is one 64-origin block of the sender's row, with the mask of
+// the origins delivered in it since the sender's last flush, and a
+// receiver ingests it as novel = mask &^ row — one word operation for up
+// to 64 copies, a popcount for the count and a trailing-zero count for
+// the decision candidate. The outbox is the list of blocks touched since
+// the last flush (a second "flushed" row per process, n²/8 bytes more,
+// tells which of their bits are new) plus the pending FAIL items; a flush
+// builds it into one exactly-sized 12-byte-item slice, VAL blocks first.
+// Items hold no pointer and no value: an origin is a handle into the
+// run's read-only proposal table, read when the decision candidate
+// changes. The handle is faithful — a value string forwarded in the
+// simulator was never copied, every copy aliased the proposer's bytes —
+// and the collector never scans the item slices.
 //
 // Like gossip, the implementation is an inline handler reactor
 // (driver.RunHandlers) registered as "allconcur" with the overlay and
@@ -143,23 +158,33 @@ type Result struct {
 	sim.Engine
 }
 
-// itemKind tags one news item of an envelope.
-type itemKind uint8
-
-const (
-	itemVal  itemKind = iota // a value forward: Origin proposed Value
-	itemFail                 // a crash certificate: Detector drained Origin→Detector
-)
+// failWord is the Word of a FAIL item; no delivered row is 2³²·64 bits wide.
+const failWord = ^uint32(0)
 
 // item is one unit of flooded news: 12 bytes and no pointer, so the
-// collector neither scans nor clears the outbox arrays that carry the
-// run's Θ(n²·d) item copies. A VAL item carries no value: its origin is a
-// handle into the run's proposal table (reactor.proposals).
+// collector neither scans nor clears the item arrays a flush allocates.
+// A VAL item is one 64-origin block of the sender's delivered row: Word is
+// the block index and Hi:Lo the mask of the origins the sender delivered
+// in that block since its previous flush. Origins are handles into the
+// run's proposal table (reactor.proposals); no value travels. A FAIL item
+// (Word == failWord) certifies that process Hi drained the channel out of
+// crashed process Lo.
 type item struct {
-	Origin   uint32   // VAL: the proposer; FAIL: the crashed process
-	Detector uint32   // FAIL only: the successor certifying the drain
-	Kind     itemKind // itemVal or itemFail
+	Word uint32 // VAL: block index into the delivered row; FAIL: failWord
+	Lo   uint32 // VAL: mask bits 0..31; FAIL: the crashed process
+	Hi   uint32 // VAL: mask bits 32..63; FAIL: the successor certifying the drain
 }
+
+// valItem is the VAL item announcing the origins of mask in block w.
+func valItem(w int, mask uint64) item {
+	return item{Word: uint32(w), Lo: uint32(mask), Hi: uint32(mask >> 32)}
+}
+
+// failItem is the FAIL item certifying FAIL(f, s).
+func failItem(f, s model.ProcID) item { return item{Word: failWord, Lo: uint32(f), Hi: uint32(s)} }
+
+// mask is a VAL item's origin mask.
+func (it item) mask() uint64 { return uint64(it.Hi)<<32 | uint64(it.Lo) }
 
 // envelope is one flushed outbox: a per-link-sequenced batch of news
 // items, its slice shared by the d per-successor sends (never mutated
@@ -215,17 +240,13 @@ type deliveredSet struct {
 // Count returns the number of ids in the set.
 func (s *deliveredSet) Count() int { return s.count }
 
-// Contains reports whether q is in the set.
-func (s *deliveredSet) Contains(q uint32) bool { return s.bits[q>>6]&(1<<(q&63)) != 0 }
-
-// Add inserts q; it reports whether q was absent.
-func (s *deliveredSet) Add(q uint32) bool {
-	if s.Contains(q) {
-		return false
-	}
-	s.bits[q>>6] |= 1 << (q & 63)
-	s.count++
-	return true
+// AddBlock inserts the ids of mask in word w (ids w·64 + bit); it returns
+// the ones that were absent.
+func (s *deliveredSet) AddBlock(w int, mask uint64) uint64 {
+	novel := mask &^ s.bits[w]
+	s.bits[w] |= novel
+	s.count += bits.OnesCount64(novel)
+	return novel
 }
 
 // Digest returns a 64-bit digest of the set's members: a hash of its row,
@@ -324,8 +345,13 @@ type reactor struct {
 	// failCert.walk, and the walk's stack
 	walk  uint64
 	stack []model.ProcID
-	// outbox batching
-	outbox       []item
+	// outbox: the blocks of the delivered row that gained origins since the
+	// last flush (flushed is the row as that flush left it, carved from the
+	// same pooled bitmap; touched lists each block where the two differ, in
+	// first-touch order), and the novel FAIL items pending
+	flushed      []uint64
+	touched      []uint32
+	failsOut     []item
 	flushPending bool
 	flushAt      time.Duration
 	flushDelay   time.Duration
@@ -351,23 +377,29 @@ func (rx *reactor) emitMarkers() {
 }
 
 // crash emits the tombstone markers and halts. The unflushed outbox dies
-// with the process — the exclusion rule soundly counts its items as never
+// with the process — the exclusion rule soundly counts its news as never
 // forwarded.
 func (rx *reactor) crash() bool {
 	rx.emitMarkers()
 	return rx.finish(sim.StatusCrashed, "")
 }
 
-// deliver records origin q's value into the delivered set; it reports
-// whether q was new.
-func (rx *reactor) deliver(q model.ProcID) bool {
-	if !rx.delivered.Add(uint32(q)) {
-		return false
+// deliver records the origins of mask in block w of the delivered row and
+// queues the block for the next flush. Origins already delivered are
+// ignored; the smallest new one is the decision candidate's challenger.
+func (rx *reactor) deliver(w int, mask uint64) {
+	untouched := rx.delivered.bits[w] == rx.flushed[w]
+	first := rx.delivered.Count() == 0
+	novel := rx.delivered.AddBlock(w, mask)
+	if novel == 0 {
+		return
 	}
-	if rx.delivered.Count() == 1 || q < rx.minOrigin {
+	if untouched {
+		rx.touched = append(rx.touched, uint32(w))
+	}
+	if q := model.ProcID(w<<6 + bits.TrailingZeros64(novel)); first || q < rx.minOrigin {
 		rx.minOrigin, rx.minValue = q, rx.proposals[q]
 	}
-	return true
 }
 
 // markFail records FAIL(f, s); it reports whether the certificate is new.
@@ -389,18 +421,15 @@ func (rx *reactor) markFail(f, s model.ProcID) bool {
 	return false // s not a successor of f: malformed, never flooded
 }
 
-// ingestItems folds one envelope's news into the reactor's state.
+// ingestItems folds one envelope's news into the reactor's state. The
+// envelope is ingested whole before complete() looks at anything, so the
+// order of its items carries no meaning.
 func (rx *reactor) ingestItems(items []item) {
 	for _, it := range items {
-		switch it.Kind {
-		case itemVal:
-			if rx.deliver(model.ProcID(it.Origin)) {
-				rx.outbox = append(rx.outbox, it)
-			}
-		case itemFail:
-			if rx.markFail(model.ProcID(it.Origin), model.ProcID(it.Detector)) {
-				rx.outbox = append(rx.outbox, it)
-			}
+		if it.Word != failWord {
+			rx.deliver(int(it.Word), it.mask())
+		} else if rx.markFail(model.ProcID(it.Lo), model.ProcID(it.Hi)) {
+			rx.failsOut = append(rx.failsOut, it)
 		}
 	}
 }
@@ -420,7 +449,7 @@ func (rx *reactor) ingest(from model.ProcID, payload any) {
 		// from's channel to us is drained (FIFO: everything it sent before
 		// the tombstone was processed above this call). Certify it.
 		if rx.markFail(from, rx.id) {
-			rx.outbox = append(rx.outbox, item{Kind: itemFail, Origin: uint32(from), Detector: uint32(rx.id)})
+			rx.failsOut = append(rx.failsOut, failItem(from, rx.id))
 		}
 	}
 }
@@ -480,6 +509,25 @@ func seqOf(payload any) uint32 {
 	panic("allconcur: unknown payload type")
 }
 
+// takeOutbox builds the pending news into one exactly-sized item slice —
+// a VAL item per touched block, holding the block's origins delivered
+// since the last flush, then the FAIL items — and clears the outbox; nil
+// when nothing is pending.
+func (rx *reactor) takeOutbox() []item {
+	if len(rx.touched)+len(rx.failsOut) == 0 {
+		return nil
+	}
+	items := make([]item, 0, len(rx.touched)+len(rx.failsOut))
+	row := rx.delivered.bits
+	for _, w := range rx.touched {
+		items = append(items, valItem(int(w), row[w]&^rx.flushed[w]))
+		rx.flushed[w] = row[w]
+	}
+	items = append(items, rx.failsOut...)
+	rx.touched, rx.failsOut = rx.touched[:0], rx.failsOut[:0]
+	return items
+}
+
 // flushNow sends the outbox as one envelope per successor (shared item
 // slice) and clears it. The handler only enqueues intent: the item batch
 // is boxed ONCE, each per-successor entry rides the network's burst path
@@ -488,11 +536,10 @@ func seqOf(payload any) uint32 {
 // payload pool.
 func (rx *reactor) flushNow() {
 	rx.flushPending = false
-	if len(rx.outbox) == 0 {
+	items := rx.takeOutbox()
+	if items == nil {
 		return
 	}
-	items := rx.outbox
-	rx.outbox = nil
 	var ctx any = items
 	for k, s := range rx.succ {
 		rx.net.BurstSendVia(rx.id, s, envBuilder{}, ctx, uint64(rx.sendSeq[k]))
@@ -584,8 +631,7 @@ func (rx *reactor) React(aborted bool) bool {
 			}
 			rx.h.WakeAfter(rx.crashAt)
 		}
-		rx.deliver(rx.id)
-		rx.outbox = append(rx.outbox, item{Kind: itemVal, Origin: uint32(rx.id)})
+		rx.deliver(int(rx.id>>6), 1<<(rx.id&63))
 		rx.flushNow() // own value leaves immediately, never batched
 	}
 	if rx.victim && rx.h.Now() >= rx.crashAt {
@@ -616,7 +662,7 @@ func (rx *reactor) React(aborted bool) bool {
 	if rx.flushPending && rx.h.Now() >= rx.flushAt {
 		rx.flushNow()
 	}
-	if len(rx.outbox) > 0 && !rx.flushPending {
+	if len(rx.touched)+len(rx.failsOut) > 0 && !rx.flushPending {
 		rx.flushPending = true
 		rx.flushAt = rx.h.Now() + rx.flushDelay
 		rx.h.WakeAfter(rx.flushDelay)
@@ -664,15 +710,17 @@ func Run(cfg Config) (*Result, error) {
 		// protocol needs the victim to emit its markers itself.
 	}
 	newNet := driver.StandardNet(&nw, cfg.N, uint64(cfg.Seed)^0x93d1_4af2_0e67_b85c, &ctr, 0, 0, cfg.NetOptions...)
-	// All reactor hot state comes from four pooled backing arrays (the
+	// All reactor hot state comes from five pooled backing arrays (the
 	// reactors themselves, 2·|E| link sequence counters, |E| reorder-buffer
-	// headers, n delivered rows of n bits) — per-process map and slice
-	// allocations previously dominated setup and resident memory at n≥16k.
+	// headers, n delivered and n flushed rows of n bits, n touched-block
+	// lists of n/64 entries) — per-process map and slice allocations
+	// previously dominated setup and resident memory at n≥16k.
 	rxs := make([]reactor, cfg.N)
 	seqPool := make([]uint32, 2*g.Edges())
 	bufPool := make([][]heldPayload, g.Edges())
 	row := (cfg.N + 63) / 64
-	bitPool := make([]uint64, cfg.N*row)
+	bitPool := make([]uint64, 2*cfg.N*row)
+	touchPool := make([]uint32, cfg.N*row)
 	out, err := driver.RunHandlers(dcfg, cfg.N, newNet, func(i int, h *driver.Handle) driver.Reactor {
 		id := model.ProcID(i)
 		at, victim := crashAt[id]
@@ -698,7 +746,9 @@ func Run(cfg Config) (*Result, error) {
 			sendSeq:    sendSeq,
 			expect:     expect,
 			reorder:    reorder,
-			delivered:  deliveredSet{bits: bitPool[i*row : (i+1)*row : (i+1)*row]},
+			delivered:  deliveredSet{bits: bitPool[2*i*row : (2*i+1)*row : (2*i+1)*row]},
+			flushed:    bitPool[(2*i+1)*row : (2*i+2)*row : (2*i+2)*row],
+			touched:    touchPool[i*row : i*row : (i+1)*row],
 			flushDelay: flushDelay,
 		}
 		return &rxs[i]

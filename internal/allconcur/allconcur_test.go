@@ -259,7 +259,7 @@ func TestViolationsCatchEqualSizedDifferentSets(t *testing.T) {
 	set := func(ids ...uint32) *deliveredSet {
 		s := &deliveredSet{bits: make([]uint64, words)}
 		for _, q := range ids {
-			s.Add(q)
+			s.AddBlock(int(q>>6), 1<<(q&63))
 		}
 		return s
 	}

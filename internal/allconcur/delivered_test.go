@@ -38,8 +38,8 @@ func insertionOrders(n int) map[string][]uint32 {
 }
 
 // TestDeliveredSetAgainstReference drives the bitmap and a map side by
-// side and compares, after every insertion, Add's verdict, Count, Contains
-// and two EachMissing walks — one accepting every gap, one rejecting
+// side and compares, after every single-id insertion, AddBlock's verdict,
+// Count, every bit of the row and two EachMissing walks — one accepting every gap, one rejecting
 // part-way — against the map's gaps in ascending order. n=63/64/65 sit on
 // the word boundary (n=63 and n=65 leave padding bits in the last word,
 // which no walk may visit); the ascending order fills whole words in front
@@ -55,8 +55,8 @@ func TestDeliveredSetAgainstReference(t *testing.T) {
 				set := deliveredSet{bits: make([]uint64, (n+63)/64)}
 				ref := map[uint32]bool{}
 				for step, q := range order {
-					if got, want := set.Add(q), !ref[q]; got != want {
-						t.Fatalf("step %d: Add(%d) = %v, want %v", step, q, got, want)
+					if got, want := set.AddBlock(int(q>>6), 1<<(q&63)) != 0, !ref[q]; got != want {
+						t.Fatalf("step %d: adding %d reports new = %v, want %v", step, q, got, want)
 					}
 					ref[q] = true
 					if set.Count() != len(ref) {
@@ -65,8 +65,8 @@ func TestDeliveredSetAgainstReference(t *testing.T) {
 					var missing []uint32
 					for id := uint32(0); id < uint32(n); id++ {
 						in := ref[id]
-						if set.Contains(id) != in {
-							t.Fatalf("step %d: Contains(%d) = %v, want %v", step, id, !in, in)
+						if set.bits[id>>6]&(1<<(id&63)) != 0 != in {
+							t.Fatalf("step %d: bit %d = %v, want %v", step, id, !in, in)
 						}
 						if !in {
 							missing = append(missing, id)

@@ -32,7 +32,7 @@ func (s *lateVictimStub) React(aborted bool) bool {
 	}
 	if !s.started {
 		s.started = true
-		items := []item{{Kind: itemVal, Origin: 0}}
+		items := []item{valItem(0, 1)}
 		s.net.Send(0, 1, &envelope{Seq: 0, Items: items})
 		s.net.Send(0, 2, &envelope{Seq: 0, Items: items})
 		s.h.WakeAfter(time.Millisecond)
@@ -47,7 +47,7 @@ func (s *lateVictimStub) React(aborted bool) bool {
 			continue
 		}
 		for _, it := range env.Items {
-			if it.Kind == itemFail && it.Origin == 0 {
+			if it.Word == failWord && it.Lo == 0 {
 				*s.sawFail = true
 			}
 		}
@@ -105,6 +105,7 @@ func TestDecidedReactorCertifiesLateMarker(t *testing.T) {
 			expect:     make([]uint32, len(g.Pred(id))),
 			reorder:    make([][]heldPayload, len(g.Pred(id))),
 			delivered:  deliveredSet{bits: make([]uint64, 1)},
+			flushed:    make([]uint64, 1),
 			flushDelay: DefaultFlushDelay,
 		}
 	})
