@@ -37,33 +37,34 @@ func A1Ablations(opts Options) (*Report, error) {
 	// Scenario 1: the E2 majority-crash pattern, full vs closure-ablated.
 	part := model.Fig1Right()
 	crashAt := failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart}
+	sched, err := failures.CrashAllExcept(part.N(), crashAt, 2)
+	if err != nil {
+		return nil, err
+	}
 	for _, variant := range []a1Variant{
 		{name: "full algorithm"},
 		{"closure OFF", "liveness", func(cfg *core.Config) { cfg.AblateClosure = true }},
 	} {
-		decided := 0
-		for trial := 0; trial < opts.Trials; trial++ {
-			sched, err := failures.CrashAllExcept(part.N(), crashAt, 2)
-			if err != nil {
-				return nil, err
-			}
-			out, _, err := variant.run(protocol.Scenario{
+		outs, _, err := variant.trials(opts, func(trial int) protocol.Scenario {
+			return protocol.Scenario{
 				Topology: protocol.Topology{Partition: part},
 				Workload: protocol.Workload{Binary: proposalsFor("unanimous1", part.N(), nil)},
 				Faults:   sched,
 				Seed:     opts.SeedBase + int64(trial)*101,
 				Bounds:   protocol.Bounds{MaxRounds: 1000},
-			})
-			if err != nil {
-				return nil, fmt.Errorf("harness: A1 trial %d: %w", trial, err)
 			}
+		})
+		if err != nil {
+			return nil, err
+		}
+		decided := 0
+		for _, out := range outs {
 			if _, _, ok := out.Decided(); ok {
 				decided++
 			}
 		}
-		decidedPct := 100 * float64(decided) / float64(opts.Trials)
-		tb.AddRowf(variant.name, "majority crash (6/7)", decidedPct, 0.0)
-		rep.Findings[variant.name+"/majority_crash_decided_pct"] = decidedPct
+		tb.AddRowf(variant.name, "majority crash (6/7)", pct(decided, opts.Trials), 0.0)
+		rep.Findings[variant.name+"/majority_crash_decided_pct"] = pct(decided, opts.Trials)
 	}
 
 	// Scenario 2: split proposals inside a cluster, full vs
@@ -78,34 +79,29 @@ func A1Ablations(opts Options) (*Report, error) {
 		{name: "full algorithm"},
 		{"cluster consensus OFF", "cluster-uniformity", func(cfg *core.Config) { cfg.AblateClusterConsensus = true }},
 	} {
-		violations := 0
-		decided := 0
-		for trial := 0; trial < opts.Trials; trial++ {
-			out, broke, err := variant.run(protocol.Scenario{
+		outs, broke, err := variant.trials(opts, func(trial int) protocol.Scenario {
+			return protocol.Scenario{
 				Topology: protocol.Topology{Partition: leftPart},
 				Workload: protocol.Workload{Binary: split},
 				Seed:     opts.SeedBase + int64(trial)*211,
 				Bounds:   protocol.Bounds{MaxRounds: 200},
 				Trace:    trace.New(),
-			})
-			if errors.Is(err, core.ErrInvariantBroken) && variant.ablate != nil {
-				violations++ // the corrupted accounting collapsed
-				continue
 			}
-			if err != nil {
-				return nil, fmt.Errorf("harness: A1 trial %d: %w", trial, err)
-			}
-			if broke {
+		})
+		if err != nil {
+			return nil, err
+		}
+		violations, decided := 0, 0
+		for trial, out := range outs {
+			if broke[trial] {
 				violations++
 			}
-			if out.AllLiveDecided() {
+			if out != nil && out.AllLiveDecided() {
 				decided++
 			}
 		}
-		violPct := 100 * float64(violations) / float64(opts.Trials)
-		decidedPct := 100 * float64(decided) / float64(opts.Trials)
-		tb.AddRowf(variant.name, "split inside cluster", decidedPct, violPct)
-		rep.Findings[variant.name+"/uniformity_violations_pct"] = violPct
+		tb.AddRowf(variant.name, "split inside cluster", pct(decided, opts.Trials), pct(violations, opts.Trials))
+		rep.Findings[variant.name+"/uniformity_violations_pct"] = pct(violations, opts.Trials)
 	}
 	tb.AddNote("%d trials per row; violations are detected over full event traces", opts.Trials)
 	rep.Table = tb
@@ -118,6 +114,29 @@ type a1Variant struct {
 	name    string
 	givesUp string             // the one property the variant may break; "" for the full algorithm
 	ablate  func(*core.Config) // nil for the full algorithm
+}
+
+// trials builds one scenario per trial, runs each on the harness pool (run,
+// below) and returns the outcomes and broken-property flags in trial order.
+// A trial whose cluster consensus was ablated may collapse its rec-set
+// accounting (core.ErrInvariantBroken): it counts as broken, with a nil
+// Outcome.
+func (v a1Variant) trials(opts Options, build func(trial int) protocol.Scenario) ([]*protocol.Outcome, []bool, error) {
+	scs := trialScenarios(opts.Trials, build)
+	outs, broke := make([]*protocol.Outcome, len(scs)), make([]bool, len(scs))
+	err := forEachParallel(opts.Parallelism, len(scs), func(trial int) error {
+		out, b, err := v.run(scs[trial])
+		if errors.Is(err, core.ErrInvariantBroken) && v.givesUp == "cluster-uniformity" {
+			broke[trial] = true
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("harness: A1 trial %d: %w", trial, err)
+		}
+		outs[trial], broke[trial] = out, b
+		return nil
+	})
+	return outs, broke, err
 }
 
 // run executes one local-coin trial of sc on the hybrid protocol's Config,

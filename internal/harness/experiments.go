@@ -80,7 +80,7 @@ func E1Fig1Decompositions(opts Options) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			decidedPct := 100 * float64(sum.decided) / float64(sum.trials)
+			decidedPct := pct(sum.decided, sum.trials)
 			tb.AddRowf(pc.name, algo.String(), decidedPct,
 				meanOr(sum.rounds, 0), p95Or(sum.rounds, 0),
 				meanOr(sum.msgs, 0), meanOr(sum.consInv, 0))
@@ -111,72 +111,50 @@ func E2MajorityCrash(opts Options) (*Report, error) {
 	crashAt := failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart}
 	const n = 7
 	survivor := model.ProcID(2) // p3 ∈ P[2]
+	sched, err := failures.CrashAllExcept(n, crashAt, survivor)
+	if err != nil {
+		return nil, err
+	}
 
 	// Hybrid, both algorithms.
 	part := model.Fig1Right()
 	for _, algo := range []core.Algorithm{core.LocalCoin, core.CommonCoin} {
-		sum, err := runHybridTrials(part, algo, "unanimous1", opts, func(trial int, sc *protocol.Scenario) {
-			sched, err := failures.CrashAllExcept(n, crashAt, survivor)
-			if err != nil {
-				panic(err) // static inputs; cannot fail
-			}
-			sc.Faults = sched
-		})
+		sum, err := runHybridTrials(part, algo, "unanimous1", opts, sched)
 		if err != nil {
 			return nil, err
 		}
-		decidedPct := 100 * float64(sum.decided) / float64(sum.trials)
-		blockedPct := 100 * float64(sum.blocked) / float64(sum.trials)
-		tb.AddRowf("hybrid/"+algo.String(), decidedPct, meanOr(sum.rounds, 0), blockedPct)
+		decidedPct := pct(sum.decided, sum.trials)
+		tb.AddRowf("hybrid/"+algo.String(), decidedPct, meanOr(sum.rounds, 0), pct(sum.blocked, sum.trials))
 		rep.Findings["hybrid/"+algo.String()+"/decided_pct"] = decidedPct
 	}
 
 	// Pure message-passing baselines: same failure pattern (they block by
-	// design).
-	benorDecided, benorBlocked := 0, 0
-	mpDecided, mpBlocked := 0, 0
-	for trial := 0; trial < opts.Trials; trial++ {
-		sched, err := failures.CrashAllExcept(n, crashAt, survivor)
+	// design), same scenarios; only Protocol differs between the two.
+	for _, name := range []string{benor.ProtocolName, mpcoin.ProtocolName} {
+		outs, err := Sweep(trialScenarios(opts.Trials, func(trial int) protocol.Scenario {
+			return protocol.Scenario{
+				Protocol: name,
+				Topology: protocol.Topology{N: n},
+				Workload: protocol.Workload{Binary: proposalsFor("unanimous1", n, nil)},
+				Seed:     opts.SeedBase + int64(trial),
+				Faults:   sched,
+			}
+		}), opts.Parallelism)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("harness: %w", err)
 		}
-		// Same scenario, two message-passing baselines: only Protocol
-		// changes between the two runs.
-		sc := protocol.Scenario{
-			Topology: protocol.Topology{N: n},
-			Workload: protocol.Workload{Binary: proposalsFor("unanimous1", n, nil)},
-			Seed:     opts.SeedBase + int64(trial),
-			Faults:   sched,
+		decided, blocked := 0, 0
+		for _, out := range outs {
+			if _, _, ok := out.Decided(); ok {
+				decided++
+			}
+			if out.CountStatus(sim.StatusBlocked) > 0 {
+				blocked++
+			}
 		}
-		sc.Protocol = benor.ProtocolName
-		bres, err := protocol.Run(sc)
-		if err != nil {
-			return nil, err
-		}
-		if _, _, ok := bres.Decided(); ok {
-			benorDecided++
-		}
-		if bres.CountStatus(sim.StatusBlocked) > 0 {
-			benorBlocked++
-		}
-		sc.Protocol = mpcoin.ProtocolName
-		mres, err := protocol.Run(sc)
-		if err != nil {
-			return nil, err
-		}
-		if _, _, ok := mres.Decided(); ok {
-			mpDecided++
-		}
-		if mres.CountStatus(sim.StatusBlocked) > 0 {
-			mpBlocked++
-		}
+		tb.AddRowf(name+" (m=n)", pct(decided, opts.Trials), 0.0, pct(blocked, opts.Trials))
+		rep.Findings[name+"/decided_pct"] = pct(decided, opts.Trials)
 	}
-	tb.AddRowf("benor (m=n)", 100*float64(benorDecided)/float64(opts.Trials), 0.0,
-		100*float64(benorBlocked)/float64(opts.Trials))
-	tb.AddRowf("mpcoin (m=n)", 100*float64(mpDecided)/float64(opts.Trials), 0.0,
-		100*float64(mpBlocked)/float64(opts.Trials))
-	rep.Findings["benor/decided_pct"] = 100 * float64(benorDecided) / float64(opts.Trials)
-	rep.Findings["mpcoin/decided_pct"] = 100 * float64(mpDecided) / float64(opts.Trials)
 	tb.AddNote("%d trials per row; crash pattern: all but %v at %v", opts.Trials, survivor, crashAt)
 	rep.Table = tb
 	return rep, nil
@@ -244,7 +222,7 @@ func E4RoundsVsClusters(opts Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		decidedPct := 100 * float64(sum.decided) / float64(sum.trials)
+		decidedPct := pct(sum.decided, sum.trials)
 		tb.AddRowf(m, decidedPct, meanOr(sum.rounds, 0), p95Or(sum.rounds, 0),
 			meanOr(sum.msgs, 0), meanOr(sum.consInv, 0))
 		rep.Findings[fmt.Sprintf("m=%d/rounds_mean", m)] = meanOr(sum.rounds, 0)
@@ -277,34 +255,6 @@ func E5ObjectInvocations(opts Options) (*Report, error) {
 		{"fig1-right (m=3)", model.Fig1Right()},
 		{"blocks n=10,m=5", mustBlocks(10, 5)},
 	}
-	for _, pc := range hybrids {
-		out, err := protocol.Run(protocol.Scenario{
-			Protocol:  core.ProtocolName,
-			Topology:  protocol.Topology{Partition: pc.p},
-			Workload:  protocol.Workload{Binary: proposalsFor("unanimous1", pc.p.N(), nil)},
-			Algorithm: core.AlgoLocalCoin,
-			Seed:      opts.SeedBase + 17,
-			Bounds:    protocol.Bounds{MaxRounds: 10},
-		})
-		if err != nil {
-			return nil, err
-		}
-		res := out.Raw.(*sim.Result)
-		rounds := out.MaxDecisionRound()
-		phases := float64(2 * rounds)
-		objsPerPhase := 0.0
-		for _, a := range res.ConsAllocations {
-			objsPerPhase += float64(a)
-		}
-		objsPerPhase /= phases
-		invPerProcPhase := float64(res.Metrics.ConsInvocations) / (float64(pc.p.N()) * phases)
-		tb.AddRowf("hybrid", pc.name, pc.p.N(), objsPerPhase, invPerProcPhase, invPerProcPhase)
-		rep.Findings["hybrid/"+pc.name+"/objects_per_phase"] = objsPerPhase
-		rep.Findings["hybrid/"+pc.name+"/inv_per_proc_phase"] = invPerProcPhase
-	}
-
-	// m&m: same 1-round accounting on the appendix graph and two synthetic
-	// topologies.
 	ring8, err := mm.Ring(8)
 	if err != nil {
 		return nil, err
@@ -321,25 +271,49 @@ func E5ObjectInvocations(opts Options) (*Report, error) {
 		{"ring-8", ring8},
 		{"star-8", star8},
 	}
+	var scs []protocol.Scenario
+	for _, pc := range hybrids {
+		scs = append(scs, protocol.Scenario{
+			Protocol:  core.ProtocolName,
+			Topology:  protocol.Topology{Partition: pc.p},
+			Workload:  protocol.Workload{Binary: proposalsFor("unanimous1", pc.p.N(), nil)},
+			Algorithm: core.AlgoLocalCoin,
+			Seed:      opts.SeedBase + 17,
+			Bounds:    protocol.Bounds{MaxRounds: 10},
+		})
+	}
+	// m&m: same 1-round accounting on the appendix graph and two synthetic
+	// topologies.
 	for _, gc := range mms {
-		out, err := protocol.Run(protocol.Scenario{
+		scs = append(scs, protocol.Scenario{
 			Protocol: mm.ProtocolName,
 			Topology: protocol.Topology{N: gc.g.N(), MMEdges: gc.g.EdgeList()},
 			Workload: protocol.Workload{Binary: proposalsFor("unanimous1", gc.g.N(), nil)},
 			Seed:     opts.SeedBase + 23,
 			Bounds:   protocol.Bounds{MaxRounds: 10},
 		})
-		if err != nil {
-			return nil, err
+	}
+	outs, err := Sweep(scs, opts.Parallelism)
+	if err != nil {
+		return nil, fmt.Errorf("harness: %w", err)
+	}
+	// phases and objects per phase of one run.
+	perPhase := func(out *protocol.Outcome) (phases, objs float64) {
+		phases = float64(2 * out.MaxDecisionRound())
+		for _, a := range out.Raw.(*sim.Result).ConsAllocations {
+			objs += float64(a)
 		}
-		res := out.Raw.(*sim.Result)
-		rounds := out.MaxDecisionRound()
-		phases := float64(2 * rounds)
-		objsPerPhase := 0.0
-		for _, a := range res.ConsAllocations {
-			objsPerPhase += float64(a)
-		}
-		objsPerPhase /= phases
+		return phases, objs / phases
+	}
+	for i, pc := range hybrids {
+		phases, objsPerPhase := perPhase(outs[i])
+		invPerProcPhase := float64(outs[i].Metrics.ConsInvocations) / (float64(pc.p.N()) * phases)
+		tb.AddRowf("hybrid", pc.name, pc.p.N(), objsPerPhase, invPerProcPhase, invPerProcPhase)
+		rep.Findings["hybrid/"+pc.name+"/objects_per_phase"] = objsPerPhase
+		rep.Findings["hybrid/"+pc.name+"/inv_per_proc_phase"] = invPerProcPhase
+	}
+	for i, gc := range mms {
+		_, objsPerPhase := perPhase(outs[len(hybrids)+i])
 		minInv, maxInv := -1.0, -1.0
 		for p := 0; p < gc.g.N(); p++ {
 			inv := float64(gc.g.InvocationsPerPhase(model.ProcID(p)))
@@ -424,60 +398,63 @@ func E7ExtremeConfigs(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	tb.AddRowf("hybrid m=1", 100*float64(sum.decided)/float64(sum.trials),
+	tb.AddRowf("hybrid m=1", pct(sum.decided, sum.trials),
 		meanOr(sum.rounds, 0), meanOr(sum.msgs, 0), meanOr(sum.consInv, 0))
 	rep.Findings["hybrid-m1/rounds_mean"] = meanOr(sum.rounds, 0)
 
-	shDecided := 0
-	var shInv []float64
-	for trial := 0; trial < opts.Trials; trial++ {
-		out, err := protocol.Run(protocol.Scenario{
+	outs, err := Sweep(trialScenarios(opts.Trials, func(int) protocol.Scenario {
+		return protocol.Scenario{
 			Protocol: shconsensus.ProtocolName,
 			Topology: protocol.Topology{N: n},
 			Workload: protocol.Workload{Binary: proposalsFor("split", n, nil)},
-		})
-		if err != nil {
-			return nil, err
 		}
+	}), opts.Parallelism)
+	if err != nil {
+		return nil, fmt.Errorf("harness: %w", err)
+	}
+	shDecided := 0
+	var shInv []float64
+	for _, out := range outs {
 		if out.AllLiveDecided() {
 			shDecided++
 		}
 		shInv = append(shInv, float64(out.Metrics.ConsInvocations))
 	}
-	tb.AddRowf("native shared memory", 100*float64(shDecided)/float64(opts.Trials),
-		1.0, 0.0, meanOr(shInv, 0))
-	rep.Findings["native-sh/decided_pct"] = 100 * float64(shDecided) / float64(opts.Trials)
+	tb.AddRowf("native shared memory", pct(shDecided, opts.Trials), 1.0, 0.0, meanOr(shInv, 0))
+	rep.Findings["native-sh/decided_pct"] = pct(shDecided, opts.Trials)
 
 	// m=n hybrid vs native Ben-Or.
 	sum, err = runHybridTrials(model.Singletons(n), core.LocalCoin, "split", opts, nil)
 	if err != nil {
 		return nil, err
 	}
-	tb.AddRowf("hybrid m=n", 100*float64(sum.decided)/float64(sum.trials),
+	tb.AddRowf("hybrid m=n", pct(sum.decided, sum.trials),
 		meanOr(sum.rounds, 0), meanOr(sum.msgs, 0), meanOr(sum.consInv, 0))
 	rep.Findings["hybrid-mn/rounds_mean"] = meanOr(sum.rounds, 0)
 
-	var bRounds, bMsgs []float64
-	bDecided := 0
 	rng := rand.New(rand.NewPCG(uint64(opts.SeedBase)+77, 3))
-	for trial := 0; trial < opts.Trials; trial++ {
-		out, err := protocol.Run(protocol.Scenario{
+	outs, err = Sweep(trialScenarios(opts.Trials, func(trial int) protocol.Scenario {
+		return protocol.Scenario{
 			Protocol: benor.ProtocolName,
 			Topology: protocol.Topology{N: n},
 			Workload: protocol.Workload{Binary: proposalsFor("split", n, rng)},
 			Seed:     opts.SeedBase + int64(trial)*31,
 			Bounds:   protocol.Bounds{MaxRounds: 10_000},
-		})
-		if err != nil {
-			return nil, err
 		}
+	}), opts.Parallelism)
+	if err != nil {
+		return nil, fmt.Errorf("harness: %w", err)
+	}
+	var bRounds, bMsgs []float64
+	bDecided := 0
+	for _, out := range outs {
 		if out.AllLiveDecided() {
 			bDecided++
 			bRounds = append(bRounds, float64(out.MaxDecisionRound()))
 		}
 		bMsgs = append(bMsgs, float64(out.Metrics.MsgsSent))
 	}
-	tb.AddRowf("native benor", 100*float64(bDecided)/float64(opts.Trials),
+	tb.AddRowf("native benor", pct(bDecided, opts.Trials),
 		meanOr(bRounds, 0), meanOr(bMsgs, 0), 0.0)
 	rep.Findings["native-benor/rounds_mean"] = meanOr(bRounds, 0)
 	tb.AddNote("%d trials per row; split proposals; hybrid m=n uses the cluster machinery Ben-Or omits", opts.Trials)
@@ -510,22 +487,20 @@ func E8Indulgence(opts Options) (*Report, error) {
 		{"singletons-5, 3 dead", model.Singletons(5), []model.ProcID{0, 1, 2}},
 	}
 	for _, tc := range cases {
+		sched := failures.NewSchedule(tc.part.N())
+		for _, p := range tc.crashes {
+			if err := sched.Set(p, failures.Crash{
+				At: failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart},
+			}); err != nil {
+				return nil, err
+			}
+		}
+		if tc.part.LivenessHolds(sched.Crashed()) {
+			return nil, fmt.Errorf("harness: E8 case %q unexpectedly live", tc.name)
+		}
 		for _, algo := range []core.Algorithm{core.LocalCoin, core.CommonCoin} {
-			decidedRuns := 0
-			violations := 0
-			for trial := 0; trial < opts.Trials; trial++ {
-				sched := failures.NewSchedule(tc.part.N())
-				for _, p := range tc.crashes {
-					if err := sched.Set(p, failures.Crash{
-						At: failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart},
-					}); err != nil {
-						return nil, err
-					}
-				}
-				if tc.part.LivenessHolds(sched.Crashed()) {
-					return nil, fmt.Errorf("harness: E8 case %q unexpectedly live", tc.name)
-				}
-				sc := protocol.Scenario{
+			scs := trialScenarios(opts.Trials, func(trial int) protocol.Scenario {
+				return protocol.Scenario{
 					Protocol:  core.ProtocolName,
 					Topology:  protocol.Topology{Partition: tc.part},
 					Workload:  protocol.Workload{Binary: proposalsFor("split", tc.part.N(), nil)},
@@ -533,14 +508,18 @@ func E8Indulgence(opts Options) (*Report, error) {
 					Seed:      opts.SeedBase + int64(trial)*53,
 					Faults:    sched,
 				}
-				out, err := protocol.Run(sc)
-				if err != nil {
-					return nil, err
+			})
+			// A violation is counted, not fatal: this row reports them.
+			outs, errs := SweepCollect(scs, opts.Parallelism)
+			decidedRuns, violations := 0, 0
+			for i, out := range outs {
+				if errs[i] != nil {
+					return nil, fmt.Errorf("harness: E8 %q trial %d: %w", tc.name, i, errs[i])
 				}
 				if _, _, ok := out.Decided(); ok {
 					decidedRuns++
 				}
-				if protocol.Check(sc, out) != nil {
+				if protocol.Check(scs[i], out) != nil {
 					violations++
 				}
 			}

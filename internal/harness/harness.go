@@ -22,6 +22,14 @@
 //	E10, E10D — sparse overlays: msgs/round vs n at fixed degree d, and
 //	     vs d at fixed n (diameter and κ against cost).
 //	A1 — ablations: what closure and cluster consensus buy.
+//
+// Every experiment builds its trial Scenarios up front, in trial order, and
+// runs them on one worker pool: Sweep, which holds each Outcome to
+// protocol.Check and fails on the first violation, or SweepCollect plus
+// Check where a row counts violations (E8). Outcomes are folded in trial
+// order, so findings and tables do not depend on Options.Parallelism. A1's
+// ablations, which no Scenario can express, run core.Run per trial on the
+// same pool and answer to Check as well.
 package harness
 
 import (
@@ -30,6 +38,7 @@ import (
 	"math/rand/v2"
 
 	"allforone/internal/core"
+	"allforone/internal/failures"
 	"allforone/internal/model"
 	"allforone/internal/protocol"
 	"allforone/internal/sim"
@@ -108,34 +117,40 @@ func algoName(algo core.Algorithm) string {
 	return core.AlgoCommonCoin
 }
 
+// trialScenarios builds one scenario per trial, in trial order, so an RNG
+// that build draws from advances exactly as in a serial loop. The caller
+// runs them on the pool (Sweep, or SweepCollect plus Check) and folds the
+// outcomes in the same order, so every result is independent of the pool
+// size.
+func trialScenarios(trials int, build func(trial int) protocol.Scenario) []protocol.Scenario {
+	scs := make([]protocol.Scenario, trials)
+	for trial := range scs {
+		scs[trial] = build(trial)
+	}
+	return scs
+}
+
+// pct renders k of trials as a percentage.
+func pct(k, trials int) float64 { return 100 * float64(k) / float64(trials) }
+
 // runHybridTrials runs `trials` seeded executions of the hybrid algorithm
-// through the Scenario API and aggregates their costs. The scFn hook lets
-// callers adjust the scenario per trial (e.g. attach crash schedules or a
-// network profile).
-//
-// Scenarios are generated sequentially (so the shared proposal RNG stays
-// deterministic) and then executed on the worker pool, which holds every
-// Outcome to protocol.Check; aggregation folds outcomes in trial order, so
-// the summary is identical whatever the parallelism.
+// through Sweep under the crash pattern faults (nil for none) and aggregates
+// their costs.
 func runHybridTrials(part *model.Partition, algo core.Algorithm, mode string, opts Options,
-	scFn func(trial int, sc *protocol.Scenario)) (*trialSummary, error) {
+	faults *failures.Schedule) (*trialSummary, error) {
 	opts = opts.withDefaults()
 	rng := rand.New(rand.NewPCG(uint64(opts.SeedBase)+0x9e37, 0x79b9))
-	scs := make([]protocol.Scenario, opts.Trials)
-	for trial := range scs {
-		scs[trial] = protocol.Scenario{
+	outs, err := Sweep(trialScenarios(opts.Trials, func(trial int) protocol.Scenario {
+		return protocol.Scenario{
 			Protocol:  core.ProtocolName,
 			Topology:  protocol.Topology{Partition: part},
 			Workload:  protocol.Workload{Binary: proposalsFor(mode, part.N(), rng)},
 			Algorithm: algoName(algo),
 			Seed:      opts.SeedBase + int64(trial)*1_000_003,
+			Faults:    faults,
 			Bounds:    protocol.Bounds{MaxRounds: 10_000},
 		}
-		if scFn != nil {
-			scFn(trial, &scs[trial])
-		}
-	}
-	outs, err := Sweep(scs, opts.Parallelism)
+	}), opts.Parallelism)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %w", err)
 	}

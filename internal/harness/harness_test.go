@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -307,6 +308,32 @@ func TestRunDispatchesAll(t *testing.T) {
 			}
 			if out := rep.Table.String(); !strings.Contains(out, id+":") {
 				t.Errorf("table title missing id: %q", out)
+			}
+		})
+	}
+}
+
+// Every experiment builds its trials in trial order and folds their outcomes
+// in trial order, so its findings and rendered table do not depend on the
+// pool size.
+func TestExperimentsParallelismIndependent(t *testing.T) {
+	t.Parallel()
+	for _, id := range ExperimentIDs {
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			var reps [2]*Report
+			for i, workers := range []int{1, 2} {
+				rep, err := Run(id, Options{Trials: 3, SeedBase: 13, Parallelism: workers})
+				if err != nil {
+					t.Fatalf("Run(%s) at parallelism %d: %v", id, workers, err)
+				}
+				reps[i] = rep
+			}
+			if !reflect.DeepEqual(reps[0].Findings, reps[1].Findings) {
+				t.Errorf("findings differ across pool sizes:\n  1: %v\n  2: %v", reps[0].Findings, reps[1].Findings)
+			}
+			if a, b := reps[0].Table.String(), reps[1].Table.String(); a != b {
+				t.Errorf("tables differ across pool sizes:\n%s\n%s", a, b)
 			}
 		})
 	}

@@ -13,6 +13,98 @@ import (
 	"allforone/internal/stats"
 )
 
+// sparseProtocol is one protocol row of E10 and E10D: how to build its
+// crash-free trial at n processes on a de Bruijn overlay of degree d, and
+// how to normalize a run's message bill to msgs/round.
+//
+// Per-protocol round normalization: gossip divides by its round budget
+// (every process ticks R rounds), allconcur is a single logical round
+// (envelopes are its entire bill), and hybrid divides by rounds+1 (the +1
+// is the DECIDE echo broadcast, as in E6).
+type sparseProtocol struct {
+	name  string
+	build func(n, d int) protocol.Scenario
+	norm  func(out *protocol.Outcome) float64
+}
+
+// sparseProtocols are the sparse-overlay family both experiments sweep.
+var sparseProtocols = []sparseProtocol{
+	{
+		name: "gossip",
+		build: func(n, d int) protocol.Scenario {
+			return protocol.Scenario{
+				Protocol: gossip.ProtocolName,
+				Topology: protocol.Topology{N: n, Overlay: &overlay.Spec{Kind: overlay.KindDeBruijn, Degree: d}},
+				Workload: protocol.Workload{Binary: proposalsFor("split", n, nil)},
+			}
+		},
+		norm: func(out *protocol.Outcome) float64 {
+			return float64(out.Metrics.MsgsSent) / float64(out.MaxDecisionRound())
+		},
+	},
+	{
+		name: "allconcur",
+		build: func(n, d int) protocol.Scenario {
+			values := make([]string, n)
+			for i := range values {
+				values[i] = fmt.Sprintf("v%d", i)
+			}
+			return protocol.Scenario{
+				Protocol: allconcur.ProtocolName,
+				Topology: protocol.Topology{N: n, Overlay: &overlay.Spec{Kind: overlay.KindDeBruijn, Degree: d}},
+				Workload: protocol.Workload{Values: values},
+			}
+		},
+		norm: func(out *protocol.Outcome) float64 {
+			return float64(out.Metrics.MsgsSent) // one logical round
+		},
+	},
+}
+
+// denseBaseline is E10's Θ(n²) reference row: the hybrid protocol on n/4
+// clusters, which ignores the overlay degree.
+var denseBaseline = sparseProtocol{
+	name: "hybrid",
+	build: func(n, _ int) protocol.Scenario {
+		return protocol.Scenario{
+			Protocol:  core.ProtocolName,
+			Topology:  protocol.Topology{Partition: mustBlocks(n, n/4)},
+			Workload:  protocol.Workload{Binary: proposalsFor("split", n, nil)},
+			Algorithm: core.AlgoCommonCoin,
+			Bounds:    protocol.Bounds{MaxRounds: 10_000},
+		}
+	},
+	norm: func(out *protocol.Outcome) float64 {
+		// One all-to-all broadcast per round plus the DECIDE echo.
+		return float64(out.Metrics.MsgsSent) / float64(out.MaxDecisionRound()+1)
+	},
+}
+
+// sparseTrials caps the trials of an E10/E10D cell: the sweeps reach n=256
+// where one hybrid trial is ~n² messages per round, and a handful of trials
+// is plenty for a mean of a deterministic-shape quantity.
+func sparseTrials(opts Options) int { return min(opts.Trials, 10) }
+
+// msgsPerRound runs the cell's trials on Sweep under one uniform(0, 200µs)
+// profile, trial t seeded seed0 + 271t, and returns their mean msgs/round.
+// Sweep's Check demands that every crash-free run decide.
+func (pr sparseProtocol) msgsPerRound(n, d int, seed0 int64, trials, parallelism int) (float64, error) {
+	outs, err := Sweep(trialScenarios(trials, func(trial int) protocol.Scenario {
+		sc := pr.build(n, d)
+		sc.Profile = protocol.Uniform(0, 200*time.Microsecond)
+		sc.Seed = seed0 + int64(trial)*271
+		return sc
+	}), parallelism)
+	if err != nil {
+		return 0, fmt.Errorf("harness: %s n=%d d=%d: %w", pr.name, n, d, err)
+	}
+	var cells []float64
+	for _, out := range outs {
+		cells = append(cells, pr.norm(out))
+	}
+	return meanOr(cells, 0), nil
+}
+
 // E10SparseOverlay measures the point of the sparse-overlay family: at a
 // FIXED overlay degree d, the per-round message bill of gossip and
 // allconcur grows linearly in n, while the hybrid model's all-to-all
@@ -20,20 +112,9 @@ import (
 // three protocols under one identical uniform delay profile, and reports
 // each family's msgs/round doubling ratio — ≈ 2 for the sparse protocols
 // against the dense baseline's ≈ 4 (DESIGN.md §13, EXPERIMENTS.md E10).
-//
-// Per-protocol round normalization: gossip divides by its round budget
-// (every process ticks R rounds), allconcur is a single logical round
-// (envelopes are its entire bill), and hybrid divides by rounds+1 (the +1
-// is the DECIDE echo broadcast, as in E6).
 func E10SparseOverlay(opts Options) (*Report, error) {
 	opts = opts.withDefaults()
-	// The sweep reaches n=256 where one hybrid trial is ~n² messages per
-	// round; a handful of trials is plenty for a mean of a deterministic-
-	// shape quantity, so cap the per-cell budget.
-	trials := opts.Trials
-	if trials > 10 {
-		trials = 10
-	}
+	trials := sparseTrials(opts)
 	const degree = 4
 	ns := []int{32, 64, 128, 256}
 
@@ -44,86 +125,13 @@ func E10SparseOverlay(opts Options) (*Report, error) {
 	}
 	tb := stats.NewTable("E10: "+rep.Title,
 		"protocol", "n", "decided%", "msgs/round(mean)")
-
-	protos := []struct {
-		name  string
-		build func(n, trial int) protocol.Scenario
-		norm  func(out *protocol.Outcome) float64
-	}{
-		{
-			name: "gossip",
-			build: func(n, trial int) protocol.Scenario {
-				return protocol.Scenario{
-					Protocol: gossip.ProtocolName,
-					Topology: protocol.Topology{
-						N:       n,
-						Overlay: &overlay.Spec{Kind: overlay.KindDeBruijn, Degree: degree},
-					},
-					Workload: protocol.Workload{Binary: proposalsFor("split", n, nil)},
-				}
-			},
-			norm: func(out *protocol.Outcome) float64 {
-				return float64(out.Metrics.MsgsSent) / float64(out.MaxDecisionRound())
-			},
-		},
-		{
-			name: "allconcur",
-			build: func(n, trial int) protocol.Scenario {
-				values := make([]string, n)
-				for i := range values {
-					values[i] = fmt.Sprintf("v%d", i)
-				}
-				return protocol.Scenario{
-					Protocol: allconcur.ProtocolName,
-					Topology: protocol.Topology{
-						N:       n,
-						Overlay: &overlay.Spec{Kind: overlay.KindDeBruijn, Degree: degree},
-					},
-					Workload: protocol.Workload{Values: values},
-				}
-			},
-			norm: func(out *protocol.Outcome) float64 {
-				return float64(out.Metrics.MsgsSent) // one logical round
-			},
-		},
-		{
-			name: "hybrid",
-			build: func(n, trial int) protocol.Scenario {
-				return protocol.Scenario{
-					Protocol:  core.ProtocolName,
-					Topology:  protocol.Topology{Partition: mustBlocks(n, n/4)},
-					Workload:  protocol.Workload{Binary: proposalsFor("split", n, nil)},
-					Algorithm: core.AlgoCommonCoin,
-					Bounds:    protocol.Bounds{MaxRounds: 10_000},
-				}
-			},
-			norm: func(out *protocol.Outcome) float64 {
-				// One all-to-all broadcast per round plus the DECIDE echo.
-				return float64(out.Metrics.MsgsSent) / float64(out.MaxDecisionRound()+1)
-			},
-		},
-	}
-
-	for _, pr := range protos {
+	for _, pr := range append(sparseProtocols[:len(sparseProtocols):len(sparseProtocols)], denseBaseline) {
 		perRound := make([]float64, 0, len(ns))
 		for _, n := range ns {
-			scs := make([]protocol.Scenario, trials)
-			for trial := range scs {
-				sc := pr.build(n, trial)
-				sc.Profile = protocol.Uniform(0, 200*time.Microsecond)
-				sc.Seed = opts.SeedBase + int64(n)*9001 + int64(trial)*271
-				scs[trial] = sc
-			}
-			outs, err := Sweep(scs, opts.Parallelism)
+			mean, err := pr.msgsPerRound(n, degree, opts.SeedBase+int64(n)*9001, trials, opts.Parallelism)
 			if err != nil {
-				return nil, fmt.Errorf("harness: E10 %s n=%d: %w", pr.name, n, err)
+				return nil, err
 			}
-			// Sweep's Check demands that every crash-free run decide.
-			var cells []float64
-			for _, out := range outs {
-				cells = append(cells, pr.norm(out))
-			}
-			mean := meanOr(cells, 0)
 			perRound = append(perRound, mean)
 			tb.AddRowf(pr.name, n, 100.0, mean)
 			rep.Findings[fmt.Sprintf("%s/n=%d/msgs_per_round", pr.name, n)] = mean
@@ -149,10 +157,7 @@ func E10SparseOverlay(opts Options) (*Report, error) {
 // both sparse protocols on one topology family.
 func E10DegreeSweep(opts Options) (*Report, error) {
 	opts = opts.withDefaults()
-	trials := opts.Trials
-	if trials > 10 {
-		trials = 10
-	}
+	trials := sparseTrials(opts)
 	const sweepN = 256
 
 	rep := &Report{
@@ -162,70 +167,18 @@ func E10DegreeSweep(opts Options) (*Report, error) {
 	}
 	tb := stats.NewTable("E10D: "+rep.Title,
 		"protocol", "d", "D≤", "κ", "msgs/round(mean)")
-
-	protos := []struct {
-		name  string
-		build func(n, trial int) protocol.Scenario
-		norm  func(out *protocol.Outcome) float64
-	}{
-		{
-			name: "gossip",
-			build: func(n, trial int) protocol.Scenario {
-				return protocol.Scenario{
-					Protocol: gossip.ProtocolName,
-					Topology: protocol.Topology{N: n},
-					Workload: protocol.Workload{Binary: proposalsFor("split", n, nil)},
-				}
-			},
-			norm: func(out *protocol.Outcome) float64 {
-				return float64(out.Metrics.MsgsSent) / float64(out.MaxDecisionRound())
-			},
-		},
-		{
-			name: "allconcur",
-			build: func(n, trial int) protocol.Scenario {
-				values := make([]string, n)
-				for i := range values {
-					values[i] = fmt.Sprintf("v%d", i)
-				}
-				return protocol.Scenario{
-					Protocol: allconcur.ProtocolName,
-					Topology: protocol.Topology{N: n},
-					Workload: protocol.Workload{Values: values},
-				}
-			},
-			norm: func(out *protocol.Outcome) float64 {
-				return float64(out.Metrics.MsgsSent) // one logical round
-			},
-		},
-	}
-
 	for _, d := range []int{3, 4, 6, 8, 12} {
-		spec := overlay.Spec{Kind: overlay.KindDeBruijn, Degree: d}
-		g, err := spec.Build(sweepN, 0)
+		g, err := overlay.Spec{Kind: overlay.KindDeBruijn, Degree: d}.Build(sweepN, 0)
 		if err != nil {
 			return nil, fmt.Errorf("harness: E10D d=%d: %w", d, err)
 		}
 		rep.Findings[fmt.Sprintf("sweep/d=%d/diameter_bound", d)] = float64(g.DiameterBound())
 		rep.Findings[fmt.Sprintf("sweep/d=%d/kappa", d)] = float64(g.Kappa())
-		for _, pr := range protos {
-			scs := make([]protocol.Scenario, trials)
-			for trial := range scs {
-				sc := pr.build(sweepN, trial)
-				sc.Topology.Overlay = &overlay.Spec{Kind: overlay.KindDeBruijn, Degree: d}
-				sc.Profile = protocol.Uniform(0, 200*time.Microsecond)
-				sc.Seed = opts.SeedBase + int64(d)*31337 + int64(trial)*271
-				scs[trial] = sc
-			}
-			outs, err := Sweep(scs, opts.Parallelism)
+		for _, pr := range sparseProtocols {
+			mean, err := pr.msgsPerRound(sweepN, d, opts.SeedBase+int64(d)*31337, trials, opts.Parallelism)
 			if err != nil {
-				return nil, fmt.Errorf("harness: E10D %s d=%d: %w", pr.name, d, err)
+				return nil, err
 			}
-			var cells []float64
-			for _, out := range outs {
-				cells = append(cells, pr.norm(out))
-			}
-			mean := meanOr(cells, 0)
 			tb.AddRowf(pr.name, d, g.DiameterBound(), g.Kappa(), mean)
 			rep.Findings[fmt.Sprintf("sweep/%s/d=%d/msgs_per_round", pr.name, d)] = mean
 		}

@@ -17,7 +17,6 @@ package mm
 import (
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"sort"
 
 	"allforone/internal/model"
@@ -133,25 +132,6 @@ func Star(n int) (*Graph, error) {
 	edges := make([][2]int, 0, n-1)
 	for i := 1; i < n; i++ {
 		edges = append(edges, [2]int{0, i})
-	}
-	return NewGraph(n, edges)
-}
-
-// RandomER returns an Erdős–Rényi graph G(n, p) drawn with rng.
-func RandomER(rng *rand.Rand, n int, p float64) (*Graph, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: need at least one process", ErrBadGraph)
-	}
-	if p < 0 || p > 1 {
-		return nil, fmt.Errorf("%w: probability %v out of [0,1]", ErrBadGraph, p)
-	}
-	var edges [][2]int
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if rng.Float64() < p {
-				edges = append(edges, [2]int{i, j})
-			}
-		}
 	}
 	return NewGraph(n, edges)
 }

@@ -2,7 +2,6 @@ package mm
 
 import (
 	"errors"
-	"math/rand/v2"
 	"testing"
 
 	"allforone/internal/model"
@@ -137,31 +136,5 @@ func TestGraphGenerators(t *testing.T) {
 	}
 	if _, err := Star(1); err == nil {
 		t.Error("Star(1) should fail")
-	}
-}
-
-func TestRandomER(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewPCG(5, 6))
-	g, err := RandomER(rng, 20, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxEdges := 20 * 19 / 2
-	if g.Edges() < maxEdges/4 || g.Edges() > 3*maxEdges/4 {
-		t.Errorf("G(20,0.5) edges = %d, expected around %d", g.Edges(), maxEdges/2)
-	}
-	if _, err := RandomER(rng, 5, 1.5); err == nil {
-		t.Error("p=1.5 should fail")
-	}
-	if _, err := RandomER(rng, 0, 0.5); err == nil {
-		t.Error("n=0 should fail")
-	}
-	empty, err := RandomER(rng, 5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if empty.Edges() != 0 {
-		t.Errorf("G(5,0) edges = %d, want 0", empty.Edges())
 	}
 }

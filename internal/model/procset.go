@@ -29,9 +29,6 @@ func NewProcSet(n int) *ProcSet {
 	return &ProcSet{n: n, lo: w, hi: -1, words: make([]uint64, w)}
 }
 
-// Universe returns the size n of the universe the set ranges over.
-func (s *ProcSet) Universe() int { return s.n }
-
 // Add inserts p. Out-of-range ids are ignored so that callers can feed
 // untrusted message contents without a bounds check at every site.
 func (s *ProcSet) Add(p ProcID) {
@@ -113,15 +110,6 @@ func (s *ProcSet) Clone() *ProcSet {
 	c := &ProcSet{n: s.n, cnt: s.cnt, lo: s.lo, hi: s.hi, words: make([]uint64, len(s.words))}
 	copy(c.words, s.words)
 	return c
-}
-
-// Clear removes every member, retaining the universe size.
-func (s *ProcSet) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-	s.cnt = 0
-	s.lo, s.hi = len(s.words), -1
 }
 
 // Members returns the sorted member ids.

@@ -113,19 +113,6 @@ func TestProcSetCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestProcSetClear(t *testing.T) {
-	t.Parallel()
-	a := NewProcSet(70)
-	a.AddAll([]ProcID{0, 69, 33})
-	a.Clear()
-	if got := a.Count(); got != 0 {
-		t.Errorf("Count after Clear = %d, want 0", got)
-	}
-	if a.Universe() != 70 {
-		t.Errorf("Universe after Clear = %d, want 70", a.Universe())
-	}
-}
-
 func TestProcSetMembersSorted(t *testing.T) {
 	t.Parallel()
 	a := NewProcSet(10)

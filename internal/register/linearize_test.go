@@ -9,6 +9,7 @@ import (
 	"allforone/internal/failures"
 	"allforone/internal/model"
 	"allforone/internal/netsim"
+	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
 
@@ -112,11 +113,11 @@ func TestCheckLinearizableInputValidation(t *testing.T) {
 // on the Fig1Left partition.
 func linearizableConfig(seed int64, minDelay, maxDelay time.Duration) Config {
 	part := model.Fig1Left()
-	scripts := make([][]Op, part.N())
-	scripts[0] = []Op{WriteOp("w0-1"), WriteOp("w0-2"), WriteOp("w0-3")}
-	scripts[2] = []Op{ReadOp(), {Kind: OpRead, After: 100 * time.Microsecond}, ReadOp()}
-	scripts[3] = []Op{{Kind: OpWrite, Val: "w3-1", After: 50 * time.Microsecond}, ReadOp()}
-	scripts[5] = []Op{ReadOp(), WriteOp("w5-1"), ReadOp()}
+	scripts := make([][]protocol.RegisterOp, part.N())
+	scripts[0] = []protocol.RegisterOp{protocol.WriteOp("w0-1"), protocol.WriteOp("w0-2"), protocol.WriteOp("w0-3")}
+	scripts[2] = []protocol.RegisterOp{protocol.ReadOp(), {After: 100 * time.Microsecond}, protocol.ReadOp()}
+	scripts[3] = []protocol.RegisterOp{{Write: true, Val: "w3-1", After: 50 * time.Microsecond}, protocol.ReadOp()}
+	scripts[5] = []protocol.RegisterOp{protocol.ReadOp(), protocol.WriteOp("w5-1"), protocol.ReadOp()}
 	return Config{
 		Partition: part,
 		Scripts:   scripts,
@@ -176,13 +177,13 @@ func TestCrashedRunHistoryLinearizable(t *testing.T) {
 			}
 		}
 	}
-	scripts := make([][]Op, part.N())
-	scripts[0] = []Op{WriteOp("early")}
-	scripts[1] = []Op{{Kind: OpWrite, Val: "doomed", After: 400 * time.Microsecond}}
-	scripts[survivor] = []Op{
-		{Kind: OpRead, After: time.Millisecond},
-		WriteOp("after-crash"),
-		ReadOp(),
+	scripts := make([][]protocol.RegisterOp, part.N())
+	scripts[0] = []protocol.RegisterOp{protocol.WriteOp("early")}
+	scripts[1] = []protocol.RegisterOp{{Write: true, Val: "doomed", After: 400 * time.Microsecond}}
+	scripts[survivor] = []protocol.RegisterOp{
+		{After: time.Millisecond},
+		protocol.WriteOp("after-crash"),
+		protocol.ReadOp(),
 	}
 	res, err := Run(Config{
 		Partition: part,

@@ -21,11 +21,11 @@ func replayConfig(t *testing.T, seed int64) Config {
 	if err := sched.SetTimed(6, 3*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	scripts := make([][]Op, part.N())
-	scripts[0] = []Op{WriteOp("w0-a"), WriteOp("w0-b")}
-	scripts[3] = []Op{WriteOp("w3-a"), ReadOp()}
-	scripts[4] = []Op{{Kind: OpRead, After: time.Millisecond}, ReadOp()}
-	scripts[6] = []Op{{Kind: OpWrite, Val: "late", After: 10 * time.Millisecond}} // dies first
+	scripts := make([][]protocol.RegisterOp, part.N())
+	scripts[0] = []protocol.RegisterOp{protocol.WriteOp("w0-a"), protocol.WriteOp("w0-b")}
+	scripts[3] = []protocol.RegisterOp{protocol.WriteOp("w3-a"), protocol.ReadOp()}
+	scripts[4] = []protocol.RegisterOp{{After: time.Millisecond}, protocol.ReadOp()}
+	scripts[6] = []protocol.RegisterOp{{Write: true, Val: "late", After: 10 * time.Millisecond}} // dies first
 	return Config{
 		Partition: part,
 		Scripts:   scripts,
@@ -110,12 +110,12 @@ func TestScriptedMajorityCrashSurvivorOperates(t *testing.T) {
 			}
 		}
 	}
-	scripts := make([][]Op, part.N())
-	scripts[1] = []Op{WriteOp("pre-crash")}
-	scripts[survivor] = []Op{
-		{Kind: OpRead, After: 2 * time.Millisecond},
-		WriteOp("post-crash"),
-		ReadOp(),
+	scripts := make([][]protocol.RegisterOp, part.N())
+	scripts[1] = []protocol.RegisterOp{protocol.WriteOp("pre-crash")}
+	scripts[survivor] = []protocol.RegisterOp{
+		{After: 2 * time.Millisecond},
+		protocol.WriteOp("post-crash"),
+		protocol.ReadOp(),
 	}
 	res, err := Run(Config{Setup: sim.Setup{Seed: 6, Crashes: sched}, Partition: part, Scripts: scripts})
 	if err != nil {
@@ -145,8 +145,8 @@ func TestSingletonMajorityCrashBlocks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	scripts := make([][]Op, 5)
-	scripts[4] = []Op{{Kind: OpWrite, Val: "x", After: time.Millisecond}}
+	scripts := make([][]protocol.RegisterOp, 5)
+	scripts[4] = []protocol.RegisterOp{{Write: true, Val: "x", After: time.Millisecond}}
 	start := time.Now()
 	res, err := Run(Config{Setup: sim.Setup{Seed: 7, Crashes: sched}, Partition: part, Scripts: scripts})
 	if err != nil {
@@ -173,7 +173,7 @@ func TestStepPlanDoesNotShrinkLiveSet(t *testing.T) {
 	if err := sched.Set(0, failures.Crash{At: failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart}}); err != nil {
 		t.Fatal(err)
 	}
-	scripts := [][]Op{{{Kind: OpWrite, Val: "a", After: time.Millisecond}}, {ReadOp()}, {ReadOp()}}
+	scripts := [][]protocol.RegisterOp{{{Write: true, Val: "a", After: time.Millisecond}}, {protocol.ReadOp()}, {protocol.ReadOp()}}
 	res, err := Run(Config{Setup: sim.Setup{Seed: 1, Crashes: sched}, Partition: model.Singletons(3), Scripts: scripts})
 	if err != nil {
 		t.Fatal(err)
@@ -191,12 +191,12 @@ func TestScriptValidation(t *testing.T) {
 	if _, err := Run(Config{}); err == nil {
 		t.Error("nil partition accepted")
 	}
-	if _, err := Run(Config{Partition: model.Singletons(2), Scripts: make([][]Op, 1)}); err == nil {
+	if _, err := Run(Config{Partition: model.Singletons(2), Scripts: make([][]protocol.RegisterOp, 1)}); err == nil {
 		t.Error("short scripts accepted")
 	}
-	bad := make([][]Op, 2)
-	bad[0] = []Op{{Kind: OpKind(9)}}
+	bad := make([][]protocol.RegisterOp, 2)
+	bad[0] = []protocol.RegisterOp{{After: -time.Millisecond}}
 	if _, err := Run(Config{Partition: model.Singletons(2), Scripts: bad}); err == nil {
-		t.Error("bad op kind accepted")
+		t.Error("negative After accepted")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"allforone/internal/metrics"
 	"allforone/internal/model"
 	"allforone/internal/netsim"
+	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
 
@@ -39,23 +40,13 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("OpKind(%d)", int(k))
 }
 
-// Op is one scripted register operation.
-type Op struct {
-	// Kind is OpWrite or OpRead.
-	Kind OpKind
-	// Val is the value to write (OpWrite only).
-	Val string
-	// After delays the start of the operation relative to the end of the
-	// previous one, in virtual time (free). It is how scripts order
-	// operations across processes (e.g. "read after the others crashed").
-	After time.Duration
+// kindOf returns the kind of a scripted operation.
+func kindOf(op protocol.RegisterOp) OpKind {
+	if op.Write {
+		return OpWrite
+	}
+	return OpRead
 }
-
-// WriteOp returns a write operation.
-func WriteOp(val string) Op { return Op{Kind: OpWrite, Val: val} }
-
-// ReadOp returns a read operation.
-func ReadOp() Op { return Op{Kind: OpRead} }
 
 // OpResult is the outcome of one scripted operation.
 type OpResult struct {
@@ -100,7 +91,7 @@ type Config struct {
 	Partition *model.Partition
 	// Scripts holds each process's operation sequence (required, length n;
 	// empty scripts are fine — such processes only serve).
-	Scripts [][]Op
+	Scripts [][]protocol.RegisterOp
 	// Setup is the run's seed, crash pattern, bounds and delay policy. The
 	// crash pattern's timed crashes (failures.Schedule.SetTimed) stop the
 	// victim operating and serving at the instant; step-point crash plans
@@ -146,7 +137,7 @@ type client struct {
 	net    *netsim.Network
 	cells  []tagged // one per cluster, shared by its members
 	h      *driver.Handle
-	script []Op
+	script []protocol.RegisterOp
 	seq    int64
 
 	doneFrom *model.ProcSet // processes whose scripts finished
@@ -298,7 +289,7 @@ func (c *client) collected() bool {
 	op := c.script[c.op]
 	if c.stage == querying {
 		pair := c.best
-		if op.Kind == OpWrite {
+		if op.Write {
 			pair = tagged{TS: Timestamp{Counter: c.best.TS.Counter + 1, Writer: c.id}, Val: op.Val}
 		}
 		c.stage = updating
@@ -308,10 +299,10 @@ func (c *client) collected() bool {
 		return false
 	}
 	val := op.Val
-	if op.Kind == OpRead {
+	if !op.Write {
 		val = c.best.Val
 	}
-	c.ops = append(c.ops, OpResult{Kind: op.Kind, Val: val, OK: true, Start: c.start, End: c.h.Now()})
+	c.ops = append(c.ops, OpResult{Kind: kindOf(op), Val: val, OK: true, Start: c.start, End: c.h.Now()})
 	c.op++
 	return c.nextOp()
 }
@@ -338,7 +329,7 @@ func (c *client) fail(start time.Duration) {
 		c.status = sim.StatusBlocked
 	}
 	op := c.script[c.op]
-	c.ops = append(c.ops, OpResult{Kind: op.Kind, Val: op.Val, OK: false, Start: start, End: c.h.Now()})
+	c.ops = append(c.ops, OpResult{Kind: kindOf(op), Val: op.Val, OK: false, Start: start, End: c.h.Now()})
 }
 
 // allLiveDone reports whether every live process announced script
@@ -364,9 +355,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	for i, script := range cfg.Scripts {
 		for j, op := range script {
-			if op.Kind != OpWrite && op.Kind != OpRead {
-				return nil, fmt.Errorf("%w: script %d op %d has kind %d", ErrBadConfig, i, j, int(op.Kind))
-			}
 			if op.After < 0 {
 				return nil, fmt.Errorf("%w: script %d op %d has negative After", ErrBadConfig, i, j)
 			}

@@ -30,22 +30,10 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	scripts := make([][]Op, len(sc.Workload.Scripts))
-	for i, script := range sc.Workload.Scripts {
-		ops := make([]Op, len(script))
-		for j, op := range script {
-			kind := OpRead
-			if op.Write {
-				kind = OpWrite
-			}
-			ops[j] = Op{Kind: kind, Val: op.Val, After: op.After}
-		}
-		scripts[i] = ops
-	}
 	res, err := Run(Config{
 		Setup:     setup,
 		Partition: sc.Topology.Partition,
-		Scripts:   scripts,
+		Scripts:   sc.Workload.Scripts,
 	})
 	if err != nil {
 		return nil, err

@@ -122,36 +122,3 @@ func Ints[T ~int | ~int32 | ~int64](xs []T) []float64 {
 	}
 	return out
 }
-
-// Histogram counts sample values into equal-width bins spanning [min, max].
-// Values on a boundary fall into the higher bin; the maximum falls into the
-// last bin.
-func Histogram(xs []float64, bins int) (edges []float64, counts []int, err error) {
-	if len(xs) == 0 {
-		return nil, nil, ErrEmptySample
-	}
-	if bins < 1 {
-		return nil, nil, errors.New("stats: need at least one bin")
-	}
-	min, max, _ := MinMax(xs)
-	if min == max {
-		max = min + 1
-	}
-	width := (max - min) / float64(bins)
-	edges = make([]float64, bins+1)
-	for i := range edges {
-		edges[i] = min + float64(i)*width
-	}
-	counts = make([]int, bins)
-	for _, x := range xs {
-		idx := int((x - min) / width)
-		if idx >= bins {
-			idx = bins - 1
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		counts[idx]++
-	}
-	return edges, counts, nil
-}

@@ -124,42 +124,6 @@ func TestInts(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	t.Parallel()
-	edges, counts, err := Histogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(edges) != 6 || len(counts) != 5 {
-		t.Fatalf("edges=%v counts=%v", edges, counts)
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 10 {
-		t.Errorf("histogram total = %d, want 10", total)
-	}
-	if _, _, err := Histogram(nil, 3); !errors.Is(err, ErrEmptySample) {
-		t.Errorf("Histogram(nil) error = %v", err)
-	}
-	if _, _, err := Histogram([]float64{1}, 0); err == nil {
-		t.Error("Histogram with 0 bins should fail")
-	}
-	// Degenerate: all-equal sample must not divide by zero.
-	_, counts, err = Histogram([]float64{4, 4, 4}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total = 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 3 {
-		t.Errorf("degenerate histogram total = %d, want 3", total)
-	}
-}
-
 // Property: mean lies within [min, max]; percentiles are monotone in p.
 func TestStatisticsProperties(t *testing.T) {
 	t.Parallel()

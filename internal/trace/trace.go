@@ -118,17 +118,6 @@ func (l *Log) Len() int {
 	return len(l.events)
 }
 
-// Filter returns the events matching kind, in order.
-func (l *Log) Filter(kind Kind) []Event {
-	var out []Event
-	for _, e := range l.Events() {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // CheckClusterUniformity verifies that within every (cluster, round, phase),
 // all broadcast events carry the same value — the invariant enforced by the
 // intra-cluster consensus objects that justifies the one-for-all message

@@ -68,20 +68,6 @@ func TestConcurrentAppend(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	t.Parallel()
-	l := New()
-	l.Append(0, KindPropose, 0, 0, model.One)
-	l.Append(0, KindDecide, 1, 2, model.One)
-	l.Append(1, KindDecide, 1, 2, model.One)
-	if got := len(l.Filter(KindDecide)); got != 2 {
-		t.Errorf("Filter(decide) = %d events, want 2", got)
-	}
-	if got := len(l.Filter(KindCrash)); got != 0 {
-		t.Errorf("Filter(crash) = %d events, want 0", got)
-	}
-}
-
 func TestCheckClusterUniformity(t *testing.T) {
 	t.Parallel()
 	part := model.Fig1Left() // P[1]={p1,p2,p3}
