@@ -77,9 +77,7 @@ func E9ExtensionStack(opts Options) (*Report, error) {
 	}
 	scripts := make([][]protocol.RegisterOp, part.N())
 	scripts[1] = []protocol.RegisterOp{protocol.WriteOp("pre")}
-	read := protocol.ReadOp()
-	read.After = 2 * time.Millisecond
-	scripts[survivor] = []protocol.RegisterOp{read, protocol.WriteOp("post"), protocol.ReadOp()}
+	scripts[survivor] = []protocol.RegisterOp{{After: 2 * time.Millisecond}, protocol.WriteOp("post"), protocol.ReadOp()}
 	outs, err = Sweep(trialScenarios(opts.Trials, func(trial int) protocol.Scenario {
 		return protocol.Scenario{
 			Protocol: register.ProtocolName,

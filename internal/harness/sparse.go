@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"allforone/internal/allconcur"
@@ -125,7 +126,7 @@ func E10SparseOverlay(opts Options) (*Report, error) {
 	}
 	tb := stats.NewTable("E10: "+rep.Title,
 		"protocol", "n", "decided%", "msgs/round(mean)")
-	for _, pr := range append(sparseProtocols[:len(sparseProtocols):len(sparseProtocols)], denseBaseline) {
+	for _, pr := range append(slices.Clip(sparseProtocols), denseBaseline) {
 		perRound := make([]float64, 0, len(ns))
 		for _, n := range ns {
 			mean, err := pr.msgsPerRound(n, degree, opts.SeedBase+int64(n)*9001, trials, opts.Parallelism)
