@@ -78,7 +78,9 @@
 // to 64 copies, a popcount for the count and a trailing-zero count for
 // the decision candidate. The outbox is the list of blocks touched since
 // the last flush (a second "flushed" row per process, n²/8 bytes more,
-// tells which of their bits are new) plus the pending FAIL items; a flush
+// tells which of their bits are new; it is interleaved word by word with
+// the delivered row, so the first test of a block reads one cache line)
+// plus the pending FAIL items; a flush
 // builds it into one exactly-sized 12-byte-item slice, VAL blocks first.
 // Items hold no pointer and no value: an origin is a handle into the
 // run's read-only proposal table, read when the decision candidate
@@ -230,11 +232,18 @@ type marker struct {
 // the run-wide bitmap (Run carves the rows from one backing array): n²/8
 // bytes in all — 32 MiB at n=16 384, where a per-origin bool slice cost
 // 256 MB — and every one of the Θ(n²·d) dedupe verdicts of a run is a
-// single word test.
+// single word test. Each word of the row sits beside the same word as the
+// reactor's last flush left it (block), which the outbox compares it with.
 type deliveredSet struct {
-	bits  []uint64
-	count int
-	low   int // first-missing watermark: every word before bits[low] is full
+	blocks []block
+	count  int
+	low    int // first-missing watermark: every word before blocks[low] is full
+}
+
+// block is one 64-origin word of a delivered row (block w: origins w·64 …
+// w·64+63) and that word as the last flush left it.
+type block struct {
+	got, flushed uint64
 }
 
 // Count returns the number of ids in the set.
@@ -243,8 +252,8 @@ func (s *deliveredSet) Count() int { return s.count }
 // AddBlock inserts the ids of mask in word w (ids w·64 + bit); it returns
 // the ones that were absent.
 func (s *deliveredSet) AddBlock(w int, mask uint64) uint64 {
-	novel := mask &^ s.bits[w]
-	s.bits[w] |= novel
+	novel := mask &^ s.blocks[w].got
+	s.blocks[w].got |= novel
 	s.count += bits.OnesCount64(novel)
 	return novel
 }
@@ -253,9 +262,9 @@ func (s *deliveredSet) AddBlock(w int, mask uint64) uint64 {
 // so it depends on which ids the set holds, not on the order they arrived
 // in. It costs one pass over the n/64 words of the row.
 func (s *deliveredSet) Digest() uint64 {
-	h := uint64(len(s.bits))
-	for _, w := range s.bits {
-		h ^= w
+	h := uint64(len(s.blocks))
+	for _, b := range s.blocks {
+		h ^= b.got
 		h *= 0x9e3779b97f4a7c15
 		h ^= h >> 29
 	}
@@ -268,11 +277,11 @@ func (s *deliveredSet) Digest() uint64 {
 // front are skipped for good (the watermark) and a call costs what is
 // still missing, not n.
 func (s *deliveredSet) EachMissing(n uint32, fn func(uint32) bool) bool {
-	for s.low < len(s.bits) && s.bits[s.low] == ^uint64(0) {
+	for s.low < len(s.blocks) && s.blocks[s.low].got == ^uint64(0) {
 		s.low++
 	}
-	for w := s.low; w < len(s.bits); w++ {
-		for gaps := ^s.bits[w]; gaps != 0; gaps &= gaps - 1 {
+	for w := s.low; w < len(s.blocks); w++ {
+		for gaps := ^s.blocks[w].got; gaps != 0; gaps &= gaps - 1 {
 			q := uint32(w<<6 + bits.TrailingZeros64(gaps))
 			if q >= n {
 				return true // padding of the last word
@@ -346,10 +355,8 @@ type reactor struct {
 	walk  uint64
 	stack []model.ProcID
 	// outbox: the blocks of the delivered row that gained origins since the
-	// last flush (flushed is the row as that flush left it, carved from the
-	// same pooled bitmap; touched lists each block where the two differ, in
+	// last flush (touched lists each block whose two words differ, in
 	// first-touch order), and the novel FAIL items pending
-	flushed      []uint64
 	touched      []uint32
 	failsOut     []item
 	flushPending bool
@@ -388,7 +395,8 @@ func (rx *reactor) crash() bool {
 // queues the block for the next flush. Origins already delivered are
 // ignored; the smallest new one is the decision candidate's challenger.
 func (rx *reactor) deliver(w int, mask uint64) {
-	untouched := rx.delivered.bits[w] == rx.flushed[w]
+	b := rx.delivered.blocks[w]
+	untouched := b.got == b.flushed
 	first := rx.delivered.Count() == 0
 	novel := rx.delivered.AddBlock(w, mask)
 	if novel == 0 {
@@ -518,10 +526,11 @@ func (rx *reactor) takeOutbox() []item {
 		return nil
 	}
 	items := make([]item, 0, len(rx.touched)+len(rx.failsOut))
-	row := rx.delivered.bits
+	row := rx.delivered.blocks
 	for _, w := range rx.touched {
-		items = append(items, valItem(int(w), row[w]&^rx.flushed[w]))
-		rx.flushed[w] = row[w]
+		b := &row[w]
+		items = append(items, valItem(int(w), b.got&^b.flushed))
+		b.flushed = b.got
 	}
 	items = append(items, rx.failsOut...)
 	rx.touched, rx.failsOut = rx.touched[:0], rx.failsOut[:0]
@@ -712,14 +721,14 @@ func Run(cfg Config) (*Result, error) {
 	newNet := driver.StandardNet(&nw, cfg.N, uint64(cfg.Seed)^0x93d1_4af2_0e67_b85c, &ctr, 0, 0, cfg.NetOptions...)
 	// All reactor hot state comes from five pooled backing arrays (the
 	// reactors themselves, 2·|E| link sequence counters, |E| reorder-buffer
-	// headers, n delivered and n flushed rows of n bits, n touched-block
-	// lists of n/64 entries) — per-process map and slice allocations
+	// headers, n delivered rows of n bits with their flushed words, n
+	// touched-block lists of n/64 entries) — per-process map and slice allocations
 	// previously dominated setup and resident memory at n≥16k.
 	rxs := make([]reactor, cfg.N)
 	seqPool := make([]uint32, 2*g.Edges())
 	bufPool := make([][]heldPayload, g.Edges())
 	row := (cfg.N + 63) / 64
-	bitPool := make([]uint64, 2*cfg.N*row)
+	blockPool := make([]block, cfg.N*row)
 	touchPool := make([]uint32, cfg.N*row)
 	out, err := driver.RunHandlers(dcfg, cfg.N, newNet, func(i int, h *driver.Handle) driver.Reactor {
 		id := model.ProcID(i)
@@ -746,8 +755,7 @@ func Run(cfg Config) (*Result, error) {
 			sendSeq:    sendSeq,
 			expect:     expect,
 			reorder:    reorder,
-			delivered:  deliveredSet{bits: bitPool[2*i*row : (2*i+1)*row : (2*i+1)*row]},
-			flushed:    bitPool[(2*i+1)*row : (2*i+2)*row : (2*i+2)*row],
+			delivered:  deliveredSet{blocks: blockPool[i*row : (i+1)*row : (i+1)*row]},
 			touched:    touchPool[i*row : i*row : (i+1)*row],
 			flushDelay: flushDelay,
 		}

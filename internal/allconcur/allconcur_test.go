@@ -257,7 +257,7 @@ func TestViolationsCatchEqualSizedDifferentSets(t *testing.T) {
 	t.Parallel()
 	const words = 3 // a row of n = 130 ids
 	set := func(ids ...uint32) *deliveredSet {
-		s := &deliveredSet{bits: make([]uint64, words)}
+		s := &deliveredSet{blocks: make([]block, words)}
 		for _, q := range ids {
 			s.AddBlock(int(q>>6), 1<<(q&63))
 		}

@@ -52,7 +52,7 @@ func TestDeliveredSetAgainstReference(t *testing.T) {
 	for _, n := range sizes {
 		for name, order := range insertionOrders(n) {
 			t.Run(fmt.Sprintf("n=%d/%s", n, name), func(t *testing.T) {
-				set := deliveredSet{bits: make([]uint64, (n+63)/64)}
+				set := deliveredSet{blocks: make([]block, (n+63)/64)}
 				ref := map[uint32]bool{}
 				for step, q := range order {
 					if got, want := set.AddBlock(int(q>>6), 1<<(q&63)) != 0, !ref[q]; got != want {
@@ -65,7 +65,7 @@ func TestDeliveredSetAgainstReference(t *testing.T) {
 					var missing []uint32
 					for id := uint32(0); id < uint32(n); id++ {
 						in := ref[id]
-						if set.bits[id>>6]&(1<<(id&63)) != 0 != in {
+						if set.blocks[id>>6].got&(1<<(id&63)) != 0 != in {
 							t.Fatalf("step %d: bit %d = %v, want %v", step, id, !in, in)
 						}
 						if !in {

@@ -63,14 +63,14 @@ func BenchmarkIngestItems(b *testing.B) {
 		envelopes = append(envelopes, packBlocks(copies[lo:min(lo+perEnvelope, len(copies))]))
 	}
 
-	rows := make([]uint64, 2*n/64)
+	rows := make([]block, n/64)
 	touched := make([]uint32, 0, n/64)
 	values := proposals(n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clear(rows)
-		rx := reactor{g: g, proposals: values, delivered: deliveredSet{bits: rows[:n/64]}, flushed: rows[n/64:], touched: touched}
+		rx := reactor{g: g, proposals: values, delivered: deliveredSet{blocks: rows}, touched: touched}
 		for env, items := range envelopes {
 			rx.ingestItems(items)
 			if env%perFlush == perFlush-1 {

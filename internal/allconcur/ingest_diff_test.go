@@ -252,7 +252,7 @@ func replayAgainstReference(t *testing.T, g *overlay.Graph, self model.ProcID, e
 	t.Helper()
 	n, words := g.N(), (g.N()+63)/64
 	rx := &reactor{id: self, g: g, proposals: proposals(n),
-		delivered: deliveredSet{bits: make([]uint64, words)}, flushed: make([]uint64, words)}
+		delivered: deliveredSet{blocks: make([]block, words)}}
 	ref := newRefIngest(g)
 	// The reactor's first invocation: its own value, flushed at once.
 	rx.deliver(int(self>>6), 1<<(self&63))
@@ -293,8 +293,12 @@ func checkState(t *testing.T, where string, rx *reactor, ref *refIngest) {
 	for q := range ref.delivered {
 		row[q>>6] |= 1 << (q & 63)
 	}
-	if !slices.Equal(rx.delivered.bits, row) {
-		t.Fatalf("%s: delivered row %x, want %x", where, rx.delivered.bits, row)
+	got := make([]uint64, len(rx.delivered.blocks))
+	for w, b := range rx.delivered.blocks {
+		got[w] = b.got
+	}
+	if !slices.Equal(got, row) {
+		t.Fatalf("%s: delivered row %x, want %x", where, got, row)
 	}
 	if rx.delivered.Count() != len(ref.delivered) {
 		t.Fatalf("%s: Count = %d, want %d", where, rx.delivered.Count(), len(ref.delivered))

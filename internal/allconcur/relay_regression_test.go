@@ -104,8 +104,7 @@ func TestDecidedReactorCertifiesLateMarker(t *testing.T) {
 			sendSeq:    make([]uint32, len(g.Succ(id))),
 			expect:     make([]uint32, len(g.Pred(id))),
 			reorder:    make([][]heldPayload, len(g.Pred(id))),
-			delivered:  deliveredSet{bits: make([]uint64, 1)},
-			flushed:    make([]uint64, 1),
+			delivered:  deliveredSet{blocks: make([]block, 1)},
 			flushDelay: DefaultFlushDelay,
 		}
 	})

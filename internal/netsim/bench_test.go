@@ -77,7 +77,7 @@ func BenchmarkFanoutLifecycle(b *testing.B) {
 					var payload any = "m"
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						keys, minDelay, maxDelay := nw.packFan(nw.packKeys[:0], nw.rng, 0, 0, payload, nw.everyone, open, nil)
+						keys, minDelay, maxDelay := nw.packFan(nw.packKeys[:0], &nw.src, nw.rng, 0, 0, payload, nw.everyone, open, nil)
 						nw.packKeys = keys[:0]
 						f := nw.getFanout()
 						f.from, f.payload = 0, payload

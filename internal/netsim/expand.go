@@ -6,8 +6,8 @@
 // recipient's shard. At the flush point the job seals and each shard — a
 // contiguous recipient stripe with its own PCG stream derived from the run
 // seed — draws its delays, builds deferred payloads, and inserts its events
-// into the scheduler's one wheel: one lazily ordered fanout per broadcast and
-// one delivery per per-recipient entry, all from the network's pools. A
+// into the scheduler's one wheel: one lazily ordered fanout per broadcast,
+// from the network's pool, and one message event per per-recipient entry. A
 // fanout re-arms for its next arrival instant with a plain AtEvent. Work is
 // partitioned by shard — a pure function of the topology — and the sequence
 // block is reserved at the flush point, so the schedule does not depend on
@@ -23,12 +23,13 @@ import (
 )
 
 // sendShard is one shard's expansion state. The shard's expansion, inside a
-// flush, draws from rng, packs into keys and consumes the burst entries;
+// flush, draws from src, packs into keys and consumes the burst entries;
 // between flushes, sends append burst entries. Every shard's expansion runs
-// on the execution token, so all of them share the network's event and
+// on the execution token, so all of them share the network's fanout and
 // payload pools.
 type sendShard struct {
-	rng    *rand.Rand // per-shard delay stream, derived from the run seed
+	src    rand.PCG   // per-shard delay stream, derived from the run seed
+	rng    *rand.Rand // over src, for a timed delay policy
 	lo, hi int        // recipient stripe [lo, hi)
 	keys   []uint64   // packed-word scratch, hot across windows
 	burst  []burstEntry
@@ -120,22 +121,20 @@ func (w *window) ExpandShard(shard int, seqBase uint64, ins *vclock.ShardInserte
 
 	// Broadcasts: one fanout per entry at the head of the entry's run, its
 	// stripe of arrivals bucketed, not sorted (see fanout); a draw too long
-	// for the packed word rides its own delivery event on the run's following
+	// for the packed word rides its own message event on the run's following
 	// sequence numbers.
 	stripe := nw.everyone[sh.lo:sh.hi]
 	words := len(nw.closedBox)
 	var seq uint64
 	lone := func(at vclock.Time, m Message) {
 		seq++
-		dv := nw.getDelivery()
-		dv.box, dv.msg = nw.vboxes[m.To], m
-		ins.At(at, seq, dv)
+		ins.AtMessage(at, seq, int(m.From), int(m.To), m.Payload)
 	}
 	for i := range w.fans {
 		e := &w.fans[i]
 		seq = seqBase + (uint64(i)*uint64(len(nw.shards))+uint64(shard))*nw.seqPerShard
 		first := seq
-		keys, minDelay, maxDelay := nw.packFan(sh.keys[:0], sh.rng, e.at, e.from, e.payload, stripe, w.snaps[i*words:(i+1)*words], lone)
+		keys, minDelay, maxDelay := nw.packFan(sh.keys[:0], &sh.src, sh.rng, e.at, e.from, e.payload, stripe, w.snaps[i*words:(i+1)*words], lone)
 		sh.keys = keys[:0]
 		if len(keys) == 0 {
 			continue
@@ -146,8 +145,8 @@ func (w *window) ExpandShard(shard int, seqBase uint64, ins *vclock.ShardInserte
 		ins.At(f.load(keys, stripe, e.at, minDelay, maxDelay), first, f)
 	}
 
-	// Per-recipient entries: one pooled delivery event each, at (send
-	// instant + delay), on consecutive sequence numbers of the shard's run.
+	// Per-recipient entries: one message event each, at (send instant +
+	// delay), on consecutive sequence numbers of the shard's run.
 	entries := sh.burst
 	if len(entries) == 0 {
 		return
@@ -163,13 +162,11 @@ func (w *window) ExpandShard(shard int, seqBase uint64, ins *vclock.ShardInserte
 			payloadBytes += nb
 		}
 		m := Message{From: e.from, To: e.to, Payload: payload}
-		d := nw.opts.draw(sh.rng, time.Duration(e.at), m)
+		d := nw.opts.draw(&sh.src, sh.rng, time.Duration(e.at), m)
 		if e.skip {
 			continue
 		}
-		dv := nw.getDelivery()
-		dv.box, dv.msg = nw.vboxes[e.to], m
-		ins.At(e.at+vclock.Time(d), seq, dv)
+		ins.AtMessage(e.at+vclock.Time(d), seq, int(e.from), int(e.to), payload)
 		seq++
 	}
 	if payloadBytes > 0 {
@@ -311,6 +308,7 @@ func (nw *Network) initShards(count int) {
 			nw.shardOf[i] = uint8(s)
 		}
 		st := nw.opts.seed + uint64(s+1)*0x9E3779B97F4A7C15
-		sh.rng = rand.New(rand.NewPCG(mix64(st), mix64(st^0xda3e39cb94b95bdb)))
+		sh.src.Seed(mix64(st), mix64(st^0xda3e39cb94b95bdb))
+		sh.rng = rand.New(&sh.src)
 	}
 }

@@ -245,11 +245,12 @@ func TestMixedWindow(t *testing.T) {
 // TestPooledWindowsReuseShardPools drives full windows — every process of an
 // n=256 network broadcasts and sends one built payload at the same instant,
 // three rounds a full delay span apart — so the network's freelists are
-// pushed between flushes (fired fanouts and deliveries, recycled payloads)
-// and popped by every shard's share of the next round's expansion. Each round
-// must be one window, and the second and third rounds must have been served
-// from the freelists: once the run is over every event and payload is back
-// on one, and they hold one round's worth.
+// pushed between flushes (fired fanouts, recycled payloads) and popped by
+// every shard's share of the next round's expansion. Each round must be one
+// window, and the second and third rounds must have been served from the
+// freelists: once the run is over every fanout and payload is back on one,
+// and they hold one round's worth. The per-recipient sends ride message
+// events, which pool nothing: every event the run scheduled has popped.
 func TestPooledWindowsReuseShardPools(t *testing.T) {
 	const n, rounds = 256, 3
 	span := 200 * time.Microsecond
@@ -277,8 +278,11 @@ func TestPooledWindowsReuseShardPools(t *testing.T) {
 		t.Fatalf("each round should be one window: %+v", st)
 	}
 	fans := n * len(nw.shards) // one fanout per broadcast and stripe
-	if len(nw.freeFanouts) != fans || len(nw.freeDeliveries) != n || len(nw.freePayloads) != n {
-		t.Fatalf("freelists hold %d fanouts, %d deliveries, %d payloads — one round's worth is %d, %d, %d",
-			len(nw.freeFanouts), len(nw.freeDeliveries), len(nw.freePayloads), fans, n, n)
+	if len(nw.freeFanouts) != fans || len(nw.freePayloads) != n {
+		t.Fatalf("freelists hold %d fanouts, %d payloads — one round's worth is %d, %d",
+			len(nw.freeFanouts), len(nw.freePayloads), fans, n)
+	}
+	if out.Steps != out.Stats.EventsScheduled {
+		t.Fatalf("%d events popped of %d scheduled: a message event outlived the run", out.Steps, out.Stats.EventsScheduled)
 	}
 }

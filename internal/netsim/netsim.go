@@ -9,10 +9,13 @@
 // receives the message. BroadcastSubset exposes exactly that failure
 // semantics to the failure injector.
 //
-// The network runs on a discrete-event scheduler (WithScheduler, required):
-// transit is a timestamped delivery event that wakes the receiver, whose
-// handler drains its inbox (ReceiveNow) — no wall-clock time ever passes and
-// executions are deterministic.
+// The network runs on a discrete-event scheduler (WithScheduler, required),
+// one network per scheduler: transit is a timestamped message event that
+// carries the message itself (vclock.Scheduler.AtMessage). When it pops, the
+// scheduler hands the message to the network, which puts it into the
+// recipient's inbox — one slab holds every inbox by value — and wakes the
+// receiver, whose handler drains its inbox (ReceiveNow). No wall-clock time
+// ever passes and executions are deterministic.
 package netsim
 
 import (
@@ -71,9 +74,12 @@ func (o *options) delays() bool {
 }
 
 // draw returns the transit delay of m, sent at instant at, under the
-// configured policy, drawing from rng — the one delay draw behind Send,
-// every fanout and every expansion shard. The caller serializes rng.
-func (o *options) draw(rng *rand.Rand, at time.Duration, m Message) time.Duration {
+// configured policy, drawing from src, which rng wraps — the one delay draw
+// behind Send, every fanout and every expansion shard. A timed policy gets
+// rng; the uniform band draws from src itself (uint64n), the same numbers
+// rng.Int64N would draw without its Source interface. The caller serializes
+// the stream.
+func (o *options) draw(src *rand.PCG, rng *rand.Rand, at time.Duration, m Message) time.Duration {
 	var d time.Duration
 	switch {
 	case o.timedFn != nil:
@@ -81,13 +87,36 @@ func (o *options) draw(rng *rand.Rand, at time.Duration, m Message) time.Duratio
 	case o.uniform:
 		d = o.uniMin
 		if o.uniSpan > 0 {
-			d += time.Duration(rng.Int64N(int64(o.uniSpan) + 1))
+			d += time.Duration(uint64n(src, rng, uint64(o.uniSpan)+1))
 		}
 	}
 	if d < 0 {
 		d = 0
 	}
 	return d
+}
+
+// uint64n returns a uniform draw from [0, n) off src, which rng wraps: the
+// draw, and the words it takes off the stream, are those of
+// rng.Uint64N(n) — math/rand/v2's power-of-two mask, and Lemire's
+// multiply-and-reject otherwise — with the generator's methods called
+// directly. On 32-bit platforms, where the library takes a 32-bit path for
+// small n, it calls the library.
+func uint64n(src *rand.PCG, rng *rand.Rand, n uint64) uint64 {
+	if bits.UintSize == 32 {
+		return rng.Uint64N(n)
+	}
+	if n&(n-1) == 0 {
+		return src.Uint64() & (n - 1)
+	}
+	hi, lo := bits.Mul64(src.Uint64(), n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(src.Uint64(), n)
+		}
+	}
+	return hi
 }
 
 // Option customizes a Network. It is a plain value, not a closure, so
@@ -172,25 +201,23 @@ func WithScheduler(s *vclock.Scheduler) Option { return Option{kind: optSchedule
 // next New on it takes the network back (recycle) instead of building one.
 type Network struct {
 	n      int
-	vboxes []*mailbox.Virtual[Message] // past its length: boxes a larger run left, reset
+	boxes  inboxes // past its length: inboxes a larger run left, reset
 	opts   options
 	src    rand.PCG   // the delay stream, reseeded by New
 	rng    *rand.Rand // over src
 	closed bool       // set by Shutdown, once the run is over
 
-	// Event pools (guarded by the scheduler's execution token, like
-	// everything else here). Delivery and fanout events cycle through
-	// these freelists instead of allocating one closure plus one heap box
-	// per message — the zero-alloc delivery path. On an unsharded network
-	// fanouts and deliveries record every event ever made, so that recycle
-	// can return the ones still in flight when a run ended.
-	freeDeliveries []*delivery
-	freeFanouts    []*fanout
-	deliveries     []*delivery
-	fanouts        []*fanout
-	everyone       []model.ProcID // the 0 … n-1 recipient list (SendAll); built in New
-	packKeys       []uint64       // packed-word scratch (sendFan), hot across broadcasts
-	closedBox      []uint64       // closed-inbox bitmap, mirrors vboxes[i].Closed()
+	// The fanout pool (guarded by the scheduler's execution token, like
+	// everything else here): fanout events cycle through this freelist
+	// instead of allocating per broadcast. On an unsharded network fanouts
+	// records every fanout ever made, so that recycle can return the ones
+	// still in flight when a run ended. A single message needs no pooled
+	// object: it rides its own message event.
+	freeFanouts []*fanout
+	fanouts     []*fanout
+	everyone    []model.ProcID // the 0 … n-1 recipient list (SendAll); built in New
+	packKeys    []uint64       // packed-word scratch (sendFan), hot across broadcasts
+	closedBox   []uint64       // closed-inbox bitmap, mirrors boxes[i].Closed()
 
 	// Sharded expansion state (expand.go); nil unless the scheduler is
 	// sharded and a delay policy makes expansion worth fanning out.
@@ -203,20 +230,13 @@ type Network struct {
 	freePayloads []any // BurstBuilder payload objects (GrabPayload, RecyclePayload)
 }
 
-// delivery is a pooled single-message delivery event: the
-// scheduled form of one point-to-point Send.
-type delivery struct {
-	nw  *Network
-	box *mailbox.Virtual[Message]
-	msg Message
-}
+// inboxes is the network's inbox slab, one inbox per process by value, and
+// the receiver of its scheduler's message events.
+type inboxes []mailbox.Virtual[Message]
 
-// Fire delivers the message and returns the envelope to the pool.
-func (d *delivery) Fire() {
-	box, msg := d.box, d.msg
-	d.box, d.msg = nil, Message{}
-	d.nw.freeDeliveries = append(d.nw.freeDeliveries, d)
-	box.Put(msg)
+// Deliver puts a message whose event popped into its recipient's inbox.
+func (b *inboxes) Deliver(from, to int, payload any) {
+	(*b)[to].Put(Message{From: model.ProcID(from), To: model.ProcID(to), Payload: payload})
 }
 
 // fanout is a pooled batched-broadcast event: one broadcast schedules a
@@ -265,8 +285,8 @@ type fanout struct {
 // Packed-key bounds of packFan's scratch words, (delay << fanSeqBits) |
 // position: positions need fanSeqBits, leaving 50 bits of delay — about 13
 // virtual days. Networks wider than 1<<fanSeqBits processes, or a delay draw
-// beyond the bound, fall back to one pooled per-message delivery event
-// (correct, just not batched).
+// beyond the bound, fall back to one message event per arrival (correct,
+// just not batched).
 const (
 	fanSeqBits  = 13
 	maxPackFan  = 1 << fanSeqBits
@@ -404,7 +424,7 @@ func deliverDue[K fanKey](f *fanout, h []K) vclock.Time {
 	for {
 		to := list[h[i]&(1<<bits-1)]
 		if !nw.boxClosed(to) { // closed after send: Put would drop it anyway
-			nw.vboxes[to].Put(Message{From: f.from, To: to, Payload: f.payload})
+			nw.boxes[to].Put(Message{From: f.from, To: to, Payload: f.payload})
 		}
 		i++
 		if i == len(h) {
@@ -430,23 +450,9 @@ func (f *fanout) release() {
 	f.nw.freeFanouts = append(f.nw.freeFanouts, f)
 }
 
-// getDelivery pops a pooled delivery event or makes one, recorded unless
-// the network is sharded: only an unsharded network is ever recycled.
-func (nw *Network) getDelivery() *delivery {
-	if k := len(nw.freeDeliveries); k > 0 {
-		d := nw.freeDeliveries[k-1]
-		nw.freeDeliveries = nw.freeDeliveries[:k-1]
-		return d
-	}
-	d := &delivery{nw: nw}
-	if nw.shards == nil {
-		nw.deliveries = append(nw.deliveries, d)
-	}
-	return d
-}
-
-// getFanout pops a pooled fanout event or makes one, recorded like a
-// delivery; load sizes its entries.
+// getFanout pops a pooled fanout event or makes one, recorded unless the
+// network is sharded (only an unsharded network is ever recycled); load sizes
+// its entries.
 func (nw *Network) getFanout() *fanout {
 	if k := len(nw.freeFanouts); k > 0 {
 		f := nw.freeFanouts[k-1]
@@ -461,9 +467,9 @@ func (nw *Network) getFanout() *fanout {
 }
 
 // New returns a network connecting processes 0 … n-1 on the scheduler
-// given by WithScheduler. On a scheduler an earlier run handed back with
-// vclock.Scheduler.Recycle it reuses that run's network, as recycle leaves
-// it, with the storage the run grew.
+// given by WithScheduler, which must carry no other network. On a scheduler
+// an earlier run handed back with vclock.Scheduler.Recycle it reuses that
+// run's network, as recycle leaves it, with the storage the run grew.
 func New(n int, opts ...Option) (*Network, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("netsim: need at least one process, got %d", n)
@@ -477,11 +483,16 @@ func New(n int, opts ...Option) (*Network, error) {
 	}
 	o.resolvePolicy()
 	nw, _ := o.sched.Kept().(*Network)
-	if nw != nil {
-		nw.recycle()
-	} else {
+	kept := nw != nil
+	if !kept {
 		nw = new(Network)
 		nw.rng = rand.New(&nw.src)
+	}
+	if err := o.sched.SetNetwork(&nw.boxes); err != nil {
+		return nil, fmt.Errorf("netsim: %w", err)
+	}
+	if kept {
+		nw.recycle()
 	}
 	nw.n, nw.opts = n, o
 	nw.src.Seed(o.seed, o.seed^0xda3e39cb94b95bdb)
@@ -492,16 +503,10 @@ func New(n int, opts ...Option) (*Network, error) {
 	words := (n + 63) / 64
 	nw.closedBox = slices.Grow(nw.closedBox[:0], words)[:words]
 	clear(nw.closedBox)
-	if n > cap(nw.vboxes) {
-		nw.vboxes = slices.Grow(nw.vboxes, n-len(nw.vboxes))
+	if n > cap(nw.boxes) {
+		nw.boxes = slices.Grow(nw.boxes[:cap(nw.boxes)], n-cap(nw.boxes))
 	}
-	for k := len(nw.vboxes); k < n; k++ {
-		nw.vboxes = nw.vboxes[:k+1]
-		if nw.vboxes[k] == nil {
-			nw.vboxes[k] = mailbox.NewVirtual[Message]()
-		}
-	}
-	nw.vboxes = nw.vboxes[:n]
+	nw.boxes = nw.boxes[:n]
 	if sc := o.sched.ShardCount(); sc > 0 && o.delays() {
 		// The scheduler is sharded and sends have per-recipient delay
 		// work worth fanning out: engage the sharded expansion path
@@ -516,7 +521,7 @@ func New(n int, opts ...Option) (*Network, error) {
 
 // Bind attaches the process that consumes p's inbox.
 func (nw *Network) Bind(p model.ProcID, proc *vclock.Proc) {
-	nw.vboxes[p].Bind(proc)
+	nw.boxes[p].Bind(proc)
 }
 
 // N returns the number of connected processes.
@@ -530,21 +535,18 @@ func (nw *Network) delayFor(m Message) time.Duration {
 	if nw.closed || !nw.opts.delays() {
 		return 0
 	}
-	return nw.opts.draw(nw.rng, time.Duration(nw.opts.sched.Now()), m)
+	return nw.opts.draw(&nw.src, nw.rng, time.Duration(nw.opts.sched.Now()), m)
 }
 
-// post schedules m's pooled delivery event at virtual instant at. Zero-delay
+// post schedules m's message event at virtual instant at. Zero-delay
 // messages still travel through the event queue, so delivery order is the
 // deterministic (time, seq) order and every receive is a scheduling point.
 func (nw *Network) post(at vclock.Time, m Message) {
-	ev := nw.getDelivery()
-	ev.box = nw.vboxes[m.To]
-	ev.msg = m
-	nw.opts.sched.AtEvent(at, ev)
+	nw.opts.sched.AtMessage(at, int(m.From), int(m.To), m.Payload)
 }
 
 // deliver transports one message (already counted) with transit delay d: a
-// pooled delivery event d nanoseconds of virtual time from now.
+// message event d nanoseconds of virtual time from now.
 func (nw *Network) deliver(m Message, d time.Duration) {
 	nw.post(nw.opts.sched.Now()+vclock.Time(d), m)
 }
@@ -566,14 +568,14 @@ func (nw *Network) Send(from, to model.ProcID, payload any) {
 
 // packFan is the one draw → skip-closed → overflow → pack loop behind every
 // batched fanout: for each in-range recipient of to it draws a delay from
-// rng (sent at instant at), skips those whose bit is set in the closed
-// bitmap — the live one, or a job's send-time snapshot — and appends the
-// packed (delay<<fanSeqBits)|position-in-to word to keys. An arrival the word
-// cannot hold — a ≥13-virtual-day draw, or any at all once recipient ids or
-// list positions outgrow fanSeqBits — is handed to lone with its arrival
-// instant, to ride a delivery event of its own. Returns the words, in list
-// order, and the least and largest packed delay.
-func (nw *Network) packFan(keys []uint64, rng *rand.Rand, at vclock.Time, from model.ProcID, payload any,
+// src, which rng wraps (sent at instant at), skips those whose bit is set in
+// the closed bitmap — the live one, or a job's send-time snapshot — and
+// appends the packed (delay<<fanSeqBits)|position-in-to word to keys. An
+// arrival the word cannot hold — a ≥13-virtual-day draw, or any at all once
+// recipient ids or list positions outgrow fanSeqBits — is handed to lone
+// with its arrival instant, to ride a message event of its own. Returns the
+// words, in list order, and the least and largest packed delay.
+func (nw *Network) packFan(keys []uint64, src *rand.PCG, rng *rand.Rand, at vclock.Time, from model.ProcID, payload any,
 	to []model.ProcID, closed []uint64, lone func(vclock.Time, Message)) (_ []uint64, minDelay, maxDelay uint64) {
 	limit := maxPackWait
 	if nw.n > maxPackFan || len(to) > maxPackFan {
@@ -588,7 +590,7 @@ func (nw *Network) packFan(keys []uint64, rng *rand.Rand, at vclock.Time, from m
 		// The delay is drawn even for recipients that can no longer
 		// receive, so the RNG stream — and with it every later draw of
 		// the run — is independent of who has terminated.
-		d := nw.opts.draw(rng, time.Duration(at), m)
+		d := nw.opts.draw(src, rng, time.Duration(at), m)
 		if closed[p>>6]&(1<<(uint(p)&63)) != 0 {
 			// The box would drop the message at arrival anyway (Put on a
 			// closed inbox is a no-op); skipping the event here spares
@@ -618,7 +620,7 @@ func (nw *Network) sendFan(from model.ProcID, payload any, recipients []model.Pr
 		return // shut down: every inbox is closed, nothing can arrive
 	}
 	now := nw.opts.sched.Now()
-	keys, minDelay, maxDelay := nw.packFan(nw.packKeys[:0], nw.rng, now, from, payload, recipients, nw.closedBox, nw.post)
+	keys, minDelay, maxDelay := nw.packFan(nw.packKeys[:0], &nw.src, nw.rng, now, from, payload, recipients, nw.closedBox, nw.post)
 	nw.packKeys = keys[:0]
 	if len(keys) == 0 {
 		return
@@ -633,7 +635,7 @@ func (nw *Network) sendFan(from model.ProcID, payload any, recipients []model.Pr
 // the sender) — the batched all-to-all delivery path. It is semantically a
 // Send per destination, but it schedules one fanout event
 // per distinct arrival instant instead of one event per message, and
-// reuses pooled envelopes: the Θ(n²) exchange pattern stops costing Θ(n²)
+// reuses pooled fanouts: the Θ(n²) exchange pattern stops costing Θ(n²)
 // scheduler allocations (DESIGN.md §10). Unlike Broadcast it does not
 // count a broadcast macro-operation.
 func (nw *Network) SendAll(from model.ProcID, payload any) {
@@ -684,7 +686,7 @@ func (nw *Network) BroadcastSubset(from model.ProcID, payload any, recipients []
 // execution-token hold: one handler invocation per distinct arrival
 // instant. Deliveries are counted at consumption (MsgsDelivered).
 func (nw *Network) ReceiveNow(p model.ProcID) (m Message, ok, closed bool) {
-	m, ok, closed = nw.vboxes[p].TryGetOrClosed()
+	m, ok, closed = nw.boxes[p].TryGetOrClosed()
 	if ok && nw.opts.counters != nil {
 		nw.opts.counters.AddMsgsDelivered(1)
 	}
@@ -694,7 +696,7 @@ func (nw *Network) ReceiveNow(p model.ProcID) (m Message, ok, closed bool) {
 // CloseInbox marks process p as terminated: its queued messages remain
 // drainable but new messages to it are dropped.
 func (nw *Network) CloseInbox(p model.ProcID) {
-	nw.vboxes[p].Close()
+	nw.boxes[p].Close()
 	nw.closedBox[p>>6] |= 1 << (uint(p) & 63)
 }
 
@@ -711,37 +713,31 @@ func (nw *Network) boxClosed(to model.ProcID) bool {
 // be used after Shutdown.
 func (nw *Network) Shutdown() {
 	nw.closed = true
-	for i, b := range nw.vboxes {
-		b.Close()
+	for i := range nw.boxes {
+		nw.boxes[i].Close()
 		nw.closedBox[i>>6] |= 1 << (uint(i) & 63)
 	}
 	nw.opts.sched.Keep(nw)
 }
 
 // recycle readies a network whose run is over — it was shut down and its
-// scheduler recycled, so none of its events is pending anywhere — for New:
-// every fanout and delivery it made goes back on its freelist, cleared, the
-// ones still in flight when the run ended too, and every inbox is emptied and
-// reopened. The payload pool is dropped: its objects belong to the run's
-// protocol. Nothing of the finished run stays reachable from the network.
-// Only an unsharded network reaches here, since sharded schedulers are never
-// recycled.
+// scheduler recycled, so none of its events is pending anywhere, and no
+// message either, since each rode its own event — for New: every fanout it
+// made goes back on its freelist, cleared, the ones still in flight when the
+// run ended too, and every inbox is emptied and reopened. The payload pool is
+// dropped: its objects belong to the run's protocol. Nothing of the finished
+// run stays reachable from the network. Only an unsharded network reaches
+// here, since sharded schedulers are never recycled.
 func (nw *Network) recycle() {
-	// An event off its freelist is one still in flight: a loaded fanout has
-	// its recipient list, a posted delivery its inbox.
+	// A fanout off its freelist is one still in flight: it has its
+	// recipient list.
 	for _, f := range nw.fanouts {
 		if f.to != nil {
 			f.release()
 		}
 	}
-	for _, d := range nw.deliveries {
-		if d.box != nil {
-			d.box, d.msg = nil, Message{}
-			nw.freeDeliveries = append(nw.freeDeliveries, d)
-		}
-	}
-	for _, b := range nw.vboxes {
-		b.Reset()
+	for i := range nw.boxes {
+		nw.boxes[i].Reset()
 	}
 	clear(nw.freePayloads)
 	nw.freePayloads = nw.freePayloads[:0]

@@ -54,7 +54,7 @@ func onScheduler(t testing.TB, n int, start func(nw *Network), react func(nw *Ne
 }
 
 // queued returns the number of delivered, unconsumed messages in p's inbox.
-func queued(nw *Network, p model.ProcID) int { return nw.vboxes[p].Len() }
+func queued(nw *Network, p model.ProcID) int { return nw.boxes[p].Len() }
 
 func TestNewValidation(t *testing.T) {
 	t.Parallel()
@@ -74,6 +74,11 @@ func TestNewValidation(t *testing.T) {
 	}
 	if nw.N() != 4 {
 		t.Errorf("N = %d, want 4", nw.N())
+	}
+	// One network per scheduler: a second one would take the first one's
+	// deliveries.
+	if other, err := New(4, WithScheduler(s)); err == nil || other != nil {
+		t.Errorf("a second New on one scheduler returned %v, %v; want an error", other, err)
 	}
 	nw.Shutdown()
 }

@@ -3,9 +3,11 @@ package netsim
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
+	"weak"
 
 	"allforone/internal/model"
 	"allforone/internal/vclock"
@@ -20,23 +22,39 @@ type boxed struct{ from, seq int }
 // and p1 a broadcast cut to {p0, p2}; p1's inbox closes at 30µs; the step
 // budget stops the run with arrivals still in flight and messages queued.
 // Each process drains its inbox once per invocation until the abort. It
-// returns the network, shut down, and every consumed arrival in order.
-func recycleRun(t *testing.T, s *vclock.Scheduler, n int) (*Network, []string) {
+// returns the network, shut down, every consumed arrival in order, and a
+// weak pointer to each payload the run sent, indexed by recipient for p0's
+// point-to-point messages (entry 0 is p0's broadcast).
+func recycleRun(t *testing.T, s *vclock.Scheduler, n int) (*Network, []string, []weak.Pointer[boxed]) {
 	t.Helper()
 	nw, err := New(n, WithScheduler(s), WithSeed(uint64(n)), WithUniformDelay(0, 200*time.Microsecond))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var log []string
+	sent := make([]weak.Pointer[boxed], n)
+	var others []weak.Pointer[boxed]
+	send := func(b *boxed) *boxed {
+		others = append(others, weak.Make(b))
+		return b
+	}
 	for p := 0; p < n; p++ {
 		id := model.ProcID(p)
 		spawn(s, nw, []model.ProcID{id}, func() {
-			nw.SendAll(id, &boxed{from: p})
+			b := &boxed{from: p}
+			if p == 0 {
+				sent[0] = weak.Make(b)
+			} else {
+				send(b)
+			}
+			nw.SendAll(id, b)
 			if p == 0 {
 				for q := 1; q < n; q++ {
-					nw.Send(0, model.ProcID(q), &boxed{from: 0, seq: q})
+					b := &boxed{from: 0, seq: q}
+					sent[q] = weak.Make(b)
+					nw.Send(0, model.ProcID(q), b)
 				}
-				nw.BroadcastSubset(0, &boxed{from: 0, seq: -1}, []model.ProcID{0, 2})
+				nw.BroadcastSubset(0, send(&boxed{from: 0, seq: -1}), []model.ProcID{0, 2})
 			}
 		}, func() bool {
 			// Drain only every other wake, so messages stay queued at the cut.
@@ -58,16 +76,17 @@ func recycleRun(t *testing.T, s *vclock.Scheduler, n int) (*Network, []string) {
 		t.Fatalf("n=%d: run was not cut: %+v", n, out)
 	}
 	nw.Shutdown()
-	return nw, log
+	return nw, log, append(sent, others...)
 }
 
 // TestRecycledNetworkCarriesNothing: the network a recycled scheduler hands to
-// the next run's New holds no payload — in no inbox, fanout or delivery, and
-// none in its payload pool — and every fanout and delivery it ever made is
-// back on its freelist, the ones in flight at the cut too. A second network
-// built on the scheduler in the same run is a new one. And the reused network
-// runs exactly as a new one: at n = 7 → 3 → 9, its arrivals match a network
-// built afresh.
+// the next run's New holds no payload — in no inbox or fanout, and none in
+// its payload pool — and every fanout it ever made is back on its freelist,
+// the ones in flight at the cut too. No payload of the run stays reachable
+// at all: not the ones queued in inboxes, and not the ones whose message
+// events were still in flight at the cut. A second network on the scheduler
+// in the same run is refused. And the reused network runs exactly as a new
+// one: at n = 7 → 3 → 9, its arrivals match a network built afresh.
 func TestRecycledNetworkCarriesNothing(t *testing.T) {
 	// The step budget that cuts an n-process run with arrivals in flight.
 	steps := func(n int) vclock.Option { return vclock.WithMaxSteps(int64(n * n / 2)) }
@@ -77,20 +96,33 @@ func TestRecycledNetworkCarriesNothing(t *testing.T) {
 			t.Fatalf("the scheduler pool handed a recycled scheduler back %d times in 100 attempts", reused)
 		}
 		s := vclock.New(steps(7))
-		nw, _ := recycleRun(t, s, 7)
-		nw.freePayloads = append(nw.freePayloads, &boxed{})
-		if len(nw.freeFanouts) == len(nw.fanouts) || len(nw.freeDeliveries) == len(nw.deliveries) {
-			t.Fatalf("no fanout (%d of %d free) or no delivery (%d of %d free) in flight at the cut",
-				len(nw.freeFanouts), len(nw.fanouts), len(nw.freeDeliveries), len(nw.deliveries))
+		nw, _, payloads := recycleRun(t, s, 7)
+		pooled := &boxed{}
+		nw.freePayloads = append(nw.freePayloads, pooled)
+		payloads = append(payloads, weak.Make(pooled))
+		if len(nw.freeFanouts) == len(nw.fanouts) {
+			t.Fatalf("no fanout in flight at the cut (%d of %d free)", len(nw.freeFanouts), len(nw.fanouts))
+		}
+		// A point-to-point message whose payload is alive while its
+		// recipient's inbox is empty is in flight: only its event holds it.
+		runtime.GC()
+		inFlight := 0
+		for q := 1; q < nw.n; q++ {
+			if payloads[q].Value() != nil && queued(nw, model.ProcID(q)) == 0 {
+				inFlight++
+			}
+		}
+		if inFlight == 0 {
+			t.Fatal("no point-to-point message event in flight at the cut")
 		}
 		queuedAny := false
-		for p := range nw.vboxes {
+		for p := range nw.boxes {
 			queuedAny = queuedAny || queued(nw, model.ProcID(p)) > 0
 		}
 		if !queuedAny {
 			t.Fatal("no message queued at the cut; the test would check no inbox")
 		}
-		fanouts, deliveries := slices.Clone(nw.fanouts), slices.Clone(nw.deliveries)
+		fanouts := slices.Clone(nw.fanouts)
 		s.Recycle()
 
 		for _, n := range []int{3, 9, 7} {
@@ -107,19 +139,25 @@ func TestRecycledNetworkCarriesNothing(t *testing.T) {
 			}
 			if n == 3 {
 				reused++
-				checkRecycled(t, got, fanouts, deliveries)
+				checkRecycled(t, got, fanouts)
+				runtime.GC()
+				for i, p := range payloads {
+					if p.Value() != nil {
+						t.Fatalf("payload %d of the finished run is still reachable", i)
+					}
+				}
 			}
-			if other, _ := New(2, WithScheduler(s2)); other == got {
-				t.Fatal("a second New in one run reused the run's own network")
+			if other, err := New(2, WithScheduler(s2)); err == nil || other != nil {
+				t.Fatalf("a second New in one run returned %p, %v; want an error", other, err)
 			}
 			// The reused network replays a run on fresh storage exactly. Its
 			// scheduler then goes back to the pool for the next size.
 			got.Shutdown()
 			s2.Recycle()
 			s3 := vclock.New(steps(n))
-			nwAgain, log := recycleRun(t, s3, n)
+			nwAgain, log, _ := recycleRun(t, s3, n)
 			// s3 took the one scheduler in the pool: this one is new.
-			_, want := recycleRun(t, vclock.New(steps(n)), n)
+			_, want, _ := recycleRun(t, vclock.New(steps(n)), n)
 			if !reflect.DeepEqual(log, want) {
 				t.Fatalf("n=%d: arrivals on a recycled network (%v)\n%v\nwant, on a new one,\n%v", n, nwAgain == got, log, want)
 			}
@@ -130,8 +168,8 @@ func TestRecycledNetworkCarriesNothing(t *testing.T) {
 }
 
 // checkRecycled fails unless nw, just taken back by New, holds no payload and
-// has every fanout and delivery it made on its freelists.
-func checkRecycled(t *testing.T, nw *Network, fanouts []*fanout, deliveries []*delivery) {
+// has every fanout it made on its freelist.
+func checkRecycled(t *testing.T, nw *Network, fanouts []*fanout) {
 	t.Helper()
 	if !sameSet(nw.freeFanouts, fanouts) || !sameSet(nw.fanouts, fanouts) {
 		t.Fatalf("%d fanouts free, %d recorded, want the %d made", len(nw.freeFanouts), len(nw.fanouts), len(fanouts))
@@ -141,24 +179,16 @@ func checkRecycled(t *testing.T, nw *Network, fanouts []*fanout, deliveries []*d
 			t.Fatalf("fanout %d keeps %+v", i, *f)
 		}
 	}
-	if !sameSet(nw.freeDeliveries, deliveries) || !sameSet(nw.deliveries, deliveries) {
-		t.Fatalf("%d deliveries free, %d recorded, want the %d made", len(nw.freeDeliveries), len(nw.deliveries), len(deliveries))
-	}
-	for i, d := range deliveries {
-		if d.box != nil || d.msg != (Message{}) || d.nw != nw {
-			t.Fatalf("delivery %d keeps %+v", i, *d)
-		}
-	}
-	for i, b := range nw.vboxes[:cap(nw.vboxes)] {
-		if b != nil && (b.Len() != 0 || b.Closed()) {
+	for i, b := range nw.boxes[:cap(nw.boxes)] {
+		if b.Len() != 0 || b.Closed() {
 			t.Fatalf("inbox %d: %d queued, closed %v", i, b.Len(), b.Closed())
 		}
 	}
 	if len(nw.freePayloads) != 0 || slices.ContainsFunc(nw.freePayloads[:cap(nw.freePayloads)], func(p any) bool { return p != nil }) {
 		t.Fatal("the payload pool kept an object of the finished run")
 	}
-	if nw.closed || len(nw.vboxes) != nw.n || len(nw.everyone) != nw.n || len(nw.closedBox) != 1 || nw.closedBox[0] != 0 {
-		t.Fatalf("network not sized for n=%d: closed %v, %d boxes, %d ids, bitmap %x", nw.n, nw.closed, len(nw.vboxes), len(nw.everyone), nw.closedBox)
+	if nw.closed || len(nw.boxes) != nw.n || len(nw.everyone) != nw.n || len(nw.closedBox) != 1 || nw.closedBox[0] != 0 {
+		t.Fatalf("network not sized for n=%d: closed %v, %d boxes, %d ids, bitmap %x", nw.n, nw.closed, len(nw.boxes), len(nw.everyone), nw.closedBox)
 	}
 }
 

@@ -270,8 +270,9 @@ func testSendAllSteadyStateAllocs(t *testing.T, delay Option) {
 }
 
 // Per-recipient Send on an UNSHARDED scheduler — the sparse-overlay
-// protocols' transmission primitive below the sharding floor — rides the
-// network-global delivery pool. Warmed up, that path must be
+// protocols' transmission primitive below the sharding floor — rides one
+// message event per send, which carries the message and pools nothing.
+// Warmed up, that path must be
 // allocation-free per round: an overlay protocol at n·d sends per round
 // would otherwise pay n·d allocations where SendAll pays zero. n=256 with
 // a de Bruijn successor list reproduces the overlay fanout shape exactly.
@@ -291,7 +292,7 @@ func TestVirtualOverlaySendSteadyStateAllocs(t *testing.T) {
 	}
 	// Each successor echoes every delivery straight back — echoes are
 	// per-recipient Sends too, and consuming them below guarantees every
-	// delivery event of a round is back in the pool before the next round.
+	// message event of a round has popped before the next round.
 	for _, p := range succ {
 		p := p
 		spawn(s, nw, []model.ProcID{p}, nil, func() bool {
@@ -304,7 +305,7 @@ func TestVirtualOverlaySendSteadyStateAllocs(t *testing.T) {
 			}
 		})
 	}
-	const rounds, warmup = 400, 20 // warm the delivery pool and inbox rings
+	const rounds, warmup = 400, 20 // warm the wheel and the inbox rings
 	// Zero-size payload, exactly what the gossip protocol sends: interface
 	// conversion is allocation-free, so any allocation measured below is
 	// the transport's own.
@@ -319,8 +320,8 @@ func TestVirtualOverlaySendSteadyStateAllocs(t *testing.T) {
 	if out := s.Run(); out.DeadlineExceeded || out.StepsExceeded {
 		t.Fatalf("outcome = %+v, want clean", out)
 	}
-	// Delivery events are pooled, so the only steady-state cost left is
-	// timer-wheel bucket growth under the scattered arrival instants —
+	// A message event is the message itself, so the only steady-state cost
+	// left is timer-wheel bucket growth under the scattered arrival instants —
 	// measured ≈0.2 per send. Pin well under 1: a regression to one
 	// allocation per send is what would hurt at n·d sends per round.
 	if perSend := float64(*allocs) / (rounds * 2 * float64(len(succ))); perSend > 0.5 {
@@ -386,7 +387,7 @@ func (burstEchoBuilder) BuildPayload(nw *Network, ctx any, arg uint64) (any, int
 // overlay Send test above, with NON-ZERO payloads: on a sharded scheduler
 // BurstSendVia routes the fanout through the sharded burst path, payload
 // construction runs at the flush through the network's payload pool, and the
-// steady state must stay allocation-free per send — pooled deliveries,
+// steady state must stay allocation-free per send — message events,
 // pooled payloads, recycled entry buffers. It also pins the stats wiring:
 // the run must report burst jobs and pooled payload bytes.
 func TestVirtualBurstSendSteadyStateAllocs(t *testing.T) {
@@ -419,7 +420,7 @@ func TestVirtualBurstSendSteadyStateAllocs(t *testing.T) {
 			}
 		})
 	}
-	const rounds, warmup = 400, 20 // warm the delivery, payload, and entry pools
+	const rounds, warmup = 400, 20 // warm the wheel, payload, and entry pools
 	var seq uint64
 	send := func() {
 		for _, p := range succ {

@@ -225,8 +225,8 @@ func TestLookaheadStopOpensNoSlotPastWindow(t *testing.T) {
 			t.Fatalf("pop %d: %d events in the late heap of slot %d (window earliest in slot %d)",
 				i, n, s.wheel.curSlot, slotOf(100*us))
 		}
-		ev := s.wheel.pop()
-		if i > 0 && !last.before(ev) {
+		ev := s.wheel.popHead()
+		if i > 0 && !last.before(&ev) {
 			t.Fatalf("pop %d: (at=%d seq=%d) after (at=%d seq=%d)", i, ev.at, ev.seq, last.at, last.seq)
 		}
 		last = ev

@@ -45,6 +45,14 @@
 // invisible to every replay and determinism contract. SchedulerStats counts
 // events scheduled, wheel cascades, and the deepest bucket observed.
 //
+// An event is a callback (AtEvent) or a message in transit (AtMessage). A
+// message event carries its sender, recipient and payload in the 40-byte
+// event itself — one word beyond a callback's — and when it pops the
+// scheduler hands the message to the one network registered on it
+// (SetNetwork). The counting pass that opens a bucket has just read every
+// event in it, so a delivery touches no object besides the event, the
+// recipient's inbox and the recipient.
+//
 // # Window expansion
 //
 // Large topologies (WithShards; the driver engages it at n ≥ 256) expand the
@@ -83,9 +91,11 @@
 package vclock
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
+	"unsafe"
 )
 
 // Time is a virtual instant, in nanoseconds since the start of the run.
@@ -97,8 +107,8 @@ const maxTime = Time(1<<63 - 1)
 
 // Event is a schedulable callback. Implementations that are pointer-shaped
 // (pooled structs, funcs) ride the scheduler without a per-event
-// allocation — the zero-alloc delivery path of the simulated network
-// schedules pooled message-delivery events through AtEvent/AfterEvent.
+// allocation — the simulated network's pooled fanouts, for one. A single
+// message needs no callback at all: it rides a message event (AtMessage).
 type Event interface {
 	// Fire runs the event. It executes under the scheduler's execution
 	// token, at the event's virtual instant.
@@ -112,68 +122,111 @@ type eventFunc func()
 // Fire runs the wrapped function.
 func (f eventFunc) Fire() { f() }
 
-// event is one scheduled callback.
+// Deliverer is the network a scheduler hands its message events to
+// (SetNetwork): when one pops, Deliver receives the message it carries.
+type Deliverer interface {
+	Deliver(from, to int, payload any)
+}
+
+// event is one scheduled callback, or one message in transit. A message
+// event carries the message itself: its sender and recipient in route, its
+// payload in the two words that hold a callback event's Event (eventOf). A
+// delivery thus reads the event the wheel has just ordered and no object of
+// its own.
+//
+// At 40 bytes an event is wider than the compiler keeps in registers, so
+// the wheel never passes one by value: it takes and returns the fields and
+// writes them in place (set), and compares through pointers (before).
+// Passed by value, an event goes through a stack temporary that is written
+// a word at a time and copied out 16 bytes at a time, and each such copy
+// stalls on its load.
 type event struct {
-	at  Time
-	seq uint64 // schedule order; the deterministic tie-breaker
-	ev  Event
+	at    Time
+	seq   uint64 // schedule order; the deterministic tie-breaker
+	route uint64 // 0: a callback event; otherwise from<<32 | to+1 (routeOf)
+	ev    Event
+}
+
+// routeOf packs a message's sender and recipient into an event's route
+// word, which is never 0 for a recipient in [0, 2³²-1).
+func routeOf(from, to int) uint64 { return uint64(uint32(from))<<32 | uint64(uint32(to)+1) }
+
+// eventOf stores a message's payload in an event's Event slot, and anyOf
+// reads it back. An interface value and an empty interface value are both a
+// type word and a data word, which the collector scans alike, so the slot
+// holds either form — the callback or the payload, as route says. A slot
+// holding a payload is never called, compared or asserted on.
+func eventOf(payload any) Event { return *(*Event)(unsafe.Pointer(&payload)) }
+
+// anyOf is the inverse of eventOf.
+func anyOf(slot Event) any { return *(*any)(unsafe.Pointer(&slot)) }
+
+// set writes the fields of the event at e.
+func (e *event) set(at Time, seq, route uint64, ev Event) {
+	e.at, e.seq, e.route, e.ev = at, seq, route, ev
 }
 
 // before reports whether e precedes o in the global (at, seq) total order.
-func (e event) before(o event) bool {
+func (e *event) before(o *event) bool {
 	if e.at != o.at {
 		return e.at < o.at
 	}
 	return e.seq < o.seq
 }
 
-// pushEvent adds ev to the min-heap h (ordered by before).
-func pushEvent(h *[]event, ev event) {
-	s := *h
-	s = append(s, ev)
+// pushEvent adds the event (at, seq, route, ev) to the min-heap h (ordered
+// by before). Like siftDown it moves a hole, not an event: each level costs
+// one event copy, not a swap.
+func pushEvent(h *[]event, at Time, seq, route uint64, ev Event) {
+	s := append(*h, event{})
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s[i].before(s[parent]) {
-			break
+		if p := &s[parent]; p.at < at || p.at == at && p.seq < seq {
+			break // the parent precedes the new event
 		}
-		s[i], s[parent] = s[parent], s[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i].set(at, seq, route, ev)
 	*h = s
 }
 
-// popEvent removes and returns the minimum event of heap h.
-func popEvent(h *[]event) event {
+// dropMin removes the minimum event of heap h, which the caller has read.
+func dropMin(h *[]event) {
 	s := *h
-	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
 	s[n] = event{}
 	s = s[:n]
 	siftDown(s, 0)
 	*h = s
-	return top
 }
 
-// siftDown restores the heap property below index i.
+// siftDown restores the heap property below index i: it moves the event at
+// i down a hole, copying each smaller child up one level, and stores it once
+// where the hole stops.
 func siftDown(s []event, i int) {
 	n := len(s)
+	if i >= n {
+		return
+	}
+	x := s[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && s[l].before(s[min]) {
-			min = l
+		min := 2*i + 1
+		if min >= n {
+			break
 		}
-		if r < n && s[r].before(s[min]) {
+		if r := min + 1; r < n && s[r].before(&s[min]) {
 			min = r
 		}
-		if min == i {
-			return
+		if !s[min].before(&x) {
+			break
 		}
-		s[i], s[min] = s[min], s[i]
+		s[i] = s[min]
 		i = min
 	}
+	s[i] = x
 }
 
 // Timer-wheel geometry. The wheel covers wheelSlots×slotWidth ≈ 4.2ms of
@@ -228,8 +281,8 @@ func ShardsFor(n int) int {
 // inputs, so they replay bit-for-bit and may be compared across runs.
 type SchedulerStats struct {
 	// EventsScheduled is the total number of events handed to the
-	// scheduler (At/After/AtEvent/AfterEvent calls plus shard-expanded
-	// events).
+	// scheduler (At/After/AtEvent/AfterEvent/AtMessage calls plus
+	// shard-expanded events).
 	EventsScheduled int64
 	// WheelCascades is the number of events migrated from the far-future
 	// overflow heap into the wheel as the horizon advanced. Each event
@@ -240,8 +293,8 @@ type SchedulerStats struct {
 	// included.
 	MaxBucketDepth int64
 	// ShardEvents is the number of events inserted by flush expansion
-	// (ShardInserter.At; 0 for unsharded runs). A fanout's re-arms are
-	// ordinary AtEvent calls and are not counted here.
+	// (ShardInserter.At and AtMessage; 0 for unsharded runs). A fanout's
+	// re-arms are ordinary AtEvent calls and are not counted here.
 	ShardEvents int64
 	// ExpandJobs is the number of broadcasts expanded at flushes, as the
 	// jobs report them at Seal (one per sharded SendAll).
@@ -360,16 +413,16 @@ func (w *wheel) reset() {
 	*w = wheel{slots: st, order: w.order[:0], late: w.late[:0], overflow: w.overflow[:0]}
 }
 
-// insert routes an event to its tier: the open slot's late heap, a wheel
-// bucket, or the far-future overflow heap.
-func (w *wheel) insert(ev event) {
-	slot := slotOf(ev.at)
+// insert routes the event (at, seq, route, ev) to its tier: the open slot's
+// late heap, a wheel bucket, or the far-future overflow heap.
+func (w *wheel) insert(at Time, seq, route uint64, ev Event) {
+	slot := slotOf(at)
 	switch {
 	case slot <= w.curSlot:
 		// The open slot — including the defensive clamp for events
 		// scheduled by unwinding coroutines after an abort peeked ahead
 		// (such events are never popped: the run processes no more events).
-		pushEvent(&w.late, ev)
+		pushEvent(&w.late, at, seq, route, ev)
 		if d := int64(len(w.order) + len(w.late)); d > w.maxDepth {
 			w.maxDepth = d
 		}
@@ -381,13 +434,14 @@ func (w *wheel) insert(ev event) {
 		if *b == nil {
 			*b = w.slots.unshelve()
 		}
-		*b = append(*b, ev)
+		*b = append(*b, event{})
+		(*b)[len(*b)-1].set(at, seq, route, ev)
 		w.wheelCount++
 		if d := int64(len(*b)); d > w.maxDepth {
 			w.maxDepth = d
 		}
 	default:
-		pushEvent(&w.overflow, ev)
+		pushEvent(&w.overflow, at, seq, route, ev)
 	}
 }
 
@@ -403,9 +457,11 @@ func (w *wheel) advance(scratch *[]uint32, stop int64) bool {
 		// Cascade overflow events whose slot has entered the window. They
 		// were beyond the horizon when scheduled; the horizon has moved.
 		for len(w.overflow) > 0 && slotOf(w.overflow[0].at) < w.curSlot+wheelSlots {
-			ev := popEvent(&w.overflow)
+			e := &w.overflow[0]
+			at, seq, route, ev := e.at, e.seq, e.route, e.ev
+			dropMin(&w.overflow)
 			w.cascades++
-			w.insert(ev)
+			w.insert(at, seq, route, ev)
 		}
 		if len(w.order)+len(w.late) > 0 {
 			return true
@@ -457,7 +513,7 @@ const sortCrossover = 24
 // starts out. One insertion pass then settles the rest: a linear scan when the
 // bucket was appended in seq order (it is, except after a cascade or when a
 // flush inserted a lone delivery ahead of its fanout), the whole sort for a
-// shallow bucket. Only 4-byte indices move: ordering the 32-byte events
+// shallow bucket. Only 4-byte indices move: ordering the 40-byte events
 // themselves costs what the heap's sifts did (DESIGN.md §10). scratch is the
 // scheduler's one buffer for the passes.
 func sortRun(run []event, order []uint32, scratch *[]uint32) []uint32 {
@@ -493,11 +549,11 @@ func sortRun(run []event, order []uint32, scratch *[]uint32) []uint32 {
 		}
 	}
 	for i := 1; i < n; i++ {
-		if !run[order[i-1]].before(run[order[i]]) {
+		if !run[order[i-1]].before(&run[order[i]]) {
 			continue
 		}
 		x, j := order[i], i
-		for ; j > 0 && run[order[j-1]].before(run[x]); j-- {
+		for ; j > 0 && run[order[j-1]].before(&run[x]); j-- {
 			order[j] = order[j-1]
 		}
 		order[j] = x
@@ -514,22 +570,24 @@ func (w *wheel) first() (*event, bool) {
 		return &w.late[0], true
 	}
 	ev := &w.run[w.order[n-1]]
-	if len(w.late) > 0 && w.late[0].before(*ev) {
+	if len(w.late) > 0 && w.late[0].before(ev) {
 		return &w.late[0], true
 	}
 	return ev, false
 }
 
-// pop removes and returns the open slot's head.
-func (w *wheel) pop() event {
+// pop removes the open slot's head and returns its instant, route and Event
+// slot.
+func (w *wheel) pop() (at Time, route uint64, ev Event) {
 	head, late := w.first()
+	at, route, ev = head.at, head.route, head.ev
 	if late {
-		return popEvent(&w.late)
+		dropMin(&w.late)
+	} else {
+		*head = event{}
+		w.order = w.order[:len(w.order)-1]
 	}
-	ev := *head
-	*head = event{}
-	w.order = w.order[:len(w.order)-1]
-	return ev
+	return at, route, ev
 }
 
 // Process states (both body forms).
@@ -688,6 +746,17 @@ type ShardInserter struct {
 // caller must take from its job's reserved block (Job.Seal). at must not
 // precede the job's declared earliest instant (SubmitSealed).
 func (si *ShardInserter) At(at Time, seq uint64, ev Event) {
+	si.insert(at, seq, 0, ev)
+}
+
+// AtMessage schedules the message (from, to, payload) for delivery at
+// instant at with the given sequence number, as At schedules an event.
+func (si *ShardInserter) AtMessage(at Time, seq uint64, from, to int, payload any) {
+	si.insert(at, seq, routeOf(from, to), eventOf(payload))
+}
+
+// insert puts one expanded event into the wheel.
+func (si *ShardInserter) insert(at Time, seq, route uint64, ev Event) {
 	s := si.s
 	if at < s.now {
 		// Defensive: a job's events may not precede its declared earliest,
@@ -696,7 +765,7 @@ func (si *ShardInserter) At(at Time, seq uint64, ev Event) {
 		// AtEvent's "time never flows backwards".
 		at = s.now
 	}
-	s.wheel.insert(event{at: at, seq: seq, ev: ev})
+	s.wheel.insert(at, seq, route, ev)
 	si.n++
 }
 
@@ -719,6 +788,7 @@ type Scheduler struct {
 	shards  int      // expansion shards (0 = unsharded)
 
 	stats SchedulerStats // all but the wheel's own two counters
+	net   Deliverer      // receives the message events; nil until SetNetwork
 
 	// Window expansion. jobs holds the jobs registered since the last flush,
 	// in registration order; earliest lower-bounds the instant of any event
@@ -849,14 +919,42 @@ func (s *Scheduler) After(d Time, fn func()) { s.AfterEvent(d, eventFunc(fn)) }
 
 // AtEvent schedules ev to fire at virtual instant t (clamped to now). It is
 // the allocation-free twin of At: a pointer-shaped Event implementation
-// (e.g. a pooled message-delivery struct) is stored without boxing.
+// (e.g. a pooled fanout) is stored without boxing.
 func (s *Scheduler) AtEvent(t Time, ev Event) {
+	s.schedule(t, 0, ev)
+}
+
+// AtMessage schedules the message (from, to, payload) for delivery at
+// virtual instant t (clamped to now): when it pops, the scheduler hands it to
+// the network SetNetwork registered. It is ordered, counted and stored like
+// any event, and allocates nothing. to must be non-negative.
+func (s *Scheduler) AtMessage(t Time, from, to int, payload any) {
+	if s.net == nil {
+		panic("vclock: AtMessage on a scheduler with no network")
+	}
+	s.schedule(t, routeOf(from, to), eventOf(payload))
+}
+
+// schedule inserts the event (t, route, ev) with the next sequence number.
+func (s *Scheduler) schedule(t Time, route uint64, ev Event) {
 	if t < s.now {
 		t = s.now
 	}
 	s.seq++
 	s.stats.EventsScheduled++
-	s.wheel.insert(event{at: t, seq: s.seq, ev: ev})
+	s.wheel.insert(t, s.seq, route, ev)
+}
+
+// SetNetwork registers d as the network that receives the scheduler's
+// message events (AtMessage). A scheduler carries one network per run: a
+// second registration returns an error and changes nothing, so a delivery
+// can never be routed to a network other than its sender's.
+func (s *Scheduler) SetNetwork(d Deliverer) error {
+	if s.net != nil {
+		return errors.New("vclock: the scheduler already carries a network")
+	}
+	s.net = d
+	return nil
 }
 
 // AfterEvent schedules ev to fire d nanoseconds of virtual time from now.
@@ -1180,10 +1278,14 @@ func (s *Scheduler) Run() Outcome {
 					s.abort()
 					continue
 				}
-				ev := s.wheel.pop()
+				at, route, ev := s.wheel.pop()
 				s.steps++
-				s.now = max(s.now, ev.at)
-				ev.ev.Fire()
+				s.now = max(s.now, at)
+				if route != 0 {
+					s.net.Deliver(int(int32(route>>32)), int(uint32(route))-1, anyOf(ev))
+				} else {
+					ev.Fire()
+				}
 				continue
 			}
 		}
@@ -1223,10 +1325,10 @@ func (s *Scheduler) Kept() any {
 // Recycle hands the scheduler back for a later New, once Run has returned and
 // the caller has read the Outcome; the caller must not use it, or any Proc it
 // spawned, afterwards. The scheduler is cleared as the next run needs it —
-// virtual time zero, no event pending in any tier, no job, no runnable or
-// live process, zero stats and Outcome — and keeps the storage this run grew:
-// the bucket array and its shelf, the heaps, the run queue and the Procs,
-// each zeroed, for Inline to reuse. Nothing a finished run did stays
+// virtual time zero, no event (and so no payload) pending in any tier, no
+// job, no network, no runnable or live process, zero stats and Outcome — and
+// keeps the storage this run grew: the bucket array and its shelf, the heaps,
+// the run queue and the Procs, each zeroed, for Inline to reuse. Nothing a finished run did stays
 // reachable from it but the value it stored with Keep, which becomes the
 // next run's Kept and which its owner clears when it takes it back.
 //

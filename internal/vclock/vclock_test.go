@@ -458,8 +458,8 @@ func (c *cyclingEvent) Fire() {
 
 // TestAtEventZeroAlloc: the pooled-event scheduling path must not allocate
 // in steady state — events ride the wheel's reused buckets, with no
-// closure and no heap boxing. This is the contract the netsim delivery
-// pools are built on. (s.At wraps the func in an allocation-free adapter,
+// closure and no heap boxing. This is the contract the netsim fanout pool
+// is built on. (s.At wraps the func in an allocation-free adapter,
 // so the closure itself is the only alloc of the closure path.)
 func TestAtEventZeroAlloc(t *testing.T) {
 	s := New()
@@ -500,7 +500,7 @@ func TestRecycleLeavesNoState(t *testing.T) {
 		if _, ok := s.next(); !ok {
 			t.Fatal("wheel ran dry")
 		}
-		ev := s.wheel.pop()
+		ev := s.wheel.popHead()
 		if ev.at < last {
 			t.Fatalf("pop %d went back in time: %d after %d", i, ev.at, last)
 		}
@@ -706,7 +706,7 @@ func TestWheelStorageFollowsPendingEvents(t *testing.T) {
 			if !ok || slotOf(at) > sl {
 				break
 			}
-			s.now = s.wheel.pop().at
+			s.now = s.wheel.popHead().at
 		}
 	}
 	w := &s.wheel
@@ -766,7 +766,7 @@ func (w *refWheel) insert(ev event) {
 	slot := slotOf(ev.at)
 	switch {
 	case slot <= w.curSlot:
-		pushEvent(&w.active, ev)
+		refPush(&w.active, ev)
 		w.late++
 		w.maxDepth = max(w.maxDepth, int64(len(w.active)))
 	case slot < w.curSlot+wheelSlots:
@@ -775,8 +775,26 @@ func (w *refWheel) insert(ev event) {
 		w.wheelCount++
 		w.maxDepth = max(w.maxDepth, int64(len(*b)))
 	default:
-		pushEvent(&w.overflow, ev)
+		refPush(&w.overflow, ev)
 	}
+}
+
+// refPush and refPop are the reference's heap operations, on the wheel's
+// own heap.
+func refPush(h *[]event, ev event) { pushEvent(h, ev.at, ev.seq, ev.route, ev.ev) }
+
+func refPop(h *[]event) event {
+	top := (*h)[0]
+	dropMin(h)
+	return top
+}
+
+// popHead pops the wheel's head and returns it whole.
+func (w *wheel) popHead() event {
+	head, _ := w.first()
+	ev := *head
+	w.pop()
+	return ev
 }
 
 // advance opens no slot past stop, like wheel.advance.
@@ -784,7 +802,7 @@ func (w *refWheel) advance(stop int64) bool {
 	for {
 		for len(w.overflow) > 0 && slotOf(w.overflow[0].at) < w.curSlot+wheelSlots {
 			w.cascades++
-			w.insert(popEvent(&w.overflow))
+			w.insert(refPop(&w.overflow))
 		}
 		if len(w.active) > 0 {
 			return true
@@ -801,7 +819,7 @@ func (w *refWheel) advance(stop int64) bool {
 			w.curSlot = sl
 			w.wheelCount -= len(*b)
 			for _, ev := range *b {
-				pushEvent(&w.active, ev)
+				refPush(&w.active, ev)
 			}
 			*b = (*b)[:0]
 			continue
@@ -870,7 +888,7 @@ func (r *refSched) pop() (event, bool) {
 		if !ok {
 			return event{}, false
 		}
-		ev := popEvent(&r.w.active)
+		ev := refPop(&r.w.active)
 		r.now = max(r.now, ev.at)
 		return ev, true
 	}
@@ -999,7 +1017,7 @@ func driveWheelOps(t testing.TB, data []byte) (cov wheelOpsCoverage) {
 		if !ok {
 			return false
 		}
-		ev := s.wheel.pop()
+		ev := s.wheel.popHead()
 		if ev.at != want.at || ev.seq != want.seq {
 			t.Fatalf("pop %d: (at=%d seq=%d), reference (at=%d seq=%d)", cov.pops, ev.at, ev.seq, want.at, want.seq)
 		}
