@@ -29,8 +29,9 @@ func paperTrial(seed int64) Scenario {
 }
 
 // TestPaperTrialAllocationGate pins the allocation bill of one paper trial
-// (seed 3: one round, 38 events). Achieved: 15 allocations and 4.6 KB per
-// run, from 16 and 5.2 KB while every process held its own pointers to the
+// (seed 3: one round, 38 events). Achieved: 14 allocations and 4.1 KB per
+// run, from 15 and 4.6 KB while every run made its process records afresh,
+// from 16 and 5.2 KB while every process held its own pointers to the
 // run's network, coin, crash schedule, counters and trace, and every run
 // built a common coin; from 102 and 7.9 KB while every process bought its
 // own state, coin, Quorum, pending map and dispatch closure, every broadcast
@@ -56,12 +57,14 @@ func baselineTrial(protocol string, seed int64) Scenario {
 
 // TestBaselineAllocationGate pins the allocation bill of one baseline trial
 // (seed 2); both run on core's round machine. Ben-Or, 4 rounds and 372
-// events: 16 allocations and 3.7 KB per run, from 16 and 4.7 KB on a round
+// events: 15 allocations and 3.3 KB per run (16 and 3.7 KB while every run
+// made its process records afresh), from 16 and 4.7 KB on a round
 // machine of its own, from 125 and 7.7 KB with per-process objects and boxed
 // payloads (see TestPaperTrialAllocationGate), from 244 and 15.3 KB while
 // every run built its engine afresh, and from 458 and 28.5 KB while every
 // exchange built a map tally and received() a slice. mpcoin, 3 rounds and
-// 132 events: 15 allocations and 3.5 KB, from 15 and 3.4 KB on a round
+// 132 events: 14 allocations and 3.1 KB (15 and 3.5 KB with fresh records),
+// from 15 and 3.4 KB on a round
 // machine of its own (the shared process is larger than mpcoin's was), from
 // 72 and 5.1 KB with per-process objects, from 178 and 12.9 KB with a fresh
 // engine, and from 245 and 18.9 KB as a coroutine body with a map tally per
@@ -149,12 +152,14 @@ func TestRegisterAllocationGate(t *testing.T) {
 // TestGossipAllocationGate pins the allocation bill of one crash-free gossip
 // run at n=2048 on a de Bruijn overlay, seed 1303: a scheduler sharded 16
 // ways, which owns its bucket array and so grows it afresh every run.
-// Achieved: 8,139 allocations and 8.1 MB per run, from 23,802 and 8.4 MB
-// while every point-to-point message rode a pooled delivery object (a run
-// grew about 15,700 of them), from 26,022 with a dispatch closure per
-// process, and from 77,963 and 30.1 MB while each of the 256 buckets grew
-// and kept an array of its own and every timer wake allocated a closure. The
-// limits leave about 15 % of headroom.
+// Achieved: 461 allocations and 7.4 MB per run, from 8,139 and 8.1 MB while
+// every process had a heap Proc, a name past p255 and an inbox ring of its
+// own beside its record, from 23,802 and 8.4 MB while every point-to-point
+// message rode a pooled delivery object (a run grew about 15,700 of them),
+// from 26,022 with a dispatch closure per process, and from 77,963 and
+// 30.1 MB while each of the 256 buckets grew and kept an array of its own
+// and every timer wake allocated a closure. The limits leave about 10 % of
+// headroom.
 func TestGossipAllocationGate(t *testing.T) {
 	const n = 2048
 	w := Workload{Binary: make([]Value, n)}
@@ -165,7 +170,7 @@ func TestGossipAllocationGate(t *testing.T) {
 		Workload: w,
 		Profile:  UniformProfile(0, 200*time.Microsecond),
 		Seed:     1303,
-	}, 20, 9_400, 9_400_000)
+	}, 20, 510, 8_200_000)
 }
 
 // checkAllocBill fails unless one run of sc, averaged over runs runs,

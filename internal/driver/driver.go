@@ -19,7 +19,6 @@ package driver
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"allforone/internal/failures"
@@ -81,21 +80,19 @@ type NewNetFunc func(clock *vclock.Scheduler) (*netsim.Network, error)
 
 // Reactor is a process body (DESIGN.md §11): a resumable state machine the
 // scheduler invokes directly under its execution token — zero channel
-// rendezvous, zero goroutines. Its state is where the process waits; every
-// step between two waits runs inside one invocation. The driver closes the
-// process's inbox once it finishes.
-type Reactor interface {
-	// React runs one invocation: drain every deliverable message
-	// (netsim.Network.ReceiveNow) and advance the state machine to its
-	// next wait point. It must return instead of blocking. The return value
-	// reports whether the process has finished (decided, crashed, or
-	// blocked); after returning true the reactor is never invoked again.
-	//
-	// aborted = true means the run was aborted (quiescence, deadline, or
-	// step budget): the reactor must record its blocked outcome and return
-	// true.
-	React(aborted bool) bool
-}
+// rendezvous, zero goroutines, and no adapter: it is the process's
+// vclock.Handler. Its state is where the process waits; every step between
+// two waits runs inside one invocation.
+//
+// React runs one invocation: drain every deliverable message
+// (netsim.Network.ReceiveNow) and advance the state machine to its next
+// wait point. It must return instead of blocking. The return value reports
+// whether the process has finished (decided, crashed, or blocked); after
+// returning true the reactor is never invoked again, and the process's
+// inbox closes. aborted = true means the run was aborted (quiescence,
+// deadline, or step budget): the reactor must record its blocked outcome
+// and return true.
+type Reactor = vclock.Handler
 
 // ReactorFunc adapts a function to a Reactor.
 type ReactorFunc func(aborted bool) bool
@@ -105,7 +102,8 @@ func (f ReactorFunc) React(aborted bool) bool { return f(aborted) }
 
 // HandlerBody builds process i's reactor. It runs at spawn time (before
 // the run's first event), so reactors exist, and take their first steps, in
-// process order.
+// process order. It may keep h, whose clock methods (Now, Aborted,
+// WakeAfter) work from the process's first invocation on.
 type HandlerBody func(i int, h *Handle) Reactor
 
 // StandardNet returns the NewNetFunc shared by the protocol runners: a
@@ -136,28 +134,38 @@ func StandardNet(nw **netsim.Network, n int, seed uint64, ctr *metrics.Counters,
 	}
 }
 
-// Handle is a process body's view of the engine driving it. RunHandlers
-// keeps the run's Handles in one slab, and each is also its process's
-// vclock.Handler (invocation), so spawning a process allocates nothing.
+// Handle is a process body's view of the engine driving it, and its
+// process's record: RunHandlers keeps the run's Handles in one slab, which
+// travels with the recycled scheduler (vclock.KeepProcs), so spawning a
+// process allocates nothing. A record holds the process's vclock.Proc, whose
+// handler is the process's reactor, its inbox (netsim.Inbox, bound to the
+// network with BindInbox) and its crash flag. What one delivery reads and
+// writes (the inbox's first message and count, the Proc's state and
+// scheduler) and what one invocation reads (the Proc's handler, Killed, Now
+// through the Proc's scheduler, ReceiveNow's inbox words) lie in its first
+// 64 bytes; the inbox's ring and the rest follow. TestProcessRecordHotLine
+// pins the layout.
 type Handle struct {
-	clock  *vclock.Scheduler
-	proc   *vclock.Proc // the body's own process
+	proc   vclock.Proc  // 0–32: scheduler, reactor, state
 	killed bool         // a timed crash has struck; written and read under the token
-	r      Reactor      // the body
+	id     int32        // the process's id
+	inbox  netsim.Inbox // 40–64 its first message and count; then its ring
 	nw     *netsim.Network
-	id     model.ProcID
+	_      [24]byte // to 128 bytes: a slab's records start on a cache line
 }
 
 // Now returns the run clock: the virtual clock, exact and deterministic.
 // Protocols use it to timestamp externally visible events — e.g. the
 // register run tags every operation's invocation and response instants so
-// histories can be checked for linearizability.
-func (h *Handle) Now() time.Duration { return time.Duration(h.clock.Now()) }
+// histories can be checked for linearizability. Like Aborted and WakeAfter
+// it reads the clock through the process, so it may be called from the
+// process's first invocation on, not while HandlerBody builds its reactor.
+func (h *Handle) Now() time.Duration { return time.Duration(h.proc.Scheduler().Now()) }
 
 // Aborted reports whether the run has been aborted (quiescence, deadline,
 // or step budget): the body should record a blocked outcome and unwind
 // promptly.
-func (h *Handle) Aborted() bool { return h.clock.Aborted() }
+func (h *Handle) Aborted() bool { return h.proc.Scheduler().Aborted() }
 
 // Killed reports whether a timed crash has struck this process; the body
 // must halt (as crashed) at the next step point that observes it.
@@ -174,31 +182,16 @@ func (h *Handle) WakeAfter(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	h.clock.AtEvent(h.clock.Now()+vclock.Time(d), (*wakeup)(h))
+	clock := h.proc.Scheduler()
+	clock.AtEvent(clock.Now()+vclock.Time(d), (*wakeup)(h))
 }
 
 // wakeup is a Handle scheduled as its own timer event: the conversion from
 // *Handle allocates nothing, where a closure per timer would.
 type wakeup Handle
 
-// Fire wakes the handle's process. It resolves w.proc at fire time, not at
-// schedule time: a reactor built by HandlerBody may schedule its first timer
-// before RunHandlers has bound the spawned Proc back onto the Handle.
+// Fire wakes the handle's process.
 func (w *wakeup) Fire() { w.proc.Wake() }
-
-// invocation is a Handle spawned as its process's vclock.Handler: the
-// conversion from *Handle allocates nothing, where a closure per process
-// would.
-type invocation Handle
-
-// Handle invokes the reactor; once it reports finished, the process retires
-// and its inbox closes.
-func (v *invocation) Handle(aborted bool) {
-	if v.r.React(aborted) {
-		v.proc.Finish()
-		closeInbox(v.nw, v.id)
-	}
-}
 
 // strike is a Handle scheduled as its process's timed crash: it raises the
 // Killed flag and closes the inbox, allocating nothing.
@@ -207,7 +200,9 @@ type strike Handle
 // Fire strikes the handle's process.
 func (c *strike) Fire() {
 	c.killed = true
-	closeInbox(c.nw, c.id)
+	if c.nw != nil {
+		c.nw.CloseInbox(model.ProcID(c.id))
+	}
 }
 
 // RunHandlers executes n processes, one Reactor each, on a deterministic
@@ -236,14 +231,24 @@ func RunHandlers(cfg Config, n int, newNet NewNetFunc, mk HandlerBody) (sim.Engi
 		}
 	}
 
-	handles := make([]Handle, n)
+	slab, _ := clock.Kept(vclock.KeepProcs).(*[]Handle)
+	if slab == nil {
+		slab = new([]Handle)
+	}
+	if cap(*slab) < n {
+		*slab = make([]Handle, n)
+	}
+	handles := (*slab)[:n]
 	for i := range handles {
 		h := &handles[i]
-		h.clock, h.nw, h.id = clock, nw, model.ProcID(i)
-		h.r = mk(i, h)
-		h.proc = clock.Inline(procName(i), (*invocation)(h))
+		h.id, h.nw = int32(i), nw
+		// The reactor is the Proc's handler: the scheduler invokes it
+		// directly, and when it reports finished the network closes the
+		// inbox of the process spawned i-th, process i
+		// (vclock.Deliverer.Retire).
+		clock.Inline(&h.proc, mk(i, h))
 		if nw != nil {
-			nw.Bind(h.id, h.proc)
+			nw.BindInbox(model.ProcID(i), &h.proc, &h.inbox)
 		}
 	}
 
@@ -258,6 +263,14 @@ func RunHandlers(cfg Config, n int, newNet NewNetFunc, mk HandlerBody) (sim.Engi
 	if nw != nil {
 		nw.Shutdown()
 	}
+	// Nothing of the run may stay reachable from the kept slab: each record
+	// keeps only its inbox's ring, emptied.
+	for i := range handles {
+		h := &handles[i]
+		h.inbox.Reset()
+		*h = Handle{inbox: h.inbox}
+	}
+	clock.Keep(vclock.KeepProcs, slab)
 	clock.Recycle()
 	return sim.Engine{
 		Elapsed:          time.Duration(out.Now),
@@ -268,30 +281,6 @@ func RunHandlers(cfg Config, n int, newNet NewNetFunc, mk HandlerBody) (sim.Engi
 		StepsExceeded:    out.StepsExceeded,
 		Sched:            out.Stats,
 	}, nil
-}
-
-// procNames holds the names of the processes of every unsharded run
-// (vclock.ShardsFor), which start by the thousand.
-var procNames = func() (names [256]string) {
-	for i := range names {
-		names[i] = "p" + strconv.Itoa(i)
-	}
-	return names
-}()
-
-// procName returns process i's diagnostic name, "p<i>".
-func procName(i int) string {
-	if i < len(procNames) {
-		return procNames[i]
-	}
-	return "p" + strconv.Itoa(i)
-}
-
-// closeInbox closes process p's inbox once its body has finished.
-func closeInbox(nw *netsim.Network, p model.ProcID) {
-	if nw != nil {
-		nw.CloseInbox(p)
-	}
 }
 
 // resolveMaxSteps maps the Config.MaxSteps convention onto the scheduler's:

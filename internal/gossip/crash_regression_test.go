@@ -8,7 +8,6 @@ import (
 	"allforone/internal/driver"
 	"allforone/internal/failures"
 	"allforone/internal/metrics"
-	"allforone/internal/model"
 	"allforone/internal/netsim"
 	"allforone/internal/sim"
 )
@@ -85,7 +84,7 @@ func TestCrashedResponderAnswersNoPull(t *testing.T) {
 		ctr    metrics.Counters
 		nw     *netsim.Network
 		rumors int
-		store  sim.ProcResult
+		rn     *run
 	)
 	dcfg := driver.Config{
 		MaxVirtualTime: 50 * time.Millisecond,
@@ -94,18 +93,15 @@ func TestCrashedResponderAnswersNoPull(t *testing.T) {
 	newNet := driver.StandardNet(&nw, 2, 1, &ctr, 0, 0, netsim.WithTimedDelayFn(delay))
 	_, err := driver.RunHandlers(dcfg, 2, newNet, func(i int, h *driver.Handle) driver.Reactor {
 		if i == 0 {
-			inner := &reactor{
-				id:       0,
-				h:        h,
+			rn = &run{
 				net:      nw,
 				ctr:      &ctr,
-				succ:     []model.ProcID{1},
+				procs:    make([]sim.ProcResult, 1),
 				mode:     ModePull, // never sends on ticks: only pull answers
-				store:    &store,
-				infected: true,
 				rounds:   1 << 20,
 				roundLen: 10 * time.Millisecond,
 			}
+			inner := &reactor{h: h, run: rn, id: 0, infected: true}
 			return &swallowReactor{inner: inner, h: h, holdFrom: 400 * time.Microsecond, holdTo: crashAt}
 		}
 		return &pullerStub{net: nw, rumors: &rumors}
@@ -113,7 +109,7 @@ func TestCrashedResponderAnswersNoPull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if store.Status != sim.StatusCrashed {
+	if store := rn.procs[0]; store.Status != sim.StatusCrashed {
 		t.Fatalf("victim status %v, want crashed", store.Status)
 	}
 	if rumors != 0 {

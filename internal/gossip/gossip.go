@@ -181,23 +181,30 @@ type rumorMsg struct{}
 // pullMsg asks the recipient to answer with the rumor if it holds it.
 type pullMsg struct{}
 
-// reactor is one process's gossip state machine (driver.Reactor).
+// reactor is one process's gossip state machine (driver.Reactor): 64 bytes,
+// one cache line, which is all an invocation reads of it. What every process
+// of the run shares lives in the run it points to (TestReactorHotLine).
 type reactor struct {
-	id    model.ProcID
-	h     *driver.Handle
-	net   *netsim.Network
-	ctr   *metrics.Counters
-	succ  []model.ProcID
-	mode  Mode
-	store *sim.ProcResult // this process's result slot
-
-	infected bool
-	rounds   int           // budget R
-	roundLen time.Duration // tick period
-	round    int           // rounds processed so far
+	h        *driver.Handle
+	run      *run
 	tickAt   time.Duration // next tick instant
+	id       model.ProcID
+	round    int // rounds processed so far
+	infected bool
 	started  bool
 	done     bool
+	_        [21]byte
+}
+
+// run is what a gossip run's reactors share.
+type run struct {
+	net      *netsim.Network
+	g        *overlay.Graph
+	ctr      *metrics.Counters
+	procs    []sim.ProcResult // the result slots, by process
+	mode     Mode
+	rounds   int           // budget R
+	roundLen time.Duration // tick period
 }
 
 // finish records the outcome and retires the reactor.
@@ -206,7 +213,7 @@ func (rx *reactor) finish(st sim.Status, val model.Value) bool {
 	if st == sim.StatusDecided {
 		res.Decision = val
 	}
-	*rx.store = res
+	rx.run.procs[rx.id] = res
 	rx.done = true
 	return true
 }
@@ -219,10 +226,11 @@ func (rx *reactor) React(aborted bool) bool {
 	if rx.done {
 		return true
 	}
+	run := rx.run
 	if !rx.started {
 		rx.started = true
-		rx.tickAt = rx.roundLen
-		rx.h.WakeAfter(rx.roundLen)
+		rx.tickAt = run.roundLen
+		rx.h.WakeAfter(run.roundLen)
 	}
 	if aborted {
 		if rx.h.Killed() {
@@ -237,7 +245,7 @@ func (rx *reactor) React(aborted bool) bool {
 		return rx.finish(sim.StatusCrashed, model.Bot)
 	}
 	for {
-		m, ok, _ := rx.net.ReceiveNow(rx.id)
+		m, ok, _ := run.net.ReceiveNow(rx.id)
 		if !ok {
 			break
 		}
@@ -246,7 +254,7 @@ func (rx *reactor) React(aborted bool) bool {
 			rx.infected = true
 		case pullMsg:
 			if rx.infected {
-				rx.net.BurstSend(rx.id, m.From, rumorMsg{})
+				run.net.BurstSend(rx.id, m.From, rumorMsg{})
 			}
 		}
 	}
@@ -257,15 +265,15 @@ func (rx *reactor) React(aborted bool) bool {
 	for rx.h.Now() >= rx.tickAt {
 		ticked = true
 		rx.round++
-		if rx.round >= rx.rounds {
-			rx.ctr.ObserveRound(int64(rx.round))
+		if rx.round >= run.rounds {
+			run.ctr.ObserveRound(int64(rx.round))
 			if rx.infected {
 				return rx.finish(sim.StatusDecided, model.One)
 			}
 			return rx.finish(sim.StatusDecided, model.Zero)
 		}
 		rx.sendRound()
-		rx.tickAt += rx.roundLen
+		rx.tickAt += run.roundLen
 	}
 	if ticked {
 		rx.h.WakeAfter(rx.tickAt - rx.h.Now())
@@ -280,17 +288,18 @@ func (rx *reactor) React(aborted bool) bool {
 // insertions happen when that job's window flushes (netsim/expand.go); on a
 // small or unsharded topology BurstSend degrades to a plain Send.
 func (rx *reactor) sendRound() {
+	run := rx.run
 	if rx.infected {
-		if rx.mode == ModePush || rx.mode == ModePushPull {
-			for _, s := range rx.succ {
-				rx.net.BurstSend(rx.id, s, rumorMsg{})
+		if run.mode == ModePush || run.mode == ModePushPull {
+			for _, s := range run.g.Succ(rx.id) {
+				run.net.BurstSend(rx.id, s, rumorMsg{})
 			}
 		}
 		return
 	}
-	if rx.mode == ModePull || rx.mode == ModePushPull {
-		for _, s := range rx.succ {
-			rx.net.BurstSend(rx.id, s, pullMsg{})
+	if run.mode == ModePull || run.mode == ModePushPull {
+		for _, s := range run.g.Succ(rx.id) {
+			run.net.BurstSend(rx.id, s, pullMsg{})
 		}
 	}
 }
@@ -336,36 +345,28 @@ func Run(cfg Config) (*sim.Result, error) {
 	}
 
 	var ctr metrics.Counters
-	var nw *netsim.Network
-	procs := make([]sim.ProcResult, cfg.N)
+	rn := &run{g: g, ctr: &ctr, procs: make([]sim.ProcResult, cfg.N), mode: cfg.Mode, rounds: rounds, roundLen: roundLen}
 	dcfg := driver.Config{
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
 		Crashes:        cfg.Crashes,
 		Complexity:     sim.StepsLinear,
 	}
-	newNet := driver.StandardNet(&nw, cfg.N, uint64(cfg.Seed)^0x5ab3_02e9_cc41_7d16, &ctr, 0, 0, cfg.NetOptions...)
+	newNet := driver.StandardNet(&rn.net, cfg.N, uint64(cfg.Seed)^0x5ab3_02e9_cc41_7d16, &ctr, 0, 0, cfg.NetOptions...)
 	// One pooled allocation for all reactor state — at n=100k the
 	// per-reactor allocations otherwise dominate setup.
 	rxs := make([]reactor, cfg.N)
 	out, err := driver.RunHandlers(dcfg, cfg.N, newNet, func(i int, h *driver.Handle) driver.Reactor {
-		id := model.ProcID(i)
 		rxs[i] = reactor{
-			id:       id,
 			h:        h,
-			net:      nw,
-			ctr:      &ctr,
-			succ:     g.Succ(id),
-			mode:     cfg.Mode,
-			store:    &procs[i],
+			run:      rn,
+			id:       model.ProcID(i),
 			infected: cfg.Proposals[i] == model.One,
-			rounds:   rounds,
-			roundLen: roundLen,
 		}
 		return &rxs[i]
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &sim.Result{Procs: procs, Metrics: ctr.Read(), Engine: out}, nil
+	return &sim.Result{Procs: rn.procs, Metrics: ctr.Read(), Engine: out}, nil
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
@@ -306,5 +307,30 @@ func TestParseModeRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseMode("flood"); err == nil {
 		t.Fatal("ParseMode(flood) succeeded")
+	}
+}
+
+// TestReactorHotLine pins the reactor's layout: every field an invocation
+// reads lies in its first 64 bytes, and its size is a multiple of 64, so a
+// field added later cannot split that line without failing here.
+func TestReactorHotLine(t *testing.T) {
+	var rx reactor
+	hot := map[string][2]uintptr{
+		"h":        {unsafe.Offsetof(rx.h), unsafe.Sizeof(rx.h)},
+		"run":      {unsafe.Offsetof(rx.run), unsafe.Sizeof(rx.run)},
+		"tickAt":   {unsafe.Offsetof(rx.tickAt), unsafe.Sizeof(rx.tickAt)},
+		"id":       {unsafe.Offsetof(rx.id), unsafe.Sizeof(rx.id)},
+		"round":    {unsafe.Offsetof(rx.round), unsafe.Sizeof(rx.round)},
+		"infected": {unsafe.Offsetof(rx.infected), unsafe.Sizeof(rx.infected)},
+		"started":  {unsafe.Offsetof(rx.started), unsafe.Sizeof(rx.started)},
+		"done":     {unsafe.Offsetof(rx.done), unsafe.Sizeof(rx.done)},
+	}
+	for name, f := range hot {
+		if f[0]+f[1] > 64 {
+			t.Errorf("hot field %s ends at byte %d, past the first cache line", name, f[0]+f[1])
+		}
+	}
+	if size := unsafe.Sizeof(rx); size%64 != 0 {
+		t.Errorf("a reactor is %d bytes, not a multiple of 64", size)
 	}
 }

@@ -13,9 +13,11 @@
 // one network per scheduler: transit is a timestamped message event that
 // carries the message itself (vclock.Scheduler.AtMessage). When it pops, the
 // scheduler hands the message to the network, which puts it into the
-// recipient's inbox — one slab holds every inbox by value — and wakes the
-// receiver, whose handler drains its inbox (ReceiveNow). No wall-clock time
-// ever passes and executions are deterministic.
+// recipient's inbox and wakes the receiver, whose handler drains its inbox
+// (ReceiveNow). An inbox is storage its process's owner binds (BindInbox) —
+// the driver keeps it in the process's record, beside the vclock.Proc — or
+// one of the network's own (Bind). No wall-clock time ever passes and
+// executions are deterministic.
 package netsim
 
 import (
@@ -25,7 +27,6 @@ import (
 	"slices"
 	"time"
 
-	"allforone/internal/mailbox"
 	"allforone/internal/metrics"
 	"allforone/internal/model"
 	"allforone/internal/vclock"
@@ -187,9 +188,9 @@ func WithCounters(c *metrics.Counters) Option { return Option{kind: optCounters,
 // WithScheduler attaches the network to its discrete-event scheduler
 // (required): message transit is a scheduled delivery event at a virtual
 // timestamp (now + delay) that wakes the recipient's process. Each
-// consumer must be attached with Bind before its first delivery, and all
-// network calls must come from scheduler-controlled code (handlers or event
-// callbacks).
+// consumer must be attached with Bind or BindInbox before its first
+// delivery, and all network calls must come from scheduler-controlled code
+// (handlers or event callbacks).
 func WithScheduler(s *vclock.Scheduler) Option { return Option{kind: optScheduler, sched: s} }
 
 // Network is the simulated fully connected reliable asynchronous network
@@ -201,7 +202,8 @@ func WithScheduler(s *vclock.Scheduler) Option { return Option{kind: optSchedule
 // next New on it takes the network back (recycle) instead of building one.
 type Network struct {
 	n      int
-	boxes  inboxes // past its length: inboxes a larger run left, reset
+	boxes  []binding // per process: its inbox and consumer (Bind, BindInbox)
+	own    []Inbox   // the inboxes Bind gives; nil while none was asked for
 	opts   options
 	src    rand.PCG   // the delay stream, reseeded by New
 	rng    *rand.Rand // over src
@@ -217,7 +219,7 @@ type Network struct {
 	fanouts     []*fanout
 	everyone    []model.ProcID // the 0 … n-1 recipient list (SendAll); built in New
 	packKeys    []uint64       // packed-word scratch (sendFan), hot across broadcasts
-	closedBox   []uint64       // closed-inbox bitmap, mirrors boxes[i].Closed()
+	closedBox   []uint64       // closed-inbox bitmap: the one record of closure
 
 	// Sharded expansion state (expand.go); nil unless the scheduler is
 	// sharded and a delay policy makes expansion worth fanning out.
@@ -230,13 +232,28 @@ type Network struct {
 	freePayloads []any // BurstBuilder payload objects (GrabPayload, RecyclePayload)
 }
 
-// inboxes is the network's inbox slab, one inbox per process by value, and
-// the receiver of its scheduler's message events.
-type inboxes []mailbox.Virtual[Message]
+// deliverer is a Network as its scheduler's vclock.Deliverer: the conversion
+// allocates nothing and keeps Deliver and Retire off the Network's API.
+type deliverer Network
 
 // Deliver puts a message whose event popped into its recipient's inbox.
-func (b *inboxes) Deliver(from, to int, payload any) {
-	(*b)[to].Put(Message{From: model.ProcID(from), To: model.ProcID(to), Payload: payload})
+func (d *deliverer) Deliver(from, to int, payload any) {
+	nw := (*Network)(d)
+	if p := model.ProcID(to); !nw.boxClosed(p) {
+		nw.put(p, int32(from), payload)
+	}
+}
+
+// Retire closes the inbox of a process whose handler reported it finished.
+func (d *deliverer) Retire(p int) { (*Network)(d).CloseInbox(model.ProcID(p)) }
+
+// put appends a message to to's open inbox and wakes its consumer.
+func (nw *Network) put(to model.ProcID, from int32, payload any) {
+	b := &nw.boxes[to]
+	b.box.put(from, payload)
+	if b.proc != nil {
+		b.proc.Wake()
+	}
 }
 
 // fanout is a pooled batched-broadcast event: one broadcast schedules a
@@ -423,8 +440,8 @@ func deliverDue[K fanKey](f *fanout, h []K) vclock.Time {
 	due := h[i] >> bits
 	for {
 		to := list[h[i]&(1<<bits-1)]
-		if !nw.boxClosed(to) { // closed after send: Put would drop it anyway
-			nw.boxes[to].Put(Message{From: f.from, To: to, Payload: f.payload})
+		if !nw.boxClosed(to) { // closed after send: drop it
+			nw.put(to, int32(f.from), f.payload)
 		}
 		i++
 		if i == len(h) {
@@ -482,13 +499,13 @@ func New(n int, opts ...Option) (*Network, error) {
 		return nil, fmt.Errorf("netsim: no scheduler (WithScheduler is required)")
 	}
 	o.resolvePolicy()
-	nw, _ := o.sched.Kept().(*Network)
+	nw, _ := o.sched.Kept(vclock.KeepNetwork).(*Network)
 	kept := nw != nil
 	if !kept {
 		nw = new(Network)
 		nw.rng = rand.New(&nw.src)
 	}
-	if err := o.sched.SetNetwork(&nw.boxes); err != nil {
+	if err := o.sched.SetNetwork((*deliverer)(nw)); err != nil {
 		return nil, fmt.Errorf("netsim: %w", err)
 	}
 	if kept {
@@ -503,10 +520,7 @@ func New(n int, opts ...Option) (*Network, error) {
 	words := (n + 63) / 64
 	nw.closedBox = slices.Grow(nw.closedBox[:0], words)[:words]
 	clear(nw.closedBox)
-	if n > cap(nw.boxes) {
-		nw.boxes = slices.Grow(nw.boxes[:cap(nw.boxes)], n-cap(nw.boxes))
-	}
-	nw.boxes = nw.boxes[:n]
+	nw.boxes = slices.Grow(nw.boxes[:0], n)[:n]
 	if sc := o.sched.ShardCount(); sc > 0 && o.delays() {
 		// The scheduler is sharded and sends have per-recipient delay
 		// work worth fanning out: engage the sharded expansion path
@@ -519,9 +533,20 @@ func New(n int, opts ...Option) (*Network, error) {
 	return nw, nil
 }
 
-// Bind attaches the process that consumes p's inbox.
+// Bind attaches the process that consumes p's inbox, an inbox the network
+// keeps itself: for callers that drive a network without a record per
+// process of their own.
 func (nw *Network) Bind(p model.ProcID, proc *vclock.Proc) {
-	nw.boxes[p].Bind(proc)
+	if len(nw.own) != nw.n {
+		nw.own = slices.Grow(nw.own[:0], nw.n)[:nw.n]
+	}
+	nw.boxes[p] = binding{box: &nw.own[p], proc: proc}
+}
+
+// BindInbox attaches proc as the consumer of p's inbox, which is box: the
+// caller's storage, zero or Reset, which must stay in place for the run.
+func (nw *Network) BindInbox(p model.ProcID, proc *vclock.Proc, box *Inbox) {
+	nw.boxes[p] = binding{box: box, proc: proc}
 }
 
 // N returns the number of connected processes.
@@ -686,24 +711,34 @@ func (nw *Network) BroadcastSubset(from model.ProcID, payload any, recipients []
 // execution-token hold: one handler invocation per distinct arrival
 // instant. Deliveries are counted at consumption (MsgsDelivered).
 func (nw *Network) ReceiveNow(p model.ProcID) (m Message, ok, closed bool) {
-	m, ok, closed = nw.boxes[p].TryGetOrClosed()
-	if ok && nw.opts.counters != nil {
+	b := nw.boxes[p].box
+	if b.n == 0 {
+		return Message{}, false, nw.boxClosed(p)
+	}
+	from, payload := b.get()
+	if nw.opts.counters != nil {
 		nw.opts.counters.AddMsgsDelivered(1)
 	}
-	return m, ok, closed
+	return Message{From: model.ProcID(from), To: p, Payload: payload}, true, false
 }
 
 // CloseInbox marks process p as terminated: its queued messages remain
-// drainable but new messages to it are dropped.
+// drainable but new messages to it are dropped. Its consumer is woken so it
+// can observe the close. CloseInbox is idempotent.
 func (nw *Network) CloseInbox(p model.ProcID) {
-	nw.boxes[p].Close()
+	if nw.boxClosed(p) {
+		return
+	}
 	nw.closedBox[p>>6] |= 1 << (uint(p) & 63)
+	if proc := nw.boxes[p].proc; proc != nil {
+		proc.Wake()
+	}
 }
 
-// boxClosed reports whether p's inbox is closed, from the network's
-// bitmap rather than the mailbox itself: the send fan-out checks every
-// recipient, and reading one bool per mailbox struct touches n scattered
-// cache lines per broadcast where the bitmap needs n/512.
+// boxClosed reports whether p's inbox is closed. The bitmap is the only
+// record of it: a delivery checks its recipient's bit, and the send fan-out
+// every recipient's, where one bool per inbox would touch n scattered cache
+// lines per broadcast against the bitmap's n/512.
 func (nw *Network) boxClosed(to model.ProcID) bool {
 	return nw.closedBox[to>>6]&(1<<(uint(to)&63)) != 0
 }
@@ -714,20 +749,21 @@ func (nw *Network) boxClosed(to model.ProcID) bool {
 func (nw *Network) Shutdown() {
 	nw.closed = true
 	for i := range nw.boxes {
-		nw.boxes[i].Close()
-		nw.closedBox[i>>6] |= 1 << (uint(i) & 63)
+		nw.CloseInbox(model.ProcID(i))
 	}
-	nw.opts.sched.Keep(nw)
+	nw.opts.sched.Keep(vclock.KeepNetwork, nw)
 }
 
 // recycle readies a network whose run is over — it was shut down and its
 // scheduler recycled, so none of its events is pending anywhere, and no
 // message either, since each rode its own event — for New: every fanout it
 // made goes back on its freelist, cleared, the ones still in flight when the
-// run ended too, and every inbox is emptied and reopened. The payload pool is
-// dropped: its objects belong to the run's protocol. Nothing of the finished
-// run stays reachable from the network. Only an unsharded network reaches
-// here, since sharded schedulers are never recycled.
+// run ended too, its own inboxes are emptied, and the bindings are dropped:
+// bound storage is its owner's to clear (driver.RunHandlers clears its
+// records). The payload pool is dropped: its objects belong to the run's
+// protocol. Nothing of the finished run stays reachable from the network.
+// Only an unsharded network reaches here, since sharded schedulers are never
+// recycled.
 func (nw *Network) recycle() {
 	// A fanout off its freelist is one still in flight: it has its
 	// recipient list.
@@ -736,9 +772,10 @@ func (nw *Network) recycle() {
 			f.release()
 		}
 	}
-	for i := range nw.boxes {
-		nw.boxes[i].Reset()
+	for i := range nw.own {
+		nw.own[i].Reset()
 	}
+	clear(nw.boxes)
 	clear(nw.freePayloads)
 	nw.freePayloads = nw.freePayloads[:0]
 	nw.closed = false

@@ -54,7 +54,7 @@ func onScheduler(t testing.TB, n int, start func(nw *Network), react func(nw *Ne
 }
 
 // queued returns the number of delivered, unconsumed messages in p's inbox.
-func queued(nw *Network, p model.ProcID) int { return nw.boxes[p].Len() }
+func queued(nw *Network, p model.ProcID) int { return nw.boxes[p].box.Len() }
 
 func TestNewValidation(t *testing.T) {
 	t.Parallel()

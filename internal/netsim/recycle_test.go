@@ -180,8 +180,13 @@ func checkRecycled(t *testing.T, nw *Network, fanouts []*fanout) {
 		}
 	}
 	for i, b := range nw.boxes[:cap(nw.boxes)] {
-		if b.Len() != 0 || b.Closed() {
-			t.Fatalf("inbox %d: %d queued, closed %v", i, b.Len(), b.Closed())
+		if b != (binding{}) {
+			t.Fatalf("binding %d keeps %+v", i, b)
+		}
+	}
+	for i, b := range nw.own[:cap(nw.own)] {
+		if b.Len() != 0 || b.first != nil || slices.ContainsFunc(b.ring, func(e entry) bool { return e != (entry{}) }) {
+			t.Fatalf("inbox %d keeps %d messages: %+v", i, b.Len(), b)
 		}
 	}
 	if len(nw.freePayloads) != 0 || slices.ContainsFunc(nw.freePayloads[:cap(nw.freePayloads)], func(p any) bool { return p != nil }) {

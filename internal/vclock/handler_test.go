@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // A handler proc is woken in the same FIFO order as coroutines: a run
@@ -223,5 +224,63 @@ func TestRunPanicReleasesCoroutines(t *testing.T) {
 			t.Fatalf("goroutines: %d before, %d after panicked Run", before, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// retireLog is a Deliverer that logs the processes it is told finished.
+type retireLog []int
+
+func (r *retireLog) Deliver(int, int, any) {}
+func (r *retireLog) Retire(p int)          { *r = append(*r, p) }
+
+// finishAt is a handler in its caller's storage that reports itself
+// finished at its k-th invocation.
+type finishAt struct {
+	p    Proc
+	k, n int
+}
+
+func (f *finishAt) React(bool) bool {
+	f.n++
+	return f.n == f.k
+}
+
+// A handler that reports itself finished retires exactly as Finish retires
+// it, in the caller's storage, and the scheduler's network is told its spawn
+// index, once; a SpawnHandler body that calls Finish is not reported. A Proc
+// stays 32 bytes, so a record that holds one keeps it on one cache line.
+func TestInlineHandlerReportsFinished(t *testing.T) {
+	if size := unsafe.Sizeof(Proc{}); size != 32 {
+		t.Fatalf("a Proc is %d bytes, want 32", size)
+	}
+	s := New()
+	var log retireLog
+	if err := s.SetNetwork(&log); err != nil {
+		t.Fatal(err)
+	}
+	var byFinish *Proc
+	byFinish = s.SpawnHandler("f", func(bool) { byFinish.Finish() })
+	procs := []*finishAt{{k: 1}, {k: 3}, {k: 2}}
+	for _, f := range procs {
+		s.Inline(&f.p, f)
+	}
+	for i := 1; i <= 4; i++ {
+		s.At(Time(i), func() {
+			for _, f := range procs {
+				f.p.Wake()
+			}
+		})
+	}
+	out := s.Run()
+	if out.Aborted() || s.live != 0 {
+		t.Fatalf("run ended %+v with %d live", out, s.live)
+	}
+	for i, f := range procs {
+		if !f.p.Done() || f.n != f.k {
+			t.Fatalf("proc %d: done %v after %d invocations, want done after %d", i, f.p.Done(), f.n, f.k)
+		}
+	}
+	if want := (retireLog{1, 3, 2}); !reflect.DeepEqual(log, want) {
+		t.Fatalf("network told of finished processes %v, want %v", log, want)
 	}
 }

@@ -129,6 +129,9 @@ func (m *mixNet) callback(id int) Event {
 	})
 }
 
+// Retire is not called: the test's processes finish by Finish, if at all.
+func (m *mixNet) Retire(p int) { m.t.Fatalf("process %d retired", p) }
+
 // Deliver logs a message's pop, checks what it carries, and schedules more.
 func (m *mixNet) Deliver(from, to int, payload any) {
 	id := -1
@@ -326,3 +329,6 @@ func TestOneNetworkPerScheduler(t *testing.T) {
 type recorder []int
 
 func (r *recorder) Deliver(_, to int, _ any) { *r = append(*r, to) }
+
+// Retire ignores a finished process: the test asks only about deliveries.
+func (r *recorder) Retire(int) {}

@@ -122,10 +122,13 @@ type eventFunc func()
 // Fire runs the wrapped function.
 func (f eventFunc) Fire() { f() }
 
-// Deliverer is the network a scheduler hands its message events to
-// (SetNetwork): when one pops, Deliver receives the message it carries.
+// Deliverer is the network a scheduler carries (SetNetwork): when a message
+// event pops, Deliver receives the message it carries; when an inline
+// process's handler reports it has finished, Retire receives the process's
+// spawn index, so that its inbox closes.
 type Deliverer interface {
 	Deliver(from, to int, payload any)
+	Retire(p int)
 }
 
 // event is one scheduled callback, or one message in transit. A message
@@ -603,30 +606,58 @@ const (
 // from scheduler-controlled code: from within a process body (Park, Finish) or
 // from event callbacks and other bodies (Wake). The single-token handoff
 // makes every such call data-race free without locks.
+//
+// A Proc holds only what a wake and an invocation read — 32 bytes, so that a
+// caller keeping one inside a per-process record of its own (Inline) keeps
+// it on one cache line with the rest of what the process touches per
+// message. A coroutine's channel lives in what Spawn allocates.
 type Proc struct {
 	s       *Scheduler
-	name    string
-	state   int
-	resume  chan bool // scheduler → proc; false = run aborted (coroutines only)
-	handler Handler   // inline body (handler procs only)
-	rewake  bool      // a Wake arrived during the handler's own invocation
+	handler Handler // the body; a coroutine's is its *coroutine
+	id      int32   // spawn index: the network inbox Retire closes
+	state   uint8
+	rewake  bool // a Wake arrived during the handler's own invocation
 }
 
-// Handler is an inline handler process's body (SpawnHandler, Inline): Handle
-// runs one invocation under the scheduler's execution token.
+// Handler is an inline process's body (Inline, SpawnHandler): React runs one
+// invocation under the scheduler's execution token and reports whether the
+// process has finished. A finished process is never invoked again, and the
+// scheduler's network (SetNetwork) closes its inbox.
 type Handler interface {
-	Handle(aborted bool)
+	React(aborted bool) (finished bool)
 }
 
 // HandlerFunc adapts a plain func to Handler, as http.HandlerFunc does. Func
-// values are pointer-shaped, so the conversion does not allocate.
+// values are pointer-shaped, so the conversion does not allocate. Its
+// process finishes only by calling Finish.
 type HandlerFunc func(aborted bool)
 
-// Handle calls f(aborted).
-func (f HandlerFunc) Handle(aborted bool) { f(aborted) }
+// React calls f(aborted) and reports the process unfinished.
+func (f HandlerFunc) React(aborted bool) bool {
+	f(aborted)
+	return false
+}
 
-// Name returns the coroutine's diagnostic name.
-func (p *Proc) Name() string { return p.name }
+// coroutine is what Spawn allocates: the Proc and the channel its goroutine
+// waits on. As the Proc's handler, an invocation hands it the execution
+// token and takes it back once the body parks or returns.
+type coroutine struct {
+	p      Proc
+	resume chan bool // scheduler → proc; false = run aborted
+}
+
+// React resumes the coroutine and waits until it parks or finishes. A Wake
+// the coroutine issued on itself while running is dropped: it parks only
+// after re-checking its condition.
+func (c *coroutine) React(aborted bool) bool {
+	c.resume <- !aborted
+	<-c.p.s.yield
+	c.p.rewake = false
+	return false
+}
+
+// Scheduler returns the scheduler p runs on.
+func (p *Proc) Scheduler() *Scheduler { return p.s }
 
 // Park suspends the calling coroutine until another party calls Wake (then
 // Park returns true) or the scheduler aborts the run (then false: the
@@ -634,7 +665,8 @@ func (p *Proc) Name() string { return p.name }
 // outside the coroutine's own fn — in particular from a handler proc's
 // body, which has no goroutine to suspend — is a protocol violation.
 func (p *Proc) Park() bool {
-	if p.handler != nil {
+	c, ok := p.handler.(*coroutine)
+	if !ok {
 		panic("vclock: Park called on a handler proc")
 	}
 	s := p.s
@@ -643,7 +675,7 @@ func (p *Proc) Park() bool {
 	}
 	p.state = stateParked
 	s.yield <- struct{}{}
-	return <-p.resume
+	return <-c.resume
 }
 
 // Wake makes a parked process runnable again; it will resume, in FIFO wake
@@ -659,9 +691,7 @@ func (p *Proc) Wake() {
 		p.state = stateRunnable
 		p.s.pushRunnable(p)
 	case stateRunning:
-		if p.handler != nil {
-			p.rewake = true
-		}
+		p.rewake = true
 	}
 }
 
@@ -674,9 +704,10 @@ func (p *Proc) Done() bool { return p.state == stateDone }
 // within the handler's own invocation (under the execution token), exactly
 // like a coroutine finishing by returning from its fn. Finish is
 // idempotent; calling it on a coroutine proc is a protocol violation (a
-// coroutine finishes by returning).
+// coroutine finishes by returning). Unlike a handler reporting itself
+// finished, Finish leaves the process's inbox to its owner.
 func (p *Proc) Finish() {
-	if p.handler == nil {
+	if _, ok := p.handler.(*coroutine); ok {
 		panic("vclock: Finish called on a coroutine proc")
 	}
 	if p.state == stateDone {
@@ -800,7 +831,7 @@ type Scheduler struct {
 	earliest Time
 	ins      ShardInserter
 
-	procs    []*Proc // past its length: zeroed Procs a recycled run left (newProc)
+	procs    []*Proc // in spawn order; the Procs are the callers' (Inline) or Spawn's
 	spawned  int
 	live     int
 	runnable []*Proc // FIFO; head index below avoids reallocating on pop
@@ -815,10 +846,22 @@ type Scheduler struct {
 	aborted bool
 	outcome Outcome
 
-	// The keep slot: keep is what this run stored with Keep, kept what an
+	// The keep slots: keep is what this run stored with Keep, kept what an
 	// earlier run on the scheduler stored, handed on by Recycle.
-	keep, kept any
+	keep, kept [keepSlots]any
 }
+
+// KeepSlot names one of the values a scheduler carries from a run to the
+// next (Keep).
+type KeepSlot uint8
+
+const (
+	// KeepNetwork holds the run's network, with the storage it grew.
+	KeepNetwork KeepSlot = iota
+	// KeepProcs holds the storage of the run's processes.
+	KeepProcs
+	keepSlots
+)
 
 // schedulers holds the schedulers Recycle handed back, every one of them
 // unsharded, coroutine-free and cleared; New draws from it.
@@ -1056,18 +1099,16 @@ func (s *Scheduler) next() (Time, bool) {
 // Spawn registers fn as a new coroutine. It starts runnable and takes its
 // first step when Run reaches it (spawn order for coroutines spawned before
 // Run). Spawning from a running coroutine or an event callback is allowed.
-func (s *Scheduler) Spawn(name string, fn func()) *Proc {
+// The name is not kept; the parameter remains so that callers compile.
+func (s *Scheduler) Spawn(_ string, fn func()) *Proc {
 	if s.yield == nil {
 		s.yield = make(chan struct{})
 	}
-	p := s.newProc()
-	p.s, p.name, p.resume = s, name, make(chan bool)
-	p.state = stateRunnable
-	s.spawned++
-	s.live++
-	s.pushRunnable(p)
+	c := &coroutine{resume: make(chan bool)}
+	p := &c.p
+	s.Inline(p, c)
 	go func() {
-		if ok := <-p.resume; ok {
+		if ok := <-c.resume; ok {
 			fn()
 		}
 		p.state = stateDone
@@ -1077,52 +1118,43 @@ func (s *Scheduler) Spawn(name string, fn func()) *Proc {
 	return p
 }
 
-// SpawnHandler registers fn as a new inline handler process:
-// Inline(name, HandlerFunc(fn)).
-func (s *Scheduler) SpawnHandler(name string, fn func(aborted bool)) *Proc {
-	return s.Inline(name, HandlerFunc(fn))
+// SpawnHandler registers fn as a new inline handler process, in a Proc of
+// its own: Inline(new(Proc), HandlerFunc(fn)). fn finishes its process by
+// calling Finish. The name is not kept; the parameter remains so that
+// callers compile.
+func (s *Scheduler) SpawnHandler(_ string, fn func(aborted bool)) *Proc {
+	p := new(Proc)
+	s.Inline(p, HandlerFunc(fn))
+	return p
 }
 
-// Inline registers h as a new inline handler process. Like a coroutine it
-// starts runnable (its first invocation runs with the other initial steps,
-// in spawn order) and thereafter is invoked once per Wake, in the same FIFO
-// wake order coroutines resume in — so a run mixing the two body forms
-// interleaves them identically to an all-coroutine run. A caller that keeps
-// one Handler per process in a slab of its own spawns its processes without
-// a closure each.
+// Inline registers h as a new inline handler process in p, the caller's
+// storage, which must be zero and stay in place until the scheduler is
+// recycled — so a caller that keeps one record per process in a slab of its
+// own spawns its processes without an allocation. Like a coroutine the
+// process starts runnable (its first invocation runs with the other initial
+// steps, in spawn order) and thereafter is invoked once per Wake, in the same
+// FIFO wake order coroutines resume in — so a run mixing the two body forms
+// interleaves them identically to an all-coroutine run. Its spawn index is
+// the inbox Retire names when it finishes.
 //
 // Each invocation runs directly under the scheduler's execution token: no
 // goroutine, no channel rendezvous. The contract (DESIGN.md §11):
 //
-//   - Handle must return instead of blocking — a handler has no goroutine to
+//   - React must return instead of blocking — a handler has no goroutine to
 //     suspend, so Park must not be called from it;
-//   - returning without calling Finish parks the proc until the next Wake;
-//   - Handle(aborted=true) means the run was aborted (quiescence, deadline,
-//     or step budget): the handler must record its blocked outcome and call
-//     Finish — the inline analogue of Park returning false.
-func (s *Scheduler) Inline(name string, h Handler) *Proc {
-	p := s.newProc()
-	p.s, p.name, p.handler = s, name, h
+//   - returning false without calling Finish parks the proc until the next
+//     Wake; returning true finishes it;
+//   - React(aborted=true) means the run was aborted (quiescence, deadline,
+//     or step budget): the handler must record its blocked outcome and
+//     finish — the inline analogue of Park returning false.
+func (s *Scheduler) Inline(p *Proc, h Handler) {
+	p.s, p.handler, p.id = s, h, int32(s.spawned)
 	p.state = stateRunnable
+	s.procs = append(s.procs, p)
 	s.spawned++
 	s.live++
 	s.pushRunnable(p)
-	return p
-}
-
-// newProc appends a zero Proc to procs: one a recycled run left past the
-// slice's length, or a new one.
-func (s *Scheduler) newProc() *Proc {
-	n := len(s.procs)
-	if n < cap(s.procs) {
-		if p := s.procs[:n+1][n]; p != nil {
-			s.procs = s.procs[:n+1]
-			return p
-		}
-	}
-	p := new(Proc)
-	s.procs = append(s.procs, p)
-	return p
 }
 
 // pushRunnable appends p to the FIFO run queue.
@@ -1167,28 +1199,23 @@ func (s *Scheduler) abort() {
 	}
 }
 
-// step runs one wake of p: a handler proc is invoked inline; a coroutine
-// gets the execution token handed over and blocks the loop until it parks
-// or finishes.
-func (s *Scheduler) step(p *Proc) {
-	if p.handler != nil {
-		s.stepHandler(p)
-		return
-	}
-	p.state = stateRunning
-	p.resume <- !s.aborted
-	<-s.yield
-}
-
-// stepHandler invokes a handler proc under the execution token. A Wake
-// that arrived during the invocation itself (rewake) runs the handler
+// step runs one wake of p under the execution token: an inline handler is
+// invoked in place, a coroutine handed the token until it parks or finishes.
+// A Wake that arrived during a handler's invocation itself (rewake) runs it
 // again immediately — the inline analogue of a woken coroutine re-checking
-// its condition before parking.
-func (s *Scheduler) stepHandler(p *Proc) {
+// its condition before parking. A handler that reports itself finished
+// retires, and the network closes its inbox.
+func (s *Scheduler) step(p *Proc) {
 	for {
 		p.state = stateRunning
 		p.rewake = false
-		p.handler.Handle(s.aborted)
+		if p.handler.React(s.aborted) {
+			p.Finish()
+			if s.net != nil {
+				s.net.Retire(int(p.id))
+			}
+			return
+		}
 		if p.state == stateDone {
 			return
 		}
@@ -1222,18 +1249,19 @@ func (s *Scheduler) Release() {
 		if p.state == stateDone {
 			continue
 		}
-		if p.handler != nil {
+		c, ok := p.handler.(*coroutine)
+		if !ok {
 			// Handler procs have no goroutine; just retire them.
 			p.state = stateDone
 			s.live--
 			continue
 		}
-		// The coroutine's goroutine is blocked in <-p.resume — at its birth
+		// The coroutine's goroutine is blocked in <-c.resume — at its birth
 		// gate or inside Park. Resume it with false so it unwinds; with
 		// s.aborted set, any further Park returns false without a
 		// rendezvous, so exactly one yield follows (from the goroutine's
 		// exit path).
-		p.resume <- false
+		c.resume <- false
 		<-s.yield
 	}
 }
@@ -1308,17 +1336,17 @@ func (s *Scheduler) Run() Outcome {
 	}
 }
 
-// Keep stores v for the next run on this scheduler: once Recycle has handed
-// the scheduler on, that run's Kept returns it. The scheduler never looks
-// inside v. A later Keep in the same run replaces it.
-func (s *Scheduler) Keep(v any) { s.keep = v }
+// Keep stores v in slot for the next run on this scheduler: once Recycle has
+// handed the scheduler on, that run's Kept(slot) returns it. The scheduler
+// never looks inside v. A later Keep in the same run replaces it.
+func (s *Scheduler) Keep(slot KeepSlot, v any) { s.keep[slot] = v }
 
-// Kept returns, once, what the run before this one stored with Keep — nil on
-// a new scheduler, after the first call, and for anything stored in this run
-// (it becomes Kept only through Recycle).
-func (s *Scheduler) Kept() any {
-	v := s.kept
-	s.kept = nil
+// Kept returns, once, what the run before this one stored in slot with Keep
+// — nil on a new scheduler, after the first call, and for anything stored in
+// this run (it becomes Kept only through Recycle).
+func (s *Scheduler) Kept(slot KeepSlot) any {
+	v := s.kept[slot]
+	s.kept[slot] = nil
 	return v
 }
 
@@ -1326,11 +1354,11 @@ func (s *Scheduler) Kept() any {
 // the caller has read the Outcome; the caller must not use it, or any Proc it
 // spawned, afterwards. The scheduler is cleared as the next run needs it —
 // virtual time zero, no event (and so no payload) pending in any tier, no
-// job, no network, no runnable or live process, zero stats and Outcome — and
-// keeps the storage this run grew: the bucket array and its shelf, the heaps,
-// the run queue and the Procs, each zeroed, for Inline to reuse. Nothing a finished run did stays
-// reachable from it but the value it stored with Keep, which becomes the
-// next run's Kept and which its owner clears when it takes it back.
+// job, no network, no process, zero stats and Outcome — and keeps the storage
+// this run grew: the bucket array and its shelf, the heaps, the run queue
+// and the process list. Nothing a finished run did stays reachable from it
+// but the values it stored with Keep, which become the next run's Kept and
+// which their owners clear before they store them.
 //
 // A sharded scheduler is not recycled: its arrays grow to the depth of a
 // large topology's flush windows — about 5 MB in all at n=10000 — and the
@@ -1349,14 +1377,14 @@ func (s *Scheduler) Recycle() {
 // reset clears s as Recycle describes.
 func (s *Scheduler) reset() {
 	s.wheel.reset()
-	for _, p := range s.procs {
-		*p = Proc{}
-	}
+	clear(s.procs)
 	clear(s.runnable)
 	clear(s.jobs)
 	kept := s.keep
-	if kept == nil {
-		kept = s.kept
+	for i, v := range kept {
+		if v == nil {
+			kept[i] = s.kept[i]
+		}
 	}
 	*s = Scheduler{
 		wheel:    s.wheel,

@@ -545,9 +545,9 @@ func TestRecycleLeavesNoState(t *testing.T) {
 	if len(s.procs) != 0 || cap(s.procs) != cap(procsHeld) || s.live != 0 || s.spawned != 0 {
 		t.Fatalf("reset left procs=%d/%d live=%d spawned=%d", len(s.procs), cap(s.procs), s.live, s.spawned)
 	}
-	for i, p := range procsHeld {
-		if p.s != nil || p.name != "" || p.state != 0 || p.resume != nil || p.handler != nil || p.rewake {
-			t.Fatalf("proc %d kept %+v", i, *p)
+	for i, p := range procsHeld[:cap(procsHeld)] {
+		if p != nil {
+			t.Fatalf("the process list keeps a proc at %d of its capacity", i)
 		}
 	}
 	for i, p := range s.runnable[:cap(s.runnable)] {
@@ -559,13 +559,14 @@ func TestRecycleLeavesNoState(t *testing.T) {
 		t.Fatalf("reset left stats %+v, outcome %+v, earliest %d", s.Stats(), s.outcome, s.earliest)
 	}
 
-	// The scheduler runs again as a new one would, on its zeroed Procs.
+	// The scheduler runs again as a new one would, in the process list it
+	// kept.
 	var order []int
 	for i := 0; i < procs; i++ {
 		var p *Proc
 		p = s.SpawnHandler("again", func(bool) { order = append(order, i); p.Finish() })
-		if p != procsHeld[i] {
-			t.Fatalf("SpawnHandler %d made a Proc instead of reusing a zeroed one", i)
+		if &s.procs[i] != &procsHeld[:i+1][i] {
+			t.Fatalf("Inline %d grew a new process list instead of reusing the kept one", i)
 		}
 	}
 	if out := s.Run(); out.Now != 0 || out.Steps != 0 || out.Aborted() || len(order) != procs {
@@ -598,25 +599,29 @@ func TestRecycleClearsJobs(t *testing.T) {
 func TestRecycleKeepsAndPools(t *testing.T) {
 	s := new(Scheduler)
 	s.ins.s, s.earliest = s, maxTime
-	if s.Kept() != nil {
+	if s.Kept(KeepNetwork) != nil || s.Kept(KeepProcs) != nil {
 		t.Fatal("a new scheduler has something kept")
 	}
-	s.Keep("first")
-	if s.Kept() != nil {
+	s.Keep(KeepNetwork, "first")
+	s.Keep(KeepProcs, "records")
+	if s.Kept(KeepNetwork) != nil {
 		t.Fatal("Kept returned this run's value before Recycle")
 	}
 	s.reset()
-	if v := s.Kept(); v != "first" {
+	if v := s.Kept(KeepNetwork); v != "first" {
 		t.Fatalf("after reset Kept = %v, want first", v)
 	}
-	if s.Kept() != nil {
+	if s.Kept(KeepNetwork) != nil {
 		t.Fatal("Kept returned the value twice")
 	}
-	s.Keep("second")
+	s.Keep(KeepNetwork, "second")
 	s.reset()
 	s.reset() // a run that keeps nothing hands the earlier value on
-	if v := s.Kept(); v != "second" {
+	if v := s.Kept(KeepNetwork); v != "second" {
 		t.Fatalf("after two resets Kept = %v, want second", v)
+	}
+	if v := s.Kept(KeepProcs); v != "records" {
+		t.Fatalf("the process slot holds %v after three resets, want records: the slots are independent", v)
 	}
 
 	co := New()
