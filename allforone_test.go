@@ -16,13 +16,7 @@ func TestSolveQuickstart(t *testing.T) {
 		Seed:      42,
 		Bounds:    Bounds{MaxRounds: 1000},
 	}
-	out, err := Run(sc)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if vs := Check(sc, out); vs != nil {
-		t.Fatal(vs)
-	}
+	out := runAndReplay(t, sc)
 	val, count, ok := out.Decided()
 	if !ok || count != part.N() {
 		t.Fatalf("Decided = %v,%d,%v", val, count, ok)
@@ -154,16 +148,13 @@ func TestRegisterFacade(t *testing.T) {
 	scripts := make([][]ScriptOp, part.N())
 	scripts[1] = []ScriptOp{ScriptWrite("leader=p2")}
 	scripts[survivor] = []ScriptOp{{After: 2 * time.Millisecond}, ScriptWrite("leader=p3"), ScriptRead()}
-	out, err := Run(Scenario{
+	out := runAndReplay(t, Scenario{
 		Protocol: ProtocolRegister,
 		Topology: Topology{Partition: part},
 		Workload: Workload{Scripts: scripts},
 		Faults:   crashAllButP3At(t, time.Millisecond),
 		Seed:     7,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ops := out.Raw.(*RegisterRunResult).Procs[survivor].Ops
 	if len(ops) != 3 || !ops[0].OK || !ops[2].OK {
 		t.Fatalf("survivor ops = %+v, want three completed", ops)
@@ -180,44 +171,29 @@ func TestLogFacade(t *testing.T) {
 	for i := range cmds {
 		cmds[i] = []string{"set k=" + string(rune('a'+i))}
 	}
-	out, err := Run(Scenario{
+	out := runAndReplay(t, Scenario{
 		Protocol: ProtocolSMR,
 		Topology: Topology{Partition: part},
 		Workload: Workload{Commands: cmds, Slots: 3},
 		Seed:     2,
 	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	res := out.Raw.(*LogResult)
-	if err := res.CheckLogAgreement(); err != nil {
-		t.Fatal(err)
-	}
-	if got := res.CompletedLogs(3); len(got) != part.N() {
+	if got := out.Raw.(*LogResult).CompletedLogs(3); len(got) != part.N() {
 		t.Fatalf("completed = %d, want %d", len(got), part.N())
 	}
 }
 
 func TestMultivaluedFacade(t *testing.T) {
 	t.Parallel()
-	out, err := Run(Scenario{
+	out := runAndReplay(t, Scenario{
 		Protocol: ProtocolMultivalued,
 		Topology: Topology{Partition: Fig1Left()},
 		Workload: Workload{Values: []string{"a", "b", "c", "d", "e", "f", "g"}},
 		Seed:     3,
 	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
 	if _, ok := out.Raw.(*MultivaluedResult); !ok {
 		t.Fatalf("Raw = %T, want *MultivaluedResult", out.Raw)
 	}
-	if !out.AllLiveDecided() {
-		t.Fatalf("not all decided: %+v", out.Procs)
-	}
-	if err := out.CheckAgreement(); err != nil {
-		t.Fatal(err)
-	}
+	requireLive(t, out)
 }
 
 // TestFinishedRegisterCrashPassesCheck: a register process whose script
@@ -251,15 +227,8 @@ func TestFinishedRegisterCrashPassesCheck(t *testing.T) {
 		Seed:     3,
 		Faults:   sched,
 	}
-	out, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := out.CountStatus(StatusBlocked); got != 3 {
+	if out := runAndReplay(t, sc); out.CountStatus(StatusBlocked) != 3 {
 		t.Fatalf("%+v, want the three singletons blocked", out.Procs)
-	}
-	if vs := Check(sc, out); vs != nil {
-		t.Error(vs)
 	}
 }
 
@@ -282,15 +251,8 @@ func TestAllCrashedRunPassesCheck(t *testing.T) {
 			Seed:      1,
 			Faults:    sched,
 		}
-		out, err := Run(sc)
-		if err != nil {
-			t.Fatalf("%s: %v", algo, err)
-		}
-		if out.CountStatus(StatusCrashed) != 1 {
+		if out := runAndReplay(t, sc); out.CountStatus(StatusCrashed) != 1 {
 			t.Fatalf("%s: %+v, want the one process crashed", algo, out.Procs)
-		}
-		if vs := Check(sc, out); vs != nil {
-			t.Errorf("%s: %v", algo, vs)
 		}
 	}
 }

@@ -203,13 +203,7 @@ func TestMultivaluedEmptyProposals(t *testing.T) {
 		Profile:  UniformProfile(0, 200*time.Microsecond),
 		Seed:     2,
 	}
-	out, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vs := Check(sc, out); vs != nil {
-		t.Fatal(vs)
-	}
+	out := runAndReplay(t, sc)
 	if val, count, _ := out.Decided(); val != "" || count != 7 {
 		t.Errorf("decided %q at %d processes, want \"\" at 7", val, count)
 	}

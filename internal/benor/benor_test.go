@@ -42,6 +42,27 @@ func rendered(vs []model.Value) []string {
 	return out
 }
 
+// runLive runs cfg and fails unless the run is safe — agreement, validity —
+// and every live process decided.
+func runLive(t *testing.T, cfg Config) *sim.Result {
+	t.Helper()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	out := outcome(res)
+	if err := errors.Join(out.CheckAgreement(), out.CheckValidity(rendered(cfg.Proposals))); err != nil {
+		t.Fatal(err)
+	}
+	if !out.AllLiveDecided() {
+		t.Fatalf("not all live decided: %+v", res.Procs)
+	}
+	return res
+}
+
+// atStart is the step point of a crash before the process's first step.
+var atStart = failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart}
+
 func TestConfigValidation(t *testing.T) {
 	t.Parallel()
 	cases := []Config{
@@ -64,20 +85,8 @@ func TestUnanimousDecidesRoundOne(t *testing.T) {
 			n, v := n, v
 			t.Run(fmt.Sprintf("n=%d/v=%v", n, v), func(t *testing.T) {
 				t.Parallel()
-				res, err := Run(Config{
-					N:         n,
-					Proposals: unanimous(n, v),
-					Setup:     sim.Setup{Seed: int64(n)},
-					MaxRounds: 50,
-				})
-				if err != nil {
-					t.Fatalf("Run: %v", err)
-				}
-				if !outcome(res).AllLiveDecided() {
-					t.Fatalf("not all decided: %+v", res.Procs)
-				}
-				val, count, _ := outcome(res).Decided()
-				if val != v.String() || count != n {
+				res := runLive(t, Config{N: n, Proposals: unanimous(n, v), Setup: sim.Setup{Seed: int64(n)}, MaxRounds: 50})
+				if val, count, _ := outcome(res).Decided(); val != v.String() || count != n {
 					t.Errorf("decided (%v, %d), want (%v, %d)", val, count, v, n)
 				}
 				if got := outcome(res).MaxDecisionRound(); got != 1 {
@@ -94,26 +103,7 @@ func TestSplitProposalsTerminate(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			t.Parallel()
-			const n = 5
-			props := alternating(n)
-			res, err := Run(Config{
-				N:         n,
-				Proposals: props,
-				Setup:     sim.Setup{Seed: seed},
-				MaxRounds: 10000,
-			})
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			if err := outcome(res).CheckAgreement(); err != nil {
-				t.Fatal(err)
-			}
-			if err := outcome(res).CheckValidity(rendered(props)); err != nil {
-				t.Fatal(err)
-			}
-			if !outcome(res).AllLiveDecided() {
-				t.Fatalf("not all decided: %+v", res.Procs)
-			}
+			runLive(t, Config{N: 5, Proposals: alternating(5), Setup: sim.Setup{Seed: seed}, MaxRounds: 10000})
 		})
 	}
 }
@@ -121,27 +111,11 @@ func TestSplitProposalsTerminate(t *testing.T) {
 // Ben-Or tolerates any minority of crashes.
 func TestMinorityCrashTerminates(t *testing.T) {
 	t.Parallel()
-	const n = 7
-	sched := failures.NewSchedule(n)
-	for _, p := range []model.ProcID{0, 1, 2} { // 3 < n/2 crashes
-		if err := sched.Set(p, failures.Crash{
-			At: failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := Run(Config{
-		N:         n,
-		Proposals: unanimous(n, model.One),
-		Setup:     sim.Setup{Seed: 3, Crashes: sched},
-		MaxRounds: 5000,
-	})
+	sched, err := failures.CrashAllExcept(7, atStart, 3, 4, 5, 6) // 3 < n/2 crashes
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatal(err)
 	}
-	if !outcome(res).AllLiveDecided() {
-		t.Fatalf("not all live decided: %+v", res.Procs)
-	}
+	res := runLive(t, Config{N: 7, Proposals: unanimous(7, model.One), Setup: sim.Setup{Seed: 3, Crashes: sched}, MaxRounds: 5000})
 	if got := outcome(res).CountStatus(sim.StatusFailed); got != 0 {
 		t.Errorf("failed count = %d", got)
 	}
@@ -152,19 +126,11 @@ func TestMinorityCrashTerminates(t *testing.T) {
 func TestMajorityCrashBlocks(t *testing.T) {
 	t.Parallel()
 	const n = 6
-	sched := failures.NewSchedule(n)
-	for _, p := range []model.ProcID{0, 1, 2} { // n/2 crashes
-		if err := sched.Set(p, failures.Crash{
-			At: failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart},
-		}); err != nil {
-			t.Fatal(err)
-		}
+	sched, err := failures.CrashAllExcept(n, atStart, 3, 4, 5) // n/2 crashes
+	if err != nil {
+		t.Fatal(err)
 	}
-	res, err := Run(Config{
-		N:         n,
-		Proposals: unanimous(n, model.One),
-		Setup:     sim.Setup{Seed: 5, Crashes: sched},
-	})
+	res, err := Run(Config{N: n, Proposals: unanimous(n, model.One), Setup: sim.Setup{Seed: 5, Crashes: sched}})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -181,82 +147,42 @@ func TestMajorityCrashBlocks(t *testing.T) {
 // Partial broadcast from a crashing process must not break safety.
 func TestPartialBroadcastSafety(t *testing.T) {
 	t.Parallel()
-	const n = 5
-	sched := failures.NewSchedule(n)
+	sched := failures.NewSchedule(5)
 	if err := sched.Set(0, failures.Crash{
 		At:        failures.Point{Round: 1, Phase: 2, Stage: failures.StageMidBroadcast},
 		DeliverTo: []model.ProcID{1},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	props := alternating(n)
-	res, err := Run(Config{
-		N:         n,
-		Proposals: props,
-		Setup:     sim.Setup{Seed: 11, Crashes: sched},
-		MaxRounds: 10000,
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if err := outcome(res).CheckAgreement(); err != nil {
-		t.Fatal(err)
-	}
-	if err := outcome(res).CheckValidity(rendered(props)); err != nil {
-		t.Fatal(err)
-	}
-	if !outcome(res).AllLiveDecided() {
-		t.Fatalf("not all live decided: %+v", res.Procs)
-	}
+	runLive(t, Config{N: 5, Proposals: alternating(5), Setup: sim.Setup{Seed: 11, Crashes: sched}, MaxRounds: 10000})
 }
 
 // Rigged coins force post-split convergence within a couple of rounds.
 func TestRiggedCoinConvergence(t *testing.T) {
 	t.Parallel()
-	const n = 4
-	res, err := Run(Config{
-		N:         n,
-		Proposals: alternating(n),
+	runLive(t, Config{
+		N:         4,
+		Proposals: alternating(4),
 		Setup:     sim.Setup{Seed: 1},
 		MaxRounds: 100,
 		LocalCoinOverride: func(model.ProcID) coin.Local {
 			return coin.NewFixedLocal(model.Zero)
 		},
 	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !outcome(res).AllLiveDecided() {
-		t.Fatalf("not all decided: %+v", res.Procs)
-	}
-	if err := outcome(res).CheckAgreement(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // With delays, cross-round buffering must keep the run safe and live.
 func TestWithDelays(t *testing.T) {
 	t.Parallel()
-	const n = 5
-	props := alternating(n)
-	res, err := Run(Config{
-		N:         n,
-		Proposals: props,
+	runLive(t, Config{
+		N:         5,
+		Proposals: alternating(5),
 		Setup: sim.Setup{
 			Seed:       9,
 			NetOptions: []netsim.Option{netsim.WithUniformDelay(0, 2*time.Millisecond)},
 		},
 		MaxRounds: 10000,
 	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if err := outcome(res).CheckAgreement(); err != nil {
-		t.Fatal(err)
-	}
-	if !outcome(res).AllLiveDecided() {
-		t.Fatalf("not all decided: %+v", res.Procs)
-	}
 }
 
 // Timed (virtual-instant) crashes are honored by the virtual engine: the
@@ -268,9 +194,10 @@ func TestTimedCrashVirtual(t *testing.T) {
 	if err := sched.SetTimed(0, 50*time.Microsecond); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{
+	// 4 of 5 survive — a majority — so the survivors decide.
+	res := runLive(t, Config{
 		N:         5,
-		Proposals: []model.Value{model.One, model.One, model.One, model.One, model.One},
+		Proposals: unanimous(5, model.One),
 		Setup: sim.Setup{
 			Seed:       13,
 			Crashes:    sched,
@@ -278,17 +205,7 @@ func TestTimedCrashVirtual(t *testing.T) {
 		},
 		MaxRounds: 10_000,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.Procs[0].Status != sim.StatusCrashed {
 		t.Fatalf("victim = %+v, want crashed", res.Procs[0])
-	}
-	if err := outcome(res).CheckAgreement(); err != nil {
-		t.Fatal(err)
-	}
-	// 4 of 5 survive — a majority — so the survivors decide.
-	if !outcome(res).AllLiveDecided() {
-		t.Fatalf("survivors did not decide: %+v", res.Procs)
 	}
 }

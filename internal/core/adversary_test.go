@@ -34,7 +34,6 @@ func TestHighSkewDelays(t *testing.T) {
 			t.Parallel()
 			part := model.Fig1Left()
 			props := alternating(7)
-			log := trace.New()
 			res := runAndCheck(t, Config{
 				Partition: part,
 				Proposals: props,
@@ -44,7 +43,7 @@ func TestHighSkewDelays(t *testing.T) {
 					NetOptions: []netsim.Option{netsim.WithUniformDelay(0, 4*time.Millisecond)}, // large spread vs ~µs compute
 				},
 				MaxRounds: 10_000,
-				Trace:     log,
+				Trace:     trace.New(),
 			})
 			if !outcome(res).AllLiveDecided() {
 				t.Fatalf("not all decided under skewed delays: %+v", res.Procs)

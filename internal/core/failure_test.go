@@ -32,14 +32,13 @@ func TestMajorityCrashWithMajorityClusterSurvivor(t *testing.T) {
 				if !part.LivenessHolds(sched.Crashed()) {
 					t.Fatal("test setup wrong: liveness should hold")
 				}
-				log := trace.New()
 				res := runAndCheck(t, Config{
 					Partition: part,
 					Proposals: unanimous(7, model.One),
 					Algorithm: algo,
 					Setup:     sim.Setup{Seed: int64(survivor), Crashes: sched},
 					MaxRounds: 100,
-					Trace:     log,
+					Trace:     trace.New(),
 				})
 				if !outcome(res).AllLiveDecided() {
 					t.Fatalf("survivor did not decide: %+v", res.Procs)
@@ -51,13 +50,7 @@ func TestMajorityCrashWithMajorityClusterSurvivor(t *testing.T) {
 				if val != model.One.String() {
 					t.Errorf("decided %v, want 1", val)
 				}
-				crashes := 0
-				for _, pr := range res.Procs {
-					if pr.Status == StatusCrashed {
-						crashes++
-					}
-				}
-				if crashes != 6 {
+				if crashes := outcome(res).CountStatus(StatusCrashed); crashes != 6 {
 					t.Errorf("crashed count = %d, want 6", crashes)
 				}
 			})
@@ -104,13 +97,9 @@ func TestMajorityCrashBlocksPureMessagePassing(t *testing.T) {
 func TestIndulgenceUnderDeadFailurePattern(t *testing.T) {
 	t.Parallel()
 	part := model.Fig1Right()
-	sched := failures.NewSchedule(7)
-	for _, p := range []model.ProcID{1, 2, 3, 4} { // all of P[2]
-		if err := sched.Set(p, failures.Crash{
-			At: failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart},
-		}); err != nil {
-			t.Fatal(err)
-		}
+	sched, err := failures.CrashAllExcept(7, failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart}, 0, 5, 6) // all of P[2]
+	if err != nil {
+		t.Fatal(err)
 	}
 	if part.LivenessHolds(sched.Crashed()) {
 		t.Fatal("test setup wrong: liveness should not hold")
@@ -119,13 +108,12 @@ func TestIndulgenceUnderDeadFailurePattern(t *testing.T) {
 		algo := algo
 		t.Run(algo.String(), func(t *testing.T) {
 			t.Parallel()
-			log := trace.New()
 			res, err := Run(Config{
 				Partition: part,
 				Proposals: alternating(7),
 				Algorithm: algo,
 				Setup:     sim.Setup{Seed: 11, Crashes: sched},
-				Trace:     log,
+				Trace:     trace.New(),
 			})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
@@ -182,14 +170,13 @@ func TestCrashAtEveryStage(t *testing.T) {
 					if !part.LivenessHolds(sched.Crashed()) {
 						t.Fatal("test setup wrong: liveness should hold")
 					}
-					log := trace.New()
 					res := runAndCheck(t, Config{
 						Partition: part,
 						Proposals: alternating(7),
 						Algorithm: algo,
 						Setup:     sim.Setup{Seed: int64(round*100) + int64(stage), Crashes: sched},
 						MaxRounds: 5000,
-						Trace:     log,
+						Trace:     trace.New(),
 					})
 					if !outcome(res).AllLiveDecided() {
 						t.Fatalf("liveness violated: %+v", res.Procs)
@@ -214,14 +201,13 @@ func TestPartialBroadcastExplicitSubset(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	log := trace.New()
 	res := runAndCheck(t, Config{
 		Partition: part,
 		Proposals: alternating(7),
 		Algorithm: LocalCoin,
 		Setup:     sim.Setup{Seed: 4, Crashes: sched},
 		MaxRounds: 5000,
-		Trace:     log,
+		Trace:     trace.New(),
 	})
 	if !outcome(res).AllLiveDecided() {
 		t.Fatalf("not all live processes decided: %+v", res.Procs)

@@ -133,14 +133,13 @@ func TestUnanimousCrashFree(t *testing.T) {
 				algo, part, v := algo, part, v
 				t.Run(fmt.Sprintf("%v/%s/propose-%v", algo, name, v), func(t *testing.T) {
 					t.Parallel()
-					log := trace.New()
 					res := runAndCheck(t, Config{
 						Partition: part,
 						Proposals: unanimous(part.N(), v),
 						Algorithm: algo,
 						Setup:     sim.Setup{Seed: 42},
 						MaxRounds: 200,
-						Trace:     log,
+						Trace:     trace.New(),
 					})
 					if !outcome(res).AllLiveDecided() {
 						t.Fatalf("not all processes decided: %+v", res.Procs)
@@ -177,14 +176,13 @@ func TestSplitProposalsCrashFree(t *testing.T) {
 				algo, part, seed := algo, part, seed
 				t.Run(fmt.Sprintf("%v/%s/seed-%d", algo, name, seed), func(t *testing.T) {
 					t.Parallel()
-					log := trace.New()
 					res := runAndCheck(t, Config{
 						Partition: part,
 						Proposals: alternating(part.N()),
 						Algorithm: algo,
 						Setup:     sim.Setup{Seed: seed},
 						MaxRounds: 5000,
-						Trace:     log,
+						Trace:     trace.New(),
 					})
 					if !outcome(res).AllLiveDecided() {
 						t.Fatalf("not all processes decided: %+v", res.Procs)

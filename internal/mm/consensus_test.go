@@ -3,10 +3,13 @@ package mm
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
+	"time"
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
+	"allforone/internal/netsim"
 	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
@@ -39,6 +42,30 @@ func rendered(vs []model.Value) []string {
 	return out
 }
 
+// runLive runs cfg and fails unless the run is safe — agreement, validity —
+// and every live process decided.
+func runLive(t *testing.T, cfg Config) *sim.Result {
+	t.Helper()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	out := outcome(res)
+	if err := errors.Join(out.CheckAgreement(), out.CheckValidity(rendered(cfg.Proposals))); err != nil {
+		t.Fatal(err)
+	}
+	if !out.AllLiveDecided() {
+		t.Fatalf("not all live decided: %+v", res.Procs)
+	}
+	return res
+}
+
+// oneZero alternates proposals from 1 over Fig2's five processes.
+var oneZero = []model.Value{model.One, model.Zero, model.One, model.Zero, model.One}
+
+// atStart is the step point of a crash before the process's first step.
+var atStart = failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart}
+
 func TestRunConfigValidation(t *testing.T) {
 	t.Parallel()
 	g := Fig2()
@@ -57,42 +84,20 @@ func TestRunConfigValidation(t *testing.T) {
 
 func TestUnanimousDecides(t *testing.T) {
 	t.Parallel()
-	complete, err := Complete(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring, err := Ring(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	star, err := Star(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphs := map[string]*Graph{
-		"fig2":     Fig2(),
-		"complete": complete,
-		"ring":     ring,
-		"star":     star,
+	graphs := map[string]*Graph{"fig2": Fig2()}
+	for name, build := range map[string]func(int) (*Graph, error){"complete": Complete, "ring": Ring, "star": Star} {
+		g, err := build(5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs[name] = g
 	}
 	for name, g := range graphs {
 		name, g := name, g
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			res, err := Run(Config{
-				Graph:     g,
-				Proposals: unanimous(g.N(), model.One),
-				Setup:     sim.Setup{Seed: 7},
-				MaxRounds: 100,
-			})
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			if !outcome(res).AllLiveDecided() {
-				t.Fatalf("not all decided: %+v", res.Procs)
-			}
-			val, _, _ := outcome(res).Decided()
-			if val != model.One.String() {
+			res := runLive(t, Config{Graph: g, Proposals: unanimous(g.N(), model.One), Setup: sim.Setup{Seed: 7}, MaxRounds: 100})
+			if val, _, _ := outcome(res).Decided(); val != model.One.String() {
 				t.Errorf("decided %v, want 1", val)
 			}
 			if got := outcome(res).MaxDecisionRound(); got != 1 {
@@ -108,26 +113,7 @@ func TestSplitProposalsSafeAndLive(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			t.Parallel()
-			g := Fig2()
-			props := alternating(g.N())
-			res, err := Run(Config{
-				Graph:     g,
-				Proposals: props,
-				Setup:     sim.Setup{Seed: seed},
-				MaxRounds: 10000,
-			})
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			if err := outcome(res).CheckAgreement(); err != nil {
-				t.Fatal(err)
-			}
-			if err := outcome(res).CheckValidity(rendered(props)); err != nil {
-				t.Fatal(err)
-			}
-			if !outcome(res).AllLiveDecided() {
-				t.Fatalf("not all decided: %+v", res.Procs)
-			}
+			runLive(t, Config{Graph: Fig2(), Proposals: alternating(5), Setup: sim.Setup{Seed: seed}, MaxRounds: 10000})
 		})
 	}
 }
@@ -172,31 +158,11 @@ func TestMeasuredInvocationCounts(t *testing.T) {
 
 func TestCrashToleranceMinority(t *testing.T) {
 	t.Parallel()
-	g := Fig2()
-	sched := failures.NewSchedule(5)
-	for _, p := range []model.ProcID{0, 4} {
-		if err := sched.Set(p, failures.Crash{
-			At: failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	props := alternating(5)
-	res, err := Run(Config{
-		Graph:     g,
-		Proposals: props,
-		Setup:     sim.Setup{Seed: 13, Crashes: sched},
-		MaxRounds: 10000,
-	})
+	sched, err := failures.CrashAllExcept(5, atStart, 1, 2, 3)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if err := outcome(res).CheckAgreement(); err != nil {
 		t.Fatal(err)
 	}
-	if !outcome(res).AllLiveDecided() {
-		t.Fatalf("not all live decided: %+v", res.Procs)
-	}
+	runLive(t, Config{Graph: Fig2(), Proposals: alternating(5), Setup: sim.Setup{Seed: 13, Crashes: sched}, MaxRounds: 10000})
 }
 
 // The m&m model cannot beat the classical majority requirement: unlike the
@@ -204,21 +170,12 @@ func TestCrashToleranceMinority(t *testing.T) {
 // survivors (but safely).
 func TestNoOneForAllProperty(t *testing.T) {
 	t.Parallel()
-	g := Fig2()
-	sched := failures.NewSchedule(5)
 	// Crash p3, p4, p5 — the dense part of the graph.
-	for _, p := range []model.ProcID{2, 3, 4} {
-		if err := sched.Set(p, failures.Crash{
-			At: failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart},
-		}); err != nil {
-			t.Fatal(err)
-		}
+	sched, err := failures.CrashAllExcept(5, atStart, 0, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	res, err := Run(Config{
-		Graph:     g,
-		Proposals: unanimous(5, model.One),
-		Setup:     sim.Setup{Seed: 2, Crashes: sched},
-	})
+	res, err := Run(Config{Graph: Fig2(), Proposals: unanimous(5, model.One), Setup: sim.Setup{Seed: 2, Crashes: sched}})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -229,5 +186,93 @@ func TestNoOneForAllProperty(t *testing.T) {
 		if res.Procs[p].Status != sim.StatusBlocked {
 			t.Errorf("survivor %v status = %v, want blocked", p, res.Procs[p].Status)
 		}
+	}
+}
+
+// TestReplayBitReproducible pins replay of cells the registry suite's mm row
+// (a ring) lacks: the appendix graph Fig2 under a 0–2 ms band, with p2
+// crashing mid-broadcast and p5 at 3 ms, over three seeds.
+func TestReplayBitReproducible(t *testing.T) {
+	t.Parallel()
+	config := func(seed int64) Config {
+		sched := failures.NewSchedule(5)
+		err := errors.Join(
+			sched.Set(1, failures.Crash{At: failures.Point{Round: 1, Phase: 1, Stage: failures.StageMidBroadcast}}),
+			sched.SetTimed(4, 3*time.Millisecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Config{
+			Graph:     Fig2(),
+			Proposals: oneZero,
+			Setup: sim.Setup{
+				Seed:       seed,
+				Crashes:    sched,
+				NetOptions: []netsim.Option{netsim.WithUniformDelay(0, 2*time.Millisecond)},
+			},
+			MaxRounds: 10_000,
+		}
+	}
+	for _, seed := range []int64{1, 42, 917} {
+		res1, err1 := Run(config(seed))
+		res2, err2 := Run(config(seed))
+		if err := errors.Join(err1, err2); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !reflect.DeepEqual(res1, res2) || res1.Steps == 0 {
+			t.Errorf("seed %d: Results diverged or took no step:\n  run1: %+v\n  run2: %+v", seed, res1, res2)
+		}
+	}
+}
+
+// TestSafetyAcrossSchedules samples the schedule space on Fig2: 32 seeds,
+// each at immediate delivery and under a 0–1 ms uniform band (replayable),
+// every run held to protocol.Check: agreement, validity and, crash-free,
+// termination.
+func TestSafetyAcrossSchedules(t *testing.T) {
+	t.Parallel()
+	for _, band := range []protocol.NetworkProfile{nil, protocol.Uniform(0, time.Millisecond)} {
+		for seed := int64(0); seed < 32; seed++ {
+			sc := protocol.Scenario{
+				Protocol: ProtocolName,
+				Topology: protocol.Topology{N: 5, MMEdges: Fig2().EdgeList()},
+				Workload: protocol.Workload{Binary: oneZero},
+				Bounds:   protocol.Bounds{MaxRounds: 10_000},
+				Profile:  band,
+				Seed:     seed,
+			}
+			out, err := protocol.Run(sc)
+			if err != nil {
+				t.Fatalf("band %v seed %d: %v", band, seed, err)
+			}
+			if vs := protocol.Check(sc, out); vs != nil {
+				t.Errorf("band %v seed %d: %v", band, seed, vs)
+			}
+		}
+	}
+}
+
+// TestVirtualQuiescenceBlocks pins the deterministic blocked verdict: with
+// a crashed majority no survivor can collect enough reports, and the
+// virtual engine must flag quiescence rather than wait out a timeout.
+func TestVirtualQuiescenceBlocks(t *testing.T) {
+	t.Parallel()
+	sched, err := failures.CrashAllExcept(5, atStart, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	res, err := Run(Config{Graph: Fig2(), Proposals: unanimous(5, model.One), Setup: sim.Setup{Seed: 9, Crashes: sched}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wall := time.Since(start); wall > 5*time.Second {
+		t.Errorf("blocked verdict took %v of real time", wall)
+	}
+	if !res.Quiesced {
+		t.Errorf("Quiesced = false, want true: %+v", res)
+	}
+	if got := outcome(res).CountStatus(sim.StatusBlocked); got != 2 {
+		t.Errorf("blocked = %d, want 2: %+v", got, res.Procs)
 	}
 }

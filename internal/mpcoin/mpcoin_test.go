@@ -42,6 +42,27 @@ func rendered(vs []model.Value) []string {
 	return out
 }
 
+// runLive runs cfg and fails unless the run is safe — agreement, validity —
+// and every live process decided.
+func runLive(t *testing.T, cfg Config) *sim.Result {
+	t.Helper()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	out := outcome(res)
+	if err := errors.Join(out.CheckAgreement(), out.CheckValidity(rendered(cfg.Proposals))); err != nil {
+		t.Fatal(err)
+	}
+	if !out.AllLiveDecided() {
+		t.Fatalf("not all live decided: %+v", res.Procs)
+	}
+	return res
+}
+
+// atStart is the step point of a crash before the process's first step.
+var atStart = failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart}
+
 func TestConfigValidation(t *testing.T) {
 	t.Parallel()
 	cases := []Config{
@@ -63,20 +84,8 @@ func TestUnanimousTerminatesQuickly(t *testing.T) {
 		n := n
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			t.Parallel()
-			res, err := Run(Config{
-				N:         n,
-				Proposals: unanimous(n, model.One),
-				Setup:     sim.Setup{Seed: int64(n) + 100},
-				MaxRounds: 100,
-			})
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			if !outcome(res).AllLiveDecided() {
-				t.Fatalf("not all decided: %+v", res.Procs)
-			}
-			val, _, _ := outcome(res).Decided()
-			if val != model.One.String() {
+			res := runLive(t, Config{N: n, Proposals: unanimous(n, model.One), Setup: sim.Setup{Seed: int64(n) + 100}, MaxRounds: 100})
+			if val, _, _ := outcome(res).Decided(); val != model.One.String() {
 				t.Errorf("decided %v, want 1", val)
 			}
 		})
@@ -89,26 +98,7 @@ func TestSplitProposalsSafeAndLive(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			t.Parallel()
-			const n = 6
-			props := alternating(n)
-			res, err := Run(Config{
-				N:         n,
-				Proposals: props,
-				Setup:     sim.Setup{Seed: seed},
-				MaxRounds: 1000,
-			})
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			if err := outcome(res).CheckAgreement(); err != nil {
-				t.Fatal(err)
-			}
-			if err := outcome(res).CheckValidity(rendered(props)); err != nil {
-				t.Fatal(err)
-			}
-			if !outcome(res).AllLiveDecided() {
-				t.Fatalf("not all decided: %+v", res.Procs)
-			}
+			runLive(t, Config{N: 6, Proposals: alternating(6), Setup: sim.Setup{Seed: seed}, MaxRounds: 1000})
 		})
 	}
 }
@@ -117,34 +107,28 @@ func TestSplitProposalsSafeAndLive(t *testing.T) {
 func TestRiggedCoinRounds(t *testing.T) {
 	t.Parallel()
 	const n = 5
-	t.Run("match round 1", func(t *testing.T) {
-		t.Parallel()
+	rigged := func(t *testing.T, props []model.Value, maxRounds int, bits ...model.Value) *sim.Result {
 		res, err := Run(Config{
 			N:                  n,
-			Proposals:          unanimous(n, model.Zero),
+			Proposals:          props,
 			Setup:              sim.Setup{Seed: 1},
-			MaxRounds:          10,
-			CommonCoinOverride: coin.NewFixedCommon(model.Zero),
+			MaxRounds:          maxRounds,
+			CommonCoinOverride: coin.NewFixedCommon(bits...),
 		})
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		if got := outcome(res).MaxDecisionRound(); got != 1 {
+		return res
+	}
+	t.Run("match round 1", func(t *testing.T) {
+		t.Parallel()
+		if got := outcome(rigged(t, unanimous(n, model.Zero), 10, model.Zero)).MaxDecisionRound(); got != 1 {
 			t.Errorf("decision round = %d, want 1", got)
 		}
 	})
 	t.Run("mismatch delays to round 2", func(t *testing.T) {
 		t.Parallel()
-		res, err := Run(Config{
-			N:                  n,
-			Proposals:          unanimous(n, model.One),
-			Setup:              sim.Setup{Seed: 1},
-			MaxRounds:          10,
-			CommonCoinOverride: coin.NewFixedCommon(model.Zero, model.One),
-		})
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+		res := rigged(t, unanimous(n, model.One), 10, model.Zero, model.One)
 		if !outcome(res).AllLiveDecided() {
 			t.Fatalf("not all decided: %+v", res.Procs)
 		}
@@ -156,17 +140,7 @@ func TestRiggedCoinRounds(t *testing.T) {
 	})
 	t.Run("never-matching coin blocks at cap", func(t *testing.T) {
 		t.Parallel()
-		res, err := Run(Config{
-			N:                  n,
-			Proposals:          unanimous(n, model.One),
-			Setup:              sim.Setup{Seed: 1},
-			MaxRounds:          4,
-			CommonCoinOverride: coin.NewFixedCommon(model.Zero),
-		})
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		for i, pr := range res.Procs {
+		for i, pr := range rigged(t, unanimous(n, model.One), 4, model.Zero).Procs {
 			if pr.Status != sim.StatusBlocked {
 				t.Errorf("process %d status = %v, want blocked", i, pr.Status)
 			}
@@ -176,49 +150,20 @@ func TestRiggedCoinRounds(t *testing.T) {
 
 func TestMinorityCrashTerminates(t *testing.T) {
 	t.Parallel()
-	const n = 7
-	sched := failures.NewSchedule(n)
-	for _, p := range []model.ProcID{1, 4, 6} {
-		if err := sched.Set(p, failures.Crash{
-			At: failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	props := alternating(n)
-	res, err := Run(Config{
-		N:         n,
-		Proposals: props,
-		Setup:     sim.Setup{Seed: 21, Crashes: sched},
-		MaxRounds: 1000,
-	})
+	sched, err := failures.CrashAllExcept(7, atStart, 0, 2, 3, 5)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if err := outcome(res).CheckAgreement(); err != nil {
 		t.Fatal(err)
 	}
-	if !outcome(res).AllLiveDecided() {
-		t.Fatalf("not all live decided: %+v", res.Procs)
-	}
+	runLive(t, Config{N: 7, Proposals: alternating(7), Setup: sim.Setup{Seed: 21, Crashes: sched}, MaxRounds: 1000})
 }
 
 func TestMajorityCrashBlocksButSafe(t *testing.T) {
 	t.Parallel()
-	const n = 4
-	sched := failures.NewSchedule(n)
-	for _, p := range []model.ProcID{0, 1} { // n/2
-		if err := sched.Set(p, failures.Crash{
-			At: failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart},
-		}); err != nil {
-			t.Fatal(err)
-		}
+	sched, err := failures.CrashAllExcept(4, atStart, 2, 3) // n/2 crashes
+	if err != nil {
+		t.Fatal(err)
 	}
-	res, err := Run(Config{
-		N:         n,
-		Proposals: unanimous(n, model.Zero),
-		Setup:     sim.Setup{Seed: 2, Crashes: sched},
-	})
+	res, err := Run(Config{N: 4, Proposals: unanimous(4, model.Zero), Setup: sim.Setup{Seed: 2, Crashes: sched}})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -229,58 +174,36 @@ func TestMajorityCrashBlocksButSafe(t *testing.T) {
 
 func TestWithDelays(t *testing.T) {
 	t.Parallel()
-	const n = 5
-	props := alternating(n)
-	res, err := Run(Config{
-		N:         n,
-		Proposals: props,
+	runLive(t, Config{
+		N:         5,
+		Proposals: alternating(5),
 		Setup: sim.Setup{
 			Seed:       4,
 			NetOptions: []netsim.Option{netsim.WithUniformDelay(0, 2*time.Millisecond)},
 		},
 		MaxRounds: 1000,
 	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if err := outcome(res).CheckAgreement(); err != nil {
-		t.Fatal(err)
-	}
-	if !outcome(res).AllLiveDecided() {
-		t.Fatalf("not all decided: %+v", res.Procs)
-	}
 }
 
 // Decide-then-crash with partial DECIDE delivery: the recipient rebroadcast
 // keeps everyone live and agreed.
 func TestPartialDecideDelivery(t *testing.T) {
 	t.Parallel()
-	const n = 5
-	sched := failures.NewSchedule(n)
+	sched := failures.NewSchedule(5)
 	if err := sched.Set(0, failures.Crash{
 		At:        failures.Point{Round: 1, Phase: 1, Stage: failures.StageBeforeDecide},
 		DeliverTo: []model.ProcID{3},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{
-		N:                  n,
-		Proposals:          unanimous(n, model.One),
+	res := runLive(t, Config{
+		N:                  5,
+		Proposals:          unanimous(5, model.One),
 		Setup:              sim.Setup{Seed: 6, Crashes: sched},
 		MaxRounds:          100,
 		CommonCoinOverride: coin.NewFixedCommon(model.One),
 	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if err := outcome(res).CheckAgreement(); err != nil {
-		t.Fatal(err)
-	}
-	if !outcome(res).AllLiveDecided() {
-		t.Fatalf("not all live decided: %+v", res.Procs)
-	}
-	val, _, _ := outcome(res).Decided()
-	if val != model.One.String() {
+	if val, _, _ := outcome(res).Decided(); val != model.One.String() {
 		t.Errorf("decided %v, want 1", val)
 	}
 }

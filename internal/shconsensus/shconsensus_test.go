@@ -2,6 +2,7 @@ package shconsensus
 
 import (
 	"errors"
+	"math/rand/v2"
 	"testing"
 
 	"allforone/internal/failures"
@@ -91,5 +92,51 @@ func TestWaitFreedomUnderCrashes(t *testing.T) {
 	}
 	if res.Metrics.ConsInvocations != 1 {
 		t.Errorf("ConsInvocations = %d, want 1", res.Metrics.ConsInvocations)
+	}
+}
+
+// TestSafetyAcrossSchedules pins who wins the CAS: the protocol has no
+// network and no delays — its schedule space is who proposes what and who
+// crashes before proposing — so 32 seeds draw both, and the first live
+// process's proposal must win every time. Each run must also pass
+// protocol.Check and terminate wait-free. Replay and the crash-free and
+// minority cells are the registry property suite's shmem row.
+func TestSafetyAcrossSchedules(t *testing.T) {
+	t.Parallel()
+	const n = 8
+	for seed := uint64(0); seed < 32; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0x5c))
+		props := make([]model.Value, n)
+		for i := range props {
+			props[i] = model.BitToValue(rng.Uint64())
+		}
+		sched, err := failures.GenRandom(rng, n, rng.IntN(n), 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := protocol.Scenario{
+			Protocol: ProtocolName,
+			Topology: protocol.Topology{N: n},
+			Workload: protocol.Workload{Binary: props},
+			Faults:   sched,
+		}
+		out, err := protocol.Run(sc)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if vs := protocol.Check(sc, out); vs != nil {
+			t.Errorf("seed %d: %v", seed, vs)
+		}
+		if !out.AllLiveDecided() {
+			t.Errorf("seed %d: not all decided: %+v", seed, out.Procs)
+		}
+		for p, pr := range out.Procs {
+			if pr.Status == sim.StatusDecided {
+				if pr.Decision != props[p].String() {
+					t.Errorf("seed %d: decided %v, want first live process p%d's %v", seed, pr.Decision, p+1, props[p])
+				}
+				break
+			}
+		}
 	}
 }

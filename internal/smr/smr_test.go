@@ -3,13 +3,42 @@ package smr
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
+	"time"
 
 	"allforone/internal/consensusobj"
 	"allforone/internal/failures"
 	"allforone/internal/model"
+	"allforone/internal/netsim"
+	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
+
+// runSafe runs cfg and fails on a configuration error or unless every log
+// is a prefix of one log made of submitted commands and no-ops.
+func runSafe(t *testing.T, cfg Config) *Result {
+	t.Helper()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if err := errors.Join(res.CheckLogAgreement(), res.CheckLogValidity(cfg.Commands)); err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// crashAllExcept crashes every process of an n = 7 run but the survivors at
+// the top of round 1.
+func crashAllExcept(t *testing.T, survivors ...model.ProcID) *failures.Schedule {
+	t.Helper()
+	sched, err := failures.CrashAllExcept(7, failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart}, survivors...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sched
+}
 
 func TestConfigValidation(t *testing.T) {
 	t.Parallel()
@@ -47,26 +76,10 @@ func TestAllReplicasBuildIdenticalLogs(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			const slots = 5
-			cmds := queuesFor(part.N(), 3)
-			res, err := Run(Config{
-				Partition: part,
-				Commands:  cmds,
-				Slots:     slots,
-				Setup:     sim.Setup{Seed: 31},
-			})
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			if err := res.CheckLogAgreement(); err != nil {
-				t.Fatal(err)
-			}
-			if err := res.CheckLogValidity(cmds); err != nil {
-				t.Fatal(err)
-			}
+			res := runSafe(t, Config{Partition: part, Commands: queuesFor(part.N(), 3), Slots: slots, Setup: sim.Setup{Seed: 31}})
 			logs := res.CompletedLogs(slots)
 			if len(logs) != part.N() {
-				t.Fatalf("completed logs = %d, want %d (statuses: %+v)",
-					len(logs), part.N(), res.Replicas)
+				t.Fatalf("completed logs = %d, want %d (statuses: %+v)", len(logs), part.N(), res.Replicas)
 			}
 			checkNoDuplicateCommits(t, logs[0])
 		})
@@ -93,17 +106,7 @@ func checkNoDuplicateCommits(t *testing.T, log []string) {
 // non-empty — no-ops only appear when a queue-empty replica wins.
 func TestCommandsActuallyCommit(t *testing.T) {
 	t.Parallel()
-	part := model.Fig1Left()
-	cmds := queuesFor(part.N(), 4)
-	res, err := Run(Config{
-		Partition: part,
-		Commands:  cmds,
-		Slots:     6,
-		Setup:     sim.Setup{Seed: 17},
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := runSafe(t, Config{Partition: model.Fig1Left(), Commands: queuesFor(7, 4), Slots: 6, Setup: sim.Setup{Seed: 17}})
 	logs := res.CompletedLogs(6)
 	if len(logs) == 0 {
 		t.Fatalf("no replica completed: %+v", res.Replicas)
@@ -124,62 +127,18 @@ func TestCommandsActuallyCommit(t *testing.T) {
 // keeps appending slots after 6 of 7 replicas crash.
 func TestMajorityCrashSurvivorKeepsAppending(t *testing.T) {
 	t.Parallel()
-	part := model.Fig1Right()
-	sched := failures.NewSchedule(7)
-	for _, p := range []model.ProcID{0, 1, 3, 4, 5, 6} {
-		if err := sched.Set(p, failures.Crash{
-			At: failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
 	const slots = 4
-	cmds := queuesFor(7, slots)
-	res, err := Run(Config{
-		Partition: part,
-		Commands:  cmds,
-		Slots:     slots,
-		Setup:     sim.Setup{Seed: 5, Crashes: sched},
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	surv := res.Replicas[2]
-	if surv.Status != sim.StatusDecided || len(surv.Log) != slots {
+	res := runSafe(t, Config{Partition: model.Fig1Right(), Commands: queuesFor(7, slots), Slots: slots, Setup: sim.Setup{Seed: 5, Crashes: crashAllExcept(t, 2)}})
+	if surv := res.Replicas[2]; surv.Status != sim.StatusDecided || len(surv.Log) != slots {
 		t.Fatalf("survivor = %+v, want decided with %d slots", surv, slots)
-	}
-	if err := res.CheckLogAgreement(); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.CheckLogValidity(cmds); err != nil {
-		t.Fatal(err)
 	}
 }
 
 // Without the liveness condition the log blocks — but logs never diverge.
 func TestBlockedWhenLivenessFails(t *testing.T) {
 	t.Parallel()
-	part := model.Fig1Right()
-	sched := failures.NewSchedule(7)
-	for _, p := range []model.ProcID{1, 2, 3, 4} { // wipe the majority cluster
-		if err := sched.Set(p, failures.Crash{
-			At: failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := Run(Config{
-		Partition: part,
-		Commands:  queuesFor(7, 2),
-		Slots:     3,
-		Setup:     sim.Setup{Seed: 9, Crashes: sched},
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if err := res.CheckLogAgreement(); err != nil {
-		t.Fatal(err)
-	}
+	// Wipe the majority cluster P[2] = {p2..p5}.
+	res := runSafe(t, Config{Partition: model.Fig1Right(), Commands: queuesFor(7, 2), Slots: 3, Setup: sim.Setup{Seed: 9, Crashes: crashAllExcept(t, 0, 5, 6)}})
 	if logs := res.CompletedLogs(3); len(logs) != 0 {
 		t.Errorf("completed logs despite dead pattern: %v", logs)
 	}
@@ -187,16 +146,7 @@ func TestBlockedWhenLivenessFails(t *testing.T) {
 
 func TestEmptyQueuesYieldNoOps(t *testing.T) {
 	t.Parallel()
-	part := model.Singletons(3)
-	res, err := Run(Config{
-		Partition: part,
-		Commands:  [][]string{{}, {}, {}},
-		Slots:     2,
-		Setup:     sim.Setup{Seed: 3},
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := runSafe(t, Config{Partition: model.Singletons(3), Commands: [][]string{{}, {}, {}}, Slots: 2, Setup: sim.Setup{Seed: 3}})
 	logs := res.CompletedLogs(2)
 	if len(logs) != 3 {
 		t.Fatalf("completed = %d, want 3", len(logs))
@@ -210,36 +160,15 @@ func TestEmptyQueuesYieldNoOps(t *testing.T) {
 
 func TestMidRunCrashKeepsPrefixAgreement(t *testing.T) {
 	t.Parallel()
-	part := model.Fig1Left()
 	sched := failures.NewSchedule(7)
 	// p4 crashes somewhere in the middle of the run (global round 6).
-	if err := sched.Set(3, failures.Crash{
-		At: failures.Point{Round: 6, Phase: 1, Stage: failures.StageRoundStart},
-	}); err != nil {
+	if err := sched.Set(3, failures.Crash{At: failures.Point{Round: 6, Phase: 1, Stage: failures.StageRoundStart}}); err != nil {
 		t.Fatal(err)
 	}
-	cmds := queuesFor(7, 3)
-	res, err := Run(Config{
-		Partition: part,
-		Commands:  cmds,
-		Slots:     5,
-		Setup:     sim.Setup{Seed: 77, Crashes: sched},
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if err := res.CheckLogAgreement(); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.CheckLogValidity(cmds); err != nil {
-		t.Fatal(err)
-	}
+	res := runSafe(t, Config{Partition: model.Fig1Left(), Commands: queuesFor(7, 3), Slots: 5, Setup: sim.Setup{Seed: 77, Crashes: sched}})
 	// All live replicas complete (liveness holds: only one crash).
 	for i, rep := range res.Replicas {
-		if i == 3 {
-			continue
-		}
-		if rep.Status != sim.StatusDecided || len(rep.Log) != 5 {
+		if i != 3 && (rep.Status != sim.StatusDecided || len(rep.Log) != 5) {
 			t.Errorf("replica %d = %+v, want full log", i, rep)
 		}
 	}
@@ -310,6 +239,92 @@ func TestBinOfGrowsPastCarvedRoom(t *testing.T) {
 	for inst, want := range []model.Value{model.One, model.Bot, model.Bot, model.Bot, model.Bot, model.Zero} {
 		if v := *row.binOf(inst); v != want {
 			t.Errorf("instance %d reads %v, want %v", inst, v, want)
+		}
+	}
+}
+
+// TestReplayBitReproducible pins replay of cells the registry suite's smr
+// row lacks: a 3-slot log on Fig1Left under a 0–1 ms band, with a crash at
+// the top of global round 3 beside a timed one, over three seeds.
+func TestReplayBitReproducible(t *testing.T) {
+	t.Parallel()
+	config := func(seed int64) Config {
+		sched := failures.NewSchedule(7)
+		err := errors.Join(
+			sched.Set(6, failures.Crash{At: failures.Point{Round: 3, Phase: 1, Stage: failures.StageRoundStart}}),
+			sched.SetTimed(5, 5*time.Millisecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmds := make([][]string, 7)
+		for i := range cmds {
+			cmds[i] = []string{"cmd-" + string(rune('a'+i))}
+		}
+		return Config{
+			Partition: model.Fig1Left(),
+			Commands:  cmds,
+			Slots:     3,
+			Setup: sim.Setup{
+				Seed:       seed,
+				Crashes:    sched,
+				NetOptions: []netsim.Option{netsim.WithUniformDelay(0, time.Millisecond)},
+			},
+		}
+	}
+	for _, seed := range []int64{1, 42, 917} {
+		res1, res2 := runSafe(t, config(seed)), runSafe(t, config(seed))
+		if !reflect.DeepEqual(res1, res2) || res1.Steps == 0 {
+			t.Errorf("seed %d: Results diverged or took no step:\n  run1: %+v\n  run2: %+v", seed, res1, res2)
+		}
+	}
+}
+
+// TestSafetyAcrossSchedules samples the schedule space: 32 seeds, each at
+// immediate delivery and under a 0–1 ms uniform band (replayable), every
+// run held to protocol.Check: log agreement, validity and, crash-free, every
+// replica completing the log.
+func TestSafetyAcrossSchedules(t *testing.T) {
+	t.Parallel()
+	cmds := make([][]string, 7)
+	for i := range cmds {
+		cmds[i] = []string{"op-" + string(rune('a'+i))}
+	}
+	for _, band := range []protocol.NetworkProfile{nil, protocol.Uniform(0, time.Millisecond)} {
+		for seed := int64(0); seed < 32; seed++ {
+			sc := protocol.Scenario{
+				Protocol: ProtocolName,
+				Topology: protocol.Topology{Partition: model.Fig1Right()},
+				Workload: protocol.Workload{Commands: cmds, Slots: 2},
+				Profile:  band,
+				Seed:     seed,
+			}
+			out, err := protocol.Run(sc)
+			if err != nil {
+				t.Fatalf("band %v seed %d: %v", band, seed, err)
+			}
+			if vs := protocol.Check(sc, out); vs != nil {
+				t.Errorf("band %v seed %d: %v", band, seed, vs)
+			}
+		}
+	}
+}
+
+// TestVirtualQuiescenceBlocks pins the deterministic blocked verdict: with
+// the majority cluster wiped the log cannot advance, and the virtual
+// engine must say so at quiescence, instantly.
+func TestVirtualQuiescenceBlocks(t *testing.T) {
+	t.Parallel()
+	start := time.Now()
+	res := runSafe(t, Config{Partition: model.Fig1Right(), Commands: make([][]string, 7), Slots: 1, Setup: sim.Setup{Seed: 3, Crashes: crashAllExcept(t, 0, 5, 6)}})
+	if wall := time.Since(start); wall > 5*time.Second {
+		t.Errorf("blocked verdict took %v of real time", wall)
+	}
+	if !res.Quiesced {
+		t.Errorf("Quiesced = false, want true: %+v", res)
+	}
+	for i, rep := range res.Replicas {
+		if rep.Status == sim.StatusDecided {
+			t.Errorf("replica %d decided under a dead failure pattern: %+v", i, rep)
 		}
 	}
 }

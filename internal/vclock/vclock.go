@@ -10,20 +10,17 @@
 // its inputs: same configuration, same event order, same result, bit for
 // bit.
 //
-// Processes come in two body forms sharing one wake/park discipline:
+// Every process is an inline handler (Inline, SpawnHandler): a state machine
+// the scheduler invokes directly under its execution token, once per Wake,
+// in FIFO wake order — no goroutine and no rendezvous, so each wake is one
+// plain method call, which is what makes the Θ(n²) all-to-all exchange
+// pattern affordable at large n (DESIGN.md §11). Every process under
+// internal/ is one: the driver registers each process's record with Inline.
+// A process ends when its handler reports itself finished or calls Finish.
 //
-//   - coroutines (Spawn): the body is a straight-line function on its own
-//     goroutine; every step costs two unbuffered-channel rendezvous through
-//     the execution token. Convenient for bodies that block mid-algorithm.
-//   - inline handlers (Inline, SpawnHandler): the body is a state machine
-//     invoked directly under the scheduler's execution token — zero
-//     rendezvous, zero goroutines. Each wake is one plain method call, which
-//     is what makes the Θ(n²) all-to-all exchange pattern affordable at
-//     large n (DESIGN.md §11).
-//
-// Both forms go through the same runnable FIFO, so wakes fire in the same
-// (at, seq)-driven order regardless of body form, and quiescence/abort
-// semantics are identical.
+// Spawn and Park keep the older coroutine form — a straight-line body on its
+// own goroutine, two channel rendezvous per step — only for bench/layers.go's
+// wake-cost comparison and this package's own tests.
 //
 // # Tiered timer wheel
 //
@@ -79,15 +76,15 @@
 // never come terminates the moment the event queue goes quiescent.
 //
 // Termination of Run is classified by Outcome:
-//   - all coroutines finished → a normal run;
-//   - quiescence (live coroutines, but nothing runnable and no pending
+//   - every process finished → a normal run;
+//   - quiescence (live processes, but nothing runnable and no pending
 //     events) → the execution is stuck forever, e.g. a consensus liveness
 //     condition does not hold;
 //   - the virtual deadline or the event budget was exceeded.
 //
-// On abort the scheduler resumes every parked coroutine with Park() = false
-// so it can record a "blocked" outcome and unwind; Run returns only after
-// every coroutine has finished.
+// On abort the scheduler invokes every parked process once more with
+// aborted = true, so it can record a "blocked" outcome and finish; Run
+// returns only after every process has finished.
 package vclock
 
 import (
@@ -723,7 +720,7 @@ type Outcome struct {
 	Now Time
 	// Steps is the number of events processed.
 	Steps int64
-	// Quiesced is set when live coroutines remained but no event could ever
+	// Quiesced is set when live processes remained but no event could ever
 	// wake them — the virtual-time formulation of "blocked forever".
 	Quiesced bool
 	// DeadlineExceeded is set when the next event lay beyond the deadline.

@@ -70,38 +70,13 @@ func largeNProfiles() []struct {
 	}
 }
 
-func largeNScenario(t *testing.T, protocolName string, prof NetworkProfile) Scenario {
+// largeNScenario builds one dense cell at n: Blocks(n, clusters), a timed
+// minority crash of 8 processes at 150µs spread across clusters (none a
+// whole cluster, so the liveness condition holds), and largeNWorkload's
+// proposals.
+func largeNScenario(t *testing.T, n, clusters int, protocolName string, prof NetworkProfile) Scenario {
 	t.Helper()
-	part, err := Blocks(largeN, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := NewSchedule(largeN)
-	// A timed minority crash (8 processes, none a whole cluster) keeps the
-	// liveness condition intact while exercising crash bookkeeping at scale.
-	for p := 0; p < 8; p++ {
-		if err := sched.SetTimed(ProcID(p*16+1), 150*time.Microsecond); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return Scenario{
-		Protocol: protocolName,
-		Topology: Topology{Partition: part},
-		Workload: largeNWorkload(largeN, protocolName == ProtocolHybrid),
-		Faults:   sched,
-		Profile:  prof,
-		Seed:     1303,
-		Bounds:   Bounds{MaxRounds: 10_000},
-	}
-}
-
-// veryLargeNScenario is the n≥512 analogue of largeNScenario: Blocks
-// topology with 64-process clusters, a timed 8-process minority crash
-// spread across distinct clusters, and an explicit per-link skew matrix
-// drawn once per n from a fixed seed (40µs cap, same as n=128).
-func veryLargeNScenario(t *testing.T, n int, protocolName string, prof NetworkProfile) Scenario {
-	t.Helper()
-	part, err := Blocks(n, n/64)
+	part, err := Blocks(n, clusters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,6 +97,41 @@ func veryLargeNScenario(t *testing.T, n int, protocolName string, prof NetworkPr
 	}
 }
 
+// scaleRun runs one large sparse-overlay cell and returns its first run's
+// wall clock: the run passes Check, every live process decides want, the
+// message bill stays under n², and a replay is DeepEqual.
+func scaleRun(t *testing.T, sc Scenario, want string) time.Duration {
+	t.Helper()
+	start := time.Now()
+	out, err := Run(sc)
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vs := Check(sc, out); vs != nil {
+		t.Fatal(vs)
+	}
+	requireLive(t, out)
+	for p, pr := range out.Procs {
+		if pr.Status == StatusDecided && pr.Decision != want {
+			t.Fatalf("p%d decided %q, want %q", p+1, pr.Decision, want)
+		}
+	}
+	n := int64(len(out.Procs))
+	if out.Metrics.MsgsSent >= n*n {
+		t.Fatalf("MsgsSent = %d at n=%d: not sub-quadratic (n² = %d)", out.Metrics.MsgsSent, n, n*n)
+	}
+	t.Logf("n=%d %s: %d msgs, %d steps, %v virtual, %v wall", n, sc.Protocol, out.Metrics.MsgsSent, out.Steps, out.VirtualTime, wall)
+	again, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out, again) {
+		t.Fatalf("n=%d replay diverged:\n  first:  %+v\n  second: %+v", n, out.Procs[:4], again.Procs[:4])
+	}
+	return wall
+}
+
 // TestVeryLargeNBitRepro pushes the determinism contract three doublings
 // past the old n≈128 ceiling: {hybrid, benor} × {n=512, n=1024} under a
 // seeded skew matrix, each cell checked for liveness, safety, and
@@ -135,38 +145,15 @@ func TestVeryLargeNBitRepro(t *testing.T) {
 	t.Parallel()
 	for _, n := range []int{512, 1024} {
 		rng := rand.New(rand.NewPCG(2024, uint64(n)))
-		matrix := netsim.RandomDelayMatrix(rng, n, 40*time.Microsecond)
-		prof := SkewMatrixProfile(matrix)
+		prof := SkewMatrixProfile(netsim.RandomDelayMatrix(rng, n, 40*time.Microsecond))
 		for _, protocolName := range []string{ProtocolHybrid, ProtocolBenOr} {
-			n, protocolName, prof := n, protocolName, prof
+			n, protocolName := n, protocolName
 			t.Run(fmt.Sprintf("%s/n=%d", protocolName, n), func(t *testing.T) {
 				t.Parallel()
-				sc := veryLargeNScenario(t, n, protocolName, prof)
-				first, err := Run(sc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if first.BoundedOut() {
-					t.Fatalf("run bounded out after %d steps", first.Steps)
-				}
-				if vs := Check(sc, first); vs != nil {
-					t.Fatal(vs)
-				}
-				if !first.AllLiveDecided() {
-					t.Fatalf("live processes unfinished: decided %d, crashed %d, blocked %d of %d",
-						first.CountStatus(StatusDecided), first.CountStatus(StatusCrashed),
-						first.CountStatus(StatusBlocked), n)
-				}
-				if first.Sched.EventsScheduled == 0 || first.Sched.MaxBucketDepth == 0 {
-					t.Fatalf("scheduler stats empty: %+v", first.Sched)
-				}
-
-				second, err := Run(sc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(first, second) {
-					t.Fatalf("n=%d replay diverged:\n  first:  %+v\n  second: %+v", n, first, second)
+				out := runAndReplay(t, largeNScenario(t, n, n/64, protocolName, prof))
+				requireLive(t, out)
+				if out.Sched.EventsScheduled == 0 || out.Sched.MaxBucketDepth == 0 {
+					t.Fatalf("scheduler stats empty: %+v", out.Sched)
 				}
 			})
 		}
@@ -246,47 +233,7 @@ func TestGossipTenThousand(t *testing.T) {
 		t.Skip("gossip n=10k skipped in -short mode")
 	}
 	t.Parallel()
-	const n = 10_000
-	w := Workload{Binary: make([]Value, n)}
-	w.Binary[n/2] = One // a single rumor source, worst case for dissemination
-	sc := Scenario{
-		Protocol: ProtocolGossip,
-		Topology: Topology{
-			N:       n,
-			Overlay: &OverlaySpec{Kind: OverlayDeBruijn, Degree: DefaultOverlayDegree(n)},
-		},
-		Workload: w,
-		Profile:  UniformProfile(0, 200*time.Microsecond),
-		Seed:     1303,
-	}
-	start := time.Now()
-	first, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	if got := first.CountStatus(StatusDecided); got != n {
-		t.Fatalf("decided %d of %d", got, n)
-	}
-	for p, pr := range first.Procs {
-		if pr.Decision != "1" {
-			t.Fatalf("proc %d decided %q, want 1 (rumor must reach everyone)", p, pr.Decision)
-		}
-	}
-	// Θ(n·d·R) bill: with d = DefaultOverlayDegree and the deterministic
-	// round budget this sits far below even ONE all-to-all round (n² = 10⁸).
-	if quad := int64(n) * int64(n); first.Metrics.MsgsSent >= quad {
-		t.Fatalf("MsgsSent = %d at n=10k — not sub-quadratic (n² = %d)", first.Metrics.MsgsSent, quad)
-	}
-	t.Logf("n=10k gossip: %d msgs, %d steps, %v virtual, %v wall", first.Metrics.MsgsSent, first.Steps, first.VirtualTime, elapsed)
-
-	second, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("n=10k replay diverged:\n  first:  %+v\n  second: %+v", first.Procs[:4], second.Procs[:4])
-	}
+	scaleRun(t, sparseScenario(t, ProtocolGossip, 10_000, nil), "1")
 }
 
 // TestGossipHundredThousand is the paper-headline scale run: epidemic
@@ -299,45 +246,7 @@ func TestGossipTenThousand(t *testing.T) {
 func TestGossipHundredThousand(t *testing.T) {
 	requireXL(t)
 	t.Parallel()
-	const n = 100_000
-	w := Workload{Binary: make([]Value, n)}
-	w.Binary[n/2] = One // a single rumor source, worst case for dissemination
-	sc := Scenario{
-		Protocol: ProtocolGossip,
-		Topology: Topology{
-			N:       n,
-			Overlay: &OverlaySpec{Kind: OverlayDeBruijn, Degree: DefaultOverlayDegree(n)},
-		},
-		Workload: w,
-		Profile:  UniformProfile(0, 200*time.Microsecond),
-		Seed:     1303,
-	}
-	start := time.Now()
-	first, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	if got := first.CountStatus(StatusDecided); got != n {
-		t.Fatalf("decided %d of %d", got, n)
-	}
-	for p, pr := range first.Procs {
-		if pr.Decision != "1" {
-			t.Fatalf("proc %d decided %q, want 1 (rumor must reach everyone)", p, pr.Decision)
-		}
-	}
-	if quad := int64(n) * int64(n); first.Metrics.MsgsSent >= quad {
-		t.Fatalf("MsgsSent = %d at n=100k — not sub-quadratic (n² = %d)", first.Metrics.MsgsSent, quad)
-	}
-	t.Logf("n=100k gossip: %d msgs, %d steps, %v virtual, %v wall", first.Metrics.MsgsSent, first.Steps, first.VirtualTime, elapsed)
-
-	second, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("n=100k replay diverged:\n  first:  %+v\n  second: %+v", first.Procs[:4], second.Procs[:4])
-	}
+	scaleRun(t, sparseScenario(t, ProtocolGossip, 100_000, nil), "1")
 }
 
 // TestAllConcurSixteenThousand quadruples the atomic-broadcast scale gate:
@@ -348,64 +257,8 @@ func TestGossipHundredThousand(t *testing.T) {
 func TestAllConcurSixteenThousand(t *testing.T) {
 	requireXL(t)
 	t.Parallel()
-	const n = 16_384
-	w := Workload{}
-	for i := 0; i < n; i++ {
-		w.Values = append(w.Values, fmt.Sprintf("v%d", i))
-	}
-	sched := NewSchedule(n)
-	// Two crashes 150µs in — after the victims flood their own value but
-	// before dissemination completes. κ(de Bruijn, d=7) = 6 keeps the
-	// survivor subgraph strongly connected.
-	for _, p := range []ProcID{100, 8000} {
-		if err := sched.SetTimed(p, 150*time.Microsecond); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sc := Scenario{
-		Protocol: ProtocolAllConcur,
-		Topology: Topology{
-			N:       n,
-			Overlay: &OverlaySpec{Kind: OverlayDeBruijn, Degree: DefaultOverlayDegree(n)},
-		},
-		Workload: w,
-		Faults:   sched,
-		Profile:  UniformProfile(0, 200*time.Microsecond),
-		Seed:     1303,
-	}
-	start := time.Now()
-	first, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	if vs := Check(sc, first); vs != nil {
-		t.Fatal(vs)
-	}
-	if got := first.CountStatus(StatusBlocked); got != 0 {
-		t.Fatalf("%d blocked processes (overlay κ covers the crash set; nobody may block)", got)
-	}
-	if !first.AllLiveDecided() {
-		t.Fatalf("live processes unfinished: decided %d, crashed %d of %d",
-			first.CountStatus(StatusDecided), first.CountStatus(StatusCrashed), n)
-	}
-	for p, pr := range first.Procs {
-		if pr.Status == StatusDecided && pr.Decision != "v0" {
-			t.Fatalf("proc %d decided %q, want v0 (smallest live origin)", p, pr.Decision)
-		}
-	}
-	if quad := int64(n) * int64(n); first.Metrics.MsgsSent >= quad {
-		t.Fatalf("MsgsSent = %d at n=16384 — not sub-quadratic (n² = %d)", first.Metrics.MsgsSent, quad)
-	}
-	t.Logf("n=16384 allconcur: %d msgs, %d steps, %v virtual, %v wall", first.Metrics.MsgsSent, first.Steps, first.VirtualTime, elapsed)
-
-	second, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("n=16384 replay diverged:\n  first:  %+v\n  second: %+v", first.Procs[:4], second.Procs[:4])
-	}
+	crashes := map[ProcID]time.Duration{100: 150 * time.Microsecond, 8000: 150 * time.Microsecond}
+	scaleRun(t, sparseScenario(t, ProtocolAllConcur, 16_384, crashes), "v0")
 }
 
 // TestAllConcurCrashAtScale forces the suspect-closure exclusion path at
@@ -417,65 +270,8 @@ func TestAllConcurSixteenThousand(t *testing.T) {
 func TestAllConcurCrashAtScale(t *testing.T) {
 	requireXL(t)
 	t.Parallel()
-	const n = 8192
-	w := Workload{}
-	for i := 0; i < n; i++ {
-		w.Values = append(w.Values, fmt.Sprintf("v%d", i))
-	}
-	sched := NewSchedule(n)
-	if err := sched.SetTimed(0, 0); err != nil { // dies before proposing
-		t.Fatal(err)
-	}
-	if err := sched.SetTimed(1000, 150*time.Microsecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := sched.SetTimed(4000, 300*time.Microsecond); err != nil {
-		t.Fatal(err)
-	}
-	sc := Scenario{
-		Protocol: ProtocolAllConcur,
-		Topology: Topology{
-			N:       n,
-			Overlay: &OverlaySpec{Kind: OverlayDeBruijn, Degree: DefaultOverlayDegree(n)},
-		},
-		Workload: w,
-		Faults:   sched,
-		Profile:  UniformProfile(0, 200*time.Microsecond),
-		Seed:     1303,
-	}
-	start := time.Now()
-	first, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	if vs := Check(sc, first); vs != nil {
-		t.Fatal(vs)
-	}
-	if got := first.CountStatus(StatusBlocked); got != 0 {
-		t.Fatalf("%d blocked processes (3 crashes < κ=6; nobody may block)", got)
-	}
-	if !first.AllLiveDecided() {
-		t.Fatalf("live processes unfinished: decided %d, crashed %d of %d",
-			first.CountStatus(StatusDecided), first.CountStatus(StatusCrashed), n)
-	}
-	for p, pr := range first.Procs {
-		// "v1", not "v0": every decider excluded origin 0 via the closure —
-		// the assertion that pins the exclusion path at scale.
-		if pr.Status == StatusDecided && pr.Decision != "v1" {
-			t.Fatalf("proc %d decided %q, want v1 (origin 0 must be closure-excluded)", p, pr.Decision)
-		}
-	}
-	t.Logf("n=8192 allconcur crash-at-scale: %d msgs, %d steps, %v virtual, %v wall",
-		first.Metrics.MsgsSent, first.Steps, first.VirtualTime, elapsed)
-
-	second, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("n=8192 replay diverged:\n  first:  %+v\n  second: %+v", first.Procs[:4], second.Procs[:4])
-	}
+	crashes := map[ProcID]time.Duration{0: 0, 1000: 150 * time.Microsecond, 4000: 300 * time.Microsecond}
+	scaleRun(t, sparseScenario(t, ProtocolAllConcur, 8192, crashes), "v1")
 }
 
 // TestAllConcurFourThousand runs the leaderless atomic broadcast at
@@ -487,57 +283,8 @@ func TestAllConcurFourThousand(t *testing.T) {
 		t.Skip("allconcur n=4096 skipped in -short mode")
 	}
 	t.Parallel()
-	const n = 4096
-	w := Workload{}
-	for i := 0; i < n; i++ {
-		w.Values = append(w.Values, fmt.Sprintf("v%d", i))
-	}
-	sched := NewSchedule(n)
-	// Two crashes 150µs in — after the victims flood their own value but
-	// before dissemination completes — exercise the tombstone-marker and
-	// FAIL-flooding machinery at scale. κ(de Bruijn, d=7) = 6 keeps the
-	// survivor subgraph strongly connected.
-	for _, p := range []ProcID{100, 2000} {
-		if err := sched.SetTimed(p, 150*time.Microsecond); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sc := Scenario{
-		Protocol: ProtocolAllConcur,
-		Topology: Topology{
-			N:       n,
-			Overlay: &OverlaySpec{Kind: OverlayDeBruijn, Degree: DefaultOverlayDegree(n)},
-		},
-		Workload: w,
-		Faults:   sched,
-		Profile:  UniformProfile(0, 200*time.Microsecond),
-		Seed:     1303,
-	}
-	start := time.Now()
-	first, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	if vs := Check(sc, first); vs != nil {
-		t.Fatal(vs)
-	}
-	if got := first.CountStatus(StatusBlocked); got != 0 {
-		t.Fatalf("%d blocked processes (overlay κ covers the crash set; nobody may block)", got)
-	}
-	if !first.AllLiveDecided() {
-		t.Fatalf("live processes unfinished: decided %d, crashed %d of %d",
-			first.CountStatus(StatusDecided), first.CountStatus(StatusCrashed), n)
-	}
-	for p, pr := range first.Procs {
-		if pr.Status == StatusDecided && pr.Decision != "v0" {
-			t.Fatalf("proc %d decided %q, want v0 (smallest live origin)", p, pr.Decision)
-		}
-	}
-	if quad := int64(n) * int64(n); first.Metrics.MsgsSent >= quad {
-		t.Fatalf("MsgsSent = %d at n=4096 — not sub-quadratic (n² = %d)", first.Metrics.MsgsSent, quad)
-	}
-	t.Logf("n=4096 allconcur: %d msgs, %d steps, %v virtual, %v wall", first.Metrics.MsgsSent, first.Steps, first.VirtualTime, elapsed)
+	crashes := map[ProcID]time.Duration{100: 150 * time.Microsecond, 2000: 150 * time.Microsecond}
+	elapsed := scaleRun(t, sparseScenario(t, ProtocolAllConcur, 4096, crashes), "v0")
 	// The large-n CI step (ALLFORONE_XL set) runs this cell in a process of
 	// its own, uninstrumented, and holds the run to a wall ceiling: 0.6 s on
 	// the 2-vCPU sizing box with block-form news items, 1.8 s with one item
@@ -546,14 +293,6 @@ func TestAllConcurFourThousand(t *testing.T) {
 	const ceiling = 3 * time.Second
 	if os.Getenv("ALLFORONE_XL") != "" && elapsed > ceiling {
 		t.Fatalf("n=4096 allconcur took %v of wall clock, ceiling %v: the ingest path has regressed", elapsed, ceiling)
-	}
-
-	second, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("n=4096 replay diverged:\n  first:  %+v\n  second: %+v", first.Procs[:4], second.Procs[:4])
 	}
 }
 
@@ -569,34 +308,10 @@ func TestLargeNDifferentialAndReplay(t *testing.T) {
 			protocolName, prof := protocolName, prof
 			t.Run(fmt.Sprintf("%s/%s", protocolName, prof.name), func(t *testing.T) {
 				t.Parallel()
-				sc := largeNScenario(t, protocolName, prof.p)
-				first, err := Run(sc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if first.BoundedOut() {
-					t.Fatalf("run bounded out after %d steps", first.Steps)
-				}
-				if vs := Check(sc, first); vs != nil {
-					t.Fatal(vs)
-				}
-				if !first.AllLiveDecided() {
-					t.Fatalf("live processes unfinished: decided %d, crashed %d, blocked %d of %d",
-						first.CountStatus(StatusDecided), first.CountStatus(StatusCrashed),
-						first.CountStatus(StatusBlocked), largeN)
-				}
-				if first.Steps == 0 || first.VirtualTime == 0 {
-					t.Fatalf("run carries no clock: %+v", first)
-				}
-
-				// Bit-identical replay at n=128: the determinism contract
-				// must not erode with scale.
-				second, err := Run(sc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(first, second) {
-					t.Fatalf("n=128 replay diverged:\n  first:  %+v\n  second: %+v", first, second)
+				out := runAndReplay(t, largeNScenario(t, largeN, 8, protocolName, prof.p))
+				requireLive(t, out)
+				if out.Steps == 0 || out.VirtualTime == 0 {
+					t.Fatalf("run carries no clock: %+v", out)
 				}
 			})
 		}

@@ -1,10 +1,10 @@
 package allforone
 
-// The registry differential test: every registered protocol runs through
-// Run(Scenario) on one shared scenario matrix — network profiles × crash
-// patterns — and must pass protocol.Check everywhere, blocking nowhere. A
-// second test replays non-uniform profiles and demands bit-identical
-// Outcomes.
+// The registry's property suite: every registered protocol runs through
+// Run(Scenario) on one shared scenario shape and is held to agreement,
+// validity, termination exactly when its liveness condition holds, indulgent
+// blocking otherwise, and bit-identical replay. Run's validation of bad
+// scenarios closes the file.
 
 import (
 	"errors"
@@ -51,28 +51,56 @@ func diffProfiles() []struct {
 	}
 }
 
-// diffFaults returns the crash-pattern axis: crash-free, and a timed
-// minority crash (p1 and p7 at 300µs) that keeps the liveness condition —
-// and a process majority — intact for every protocol.
-func diffFaults(t *testing.T, n int) []struct {
-	name string
-	f    func() *Schedule
-} {
-	return []struct {
-		name string
-		f    func() *Schedule
-	}{
-		{"crash-free", func() *Schedule { return nil }},
-		{"timed-minority", func() *Schedule {
-			sched := NewSchedule(n)
-			for _, p := range []ProcID{0, 6} {
-				if err := sched.SetTimed(p, 300*time.Microsecond); err != nil {
-					t.Fatal(err)
-				}
-			}
-			return sched
+// crashSet is one crash pattern of the suite's matrix; stage marks a
+// step-point pattern, run only where Info.StageCrashes.
+type crashSet struct {
+	name  string
+	stage bool
+	plan  func(sched *Schedule) error
+}
+
+// crashSets returns the crash-pattern axis on Fig1Right = {p1} {p2..p5}
+// {p6,p7}: crash-free, a timed minority (p1 and p7 at 300µs) and a stage
+// minority (p1 mid-broadcast in round 1, p7 before deciding in round 2).
+// Both minorities keep P[2] whole, a process majority live, and mm's ring and
+// the κ = 3 circulant overlay connected, so the liveness condition holds for
+// every protocol.
+func crashSets() []crashSet {
+	return []crashSet{
+		{"crash-free", false, nil},
+		{"timed-minority", false, func(sched *Schedule) error {
+			return errors.Join(sched.SetTimed(0, 300*time.Microsecond), sched.SetTimed(6, 300*time.Microsecond))
+		}},
+		{"stage-minority", true, func(sched *Schedule) error {
+			return errors.Join(
+				sched.Set(0, Crash{At: CrashPoint{Round: 1, Phase: 1, Stage: StageMidBroadcast}}),
+				sched.Set(6, Crash{At: CrashPoint{Round: 2, Phase: 1, Stage: StageBeforeDecide}}))
 		}},
 	}
+}
+
+// uncovered crashes p2..p5 at time 0: the live p1, p6 and p7 neither cover a
+// majority with their clusters nor are a process majority, and four crashes
+// exceed the circulant's κ = 3.
+func uncovered(sched *Schedule) error {
+	var err error
+	for p := ProcID(1); p <= 4; p++ {
+		err = errors.Join(err, sched.SetTimed(p, 0))
+	}
+	return err
+}
+
+// schedule builds the crash schedule plan writes on n = 7; nil for no plan.
+func schedule(t *testing.T, plan func(*Schedule) error) *Schedule {
+	t.Helper()
+	if plan == nil {
+		return nil
+	}
+	sched := NewSchedule(7)
+	if err := plan(sched); err != nil {
+		t.Fatal(err)
+	}
+	return sched
 }
 
 // mmRing returns ring edges over n processes (the differential topology
@@ -93,113 +121,166 @@ func diffOverlay() *OverlaySpec {
 	return &OverlaySpec{Kind: OverlayCirculant, Degree: 3}
 }
 
-// checkDiffOutcome holds a matrix cell to protocol.Check. The liveness
-// condition holds in every cell (≥ a process majority survives, and the
-// majority cluster keeps a member), so no process may end blocked either.
-func checkDiffOutcome(t *testing.T, sc Scenario, out *Outcome) {
+// canBlock is the suite's row of each registered protocol: whether it can
+// block, and so is held to the uncovered crash set. shmem is wait-free, and
+// gossip's fixed round schedule always ends decided.
+var canBlock = map[string]bool{
+	ProtocolHybrid: true, ProtocolBenOr: true, ProtocolMPCoin: true, ProtocolMM: true,
+	ProtocolMultivalued: true, ProtocolSMR: true, ProtocolRegister: true, ProtocolAllConcur: true,
+	ProtocolSharedMem: false, ProtocolGossip: false,
+}
+
+// unanimous returns w with every proposal of info's kind set to one value,
+// and that value rendered as a decision; ok is false for a kind with no
+// single decision value (command queues, register scripts).
+func unanimous(info ProtocolInfo, w Workload) (Workload, string, bool) {
+	switch info.Proposals {
+	case ProposalsBinary:
+		w.Binary = make([]Value, len(w.Binary))
+		for i := range w.Binary {
+			w.Binary[i] = One
+		}
+		return w, One.String(), true
+	case ProposalsValues:
+		w.Values = make([]string, len(w.Values))
+		for i := range w.Values {
+			w.Values[i] = "u"
+		}
+		return w, "u", true
+	}
+	return w, "", false
+}
+
+// runAndReplay runs sc twice and fails unless the first Outcome passes Check
+// and the two are DeepEqual. It returns the first.
+func runAndReplay(t *testing.T, sc Scenario) *Outcome {
 	t.Helper()
-	if vs := protocol.Check(sc, out); vs != nil {
+	ref, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vs := Check(sc, ref); vs != nil {
 		t.Fatal(vs)
 	}
-	if got := out.CountStatus(StatusBlocked); got != 0 {
-		t.Fatalf("%d blocked processes: %+v", got, out.Procs)
+	out, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ref, out) {
+		t.Fatalf("replay diverged:\n  ref: %+v\n  got: %+v", ref, out)
+	}
+	return ref
+}
+
+// requireLive fails unless out ended on its own with every live process
+// decided.
+func requireLive(t *testing.T, out *Outcome) {
+	t.Helper()
+	if out.BoundedOut() || !out.AllLiveDecided() {
+		t.Fatalf("live processes unfinished (bounded out %v after %d steps): decided %d, crashed %d, blocked %d of %d",
+			out.BoundedOut(), out.Steps, out.CountStatus(StatusDecided), out.CountStatus(StatusCrashed),
+			out.CountStatus(StatusBlocked), len(out.Procs))
 	}
 }
 
-// TestRegistryDifferential is the acceptance matrix: every registered
-// protocol × ≥3 network profiles × 2 crash patterns.
+// TestRegistryDifferential is the registry's property suite (paper §III-B):
+// every registered protocol runs one scenario shape — Fig1Right, with mm's
+// ring and the circulant overlay beside it, and diffMatrixWorkload — and is
+// held to
+//
+//   - matrix: protocol.Check with no process blocked, and a DeepEqual
+//     replay, in every cell of three seeds × the five profiles × crashSets;
+//   - seed: a different seed moves Steps or VirtualTime under the uniform
+//     profile;
+//   - unanimous: a unanimous workload decides its value, where the proposal
+//     kind has one;
+//   - blocked: under every profile the uncovered crash set quiesces the run
+//     with every live process blocked, where the protocol can block.
+//
+// Network-less protocols run the immediate profile only. A protocol
+// registered without a canBlock row fails the suite.
 func TestRegistryDifferential(t *testing.T) {
 	t.Parallel()
-	part := Fig1Right() // n=7; P[2] is a majority cluster
-	n := part.N()
-
 	for _, info := range Protocols() {
 		info := info
-		t.Run(info.Name, func(t *testing.T) {
-			t.Parallel()
-			for _, prof := range diffProfiles() {
-				if prof.p != nil && !info.HasNetwork {
-					continue
-				}
-				for _, faults := range diffFaults(t, n) {
-					name := fmt.Sprintf("%s/%s", prof.name, faults.name)
-					sc := Scenario{
-						Protocol: info.Name,
-						Topology: Topology{Partition: part},
-						Workload: diffMatrixWorkload(n),
-						Faults:   faults.f(),
-						Profile:  prof.p,
-						Seed:     42,
-						Bounds:   Bounds{MaxRounds: 10_000},
-					}
-					if info.NeedsGraph {
-						sc.Topology.MMEdges = mmRing(n)
-					}
-					if info.NeedsOverlay {
-						sc.Topology.Overlay = diffOverlay()
-					}
-					out, err := Run(sc)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					checkDiffOutcome(t, sc, out)
-				}
-			}
-		})
-	}
-}
-
-// TestScenarioReplayBitReproducible replays every protocol under the
-// non-uniform profiles: identical Scenarios must
-// produce identical Outcomes, field for field — including the virtual
-// clock, the step count, and every per-process result.
-func TestScenarioReplayBitReproducible(t *testing.T) {
-	t.Parallel()
-	part := Fig1Right()
-	n := part.N()
-	profiles := map[string]NetworkProfile{
-		"skew": DistanceSkewProfile(50*time.Microsecond, 25*time.Microsecond),
-		"heal": HealingPartitionProfile(nil, time.Millisecond, 0, 100*time.Microsecond),
-	}
-	for _, info := range Protocols() {
-		if !info.HasNetwork {
+		blocks, ok := canBlock[info.Name]
+		if !ok {
+			t.Errorf("%s: no canBlock row", info.Name)
 			continue
 		}
-		for profName, prof := range profiles {
-			sched := NewSchedule(n)
-			if err := sched.SetTimed(6, 300*time.Microsecond); err != nil {
-				t.Fatal(err)
-			}
-			sc := Scenario{
-				Protocol: info.Name,
-				Topology: Topology{Partition: part},
-				Workload: diffMatrixWorkload(n),
-				Faults:   sched,
-				Profile:  prof,
-				Seed:     7,
-				Bounds:   Bounds{MaxRounds: 10_000},
-			}
-			if info.NeedsGraph {
-				sc.Topology.MMEdges = mmRing(n)
-			}
-			if info.NeedsOverlay {
-				sc.Topology.Overlay = diffOverlay()
-			}
-			first, err := Run(sc)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", info.Name, profName, err)
-			}
-			second, err := Run(sc)
-			if err != nil {
-				t.Fatalf("%s/%s replay: %v", info.Name, profName, err)
-			}
-			if first.VirtualTime == 0 && first.Steps == 0 {
-				t.Fatalf("%s/%s: virtual run reports no clock/steps", info.Name, profName)
-			}
-			if !reflect.DeepEqual(first, second) {
-				t.Fatalf("%s/%s: replay diverged:\n  first:  %+v\n  second: %+v", info.Name, profName, first, second)
-			}
+		base := Scenario{
+			Protocol: info.Name,
+			Topology: Topology{Partition: Fig1Right(), MMEdges: mmRing(7), Overlay: diffOverlay()},
+			Workload: diffMatrixWorkload(7),
+			Bounds:   Bounds{MaxRounds: 10_000},
 		}
+		profiles := diffProfiles()
+		if !info.HasNetwork {
+			profiles = profiles[:1]
+		}
+		t.Run(info.Name, func(t *testing.T) {
+			t.Parallel()
+			t.Run("matrix", func(t *testing.T) {
+				for _, prof := range profiles {
+					for _, faults := range crashSets() {
+						if faults.stage && !info.StageCrashes {
+							continue
+						}
+						for seed := int64(1); seed <= 3; seed++ {
+							t.Run(fmt.Sprintf("%s/%s/seed=%d", prof.name, faults.name, seed), func(t *testing.T) {
+								sc := base
+								sc.Profile, sc.Faults, sc.Seed = prof.p, schedule(t, faults.plan), seed
+								requireLive(t, runAndReplay(t, sc))
+							})
+						}
+					}
+				}
+			})
+			if info.HasNetwork {
+				t.Run("seed", func(t *testing.T) {
+					type print struct {
+						steps int64
+						vt    time.Duration
+					}
+					seen := map[print]bool{}
+					sc := base
+					sc.Profile = profiles[1].p // uniform 0–200µs
+					for sc.Seed = 1; sc.Seed <= 3; sc.Seed++ {
+						out := runAndReplay(t, sc)
+						seen[print{out.Steps, out.VirtualTime}] = true
+					}
+					if len(seen) < 2 {
+						t.Fatalf("three seeds ran one schedule: %v", seen)
+					}
+				})
+			}
+			if w, want, ok := unanimous(info, base.Workload); ok {
+				t.Run("unanimous", func(t *testing.T) {
+					for _, prof := range profiles {
+						sc := base
+						sc.Workload, sc.Profile = w, prof.p
+						out := runAndReplay(t, sc)
+						requireLive(t, out)
+						if got, n, _ := out.Decided(); got != want || n != len(out.Procs) {
+							t.Fatalf("%s: %d processes decided %q, want all %d on %q", prof.name, n, got, len(out.Procs), want)
+						}
+					}
+				})
+			}
+			if blocks {
+				t.Run("blocked", func(t *testing.T) {
+					for _, prof := range profiles {
+						sc := base
+						sc.Profile, sc.Faults = prof.p, schedule(t, uncovered)
+						out := runAndReplay(t, sc)
+						if !out.Quiesced || out.CountStatus(StatusBlocked) != 3 {
+							t.Fatalf("%s: quiesced %v, %d of the 3 live processes blocked: %+v",
+								prof.name, out.Quiesced, out.CountStatus(StatusBlocked), out.Procs)
+						}
+					}
+				})
+			}
+		})
 	}
 }
 
