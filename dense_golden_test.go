@@ -214,7 +214,10 @@ var bandMoves = map[string]bool{
 // are zeroed — except the runs in bandMoves, which must still agree on every
 // process's status and decision, with rounds at most one apart. The band's
 // known minimum holds a send window open for min of virtual time, so a cell
-// with min > 0 must also flush fewer, larger windows.
+// with min > 0 must also flush fewer, larger windows. Only the band stores
+// just the head of a sharded broadcast and redraws its tail when the head
+// drains, so this is also the differential of that load against the full
+// load the closure keeps, on every dense run.
 func TestDenseBandMatchesClosure(t *testing.T) {
 	t.Parallel()
 	for _, cell := range denseGoldenCells {

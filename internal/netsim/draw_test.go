@@ -5,6 +5,8 @@ import (
 	"math/rand/v2"
 	"testing"
 	"time"
+
+	"allforone/internal/vclock"
 )
 
 // TestUniformDrawMatchesLibrary: the uniform band's draw off the concrete
@@ -12,7 +14,7 @@ import (
 // spans from 1 to 2⁴⁰, with span+1 a power of two (the library's mask path)
 // and not (its multiply-and-reject path), over several seeds — and leaves the
 // stream where the library leaves it, so every later draw of a run agrees
-// too.
+// too. packFan's own copy of the band's draw is held to the same numbers.
 func TestUniformDrawMatchesLibrary(t *testing.T) {
 	var spans []uint64
 	for k := 0; k <= 40; k++ {
@@ -47,6 +49,21 @@ func TestUniformDrawMatchesLibrary(t *testing.T) {
 				}
 				if src != twin {
 					t.Fatalf("%s: the draws left the stream elsewhere than the library does", where)
+				}
+
+				// packFan, every recipient open: word i holds recipient i's draw.
+				nw, err := New(64, WithScheduler(vclock.New()), WithUniformDelay(3, 3+time.Duration(span)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				keys, _, _, _ := nw.packFan(nil, &src, rng, 0, 0, nil, nw.everyone, nw.closures, 0, noCut, nil)
+				for i, w := range keys {
+					if want := (3+uint64(ref.Int64N(int64(span)+1)))<<fanSeqBits | uint64(i); w != want {
+						t.Fatalf("%s: packFan word %d = %#x, want %#x", where, i, w, want)
+					}
+				}
+				if len(keys) != 64 || src != twin {
+					t.Fatalf("%s: packFan drew %d words, or left the stream elsewhere than the library does", where, len(keys))
 				}
 			}()
 		}

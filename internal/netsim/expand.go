@@ -49,10 +49,12 @@ type BurstBuilder interface {
 
 // fanEntry is one queued SendAll: what the flush needs to expand any shard's
 // stripe of it, captured at send time — including the send instant, since
-// the clock may have advanced by the flush. Its closed-inbox snapshot is the
-// entry's run of window.snaps.
+// the clock may have advanced by the flush, and the closure epoch, which
+// pins the skip decisions to the send instant, as an unsharded send would
+// make them, while inboxes close between the send and the flush.
 type fanEntry struct {
 	from    model.ProcID
+	epoch   uint32
 	payload any
 	at      vclock.Time
 }
@@ -79,15 +81,8 @@ type burstEntry struct {
 // per-recipient block with one burstPer-wide run per shard.
 type window struct {
 	nw   *Network
-	live bool // registered with the scheduler for the current window
-
-	// fans are the window's broadcasts; snaps holds one closed-inbox bitmap
-	// snapshot per entry, back to back. The live bitmap may change between
-	// a send and the flush; the snapshot pins the skip decisions to the send
-	// instant, as an unsharded send would make them. The expansion only
-	// reads both.
-	fans  []fanEntry
-	snaps []uint64
+	live bool       // registered with the scheduler for the current window
+	fans []fanEntry // the window's broadcasts; the expansion only reads them
 
 	burstBase uint64 // offset of the per-recipient block, fixed by Seal
 	burstPer  uint64 // its per-shard stride, fixed by Seal
@@ -114,17 +109,18 @@ func (w *window) Seal() (seqs uint64, broadcasts int64) {
 // Delays are drawn from the shard's own stream in entry order — the
 // broadcasts' stripes first, then the per-recipient entries — and for
 // recipients that can no longer receive too (packFan's stream-stability
-// rule).
+// rule), and for arrivals the fanout leaves to its tail: no later draw
+// moves, and a tail redrawn from the saved state is the one drawn here.
 func (w *window) ExpandShard(shard int, seqBase uint64, ins *vclock.ShardInserter) {
 	nw := w.nw
 	sh := &nw.shards[shard]
 
 	// Broadcasts: one fanout per entry at the head of the entry's run, its
-	// stripe of arrivals bucketed, not sorted (see fanout); a draw too long
-	// for the packed word rides its own message event on the run's following
-	// sequence numbers.
+	// stripe of arrivals — the head of them, under the uniform band —
+	// bucketed, not sorted (see fanout); a draw too long for the packed word
+	// rides its own message event on the run's following sequence numbers.
 	stripe := nw.everyone[sh.lo:sh.hi]
-	words := len(nw.closedBox)
+	cut := nw.opts.headCut()
 	var seq uint64
 	lone := func(at vclock.Time, m Message) {
 		seq++
@@ -134,15 +130,9 @@ func (w *window) ExpandShard(shard int, seqBase uint64, ins *vclock.ShardInserte
 		e := &w.fans[i]
 		seq = seqBase + (uint64(i)*uint64(len(nw.shards))+uint64(shard))*nw.seqPerShard
 		first := seq
-		keys, minDelay, maxDelay := nw.packFan(sh.keys[:0], &sh.src, sh.rng, e.at, e.from, e.payload, stripe, w.snaps[i*words:(i+1)*words], lone)
-		sh.keys = keys[:0]
-		if len(keys) == 0 {
-			continue
+		if f, at := nw.fanStripe(&sh.keys, &sh.src, sh.rng, e, stripe, cut, lone); f != nil {
+			ins.At(at, first, f)
 		}
-		f := nw.getFanout()
-		f.from = e.from
-		f.payload = e.payload
-		ins.At(f.load(keys, stripe, e.at, minDelay, maxDelay), first, f)
 	}
 
 	// Per-recipient entries: one message event each, at (send instant +
@@ -193,7 +183,6 @@ func (nw *Network) openWindow() {
 	// their payload references), which the expansion only read.
 	clear(w.fans)
 	w.fans = w.fans[:0]
-	w.snaps = w.snaps[:0]
 	sched := nw.opts.sched
 	earliest := vclock.Time(sched.Now())
 	if nw.opts.uniform {
@@ -204,12 +193,11 @@ func (nw *Network) openWindow() {
 }
 
 // appendFan is SendAll's sharded form: queue the broadcast, with the
-// closed-inbox bitmap as of now, on the window's job.
+// closure epoch as of now, on the window's job.
 func (nw *Network) appendFan(from model.ProcID, payload any) {
 	nw.openWindow()
 	w := &nw.win
-	w.fans = append(w.fans, fanEntry{from: from, payload: payload, at: vclock.Time(nw.opts.sched.Now())})
-	w.snaps = append(w.snaps, nw.closedBox...)
+	w.fans = append(w.fans, fanEntry{from: from, epoch: nw.closures, payload: payload, at: vclock.Time(nw.opts.sched.Now())})
 }
 
 // appendBurst queues one per-recipient entry on the recipient's shard.

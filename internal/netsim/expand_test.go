@@ -34,7 +34,13 @@ type tracedNet struct {
 
 func newTracedNet(t *testing.T, n int, opts ...Option) *tracedNet {
 	t.Helper()
-	tn := &tracedNet{s: vclock.New(vclock.WithShards(vclock.ShardsFor(n)))}
+	return newTracedNetOn(t, vclock.New(vclock.WithShards(vclock.ShardsFor(n))), n, opts...)
+}
+
+// newTracedNetOn is newTracedNet on the scheduler s.
+func newTracedNetOn(t *testing.T, s *vclock.Scheduler, n int, opts ...Option) *tracedNet {
+	t.Helper()
+	tn := &tracedNet{s: s}
 	nw, err := New(n, append([]Option{WithScheduler(tn.s), WithSeed(41)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
@@ -182,8 +188,8 @@ func mixedWindow(t *testing.T, closing string) ([]arrival, vclock.Outcome) {
 	return tn.trace, out
 }
 
-// TestMixedWindow pins what the per-entry closed-inbox snapshot exists for,
-// on a window that mixes SendAll, BurstSend and BurstSendVia.
+// TestMixedWindow pins what the per-entry closure epoch exists for, on a
+// window that mixes SendAll, BurstSend and BurstSendVia.
 func TestMixedWindow(t *testing.T) {
 	const victim = model.ProcID(170)
 	mid, midOut := mixedWindow(t, "mid")
@@ -240,6 +246,153 @@ func TestMixedWindow(t *testing.T) {
 	if d := neverOut.Stats.EventsScheduled - midOut.Stats.EventsScheduled; d != 2 {
 		t.Fatalf("closing mid-window spared %d arrivals, want 2 (a3, b-late)", d)
 	}
+}
+
+// tailRun drives three overlapping rounds of broadcasts through an n-process
+// network under the delay band [0, span] — the band itself, or, when timed,
+// the band compiled to a TimedDelayFn, which loads every arrival of a
+// broadcast at the expansion — and returns the delivery trace and the
+// scheduler's Outcome; maxSteps > 0 cuts the run there. Round r starts at
+// instant start(r) and is one window. Around its sends, inboxes close:
+// before the round's sends ("pre"), between two of its sends and after them
+// (between send and flush), and 1 µs later (between flush and the tail
+// load). In round 1 every process of the last stripe but q = n-2 is closed
+// before the sends, so that stripe's fanouts hold one arrival each, most of
+// them with an empty head. Payloads are r*n + sender.
+func tailRun(t *testing.T, n int, span time.Duration, timed bool, maxSteps int64) ([]arrival, vclock.Outcome) {
+	t.Helper()
+	// A [0, 0] band is no delay policy at all: the one-cohort cell is
+	// [1 ns, 1 ns], whose window hint no event of the schedule falls into.
+	var min time.Duration
+	if span == 0 {
+		min = 1
+	}
+	opt := WithUniformDelay(min, min+span)
+	if timed {
+		opt = WithTimedDelayFn(func(_ time.Duration, rng *rand.Rand, _ Message) time.Duration {
+			return min + time.Duration(rng.Int64N(int64(span)+1))
+		})
+	}
+	s := vclock.New(vclock.WithShards(vclock.ShardsFor(n)), vclock.WithMaxSteps(maxSteps))
+	tn := newTracedNetOn(t, s, n, opt)
+	nw := tn.nw
+	if nw.shards == nil {
+		t.Fatalf("n=%d: the sharded path is not engaged", n)
+	}
+	closeAll := func(ps ...int) {
+		for _, p := range ps {
+			nw.CloseInbox(model.ProcID(p))
+		}
+	}
+	for r := 0; r < 3; r++ {
+		r := r
+		at := tailStart(r, span)
+		senders := []int{8 * r, 8*r + 1, 8*r + 2, n - 1 - r}
+		tn.s.At(at, func() {
+			closeAll(8*r+3, 8*r+5)
+			if r == 1 {
+				last := nw.shards[len(nw.shards)-1]
+				for p := last.lo; p < last.hi; p++ {
+					if p != n-2 && p != senders[3] {
+						closeAll(p)
+					}
+				}
+			}
+			for i, from := range senders {
+				if i == 2 {
+					closeAll(8*r + 4) // closed for the last two sends, open for the first two
+				}
+				nw.SendAll(model.ProcID(from), r*n+from)
+			}
+			closeAll(8*r+6, senders[0])
+		})
+		tn.s.At(at+vclock.Time(time.Microsecond), func() { closeAll(8*r + 7) })
+	}
+	out := tn.s.Run()
+	return tn.trace, out
+}
+
+// tailStart is when round r of tailRun starts: rounds overlap by half a span.
+func tailStart(r int, span time.Duration) vclock.Time {
+	return vclock.Time(r) * vclock.Time(span/2+10*time.Microsecond)
+}
+
+// TestFanoutTailMatchesFullLoad is the differential of the head/tail load:
+// a sharded broadcast under the uniform band stores only its head and
+// redraws its tail from the shard stream when the head drains; under the
+// same band compiled to a timed function it loads every arrival at the
+// expansion. Both draw the same delays from the same streams and, with the
+// band's minimum at 0, flush at the same points, so the delivery trace —
+// instant, order, sender, recipient — and every scheduler count must be the
+// same, for inboxes closed before a send, between send and flush, and
+// between flush and tail load, over stripes of 128 and 256, spans of one
+// cohort (0), a narrow (2 ms) and a wide-entry tail (100 ms), runs that drain
+// every tail and runs cut half-way. The epoch cell pins the compare itself,
+// which both sides share: the last inbox closed before a send gets no
+// arrival, the first closed after it does.
+func TestFanoutTailMatchesFullLoad(t *testing.T) {
+	for _, n := range []int{256, 1024, 4096} {
+		for _, span := range []time.Duration{0, 2 * time.Millisecond, 100 * time.Millisecond} {
+			t.Run(fmt.Sprintf("n=%d/span=%v", n, span), func(t *testing.T) {
+				band, bandOut := tailRun(t, n, span, false, 0)
+				full, fullOut := tailRun(t, n, span, true, 0)
+				if !reflect.DeepEqual(band, full) {
+					t.Fatalf("delivery traces differ: %d arrivals under the band, %d under the full load", len(band), len(full))
+				}
+				if bandOut != fullOut {
+					t.Fatalf("scheduler counts differ\n  band: %+v\n  full: %+v", bandOut, fullOut)
+				}
+				if bandOut.Steps != bandOut.Stats.EventsScheduled {
+					t.Fatalf("%d events popped of %d scheduled: a tail was left in flight", bandOut.Steps, bandOut.Stats.EventsScheduled)
+				}
+				if span > 0 {
+					// Tails were loaded, and q's stripe had an empty head.
+					cut := vclock.Time(span>>fanHeadShift) + 1
+					tails, emptyHead := 0, false
+					for _, a := range band {
+						d := a.At - tailStart(a.Payload.(int)/n, span)
+						if d >= cut {
+							tails++
+							emptyHead = emptyHead || a.To == model.ProcID(n-2) && a.Payload.(int)/n == 1
+						}
+					}
+					if tails == 0 || !emptyHead {
+						t.Fatalf("%d tail arrivals, empty head reached %v: the cell does not cover the tail load", tails, emptyHead)
+					}
+				}
+				cut := bandOut.Steps / 2
+				band, bandOut = tailRun(t, n, span, false, cut)
+				full, fullOut = tailRun(t, n, span, true, cut)
+				if !bandOut.StepsExceeded || !reflect.DeepEqual(band, full) || bandOut != fullOut {
+					t.Fatalf("cut at %d steps: traces equal %v, outcomes\n  band: %+v\n  full: %+v", cut, reflect.DeepEqual(band, full), bandOut, fullOut)
+				}
+			})
+		}
+	}
+	t.Run("epoch", func(t *testing.T) {
+		// n = 256 is two stripes. p1 … p255 close before p0's broadcast, p0
+		// right after it: only stripe 0 has a recipient open at the send.
+		const n = 256
+		for _, timed := range []bool{false, true} {
+			opt := WithUniformDelay(0, 2*time.Millisecond)
+			if timed {
+				opt = WithTimedDelayFn(func(_ time.Duration, rng *rand.Rand, _ Message) time.Duration {
+					return time.Duration(rng.Int64N(int64(2*time.Millisecond) + 1))
+				})
+			}
+			tn := newTracedNet(t, n, opt)
+			tn.s.At(0, func() {
+				for p := 1; p < n; p++ {
+					tn.nw.CloseInbox(model.ProcID(p))
+				}
+				tn.nw.SendAll(0, "m")
+				tn.nw.CloseInbox(0)
+			})
+			if out := tn.s.Run(); out.Stats.ShardEvents != 1 {
+				t.Fatalf("timed=%v: %d fanouts inserted, want 1 (stripe 0's, for p0)", timed, out.Stats.ShardEvents)
+			}
+		}
+	})
 }
 
 // TestPooledWindowsReuseShardPools drives full windows — every process of an

@@ -74,7 +74,7 @@ func TestInboxAgainstReference(t *testing.T) {
 				closed[p] = true
 			default: // the run ends: every inbox is reset and reopened
 				nw.recycle()
-				clear(nw.closedBox)
+				nw.openAll()
 				bind()
 				for q := range ref {
 					ref[q], closed[q] = nil, false

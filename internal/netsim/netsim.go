@@ -112,10 +112,18 @@ func uint64n(src *rand.PCG, rng *rand.Rand, n uint64) uint64 {
 	}
 	hi, lo := bits.Mul64(src.Uint64(), n)
 	if lo < n {
-		thresh := -n % n
-		for lo < thresh {
-			hi, lo = bits.Mul64(src.Uint64(), n)
-		}
+		hi = lemireRetry(src, n, hi, lo)
+	}
+	return hi
+}
+
+// lemireRetry finishes a multiply-and-reject draw from [0, n) whose first
+// product hi:lo had lo < n: it draws again while lo is below the rejection
+// threshold, and returns the accepted high word.
+func lemireRetry(src *rand.PCG, n, hi, lo uint64) uint64 {
+	thresh := -n % n
+	for lo < thresh {
+		hi, lo = bits.Mul64(src.Uint64(), n)
 	}
 	return hi
 }
@@ -218,8 +226,15 @@ type Network struct {
 	freeFanouts []*fanout
 	fanouts     []*fanout
 	everyone    []model.ProcID // the 0 … n-1 recipient list (SendAll); built in New
-	packKeys    []uint64       // packed-word scratch (sendFan), hot across broadcasts
-	closedBox   []uint64       // closed-inbox bitmap: the one record of closure
+	packKeys    []uint64       // packed-word scratch (sendFan, loadTail), hot across broadcasts
+
+	// Closure, the one record of it: closures counts the closed inboxes,
+	// and closedAt[p] is the count right after p's closed (its closure
+	// epoch), epochOpen while it is open. Closure is monotone within a run,
+	// so a send that records closures as its epoch finds "closed at the
+	// send" in one compare, closedAt[p] <= epoch, whenever it is asked.
+	closedAt []uint32
+	closures uint32
 
 	// Sharded expansion state (expand.go); nil unless the scheduler is
 	// sharded and a delay policy makes expansion worth fanning out.
@@ -285,6 +300,12 @@ func (nw *Network) put(to model.ProcID, from int32, payload any) {
 // fanout live for the full delay span: at n=1024 thousands of fanouts are in
 // flight at once, 4-byte entries halve that resident set, and the Fire path
 // is cache-miss-bound on it.
+//
+// A sharded broadcast under the uniform band stores less still: only its
+// head, the arrivals before the network's head cut (options.headCut). Its
+// tail is not stored at all but redrawn from the shard stream's state saved
+// before the stripe's first draw, when the head drains (loadTail) — which,
+// under the one-for-all rule, a fanout almost never does before its run ends.
 type fanout struct {
 	nw      *Network
 	from    model.ProcID
@@ -297,6 +318,14 @@ type fanout struct {
 	sorted  int32          // entries before this index are in delivery order
 	bits    uint8          // width of an entry's position field
 	shift   uint8          // an entry's bucket is its delay field >> shift
+
+	// The tail still to load, if tail is set: its arrivals are the draws
+	// from src, in list order, at or past the head cut, to recipients open
+	// at the send instant at (closure epoch epoch).
+	tail  bool
+	epoch uint32
+	at    vclock.Time
+	src   rand.PCG
 }
 
 // Packed-key bounds of packFan's scratch words, (delay << fanSeqBits) |
@@ -309,6 +338,32 @@ const (
 	maxPackFan  = 1 << fanSeqBits
 	maxPackWait = vclock.Time(1) << (63 - fanSeqBits)
 )
+
+// fanHeadShift sets the head of a sharded broadcast under the uniform band:
+// the arrivals in the first 1/2^fanHeadShift of the band, which are all its
+// fanout stores at expansion (options.headCut). Under the one-for-all rule
+// few fanouts ever get past it: at n = 1024 under hybrid-dense's 50 µs–2 ms
+// band (a head of 50–294 µs), 1,782 of a pass's 130,289 fanouts (seed 1)
+// drain their head and load a tail, and a pass stores 1.84 M entries where
+// loading every arrival stored 14.6 M.
+//
+// noCut is the head cut of a fanout that stores every arrival at load.
+const (
+	fanHeadShift = 3
+	noCut        = ^uint64(0)
+)
+
+// headCut returns the delay from which a sharded broadcast's arrivals are
+// left to its fanout's tail: past the first 1/2^fanHeadShift of the uniform
+// band, or noCut — every arrival stored at load — under a timed policy, or a
+// band whose maximum the packed word cannot hold (whose draws may ride their
+// own message events, which only the expansion may insert).
+func (o *options) headCut() uint64 {
+	if !o.uniform || vclock.Time(o.uniMin+o.uniSpan) >= maxPackWait {
+		return noCut
+	}
+	return uint64(o.uniMin+o.uniSpan>>fanHeadShift) + 1
+}
 
 // Bucket geometry of a fanout: the largest power of two of buckets that
 // leaves at least fanRun entries per bucket under a uniform band, at most
@@ -414,8 +469,27 @@ func (f *fanout) load(words []uint64, to []model.ProcID, now vclock.Time, minDel
 	return f.base
 }
 
-// Fire delivers every arrival due at the current instant, then either
-// reschedules for the next instant or returns to the pool.
+// loadTail replaces the drained head of f with its tail: it redraws the
+// stripe's delays from the saved stream state and stores the arrivals at or
+// past the head cut to recipients open at the send — exactly the entries a
+// full load would have left after the head. It returns the first tail
+// arrival instant.
+func (f *fanout) loadTail() vclock.Time {
+	nw := f.nw
+	var rng *rand.Rand
+	if bits.UintSize == 32 {
+		rng = rand.New(&f.src) // the band's draw calls the library there
+	}
+	keys, minDelay, maxDelay, _ := nw.packFan(nw.packKeys[:0], &f.src, rng, f.at, f.from, f.payload, f.to, f.epoch, nw.opts.headCut(), noCut, nil)
+	nw.packKeys = keys[:0]
+	f.tail = false
+	f.keys, f.wide = f.keys[:0], f.wide[:0]
+	return f.load(keys, f.to, f.at, minDelay, maxDelay)
+}
+
+// Fire delivers every arrival due at the current instant, then reschedules
+// for the next instant — loading the tail first when the head has drained
+// — or returns to the pool.
 func (f *fanout) Fire() {
 	var next vclock.Time
 	if len(f.wide) != 0 {
@@ -423,11 +497,14 @@ func (f *fanout) Fire() {
 	} else {
 		next = deliverDue(f, f.keys)
 	}
-	if next >= 0 {
+	switch {
+	case next >= 0:
 		f.nw.opts.sched.AtEvent(f.base+next, f)
-		return
+	case f.tail:
+		f.nw.opts.sched.AtEvent(f.loadTail(), f)
+	default:
+		f.release()
 	}
-	f.release()
 }
 
 // deliverDue puts the messages of the cohort at f.next of f's entries h —
@@ -462,6 +539,7 @@ func deliverDue[K fanKey](f *fanout, h []K) vclock.Time {
 func (f *fanout) release() {
 	f.payload = nil
 	f.to = nil
+	f.tail = false
 	f.keys = f.keys[:0]
 	f.wide = f.wide[:0]
 	f.nw.freeFanouts = append(f.nw.freeFanouts, f)
@@ -517,9 +595,7 @@ func New(n int, opts ...Option) (*Network, error) {
 	for i := range nw.everyone {
 		nw.everyone[i] = model.ProcID(i)
 	}
-	words := (n + 63) / 64
-	nw.closedBox = slices.Grow(nw.closedBox[:0], words)[:words]
-	clear(nw.closedBox)
+	nw.openAll()
 	nw.boxes = slices.Grow(nw.boxes[:0], n)[:n]
 	if sc := o.sched.ShardCount(); sc > 0 && o.delays() {
 		// The scheduler is sharded and sends have per-recipient delay
@@ -593,46 +669,93 @@ func (nw *Network) Send(from, to model.ProcID, payload any) {
 
 // packFan is the one draw → skip-closed → overflow → pack loop behind every
 // batched fanout: for each in-range recipient of to it draws a delay from
-// src, which rng wraps (sent at instant at), skips those whose bit is set in
-// the closed bitmap — the live one, or a job's send-time snapshot — and
-// appends the packed (delay<<fanSeqBits)|position-in-to word to keys. An
-// arrival the word cannot hold — a ≥13-virtual-day draw, or any at all once
-// recipient ids or list positions outgrow fanSeqBits — is handed to lone
-// with its arrival instant, to ride a message event of its own. Returns the
-// words, in list order, and the least and largest packed delay.
+// src, which rng wraps (sent at instant at), skips those closed at closure
+// epoch epoch and those whose delay lies outside [lo, hi), and appends the
+// packed (delay<<fanSeqBits)|position-in-to word to keys. An arrival the
+// word cannot hold — a ≥13-virtual-day draw, or any at all once recipient
+// ids or list positions outgrow fanSeqBits — is handed to lone with its
+// arrival instant, to ride a message event of its own. Returns the words, in
+// list order, the least and largest packed delay, and whether an arrival to
+// a recipient open at epoch lay at or past hi.
 func (nw *Network) packFan(keys []uint64, src *rand.PCG, rng *rand.Rand, at vclock.Time, from model.ProcID, payload any,
-	to []model.ProcID, closed []uint64, lone func(vclock.Time, Message)) (_ []uint64, minDelay, maxDelay uint64) {
+	to []model.ProcID, epoch uint32, lo, hi uint64, lone func(vclock.Time, Message)) (_ []uint64, minDelay, maxDelay uint64, past bool) {
 	limit := maxPackWait
 	if nw.n > maxPackFan || len(to) > maxPackFan {
 		limit = 0
 	}
 	minDelay = ^uint64(0)
+	// Under the uniform band with a span+1 that is not a power of two, the
+	// draw's multiply-and-reject is written out here (on 64-bit platforms):
+	// this loop draws every delay of a dense run, and the two calls of draw
+	// and uint64n cost more than the draw.
+	bandMin, bandN := nw.opts.uniMin, uint64(nw.opts.uniSpan)+1
+	lemire := nw.opts.timedFn == nil && nw.opts.uniform && bits.UintSize == 64 && nw.opts.uniSpan > 0 && bandN&(bandN-1) != 0
 	for i, p := range to {
 		if int(p) < 0 || int(p) >= nw.n {
 			continue
 		}
-		m := Message{From: from, To: p, Payload: payload}
 		// The delay is drawn even for recipients that can no longer
 		// receive, so the RNG stream — and with it every later draw of
 		// the run — is independent of who has terminated.
-		d := nw.opts.draw(src, rng, time.Duration(at), m)
-		if closed[p>>6]&(1<<(uint(p)&63)) != 0 {
+		var d time.Duration
+		if lemire {
+			q, r := bits.Mul64(src.Uint64(), bandN)
+			if r < bandN {
+				q = lemireRetry(src, bandN, q, r)
+			}
+			d = max(bandMin+time.Duration(q), 0)
+		} else {
+			d = nw.opts.draw(src, rng, time.Duration(at), Message{From: from, To: p, Payload: payload})
+		}
+		if nw.closedAt[p] <= epoch {
 			// The box would drop the message at arrival anyway (Put on a
 			// closed inbox is a no-op); skipping the event here spares
 			// the scheduler the decision-storm tail, where every process
 			// rebroadcasts DECIDE to mostly-terminated peers.
 			continue
 		}
-		if vclock.Time(d) >= limit {
-			lone(at+vclock.Time(d), m)
+		w := uint64(d)
+		if w >= hi {
+			past = true
 			continue
 		}
-		w := uint64(d)
+		if w < lo {
+			continue
+		}
+		if vclock.Time(d) >= limit {
+			lone(at+vclock.Time(d), Message{From: from, To: p, Payload: payload})
+			continue
+		}
 		minDelay = min(minDelay, w)
 		maxDelay = max(maxDelay, w)
 		keys = append(keys, w<<fanSeqBits|uint64(i))
 	}
-	return keys, minDelay, maxDelay
+	return keys, minDelay, maxDelay, past
+}
+
+// fanStripe draws the delays of broadcast e to the list to from src, which
+// rng wraps, packing through scratch, and loads its arrivals to recipients
+// open at the send into a pooled fanout: all of them, or under a head cut
+// (options.headCut; noCut for none) the head, with what the tail needs to
+// be redrawn — or the tail at once when the head is empty. It returns the
+// fanout and its first arrival instant, or nil when nothing is to arrive.
+func (nw *Network) fanStripe(scratch *[]uint64, src *rand.PCG, rng *rand.Rand, e *fanEntry, to []model.ProcID, cut uint64,
+	lone func(vclock.Time, Message)) (*fanout, vclock.Time) {
+	state := *src
+	keys, minDelay, maxDelay, tail := nw.packFan((*scratch)[:0], src, rng, e.at, e.from, e.payload, to, e.epoch, 0, cut, lone)
+	*scratch = keys[:0]
+	if len(keys) == 0 && !tail {
+		return nil, 0
+	}
+	f := nw.getFanout()
+	f.from, f.payload, f.to = e.from, e.payload, to
+	if tail {
+		f.tail, f.epoch, f.at, f.src = true, e.epoch, e.at, state
+		if len(keys) == 0 {
+			return f, f.loadTail()
+		}
+	}
+	return f, f.load(keys, to, e.at, minDelay, maxDelay)
 }
 
 // sendFan transmits payload to recipients (all already counted; those out
@@ -644,16 +767,10 @@ func (nw *Network) sendFan(from model.ProcID, payload any, recipients []model.Pr
 	if nw.closed {
 		return // shut down: every inbox is closed, nothing can arrive
 	}
-	now := nw.opts.sched.Now()
-	keys, minDelay, maxDelay := nw.packFan(nw.packKeys[:0], &nw.src, nw.rng, now, from, payload, recipients, nw.closedBox, nw.post)
-	nw.packKeys = keys[:0]
-	if len(keys) == 0 {
-		return
+	e := fanEntry{from: from, payload: payload, at: nw.opts.sched.Now(), epoch: nw.closures}
+	if f, first := nw.fanStripe(&nw.packKeys, &nw.src, nw.rng, &e, recipients, noCut, nw.post); f != nil {
+		nw.opts.sched.AtEvent(first, f)
 	}
-	f := nw.getFanout()
-	f.from = from
-	f.payload = payload
-	nw.opts.sched.AtEvent(f.load(keys, recipients, now, minDelay, maxDelay), f)
 }
 
 // SendAll transmits payload from one process to every process (including
@@ -729,18 +846,28 @@ func (nw *Network) CloseInbox(p model.ProcID) {
 	if nw.boxClosed(p) {
 		return
 	}
-	nw.closedBox[p>>6] |= 1 << (uint(p) & 63)
+	nw.closures++
+	nw.closedAt[p] = nw.closures
 	if proc := nw.boxes[p].proc; proc != nil {
 		proc.Wake()
 	}
 }
 
-// boxClosed reports whether p's inbox is closed. The bitmap is the only
-// record of it: a delivery checks its recipient's bit, and the send fan-out
-// every recipient's, where one bool per inbox would touch n scattered cache
-// lines per broadcast against the bitmap's n/512.
+// epochOpen is the closure epoch of an open inbox: past every send's.
+const epochOpen = ^uint32(0)
+
+// boxClosed reports whether p's inbox is closed.
 func (nw *Network) boxClosed(to model.ProcID) bool {
-	return nw.closedBox[to>>6]&(1<<(uint(to)&63)) != 0
+	return nw.closedAt[to] != epochOpen
+}
+
+// openAll opens every inbox of the network's n and resets the closure count.
+func (nw *Network) openAll() {
+	nw.closedAt = slices.Grow(nw.closedAt[:0], nw.n)[:nw.n]
+	for i := range nw.closedAt {
+		nw.closedAt[i] = epochOpen
+	}
+	nw.closures = 0
 }
 
 // Shutdown closes every inbox and hands the network to its scheduler's keep

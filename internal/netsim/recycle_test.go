@@ -192,8 +192,9 @@ func checkRecycled(t *testing.T, nw *Network, fanouts []*fanout) {
 	if len(nw.freePayloads) != 0 || slices.ContainsFunc(nw.freePayloads[:cap(nw.freePayloads)], func(p any) bool { return p != nil }) {
 		t.Fatal("the payload pool kept an object of the finished run")
 	}
-	if nw.closed || len(nw.boxes) != nw.n || len(nw.everyone) != nw.n || len(nw.closedBox) != 1 || nw.closedBox[0] != 0 {
-		t.Fatalf("network not sized for n=%d: closed %v, %d boxes, %d ids, bitmap %x", nw.n, nw.closed, len(nw.boxes), len(nw.everyone), nw.closedBox)
+	reopened := nw.closures == 0 && !slices.ContainsFunc(nw.closedAt, func(e uint32) bool { return e != epochOpen })
+	if nw.closed || len(nw.boxes) != nw.n || len(nw.everyone) != nw.n || len(nw.closedAt) != nw.n || !reopened {
+		t.Fatalf("network not sized for n=%d: closed %v, %d boxes, %d ids, closure epochs %v (%d closures)", nw.n, nw.closed, len(nw.boxes), len(nw.everyone), nw.closedAt, nw.closures)
 	}
 }
 
