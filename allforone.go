@@ -86,7 +86,7 @@ const (
 // protocol family (Topology.Overlay): a deterministic d-regular family —
 // generalized de Bruijn or circulant — or seeded random peer-sampling
 // views, built identically by every process from (spec, n, seed). See
-// DESIGN.md §13.
+// DESIGN.md §6.
 type OverlaySpec = overlay.Spec
 
 // Overlay digraph families (OverlaySpec.Kind).
@@ -143,7 +143,7 @@ func Sweep(scs []Scenario, parallelism int) ([]*Outcome, error) {
 }
 
 // NetworkProfile is a composable message-delay policy compiled per
-// topology; see the profile constructors below and DESIGN.md §8.
+// topology; see the profile constructors below and DESIGN.md §7.
 type NetworkProfile = protocol.NetworkProfile
 
 // Network profile constructors.

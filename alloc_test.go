@@ -2,7 +2,7 @@ package allforone
 
 // Gates on the small-run hot path: what one paper-sized trial may allocate,
 // and that the engine a finished run hands to the next — its scheduler, with
-// the network, inboxes and event pools riding on it (DESIGN.md §4.1) —
+// the network, inboxes and event pools riding on it (DESIGN.md §3) —
 // carries nothing from one run into the next.
 
 import (

@@ -1,9 +1,9 @@
 // Command hybridbench regenerates the reproduction's experiment tables
 // (E1…E8, one per figure/claim of the paper, plus the extension
-// experiments E9/E10/E10D and the ablation A1 — see DESIGN.md §5 and
+// experiments E9/E10/E10D and the ablation A1 — see DESIGN.md §8 and
 // EXPERIMENTS.md), emits their findings as the claims ledger (-json;
 // CLAIMS.json is that output at the defaults), and hosts the adversarial
-// schedule search (-search, DESIGN.md §9).
+// schedule search (-search, DESIGN.md §8).
 //
 // Examples:
 //

@@ -19,7 +19,7 @@
 // model of Aguilera et al.), the extension stack built on top
 // (multivalued consensus, a cluster-aware atomic register, a replicated
 // log), and a sparse-overlay protocol family for the n=10k–100k regime
-// (ProtocolGossip, ProtocolAllConcur — see "Sparse overlays" below).
+// (ProtocolGossip, ProtocolAllConcur; see below).
 // Both algorithms rest on the msg_exchange pattern ("one for all
 // and all for one"): a message received from one member of a cluster
 // counts as received from every member, so consensus terminates whenever
@@ -49,25 +49,13 @@
 // message passing — which is how the registry-driven differential test
 // and the cross-protocol experiments work.
 //
-// # Network profiles
+// # Network profiles and sparse overlays
 //
-// Scenario.Profile composes the message-delay policy: UniformProfile
-// (uniform bands), SkewMatrixProfile / DistanceSkewProfile (per-link,
-// possibly asymmetric, fully deterministic skew), ClusterWANProfile
-// (datacenter clusters over an asymmetric WAN), and
-// HealingPartitionProfile (a network cut that heals at a chosen instant,
-// with held messages delivered afterwards — reliable channels, arbitrary
-// but finite transit). Profiles compile onto the simulated network per
-// topology; every profile is deterministic.
-//
-// # Sparse overlays
-//
-// The protocols above broadcast — Θ(n²) messages per round — which caps
-// practical population sizes. ProtocolGossip (push/pull/push-pull rumor
-// dissemination) and ProtocolAllConcur (leaderless single-round atomic
-// broadcast with early-termination failure tracking) instead send only
-// to a constant number of successors on a deterministic overlay digraph,
-// costing Θ(n·d) per round. Declare the overlay in the topology:
+// Scenario.Profile sets the message-delay policy: UniformProfile,
+// SkewMatrixProfile, DistanceSkewProfile, ClusterWANProfile or
+// HealingPartitionProfile, each deterministic. ProtocolGossip and
+// ProtocolAllConcur send only to their successors on an overlay digraph
+// declared in the topology, Θ(n·d) messages per round instead of Θ(n²):
 //
 //	out, err := allforone.Run(allforone.Scenario{
 //		Protocol: allforone.ProtocolGossip,
@@ -78,28 +66,14 @@
 //		Workload: workload, // binary rumor bits (gossip) or per-process values (allconcur)
 //	})
 //
-// Overlay families: OverlayDeBruijn (logarithmic diameter),
-// OverlayCirculant (vertex connectivity exactly Degree — survives any
-// Degree−1 crashes), OverlayRandom (seeded d-regular peer sampling).
-// Both protocols validate the spec at build time (DESIGN.md §13).
+// # Execution
 //
-// # Execution engine
-//
-// Every run executes on one engine: a deterministic discrete-event
-// simulation (internal/vclock). Message transit advances a virtual clock
-// instead of sleeping; every process is a reactor the scheduler invokes
-// under one execution token, so each step is a plain call; the whole run
-// is a pure function of the Scenario, so the same Seed replays the same
-// execution bit for bit — same Outcome, same trace. Blocked runs (liveness
-// condition violated) are detected deterministically by quiescence,
-// bounded further by Bounds.MaxVirtualTime and Bounds.MaxSteps; no
-// wall-clock time is ever spent. The asynchronous model quantifies over
-// all schedules; the engine samples that space replayably (seed × network
-// profile × the adversarial search of internal/adversary). Because runs
-// never sleep, sweeps of thousands of seeded scenarios parallelize across
-// cores (Sweep).
-//
-// The experiment harness regenerating every figure and quantitative claim
-// of the paper runs on the same registry (see EXPERIMENTS.md and
-// DESIGN.md §8 for the Scenario/registry/NetworkProfile contract).
+// Every run executes on one deterministic discrete-event engine under one
+// execution token: message transit advances a virtual clock, a run is a
+// pure function of its Scenario (the same Seed replays the same Outcome bit
+// for bit), and a run whose liveness condition fails ends at quiescence, in
+// no wall-clock time. Check judges any Outcome against what its protocol
+// promises, and Sweep runs many Scenarios in parallel. DESIGN.md describes
+// the design layer by layer (the Scenario API and Check in DESIGN.md §7),
+// and EXPERIMENTS.md the tables that reproduce the paper.
 package allforone

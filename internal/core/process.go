@@ -22,7 +22,7 @@ const (
 	StatusFailed  = sim.StatusFailed
 )
 
-// proc is one simulated process, a driver.Reactor (DESIGN.md §11): its
+// proc is one simulated process, a driver.Reactor (DESIGN.md §6): its
 // identity, its coins, its tally, and the resumable state of its round
 // machine; what the run's processes share — the network, the cluster
 // memories, the common coin, the crash plan, the counters and the trace —

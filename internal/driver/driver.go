@@ -1,19 +1,7 @@
-// Package driver is the single engine-dispatch layer of the repository:
-// every protocol runner (the hybrid algorithms of internal/core, the
-// message-passing baselines, the m&m comparator, and the extension stack)
-// executes its processes through driver.RunHandlers, on the one execution
-// engine: a vclock discrete-event scheduler. Each process is an inline
-// reactor; message transit is a timestamped delivery event; blocked
-// executions are detected by quiescence — never by wall clock — and bounded
-// by MaxVirtualTime / MaxSteps. Same inputs, same outcome, bit for bit.
-// RunHandlers reports how the run ended as a sim.Engine record, which every
-// protocol's result type embeds whole.
-//
-// A protocol package provides two closures: a network constructor (handed
-// the run's scheduler) and a per-process reactor builder.
-// A reactor observes engine state only through the Handle it receives:
-// Aborted (should I give up?), Killed (has a timed crash struck me?), Now
-// (the run clock), and WakeAfter (be invoked again once time has passed).
+// Package driver is the one engine-dispatch layer (DESIGN.md §5): every
+// protocol runs its processes through RunHandlers, each process an inline
+// reactor on a vclock scheduler that observes the engine only through its
+// Handle, and RunHandlers reports how the run ended as a sim.Engine record.
 package driver
 
 import (
@@ -78,7 +66,7 @@ type Config struct {
 // protocols).
 type NewNetFunc func(clock *vclock.Scheduler) (*netsim.Network, error)
 
-// Reactor is a process body (DESIGN.md §11): a resumable state machine the
+// Reactor is a process body (DESIGN.md §5): a resumable state machine the
 // scheduler invokes directly under its execution token — zero channel
 // rendezvous, zero goroutines, and no adapter: it is the process's
 // vclock.Handler. Its state is where the process waits; every step between

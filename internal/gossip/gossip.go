@@ -33,7 +33,7 @@
 //
 // The implementation is an inline handler reactor (driver.RunHandlers): no
 // goroutines — rounds are Handle.WakeAfter timer ticks, inbox drains are
-// batched, and every send is a per-recipient netsim.Send along an overlay
+// batched, and every send is a per-recipient Network.Send along an overlay
 // edge (never SendAll).
 // The protocol registers as "gossip" with the overlay-topology and
 // sub-quadratic capability flags.

@@ -13,7 +13,7 @@ import (
 )
 
 // A1Ablations quantifies what each design ingredient of Algorithm 2 buys,
-// by disabling one at a time (DESIGN.md §6):
+// by disabling one at a time (DESIGN.md §8):
 //
 //   - cluster closure OFF → the one-for-all property disappears: the
 //     majority-crash pattern of E2 blocks instead of deciding;

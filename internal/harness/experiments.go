@@ -21,7 +21,7 @@ import (
 // extension stack; E10 contrasts the sparse-overlay protocol family's
 // msgs/round scaling against the dense hybrid baseline; E10D sweeps the
 // overlay degree at fixed n (diameter/κ/cost trade-off); A1 is the
-// ablation study of DESIGN.md §6.
+// ablation study of DESIGN.md §8.
 var ExperimentIDs = []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E10D", "A1"}
 
 // Run executes the experiment with the given id.

@@ -1,6 +1,6 @@
 // Package harness runs the repository's experiment suite: for every figure
 // and quantitative claim of the paper (there are no result tables — it is a
-// theory paper, see DESIGN.md §2), a harness function executes seeded
+// theory paper, see DESIGN.md §1), a harness function executes seeded
 // multi-trial simulations and renders the measurement as a text table, the
 // way the paper's evaluation section would report it.
 //

@@ -112,7 +112,7 @@ func (pr sparseProtocol) msgsPerRound(n, d int, seed0 int64, trials, parallelism
 // broadcast grows as n². The experiment sweeps n over doublings, runs all
 // three protocols under one identical uniform delay profile, and reports
 // each family's msgs/round doubling ratio — ≈ 2 for the sparse protocols
-// against the dense baseline's ≈ 4 (DESIGN.md §13, EXPERIMENTS.md E10).
+// against the dense baseline's ≈ 4 (DESIGN.md §6, EXPERIMENTS.md E10).
 func E10SparseOverlay(opts Options) (*Report, error) {
 	opts = opts.withDefaults()
 	trials := sparseTrials(opts)

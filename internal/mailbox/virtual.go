@@ -1,5 +1,6 @@
-// Package mailbox provides an unbounded FIFO mailbox, the building block of
-// the simulated message-passing system.
+// Package mailbox provides an unbounded FIFO mailbox, the older ring inbox:
+// processes now receive through netsim.Inbox, and this package stays only
+// for bench/'s mailbox.put_get_ns (DESIGN.md §1).
 //
 // Unboundedness is a correctness requirement, not a convenience: the
 // model's channels are reliable and asynchronous, so a sender must never
@@ -21,7 +22,7 @@ import "allforone/internal/vclock"
 // refilling it allocates nothing — head and count chase each other around
 // the same backing array. Under the all-to-all exchange pattern each
 // process's inbox fills and drains Θ(n) messages every round; the ring
-// makes that steady state allocation-free (DESIGN.md §10).
+// makes that steady state allocation-free.
 //
 // Virtual needs no lock: all accesses happen under the scheduler's single
 // execution token. Producers never block.
@@ -84,7 +85,7 @@ func (v *Virtual[T]) grow() {
 
 // TryGetOrClosed removes and returns the oldest item; when the inbox is
 // empty it additionally reports whether it is closed, i.e. no further item
-// can ever arrive. It is the consumer's receive (DESIGN.md §11): a handler
+// can ever arrive. It is the consumer's receive: a handler
 // drains the whole ring in one invocation by calling it until ok is false,
 // then uses closed to distinguish "return and wait for the next wake" from
 // "blocked forever".

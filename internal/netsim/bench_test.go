@@ -60,7 +60,8 @@ func BenchmarkBroadcast(b *testing.B) {
 // sees every inbox open, the deliveries find them closed and no mailbox work
 // is measured; the scheduler is bypassed (deliverDue is Fire without the
 // reschedule), and the run ends at the target, abandoning the tail.
-// DESIGN.md §10 holds its table next to the sort-at-send numbers it replaced.
+// Its tables, next to the sort-at-send numbers the lazy order replaced, are in
+// the design record at commit 6edc843 (git show 6edc843:DESIGN.md).
 func BenchmarkFanoutLifecycle(b *testing.B) {
 	for _, k := range []int{7, 128, 512} {
 		for _, pct := range []int{2, 100} {

@@ -1,17 +1,5 @@
-// Window expansion — the send path of large topologies (DESIGN.md §12). On a
-// sharded scheduler the network registers ONE expansion job per flush window
-// (vclock.SubmitSealed) and every send of the window — from any process
-// invoked in it — only appends intent to that job: a SendAll appends one
-// broadcast entry, a BurstSend/BurstSendVia one per-recipient entry on the
-// recipient's shard. At the flush point the job seals and each shard — a
-// contiguous recipient stripe with its own PCG stream derived from the run
-// seed — draws its delays, builds deferred payloads, and inserts its events
-// into the scheduler's one wheel: one lazily ordered fanout per broadcast,
-// from the network's pool, and one message event per per-recipient entry. A
-// fanout re-arms for its next arrival instant with a plain AtEvent. Work is
-// partitioned by shard — a pure function of the topology — and the sequence
-// block is reserved at the flush point, so the schedule does not depend on
-// the order in which the shards are expanded.
+// Window expansion: the send path on a sharded scheduler (DESIGN.md §4).
+
 package netsim
 
 import (

@@ -1,23 +1,14 @@
-// Package netsim simulates the message-passing dimension of the hybrid
-// model (paper §II-A): every pair of processes is connected by a reliable
-// bidirectional asynchronous channel. Reliable means messages are neither
-// corrupted, nor duplicated, nor lost; asynchronous means transit duration
-// is arbitrary but finite.
+// Package netsim simulates the message-passing half of the hybrid model
+// (paper §II-A): every pair of processes is joined by a reliable
+// asynchronous channel — no message is corrupted, duplicated or lost, and
+// transit is arbitrary but finite. Broadcast is not reliable: a sender that
+// crashes mid-broadcast reaches an arbitrary subset (BroadcastSubset).
 //
-// The broadcast macro-operation is intentionally not reliable: if the
-// sender crashes while executing it, an arbitrary subset of processes
-// receives the message. BroadcastSubset exposes exactly that failure
-// semantics to the failure injector.
-//
-// The network runs on a discrete-event scheduler (WithScheduler, required),
-// one network per scheduler: transit is a timestamped message event that
-// carries the message itself (vclock.Scheduler.AtMessage). When it pops, the
-// scheduler hands the message to the network, which puts it into the
-// recipient's inbox and wakes the receiver, whose handler drains its inbox
-// (ReceiveNow). An inbox is storage its process's owner binds (BindInbox) —
-// the driver keeps it in the process's record, beside the vclock.Proc — or
-// one of the network's own (Bind). No wall-clock time ever passes and
-// executions are deterministic.
+// A Network lives on one vclock scheduler (WithScheduler): a message in
+// transit is a message event, a broadcast one lazily ordered fanout event,
+// and a sharded scheduler's sends are expanded per flush window (expand.go).
+// The design — delay policies, inboxes, closure epochs, fanouts, head and
+// tail loads, window expansion — is DESIGN.md §4.
 package netsim
 
 import (
@@ -778,7 +769,7 @@ func (nw *Network) sendFan(from model.ProcID, payload any, recipients []model.Pr
 // Send per destination, but it schedules one fanout event
 // per distinct arrival instant instead of one event per message, and
 // reuses pooled fanouts: the Θ(n²) exchange pattern stops costing Θ(n²)
-// scheduler allocations (DESIGN.md §10). Unlike Broadcast it does not
+// scheduler allocations (DESIGN.md §4). Unlike Broadcast it does not
 // count a broadcast macro-operation.
 func (nw *Network) SendAll(from model.ProcID, payload any) {
 	if nw.opts.counters != nil {

@@ -13,7 +13,7 @@
 // the whole log follows from per-slot agreement plus in-order processing.
 //
 // A replica is an inline handler reactor (driver.RunHandlers, DESIGN.md
-// §11): its resumable state is its position in the slot → instance → round
+// §6): its resumable state is its position in the slot → instance → round
 // loops, and each invocation drains the inbox and runs the loops up to the
 // next wait — a round's tally covering a majority, or the URB delivery of
 // an instance winner's proposal. All

@@ -104,7 +104,8 @@ func (e *drainEvent) Fire() {
 //	256                118  118           34   36
 //
 // (k = 8, 48 and 64 were measured by adding them to the list below.) The table
-// against the heap bucket this form replaced is in DESIGN.md §10.
+// against the heap bucket this form replaced is in the design record at
+// commit 6edc843 (git show 6edc843:DESIGN.md).
 func BenchmarkWheelDrain(b *testing.B) {
 	const slotW = Time(1) << slotWidthShift
 	for _, k := range []int{4, 16, 32, 256, 2048, 16384} {

@@ -1,90 +1,18 @@
-// Package vclock implements a deterministic discrete-event scheduler — the
-// virtual-time execution engine underneath the simulated network and the
-// consensus runtimes.
+// Package vclock is the deterministic discrete-event scheduler every run
+// executes on (DESIGN.md §3): virtual time in nanoseconds, events totally
+// ordered by (at, seq) in a tiered timer wheel, and processes that are inline
+// handlers invoked under one execution token, so a run is a pure function of
+// its inputs and a delay costs no wall-clock time.
 //
-// The scheduler owns a priority structure of timestamped events (ties broken
-// by schedule order) and a set of cooperatively stepped processes. Exactly
-// one piece of code runs at any instant: either the scheduler's event loop
-// or a single process body. Because every interleaving decision is taken by
-// the event queue — never by the Go runtime — a run is a pure function of
-// its inputs: same configuration, same event order, same result, bit for
-// bit.
-//
-// Every process is an inline handler (Inline, SpawnHandler): a state machine
-// the scheduler invokes directly under its execution token, once per Wake,
-// in FIFO wake order — no goroutine and no rendezvous, so each wake is one
-// plain method call, which is what makes the Θ(n²) all-to-all exchange
-// pattern affordable at large n (DESIGN.md §11). Every process under
-// internal/ is one: the driver registers each process's record with Inline.
-// A process ends when its handler reports itself finished or calls Finish.
-//
-// Spawn and Park keep the older coroutine form — a straight-line body on its
-// own goroutine, two channel rendezvous per step — only for bench/layers.go's
-// wake-cost comparison and this package's own tests.
-//
-// # Tiered timer wheel
-//
-// Events are stored in a tiered structure sized for the all-to-all exchange
-// pattern (Θ(n²) deliveries per round, DESIGN.md §10):
-//
-//   - a near-future timer wheel of wheelSlots buckets, each slotWidth of
-//     virtual time wide. Scheduling into the wheel is an O(1) append. When
-//     the clock reaches a bucket it becomes the open slot and is ordered
-//     once — counting passes over its events' instants, not a comparison
-//     sort — after which a pop is O(1); events scheduled into the open slot
-//     itself go to a small min-heap beside it;
-//   - a far-future overflow min-heap for events past the wheel horizon.
-//     As the clock advances, overflow events whose instant enters the
-//     horizon cascade into their wheel bucket (each event cascades at most
-//     once, so cascading is O(1) amortized).
-//
-// The pop order is exactly the global (at, seq) order, so the structure is
-// invisible to every replay and determinism contract. SchedulerStats counts
-// events scheduled, wheel cascades, and the deepest bucket observed.
-//
-// An event is a callback (AtEvent) or a message in transit (AtMessage). A
-// message event carries its sender, recipient and payload in the 40-byte
-// event itself — one word beyond a callback's — and when it pops the
-// scheduler hands the message to the one network registered on it
-// (SetNetwork). The counting pass that opens a bucket has just read every
-// event in it, so a delivery touches no object besides the event, the
-// recipient's inbox and the recipient.
-//
-// # Window expansion
-//
-// Large topologies (WithShards; the driver engages it at n ≥ 256) expand the
-// sends of one flush window — the per-message delay draws, key packing,
-// bucketing and payload construction behind SendAll and BurstSend — shard by
-// shard at the flush point, on the token, into the one wheel (DESIGN.md §12):
-//
-//   - work is partitioned by SHARD, a fixed function of the topology: shard
-//     s is a recipient stripe that always draws from its own RNG stream;
-//   - a job (Job) only registers at SubmitSealed and keeps accumulating
-//     content; at the flush point every registered job is sealed and its
-//     sequence block reserved, so every expanded event's (at, seq) key is
-//     fixed by the job's block layout, not by when the expansion runs;
-//   - flush points are chosen by the lookahead rule in next, which refuses
-//     to pop any event that a registered job could still precede.
-//
-// The scheduler starts no goroutine of its own: every event Fire, handler
-// invocation and expansion runs under the single execution token.
-//
-// Virtual time is measured in nanoseconds (Time is directly convertible
-// from time.Duration) but no real time ever passes: delivering a message
-// "4ms later" costs one bucket append. Runs therefore execute as fast as
-// the hardware allows, and a run whose processes wait for messages that can
-// never come terminates the moment the event queue goes quiescent.
-//
-// Termination of Run is classified by Outcome:
-//   - every process finished → a normal run;
-//   - quiescence (live processes, but nothing runnable and no pending
-//     events) → the execution is stuck forever, e.g. a consensus liveness
-//     condition does not hold;
-//   - the virtual deadline or the event budget was exceeded.
-//
-// On abort the scheduler invokes every parked process once more with
-// aborted = true, so it can record a "blocked" outcome and finish; Run
-// returns only after every process has finished.
+// A process is bound with Inline or SpawnHandler and invoked once per Wake;
+// Spawn and Park keep the older coroutine form only for bench/layers.go and
+// this package's tests. An event is a callback (AtEvent) or a message in
+// transit (AtMessage), handed at its pop to the network registered with
+// SetNetwork. At n ≥ 256 (ShardsFor) the scheduler is sharded: per-recipient
+// work is submitted as a Job (SubmitSealed) and expanded shard by shard at a
+// flush point the lookahead rule in next chooses. Run ends when every process
+// has finished, at quiescence, or at the deadline or step budget (Outcome),
+// and Recycle returns the scheduler to the pool New draws from.
 package vclock
 
 import (
@@ -246,7 +174,7 @@ func slotOf(t Time) int64 { return int64(t) >> slotWidthShift }
 
 // Sharding geometry. The shard count is a fixed function of the topology, so
 // shard composition, per-shard RNG streams and per-shard counters are too
-// (DESIGN.md §12).
+// (DESIGN.md §3).
 const (
 	// NumShards caps the shard count of a sharded scheduler.
 	NumShards = 16
@@ -514,7 +442,7 @@ const sortCrossover = 24
 // bucket was appended in seq order (it is, except after a cascade or when a
 // flush inserted a lone delivery ahead of its fanout), the whole sort for a
 // shallow bucket. Only 4-byte indices move: ordering the 40-byte events
-// themselves costs what the heap's sifts did (DESIGN.md §10). scratch is the
+// themselves costs what the heap's sifts did (DESIGN.md §3). scratch is the
 // scheduler's one buffer for the passes.
 func sortRun(run []event, order []uint32, scratch *[]uint32) []uint32 {
 	n := len(run)
@@ -1136,7 +1064,7 @@ func (s *Scheduler) SpawnHandler(_ string, fn func(aborted bool)) *Proc {
 // the inbox Retire names when it finishes.
 //
 // Each invocation runs directly under the scheduler's execution token: no
-// goroutine, no channel rendezvous. The contract (DESIGN.md §11):
+// goroutine, no channel rendezvous. The contract (DESIGN.md §3):
 //
 //   - React must return instead of blocking — a handler has no goroutine to
 //     suspend, so Park must not be called from it;

@@ -1,6 +1,6 @@
 package allforone
 
-// Sharded replay (DESIGN.md §7, §12): a Scenario on the sharded expansion
+// Sharded replay (DESIGN.md §4, §9): a Scenario on the sharded expansion
 // path must produce a DeepEqual Outcome — decisions, rounds, message counts,
 // steps, virtual time, and the scheduler's own work counters — when it is run
 // again, through the property suite's runAndReplay. The dense cells
@@ -9,10 +9,7 @@ package allforone
 // an explicit skew matrix, a cluster WAN, a healing partition), all with
 // timed crashes in flight; n = 300 sits above the sharding engagement floor
 // (n ≥ 256), on two 150-recipient stripes. The sparse cells run gossip and
-// allconcur on the burst path. TestWorkersDifferential and
-// TestWorkersDifferentialSparse check replay on the sharded path; they keep
-// the names of the expansion-pool width differential these cells used to
-// run, which CI steps and test history name.
+// allconcur on the burst path.
 
 import (
 	"fmt"
@@ -44,10 +41,10 @@ func replayProfiles() []struct {
 	}
 }
 
-// TestWorkersDifferential is the dense replay gate: every cell must decide
+// TestShardedReplay is the dense replay gate: every cell must decide
 // everywhere it is live, agree, take the sharded path, and replay bit for
 // bit.
-func TestWorkersDifferential(t *testing.T) {
+func TestShardedReplay(t *testing.T) {
 	t.Parallel()
 	for _, protocolName := range []string{ProtocolHybrid, ProtocolBenOr} {
 		for _, prof := range replayProfiles() {
@@ -105,12 +102,12 @@ func sparseScenario(t *testing.T, protocolName string, n int, crashes map[ProcID
 	return sc
 }
 
-// TestWorkersDifferentialSparse extends the replay gate to the sparse overlay
+// TestShardedReplaySparse extends the replay gate to the sparse overlay
 // family: gossip and allconcur route their per-recipient sends through the
 // sharded burst path (netsim.BurstSend / BurstSendVia), whose per-shard delay
 // draws and flush-time sequence reservation must — like the SendAll path's —
 // replay to a bit-identical Outcome.
-func TestWorkersDifferentialSparse(t *testing.T) {
+func TestShardedReplaySparse(t *testing.T) {
 	t.Parallel()
 	sizes := []int{1024}
 	if !testing.Short() {
