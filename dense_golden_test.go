@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -149,6 +150,38 @@ var denseGoldenCells = []denseGoldenCell{
 	{name: "hybrid-crash-cut/n=300", short: true, cut: 4, build: denseCrashCut},
 }
 
+// bandRun is one dense cell's goldenRun under UniformProfile: the scenario
+// it ran and its Outcome, which its readers must not mutate.
+type bandRun struct {
+	once sync.Once
+	sc   Scenario
+	out  *Outcome
+	err  error
+}
+
+// bandRuns memoizes the band runs by cell name and seed, so that
+// TestDenseShardedOutcomeGolden and TestDenseBandMatchesClosure run each
+// cell under the band once between them.
+var bandRuns sync.Map
+
+// denseBandRun returns cell's band run at seed, made by whichever of the
+// two tests asks first; the other waits for it.
+func denseBandRun(t *testing.T, cell denseGoldenCell, seed int64) (Scenario, *Outcome) {
+	t.Helper()
+	name := fmt.Sprintf("%s/seed=%d", cell.name, seed)
+	v, _ := bandRuns.LoadOrStore(name, new(bandRun))
+	r := v.(*bandRun)
+	r.once.Do(func() {
+		// What the other test reads if build stops this one with t.Fatal.
+		r.err = fmt.Errorf("the band run of %s failed in another test", name)
+		r.sc, r.out, r.err = goldenRun(cell.build(t, seed, UniformProfile))
+	})
+	if r.err != nil {
+		t.Fatalf("%s: %v", name, r.err)
+	}
+	return r.sc, r.out
+}
+
 // TestDenseShardedOutcomeGolden holds every dense sharded cell to its
 // recorded Outcome: n = 300 expands over 2 shards, n = 1024 over 8.
 func TestDenseShardedOutcomeGolden(t *testing.T) {
@@ -159,9 +192,11 @@ func TestDenseShardedOutcomeGolden(t *testing.T) {
 			continue
 		}
 		for _, seed := range []int64{11, 4099} {
+			sc, out := denseBandRun(t, cell, seed)
 			cells = append(cells, goldenCell{
 				name:    fmt.Sprintf("dense/%s/seed=%d", cell.name, seed),
-				sc:      cell.build(t, seed, UniformProfile),
+				sc:      sc,
+				out:     out,
 				bounded: cell.bounded,
 				check: func(out *Outcome) error {
 					if crashed := out.CountStatus(StatusCrashed); crashed < cell.cut {
@@ -208,6 +243,16 @@ var bandMoves = map[string]bool{
 	"hybrid-local/n=1024/seed=4099": true,
 }
 
+// withoutSched is a copy of out, and of its raw result, with the scheduler
+// counters zeroed.
+func withoutSched(out *Outcome) *Outcome {
+	o := *out
+	raw := *out.Raw.(*sim.Result)
+	o.Sched, raw.Sched = vclock.SchedulerStats{}, vclock.SchedulerStats{}
+	o.Raw = &raw
+	return &o
+}
+
 // TestDenseBandMatchesClosure is the differential behind compiling Uniform
 // to the network's own band: every dense golden cell gives DeepEqual
 // Outcomes under Uniform and under closureBand once the scheduler counters
@@ -226,10 +271,7 @@ func TestDenseBandMatchesClosure(t *testing.T) {
 		}
 		for _, seed := range []int64{11, 4099} {
 			name := fmt.Sprintf("%s/seed=%d", cell.name, seed)
-			band, err := Run(cell.build(t, seed, UniformProfile))
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
+			_, band := denseBandRun(t, cell, seed)
 			closure, err := Run(cell.build(t, seed, closureBand))
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -238,10 +280,7 @@ func TestDenseBandMatchesClosure(t *testing.T) {
 			if got, want := band.Sched.PoolFlushes, closure.Sched.PoolFlushes; wider && got >= want || !wider && got != want {
 				t.Errorf("%s: %d flushes under the band, %d under the closure", name, got, want)
 			}
-			for _, out := range []*Outcome{band, closure} {
-				out.Sched = vclock.SchedulerStats{}
-				out.Raw.(*sim.Result).Sched = vclock.SchedulerStats{}
-			}
+			band, closure = withoutSched(band), withoutSched(closure)
 			same := reflect.DeepEqual(band, closure)
 			switch {
 			case same && bandMoves[name]:

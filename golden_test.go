@@ -35,8 +35,20 @@ import (
 type goldenCell struct {
 	name    string // "<table>/<cell>", the corpus key
 	sc      Scenario
+	out     *Outcome             // a goldenRun of sc already made, or nil
 	bounded bool                 // a step or virtual-time bound must cut the run; otherwise none may
 	check   func(*Outcome) error // the table's own demand on the run, if any
+}
+
+// goldenRun runs sc as the corpus does: a Traceable protocol records a
+// trace, which Check then holds the history to. It returns the scenario it
+// ran.
+func goldenRun(sc Scenario) (Scenario, *Outcome, error) {
+	if p, _ := LookupProtocol(sc.Protocol); p.Info().Traceable {
+		sc.Trace = NewTrace()
+	}
+	out, err := Run(sc)
+	return sc, out, err
 }
 
 // goldenCorpus is testdata/golden.txt: corpus key → hash.
@@ -80,12 +92,12 @@ func runGolden(t *testing.T, table string, cells []goldenCell) {
 	ran := map[string]bool{}
 	for _, c := range cells {
 		ran[c.name] = true
-		if p, _ := LookupProtocol(c.sc.Protocol); p.Info().Traceable {
-			c.sc.Trace = NewTrace() // Check then holds the history too
-		}
-		out, err := Run(c.sc)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+		out := c.out
+		if out == nil {
+			var err error
+			if c.sc, out, err = goldenRun(c.sc); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
 		}
 		if vs := protocol.Check(c.sc, out); vs != nil {
 			t.Fatalf("%s: %v", c.name, vs)
@@ -126,27 +138,33 @@ func seedOf(name string) int64 {
 
 // outcomeHash is the FNV-64a of the Outcome's JSON encoding with the
 // storage counters masked. The allconcur hashes were recorded with both
-// Elapsed fields zeroed as well.
+// Elapsed fields zeroed as well. It masks a copy: out is left as it is.
 func outcomeHash(t *testing.T, out *Outcome) uint64 {
 	t.Helper()
+	o := *out
 	var raw *vclock.SchedulerStats
 	switch r := out.Raw.(type) {
 	case *sim.Result:
-		raw = &r.Sched
+		c := *r
+		o.Raw, raw = &c, &c.Sched
 	case *smr.Result:
-		raw = &r.Sched
+		c := *r
+		o.Raw, raw = &c, &c.Sched
 	case *multivalued.Result:
-		raw = &r.Sched
+		c := *r
+		o.Raw, raw = &c, &c.Sched
 	case *register.Result:
-		raw = &r.Sched
+		c := *r
+		o.Raw, raw = &c, &c.Sched
 	case *allconcur.Result:
-		raw = &r.Sched
-		out.Elapsed, r.Elapsed = 0, 0
+		c := *r
+		o.Raw, raw = &c, &c.Sched
+		o.Elapsed, c.Elapsed = 0, 0
 	default:
 		t.Fatalf("no golden hash for a %T", out.Raw)
 	}
-	maskStorageCounters(out, raw)
-	js, err := json.Marshal(out)
+	maskStorageCounters(&o, raw)
+	js, err := json.Marshal(&o)
 	if err != nil {
 		t.Fatal(err)
 	}

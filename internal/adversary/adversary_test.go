@@ -443,6 +443,7 @@ func TestSearchFindsPlantedLinearizabilityViolation(t *testing.T) {
 		Base: protocol.Scenario{
 			Protocol: linRiggedName,
 			Topology: protocol.Topology{N: 3},
+			Workload: protocol.Workload{Scripts: make([][]protocol.RegisterOp, 3)},
 			Seed:     1,
 		},
 		Strategy: boundedSeeds{},

@@ -1,143 +1,29 @@
 // Package allconcur implements leaderless atomic broadcast over a sparse
 // overlay digraph, after AllConcur (Poke, Hoefler, Glass 2017): every
-// process floods its proposal over a d-regular digraph G, tracks which
-// proposals can still be in flight, and decides — without any leader or
-// coordinator — once its delivered set is provably complete. The overlay's
-// vertex connectivity is the fault budget: up to κ(G)−1 crashes leave the
-// live subgraph strongly connected and every survivor terminates.
-//
-// # Dissemination and early termination
-//
-// A run is one single round of atomic broadcast. Each process R-broadcasts
-// its value by flooding: on the FIRST receipt of origin q's value it
-// forwards the value to its d overlay successors (later duplicate copies
-// are dropped). Crash-free, every process therefore receives all n values
-// within diam(G) hops and decides immediately — the "early termination"
-// half of AllConcur: no failure-detector timeout is ever waited out.
-//
-// With crashes the protocol must decide when to stop waiting for a missing
-// origin q. A crashing process emits a tombstone marker on each outgoing
-// link (the simulation's deterministic stand-in for AllConcur's
-// heartbeat-based failure detector, which provides the same guarantee: a
-// successor s of a crashed f eventually learns of the crash AFTER the
-// f→s channel has been drained). A successor s processing f's marker
-// emits a FAIL(f,s) notification, flooded like a value. FAIL(f,s) at p
-// certifies: every message f ever put on the f→s channel was processed
-// by s BEFORE s emitted the notification — so if origin q's value had
-// been among them, it would have been forwarded no later than FAIL(f,s)
-// and p would already hold it (per-link FIFO plus whole-envelope ingest
-// keep that order on every forwarding path; see the envelope invariant
-// below).
-//
-// Process p may therefore exclude a missing origin q once the suspect
-// closure of q is fully resolved: starting from C = {q}, every f ∈ C must
-// be known crashed, and each successor s ∈ Succ(f) must either have
-// certified FAIL(f,s) or be known crashed itself (joining C — it may have
-// received q's value and died before forwarding). If the closure runs
-// into a live successor whose channel is not yet certified drained, q's
-// value may still be in flight and p keeps waiting. When every origin is
-// either delivered or excluded, p decides the value of the SMALLEST
-// delivered origin id; the flooding argument makes the delivered sets of
-// all deciding processes equal, so decisions agree.
-//
-// # Message format and the envelope invariant
-//
-// News (value forwards and FAIL notifications) is not sent one message
-// per item: each process gathers what it learned since its last flush in
-// an outbox, and flushes the outbox as ONE envelope per successor (the
-// item slice is shared across the d sends; netsim payloads are never
-// mutated). Flushes are atomic within a reactor invocation: either every
-// successor receives the envelope or (when the process crashes with an
-// unflushed outbox) none does, which the exclusion rule counts — soundly
-// — as "never forwarded". A receiver ingests a whole envelope, and its
-// whole inbox, before it checks for termination, so the items of one
-// envelope form a set: their order carries no meaning. Only the order of
-// envelopes on a link does, and per-link sequence numbers restore FIFO
-// under the network's random delays (a reorder buffer holds early
-// envelopes). News thus never travels behind a later envelope: a value a
-// process delivered before it certified FAIL(f,s) leaves in the same
-// envelope as the certificate or an earlier one. A short flush delay
-// batches the news of several deliveries into one envelope, keeping the
-// envelope count near n·d per dissemination wave instead of one message
-// per item copy.
-//
-// # The per-block path
-//
-// A run ingests Θ(n²·d) origin copies — every value reaches every process
-// once per predecessor — so a run costs what one copy costs. The
-// delivered set of a process is an n-bit row of one run-wide bitmap (n²/8
-// bytes: 512 KB at n=2048, 32 MiB at n=16 384, where a bool per origin
-// cost 256 MB) with a count for the crash-free fast path and a
-// first-missing watermark from which the termination check visits the
-// gaps in ascending order; AllConcur's own tracking is such a per-server
-// message set, and early termination asks only "is q delivered" and
-// "which origins are still missing". The wire carries the same sets: a
-// VAL item is one 64-origin block of the sender's row, with the mask of
-// the origins delivered in it since the sender's last flush, and a
-// receiver ingests it as novel = mask &^ row — one word operation for up
-// to 64 copies, a popcount for the count and a trailing-zero count for
-// the decision candidate. The outbox is the list of blocks touched since
-// the last flush (a second "flushed" row per process, n²/8 bytes more,
-// tells which of their bits are new; it is interleaved word by word with
-// the delivered row, so the first test of a block reads one cache line)
-// plus the pending FAIL items; a flush
-// builds it into one exactly-sized 12-byte-item slice, VAL blocks first.
-// Items hold no pointer and no value: an origin is a handle into the
-// run's read-only proposal table, read when the decision candidate
-// changes. The handle is faithful — a value string forwarded in the
-// simulator was never copied, every copy aliased the proposer's bytes —
-// and the collector never scans the item slices.
-//
-// Like gossip, the implementation is an inline handler reactor
-// (driver.RunHandlers) registered as "allconcur" with the overlay and
-// sub-quadratic capability flags; timed crashes are honored by the
-// protocol itself (the tombstone markers), not by the driver.
+// process floods its proposal over the overlay and decides, with no leader,
+// the smallest delivered origin's value once its delivered set is provably
+// complete. DESIGN.md §6 describes the flooding, the crash-exclusion rule,
+// the envelope invariant and the per-block delivered sets.
 package allconcur
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 	"time"
-	"unsafe"
 
 	"allforone/internal/driver"
 	"allforone/internal/metrics"
 	"allforone/internal/model"
 	"allforone/internal/netsim"
 	"allforone/internal/overlay"
+	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
 
-// DefaultFlushDelay is the outbox batching window: news items arriving
-// within it leave in one envelope. Half the typical profile delay band —
-// small against dissemination latency, large enough to coalesce a
-// delivery burst.
-const DefaultFlushDelay = 100 * time.Microsecond
-
-// Config describes one atomic-broadcast run.
-type Config struct {
-	// N is the number of processes (required, ≥ 2).
-	N int
-	// Proposals holds each process's value (required, length N); every
-	// process that decides delivers the same complete set and decides the
-	// value of the smallest delivered origin id.
-	Proposals []string
-	// Spec is the overlay digraph to flood over (required). Its vertex
-	// connectivity is the fault budget: κ(G) ≥ f+1 keeps f crashes safe.
-	Spec overlay.Spec
-	// Setup is the run's seed, crash pattern, bounds and delay policy. The
-	// crash pattern is timed and honored by the protocol itself: a victim
-	// halts at its crash instant after emitting tombstone markers (its
-	// unflushed outbox dies with it); step-point plans are rejected.
-	// MaxSteps 0 derives the sparse default (sim.StepsLinear).
-	sim.Setup
-	// FlushDelay is the outbox batching window; 0 = DefaultFlushDelay.
-	FlushDelay time.Duration
-}
-
-// ErrBadConfig reports an invalid configuration.
-var ErrBadConfig = errors.New("allconcur: invalid configuration")
+// flushDelay is the outbox batching window: news items arriving within it
+// leave in one envelope. Half the typical profile delay band — small
+// against dissemination latency, large enough to coalesce a delivery burst.
+const flushDelay = 100 * time.Microsecond
 
 // ProcResult is one process's outcome.
 type ProcResult struct {
@@ -208,8 +94,11 @@ type envBuilder struct{}
 
 // envelopeBytes is what one pooled envelope contributes to the
 // PooledPayloadBytes stat: the envelope header itself (the item slice is
-// shared across the flush's d envelopes and counted by none of them).
-const envelopeBytes = int(unsafe.Sizeof(envelope{}))
+// shared across the flush's d envelopes and counted by none of them). It
+// is the header's size on a 64-bit platform — a 4-byte Seq padded to 8
+// plus a 24-byte slice header — fixed so that the stat, and every hash of
+// an Outcome that carries it, is the same on every platform.
+const envelopeBytes = 32
 
 // BuildPayload implements netsim.BurstBuilder.
 func (envBuilder) BuildPayload(nw *netsim.Network, ctx any, arg uint64) (any, int) {
@@ -361,7 +250,6 @@ type reactor struct {
 	failsOut     []item
 	flushPending bool
 	flushAt      time.Duration
-	flushDelay   time.Duration
 
 	started bool
 	decided bool
@@ -673,64 +561,62 @@ func (rx *reactor) React(aborted bool) bool {
 	}
 	if len(rx.touched)+len(rx.failsOut) > 0 && !rx.flushPending {
 		rx.flushPending = true
-		rx.flushAt = rx.h.Now() + rx.flushDelay
-		rx.h.WakeAfter(rx.flushDelay)
+		rx.flushAt = rx.h.Now() + flushDelay
+		rx.h.WakeAfter(flushDelay)
 	}
 	return false
 }
 
-// Run executes one atomic-broadcast instance and returns per-process
-// outcomes.
-func Run(cfg Config) (*Result, error) {
-	if cfg.N < 2 {
-		return nil, fmt.Errorf("%w: need at least two processes, have %d", ErrBadConfig, cfg.N)
-	}
-	if len(cfg.Proposals) != cfg.N {
-		return nil, fmt.Errorf("%w: %d proposals for %d processes", ErrBadConfig, len(cfg.Proposals), cfg.N)
-	}
-	if err := cfg.Crashes.ValidateFor(cfg.N); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
-	}
-	if cfg.Crashes.HasStepPoints() {
-		return nil, fmt.Errorf("%w: allconcur honors only timed crash plans", ErrBadConfig)
-	}
-	g, err := cfg.Spec.Build(cfg.N, cfg.Seed)
+// runScenario runs one registry-validated atomic-broadcast instance. Every
+// process that decides delivers the same complete set and decides the
+// value of the smallest delivered origin id. The overlay's vertex
+// connectivity is the fault budget: κ(G) ≥ f+1 keeps f crashes safe. The
+// crash pattern is timed and honored by the protocol itself: a victim
+// halts at its crash instant after emitting tombstone markers (its
+// unflushed outbox dies with it). MaxSteps 0 derives the sparse default
+// (sim.StepsLinear).
+func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
+	props := sc.Workload.Values
+	n := len(props)
+	setup, err := sc.Setup()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
+		return nil, err
 	}
-	flushDelay := cfg.FlushDelay
-	if flushDelay <= 0 {
-		flushDelay = DefaultFlushDelay
+	// The registry validated the spec for n (overlay.Spec.Validate: n ≥ 2
+	// and a degree that fits), so a failure here is the build's own.
+	g, err := sc.Topology.Overlay.Build(n, setup.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", protocol.ErrBadScenario, err)
 	}
 	crashAt := make(map[model.ProcID]time.Duration, 2)
-	for _, tc := range cfg.Crashes.Timed() {
+	for _, tc := range setup.Crashes.Timed() {
 		crashAt[tc.P] = tc.At
 	}
 
 	var ctr metrics.Counters
 	var nw *netsim.Network
-	procs := make([]ProcResult, cfg.N)
+	procs := make([]ProcResult, n)
 	dcfg := driver.Config{
-		MaxVirtualTime: cfg.MaxVirtualTime,
-		MaxSteps:       cfg.MaxSteps,
+		MaxVirtualTime: setup.MaxVirtualTime,
+		MaxSteps:       setup.MaxSteps,
 		Complexity:     sim.StepsLinear,
 		// Crashes stay out of the driver config on purpose: a driver crash
 		// closes the victim's inbox at the instant, but the tombstone
 		// protocol needs the victim to emit its markers itself.
 	}
-	newNet := driver.StandardNet(&nw, cfg.N, uint64(cfg.Seed)^0x93d1_4af2_0e67_b85c, &ctr, 0, 0, cfg.NetOptions...)
+	newNet := driver.StandardNet(&nw, n, uint64(setup.Seed)^0x93d1_4af2_0e67_b85c, &ctr, 0, 0, setup.NetOptions...)
 	// All reactor hot state comes from five pooled backing arrays (the
 	// reactors themselves, 2·|E| link sequence counters, |E| reorder-buffer
 	// headers, n delivered rows of n bits with their flushed words, n
 	// touched-block lists of n/64 entries) — per-process map and slice allocations
 	// previously dominated setup and resident memory at n≥16k.
-	rxs := make([]reactor, cfg.N)
+	rxs := make([]reactor, n)
 	seqPool := make([]uint32, 2*g.Edges())
 	bufPool := make([][]heldPayload, g.Edges())
-	row := (cfg.N + 63) / 64
-	blockPool := make([]block, cfg.N*row)
-	touchPool := make([]uint32, cfg.N*row)
-	out, err := driver.RunHandlers(dcfg, cfg.N, newNet, func(i int, h *driver.Handle) driver.Reactor {
+	row := (n + 63) / 64
+	blockPool := make([]block, n*row)
+	touchPool := make([]uint32, n*row)
+	out, err := driver.RunHandlers(dcfg, n, newNet, func(i int, h *driver.Handle) driver.Reactor {
 		id := model.ProcID(i)
 		at, victim := crashAt[id]
 		succ, preds := g.Succ(id), g.Pred(id)
@@ -741,28 +627,42 @@ func Run(cfg Config) (*Result, error) {
 		reorder := bufPool[:len(preds):len(preds)]
 		bufPool = bufPool[len(preds):]
 		rxs[i] = reactor{
-			id:         id,
-			h:          h,
-			net:        nw,
-			ctr:        &ctr,
-			g:          g,
-			succ:       succ,
-			preds:      preds,
-			proposals:  cfg.Proposals,
-			store:      &procs[i],
-			victim:     victim,
-			crashAt:    at,
-			sendSeq:    sendSeq,
-			expect:     expect,
-			reorder:    reorder,
-			delivered:  deliveredSet{blocks: blockPool[i*row : (i+1)*row : (i+1)*row]},
-			touched:    touchPool[i*row : i*row : (i+1)*row],
-			flushDelay: flushDelay,
+			id:        id,
+			h:         h,
+			net:       nw,
+			ctr:       &ctr,
+			g:         g,
+			succ:      succ,
+			preds:     preds,
+			proposals: props,
+			store:     &procs[i],
+			victim:    victim,
+			crashAt:   at,
+			sendSeq:   sendSeq,
+			expect:    expect,
+			reorder:   reorder,
+			delivered: deliveredSet{blocks: blockPool[i*row : (i+1)*row : (i+1)*row]},
+			touched:   touchPool[i*row : i*row : (i+1)*row],
 		}
 		return &rxs[i]
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Procs: procs, Metrics: ctr.Read(), Engine: out}, nil
+	res := &Result{Procs: procs, Metrics: ctr.Read(), Engine: out}
+	o := &protocol.Outcome{
+		Protocol: ProtocolName,
+		Procs:    make([]protocol.ProcOutcome, n),
+		Metrics:  res.Metrics,
+		Engine:   res.Engine,
+		Raw:      res,
+	}
+	for i, pr := range procs {
+		o.Procs[i] = protocol.ProcOutcome{Status: pr.Status}
+		if pr.Status == sim.StatusDecided {
+			o.Procs[i].Decision = pr.Decision
+			o.Procs[i].Round = 1 // atomic broadcast is a single logical round
+		}
+	}
+	return o, nil
 }

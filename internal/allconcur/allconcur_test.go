@@ -9,7 +9,6 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
-	"allforone/internal/netsim"
 	"allforone/internal/overlay"
 	"allforone/internal/protocol"
 	"allforone/internal/sim"
@@ -23,16 +22,24 @@ func proposals(n int) []string {
 	return ps
 }
 
-func baseConfig(n int, spec overlay.Spec) Config {
-	return Config{
-		N:         n,
-		Proposals: proposals(n),
-		Spec:      spec,
-		Setup: sim.Setup{
-			Seed:       42,
-			NetOptions: []netsim.Option{netsim.WithUniformDelay(0, 200*time.Microsecond)},
-		},
+// baseConfig is an allconcur run on spec under a 0–200µs band.
+func baseConfig(n int, spec overlay.Spec) protocol.Scenario {
+	return protocol.Scenario{
+		Protocol: ProtocolName,
+		Topology: protocol.Topology{N: n, Overlay: &spec},
+		Workload: protocol.Workload{Values: proposals(n)},
+		Seed:     42,
+		Profile:  protocol.Uniform(0, 200*time.Microsecond),
 	}
+}
+
+// run runs sc through the registry and returns allconcur's raw result.
+func run(sc protocol.Scenario) (*Result, error) {
+	out, err := protocol.Run(sc)
+	if err != nil {
+		return nil, err
+	}
+	return out.Raw.(*Result), nil
 }
 
 func timedCrashes(t *testing.T, n int, at time.Duration, victims ...model.ProcID) *failures.Schedule {
@@ -53,7 +60,7 @@ func TestCrashFreeDecidesMinOriginOnAllFamilies(t *testing.T) {
 		{Kind: overlay.KindRandom, Degree: 3, Seed: 7},
 	}
 	for _, spec := range specs {
-		res, err := Run(baseConfig(33, spec))
+		res, err := run(baseConfig(33, spec))
 		if err != nil {
 			t.Fatalf("%v: %v", spec.Kind, err)
 		}
@@ -78,8 +85,8 @@ func TestSurvivorsAgreeUnderMinorityCrashes(t *testing.T) {
 	n := 7
 	for _, at := range []time.Duration{0, 50 * time.Microsecond, 300 * time.Microsecond} {
 		cfg := baseConfig(n, overlay.Spec{Kind: overlay.KindCirculant, Degree: 3})
-		cfg.Crashes = timedCrashes(t, n, at, 0, 6)
-		res, err := Run(cfg)
+		cfg.Faults = timedCrashes(t, n, at, 0, 6)
+		res, err := run(cfg)
 		if err != nil {
 			t.Fatalf("at=%v: %v", at, err)
 		}
@@ -91,7 +98,7 @@ func TestSurvivorsAgreeUnderMinorityCrashes(t *testing.T) {
 				// agreement check below like any decider). Before the flush
 				// delay has even elapsed (at ≤ 50µs here), completion is
 				// impossible and the crash must win.
-				if pr.Status == sim.StatusDecided && at > DefaultFlushDelay {
+				if pr.Status == sim.StatusDecided && at > flushDelay {
 					// falls through to the agreement check
 				} else if pr.Status != sim.StatusCrashed {
 					t.Fatalf("at=%v: victim %d status %v, want crashed", at, p, pr.Status)
@@ -110,7 +117,7 @@ func TestSurvivorsAgreeUnderMinorityCrashes(t *testing.T) {
 		}
 		// Validity: the decision is some process's proposal.
 		valid := false
-		for _, v := range cfg.Proposals {
+		for _, v := range cfg.Workload.Values {
 			if v == decision {
 				valid = true
 			}
@@ -127,8 +134,8 @@ func TestSurvivorsAgreeUnderMinorityCrashes(t *testing.T) {
 func TestInstantCrashExcludesVictimsValue(t *testing.T) {
 	n := 7
 	cfg := baseConfig(n, overlay.Spec{Kind: overlay.KindCirculant, Degree: 3})
-	cfg.Crashes = timedCrashes(t, n, 0, 0)
-	res, err := Run(cfg)
+	cfg.Faults = timedCrashes(t, n, 0, 0)
+	res, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +159,8 @@ func TestDisconnectionBlocksIndulgently(t *testing.T) {
 	// Ring 0→1→2→3→0; crashing 2 at t=0 leaves 1 unable to reach 3 and 0.
 	n := 4
 	cfg := baseConfig(n, overlay.Spec{Kind: overlay.KindCirculant, Degree: 1})
-	cfg.Crashes = timedCrashes(t, n, 0, 2)
-	res, err := Run(cfg)
+	cfg.Faults = timedCrashes(t, n, 0, 2)
+	res, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,9 +191,9 @@ func TestDisconnectionBlocksIndulgently(t *testing.T) {
 // mid-flood.
 func TestDeterministicReplay(t *testing.T) {
 	cfg := baseConfig(64, overlay.Spec{Kind: overlay.KindDeBruijn, Degree: 4})
-	cfg.Crashes = timedCrashes(t, 64, 120*time.Microsecond, 9, 33)
-	a, errA := Run(cfg)
-	b, errB := Run(cfg)
+	cfg.Faults = timedCrashes(t, 64, 120*time.Microsecond, 9, 33)
+	a, errA := run(cfg)
+	b, errB := run(cfg)
 	if err := errors.Join(errA, errB); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +208,7 @@ func TestDeterministicReplay(t *testing.T) {
 func TestEnvelopeCountStaysSubQuadratic(t *testing.T) {
 	n, d := 128, 4
 	cfg := baseConfig(n, overlay.Spec{Kind: overlay.KindDeBruijn, Degree: d})
-	res, err := Run(cfg)
+	res, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,31 +226,34 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 	good := baseConfig(8, overlay.Spec{Kind: overlay.KindDeBruijn, Degree: 2})
 	cases := []struct {
 		name string
-		mut  func(*Config)
+		mut  func(*protocol.Scenario)
 	}{
-		{"too few procs", func(c *Config) { c.N = 1; c.Proposals = c.Proposals[:1] }},
-		{"proposal count", func(c *Config) { c.Proposals = c.Proposals[:3] }},
-		{"step-point crashes", func(c *Config) {
-			s := failures.NewSchedule(c.N)
+		{"too few procs", func(c *protocol.Scenario) {
+			c.Topology = protocol.Topology{N: 1, Overlay: &overlay.Spec{Kind: overlay.KindCirculant}}
+			c.Workload.Values = c.Workload.Values[:1]
+		}},
+		{"proposal count", func(c *protocol.Scenario) { c.Workload.Values = c.Workload.Values[:3] }},
+		{"step-point crashes", func(c *protocol.Scenario) {
+			s := failures.NewSchedule(c.Topology.N)
 			if err := s.Set(0, failures.Crash{At: failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart}}); err != nil {
 				t.Fatal(err)
 			}
-			c.Crashes = s
+			c.Faults = s
 		}},
-		{"oversized crash schedule", func(c *Config) {
+		{"oversized crash schedule", func(c *protocol.Scenario) {
 			s := failures.NewSchedule(64)
 			if err := s.SetTimed(33, time.Millisecond); err != nil {
 				t.Fatal(err)
 			}
-			c.Crashes = s
+			c.Faults = s
 		}},
-		{"bad overlay", func(c *Config) { c.Spec = overlay.Spec{Kind: overlay.KindDeBruijn, Degree: 1} }},
+		{"bad overlay", func(c *protocol.Scenario) { c.Topology.Overlay = &overlay.Spec{Kind: overlay.KindDeBruijn, Degree: 1} }},
 	}
 	for _, tc := range cases {
 		cfg := good
 		tc.mut(&cfg)
-		if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
-			t.Errorf("%s: err = %v, want ErrBadConfig", tc.name, err)
+		if _, err := protocol.Run(cfg); !errors.Is(err, protocol.ErrBadScenario) {
+			t.Errorf("%s: err = %v, want ErrBadScenario", tc.name, err)
 		}
 	}
 }

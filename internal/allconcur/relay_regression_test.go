@@ -92,20 +92,19 @@ func TestDecidedReactorCertifiesLateMarker(t *testing.T) {
 			return &lateVictimStub{h: h, net: nw, sawFail: &sawFail}
 		}
 		return &reactor{
-			id:         id,
-			h:          h,
-			net:        nw,
-			ctr:        &ctr,
-			g:          g,
-			succ:       g.Succ(id),
-			preds:      g.Pred(id),
-			proposals:  values,
-			store:      &procs[i],
-			sendSeq:    make([]uint32, len(g.Succ(id))),
-			expect:     make([]uint32, len(g.Pred(id))),
-			reorder:    make([][]heldPayload, len(g.Pred(id))),
-			delivered:  deliveredSet{blocks: make([]block, 1)},
-			flushDelay: DefaultFlushDelay,
+			id:        id,
+			h:         h,
+			net:       nw,
+			ctr:       &ctr,
+			g:         g,
+			succ:      g.Succ(id),
+			preds:     g.Pred(id),
+			proposals: values,
+			store:     &procs[i],
+			sendSeq:   make([]uint32, len(g.Succ(id))),
+			expect:    make([]uint32, len(g.Pred(id))),
+			reorder:   make([][]heldPayload, len(g.Pred(id))),
+			delivered: deliveredSet{blocks: make([]block, 1)},
 		}
 	})
 	if err != nil {

@@ -23,42 +23,6 @@ func init() {
 	}, runScenario))
 }
 
-func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
-	n, err := sc.Topology.Procs()
-	if err != nil {
-		return nil, err
-	}
-	setup, err := sc.Setup()
-	if err != nil {
-		return nil, err
-	}
-	res, err := Run(Config{
-		Setup:     setup,
-		N:         n,
-		Proposals: sc.Workload.Values,
-		Spec:      *sc.Topology.Overlay,
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &protocol.Outcome{
-		Protocol: ProtocolName,
-		Procs:    make([]protocol.ProcOutcome, len(res.Procs)),
-		Metrics:  res.Metrics,
-		Engine:   res.Engine,
-		Raw:      res,
-	}
-	for i, pr := range res.Procs {
-		po := protocol.ProcOutcome{Status: pr.Status}
-		if pr.Status == sim.StatusDecided {
-			po.Decision = pr.Decision
-			po.Round = 1 // atomic broadcast is a single logical round
-		}
-		out.Procs[i] = po
-	}
-	return out, nil
-}
-
 // Violations checks the atomic-broadcast invariants the uniform Outcome
 // cannot show: every process that decided delivered the same set (set
 // agreement: equal sizes and equal digests), and a run that quiesced with live processes undecided

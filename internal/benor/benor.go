@@ -13,53 +13,53 @@ package benor
 
 import (
 	"errors"
-	"fmt"
 
-	"allforone/internal/coin"
 	"allforone/internal/core"
-	"allforone/internal/model"
-	"allforone/internal/sim"
+	"allforone/internal/protocol"
 )
 
-// Config describes one Ben-Or execution.
-type Config struct {
-	// N is the number of processes (required).
-	N int
-	// Proposals holds each process's proposed binary value (required,
-	// length N).
-	Proposals []model.Value
-	// Setup is the run's seed, crash pattern, bounds and delay policy. A
-	// crash plan at StageAfterClusterConsensus has no counterpart here and
-	// triggers at the next step point.
-	sim.Setup
-	// MaxRounds bounds execution; 0 = unbounded.
-	MaxRounds int
-	// LocalCoinOverride, when non-nil, supplies each process's coin.
-	LocalCoinOverride func(p model.ProcID) coin.Local
+// ProtocolName is the registry name of the Ben-Or baseline.
+const ProtocolName = "benor"
+
+// ErrInvariantBroken reports a run that broke the round machine's
+// invariant.
+var ErrInvariantBroken = errors.New("benor: protocol invariant broken")
+
+// variant is Ben-Or on the round machine: Algorithm 2 with no cluster step,
+// on seeds of its own. A crash plan at StageAfterClusterConsensus has no
+// counterpart here and triggers at the next step point.
+var variant = core.Variant{
+	NetSalt:            0x9e6c_63d0_876a_9a7d,
+	SubsetSalt:         0x1405_7b7e_f767_814f,
+	ErrInvariantBroken: ErrInvariantBroken,
 }
 
-// Errors returned by Run.
-var (
-	ErrBadConfig       = errors.New("benor: invalid configuration")
-	ErrInvariantBroken = errors.New("benor: protocol invariant broken")
-)
+func init() {
+	protocol.MustRegister(protocol.New(protocol.Info{
+		Name:         ProtocolName,
+		Description:  "Ben-Or's pure message-passing binary consensus (the m=n baseline)",
+		Proposals:    protocol.ProposalsBinary,
+		HasNetwork:   true,
+		StageCrashes: true,
+		TimedCrashes: true,
+		OneForAll:    true,
+	}, runScenario))
+}
 
-// Run executes one Ben-Or consensus instance and returns per-process
-// outcomes.
-func Run(cfg Config) (*sim.Result, error) {
-	if len(cfg.Proposals) != cfg.N {
-		return nil, fmt.Errorf("%w: %d proposals for %d processes", ErrBadConfig, len(cfg.Proposals), cfg.N)
+// runScenario runs a registry-validated scenario on the round machine.
+func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
+	setup, err := sc.Setup()
+	if err != nil {
+		return nil, err
 	}
-	return core.RunVariant(core.Config{
-		Setup:             cfg.Setup,
-		Proposals:         cfg.Proposals,
-		Algorithm:         core.LocalCoin,
-		MaxRounds:         cfg.MaxRounds,
-		LocalCoinOverride: cfg.LocalCoinOverride,
-	}, core.Variant{
-		NetSalt:            0x9e6c_63d0_876a_9a7d,
-		SubsetSalt:         0x1405_7b7e_f767_814f,
-		ErrBadConfig:       ErrBadConfig,
-		ErrInvariantBroken: ErrInvariantBroken,
-	})
+	res, err := core.RunVariant(core.Config{
+		Setup:     setup,
+		Proposals: sc.Workload.Binary,
+		Algorithm: core.LocalCoin,
+		MaxRounds: sc.Bounds.MaxRounds,
+	}, variant)
+	if err != nil {
+		return nil, err
+	}
+	return protocol.BinaryOutcome(ProtocolName, res), nil
 }

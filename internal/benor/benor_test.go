@@ -7,9 +7,9 @@ import (
 	"time"
 
 	"allforone/internal/coin"
+	"allforone/internal/core"
 	"allforone/internal/failures"
 	"allforone/internal/model"
-	"allforone/internal/netsim"
 	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
@@ -42,21 +42,46 @@ func rendered(vs []model.Value) []string {
 	return out
 }
 
-// runLive runs cfg and fails unless the run is safe — agreement, validity —
-// and every live process decided.
-func runLive(t *testing.T, cfg Config) *sim.Result {
+// scenario is a Ben-Or run of proposals on n = len(proposals) processes.
+func scenario(proposals []model.Value, seed int64, maxRounds int) protocol.Scenario {
+	return protocol.Scenario{
+		Protocol: ProtocolName,
+		Topology: protocol.Topology{N: len(proposals)},
+		Workload: protocol.Workload{Binary: proposals},
+		Seed:     seed,
+		Bounds:   protocol.Bounds{MaxRounds: maxRounds},
+	}
+}
+
+// run runs sc through the registry and returns Ben-Or's raw result.
+func run(t *testing.T, sc protocol.Scenario) *sim.Result {
 	t.Helper()
-	res, err := Run(cfg)
+	out, err := protocol.Run(sc)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	return out.Raw.(*sim.Result)
+}
+
+// requireLive fails unless res is safe — agreement, validity — and every
+// live process decided.
+func requireLive(t *testing.T, res *sim.Result, proposals []model.Value) {
+	t.Helper()
 	out := outcome(res)
-	if err := errors.Join(out.CheckAgreement(), out.CheckValidity(rendered(cfg.Proposals))); err != nil {
+	if err := errors.Join(out.CheckAgreement(), out.CheckValidity(rendered(proposals))); err != nil {
 		t.Fatal(err)
 	}
 	if !out.AllLiveDecided() {
 		t.Fatalf("not all live decided: %+v", res.Procs)
 	}
+}
+
+// runLive runs sc and fails unless the run is safe and every live process
+// decided.
+func runLive(t *testing.T, sc protocol.Scenario) *sim.Result {
+	t.Helper()
+	res := run(t, sc)
+	requireLive(t, res, sc.Workload.Binary)
 	return res
 }
 
@@ -65,15 +90,15 @@ var atStart = failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart
 
 func TestConfigValidation(t *testing.T) {
 	t.Parallel()
-	cases := []Config{
-		{N: 0},
-		{N: 3, Proposals: unanimous(2, model.One)},
-		{N: 2, Proposals: []model.Value{model.One, model.Bot}},
-		{N: 2, Proposals: unanimous(2, model.One), MaxRounds: -1},
+	cases := []protocol.Scenario{
+		scenario(nil, 0, 0),
+		{Protocol: ProtocolName, Topology: protocol.Topology{N: 3}, Workload: protocol.Workload{Binary: unanimous(2, model.One)}},
+		scenario([]model.Value{model.One, model.Bot}, 0, 0),
+		scenario(unanimous(2, model.One), 0, -1),
 	}
-	for i, cfg := range cases {
-		if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
-			t.Errorf("case %d: error = %v, want ErrBadConfig", i, err)
+	for i, sc := range cases {
+		if _, err := protocol.Run(sc); !errors.Is(err, protocol.ErrBadScenario) {
+			t.Errorf("case %d: error = %v, want ErrBadScenario", i, err)
 		}
 	}
 }
@@ -85,7 +110,7 @@ func TestUnanimousDecidesRoundOne(t *testing.T) {
 			n, v := n, v
 			t.Run(fmt.Sprintf("n=%d/v=%v", n, v), func(t *testing.T) {
 				t.Parallel()
-				res := runLive(t, Config{N: n, Proposals: unanimous(n, v), Setup: sim.Setup{Seed: int64(n)}, MaxRounds: 50})
+				res := runLive(t, scenario(unanimous(n, v), int64(n), 50))
 				if val, count, _ := outcome(res).Decided(); val != v.String() || count != n {
 					t.Errorf("decided (%v, %d), want (%v, %d)", val, count, v, n)
 				}
@@ -103,7 +128,7 @@ func TestSplitProposalsTerminate(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			t.Parallel()
-			runLive(t, Config{N: 5, Proposals: alternating(5), Setup: sim.Setup{Seed: seed}, MaxRounds: 10000})
+			runLive(t, scenario(alternating(5), seed, 10000))
 		})
 	}
 }
@@ -115,7 +140,9 @@ func TestMinorityCrashTerminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := runLive(t, Config{N: 7, Proposals: unanimous(7, model.One), Setup: sim.Setup{Seed: 3, Crashes: sched}, MaxRounds: 5000})
+	sc := scenario(unanimous(7, model.One), 3, 5000)
+	sc.Faults = sched
+	res := runLive(t, sc)
 	if got := outcome(res).CountStatus(sim.StatusFailed); got != 0 {
 		t.Errorf("failed count = %d", got)
 	}
@@ -130,10 +157,9 @@ func TestMajorityCrashBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{N: n, Proposals: unanimous(n, model.One), Setup: sim.Setup{Seed: 5, Crashes: sched}})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	sc := scenario(unanimous(n, model.One), 5, 0)
+	sc.Faults = sched
+	res := run(t, sc)
 	if _, _, decided := outcome(res).Decided(); decided {
 		t.Fatal("decided despite n/2 crashes")
 	}
@@ -154,35 +180,36 @@ func TestPartialBroadcastSafety(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	runLive(t, Config{N: 5, Proposals: alternating(5), Setup: sim.Setup{Seed: 11, Crashes: sched}, MaxRounds: 10000})
+	sc := scenario(alternating(5), 11, 10000)
+	sc.Faults = sched
+	runLive(t, sc)
 }
 
 // Rigged coins force post-split convergence within a couple of rounds.
 func TestRiggedCoinConvergence(t *testing.T) {
 	t.Parallel()
-	runLive(t, Config{
-		N:         4,
-		Proposals: alternating(4),
+	proposals := alternating(4)
+	res, err := core.RunVariant(core.Config{
+		Proposals: proposals,
+		Algorithm: core.LocalCoin,
 		Setup:     sim.Setup{Seed: 1},
 		MaxRounds: 100,
 		LocalCoinOverride: func(model.ProcID) coin.Local {
 			return coin.NewFixedLocal(model.Zero)
 		},
-	})
+	}, variant)
+	if err != nil {
+		t.Fatalf("RunVariant: %v", err)
+	}
+	requireLive(t, res, proposals)
 }
 
 // With delays, cross-round buffering must keep the run safe and live.
 func TestWithDelays(t *testing.T) {
 	t.Parallel()
-	runLive(t, Config{
-		N:         5,
-		Proposals: alternating(5),
-		Setup: sim.Setup{
-			Seed:       9,
-			NetOptions: []netsim.Option{netsim.WithUniformDelay(0, 2*time.Millisecond)},
-		},
-		MaxRounds: 10000,
-	})
+	sc := scenario(alternating(5), 9, 10000)
+	sc.Profile = protocol.Uniform(0, 2*time.Millisecond)
+	runLive(t, sc)
 }
 
 // Timed (virtual-instant) crashes are honored by the virtual engine: the
@@ -195,16 +222,9 @@ func TestTimedCrashVirtual(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 4 of 5 survive — a majority — so the survivors decide.
-	res := runLive(t, Config{
-		N:         5,
-		Proposals: unanimous(5, model.One),
-		Setup: sim.Setup{
-			Seed:       13,
-			Crashes:    sched,
-			NetOptions: []netsim.Option{netsim.WithUniformDelay(200*time.Microsecond, time.Millisecond)},
-		},
-		MaxRounds: 10_000,
-	})
+	sc := scenario(unanimous(5, model.One), 13, 10_000)
+	sc.Faults, sc.Profile = sched, protocol.Uniform(200*time.Microsecond, time.Millisecond)
+	res := runLive(t, sc)
 	if res.Procs[0].Status != sim.StatusCrashed {
 		t.Fatalf("victim = %+v, want crashed", res.Procs[0])
 	}

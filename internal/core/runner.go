@@ -38,15 +38,6 @@ func (a Algorithm) String() string {
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
-// Phases returns the number of phases per round (2 for Algorithm 2, 1 for
-// Algorithm 3) — needed by failure generators.
-func (a Algorithm) Phases() int {
-	if a == LocalCoin {
-		return 2
-	}
-	return 1
-}
-
 // Config describes one consensus execution.
 type Config struct {
 	// Partition is the cluster decomposition (required).
@@ -130,9 +121,8 @@ type Variant struct {
 	NetSalt    uint64
 	SubsetSalt int64
 	CoinSalt   uint64
-	// ErrBadConfig and ErrInvariantBroken wrap the run's configuration and
-	// invariant errors.
-	ErrBadConfig, ErrInvariantBroken error
+	// ErrInvariantBroken wraps the run's invariant errors.
+	ErrInvariantBroken error
 
 	cluster bool // the hybrid's CONS_x[r,ph] step; set only by Run
 }
@@ -143,7 +133,6 @@ var hybrid = Variant{
 	NetSalt:            0xa076_1d64_78bd_642f,
 	SubsetSalt:         0x6c62_272e_07bb_0142,
 	CoinSalt:           0x2545_f491_4f6c_dd1d,
-	ErrBadConfig:       ErrBadConfig,
 	ErrInvariantBroken: ErrInvariantBroken,
 	cluster:            true,
 }
@@ -158,23 +147,23 @@ func (cfg *Config) validate(v *Variant) (int, error) {
 	n := len(cfg.Proposals)
 	if v.cluster {
 		if cfg.Partition == nil {
-			return 0, fmt.Errorf("%w: nil partition", v.ErrBadConfig)
+			return 0, fmt.Errorf("%w: nil partition", ErrBadConfig)
 		}
 		n = cfg.Partition.N()
 	}
 	if n == 0 || len(cfg.Proposals) != n {
-		return 0, fmt.Errorf("%w: %d proposals for %d processes", v.ErrBadConfig, len(cfg.Proposals), n)
+		return 0, fmt.Errorf("%w: %d proposals for %d processes", ErrBadConfig, len(cfg.Proposals), n)
 	}
 	for i, p := range cfg.Proposals {
 		if !p.IsBinary() {
-			return 0, fmt.Errorf("%w: proposal of %v is %v, want 0 or 1", v.ErrBadConfig, model.ProcID(i), p)
+			return 0, fmt.Errorf("%w: proposal of %v is %v, want 0 or 1", ErrBadConfig, model.ProcID(i), p)
 		}
 	}
 	if cfg.Algorithm != LocalCoin && cfg.Algorithm != CommonCoin {
-		return 0, fmt.Errorf("%w: unknown algorithm %d", v.ErrBadConfig, int(cfg.Algorithm))
+		return 0, fmt.Errorf("%w: unknown algorithm %d", ErrBadConfig, int(cfg.Algorithm))
 	}
 	if cfg.MaxRounds < 0 {
-		return 0, fmt.Errorf("%w: negative MaxRounds", v.ErrBadConfig)
+		return 0, fmt.Errorf("%w: negative MaxRounds", ErrBadConfig)
 	}
 	return n, nil
 }

@@ -383,3 +383,12 @@ func TestMaxRoundsBoundsExecution(t *testing.T) {
 		t.Errorf("MaxRound = %d, want 5", res.Metrics.MaxRound)
 	}
 }
+
+// Phases returns the number of phases per round (2 for Algorithm 2, 1 for
+// Algorithm 3) — needed by failure generators.
+func (a Algorithm) Phases() int {
+	if a == LocalCoin {
+		return 2
+	}
+	return 1
+}

@@ -23,10 +23,10 @@ import (
 var ErrBadCrashes = errors.New("driver: crash schedule exceeds the run's process count")
 
 // Config carries the engine knobs shared by every protocol runner; a runner
-// fills MaxVirtualTime, MaxSteps and Crashes from its Config's sim.Setup.
+// fills MaxVirtualTime, MaxSteps and Crashes from its run's sim.Setup.
 // The protocol-specific parts of a run (proposals, partitions, coins, crash
-// step points) stay in the protocol package's own Config; this struct is
-// only about HOW the processes are driven.
+// step points) stay with the protocol; this struct is only about HOW the
+// processes are driven.
 type Config struct {
 	// MaxVirtualTime bounds the virtual clock of a run: once the next
 	// event lies past the bound the run is aborted. Zero means unbounded

@@ -94,12 +94,11 @@ func TestCrashedResponderAnswersNoPull(t *testing.T) {
 	_, err := driver.RunHandlers(dcfg, 2, newNet, func(i int, h *driver.Handle) driver.Reactor {
 		if i == 0 {
 			rn = &run{
-				net:      nw,
-				ctr:      &ctr,
-				procs:    make([]sim.ProcResult, 1),
-				mode:     ModePull, // never sends on ticks: only pull answers
-				rounds:   1 << 20,
-				roundLen: 10 * time.Millisecond,
+				net:    nw,
+				ctr:    &ctr,
+				procs:  make([]sim.ProcResult, 1),
+				mode:   ModePull, // never sends on ticks: only pull answers
+				rounds: 1 << 20,
 			}
 			inner := &reactor{h: h, run: rn, id: 0, infected: true}
 			return &swallowReactor{inner: inner, h: h, holdFrom: 400 * time.Microsecond, holdTo: crashAt}

@@ -1,46 +1,10 @@
-// Package gossip implements round-based epidemic rumor dissemination over
-// a sparse overlay digraph (internal/overlay) — the first member of the
-// sub-quadratic protocol family: msgs/round is Θ(n·d) against the hybrid
-// model's Θ(n²).
-//
-// The protocol computes the OR of the binary proposals: a process
-// proposing 1 starts infected with the rumor; every round, infected
-// processes push the rumor to their d overlay successors (push mode),
-// susceptible processes ask their successors for it (pull mode — an
-// infected recipient answers directly), or both (push&pull, the default).
-// After a fixed round budget every live process decides its local bit:
-// 1 if the rumor reached it, 0 otherwise. Validity is the OR's: "1" is
-// decided only when somebody proposed 1, and a unanimous-0 run decides 0.
-//
-// Unlike classic gossip analyses (uniform random peer per round), the
-// overlay is STATIC, which buys a deterministic guarantee: in push mode
-// the rumor crosses every overlay edge out of an infected process each
-// round, so after diam(G) rounds every process reachable from an infected
-// one holds the rumor (pull is symmetric along the transpose digraph, and
-// a de Bruijn / circulant transpose has the same diameter bound). The
-// round budget follows from a push-phase analysis of that static overlay
-// (budgetRounds): advancing the infection frontier one hop costs at most
-// one tick wait plus one message transit — two transits in pull mode
-// (request, then answer) — so when the maximum transit is known
-// (Config.MaxTransit, derived from the network profile by the Scenario
-// layer), DiameterBound·hopRounds ticks plus fixed slack provably
-// complete dissemination; a crash schedule doubles the diameter term
-// because removing up to Kappa−1 vertices keeps the live subgraph
-// strongly connected but can stretch its diameter. With an unknown
-// transit bound the legacy conservative budget (4·DiameterBound + 24)
-// applies, and the derived budget never exceeds it. With a random-view
-// overlay every figure is with-high-probability, not a guarantee.
-//
-// The implementation is an inline handler reactor (driver.RunHandlers): no
-// goroutines — rounds are Handle.WakeAfter timer ticks, inbox drains are
-// batched, and every send is a per-recipient Network.Send along an overlay
-// edge (never SendAll).
-// The protocol registers as "gossip" with the overlay-topology and
-// sub-quadratic capability flags.
+// Package gossip implements round-based epidemic dissemination of the OR
+// of binary proposals over a sparse overlay digraph (internal/overlay):
+// Θ(n·d) messages per round against the hybrid model's Θ(n²). DESIGN.md §6
+// describes the modes, the round budget and the crash handling.
 package gossip
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -49,8 +13,27 @@ import (
 	"allforone/internal/model"
 	"allforone/internal/netsim"
 	"allforone/internal/overlay"
+	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
+
+// ProtocolName is the registry name of the gossip disseminator.
+const ProtocolName = "gossip"
+
+func init() {
+	protocol.MustRegister(protocol.New(protocol.Info{
+		Name:         ProtocolName,
+		Description:  "epidemic OR-dissemination over a sparse overlay digraph (Θ(n·d) msgs/round)",
+		Proposals:    protocol.ProposalsBinary,
+		HasNetwork:   true,
+		TimedCrashes: true,
+		NeedsOverlay: true,
+		SubQuadratic: true,
+		// The default mode last: the CLI renders the final entry as the
+		// "(default)" algorithm (same convention as the hybrid protocol).
+		Algorithms: []string{"push", "pull", "pushpull"},
+	}, runScenario))
+}
 
 // Mode selects the dissemination direction.
 type Mode int
@@ -92,48 +75,11 @@ func ParseMode(name string) (Mode, error) {
 	return 0, fmt.Errorf("gossip: unknown mode %q (want push, pull, or pushpull)", name)
 }
 
-// DefaultRoundLen is the virtual duration of one gossip round. It
-// comfortably exceeds the repository's profile delays (≤ ~400µs transit
-// outside healing partitions), so a round's sends normally arrive within
-// a couple of rounds; the budget's slack absorbs the rest.
-const DefaultRoundLen = 250 * time.Microsecond
-
-// Config describes one gossip dissemination run.
-type Config struct {
-	// N is the number of processes (required, ≥ 2).
-	N int
-	// Proposals holds each process's binary input (required, length N);
-	// the run computes — and every live process decides — their OR.
-	Proposals []model.Value
-	// Spec is the overlay digraph to disseminate over (required).
-	Spec overlay.Spec
-	// Mode selects push, pull, or push&pull (the zero value).
-	Mode Mode
-	// Setup is the run's seed (network delays, random overlay views), crash
-	// pattern, bounds and delay policy. Only timed crash plans are honored —
-	// a reactor has no benor-style stage points, so step-point plans are
-	// rejected — and MaxSteps 0 derives the sparse default
-	// (sim.StepsLinear).
-	sim.Setup
-	// Rounds caps the round budget: 0 keeps the overlay-derived default
-	// (budgetRounds — hop-cost analysis when MaxTransit is known,
-	// 4·DiameterBound + 24 otherwise); a positive value lower than the
-	// default replaces it (the Bounds.MaxRounds cap semantics — a budget
-	// too small for the diameter can break agreement, exactly like
-	// aborting any protocol early).
-	Rounds int
-	// RoundLen is the virtual duration of one round; 0 = DefaultRoundLen.
-	RoundLen time.Duration
-	// MaxTransit is an upper bound on any single message's transit delay,
-	// used to size the round budget (the Scenario layer derives it from
-	// the network profile via protocol.TransitBound). Zero means: 0
-	// (immediate delivery) when no NetOptions delay policy is installed,
-	// otherwise unknown, which keeps the legacy conservative budget.
-	MaxTransit time.Duration
-}
-
-// ErrBadConfig reports an invalid configuration.
-var ErrBadConfig = errors.New("gossip: invalid configuration")
+// roundLen is the virtual duration of one gossip round. It comfortably
+// exceeds the repository's profile delays (≤ ~400µs transit outside healing
+// partitions), so a round's sends normally arrive within a couple of
+// rounds; the budget's slack absorbs the rest.
+const roundLen = 250 * time.Microsecond
 
 // legacyRounds is the conservative pre-analysis round budget: enough
 // ticks for the rumor to cross the graph several times over plus slack
@@ -155,9 +101,9 @@ func legacyRounds(g *overlay.Graph) int {
 // up to Kappa−1 removals keep the live subgraph strongly connected but
 // may stretch surviving paths. An unknown transit bound falls back to
 // legacyRounds, which also caps the derived figure.
-func budgetRounds(g *overlay.Graph, mode Mode, transit time.Duration, transitKnown bool, roundLen time.Duration, crashed bool) int {
+func budgetRounds(g *overlay.Graph, mode Mode, transit time.Duration, transitKnown bool, crashed bool) int {
 	legacy := legacyRounds(g)
-	if !transitKnown || roundLen <= 0 {
+	if !transitKnown {
 		return legacy
 	}
 	per := transit
@@ -198,13 +144,12 @@ type reactor struct {
 
 // run is what a gossip run's reactors share.
 type run struct {
-	net      *netsim.Network
-	g        *overlay.Graph
-	ctr      *metrics.Counters
-	procs    []sim.ProcResult // the result slots, by process
-	mode     Mode
-	rounds   int           // budget R
-	roundLen time.Duration // tick period
+	net    *netsim.Network
+	g      *overlay.Graph
+	ctr    *metrics.Counters
+	procs  []sim.ProcResult // the result slots, by process
+	mode   Mode
+	rounds int // budget R
 }
 
 // finish records the outcome and retires the reactor.
@@ -229,8 +174,8 @@ func (rx *reactor) React(aborted bool) bool {
 	run := rx.run
 	if !rx.started {
 		rx.started = true
-		rx.tickAt = run.roundLen
-		rx.h.WakeAfter(run.roundLen)
+		rx.tickAt = roundLen
+		rx.h.WakeAfter(roundLen)
 	}
 	if aborted {
 		if rx.h.Killed() {
@@ -273,7 +218,7 @@ func (rx *reactor) React(aborted bool) bool {
 			return rx.finish(sim.StatusDecided, model.Zero)
 		}
 		rx.sendRound()
-		rx.tickAt += run.roundLen
+		rx.tickAt += roundLen
 	}
 	if ticked {
 		rx.h.WakeAfter(rx.tickAt - rx.h.Now())
@@ -304,69 +249,64 @@ func (rx *reactor) sendRound() {
 	}
 }
 
-// Run executes one gossip dissemination instance and returns per-process
-// outcomes.
-func Run(cfg Config) (*sim.Result, error) {
-	if cfg.N < 2 {
-		return nil, fmt.Errorf("%w: need at least two processes, have %d", ErrBadConfig, cfg.N)
-	}
-	if len(cfg.Proposals) != cfg.N {
-		return nil, fmt.Errorf("%w: %d proposals for %d processes", ErrBadConfig, len(cfg.Proposals), cfg.N)
-	}
-	for i, v := range cfg.Proposals {
-		if !v.IsBinary() {
-			return nil, fmt.Errorf("%w: proposal of %v is %v", ErrBadConfig, model.ProcID(i), v)
-		}
-	}
-	switch cfg.Mode {
-	case ModePush, ModePull, ModePushPull:
-	default:
-		return nil, fmt.Errorf("%w: unknown mode %d", ErrBadConfig, int(cfg.Mode))
-	}
-	if cfg.Crashes.HasStepPoints() {
-		return nil, fmt.Errorf("%w: gossip honors only timed crash plans", ErrBadConfig)
-	}
-	if err := cfg.Crashes.ValidateFor(cfg.N); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
-	}
-	g, err := cfg.Spec.Build(cfg.N, cfg.Seed)
+// runScenario runs one registry-validated gossip dissemination instance.
+// Only timed crash plans are honored (the registry rejects step-point
+// plans), and MaxSteps 0 derives the sparse default (sim.StepsLinear). The
+// round budget is budgetRounds' for the profile's transit bound
+// (protocol.TransitBound): immediate delivery when there is no delay
+// policy, unknown — the legacy budget — when the profile has no bound.
+// Bounds.MaxRounds below that budget replaces it (a budget too small for
+// the diameter can break agreement, exactly like aborting any protocol
+// early).
+func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
+	props := sc.Workload.Binary
+	n := len(props)
+	mode, err := ParseMode(sc.Algorithm)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
+		return nil, err
 	}
-	roundLen := cfg.RoundLen
-	if roundLen <= 0 {
-		roundLen = DefaultRoundLen
+	setup, err := sc.Setup()
+	if err != nil {
+		return nil, err
 	}
-	// With no delay policy installed every message arrives at once.
-	transitKnown := cfg.MaxTransit > 0 || len(cfg.NetOptions) == 0
-	rounds := budgetRounds(g, cfg.Mode, cfg.MaxTransit, transitKnown, roundLen, cfg.Crashes.HasTimed())
-	if cfg.Rounds > 0 && cfg.Rounds < rounds {
-		rounds = cfg.Rounds
+	// The registry validated the spec for n (overlay.Spec.Validate: n ≥ 2
+	// and a degree that fits), so a failure here is the build's own.
+	g, err := sc.Topology.Overlay.Build(n, setup.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", protocol.ErrBadScenario, err)
+	}
+	// TransitBound is 0 for a profile without a bound; with no delay policy
+	// installed every message arrives at once.
+	transit, _ := protocol.TransitBound(sc.Profile, n)
+	transitKnown := transit > 0 || len(setup.NetOptions) == 0
+	rounds := budgetRounds(g, mode, transit, transitKnown, setup.Crashes.HasTimed())
+	if r := sc.Bounds.MaxRounds; r > 0 && r < rounds {
+		rounds = r
 	}
 
 	var ctr metrics.Counters
-	rn := &run{g: g, ctr: &ctr, procs: make([]sim.ProcResult, cfg.N), mode: cfg.Mode, rounds: rounds, roundLen: roundLen}
+	rn := &run{g: g, ctr: &ctr, procs: make([]sim.ProcResult, n), mode: mode, rounds: rounds}
 	dcfg := driver.Config{
-		MaxVirtualTime: cfg.MaxVirtualTime,
-		MaxSteps:       cfg.MaxSteps,
-		Crashes:        cfg.Crashes,
+		MaxVirtualTime: setup.MaxVirtualTime,
+		MaxSteps:       setup.MaxSteps,
+		Crashes:        setup.Crashes,
 		Complexity:     sim.StepsLinear,
 	}
-	newNet := driver.StandardNet(&rn.net, cfg.N, uint64(cfg.Seed)^0x5ab3_02e9_cc41_7d16, &ctr, 0, 0, cfg.NetOptions...)
+	newNet := driver.StandardNet(&rn.net, n, uint64(setup.Seed)^0x5ab3_02e9_cc41_7d16, &ctr, 0, 0, setup.NetOptions...)
 	// One pooled allocation for all reactor state — at n=100k the
 	// per-reactor allocations otherwise dominate setup.
-	rxs := make([]reactor, cfg.N)
-	out, err := driver.RunHandlers(dcfg, cfg.N, newNet, func(i int, h *driver.Handle) driver.Reactor {
+	rxs := make([]reactor, n)
+	out, err := driver.RunHandlers(dcfg, n, newNet, func(i int, h *driver.Handle) driver.Reactor {
 		rxs[i] = reactor{
 			h:        h,
 			run:      rn,
 			id:       model.ProcID(i),
-			infected: cfg.Proposals[i] == model.One,
+			infected: props[i] == model.One,
 		}
 		return &rxs[i]
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &sim.Result{Procs: rn.procs, Metrics: ctr.Read(), Engine: out}, nil
+	return protocol.BinaryOutcome(ProtocolName, &sim.Result{Procs: rn.procs, Metrics: ctr.Read(), Engine: out}), nil
 }

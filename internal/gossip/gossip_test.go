@@ -9,8 +9,8 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
-	"allforone/internal/netsim"
 	"allforone/internal/overlay"
+	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
 
@@ -22,18 +22,30 @@ func binProposals(n int, ones ...int) []model.Value {
 	return ps
 }
 
-func baseConfig(n int, spec overlay.Spec, ones ...int) Config {
-	return Config{
-		N:         n,
-		Proposals: binProposals(n, ones...),
-		Spec:      spec,
-		Setup: sim.Setup{
-			Seed:       42,
-			NetOptions: []netsim.Option{netsim.WithUniformDelay(0, 200*time.Microsecond)},
-		},
-		MaxTransit: 200 * time.Microsecond,
+// baseConfig is a gossip run on spec under a 0–200µs band, whose transit
+// bound sizes the round budget.
+func baseConfig(n int, spec overlay.Spec, ones ...int) protocol.Scenario {
+	return protocol.Scenario{
+		Protocol: ProtocolName,
+		Topology: protocol.Topology{N: n, Overlay: &spec},
+		Workload: protocol.Workload{Binary: binProposals(n, ones...)},
+		Seed:     42,
+		Profile:  protocol.Uniform(0, 200*time.Microsecond),
 	}
 }
+
+// runSim runs sc through the registry and returns gossip's raw result.
+func runSim(sc protocol.Scenario) (*sim.Result, error) {
+	out, err := protocol.Run(sc)
+	if err != nil {
+		return nil, err
+	}
+	return out.Raw.(*sim.Result), nil
+}
+
+// opaqueProfile is a delay policy protocol.TransitBound cannot bound: a
+// profile behind a type it does not know.
+type opaqueProfile struct{ protocol.NetworkProfile }
 
 func requireAllDecide(t *testing.T, res *sim.Result, want model.Value) {
 	t.Helper()
@@ -56,8 +68,8 @@ func TestAllModesDisseminateOnAllFamilies(t *testing.T) {
 	for _, spec := range specs {
 		for _, mode := range []Mode{ModePushPull, ModePush, ModePull} {
 			cfg := baseConfig(33, spec, 5)
-			cfg.Mode = mode
-			res, err := Run(cfg)
+			cfg.Algorithm = mode.String()
+			res, err := runSim(cfg)
 			if err != nil {
 				t.Fatalf("%v/%v: %v", spec.Kind, mode, err)
 			}
@@ -72,8 +84,8 @@ func TestAllModesDisseminateOnAllFamilies(t *testing.T) {
 func TestUnanimousZeroDecidesZero(t *testing.T) {
 	for _, mode := range []Mode{ModePushPull, ModePush, ModePull} {
 		cfg := baseConfig(17, overlay.Spec{Kind: overlay.KindDeBruijn, Degree: 2})
-		cfg.Mode = mode
-		res, err := Run(cfg)
+		cfg.Algorithm = mode.String()
+		res, err := runSim(cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -90,11 +102,11 @@ func TestUnanimousZeroDecidesZero(t *testing.T) {
 // survivors decide 1.
 func TestSurvivesMinorityCrashes(t *testing.T) {
 	cfg := baseConfig(7, overlay.Spec{Kind: overlay.KindCirculant, Degree: 3}, 3)
-	cfg.Crashes = failures.NewSchedule(7)
-	if err := errors.Join(cfg.Crashes.SetTimed(0, 300*time.Microsecond), cfg.Crashes.SetTimed(6, 300*time.Microsecond)); err != nil {
+	cfg.Faults = failures.NewSchedule(7)
+	if err := errors.Join(cfg.Faults.SetTimed(0, 300*time.Microsecond), cfg.Faults.SetTimed(6, 300*time.Microsecond)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(cfg)
+	res, err := runSim(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +122,8 @@ func TestSurvivesMinorityCrashes(t *testing.T) {
 // row lacks: n = 64 on a random overlay with two rumor sources.
 func TestDeterministicReplay(t *testing.T) {
 	cfg := baseConfig(64, overlay.Spec{Kind: overlay.KindRandom, Degree: 4, Seed: 11}, 0, 63)
-	a, errA := Run(cfg)
-	b, errB := Run(cfg)
+	a, errA := runSim(cfg)
+	b, errB := runSim(cfg)
 	if err := errors.Join(errA, errB); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +138,7 @@ func TestDeterministicReplay(t *testing.T) {
 func TestMessageCountStaysSubQuadratic(t *testing.T) {
 	n, d := 128, 4
 	cfg := baseConfig(n, overlay.Spec{Kind: overlay.KindDeBruijn, Degree: d}, 1)
-	res, err := Run(cfg)
+	res, err := runSim(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +157,8 @@ func TestMessageCountStaysSubQuadratic(t *testing.T) {
 // default replaces it; a larger one does not inflate the budget.
 func TestRoundsCapReplacesDefault(t *testing.T) {
 	cfg := baseConfig(33, overlay.Spec{Kind: overlay.KindDeBruijn, Degree: 2}, 2)
-	cfg.Rounds = 3 // far below the default, and below the diameter's needs
-	res, err := Run(cfg)
+	cfg.Bounds.MaxRounds = 3 // far below the default, and below the diameter's needs
+	res, err := runSim(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,16 +168,16 @@ func TestRoundsCapReplacesDefault(t *testing.T) {
 		}
 	}
 
-	cfg.Rounds = 1 << 20 // a huge cap must keep the default, not inflate it
-	res, err = Run(cfg)
+	cfg.Bounds.MaxRounds = 1 << 20 // a huge cap must keep the default, not inflate it
+	res, err = runSim(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := cfg.Spec.Build(cfg.N, cfg.Seed)
+	g, err := cfg.Topology.Overlay.Build(cfg.Topology.N, cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := budgetRounds(g, cfg.Mode, cfg.MaxTransit, true, DefaultRoundLen, false)
+	want := budgetRounds(g, ModePushPull, 200*time.Microsecond, true, false)
 	if res.Procs[0].Round != want {
 		t.Fatalf("proc 0 ended at round %d, want the default %d", res.Procs[0].Round, want)
 	}
@@ -183,61 +195,60 @@ func TestBudgetRoundsDerivation(t *testing.T) {
 	}
 	d := g.DiameterBound()
 	legacy := legacyRounds(g)
-	transit := 200 * time.Microsecond
-	rl := DefaultRoundLen // 250µs: one push transit fits in one extra tick
+	transit := 200 * time.Microsecond // under roundLen, 250µs: one push transit fits in one extra tick
 
-	if got := budgetRounds(g, ModePushPull, transit, false, rl, false); got != legacy {
+	if got := budgetRounds(g, ModePushPull, transit, false, false); got != legacy {
 		t.Fatalf("unknown transit: budget %d, want legacy %d", got, legacy)
 	}
-	push := budgetRounds(g, ModePushPull, transit, true, rl, false)
+	push := budgetRounds(g, ModePushPull, transit, true, false)
 	if want := 2*d + 12; push != want {
 		t.Fatalf("push&pull budget %d, want D·(1+⌈transit/roundLen⌉)+12 = %d", push, want)
 	}
 	if push >= legacy {
 		t.Fatalf("derived budget %d not below legacy %d", push, legacy)
 	}
-	pull := budgetRounds(g, ModePull, transit, true, rl, false)
+	pull := budgetRounds(g, ModePull, transit, true, false)
 	if want := 3*d + 12; pull != want {
 		t.Fatalf("pull budget %d, want D·(1+⌈2·transit/roundLen⌉)+12 = %d", pull, want)
 	}
-	crashed := budgetRounds(g, ModePushPull, transit, true, rl, true)
+	crashed := budgetRounds(g, ModePushPull, transit, true, true)
 	if want := 4*d + 12; crashed != want {
 		t.Fatalf("crashed budget %d, want 2D·hop+12 = %d", crashed, want)
 	}
-	if got := budgetRounds(g, ModePushPull, time.Hour, true, rl, false); got != legacy {
+	if got := budgetRounds(g, ModePushPull, time.Hour, true, false); got != legacy {
 		t.Fatalf("huge transit: budget %d, want the legacy cap %d", got, legacy)
 	}
-	if got := budgetRounds(g, ModePushPull, 0, true, rl, false); got != d+12 {
+	if got := budgetRounds(g, ModePushPull, 0, true, false); got != d+12 {
 		t.Fatalf("immediate delivery: budget %d, want D+12 = %d", got, d+12)
 	}
 }
 
 // TestRunDerivesTransitBound pins, through Run, the transit bound the round
-// budget is sized with: MaxTransit when it is set; immediate delivery when no
-// delay policy is installed (push&pull budget D+12); and unknown when a delay
-// policy is installed without MaxTransit (the legacy 4·D+24).
+// budget is sized with: the profile's protocol.TransitBound when it has one;
+// immediate delivery when there is no profile (push&pull budget D+12); and
+// unknown when the profile has no bound (the legacy 4·D+24).
 func TestRunDerivesTransitBound(t *testing.T) {
 	spec := overlay.Spec{Kind: overlay.KindDeBruijn, Degree: 3}
 	withTransit := baseConfig(81, spec, 1)
-	g, err := spec.Build(withTransit.N, withTransit.Seed)
+	g, err := spec.Build(withTransit.Topology.N, withTransit.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := g.DiameterBound()
 	noPolicy := withTransit
-	noPolicy.NetOptions, noPolicy.MaxTransit = nil, 0
+	noPolicy.Profile = nil
 	unknown := withTransit
-	unknown.MaxTransit = 0
+	unknown.Profile = opaqueProfile{withTransit.Profile}
 	for _, tc := range []struct {
 		name string
-		cfg  Config
+		cfg  protocol.Scenario
 		want int
 	}{
-		{"MaxTransit set", withTransit, 2*d + 12},
+		{"bounded profile", withTransit, 2*d + 12},
 		{"no delay policy", noPolicy, d + 12},
-		{"delay policy without MaxTransit", unknown, 4*d + 24},
+		{"profile without a bound", unknown, 4*d + 24},
 	} {
-		res, err := Run(tc.cfg)
+		res, err := runSim(tc.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -252,37 +263,40 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 	good := baseConfig(8, overlay.Spec{Kind: overlay.KindDeBruijn, Degree: 2}, 1)
 	cases := []struct {
 		name string
-		mut  func(*Config)
+		mut  func(*protocol.Scenario)
 	}{
-		{"too few procs", func(c *Config) { c.N = 1; c.Proposals = c.Proposals[:1] }},
-		{"proposal count", func(c *Config) { c.Proposals = c.Proposals[:3] }},
-		{"non-binary proposal", func(c *Config) {
-			ps := append([]model.Value(nil), c.Proposals...)
-			ps[0] = 9
-			c.Proposals = ps
+		{"too few procs", func(c *protocol.Scenario) {
+			c.Topology = protocol.Topology{N: 1, Overlay: &overlay.Spec{Kind: overlay.KindCirculant}}
+			c.Workload.Binary = c.Workload.Binary[:1]
 		}},
-		{"unknown mode", func(c *Config) { c.Mode = Mode(42) }},
-		{"step-point crashes", func(c *Config) {
-			s := failures.NewSchedule(c.N)
+		{"proposal count", func(c *protocol.Scenario) { c.Workload.Binary = c.Workload.Binary[:3] }},
+		{"non-binary proposal", func(c *protocol.Scenario) {
+			ps := append([]model.Value(nil), c.Workload.Binary...)
+			ps[0] = 9
+			c.Workload.Binary = ps
+		}},
+		{"unknown mode", func(c *protocol.Scenario) { c.Algorithm = "flood" }},
+		{"step-point crashes", func(c *protocol.Scenario) {
+			s := failures.NewSchedule(c.Topology.N)
 			if err := s.Set(0, failures.Crash{At: failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart}}); err != nil {
 				t.Fatal(err)
 			}
-			c.Crashes = s
+			c.Faults = s
 		}},
-		{"bad overlay", func(c *Config) { c.Spec = overlay.Spec{Kind: overlay.KindDeBruijn, Degree: 1} }},
-		{"oversized crash schedule", func(c *Config) {
+		{"bad overlay", func(c *protocol.Scenario) { c.Topology.Overlay = &overlay.Spec{Kind: overlay.KindDeBruijn, Degree: 1} }},
+		{"oversized crash schedule", func(c *protocol.Scenario) {
 			s := failures.NewSchedule(64)
 			if err := s.SetTimed(33, time.Millisecond); err != nil {
 				t.Fatal(err)
 			}
-			c.Crashes = s
+			c.Faults = s
 		}},
 	}
 	for _, tc := range cases {
 		cfg := good
 		tc.mut(&cfg)
-		if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
-			t.Errorf("%s: err = %v, want ErrBadConfig", tc.name, err)
+		if _, err := protocol.Run(cfg); !errors.Is(err, protocol.ErrBadScenario) {
+			t.Errorf("%s: err = %v, want ErrBadScenario", tc.name, err)
 		}
 	}
 }

@@ -1,35 +1,7 @@
-// Package harness runs the repository's experiment suite: for every figure
-// and quantitative claim of the paper (there are no result tables — it is a
-// theory paper, see DESIGN.md §1), a harness function executes seeded
-// multi-trial simulations and renders the measurement as a text table, the
-// way the paper's evaluation section would report it.
-//
-// Experiments:
-//
-//	E1 — Figure 1 decompositions: cost profile of both n=7, m=3 layouts.
-//	E2 — majority crash: one survivor in a majority cluster decides
-//	     (hybrid) while pure message passing blocks.
-//	E3 — common-coin round distribution: expected ≈ 2 rounds (§IV).
-//	E4 — rounds vs cluster count at fixed n (m=n degenerates to Ben-Or).
-//	E5 — consensus-object cost: hybrid (m per phase, 1 per process) vs
-//	     m&m (n per phase, α_i+1 per process) (§III-C).
-//	E6 — message complexity: Θ(n²) messages per round.
-//	E7 — extreme configurations: m=1 vs native shared memory, m=n vs
-//	     native Ben-Or (§II-A).
-//	E8 — indulgence: no decision, and no unsafe decision, when the
-//	     liveness condition fails (§III-B).
-//	E9 — the extension stack (multivalued, register, log) under E2's crash.
-//	E10, E10D — sparse overlays: msgs/round vs n at fixed degree d, and
-//	     vs d at fixed n (diameter and κ against cost).
-//	A1 — ablations: what closure and cluster consensus buy.
-//
-// Every experiment builds its trial Scenarios up front, in trial order, and
-// runs them on one worker pool: Sweep, which holds each Outcome to
-// protocol.Check and fails on the first violation, or SweepCollect plus
-// Check where a row counts violations (E8). Outcomes are folded in trial
-// order, so findings and tables do not depend on Options.Parallelism. A1's
-// ablations, which no Scenario can express, run core.Run per trial on the
-// same pool and answer to Check as well.
+// Package harness runs the repository's experiment suite, E1–E10, E10D
+// and A1: each experiment builds its trial Scenarios up front, runs them on
+// one worker pool under protocol.Check, and renders its measurement as a
+// text table. DESIGN.md §8 describes the pool and the experiments.
 package harness
 
 import (

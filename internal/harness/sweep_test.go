@@ -55,8 +55,8 @@ func TestSweepPropagatesErrors(t *testing.T) {
 	t.Parallel()
 	scs := sweepScenarios(5)
 	scs[3].Workload.Binary = nil // invalid: wrong proposal count
-	if _, err := Sweep(scs, 4); !errors.Is(err, core.ErrBadConfig) {
-		t.Fatalf("err = %v, want ErrBadConfig", err)
+	if _, err := Sweep(scs, 4); !errors.Is(err, protocol.ErrBadScenario) {
+		t.Fatalf("err = %v, want ErrBadScenario", err)
 	}
 }
 

@@ -4,14 +4,35 @@ import (
 	"errors"
 	"fmt"
 
-	"allforone/internal/coin"
 	"allforone/internal/consensusobj"
 	"allforone/internal/core"
 	"allforone/internal/model"
-	"allforone/internal/sim"
+	"allforone/internal/protocol"
 )
 
-// Config describes one m&m consensus execution.
+// ProtocolName is the registry name of the m&m comparator.
+const ProtocolName = "mm"
+
+// ErrInvariantBroken reports a run that broke the round machine's
+// invariant.
+var ErrInvariantBroken = errors.New("mm: protocol invariant broken")
+
+func init() {
+	protocol.MustRegister(protocol.New(protocol.Info{
+		Name:         ProtocolName,
+		Description:  "m&m-model consensus comparator (graph-induced overlapping memories, Aguilera et al.)",
+		Proposals:    protocol.ProposalsBinary,
+		NeedsGraph:   true,
+		HasNetwork:   true,
+		StageCrashes: true,
+		TimedCrashes: true,
+	}, runScenario))
+}
+
+// runScenario runs one m&m consensus instance of a registry-validated
+// scenario: Ben-Or's algorithm on core's round machine (core.RunVariant)
+// with the memory step before each exchange. Result.ConsInvocations and
+// ConsAllocations are indexed by center process.
 //
 // The algorithm is the structural m&m analog of the paper's Algorithm 2,
 // faithful to the cost model of §III-C (not a re-implementation of
@@ -22,38 +43,16 @@ import (
 // exchange then counts supporters per process: because memory domains
 // overlap, the cluster-closure ("one for all") accounting of the hybrid
 // model is unsound here, exactly as the paper observes.
-type Config struct {
-	// Graph induces the shared-memory domains (required).
-	Graph *Graph
-	// Proposals holds each process's binary proposal (required, length n).
-	Proposals []model.Value
-	// Setup is the run's seed, crash pattern, bounds and delay policy.
-	sim.Setup
-	// MaxRounds bounds execution; 0 = unbounded.
-	MaxRounds int
-	// LocalCoinOverride, when non-nil, supplies each process's coin.
-	LocalCoinOverride func(p model.ProcID) coin.Local
-}
-
-// Errors returned by Run.
-var (
-	ErrBadConfig       = errors.New("mm: invalid configuration")
-	ErrInvariantBroken = errors.New("mm: protocol invariant broken")
-)
-
-// Run executes one m&m consensus instance and returns per-process outcomes:
-// Ben-Or's algorithm on core's round machine (core.RunVariant) with the
-// memory step before each exchange. Result.ConsInvocations/ConsAllocations
-// are indexed by center process.
-func Run(cfg Config) (*sim.Result, error) {
-	if cfg.Graph == nil {
-		return nil, fmt.Errorf("%w: nil graph", ErrBadConfig)
+func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
+	n := len(sc.Workload.Binary)
+	g, err := NewGraph(n, sc.Topology.MMEdges)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", protocol.ErrBadScenario, err)
 	}
-	n := cfg.Graph.N()
-	if len(cfg.Proposals) != n {
-		return nil, fmt.Errorf("%w: %d proposals for %d processes", ErrBadConfig, len(cfg.Proposals), n)
+	setup, err := sc.Setup()
+	if err != nil {
+		return nil, err
 	}
-
 	arrays := consensusobj.NewArrays(n)
 	// memoryPropose performs the m&m shared-memory step of one phase:
 	// propose est to the consensus object of every accessible memory (own
@@ -61,22 +60,20 @@ func Run(cfg Config) (*sim.Result, error) {
 	// the value decided by the own-centered object.
 	memoryPropose := func(p model.ProcID, r, ph int, est model.Value) model.Value {
 		own := arrays[p].Propose(r, ph, est)
-		for _, q := range cfg.Graph.Neighbors(p) {
+		for _, q := range g.Neighbors(p) {
 			arrays[q].Propose(r, ph, est)
 		}
 		return own
 	}
 	res, err := core.RunVariant(core.Config{
-		Setup:             cfg.Setup,
-		Proposals:         cfg.Proposals,
-		Algorithm:         core.LocalCoin,
-		MaxRounds:         cfg.MaxRounds,
-		LocalCoinOverride: cfg.LocalCoinOverride,
+		Setup:     setup,
+		Proposals: sc.Workload.Binary,
+		Algorithm: core.LocalCoin,
+		MaxRounds: sc.Bounds.MaxRounds,
 	}, core.Variant{
 		Memory:             memoryPropose,
 		NetSalt:            0xc2b2_ae3d_27d4_eb4f,
 		SubsetSalt:         0x1216_d5d9_8979_fb1b,
-		ErrBadConfig:       ErrBadConfig,
 		ErrInvariantBroken: ErrInvariantBroken,
 	})
 	if err != nil {
@@ -89,5 +86,5 @@ func Run(cfg Config) (*sim.Result, error) {
 		res.ConsAllocations[i] = arrays[i].Allocations()
 		res.Metrics.ConsInvocations += res.ConsInvocations[i]
 	}
-	return res, nil
+	return protocol.BinaryOutcome(ProtocolName, res), nil
 }

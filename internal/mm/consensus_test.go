@@ -9,7 +9,6 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
-	"allforone/internal/netsim"
 	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
@@ -42,16 +41,34 @@ func rendered(vs []model.Value) []string {
 	return out
 }
 
-// runLive runs cfg and fails unless the run is safe — agreement, validity —
-// and every live process decided.
-func runLive(t *testing.T, cfg Config) *sim.Result {
+// scenario is an m&m run of proposals on g.
+func scenario(g *Graph, proposals []model.Value, seed int64, maxRounds int) protocol.Scenario {
+	return protocol.Scenario{
+		Protocol: ProtocolName,
+		Topology: protocol.Topology{N: g.N(), MMEdges: g.EdgeList()},
+		Workload: protocol.Workload{Binary: proposals},
+		Seed:     seed,
+		Bounds:   protocol.Bounds{MaxRounds: maxRounds},
+	}
+}
+
+// run runs sc through the registry and returns the m&m raw result.
+func run(t *testing.T, sc protocol.Scenario) *sim.Result {
 	t.Helper()
-	res, err := Run(cfg)
+	out, err := protocol.Run(sc)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	return out.Raw.(*sim.Result)
+}
+
+// runLive runs sc and fails unless the run is safe — agreement, validity —
+// and every live process decided.
+func runLive(t *testing.T, sc protocol.Scenario) *sim.Result {
+	t.Helper()
+	res := run(t, sc)
 	out := outcome(res)
-	if err := errors.Join(out.CheckAgreement(), out.CheckValidity(rendered(cfg.Proposals))); err != nil {
+	if err := errors.Join(out.CheckAgreement(), out.CheckValidity(rendered(sc.Workload.Binary))); err != nil {
 		t.Fatal(err)
 	}
 	if !out.AllLiveDecided() {
@@ -69,16 +86,24 @@ var atStart = failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart
 func TestRunConfigValidation(t *testing.T) {
 	t.Parallel()
 	g := Fig2()
-	cases := []Config{
-		{Proposals: unanimous(5, model.One)},
-		{Graph: g, Proposals: unanimous(3, model.One)},
-		{Graph: g, Proposals: []model.Value{model.One, model.One, model.Bot, model.One, model.One}},
-		{Graph: g, Proposals: unanimous(5, model.One), MaxRounds: -1},
+	noGraph := scenario(g, unanimous(5, model.One), 0, 0)
+	noGraph.Topology.MMEdges = nil
+	badEdge := scenario(g, unanimous(5, model.One), 0, 0)
+	badEdge.Topology.MMEdges = [][2]int{{0, 0}}
+	cases := []protocol.Scenario{
+		noGraph,
+		scenario(g, unanimous(3, model.One), 0, 0),
+		scenario(g, []model.Value{model.One, model.One, model.Bot, model.One, model.One}, 0, 0),
+		scenario(g, unanimous(5, model.One), 0, -1),
+		badEdge,
 	}
-	for i, cfg := range cases {
-		if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
-			t.Errorf("case %d: error = %v, want ErrBadConfig", i, err)
+	for i, sc := range cases {
+		if _, err := protocol.Run(sc); !errors.Is(err, protocol.ErrBadScenario) {
+			t.Errorf("case %d: error = %v, want ErrBadScenario", i, err)
 		}
+	}
+	if _, err := protocol.Run(badEdge); !errors.Is(err, ErrBadGraph) {
+		t.Errorf("self-loop: error = %v, want ErrBadGraph too", err)
 	}
 }
 
@@ -96,7 +121,7 @@ func TestUnanimousDecides(t *testing.T) {
 		name, g := name, g
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			res := runLive(t, Config{Graph: g, Proposals: unanimous(g.N(), model.One), Setup: sim.Setup{Seed: 7}, MaxRounds: 100})
+			res := runLive(t, scenario(g, unanimous(g.N(), model.One), 7, 100))
 			if val, _, _ := outcome(res).Decided(); val != model.One.String() {
 				t.Errorf("decided %v, want 1", val)
 			}
@@ -113,7 +138,7 @@ func TestSplitProposalsSafeAndLive(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			t.Parallel()
-			runLive(t, Config{Graph: Fig2(), Proposals: alternating(5), Setup: sim.Setup{Seed: seed}, MaxRounds: 10000})
+			runLive(t, scenario(Fig2(), alternating(5), seed, 10000))
 		})
 	}
 }
@@ -124,15 +149,7 @@ func TestSplitProposalsSafeAndLive(t *testing.T) {
 func TestMeasuredInvocationCounts(t *testing.T) {
 	t.Parallel()
 	g := Fig2()
-	res, err := Run(Config{
-		Graph:     g,
-		Proposals: unanimous(5, model.Zero),
-		Setup:     sim.Setup{Seed: 3},
-		MaxRounds: 10,
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := run(t, scenario(g, unanimous(5, model.Zero), 3, 10))
 	if got := outcome(res).MaxDecisionRound(); got != 1 {
 		t.Fatalf("decision round = %d, want 1 (unanimous)", got)
 	}
@@ -162,7 +179,9 @@ func TestCrashToleranceMinority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runLive(t, Config{Graph: Fig2(), Proposals: alternating(5), Setup: sim.Setup{Seed: 13, Crashes: sched}, MaxRounds: 10000})
+	sc := scenario(Fig2(), alternating(5), 13, 10000)
+	sc.Faults = sched
+	runLive(t, sc)
 }
 
 // The m&m model cannot beat the classical majority requirement: unlike the
@@ -175,10 +194,9 @@ func TestNoOneForAllProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{Graph: Fig2(), Proposals: unanimous(5, model.One), Setup: sim.Setup{Seed: 2, Crashes: sched}})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	sc := scenario(Fig2(), unanimous(5, model.One), 2, 0)
+	sc.Faults = sched
+	res := run(t, sc)
 	if _, _, decided := outcome(res).Decided(); decided {
 		t.Fatal("m&m run decided despite majority crash — the model has no one-for-all closure")
 	}
@@ -194,7 +212,7 @@ func TestNoOneForAllProperty(t *testing.T) {
 // crashing mid-broadcast and p5 at 3 ms, over three seeds.
 func TestReplayBitReproducible(t *testing.T) {
 	t.Parallel()
-	config := func(seed int64) Config {
+	config := func(seed int64) protocol.Scenario {
 		sched := failures.NewSchedule(5)
 		err := errors.Join(
 			sched.Set(1, failures.Crash{At: failures.Point{Round: 1, Phase: 1, Stage: failures.StageMidBroadcast}}),
@@ -202,23 +220,12 @@ func TestReplayBitReproducible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Config{
-			Graph:     Fig2(),
-			Proposals: oneZero,
-			Setup: sim.Setup{
-				Seed:       seed,
-				Crashes:    sched,
-				NetOptions: []netsim.Option{netsim.WithUniformDelay(0, 2*time.Millisecond)},
-			},
-			MaxRounds: 10_000,
-		}
+		sc := scenario(Fig2(), oneZero, seed, 10_000)
+		sc.Faults, sc.Profile = sched, protocol.Uniform(0, 2*time.Millisecond)
+		return sc
 	}
 	for _, seed := range []int64{1, 42, 917} {
-		res1, err1 := Run(config(seed))
-		res2, err2 := Run(config(seed))
-		if err := errors.Join(err1, err2); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		res1, res2 := run(t, config(seed)), run(t, config(seed))
 		if !reflect.DeepEqual(res1, res2) || res1.Steps == 0 {
 			t.Errorf("seed %d: Results diverged or took no step:\n  run1: %+v\n  run2: %+v", seed, res1, res2)
 		}
@@ -262,10 +269,9 @@ func TestVirtualQuiescenceBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	res, err := Run(Config{Graph: Fig2(), Proposals: unanimous(5, model.One), Setup: sim.Setup{Seed: 9, Crashes: sched}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := scenario(Fig2(), unanimous(5, model.One), 9, 0)
+	sc.Faults = sched
+	res := run(t, sc)
 	if wall := time.Since(start); wall > 5*time.Second {
 		t.Errorf("blocked verdict took %v of real time", wall)
 	}

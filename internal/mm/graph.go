@@ -98,20 +98,6 @@ func Fig2() *Graph {
 	return MustGraph(5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {2, 4}, {3, 4}})
 }
 
-// Complete returns the complete graph K_n (every memory shared by all).
-func Complete(n int) (*Graph, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: need at least one process", ErrBadGraph)
-	}
-	var edges [][2]int
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			edges = append(edges, [2]int{i, j})
-		}
-	}
-	return NewGraph(n, edges)
-}
-
 // Ring returns the cycle graph C_n (n ≥ 3).
 func Ring(n int) (*Graph, error) {
 	if n < 3 {

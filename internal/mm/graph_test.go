@@ -2,6 +2,7 @@ package mm
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"allforone/internal/model"
@@ -137,4 +138,18 @@ func TestGraphGenerators(t *testing.T) {
 	if _, err := Star(1); err == nil {
 		t.Error("Star(1) should fail")
 	}
+}
+
+// Complete returns the complete graph K_n (every memory shared by all).
+func Complete(n int) (*Graph, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("%w: need at least one process", ErrBadGraph)
+	}
+	var edges [][2]int
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			edges = append(edges, [2]int{i, j})
+		}
+	}
+	return NewGraph(n, edges)
 }

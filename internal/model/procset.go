@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"math/bits"
 	"strings"
 )
 
@@ -49,13 +48,6 @@ func (s *ProcSet) Add(p ProcID) {
 	}
 }
 
-// AddAll inserts every id in ps.
-func (s *ProcSet) AddAll(ps []ProcID) {
-	for _, p := range ps {
-		s.Add(p)
-	}
-}
-
 // Contains reports whether p is in the set.
 func (s *ProcSet) Contains(p ProcID) bool {
 	i := int(p)
@@ -66,44 +58,8 @@ func (s *ProcSet) Contains(p ProcID) bool {
 }
 
 // Count returns the cardinality of the set. It is O(1): mutators keep the
-// count up to date, so the per-message exit-condition check of Algorithm 1
-// (IsMajority after every accounted sender) costs no bitmap scan.
+// count up to date, so reading it costs no bitmap scan.
 func (s *ProcSet) Count() int { return s.cnt }
-
-// UnionInto adds every member of other into s. The two sets must range over
-// the same universe; mismatched sets are merged over the shorter word span.
-// Only other's populated word span is visited, so merging a small dense set
-// (a cluster closure) into a wide one costs O(|span|), not O(n/64) —
-// Quorum.Add, run once per received message, rides on this.
-func (s *ProcSet) UnionInto(other *ProcSet) {
-	if other == nil {
-		return
-	}
-	lo, hi := other.lo, other.hi
-	if k := len(s.words); hi >= k {
-		hi = k - 1
-	}
-	for i := lo; i <= hi; i++ {
-		old := s.words[i]
-		merged := old | other.words[i]
-		if merged != old {
-			s.words[i] = merged
-			s.cnt += bits.OnesCount64(merged &^ old)
-		}
-	}
-	if lo <= hi {
-		if lo < s.lo {
-			s.lo = lo
-		}
-		if hi > s.hi {
-			s.hi = hi
-		}
-	}
-}
-
-// IsMajority reports whether the set covers a strict majority of the
-// universe (|s| > n/2), the exit condition of Algorithm 1 line 7.
-func (s *ProcSet) IsMajority() bool { return 2*s.Count() > s.n }
 
 // Clone returns an independent copy of the set.
 func (s *ProcSet) Clone() *ProcSet {

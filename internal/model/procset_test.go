@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -161,3 +162,44 @@ func TestProcSetCountMatchesDistinctInsertions(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// AddAll inserts every id in ps.
+func (s *ProcSet) AddAll(ps []ProcID) {
+	for _, p := range ps {
+		s.Add(p)
+	}
+}
+
+// UnionInto adds every member of other into s. The two sets must range over
+// the same universe; mismatched sets are merged over the shorter word span.
+// Only other's populated word span is visited, so merging a small dense set
+// (a cluster closure) into a wide one costs O(|span|), not O(n/64).
+func (s *ProcSet) UnionInto(other *ProcSet) {
+	if other == nil {
+		return
+	}
+	lo, hi := other.lo, other.hi
+	if k := len(s.words); hi >= k {
+		hi = k - 1
+	}
+	for i := lo; i <= hi; i++ {
+		old := s.words[i]
+		merged := old | other.words[i]
+		if merged != old {
+			s.words[i] = merged
+			s.cnt += bits.OnesCount64(merged &^ old)
+		}
+	}
+	if lo <= hi {
+		if lo < s.lo {
+			s.lo = lo
+		}
+		if hi > s.hi {
+			s.hi = hi
+		}
+	}
+}
+
+// IsMajority reports whether the set covers a strict majority of the
+// universe (|s| > n/2), the exit condition of Algorithm 1 line 7.
+func (s *ProcSet) IsMajority() bool { return 2*s.Count() > s.n }

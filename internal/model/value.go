@@ -33,18 +33,6 @@ func (v Value) IsBinary() bool { return v == Zero || v == One }
 // Valid reports whether v is one of the three model values.
 func (v Value) Valid() bool { return v == Bot || v.IsBinary() }
 
-// Opposite returns the other binary value. It panics if v is not binary;
-// callers must only invoke it on validated protocol state.
-func (v Value) Opposite() Value {
-	switch v {
-	case Zero:
-		return One
-	case One:
-		return Zero
-	}
-	panic(fmt.Sprintf("model: Opposite of non-binary value %d", int8(v)))
-}
-
 // String renders the value the way the paper writes it.
 func (v Value) String() string {
 	switch v {

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -101,4 +102,16 @@ func TestBitToValueAlwaysBinary(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// Opposite returns the other binary value. It panics if v is not binary;
+// callers must only invoke it on validated protocol state.
+func (v Value) Opposite() Value {
+	switch v {
+	case Zero:
+		return One
+	case One:
+		return Zero
+	}
+	panic(fmt.Sprintf("model: Opposite of non-binary value %d", int8(v)))
 }

@@ -17,50 +17,54 @@ package mpcoin
 
 import (
 	"errors"
-	"fmt"
 
-	"allforone/internal/coin"
 	"allforone/internal/core"
-	"allforone/internal/model"
-	"allforone/internal/sim"
+	"allforone/internal/protocol"
 )
 
-// Config describes one execution.
-type Config struct {
-	// N is the number of processes (required).
-	N int
-	// Proposals holds each process's binary proposal (required, length N).
-	Proposals []model.Value
-	// Setup is the run's seed, crash pattern, bounds and delay policy.
-	sim.Setup
-	// MaxRounds bounds execution; 0 = unbounded.
-	MaxRounds int
-	// CommonCoinOverride, when non-nil, replaces the seeded common coin.
-	CommonCoinOverride coin.Common
+// ProtocolName is the registry name of the message-passing common-coin
+// baseline.
+const ProtocolName = "mpcoin"
+
+// ErrInvariantBroken reports a run that broke the round machine's
+// invariant.
+var ErrInvariantBroken = errors.New("mpcoin: protocol invariant broken")
+
+// variant is the algorithm on the round machine: Algorithm 3 with no
+// cluster step, on seeds of its own.
+var variant = core.Variant{
+	NetSalt:            0x27d4_eb2f_1656_67c5,
+	SubsetSalt:         0x5851_f42d_4c95_7f2d,
+	CoinSalt:           0x1656_67c5_27d4_eb2f,
+	ErrInvariantBroken: ErrInvariantBroken,
 }
 
-// Errors returned by Run.
-var (
-	ErrBadConfig       = errors.New("mpcoin: invalid configuration")
-	ErrInvariantBroken = errors.New("mpcoin: protocol invariant broken")
-)
+func init() {
+	protocol.MustRegister(protocol.New(protocol.Info{
+		Name:         ProtocolName,
+		Description:  "pure message-passing common-coin binary consensus (the baseline Algorithm 3 extends)",
+		Proposals:    protocol.ProposalsBinary,
+		HasNetwork:   true,
+		StageCrashes: true,
+		TimedCrashes: true,
+		OneForAll:    true,
+	}, runScenario))
+}
 
-// Run executes one consensus instance and returns per-process outcomes.
-func Run(cfg Config) (*sim.Result, error) {
-	if len(cfg.Proposals) != cfg.N {
-		return nil, fmt.Errorf("%w: %d proposals for %d processes", ErrBadConfig, len(cfg.Proposals), cfg.N)
+// runScenario runs a registry-validated scenario on the round machine.
+func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
+	setup, err := sc.Setup()
+	if err != nil {
+		return nil, err
 	}
-	return core.RunVariant(core.Config{
-		Setup:              cfg.Setup,
-		Proposals:          cfg.Proposals,
-		Algorithm:          core.CommonCoin,
-		MaxRounds:          cfg.MaxRounds,
-		CommonCoinOverride: cfg.CommonCoinOverride,
-	}, core.Variant{
-		NetSalt:            0x27d4_eb2f_1656_67c5,
-		SubsetSalt:         0x5851_f42d_4c95_7f2d,
-		CoinSalt:           0x1656_67c5_27d4_eb2f,
-		ErrBadConfig:       ErrBadConfig,
-		ErrInvariantBroken: ErrInvariantBroken,
-	})
+	res, err := core.RunVariant(core.Config{
+		Setup:     setup,
+		Proposals: sc.Workload.Binary,
+		Algorithm: core.CommonCoin,
+		MaxRounds: sc.Bounds.MaxRounds,
+	}, variant)
+	if err != nil {
+		return nil, err
+	}
+	return protocol.BinaryOutcome(ProtocolName, res), nil
 }

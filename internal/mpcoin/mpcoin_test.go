@@ -7,9 +7,9 @@ import (
 	"time"
 
 	"allforone/internal/coin"
+	"allforone/internal/core"
 	"allforone/internal/failures"
 	"allforone/internal/model"
-	"allforone/internal/netsim"
 	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
@@ -42,21 +42,58 @@ func rendered(vs []model.Value) []string {
 	return out
 }
 
-// runLive runs cfg and fails unless the run is safe — agreement, validity —
-// and every live process decided.
-func runLive(t *testing.T, cfg Config) *sim.Result {
+// scenario is an mpcoin run of proposals on n = len(proposals) processes.
+func scenario(proposals []model.Value, seed int64, maxRounds int) protocol.Scenario {
+	return protocol.Scenario{
+		Protocol: ProtocolName,
+		Topology: protocol.Topology{N: len(proposals)},
+		Workload: protocol.Workload{Binary: proposals},
+		Seed:     seed,
+		Bounds:   protocol.Bounds{MaxRounds: maxRounds},
+	}
+}
+
+// run runs sc through the registry and returns mpcoin's raw result.
+func run(t *testing.T, sc protocol.Scenario) *sim.Result {
 	t.Helper()
-	res, err := Run(cfg)
+	out, err := protocol.Run(sc)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	return out.Raw.(*sim.Result)
+}
+
+// runRigged runs cfg's proposals on the package's variant with cfg's coin
+// override, which no Scenario carries.
+func runRigged(t *testing.T, cfg core.Config) *sim.Result {
+	t.Helper()
+	cfg.Algorithm = core.CommonCoin
+	res, err := core.RunVariant(cfg, variant)
+	if err != nil {
+		t.Fatalf("RunVariant: %v", err)
+	}
+	return res
+}
+
+// requireLive fails unless res is safe — agreement, validity — and every
+// live process decided.
+func requireLive(t *testing.T, res *sim.Result, proposals []model.Value) {
+	t.Helper()
 	out := outcome(res)
-	if err := errors.Join(out.CheckAgreement(), out.CheckValidity(rendered(cfg.Proposals))); err != nil {
+	if err := errors.Join(out.CheckAgreement(), out.CheckValidity(rendered(proposals))); err != nil {
 		t.Fatal(err)
 	}
 	if !out.AllLiveDecided() {
 		t.Fatalf("not all live decided: %+v", res.Procs)
 	}
+}
+
+// runLive runs sc and fails unless the run is safe and every live process
+// decided.
+func runLive(t *testing.T, sc protocol.Scenario) *sim.Result {
+	t.Helper()
+	res := run(t, sc)
+	requireLive(t, res, sc.Workload.Binary)
 	return res
 }
 
@@ -65,15 +102,15 @@ var atStart = failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart
 
 func TestConfigValidation(t *testing.T) {
 	t.Parallel()
-	cases := []Config{
-		{N: 0},
-		{N: 3, Proposals: unanimous(2, model.One)},
-		{N: 2, Proposals: []model.Value{model.One, model.Value(5)}},
-		{N: 2, Proposals: unanimous(2, model.One), MaxRounds: -1},
+	cases := []protocol.Scenario{
+		scenario(nil, 0, 0),
+		{Protocol: ProtocolName, Topology: protocol.Topology{N: 3}, Workload: protocol.Workload{Binary: unanimous(2, model.One)}},
+		scenario([]model.Value{model.One, model.Value(5)}, 0, 0),
+		scenario(unanimous(2, model.One), 0, -1),
 	}
-	for i, cfg := range cases {
-		if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
-			t.Errorf("case %d: error = %v, want ErrBadConfig", i, err)
+	for i, sc := range cases {
+		if _, err := protocol.Run(sc); !errors.Is(err, protocol.ErrBadScenario) {
+			t.Errorf("case %d: error = %v, want ErrBadScenario", i, err)
 		}
 	}
 }
@@ -84,7 +121,7 @@ func TestUnanimousTerminatesQuickly(t *testing.T) {
 		n := n
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			t.Parallel()
-			res := runLive(t, Config{N: n, Proposals: unanimous(n, model.One), Setup: sim.Setup{Seed: int64(n) + 100}, MaxRounds: 100})
+			res := runLive(t, scenario(unanimous(n, model.One), int64(n)+100, 100))
 			if val, _, _ := outcome(res).Decided(); val != model.One.String() {
 				t.Errorf("decided %v, want 1", val)
 			}
@@ -98,7 +135,7 @@ func TestSplitProposalsSafeAndLive(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			t.Parallel()
-			runLive(t, Config{N: 6, Proposals: alternating(6), Setup: sim.Setup{Seed: seed}, MaxRounds: 1000})
+			runLive(t, scenario(alternating(6), seed, 1000))
 		})
 	}
 }
@@ -108,17 +145,12 @@ func TestRiggedCoinRounds(t *testing.T) {
 	t.Parallel()
 	const n = 5
 	rigged := func(t *testing.T, props []model.Value, maxRounds int, bits ...model.Value) *sim.Result {
-		res, err := Run(Config{
-			N:                  n,
+		return runRigged(t, core.Config{
 			Proposals:          props,
 			Setup:              sim.Setup{Seed: 1},
 			MaxRounds:          maxRounds,
 			CommonCoinOverride: coin.NewFixedCommon(bits...),
 		})
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return res
 	}
 	t.Run("match round 1", func(t *testing.T) {
 		t.Parallel()
@@ -154,7 +186,9 @@ func TestMinorityCrashTerminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runLive(t, Config{N: 7, Proposals: alternating(7), Setup: sim.Setup{Seed: 21, Crashes: sched}, MaxRounds: 1000})
+	sc := scenario(alternating(7), 21, 1000)
+	sc.Faults = sched
+	runLive(t, sc)
 }
 
 func TestMajorityCrashBlocksButSafe(t *testing.T) {
@@ -163,10 +197,9 @@ func TestMajorityCrashBlocksButSafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{N: 4, Proposals: unanimous(4, model.Zero), Setup: sim.Setup{Seed: 2, Crashes: sched}})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	sc := scenario(unanimous(4, model.Zero), 2, 0)
+	sc.Faults = sched
+	res := run(t, sc)
 	if _, _, decided := outcome(res).Decided(); decided {
 		t.Fatal("decided despite n/2 crashes")
 	}
@@ -174,15 +207,9 @@ func TestMajorityCrashBlocksButSafe(t *testing.T) {
 
 func TestWithDelays(t *testing.T) {
 	t.Parallel()
-	runLive(t, Config{
-		N:         5,
-		Proposals: alternating(5),
-		Setup: sim.Setup{
-			Seed:       4,
-			NetOptions: []netsim.Option{netsim.WithUniformDelay(0, 2*time.Millisecond)},
-		},
-		MaxRounds: 1000,
-	})
+	sc := scenario(alternating(5), 4, 1000)
+	sc.Profile = protocol.Uniform(0, 2*time.Millisecond)
+	runLive(t, sc)
 }
 
 // Decide-then-crash with partial DECIDE delivery: the recipient rebroadcast
@@ -196,13 +223,14 @@ func TestPartialDecideDelivery(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res := runLive(t, Config{
-		N:                  5,
-		Proposals:          unanimous(5, model.One),
+	proposals := unanimous(5, model.One)
+	res := runRigged(t, core.Config{
+		Proposals:          proposals,
 		Setup:              sim.Setup{Seed: 6, Crashes: sched},
 		MaxRounds:          100,
 		CommonCoinOverride: coin.NewFixedCommon(model.One),
 	})
+	requireLive(t, res, proposals)
 	if val, _, _ := outcome(res).Decided(); val != model.One.String() {
 		t.Errorf("decided %v, want 1", val)
 	}

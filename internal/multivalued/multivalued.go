@@ -30,34 +30,27 @@
 package multivalued
 
 import (
-	"errors"
-	"fmt"
-
 	"allforone/internal/metrics"
-	"allforone/internal/model"
+	"allforone/internal/protocol"
 	"allforone/internal/sim"
 	"allforone/internal/smr"
 )
 
-// Config describes one multivalued consensus execution.
-type Config struct {
-	// Partition is the cluster decomposition (required).
-	Partition *model.Partition
-	// Proposals holds each process's proposed value (required, length n).
-	// Values may repeat; the empty string is a valid proposal.
-	Proposals []string
-	// Setup is the run's seed, crash pattern, bounds and delay policy.
-	// Crash points are consulted at the start of every binary round, with
-	// Round counting binary rounds globally across instances.
-	sim.Setup
-	// MaxInstances bounds the number of binary instances (0 = 4n).
-	MaxInstances int
-	// MaxRoundsPerInstance bounds each binary instance (0 = 1000).
-	MaxRoundsPerInstance int
-}
+// ProtocolName is the registry name of multivalued hybrid consensus.
+const ProtocolName = "multivalued"
 
-// Errors returned by Run.
-var ErrBadConfig = errors.New("multivalued: invalid configuration")
+func init() {
+	protocol.MustRegister(protocol.New(protocol.Info{
+		Name:           ProtocolName,
+		Description:    "multivalued consensus over the hybrid model (URB + binary-instance reduction)",
+		Proposals:      protocol.ProposalsValues,
+		NeedsPartition: true,
+		HasNetwork:     true,
+		StageCrashes:   true,
+		TimedCrashes:   true,
+		OneForAll:      true,
+	}, runScenario))
+}
 
 // ProcResult is one process's outcome.
 type ProcResult struct {
@@ -73,40 +66,53 @@ type Result struct {
 	sim.Engine
 }
 
-// Run executes one multivalued consensus instance.
-func Run(cfg Config) (*Result, error) {
-	if cfg.Partition == nil {
-		return nil, fmt.Errorf("%w: nil partition", ErrBadConfig)
-	}
-	n := cfg.Partition.N()
-	if len(cfg.Proposals) != n {
-		return nil, fmt.Errorf("%w: %d proposals for %d processes", ErrBadConfig, len(cfg.Proposals), n)
-	}
-	cmds := make([][]string, n)
+// runScenario runs a registry-validated scenario on smr's replica machine
+// as a one-slot log of each process's proposal. Crash points are consulted
+// at the start of every binary round, with Round counting binary rounds
+// globally across instances; Bounds.MaxInstances caps the binary instances
+// (0 = 4n) and Bounds.MaxRounds each instance's rounds (0 = 1000).
+func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
+	vals := sc.Workload.Values
+	cmds := make([][]string, len(vals))
 	for i := range cmds {
-		cmds[i] = cfg.Proposals[i : i+1 : i+1]
+		cmds[i] = vals[i : i+1 : i+1]
 	}
-	log, err := smr.RunVariant(smr.Config{
-		Partition:            cfg.Partition,
-		Commands:             cmds,
-		Slots:                1,
-		Setup:                cfg.Setup,
-		MaxRoundsPerInstance: cfg.MaxRoundsPerInstance,
-	}, smr.Variant{
+	one := *sc
+	one.Workload = protocol.Workload{Commands: cmds, Slots: 1}
+	log, err := smr.RunVariant(&one, smr.Variant{
 		NetSalt:      0x60be_e2be_e120_fc15,
 		InstMix:      0x9e37_79b9_7f4a_7c15,
-		MaxInstances: cfg.MaxInstances,
+		MaxInstances: sc.Bounds.MaxInstances,
 		SupportNoOps: true,
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Procs: make([]ProcResult, n), Metrics: log.Metrics, Engine: log.Engine}
+	res := &Result{Procs: make([]ProcResult, len(vals)), Metrics: log.Metrics, Engine: log.Engine}
 	for i, rep := range log.Replicas {
 		res.Procs[i] = ProcResult{Status: rep.Status, Rounds: rep.Rounds}
 		if rep.Status == sim.StatusDecided {
 			res.Procs[i].Decision = rep.Log[0]
 		}
 	}
-	return res, nil
+	return outcome(res), nil
+}
+
+// outcome renders a Result in the registry's uniform vocabulary.
+func outcome(res *Result) *protocol.Outcome {
+	out := &protocol.Outcome{
+		Protocol: ProtocolName,
+		Procs:    make([]protocol.ProcOutcome, len(res.Procs)),
+		Metrics:  res.Metrics,
+		Engine:   res.Engine,
+		Raw:      res,
+	}
+	for i, pr := range res.Procs {
+		po := protocol.ProcOutcome{Status: pr.Status, Round: pr.Rounds}
+		if pr.Status == sim.StatusDecided {
+			po.Decision = pr.Decision
+		}
+		out.Procs[i] = po
+	}
+	return out
 }

@@ -4,12 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
-	"allforone/internal/netsim"
 	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
@@ -17,23 +17,33 @@ import (
 // letters are seven distinct proposals.
 var letters = []string{"a", "b", "c", "d", "e", "f", "g"}
 
-// run runs cfg and fails on a configuration error.
-func run(t *testing.T, cfg Config) *Result {
+// scenario is a multivalued run of proposals on part.
+func scenario(part *model.Partition, proposals []string, seed int64) protocol.Scenario {
+	return protocol.Scenario{
+		Protocol: ProtocolName,
+		Topology: protocol.Topology{Partition: part},
+		Workload: protocol.Workload{Values: proposals},
+		Seed:     seed,
+	}
+}
+
+// run runs sc through the registry and fails on a scenario error.
+func run(t *testing.T, sc protocol.Scenario) *Result {
 	t.Helper()
-	res, err := Run(cfg)
+	out, err := protocol.Run(sc)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	return res
+	return out.Raw.(*Result)
 }
 
-// runLive runs cfg and fails unless the run is safe — agreement, validity —
+// runLive runs sc and fails unless the run is safe — agreement, validity —
 // and every live process decided.
-func runLive(t *testing.T, cfg Config) *Result {
+func runLive(t *testing.T, sc protocol.Scenario) *Result {
 	t.Helper()
-	res := run(t, cfg)
+	res := run(t, sc)
 	out := outcome(res)
-	if err := errors.Join(out.CheckAgreement(), out.CheckValidity(cfg.Proposals)); err != nil {
+	if err := errors.Join(out.CheckAgreement(), out.CheckValidity(sc.Workload.Values)); err != nil {
 		t.Fatal(err)
 	}
 	if !out.AllLiveDecided() {
@@ -55,10 +65,12 @@ func crashAllExcept(t *testing.T, survivors ...model.ProcID) *failures.Schedule 
 
 func TestConfigValidation(t *testing.T) {
 	t.Parallel()
-	if _, err := Run(Config{Proposals: []string{"a"}}); !errors.Is(err, ErrBadConfig) {
+	noPartition := scenario(nil, []string{"a"}, 0)
+	noPartition.Topology.N = 1
+	if _, err := protocol.Run(noPartition); !errors.Is(err, protocol.ErrBadScenario) {
 		t.Errorf("nil partition error = %v", err)
 	}
-	if _, err := Run(Config{Partition: model.Singletons(3), Proposals: []string{"a"}}); !errors.Is(err, ErrBadConfig) {
+	if _, err := protocol.Run(scenario(model.Singletons(3), []string{"a"}, 0)); !errors.Is(err, protocol.ErrBadScenario) {
 		t.Errorf("short proposals error = %v", err)
 	}
 }
@@ -79,7 +91,7 @@ func TestUnanimousProposals(t *testing.T) {
 			for i := range props {
 				props[i] = "value-X"
 			}
-			res := runLive(t, Config{Partition: part, Proposals: props, Setup: sim.Setup{Seed: 11}})
+			res := runLive(t, scenario(part, props, 11))
 			if val, count, _ := outcome(res).Decided(); val != "value-X" || count != part.N() {
 				t.Errorf("decided (%q, %d), want (value-X, %d)", val, count, part.N())
 			}
@@ -97,7 +109,7 @@ func TestDistinctProposalsAgreeOnOne(t *testing.T) {
 			for i := range props {
 				props[i] = fmt.Sprintf("candidate-%d", i)
 			}
-			runLive(t, Config{Partition: model.Fig1Left(), Proposals: props, Setup: sim.Setup{Seed: seed}})
+			runLive(t, scenario(model.Fig1Left(), props, seed))
 		})
 	}
 }
@@ -109,8 +121,9 @@ func TestDistinctProposalsAgreeOnOne(t *testing.T) {
 // point, as documented.
 func TestMajorityCrashSurvivorDecides(t *testing.T) {
 	t.Parallel()
-	cfg := Config{Partition: model.Fig1Right(), Proposals: letters, Setup: sim.Setup{Seed: 3, Crashes: crashAllExcept(t, 2)}} // p3 ∈ P[2]
-	res := runLive(t, cfg)
+	sc := scenario(model.Fig1Right(), letters, 3)
+	sc.Faults = crashAllExcept(t, 2) // p3 ∈ P[2]
+	res := runLive(t, sc)
 	if _, count, _ := outcome(res).Decided(); res.Procs[2].Status != sim.StatusDecided || count != 1 {
 		t.Fatalf("survivor p3 alone should decide: %+v", res.Procs)
 	}
@@ -118,28 +131,24 @@ func TestMajorityCrashSurvivorDecides(t *testing.T) {
 
 func TestDuplicateProposals(t *testing.T) {
 	t.Parallel()
-	runLive(t, Config{Partition: model.Singletons(4), Proposals: []string{"x", "y", "x", "y"}, Setup: sim.Setup{Seed: 9}})
+	runLive(t, scenario(model.Singletons(4), []string{"x", "y", "x", "y"}, 9))
 }
 
 // TestHugeInstanceCap: an instance cap far past 4n costs nothing until
 // instances run that far, so a run decides exactly as under the default cap.
 func TestHugeInstanceCap(t *testing.T) {
 	t.Parallel()
-	cfg := Config{
-		Partition: model.Fig1Left(),
-		Proposals: []string{"a", "", "c", "a", "e", "", "g"},
-		Setup:     sim.Setup{Seed: 4},
-	}
-	want := run(t, cfg)
-	cfg.MaxInstances = 1 << 40
-	if got := run(t, cfg); !reflect.DeepEqual(got, want) {
-		t.Errorf("cap 2^40: %+v, default cap: %+v", got, want)
+	sc := scenario(model.Fig1Left(), []string{"a", "", "c", "a", "e", "", "g"}, 4)
+	want := run(t, sc)
+	sc.Bounds.MaxInstances = 1 << (strconv.IntSize - 24) // 2^40 on a 64-bit platform, 2^8 on a 32-bit one
+	if got := run(t, sc); !reflect.DeepEqual(got, want) {
+		t.Errorf("cap %d: %+v, default cap: %+v", sc.Bounds.MaxInstances, got, want)
 	}
 }
 
 func TestSingleProcess(t *testing.T) {
 	t.Parallel()
-	res := run(t, Config{Partition: model.SingleCluster(1), Proposals: []string{"solo"}, Setup: sim.Setup{Seed: 1}})
+	res := run(t, scenario(model.SingleCluster(1), []string{"solo"}, 1))
 	if val, count, ok := outcome(res).Decided(); !ok || val != "solo" || count != 1 {
 		t.Errorf("Decided = %q,%d,%v", val, count, ok)
 	}
@@ -178,7 +187,7 @@ func TestResultHelpers(t *testing.T) {
 // round 2 beside a timed one, over three seeds.
 func TestReplayBitReproducible(t *testing.T) {
 	t.Parallel()
-	config := func(seed int64) Config {
+	config := func(seed int64) protocol.Scenario {
 		sched := failures.NewSchedule(7)
 		err := errors.Join(
 			sched.Set(5, failures.Crash{At: failures.Point{Round: 2, Phase: 1, Stage: failures.StageRoundStart}}),
@@ -186,15 +195,9 @@ func TestReplayBitReproducible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Config{
-			Partition: model.Fig1Left(),
-			Proposals: letters,
-			Setup: sim.Setup{
-				Seed:       seed,
-				Crashes:    sched,
-				NetOptions: []netsim.Option{netsim.WithUniformDelay(0, 2*time.Millisecond)},
-			},
-		}
+		sc := scenario(model.Fig1Left(), letters, seed)
+		sc.Faults, sc.Profile = sched, protocol.Uniform(0, 2*time.Millisecond)
+		return sc
 	}
 	for _, seed := range []int64{1, 42, 917} {
 		res1, res2 := run(t, config(seed)), run(t, config(seed))
@@ -238,7 +241,9 @@ func TestSafetyAcrossSchedules(t *testing.T) {
 func TestVirtualQuiescenceBlocks(t *testing.T) {
 	t.Parallel()
 	start := time.Now()
-	res := run(t, Config{Partition: model.Fig1Right(), Proposals: letters, Setup: sim.Setup{Seed: 5, Crashes: crashAllExcept(t, 0, 5, 6)}})
+	sc := scenario(model.Fig1Right(), letters, 5)
+	sc.Faults = crashAllExcept(t, 0, 5, 6)
+	res := run(t, sc)
 	if wall := time.Since(start); wall > 5*time.Second {
 		t.Errorf("blocked verdict took %v of real time", wall)
 	}
@@ -263,15 +268,9 @@ func TestTimedCrash(t *testing.T) {
 	if err := sched.SetTimed(3, 10*time.Microsecond); err != nil {
 		t.Fatal(err)
 	}
-	res := runLive(t, Config{
-		Partition: model.Fig1Left(),
-		Proposals: letters,
-		Setup: sim.Setup{
-			Seed:       7,
-			Crashes:    sched,
-			NetOptions: []netsim.Option{netsim.WithUniformDelay(200*time.Microsecond, time.Millisecond)},
-		},
-	})
+	sc := scenario(model.Fig1Left(), letters, 7)
+	sc.Faults, sc.Profile = sched, protocol.Uniform(200*time.Microsecond, time.Millisecond)
+	res := runLive(t, sc)
 	if res.Procs[3].Status != sim.StatusCrashed {
 		t.Errorf("victim = %+v, want crashed", res.Procs[3])
 	}

@@ -6,9 +6,9 @@
 // message-passing and shared-memory baselines, the m&m comparator, and
 // the extension stack) registers itself at init time under a stable name
 // with its proposal kind and capability flags. One entry point —
-// protocol.Run — compiles a Scenario (topology, workload, faults, network
-// profile, bounds) down to the registered protocol's own Config and
-// returns a uniform Outcome.
+// protocol.Run — validates a Scenario (topology, workload, faults, network
+// profile, bounds) against the protocol's Info, runs it on the registered
+// adapter and returns a uniform Outcome.
 //
 // The package deliberately imports only the neutral vocabulary packages
 // (model, sim, failures, netsim, trace, metrics), never a protocol
@@ -105,8 +105,8 @@ type Info struct {
 }
 
 // Protocol is one registered consensus implementation: static metadata
-// plus the Scenario adapter that compiles a declarative run description
-// onto the implementation's own Config.
+// plus the Scenario adapter, the implementation's only entry point, which
+// builds its run from a declarative run description.
 type Protocol interface {
 	// Info returns the protocol's registry metadata.
 	Info() Info

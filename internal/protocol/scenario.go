@@ -16,9 +16,9 @@ import (
 // Scenario is a declarative run description shared by every registered
 // protocol: WHAT to run (protocol + workload) on WHICH topology, under
 // WHICH adversary (faults + network profile), driven HOW (seed, bounds).
-// protocol.Run compiles it onto the chosen protocol's own Config, whose
-// shared part — seed, faults, bounds, delay policy — is the one record
-// Setup builds.
+// protocol.Run validates it once and hands it to the chosen protocol's
+// adapter, which builds its machine from it; the shared part — seed,
+// faults, bounds, delay policy — is the one record Setup builds.
 //
 // A single Scenario value may carry every workload shape at once
 // (Binary + Values + Commands + Scripts); each protocol consumes only the
@@ -147,16 +147,17 @@ type Bounds struct {
 // ErrBadScenario reports an invalid scenario.
 var ErrBadScenario = errors.New("protocol: invalid scenario")
 
-// validate checks the scenario against a protocol's declared capabilities.
-// Workload shape and sizes are validated by the protocol's own Config
-// validation after compilation; this layer rejects the structural
-// mismatches that would otherwise surface as panics or silent no-ops.
+// validate checks the scenario against a protocol's declared capabilities
+// and the workload against the topology, so an adapter runs only scenarios
+// it can compile. Checks that belong to one protocol (an m&m graph or an
+// overlay that fails to build) stay in its adapter and wrap ErrBadScenario
+// too.
 func (sc *Scenario) validate(info Info) error {
 	if info.NeedsPartition && sc.Topology.Partition == nil {
 		return fmt.Errorf("%w: protocol %q needs Topology.Partition", ErrBadScenario, info.Name)
 	}
 	if info.NeedsGraph && len(sc.Topology.MMEdges) == 0 {
-		return fmt.Errorf("%w: protocol %q needs Topology.MMEdges (an edgeless graph is a degenerate topology; build it through the protocol's own Config if you really mean it)", ErrBadScenario, info.Name)
+		return fmt.Errorf("%w: protocol %q needs Topology.MMEdges (an edgeless graph is a degenerate topology)", ErrBadScenario, info.Name)
 	}
 	n, err := sc.Topology.Procs()
 	if err != nil {
@@ -172,6 +173,9 @@ func (sc *Scenario) validate(info Info) error {
 	}
 	if b := sc.Bounds; b.MaxRounds < 0 || b.MaxInstances < 0 || b.MaxVirtualTime < 0 {
 		return fmt.Errorf("%w: negative bound (MaxRounds %d, MaxInstances %d, MaxVirtualTime %v)", ErrBadScenario, b.MaxRounds, b.MaxInstances, b.MaxVirtualTime)
+	}
+	if err := sc.Workload.validate(info.Proposals, n); err != nil {
+		return fmt.Errorf("protocol %q: %w", info.Name, err)
 	}
 	if err := sc.Faults.ValidateFor(n); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadScenario, err)
@@ -203,9 +207,44 @@ func (sc *Scenario) validate(info Info) error {
 	return nil
 }
 
+// validate checks the field that kind names: one entry per process, binary
+// proposals 0 or 1, at least one log slot, no negative script delay.
+func (w *Workload) validate(kind ProposalKind, n int) error {
+	count, field := 0, ""
+	switch kind {
+	case ProposalsBinary:
+		count, field = len(w.Binary), "binary proposals"
+		for i, v := range w.Binary {
+			if !v.IsBinary() {
+				return fmt.Errorf("%w: proposal of %v is %v, want 0 or 1", ErrBadScenario, model.ProcID(i), v)
+			}
+		}
+	case ProposalsValues:
+		count, field = len(w.Values), "value proposals"
+	case ProposalsCommands:
+		count, field = len(w.Commands), "command queues"
+		if w.Slots < 1 {
+			return fmt.Errorf("%w: %d log slots, want at least one", ErrBadScenario, w.Slots)
+		}
+	case ProposalsScripts:
+		count, field = len(w.Scripts), "scripts"
+		for i, script := range w.Scripts {
+			for j, op := range script {
+				if op.After < 0 {
+					return fmt.Errorf("%w: script %d op %d has negative After", ErrBadScenario, i, j)
+				}
+			}
+		}
+	}
+	if count != n {
+		return fmt.Errorf("%w: %d %s for %d processes", ErrBadScenario, count, field, n)
+	}
+	return nil
+}
+
 // Setup compiles the scenario's seed, faults, bounds and network profile
-// into the run record every protocol Config embeds. Protocol adapters call
-// it once, on a scenario the registry has validated.
+// into the one run record (sim.Setup) every adapter builds its run from.
+// Adapters call it once, on a scenario the registry has validated.
 func (sc *Scenario) Setup() (sim.Setup, error) {
 	s := sim.Setup{
 		Seed:           sc.Seed,

@@ -11,9 +11,9 @@ import (
 
 // This file is the register's deterministic linearizability checker: a
 // small Wing&Gong-style search over the timestamped operation histories
-// that register.Run records. With the engine tagging every operation's
+// that a register run records. With the engine tagging every operation's
 // invocation and response instants, atomicity is checked as a pure
-// function of the run's Config.
+// function of the run's Scenario.
 
 // HistOp is one operation of a register history: who invoked it, what it
 // did, and its invocation/response window on the run clock.

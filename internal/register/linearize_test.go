@@ -8,7 +8,6 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
-	"allforone/internal/netsim"
 	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
@@ -111,21 +110,16 @@ func TestCheckLinearizableInputValidation(t *testing.T) {
 // writers and readers overlap through delivery delays (the uniform band
 // [minDelay, maxDelay]; 0, 0 is immediate delivery) and staggered starts,
 // on the Fig1Left partition.
-func linearizableConfig(seed int64, minDelay, maxDelay time.Duration) Config {
+func linearizableConfig(seed int64, minDelay, maxDelay time.Duration) protocol.Scenario {
 	part := model.Fig1Left()
 	scripts := make([][]protocol.RegisterOp, part.N())
 	scripts[0] = []protocol.RegisterOp{protocol.WriteOp("w0-1"), protocol.WriteOp("w0-2"), protocol.WriteOp("w0-3")}
 	scripts[2] = []protocol.RegisterOp{protocol.ReadOp(), {After: 100 * time.Microsecond}, protocol.ReadOp()}
 	scripts[3] = []protocol.RegisterOp{{Write: true, Val: "w3-1", After: 50 * time.Microsecond}, protocol.ReadOp()}
 	scripts[5] = []protocol.RegisterOp{protocol.ReadOp(), protocol.WriteOp("w5-1"), protocol.ReadOp()}
-	return Config{
-		Partition: part,
-		Scripts:   scripts,
-		Setup: sim.Setup{
-			Seed:       seed,
-			NetOptions: []netsim.Option{netsim.WithUniformDelay(minDelay, maxDelay)},
-		},
-	}
+	sc := scenario(part, scripts, seed)
+	sc.Profile = protocol.Uniform(minDelay, maxDelay)
+	return sc
 }
 
 // TestScriptedRunsAreLinearizable is the concurrency coverage: the
@@ -144,10 +138,7 @@ func TestScriptedRunsAreLinearizable(t *testing.T) {
 		t.Run(band.name, func(t *testing.T) {
 			t.Parallel()
 			for seed := int64(1); seed <= 32; seed++ {
-				res, err := Run(linearizableConfig(seed, band.min, band.max))
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
+				res := run(t, linearizableConfig(seed, band.min, band.max))
 				for p, pr := range res.Procs {
 					if pr.Status != sim.StatusDecided {
 						t.Fatalf("seed %d: proc %d = %+v, want decided", seed, p, pr)
@@ -185,18 +176,9 @@ func TestCrashedRunHistoryLinearizable(t *testing.T) {
 		protocol.WriteOp("after-crash"),
 		protocol.ReadOp(),
 	}
-	res, err := Run(Config{
-		Partition: part,
-		Scripts:   scripts,
-		Setup: sim.Setup{
-			Seed:       11,
-			Crashes:    sched,
-			NetOptions: []netsim.Option{netsim.WithUniformDelay(10*time.Microsecond, 200*time.Microsecond)},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := scenario(part, scripts, 11)
+	sc.Faults, sc.Profile = sched, protocol.Uniform(10*time.Microsecond, 200*time.Microsecond)
+	res := run(t, sc)
 	if err := res.CheckLinearizable(); err != nil {
 		t.Error(err)
 	}
@@ -223,14 +205,8 @@ func TestCrashedRunHistoryLinearizable(t *testing.T) {
 // contract.
 func TestHistoryDeterministicUnderVirtualEngine(t *testing.T) {
 	t.Parallel()
-	a, err := Run(linearizableConfig(33, 20*time.Microsecond, 300*time.Microsecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(linearizableConfig(33, 20*time.Microsecond, 300*time.Microsecond))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := run(t, linearizableConfig(33, 20*time.Microsecond, 300*time.Microsecond))
+	b := run(t, linearizableConfig(33, 20*time.Microsecond, 300*time.Microsecond))
 	ha, hb := a.History(), b.History()
 	if fmt.Sprint(ha) != fmt.Sprint(hb) {
 		t.Fatalf("histories diverged:\n  %v\n  %v", ha, hb)

@@ -25,8 +25,8 @@
 // majority of crashes when a majority cluster keeps one member alive.
 // Classic ABD instead requires a majority of correct processes.
 //
-// The entry point is Run (run.go): it executes a scripted workload on the
-// engine driver — deterministic, with blocked operations detected by
+// The entry point is the registry adapter (run.go): it executes a scripted
+// workload on the engine driver — deterministic, with blocked operations detected by
 // quiescence. This file holds the vocabulary: timestamps, the replicated
 // pair, and the four protocol messages.
 package register

@@ -8,14 +8,33 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
-	"allforone/internal/netsim"
 	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
 
+// scenario is a scripted register run on part.
+func scenario(part *model.Partition, scripts [][]protocol.RegisterOp, seed int64) protocol.Scenario {
+	return protocol.Scenario{
+		Protocol: ProtocolName,
+		Topology: protocol.Topology{Partition: part},
+		Workload: protocol.Workload{Scripts: scripts},
+		Seed:     seed,
+	}
+}
+
+// run runs sc through the registry and returns the register's raw result.
+func run(t *testing.T, sc protocol.Scenario) *Result {
+	t.Helper()
+	out, err := protocol.Run(sc)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return out.Raw.(*Result)
+}
+
 // replayConfig is one determinism-suite configuration of the scripted
 // register: concurrent writers with delays, a reader, and a timed crash.
-func replayConfig(t *testing.T, seed int64) Config {
+func replayConfig(t *testing.T, seed int64) protocol.Scenario {
 	t.Helper()
 	part := model.Fig1Left()
 	sched := failures.NewSchedule(part.N())
@@ -27,15 +46,9 @@ func replayConfig(t *testing.T, seed int64) Config {
 	scripts[3] = []protocol.RegisterOp{protocol.WriteOp("w3-a"), protocol.ReadOp()}
 	scripts[4] = []protocol.RegisterOp{{After: time.Millisecond}, protocol.ReadOp()}
 	scripts[6] = []protocol.RegisterOp{{Write: true, Val: "late", After: 10 * time.Millisecond}} // dies first
-	return Config{
-		Partition: part,
-		Scripts:   scripts,
-		Setup: sim.Setup{
-			Seed:       seed,
-			Crashes:    sched,
-			NetOptions: []netsim.Option{netsim.WithUniformDelay(50*time.Microsecond, 800*time.Microsecond)},
-		},
-	}
+	sc := scenario(part, scripts, seed)
+	sc.Faults, sc.Profile = sched, protocol.Uniform(50*time.Microsecond, 800*time.Microsecond)
+	return sc
 }
 
 // TestReplayBitReproducible pins replay of a script the registry suite's
@@ -45,11 +58,7 @@ func replayConfig(t *testing.T, seed int64) Config {
 func TestReplayBitReproducible(t *testing.T) {
 	t.Parallel()
 	for _, seed := range []int64{1, 42, 917} {
-		res1, err1 := Run(replayConfig(t, seed))
-		res2, err2 := Run(replayConfig(t, seed))
-		if err := errors.Join(err1, err2); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		res1, res2 := run(t, replayConfig(t, seed)), run(t, replayConfig(t, seed))
 		if !reflect.DeepEqual(res1, res2) || res1.Steps == 0 {
 			t.Errorf("seed %d: Results diverged or took no step:\n  run1: %+v\n  run2: %+v", seed, res1, res2)
 		}
@@ -71,13 +80,8 @@ func TestSafetyAcrossSchedules(t *testing.T) {
 	scripts[5] = []protocol.RegisterOp{protocol.ReadOp(), protocol.WriteOp("y")}
 	for _, band := range []protocol.NetworkProfile{nil, protocol.Uniform(0, time.Millisecond)} {
 		for seed := int64(0); seed < 32; seed++ {
-			sc := protocol.Scenario{
-				Protocol: ProtocolName,
-				Topology: protocol.Topology{Partition: model.Fig1Right()},
-				Workload: protocol.Workload{Scripts: scripts},
-				Profile:  band,
-				Seed:     seed,
-			}
+			sc := scenario(model.Fig1Right(), scripts, seed)
+			sc.Profile = band
 			out, err := protocol.Run(sc)
 			if err != nil {
 				t.Fatalf("band %v seed %d: %v", band, seed, err)
@@ -112,11 +116,9 @@ func TestScriptedMajorityCrashSurvivorOperates(t *testing.T) {
 		protocol.WriteOp("post-crash"),
 		protocol.ReadOp(),
 	}
-	res, err := Run(Config{Setup: sim.Setup{Seed: 6, Crashes: sched}, Partition: part, Scripts: scripts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	surv := res.Procs[survivor]
+	sc := scenario(part, scripts, 6)
+	sc.Faults = sched
+	surv := run(t, sc).Procs[survivor]
 	if surv.Status != sim.StatusDecided || len(surv.Ops) != 3 {
 		t.Fatalf("survivor = %+v", surv)
 	}
@@ -143,10 +145,9 @@ func TestSingletonMajorityCrashBlocks(t *testing.T) {
 	scripts := make([][]protocol.RegisterOp, 5)
 	scripts[4] = []protocol.RegisterOp{{Write: true, Val: "x", After: time.Millisecond}}
 	start := time.Now()
-	res, err := Run(Config{Setup: sim.Setup{Seed: 7, Crashes: sched}, Partition: part, Scripts: scripts})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := scenario(part, scripts, 7)
+	sc.Faults = sched
+	res := run(t, sc)
 	if wall := time.Since(start); wall > 5*time.Second {
 		t.Errorf("blocked verdict took %v of real time", wall)
 	}
@@ -158,10 +159,11 @@ func TestSingletonMajorityCrashBlocks(t *testing.T) {
 	}
 }
 
-// TestStepPlanDoesNotShrinkLiveSet: Config.Crashes ignores step-point plans,
-// so a process carrying one still operates, and the survivors must keep
-// serving until it announced its script done. Here p1's write starts after
-// p2's and p3's reads finished; it completes only if they still answer.
+// TestStepPlanDoesNotShrinkLiveSet: the registry rejects step-point plans
+// for the register, and the adapter, handed one anyway, ignores it: a
+// process carrying one still operates, and the survivors must keep serving
+// until it announced its script done. Here p1's write starts after p2's
+// and p3's reads finished; it completes only if they still answer.
 func TestStepPlanDoesNotShrinkLiveSet(t *testing.T) {
 	t.Parallel()
 	sched := failures.NewSchedule(3)
@@ -169,11 +171,16 @@ func TestStepPlanDoesNotShrinkLiveSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	scripts := [][]protocol.RegisterOp{{{Write: true, Val: "a", After: time.Millisecond}}, {protocol.ReadOp()}, {protocol.ReadOp()}}
-	res, err := Run(Config{Setup: sim.Setup{Seed: 1, Crashes: sched}, Partition: model.Singletons(3), Scripts: scripts})
+	sc := scenario(model.Singletons(3), scripts, 1)
+	sc.Faults = sched
+	if _, err := protocol.Run(sc); !errors.Is(err, protocol.ErrBadScenario) {
+		t.Fatalf("registry error = %v, want ErrBadScenario", err)
+	}
+	out, err := runScenario(&sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for p, pr := range res.Procs {
+	for p, pr := range out.Raw.(*Result).Procs {
 		if pr.Status != sim.StatusDecided || len(pr.Ops) != 1 || !pr.Ops[0].OK {
 			t.Errorf("p%d = %+v, want its one operation completed", p+1, pr)
 		}
@@ -183,15 +190,17 @@ func TestStepPlanDoesNotShrinkLiveSet(t *testing.T) {
 // TestScriptValidation rejects malformed scripts.
 func TestScriptValidation(t *testing.T) {
 	t.Parallel()
-	if _, err := Run(Config{}); err == nil {
-		t.Error("nil partition accepted")
+	noPartition := scenario(nil, make([][]protocol.RegisterOp, 1), 0)
+	noPartition.Topology.N = 1
+	if _, err := protocol.Run(noPartition); !errors.Is(err, protocol.ErrBadScenario) {
+		t.Errorf("nil partition error = %v", err)
 	}
-	if _, err := Run(Config{Partition: model.Singletons(2), Scripts: make([][]protocol.RegisterOp, 1)}); err == nil {
-		t.Error("short scripts accepted")
+	if _, err := protocol.Run(scenario(model.Singletons(2), make([][]protocol.RegisterOp, 1), 0)); !errors.Is(err, protocol.ErrBadScenario) {
+		t.Errorf("short scripts error = %v", err)
 	}
 	bad := make([][]protocol.RegisterOp, 2)
 	bad[0] = []protocol.RegisterOp{{After: -time.Millisecond}}
-	if _, err := Run(Config{Partition: model.Singletons(2), Scripts: bad}); err == nil {
-		t.Error("negative After accepted")
+	if _, err := protocol.Run(scenario(model.Singletons(2), bad, 0)); !errors.Is(err, protocol.ErrBadScenario) {
+		t.Errorf("negative After error = %v", err)
 	}
 }

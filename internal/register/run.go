@@ -1,7 +1,6 @@
 package register
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -16,7 +15,7 @@ import (
 // This file is the register's closed-run entry point on the engine driver
 // (internal/driver): each process executes a scripted sequence of
 // read/write operations while serving its cluster's share of the ABD
-// protocol. A run is a pure function of its Config — same seed, same
+// protocol. A run is a pure function of its Scenario — same seed, same
 // Result, bit for bit — and an operation that can never reach a qualifying
 // majority ends as blocked at quiescence.
 
@@ -84,23 +83,6 @@ type Result struct {
 	// process, not at the run level.
 	sim.Engine
 }
-
-// Config describes one scripted register execution.
-type Config struct {
-	// Partition is the cluster decomposition (required).
-	Partition *model.Partition
-	// Scripts holds each process's operation sequence (required, length n;
-	// empty scripts are fine — such processes only serve).
-	Scripts [][]protocol.RegisterOp
-	// Setup is the run's seed, crash pattern, bounds and delay policy. The
-	// crash pattern's timed crashes (failures.Schedule.SetTimed) stop the
-	// victim operating and serving at the instant; step-point crash plans
-	// are not meaningful for register runs and are ignored.
-	sim.Setup
-}
-
-// ErrBadConfig reports an invalid scripted-run configuration.
-var ErrBadConfig = errors.New("register: invalid configuration")
 
 // doneMsg announces that the sender finished its script (it keeps serving
 // until every live process announced the same, so late operations still
@@ -344,55 +326,49 @@ func (c *client) allLiveDone() bool {
 	return true
 }
 
-// Run executes one scripted register run.
-func Run(cfg Config) (*Result, error) {
-	if cfg.Partition == nil {
-		return nil, fmt.Errorf("%w: nil partition", ErrBadConfig)
+// runScenario executes one registry-validated scripted register run. The
+// scenario's timed crashes (failures.Schedule.SetTimed) stop the victim
+// operating and serving at the instant; the registry rejects step-point
+// plans for this protocol.
+func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
+	setup, err := sc.Setup()
+	if err != nil {
+		return nil, err
 	}
-	n := cfg.Partition.N()
-	if len(cfg.Scripts) != n {
-		return nil, fmt.Errorf("%w: %d scripts for %d processes", ErrBadConfig, len(cfg.Scripts), n)
-	}
-	for i, script := range cfg.Scripts {
-		for j, op := range script {
-			if op.After < 0 {
-				return nil, fmt.Errorf("%w: script %d op %d has negative After", ErrBadConfig, i, j)
-			}
-		}
-	}
-
+	part, scripts := sc.Topology.Partition, sc.Workload.Scripts
+	n := part.N()
 	var ctr metrics.Counters
 	var nw *netsim.Network
-	cells := make([]tagged, cfg.Partition.M())
+	cells := make([]tagged, part.M())
 	// Processes with a timed crash may never announce completion; survivors
 	// stop serving once every other process announced. Step-point plans are
 	// ignored, so their processes stay live.
 	live := model.NewProcSet(n)
 	for p := 0; p < n; p++ {
-		if _, timed := cfg.Crashes.TimedPlan(model.ProcID(p)); !timed {
+		if _, timed := setup.Crashes.TimedPlan(model.ProcID(p)); !timed {
 			live.Add(model.ProcID(p))
 		}
 	}
 
 	clients := make([]client, n)
-	tallies := model.NewQuorums(cfg.Partition, n)
+	tallies := model.NewQuorums(part, n)
 	out, err := driver.RunHandlers(driver.Config{
-		MaxVirtualTime: cfg.MaxVirtualTime,
-		MaxSteps:       cfg.MaxSteps,
-		Crashes:        cfg.Crashes,
-	}, n, driver.StandardNet(&nw, n, uint64(cfg.Seed)^0x5ca1_ab1e, &ctr, 0, 0, cfg.NetOptions...),
+		MaxVirtualTime: setup.MaxVirtualTime,
+		MaxSteps:       setup.MaxSteps,
+		Crashes:        setup.Crashes,
+	}, n, driver.StandardNet(&nw, n, uint64(setup.Seed)^0x5ca1_ab1e, &ctr, 0, 0, setup.NetOptions...),
 		func(i int, h *driver.Handle) driver.Reactor {
 			c := &clients[i]
 			*c = client{
 				id:       model.ProcID(i),
-				part:     cfg.Partition,
+				part:     part,
 				net:      nw,
 				cells:    cells,
 				h:        h,
 				doneFrom: model.NewProcSet(n),
 				live:     live,
 				covered:  &tallies[i],
-				script:   cfg.Scripts[i],
+				script:   scripts[i],
 				status:   sim.StatusBlocked, // until the script completes
 			}
 			return c
@@ -406,8 +382,18 @@ func Run(cfg Config) (*Result, error) {
 		Metrics: ctr.Read(),
 		Engine:  out,
 	}
+	o := &protocol.Outcome{
+		Protocol: ProtocolName,
+		Procs:    make([]protocol.ProcOutcome, n),
+		Metrics:  res.Metrics,
+		Engine:   res.Engine,
+		Raw:      res,
+	}
 	for i := range clients {
 		res.Procs[i] = ProcResult{Status: clients[i].status, Ops: clients[i].ops}
+		// Register runs have no consensus decision; Decision stays empty
+		// and per-operation results live in Raw (*register.Result).
+		o.Procs[i] = protocol.ProcOutcome{Status: clients[i].status}
 	}
-	return res, nil
+	return o, nil
 }

@@ -25,34 +25,6 @@ func init() {
 	}, runScenario))
 }
 
-func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
-	setup, err := sc.Setup()
-	if err != nil {
-		return nil, err
-	}
-	res, err := Run(Config{
-		Setup:     setup,
-		Partition: sc.Topology.Partition,
-		Scripts:   sc.Workload.Scripts,
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &protocol.Outcome{
-		Protocol: ProtocolName,
-		Procs:    make([]protocol.ProcOutcome, len(res.Procs)),
-		Metrics:  res.Metrics,
-		Engine:   res.Engine,
-		Raw:      res,
-	}
-	for i, pr := range res.Procs {
-		// Register runs have no consensus decision; Decision stays empty
-		// and per-operation results live in Raw (*register.Result).
-		out.Procs[i] = protocol.ProcOutcome{Status: pr.Status}
-	}
-	return out, nil
-}
-
 // Violations checks the run's history: a process that completed its
 // script completed every operation of it, and some sequential register
 // execution explains every completed operation (linearizability; a history

@@ -23,15 +23,34 @@ func rendered(vs []model.Value) []string {
 	return out
 }
 
+// scenario is a shared-memory run of proposals on n processes.
+func scenario(n int, proposals []model.Value) protocol.Scenario {
+	return protocol.Scenario{
+		Protocol: ProtocolName,
+		Topology: protocol.Topology{N: n},
+		Workload: protocol.Workload{Binary: proposals},
+	}
+}
+
+// run runs sc through the registry and returns its raw result.
+func run(t *testing.T, sc protocol.Scenario) *sim.Result {
+	t.Helper()
+	out, err := protocol.Run(sc)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return out.Raw.(*sim.Result)
+}
+
 func TestConfigValidation(t *testing.T) {
 	t.Parallel()
-	if _, err := Run(Config{N: 0}); !errors.Is(err, ErrBadConfig) {
+	if _, err := protocol.Run(scenario(0, nil)); !errors.Is(err, protocol.ErrBadScenario) {
 		t.Errorf("N=0 error = %v", err)
 	}
-	if _, err := Run(Config{N: 2, Proposals: []model.Value{model.One}}); !errors.Is(err, ErrBadConfig) {
+	if _, err := protocol.Run(scenario(2, []model.Value{model.One})); !errors.Is(err, protocol.ErrBadScenario) {
 		t.Errorf("short proposals error = %v", err)
 	}
-	if _, err := Run(Config{N: 1, Proposals: []model.Value{model.Bot}}); !errors.Is(err, ErrBadConfig) {
+	if _, err := protocol.Run(scenario(1, []model.Value{model.Bot})); !errors.Is(err, protocol.ErrBadScenario) {
 		t.Errorf("non-binary proposal error = %v", err)
 	}
 }
@@ -44,10 +63,7 @@ func TestAgreementValidityTermination(t *testing.T) {
 		for i := range props {
 			props[i] = model.Value(int8((i + trial) % 2))
 		}
-		res, err := Run(Config{N: n, Proposals: props})
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+		res := run(t, scenario(n, props))
 		if err := outcome(res).CheckAgreement(); err != nil {
 			t.Fatal(err)
 		}
@@ -80,10 +96,9 @@ func TestWaitFreedomUnderCrashes(t *testing.T) {
 	for i := range props {
 		props[i] = model.One
 	}
-	res, err := Run(Config{N: n, Proposals: props, Crashes: sched})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	sc := scenario(n, props)
+	sc.Faults = sched
+	res := run(t, sc)
 	if res.Procs[5].Status != sim.StatusDecided || res.Procs[5].Decision != model.One {
 		t.Errorf("survivor outcome = %+v", res.Procs[5])
 	}
@@ -114,12 +129,8 @@ func TestSafetyAcrossSchedules(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc := protocol.Scenario{
-			Protocol: ProtocolName,
-			Topology: protocol.Topology{N: n},
-			Workload: protocol.Workload{Binary: props},
-			Faults:   sched,
-		}
+		sc := scenario(n, props)
+		sc.Faults = sched
 		out, err := protocol.Run(sc)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -113,9 +113,9 @@ type ProcResult struct {
 }
 
 // Setup is the part of a run's inputs every protocol shares: its seed, its
-// crash pattern, its bounds and its network's delay policy. Every protocol
-// Config embeds it untagged, and protocol.Scenario compiles it once
-// (Scenario.Setup), so a protocol's own Config adds only its own inputs.
+// crash pattern, its bounds and its network's delay policy.
+// protocol.Scenario compiles it once (Scenario.Setup) for every adapter, and
+// core.Config embeds it untagged for the round machine's direct callers.
 type Setup struct {
 	// Seed pins all randomness of the run — coins, delays, crash subsets,
 	// random overlay views: identical Configs yield identical results.

@@ -24,17 +24,7 @@ func init() {
 }
 
 func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
-	setup, err := sc.Setup()
-	if err != nil {
-		return nil, err
-	}
-	res, err := Run(Config{
-		Setup:                setup,
-		Partition:            sc.Topology.Partition,
-		Commands:             sc.Workload.Commands,
-		Slots:                sc.Workload.Slots,
-		MaxRoundsPerInstance: sc.Bounds.MaxRounds,
-	})
+	res, err := RunVariant(sc, logVariant)
 	if err != nil {
 		return nil, err
 	}

@@ -23,7 +23,6 @@
 package smr
 
 import (
-	"errors"
 	"fmt"
 
 	"allforone/internal/coin"
@@ -33,35 +32,17 @@ import (
 	"allforone/internal/metrics"
 	"allforone/internal/model"
 	"allforone/internal/netsim"
+	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
-
-// Config describes one replicated-log execution.
-type Config struct {
-	// Partition is the cluster decomposition (required).
-	Partition *model.Partition
-	// Commands holds each replica's queue of commands to append (length n;
-	// queues may be empty — such replicas propose no-ops).
-	Commands [][]string
-	// Slots is how many log slots to agree on (required, ≥ 1).
-	Slots int
-	// Setup is the run's seed, crash pattern, bounds and delay policy.
-	// Crash points are consulted at binary round starts, with Round
-	// counting rounds globally across slots.
-	sim.Setup
-	// MaxRoundsPerInstance bounds each binary instance (0 = 1000).
-	MaxRoundsPerInstance int
-}
 
 // NoOp is the value a slot decides when the winning proposer had no
 // pending command.
 const NoOp = ""
 
-// Errors returned by Run.
-var ErrBadConfig = errors.New("smr: invalid configuration")
-
 // Variant is what tells one use of the replica machine from another: the
-// replicated log (Run) and multivalued consensus, a one-slot log.
+// replicated log (the registry's "smr") and multivalued consensus, a
+// one-slot log.
 type Variant struct {
 	// NetSalt is xored into the seed for the network's RNG stream.
 	NetSalt uint64
@@ -528,32 +509,29 @@ func (r *replica) commit(val string) {
 	r.slot, r.stage = r.slot+1, atSlot
 }
 
-// Run executes one replicated-log instance.
-func Run(cfg Config) (*Result, error) {
-	return RunVariant(cfg, Variant{
-		NetSalt: 0x1e7_dead_beef,
-		SlotMix: 0xbf58_476d_1ce4_e5b9,
-		InstMix: 0x94d0_49bb_1331_11eb,
-	})
+// logVariant is the replicated log.
+var logVariant = Variant{
+	NetSalt: 0x1e7_dead_beef,
+	SlotMix: 0xbf58_476d_1ce4_e5b9,
+	InstMix: 0x94d0_49bb_1331_11eb,
 }
 
-// RunVariant executes the replica machine as variant v describes.
-func RunVariant(cfg Config, v Variant) (*Result, error) {
-	if cfg.Partition == nil {
-		return nil, fmt.Errorf("%w: nil partition", ErrBadConfig)
+// RunVariant executes the replica machine as variant v describes on a
+// registry-validated scenario with a command workload: its partition, one
+// command queue per replica, its slot count, and Bounds.MaxRounds as each
+// binary instance's round cap (0 = 1000). Crash points are consulted at
+// binary round starts, with Round counting rounds globally across slots.
+func RunVariant(sc *protocol.Scenario, v Variant) (*Result, error) {
+	setup, err := sc.Setup()
+	if err != nil {
+		return nil, err
 	}
-	n := cfg.Partition.N()
-	if len(cfg.Commands) != n {
-		return nil, fmt.Errorf("%w: %d command queues for %d replicas", ErrBadConfig, len(cfg.Commands), n)
-	}
-	if cfg.Slots < 1 {
-		return nil, fmt.Errorf("%w: need at least one slot", ErrBadConfig)
-	}
-
+	part, cmds, slots := sc.Topology.Partition, sc.Workload.Commands, sc.Workload.Slots
+	n := part.N()
 	var ctr metrics.Counters
 	var nw *netsim.Network
-	arrays := consensusobj.NewArrays(cfg.Partition.M())
-	maxRnd := cfg.MaxRoundsPerInstance
+	arrays := consensusobj.NewArrays(part.M())
+	maxRnd := sc.Bounds.MaxRounds
 	if maxRnd <= 0 {
 		maxRnd = 1000
 	}
@@ -563,31 +541,31 @@ func RunVariant(cfg Config, v Variant) (*Result, error) {
 	}
 
 	res := &Result{Replicas: make([]ReplicaResult, n)}
-	tallies := model.NewQuorums(cfg.Partition, n)
+	tallies := model.NewQuorums(part, n)
 	replicas := make([]replica, n)
 	out, err := driver.RunHandlers(driver.Config{
-		MaxVirtualTime: cfg.MaxVirtualTime,
-		MaxSteps:       cfg.MaxSteps,
-		Crashes:        cfg.Crashes,
-	}, n, driver.StandardNet(&nw, n, uint64(cfg.Seed)^v.NetSalt, &ctr, 0, 0, cfg.NetOptions...),
+		MaxVirtualTime: setup.MaxVirtualTime,
+		MaxSteps:       setup.MaxSteps,
+		Crashes:        setup.Crashes,
+	}, n, driver.StandardNet(&nw, n, uint64(setup.Seed)^v.NetSalt, &ctr, 0, 0, setup.NetOptions...),
 		func(i int, h *driver.Handle) driver.Reactor {
 			id := model.ProcID(i)
 			replicas[i] = replica{
 				id:      id,
-				part:    cfg.Partition,
+				part:    part,
 				net:     nw,
-				cons:    &arrays[cfg.Partition.ClusterOf(id)],
-				seed:    cfg.Seed,
+				cons:    &arrays[part.ClusterOf(id)],
+				seed:    setup.Seed,
 				v:       v,
-				sched:   cfg.Crashes,
+				sched:   setup.Crashes,
 				ctr:     &ctr,
 				h:       h,
 				store:   &res.Replicas[i],
 				maxRnd:  maxRnd,
-				queue:   cfg.Commands[i], // only resliced, never written
-				slots:   cfg.Slots,
+				queue:   cmds[i], // only resliced, never written
+				slots:   slots,
 				maxInst: maxInst,
-				chunk:   min(cfg.Slots, rowChunk),
+				chunk:   min(slots, rowChunk),
 				pending: make(map[posKey][]model.Vote),
 				tally:   &tallies[i],
 			}

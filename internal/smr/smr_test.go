@@ -10,20 +10,31 @@ import (
 	"allforone/internal/consensusobj"
 	"allforone/internal/failures"
 	"allforone/internal/model"
-	"allforone/internal/netsim"
 	"allforone/internal/protocol"
 	"allforone/internal/sim"
 )
 
-// runSafe runs cfg and fails on a configuration error or unless every log
-// is a prefix of one log made of submitted commands and no-ops.
-func runSafe(t *testing.T, cfg Config) *Result {
+// scenario is a log of slots on part from the replicas' command queues.
+func scenario(part *model.Partition, cmds [][]string, slots int, seed int64) protocol.Scenario {
+	return protocol.Scenario{
+		Protocol: ProtocolName,
+		Topology: protocol.Topology{Partition: part},
+		Workload: protocol.Workload{Commands: cmds, Slots: slots},
+		Seed:     seed,
+	}
+}
+
+// runSafe runs sc through the registry and fails on a scenario error or
+// unless every log is a prefix of one log made of submitted commands and
+// no-ops.
+func runSafe(t *testing.T, sc protocol.Scenario) *Result {
 	t.Helper()
-	res, err := Run(cfg)
+	out, err := protocol.Run(sc)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if err := errors.Join(res.CheckLogAgreement(), res.CheckLogValidity(cfg.Commands)); err != nil {
+	res := out.Raw.(*Result)
+	if err := errors.Join(res.CheckLogAgreement(), res.CheckLogValidity(sc.Workload.Commands)); err != nil {
 		t.Fatal(err)
 	}
 	return res
@@ -42,14 +53,16 @@ func crashAllExcept(t *testing.T, survivors ...model.ProcID) *failures.Schedule 
 
 func TestConfigValidation(t *testing.T) {
 	t.Parallel()
-	if _, err := Run(Config{Commands: [][]string{{"a"}}, Slots: 1}); !errors.Is(err, ErrBadConfig) {
+	noPartition := scenario(nil, [][]string{{"a"}}, 1, 0)
+	noPartition.Topology.N = 1
+	if _, err := protocol.Run(noPartition); !errors.Is(err, protocol.ErrBadScenario) {
 		t.Errorf("nil partition error = %v", err)
 	}
 	part := model.Singletons(3)
-	if _, err := Run(Config{Partition: part, Commands: [][]string{{"a"}}, Slots: 1}); !errors.Is(err, ErrBadConfig) {
+	if _, err := protocol.Run(scenario(part, [][]string{{"a"}}, 1, 0)); !errors.Is(err, protocol.ErrBadScenario) {
 		t.Errorf("queue count error = %v", err)
 	}
-	if _, err := Run(Config{Partition: part, Commands: [][]string{{}, {}, {}}, Slots: 0}); !errors.Is(err, ErrBadConfig) {
+	if _, err := protocol.Run(scenario(part, [][]string{{}, {}, {}}, 0, 0)); !errors.Is(err, protocol.ErrBadScenario) {
 		t.Errorf("zero slots error = %v", err)
 	}
 }
@@ -76,7 +89,7 @@ func TestAllReplicasBuildIdenticalLogs(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			const slots = 5
-			res := runSafe(t, Config{Partition: part, Commands: queuesFor(part.N(), 3), Slots: slots, Setup: sim.Setup{Seed: 31}})
+			res := runSafe(t, scenario(part, queuesFor(part.N(), 3), slots, 31))
 			logs := res.CompletedLogs(slots)
 			if len(logs) != part.N() {
 				t.Fatalf("completed logs = %d, want %d (statuses: %+v)", len(logs), part.N(), res.Replicas)
@@ -106,7 +119,7 @@ func checkNoDuplicateCommits(t *testing.T, log []string) {
 // non-empty — no-ops only appear when a queue-empty replica wins.
 func TestCommandsActuallyCommit(t *testing.T) {
 	t.Parallel()
-	res := runSafe(t, Config{Partition: model.Fig1Left(), Commands: queuesFor(7, 4), Slots: 6, Setup: sim.Setup{Seed: 17}})
+	res := runSafe(t, scenario(model.Fig1Left(), queuesFor(7, 4), 6, 17))
 	logs := res.CompletedLogs(6)
 	if len(logs) == 0 {
 		t.Fatalf("no replica completed: %+v", res.Replicas)
@@ -128,7 +141,9 @@ func TestCommandsActuallyCommit(t *testing.T) {
 func TestMajorityCrashSurvivorKeepsAppending(t *testing.T) {
 	t.Parallel()
 	const slots = 4
-	res := runSafe(t, Config{Partition: model.Fig1Right(), Commands: queuesFor(7, slots), Slots: slots, Setup: sim.Setup{Seed: 5, Crashes: crashAllExcept(t, 2)}})
+	sc := scenario(model.Fig1Right(), queuesFor(7, slots), slots, 5)
+	sc.Faults = crashAllExcept(t, 2)
+	res := runSafe(t, sc)
 	if surv := res.Replicas[2]; surv.Status != sim.StatusDecided || len(surv.Log) != slots {
 		t.Fatalf("survivor = %+v, want decided with %d slots", surv, slots)
 	}
@@ -138,7 +153,9 @@ func TestMajorityCrashSurvivorKeepsAppending(t *testing.T) {
 func TestBlockedWhenLivenessFails(t *testing.T) {
 	t.Parallel()
 	// Wipe the majority cluster P[2] = {p2..p5}.
-	res := runSafe(t, Config{Partition: model.Fig1Right(), Commands: queuesFor(7, 2), Slots: 3, Setup: sim.Setup{Seed: 9, Crashes: crashAllExcept(t, 0, 5, 6)}})
+	sc := scenario(model.Fig1Right(), queuesFor(7, 2), 3, 9)
+	sc.Faults = crashAllExcept(t, 0, 5, 6)
+	res := runSafe(t, sc)
 	if logs := res.CompletedLogs(3); len(logs) != 0 {
 		t.Errorf("completed logs despite dead pattern: %v", logs)
 	}
@@ -146,7 +163,7 @@ func TestBlockedWhenLivenessFails(t *testing.T) {
 
 func TestEmptyQueuesYieldNoOps(t *testing.T) {
 	t.Parallel()
-	res := runSafe(t, Config{Partition: model.Singletons(3), Commands: [][]string{{}, {}, {}}, Slots: 2, Setup: sim.Setup{Seed: 3}})
+	res := runSafe(t, scenario(model.Singletons(3), [][]string{{}, {}, {}}, 2, 3))
 	logs := res.CompletedLogs(2)
 	if len(logs) != 3 {
 		t.Fatalf("completed = %d, want 3", len(logs))
@@ -165,7 +182,9 @@ func TestMidRunCrashKeepsPrefixAgreement(t *testing.T) {
 	if err := sched.Set(3, failures.Crash{At: failures.Point{Round: 6, Phase: 1, Stage: failures.StageRoundStart}}); err != nil {
 		t.Fatal(err)
 	}
-	res := runSafe(t, Config{Partition: model.Fig1Left(), Commands: queuesFor(7, 3), Slots: 5, Setup: sim.Setup{Seed: 77, Crashes: sched}})
+	sc := scenario(model.Fig1Left(), queuesFor(7, 3), 5, 77)
+	sc.Faults = sched
+	res := runSafe(t, sc)
 	// All live replicas complete (liveness holds: only one crash).
 	for i, rep := range res.Replicas {
 		if i != 3 && (rep.Status != sim.StatusDecided || len(rep.Log) != 5) {
@@ -248,7 +267,7 @@ func TestBinOfGrowsPastCarvedRoom(t *testing.T) {
 // the top of global round 3 beside a timed one, over three seeds.
 func TestReplayBitReproducible(t *testing.T) {
 	t.Parallel()
-	config := func(seed int64) Config {
+	config := func(seed int64) protocol.Scenario {
 		sched := failures.NewSchedule(7)
 		err := errors.Join(
 			sched.Set(6, failures.Crash{At: failures.Point{Round: 3, Phase: 1, Stage: failures.StageRoundStart}}),
@@ -260,16 +279,9 @@ func TestReplayBitReproducible(t *testing.T) {
 		for i := range cmds {
 			cmds[i] = []string{"cmd-" + string(rune('a'+i))}
 		}
-		return Config{
-			Partition: model.Fig1Left(),
-			Commands:  cmds,
-			Slots:     3,
-			Setup: sim.Setup{
-				Seed:       seed,
-				Crashes:    sched,
-				NetOptions: []netsim.Option{netsim.WithUniformDelay(0, time.Millisecond)},
-			},
-		}
+		sc := scenario(model.Fig1Left(), cmds, 3, seed)
+		sc.Faults, sc.Profile = sched, protocol.Uniform(0, time.Millisecond)
+		return sc
 	}
 	for _, seed := range []int64{1, 42, 917} {
 		res1, res2 := runSafe(t, config(seed)), runSafe(t, config(seed))
@@ -315,7 +327,9 @@ func TestSafetyAcrossSchedules(t *testing.T) {
 func TestVirtualQuiescenceBlocks(t *testing.T) {
 	t.Parallel()
 	start := time.Now()
-	res := runSafe(t, Config{Partition: model.Fig1Right(), Commands: make([][]string, 7), Slots: 1, Setup: sim.Setup{Seed: 3, Crashes: crashAllExcept(t, 0, 5, 6)}})
+	sc := scenario(model.Fig1Right(), make([][]string, 7), 1, 3)
+	sc.Faults = crashAllExcept(t, 0, 5, 6)
+	res := runSafe(t, sc)
 	if wall := time.Since(start); wall > 5*time.Second {
 		t.Errorf("blocked verdict took %v of real time", wall)
 	}

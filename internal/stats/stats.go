@@ -113,12 +113,3 @@ func Describe(xs []float64) (Summary, error) {
 		StdDev: sd, Min: min, Max: max,
 	}, nil
 }
-
-// Ints converts an integer sample to float64 for the statistics functions.
-func Ints[T ~int | ~int32 | ~int64](xs []T) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
-}

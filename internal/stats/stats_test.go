@@ -210,3 +210,12 @@ func TestTableRaggedRows(t *testing.T) {
 		t.Error("short row lost")
 	}
 }
+
+// Ints converts an integer sample to float64 for the statistics functions.
+func Ints[T ~int | ~int32 | ~int64](xs []T) []float64 {
+	out := make([]float64, len(xs))
+	for i, x := range xs {
+		out[i] = float64(x)
+	}
+	return out
+}

@@ -345,16 +345,35 @@ func TestRunRejectsBadScenarios(t *testing.T) {
 		}
 	}
 
-	// Run-shape knobs are validated once, for every protocol: each registry
-	// entry's valid scenario must turn ErrBadScenario under each bad knob.
+	// Run-shape knobs and the workload are validated once, for every
+	// protocol: each registry entry's valid scenario must turn
+	// ErrBadScenario under each bad knob, and under each malformed workload
+	// field it consumes (kind 0: every field). A malformed field of another
+	// kind is not its input, and must not reject the scenario.
 	shape := []struct {
 		name   string
+		kind   ProposalKind
 		mutate func(sc *Scenario)
 	}{
-		{"negative MaxRounds", func(sc *Scenario) { sc.Bounds.MaxRounds = -1 }},
-		{"negative MaxInstances", func(sc *Scenario) { sc.Bounds.MaxInstances = -1 }},
-		{"negative MaxVirtualTime", func(sc *Scenario) { sc.Bounds.MaxVirtualTime = -time.Millisecond }},
-		{"inverted uniform band", func(sc *Scenario) { sc.Profile = UniformProfile(5*time.Millisecond, 0) }},
+		{"negative MaxRounds", 0, func(sc *Scenario) { sc.Bounds.MaxRounds = -1 }},
+		{"negative MaxInstances", 0, func(sc *Scenario) { sc.Bounds.MaxInstances = -1 }},
+		{"negative MaxVirtualTime", 0, func(sc *Scenario) { sc.Bounds.MaxVirtualTime = -time.Millisecond }},
+		{"inverted uniform band", 0, func(sc *Scenario) { sc.Profile = UniformProfile(5*time.Millisecond, 0) }},
+		{"short workload", 0, func(sc *Scenario) {
+			w := &sc.Workload
+			w.Binary, w.Values, w.Commands, w.Scripts = w.Binary[:3], w.Values[:3], w.Commands[:3], w.Scripts[:3]
+		}},
+		{"long workload", 0, func(sc *Scenario) { sc.Workload = diffMatrixWorkload(part.N() + 1) }},
+		{"missing workload", 0, func(sc *Scenario) { sc.Workload = Workload{Slots: 2} }},
+		{"non-binary proposal", ProposalsBinary, func(sc *Scenario) {
+			sc.Workload.Binary = append([]Value(nil), sc.Workload.Binary...)
+			sc.Workload.Binary[2] = Bot
+		}},
+		{"zero slots", ProposalsCommands, func(sc *Scenario) { sc.Workload.Slots = 0 }},
+		{"negative script delay", ProposalsScripts, func(sc *Scenario) {
+			sc.Workload.Scripts = append([][]ScriptOp(nil), sc.Workload.Scripts...)
+			sc.Workload.Scripts[4] = []ScriptOp{ScriptRead(), {After: -time.Microsecond}}
+		}},
 	}
 	for _, info := range Protocols() {
 		base := Scenario{
@@ -368,8 +387,14 @@ func TestRunRejectsBadScenarios(t *testing.T) {
 		for _, tc := range shape {
 			sc := base
 			tc.mutate(&sc)
-			if _, err := Run(sc); !errors.Is(err, protocol.ErrBadScenario) {
-				t.Errorf("%s: %s: err = %v, want ErrBadScenario", info.Name, tc.name, err)
+			_, err := Run(sc)
+			switch {
+			case tc.kind == 0 || tc.kind == info.Proposals:
+				if !errors.Is(err, protocol.ErrBadScenario) {
+					t.Errorf("%s: %s: err = %v, want ErrBadScenario", info.Name, tc.name, err)
+				}
+			case err != nil:
+				t.Errorf("%s: %s is not its input, but: %v", info.Name, tc.name, err)
 			}
 		}
 	}
