@@ -149,28 +149,79 @@ func TestRegisterAllocationGate(t *testing.T) {
 	}, 200, 228, 16_500)
 }
 
-// TestGossipAllocationGate pins the allocation bill of one crash-free gossip
-// run at n=2048 on a de Bruijn overlay, seed 1303: a scheduler sharded 16
-// ways, which owns its bucket array and so grows it afresh every run.
-// Achieved: 461 allocations and 7.4 MB per run, from 8,139 and 8.1 MB while
-// every process had a heap Proc, a name past p255 and an inbox ring of its
-// own beside its record, from 23,802 and 8.4 MB while every point-to-point
-// message rode a pooled delivery object (a run grew about 15,700 of them),
-// from 26,022 with a dispatch closure per process, and from 77,963 and
-// 30.1 MB while each of the 256 buckets grew and kept an array of its own
-// and every timer wake allocated a closure. The limits leave about 10 % of
-// headroom.
-func TestGossipAllocationGate(t *testing.T) {
+// gossipTrial is one crash-free gossip run at n=2048 on a de Bruijn
+// overlay, one process proposing One, Uniform(0,200µs), seed 1303.
+func gossipTrial() Scenario {
 	const n = 2048
 	w := Workload{Binary: make([]Value, n)}
 	w.Binary[n/2] = One
-	checkAllocBill(t, "one gossip run at n=2048", Scenario{
+	return Scenario{
 		Protocol: ProtocolGossip,
 		Topology: Topology{N: n, Overlay: &OverlaySpec{Kind: OverlayDeBruijn, Degree: DefaultOverlayDegree(n)}},
 		Workload: w,
 		Profile:  UniformProfile(0, 200*time.Microsecond),
 		Seed:     1303,
-	}, 20, 510, 8_200_000)
+	}
+}
+
+// TestGossipAllocationGate pins the allocation bill of one gossip run
+// (gossipTrial): a scheduler sharded 16 ways, which Recycle hands to the
+// next run with its bucket chunks, network and process slab. Achieved: 15
+// allocations and 0.65 MB per run, from 461 and 7.4 MB while a sharded
+// scheduler was never recycled and grew its buckets afresh every run, from
+// 8,139 and 8.1 MB while every process had a heap Proc, a name past p255 and
+// an inbox ring of its own beside its record, from 23,802 and 8.4 MB while
+// every point-to-point message rode a pooled delivery object (a run grew
+// about 15,700 of them), from 26,022 with a dispatch closure per process,
+// and from 77,963 and 30.1 MB while each of the 256 buckets grew and kept an
+// array of its own and every timer wake allocated a closure. The limits
+// leave about 10 % of headroom.
+func TestGossipAllocationGate(t *testing.T) {
+	checkAllocBill(t, "one gossip run at n=2048", gossipTrial(), 20, 17, 720_000)
+}
+
+// denseTrial is the hybrid-dense regime of bench/: the hybrid local-coin
+// algorithm at n=1024 on ten blocks, every process proposing One,
+// Uniform(50µs, 2ms), and one timed crash at 60µs in each eighth of the id
+// space, a minority everywhere, so every cluster keeps a live member.
+func denseTrial(t *testing.T, seed int64) Scenario {
+	t.Helper()
+	const n = 1024
+	part, err := Blocks(n, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := Workload{Binary: make([]Value, n)}
+	for p := range w.Binary {
+		w.Binary[p] = One
+	}
+	crashes := NewSchedule(n)
+	for k := 0; k < 8; k++ {
+		if err := crashes.SetTimed(ProcID(k*(n/8)+int(seed*37+int64(k)*53)%(n/8)), 60*time.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return Scenario{
+		Protocol:  ProtocolHybrid,
+		Algorithm: AlgoLocalCoin,
+		Topology:  Topology{Partition: part},
+		Workload:  w,
+		Faults:    crashes,
+		Profile:   UniformProfile(50*time.Microsecond, 2*time.Millisecond),
+		Seed:      seed,
+		Bounds:    Bounds{MaxRounds: 10_000},
+	}
+}
+
+// TestDenseAllocationGate pins what one dense sharded run allocates in
+// steady state, on the scheduler and network the run before it handed back
+// (denseTrial, seed 1): 8 shards, a 2 ms band, thousands of fanouts in
+// flight when the run ends. Achieved: 2,340 allocations and 2.5–2.7 MB per
+// run, from 49,477 and 20.1 MB while a sharded scheduler and its network
+// were never recycled, so that every run grew its bucket arrays and made
+// every fanout afresh. The limits leave about 10 % of headroom.
+func TestDenseAllocationGate(t *testing.T) {
+	checkAllocBill(t, "one dense run at n=1024", denseTrial(t, 1), 5, 2_600, 3_000_000)
 }
 
 // checkAllocBill fails unless one run of sc, averaged over runs runs,
@@ -201,16 +252,17 @@ func checkAllocBill(t *testing.T, what string, sc Scenario, runs, maxAllocs, max
 // n=1024 (de Bruijn, two crashes mid-flood). The bill is the item
 // slices — one exactly-sized slice per flush, a 12-byte item per 64-origin
 // block of the delivered row that gained origins since the last flush —
-// and the run's pooled state: 6.3 MB per run, from 45.0 MB when every
-// forwarded origin was an item of its own in an outbox grown from nil
+// and the run's pooled state: 3.1–3.7 MB per run, from 5.8–6.3 MB while a
+// sharded scheduler and its network were never recycled, from 45.0 MB when
+// every forwarded origin was an item of its own in an outbox grown from nil
 // after each flush, and 135.6 MB with the 40-byte items that carried a
-// value string. The limit is 1.5× the achieved bill.
+// value string. The limit is 1.5× the larger achieved bill.
 func TestAllconcurAllocationGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counts are pinned without the race detector")
 	}
 	const (
-		maxBytes = 9_500_000
+		maxBytes = 5_600_000
 		runs     = 3
 	)
 	sc := allconcurGoldenScenario(t, 1024, OverlayDeBruijn, "two-at-150us")
@@ -250,11 +302,16 @@ func drainPools() {
 //   - MaxSteps cuts runs with fanouts and deliveries still in flight;
 //   - shconsensus builds no network, so the network kept before it reaches
 //     the run after it; smr, multivalued and register ride along;
-//   - one n = 256 run, whose scheduler is sharded and never recycled, sits
-//     between two n = 7 runs.
+//   - five sharded runs, each between two small ones, hand their chunks,
+//     fanouts, shard buffers and process slab down to n = 7 and back up:
+//     gossip at n = 2048 (per-recipient bursts over 16 shards), allconcur at
+//     n = 1024 with two crashes, hybrid on Blocks(1024, 10) under bench's
+//     dense band, hybrid at n = 256, and a dense run its step budget cuts
+//     mid-window, with broadcasts queued and fanouts in flight.
 func poolScenarios(t *testing.T) []Scenario {
 	t.Helper()
 	var scs []Scenario
+	sharded := shardedPoolScenarios(t)
 	for seed := int64(1); seed <= 2; seed++ {
 		for _, n := range []int{7, 3, 9, 7} {
 			topo := Topology{Partition: Fig1Right()}
@@ -332,28 +389,43 @@ func poolScenarios(t *testing.T) []Scenario {
 			with(func(sc *Scenario) {
 				sc.Protocol, sc.Workload, sc.Bounds = ProtocolRegister, Workload{Scripts: scripts}, Bounds{}
 			})
-		}
-		if seed == 1 {
-			const n = 256
-			part, err := Blocks(n, 8)
-			if err != nil {
-				t.Fatal(err)
+			if len(sharded) > 0 {
+				scs, sharded = append(scs, sharded[0]), sharded[1:]
 			}
-			w := Workload{Binary: make([]Value, n)}
-			for p := range w.Binary {
-				w.Binary[p] = One
-			}
-			scs = append(scs, Scenario{
-				Protocol:  ProtocolHybrid,
-				Algorithm: AlgoLocalCoin,
-				Topology:  Topology{Partition: part},
-				Workload:  w,
-				Profile:   UniformProfile(0, 200*time.Microsecond),
-				Seed:      seed,
-			})
 		}
 	}
 	return scs
+}
+
+// shardedPoolScenarios are poolScenarios' sharded runs, in the order it
+// interleaves them.
+func shardedPoolScenarios(t *testing.T) []Scenario {
+	t.Helper()
+	const n = 256
+	part, err := Blocks(n, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := Workload{Binary: make([]Value, n)}
+	for p := range w.Binary {
+		w.Binary[p] = One
+	}
+	cut := denseTrial(t, 3)
+	cut.Bounds.MaxSteps = 30_000
+	return []Scenario{
+		gossipTrial(),
+		allconcurGoldenScenario(t, 1024, OverlayDeBruijn, "two-at-150us"),
+		denseTrial(t, 2),
+		{
+			Protocol:  ProtocolHybrid,
+			Algorithm: AlgoLocalCoin,
+			Topology:  Topology{Partition: part},
+			Workload:  w,
+			Profile:   UniformProfile(0, 200*time.Microsecond),
+			Seed:      1,
+		},
+		cut,
+	}
 }
 
 // TestPooledStorageCarriesNoState: Outcomes must not depend on what the

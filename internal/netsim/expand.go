@@ -4,6 +4,7 @@ package netsim
 
 import (
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"allforone/internal/model"
@@ -212,7 +213,7 @@ func (nw *Network) BurstSend(from, to model.ProcID, payload any) {
 	if nw.opts.counters != nil {
 		nw.opts.counters.AddMsgsSent(1)
 	}
-	if nw.shards == nil || nw.closed {
+	if len(nw.shards) == 0 || nw.closed {
 		m := Message{From: from, To: to, Payload: payload}
 		nw.deliver(m, nw.delayFor(m))
 		return
@@ -232,7 +233,7 @@ func (nw *Network) BurstSendVia(from, to model.ProcID, b BurstBuilder, ctx any, 
 	if nw.opts.counters != nil {
 		nw.opts.counters.AddMsgsSent(1)
 	}
-	if nw.shards == nil || nw.closed {
+	if len(nw.shards) == 0 || nw.closed {
 		payload, _ := b.BuildPayload(nw, ctx, arg)
 		m := Message{From: from, To: to, Payload: payload}
 		nw.deliver(m, nw.delayFor(m))
@@ -268,12 +269,17 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// initShards builds the per-shard expansion state: contiguous recipient
+// initShards engages the per-shard expansion state: contiguous recipient
 // stripes and per-shard RNG streams, derived from the run seed and the shard
-// index alone.
+// index alone. The shards live in one array of vclock.NumShards, made the
+// first time and kept by recycle with each shard's buffers, so that a shard's
+// rng, which wraps its src, never moves.
 func (nw *Network) initShards(count int) {
-	nw.shards = make([]sendShard, count)
-	nw.shardOf = make([]uint8, nw.n)
+	if nw.shards == nil {
+		nw.shards = make([]sendShard, 0, vclock.NumShards)
+	}
+	nw.shards = nw.shards[:count]
+	nw.shardOf = slices.Grow(nw.shardOf[:0], nw.n)[:nw.n]
 	nw.seqPerShard = uint64((nw.n+count-1)/count) + 1
 	nw.win.nw = nw
 	for s := range nw.shards {
@@ -285,6 +291,8 @@ func (nw *Network) initShards(count int) {
 		}
 		st := nw.opts.seed + uint64(s+1)*0x9E3779B97F4A7C15
 		sh.src.Seed(mix64(st), mix64(st^0xda3e39cb94b95bdb))
-		sh.rng = rand.New(&sh.src)
+		if sh.rng == nil {
+			sh.rng = rand.New(&sh.src)
+		}
 	}
 }

@@ -96,7 +96,7 @@ func TestDelayPolicyPrecedence(t *testing.T) {
 		for _, tc := range cases {
 			t.Run(fmt.Sprintf("n=%d/%s", n, tc.name), func(t *testing.T) {
 				tn := newTracedNet(t, n, tc.opts...)
-				if sharded := tn.nw.shards != nil; sharded != (n == 300) {
+				if sharded := len(tn.nw.shards) > 0; sharded != (n == 300) {
 					t.Fatalf("sharded expansion engaged = %v at n=%d", sharded, n)
 				}
 				tn.s.At(0, func() {
@@ -276,7 +276,7 @@ func tailRun(t *testing.T, n int, span time.Duration, timed bool, maxSteps int64
 	s := vclock.New(vclock.WithShards(vclock.ShardsFor(n)), vclock.WithMaxSteps(maxSteps))
 	tn := newTracedNetOn(t, s, n, opt)
 	nw := tn.nw
-	if nw.shards == nil {
+	if len(nw.shards) == 0 {
 		t.Fatalf("n=%d: the sharded path is not engaged", n)
 	}
 	closeAll := func(ps ...int) {

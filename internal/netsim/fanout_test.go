@@ -139,7 +139,7 @@ func checkFanoutOrder(t *testing.T, rng *rand.Rand, k int, span int64, order str
 			c.list = c.list[:len(c.list)/2]
 		}
 		cases[r] = c
-		wholeNet := !dirty && order == "ascending" && len(c.list) == n && nw.shards == nil
+		wholeNet := !dirty && order == "ascending" && len(c.list) == n && len(nw.shards) == 0
 		s.At(start(r), func() {
 			if wholeNet {
 				nw.SendAll(0, r)

@@ -210,10 +210,10 @@ type Network struct {
 
 	// The fanout pool (guarded by the scheduler's execution token, like
 	// everything else here): fanout events cycle through this freelist
-	// instead of allocating per broadcast. On an unsharded network fanouts
-	// records every fanout ever made, so that recycle can return the ones
-	// still in flight when a run ended. A single message needs no pooled
-	// object: it rides its own message event.
+	// instead of allocating per broadcast, and fanouts records every fanout
+	// ever made, so that recycle can return the ones still in flight when a
+	// run ended. A single message needs no pooled object: it rides its own
+	// message event.
 	freeFanouts []*fanout
 	fanouts     []*fanout
 	everyone    []model.ProcID // the 0 … n-1 recipient list (SendAll); built in New
@@ -227,8 +227,9 @@ type Network struct {
 	closedAt []uint32
 	closures uint32
 
-	// Sharded expansion state (expand.go); nil unless the scheduler is
-	// sharded and a delay policy makes expansion worth fanning out.
+	// Sharded expansion state (expand.go); shards is empty unless the
+	// scheduler is sharded and a delay policy makes expansion worth fanning
+	// out, and keeps its storage across runs (recycle).
 	shards      []sendShard
 	shardOf     []uint8 // recipient → owning shard (len n)
 	seqPerShard uint64  // sequence numbers one shard may use per broadcast
@@ -440,9 +441,9 @@ func sortRun[K fanKey](h []K, from int, sh uint8) int {
 // order, and minDelay/maxDelay bound their delay fields. It returns the first
 // arrival instant. The entry slice is sized exactly, here, where the form is
 // known: a fanout whose tail arrivals outlive the run returns to its pool
-// only when the network is recycled, and a sharded one never does, so an
-// append-doubling growth chain would be paid — allocation, copy, and write
-// barrier — once per broadcast, not amortized across reuses.
+// only when the network is recycled, so an append-doubling growth chain
+// would be paid — allocation, copy, and write barrier — once per fanout the
+// run makes, not amortized across reuses.
 func (f *fanout) load(words []uint64, to []model.ProcID, now vclock.Time, minDelay, maxDelay uint64) vclock.Time {
 	f.to = to
 	f.base = now + vclock.Time(minDelay)
@@ -536,9 +537,8 @@ func (f *fanout) release() {
 	f.nw.freeFanouts = append(f.nw.freeFanouts, f)
 }
 
-// getFanout pops a pooled fanout event or makes one, recorded unless the
-// network is sharded (only an unsharded network is ever recycled); load sizes
-// its entries.
+// getFanout pops a pooled fanout event or makes one, recorded so that
+// recycle finds it however the run ends; load sizes its entries.
 func (nw *Network) getFanout() *fanout {
 	if k := len(nw.freeFanouts); k > 0 {
 		f := nw.freeFanouts[k-1]
@@ -546,9 +546,7 @@ func (nw *Network) getFanout() *fanout {
 		return f
 	}
 	f := &fanout{nw: nw}
-	if nw.shards == nil {
-		nw.fanouts = append(nw.fanouts, f)
-	}
+	nw.fanouts = append(nw.fanouts, f)
 	return f
 }
 
@@ -775,7 +773,7 @@ func (nw *Network) SendAll(from model.ProcID, payload any) {
 	if nw.opts.counters != nil {
 		nw.opts.counters.AddMsgsSent(int64(nw.n))
 	}
-	if nw.shards != nil && nw.fanOK && !nw.closed {
+	if len(nw.shards) > 0 && nw.fanOK && !nw.closed {
 		nw.appendFan(from, payload)
 		return
 	}
@@ -876,15 +874,20 @@ func (nw *Network) Shutdown() {
 // scheduler recycled, so none of its events is pending anywhere, and no
 // message either, since each rode its own event — for New: every fanout it
 // made goes back on its freelist, cleared, the ones still in flight when the
-// run ended too, its own inboxes are emptied, and the bindings are dropped:
-// bound storage is its owner's to clear (driver.RunHandlers clears its
-// records). The payload pool is dropped: its objects belong to the run's
-// protocol. Nothing of the finished run stays reachable from the network.
-// Only an unsharded network reaches here, since sharded schedulers are never
-// recycled.
+// run ended too, with their entry storage; its own inboxes are emptied, and
+// the bindings are dropped: bound storage is its owner's to clear
+// (driver.RunHandlers clears its records). The payload pool is dropped: its
+// objects belong to the run's protocol. A sharded network's window and
+// shard buffers are emptied, the entries a flush never expanded too, and
+// its shards are detached; New engages them again (initShards) when the
+// next run is sharded, on the same storage. Nothing of the finished run
+// stays reachable from the network.
 func (nw *Network) recycle() {
 	// A fanout off its freelist is one still in flight: it has its
-	// recipient list.
+	// recipient list. The freelist takes them all back, grown at once to
+	// every fanout the network made: a sharded run can end with thousands
+	// in flight, and appending them one by one would pay a doubling chain.
+	nw.freeFanouts = slices.Grow(nw.freeFanouts, len(nw.fanouts)-len(nw.freeFanouts))
 	for _, f := range nw.fanouts {
 		if f.to != nil {
 			f.release()
@@ -896,5 +899,13 @@ func (nw *Network) recycle() {
 	clear(nw.boxes)
 	clear(nw.freePayloads)
 	nw.freePayloads = nw.freePayloads[:0]
+	for s := range nw.shards {
+		sh := &nw.shards[s]
+		clear(sh.burst)
+		sh.burst = sh.burst[:0]
+	}
+	clear(nw.win.fans)
+	nw.win.fans, nw.win.live = nw.win.fans[:0], false
+	nw.shards, nw.fanOK = nw.shards[:0], false
 	nw.closed = false
 }

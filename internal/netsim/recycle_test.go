@@ -15,7 +15,15 @@ import (
 
 // boxed is a payload that lives on the heap, so a reference a recycled
 // network kept to it would be one to a finished run's object.
-type boxed struct{ from, seq int }
+// The pointer field keeps it out of the runtime's tiny allocator, which
+// packs small pointer-free objects — this one is 8 bytes on 32-bit
+// platforms — into shared 16-byte blocks, where a weak pointer to a dead one
+// stays valid while a neighbour lives (weak.Pointer's doc): the test would
+// then see a retention that is not there.
+type boxed struct {
+	from, seq int
+	_         *boxed
+}
 
 // recycleRun is one cut-short run of n processes on a network built on s:
 // every process broadcasts at 0, p0 sends each peer a point-to-point message
@@ -86,7 +94,11 @@ func recycleRun(t *testing.T, s *vclock.Scheduler, n int) (*Network, []string, [
 // at all: not the ones queued in inboxes, and not the ones whose message
 // events were still in flight at the cut. A second network on the scheduler
 // in the same run is refused. And the reused network runs exactly as a new
-// one: at n = 7 → 3 → 9, its arrivals match a network built afresh.
+// one: at n = 7 → 3 → 9, its arrivals match a network built afresh. The same
+// holds for a sharded network (checkShardedRecycle) cut at 90µs — its first
+// window sealed, the window's broadcast entries still held, its fanouts in
+// flight — and at 120µs, in the middle of its second window, with a
+// broadcast entry and a burst entry no flush expanded.
 func TestRecycledNetworkCarriesNothing(t *testing.T) {
 	// The step budget that cuts an n-process run with arrivals in flight.
 	steps := func(n int) vclock.Option { return vclock.WithMaxSteps(int64(n * n / 2)) }
@@ -164,6 +176,115 @@ func TestRecycledNetworkCarriesNothing(t *testing.T) {
 			s3.Recycle()
 			s, nw = s3, nwAgain
 		}
+	}
+	checkShardedRecycle(t, 90_000, false)
+	checkShardedRecycle(t, 120_000, true)
+}
+
+// shardedCutRun is one run of an n-process network on s, which is sharded
+// and cut at a deadline: at 0 every process broadcasts and bursts a message
+// to its successor, which the first window's flush expands; at 100µs p0
+// broadcasts and bursts once more, which opens a second window that stays
+// open until an event past 150µs is due. The band, 50µs to 200µs, keeps the
+// first window's fanouts in flight past 150µs. One process, bound to every
+// inbox, drains them at every other 20µs of virtual time, so messages stay
+// queued at the cut. It returns the network, shut down, and a weak pointer to
+// every payload the run sent.
+func shardedCutRun(t *testing.T, s *vclock.Scheduler, n int) (*Network, []weak.Pointer[boxed]) {
+	t.Helper()
+	nw, err := New(n, WithScheduler(s), WithSeed(uint64(n)), WithUniformDelay(50*time.Microsecond, 200*time.Microsecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sent []weak.Pointer[boxed]
+	send := func(from, seq int) *boxed {
+		b := &boxed{from: from, seq: seq}
+		sent = append(sent, weak.Make(b))
+		return b
+	}
+	all := slices.Clone(nw.everyone)
+	spawn(s, nw, all, func() {
+		for p := range all {
+			nw.SendAll(model.ProcID(p), send(p, 0))
+			nw.BurstSend(model.ProcID(p), model.ProcID((p+1)%n), send(p, 1))
+		}
+	}, func() bool {
+		for _, p := range all {
+			for s.Now()/(20*1000)%2 == 0 {
+				if _, ok, _ := nw.ReceiveNow(p); !ok {
+					break
+				}
+			}
+		}
+		return false
+	})
+	s.At(100_000, func() {
+		nw.SendAll(0, send(0, 2))
+		nw.BurstSend(0, 5, send(0, 3))
+	})
+	if out := s.Run(); !out.DeadlineExceeded {
+		t.Fatalf("run was not cut: %+v", out)
+	}
+	nw.Shutdown()
+	return nw, sent
+}
+
+// checkShardedRecycle is TestRecycledNetworkCarriesNothing's sharded half,
+// for one shardedCutRun at n = 256 cut at cut, where the window must be open
+// (live) or sealed. The network the next New takes back holds no payload of
+// the run in its window, a shard buffer, a fanout or an inbox, and no
+// payload of the run is reachable at all; it keeps its shards and their
+// buffers, and every fanout it made is back on its freelist.
+func checkShardedRecycle(t *testing.T, cut vclock.Time, live bool) {
+	t.Helper()
+	const n = 256
+	for attempt := 0; ; attempt++ {
+		if attempt == 100 {
+			t.Fatalf("cut %d: the scheduler pool never handed the recycled scheduler back", cut)
+		}
+		s := vclock.New(vclock.WithShards(vclock.ShardsFor(n)), vclock.WithDeadline(cut))
+		nw, payloads := shardedCutRun(t, s, n)
+		w := &nw.win
+		bursts := slices.ContainsFunc(nw.shards, func(sh sendShard) bool { return len(sh.burst) > 0 })
+		if w.live != live || len(w.fans) == 0 || bursts != live {
+			t.Fatalf("cut %d: window open %v with %d broadcast entries, burst entries queued %v; want open %v",
+				cut, w.live, len(w.fans), bursts, live)
+		}
+		if len(nw.freeFanouts) == len(nw.fanouts) {
+			t.Fatalf("cut %d: no fanout in flight (%d of %d free)", cut, len(nw.freeFanouts), len(nw.fanouts))
+		}
+		fanouts, shards := slices.Clone(nw.fanouts), &nw.shards[0]
+		s.Recycle()
+
+		s2 := vclock.New(vclock.WithShards(vclock.ShardsFor(n)))
+		if s2 != s {
+			continue // the pool dropped it, or another test's scheduler came out
+		}
+		got, err := New(n, WithScheduler(s2), WithSeed(uint64(n)), WithUniformDelay(50*time.Microsecond, 200*time.Microsecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != nw || &got.shards[0] != shards {
+			t.Fatalf("cut %d: New on a recycled scheduler did not reuse the kept network and its shards", cut)
+		}
+		checkRecycled(t, got, fanouts)
+		if got.win.live || len(got.win.fans) != 0 || slices.ContainsFunc(got.win.fans[:cap(got.win.fans)], func(e fanEntry) bool { return e != (fanEntry{}) }) {
+			t.Fatalf("cut %d: the window keeps %d entries (open %v)", cut, len(got.win.fans), got.win.live)
+		}
+		for i, sh := range got.shards[:cap(got.shards)] {
+			if slices.ContainsFunc(sh.burst[:cap(sh.burst)], func(e burstEntry) bool { return e != (burstEntry{}) }) {
+				t.Fatalf("cut %d: shard %d keeps a burst entry", cut, i)
+			}
+		}
+		runtime.GC()
+		for i, p := range payloads {
+			if p.Value() != nil {
+				t.Fatalf("cut %d: payload %d of the finished run is still reachable", cut, i)
+			}
+		}
+		got.Shutdown()
+		s2.Recycle()
+		return
 	}
 }
 

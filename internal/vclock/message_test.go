@@ -11,9 +11,15 @@ import (
 
 // body is a heap payload of a message event: who sent it to whom, so a
 // delivery can check that the message arrived intact.
+// The pointer field keeps it out of the runtime's tiny allocator, which
+// packs small pointer-free objects — this one is 12 bytes on 32-bit
+// platforms — into shared 16-byte blocks, where a weak pointer to a dead one
+// stays valid while a neighbour lives (weak.Pointer's doc): the test would
+// then see a retention that is not there.
 type body struct {
 	id       int
 	from, to int
+	_        *body
 }
 
 // keyed is one scheduled item of the reference: its effective instant (the

@@ -286,25 +286,60 @@ func TestWithShardsZeroIsUnsharded(t *testing.T) {
 	}
 }
 
-// TestShardedSchedulerOwnsItsSlots: a sharded scheduler's bucket array is its
-// own from New on, and Run and Recycle leave it there instead of handing the
-// scheduler to the pool, where its grown buckets would reach a later run or
-// not as the collector's timing decided.
+// TestShardedSchedulerOwnsItsSlots: a sharded scheduler's wheel storage is
+// its own and travels with it through Recycle as an unsharded one's does. A
+// run cut by its step budget with events pending in every tier — buckets,
+// the open slot's run and late heap, the overflow heap — once cleared holds
+// no event in any tier or on its free list, no job and no shard, keeps its
+// bucket array and chunks, and runs the same schedule again pop for pop as a
+// scheduler built afresh.
 func TestShardedSchedulerOwnsItsSlots(t *testing.T) {
-	s := New(WithShards(4))
-	own := s.wheel.slots
-	if own == nil {
-		t.Fatal("a sharded scheduler starts without a bucket array of its own")
+	const cut = 150
+	build := func(tr *trace) {
+		s := tr.s
+		var tick func()
+		tick = func() { tr.note("tick"); s.After(us, tick) }
+		s.At(0, tick)
+		tr.mark(2*Time(wheelSlots)<<slotWidthShift, "beyond the horizon")
+		(&recJob{tr: tr, name: "j", base: 100 * us, step: 20 * us, stride: us, perShard: 60}).submit()
 	}
-	tr := &trace{s: s}
-	tr.mark(300*us, "far")
-	(&recJob{tr: tr, name: "j", base: 100 * us, step: 20 * us, stride: us, perShard: 3}).submit()
-	s.Run()
-	if len(tr.lines) != 13 {
-		t.Fatalf("pops %v, want the 12 staged events and the far mark", tr.lines)
+	run := func(s *Scheduler) ([]string, Outcome) {
+		s.apply(WithShards(4))
+		s.apply(WithMaxSteps(cut))
+		tr := &trace{s: s}
+		build(tr)
+		out := s.Run()
+		if !out.StepsExceeded {
+			t.Fatalf("run was not cut: %+v", out)
+		}
+		return tr.lines, out
 	}
-	s.Recycle()
-	if s.wheel.slots != own || s.now == 0 {
-		t.Fatalf("after Run and Recycle the wheel holds array %p at now=%d, want its own %p, untouched", s.wheel.slots, s.now, own)
+	fresh := func() *Scheduler {
+		s := &Scheduler{earliest: maxTime}
+		s.ins.s = s
+		return s
+	}
+
+	s := fresh()
+	lines, out := run(s)
+	w := &s.wheel
+	if w.wheelCount == 0 || len(w.order) == 0 || len(w.late) == 0 || len(w.overflow) == 0 {
+		t.Fatalf("at the cut %d in buckets, %d in the run, %d late, %d in overflow: every tier must hold one",
+			w.wheelCount, len(w.order), len(w.late), len(w.overflow))
+	}
+	slots := w.slots
+	s.reset()
+	if w.slots != slots || s.shards != 0 || len(s.jobs) != 0 || s.now != 0 {
+		t.Fatalf("reset left array %p (had %p), %d shards, %d jobs, now=%d", w.slots, slots, s.shards, len(s.jobs), s.now)
+	}
+	if checkNoEvent(t, w) == 0 {
+		t.Fatal("the sharded scheduler kept no chunk of the storage its run grew")
+	}
+	again, outAgain := run(s)
+	if !reflect.DeepEqual(again, lines) || outAgain != out {
+		t.Fatalf("a cleared sharded scheduler runs differently:\n%v %+v\nwant\n%v %+v", again, outAgain, lines, out)
+	}
+	if _, outFresh := run(fresh()); outFresh != out {
+		t.Fatalf("outcome %+v on a new scheduler, %+v on the first", outFresh, out)
 	}
 }

@@ -251,25 +251,26 @@ type SchedulerStats struct {
 type wheel struct {
 	// Invariants between advances:
 	//   - the pending events of slot curSlot are run[i] for i in order — those
-	//     the slot held when it opened, left where the bucket had them; order
-	//     lists them DESCENDING by (at, seq), so the earliest is its last
-	//     element and a pop shortens it — plus late, a min-heap of the events
-	//     inserted since;
+	//     the slot held when it opened, copied out of its bucket in insert
+	//     order; order lists them DESCENDING by (at, seq), so the earliest is
+	//     its last element and a pop shortens it — plus late, a min-heap of
+	//     the events inserted since;
 	//   - slots.buckets[s&wheelMask] holds the events of absolute slot s for
-	//     curSlot < s < curSlot+wheelSlots, unsorted; a bucket with no event
-	//     is nil;
+	//     curSlot < s < curSlot+wheelSlots, unsorted, in chunks; a bucket with
+	//     no event holds no chunk;
 	//   - overflow holds (as a min-heap) events at or past the horizon —
 	//     plus, transiently, events whose slot entered the window since the
 	//     last advance; advance() drains those before choosing a bucket;
 	//   - wheelCount counts events in slots (excluding run/late/overflow);
 	//   - no slice of the wheel holds an event past its length, run none
-	//     outside order and a shelved array none at all: pops zero the
-	//     vacated entry, and opening a slot takes the bucket's array as run
-	//     and shelves the drained run's, so storage can be recycled by
-	//     clearing the pending events alone.
+	//     outside order, a bucket's chunks none past its count and a chunk
+	//     on the free list none at all: pops zero the vacated entry, and
+	//     opening a slot zeroes each chunk it copies out and frees it at
+	//     once, so storage can be recycled by clearing the pending events
+	//     alone.
 	run, late  []event
 	order      []uint32   // indices into run
-	slots      *slotArray // unsharded: nil until the first bucket insert
+	slots      *slotArray // nil until the first bucket insert
 	curSlot    int64
 	wheelCount int
 	overflow   []event
@@ -278,67 +279,114 @@ type wheel struct {
 	maxDepth int64
 }
 
-// slotArray is the wheel's near-future bucket array — 6 KB of slice headers
-// — plus the shelf: a stack of empty backing arrays. Opening a slot shelves
-// the drained run's array, and the first insert into an empty bucket takes
-// one off the shelf, so the storage a run keeps follows the buckets in flight
-// at once, not 256 times the deepest bucket. The array belongs to its
-// scheduler and travels with it when Recycle hands the scheduler to a later
-// run (see Scheduler.Recycle): a short run (the paper's n=7 trials process
-// ~160 events) neither zeroes a fresh array nor regrows its buckets. reset
-// empties it the same way the shelf is kept: every bucket nil, and shelved
-// arrays that contain no event.
+// chunkLen is the number of events a chunk holds: 2.5 KB of events, so the
+// storage a bucket leaves unused is at most one chunk's.
+const chunkLen = 64
+
+// chunk is a fixed-size block of one bucket's events. Every chunk of a
+// bucket is full but its tail; next links a bucket's chunks in insert order,
+// and the free list's.
+type chunk struct {
+	ev   [chunkLen]event
+	next *chunk
+}
+
+// bucket is one wheel slot's events: n of them, in insert order, in the
+// chain of chunks from head to tail.
+type bucket struct {
+	head, tail *chunk
+	n          int
+}
+
+// slotArray is the wheel's near-future bucket array — 6 KB of bucket
+// headers — plus the free list of chunks every bucket takes its storage
+// from. An insert appends into its bucket's tail chunk, or a chunk off the
+// free list when the tail is full; opening a slot copies the bucket's events
+// into the run and puts its chunks back at once. So the storage a wheel
+// keeps follows the events pending at once — a chunk per 64 of them, plus
+// at most one part-filled chunk per bucket — not the depth of every bucket
+// it ever held. The array belongs to its scheduler and travels with it when
+// Recycle hands the scheduler to a later run, sharded or not (see
+// Scheduler.Recycle): a run neither zeroes a fresh array nor grows its
+// chunks again.
 type slotArray struct {
-	buckets [wheelSlots][]event
-	shelf   [][]event // every one of length 0, every entry zero
+	buckets [wheelSlots]bucket
+	free    *chunk // every entry of every chunk zero
 }
 
-// shelve puts a, whose entries must all be zero, on the shelf.
-func (st *slotArray) shelve(a []event) {
-	if cap(a) > 0 {
-		st.shelf = append(st.shelf, a[:0])
+// push appends the event (at, seq, route, ev) to bucket b, taking a chunk
+// off the free list, or a new one, when b's tail chunk is full.
+func (st *slotArray) push(b *bucket, at Time, seq, route uint64, ev Event) {
+	i := b.n % chunkLen
+	if i == 0 {
+		c := st.free
+		if c == nil {
+			c = new(chunk)
+		} else {
+			st.free, c.next = c.next, nil
+		}
+		if b.tail == nil {
+			b.head = c
+		} else {
+			b.tail.next = c
+		}
+		b.tail = c
 	}
+	b.tail.ev[i].set(at, seq, route, ev)
+	b.n++
 }
 
-// unshelve takes the most recently shelved array off the shelf; nil when the
-// shelf is empty.
-func (st *slotArray) unshelve() []event {
-	n := len(st.shelf) - 1
-	if n < 0 {
-		return nil
+// release puts chunk c, which must hold no event, on the free list, and
+// returns the chunk that followed it in its bucket.
+func (st *slotArray) release(c *chunk) *chunk {
+	next := c.next
+	c.next, st.free = st.free, c
+	return next
+}
+
+// take copies bucket b's events, in insert order, into run — whose array
+// must hold no event; it is grown when too short — and returns it. b's
+// chunks are zeroed and freed as they are copied, and b is left empty.
+func (st *slotArray) take(b *bucket, run []event) []event {
+	run = slices.Grow(run[:0], b.n)[:b.n]
+	for k, c := 0, b.head; c != nil; {
+		m := copy(run[k:], c.ev[:])
+		clear(c.ev[:m])
+		k += m
+		c = st.release(c)
 	}
-	a := st.shelf[n]
-	st.shelf[n] = nil
-	st.shelf = st.shelf[:n]
-	return a
+	*b = bucket{}
+	return run
+}
+
+// drop zeroes bucket b's events and frees its chunks, leaving b empty.
+func (st *slotArray) drop(b *bucket) {
+	for left, c := b.n, b.head; c != nil; left -= chunkLen {
+		clear(c.ev[:min(left, chunkLen)])
+		c = st.release(c)
+	}
+	*b = bucket{}
 }
 
 // reset empties the wheel for another run at virtual time zero, keeping its
 // storage: the events still pending in any tier are dropped (the run is over
-// or aborted and would never pop them) and zeroed, every bucket's array and
-// the open slot's run go onto the shelf, and the heaps and the order keep
-// their capacity.
+// or aborted and would never pop them) and zeroed, every bucket's chunks go
+// back on the free list, and the run, the heaps and the order keep their
+// capacity.
 func (w *wheel) reset() {
-	st := w.slots
-	if st != nil {
+	if st := w.slots; st != nil {
 		// The pending buckets lie in the window after the open slot; walk it
 		// only until they are all found.
 		for sl, left := w.curSlot+1, w.wheelCount; left > 0; sl++ {
 			b := &st.buckets[sl&wheelMask]
-			if *b == nil {
-				continue
-			}
-			left -= len(*b)
-			clear(*b)
-			st.shelve(*b)
-			*b = nil
+			left -= b.n
+			st.drop(b)
 		}
-		clear(w.run)
-		st.shelve(w.run)
 	}
+	clear(w.run)
 	clear(w.late)
 	clear(w.overflow)
-	*w = wheel{slots: st, order: w.order[:0], late: w.late[:0], overflow: w.overflow[:0]}
+	*w = wheel{slots: w.slots, run: w.run[:0], order: w.order[:0], late: w.late[:0], overflow: w.overflow[:0]}
 }
 
 // insert routes the event (at, seq, route, ev) to its tier: the open slot's
@@ -359,13 +407,9 @@ func (w *wheel) insert(at Time, seq, route uint64, ev Event) {
 			w.slots = new(slotArray)
 		}
 		b := &w.slots.buckets[slot&wheelMask]
-		if *b == nil {
-			*b = w.slots.unshelve()
-		}
-		*b = append(*b, event{})
-		(*b)[len(*b)-1].set(at, seq, route, ev)
+		w.slots.push(b, at, seq, route, ev)
 		w.wheelCount++
-		if d := int64(len(*b)); d > w.maxDepth {
+		if d := int64(b.n); d > w.maxDepth {
 			w.maxDepth = d
 		}
 	default:
@@ -397,7 +441,7 @@ func (w *wheel) advance(scratch *[]uint32, stop int64) bool {
 		if w.wheelCount > 0 {
 			// Walk the window to the next non-empty bucket and activate it.
 			sl, end := w.curSlot+1, w.curSlot+wheelSlots
-			for ; sl < end && len(w.slots.buckets[sl&wheelMask]) == 0; sl++ {
+			for ; sl < end && w.slots.buckets[sl&wheelMask].n == 0; sl++ {
 			}
 			if sl == end {
 				panic("vclock: wheelCount > 0 but no bucket found in window")
@@ -407,12 +451,10 @@ func (w *wheel) advance(scratch *[]uint32, stop int64) bool {
 			}
 			b := &w.slots.buckets[sl&wheelMask]
 			w.curSlot = sl
-			w.wheelCount -= len(*b)
-			// Every event of the run has been popped, and zeroed: shelve its
-			// array for the next bucket that fills, and take the bucket's
-			// instead of copying the bucket's events.
-			w.slots.shelve(w.run)
-			w.run, *b = *b, nil
+			w.wheelCount -= b.n
+			// Every event of the run has been popped, and zeroed: the
+			// bucket's events move into its array.
+			w.run = w.slots.take(b, w.run)
 			w.order = sortRun(w.run, w.order, scratch)
 			// Re-enter the loop: the window moved, overflow may cascade.
 			continue
@@ -789,7 +831,7 @@ const (
 )
 
 // schedulers holds the schedulers Recycle handed back, every one of them
-// unsharded, coroutine-free and cleared; New draws from it.
+// coroutine-free and cleared; New draws from it.
 var schedulers sync.Pool
 
 // Option customizes a Scheduler. It is a plain value, not a closure, so
@@ -821,9 +863,7 @@ func WithMaxSteps(n int64) Option { return Option{kind: optMaxSteps, n: n} }
 // most NumShards): a flush calls every job's ExpandShard once per shard, and
 // the network maps each shard to a recipient stripe with its own stream; see
 // the package comment. Every shard inserts into the one wheel. Zero shards
-// keeps the scheduler unsharded and makes the option a no-op. A sharded
-// scheduler holds a bucket array from New on, and is never recycled (see
-// Recycle).
+// keeps the scheduler unsharded and makes the option a no-op.
 // Any further argument is ignored; it is accepted, and deprecated, so that
 // callers of the old two-argument form WithShards(shards, workers) still
 // compile.
@@ -839,9 +879,6 @@ func (s *Scheduler) apply(o Option) {
 	case optShards:
 		if o.n > 0 {
 			s.shards = min(int(o.n), NumShards)
-			if s.wheel.slots == nil {
-				s.wheel.slots = new(slotArray)
-			}
 		}
 	}
 }
@@ -1279,20 +1316,19 @@ func (s *Scheduler) Kept(slot KeepSlot) any {
 // the caller has read the Outcome; the caller must not use it, or any Proc it
 // spawned, afterwards. The scheduler is cleared as the next run needs it —
 // virtual time zero, no event (and so no payload) pending in any tier, no
-// job, no network, no process, zero stats and Outcome — and keeps the storage
-// this run grew: the bucket array and its shelf, the heaps, the run queue
-// and the process list. Nothing a finished run did stays reachable from it
-// but the values it stored with Keep, which become the next run's Kept and
-// which their owners clear before they store them.
+// job, no network, no process, no shards, zero stats and Outcome — and keeps
+// the storage this run grew: the bucket array and its free chunks, the run
+// and the heaps, the run queue and the process list. A sharded scheduler is
+// recycled like any other: its chunks follow the events it had pending at
+// once, so what the pool carries into the next run is bounded by the peak
+// of this one. Nothing a finished run did stays reachable from it but the
+// values it stored with Keep, which become the next run's Kept and which
+// their owners clear before they store them.
 //
-// A sharded scheduler is not recycled: its arrays grow to the depth of a
-// large topology's flush windows — about 5 MB in all at n=10000 — and the
-// pool would carry that capacity into whichever run drew the scheduler next,
-// or not, as the collector's timing decided (a sync.Pool empties over two
-// collections). Neither is one that ever ran Spawn, whose goroutines may
-// outlive Run. Recycle leaves both as they are, for the collector.
+// A scheduler that ever ran Spawn is not recycled, since its goroutines may
+// outlive Run: Recycle leaves it as it is, for the collector.
 func (s *Scheduler) Recycle() {
-	if s.shards > 0 || s.yield != nil {
+	if s.yield != nil {
 		return
 	}
 	s.reset()

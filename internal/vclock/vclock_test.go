@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -477,10 +478,10 @@ func TestAtEventZeroAlloc(t *testing.T) {
 }
 
 // TestRecycleLeavesNoState: a scheduler a cut-short run hands back must carry
-// nothing of that run — no event in any heap or bucket, every bucket nil and
-// no event (hence no Event pointer) left anywhere on the shelf, which holds the
-// buckets' backing arrays and the open slot's run; no Proc holding a handler,
-// no runnable entry, no job — while keeping the capacity the run grew.
+// nothing of that run — no event in any heap, bucket or the open slot's run,
+// every bucket empty and no event (hence no Event pointer) left in any chunk
+// on the free list; no Proc holding a handler, no runnable entry, no job —
+// while keeping the capacity the run grew.
 func TestRecycleLeavesNoState(t *testing.T) {
 	s := New()
 	rng := rand.New(rand.NewPCG(5, 8))
@@ -519,28 +520,11 @@ func TestRecycleLeavesNoState(t *testing.T) {
 	if w.slots != held {
 		t.Fatalf("reset dropped the bucket array %p for %p", held, w.slots)
 	}
-	if s.pending() != 0 || w.run != nil || w.curSlot != 0 || s.now != 0 || s.seq != 0 {
-		t.Fatalf("reset left pending=%d run=%d curSlot=%d now=%d seq=%d", s.pending(), len(w.run), w.curSlot, s.now, s.seq)
+	if w.curSlot != 0 || s.now != 0 || s.seq != 0 {
+		t.Fatalf("reset left curSlot=%d now=%d seq=%d", w.curSlot, s.now, s.seq)
 	}
-	for _, tier := range [][]event{w.late[:cap(w.late)], w.overflow[:cap(w.overflow)]} {
-		for i, ev := range tier {
-			if ev != (event{}) {
-				t.Fatalf("a heap keeps %+v at %d of its capacity", ev, i)
-			}
-		}
-	}
-	for i, b := range w.slots.buckets {
-		if b != nil {
-			t.Fatalf("bucket %d kept %d events in %d slots", i, len(b), cap(b))
-		}
-	}
-	checkShelf(t, w.slots, nil)
-	capacity := 0
-	for _, a := range w.slots.shelf {
-		capacity += cap(a)
-	}
-	if capacity == 0 {
-		t.Fatal("the scheduler kept none of the bucket capacity the run grew")
+	if checkNoEvent(t, w) == 0 {
+		t.Fatal("the scheduler kept none of the bucket chunks the run grew")
 	}
 	if len(s.procs) != 0 || cap(s.procs) != cap(procsHeld) || s.live != 0 || s.spawned != 0 {
 		t.Fatalf("reset left procs=%d/%d live=%d spawned=%d", len(s.procs), cap(s.procs), s.live, s.spawned)
@@ -594,8 +578,10 @@ func TestRecycleClearsJobs(t *testing.T) {
 }
 
 // TestRecycleKeepsAndPools: Kept hands on, once, what the previous run
-// stored with Keep and nothing of the current run's; Recycle puts unsharded,
-// coroutine-free schedulers in the pool and leaves the others out.
+// stored with Keep and nothing of the current run's; Recycle puts
+// coroutine-free schedulers in the pool, sharded or not, and leaves the
+// others out. A recycled sharded scheduler is unsharded, at virtual time
+// zero, and holds no event in any tier or on its free list.
 func TestRecycleKeepsAndPools(t *testing.T) {
 	s := new(Scheduler)
 	s.ins.s, s.earliest = s, maxTime
@@ -633,11 +619,17 @@ func TestRecycleKeepsAndPools(t *testing.T) {
 	}
 	sh := New(WithShards(2))
 	sh.After(5, func() {})
+	sh.After(20*us, func() {}) // a bucket: its chunk goes on the free list
+	sh.After(Time(wheelSlots)<<slotWidthShift, func() {})
 	sh.Run()
-	sh.Recycle()
-	if sh.now != 5 || sh.shards != 2 {
-		t.Fatal("Recycle cleared a sharded scheduler")
+	sh.reset()
+	if sh.now != 0 || sh.shards != 0 {
+		t.Fatalf("reset left a sharded scheduler at now=%d with %d shards", sh.now, sh.shards)
 	}
+	if checkNoEvent(t, &sh.wheel) == 0 {
+		t.Fatal("the sharded scheduler kept no chunk; its free list was checked for nothing")
+	}
+	sh.Recycle()
 	// The pool may drop any Put (it does so at random under -race), so only
 	// a scheduler New does hand back is checked: it must be clean.
 	for i := 0; i < 20; i++ {
@@ -653,7 +645,7 @@ func TestRecycleKeepsAndPools(t *testing.T) {
 			t.Fatalf("run %d on a recycled scheduler: %+v", i, out)
 		}
 		s.Recycle()
-		if got := New(); got == co || got == sh {
+		if got := New(); got == co {
 			t.Fatal("New returned a scheduler Recycle refused")
 		} else if got.pending() != 0 || got.now != 0 || len(got.procs) != 0 {
 			t.Fatalf("New returned a scheduler with state: pending %d now %d procs %d", got.pending(), got.now, len(got.procs))
@@ -663,38 +655,79 @@ func TestRecycleKeepsAndPools(t *testing.T) {
 	}
 }
 
-// checkShelf fails unless every array on st's shelf is empty and holds no
-// event anywhere in its capacity — the clear-on-return invariant, which must
-// hold at every instant of a run, not only when the array is pooled. prev is
-// the shelf as an earlier call returned it (nil: none): an array still at the
-// place prev had it has been scanned then and is not scanned again, since
-// only the wheel's buckets and run are ever written to and a shelved array is
-// neither. Without that, a fuzzed op stream that grows one bucket to 10⁵
-// events would rescan its array after every later op, and stall the fuzzer.
-// checkShelf returns the shelf for the next call.
-func checkShelf(t testing.TB, st *slotArray, prev [][]event) [][]event {
+// checkNoEvent fails unless the wheel w, just reset, holds no event: none
+// pending, no run, none in the capacity of the run buffer or of either heap,
+// every bucket empty and the free list clean (checkFreeList). It returns the
+// number of chunks on the free list.
+func checkNoEvent(t testing.TB, w *wheel) int {
 	t.Helper()
-	for i, a := range st.shelf {
-		if len(a) != 0 {
-			t.Fatalf("shelved array %d has %d events", i, len(a))
-		}
-		if i < len(prev) && cap(a) > 0 && cap(prev[i]) == cap(a) && &prev[i][:1][0] == &a[:1][0] {
-			continue
-		}
-		for j, ev := range a[:cap(a)] {
+	if w.wheelCount != 0 || len(w.order)+len(w.late)+len(w.overflow)+len(w.run) != 0 {
+		t.Fatalf("reset left %d in buckets, %d in order, %d late, %d in overflow, run %d",
+			w.wheelCount, len(w.order), len(w.late), len(w.overflow), len(w.run))
+	}
+	for name, tier := range map[string][]event{"run": w.run, "late heap": w.late, "overflow heap": w.overflow} {
+		for i, ev := range tier[:cap(tier)] {
 			if ev != (event{}) {
-				t.Fatalf("shelved array %d entry %d still holds %+v", i, j, ev)
+				t.Fatalf("the %s keeps %+v at %d of its capacity", name, ev, i)
 			}
 		}
 	}
-	return append(prev[:0], st.shelf...)
+	if w.slots == nil {
+		return 0
+	}
+	for i, b := range w.slots.buckets {
+		if b != (bucket{}) {
+			t.Fatalf("bucket %d kept %d events", i, b.n)
+		}
+	}
+	return len(checkFreeList(t, w.slots, nil))
+}
+
+// checkFreeList fails unless every chunk on st's free list holds no event
+// anywhere — the clear-on-return invariant, which must hold at every instant
+// of a run, not only when the scheduler is pooled — and returns the list,
+// bottom first. prev is the list as an earlier call returned it (nil: none):
+// a chunk leaves the list only off its top, so the chunks at its bottom that
+// are still where prev had them were scanned then and are not scanned again
+// (one that left and came back to the same depth in between escapes the
+// rescan; a last call with nil scans them all). Without that, a fuzzed op
+// stream that grows one bucket to 10⁵ events would rescan its 1,600 chunks
+// after every later op, and stall the fuzzer.
+func checkFreeList(t testing.TB, st *slotArray, prev []*chunk) []*chunk {
+	t.Helper()
+	var list []*chunk
+	for c := st.free; c != nil; c = c.next {
+		list = append(list, c)
+	}
+	slices.Reverse(list)
+	same := 0
+	for same < min(len(list), len(prev)) && list[same] == prev[same] {
+		same++
+	}
+	for k, c := range list[same:] {
+		if c.ev != ([chunkLen]event{}) {
+			i := slices.IndexFunc(c.ev[:], func(ev event) bool { return ev != (event{}) })
+			t.Fatalf("free chunk %d from the bottom, entry %d, still holds %+v", same+k, i, c.ev[i])
+		}
+	}
+	return list
+}
+
+// chunks returns the number of chunks bucket b holds.
+func (b *bucket) chunks() int {
+	k := 0
+	for c := b.head; c != nil; c = c.next {
+		k++
+	}
+	return k
 }
 
 // TestWheelStorageFollowsPendingEvents: the capacity the wheel keeps in its
-// buckets, its shelf and the open slot's run follows the events pending at
-// once, not the 256 buckets of the ring. A band of 16 slots × 64 events moves
-// four times round the ring; were each bucket to keep the array it grew, the
-// wheel would hold 256 × 64 slots for a peak of 16 × 64 pending events.
+// buckets' chunks, its free list and the open slot's run follows the events
+// pending at once, not the 256 buckets of the ring. A band of 16 slots × 64
+// events moves four times round the ring; were each bucket to keep the
+// storage it grew, the wheel would hold 256 × 64 slots for a peak of 16 × 64
+// pending events.
 func TestWheelStorageFollowsPendingEvents(t *testing.T) {
 	const band, k, laps = 16, 64, 4
 	s := New()
@@ -715,34 +748,62 @@ func TestWheelStorageFollowsPendingEvents(t *testing.T) {
 		}
 	}
 	w := &s.wheel
-	retained := cap(w.run)
-	for _, b := range w.slots.buckets {
-		retained += cap(b)
+	chunks := len(checkFreeList(t, w.slots, nil))
+	for i := range w.slots.buckets {
+		chunks += w.slots.buckets[i].chunks()
 	}
-	for _, a := range w.slots.shelf {
-		retained += cap(a)
-	}
+	retained := cap(w.run) + chunks*chunkLen
 	if retained > 2*peak {
 		t.Fatalf("the wheel keeps %d event slots for at most %d pending events", retained, peak)
 	}
 	t.Logf("%d event slots kept for a peak of %d pending events", retained, peak)
 }
 
-// each calls visit on every pending event of the wheel, tier by tier: what a
-// white-box test reads instead of naming the tiers itself.
-func (w *wheel) each(visit func(event)) {
-	for _, i := range w.order {
-		visit(w.run[i])
-	}
-	tiers := [][]event{w.late, w.overflow}
-	if w.slots != nil {
-		tiers = append(tiers, w.slots.buckets[:]...)
-	}
-	for _, tier := range tiers {
-		for _, ev := range tier {
-			visit(ev)
+// TestFreeChunksFollowPeak drives one scheduler through a schedule whose
+// peak pending count it knows — waves of events spread over the wheel's
+// window, each popped down before the next, deeper ones first, then drained
+// — and holds its free list, once every bucket has emptied into it, to no
+// event in any chunk and at most ⌈peak/chunkLen⌉ + 256 chunks: a chunk per
+// chunkLen pending events, plus one part-filled chunk per bucket at most.
+func TestFreeChunksFollowPeak(t *testing.T) {
+	s := New()
+	defer s.Release()
+	rng := rand.New(rand.NewPCG(3, 52))
+	const window = Time(wheelSlots-1) << slotWidthShift
+	peak := 0
+	for _, wave := range []int{20_000, 9_000, 300, 15_000, 40} {
+		for range wave {
+			s.AtEvent(s.now+Time(rng.Int64N(int64(window))), nopEvent)
+		}
+		peak = max(peak, s.pending())
+		for range wave * 3 / 4 {
+			at, ok := s.next()
+			if !ok {
+				t.Fatal("wheel ran dry")
+			}
+			s.wheel.pop()
+			s.now = at
 		}
 	}
+	for {
+		at, ok := s.next()
+		if !ok {
+			break
+		}
+		s.wheel.pop()
+		s.now = at
+	}
+	if s.pending() != 0 {
+		t.Fatalf("%d events pending after the drain", s.pending())
+	}
+	free := len(checkFreeList(t, s.wheel.slots, nil))
+	if bound := (peak+chunkLen-1)/chunkLen + wheelSlots; free > bound {
+		t.Fatalf("the free list holds %d chunks for a peak of %d pending events, want at most %d", free, peak, bound)
+	}
+	if free < peak/chunkLen {
+		t.Fatalf("the free list holds %d chunks for a peak of %d pending events: the buckets kept or dropped some", free, peak)
+	}
+	t.Logf("%d free chunks (%d event slots) for a peak of %d pending events", free, free*chunkLen, peak)
 }
 
 // pending returns the number of undelivered events in the wheel.
@@ -936,7 +997,7 @@ type wheelOpsCoverage struct {
 // to a real Scheduler and to the reference model, failing unless both pop the
 // same (at, seq) every time and agree on pending, EventsScheduled,
 // WheelCascades and MaxBucketDepth after every operation — after which the
-// scheduler's shelf must also hold no event (checkShelf).
+// scheduler's free list must also hold no event (checkFreeList).
 //
 // data[0] picks the shape: its low two bits mod 3 the shard count of staged
 // blocks (0 — the staging ops then schedule plain events — 8 or 16), bit 2
@@ -1033,7 +1094,7 @@ func driveWheelOps(t testing.TB, data []byte) (cov wheelOpsCoverage) {
 		cov.pops++
 		return true
 	}
-	var shelved [][]event
+	var freed []*chunk
 	check := func(op byte) {
 		st := s.Stats()
 		if s.pending() != ref.w.pending() || st.EventsScheduled != ref.scheduled ||
@@ -1043,7 +1104,7 @@ func driveWheelOps(t testing.TB, data []byte) (cov wheelOpsCoverage) {
 				ref.w.pending(), ref.scheduled, ref.w.cascades, ref.w.maxDepth)
 		}
 		if s.wheel.slots != nil {
-			shelved = checkShelf(t, s.wheel.slots, shelved)
+			freed = checkFreeList(t, s.wheel.slots, freed)
 		}
 	}
 
@@ -1083,7 +1144,7 @@ func driveWheelOps(t testing.TB, data []byte) (cov wheelOpsCoverage) {
 	}
 	for drain && pop() {
 	}
-	shelved = nil // the last check scans the whole shelf
+	freed = nil // the last check scans the whole free list
 	check(0xff)
 	cov.cascades, cov.maxDepth, cov.late = ref.w.cascades, ref.w.maxDepth, ref.w.late
 	return cov
