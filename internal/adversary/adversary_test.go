@@ -213,7 +213,7 @@ func init() {
 		Name:        riggedName,
 		Description: "test-only protocol violating agreement on sparse seeds",
 		Proposals:   protocol.ProposalsBinary,
-	}, func(sc *protocol.Scenario) (*protocol.Outcome, error) {
+	}, func(sc protocol.Scenario) (*protocol.Outcome, error) {
 		n, err := sc.Topology.Procs()
 		if err != nil {
 			return nil, err
@@ -405,7 +405,7 @@ func init() {
 		Name:        linRiggedName,
 		Description: "test-only register protocol with seeded new-old inversions",
 		Proposals:   protocol.ProposalsScripts,
-	}, func(sc *protocol.Scenario) (*protocol.Outcome, error) {
+	}, func(sc protocol.Scenario) (*protocol.Outcome, error) {
 		us := func(k int) time.Duration { return time.Duration(k) * time.Microsecond }
 		res := &register.Result{Procs: make([]register.ProcResult, 3)}
 		res.Procs[0].Status = sim.StatusDecided

@@ -575,7 +575,7 @@ func (rx *reactor) React(aborted bool) bool {
 // halts at its crash instant after emitting tombstone markers (its
 // unflushed outbox dies with it). MaxSteps 0 derives the sparse default
 // (sim.StepsLinear).
-func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
+func runScenario(sc protocol.Scenario) (*protocol.Outcome, error) {
 	props := sc.Workload.Values
 	n := len(props)
 	setup, err := sc.Setup()
@@ -604,7 +604,7 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 		// closes the victim's inbox at the instant, but the tombstone
 		// protocol needs the victim to emit its markers itself.
 	}
-	newNet := driver.StandardNet(&nw, n, uint64(setup.Seed)^0x93d1_4af2_0e67_b85c, &ctr, 0, 0, setup.NetOptions...)
+	newNet := driver.StandardNet(&nw, n, uint64(setup.Seed)^0x93d1_4af2_0e67_b85c, &ctr, 0, 0, setup.NetOption)
 	// All reactor hot state comes from five pooled backing arrays (the
 	// reactors themselves, 2·|E| link sequence counters, |E| reorder-buffer
 	// headers, n delivered rows of n bits with their flushed words, n

@@ -47,7 +47,7 @@ func init() {
 }
 
 // runScenario runs a registry-validated scenario on the round machine.
-func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
+func runScenario(sc protocol.Scenario) (*protocol.Outcome, error) {
 	setup, err := sc.Setup()
 	if err != nil {
 		return nil, err

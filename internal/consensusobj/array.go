@@ -77,3 +77,10 @@ func (a *Array) Invocations() int64 { return a.invokes }
 
 // Allocations returns how many distinct slots were created.
 func (a *Array) Allocations() int64 { return int64(len(a.slots)) }
+
+// Reset empties the array for another run: no slot, no invocation, and the
+// slot storage kept.
+func (a *Array) Reset() {
+	a.slots = a.slots[:0]
+	a.invokes = 0
+}

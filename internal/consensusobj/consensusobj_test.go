@@ -141,3 +141,28 @@ func TestArrayOutOfOrderSlots(t *testing.T) {
 		t.Errorf("the other array of the slab holds %d slots, want 0", got)
 	}
 }
+
+// A Reset array is a new one on the old storage: no slot, no invocation,
+// every position undecided again, and the next slots made without
+// allocating.
+func TestArrayReset(t *testing.T) {
+	t.Parallel()
+	a := &NewArrays(1)[0]
+	a.Propose(1, 1, model.One)
+	a.Propose(1, 2, model.Bot)
+	a.Reset()
+	if a.Invocations() != 0 || a.Allocations() != 0 {
+		t.Fatalf("after Reset: %d invocations, %d slots, want none", a.Invocations(), a.Allocations())
+	}
+	if got := a.Propose(1, 1, model.Zero); got != model.Zero {
+		t.Fatalf("Propose on a reset position = %v, want 0: the old decision survived", got)
+	}
+	a.Reset()
+	if got := testing.AllocsPerRun(100, func() {
+		a.Reset()
+		a.Propose(1, 1, model.One)
+		a.Propose(1, 2, model.One)
+	}); got != 0 {
+		t.Errorf("refilling a reset array allocates %v times, want 0", got)
+	}
+}

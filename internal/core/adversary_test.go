@@ -39,8 +39,8 @@ func TestHighSkewDelays(t *testing.T) {
 				Proposals: props,
 				Algorithm: algo,
 				Setup: sim.Setup{
-					Seed:       1234,
-					NetOptions: []netsim.Option{netsim.WithUniformDelay(0, 4*time.Millisecond)}, // large spread vs ~µs compute
+					Seed:      1234,
+					NetOption: netsim.WithUniformDelay(0, 4*time.Millisecond), // large spread vs ~µs compute
 				},
 				MaxRounds: 10_000,
 				Trace:     trace.New(),
@@ -69,7 +69,7 @@ func TestSlowClusterCatchesUp(t *testing.T) {
 			Seed: 777,
 			// Uniform delay stands in for the slow links; the seeded spread
 			// regularly puts P[2] behind by entire phases.
-			NetOptions: []netsim.Option{netsim.WithUniformDelay(0, 3*time.Millisecond)},
+			NetOption: netsim.WithUniformDelay(0, 3*time.Millisecond),
 		},
 		MaxRounds: 10_000,
 	})
@@ -100,8 +100,8 @@ func TestUnanimityDelaysStillRoundOne(t *testing.T) {
 		Proposals: unanimous(7, model.Zero),
 		Algorithm: LocalCoin,
 		Setup: sim.Setup{
-			Seed:       9,
-			NetOptions: []netsim.Option{netsim.WithUniformDelay(100*time.Microsecond, 2*time.Millisecond)},
+			Seed:      9,
+			NetOption: netsim.WithUniformDelay(100*time.Microsecond, 2*time.Millisecond),
 		},
 		MaxRounds: 100,
 	})
@@ -124,9 +124,9 @@ func TestMajorityCrashWithDelays(t *testing.T) {
 		Proposals: unanimous(7, model.One),
 		Algorithm: CommonCoin,
 		Setup: sim.Setup{
-			Seed:       3,
-			Crashes:    sched,
-			NetOptions: []netsim.Option{netsim.WithUniformDelay(0, 2*time.Millisecond)},
+			Seed:      3,
+			Crashes:   sched,
+			NetOption: netsim.WithUniformDelay(0, 2*time.Millisecond),
 		},
 		MaxRounds: 1000,
 	})

@@ -61,9 +61,9 @@ func TestRandomConfigurationSweep(t *testing.T) {
 			Proposals: props,
 			Algorithm: algo,
 			Setup: sim.Setup{
-				Seed:       int64(trial) * 6011,
-				Crashes:    sched,
-				NetOptions: []netsim.Option{netsim.WithUniformDelay(0, maxDelay)},
+				Seed:      int64(trial) * 6011,
+				Crashes:   sched,
+				NetOption: netsim.WithUniformDelay(0, maxDelay),
 			},
 			MaxRounds: 10_000,
 			Trace:     trace.New(),

@@ -42,8 +42,8 @@ func TestSingletonsReduceToFlatVariant(t *testing.T) {
 						Proposals: props,
 						Algorithm: alg,
 						Setup: sim.Setup{
-							Seed:       seed,
-							NetOptions: []netsim.Option{netsim.WithUniformDelay(0, 200*time.Microsecond)},
+							Seed:      seed,
+							NetOption: netsim.WithUniformDelay(0, 200*time.Microsecond),
 						},
 						MaxRounds: 10_000,
 					}

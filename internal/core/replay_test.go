@@ -61,8 +61,8 @@ func (rc replayCase) config(t *testing.T, seed int64, log *trace.Log) Config {
 		Proposals: []model.Value{model.One, model.Zero, model.One, model.Zero, model.One, model.Zero, model.One},
 		Algorithm: rc.algo,
 		Setup: sim.Setup{
-			Seed:       seed,
-			NetOptions: []netsim.Option{netsim.WithUniformDelay(0, rc.delays)},
+			Seed:      seed,
+			NetOption: netsim.WithUniformDelay(0, rc.delays),
 		},
 		MaxRounds: 10_000,
 		Trace:     log,
@@ -165,9 +165,9 @@ func TestTimedCrash(t *testing.T) {
 		Proposals: alternating(7),
 		Algorithm: CommonCoin,
 		Setup: sim.Setup{
-			Seed:       7,
-			Crashes:    sched,
-			NetOptions: []netsim.Option{netsim.WithUniformDelay(200*time.Microsecond, time.Millisecond)},
+			Seed:      7,
+			Crashes:   sched,
+			NetOption: netsim.WithUniformDelay(200*time.Microsecond, time.Millisecond),
 		},
 		MaxRounds: 10_000,
 		Trace:     trace.New(),
@@ -205,8 +205,8 @@ func TestSafetyAcrossSchedules(t *testing.T) {
 						Proposals: alternating(7),
 						Algorithm: algo,
 						Setup: sim.Setup{
-							Seed:       seed,
-							NetOptions: []netsim.Option{netsim.WithUniformDelay(0, maxDelay)},
+							Seed:      seed,
+							NetOption: netsim.WithUniformDelay(0, maxDelay),
 						},
 						MaxRounds: 10_000,
 					})
@@ -227,8 +227,8 @@ func TestVirtualElapsedIsVirtual(t *testing.T) {
 		Proposals: alternating(7),
 		Algorithm: CommonCoin,
 		Setup: sim.Setup{
-			Seed:       5,
-			NetOptions: []netsim.Option{netsim.WithUniformDelay(time.Millisecond, 10*time.Millisecond)},
+			Seed:      5,
+			NetOption: netsim.WithUniformDelay(time.Millisecond, 10*time.Millisecond),
 		},
 		MaxRounds: 10_000,
 	})
@@ -267,9 +267,9 @@ func TestTimedCrashAfterTerminationHarmless(t *testing.T) {
 		Proposals: unanimous(7, model.One),
 		Algorithm: CommonCoin,
 		Setup: sim.Setup{
-			Seed:       21,
-			Crashes:    sched,
-			NetOptions: []netsim.Option{netsim.WithUniformDelay(0, time.Millisecond)},
+			Seed:      21,
+			Crashes:   sched,
+			NetOption: netsim.WithUniformDelay(0, time.Millisecond),
 		},
 		MaxRounds: 10_000,
 	})

@@ -12,6 +12,7 @@ import (
 	"allforone/internal/netsim"
 	"allforone/internal/sim"
 	"allforone/internal/trace"
+	"allforone/internal/vclock"
 )
 
 // Algorithm selects which of the paper's two consensus algorithms to run.
@@ -172,57 +173,115 @@ func (cfg *Config) validate(v *Variant) (int, error) {
 // memories and CONS arrays, the common coin, the slabs the processes are
 // carved from — their states and, on the hybrid model, their Quorums — and
 // the Result they write their outcomes into.
+//
+// An env outlives its run: the driver keeps it on the recycled scheduler
+// (driver.Keep), and the next run there takes it back (takeEnv) with the
+// storage it grew — the process slab with each process's held-vote buffer,
+// the Quorum slab and the CONS arrays. Only the Result is the run's own.
 type execEnv struct {
 	Config
-	v      Variant
-	n      int
-	ctr    metrics.Counters
-	nw     *netsim.Network
-	arrays []consensusobj.Array
-	common coin.Common
-	procs  []proc
-	sups   []model.Quorum
-	res    *Result
+	v       Variant
+	n       int
+	ctr     metrics.Counters
+	nw      *netsim.Network
+	arrays  []consensusobj.Array // one per cluster on the hybrid model; none on a flat one
+	common  coin.Common
+	split   coin.SplitMixCommon // backs common unless Config.CommonCoinOverride
+	procs   []proc
+	sups    []model.Quorum // carved from quorums on the hybrid model
+	quorums model.QuorumSlab
+	res     *Result
 }
 
-// newExecEnv wires the substrate; the network is built separately by the
-// driver through newNetwork.
-func newExecEnv(cfg *Config, v *Variant, n int) *execEnv {
-	env := &execEnv{
-		Config: *cfg,
-		v:      *v,
-		n:      n,
-		procs:  make([]proc, n),
-		res:    &Result{Procs: make([]ProcResult, n)},
+// slabSlack bounds the storage an env keeps, as it bounds a
+// model.QuorumSlab: a slab holding more than slabSlack times what a run needs
+// is dropped when that run takes it, so the slabs of a dense run do not ride
+// every small run after it.
+const slabSlack = 4
+
+// fits reports whether kept storage of capacity have may serve a run that
+// needs need.
+func fits(have, need int) bool { return have >= need && have <= slabSlack*need }
+
+// takeEnv returns the env of a run of cfg on n processes: kept, the env the
+// last run on the driver's scheduler released, or a new one when there is
+// none. Either way it holds exactly what a new env would, on the storage
+// earlier runs grew; the network is built separately by the driver through
+// newNetwork.
+func takeEnv(kept any, cfg *Config, v *Variant, n int) *execEnv {
+	env, _ := kept.(*execEnv)
+	if env == nil {
+		env = new(execEnv)
+	}
+	procs := env.procs[:0]
+	if !fits(cap(procs), n) {
+		procs = make([]proc, n)
+	}
+	*env = execEnv{
+		Config:  *cfg,
+		v:       *v,
+		n:       n,
+		arrays:  env.arrays[:0],
+		procs:   procs[:n],
+		quorums: env.quorums,
+		res:     &Result{Procs: make([]ProcResult, n)},
 	}
 	if v.cluster {
 		closure := cfg.Partition // what the exchanges' Quorums close over
 		if cfg.AblateClosure {
 			closure = model.Singletons(n)
 		}
-		env.sups = model.NewQuorums(closure, n)
-		env.arrays = consensusobj.NewArrays(cfg.Partition.M()) // the cluster memories MEM_x
+		env.sups = env.quorums.Quorums(closure, n)
+		// The cluster memories MEM_x, emptied when their last run released
+		// them.
+		if m := cfg.Partition.M(); fits(cap(env.arrays), m) {
+			env.arrays = env.arrays[:m]
+		} else {
+			env.arrays = consensusobj.NewArrays(m)
+		}
 	}
 	if cfg.Algorithm == CommonCoin {
 		env.common = cfg.CommonCoinOverride
 		if env.common == nil {
-			env.common = coin.NewSplitMixCommon(uint64(cfg.Seed) ^ v.CoinSalt)
+			env.split = *coin.NewSplitMixCommon(uint64(cfg.Seed) ^ v.CoinSalt)
+			env.common = &env.split
 		}
 	}
 	return env
 }
 
-// newNetwork returns the driver's network constructor (the driver attaches
-// its scheduler).
-func (env *execEnv) newNetwork() driver.NewNetFunc {
-	return driver.StandardNet(&env.nw, env.n, uint64(env.Seed)^env.v.NetSalt, &env.ctr, 0, 0, env.NetOptions...)
+// release clears env of its run once the run's Result is read, for the next
+// run on the scheduler: nothing the run was given or made — its inputs,
+// coins, network and Result — stays reachable from it, and it keeps its
+// storage, emptied: no held vote, no CONS object.
+func (env *execEnv) release() {
+	for i := range env.procs {
+		p := &env.procs[i]
+		*p = proc{pending: p.pending[:0]}
+	}
+	for x := range env.arrays {
+		env.arrays[x].Reset()
+	}
+	env.quorums.Release()
+	*env = execEnv{arrays: env.arrays, procs: env.procs, quorums: env.quorums}
 }
 
-// newProc builds process i's reactor in its slot of the slab.
+// newNetwork builds the run's network on the driver's scheduler.
+func (env *execEnv) newNetwork(clock *vclock.Scheduler) (*netsim.Network, error) {
+	return driver.StandardNet(&env.nw, env.n, uint64(env.Seed)^env.v.NetSalt, &env.ctr, 0, 0, env.NetOption)(clock)
+}
+
+// newProc builds process i's reactor in its slot of the slab, where it
+// finds the empty held-vote buffer an earlier run grew, unless it holds over
+// slabSlack exchanges' worth.
 func (env *execEnv) newProc(i int, h *driver.Handle) driver.Reactor {
 	id := model.ProcID(i)
 	p := &env.procs[i]
-	*p = proc{env: env, id: id, h: h, est1: env.Proposals[i]}
+	pending := p.pending
+	if cap(pending) > slabSlack*env.n {
+		pending = nil
+	}
+	*p = proc{env: env, id: id, h: h, est1: env.Proposals[i], pending: pending}
 	if env.sups != nil {
 		p.sup = &env.sups[i]
 	} else {
@@ -280,18 +339,30 @@ func run(cfg *Config, v *Variant) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	env := newExecEnv(cfg, v, n)
+	var (
+		env  *execEnv
+		res  *Result
+		rerr error
+	)
 	out, err := driver.RunHandlers(driver.Config{
 		MaxVirtualTime: cfg.MaxVirtualTime,
 		MaxSteps:       cfg.MaxSteps,
 		Crashes:        cfg.Crashes,
-	}, n, env.newNetwork(), env.newProc)
+		Keep: driver.Keep{
+			Load: func(kept any) { env = takeEnv(kept, cfg, v, n) },
+			Store: func() any {
+				res, rerr = env.result()
+				env.release()
+				return env
+			},
+		},
+	}, n, func(clock *vclock.Scheduler) (*netsim.Network, error) { return env.newNetwork(clock) },
+		func(i int, h *driver.Handle) driver.Reactor { return env.newProc(i, h) })
 	if err != nil {
 		return nil, err
 	}
-	res, err := env.result()
-	if err != nil {
-		return nil, err
+	if rerr != nil {
+		return nil, rerr
 	}
 	res.Engine = out
 	return res, nil

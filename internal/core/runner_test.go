@@ -215,8 +215,8 @@ func TestWithNetworkDelays(t *testing.T) {
 				Proposals: alternating(7),
 				Algorithm: algo,
 				Setup: sim.Setup{
-					Seed:       7,
-					NetOptions: []netsim.Option{netsim.WithUniformDelay(0, 2*time.Millisecond)},
+					Seed:      7,
+					NetOption: netsim.WithUniformDelay(0, 2*time.Millisecond),
 				},
 				MaxRounds: 5000,
 			})

@@ -44,7 +44,7 @@ func ParseAlgorithm(name string) (Algorithm, error) {
 
 // runScenario compiles a registry-validated Scenario onto Config and runs
 // it.
-func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
+func runScenario(sc protocol.Scenario) (*protocol.Outcome, error) {
 	algo, err := ParseAlgorithm(sc.Algorithm)
 	if err != nil {
 		return nil, err

@@ -57,6 +57,26 @@ type Config struct {
 	// inbox closed, so it halts at its next step point. Step-point crashes
 	// remain the protocol's own business. Nil is crash-free.
 	Crashes *failures.Schedule
+	// Keep hands the protocol its keep slot; the zero Keep keeps nothing.
+	Keep Keep
+}
+
+// Keep is a protocol's hold on its keep slot (vclock.KeepProtocol): the
+// per-run state it builds rides the recycled scheduler to the next run on
+// it, as the network and the process records do, so a protocol needs no
+// pool of its own. RunHandlers calls both functions, and neither after it
+// returns; it only calls them, so closures over the caller's variables stay
+// on its stack.
+type Keep struct {
+	// Load gets, once the run's scheduler is drawn and before the network
+	// and the processes are built, what the last run on that scheduler
+	// stored — nil on a new scheduler.
+	Load func(kept any)
+	// Store returns, once the run has ended and its network is shut down,
+	// what the next run's Load gets. By then the protocol has read what it
+	// needs of the run and cleared the state of it: the scheduler goes back
+	// to the pool right after, and another goroutine may draw it.
+	Store func() any
 }
 
 // NewNetFunc builds the run's simulated network on the run's scheduler
@@ -97,7 +117,7 @@ type HandlerBody func(i int, h *Handle) Reactor
 // StandardNet returns the NewNetFunc shared by the protocol runners: a
 // fully connected network over n processes with a package-specific seed
 // derivation, the run's counters, and the run's network options protoOpts
-// (sim.Setup.NetOptions, e.g. a compiled NetworkProfile delay policy).
+// (sim.Setup.NetOption, e.g. a compiled NetworkProfile delay policy).
 // Protocols pass a zero minDelay, maxDelay and set their delay policy in
 // protoOpts; a positive maxDelay adds a uniform delay band before protoOpts,
 // for callers that drive the network without a protocol Config. The
@@ -198,7 +218,8 @@ func (c *strike) Fire() {
 // inputs, same record. It owns the run's lifecycle: crash-schedule
 // validation, clock and network construction, process spawning, timed crash
 // installation, the run itself, network shutdown, and handing the clock —
-// with the network riding on it — back for the next run
+// with the network, the process records and the protocol's kept state
+// (Config.Keep) riding on it — back for the next run
 // (vclock.Scheduler.Recycle). Blocked runs end at quiescence.
 func RunHandlers(cfg Config, n int, newNet NewNetFunc, mk HandlerBody) (sim.Engine, error) {
 	if err := cfg.Crashes.ValidateFor(n); err != nil {
@@ -211,6 +232,9 @@ func RunHandlers(cfg Config, n int, newNet NewNetFunc, mk HandlerBody) (sim.Engi
 		vclock.WithMaxSteps(resolveMaxSteps(cfg.MaxSteps, n, cfg.Complexity)),
 		vclock.WithShards(vclock.ShardsFor(n)),
 	)
+	if cfg.Keep.Load != nil {
+		cfg.Keep.Load(clock.Kept(vclock.KeepProtocol))
+	}
 	var nw *netsim.Network
 	if newNet != nil {
 		var err error
@@ -250,6 +274,9 @@ func RunHandlers(cfg Config, n int, newNet NewNetFunc, mk HandlerBody) (sim.Engi
 	out := clock.Run()
 	if nw != nil {
 		nw.Shutdown()
+	}
+	if cfg.Keep.Store != nil {
+		clock.Keep(vclock.KeepProtocol, cfg.Keep.Store())
 	}
 	// Nothing of the run may stay reachable from the kept slab: each record
 	// keeps only its inbox's ring, emptied.

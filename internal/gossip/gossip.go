@@ -258,7 +258,7 @@ func (rx *reactor) sendRound() {
 // Bounds.MaxRounds below that budget replaces it (a budget too small for
 // the diameter can break agreement, exactly like aborting any protocol
 // early).
-func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
+func runScenario(sc protocol.Scenario) (*protocol.Outcome, error) {
 	props := sc.Workload.Binary
 	n := len(props)
 	mode, err := ParseMode(sc.Algorithm)
@@ -278,7 +278,7 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 	// TransitBound is 0 for a profile without a bound; with no delay policy
 	// installed every message arrives at once.
 	transit, _ := protocol.TransitBound(sc.Profile, n)
-	transitKnown := transit > 0 || len(setup.NetOptions) == 0
+	transitKnown := transit > 0 || setup.NetOption.IsZero()
 	rounds := budgetRounds(g, mode, transit, transitKnown, setup.Crashes.HasTimed())
 	if r := sc.Bounds.MaxRounds; r > 0 && r < rounds {
 		rounds = r
@@ -292,7 +292,7 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 		Crashes:        setup.Crashes,
 		Complexity:     sim.StepsLinear,
 	}
-	newNet := driver.StandardNet(&rn.net, n, uint64(setup.Seed)^0x5ab3_02e9_cc41_7d16, &ctr, 0, 0, setup.NetOptions...)
+	newNet := driver.StandardNet(&rn.net, n, uint64(setup.Seed)^0x5ab3_02e9_cc41_7d16, &ctr, 0, 0, setup.NetOption)
 	// One pooled allocation for all reactor state — at n=100k the
 	// per-reactor allocations otherwise dominate setup.
 	rxs := make([]reactor, n)

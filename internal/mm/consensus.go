@@ -43,7 +43,7 @@ func init() {
 // exchange then counts supporters per process: because memory domains
 // overlap, the cluster-closure ("one for all") accounting of the hybrid
 // model is unsound here, exactly as the paper observes.
-func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
+func runScenario(sc protocol.Scenario) (*protocol.Outcome, error) {
 	n := len(sc.Workload.Binary)
 	g, err := NewGraph(n, sc.Topology.MMEdges)
 	if err != nil {

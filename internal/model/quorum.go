@@ -15,8 +15,8 @@ import "math/bits"
 //
 // An owner runs one exchange at a time and reads the tally only before it
 // opens the next, so it keeps one Quorum for its whole execution and Resets
-// it per exchange. A run's owners take theirs from one slab (NewQuorums). A
-// Quorum is not safe for concurrent use.
+// it per exchange. A run's owners take theirs from one slab (NewQuorums,
+// QuorumSlab). A Quorum is not safe for concurrent use.
 //
 // The four sets — the supporters of ⊥, 0 and 1, and their union — are bare
 // bitmaps in one word slice with a count each: an exchange only adds to them
@@ -46,14 +46,50 @@ type Vote struct {
 // one allocation of Quorums and one of bitmap words — a run's processes
 // take one each.
 func NewQuorums(part *Partition, k int) []Quorum {
-	w := (part.N() + 63) / 64
-	words := make([]uint64, 4*w*k)
-	qs := make([]Quorum, k)
-	for i := range qs {
-		qs[i] = Quorum{part: part, words: words[4*w*i : 4*w*(i+1) : 4*w*(i+1)], w: w, lo: w, hi: -1}
-	}
-	return qs
+	var slab QuorumSlab
+	return slab.Quorums(part, k)
 }
+
+// QuorumSlab is the storage NewQuorums carves a run's Quorums from — the
+// Quorums and their bitmap words — for an owner that keeps it from one run
+// to the next. The zero QuorumSlab is empty.
+type QuorumSlab struct {
+	qs    []Quorum
+	words []uint64
+}
+
+// slabSlack bounds what a QuorumSlab keeps: storage holding more than
+// slabSlack times what a call to Quorums needs is dropped, so the words of a
+// dense run (512 KB at n = 1024 over ten clusters) do not ride every small
+// run after it.
+const slabSlack = 4
+
+// Quorums returns k empty Quorums over the clusters of part, as NewQuorums
+// does, on the slab's storage: it is grown when short and replaced when it
+// holds over slabSlack times what the call needs, and the words it hands
+// out are cleared. The Quorums an earlier call returned must no longer be
+// in use.
+func (s *QuorumSlab) Quorums(part *Partition, k int) []Quorum {
+	w := (part.N() + 63) / 64
+	if need := 4 * w * k; cap(s.words) < need || cap(s.words) > slabSlack*need {
+		s.words = make([]uint64, need)
+	} else {
+		s.words = s.words[:need]
+		clear(s.words)
+	}
+	if cap(s.qs) < k || cap(s.qs) > slabSlack*k {
+		s.qs = make([]Quorum, k)
+	}
+	s.qs = s.qs[:k]
+	for i := range s.qs {
+		s.qs[i] = Quorum{part: part, words: s.words[4*w*i : 4*w*(i+1) : 4*w*(i+1)], w: w, lo: w, hi: -1}
+	}
+	return s.qs
+}
+
+// Release clears the slab's Quorums, dropping the partition they close over,
+// so that a kept slab holds nothing of its run but its storage.
+func (s *QuorumSlab) Release() { clear(s.qs[:cap(s.qs)]) }
 
 // Reset empties the tally for the next exchange.
 func (q *Quorum) Reset() {

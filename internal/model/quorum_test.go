@@ -2,6 +2,7 @@ package model
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -143,5 +144,55 @@ func TestQuorumReceivedOrder(t *testing.T) {
 	rec := q.Received()
 	if len(rec) != 2 || rec[0] != One || rec[1] != Bot {
 		t.Errorf("Received = %v, want [1 ⊥]", rec)
+	}
+}
+
+// TestQuorumSlabFollowsTheRun: a QuorumSlab hands out Quorums as NewQuorums
+// does — empty, whatever the run before left in them — on storage that
+// follows the run: reused for a run of the same size, dropped for one that
+// needs under 1/slabSlack of it, so the 512 KB of words a dense run grew
+// (Blocks(1024, 10)) do not ride the n = 7 runs after it.
+func TestQuorumSlabFollowsTheRun(t *testing.T) {
+	t.Parallel()
+	dense, err := Blocks(1024, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slab QuorumSlab
+	fill := func(qs []Quorum) {
+		for i := range qs {
+			for p := 0; p < qs[i].part.N(); p++ {
+				qs[i].Add(ProcID(p), One)
+			}
+		}
+	}
+	fill(slab.Quorums(dense, 1024))
+	slab.Release()
+	if c := cap(slab.words); c != 4*16*1024 {
+		t.Fatalf("a dense run's slab holds %d words, want %d", c, 4*16*1024)
+	}
+
+	part := Fig1Right()
+	qs := slab.Quorums(part, part.N())
+	if need := 4 * part.N(); cap(slab.words) > slabSlack*need || cap(slab.qs) > slabSlack*part.N() {
+		t.Fatalf("an n=%d run takes %d words and %d Quorums, want at most %d and %d",
+			part.N(), cap(slab.words), cap(slab.qs), slabSlack*need, slabSlack*part.N())
+	}
+	fill(qs)
+	words := &slab.words[0]
+	slab.Release()
+	for i, q := range slab.qs[:cap(slab.qs)] {
+		if q.part != nil || q.words != nil {
+			t.Fatalf("released Quorum %d keeps %+v", i, q)
+		}
+	}
+	qs = slab.Quorums(Fig1Left(), 7)
+	if &slab.words[0] != words {
+		t.Fatal("a run of the same size did not reuse the slab's words")
+	}
+	for i := range qs {
+		if qs[i].Covered() || len(qs[i].Received()) != 0 || slices.ContainsFunc(qs[i].words, func(w uint64) bool { return w != 0 }) {
+			t.Fatalf("Quorum %d of a reused slab is not empty: %+v", i, qs[i])
+		}
 	}
 }

@@ -71,15 +71,14 @@ type Result struct {
 // at the start of every binary round, with Round counting binary rounds
 // globally across instances; Bounds.MaxInstances caps the binary instances
 // (0 = 4n) and Bounds.MaxRounds each instance's rounds (0 = 1000).
-func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
+func runScenario(sc protocol.Scenario) (*protocol.Outcome, error) {
 	vals := sc.Workload.Values
 	cmds := make([][]string, len(vals))
 	for i := range cmds {
 		cmds[i] = vals[i : i+1 : i+1]
 	}
-	one := *sc
-	one.Workload = protocol.Workload{Commands: cmds, Slots: 1}
-	log, err := smr.RunVariant(&one, smr.Variant{
+	sc.Workload = protocol.Workload{Commands: cmds, Slots: 1}
+	log, err := smr.RunVariant(&sc, smr.Variant{
 		NetSalt:      0x60be_e2be_e120_fc15,
 		InstMix:      0x9e37_79b9_7f4a_7c15,
 		MaxInstances: sc.Bounds.MaxInstances,

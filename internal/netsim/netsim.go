@@ -550,6 +550,32 @@ func (nw *Network) getFanout() *fanout {
 	return f
 }
 
+// keptFanouts bounds the fanout pool of a network engaged for an unsharded
+// run of n processes. Such a run keeps few broadcasts in flight at once —
+// E1–E9's n ≤ 9 runs never made more than 47 fanouts on one network — while
+// a dense n = 1024 run leaves about 17,000.
+func keptFanouts(n int) int { return 16*n + 64 }
+
+// trimFanouts bounds what a recycled network that a larger run grew carries
+// into an unsharded run of n processes: at most keptFanouts(n) fanouts, every
+// one of them free, and no entry storage wider than n. It runs right after
+// recycle, when every fanout is on the freelist; a run that needs more
+// fanouts makes them, as a new network would.
+func (nw *Network) trimFanouts(n int) {
+	if k := keptFanouts(n); len(nw.fanouts) > k {
+		nw.fanouts = append(make([]*fanout, 0, k), nw.fanouts[:k]...)
+		nw.freeFanouts = append(make([]*fanout, 0, k), nw.fanouts...)
+	}
+	for _, f := range nw.fanouts {
+		if cap(f.keys) > n {
+			f.keys = nil
+		}
+		if cap(f.wide) > n {
+			f.wide = nil
+		}
+	}
+}
+
 // New returns a network connecting processes 0 … n-1 on the scheduler
 // given by WithScheduler, which must carry no other network. On a scheduler
 // an earlier run handed back with vclock.Scheduler.Recycle it reuses that
@@ -577,6 +603,9 @@ func New(n int, opts ...Option) (*Network, error) {
 	}
 	if kept {
 		nw.recycle()
+		if o.sched.ShardCount() == 0 && n < nw.n {
+			nw.trimFanouts(n)
+		}
 	}
 	nw.n, nw.opts = n, o
 	nw.src.Seed(o.seed, o.seed^0xda3e39cb94b95bdb)

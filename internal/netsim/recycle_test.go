@@ -336,3 +336,68 @@ func sameSet[T any](a, b []*T) bool {
 	}
 	return true
 }
+
+// TestFanoutPoolFollowsTheRun: a network a dense run grew carries into a
+// smaller, unsharded run no more than that run can use. After a sharded
+// n = 1024 run cut with thousands of fanouts in flight, the n = 7 run that
+// takes the network finds at most keptFanouts(7) fanouts, every one free and
+// on a freelist of that size, and no entry storage wider than 7; and the
+// trimmed network runs exactly as a new one.
+func TestFanoutPoolFollowsTheRun(t *testing.T) {
+	const dense, small = 1024, 7
+	for attempt := 0; ; attempt++ {
+		if attempt == 100 {
+			t.Fatal("the scheduler pool never handed the dense run's scheduler back")
+		}
+		s := vclock.New(vclock.WithShards(vclock.ShardsFor(dense)), vclock.WithDeadline(100_000))
+		nw, err := New(dense, WithScheduler(s), WithSeed(1), WithUniformDelay(50*time.Microsecond, 2*time.Millisecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := slices.Clone(nw.everyone)
+		spawn(s, nw, all, func() {
+			for _, p := range all {
+				nw.SendAll(p, &boxed{from: int(p)})
+			}
+		}, func() bool { return false })
+		s.Run()
+		nw.Shutdown()
+		if grown := len(nw.fanouts); grown <= keptFanouts(small) {
+			t.Fatalf("the dense run made %d fanouts; the trim would be checked on nothing", grown)
+		}
+		s.Recycle()
+
+		s2 := vclock.New(vclock.WithMaxSteps(small * small / 2))
+		if s2 != s {
+			continue // the pool dropped it, or another test's scheduler came out
+		}
+		got, err := New(small, WithScheduler(s2), WithSeed(small), WithUniformDelay(0, 200*time.Microsecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != nw {
+			t.Fatal("New on a recycled scheduler built a network instead of reusing the kept one")
+		}
+		k := keptFanouts(small)
+		if len(got.fanouts) > k || cap(got.fanouts) > k || cap(got.freeFanouts) > k {
+			t.Fatalf("an n=%d run keeps %d fanouts (cap %d) on a freelist of cap %d, want at most %d",
+				small, len(got.fanouts), cap(got.fanouts), cap(got.freeFanouts), k)
+		}
+		checkRecycled(t, got, got.fanouts)
+		for i, f := range got.fanouts {
+			if cap(f.keys) > small || cap(f.wide) > small {
+				t.Fatalf("fanout %d keeps entry storage of %d narrow and %d wide entries for an n=%d run", i, cap(f.keys), cap(f.wide), small)
+			}
+		}
+		got.Shutdown()
+		s2.Recycle()
+		// The trimmed network runs a cut run exactly as a new network does.
+		s3 := vclock.New(vclock.WithMaxSteps(small * small / 2))
+		_, log, _ := recycleRun(t, s3, small)
+		_, want, _ := recycleRun(t, vclock.New(vclock.WithMaxSteps(small*small/2)), small)
+		if !reflect.DeepEqual(log, want) {
+			t.Fatalf("arrivals on the trimmed network\n%v\nwant, on a new one,\n%v", log, want)
+		}
+		return
+	}
+}

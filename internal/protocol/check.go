@@ -90,6 +90,9 @@ func Check(sc Scenario, out *Outcome) []Violation {
 		vs = append(vs, checkTrace(sc.Trace, sc.Topology.Partition, out)...)
 	}
 	if rc, ok := out.Raw.(RawChecker); ok {
+		// Only a native checker gets the scenario's address, so a Check of
+		// the other protocols' runs leaves sc on the stack.
+		sc := sc
 		vs = append(vs, rc.Violations(&sc)...)
 	}
 	return vs

@@ -110,12 +110,13 @@ type Info struct {
 type Protocol interface {
 	// Info returns the protocol's registry metadata.
 	Info() Info
-	// Run executes the (already registry-validated) scenario.
-	Run(sc *Scenario) (*Outcome, error)
+	// Run executes the (already registry-validated) scenario. It takes its
+	// own copy, so that a run does not move the caller's to the heap.
+	Run(sc Scenario) (*Outcome, error)
 }
 
 // RunFunc is the adapter signature protocol packages register.
-type RunFunc func(sc *Scenario) (*Outcome, error)
+type RunFunc func(sc Scenario) (*Outcome, error)
 
 // funcProtocol is the standard Protocol implementation: Info + RunFunc.
 type funcProtocol struct {
@@ -123,8 +124,8 @@ type funcProtocol struct {
 	run  RunFunc
 }
 
-func (p *funcProtocol) Info() Info                         { return p.info }
-func (p *funcProtocol) Run(sc *Scenario) (*Outcome, error) { return p.run(sc) }
+func (p *funcProtocol) Info() Info                        { return p.info }
+func (p *funcProtocol) Run(sc Scenario) (*Outcome, error) { return p.run(sc) }
 
 // New builds a Protocol from metadata and an adapter function.
 func New(info Info, run RunFunc) Protocol {
@@ -220,5 +221,5 @@ func Run(sc Scenario) (*Outcome, error) {
 	if err := sc.validate(p.Info()); err != nil {
 		return nil, err
 	}
-	return p.Run(&sc)
+	return p.Run(sc)
 }

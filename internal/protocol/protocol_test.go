@@ -47,7 +47,7 @@ func TestRegisterRejectsDuplicatesAndNil(t *testing.T) {
 	if err := protocol.Register(protocol.New(protocol.Info{}, nil)); err == nil {
 		t.Error("empty name accepted")
 	}
-	dup := protocol.New(protocol.Info{Name: "hybrid"}, func(*protocol.Scenario) (*protocol.Outcome, error) { return nil, nil })
+	dup := protocol.New(protocol.Info{Name: "hybrid"}, func(protocol.Scenario) (*protocol.Outcome, error) { return nil, nil })
 	if err := protocol.Register(dup); err == nil || !strings.Contains(err.Error(), "twice") {
 		t.Errorf("duplicate registration: err = %v", err)
 	}

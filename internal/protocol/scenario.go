@@ -7,7 +7,6 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
-	"allforone/internal/netsim"
 	"allforone/internal/overlay"
 	"allforone/internal/sim"
 	"allforone/internal/trace"
@@ -266,8 +265,6 @@ func (sc *Scenario) Setup() (sim.Setup, error) {
 		// for a non-square or negative skew matrix).
 		return sim.Setup{}, fmt.Errorf("%w: profile %q: %w", ErrBadScenario, sc.Profile.ProfileName(), err)
 	}
-	if !opt.IsZero() {
-		s.NetOptions = []netsim.Option{opt}
-	}
+	s.NetOption = opt
 	return s, nil
 }

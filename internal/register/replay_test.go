@@ -176,7 +176,7 @@ func TestStepPlanDoesNotShrinkLiveSet(t *testing.T) {
 	if _, err := protocol.Run(sc); !errors.Is(err, protocol.ErrBadScenario) {
 		t.Fatalf("registry error = %v, want ErrBadScenario", err)
 	}
-	out, err := runScenario(&sc)
+	out, err := runScenario(sc)
 	if err != nil {
 		t.Fatal(err)
 	}

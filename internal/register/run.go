@@ -330,7 +330,7 @@ func (c *client) allLiveDone() bool {
 // scenario's timed crashes (failures.Schedule.SetTimed) stop the victim
 // operating and serving at the instant; the registry rejects step-point
 // plans for this protocol.
-func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
+func runScenario(sc protocol.Scenario) (*protocol.Outcome, error) {
 	setup, err := sc.Setup()
 	if err != nil {
 		return nil, err
@@ -356,7 +356,7 @@ func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
 		MaxVirtualTime: setup.MaxVirtualTime,
 		MaxSteps:       setup.MaxSteps,
 		Crashes:        setup.Crashes,
-	}, n, driver.StandardNet(&nw, n, uint64(setup.Seed)^0x5ca1_ab1e, &ctr, 0, 0, setup.NetOptions...),
+	}, n, driver.StandardNet(&nw, n, uint64(setup.Seed)^0x5ca1_ab1e, &ctr, 0, 0, setup.NetOption),
 		func(i int, h *driver.Handle) driver.Reactor {
 			c := &clients[i]
 			*c = client{

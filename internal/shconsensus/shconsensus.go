@@ -42,7 +42,7 @@ func init() {
 // object, and all of them return the same decision after one operation
 // each. A process with a crash plan whose point is at round 1 crashes
 // before touching the object.
-func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
+func runScenario(sc protocol.Scenario) (*protocol.Outcome, error) {
 	props, crashes := sc.Workload.Binary, sc.Faults
 	n := len(props)
 	var ctr metrics.Counters

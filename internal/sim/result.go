@@ -132,11 +132,11 @@ type Setup struct {
 	// derives the budget from the topology and the protocol's step
 	// complexity (DefaultMaxStepsHint); negative means unbounded.
 	MaxSteps int64
-	// NetOptions configures the run's network beyond its seed and counters,
+	// NetOption configures the run's network beyond its seed and counters,
 	// e.g. the delay policy of a compiled network profile or
-	// netsim.WithUniformDelay. Nil delivers every message immediately, in
-	// deterministic send order.
-	NetOptions []netsim.Option
+	// netsim.WithUniformDelay. The zero Option delivers every message
+	// immediately, in deterministic send order.
+	NetOption netsim.Option
 }
 
 // Engine is the engine's record of a run: its clock, its event count and

@@ -23,8 +23,8 @@ func init() {
 	}, runScenario))
 }
 
-func runScenario(sc *protocol.Scenario) (*protocol.Outcome, error) {
-	res, err := RunVariant(sc, logVariant)
+func runScenario(sc protocol.Scenario) (*protocol.Outcome, error) {
+	res, err := RunVariant(&sc, logVariant)
 	if err != nil {
 		return nil, err
 	}

@@ -547,7 +547,7 @@ func RunVariant(sc *protocol.Scenario, v Variant) (*Result, error) {
 		MaxVirtualTime: setup.MaxVirtualTime,
 		MaxSteps:       setup.MaxSteps,
 		Crashes:        setup.Crashes,
-	}, n, driver.StandardNet(&nw, n, uint64(setup.Seed)^v.NetSalt, &ctr, 0, 0, setup.NetOptions...),
+	}, n, driver.StandardNet(&nw, n, uint64(setup.Seed)^v.NetSalt, &ctr, 0, 0, setup.NetOption),
 		func(i int, h *driver.Handle) driver.Reactor {
 			id := model.ProcID(i)
 			replicas[i] = replica{

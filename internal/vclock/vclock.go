@@ -827,6 +827,8 @@ const (
 	KeepNetwork KeepSlot = iota
 	// KeepProcs holds the storage of the run's processes.
 	KeepProcs
+	// KeepProtocol holds the protocol's own per-run state (driver.Keep).
+	KeepProtocol
 	keepSlots
 )
 

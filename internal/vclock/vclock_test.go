@@ -585,11 +585,12 @@ func TestRecycleClearsJobs(t *testing.T) {
 func TestRecycleKeepsAndPools(t *testing.T) {
 	s := new(Scheduler)
 	s.ins.s, s.earliest = s, maxTime
-	if s.Kept(KeepNetwork) != nil || s.Kept(KeepProcs) != nil {
+	if s.Kept(KeepNetwork) != nil || s.Kept(KeepProcs) != nil || s.Kept(KeepProtocol) != nil {
 		t.Fatal("a new scheduler has something kept")
 	}
 	s.Keep(KeepNetwork, "first")
 	s.Keep(KeepProcs, "records")
+	s.Keep(KeepProtocol, "state")
 	if s.Kept(KeepNetwork) != nil {
 		t.Fatal("Kept returned this run's value before Recycle")
 	}
@@ -608,6 +609,9 @@ func TestRecycleKeepsAndPools(t *testing.T) {
 	}
 	if v := s.Kept(KeepProcs); v != "records" {
 		t.Fatalf("the process slot holds %v after three resets, want records: the slots are independent", v)
+	}
+	if v := s.Kept(KeepProtocol); v != "state" {
+		t.Fatalf("the protocol slot holds %v after three resets, want state: the slots are independent", v)
 	}
 
 	co := New()

@@ -183,6 +183,40 @@ func requireLive(t *testing.T, out *Outcome) {
 	}
 }
 
+// relabelled returns Fig1Right with its clusters reordered, {p6,p7} {p1}
+// {p2..p5}, and where each cluster of Fig1Right went: its cluster x is
+// cluster at[x] of the relabelled partition.
+func relabelled(t *testing.T) (part *Partition, at []int) {
+	t.Helper()
+	part, err := NewPartition([][]int{{5, 6}, {0}, {1, 2, 3, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return part, []int{1, 2, 0}
+}
+
+// unrelabel returns out with its cluster-indexed counts (a binary Result's
+// ConsInvocations and ConsAllocations) put back in the order of the
+// partition the relabelled one reorders, cluster x read at at[x].
+func unrelabel(out *Outcome, at []int) *Outcome {
+	res, ok := out.Raw.(*Result)
+	if !ok || len(res.ConsInvocations) != len(at) {
+		return out
+	}
+	back := func(counts []int64) []int64 {
+		orig := make([]int64, len(counts))
+		for x := range orig {
+			orig[x] = counts[at[x]]
+		}
+		return orig
+	}
+	r := *res
+	r.ConsInvocations, r.ConsAllocations = back(res.ConsInvocations), back(res.ConsAllocations)
+	o := *out
+	o.Raw = &r
+	return &o
+}
+
 // TestRegistryDifferential is the registry's property suite (paper §III-B):
 // every registered protocol runs one scenario shape — Fig1Right, with mm's
 // ring and the circulant overlay beside it, and diffMatrixWorkload — and is
@@ -195,7 +229,11 @@ func requireLive(t *testing.T, out *Outcome) {
 //   - unanimous: a unanimous workload decides its value, where the proposal
 //     kind has one;
 //   - blocked: under every profile the uncovered crash set quiesces the run
-//     with every live process blocked, where the protocol can block.
+//     with every live process blocked, where the protocol can block;
+//   - relabel: reordering the partition's clusters (relabelled) leaves the
+//     Outcome identical, up to the order of its cluster-indexed counts, in
+//     every cell of the matrix at one seed. heal is the one profile left
+//     out: its default cut names cluster 0, so a relabelling moves it.
 //
 // Network-less protocols run the immediate profile only. A protocol
 // registered without a canBlock row fails the suite.
@@ -267,6 +305,34 @@ func TestRegistryDifferential(t *testing.T) {
 					}
 				})
 			}
+			t.Run("relabel", func(t *testing.T) {
+				part, at := relabelled(t)
+				for _, prof := range profiles {
+					if prof.name == "heal" {
+						continue
+					}
+					for _, faults := range crashSets() {
+						if faults.stage && !info.StageCrashes {
+							continue
+						}
+						sc := base
+						sc.Profile, sc.Faults, sc.Seed = prof.p, schedule(t, faults.plan), 1
+						want, err := Run(sc)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sc.Topology.Partition = part
+						got, err := Run(sc)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got := unrelabel(got, at); !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s/%s: relabelling the clusters changed the run:\n  got: %+v\n want: %+v",
+								prof.name, faults.name, got, want)
+						}
+					}
+				}
+			})
 			if blocks {
 				t.Run("blocked", func(t *testing.T) {
 					for _, prof := range profiles {
