@@ -50,11 +50,23 @@ type (
 	ProcOutcome = protocol.ProcOutcome
 )
 
-// Protocol is one registered consensus implementation; ProtocolInfo is its
-// registry metadata (name, proposal kind, capability flags).
+// Protocol is one registered consensus implementation: its ProtocolInfo
+// (name, proposal kind, topology kind, capabilities) and its Run adapter.
 type (
 	Protocol     = protocol.Protocol
 	ProtocolInfo = protocol.Info
+)
+
+// TopologyKind names the Topology field a protocol runs on
+// (ProtocolInfo.Topology).
+type TopologyKind = protocol.TopologyKind
+
+// The four topology kinds.
+const (
+	TopologyFlat      = protocol.TopologyFlat
+	TopologyPartition = protocol.TopologyPartition
+	TopologyGraph     = protocol.TopologyGraph
+	TopologyOverlay   = protocol.TopologyOverlay
 )
 
 // ProposalKind classifies the workload a protocol consumes.

@@ -81,7 +81,8 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
-	info, ok := findInfo(*protoName)
+	proto, ok := allforone.LookupProtocol(*protoName)
+	info := proto.Info
 	if !ok {
 		return fmt.Errorf("unknown protocol %q (try -list-protocols)", *protoName)
 	}
@@ -111,7 +112,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	n := part.N()
-	if info.NeedsPartition {
+	if info.Topology == allforone.TopologyPartition {
 		sc.Topology.Partition = part
 	} else if *nFlag > 0 {
 		n = *nFlag
@@ -119,14 +120,14 @@ func run(args []string, out io.Writer) error {
 	} else {
 		sc.Topology.Partition = part
 	}
-	if info.NeedsGraph {
+	if info.Topology == allforone.TopologyGraph {
 		edges, err := parseEdges(*mmEdges, n)
 		if err != nil {
 			return err
 		}
 		sc.Topology.MMEdges = edges
 	}
-	if info.NeedsOverlay || *ovSpec != "" {
+	if info.Topology == allforone.TopologyOverlay || *ovSpec != "" {
 		ov, err := parseOverlay(*ovSpec)
 		if err != nil {
 			return err
@@ -268,27 +269,12 @@ func run(args []string, out io.Writer) error {
 func printRegistry(out io.Writer) {
 	fmt.Fprintln(out, "registered protocols:")
 	for _, info := range allforone.Protocols() {
-		caps := []string{fmt.Sprintf("proposals=%v", info.Proposals)}
-		if info.NeedsPartition {
-			caps = append(caps, "partition")
-		}
-		if info.NeedsGraph {
-			caps = append(caps, "graph")
-		}
-		if info.NeedsOverlay {
-			caps = append(caps, "overlay")
-		}
+		caps := []string{fmt.Sprintf("proposals=%v", info.Proposals), fmt.Sprintf("topology=%v", info.Topology)}
 		if info.HasNetwork {
 			caps = append(caps, "network")
 		}
-		if info.SubQuadratic {
-			caps = append(caps, "sub-quadratic")
-		}
 		if info.StageCrashes {
 			caps = append(caps, "stage-crashes")
-		}
-		if info.TimedCrashes {
-			caps = append(caps, "timed-crashes")
 		}
 		if info.Traceable {
 			caps = append(caps, "trace")
@@ -299,14 +285,6 @@ func printRegistry(out io.Writer) {
 		fmt.Fprintf(out, "  %-12s %s\n", info.Name, info.Description)
 		fmt.Fprintf(out, "  %-12s [%s]\n", "", strings.Join(caps, ", "))
 	}
-}
-
-func findInfo(name string) (allforone.ProtocolInfo, bool) {
-	p, ok := allforone.LookupProtocol(name)
-	if !ok {
-		return allforone.ProtocolInfo{}, false
-	}
-	return p.Info(), true
 }
 
 func parseProposals(spec string, n int, seed int64) ([]allforone.Value, error) {

@@ -230,6 +230,24 @@ func TestRunListProtocols(t *testing.T) {
 			t.Errorf("registry listing misses %q:\n%s", name, sb.String())
 		}
 	}
+	// The capability line under a protocol's name: topology kind, network,
+	// stage crashes, trace and algorithms, one of each kind of entry.
+	lines := strings.Split(sb.String(), "\n")
+	capsOf := map[string]string{}
+	for i, line := range lines[:len(lines)-1] {
+		if f := strings.Fields(line); len(f) > 0 {
+			capsOf[f[0]] = strings.TrimSpace(lines[i+1])
+		}
+	}
+	for name, want := range map[string]string{
+		"hybrid": "[proposals=binary, topology=partition, network, stage-crashes, trace, algos=local-coin|common-coin]",
+		"gossip": "[proposals=binary, topology=overlay, network, algos=push|pull|pushpull]",
+		"shmem":  "[proposals=binary, topology=flat, stage-crashes]",
+	} {
+		if capsOf[name] != want {
+			t.Errorf("%s: capability line %q, want %q", name, capsOf[name], want)
+		}
+	}
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {

@@ -44,7 +44,7 @@ type goldenCell struct {
 // trace, which Check then holds the history to. It returns the scenario it
 // ran.
 func goldenRun(sc Scenario) (Scenario, *Outcome, error) {
-	if p, _ := LookupProtocol(sc.Protocol); p.Info().Traceable {
+	if p, _ := LookupProtocol(sc.Protocol); p.Traceable {
 		sc.Trace = NewTrace()
 	}
 	out, err := Run(sc)

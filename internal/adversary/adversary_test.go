@@ -209,11 +209,11 @@ func TestBoundedOutDistinctFromUndecided(t *testing.T) {
 const riggedName = "adv-rigged"
 
 func init() {
-	protocol.MustRegister(protocol.New(protocol.Info{
+	protocol.MustRegister(protocol.Protocol{Info: protocol.Info{
 		Name:        riggedName,
 		Description: "test-only protocol violating agreement on sparse seeds",
 		Proposals:   protocol.ProposalsBinary,
-	}, func(sc protocol.Scenario) (*protocol.Outcome, error) {
+	}, Run: func(sc protocol.Scenario) (*protocol.Outcome, error) {
 		n, err := sc.Topology.Procs()
 		if err != nil {
 			return nil, err
@@ -226,7 +226,7 @@ func init() {
 			out.Procs[n-1].Decision = "0" // the planted agreement violation
 		}
 		return out, nil
-	}))
+	}})
 }
 
 // TestSearchFindsPlantedViolation: seed enumeration over a protocol rigged
@@ -401,11 +401,11 @@ func TestParseHelpers(t *testing.T) {
 const linRiggedName = "adv-lin-rigged"
 
 func init() {
-	protocol.MustRegister(protocol.New(protocol.Info{
+	protocol.MustRegister(protocol.Protocol{Info: protocol.Info{
 		Name:        linRiggedName,
 		Description: "test-only register protocol with seeded new-old inversions",
 		Proposals:   protocol.ProposalsScripts,
-	}, func(sc protocol.Scenario) (*protocol.Outcome, error) {
+	}, Run: func(sc protocol.Scenario) (*protocol.Outcome, error) {
 		us := func(k int) time.Duration { return time.Duration(k) * time.Microsecond }
 		res := &register.Result{Procs: make([]register.ProcResult, 3)}
 		res.Procs[0].Status = sim.StatusDecided
@@ -430,7 +430,7 @@ func init() {
 			out.Procs[i] = protocol.ProcOutcome{Status: sim.StatusDecided}
 		}
 		return out, nil
-	}))
+	}})
 }
 
 // TestSearchFindsPlantedLinearizabilityViolation: protocol.Check must

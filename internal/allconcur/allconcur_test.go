@@ -222,42 +222,6 @@ func TestEnvelopeCountStaysSubQuadratic(t *testing.T) {
 	}
 }
 
-func TestRunRejectsBadConfigs(t *testing.T) {
-	good := baseConfig(8, overlay.Spec{Kind: overlay.KindDeBruijn, Degree: 2})
-	cases := []struct {
-		name string
-		mut  func(*protocol.Scenario)
-	}{
-		{"too few procs", func(c *protocol.Scenario) {
-			c.Topology = protocol.Topology{N: 1, Overlay: &overlay.Spec{Kind: overlay.KindCirculant}}
-			c.Workload.Values = c.Workload.Values[:1]
-		}},
-		{"proposal count", func(c *protocol.Scenario) { c.Workload.Values = c.Workload.Values[:3] }},
-		{"step-point crashes", func(c *protocol.Scenario) {
-			s := failures.NewSchedule(c.Topology.N)
-			if err := s.Set(0, failures.Crash{At: failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart}}); err != nil {
-				t.Fatal(err)
-			}
-			c.Faults = s
-		}},
-		{"oversized crash schedule", func(c *protocol.Scenario) {
-			s := failures.NewSchedule(64)
-			if err := s.SetTimed(33, time.Millisecond); err != nil {
-				t.Fatal(err)
-			}
-			c.Faults = s
-		}},
-		{"bad overlay", func(c *protocol.Scenario) { c.Topology.Overlay = &overlay.Spec{Kind: overlay.KindDeBruijn, Degree: 1} }},
-	}
-	for _, tc := range cases {
-		cfg := good
-		tc.mut(&cfg)
-		if _, err := protocol.Run(cfg); !errors.Is(err, protocol.ErrBadScenario) {
-			t.Errorf("%s: err = %v, want ErrBadScenario", tc.name, err)
-		}
-	}
-}
-
 // Set agreement is about the delivered sets, not their sizes: two decided
 // processes that delivered equally many messages from different origins
 // break it, and a set's digest does not depend on the order its members

@@ -12,15 +12,13 @@ import (
 const ProtocolName = "allconcur"
 
 func init() {
-	protocol.MustRegister(protocol.New(protocol.Info{
-		Name:         ProtocolName,
-		Description:  "leaderless atomic broadcast over a sparse overlay (AllConcur-style early termination)",
-		Proposals:    protocol.ProposalsValues,
-		HasNetwork:   true,
-		TimedCrashes: true,
-		NeedsOverlay: true,
-		SubQuadratic: true,
-	}, runScenario))
+	protocol.MustRegister(protocol.Protocol{Info: protocol.Info{
+		Name:        ProtocolName,
+		Description: "leaderless atomic broadcast over a sparse overlay (AllConcur-style early termination)",
+		Proposals:   protocol.ProposalsValues,
+		Topology:    protocol.TopologyOverlay,
+		HasNetwork:  true,
+	}, Run: runScenario})
 }
 
 // Violations checks the atomic-broadcast invariants the uniform Outcome

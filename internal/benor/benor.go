@@ -35,15 +35,14 @@ var variant = core.Variant{
 }
 
 func init() {
-	protocol.MustRegister(protocol.New(protocol.Info{
+	protocol.MustRegister(protocol.Protocol{Info: protocol.Info{
 		Name:         ProtocolName,
 		Description:  "Ben-Or's pure message-passing binary consensus (the m=n baseline)",
 		Proposals:    protocol.ProposalsBinary,
 		HasNetwork:   true,
 		StageCrashes: true,
-		TimedCrashes: true,
 		OneForAll:    true,
-	}, runScenario))
+	}, Run: runScenario})
 }
 
 // runScenario runs a registry-validated scenario on the round machine.

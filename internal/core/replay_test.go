@@ -111,43 +111,6 @@ func TestReplayBitReproducible(t *testing.T) {
 	}
 }
 
-// TestVirtualQuiescenceBlocks pins the deterministic blocked verdict: with
-// too many crashes for the liveness condition (no surviving-cluster set
-// covering a majority), the virtual engine must detect quiescence — no
-// wall-clock timeout involved — and mark undecided processes blocked.
-func TestVirtualQuiescenceBlocks(t *testing.T) {
-	t.Parallel()
-	// Singletons: pure message passing. Crash 4 of 7 at round start —
-	// a majority can never be covered, every survivor waits forever.
-	sched, err := failures.CrashAllExcept(7,
-		failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart}, 0, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	res, err := Run(Config{
-		Partition: model.Singletons(7),
-		Proposals: unanimous(7, model.One),
-		Algorithm: CommonCoin,
-		Setup:     sim.Setup{Seed: 11, Crashes: sched},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wall := time.Since(start); wall > 5*time.Second {
-		t.Errorf("blocked verdict took %v of real time; quiescence detection should be immediate", wall)
-	}
-	if !res.Quiesced {
-		t.Errorf("Quiesced = false, want true: %+v", res)
-	}
-	if got := outcome(res).CountStatus(sim.StatusBlocked); got != 3 {
-		t.Errorf("blocked = %d, want 3 survivors blocked: %+v", got, res.Procs)
-	}
-	if got := outcome(res).CountStatus(sim.StatusCrashed); got != 4 {
-		t.Errorf("crashed = %d, want 4: %+v", got, res.Procs)
-	}
-}
-
 // TestTimedCrash verifies virtual-instant failure injection: the victims
 // halt as crashed (not blocked), take no steps after their crash event, and
 // the run stays safe.
@@ -185,34 +148,6 @@ func TestTimedCrash(t *testing.T) {
 	// covers 5 of 7), so Check demands that the survivors decide too.
 	if vs := violations(cfg, res); vs != nil {
 		t.Error(vs)
-	}
-}
-
-// TestSafetyAcrossSchedules samples the schedule space the asynchronous
-// model quantifies over: 32 seeds, each at immediate delivery and under a
-// 0–1 ms uniform band. Every run must pass protocol.Check — crash-free, so
-// that includes deciding everywhere. Every schedule is replayable: a failing
-// (seed, band) is its own repro.
-func TestSafetyAcrossSchedules(t *testing.T) {
-	t.Parallel()
-	for _, algo := range []Algorithm{LocalCoin, CommonCoin} {
-		t.Run(algo.String(), func(t *testing.T) {
-			t.Parallel()
-			for _, maxDelay := range []time.Duration{0, time.Millisecond} {
-				for seed := int64(0); seed < 32; seed++ {
-					runAndCheck(t, Config{
-						Partition: model.Fig1Right(),
-						Proposals: alternating(7),
-						Algorithm: algo,
-						Setup: sim.Setup{
-							Seed:      seed,
-							NetOption: netsim.WithUniformDelay(0, maxDelay),
-						},
-						MaxRounds: 10_000,
-					})
-				}
-			}
-		})
 	}
 }
 

@@ -81,11 +81,6 @@ type Config struct {
 	AblateClusterConsensus bool
 }
 
-// DefaultMaxSteps bounds virtual-engine runs that never converge: a run
-// processing this many delivery events without terminating is aborted
-// deterministically (undecided processes end as StatusBlocked).
-const DefaultMaxSteps = sim.DefaultMaxSteps
-
 // ProcResult and Result re-export the shared outcome vocabulary
 // (see internal/sim).
 type (

@@ -16,18 +16,17 @@ const (
 )
 
 func init() {
-	protocol.MustRegister(protocol.New(protocol.Info{
-		Name:           ProtocolName,
-		Description:    "the paper's hybrid-model binary consensus (Algorithm 2 local-coin, Algorithm 3 common-coin)",
-		Proposals:      protocol.ProposalsBinary,
-		NeedsPartition: true,
-		HasNetwork:     true,
-		StageCrashes:   true,
-		TimedCrashes:   true,
-		OneForAll:      true,
-		Traceable:      true,
-		Algorithms:     []string{AlgoLocalCoin, AlgoCommonCoin},
-	}, runScenario))
+	protocol.MustRegister(protocol.Protocol{Info: protocol.Info{
+		Name:         ProtocolName,
+		Description:  "the paper's hybrid-model binary consensus (Algorithm 2 local-coin, Algorithm 3 common-coin)",
+		Proposals:    protocol.ProposalsBinary,
+		Topology:     protocol.TopologyPartition,
+		HasNetwork:   true,
+		StageCrashes: true,
+		OneForAll:    true,
+		Traceable:    true,
+		Algorithms:   []string{AlgoLocalCoin, AlgoCommonCoin},
+	}, Run: runScenario})
 }
 
 // ParseAlgorithm resolves a Scenario.Algorithm name; empty picks the

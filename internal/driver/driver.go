@@ -39,9 +39,9 @@ type Config struct {
 	// all-to-all protocols, ~8192·n for sparse-overlay ones); negative
 	// means unbounded. Explicit positive values are authoritative.
 	MaxSteps int64
-	// Complexity is the protocol's step-complexity hint (declared in the
-	// registry as Info.SubQuadratic), consulted only when MaxSteps is
-	// zero: sim.StepsQuadratic (the zero value) keeps the 24·n² default;
+	// Complexity is the protocol's step-complexity hint, declared here by
+	// each sparse adapter, consulted only when MaxSteps is zero:
+	// sim.StepsQuadratic (the zero value) keeps the 24·n² default;
 	// sim.StepsLinear shapes the default as O(n) so a sparse protocol at
 	// n=100k is not granted a 240-billion-step budget before the
 	// runaway guard fires.

@@ -21,18 +21,16 @@ import (
 const ProtocolName = "gossip"
 
 func init() {
-	protocol.MustRegister(protocol.New(protocol.Info{
-		Name:         ProtocolName,
-		Description:  "epidemic OR-dissemination over a sparse overlay digraph (Θ(n·d) msgs/round)",
-		Proposals:    protocol.ProposalsBinary,
-		HasNetwork:   true,
-		TimedCrashes: true,
-		NeedsOverlay: true,
-		SubQuadratic: true,
+	protocol.MustRegister(protocol.Protocol{Info: protocol.Info{
+		Name:        ProtocolName,
+		Description: "epidemic OR-dissemination over a sparse overlay digraph (Θ(n·d) msgs/round)",
+		Proposals:   protocol.ProposalsBinary,
+		Topology:    protocol.TopologyOverlay,
+		HasNetwork:  true,
 		// The default mode last: the CLI renders the final entry as the
 		// "(default)" algorithm (same convention as the hybrid protocol).
 		Algorithms: []string{"push", "pull", "pushpull"},
-	}, runScenario))
+	}, Run: runScenario})
 }
 
 // Mode selects the dissemination direction.

@@ -260,48 +260,6 @@ func TestRunDerivesTransitBound(t *testing.T) {
 	}
 }
 
-func TestRunRejectsBadConfigs(t *testing.T) {
-	good := baseConfig(8, overlay.Spec{Kind: overlay.KindDeBruijn, Degree: 2}, 1)
-	cases := []struct {
-		name string
-		mut  func(*protocol.Scenario)
-	}{
-		{"too few procs", func(c *protocol.Scenario) {
-			c.Topology = protocol.Topology{N: 1, Overlay: &overlay.Spec{Kind: overlay.KindCirculant}}
-			c.Workload.Binary = c.Workload.Binary[:1]
-		}},
-		{"proposal count", func(c *protocol.Scenario) { c.Workload.Binary = c.Workload.Binary[:3] }},
-		{"non-binary proposal", func(c *protocol.Scenario) {
-			ps := append([]model.Value(nil), c.Workload.Binary...)
-			ps[0] = 9
-			c.Workload.Binary = ps
-		}},
-		{"unknown mode", func(c *protocol.Scenario) { c.Algorithm = "flood" }},
-		{"step-point crashes", func(c *protocol.Scenario) {
-			s := failures.NewSchedule(c.Topology.N)
-			if err := s.Set(0, failures.Crash{At: failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart}}); err != nil {
-				t.Fatal(err)
-			}
-			c.Faults = s
-		}},
-		{"bad overlay", func(c *protocol.Scenario) { c.Topology.Overlay = &overlay.Spec{Kind: overlay.KindDeBruijn, Degree: 1} }},
-		{"oversized crash schedule", func(c *protocol.Scenario) {
-			s := failures.NewSchedule(64)
-			if err := s.SetTimed(33, time.Millisecond); err != nil {
-				t.Fatal(err)
-			}
-			c.Faults = s
-		}},
-	}
-	for _, tc := range cases {
-		cfg := good
-		tc.mut(&cfg)
-		if _, err := protocol.Run(cfg); !errors.Is(err, protocol.ErrBadScenario) {
-			t.Errorf("%s: err = %v, want ErrBadScenario", tc.name, err)
-		}
-	}
-}
-
 func TestParseModeRoundTrip(t *testing.T) {
 	for _, m := range []Mode{ModePushPull, ModePush, ModePull} {
 		got, err := ParseMode(m.String())

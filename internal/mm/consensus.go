@@ -18,15 +18,14 @@ const ProtocolName = "mm"
 var ErrInvariantBroken = errors.New("mm: protocol invariant broken")
 
 func init() {
-	protocol.MustRegister(protocol.New(protocol.Info{
+	protocol.MustRegister(protocol.Protocol{Info: protocol.Info{
 		Name:         ProtocolName,
 		Description:  "m&m-model consensus comparator (graph-induced overlapping memories, Aguilera et al.)",
 		Proposals:    protocol.ProposalsBinary,
-		NeedsGraph:   true,
+		Topology:     protocol.TopologyGraph,
 		HasNetwork:   true,
 		StageCrashes: true,
-		TimedCrashes: true,
-	}, runScenario))
+	}, Run: runScenario})
 }
 
 // runScenario runs one m&m consensus instance of a registry-validated

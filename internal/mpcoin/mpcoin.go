@@ -40,15 +40,14 @@ var variant = core.Variant{
 }
 
 func init() {
-	protocol.MustRegister(protocol.New(protocol.Info{
+	protocol.MustRegister(protocol.Protocol{Info: protocol.Info{
 		Name:         ProtocolName,
 		Description:  "pure message-passing common-coin binary consensus (the baseline Algorithm 3 extends)",
 		Proposals:    protocol.ProposalsBinary,
 		HasNetwork:   true,
 		StageCrashes: true,
-		TimedCrashes: true,
 		OneForAll:    true,
-	}, runScenario))
+	}, Run: runScenario})
 }
 
 // runScenario runs a registry-validated scenario on the round machine.

@@ -100,21 +100,6 @@ func runLive(t *testing.T, sc protocol.Scenario) *sim.Result {
 // atStart is the step point of a crash before the process's first step.
 var atStart = failures.Point{Round: 1, Phase: 1, Stage: failures.StageRoundStart}
 
-func TestConfigValidation(t *testing.T) {
-	t.Parallel()
-	cases := []protocol.Scenario{
-		scenario(nil, 0, 0),
-		{Protocol: ProtocolName, Topology: protocol.Topology{N: 3}, Workload: protocol.Workload{Binary: unanimous(2, model.One)}},
-		scenario([]model.Value{model.One, model.Value(5)}, 0, 0),
-		scenario(unanimous(2, model.One), 0, -1),
-	}
-	for i, sc := range cases {
-		if _, err := protocol.Run(sc); !errors.Is(err, protocol.ErrBadScenario) {
-			t.Errorf("case %d: error = %v, want ErrBadScenario", i, err)
-		}
-	}
-}
-
 func TestUnanimousTerminatesQuickly(t *testing.T) {
 	t.Parallel()
 	for _, n := range []int{1, 3, 5, 9} {

@@ -40,16 +40,15 @@ import (
 const ProtocolName = "multivalued"
 
 func init() {
-	protocol.MustRegister(protocol.New(protocol.Info{
-		Name:           ProtocolName,
-		Description:    "multivalued consensus over the hybrid model (URB + binary-instance reduction)",
-		Proposals:      protocol.ProposalsValues,
-		NeedsPartition: true,
-		HasNetwork:     true,
-		StageCrashes:   true,
-		TimedCrashes:   true,
-		OneForAll:      true,
-	}, runScenario))
+	protocol.MustRegister(protocol.Protocol{Info: protocol.Info{
+		Name:         ProtocolName,
+		Description:  "multivalued consensus over the hybrid model (URB + binary-instance reduction)",
+		Proposals:    protocol.ProposalsValues,
+		Topology:     protocol.TopologyPartition,
+		HasNetwork:   true,
+		StageCrashes: true,
+		OneForAll:    true,
+	}, Run: runScenario})
 }
 
 // ProcResult is one process's outcome.
@@ -81,7 +80,6 @@ func runScenario(sc protocol.Scenario) (*protocol.Outcome, error) {
 	log, err := smr.RunVariant(&sc, smr.Variant{
 		NetSalt:      0x60be_e2be_e120_fc15,
 		InstMix:      0x9e37_79b9_7f4a_7c15,
-		MaxInstances: sc.Bounds.MaxInstances,
 		SupportNoOps: true,
 	})
 	if err != nil {

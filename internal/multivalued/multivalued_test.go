@@ -63,18 +63,6 @@ func crashAllExcept(t *testing.T, survivors ...model.ProcID) *failures.Schedule 
 	return sched
 }
 
-func TestConfigValidation(t *testing.T) {
-	t.Parallel()
-	noPartition := scenario(nil, []string{"a"}, 0)
-	noPartition.Topology.N = 1
-	if _, err := protocol.Run(noPartition); !errors.Is(err, protocol.ErrBadScenario) {
-		t.Errorf("nil partition error = %v", err)
-	}
-	if _, err := protocol.Run(scenario(model.Singletons(3), []string{"a"}, 0)); !errors.Is(err, protocol.ErrBadScenario) {
-		t.Errorf("short proposals error = %v", err)
-	}
-}
-
 func TestUnanimousProposals(t *testing.T) {
 	t.Parallel()
 	partitions := map[string]*model.Partition{
@@ -204,58 +192,6 @@ func TestReplayBitReproducible(t *testing.T) {
 		if !reflect.DeepEqual(res1, res2) || res1.Steps == 0 {
 			t.Errorf("seed %d: Results diverged or took no step:\n  run1: %+v\n  run2: %+v", seed, res1, res2)
 		}
-	}
-}
-
-// TestSafetyAcrossSchedules samples the schedule space: 32 seeds, each at
-// immediate delivery and under a 0–1 ms uniform band (replayable), every
-// run held to protocol.Check: agreement, validity and, crash-free,
-// termination.
-func TestSafetyAcrossSchedules(t *testing.T) {
-	t.Parallel()
-	for _, band := range []protocol.NetworkProfile{nil, protocol.Uniform(0, time.Millisecond)} {
-		for seed := int64(0); seed < 32; seed++ {
-			sc := protocol.Scenario{
-				Protocol: ProtocolName,
-				Topology: protocol.Topology{Partition: model.Fig1Right()},
-				Workload: protocol.Workload{Values: []string{"u", "v", "w", "x", "y", "z", "q"}},
-				Profile:  band,
-				Seed:     seed,
-			}
-			out, err := protocol.Run(sc)
-			if err != nil {
-				t.Fatalf("band %v seed %d: %v", band, seed, err)
-			}
-			if vs := protocol.Check(sc, out); vs != nil {
-				t.Errorf("band %v seed %d: %v", band, seed, vs)
-			}
-		}
-	}
-}
-
-// TestVirtualQuiescenceBlocks pins the deterministic blocked verdict for a
-// dead failure pattern — the majority cluster wiped: the run must end at
-// quiescence, instantly, instead of waiting out a wall-clock timeout. And
-// indulgence carries over: it blocks but never yields a wrong or
-// disagreeing decision.
-func TestVirtualQuiescenceBlocks(t *testing.T) {
-	t.Parallel()
-	start := time.Now()
-	sc := scenario(model.Fig1Right(), letters, 5)
-	sc.Faults = crashAllExcept(t, 0, 5, 6)
-	res := run(t, sc)
-	if wall := time.Since(start); wall > 5*time.Second {
-		t.Errorf("blocked verdict took %v of real time", wall)
-	}
-	if !res.Quiesced {
-		t.Errorf("Quiesced = false, want true: %+v", res)
-	}
-	out := outcome(res)
-	if _, _, decided := out.Decided(); decided {
-		t.Error("decided under a dead failure pattern")
-	}
-	if err := out.CheckAgreement(); err != nil {
-		t.Error(err)
 	}
 }
 

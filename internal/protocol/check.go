@@ -62,7 +62,6 @@ func Check(sc Scenario, out *Outcome) []Violation {
 	if !ok {
 		return []Violation{{"scenario", fmt.Errorf("%w %q", ErrUnknownProtocol, sc.Protocol)}}
 	}
-	info := p.Info()
 	var vs []Violation
 	add := func(property string, err error) {
 		if err != nil {
@@ -70,7 +69,7 @@ func Check(sc Scenario, out *Outcome) []Violation {
 		}
 	}
 	add("agreement", out.CheckAgreement())
-	switch info.Proposals {
+	switch p.Proposals {
 	case ProposalsBinary:
 		add("validity", checkBinaryValidity(out, sc.Workload.Binary))
 	case ProposalsValues:
@@ -79,12 +78,12 @@ func Check(sc Scenario, out *Outcome) []Violation {
 	if i := out.firstWith(sim.StatusFailed); i >= 0 {
 		vs = append(vs, Violation{"invariant", fmt.Errorf("p%d failed an internal check", i+1)})
 	}
-	if info.Proposals == ProposalsBinary {
+	if p.Proposals == ProposalsBinary {
 		add("round-cap", checkRoundCap(sc.Bounds.MaxRounds, out))
 	}
 	add("verdict", checkVerdict(sc.Bounds, out))
 	if conclusive(sc.Bounds, out) {
-		add("liveness", checkLiveness(info, &sc, out))
+		add("liveness", checkLiveness(p.Info, &sc, out))
 	}
 	if sc.Trace != nil {
 		vs = append(vs, checkTrace(sc.Trace, sc.Topology.Partition, out)...)
@@ -188,7 +187,7 @@ func checkLiveness(info Info, sc *Scenario, out *Outcome) error {
 	if info.OneForAll && crashes > 0 {
 		// A flat protocol's clusters are its processes.
 		covered = 2*(len(out.Procs)-crashes) > len(out.Procs)
-		if info.NeedsPartition {
+		if info.Topology == TopologyPartition {
 			crashed := model.NewProcSet(len(out.Procs))
 			for p := range out.Procs {
 				if struck(sc, out, p) {

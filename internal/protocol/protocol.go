@@ -5,7 +5,7 @@
 // Each protocol package (the hybrid algorithms of internal/core, the
 // message-passing and shared-memory baselines, the m&m comparator, and
 // the extension stack) registers itself at init time under a stable name
-// with its proposal kind and capability flags. One entry point —
+// with its proposal kind, topology kind and capabilities. One entry point —
 // protocol.Run — validates a Scenario (topology, workload, faults, network
 // profile, bounds) against the protocol's Info, runs it on the registered
 // adapter and returns a uniform Outcome.
@@ -56,8 +56,42 @@ func (k ProposalKind) String() string {
 	return fmt.Sprintf("ProposalKind(%d)", int(k))
 }
 
+// TopologyKind names the Topology field a protocol runs on.
+type TopologyKind int
+
+// The four topology kinds.
+const (
+	// TopologyFlat: a bare process count, Topology.N — or the partition's,
+	// when one is given anyway, so that a single scenario can drive hybrid
+	// and flat protocols alike.
+	TopologyFlat TopologyKind = iota
+	// TopologyPartition: Topology.Partition, the hybrid cluster
+	// decomposition.
+	TopologyPartition
+	// TopologyGraph: Topology.MMEdges, the m&m model's graph.
+	TopologyGraph
+	// TopologyOverlay: Topology.Overlay, a sparse overlay digraph spec,
+	// validated against the process count (overlay.Spec.Validate).
+	TopologyOverlay
+)
+
+// String names the topology kind.
+func (k TopologyKind) String() string {
+	switch k {
+	case TopologyFlat:
+		return "flat"
+	case TopologyPartition:
+		return "partition"
+	case TopologyGraph:
+		return "graph"
+	case TopologyOverlay:
+		return "overlay"
+	}
+	return fmt.Sprintf("TopologyKind(%d)", int(k))
+}
+
 // Info describes a registered protocol: its registry name, the workload it
-// consumes, and capability flags the Scenario compiler validates against.
+// consumes, and the capabilities the Scenario compiler validates against.
 type Info struct {
 	// Name is the registry key (e.g. "hybrid", "benor", "smr").
 	Name string
@@ -65,33 +99,18 @@ type Info struct {
 	Description string
 	// Proposals is the workload shape the protocol consumes.
 	Proposals ProposalKind
-	// NeedsPartition: the protocol requires Topology.Partition (the hybrid
-	// cluster decomposition). Protocols without it take their process count
-	// from Topology.N, or from the partition when one is given anyway (so a
-	// single scenario can drive hybrid and flat protocols alike).
-	NeedsPartition bool
-	// NeedsGraph: the protocol consumes Topology.MMEdges (the m&m model).
-	NeedsGraph bool
-	// NeedsOverlay: the protocol communicates on a sparse overlay digraph
-	// and requires Topology.Overlay (validated at build time via
-	// overlay.Spec.Validate). Scenarios without one — or whose spec does
-	// not fit the process count — are rejected with ErrBadScenario.
-	NeedsOverlay bool
-	// SubQuadratic: the protocol's event count is O(n·d·rounds), not
-	// Θ(n²) per round — the registry-level complexity hint. Adapters of
-	// sub-quadratic protocols pass sim.StepsLinear to the driver so the
-	// default MaxSteps budget is O(n)-shaped instead of 24·n²
-	// (sim.DefaultMaxStepsHint).
-	SubQuadratic bool
+	// Topology is the Topology field the protocol runs on; a scenario
+	// without it, or (for an overlay) whose spec does not fit the process
+	// count, is rejected with ErrBadScenario.
+	Topology TopologyKind
 	// HasNetwork: the protocol exchanges messages, so Scenario.Profile
 	// applies. Scenarios with a profile are rejected for network-less
 	// protocols.
 	HasNetwork bool
-	// StageCrashes / TimedCrashes: which flavors of failures.Schedule
-	// plans the protocol honors. Scenarios carrying an unsupported flavor
-	// are rejected at build time.
+	// StageCrashes: the protocol honors step-point crash plans as well as
+	// timed ones, which every protocol honors. Scenarios carrying step
+	// plans for a protocol without it are rejected.
 	StageCrashes bool
-	TimedCrashes bool
 	// Traceable: the protocol records Scenario.Trace events.
 	Traceable bool
 	// OneForAll: every live process decides whenever the clusters holding a
@@ -104,32 +123,15 @@ type Info struct {
 	Algorithms []string
 }
 
-// Protocol is one registered consensus implementation: static metadata
-// plus the Scenario adapter, the implementation's only entry point, which
-// builds its run from a declarative run description.
-type Protocol interface {
-	// Info returns the protocol's registry metadata.
-	Info() Info
-	// Run executes the (already registry-validated) scenario. It takes its
-	// own copy, so that a run does not move the caller's to the heap.
-	Run(sc Scenario) (*Outcome, error)
-}
-
-// RunFunc is the adapter signature protocol packages register.
-type RunFunc func(sc Scenario) (*Outcome, error)
-
-// funcProtocol is the standard Protocol implementation: Info + RunFunc.
-type funcProtocol struct {
-	info Info
-	run  RunFunc
-}
-
-func (p *funcProtocol) Info() Info                        { return p.info }
-func (p *funcProtocol) Run(sc Scenario) (*Outcome, error) { return p.run(sc) }
-
-// New builds a Protocol from metadata and an adapter function.
-func New(info Info, run RunFunc) Protocol {
-	return &funcProtocol{info: info, run: run}
+// Protocol is one registered consensus implementation: its registry
+// metadata and its Scenario adapter.
+type Protocol struct {
+	Info
+	// Run executes a registry-validated scenario: the implementation's only
+	// entry point, which builds its run from a declarative run description.
+	// It takes its own copy, so that a run does not move the caller's to
+	// the heap.
+	Run func(sc Scenario) (*Outcome, error)
 }
 
 // ErrUnknownProtocol reports a Scenario.Protocol with no registry entry.
@@ -143,19 +145,18 @@ var registry = struct {
 // Register adds a protocol to the registry. Empty names, nil adapters and
 // duplicate registrations are rejected.
 func Register(p Protocol) error {
-	if p == nil {
-		return errors.New("protocol: nil protocol")
-	}
-	name := p.Info().Name
-	if name == "" {
+	switch {
+	case p.Name == "":
 		return errors.New("protocol: empty protocol name")
+	case p.Run == nil:
+		return fmt.Errorf("protocol: %q has no Run", p.Name)
 	}
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
-	if _, dup := registry.m[name]; dup {
-		return fmt.Errorf("protocol: %q registered twice", name)
+	if _, dup := registry.m[p.Name]; dup {
+		return fmt.Errorf("protocol: %q registered twice", p.Name)
 	}
-	registry.m[name] = p
+	registry.m[p.Name] = p
 	return nil
 }
 
@@ -187,25 +188,15 @@ func Names() []string {
 	return out
 }
 
-// Protocols returns every registered protocol, sorted by name.
-func Protocols() []Protocol {
-	registry.mu.RLock()
-	defer registry.mu.RUnlock()
-	out := make([]Protocol, 0, len(registry.m))
-	for _, p := range registry.m {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Info().Name < out[j].Info().Name })
-	return out
-}
-
 // Infos returns the metadata of every registered protocol, sorted by name.
 func Infos() []Info {
-	ps := Protocols()
-	out := make([]Info, len(ps))
-	for i, p := range ps {
-		out[i] = p.Info()
+	registry.mu.RLock()
+	defer registry.mu.RUnlock()
+	out := make([]Info, 0, len(registry.m))
+	for _, p := range registry.m {
+		out = append(out, p.Info)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -218,7 +209,7 @@ func Run(sc Scenario) (*Outcome, error) {
 		return nil, fmt.Errorf("%w %q (registered: %s)",
 			ErrUnknownProtocol, sc.Protocol, strings.Join(Names(), ", "))
 	}
-	if err := sc.validate(p.Info()); err != nil {
+	if err := sc.validate(p.Info); err != nil {
 		return nil, err
 	}
 	return p.Run(sc)

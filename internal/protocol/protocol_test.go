@@ -41,13 +41,14 @@ func TestRegistryComplete(t *testing.T) {
 
 func TestRegisterRejectsDuplicatesAndNil(t *testing.T) {
 	t.Parallel()
-	if err := protocol.Register(nil); err == nil {
-		t.Error("nil protocol accepted")
+	run := func(protocol.Scenario) (*protocol.Outcome, error) { return nil, nil }
+	if err := protocol.Register(protocol.Protocol{Info: protocol.Info{Name: "no-run"}}); err == nil {
+		t.Error("nil adapter accepted")
 	}
-	if err := protocol.Register(protocol.New(protocol.Info{}, nil)); err == nil {
+	if err := protocol.Register(protocol.Protocol{Run: run}); err == nil {
 		t.Error("empty name accepted")
 	}
-	dup := protocol.New(protocol.Info{Name: "hybrid"}, func(protocol.Scenario) (*protocol.Outcome, error) { return nil, nil })
+	dup := protocol.Protocol{Info: protocol.Info{Name: "hybrid"}, Run: run}
 	if err := protocol.Register(dup); err == nil || !strings.Contains(err.Error(), "twice") {
 		t.Errorf("duplicate registration: err = %v", err)
 	}

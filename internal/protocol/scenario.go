@@ -66,14 +66,14 @@ type Topology struct {
 	// (but validated for consistency) when Partition is set.
 	N int
 	// MMEdges is the undirected edge list inducing the m&m model's memory
-	// domains (0-based endpoints); consumed by NeedsGraph protocols.
+	// domains (0-based endpoints); consumed by TopologyGraph protocols.
 	MMEdges [][2]int
 	// Overlay is the sparse communication digraph spec consumed by
-	// NeedsOverlay protocols (gossip, allconcur): a deterministic
+	// TopologyOverlay protocols (gossip, allconcur): a deterministic
 	// d-regular family (de Bruijn, circulant) or seeded random
 	// peer-sampling views, built identically by every process from
 	// (spec, n, seed). Required — and validated at build time — when the
-	// protocol declares NeedsOverlay; ignored otherwise (like MMEdges).
+	// protocol declares TopologyOverlay; ignored otherwise (like MMEdges).
 	Overlay *overlay.Spec
 }
 
@@ -134,7 +134,7 @@ type Bounds struct {
 	// (per instance, for the multivalued/smr reductions); 0 = unbounded.
 	MaxRounds int
 	// MaxInstances bounds the binary instances of the multivalued
-	// reduction; 0 = the protocol default.
+	// reduction (per slot, for smr); 0 = the protocol default.
 	MaxInstances int
 	// MaxVirtualTime bounds the virtual clock; 0 = unbounded.
 	MaxVirtualTime time.Duration
@@ -152,17 +152,17 @@ var ErrBadScenario = errors.New("protocol: invalid scenario")
 // overlay that fails to build) stay in its adapter and wrap ErrBadScenario
 // too.
 func (sc *Scenario) validate(info Info) error {
-	if info.NeedsPartition && sc.Topology.Partition == nil {
+	switch {
+	case info.Topology == TopologyPartition && sc.Topology.Partition == nil:
 		return fmt.Errorf("%w: protocol %q needs Topology.Partition", ErrBadScenario, info.Name)
-	}
-	if info.NeedsGraph && len(sc.Topology.MMEdges) == 0 {
+	case info.Topology == TopologyGraph && len(sc.Topology.MMEdges) == 0:
 		return fmt.Errorf("%w: protocol %q needs Topology.MMEdges (an edgeless graph is a degenerate topology)", ErrBadScenario, info.Name)
 	}
 	n, err := sc.Topology.Procs()
 	if err != nil {
 		return fmt.Errorf("protocol %q: %w", info.Name, err)
 	}
-	if info.NeedsOverlay {
+	if info.Topology == TopologyOverlay {
 		if sc.Topology.Overlay == nil {
 			return fmt.Errorf("%w: protocol %q needs Topology.Overlay (a sparse digraph spec — overlay.Spec)", ErrBadScenario, info.Name)
 		}
@@ -181,9 +181,6 @@ func (sc *Scenario) validate(info Info) error {
 	}
 	if !info.StageCrashes && sc.Faults.HasStepPoints() {
 		return fmt.Errorf("%w: protocol %q does not honor step-point crash plans (use Schedule.SetTimed)", ErrBadScenario, info.Name)
-	}
-	if !info.TimedCrashes && sc.Faults.HasTimed() {
-		return fmt.Errorf("%w: protocol %q does not honor timed crash plans", ErrBadScenario, info.Name)
 	}
 	if !info.HasNetwork && sc.Profile != nil {
 		return fmt.Errorf("%w: protocol %q has no message network; drop the Profile", ErrBadScenario, info.Name)

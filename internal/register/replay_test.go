@@ -68,31 +68,6 @@ func TestReplayBitReproducible(t *testing.T) {
 	}
 }
 
-// TestSafetyAcrossSchedules samples the schedule space: 32 seeds, each at
-// immediate delivery and under a 0–1 ms uniform band (replayable), every
-// run held to protocol.Check: every operation completes, and the history is
-// linearizable, so reads return written values (or the initial empty
-// string) and respect their process's preceding write.
-func TestSafetyAcrossSchedules(t *testing.T) {
-	t.Parallel()
-	scripts := make([][]protocol.RegisterOp, 7)
-	scripts[1] = []protocol.RegisterOp{protocol.WriteOp("x"), protocol.ReadOp()}
-	scripts[5] = []protocol.RegisterOp{protocol.ReadOp(), protocol.WriteOp("y")}
-	for _, band := range []protocol.NetworkProfile{nil, protocol.Uniform(0, time.Millisecond)} {
-		for seed := int64(0); seed < 32; seed++ {
-			sc := scenario(model.Fig1Right(), scripts, seed)
-			sc.Profile = band
-			out, err := protocol.Run(sc)
-			if err != nil {
-				t.Fatalf("band %v seed %d: %v", band, seed, err)
-			}
-			if vs := protocol.Check(sc, out); vs != nil {
-				t.Errorf("band %v seed %d: %v", band, seed, vs)
-			}
-		}
-	}
-}
-
 // TestScriptedMajorityCrashSurvivorOperates pins the one-for-all property
 // on the scripted path: after 6 of 7 processes crash, the lone member of
 // the majority cluster keeps reading and writing — deterministically,

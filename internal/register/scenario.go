@@ -11,18 +11,16 @@ import (
 const ProtocolName = "register"
 
 func init() {
-	protocol.MustRegister(protocol.New(protocol.Info{
-		Name:           ProtocolName,
-		Description:    "cluster-aware ABD atomic register running scripted read/write workloads",
-		Proposals:      protocol.ProposalsScripts,
-		NeedsPartition: true,
-		HasNetwork:     true,
-		// Step-point crash plans have no (round, phase) anchor in a
-		// register run; only timed crashes apply (the registry validator
-		// rejects scenarios carrying step plans for this protocol).
-		TimedCrashes: true,
-		OneForAll:    true,
-	}, runScenario))
+	protocol.MustRegister(protocol.Protocol{Info: protocol.Info{
+		Name:        ProtocolName,
+		Description: "cluster-aware ABD atomic register running scripted read/write workloads",
+		Proposals:   protocol.ProposalsScripts,
+		Topology:    protocol.TopologyPartition,
+		HasNetwork:  true,
+		OneForAll:   true,
+		// No StageCrashes: a step-point crash plan has no (round, phase)
+		// anchor in a register run, so only timed plans apply.
+	}, Run: runScenario})
 }
 
 // Violations checks the run's history: a process that completed its

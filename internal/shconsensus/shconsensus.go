@@ -25,16 +25,15 @@ import (
 const ProtocolName = "shmem"
 
 func init() {
-	protocol.MustRegister(protocol.New(protocol.Info{
+	protocol.MustRegister(protocol.Protocol{Info: protocol.Info{
 		Name:        ProtocolName,
 		Description: "single compare&swap object consensus (the m=1 shared-memory degenerate case; no network)",
 		Proposals:   protocol.ProposalsBinary,
 		// No network: scenarios carrying a Profile are rejected. Timed
-		// crashes are accepted but effectively meaningless: the whole run
-		// happens at virtual time zero, before any timed instant can fire.
+		// crashes are accepted but never strike: the whole run happens at
+		// virtual time zero, before any timed instant can fire.
 		StageCrashes: true,
-		TimedCrashes: true,
-	}, runScenario))
+	}, Run: runScenario})
 }
 
 // runScenario runs one registry-validated shared-memory consensus

@@ -1,7 +1,6 @@
 package shconsensus
 
 import (
-	"errors"
 	"math/rand/v2"
 	"testing"
 
@@ -40,19 +39,6 @@ func run(t *testing.T, sc protocol.Scenario) *sim.Result {
 		t.Fatalf("Run: %v", err)
 	}
 	return out.Raw.(*sim.Result)
-}
-
-func TestConfigValidation(t *testing.T) {
-	t.Parallel()
-	if _, err := protocol.Run(scenario(0, nil)); !errors.Is(err, protocol.ErrBadScenario) {
-		t.Errorf("N=0 error = %v", err)
-	}
-	if _, err := protocol.Run(scenario(2, []model.Value{model.One})); !errors.Is(err, protocol.ErrBadScenario) {
-		t.Errorf("short proposals error = %v", err)
-	}
-	if _, err := protocol.Run(scenario(1, []model.Value{model.Bot})); !errors.Is(err, protocol.ErrBadScenario) {
-		t.Errorf("non-binary proposal error = %v", err)
-	}
 }
 
 func TestAgreementValidityTermination(t *testing.T) {

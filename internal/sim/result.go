@@ -39,12 +39,11 @@ func DefaultMaxStepsFor(n int) int64 {
 	return q
 }
 
-// StepComplexity is a protocol's event-count shape, declared through the
-// registry (protocol.Info.SubQuadratic) and threaded to the engine driver
-// so the default step budget matches the protocol family: the 24·n²
-// default that keeps an all-to-all exchange honest is absurd for a
-// sparse-overlay protocol at n=100k (240 billion steps), where the real
-// event count is O(n·d·rounds).
+// StepComplexity is a protocol's event-count shape, declared by its adapter
+// in the engine driver's Config (driver.Config.Complexity) so the default
+// step budget matches the protocol family: the 24·n² default that keeps an
+// all-to-all exchange honest is absurd for a sparse-overlay protocol at
+// n=100k (240 billion steps), where the real event count is O(n·d·rounds).
 type StepComplexity int
 
 const (

@@ -11,16 +11,15 @@ import (
 const ProtocolName = "smr"
 
 func init() {
-	protocol.MustRegister(protocol.New(protocol.Info{
-		Name:           ProtocolName,
-		Description:    "replicated log over the hybrid model (one multivalued instance per slot)",
-		Proposals:      protocol.ProposalsCommands,
-		NeedsPartition: true,
-		HasNetwork:     true,
-		StageCrashes:   true,
-		TimedCrashes:   true,
-		OneForAll:      true,
-	}, runScenario))
+	protocol.MustRegister(protocol.Protocol{Info: protocol.Info{
+		Name:         ProtocolName,
+		Description:  "replicated log over the hybrid model (one multivalued instance per slot)",
+		Proposals:    protocol.ProposalsCommands,
+		Topology:     protocol.TopologyPartition,
+		HasNetwork:   true,
+		StageCrashes: true,
+		OneForAll:    true,
+	}, Run: runScenario})
 }
 
 func runScenario(sc protocol.Scenario) (*protocol.Outcome, error) {

@@ -49,8 +49,6 @@ type Variant struct {
 	// SlotMix and InstMix draw the common coin of (slot, instance, round)
 	// from seed ^ (slot+1)·SlotMix ^ (inst+1)·InstMix.
 	SlotMix, InstMix uint64
-	// MaxInstances caps each slot's binary instances (0 = 4n).
-	MaxInstances int
 	// SupportNoOps lets the first cycle of instances support a target
 	// whose proposal is the no-op; otherwise only the second cycle does.
 	SupportNoOps bool
@@ -518,9 +516,10 @@ var logVariant = Variant{
 
 // RunVariant executes the replica machine as variant v describes on a
 // registry-validated scenario with a command workload: its partition, one
-// command queue per replica, its slot count, and Bounds.MaxRounds as each
-// binary instance's round cap (0 = 1000). Crash points are consulted at
-// binary round starts, with Round counting rounds globally across slots.
+// command queue per replica, its slot count, Bounds.MaxInstances as each
+// slot's binary-instance cap (0 = 4n) and Bounds.MaxRounds as each binary
+// instance's round cap (0 = 1000). Crash points are consulted at binary
+// round starts, with Round counting rounds globally across slots.
 func RunVariant(sc *protocol.Scenario, v Variant) (*Result, error) {
 	setup, err := sc.Setup()
 	if err != nil {
@@ -535,7 +534,7 @@ func RunVariant(sc *protocol.Scenario, v Variant) (*Result, error) {
 	if maxRnd <= 0 {
 		maxRnd = 1000
 	}
-	maxInst := v.MaxInstances
+	maxInst := sc.Bounds.MaxInstances
 	if maxInst <= 0 {
 		maxInst = 4 * n
 	}

@@ -51,22 +51,6 @@ func crashAllExcept(t *testing.T, survivors ...model.ProcID) *failures.Schedule 
 	return sched
 }
 
-func TestConfigValidation(t *testing.T) {
-	t.Parallel()
-	noPartition := scenario(nil, [][]string{{"a"}}, 1, 0)
-	noPartition.Topology.N = 1
-	if _, err := protocol.Run(noPartition); !errors.Is(err, protocol.ErrBadScenario) {
-		t.Errorf("nil partition error = %v", err)
-	}
-	part := model.Singletons(3)
-	if _, err := protocol.Run(scenario(part, [][]string{{"a"}}, 1, 0)); !errors.Is(err, protocol.ErrBadScenario) {
-		t.Errorf("queue count error = %v", err)
-	}
-	if _, err := protocol.Run(scenario(part, [][]string{{}, {}, {}}, 0, 0)); !errors.Is(err, protocol.ErrBadScenario) {
-		t.Errorf("zero slots error = %v", err)
-	}
-}
-
 func queuesFor(n, perReplica int) [][]string {
 	out := make([][]string, n)
 	for i := range out {
@@ -149,15 +133,24 @@ func TestMajorityCrashSurvivorKeepsAppending(t *testing.T) {
 	}
 }
 
-// Without the liveness condition the log blocks — but logs never diverge.
-func TestBlockedWhenLivenessFails(t *testing.T) {
+// TestInstanceCap: Bounds.MaxInstances caps each slot's binary instances.
+// With p1's queue empty, slot 0's instance 0 (whose target is p1's no-op)
+// decides 0, so a cap of one instance leaves every replica blocked at the
+// cap; without it, every replica commits the slot.
+func TestInstanceCap(t *testing.T) {
 	t.Parallel()
-	// Wipe the majority cluster P[2] = {p2..p5}.
-	sc := scenario(model.Fig1Right(), queuesFor(7, 2), 3, 9)
-	sc.Faults = crashAllExcept(t, 0, 5, 6)
+	cmds := queuesFor(7, 1)
+	cmds[0] = nil
+	sc := scenario(model.Fig1Right(), cmds, 1, 3)
+	if logs := runSafe(t, sc).CompletedLogs(1); len(logs) != 7 {
+		t.Fatalf("uncapped: %d replicas committed the slot, want 7", len(logs))
+	}
+	sc.Bounds.MaxInstances = 1
 	res := runSafe(t, sc)
-	if logs := res.CompletedLogs(3); len(logs) != 0 {
-		t.Errorf("completed logs despite dead pattern: %v", logs)
+	for i, rep := range res.Replicas {
+		if rep.Status != sim.StatusBlocked || len(rep.Log) != 0 {
+			t.Errorf("capped: replica %d = %+v, want blocked with an empty log", i, rep)
+		}
 	}
 }
 
@@ -287,58 +280,6 @@ func TestReplayBitReproducible(t *testing.T) {
 		res1, res2 := runSafe(t, config(seed)), runSafe(t, config(seed))
 		if !reflect.DeepEqual(res1, res2) || res1.Steps == 0 {
 			t.Errorf("seed %d: Results diverged or took no step:\n  run1: %+v\n  run2: %+v", seed, res1, res2)
-		}
-	}
-}
-
-// TestSafetyAcrossSchedules samples the schedule space: 32 seeds, each at
-// immediate delivery and under a 0–1 ms uniform band (replayable), every
-// run held to protocol.Check: log agreement, validity and, crash-free, every
-// replica completing the log.
-func TestSafetyAcrossSchedules(t *testing.T) {
-	t.Parallel()
-	cmds := make([][]string, 7)
-	for i := range cmds {
-		cmds[i] = []string{"op-" + string(rune('a'+i))}
-	}
-	for _, band := range []protocol.NetworkProfile{nil, protocol.Uniform(0, time.Millisecond)} {
-		for seed := int64(0); seed < 32; seed++ {
-			sc := protocol.Scenario{
-				Protocol: ProtocolName,
-				Topology: protocol.Topology{Partition: model.Fig1Right()},
-				Workload: protocol.Workload{Commands: cmds, Slots: 2},
-				Profile:  band,
-				Seed:     seed,
-			}
-			out, err := protocol.Run(sc)
-			if err != nil {
-				t.Fatalf("band %v seed %d: %v", band, seed, err)
-			}
-			if vs := protocol.Check(sc, out); vs != nil {
-				t.Errorf("band %v seed %d: %v", band, seed, vs)
-			}
-		}
-	}
-}
-
-// TestVirtualQuiescenceBlocks pins the deterministic blocked verdict: with
-// the majority cluster wiped the log cannot advance, and the virtual
-// engine must say so at quiescence, instantly.
-func TestVirtualQuiescenceBlocks(t *testing.T) {
-	t.Parallel()
-	start := time.Now()
-	sc := scenario(model.Fig1Right(), make([][]string, 7), 1, 3)
-	sc.Faults = crashAllExcept(t, 0, 5, 6)
-	res := runSafe(t, sc)
-	if wall := time.Since(start); wall > 5*time.Second {
-		t.Errorf("blocked verdict took %v of real time", wall)
-	}
-	if !res.Quiesced {
-		t.Errorf("Quiesced = false, want true: %+v", res)
-	}
-	for i, rep := range res.Replicas {
-		if rep.Status == sim.StatusDecided {
-			t.Errorf("replica %d decided under a dead failure pattern: %+v", i, rep)
 		}
 	}
 }

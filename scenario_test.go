@@ -9,7 +9,9 @@ package allforone
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -79,15 +81,25 @@ func crashSets() []crashSet {
 	}
 }
 
-// uncovered crashes p2..p5 at time 0: the live p1, p6 and p7 neither cover a
+// uncovered crashes p2..p5 before they act, at time 0 or, as a step-point
+// pattern, at the top of round 1: the live p1, p6 and p7 neither cover a
 // majority with their clusters nor are a process majority, and four crashes
 // exceed the circulant's κ = 3.
-func uncovered(sched *Schedule) error {
-	var err error
-	for p := ProcID(1); p <= 4; p++ {
-		err = errors.Join(err, sched.SetTimed(p, 0))
+func uncovered() []crashSet {
+	each := func(set func(sched *Schedule, p ProcID) error) func(*Schedule) error {
+		return func(sched *Schedule) error {
+			var err error
+			for p := ProcID(1); p <= 4; p++ {
+				err = errors.Join(err, set(sched, p))
+			}
+			return err
+		}
 	}
-	return err
+	atStart := Crash{At: CrashPoint{Round: 1, Phase: 1, Stage: StageRoundStart}}
+	return []crashSet{
+		{"timed", false, each(func(sched *Schedule, p ProcID) error { return sched.SetTimed(p, 0) })},
+		{"round-start", true, each(func(sched *Schedule, p ProcID) error { return sched.Set(p, atStart) })},
+	}
 }
 
 // schedule builds the crash schedule plan writes on n = 7; nil for no plan.
@@ -228,8 +240,12 @@ func unrelabel(out *Outcome, at []int) *Outcome {
 //     profile;
 //   - unanimous: a unanimous workload decides its value, where the proposal
 //     kind has one;
-//   - blocked: under every profile the uncovered crash set quiesces the run
-//     with every live process blocked, where the protocol can block;
+//   - schedules: protocol.Check in each of 32 seeds × {immediate delivery,
+//     a 0–1 ms uniform band} × each algorithm the protocol lists, crash-free,
+//     so that includes deciding everywhere;
+//   - blocked: under every profile the uncovered crash set, timed and (where
+//     Info.StageCrashes) at round 1's start, quiesces the run with every live
+//     process blocked, where the protocol can block;
 //   - relabel: reordering the partition's clusters (relabelled) leaves the
 //     Outcome identical, up to the order of its cluster-indexed counts, in
 //     every cell of the matrix at one seed. heal is the one profile left
@@ -270,6 +286,31 @@ func TestRegistryDifferential(t *testing.T) {
 								sc.Profile, sc.Faults, sc.Seed = prof.p, schedule(t, faults.plan), seed
 								requireLive(t, runAndReplay(t, sc))
 							})
+						}
+					}
+				}
+			})
+			t.Run("schedules", func(t *testing.T) {
+				algos := info.Algorithms
+				if len(algos) == 0 {
+					algos = []string{""}
+				}
+				bands := []NetworkProfile{nil, UniformProfile(0, time.Millisecond)}
+				if !info.HasNetwork {
+					bands = bands[:1]
+				}
+				for _, algo := range algos {
+					for _, band := range bands {
+						for seed := int64(0); seed < 32; seed++ {
+							sc := base
+							sc.Algorithm, sc.Profile, sc.Seed = algo, band, seed
+							out, err := Run(sc)
+							if err != nil {
+								t.Fatalf("algorithm %q, band %v, seed %d: %v", algo, band != nil, seed, err)
+							}
+							if vs := Check(sc, out); vs != nil {
+								t.Errorf("algorithm %q, band %v, seed %d: %v", algo, band != nil, seed, vs)
+							}
 						}
 					}
 				}
@@ -336,12 +377,17 @@ func TestRegistryDifferential(t *testing.T) {
 			if blocks {
 				t.Run("blocked", func(t *testing.T) {
 					for _, prof := range profiles {
-						sc := base
-						sc.Profile, sc.Faults = prof.p, schedule(t, uncovered)
-						out := runAndReplay(t, sc)
-						if !out.Quiesced || out.CountStatus(StatusBlocked) != 3 {
-							t.Fatalf("%s: quiesced %v, %d of the 3 live processes blocked: %+v",
-								prof.name, out.Quiesced, out.CountStatus(StatusBlocked), out.Procs)
+						for _, faults := range uncovered() {
+							if faults.stage && !info.StageCrashes {
+								continue
+							}
+							sc := base
+							sc.Profile, sc.Faults = prof.p, schedule(t, faults.plan)
+							out := runAndReplay(t, sc)
+							if !out.Quiesced || out.CountStatus(StatusBlocked) != 3 {
+								t.Fatalf("%s/%s: quiesced %v, %d of the 3 live processes blocked: %+v",
+									prof.name, faults.name, out.Quiesced, out.CountStatus(StatusBlocked), out.Procs)
+							}
 						}
 					}
 				})
@@ -351,116 +397,111 @@ func TestRegistryDifferential(t *testing.T) {
 }
 
 // TestRunRejectsBadScenarios covers the registry-level validation layer.
+// Every case runs against every registry entry's valid scenario, and each
+// protocol's Info decides the verdict: a case it refuses — a topology field
+// it runs on taken away, a step crash plan where !StageCrashes, a profile
+// where !HasNetwork, a trace where !Traceable, an algorithm it does not
+// list, a malformed workload field of its kind, or a bad run shape — must
+// turn ErrBadScenario, and a case it allows must run.
 func TestRunRejectsBadScenarios(t *testing.T) {
 	t.Parallel()
 	part := Fig1Right()
-	good := Scenario{
-		Protocol: ProtocolHybrid,
-		Topology: Topology{Partition: part},
-		Workload: diffMatrixWorkload(part.N()),
+	n := part.N()
+	if _, err := Run(Scenario{Protocol: "paxos", Topology: Topology{N: n}}); !errors.Is(err, protocol.ErrUnknownProtocol) {
+		t.Errorf("unknown protocol: err = %v, want ErrUnknownProtocol", err)
 	}
-	if _, err := Run(good); err != nil {
-		t.Fatalf("baseline scenario failed: %v", err)
+	always := func(ProtocolInfo) bool { return true }
+	kind := func(k ProposalKind) func(ProtocolInfo) bool {
+		return func(info ProtocolInfo) bool { return info.Proposals == k }
 	}
-
-	cases := []struct {
-		name   string
-		mutate func(sc *Scenario)
-	}{
-		{"unknown protocol", func(sc *Scenario) { sc.Protocol = "paxos" }},
-		{"missing partition", func(sc *Scenario) { sc.Topology = Topology{N: 7} }},
-		{"inconsistent topology", func(sc *Scenario) { sc.Topology.N = 5 }},
-		{"unknown algorithm", func(sc *Scenario) { sc.Algorithm = "quantum-coin" }},
-		{"mm without edges", func(sc *Scenario) { sc.Protocol = ProtocolMM }},
-		{"oversized crash schedule", func(sc *Scenario) {
-			sched := NewSchedule(9)
-			if err := sched.SetTimed(8, time.Millisecond); err != nil {
-				t.Fatal(err)
-			}
-			sc.Faults = sched
+	topology := func(k TopologyKind) func(ProtocolInfo) bool {
+		return func(info ProtocolInfo) bool { return info.Topology == k }
+	}
+	type badCase struct {
+		name    string
+		refused func(ProtocolInfo) bool
+		mutate  func(sc *Scenario)
+	}
+	cases := []badCase{
+		{"empty topology", always, func(sc *Scenario) { sc.Topology = Topology{} }},
+		{"inconsistent topology", always, func(sc *Scenario) { sc.Topology.N = 5 }},
+		{"no partition", topology(TopologyPartition), func(sc *Scenario) { sc.Topology.Partition, sc.Topology.N = nil, n }},
+		{"no m&m edges", topology(TopologyGraph), func(sc *Scenario) { sc.Topology.MMEdges = nil }},
+		{"m&m self-loop", topology(TopologyGraph), func(sc *Scenario) { sc.Topology.MMEdges = [][2]int{{0, 0}} }},
+		{"no overlay", topology(TopologyOverlay), func(sc *Scenario) { sc.Topology.Overlay = nil }},
+		{"overlay too dense for n", topology(TopologyOverlay), func(sc *Scenario) {
+			sc.Topology.Overlay = &OverlaySpec{Kind: OverlayDeBruijn, Degree: n} // n allows at most d = n − 1
 		}},
-		{"profile on network-less protocol", func(sc *Scenario) {
-			sc.Protocol = ProtocolSharedMem
-			sc.Profile = UniformProfile(0, time.Millisecond)
-		}},
-		{"step crashes on register", func(sc *Scenario) {
-			sc.Protocol = ProtocolRegister
-			sched := NewSchedule(7)
+		{"step crash plan", func(info ProtocolInfo) bool { return !info.StageCrashes }, func(sc *Scenario) {
+			sched := NewSchedule(n)
 			if err := sched.Set(0, Crash{At: CrashPoint{Round: 1, Phase: 1, Stage: StageRoundStart}}); err != nil {
 				t.Fatal(err)
 			}
 			sc.Faults = sched
 		}},
-		{"trace on untraceable protocol", func(sc *Scenario) {
-			sc.Protocol = ProtocolBenOr
-			sc.Trace = NewTrace()
+		{"network profile", func(info ProtocolInfo) bool { return !info.HasNetwork }, func(sc *Scenario) {
+			sc.Profile = UniformProfile(0, time.Millisecond)
 		}},
-		{"gossip without overlay", func(sc *Scenario) {
-			sc.Protocol = ProtocolGossip
+		{"trace", func(info ProtocolInfo) bool { return !info.Traceable }, func(sc *Scenario) { sc.Trace = NewTrace() }},
+		{"oversized crash schedule", always, func(sc *Scenario) {
+			sched := NewSchedule(n + 2)
+			if err := sched.SetTimed(ProcID(n+1), time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			sc.Faults = sched
 		}},
-		{"overlay spec too dense for n", func(sc *Scenario) {
-			sc.Protocol = ProtocolAllConcur
-			sc.Topology.Overlay = &OverlaySpec{Kind: OverlayDeBruijn, Degree: 7} // n = 7 allows at most d = 6
-		}},
-	}
-	for _, tc := range cases {
-		sc := good
-		tc.mutate(&sc)
-		if _, err := Run(sc); err == nil {
-			t.Errorf("%s: accepted", tc.name)
-		}
-	}
-
-	// Run-shape knobs and the workload are validated once, for every
-	// protocol: each registry entry's valid scenario must turn
-	// ErrBadScenario under each bad knob, and under each malformed workload
-	// field it consumes (kind 0: every field). A malformed field of another
-	// kind is not its input, and must not reject the scenario.
-	shape := []struct {
-		name   string
-		kind   ProposalKind
-		mutate func(sc *Scenario)
-	}{
-		{"negative MaxRounds", 0, func(sc *Scenario) { sc.Bounds.MaxRounds = -1 }},
-		{"negative MaxInstances", 0, func(sc *Scenario) { sc.Bounds.MaxInstances = -1 }},
-		{"negative MaxVirtualTime", 0, func(sc *Scenario) { sc.Bounds.MaxVirtualTime = -time.Millisecond }},
-		{"inverted uniform band", 0, func(sc *Scenario) { sc.Profile = UniformProfile(5*time.Millisecond, 0) }},
-		{"short workload", 0, func(sc *Scenario) {
+		{"negative MaxRounds", always, func(sc *Scenario) { sc.Bounds.MaxRounds = -1 }},
+		{"negative MaxInstances", always, func(sc *Scenario) { sc.Bounds.MaxInstances = -1 }},
+		{"negative MaxVirtualTime", always, func(sc *Scenario) { sc.Bounds.MaxVirtualTime = -time.Millisecond }},
+		{"inverted uniform band", always, func(sc *Scenario) { sc.Profile = UniformProfile(5*time.Millisecond, 0) }},
+		{"short workload", always, func(sc *Scenario) {
 			w := &sc.Workload
 			w.Binary, w.Values, w.Commands, w.Scripts = w.Binary[:3], w.Values[:3], w.Commands[:3], w.Scripts[:3]
 		}},
-		{"long workload", 0, func(sc *Scenario) { sc.Workload = diffMatrixWorkload(part.N() + 1) }},
-		{"missing workload", 0, func(sc *Scenario) { sc.Workload = Workload{Slots: 2} }},
-		{"non-binary proposal", ProposalsBinary, func(sc *Scenario) {
+		{"long workload", always, func(sc *Scenario) { sc.Workload = diffMatrixWorkload(n + 1) }},
+		{"missing workload", always, func(sc *Scenario) { sc.Workload = Workload{Slots: 2} }},
+		{"non-binary proposal", kind(ProposalsBinary), func(sc *Scenario) {
 			sc.Workload.Binary = append([]Value(nil), sc.Workload.Binary...)
 			sc.Workload.Binary[2] = Bot
 		}},
-		{"zero slots", ProposalsCommands, func(sc *Scenario) { sc.Workload.Slots = 0 }},
-		{"negative script delay", ProposalsScripts, func(sc *Scenario) {
+		{"zero slots", kind(ProposalsCommands), func(sc *Scenario) { sc.Workload.Slots = 0 }},
+		{"negative script delay", kind(ProposalsScripts), func(sc *Scenario) {
 			sc.Workload.Scripts = append([][]ScriptOp(nil), sc.Workload.Scripts...)
 			sc.Workload.Scripts[4] = []ScriptOp{ScriptRead(), {After: -time.Microsecond}}
 		}},
 	}
+	// Every algorithm name the registry knows, and one it does not: each
+	// protocol runs the ones it lists and refuses the rest.
+	algos := map[string]bool{"quantum-coin": true}
+	for _, info := range Protocols() {
+		for _, a := range info.Algorithms {
+			algos[a] = true
+		}
+	}
+	for _, a := range slices.Sorted(maps.Keys(algos)) {
+		cases = append(cases, badCase{"algorithm " + a, func(info ProtocolInfo) bool { return !slices.Contains(info.Algorithms, a) },
+			func(sc *Scenario) { sc.Algorithm = a }})
+	}
 	for _, info := range Protocols() {
 		base := Scenario{
 			Protocol: info.Name,
-			Topology: Topology{Partition: part, MMEdges: mmRing(part.N()), Overlay: diffOverlay()},
-			Workload: diffMatrixWorkload(part.N()),
+			Topology: Topology{Partition: part, MMEdges: mmRing(n), Overlay: diffOverlay()},
+			Workload: diffMatrixWorkload(n),
 		}
 		if _, err := Run(base); err != nil {
 			t.Fatalf("%s: baseline scenario failed: %v", info.Name, err)
 		}
-		for _, tc := range shape {
+		for _, tc := range cases {
 			sc := base
 			tc.mutate(&sc)
 			_, err := Run(sc)
 			switch {
-			case tc.kind == 0 || tc.kind == info.Proposals:
+			case tc.refused(info):
 				if !errors.Is(err, protocol.ErrBadScenario) {
 					t.Errorf("%s: %s: err = %v, want ErrBadScenario", info.Name, tc.name, err)
 				}
 			case err != nil:
-				t.Errorf("%s: %s is not its input, but: %v", info.Name, tc.name, err)
+				t.Errorf("%s: %s is allowed by its Info, but: %v", info.Name, tc.name, err)
 			}
 		}
 	}
