@@ -249,3 +249,27 @@ func TestSafetyAcrossSchedules(t *testing.T) {
 		}
 	}
 }
+
+// TestVirtualQuiescenceBlocks pins the deterministic blocked verdict: with
+// a crashed majority no survivor can collect enough reports, and the
+// virtual engine must flag quiescence rather than wait out a timeout.
+func TestVirtualQuiescenceBlocks(t *testing.T) {
+	t.Parallel()
+	sched, err := failures.CrashAllExcept(5, atStart, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	sc := scenario(Fig2(), unanimous(5, model.One), 9, 0)
+	sc.Faults = sched
+	res := run(t, sc)
+	if wall := time.Since(start); wall > 5*time.Second {
+		t.Errorf("blocked verdict took %v of real time", wall)
+	}
+	if !res.Quiesced {
+		t.Errorf("Quiesced = false, want true: %+v", res)
+	}
+	if got := outcome(res).CountStatus(sim.StatusBlocked); got != 2 {
+		t.Errorf("blocked = %d, want 2: %+v", got, res.Procs)
+	}
+}
