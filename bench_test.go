@@ -12,7 +12,6 @@ import (
 
 	"allforone/internal/core"
 	"allforone/internal/protocol"
-	"allforone/internal/sim"
 )
 
 // BenchmarkVirtualEngineLargeN profiles the discrete-event engine — the
@@ -66,28 +65,28 @@ func BenchmarkVirtualEngineLargeN(b *testing.B) {
 	}
 }
 
-// BenchmarkScenarioOverhead guards the Scenario→Config compile path of
-// the registry API (PR 3): the scenario variant runs the identical
-// consensus execution through registry lookup + validation + compilation,
-// and must add no measurable per-run cost over calling the protocol's
-// Config entry point directly. Compare the two sub-benchmarks' ns/op —
-// the delta is the API tax, and it should be noise.
+// BenchmarkScenarioOverhead guards the registry path of the Scenario API:
+// the scenario variant runs the identical consensus execution through
+// registry lookup and validation, and must add no measurable per-run cost
+// over calling the round machine (core.RunVariant) directly. Compare the
+// two sub-benchmarks' ns/op — the delta is the API tax, and it should be
+// noise.
 func BenchmarkScenarioOverhead(b *testing.B) {
 	part := Fig1Left()
 	props := []Value{One, One, One, One, One, One, One}
 
-	b.Run("direct-config", func(b *testing.B) {
+	b.Run("direct-variant", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := core.Run(core.Config{
-				Partition: part,
-				Proposals: props,
-				Algorithm: core.CommonCoin,
-				Setup:     sim.Setup{Seed: int64(i)},
-				MaxRounds: 10_000,
-			})
+			res, err := core.RunVariant(Scenario{
+				Topology:  Topology{Partition: part},
+				Workload:  Workload{Binary: props},
+				Algorithm: core.AlgoCommonCoin,
+				Seed:      int64(i),
+				Bounds:    Bounds{MaxRounds: 10_000},
+			}, core.Hybrid)
 			if err != nil {
-				b.Fatalf("core.Run: %v", err)
+				b.Fatalf("core.RunVariant: %v", err)
 			}
 			if !protocol.BinaryOutcome(core.ProtocolName, res).AllLiveDecided() {
 				b.Fatal("crash-free run did not decide")

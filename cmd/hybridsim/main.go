@@ -61,7 +61,7 @@ func run(args []string, out io.Writer) error {
 		nFlag      = fs.Int("n", 0, "process count for protocols without a partition (0 = take it from -partition)")
 		mmEdges    = fs.String("mm-edges", "", "m&m graph edges a-b;c-d…, 1-based (protocol mm; empty = ring)")
 		ovSpec     = fs.String("overlay", "", "sparse overlay digraph KIND[:DEGREE[:SEED]], kind debruijn|circulant|random (protocols gossip/allconcur; empty = debruijn at the default degree)")
-		algoName   = fs.String("algo", "", "hybrid algorithm: local-coin or common-coin (empty = common-coin)")
+		algoFlag   = fs.String("algo", "", "hybrid algorithm: local-coin or common-coin (empty = common-coin)")
 		proposals  = fs.String("proposals", "random", "per-process bits (e.g. 1011010), 'random', or comma-separated strings (multivalued/smr)")
 		slots      = fs.Int("slots", 2, "log slots to agree on (protocol smr)")
 		seed       = fs.Int64("seed", 1, "run seed (coins, delays, crash subsets)")
@@ -88,16 +88,16 @@ func run(args []string, out io.Writer) error {
 	}
 
 	// Normalize the short algorithm aliases the pre-registry CLI accepted.
-	switch *algoName {
+	switch *algoFlag {
 	case "local", "2":
-		*algoName = allforone.AlgoLocalCoin
+		*algoFlag = allforone.AlgoLocalCoin
 	case "common", "3":
-		*algoName = allforone.AlgoCommonCoin
+		*algoFlag = allforone.AlgoCommonCoin
 	}
 
 	sc := allforone.Scenario{
 		Protocol:  *protoName,
-		Algorithm: *algoName,
+		Algorithm: *algoFlag,
 		Seed:      *seed,
 		Bounds: allforone.Bounds{
 			MaxRounds:      *maxRounds,

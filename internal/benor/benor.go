@@ -29,6 +29,7 @@ var ErrInvariantBroken = errors.New("benor: protocol invariant broken")
 // on seeds of its own. A crash plan at StageAfterClusterConsensus has no
 // counterpart here and triggers at the next step point.
 var variant = core.Variant{
+	Algorithm:          core.AlgoLocalCoin,
 	NetSalt:            0x9e6c_63d0_876a_9a7d,
 	SubsetSalt:         0x1405_7b7e_f767_814f,
 	ErrInvariantBroken: ErrInvariantBroken,
@@ -47,16 +48,7 @@ func init() {
 
 // runScenario runs a registry-validated scenario on the round machine.
 func runScenario(sc protocol.Scenario) (*protocol.Outcome, error) {
-	setup, err := sc.Setup()
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.RunVariant(core.Config{
-		Setup:     setup,
-		Proposals: sc.Workload.Binary,
-		Algorithm: core.LocalCoin,
-		MaxRounds: sc.Bounds.MaxRounds,
-	}, variant)
+	res, err := core.RunVariant(sc, variant)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package benor
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -174,15 +175,13 @@ func TestPartialBroadcastSafety(t *testing.T) {
 func TestRiggedCoinConvergence(t *testing.T) {
 	t.Parallel()
 	proposals := alternating(4)
-	res, err := core.RunVariant(core.Config{
-		Proposals: proposals,
-		Algorithm: core.LocalCoin,
-		Setup:     sim.Setup{Seed: 1},
-		MaxRounds: 100,
-		LocalCoinOverride: func(model.ProcID) coin.Local {
-			return coin.NewFixedLocal(model.Zero)
-		},
-	}, variant)
+	rigged := variant
+	rigged.LocalCoinOverride = func(model.ProcID) coin.Local { return coin.NewFixedLocal(model.Zero) }
+	res, err := core.RunVariant(protocol.Scenario{
+		Workload: protocol.Workload{Binary: proposals},
+		Seed:     1,
+		Bounds:   protocol.Bounds{MaxRounds: 100},
+	}, rigged)
 	if err != nil {
 		t.Fatalf("RunVariant: %v", err)
 	}
@@ -212,5 +211,57 @@ func TestTimedCrashVirtual(t *testing.T) {
 	res := runLive(t, sc)
 	if res.Procs[0].Status != sim.StatusCrashed {
 		t.Fatalf("victim = %+v, want crashed", res.Procs[0])
+	}
+}
+
+// flippedLocal is a seeded local coin whose every draw is complemented.
+type flippedLocal struct{ coin.PRNGLocal }
+
+func (c *flippedLocal) Flip() model.Value { return 1 - c.PRNGLocal.Flip() }
+
+// TestValueComplement is core's value-complement relation on Ben-Or's
+// variant: complementing every proposal and every local-coin draw flips
+// every decision and leaves the engine record and every count unchanged,
+// crash-free and with p1 crashing mid-broadcast in round 1, under a
+// 0–200 µs band.
+func TestValueComplement(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewPCG(0xbe, 0x0))
+	for seed := int64(1); seed <= 40; seed++ {
+		sc := scenario(make([]model.Value, 7), seed, 10_000)
+		sc.Profile = protocol.Uniform(0, 200*time.Microsecond)
+		flip := sc
+		flip.Workload.Binary = make([]model.Value, 7)
+		for i := range sc.Workload.Binary {
+			sc.Workload.Binary[i] = model.BitToValue(rng.Uint64())
+			flip.Workload.Binary[i] = 1 - sc.Workload.Binary[i]
+		}
+		if seed%2 == 0 {
+			sc.Faults = failures.NewSchedule(7)
+			if err := sc.Faults.Set(0, failures.Crash{At: failures.Point{Round: 1, Phase: 1, Stage: failures.StageMidBroadcast}}); err != nil {
+				t.Fatal(err)
+			}
+			flip.Faults = sc.Faults
+		}
+		rigged := variant
+		rigged.LocalCoinOverride = func(p model.ProcID) coin.Local {
+			return &flippedLocal{coin.NewPRNGLocal(coin.DeriveLocalSeed(seed, p))}
+		}
+		want := run(t, sc)
+		got, err := core.RunVariant(flip, rigged)
+		if err != nil {
+			t.Fatalf("seed %d, complemented: %v", seed, err)
+		}
+		for i, w := range want.Procs {
+			if w.Status == sim.StatusDecided {
+				w.Decision = 1 - w.Decision
+			}
+			if got.Procs[i] != w {
+				t.Fatalf("seed %d: process %d ends %+v on the complement, want %+v", seed, i, got.Procs[i], w)
+			}
+		}
+		if _, _, ok := outcome(want).Decided(); !ok || got.Engine != want.Engine || got.Metrics != want.Metrics {
+			t.Fatalf("seed %d: the complement ran differently or nobody decided:\n  got:  %+v\n  want: %+v", seed, got, want)
+		}
 	}
 }

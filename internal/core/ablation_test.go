@@ -6,7 +6,7 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
-	"allforone/internal/sim"
+	"allforone/internal/protocol"
 	"allforone/internal/trace"
 )
 
@@ -21,15 +21,15 @@ func TestAblateClosureLosesMajorityCrashTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{
-		Partition:     part,
-		Proposals:     unanimous(7, model.One),
-		Algorithm:     LocalCoin,
-		Setup:         sim.Setup{Seed: 1, Crashes: sched},
-		AblateClosure: true,
-	})
+	res, err := RunVariant(protocol.Scenario{
+		Topology:  protocol.Topology{Partition: part},
+		Workload:  protocol.Workload{Binary: unanimous(7, model.One)},
+		Algorithm: AlgoLocalCoin,
+		Seed:      1,
+		Faults:    sched,
+	}, hybridWith(func(v *Variant) { v.AblateClosure = true }))
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunVariant: %v", err)
 	}
 	if _, _, decided := outcome(res).Decided(); decided {
 		t.Fatal("closure-ablated run decided despite 6/7 crashes")
@@ -45,16 +45,15 @@ func TestAblateClosureStillSafeWithMajority(t *testing.T) {
 	t.Parallel()
 	part := model.Fig1Left()
 	props := alternating(7)
-	res, err := Run(Config{
-		Partition:     part,
-		Proposals:     props,
-		Algorithm:     LocalCoin,
-		Setup:         sim.Setup{Seed: 5},
-		MaxRounds:     10_000,
-		AblateClosure: true,
-	})
+	res, err := RunVariant(protocol.Scenario{
+		Topology:  protocol.Topology{Partition: part},
+		Workload:  protocol.Workload{Binary: props},
+		Algorithm: AlgoLocalCoin,
+		Seed:      5,
+		Bounds:    protocol.Bounds{MaxRounds: 10_000},
+	}, hybridWith(func(v *Variant) { v.AblateClosure = true }))
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunVariant: %v", err)
 	}
 	if err := outcome(res).CheckAgreement(); err != nil {
 		t.Fatal(err)
@@ -83,21 +82,20 @@ func TestAblateClusterConsensusBreaksUniformity(t *testing.T) {
 	sawViolation := false
 	for seed := int64(0); seed < 10 && !sawViolation; seed++ {
 		log := trace.New()
-		res, err := Run(Config{
-			Partition:              part,
-			Proposals:              props,
-			Algorithm:              LocalCoin,
-			Setup:                  sim.Setup{Seed: seed},
-			MaxRounds:              50,
-			Trace:                  log,
-			AblateClusterConsensus: true,
-		})
+		res, err := RunVariant(protocol.Scenario{
+			Topology:  protocol.Topology{Partition: part},
+			Workload:  protocol.Workload{Binary: props},
+			Algorithm: AlgoLocalCoin,
+			Seed:      seed,
+			Trace:     log,
+			Bounds:    protocol.Bounds{MaxRounds: 50},
+		}, hybridWith(func(v *Variant) { v.AblateClusterConsensus = true }))
 		if err != nil {
 			if errors.Is(err, ErrInvariantBroken) {
 				sawViolation = true // the accounting collapsed — expected
 				break
 			}
-			t.Fatalf("Run: %v", err)
+			t.Fatalf("RunVariant: %v", err)
 		}
 		if trace.CheckClusterUniformity(log, part) != nil {
 			sawViolation = true
@@ -121,14 +119,14 @@ func TestFullAlgorithmKeepsUniformity(t *testing.T) {
 	}
 	for seed := int64(0); seed < 10; seed++ {
 		log := trace.New()
-		res, err := Run(Config{
-			Partition: part,
-			Proposals: props,
-			Algorithm: LocalCoin,
-			Setup:     sim.Setup{Seed: seed},
-			MaxRounds: 10_000,
+		res, err := RunVariant(protocol.Scenario{
+			Topology:  protocol.Topology{Partition: part},
+			Workload:  protocol.Workload{Binary: props},
+			Algorithm: AlgoLocalCoin,
+			Seed:      seed,
 			Trace:     log,
-		})
+			Bounds:    protocol.Bounds{MaxRounds: 10_000},
+		}, Hybrid)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -6,8 +6,7 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
-	"allforone/internal/netsim"
-	"allforone/internal/sim"
+	"allforone/internal/protocol"
 	"allforone/internal/trace"
 )
 
@@ -28,22 +27,20 @@ func mustCrashAllExcept(t *testing.T, n int, survivors ...model.ProcID) *failure
 // unaffected (asynchrony is the model's default, not an edge case).
 func TestHighSkewDelays(t *testing.T) {
 	t.Parallel()
-	for _, algo := range []Algorithm{LocalCoin, CommonCoin} {
+	for _, algo := range algorithms {
 		algo := algo
-		t.Run(algo.String(), func(t *testing.T) {
+		t.Run(algo, func(t *testing.T) {
 			t.Parallel()
 			part := model.Fig1Left()
 			props := alternating(7)
-			res := runAndCheck(t, Config{
-				Partition: part,
-				Proposals: props,
+			res := runAndCheck(t, protocol.Scenario{
+				Topology:  protocol.Topology{Partition: part},
+				Workload:  protocol.Workload{Binary: props},
 				Algorithm: algo,
-				Setup: sim.Setup{
-					Seed:      1234,
-					NetOption: netsim.WithUniformDelay(0, 4*time.Millisecond), // large spread vs ~µs compute
-				},
-				MaxRounds: 10_000,
+				Seed:      1234,
+				Profile:   protocol.Uniform(0, 4*time.Millisecond), // large spread vs ~µs compute
 				Trace:     trace.New(),
+				Bounds:    protocol.Bounds{MaxRounds: 10_000},
 			})
 			if !outcome(res).AllLiveDecided() {
 				t.Fatalf("not all decided under skewed delays: %+v", res.Procs)
@@ -61,17 +58,15 @@ func TestSlowClusterCatchesUp(t *testing.T) {
 	t.Parallel()
 	part := model.Fig1Left() // P[1]={p1..p3}, P[2]={p4,p5}, P[3]={p6,p7}
 	props := []model.Value{model.One, model.One, model.One, model.Zero, model.Zero, model.One, model.One}
-	res := runAndCheck(t, Config{
-		Partition: part,
-		Proposals: props,
-		Algorithm: LocalCoin,
-		Setup: sim.Setup{
-			Seed: 777,
-			// Uniform delay stands in for the slow links; the seeded spread
-			// regularly puts P[2] behind by entire phases.
-			NetOption: netsim.WithUniformDelay(0, 3*time.Millisecond),
-		},
-		MaxRounds: 10_000,
+	res := runAndCheck(t, protocol.Scenario{
+		Topology:  protocol.Topology{Partition: part},
+		Workload:  protocol.Workload{Binary: props},
+		Algorithm: AlgoLocalCoin,
+		Seed:      777,
+		// Uniform delay stands in for the slow links; the seeded spread
+		// regularly puts P[2] behind by entire phases.
+		Profile: protocol.Uniform(0, 3*time.Millisecond),
+		Bounds:  protocol.Bounds{MaxRounds: 10_000},
 	})
 	if !outcome(res).AllLiveDecided() {
 		t.Fatalf("not all decided: %+v", res.Procs)
@@ -95,15 +90,13 @@ func TestSlowClusterCatchesUp(t *testing.T) {
 // it — buffering alone must not delay the decision round.
 func TestUnanimityDelaysStillRoundOne(t *testing.T) {
 	t.Parallel()
-	res := runAndCheck(t, Config{
-		Partition: model.Fig1Right(),
-		Proposals: unanimous(7, model.Zero),
-		Algorithm: LocalCoin,
-		Setup: sim.Setup{
-			Seed:      9,
-			NetOption: netsim.WithUniformDelay(100*time.Microsecond, 2*time.Millisecond),
-		},
-		MaxRounds: 100,
+	res := runAndCheck(t, protocol.Scenario{
+		Topology:  protocol.Topology{Partition: model.Fig1Right()},
+		Workload:  protocol.Workload{Binary: unanimous(7, model.Zero)},
+		Algorithm: AlgoLocalCoin,
+		Seed:      9,
+		Profile:   protocol.Uniform(100*time.Microsecond, 2*time.Millisecond),
+		Bounds:    protocol.Bounds{MaxRounds: 100},
 	})
 	if !outcome(res).AllLiveDecided() {
 		t.Fatalf("not all decided: %+v", res.Procs)
@@ -119,16 +112,14 @@ func TestMajorityCrashWithDelays(t *testing.T) {
 	t.Parallel()
 	part := model.Fig1Right()
 	sched := mustCrashAllExcept(t, 7, 2)
-	res := runAndCheck(t, Config{
-		Partition: part,
-		Proposals: unanimous(7, model.One),
-		Algorithm: CommonCoin,
-		Setup: sim.Setup{
-			Seed:      3,
-			Crashes:   sched,
-			NetOption: netsim.WithUniformDelay(0, 2*time.Millisecond),
-		},
-		MaxRounds: 1000,
+	res := runAndCheck(t, protocol.Scenario{
+		Topology:  protocol.Topology{Partition: part},
+		Workload:  protocol.Workload{Binary: unanimous(7, model.One)},
+		Algorithm: AlgoCommonCoin,
+		Seed:      3,
+		Faults:    sched,
+		Profile:   protocol.Uniform(0, 2*time.Millisecond),
+		Bounds:    protocol.Bounds{MaxRounds: 1000},
 	})
 	if res.Procs[2].Status != StatusDecided {
 		t.Fatalf("survivor = %+v", res.Procs[2])

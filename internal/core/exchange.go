@@ -26,7 +26,7 @@ func (p *proc) beginExchange(ph int, est model.Value) bool {
 	if p.atCrashPoint(ph, failures.StageMidBroadcast) {
 		return p.cutBroadcast(ph, msg)
 	}
-	p.env.Trace.Append(p.id, trace.KindBroadcast, p.r, ph, est)
+	p.env.trace.Append(p.id, trace.KindBroadcast, p.r, ph, est)
 	p.env.nw.Broadcast(p.id, msg)
 
 	// Replay the votes held for this exchange, in arrival order, and keep
@@ -55,7 +55,7 @@ func (p *proc) feedExchange(msg netsim.Message) bool {
 	switch payload := msg.Payload.(type) {
 	case DecideMsg:
 		p.broadcastDecide(payload.Val)
-		p.env.Trace.Append(p.id, trace.KindDecide, p.r, p.ph, payload.Val)
+		p.env.trace.Append(p.id, trace.KindDecide, p.r, p.ph, payload.Val)
 		return p.finish(ProcResult{Status: StatusDecided, Decision: payload.Val, Round: p.r})
 	case PhaseMsg:
 		k := phaseKey{round: payload.Round, phase: payload.Phase}

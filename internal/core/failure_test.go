@@ -7,7 +7,7 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
-	"allforone/internal/sim"
+	"allforone/internal/protocol"
 	"allforone/internal/trace"
 )
 
@@ -19,7 +19,7 @@ import (
 func TestMajorityCrashWithMajorityClusterSurvivor(t *testing.T) {
 	t.Parallel()
 	part := model.Fig1Right()
-	for _, algo := range []Algorithm{LocalCoin, CommonCoin} {
+	for _, algo := range algorithms {
 		for _, survivor := range []model.ProcID{1, 2, 3, 4} { // members of P[2]
 			algo, survivor := algo, survivor
 			t.Run(fmt.Sprintf("%v/survivor-%v", algo, survivor), func(t *testing.T) {
@@ -32,13 +32,14 @@ func TestMajorityCrashWithMajorityClusterSurvivor(t *testing.T) {
 				if !part.LivenessHolds(sched.Crashed()) {
 					t.Fatal("test setup wrong: liveness should hold")
 				}
-				res := runAndCheck(t, Config{
-					Partition: part,
-					Proposals: unanimous(7, model.One),
+				res := runAndCheck(t, protocol.Scenario{
+					Topology:  protocol.Topology{Partition: part},
+					Workload:  protocol.Workload{Binary: unanimous(7, model.One)},
 					Algorithm: algo,
-					Setup:     sim.Setup{Seed: int64(survivor), Crashes: sched},
-					MaxRounds: 100,
+					Seed:      int64(survivor),
+					Faults:    sched,
 					Trace:     trace.New(),
+					Bounds:    protocol.Bounds{MaxRounds: 100},
 				})
 				if !outcome(res).AllLiveDecided() {
 					t.Fatalf("survivor did not decide: %+v", res.Procs)
@@ -73,14 +74,15 @@ func TestMajorityCrashBlocksPureMessagePassing(t *testing.T) {
 	if part.LivenessHolds(sched.Crashed()) {
 		t.Fatal("test setup wrong: liveness should not hold")
 	}
-	res, err := Run(Config{
-		Partition: part,
-		Proposals: unanimous(7, model.One),
-		Algorithm: LocalCoin,
-		Setup:     sim.Setup{Seed: 1, Crashes: sched},
-	})
+	res, err := RunVariant(protocol.Scenario{
+		Topology:  protocol.Topology{Partition: part},
+		Workload:  protocol.Workload{Binary: unanimous(7, model.One)},
+		Algorithm: AlgoLocalCoin,
+		Seed:      1,
+		Faults:    sched,
+	}, Hybrid)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunVariant: %v", err)
 	}
 	if _, _, decided := outcome(res).Decided(); decided {
 		t.Fatal("a process decided although liveness cannot hold")
@@ -104,19 +106,20 @@ func TestIndulgenceUnderDeadFailurePattern(t *testing.T) {
 	if part.LivenessHolds(sched.Crashed()) {
 		t.Fatal("test setup wrong: liveness should not hold")
 	}
-	for _, algo := range []Algorithm{LocalCoin, CommonCoin} {
+	for _, algo := range algorithms {
 		algo := algo
-		t.Run(algo.String(), func(t *testing.T) {
+		t.Run(algo, func(t *testing.T) {
 			t.Parallel()
-			res, err := Run(Config{
-				Partition: part,
-				Proposals: alternating(7),
+			res, err := RunVariant(protocol.Scenario{
+				Topology:  protocol.Topology{Partition: part},
+				Workload:  protocol.Workload{Binary: alternating(7)},
 				Algorithm: algo,
-				Setup:     sim.Setup{Seed: 11, Crashes: sched},
+				Seed:      11,
+				Faults:    sched,
 				Trace:     trace.New(),
-			})
+			}, Hybrid)
 			if err != nil {
-				t.Fatalf("Run: %v", err)
+				t.Fatalf("RunVariant: %v", err)
 			}
 			if err := outcome(res).CheckAgreement(); err != nil {
 				t.Fatal(err)
@@ -149,7 +152,7 @@ func TestCrashAtEveryStage(t *testing.T) {
 		failures.StageAfterExchange,
 		failures.StageBeforeDecide,
 	}
-	for _, algo := range []Algorithm{LocalCoin, CommonCoin} {
+	for _, algo := range algorithms {
 		for _, stage := range stages {
 			for round := 1; round <= 2; round++ {
 				algo, stage, round := algo, stage, round
@@ -170,13 +173,14 @@ func TestCrashAtEveryStage(t *testing.T) {
 					if !part.LivenessHolds(sched.Crashed()) {
 						t.Fatal("test setup wrong: liveness should hold")
 					}
-					res := runAndCheck(t, Config{
-						Partition: part,
-						Proposals: alternating(7),
+					res := runAndCheck(t, protocol.Scenario{
+						Topology:  protocol.Topology{Partition: part},
+						Workload:  protocol.Workload{Binary: alternating(7)},
 						Algorithm: algo,
-						Setup:     sim.Setup{Seed: int64(round*100) + int64(stage), Crashes: sched},
-						MaxRounds: 5000,
+						Seed:      int64(round*100) + int64(stage),
+						Faults:    sched,
 						Trace:     trace.New(),
+						Bounds:    protocol.Bounds{MaxRounds: 5000},
 					})
 					if !outcome(res).AllLiveDecided() {
 						t.Fatalf("liveness violated: %+v", res.Procs)
@@ -201,13 +205,14 @@ func TestPartialBroadcastExplicitSubset(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res := runAndCheck(t, Config{
-		Partition: part,
-		Proposals: alternating(7),
-		Algorithm: LocalCoin,
-		Setup:     sim.Setup{Seed: 4, Crashes: sched},
-		MaxRounds: 5000,
+	res := runAndCheck(t, protocol.Scenario{
+		Topology:  protocol.Topology{Partition: part},
+		Workload:  protocol.Workload{Binary: alternating(7)},
+		Algorithm: AlgoLocalCoin,
+		Seed:      4,
+		Faults:    sched,
 		Trace:     trace.New(),
+		Bounds:    protocol.Bounds{MaxRounds: 5000},
 	})
 	if !outcome(res).AllLiveDecided() {
 		t.Fatalf("not all live processes decided: %+v", res.Procs)
@@ -230,12 +235,13 @@ func TestPartialDecideBroadcast(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res := runAndCheck(t, Config{
-		Partition: part,
-		Proposals: unanimous(7, model.Zero),
-		Algorithm: LocalCoin,
-		Setup:     sim.Setup{Seed: 8, Crashes: sched},
-		MaxRounds: 5000,
+	res := runAndCheck(t, protocol.Scenario{
+		Topology:  protocol.Topology{Partition: part},
+		Workload:  protocol.Workload{Binary: unanimous(7, model.Zero)},
+		Algorithm: AlgoLocalCoin,
+		Seed:      8,
+		Faults:    sched,
+		Bounds:    protocol.Bounds{MaxRounds: 5000},
 	})
 	if !outcome(res).AllLiveDecided() {
 		t.Fatalf("not all live processes decided: %+v", res.Procs)
@@ -259,10 +265,10 @@ func TestRandomCrashStorms(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2024, 6))
 	for trial := 0; trial < 24; trial++ {
 		part := partitions[trial%len(partitions)]
-		algo := []Algorithm{LocalCoin, CommonCoin}[trial%2]
+		algo := algorithms[trial%2]
 		n := part.N()
 		k := rng.IntN(n) // 0 .. n-1 crashes
-		sched, err := failures.GenRandom(rng, n, k, 3, algo.Phases())
+		sched, err := failures.GenRandom(rng, n, k, 3, phases(algo))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,19 +276,20 @@ func TestRandomCrashStorms(t *testing.T) {
 		for i := range props {
 			props[i] = model.BitToValue(rng.Uint64())
 		}
-		cfg := Config{
-			Partition: part,
-			Proposals: props,
+		sc := protocol.Scenario{
+			Topology:  protocol.Topology{Partition: part},
+			Workload:  protocol.Workload{Binary: props},
 			Algorithm: algo,
-			Setup:     sim.Setup{Seed: int64(trial) * 7919, Crashes: sched},
-			MaxRounds: 5000,
+			Seed:      int64(trial) * 7919,
+			Faults:    sched,
 			Trace:     trace.New(),
+			Bounds:    protocol.Bounds{MaxRounds: 5000},
 		}
-		res, err := Run(cfg)
+		res, err := RunVariant(sc, Hybrid)
 		if err != nil {
-			t.Fatalf("trial %d: Run: %v", trial, err)
+			t.Fatalf("trial %d: RunVariant: %v", trial, err)
 		}
-		if vs := violations(cfg, res); vs != nil {
+		if vs := violations(sc, res); vs != nil {
 			t.Fatalf("trial %d (algo %v, part %v, crashes %v): %v",
 				trial, algo, part, sched.Crashed(), vs)
 		}

@@ -13,7 +13,7 @@ func (p *proc) React(aborted bool) bool {
 		if aborted {
 			return true // the run ended before this process took a step
 		}
-		p.env.Trace.Append(p.id, trace.KindPropose, 0, 0, p.est1)
+		p.env.trace.Append(p.id, trace.KindPropose, 0, 0, p.est1)
 		if p.nextRound() {
 			return true
 		}
@@ -26,7 +26,7 @@ func (p *proc) React(aborted bool) bool {
 	// follow-up round logic whenever an exchange exits.
 	for {
 		if p.sup.Covered() {
-			p.env.Trace.Append(p.id, trace.KindExchangeExit, p.r, p.ph, p.est)
+			p.env.trace.Append(p.id, trace.KindExchangeExit, p.r, p.ph, p.est)
 			if p.afterExchange() {
 				return true
 			}
@@ -55,14 +55,14 @@ func (p *proc) nextRound() bool {
 	switch {
 	case p.h.Killed():
 		return p.crash(1)
-	case p.h.Aborted() || (p.env.MaxRounds > 0 && p.r > p.env.MaxRounds):
+	case p.h.Aborted() || (p.env.maxRounds > 0 && p.r > p.env.maxRounds):
 		// A process whose inbox never drains would otherwise keep running
 		// rounds past the engine's bound; this check limits the overrun to
 		// one round.
-		p.env.Trace.Append(p.id, trace.KindBlocked, p.r, 0, model.Bot)
+		p.env.trace.Append(p.id, trace.KindBlocked, p.r, 0, model.Bot)
 		return p.finish(ProcResult{Status: StatusBlocked, Round: p.r - 1})
 	}
-	p.env.Trace.Append(p.id, trace.KindRoundStart, p.r, 1, p.est1)
+	p.env.trace.Append(p.id, trace.KindRoundStart, p.r, 1, p.est1)
 	if p.atCrashPoint(1, failures.StageRoundStart) {
 		return p.crash(1)
 	}
@@ -90,9 +90,9 @@ func (p *proc) afterExchange() bool {
 	if env.v.Memory == nil && p.atCrashPoint(p.ph, failures.StageAfterExchange) {
 		return p.crash(p.ph)
 	}
-	if env.Algorithm == CommonCoin {
+	if env.common != nil { // Algorithm 3: the run drew a common coin
 		s := env.common.Bit(p.r) // line 6: same bit at every process
-		env.Trace.Append(p.id, trace.KindCoinFlip, p.r, 1, s)
+		env.trace.Append(p.id, trace.KindCoinFlip, p.r, 1, s)
 		env.ctr.ObserveRound(int64(p.r))
 		if v, ok := p.sup.Majority(); ok { // line 7
 			p.est1 = v // line 8
@@ -122,7 +122,7 @@ func (p *proc) afterExchange() bool {
 	case len(rec) == 1 && rec[0] == model.Bot: // line 14: rec = {⊥}
 		p.est1 = p.local.Flip()
 		env.ctr.AddCoinFlips(1)
-		env.Trace.Append(p.id, trace.KindCoinFlip, p.r, 2, p.est1)
+		env.trace.Append(p.id, trace.KindCoinFlip, p.r, 2, p.est1)
 	default:
 		// Two distinct binary values in rec would violate WA1/WA2 —
 		// impossible in a correct implementation; surface loudly (the

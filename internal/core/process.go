@@ -39,7 +39,7 @@ type proc struct {
 	sup     tally          // the tally of the exchange in progress
 	local   coin.Local
 	pending []heldVote     // votes for later exchanges, in arrival order
-	prng    coin.PRNGLocal // backs local unless Config.LocalCoinOverride
+	prng    coin.PRNGLocal // backs local unless Variant.LocalCoinOverride
 	cnt     counts         // backs sup on a flat variant
 
 	r    int         // open round; 0 before the first invocation
@@ -61,32 +61,32 @@ func (p *proc) stop() bool {
 	if p.h.Killed() {
 		return p.crash(p.ph)
 	}
-	p.env.Trace.Append(p.id, trace.KindBlocked, p.r, p.ph, model.Bot)
+	p.env.trace.Append(p.id, trace.KindBlocked, p.r, p.ph, model.Bot)
 	return p.finish(ProcResult{Status: StatusBlocked, Round: p.r})
 }
 
 // crash logs a crash at phase ph of the open round and finishes the process.
 func (p *proc) crash(ph int) bool {
-	p.env.Trace.Append(p.id, trace.KindCrash, p.r, ph, model.Bot)
+	p.env.trace.Append(p.id, trace.KindCrash, p.r, ph, model.Bot)
 	return p.finish(ProcResult{Status: StatusCrashed, Round: p.r})
 }
 
 // atCrashPoint reports whether the process must crash at the given step
 // point of the open round.
 func (p *proc) atCrashPoint(ph int, stage failures.Stage) bool {
-	return p.env.Crashes.ShouldCrash(p.id, failures.Point{Round: p.r, Phase: ph, Stage: stage})
+	return p.env.setup.Crashes.ShouldCrash(p.id, failures.Point{Round: p.r, Phase: ph, Stage: stage})
 }
 
 // cutBroadcast is a crash in the middle of a broadcast: msg reaches the
 // planned recipients, or a seeded-random subset when the plan names none,
 // and the process halts.
 func (p *proc) cutBroadcast(ph int, msg any) bool {
-	plan, _ := p.env.Crashes.Plan(p.id)
+	plan, _ := p.env.setup.Crashes.Plan(p.id)
 	recipients := plan.DeliverTo
 	if recipients == nil {
 		// A process cuts at most one broadcast: its subset stream starts
 		// here.
-		s1, s2 := coin.DeriveLocalSeed(p.env.Seed^p.env.v.SubsetSalt, p.id)
+		s1, s2 := coin.DeriveLocalSeed(p.env.setup.Seed^p.env.v.SubsetSalt, p.id)
 		recipients = failures.RandomSubset(rand.New(rand.NewPCG(s1, s2)), p.env.n)
 	}
 	p.env.nw.BroadcastSubset(p.id, msg, recipients)
@@ -105,7 +105,7 @@ func (p *proc) broadcastDecide(v model.Value) {
 // DECIDE and decide. It always finishes the process.
 func (p *proc) decide(ph int, v model.Value) bool {
 	if p.atCrashPoint(ph, failures.StageBeforeDecide) {
-		plan, _ := p.env.Crashes.Plan(p.id)
+		plan, _ := p.env.setup.Crashes.Plan(p.id)
 		if len(plan.DeliverTo) > 0 {
 			p.env.ctr.AddDecideMsgs(int64(len(plan.DeliverTo)))
 			p.env.nw.BroadcastSubset(p.id, DecideMsg{Val: v}, plan.DeliverTo)
@@ -113,7 +113,7 @@ func (p *proc) decide(ph int, v model.Value) bool {
 		return p.crash(ph)
 	}
 	p.broadcastDecide(v)
-	p.env.Trace.Append(p.id, trace.KindDecide, p.r, ph, v)
+	p.env.trace.Append(p.id, trace.KindDecide, p.r, ph, v)
 	return p.finish(ProcResult{Status: StatusDecided, Decision: v, Round: p.r})
 }
 
@@ -127,11 +127,11 @@ func (p *proc) step(ph int, v model.Value) model.Value {
 	switch {
 	case env.v.Memory != nil:
 		return env.v.Memory(p.id, p.r, ph, v)
-	case !env.v.cluster || env.AblateClusterConsensus:
+	case !env.v.cluster || env.v.AblateClusterConsensus:
 		return v
 	}
-	out := env.arrays[env.Partition.ClusterOf(p.id)].Propose(p.r, ph, v)
+	out := env.arrays[env.part.ClusterOf(p.id)].Propose(p.r, ph, v)
 	env.ctr.AddConsInvocations(1)
-	env.Trace.Append(p.id, trace.KindClusterAgree, p.r, ph, out)
+	env.trace.Append(p.id, trace.KindClusterAgree, p.r, ph, out)
 	return out
 }

@@ -8,8 +8,7 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
-	"allforone/internal/netsim"
-	"allforone/internal/sim"
+	"allforone/internal/protocol"
 	"allforone/internal/trace"
 )
 
@@ -40,13 +39,13 @@ func TestRandomConfigurationSweep(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		n := 2 + rng.IntN(9) // 2..10 processes
 		part := randomPartition(rng, n)
-		algo := []Algorithm{LocalCoin, CommonCoin}[rng.IntN(2)]
+		algo := algorithms[rng.IntN(2)]
 		props := make([]model.Value, n)
 		for i := range props {
 			props[i] = model.BitToValue(rng.Uint64())
 		}
 		k := rng.IntN(n) // up to n-1 crashes
-		sched, err := failures.GenRandom(rng, n, k, 3, algo.Phases())
+		sched, err := failures.GenRandom(rng, n, k, 3, phases(algo))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,25 +55,23 @@ func TestRandomConfigurationSweep(t *testing.T) {
 			maxDelay = time.Duration(rng.IntN(1500)) * time.Microsecond
 		}
 
-		cfg := Config{
-			Partition: part,
-			Proposals: props,
+		sc := protocol.Scenario{
+			Topology:  protocol.Topology{Partition: part},
+			Workload:  protocol.Workload{Binary: props},
 			Algorithm: algo,
-			Setup: sim.Setup{
-				Seed:      int64(trial) * 6011,
-				Crashes:   sched,
-				NetOption: netsim.WithUniformDelay(0, maxDelay),
-			},
-			MaxRounds: 10_000,
+			Seed:      int64(trial) * 6011,
+			Faults:    sched,
+			Profile:   protocol.Uniform(0, maxDelay),
 			Trace:     trace.New(),
+			Bounds:    protocol.Bounds{MaxRounds: 10_000},
 		}
-		res, err := Run(cfg)
+		res, err := RunVariant(sc, Hybrid)
 		ctx := fmt.Sprintf("trial %d: n=%d part=%v algo=%v crashed=%v live=%v",
 			trial, n, part, algo, sched.Crashed(), live)
 		if err != nil {
-			t.Fatalf("%s: Run: %v", ctx, err)
+			t.Fatalf("%s: RunVariant: %v", ctx, err)
 		}
-		if vs := violations(cfg, res); vs != nil {
+		if vs := violations(sc, res); vs != nil {
 			t.Fatalf("%s: %v", ctx, vs)
 		}
 	}

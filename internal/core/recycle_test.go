@@ -12,20 +12,19 @@ import (
 	"allforone/internal/driver"
 	"allforone/internal/failures"
 	"allforone/internal/model"
-	"allforone/internal/netsim"
+	"allforone/internal/protocol"
 	"allforone/internal/sim"
 	"allforone/internal/trace"
 	"allforone/internal/vclock"
 )
 
 // recycleCell is one run of TestRecycledRoundMachineCarriesNothing: a
-// Config no Scenario expresses. build makes the run's inputs afresh, each a
+// Variant no Scenario expresses. build makes the run's inputs afresh, each a
 // heap object of its own, reports a weak pointer to every one through watch,
-// and returns them with the flat variant to run them on, nil for the hybrid
-// model.
+// and returns them with the variant to run them on.
 type recycleCell struct {
 	name  string
-	build func(watch func(what string, alive func() bool)) (Config, *Variant)
+	build func(watch func(what string, alive func() bool)) (protocol.Scenario, Variant)
 }
 
 // memoryStep is the state of a flat variant's memory step: a heap object
@@ -45,7 +44,7 @@ func recycleCells() []recycleCell {
 	// proposals (32 bytes, out of reach of the tiny allocator, which could
 	// pack them with a live neighbour), a trace log and a crash schedule
 	// with one timed crash, and watches each.
-	inputs := func(watch func(string, func() bool), n, m int) Config {
+	inputs := func(watch func(string, func() bool), n, m int) protocol.Scenario {
 		part, err := model.Blocks(n, m)
 		if err != nil {
 			panic(err)
@@ -64,50 +63,48 @@ func recycleCells() []recycleCell {
 		watch("proposals", func() bool { return wv.Value() != nil })
 		watch("trace log", func() bool { return wl.Value() != nil })
 		watch("crash schedule", func() bool { return ws.Value() != nil })
-		return Config{
-			Partition: part,
-			Proposals: props,
-			Algorithm: LocalCoin,
-			Setup:     sim.Setup{Seed: int64(n*10 + m), Crashes: sched, NetOption: netsim.WithUniformDelay(0, 200*time.Microsecond)},
-			MaxRounds: 10_000,
+		return protocol.Scenario{
+			Topology:  protocol.Topology{Partition: part},
+			Workload:  protocol.Workload{Binary: props},
+			Algorithm: AlgoLocalCoin,
+			Seed:      int64(n*10 + m),
+			Faults:    sched,
+			Profile:   protocol.Uniform(0, 200*time.Microsecond),
 			Trace:     log,
+			Bounds:    protocol.Bounds{MaxRounds: 10_000},
 		}
 	}
 	return []recycleCell{
-		{name: "closure ablation", build: func(watch func(string, func() bool)) (Config, *Variant) {
-			cfg := inputs(watch, 9, 3)
-			cfg.AblateClosure = true
-			return cfg, nil
+		{name: "closure ablation", build: func(watch func(string, func() bool)) (protocol.Scenario, Variant) {
+			return inputs(watch, 9, 3), hybridWith(func(v *Variant) { v.AblateClosure = true })
 		}},
-		{name: "cluster-consensus ablation", build: func(watch func(string, func() bool)) (Config, *Variant) {
-			cfg := inputs(watch, 7, 2)
-			cfg.AblateClusterConsensus = true
-			return cfg, nil
+		{name: "cluster-consensus ablation", build: func(watch func(string, func() bool)) (protocol.Scenario, Variant) {
+			return inputs(watch, 7, 2), hybridWith(func(v *Variant) { v.AblateClusterConsensus = true })
 		}},
-		{name: "rigged local coins", build: func(watch func(string, func() bool)) (Config, *Variant) {
-			cfg := inputs(watch, 7, 3)
-			cfg.LocalCoinOverride = func(p model.ProcID) coin.Local {
-				c := coin.NewFixedLocal(model.Value(p%2), model.One)
-				w := weak.Make(c)
-				watch(fmt.Sprintf("local coin of %v", p), func() bool { return w.Value() != nil })
-				return c
-			}
-			return cfg, nil
+		{name: "rigged local coins", build: func(watch func(string, func() bool)) (protocol.Scenario, Variant) {
+			return inputs(watch, 7, 3), hybridWith(func(v *Variant) {
+				v.LocalCoinOverride = func(p model.ProcID) coin.Local {
+					c := coin.NewFixedLocal(model.Value(p%2), model.One)
+					w := weak.Make(c)
+					watch(fmt.Sprintf("local coin of %v", p), func() bool { return w.Value() != nil })
+					return c
+				}
+			})
 		}},
-		{name: "rigged common coin", build: func(watch func(string, func() bool)) (Config, *Variant) {
-			cfg := inputs(watch, 7, 4)
+		{name: "rigged common coin", build: func(watch func(string, func() bool)) (protocol.Scenario, Variant) {
+			sc := inputs(watch, 7, 4)
 			c := coin.NewFixedCommon(model.Zero, model.One)
 			w := weak.Make(c)
 			watch("common coin", func() bool { return w.Value() != nil })
-			cfg.Algorithm, cfg.CommonCoinOverride = CommonCoin, c
-			return cfg, nil
+			sc.Algorithm = AlgoCommonCoin
+			return sc, hybridWith(func(v *Variant) { v.CommonCoinOverride = c })
 		}},
-		{name: "memory step", build: func(watch func(string, func() bool)) (Config, *Variant) {
-			cfg := inputs(watch, 5, 5)
+		{name: "memory step", build: func(watch func(string, func() bool)) (protocol.Scenario, Variant) {
+			sc := inputs(watch, 5, 5)
 			mem := &memoryStep{}
 			w := weak.Make(mem)
 			watch("memory step", func() bool { return w.Value() != nil })
-			return cfg, &Variant{
+			return sc, Variant{
 				Memory: func(_ model.ProcID, _, _ int, est model.Value) model.Value {
 					mem.calls++
 					return est
@@ -117,10 +114,10 @@ func recycleCells() []recycleCell {
 				ErrInvariantBroken: ErrInvariantBroken,
 			}
 		}},
-		{name: "cut mid-exchange", build: func(watch func(string, func() bool)) (Config, *Variant) {
-			cfg := inputs(watch, 7, 3)
-			cfg.MaxSteps = 30
-			return cfg, nil
+		{name: "cut mid-exchange", build: func(watch func(string, func() bool)) (protocol.Scenario, Variant) {
+			sc := inputs(watch, 7, 3)
+			sc.Bounds.MaxSteps = 30
+			return sc, Hybrid
 		}},
 	}
 }
@@ -128,13 +125,7 @@ func recycleCells() []recycleCell {
 // runCell runs c once on inputs built afresh and returns the Result (nil on
 // an error) and the error's text.
 func runCell(c recycleCell, watch func(string, func() bool)) (*Result, string) {
-	var res *Result
-	var err error
-	if cfg, v := c.build(watch); v != nil {
-		res, err = RunVariant(cfg, *v)
-	} else {
-		res, err = Run(cfg)
-	}
+	res, err := RunVariant(c.build(watch))
 	if err != nil {
 		return nil, err.Error()
 	}
@@ -250,8 +241,9 @@ func TestKeptSlabsFollowTheRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	take := func(kept *execEnv, part *model.Partition) *execEnv {
-		cfg := Config{Partition: part, Proposals: make([]model.Value, part.N()), Algorithm: LocalCoin}
-		env := takeEnv(kept, &cfg, &hybrid, part.N())
+		sc := protocol.Scenario{Topology: protocol.Topology{Partition: part}, Workload: protocol.Workload{Binary: make([]model.Value, part.N())}, Algorithm: AlgoLocalCoin}
+		setup := sim.Setup{}
+		env := takeEnv(kept, &sc, &setup, &Hybrid)
 		for i := range env.procs {
 			env.newProc(i, &driver.Handle{})
 		}

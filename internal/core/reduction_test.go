@@ -14,8 +14,7 @@ import (
 	"time"
 
 	"allforone/internal/model"
-	"allforone/internal/netsim"
-	"allforone/internal/sim"
+	"allforone/internal/protocol"
 )
 
 // TestSingletonsReduceToFlatVariant runs each algorithm crash-free on
@@ -25,9 +24,9 @@ import (
 // not make.
 func TestSingletonsReduceToFlatVariant(t *testing.T) {
 	t.Parallel()
-	flat := hybrid
+	flat := Hybrid
 	flat.cluster = false
-	for _, alg := range []Algorithm{LocalCoin, CommonCoin} {
+	for _, alg := range algorithms {
 		for _, n := range []int{1, 4, 7, 12} {
 			t.Run(fmt.Sprintf("%v/n=%d", alg, n), func(t *testing.T) {
 				t.Parallel()
@@ -37,21 +36,19 @@ func TestSingletonsReduceToFlatVariant(t *testing.T) {
 					for i := range props {
 						props[i] = model.Value((int64(i) + seed) % 2)
 					}
-					cfg := Config{
-						Partition: part,
-						Proposals: props,
+					sc := protocol.Scenario{
+						Topology:  protocol.Topology{Partition: part},
+						Workload:  protocol.Workload{Binary: props},
 						Algorithm: alg,
-						Setup: sim.Setup{
-							Seed:      seed,
-							NetOption: netsim.WithUniformDelay(0, 200*time.Microsecond),
-						},
-						MaxRounds: 10_000,
+						Seed:      seed,
+						Profile:   protocol.Uniform(0, 200*time.Microsecond),
+						Bounds:    protocol.Bounds{MaxRounds: 10_000},
 					}
-					want, err := Run(cfg)
+					want, err := RunVariant(sc, Hybrid)
 					if err != nil {
-						t.Fatalf("seed %d: Run: %v", seed, err)
+						t.Fatalf("seed %d: RunVariant: %v", seed, err)
 					}
-					got, err := RunVariant(cfg, flat)
+					got, err := RunVariant(sc, flat)
 					if err != nil {
 						t.Fatalf("seed %d: RunVariant: %v", seed, err)
 					}

@@ -8,8 +8,7 @@ import (
 
 	"allforone/internal/failures"
 	"allforone/internal/model"
-	"allforone/internal/netsim"
-	"allforone/internal/sim"
+	"allforone/internal/protocol"
 	"allforone/internal/trace"
 )
 
@@ -17,7 +16,7 @@ import (
 // determinism suite; plan writes the crashes into an n = 7 schedule.
 type replayCase struct {
 	name   string
-	algo   Algorithm
+	algo   string
 	delays time.Duration
 	plan   func(s *failures.Schedule) error
 }
@@ -39,41 +38,39 @@ func replayCases() []replayCase {
 		return errors.Join(s.SetTimed(1, 2*time.Millisecond), s.SetTimed(4, 5*time.Millisecond))
 	}
 	return []replayCase{
-		{"crash-free/zero-delay", LocalCoin, 0, nil},
-		{"crash-free/zero-delay", CommonCoin, 0, nil},
-		{"crash-free/delays", LocalCoin, 3 * time.Millisecond, nil},
-		{"crash-free/delays", CommonCoin, 3 * time.Millisecond, nil},
-		{"mid-broadcast+before-decide", LocalCoin, time.Millisecond, midBroadcast},
-		{"mid-broadcast+before-decide", CommonCoin, time.Millisecond, midBroadcast},
-		{"majority-crash", LocalCoin, time.Millisecond, majorityCrash},
-		{"majority-crash", CommonCoin, time.Millisecond, majorityCrash},
-		{"timed-crashes", LocalCoin, 4 * time.Millisecond, timed},
-		{"timed-crashes", CommonCoin, 4 * time.Millisecond, timed},
+		{"crash-free/zero-delay", AlgoLocalCoin, 0, nil},
+		{"crash-free/zero-delay", AlgoCommonCoin, 0, nil},
+		{"crash-free/delays", AlgoLocalCoin, 3 * time.Millisecond, nil},
+		{"crash-free/delays", AlgoCommonCoin, 3 * time.Millisecond, nil},
+		{"mid-broadcast+before-decide", AlgoLocalCoin, time.Millisecond, midBroadcast},
+		{"mid-broadcast+before-decide", AlgoCommonCoin, time.Millisecond, midBroadcast},
+		{"majority-crash", AlgoLocalCoin, time.Millisecond, majorityCrash},
+		{"majority-crash", AlgoCommonCoin, time.Millisecond, majorityCrash},
+		{"timed-crashes", AlgoLocalCoin, 4 * time.Millisecond, timed},
+		{"timed-crashes", AlgoCommonCoin, 4 * time.Millisecond, timed},
 	}
 }
 
-// config builds the Config of one determinism run. The trace log is fresh
-// per run; everything else is identical across replays.
-func (rc replayCase) config(t *testing.T, seed int64, log *trace.Log) Config {
+// scenario builds the Scenario of one determinism run. The trace log is
+// fresh per run; everything else is identical across replays.
+func (rc replayCase) scenario(t *testing.T, seed int64, log *trace.Log) protocol.Scenario {
 	t.Helper()
-	cfg := Config{
-		Partition: model.Fig1Left(),
-		Proposals: []model.Value{model.One, model.Zero, model.One, model.Zero, model.One, model.Zero, model.One},
+	sc := protocol.Scenario{
+		Topology:  protocol.Topology{Partition: model.Fig1Left()},
+		Workload:  protocol.Workload{Binary: []model.Value{model.One, model.Zero, model.One, model.Zero, model.One, model.Zero, model.One}},
 		Algorithm: rc.algo,
-		Setup: sim.Setup{
-			Seed:      seed,
-			NetOption: netsim.WithUniformDelay(0, rc.delays),
-		},
-		MaxRounds: 10_000,
+		Seed:      seed,
+		Profile:   protocol.Uniform(0, rc.delays),
 		Trace:     log,
+		Bounds:    protocol.Bounds{MaxRounds: 10_000},
 	}
 	if rc.plan != nil {
-		cfg.Crashes = failures.NewSchedule(7)
-		if err := rc.plan(cfg.Crashes); err != nil {
+		sc.Faults = failures.NewSchedule(7)
+		if err := rc.plan(sc.Faults); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return cfg
+	return sc
 }
 
 // TestReplayBitReproducible pins what the registry suite's hybrid row does
@@ -84,12 +81,12 @@ func TestReplayBitReproducible(t *testing.T) {
 	t.Parallel()
 	for _, rc := range replayCases() {
 		rc := rc
-		t.Run(rc.algo.String()+"/"+rc.name, func(t *testing.T) {
+		t.Run(rc.algo+"/"+rc.name, func(t *testing.T) {
 			t.Parallel()
 			for _, seed := range []int64{1, 42, 917} {
 				log1, log2 := trace.New(), trace.New()
-				res1, err1 := Run(rc.config(t, seed, log1))
-				res2, err2 := Run(rc.config(t, seed, log2))
+				res1, err1 := RunVariant(rc.scenario(t, seed, log1), Hybrid)
+				res2, err2 := RunVariant(rc.scenario(t, seed, log2), Hybrid)
 				if err := errors.Join(err1, err2); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
@@ -123,19 +120,17 @@ func TestTimedCrash(t *testing.T) {
 	if err := errors.Join(sched.SetTimed(1, 10*time.Microsecond), sched.SetTimed(6, 150*time.Microsecond)); err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
-		Partition: model.Fig1Left(),
-		Proposals: alternating(7),
-		Algorithm: CommonCoin,
-		Setup: sim.Setup{
-			Seed:      7,
-			Crashes:   sched,
-			NetOption: netsim.WithUniformDelay(200*time.Microsecond, time.Millisecond),
-		},
-		MaxRounds: 10_000,
+	sc := protocol.Scenario{
+		Topology:  protocol.Topology{Partition: model.Fig1Left()},
+		Workload:  protocol.Workload{Binary: alternating(7)},
+		Algorithm: AlgoCommonCoin,
+		Seed:      7,
+		Faults:    sched,
+		Profile:   protocol.Uniform(200*time.Microsecond, time.Millisecond),
 		Trace:     trace.New(),
+		Bounds:    protocol.Bounds{MaxRounds: 10_000},
 	}
-	res, err := Run(cfg)
+	res, err := RunVariant(sc, Hybrid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +141,7 @@ func TestTimedCrash(t *testing.T) {
 	}
 	// Fig1Left keeps a surviving majority closure (P[1] whole + P[2] whole
 	// covers 5 of 7), so Check demands that the survivors decide too.
-	if vs := violations(cfg, res); vs != nil {
+	if vs := violations(sc, res); vs != nil {
 		t.Error(vs)
 	}
 }
@@ -157,16 +152,14 @@ func TestTimedCrash(t *testing.T) {
 func TestVirtualElapsedIsVirtual(t *testing.T) {
 	t.Parallel()
 	start := time.Now()
-	res, err := Run(Config{
-		Partition: model.Fig1Left(),
-		Proposals: alternating(7),
-		Algorithm: CommonCoin,
-		Setup: sim.Setup{
-			Seed:      5,
-			NetOption: netsim.WithUniformDelay(time.Millisecond, 10*time.Millisecond),
-		},
-		MaxRounds: 10_000,
-	})
+	res, err := RunVariant(protocol.Scenario{
+		Topology:  protocol.Topology{Partition: model.Fig1Left()},
+		Workload:  protocol.Workload{Binary: alternating(7)},
+		Algorithm: AlgoCommonCoin,
+		Seed:      5,
+		Profile:   protocol.Uniform(time.Millisecond, 10*time.Millisecond),
+		Bounds:    protocol.Bounds{MaxRounds: 10_000},
+	}, Hybrid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,17 +190,15 @@ func TestTimedCrashAfterTerminationHarmless(t *testing.T) {
 	if err := sched.SetTimed(2, time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{
-		Partition: model.Fig1Left(),
-		Proposals: unanimous(7, model.One),
-		Algorithm: CommonCoin,
-		Setup: sim.Setup{
-			Seed:      21,
-			Crashes:   sched,
-			NetOption: netsim.WithUniformDelay(0, time.Millisecond),
-		},
-		MaxRounds: 10_000,
-	})
+	res, err := RunVariant(protocol.Scenario{
+		Topology:  protocol.Topology{Partition: model.Fig1Left()},
+		Workload:  protocol.Workload{Binary: unanimous(7, model.One)},
+		Algorithm: AlgoCommonCoin,
+		Seed:      21,
+		Faults:    sched,
+		Profile:   protocol.Uniform(0, time.Millisecond),
+		Bounds:    protocol.Bounds{MaxRounds: 10_000},
+	}, Hybrid)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,31 +5,38 @@ import (
 
 	"allforone/internal/coin"
 	"allforone/internal/model"
-	"allforone/internal/sim"
+	"allforone/internal/protocol"
 )
 
-// fixedCommon rigs the common coin to a repeating bit table.
-func fixedCommon(bits ...model.Value) coin.Common { return coin.NewFixedCommon(bits...) }
+// riggedCommon returns Hybrid with its common coin rigged to a repeating
+// bit table.
+func riggedCommon(bits ...model.Value) Variant {
+	v := Hybrid
+	v.CommonCoinOverride = coin.NewFixedCommon(bits...)
+	return v
+}
 
-// fixedLocal rigs every process's local coin to a repeating sequence.
-func fixedLocal(seq ...model.Value) func(model.ProcID) coin.Local {
-	return func(model.ProcID) coin.Local { return coin.NewFixedLocal(seq...) }
+// riggedLocal returns Hybrid with every process's local coin rigged to a
+// repeating sequence.
+func riggedLocal(seq ...model.Value) Variant {
+	v := Hybrid
+	v.LocalCoinOverride = func(model.ProcID) coin.Local { return coin.NewFixedLocal(seq...) }
+	return v
 }
 
 // With a matching rigged coin, Algorithm 3 decides in round 1 under
 // unanimity: the majority value equals the coin bit immediately.
 func TestCommonCoinDecidesRoundOneWhenCoinMatches(t *testing.T) {
 	t.Parallel()
-	res, err := Run(Config{
-		Partition:          model.Fig1Right(),
-		Proposals:          unanimous(7, model.One),
-		Algorithm:          CommonCoin,
-		Setup:              sim.Setup{Seed: 1},
-		MaxRounds:          10,
-		CommonCoinOverride: fixedCommon(model.One),
-	})
+	res, err := RunVariant(protocol.Scenario{
+		Topology:  protocol.Topology{Partition: model.Fig1Right()},
+		Workload:  protocol.Workload{Binary: unanimous(7, model.One)},
+		Algorithm: AlgoCommonCoin,
+		Seed:      1,
+		Bounds:    protocol.Bounds{MaxRounds: 10},
+	}, riggedCommon(model.One))
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunVariant: %v", err)
 	}
 	if !outcome(res).AllLiveDecided() {
 		t.Fatalf("not all decided: %+v", res.Procs)
@@ -47,16 +54,15 @@ func TestCommonCoinDecidesRoundOneWhenCoinMatches(t *testing.T) {
 // decide (coin=0 ≠ majority value 1) but round 2 must (coin=1).
 func TestCommonCoinWaitsForMatchingBit(t *testing.T) {
 	t.Parallel()
-	res, err := Run(Config{
-		Partition:          model.Fig1Left(),
-		Proposals:          unanimous(7, model.One),
-		Algorithm:          CommonCoin,
-		Setup:              sim.Setup{Seed: 1},
-		MaxRounds:          10,
-		CommonCoinOverride: fixedCommon(model.Zero, model.One),
-	})
+	res, err := RunVariant(protocol.Scenario{
+		Topology:  protocol.Topology{Partition: model.Fig1Left()},
+		Workload:  protocol.Workload{Binary: unanimous(7, model.One)},
+		Algorithm: AlgoCommonCoin,
+		Seed:      1,
+		Bounds:    protocol.Bounds{MaxRounds: 10},
+	}, riggedCommon(model.Zero, model.One))
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunVariant: %v", err)
 	}
 	if !outcome(res).AllLiveDecided() {
 		t.Fatalf("not all decided: %+v", res.Procs)
@@ -80,16 +86,15 @@ func TestCommonCoinEstimateLocking(t *testing.T) {
 	// 5 processes: four propose 1, one proposes 0. Coin forever 0 would
 	// block; alternate 0,0,1 so decision lands on a 1-bit round.
 	props := []model.Value{model.One, model.One, model.One, model.One, model.Zero}
-	res, err := Run(Config{
-		Partition:          model.Singletons(5),
-		Proposals:          props,
-		Algorithm:          CommonCoin,
-		Setup:              sim.Setup{Seed: 5},
-		MaxRounds:          50,
-		CommonCoinOverride: fixedCommon(model.Zero, model.Zero, model.One),
-	})
+	res, err := RunVariant(protocol.Scenario{
+		Topology:  protocol.Topology{Partition: model.Singletons(5)},
+		Workload:  protocol.Workload{Binary: props},
+		Algorithm: AlgoCommonCoin,
+		Seed:      5,
+		Bounds:    protocol.Bounds{MaxRounds: 50},
+	}, riggedCommon(model.Zero, model.Zero, model.One))
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunVariant: %v", err)
 	}
 	if !outcome(res).AllLiveDecided() {
 		t.Fatalf("not all decided: %+v", res.Procs)
@@ -107,16 +112,15 @@ func TestCommonCoinEstimateLocking(t *testing.T) {
 // next round decides 1.
 func TestLocalCoinRiggedConvergence(t *testing.T) {
 	t.Parallel()
-	res, err := Run(Config{
-		Partition:         model.Singletons(4),
-		Proposals:         alternating(4), // 0,1,0,1 — no initial majority
-		Algorithm:         LocalCoin,
-		Setup:             sim.Setup{Seed: 2},
-		MaxRounds:         100,
-		LocalCoinOverride: fixedLocal(model.One),
-	})
+	res, err := RunVariant(protocol.Scenario{
+		Topology:  protocol.Topology{Partition: model.Singletons(4)},
+		Workload:  protocol.Workload{Binary: alternating(4)}, // 0,1,0,1 — no initial majority
+		Algorithm: AlgoLocalCoin,
+		Seed:      2,
+		Bounds:    protocol.Bounds{MaxRounds: 100},
+	}, riggedLocal(model.One))
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunVariant: %v", err)
 	}
 	if !outcome(res).AllLiveDecided() {
 		t.Fatalf("not all decided: %+v", res.Procs)
@@ -138,24 +142,25 @@ func TestMajorityClusterDrivesDecision(t *testing.T) {
 	t.Parallel()
 	// p1 (P[1]) and p6,p7 (P[3]) propose 1; P[2]={p2..p5} proposes 0.
 	props := []model.Value{model.One, model.Zero, model.Zero, model.Zero, model.Zero, model.One, model.One}
-	for _, algo := range []Algorithm{LocalCoin, CommonCoin} {
+	for _, algo := range algorithms {
 		algo := algo
-		t.Run(algo.String(), func(t *testing.T) {
+		t.Run(algo, func(t *testing.T) {
 			t.Parallel()
-			cfg := Config{
-				Partition: model.Fig1Right(),
-				Proposals: props,
+			sc := protocol.Scenario{
+				Topology:  protocol.Topology{Partition: model.Fig1Right()},
+				Workload:  protocol.Workload{Binary: props},
 				Algorithm: algo,
-				Setup:     sim.Setup{Seed: 9},
-				MaxRounds: 200,
+				Seed:      9,
+				Bounds:    protocol.Bounds{MaxRounds: 200},
 			}
-			if algo == CommonCoin {
+			v := Hybrid
+			if algo == AlgoCommonCoin {
 				// Give the coin both bits so a 0-round arrives quickly.
-				cfg.CommonCoinOverride = fixedCommon(model.One, model.Zero)
+				v = riggedCommon(model.One, model.Zero)
 			}
-			res, err := Run(cfg)
+			res, err := RunVariant(sc, v)
 			if err != nil {
-				t.Fatalf("Run: %v", err)
+				t.Fatalf("RunVariant: %v", err)
 			}
 			if !outcome(res).AllLiveDecided() {
 				t.Fatalf("not all decided: %+v", res.Procs)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 
@@ -10,52 +11,52 @@ import (
 	"allforone/internal/metrics"
 	"allforone/internal/model"
 	"allforone/internal/netsim"
+	"allforone/internal/protocol"
 	"allforone/internal/sim"
 	"allforone/internal/trace"
 	"allforone/internal/vclock"
 )
 
-// Algorithm selects which of the paper's two consensus algorithms to run.
-type Algorithm int
-
-// The paper's two algorithms.
-const (
-	// LocalCoin is Algorithm 2: two-phase rounds, per-process local coins
-	// (the hybrid-model extension of Ben-Or's algorithm).
-	LocalCoin Algorithm = iota + 1
-	// CommonCoin is Algorithm 3: single-phase rounds, a shared coin
-	// (the hybrid-model extension of the FMR-style algorithm).
-	CommonCoin
+// ProcResult and Result re-export the shared outcome vocabulary
+// (see internal/sim).
+type (
+	ProcResult = sim.ProcResult
+	Result     = sim.Result
 )
 
-// String names the algorithm.
-func (a Algorithm) String() string {
-	switch a {
-	case LocalCoin:
-		return "local-coin"
-	case CommonCoin:
-		return "common-coin"
-	}
-	return fmt.Sprintf("Algorithm(%d)", int(a))
-}
+// ErrInvariantBroken is the hybrid model's invariant error.
+var ErrInvariantBroken = errors.New("core: protocol invariant broken")
 
-// Config describes one consensus execution.
-type Config struct {
-	// Partition is the cluster decomposition (required).
-	Partition *model.Partition
-	// Proposals holds each process's proposed binary value (required,
-	// length n).
-	Proposals []model.Value
-	// Algorithm selects local-coin (Algorithm 2) or common-coin
-	// (Algorithm 3).
-	Algorithm Algorithm
-	// Setup is the run's seed, crash pattern, bounds and delay policy.
-	sim.Setup
-	// MaxRounds bounds the rounds each process executes; 0 = unbounded.
-	// Processes exceeding the bound end as StatusBlocked.
-	MaxRounds int
-	// Trace, when non-nil, records the event history of the run.
-	Trace *trace.Log
+// Memory is a shared-memory step before an exchange: it returns the estimate
+// process p exchanges in phase ph of round r.
+type Memory func(p model.ProcID, r, ph int, est model.Value) model.Value
+
+// Variant is a protocol on the round machine. Hybrid is the paper's hybrid
+// model, with the cluster consensus before each exchange. Every other is
+// flat: each process is its own cluster, so the machine is Ben-Or's
+// algorithm (Algorithm 2) or the message-passing common-coin algorithm
+// (Algorithm 3), the baselines the paper extends (§III-B, §IV). A flat
+// Variant carries only what sets its protocol apart from them. The coin
+// overrides and the ablations are what no Scenario expresses.
+type Variant struct {
+	// Algorithm is the algorithm a Scenario naming none runs: AlgoLocalCoin
+	// (Algorithm 2), or common-coin (Algorithm 3) for any other value.
+	Algorithm string
+	// Memory, when non-nil, runs before each exchange in place of the
+	// cluster consensus. A round with a memory step crashes an
+	// after-cluster-consensus plan right after phase 1's step, and has no
+	// after-exchange point: such a plan strikes at the next point. A flat
+	// round without one has no after-cluster-consensus point.
+	Memory Memory
+	// NetSalt, SubsetSalt and CoinSalt are xored into the Scenario's Seed
+	// to seed the network, the random recipients of crash-cut broadcasts
+	// and the common coin.
+	NetSalt    uint64
+	SubsetSalt int64
+	CoinSalt   uint64
+	// ErrInvariantBroken wraps the run's invariant errors.
+	ErrInvariantBroken error
+
 	// CommonCoinOverride, when non-nil, replaces the seeded common coin
 	// (used by tests to rig coin sequences).
 	CommonCoinOverride coin.Common
@@ -63,9 +64,10 @@ type Config struct {
 	// (used by tests to rig coin sequences).
 	LocalCoinOverride func(p model.ProcID) coin.Local
 
-	// Ablations — NOT part of the paper's algorithms. They exist so the
-	// ablation experiment can quantify what each design ingredient buys
-	// (see harness experiment A1).
+	// Ablations of the hybrid model — NOT part of the paper's algorithms,
+	// and ignored on a flat variant. They exist so the ablation experiment
+	// can quantify what each design ingredient buys (see harness experiment
+	// A1).
 	//
 	// AblateClosure counts only the actual sender in msg_exchange instead
 	// of its whole cluster: each exchange's Quorum closes over
@@ -79,53 +81,16 @@ type Config struct {
 	// cluster uniformity and abort with ErrInvariantBroken — which is the
 	// point of the ablation.
 	AblateClusterConsensus bool
+
+	cluster bool // the hybrid's CONS_x[r,ph] step; set only in Hybrid
 }
 
-// ProcResult and Result re-export the shared outcome vocabulary
-// (see internal/sim).
-type (
-	ProcResult = sim.ProcResult
-	Result     = sim.Result
-)
-
-// Errors returned by Run.
-var (
-	ErrBadConfig       = errors.New("core: invalid configuration")
-	ErrInvariantBroken = errors.New("core: protocol invariant broken")
-)
-
-// Memory is a shared-memory step before an exchange: it returns the estimate
-// process p exchanges in phase ph of round r.
-type Memory func(p model.ProcID, r, ph int, est model.Value) model.Value
-
-// Variant is a protocol on the round machine. Run's is the paper's hybrid
-// model, with the cluster consensus before each exchange. Every other is
-// flat: each process is its own cluster, so the machine is Ben-Or's
-// algorithm (Algorithm 2) or the message-passing common-coin algorithm
-// (Algorithm 3), the baselines the paper extends (§III-B, §IV). A flat
-// Variant carries only what sets its protocol apart from them.
-type Variant struct {
-	// Memory, when non-nil, runs before each exchange in place of the
-	// cluster consensus. A round with a memory step crashes an
-	// after-cluster-consensus plan right after phase 1's step, and has no
-	// after-exchange point: such a plan strikes at the next point. A flat
-	// round without one has no after-cluster-consensus point.
-	Memory Memory
-	// NetSalt, SubsetSalt and CoinSalt are xored into Config.Seed to seed
-	// the network, the random recipients of crash-cut broadcasts and the
-	// common coin.
-	NetSalt    uint64
-	SubsetSalt int64
-	CoinSalt   uint64
-	// ErrInvariantBroken wraps the run's invariant errors.
-	ErrInvariantBroken error
-
-	cluster bool // the hybrid's CONS_x[r,ph] step; set only by Run
-}
-
-// hybrid is the paper's algorithms: the cluster consensus before each
-// exchange, on the hybrid model's own seeds.
-var hybrid = Variant{
+// Hybrid is the paper's algorithms: the cluster consensus before each
+// exchange, on the hybrid model's own seeds. A Scenario naming no
+// algorithm runs the common-coin one (the paper's efficient one: expected
+// two rounds).
+var Hybrid = Variant{
+	Algorithm:          AlgoCommonCoin,
 	NetSalt:            0xa076_1d64_78bd_642f,
 	SubsetSalt:         0x6c62_272e_07bb_0142,
 	CoinSalt:           0x2545_f491_4f6c_dd1d,
@@ -137,33 +102,6 @@ var hybrid = Variant{
 // after-cluster-consensus point after its step.
 func (v *Variant) stepPoint(ph int) bool { return v.cluster || v.Memory != nil && ph == 1 }
 
-// validate checks the configuration and returns n: the partition's on the
-// hybrid model, the proposals' on a flat variant.
-func (cfg *Config) validate(v *Variant) (int, error) {
-	n := len(cfg.Proposals)
-	if v.cluster {
-		if cfg.Partition == nil {
-			return 0, fmt.Errorf("%w: nil partition", ErrBadConfig)
-		}
-		n = cfg.Partition.N()
-	}
-	if n == 0 || len(cfg.Proposals) != n {
-		return 0, fmt.Errorf("%w: %d proposals for %d processes", ErrBadConfig, len(cfg.Proposals), n)
-	}
-	for i, p := range cfg.Proposals {
-		if !p.IsBinary() {
-			return 0, fmt.Errorf("%w: proposal of %v is %v, want 0 or 1", ErrBadConfig, model.ProcID(i), p)
-		}
-	}
-	if cfg.Algorithm != LocalCoin && cfg.Algorithm != CommonCoin {
-		return 0, fmt.Errorf("%w: unknown algorithm %d", ErrBadConfig, int(cfg.Algorithm))
-	}
-	if cfg.MaxRounds < 0 {
-		return 0, fmt.Errorf("%w: negative MaxRounds", ErrBadConfig)
-	}
-	return n, nil
-}
-
 // execEnv is one execution: its inputs, the network, the per-cluster
 // memories and CONS arrays, the common coin, the slabs the processes are
 // carved from — their states and, on the hybrid model, their Quorums — and
@@ -174,18 +112,22 @@ func (cfg *Config) validate(v *Variant) (int, error) {
 // storage it grew — the process slab with each process's held-vote buffer,
 // the Quorum slab and the CONS arrays. Only the Result is the run's own.
 type execEnv struct {
-	Config
-	v       Variant
-	n       int
-	ctr     metrics.Counters
-	nw      *netsim.Network
-	arrays  []consensusobj.Array // one per cluster on the hybrid model; none on a flat one
-	common  coin.Common
-	split   coin.SplitMixCommon // backs common unless Config.CommonCoinOverride
-	procs   []proc
-	sups    []model.Quorum // carved from quorums on the hybrid model
-	quorums model.QuorumSlab
-	res     *Result
+	part      *model.Partition
+	proposals []model.Value
+	setup     sim.Setup
+	maxRounds int
+	trace     *trace.Log
+	v         Variant
+	n         int
+	ctr       metrics.Counters
+	nw        *netsim.Network
+	arrays    []consensusobj.Array // one per cluster on the hybrid model; none on a flat one
+	common    coin.Common
+	split     coin.SplitMixCommon // backs common unless Variant.CommonCoinOverride
+	procs     []proc
+	sups      []model.Quorum // carved from quorums on the hybrid model
+	quorums   model.QuorumSlab
+	res       *Result
 }
 
 // slabSlack bounds the storage an env keeps, as it bounds a
@@ -198,47 +140,52 @@ const slabSlack = 4
 // needs need.
 func fits(have, need int) bool { return have >= need && have <= slabSlack*need }
 
-// takeEnv returns the env of a run of cfg on n processes: kept, the env the
-// last run on the driver's scheduler released, or a new one when there is
-// none. Either way it holds exactly what a new env would, on the storage
-// earlier runs grew; the network is built separately by the driver through
-// newNetwork.
-func takeEnv(kept any, cfg *Config, v *Variant, n int) *execEnv {
+// takeEnv returns the env of a run of v on sc, compiled into setup: kept,
+// the env the last run on the driver's scheduler released, or a new one when
+// there is none. Either way it holds exactly what a new env would, on the
+// storage earlier runs grew; the network is built separately by the driver
+// through newNetwork.
+func takeEnv(kept any, sc *protocol.Scenario, setup *sim.Setup, v *Variant) *execEnv {
 	env, _ := kept.(*execEnv)
 	if env == nil {
 		env = new(execEnv)
 	}
+	n := len(sc.Workload.Binary)
 	procs := env.procs[:0]
 	if !fits(cap(procs), n) {
 		procs = make([]proc, n)
 	}
 	*env = execEnv{
-		Config:  *cfg,
-		v:       *v,
-		n:       n,
-		arrays:  env.arrays[:0],
-		procs:   procs[:n],
-		quorums: env.quorums,
-		res:     &Result{Procs: make([]ProcResult, n)},
+		part:      sc.Topology.Partition,
+		proposals: sc.Workload.Binary,
+		setup:     *setup,
+		maxRounds: sc.Bounds.MaxRounds,
+		trace:     sc.Trace,
+		v:         *v,
+		n:         n,
+		arrays:    env.arrays[:0],
+		procs:     procs[:n],
+		quorums:   env.quorums,
+		res:       &Result{Procs: make([]ProcResult, n)},
 	}
 	if v.cluster {
-		closure := cfg.Partition // what the exchanges' Quorums close over
-		if cfg.AblateClosure {
+		closure := env.part // what the exchanges' Quorums close over
+		if v.AblateClosure {
 			closure = model.Singletons(n)
 		}
 		env.sups = env.quorums.Quorums(closure, n)
 		// The cluster memories MEM_x, emptied when their last run released
 		// them.
-		if m := cfg.Partition.M(); fits(cap(env.arrays), m) {
+		if m := env.part.M(); fits(cap(env.arrays), m) {
 			env.arrays = env.arrays[:m]
 		} else {
 			env.arrays = consensusobj.NewArrays(m)
 		}
 	}
-	if cfg.Algorithm == CommonCoin {
-		env.common = cfg.CommonCoinOverride
+	if cmp.Or(sc.Algorithm, v.Algorithm) != AlgoLocalCoin {
+		env.common = v.CommonCoinOverride
 		if env.common == nil {
-			env.split = *coin.NewSplitMixCommon(uint64(cfg.Seed) ^ v.CoinSalt)
+			env.split = *coin.NewSplitMixCommon(uint64(setup.Seed) ^ v.CoinSalt)
 			env.common = &env.split
 		}
 	}
@@ -263,7 +210,7 @@ func (env *execEnv) release() {
 
 // newNetwork builds the run's network on the driver's scheduler.
 func (env *execEnv) newNetwork(clock *vclock.Scheduler) (*netsim.Network, error) {
-	return driver.StandardNet(&env.nw, env.n, uint64(env.Seed)^env.v.NetSalt, &env.ctr, 0, 0, env.NetOption)(clock)
+	return driver.StandardNet(&env.nw, env.n, uint64(env.setup.Seed)^env.v.NetSalt, &env.ctr, 0, 0, env.setup.NetOption)(clock)
 }
 
 // newProc builds process i's reactor in its slot of the slab, where it
@@ -276,17 +223,17 @@ func (env *execEnv) newProc(i int, h *driver.Handle) driver.Reactor {
 	if cap(pending) > slabSlack*env.n {
 		pending = nil
 	}
-	*p = proc{env: env, id: id, h: h, est1: env.Proposals[i], pending: pending}
+	*p = proc{env: env, id: id, h: h, est1: env.proposals[i], pending: pending}
 	if env.sups != nil {
 		p.sup = &env.sups[i]
 	} else {
 		p.cnt.n = int32(env.n)
 		p.sup = &p.cnt
 	}
-	if env.LocalCoinOverride != nil {
-		p.local = env.LocalCoinOverride(id)
+	if env.v.LocalCoinOverride != nil {
+		p.local = env.v.LocalCoinOverride(id)
 	} else {
-		p.prng = coin.NewPRNGLocal(coin.DeriveLocalSeed(env.Seed, id))
+		p.prng = coin.NewPRNGLocal(coin.DeriveLocalSeed(env.setup.Seed, id))
 		p.local = &p.prng
 	}
 	return p
@@ -314,23 +261,23 @@ func (env *execEnv) result() (*Result, error) {
 	return env.res, nil
 }
 
-// Run executes one consensus instance and returns the collected outcomes.
-// The run is a deterministic discrete-event simulation: identical Configs
+// RunVariant executes one instance of the round machine v describes on sc
+// and returns the collected outcomes. sc must be a Scenario protocol.Run has
+// validated for a binary protocol — one proposal of 0 or 1 per process, a
+// partition of them on the hybrid model, no negative bound, an algorithm
+// the protocol lists — and RunVariant checks none of it again. It reads the
+// partition (on the hybrid model only), the binary proposals, sc.Setup(),
+// Bounds.MaxRounds, Trace and Algorithm, v.Algorithm when sc names none.
+// The run is a deterministic discrete-event simulation: identical inputs
 // yield identical Results and traces. The engine dispatch itself lives in
 // internal/driver, shared with every other protocol runner in the
 // repository.
 //
-// Run returns an error for invalid configurations and for protocol
-// invariant violations (which indicate a bug, never a legal execution).
-func Run(cfg Config) (*Result, error) { return run(&cfg, &hybrid) }
-
-// RunVariant executes one instance of the flat protocol v describes on n =
-// len(cfg.Proposals) processes. Partition and the ablations are ignored:
-// every process is its own cluster, and its exchanges count senders.
-func RunVariant(cfg Config, v Variant) (*Result, error) { return run(&cfg, &v) }
-
-func run(cfg *Config, v *Variant) (*Result, error) {
-	n, err := cfg.validate(v)
+// RunVariant returns an error for a network profile that does not compile
+// and for protocol invariant violations (which indicate a bug, never a
+// legal execution).
+func RunVariant(sc protocol.Scenario, v Variant) (*Result, error) {
+	setup, err := sc.Setup()
 	if err != nil {
 		return nil, err
 	}
@@ -340,18 +287,18 @@ func run(cfg *Config, v *Variant) (*Result, error) {
 		rerr error
 	)
 	out, err := driver.RunHandlers(driver.Config{
-		MaxVirtualTime: cfg.MaxVirtualTime,
-		MaxSteps:       cfg.MaxSteps,
-		Crashes:        cfg.Crashes,
+		MaxVirtualTime: setup.MaxVirtualTime,
+		MaxSteps:       setup.MaxSteps,
+		Crashes:        setup.Crashes,
 		Keep: driver.Keep{
-			Load: func(kept any) { env = takeEnv(kept, cfg, v, n) },
+			Load: func(kept any) { env = takeEnv(kept, &sc, &setup, &v) },
 			Store: func() any {
 				res, rerr = env.result()
 				env.release()
 				return env
 			},
 		},
-	}, n, func(clock *vclock.Scheduler) (*netsim.Network, error) { return env.newNetwork(clock) },
+	}, len(sc.Workload.Binary), func(clock *vclock.Scheduler) (*netsim.Network, error) { return env.newNetwork(clock) },
 		func(i int, h *driver.Handle) driver.Reactor { return env.newProc(i, h) })
 	if err != nil {
 		return nil, err

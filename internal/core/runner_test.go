@@ -1,15 +1,13 @@
 package core
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"allforone/internal/model"
-	"allforone/internal/netsim"
 	"allforone/internal/protocol"
-	"allforone/internal/sim"
 	"allforone/internal/trace"
 )
 
@@ -43,68 +41,56 @@ func rendered(vs []model.Value) []string {
 	return out
 }
 
-// runAndCheck executes cfg and asserts the run is error-free and passes
-// protocol.Check.
-func runAndCheck(t *testing.T, cfg Config) *Result {
-	t.Helper()
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+// algorithms are the registry names of the paper's two algorithms.
+var algorithms = []string{AlgoLocalCoin, AlgoCommonCoin}
+
+// phases returns the number of phases per round of algo (2 for Algorithm
+// 2, 1 for Algorithm 3) — needed by failure generators.
+func phases(algo string) int {
+	if algo == AlgoLocalCoin {
+		return 2
 	}
-	if vs := violations(cfg, res); vs != nil {
+	return 1
+}
+
+// hybridWith returns Hybrid altered by set: an ablation no Scenario
+// expresses.
+func hybridWith(set func(v *Variant)) Variant {
+	v := Hybrid
+	set(&v)
+	return v
+}
+
+// runAndCheck runs sc on the hybrid model and asserts the run is
+// error-free and passes protocol.Check.
+func runAndCheck(t *testing.T, sc protocol.Scenario) *Result {
+	t.Helper()
+	res, err := RunVariant(sc, Hybrid)
+	if err != nil {
+		t.Fatalf("RunVariant: %v", err)
+	}
+	if vs := violations(sc, res); vs != nil {
 		t.Fatal(vs)
 	}
 	return res
 }
 
-// violations holds a run of cfg to protocol.Check, the oracle every Scenario
-// run answers to: agreement, validity, the liveness condition, and cluster
-// uniformity, crash-stop and the decisions over a recorded trace.
-func violations(cfg Config, res *Result) []protocol.Violation {
-	sc := protocol.Scenario{
-		Protocol: ProtocolName,
-		Topology: protocol.Topology{Partition: cfg.Partition},
-		Workload: protocol.Workload{Binary: cfg.Proposals},
-		Faults:   cfg.Crashes,
-		Bounds:   protocol.Bounds{MaxRounds: cfg.MaxRounds, MaxVirtualTime: cfg.MaxVirtualTime, MaxSteps: cfg.MaxSteps},
-		Trace:    cfg.Trace,
-	}
-	return protocol.Check(sc, protocol.BinaryOutcome(ProtocolName, res))
-}
-
-func TestRunConfigValidation(t *testing.T) {
-	t.Parallel()
-	part := model.Fig1Left()
-	tests := []struct {
-		name string
-		cfg  Config
-	}{
-		{"nil partition", Config{Proposals: unanimous(7, model.One), Algorithm: LocalCoin}},
-		{"wrong proposal count", Config{Partition: part, Proposals: unanimous(3, model.One), Algorithm: LocalCoin}},
-		{"non-binary proposal", Config{Partition: part, Proposals: unanimous(7, model.Bot), Algorithm: LocalCoin}},
-		{"unknown algorithm", Config{Partition: part, Proposals: unanimous(7, model.One), Algorithm: Algorithm(9)}},
-		{"negative max rounds", Config{Partition: part, Proposals: unanimous(7, model.One), Algorithm: LocalCoin, MaxRounds: -1}},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			t.Parallel()
-			if _, err := Run(tt.cfg); !errors.Is(err, ErrBadConfig) {
-				t.Errorf("Run error = %v, want ErrBadConfig", err)
-			}
-		})
-	}
+// violations holds a hybrid run of sc to protocol.Check, the oracle every
+// Scenario run answers to: agreement, validity, the liveness condition, and
+// cluster uniformity, crash-stop and the decisions over a recorded trace.
+func violations(sc protocol.Scenario, res *Result) []protocol.Violation {
+	sc.Protocol = ProtocolName
+	return protocol.Check(sc, outcome(res))
 }
 
 func TestAlgorithmMeta(t *testing.T) {
 	t.Parallel()
-	if LocalCoin.String() != "local-coin" || CommonCoin.String() != "common-coin" {
-		t.Error("algorithm names wrong")
+	p, ok := protocol.Lookup(ProtocolName)
+	if !ok || !slices.Equal(p.Algorithms, algorithms) {
+		t.Errorf("registered algorithms = %v, want %v", p.Algorithms, algorithms)
 	}
-	if Algorithm(9).String() != "Algorithm(9)" {
-		t.Error("unknown algorithm name wrong")
-	}
-	if LocalCoin.Phases() != 2 || CommonCoin.Phases() != 1 {
-		t.Error("phase counts wrong")
+	if Hybrid.Algorithm != AlgoCommonCoin {
+		t.Errorf("a Scenario naming no algorithm runs %q, want %q", Hybrid.Algorithm, AlgoCommonCoin)
 	}
 	for _, s := range []Status{StatusDecided, StatusCrashed, StatusBlocked, StatusFailed} {
 		if s.String() == "unknown" {
@@ -127,19 +113,19 @@ func TestUnanimousCrashFree(t *testing.T) {
 		"single-cluster": model.SingleCluster(7),
 		"single-process": model.SingleCluster(1),
 	}
-	for _, algo := range []Algorithm{LocalCoin, CommonCoin} {
+	for _, algo := range algorithms {
 		for name, part := range partitions {
 			for _, v := range []model.Value{model.Zero, model.One} {
 				algo, part, v := algo, part, v
 				t.Run(fmt.Sprintf("%v/%s/propose-%v", algo, name, v), func(t *testing.T) {
 					t.Parallel()
-					res := runAndCheck(t, Config{
-						Partition: part,
-						Proposals: unanimous(part.N(), v),
+					res := runAndCheck(t, protocol.Scenario{
+						Topology:  protocol.Topology{Partition: part},
+						Workload:  protocol.Workload{Binary: unanimous(part.N(), v)},
 						Algorithm: algo,
-						Setup:     sim.Setup{Seed: 42},
-						MaxRounds: 200,
+						Seed:      42,
 						Trace:     trace.New(),
+						Bounds:    protocol.Bounds{MaxRounds: 200},
 					})
 					if !outcome(res).AllLiveDecided() {
 						t.Fatalf("not all processes decided: %+v", res.Procs)
@@ -151,7 +137,7 @@ func TestUnanimousCrashFree(t *testing.T) {
 					if val != v.String() {
 						t.Errorf("decided %v, want %v (validity under unanimity)", val, v)
 					}
-					if algo == LocalCoin && outcome(res).MaxDecisionRound() != 1 {
+					if algo == AlgoLocalCoin && outcome(res).MaxDecisionRound() != 1 {
 						t.Errorf("local-coin unanimous decision round = %d, want 1", outcome(res).MaxDecisionRound())
 					}
 				})
@@ -170,19 +156,19 @@ func TestSplitProposalsCrashFree(t *testing.T) {
 		"singletons-5": model.Singletons(5),
 		"blocks-9-3":   mustBlocks(t, 9, 3),
 	}
-	for _, algo := range []Algorithm{LocalCoin, CommonCoin} {
+	for _, algo := range algorithms {
 		for name, part := range partitions {
 			for seed := int64(0); seed < 3; seed++ {
 				algo, part, seed := algo, part, seed
 				t.Run(fmt.Sprintf("%v/%s/seed-%d", algo, name, seed), func(t *testing.T) {
 					t.Parallel()
-					res := runAndCheck(t, Config{
-						Partition: part,
-						Proposals: alternating(part.N()),
+					res := runAndCheck(t, protocol.Scenario{
+						Topology:  protocol.Topology{Partition: part},
+						Workload:  protocol.Workload{Binary: alternating(part.N())},
 						Algorithm: algo,
-						Setup:     sim.Setup{Seed: seed},
-						MaxRounds: 5000,
+						Seed:      seed,
 						Trace:     trace.New(),
+						Bounds:    protocol.Bounds{MaxRounds: 5000},
 					})
 					if !outcome(res).AllLiveDecided() {
 						t.Fatalf("not all processes decided: %+v", res.Procs)
@@ -206,19 +192,17 @@ func mustBlocks(t *testing.T, n, m int) *model.Partition {
 // must be unaffected.
 func TestWithNetworkDelays(t *testing.T) {
 	t.Parallel()
-	for _, algo := range []Algorithm{LocalCoin, CommonCoin} {
+	for _, algo := range algorithms {
 		algo := algo
-		t.Run(algo.String(), func(t *testing.T) {
+		t.Run(algo, func(t *testing.T) {
 			t.Parallel()
-			res := runAndCheck(t, Config{
-				Partition: model.Fig1Left(),
-				Proposals: alternating(7),
+			res := runAndCheck(t, protocol.Scenario{
+				Topology:  protocol.Topology{Partition: model.Fig1Left()},
+				Workload:  protocol.Workload{Binary: alternating(7)},
 				Algorithm: algo,
-				Setup: sim.Setup{
-					Seed:      7,
-					NetOption: netsim.WithUniformDelay(0, 2*time.Millisecond),
-				},
-				MaxRounds: 5000,
+				Seed:      7,
+				Profile:   protocol.Uniform(0, 2*time.Millisecond),
+				Bounds:    protocol.Bounds{MaxRounds: 5000},
 			})
 			if !outcome(res).AllLiveDecided() {
 				t.Fatalf("not all processes decided: %+v", res.Procs)
@@ -234,12 +218,12 @@ func TestExtremeConfigurations(t *testing.T) {
 	const n = 5
 	t.Run("m=n pure message passing", func(t *testing.T) {
 		t.Parallel()
-		res := runAndCheck(t, Config{
-			Partition: model.Singletons(n),
-			Proposals: alternating(n),
-			Algorithm: LocalCoin,
-			Setup:     sim.Setup{Seed: 3},
-			MaxRounds: 5000,
+		res := runAndCheck(t, protocol.Scenario{
+			Topology:  protocol.Topology{Partition: model.Singletons(n)},
+			Workload:  protocol.Workload{Binary: alternating(n)},
+			Algorithm: AlgoLocalCoin,
+			Seed:      3,
+			Bounds:    protocol.Bounds{MaxRounds: 5000},
 		})
 		if !outcome(res).AllLiveDecided() {
 			t.Fatalf("not all decided: %+v", res.Procs)
@@ -247,12 +231,12 @@ func TestExtremeConfigurations(t *testing.T) {
 	})
 	t.Run("m=1 pure shared memory", func(t *testing.T) {
 		t.Parallel()
-		res := runAndCheck(t, Config{
-			Partition: model.SingleCluster(n),
-			Proposals: alternating(n),
-			Algorithm: LocalCoin,
-			Setup:     sim.Setup{Seed: 3},
-			MaxRounds: 100,
+		res := runAndCheck(t, protocol.Scenario{
+			Topology:  protocol.Topology{Partition: model.SingleCluster(n)},
+			Workload:  protocol.Workload{Binary: alternating(n)},
+			Algorithm: AlgoLocalCoin,
+			Seed:      3,
+			Bounds:    protocol.Bounds{MaxRounds: 100},
 		})
 		if !outcome(res).AllLiveDecided() {
 			t.Fatalf("not all decided: %+v", res.Procs)
@@ -271,12 +255,12 @@ func TestExtremeConfigurations(t *testing.T) {
 func TestMetricsAccounting(t *testing.T) {
 	t.Parallel()
 	part := model.Fig1Left()
-	res := runAndCheck(t, Config{
-		Partition: part,
-		Proposals: unanimous(7, model.One),
-		Algorithm: LocalCoin,
-		Setup:     sim.Setup{Seed: 1},
-		MaxRounds: 50,
+	res := runAndCheck(t, protocol.Scenario{
+		Topology:  protocol.Topology{Partition: part},
+		Workload:  protocol.Workload{Binary: unanimous(7, model.One)},
+		Algorithm: AlgoLocalCoin,
+		Seed:      1,
+		Bounds:    protocol.Bounds{MaxRounds: 50},
 	})
 	m := res.Metrics
 	if m.MsgsSent == 0 || m.MsgsDelivered == 0 || m.Broadcasts == 0 {
@@ -360,16 +344,15 @@ func TestResultHelpers(t *testing.T) {
 // Algorithm 3 spin; every process must end blocked at the cap.
 func TestMaxRoundsBoundsExecution(t *testing.T) {
 	t.Parallel()
-	res, err := Run(Config{
-		Partition:          model.Fig1Left(),
-		Proposals:          unanimous(7, model.Zero),
-		Algorithm:          CommonCoin,
-		Setup:              sim.Setup{Seed: 1},
-		MaxRounds:          5,
-		CommonCoinOverride: fixedCommon(model.One), // never equals the estimate 0
-	})
+	res, err := RunVariant(protocol.Scenario{
+		Topology:  protocol.Topology{Partition: model.Fig1Left()},
+		Workload:  protocol.Workload{Binary: unanimous(7, model.Zero)},
+		Algorithm: AlgoCommonCoin,
+		Seed:      1,
+		Bounds:    protocol.Bounds{MaxRounds: 5},
+	}, riggedCommon(model.One)) // never equals the estimate 0
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunVariant: %v", err)
 	}
 	for i, pr := range res.Procs {
 		if pr.Status != StatusBlocked {
@@ -382,13 +365,4 @@ func TestMaxRoundsBoundsExecution(t *testing.T) {
 	if res.Metrics.MaxRound != 5 {
 		t.Errorf("MaxRound = %d, want 5", res.Metrics.MaxRound)
 	}
-}
-
-// Phases returns the number of phases per round (2 for Algorithm 2, 1 for
-// Algorithm 3) — needed by failure generators.
-func (a Algorithm) Phases() int {
-	if a == LocalCoin {
-		return 2
-	}
-	return 1
 }

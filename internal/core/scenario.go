@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"allforone/internal/protocol"
-)
+import "allforone/internal/protocol"
 
 // ProtocolName is the registry name of the hybrid-model algorithms.
 const ProtocolName = "hybrid"
@@ -29,37 +25,9 @@ func init() {
 	}, Run: runScenario})
 }
 
-// ParseAlgorithm resolves a Scenario.Algorithm name; empty picks the
-// common-coin algorithm (the paper's efficient one: expected two rounds).
-func ParseAlgorithm(name string) (Algorithm, error) {
-	switch name {
-	case "", AlgoCommonCoin:
-		return CommonCoin, nil
-	case AlgoLocalCoin:
-		return LocalCoin, nil
-	}
-	return 0, fmt.Errorf("%w: unknown algorithm %q", ErrBadConfig, name)
-}
-
-// runScenario compiles a registry-validated Scenario onto Config and runs
-// it.
+// runScenario runs a registry-validated Scenario on the hybrid model.
 func runScenario(sc protocol.Scenario) (*protocol.Outcome, error) {
-	algo, err := ParseAlgorithm(sc.Algorithm)
-	if err != nil {
-		return nil, err
-	}
-	setup, err := sc.Setup()
-	if err != nil {
-		return nil, err
-	}
-	res, err := Run(Config{
-		Setup:     setup,
-		Partition: sc.Topology.Partition,
-		Proposals: sc.Workload.Binary,
-		Algorithm: algo,
-		MaxRounds: sc.Bounds.MaxRounds,
-		Trace:     sc.Trace,
-	})
+	res, err := RunVariant(sc, Hybrid)
 	if err != nil {
 		return nil, err
 	}

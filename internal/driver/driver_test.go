@@ -159,7 +159,7 @@ func TestWakeAfterDrivesReactorTicks(t *testing.T) {
 // need an explicit MaxSteps) shaped by the protocol's complexity hint,
 // negative disables the bound, positive passes through untouched.
 func TestResolveMaxSteps(t *testing.T) {
-	if got, want := resolveMaxSteps(0, 8192, sim.StepsQuadratic), sim.DefaultMaxStepsFor(8192); got != want {
+	if got, want := resolveMaxSteps(0, 8192, sim.StepsQuadratic), sim.DefaultMaxStepsHint(8192, sim.StepsQuadratic); got != want {
 		t.Errorf("resolveMaxSteps(0, 8192, quadratic) = %d, want %d", got, want)
 	}
 	if got := resolveMaxSteps(0, 7, sim.StepsQuadratic); got != sim.DefaultMaxSteps {
@@ -184,7 +184,7 @@ func TestResolveMaxSteps(t *testing.T) {
 	}
 	// The linear default must undercut the quadratic one exactly where it
 	// matters: beyond the crossover n where 24·n² > 8192·n.
-	if lin, quad := sim.DefaultMaxStepsHint(4096, sim.StepsLinear), sim.DefaultMaxStepsFor(4096); lin >= quad {
+	if lin, quad := sim.DefaultMaxStepsHint(4096, sim.StepsLinear), sim.DefaultMaxStepsHint(4096, sim.StepsQuadratic); lin >= quad {
 		t.Errorf("linear hint (%d) not below quadratic default (%d) at n=4096", lin, quad)
 	}
 }

@@ -43,7 +43,7 @@ func A1Ablations(opts Options) (*Report, error) {
 	}
 	for _, variant := range []a1Variant{
 		{name: "full algorithm"},
-		{"closure OFF", "liveness", func(cfg *core.Config) { cfg.AblateClosure = true }},
+		{"closure OFF", "liveness", func(v *core.Variant) { v.AblateClosure = true }},
 	} {
 		outs, _, err := variant.trials(opts, func(trial int) protocol.Scenario {
 			return protocol.Scenario{
@@ -77,7 +77,7 @@ func A1Ablations(opts Options) (*Report, error) {
 	leftPart := model.Fig1Left()
 	for _, variant := range []a1Variant{
 		{name: "full algorithm"},
-		{"cluster consensus OFF", "cluster-uniformity", func(cfg *core.Config) { cfg.AblateClusterConsensus = true }},
+		{"cluster consensus OFF", "cluster-uniformity", func(v *core.Variant) { v.AblateClusterConsensus = true }},
 	} {
 		outs, broke, err := variant.trials(opts, func(trial int) protocol.Scenario {
 			return protocol.Scenario{
@@ -112,8 +112,8 @@ func A1Ablations(opts Options) (*Report, error) {
 // that gives up one property protocol.Check judges.
 type a1Variant struct {
 	name    string
-	givesUp string             // the one property the variant may break; "" for the full algorithm
-	ablate  func(*core.Config) // nil for the full algorithm
+	givesUp string              // the one property the variant may break; "" for the full algorithm
+	ablate  func(*core.Variant) // ablates a copy of core.Hybrid; nil for the full algorithm
 }
 
 // trials builds one scenario per trial, runs each on the harness pool (run,
@@ -139,28 +139,17 @@ func (v a1Variant) trials(opts Options, build func(trial int) protocol.Scenario)
 	return outs, broke, err
 }
 
-// run executes one local-coin trial of sc on the hybrid protocol's Config,
-// compiled through Scenario.Setup and altered by the variant's ablation, and
-// judges it with protocol.Check. It reports whether the trial broke the
-// property the variant gives up, and fails on any other.
+// run executes one local-coin trial of sc on core.Hybrid, altered by the
+// variant's ablation, and judges it with protocol.Check. It reports whether
+// the trial broke the property the variant gives up, and fails on any
+// other.
 func (v a1Variant) run(sc protocol.Scenario) (*protocol.Outcome, bool, error) {
 	sc.Protocol, sc.Algorithm = core.ProtocolName, core.AlgoLocalCoin
-	setup, err := sc.Setup()
-	if err != nil {
-		return nil, false, err
-	}
-	cfg := core.Config{
-		Setup:     setup,
-		Partition: sc.Topology.Partition,
-		Proposals: sc.Workload.Binary,
-		Algorithm: core.LocalCoin,
-		MaxRounds: sc.Bounds.MaxRounds,
-		Trace:     sc.Trace,
-	}
+	hybrid := core.Hybrid
 	if v.ablate != nil {
-		v.ablate(&cfg)
+		v.ablate(&hybrid)
 	}
-	res, err := core.Run(cfg)
+	res, err := core.RunVariant(sc, hybrid)
 	if err != nil {
 		return nil, false, err
 	}

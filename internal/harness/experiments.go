@@ -75,13 +75,13 @@ func E1Fig1Decompositions(opts Options) (*Report, error) {
 		{"fig1-right 1/2-5/6-7", model.Fig1Right()},
 	}
 	for _, pc := range parts {
-		for _, algo := range []core.Algorithm{core.LocalCoin, core.CommonCoin} {
+		for _, algo := range []string{core.AlgoLocalCoin, core.AlgoCommonCoin} {
 			sum, err := runHybridTrials(pc.p, algo, "random", opts, nil)
 			if err != nil {
 				return nil, err
 			}
 			decidedPct := pct(sum.decided, sum.trials)
-			tb.AddRowf(pc.name, algo.String(), decidedPct,
+			tb.AddRowf(pc.name, algo, decidedPct,
 				meanOr(sum.rounds, 0), p95Or(sum.rounds, 0),
 				meanOr(sum.msgs, 0), meanOr(sum.consInv, 0))
 			key := fmt.Sprintf("%s/%s", pc.name, algo)
@@ -118,14 +118,14 @@ func E2MajorityCrash(opts Options) (*Report, error) {
 
 	// Hybrid, both algorithms.
 	part := model.Fig1Right()
-	for _, algo := range []core.Algorithm{core.LocalCoin, core.CommonCoin} {
+	for _, algo := range []string{core.AlgoLocalCoin, core.AlgoCommonCoin} {
 		sum, err := runHybridTrials(part, algo, "unanimous1", opts, sched)
 		if err != nil {
 			return nil, err
 		}
 		decidedPct := pct(sum.decided, sum.trials)
-		tb.AddRowf("hybrid/"+algo.String(), decidedPct, meanOr(sum.rounds, 0), pct(sum.blocked, sum.trials))
-		rep.Findings["hybrid/"+algo.String()+"/decided_pct"] = decidedPct
+		tb.AddRowf("hybrid/"+algo, decidedPct, meanOr(sum.rounds, 0), pct(sum.blocked, sum.trials))
+		rep.Findings["hybrid/"+algo+"/decided_pct"] = decidedPct
 	}
 
 	// Pure message-passing baselines: same failure pattern (they block by
@@ -180,7 +180,7 @@ func E3CommonCoinRounds(opts Options) (*Report, error) {
 			{"fig1-left", model.Fig1Left()},
 			{"singletons-7", model.Singletons(7)},
 		} {
-			sum, err := runHybridTrials(pc.p, core.CommonCoin, mode, opts, nil)
+			sum, err := runHybridTrials(pc.p, core.AlgoCommonCoin, mode, opts, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -218,7 +218,7 @@ func E4RoundsVsClusters(opts Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		sum, err := runHybridTrials(part, core.LocalCoin, "split", opts, nil)
+		sum, err := runHybridTrials(part, core.AlgoLocalCoin, "split", opts, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -361,7 +361,7 @@ func E6MessageComplexity(opts Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		sum, err := runHybridTrials(part, core.CommonCoin, "unanimous1", opts, nil)
+		sum, err := runHybridTrials(part, core.AlgoCommonCoin, "unanimous1", opts, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -394,7 +394,7 @@ func E7ExtremeConfigs(opts Options) (*Report, error) {
 		"system", "decided%", "rounds(mean)", "msgs(mean)", "cons-inv(mean)")
 
 	// m=1 hybrid vs native shared memory.
-	sum, err := runHybridTrials(model.SingleCluster(n), core.LocalCoin, "split", opts, nil)
+	sum, err := runHybridTrials(model.SingleCluster(n), core.AlgoLocalCoin, "split", opts, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -424,7 +424,7 @@ func E7ExtremeConfigs(opts Options) (*Report, error) {
 	rep.Findings["native-sh/decided_pct"] = pct(shDecided, opts.Trials)
 
 	// m=n hybrid vs native Ben-Or.
-	sum, err = runHybridTrials(model.Singletons(n), core.LocalCoin, "split", opts, nil)
+	sum, err = runHybridTrials(model.Singletons(n), core.AlgoLocalCoin, "split", opts, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -498,13 +498,13 @@ func E8Indulgence(opts Options) (*Report, error) {
 		if tc.part.LivenessHolds(sched.Crashed()) {
 			return nil, fmt.Errorf("harness: E8 case %q unexpectedly live", tc.name)
 		}
-		for _, algo := range []core.Algorithm{core.LocalCoin, core.CommonCoin} {
+		for _, algo := range []string{core.AlgoLocalCoin, core.AlgoCommonCoin} {
 			scs := trialScenarios(opts.Trials, func(trial int) protocol.Scenario {
 				return protocol.Scenario{
 					Protocol:  core.ProtocolName,
 					Topology:  protocol.Topology{Partition: tc.part},
 					Workload:  protocol.Workload{Binary: proposalsFor("split", tc.part.N(), nil)},
-					Algorithm: algoName(algo),
+					Algorithm: algo,
 					Seed:      opts.SeedBase + int64(trial)*53,
 					Faults:    sched,
 				}
@@ -523,7 +523,7 @@ func E8Indulgence(opts Options) (*Report, error) {
 					violations++
 				}
 			}
-			tb.AddRowf(tc.name, algo.String(), opts.Trials, decidedRuns, violations)
+			tb.AddRowf(tc.name, algo, opts.Trials, decidedRuns, violations)
 			key := fmt.Sprintf("%s/%s", tc.name, algo)
 			rep.Findings[key+"/decided_runs"] = float64(decidedRuns)
 			rep.Findings[key+"/violations"] = float64(violations)

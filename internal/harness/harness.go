@@ -81,14 +81,6 @@ func proposalsFor(mode string, n int, rng *rand.Rand) []model.Value {
 	return out
 }
 
-// algoName renders a core.Algorithm as its Scenario registry name.
-func algoName(algo core.Algorithm) string {
-	if algo == core.LocalCoin {
-		return core.AlgoLocalCoin
-	}
-	return core.AlgoCommonCoin
-}
-
 // trialScenarios builds one scenario per trial, in trial order, so an RNG
 // that build draws from advances exactly as in a serial loop. The caller
 // runs them on the pool (Sweep, or SweepCollect plus Check) and folds the
@@ -106,9 +98,9 @@ func trialScenarios(trials int, build func(trial int) protocol.Scenario) []proto
 func pct(k, trials int) float64 { return 100 * float64(k) / float64(trials) }
 
 // runHybridTrials runs `trials` seeded executions of the hybrid algorithm
-// through Sweep under the crash pattern faults (nil for none) and aggregates
+// algo (core.AlgoLocalCoin or core.AlgoCommonCoin) through Sweep under the crash pattern faults (nil for none) and aggregates
 // their costs.
-func runHybridTrials(part *model.Partition, algo core.Algorithm, mode string, opts Options,
+func runHybridTrials(part *model.Partition, algo, mode string, opts Options,
 	faults *failures.Schedule) (*trialSummary, error) {
 	opts = opts.withDefaults()
 	rng := rand.New(rand.NewPCG(uint64(opts.SeedBase)+0x9e37, 0x79b9))
@@ -117,7 +109,7 @@ func runHybridTrials(part *model.Partition, algo core.Algorithm, mode string, op
 			Protocol:  core.ProtocolName,
 			Topology:  protocol.Topology{Partition: part},
 			Workload:  protocol.Workload{Binary: proposalsFor(mode, part.N(), rng)},
-			Algorithm: algoName(algo),
+			Algorithm: algo,
 			Seed:      opts.SeedBase + int64(trial)*1_000_003,
 			Faults:    faults,
 			Bounds:    protocol.Bounds{MaxRounds: 10_000},

@@ -48,10 +48,6 @@ func runScenario(sc protocol.Scenario) (*protocol.Outcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", protocol.ErrBadScenario, err)
 	}
-	setup, err := sc.Setup()
-	if err != nil {
-		return nil, err
-	}
 	arrays := consensusobj.NewArrays(n)
 	// memoryPropose performs the m&m shared-memory step of one phase:
 	// propose est to the consensus object of every accessible memory (own
@@ -64,12 +60,8 @@ func runScenario(sc protocol.Scenario) (*protocol.Outcome, error) {
 		}
 		return own
 	}
-	res, err := core.RunVariant(core.Config{
-		Setup:     setup,
-		Proposals: sc.Workload.Binary,
-		Algorithm: core.LocalCoin,
-		MaxRounds: sc.Bounds.MaxRounds,
-	}, core.Variant{
+	res, err := core.RunVariant(sc, core.Variant{
+		Algorithm:          core.AlgoLocalCoin,
 		Memory:             memoryPropose,
 		NetSalt:            0xc2b2_ae3d_27d4_eb4f,
 		SubsetSalt:         0x1216_d5d9_8979_fb1b,

@@ -223,33 +223,6 @@ func TestReplayBitReproducible(t *testing.T) {
 	}
 }
 
-// TestSafetyAcrossSchedules is the registry suite's schedules property on
-// the appendix graph Fig2, where the suite runs mm on a ring: 32 seeds, each
-// at immediate delivery and under a 0–1 ms uniform band, every run held to
-// protocol.Check.
-func TestSafetyAcrossSchedules(t *testing.T) {
-	t.Parallel()
-	for _, band := range []protocol.NetworkProfile{nil, protocol.Uniform(0, time.Millisecond)} {
-		for seed := int64(0); seed < 32; seed++ {
-			sc := protocol.Scenario{
-				Protocol: ProtocolName,
-				Topology: protocol.Topology{N: 5, MMEdges: Fig2().EdgeList()},
-				Workload: protocol.Workload{Binary: oneZero},
-				Bounds:   protocol.Bounds{MaxRounds: 10_000},
-				Profile:  band,
-				Seed:     seed,
-			}
-			out, err := protocol.Run(sc)
-			if err != nil {
-				t.Fatalf("band %v seed %d: %v", band, seed, err)
-			}
-			if vs := protocol.Check(sc, out); vs != nil {
-				t.Errorf("band %v seed %d: %v", band, seed, vs)
-			}
-		}
-	}
-}
-
 // TestVirtualQuiescenceBlocks pins the deterministic blocked verdict: with
 // a crashed majority no survivor can collect enough reports, and the
 // virtual engine must flag quiescence rather than wait out a timeout.

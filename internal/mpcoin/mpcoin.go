@@ -33,6 +33,7 @@ var ErrInvariantBroken = errors.New("mpcoin: protocol invariant broken")
 // variant is the algorithm on the round machine: Algorithm 3 with no
 // cluster step, on seeds of its own.
 var variant = core.Variant{
+	Algorithm:          core.AlgoCommonCoin,
 	NetSalt:            0x27d4_eb2f_1656_67c5,
 	SubsetSalt:         0x5851_f42d_4c95_7f2d,
 	CoinSalt:           0x1656_67c5_27d4_eb2f,
@@ -52,16 +53,7 @@ func init() {
 
 // runScenario runs a registry-validated scenario on the round machine.
 func runScenario(sc protocol.Scenario) (*protocol.Outcome, error) {
-	setup, err := sc.Setup()
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.RunVariant(core.Config{
-		Setup:     setup,
-		Proposals: sc.Workload.Binary,
-		Algorithm: core.CommonCoin,
-		MaxRounds: sc.Bounds.MaxRounds,
-	}, variant)
+	res, err := core.RunVariant(sc, variant)
 	if err != nil {
 		return nil, err
 	}

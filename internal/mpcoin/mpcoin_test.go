@@ -3,6 +3,7 @@ package mpcoin
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -63,12 +64,13 @@ func run(t *testing.T, sc protocol.Scenario) *sim.Result {
 	return out.Raw.(*sim.Result)
 }
 
-// runRigged runs cfg's proposals on the package's variant with cfg's coin
-// override, which no Scenario carries.
-func runRigged(t *testing.T, cfg core.Config) *sim.Result {
+// runRigged runs sc on the package's variant with its common coin rigged
+// to a repeating bit table, which no Scenario carries.
+func runRigged(t *testing.T, sc protocol.Scenario, bits ...model.Value) *sim.Result {
 	t.Helper()
-	cfg.Algorithm = core.CommonCoin
-	res, err := core.RunVariant(cfg, variant)
+	rigged := variant
+	rigged.CommonCoinOverride = coin.NewFixedCommon(bits...)
+	res, err := core.RunVariant(sc, rigged)
 	if err != nil {
 		t.Fatalf("RunVariant: %v", err)
 	}
@@ -130,12 +132,11 @@ func TestRiggedCoinRounds(t *testing.T) {
 	t.Parallel()
 	const n = 5
 	rigged := func(t *testing.T, props []model.Value, maxRounds int, bits ...model.Value) *sim.Result {
-		return runRigged(t, core.Config{
-			Proposals:          props,
-			Setup:              sim.Setup{Seed: 1},
-			MaxRounds:          maxRounds,
-			CommonCoinOverride: coin.NewFixedCommon(bits...),
-		})
+		return runRigged(t, protocol.Scenario{
+			Workload: protocol.Workload{Binary: props},
+			Seed:     1,
+			Bounds:   protocol.Bounds{MaxRounds: maxRounds},
+		}, bits...)
 	}
 	t.Run("match round 1", func(t *testing.T) {
 		t.Parallel()
@@ -209,14 +210,64 @@ func TestPartialDecideDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	proposals := unanimous(5, model.One)
-	res := runRigged(t, core.Config{
-		Proposals:          proposals,
-		Setup:              sim.Setup{Seed: 6, Crashes: sched},
-		MaxRounds:          100,
-		CommonCoinOverride: coin.NewFixedCommon(model.One),
-	})
+	res := runRigged(t, protocol.Scenario{
+		Workload: protocol.Workload{Binary: proposals},
+		Seed:     6,
+		Faults:   sched,
+		Bounds:   protocol.Bounds{MaxRounds: 100},
+	}, model.One)
 	requireLive(t, res, proposals)
 	if val, _, _ := outcome(res).Decided(); val != model.One.String() {
 		t.Errorf("decided %v, want 1", val)
+	}
+}
+
+// flippedCommon is a seeded common coin whose every bit is complemented.
+type flippedCommon struct{ coin.Common }
+
+func (c flippedCommon) Bit(r int) model.Value { return 1 - c.Common.Bit(r) }
+
+// TestValueComplement is core's value-complement relation on the
+// package's variant: complementing every proposal and every common-coin bit
+// flips every decision and leaves the engine record and every count
+// unchanged, crash-free and with p1 crashing mid-broadcast in round 1,
+// under a 0–200 µs band.
+func TestValueComplement(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewPCG(0x3c, 0x0))
+	for seed := int64(1); seed <= 40; seed++ {
+		sc := scenario(make([]model.Value, 7), seed, 10_000)
+		sc.Profile = protocol.Uniform(0, 200*time.Microsecond)
+		flip := sc
+		flip.Workload.Binary = make([]model.Value, 7)
+		for i := range sc.Workload.Binary {
+			sc.Workload.Binary[i] = model.BitToValue(rng.Uint64())
+			flip.Workload.Binary[i] = 1 - sc.Workload.Binary[i]
+		}
+		if seed%2 == 0 {
+			sc.Faults = failures.NewSchedule(7)
+			if err := sc.Faults.Set(0, failures.Crash{At: failures.Point{Round: 1, Phase: 1, Stage: failures.StageMidBroadcast}}); err != nil {
+				t.Fatal(err)
+			}
+			flip.Faults = sc.Faults
+		}
+		rigged := variant
+		rigged.CommonCoinOverride = flippedCommon{coin.NewSplitMixCommon(uint64(seed) ^ variant.CoinSalt)}
+		want := run(t, sc)
+		got, err := core.RunVariant(flip, rigged)
+		if err != nil {
+			t.Fatalf("seed %d, complemented: %v", seed, err)
+		}
+		for i, w := range want.Procs {
+			if w.Status == sim.StatusDecided {
+				w.Decision = 1 - w.Decision
+			}
+			if got.Procs[i] != w {
+				t.Fatalf("seed %d: process %d ends %+v on the complement, want %+v", seed, i, got.Procs[i], w)
+			}
+		}
+		if _, _, ok := outcome(want).Decided(); !ok || got.Engine != want.Engine || got.Metrics != want.Metrics {
+			t.Fatalf("seed %d: the complement ran differently or nobody decided:\n  got:  %+v\n  want: %+v", seed, got, want)
+		}
 	}
 }

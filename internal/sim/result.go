@@ -20,24 +20,8 @@ import (
 // DefaultMaxSteps bounds virtual-engine runs that never converge: a run
 // processing this many discrete events without terminating is aborted
 // deterministically (undecided processes end as StatusBlocked). It is the
-// floor of the topology-aware default, DefaultMaxStepsFor.
+// floor of the topology-aware default, DefaultMaxStepsHint.
 const DefaultMaxSteps = 8 << 20
-
-// DefaultMaxStepsFor is the default step budget of an n-process
-// virtual-engine run. All-to-all exchanges cost Θ(n²) events per round, so
-// a flat constant that is generous at n=64 silently truncates legitimate
-// n=8192 runs; 24·n² covers the protocols in this repository with an
-// order-of-magnitude margin (the full-coin hybrid run measures ~3.1·n²
-// events at n=1024), while DefaultMaxSteps stays the floor so small-n runs
-// keep the historical bound. Non-positive n (protocols that never report a
-// topology) gets the floor.
-func DefaultMaxStepsFor(n int) int64 {
-	q := 24 * int64(n) * int64(n)
-	if n <= 0 || q < DefaultMaxSteps {
-		return DefaultMaxSteps
-	}
-	return q
-}
 
 // StepComplexity is a protocol's event-count shape, declared by its adapter
 // in the engine driver's Config (driver.Config.Complexity) so the default
@@ -49,7 +33,7 @@ type StepComplexity int
 const (
 	// StepsQuadratic (the zero value): all-to-all message exchange,
 	// Θ(n²) events per round — the classic protocols. Default budget
-	// 24·n² (DefaultMaxStepsFor).
+	// 24·n².
 	StepsQuadratic StepComplexity = iota
 	// StepsLinear: sparse-overlay protocols, O(n·d·rounds) events.
 	// Default budget 8192·n — linear in n with a per-process allowance
@@ -58,17 +42,24 @@ const (
 	StepsLinear
 )
 
-// DefaultMaxStepsHint is DefaultMaxStepsFor with the protocol's declared
-// complexity: quadratic keeps the 24·n² default, linear gets 8192·n.
+// DefaultMaxStepsHint is the default step budget of an n-process run of a
+// protocol of complexity c. All-to-all exchanges cost Θ(n²) events per
+// round, so a flat constant that is generous at n=64 silently truncates
+// legitimate n=8192 runs; 24·n² covers the quadratic protocols in this
+// repository with an order-of-magnitude margin (the full-coin hybrid run
+// measures ~3.1·n² events at n=1024), and a linear one gets 8192·n.
+// DefaultMaxSteps stays the floor of both, so small-n runs keep the
+// historical bound; non-positive n (protocols that never report a topology)
+// gets the floor.
 func DefaultMaxStepsHint(n int, c StepComplexity) int64 {
+	budget := 24 * int64(n) * int64(n)
 	if c == StepsLinear {
-		l := 8192 * int64(n)
-		if n <= 0 || l < DefaultMaxSteps {
-			return DefaultMaxSteps
-		}
-		return l
+		budget = 8192 * int64(n)
 	}
-	return DefaultMaxStepsFor(n)
+	if n <= 0 || budget < DefaultMaxSteps {
+		return DefaultMaxSteps
+	}
+	return budget
 }
 
 // Status classifies how a process's propose() invocation ended.
@@ -113,8 +104,8 @@ type ProcResult struct {
 
 // Setup is the part of a run's inputs every protocol shares: its seed, its
 // crash pattern, its bounds and its network's delay policy.
-// protocol.Scenario compiles it once (Scenario.Setup) for every adapter, and
-// core.Config embeds it untagged for the round machine's direct callers.
+// protocol.Scenario compiles it once (Scenario.Setup) for every adapter,
+// core.RunVariant's included, and no other type embeds it.
 type Setup struct {
 	// Seed pins all randomness of the run — coins, delays, crash subsets,
 	// random overlay views: identical Configs yield identical results.

@@ -133,6 +133,18 @@ func diffOverlay() *OverlaySpec {
 	return &OverlaySpec{Kind: OverlayCirculant, Degree: 3}
 }
 
+// topologyRows are the shapes, beside the suite's shared one, that the
+// schedules property runs a protocol on: mm also runs on the appendix graph
+// Fig2 (n = 5), whose memory domains overlap unlike the ring's, with
+// proposals alternating from 1.
+var topologyRows = map[string][]struct {
+	name     string
+	topology Topology
+	workload Workload
+}{
+	ProtocolMM: {{"fig2", Topology{N: 5, MMEdges: Fig2Graph().EdgeList()}, Workload{Binary: []Value{One, Zero, One, Zero, One}}}},
+}
+
 // canBlock is the suite's row of each registered protocol: whether it can
 // block, and so is held to the uncovered crash set. shmem is wait-free, and
 // gossip's fixed round schedule always ends decided.
@@ -242,7 +254,8 @@ func unrelabel(out *Outcome, at []int) *Outcome {
 //     kind has one;
 //   - schedules: protocol.Check in each of 32 seeds × {immediate delivery,
 //     a 0–1 ms uniform band} × each algorithm the protocol lists, crash-free,
-//     so that includes deciding everywhere;
+//     so that includes deciding everywhere, on the shared shape and each of
+//     the protocol's topologyRows;
 //   - blocked: under every profile the uncovered crash set, timed and (where
 //     Info.StageCrashes) at round 1's start, quiesces the run with every live
 //     process blocked, where the protocol can block;
@@ -299,17 +312,25 @@ func TestRegistryDifferential(t *testing.T) {
 				if !info.HasNetwork {
 					bands = bands[:1]
 				}
-				for _, algo := range algos {
-					for _, band := range bands {
-						for seed := int64(0); seed < 32; seed++ {
-							sc := base
-							sc.Algorithm, sc.Profile, sc.Seed = algo, band, seed
-							out, err := Run(sc)
-							if err != nil {
-								t.Fatalf("algorithm %q, band %v, seed %d: %v", algo, band != nil, seed, err)
-							}
-							if vs := Check(sc, out); vs != nil {
-								t.Errorf("algorithm %q, band %v, seed %d: %v", algo, band != nil, seed, vs)
+				shapes := map[string]Scenario{"shared": base}
+				for _, row := range topologyRows[info.Name] {
+					sc := base
+					sc.Topology, sc.Workload = row.topology, row.workload
+					shapes[row.name] = sc
+				}
+				for name, shape := range shapes {
+					for _, algo := range algos {
+						for _, band := range bands {
+							for seed := int64(0); seed < 32; seed++ {
+								sc := shape
+								sc.Algorithm, sc.Profile, sc.Seed = algo, band, seed
+								out, err := Run(sc)
+								if err != nil {
+									t.Fatalf("%s: algorithm %q, band %v, seed %d: %v", name, algo, band != nil, seed, err)
+								}
+								if vs := Check(sc, out); vs != nil {
+									t.Errorf("%s: algorithm %q, band %v, seed %d: %v", name, algo, band != nil, seed, vs)
+								}
 							}
 						}
 					}
